@@ -858,22 +858,12 @@ impl ImageStore {
     /// published (and its file on disk) so a crash before the new marker
     /// lands still finds its recovery base; entries older than that are
     /// pruned here, after the swap.
-    pub fn publish(
-        &self,
-        table_name: &str,
-        partition: u32,
-        seq: u64,
-        table: &StableTable,
-    ) -> Result<()> {
-        self.publish_with_reuse(table_name, partition, seq, table, &[])
-            .map(|_| ())
-    }
-
-    /// [`ImageStore::publish`] with per-block provenance: block `b` whose
-    /// `prov[b]` names a prior published generation is written as a
-    /// reference instead of an inline payload (incremental compaction
-    /// passes the provenance of the blocks its splice kept). Returns the
-    /// write/reuse accounting.
+    ///
+    /// Block `b` whose `prov[b]` names a prior published generation is
+    /// written as a reference instead of an inline payload (a range
+    /// compaction passes the provenance of the blocks its splice kept; a
+    /// whole-partition checkpoint kept none). Returns the write/reuse
+    /// accounting.
     pub fn publish_with_reuse(
         &self,
         table_name: &str,
@@ -1069,7 +1059,7 @@ mod tests {
         assert!(store.load("t", 0, 5, &io).unwrap().is_none(), "no manifest");
 
         let t = table(500, 128);
-        store.publish("t", 0, 5, &t).unwrap();
+        store.publish_with_reuse("t", 0, 5, &t, &[]).unwrap();
         let loaded = store.load("t", 0, 5, &io).unwrap().expect("image at seq 5");
         assert_eq!(loaded.row_count(), 500);
         // wrong expected seq (marker behind manifest = crash window) → None
@@ -1078,7 +1068,7 @@ mod tests {
         // republish at a later seq: the previous image survives (it is the
         // recovery base if we crash before the new marker lands)
         let t2 = table(600, 128);
-        store.publish("t", 0, 9, &t2).unwrap();
+        store.publish_with_reuse("t", 0, 9, &t2, &[]).unwrap();
         assert_eq!(
             store.load("t", 0, 5, &io).unwrap().unwrap().row_count(),
             500,
@@ -1090,7 +1080,7 @@ mod tests {
         );
         // a third publish prunes everything below the previous entry
         let t3 = table(700, 128);
-        store.publish("t", 0, 12, &t3).unwrap();
+        store.publish_with_reuse("t", 0, 12, &t3, &[]).unwrap();
         assert!(store.load("t", 0, 5, &io).unwrap().is_none());
         let mut files: Vec<_> = fs::read_dir(&dir)
             .unwrap()

@@ -97,7 +97,7 @@ pub struct StableTable {
     cols: Vec<Arc<Vec<Block>>>,
     /// `starts[b]` = SID of the first row of block `b`. Bulk-loaded tables
     /// are fixed-stride (`b * block_rows`); a range splice
-    /// ([`StableTable::splice_blocks`]) keeps unchanged blocks as-is, so a
+    /// ([`TableBuilder::splice`]) keeps unchanged blocks as-is, so a
     /// spliced table's blocks may be shorter than `block_rows` mid-table.
     starts: Vec<u64>,
     sparse: SparseIndex,
@@ -181,7 +181,7 @@ impl StableTable {
         }
         // Block boundaries come from the per-block lengths themselves:
         // a freshly built image is fixed-stride, but a range-compacted one
-        // may carry shorter blocks mid-table (see `splice_blocks`).
+        // may carry shorter blocks mid-table (see `TableBuilder::splice`).
         let nblocks = cols.first().map(|c| c.len()).unwrap_or(0);
         for (c, col) in cols.iter().enumerate() {
             if col.len() != nblocks {
@@ -489,129 +489,15 @@ impl StableTable {
 
     /// Build a new table keeping blocks `[0, b0)` and `[b1, num_blocks)`
     /// as-is (encoded payloads shared, nothing re-encoded) and replacing
-    /// blocks `[b0, b1)` with the rows of `merged` — the output of a
-    /// range-scoped checkpoint merge. `merged` holds one column per schema
-    /// column (equal lengths, sorted on the sort key, fitting between the
-    /// kept neighbours' key bounds) and may change the range's row count,
-    /// so kept suffix blocks shift to new SIDs and the result is
-    /// variable-stride (see [`StableTable::block_starts`]).
-    ///
-    /// String columns whose merged rows stay coded over this table's
-    /// global dictionary are re-encoded as [`Encoding::GlobalCode`];
-    /// materialized columns (the delta introduced strings outside the
-    /// dictionary) fall back to per-block encodings, which coexist with
-    /// coded blocks in the same column.
+    /// blocks `[b0, b1)` with the rows of `merged` — one column per schema
+    /// column, equal lengths, sorted on the sort key, fitting between the
+    /// kept neighbours' key bounds. One-shot form of
+    /// [`TableBuilder::splice`], which documents the resulting geometry
+    /// and string encodings.
     pub fn splice_blocks(&self, b0: usize, b1: usize, merged: &[ColumnVec]) -> Result<StableTable> {
-        let nblocks = self.num_blocks();
-        if b0 > b1 || b1 > nblocks {
-            return Err(ColumnarError::OutOfRange {
-                what: "splice block range",
-                index: b1 as u64,
-                len: nblocks as u64,
-            });
-        }
-        let ncols = self.num_columns();
-        if merged.len() != ncols {
-            return Err(ColumnarError::SchemaMismatch(format!(
-                "splice has {} columns, schema of {} has {ncols}",
-                merged.len(),
-                self.meta.name
-            )));
-        }
-        let n = merged.first().map(|c| c.len()).unwrap_or(0);
-        for (c, col) in merged.iter().enumerate() {
-            if col.len() != n || col.vtype() != self.meta.schema.fields()[c].vtype {
-                return Err(ColumnarError::SchemaMismatch(format!(
-                    "splice column {c} is {:?}×{} — expected {:?}×{n}",
-                    col.vtype(),
-                    col.len(),
-                    self.meta.schema.fields()[c].vtype
-                )));
-            }
-        }
-        let sk_cols = self.meta.sort_key.cols();
-        let sk_of =
-            |i: usize| -> Vec<Value> { sk_cols.iter().map(|&c| merged[c].get(i)).collect() };
-        for i in 1..n {
-            for (rank, &c) in sk_cols.iter().enumerate() {
-                match merged[c].cmp_cells(i - 1, &merged[c], i) {
-                    Ordering::Less => break,
-                    Ordering::Equal if rank + 1 < sk_cols.len() => continue,
-                    Ordering::Equal => break,
-                    Ordering::Greater => {
-                        return Err(ColumnarError::UnsortedInput { row: i as u64 })
-                    }
-                }
-            }
-        }
-        if n > 0 {
-            if b0 > 0 && cmp_prefix(&self.block_max_sk[b0 - 1], &sk_of(0)) == Ordering::Greater {
-                return Err(ColumnarError::UnsortedInput { row: 0 });
-            }
-            if b1 < nblocks
-                && cmp_prefix(&sk_of(n - 1), &self.sparse.first_keys()[b1]) == Ordering::Greater
-            {
-                return Err(ColumnarError::UnsortedInput { row: n as u64 });
-            }
-        }
-        // chunk the merged rows into fresh blocks
-        let mut mids: Vec<Vec<Block>> = vec![Vec::new(); ncols];
-        let mut mid_mins: Vec<SkKey> = Vec::new();
-        let mut mid_maxs: Vec<SkKey> = Vec::new();
-        let mut i0 = 0usize;
-        while i0 < n {
-            let i1 = (i0 + self.opts.block_rows).min(n);
-            mid_mins.push(sk_of(i0));
-            mid_maxs.push(sk_of(i1 - 1));
-            for (c, col) in merged.iter().enumerate() {
-                let mut chunk = col.slice_range(i0, i1);
-                let same_dict = match (chunk.dict(), self.dicts[c].as_ref()) {
-                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                    _ => false,
-                };
-                let blk = if same_dict {
-                    Block::encode_coded(&chunk)
-                } else {
-                    chunk.materialize_in_place();
-                    Block::encode(&chunk, self.opts.compressed)
-                };
-                mids[c].push(blk);
-            }
-            i0 = i1;
-        }
-        // assemble: kept prefix + fresh middle + kept (shifted) suffix
-        let span_rows = if b1 > b0 {
-            self.block_range(b1 - 1).1 - self.block_range(b0).0
-        } else {
-            0
-        };
-        let row_count = self.row_count - span_rows + n as u64;
-        let cols: Vec<Vec<Block>> = (0..ncols)
-            .map(|c| {
-                let old = &self.cols[c];
-                let mut v = Vec::with_capacity(old.len() - (b1 - b0) + mids[c].len());
-                v.extend_from_slice(&old[..b0]);
-                v.append(&mut std::mem::take(&mut mids[c]));
-                v.extend_from_slice(&old[b1..]);
-                v
-            })
-            .collect();
-        let firsts = self.sparse.first_keys();
-        let mut mins: Vec<SkKey> = firsts[..b0].to_vec();
-        mins.append(&mut mid_mins);
-        mins.extend_from_slice(&firsts[b1..]);
-        let mut maxs: Vec<SkKey> = self.block_max_sk[..b0].to_vec();
-        maxs.append(&mut mid_maxs);
-        maxs.extend_from_slice(&self.block_max_sk[b1..]);
-        StableTable::from_parts(
-            self.meta.clone(),
-            self.opts,
-            row_count,
-            cols,
-            mins,
-            maxs,
-            self.dicts.clone(),
-        )
+        let mut b = TableBuilder::splice(self, b0, b1)?;
+        b.append_cols(merged)?;
+        b.finish()
     }
 }
 
@@ -631,6 +517,11 @@ fn cmp_prefix(stored: &[Value], key: &[Value]) -> Ordering {
 /// blocks are buffered during the load, a table-global order-preserving
 /// [`StrDict`] is built in [`TableBuilder::finish`], and every block is then
 /// written as [`Encoding::GlobalCode`] `u32` codes.
+///
+/// A builder started with [`TableBuilder::splice`] rewrites only a block
+/// range of an existing table: it is seeded with the kept prefix blocks,
+/// fed the replacement rows like any load, and `finish` appends the kept
+/// suffix blocks.
 pub struct TableBuilder {
     meta: TableMeta,
     opts: TableOptions,
@@ -641,6 +532,16 @@ pub struct TableBuilder {
     /// `finish` knows the full string universe.
     dict_col: Vec<bool>,
     pending: Vec<Vec<ColumnVec>>,
+    /// `dicts[c]`: the dictionary a splice's kept blocks of column `c` are
+    /// coded against. Rows that stay within it are written as
+    /// [`Encoding::GlobalCode`]; a block receiving a string outside it
+    /// falls back to a per-block encoding.
+    dicts: Vec<Option<Arc<StrDict>>>,
+    /// Kept suffix of a splice (blocks, first keys, last keys), appended
+    /// by `finish` at whatever SID the replacement rows end.
+    suffix: Vec<Vec<Block>>,
+    suffix_mins: Vec<SkKey>,
+    suffix_maxs: Vec<SkKey>,
     sparse_keys: Vec<Vec<Value>>,
     sparse_sids: Vec<u64>,
     block_max_keys: Vec<SkKey>,
@@ -652,12 +553,6 @@ impl TableBuilder {
     /// Start a load for the given identity and layout.
     pub fn new(meta: TableMeta, opts: TableOptions) -> Self {
         assert!(opts.block_rows > 0, "block_rows must be positive");
-        let buf: Vec<ColumnVec> = meta
-            .schema
-            .fields()
-            .iter()
-            .map(|f| ColumnVec::with_capacity(f.vtype, opts.block_rows))
-            .collect();
         let dict_col: Vec<bool> = meta
             .schema
             .fields()
@@ -665,19 +560,84 @@ impl TableBuilder {
             .map(|f| opts.compressed && f.vtype == ValueType::Str)
             .collect();
         let ncols = meta.schema.len();
-        TableBuilder {
+        let mut b = TableBuilder {
             meta,
             opts,
-            buf,
+            buf: Vec::new(),
             blocks: vec![Vec::new(); ncols],
             dict_col,
             pending: vec![Vec::new(); ncols],
+            dicts: vec![None; ncols],
+            suffix: vec![Vec::new(); ncols],
+            suffix_mins: Vec::new(),
+            suffix_maxs: Vec::new(),
             sparse_keys: Vec::new(),
             sparse_sids: Vec::new(),
             block_max_keys: Vec::new(),
             row_count: 0,
             last_sk: None,
+        };
+        b.reset_bufs();
+        b
+    }
+
+    /// Start a load that replaces blocks `[b0, b1)` of `base` and keeps
+    /// every other block as-is (encoded payloads shared, nothing
+    /// re-encoded). The replacement rows may change the range's row
+    /// count, so kept suffix blocks shift to new SIDs and the result is
+    /// variable-stride (see [`StableTable::block_starts`]).
+    ///
+    /// While any block is kept, the table's string dictionaries stay:
+    /// replacement rows within them are coded against them, and a block
+    /// receiving a string outside its dictionary falls back to a per-block
+    /// encoding (both kinds coexist in one column). A range covering the
+    /// whole table keeps nothing, so it is a plain fresh load — global
+    /// dictionaries rebuilt against the new image included.
+    pub fn splice(base: &StableTable, b0: usize, b1: usize) -> Result<Self> {
+        let nblocks = base.num_blocks();
+        if b0 > b1 || b1 > nblocks {
+            return Err(ColumnarError::OutOfRange {
+                what: "splice block range",
+                index: b1 as u64,
+                len: nblocks as u64,
+            });
         }
+        let mut b = TableBuilder::new(base.meta.clone(), base.opts);
+        if b0 == 0 && b1 == nblocks {
+            return Ok(b);
+        }
+        b.dict_col.fill(false);
+        b.dicts = base.dicts.clone();
+        b.reset_bufs();
+        for (c, col) in base.cols.iter().enumerate() {
+            b.blocks[c] = col[..b0].to_vec();
+            b.suffix[c] = col[b1..].to_vec();
+        }
+        let firsts = base.sparse.first_keys();
+        b.sparse_keys = firsts[..b0].to_vec();
+        b.sparse_sids = base.starts[..b0].to_vec();
+        b.block_max_keys = base.block_max_sk[..b0].to_vec();
+        b.suffix_mins = firsts[b1..].to_vec();
+        b.suffix_maxs = base.block_max_sk[b1..].to_vec();
+        b.row_count = base.block_range(b0).0;
+        b.last_sk = b.block_max_keys.last().cloned();
+        Ok(b)
+    }
+
+    /// (Re)create the per-column block buffers: coded over the kept
+    /// dictionary where there is one, plainly typed otherwise.
+    fn reset_bufs(&mut self) {
+        self.buf = self
+            .meta
+            .schema
+            .fields()
+            .iter()
+            .zip(&self.dicts)
+            .map(|(f, dict)| match dict {
+                Some(d) => ColumnVec::new_coded(d.clone()),
+                None => ColumnVec::with_capacity(f.vtype, self.opts.block_rows),
+            })
+            .collect();
     }
 
     /// Append one row; must arrive in (non-strict) sort-key order.
@@ -696,7 +656,7 @@ impl TableBuilder {
                 });
             }
         }
-        if self.row_count.is_multiple_of(self.opts.block_rows as u64) {
+        if self.buf[0].is_empty() {
             self.sparse_keys.push(sk.clone());
             self.sparse_sids.push(self.row_count);
         }
@@ -803,23 +763,31 @@ impl TableBuilder {
                     ColumnVec::with_capacity(ValueType::Str, self.opts.block_rows),
                 );
                 self.pending[c].push(raw);
+            } else if col.dict().is_some() {
+                // still coded over the kept dictionary of a splice
+                self.blocks[c].push(Block::encode_coded(col));
+                col.clear();
             } else {
                 self.blocks[c].push(Block::encode(col, self.opts.compressed));
-                col.clear();
+                match &self.dicts[c] {
+                    // a string outside the kept dictionary materialized
+                    // this block; the next one starts coded again
+                    Some(d) => *col = ColumnVec::new_coded(d.clone()),
+                    None => col.clear(),
+                }
             }
         }
     }
 
     /// Finish the load and produce the immutable table. String columns of
     /// compressed tables get their global dictionary built here and their
-    /// blocks encoded as [`Encoding::GlobalCode`].
+    /// blocks encoded as [`Encoding::GlobalCode`]; a splice appends its
+    /// kept suffix blocks (rejecting replacement rows that sort past them).
     pub fn finish(mut self) -> Result<StableTable> {
         if !self.buf[0].is_empty() || self.meta.schema.is_empty() {
             self.flush_block();
         }
-        let ncols = self.meta.schema.len();
-        let mut dicts: Vec<Option<Arc<StrDict>>> = vec![None; ncols];
-        for (c, slot) in dicts.iter_mut().enumerate() {
+        for c in 0..self.meta.schema.len() {
             if !self.dict_col[c] {
                 continue;
             }
@@ -834,7 +802,28 @@ impl TableBuilder {
                     .collect();
                 self.blocks[c].push(Block::encode_coded(&ColumnVec::Coded(codes, dict.clone())));
             }
-            *slot = Some(dict);
+            self.dicts[c] = Some(dict);
+        }
+        if let (Some(prev), Some(next)) = (&self.last_sk, self.suffix_mins.first()) {
+            if cmp_prefix(prev, next) == Ordering::Greater {
+                return Err(ColumnarError::UnsortedInput {
+                    row: self.row_count,
+                });
+            }
+        }
+        for (j, (min, max)) in self
+            .suffix_mins
+            .into_iter()
+            .zip(self.suffix_maxs)
+            .enumerate()
+        {
+            self.sparse_keys.push(min);
+            self.sparse_sids.push(self.row_count);
+            self.block_max_keys.push(max);
+            self.row_count += self.suffix[0][j].len as u64;
+        }
+        for (col, suffix) in self.blocks.iter_mut().zip(self.suffix) {
+            col.extend(suffix);
         }
         let starts = self.sparse_sids.clone();
         let sparse = SparseIndex::new(self.sparse_keys, self.sparse_sids, self.row_count);
@@ -846,7 +835,7 @@ impl TableBuilder {
             starts,
             sparse,
             block_max_sk: self.block_max_keys,
-            dicts,
+            dicts: self.dicts,
         })
     }
 }
@@ -1103,6 +1092,28 @@ mod tests {
         // whole-table splice
         let full = t.splice_blocks(0, 4, &cols_of(&all, &t)).unwrap();
         assert_eq!(full.scan_all(&io).unwrap(), all);
+        // ... keeps no block, so it is a fresh load: the dictionary is
+        // rebuilt around a brand-new string and every block stays coded
+        let mut grown = all.clone();
+        grown.push(vec![Value::Int(999), Value::Str("fresh".into())]);
+        let full = t.splice_blocks(0, 4, &cols_of(&grown, &t)).unwrap();
+        let loaded = StableTable::bulk_load(t.meta().clone(), t.options(), &grown).unwrap();
+        assert!(full.column_dict(1).unwrap().code_of("fresh").is_some());
+        assert_eq!(full.block_starts(), loaded.block_starts());
+        for c in 0..2 {
+            for (a, b) in full.column_blocks(c).iter().zip(loaded.column_blocks(c)) {
+                assert_eq!((a.encoding, &a.payload), (b.encoding, &b.payload));
+            }
+        }
+        // while a partial splice keeps the old dictionary and encodes
+        // the block that outgrew it on its own
+        let tail = t.splice_blocks(3, 4, &cols_of(&grown[12..], &t)).unwrap();
+        assert!(tail.column_dict(1).unwrap().code_of("fresh").is_none());
+        assert_ne!(
+            tail.column_blocks(1).last().unwrap().encoding,
+            Encoding::GlobalCode
+        );
+        assert_eq!(tail.scan_all(&io).unwrap(), grown);
         // out-of-range and out-of-order splices are rejected
         assert!(t.splice_blocks(3, 5, &empty).is_err());
         assert!(t.splice_blocks(2, 1, &empty).is_err());

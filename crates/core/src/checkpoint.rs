@@ -4,9 +4,11 @@
 //! a threshold, a new image of the table is created with all buffered
 //! updates applied; query processing then switches to the new image and the
 //! applied updates are pruned. Our stable images are immutable
-//! [`StableTable`]s, so a checkpoint simply bulk-loads the merged rows into
-//! a fresh table. After a checkpoint, SIDs are renumbered (RID == SID again)
-//! and sparse indexes are rebuilt from the new image.
+//! [`StableTable`]s, so a checkpoint builds a fresh table: the merged rows
+//! of a block range spliced between the blocks it leaves alone — the whole
+//! image when the range is every block. SIDs are renumbered past the merged
+//! range (RID == SID again once nothing is left unfolded) and the sparse
+//! index is rebuilt for the new image.
 
 use crate::merge::PdtMerger;
 use crate::tree::Pdt;
@@ -55,22 +57,44 @@ pub fn merge_rows(stable_rows: &[Tuple], pdt: &Pdt) -> Vec<Tuple> {
     out
 }
 
-/// Build the next stable image: merge the PDT over the current image block
-/// by block with the kernelized [`PdtMerger`] and feed the merged columns
-/// straight into a [`TableBuilder`] — tuples are never materialized, and
-/// dictionary-coded string blocks stay on the `u32` path end to end (the
-/// builder re-dictionarizes against the *new* image's global dictionary).
-/// The I/O of the full scan is charged to `io` (checkpoints are real work).
+/// Build the next stable image: the whole-partition checkpoint is the
+/// range checkpoint over every block ([`checkpoint_range`]).
 pub fn checkpoint_table(
     stable: &StableTable,
     pdt: &Pdt,
     io: &IoTracker,
 ) -> Result<StableTable, ColumnarError> {
+    checkpoint_range(stable, pdt, 0, stable.num_blocks(), io)
+}
+
+/// Range-scoped checkpoint merge: fold the PDT's updates addressing
+/// stable blocks `[b0, b1)` into fresh blocks spliced between the
+/// untouched neighbours ([`TableBuilder::splice`] — sub-partition
+/// compaction never rewrites the cold remainder of the image). The range
+/// is merged block by block with the kernelized [`PdtMerger`] and each
+/// merged block goes straight into the builder: tuples are never
+/// materialized and at most one decoded block is held at a time. When
+/// `b1` is the last block the append gap at `row_count` is drained too, so
+/// trailing inserts fold — `[0, 0)` of an empty image folds exactly those.
+/// Updates outside the range stay in the PDT (the caller rebases them —
+/// see the txn crate's `rebase_pdt_outside_range`).
+///
+/// Dictionary-coded string blocks stay on the `u32` path through the
+/// merge; what the builder encodes them against depends on whether the
+/// range keeps any block (see [`TableBuilder::splice`]). The I/O of the
+/// range scan is charged to `io` (checkpoints are real work).
+pub fn checkpoint_range(
+    stable: &StableTable,
+    pdt: &Pdt,
+    b0: usize,
+    b1: usize,
+    io: &IoTracker,
+) -> Result<StableTable, ColumnarError> {
     let ncols = stable.num_columns();
     let proj: Vec<usize> = (0..ncols).collect();
-    let mut merger = PdtMerger::new(pdt, 0);
-    let mut builder = TableBuilder::new(stable.meta().clone(), stable.options());
-    for b in 0..stable.num_blocks() {
+    let mut builder = TableBuilder::splice(stable, b0, b1)?;
+    let mut merger = PdtMerger::new(pdt, stable.block_range(b0).0);
+    for b in b0..b1 {
         let (start, end) = stable.block_range(b);
         let cols: Vec<ColumnVec> = (0..ncols)
             .map(|c| stable.read_block(c, b, io))
@@ -86,72 +110,6 @@ pub fn checkpoint_table(
         merger.merge_block(start, (end - start) as usize, &proj, &cols, &mut out);
         builder.append_cols(&out)?;
     }
-    let mut tail: Vec<ColumnVec> = stable
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| ColumnVec::new(f.vtype))
-        .collect();
-    merger.drain_inserts_at(stable.row_count(), &proj, &mut tail);
-    builder.append_cols(&tail)?;
-    builder.finish()
-}
-
-/// Range-scoped checkpoint merge: fold the PDT's updates addressing
-/// stable blocks `[b0, b1)` into fresh merged columns, leaving every
-/// other block untouched. Returns one [`ColumnVec`] per schema column
-/// holding the range's merged rows — the input
-/// [`StableTable::splice_blocks`] re-blocks (sub-partition compaction
-/// never rewrites the cold remainder of the image). When `b1` is the
-/// last block the append gap at `row_count` is drained too, so trailing
-/// inserts fold; updates outside the range stay in the PDT (the caller
-/// rebases them — see the txn crate's `rebase_pdt_outside_range`).
-///
-/// Dictionary-coded string blocks stay on the `u32` path block to block
-/// and across the accumulating concatenation (same-dictionary fast path
-/// of [`ColumnVec::extend_range`]); inserts carrying strings outside
-/// the dictionary materialize the merged column, which
-/// `splice_blocks` re-encodes per block.
-pub fn checkpoint_range(
-    stable: &StableTable,
-    pdt: &Pdt,
-    b0: usize,
-    b1: usize,
-    io: &IoTracker,
-) -> Result<Vec<ColumnVec>, ColumnarError> {
-    assert!(
-        b0 < b1 && b1 <= stable.num_blocks(),
-        "checkpoint_range over empty or out-of-bounds block range [{b0}, {b1})"
-    );
-    let ncols = stable.num_columns();
-    let proj: Vec<usize> = (0..ncols).collect();
-    let s0 = stable.block_range(b0).0;
-    let mut merger = PdtMerger::new(pdt, s0);
-    let mut acc: Option<Vec<ColumnVec>> = None;
-    for b in b0..b1 {
-        let (start, end) = stable.block_range(b);
-        let cols: Vec<ColumnVec> = (0..ncols)
-            .map(|c| stable.read_block(c, b, io))
-            .collect::<Result<_, _>>()?;
-        let mut out: Vec<ColumnVec> = cols
-            .iter()
-            .enumerate()
-            .map(|(c, col)| match col.dict() {
-                Some(d) => ColumnVec::new_coded(d.clone()),
-                None => ColumnVec::new(stable.schema().vtype(c)),
-            })
-            .collect();
-        merger.merge_block(start, (end - start) as usize, &proj, &cols, &mut out);
-        match &mut acc {
-            None => acc = Some(out),
-            Some(a) => {
-                for (c, o) in out.iter().enumerate() {
-                    a[c].extend_range(o, 0, o.len());
-                }
-            }
-        }
-    }
-    let mut acc = acc.expect("asserted non-empty block range");
     if b1 == stable.num_blocks() {
         let mut tail: Vec<ColumnVec> = stable
             .schema()
@@ -160,15 +118,9 @@ pub fn checkpoint_range(
             .map(|f| ColumnVec::new(f.vtype))
             .collect();
         merger.drain_inserts_at(stable.row_count(), &proj, &mut tail);
-        // skip when empty: extending a coded column from an (empty)
-        // materialized one would needlessly decay it to strings
-        if tail.first().is_some_and(|t| !t.is_empty()) {
-            for (c, t) in tail.iter().enumerate() {
-                acc[c].extend_range(t, 0, t.len());
-            }
-        }
+        builder.append_cols(&tail)?;
     }
-    Ok(acc)
+    builder.finish()
 }
 
 #[cfg(test)]
@@ -229,7 +181,9 @@ mod tests {
 
     #[test]
     fn checkpoint_range_matches_full_merge_on_the_window() {
-        let base = rows(100);
+        let base: Vec<Tuple> = (0..100)
+            .map(|i| vec![Value::Int(i * 10), Value::Int(i)])
+            .collect();
         let meta = TableMeta::new("t", schema(), vec![0]);
         let t0 = StableTable::bulk_load(
             meta,
@@ -242,30 +196,39 @@ mod tests {
         .unwrap();
         let mut p = Pdt::new(schema(), vec![0]);
         // updates inside blocks 2..4 (sids 32..64) and outside them
-        p.add_delete(40, &[Value::Int(40)]);
-        p.add_insert(50, 49, &[Value::Int(245), Value::Int(1)]); // 49.5 → key 245/5=49
+        p.add_delete(40, &[Value::Int(400)]);
+        p.add_insert(50, 49, &[Value::Int(495), Value::Int(1)]);
         p.add_modify(35, 1, &Value::Int(-1));
-        p.add_delete(5, &[Value::Int(5)]); // prefix: untouched by the range
-        p.add_insert(100, 99, &[Value::Int(495), Value::Int(0)]); // tail gap
+        p.add_delete(5, &[Value::Int(50)]); // prefix: untouched by the range
+        p.add_insert(100, 99, &[Value::Int(9990), Value::Int(0)]); // tail gap
         let io = IoTracker::new();
         let got = checkpoint_range(&t0, &p, 2, 4, &io).unwrap();
         // expectation: the full spec merge restricted to what came from
-        // stable rows 32..64 (prefix loses a row, so merged rids shift)
+        // stable rows 32..64 (prefix loses a row, so merged rids shift),
+        // between the untouched neighbours
         let full = merge_rows(&base, &p);
-        let want: Vec<Tuple> = full
-            .iter()
-            .filter(|r| (32..64).contains(&r[0].as_int()) || r[0].as_int() == 245)
-            .cloned()
-            .collect();
-        let got_rows: Vec<Tuple> = (0..got[0].len())
-            .map(|i| got.iter().map(|c| c.get(i)).collect())
-            .collect();
-        assert_eq!(got_rows, want);
+        let mut want = base[..32].to_vec();
+        want.extend(
+            full.iter()
+                .filter(|r| (320..640).contains(&r[0].as_int()))
+                .cloned(),
+        );
+        want.extend_from_slice(&base[64..]);
+        assert_eq!(got.scan_all(&io).unwrap(), want);
         // last-block range drains the append gap
         let nb = t0.num_blocks();
         let got = checkpoint_range(&t0, &p, nb - 1, nb, &io).unwrap();
-        let last = got[0].len() - 1;
-        assert_eq!(got[0].get(last), Value::Int(495), "trailing insert folds");
+        let last = got.get_row(got.row_count() - 1, &io).unwrap();
+        assert_eq!(last[0], Value::Int(9990), "trailing insert folds");
+        // the whole-table range is the full checkpoint, block for block
+        let ranged = checkpoint_range(&t0, &p, 0, nb, &io).unwrap();
+        assert_eq!(ranged.scan_all(&io).unwrap(), full);
+        // an image without blocks folds its append gap through [0, 0)
+        let empty = StableTable::bulk_load(t0.meta().clone(), t0.options(), &[]).unwrap();
+        let mut tail = Pdt::new(schema(), vec![0]);
+        tail.add_insert(0, 0, &[Value::Int(7), Value::Int(70)]);
+        let grown = checkpoint_range(&empty, &tail, 0, 0, &io).unwrap();
+        assert_eq!(grown.scan_all(&io).unwrap(), merge_rows(&[], &tail));
     }
 
     #[test]

@@ -224,8 +224,10 @@ pub fn plan_steps(
     steps
 }
 
-/// Counters one [`crate::Database::compact_partition`] step reports back
-/// to the scheduler and the serving layer's metrics.
+/// Counters one maintenance step ([`crate::Database::compact_range`], a
+/// planned [`crate::Database::compact_partition`] step, or the checkpoint
+/// that is the step over every block) reports back to the scheduler and
+/// the serving layer's metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Stable blocks the step merged (rewrote).

@@ -31,11 +31,12 @@
 
 use crate::batch::DmlBatch;
 use crate::DbError;
-use columnar::{ColumnVec, ColumnarError, IoTracker, StableTable, Tuple, Value};
+use columnar::{ColumnVec, ColumnarError, IoTracker, StableTable, TableBuilder, Tuple, Value};
 use exec::DeltaLayers;
 use parking_lot::RwLock;
 use pdt::Pdt;
 use std::any::Any;
+use std::borrow::Cow;
 use std::sync::Arc;
 use txn::wal::{self, WalEntry};
 use txn::TxnManager;
@@ -63,16 +64,16 @@ pub enum UpdatePolicy {
 pub const ALL_POLICIES: [UpdatePolicy; 3] =
     [UpdatePolicy::Pdt, UpdatePolicy::Vdt, UpdatePolicy::RowStore];
 
-/// An in-flight checkpoint of one table: the committed delta state pinned
-/// by [`DeltaStore::checkpoint_pin`] (phase 1, under the commit guard),
-/// carried across the off-lock stable rewrite
+/// An in-flight checkpoint of one partition: the committed delta state
+/// pinned by [`DeltaStore::checkpoint_pin`] (phase 1, under the commit
+/// guard), carried across the off-lock stable rewrite
 /// ([`DeltaStore::checkpoint_merge`]) to the installation of the new image
 /// ([`DeltaStore::checkpoint_install`], under the commit guard again).
 pub struct CheckpointPin {
     /// Global commit sequence at pin time: every commit at or below it is
-    /// folded into the merged image; every later one stays in the residual
-    /// delta after install. Also the sequence the WAL checkpoint marker
-    /// carries.
+    /// covered by the checkpoint (folded into the merged image or carried
+    /// in its residual); every later one stays on top after install. Also
+    /// the sequence the WAL checkpoint marker carries.
     pub seq: u64,
     state: Box<dyn Any + Send>,
 }
@@ -93,20 +94,23 @@ impl CheckpointPin {
     }
 }
 
-/// The target of a **range-scoped** checkpoint (sub-partition
-/// compaction): stable blocks `[b0, b1)` of one partition, with the
-/// positional window and key bounds the three stores classify their
-/// delta against. Built by the engine from the stable image captured at
-/// pin time.
+/// The target of a checkpoint: stable blocks `[b0, b1)` of one partition,
+/// with the positional window and key bounds the three stores classify
+/// their delta against. Built by the engine from the stable image
+/// captured at pin time. A whole-partition checkpoint is the range over
+/// every block — nothing about it is special-cased, the bounds simply
+/// come out unbounded.
 #[derive(Debug, Clone)]
 pub struct CompactRange {
     /// First stable block of the merge unit.
     pub b0: usize,
-    /// One past the last stable block of the merge unit.
+    /// One past the last stable block of the merge unit. `b0 == b1` is
+    /// only meaningful at the end of the image: the unit then holds no
+    /// stable row and folds just the append gap.
     pub b1: usize,
     /// First stable SID of the window (`block_range(b0).0`).
     pub s0: u64,
-    /// One past the last stable SID (`block_range(b1 - 1).1`).
+    /// One past the last stable SID (`block_range(b1).0`).
     pub s1: u64,
     /// `row_count()` of the captured stable — `s1 == row_count` means
     /// the window ends at the last block, so trailing inserts fold too.
@@ -122,10 +126,30 @@ pub struct CompactRange {
 }
 
 impl CompactRange {
+    /// Blocks `[b0, b1)` of `stable`. The caller has checked
+    /// `b0 <= b1 <= num_blocks`.
+    pub fn of(stable: &StableTable, b0: usize, b1: usize) -> Self {
+        CompactRange {
+            b0,
+            b1,
+            s0: stable.block_range(b0).0,
+            s1: stable.block_range(b1).0,
+            row_count: stable.row_count(),
+            lo: (b0 > 0).then(|| stable.block_sk_bounds(b0 - 1).1.to_vec()),
+            hi: (b1 < stable.num_blocks()).then(|| stable.block_sk_bounds(b1 - 1).1.to_vec()),
+        }
+    }
+
     /// Does the window end at the partition's last block, folding the
     /// append gap at `row_count` as well?
     pub fn folds_tail(&self) -> bool {
         self.s1 == self.row_count
+    }
+
+    /// No key bound on either side: every key is in the window, so a
+    /// value-addressed store folds its pinned structure as it stands.
+    pub fn covers_all_keys(&self) -> bool {
+        self.lo.is_none() && self.hi.is_none()
     }
 
     /// Key-window test for value-addressed stores: sort keys strictly
@@ -143,30 +167,32 @@ impl CompactRange {
     }
 }
 
-/// Result of [`DeltaStore::checkpoint_merge_range`]: the window's merged
-/// rows in columnar form (input to [`StableTable::splice_blocks`]), the
-/// residual delta flattened for the WAL range marker, and store-private
-/// install state carried to [`DeltaStore::checkpoint_install_range`].
+/// Result of [`DeltaStore::checkpoint_merge`]: the image with the range's
+/// blocks rewritten, the residual delta flattened for the WAL marker, and
+/// store-private install state carried to
+/// [`DeltaStore::checkpoint_install`].
 pub struct RangeMerge {
-    /// One merged column per schema column, covering exactly the
-    /// window's post-merge rows.
-    pub cols: Vec<ColumnVec>,
-    /// The out-of-window delta as loggable entries — what the WAL range
-    /// marker carries so recovery can rebuild the residual over the
-    /// spliced image.
+    /// The stable image with the range's delta folded in and every other
+    /// block kept. `None` when nothing addressed the range (e.g. the row
+    /// store's insert-then-delete churn nets out): the current image
+    /// already is the merged one, nothing is published or logged, and
+    /// install only retires what the pin covered.
+    pub fresh: Option<StableTable>,
+    /// The out-of-window delta as loggable entries — what the WAL marker
+    /// carries so recovery can rebuild the residual over the new image.
     pub residual_entries: Vec<WalEntry>,
     state: Box<dyn Any + Send>,
 }
 
 impl RangeMerge {
-    /// Package a range merge with store-private install `state`.
+    /// Package a merge with store-private install `state`.
     pub fn new(
-        cols: Vec<ColumnVec>,
+        fresh: Option<StableTable>,
         residual_entries: Vec<WalEntry>,
         state: impl Any + Send,
     ) -> Self {
         RangeMerge {
-            cols,
+            fresh,
             residual_entries,
             state: Box::new(state),
         }
@@ -180,17 +206,18 @@ impl RangeMerge {
     }
 }
 
-/// Materialize the rows of stable blocks `[b0, b1)` (the merge input of
-/// the value-addressed stores' range checkpoints).
-pub(crate) fn range_rows(
+/// Rewrite the blocks of `range`: materialize their rows, let `merge` fold
+/// a value-addressed delta into them, and splice the result between the
+/// kept neighbours (the merge step of both value stores' checkpoints).
+pub(crate) fn rewrite_range(
     stable: &StableTable,
-    b0: usize,
-    b1: usize,
+    range: &CompactRange,
     io: &IoTracker,
-) -> Result<Vec<Tuple>, ColumnarError> {
+    merge: impl FnOnce(&[Tuple]) -> Vec<Tuple>,
+) -> Result<StableTable, ColumnarError> {
     let ncols = stable.num_columns();
     let mut rows = Vec::new();
-    for b in b0..b1 {
+    for b in range.b0..range.b1 {
         let cols: Vec<ColumnVec> = (0..ncols)
             .map(|c| stable.read_block(c, b, io))
             .collect::<Result<_, _>>()?;
@@ -200,22 +227,11 @@ pub(crate) fn range_rows(
             rows.push(cols.iter().map(|c| c.get(i)).collect());
         }
     }
-    Ok(rows)
-}
-
-/// Row-major → column-major for a range merge's output.
-pub(crate) fn columnarize(schema: &columnar::Schema, rows: &[Tuple]) -> Vec<ColumnVec> {
-    let mut cols: Vec<ColumnVec> = schema
-        .fields()
-        .iter()
-        .map(|f| ColumnVec::with_capacity(f.vtype, rows.len()))
-        .collect();
-    for row in rows {
-        for (c, v) in row.iter().enumerate() {
-            cols[c].push(v);
-        }
+    let mut builder = TableBuilder::splice(stable, range.b0, range.b1)?;
+    for row in merge(&rows) {
+        builder.append(&row)?;
     }
-    cols
+    builder.finish()
 }
 
 /// Flatten a value-addressed residual (delete keys + insert tuples, each
@@ -482,49 +498,34 @@ pub trait DeltaStore: Send + Sync {
     /// committed delta state that the checkpoint will fold into the stable
     /// image. `seq` is the global commit sequence at pin time. Returns
     /// `None` when there is nothing to checkpoint. Callers must serialize
-    /// per-table maintenance: between a pin and its install only commits
-    /// may touch this store — never a flush or another checkpoint.
+    /// per-partition maintenance: between a pin and its install only
+    /// commits may touch this store — never a flush or another checkpoint.
     fn checkpoint_pin(&self, seq: u64) -> Option<CheckpointPin>;
     /// Checkpoint phase 2 (run OFF every lock — commits and new read views
-    /// proceed concurrently): fold the pinned delta into `stable`,
-    /// returning the fresh image (`None` when the pinned delta is net-zero
-    /// and the current image already equals the merged one).
+    /// proceed concurrently): fold exactly the part of the pinned delta
+    /// addressing `range` into fresh blocks spliced between the kept ones,
+    /// and flatten the out-of-range remainder into residual WAL entries
+    /// (for the marker) plus store-private install state. On `Err` the
+    /// caller must `checkpoint_abort` the pin.
     fn checkpoint_merge(
-        &self,
-        pin: &CheckpointPin,
-        stable: &StableTable,
-        io: &IoTracker,
-    ) -> Result<Option<StableTable>, DbError>;
-    /// Checkpoint phase 3 (cheap; under the commit guard, atomically with
-    /// the stable-image swap): forget exactly the pinned delta. Commits
-    /// published during the merge — sequence > `pin.seq` — survive as the
-    /// residual delta over the new image.
-    fn checkpoint_install(&self, pin: CheckpointPin);
-    /// Abandon an in-flight checkpoint whose merge (or marker append)
-    /// failed: release any pin-window state without touching the delta —
-    /// the table must be left exactly as if the checkpoint never started,
-    /// ready for the next attempt. Default: stateless pins need nothing.
-    fn checkpoint_abort(&self, _pin: CheckpointPin) {}
-    /// Range-scoped checkpoint phase 2 (off every lock, like
-    /// [`DeltaStore::checkpoint_merge`]): fold exactly the part of the
-    /// pinned delta addressing `range` into merged columns — the input to
-    /// [`StableTable::splice_blocks`] — and flatten the out-of-range
-    /// remainder into residual WAL entries (for the range marker) plus
-    /// store-private install state. The same pin/abort protocol applies:
-    /// on `Err` the caller must `checkpoint_abort` the pin.
-    fn checkpoint_merge_range(
         &self,
         pin: &CheckpointPin,
         stable: &StableTable,
         range: &CompactRange,
         io: &IoTracker,
     ) -> Result<RangeMerge, DbError>;
-    /// Range-scoped checkpoint phase 3 (under the commit guard, atomic
-    /// with the spliced-image swap): replace the pinned delta with the
-    /// merge's out-of-range residual, positions rebased onto the spliced
-    /// image. Commits with sequence > `pin.seq` survive on top, exactly
-    /// as in [`DeltaStore::checkpoint_install`].
-    fn checkpoint_install_range(&self, pin: CheckpointPin, merge: RangeMerge);
+    /// Checkpoint phase 3 (cheap; under the commit guard, atomically with
+    /// the stable-image swap): replace the pinned delta with the merge's
+    /// out-of-range residual, positions rebased onto the new image.
+    /// Commits published during the merge — sequence > `pin.seq` —
+    /// survive on top.
+    fn checkpoint_install(&self, pin: CheckpointPin, merge: RangeMerge);
+    /// Abandon an in-flight checkpoint whose merge (or marker append)
+    /// failed: release any pin-window state without touching the delta —
+    /// the partition must be left exactly as if the checkpoint never
+    /// started, ready for the next attempt. Default: stateless pins need
+    /// nothing.
+    fn checkpoint_abort(&self, _pin: CheckpointPin) {}
 }
 
 // --- Positional store ---------------------------------------------------
@@ -781,29 +782,11 @@ impl DeltaStore for PdtStore {
         &self,
         pin: &CheckpointPin,
         stable: &StableTable,
-        io: &IoTracker,
-    ) -> Result<Option<StableTable>, DbError> {
-        let read = pin.state::<Arc<Pdt>>();
-        let fresh = pdt::checkpoint::checkpoint_table(stable, read, io)
-            .map_err(|e: ColumnarError| DbError::Storage(e))?;
-        Ok(Some(fresh))
-    }
-
-    fn checkpoint_install(&self, pin: CheckpointPin) {
-        self.mgr
-            .install_checkpoint(&self.table, pin.state::<Arc<Pdt>>());
-    }
-
-    fn checkpoint_merge_range(
-        &self,
-        pin: &CheckpointPin,
-        stable: &StableTable,
         range: &CompactRange,
         io: &IoTracker,
     ) -> Result<RangeMerge, DbError> {
         let read = pin.state::<Arc<Pdt>>();
-        let cols = pdt::checkpoint::checkpoint_range(stable, read, range.b0, range.b1, io)
-            .map_err(DbError::Storage)?;
+        let fresh = pdt::checkpoint::checkpoint_range(stable, read, range.b0, range.b1, io)?;
         // rebase the out-of-window remainder of the pinned Read-PDT onto
         // the post-splice SID space; the master Write-PDT (commits during
         // the merge) stays valid unchanged because stable′ ∘ residual is
@@ -811,13 +794,15 @@ impl DeltaStore for PdtStore {
         let (residual, _net) =
             wal::rebase_pdt_outside_range(read, range.s0, range.s1, range.folds_tail());
         let rebased = wal::rebuild_pdt(read.schema(), read.sk_cols(), &residual);
-        Ok(RangeMerge::new(cols, residual, rebased))
+        Ok(RangeMerge::new(Some(fresh), residual, rebased))
     }
 
-    fn checkpoint_install_range(&self, pin: CheckpointPin, merge: RangeMerge) {
-        let rebased = merge.into_state::<Pdt>();
-        self.mgr
-            .install_partial_checkpoint(&self.table, pin.state::<Arc<Pdt>>(), rebased);
+    fn checkpoint_install(&self, pin: CheckpointPin, merge: RangeMerge) {
+        self.mgr.install_checkpoint(
+            &self.table,
+            pin.state::<Arc<Pdt>>(),
+            merge.into_state::<Pdt>(),
+        );
     }
 }
 
@@ -1170,77 +1155,49 @@ impl DeltaStore for VdtStore {
         &self,
         pin: &CheckpointPin,
         stable: &StableTable,
-        io: &IoTracker,
-    ) -> Result<Option<StableTable>, DbError> {
-        // the pin is never empty (checkpoint_pin returns None otherwise)
-        let pinned = pin.state::<Arc<Vdt>>();
-        let rows = stable.scan_all(io)?;
-        let merged = pinned.merge_rows(&rows);
-        let fresh = StableTable::bulk_load(stable.meta().clone(), stable.options(), &merged)?;
-        Ok(Some(fresh))
-    }
-
-    fn checkpoint_install(&self, pin: CheckpointPin) {
-        let mut st = self.state.write();
-        // commits published during the merge (seq > pin) survive as the
-        // residual delta over the new image
-        let mut residual = Vdt::new(
-            st.committed.schema().clone(),
-            st.committed.sk_cols().to_vec(),
-        );
-        st.residual.rebuild_into(pin.seq, &mut residual);
-        st.committed = Arc::new(residual);
-        st.residual.unpin();
-        st.version += 1;
-    }
-
-    fn checkpoint_abort(&self, _pin: CheckpointPin) {
-        self.state.write().residual.unpin();
-    }
-
-    fn checkpoint_merge_range(
-        &self,
-        pin: &CheckpointPin,
-        stable: &StableTable,
         range: &CompactRange,
         io: &IoTracker,
     ) -> Result<RangeMerge, DbError> {
         let pinned = pin.state::<Arc<Vdt>>();
-        let schema = pinned.schema().clone();
-        let sk_cols = pinned.sk_cols().to_vec();
-        // split the pinned tree by the range's key window — deletes before
-        // inserts per half, so a modify's delete+insert pair reconstructs
-        // exactly (the insert lands over its own delete marker)
-        let mut folded = Vdt::new(schema.clone(), sk_cols.clone());
-        let mut residual = Vdt::new(schema.clone(), sk_cols);
-        let mut res_dels: Vec<Vec<Value>> = Vec::new();
-        for key in pinned.deletes() {
-            if range.key_in_window(key) {
-                folded.delete(key);
-            } else {
-                residual.delete(key);
-                res_dels.push(key.clone());
+        let empty = || Vdt::new(pinned.schema().clone(), pinned.sk_cols().to_vec());
+        let mut residual = empty();
+        let mut residual_entries = Vec::new();
+        let folded = if range.covers_all_keys() {
+            Cow::Borrowed(&**pinned)
+        } else {
+            // split the pinned tree by the range's key window — deletes
+            // before inserts per half, so a modify's delete+insert pair
+            // reconstructs exactly (the insert lands over its own delete
+            // marker)
+            let mut folded = empty();
+            let mut res_dels: Vec<Vec<Value>> = Vec::new();
+            for key in pinned.deletes() {
+                if range.key_in_window(key) {
+                    folded.delete(key);
+                } else {
+                    residual.delete(key);
+                    res_dels.push(key.clone());
+                }
             }
-        }
-        let mut res_inss: Vec<Tuple> = Vec::new();
-        for (key, t) in pinned.inserts() {
-            if range.key_in_window(key) {
-                folded.insert(t.clone());
-            } else {
-                residual.insert(t.clone());
-                res_inss.push(t.clone());
+            let mut res_inss: Vec<Tuple> = Vec::new();
+            for (key, t) in pinned.inserts() {
+                if range.key_in_window(key) {
+                    folded.insert(t.clone());
+                } else {
+                    residual.insert(t.clone());
+                    res_inss.push(t.clone());
+                }
             }
-        }
-        let rows = range_rows(stable, range.b0, range.b1, io).map_err(DbError::Storage)?;
-        let merged = folded.merge_rows(&rows);
-        Ok(RangeMerge::new(
-            columnarize(&schema, &merged),
-            key_residual_entries(res_dels, res_inss),
-            residual,
-        ))
+            residual_entries = key_residual_entries(res_dels, res_inss);
+            Cow::Owned(folded)
+        };
+        let fresh = (!folded.is_empty())
+            .then(|| rewrite_range(stable, range, io, |rows| folded.merge_rows(rows)))
+            .transpose()?;
+        Ok(RangeMerge::new(fresh, residual_entries, residual))
     }
 
-    fn checkpoint_install_range(&self, pin: CheckpointPin, merge: RangeMerge) {
+    fn checkpoint_install(&self, pin: CheckpointPin, merge: RangeMerge) {
         let mut residual = merge.into_state::<Vdt>();
         let mut st = self.state.write();
         // commits published during the merge (seq > pin) survive on top of
@@ -1249,5 +1206,9 @@ impl DeltaStore for VdtStore {
         st.committed = Arc::new(residual);
         st.residual.unpin();
         st.version += 1;
+    }
+
+    fn checkpoint_abort(&self, _pin: CheckpointPin) {
+        self.state.write().residual.unpin();
     }
 }

@@ -849,6 +849,17 @@ impl<'db> DbTxn<'db> {
     /// everything at one commit sequence. On conflict the transaction is
     /// gone and the error describes the clash.
     pub fn commit(self) -> Result<u64, DbError> {
+        self.commit_observed(|| {})
+    }
+
+    /// [`DbTxn::commit`] with an observer invoked under the commit guard,
+    /// after the commit's sequence is allocated and its WAL record
+    /// enqueued but before anything is published — the window background
+    /// work that does *not* take the guard (a Write→Read flush) can land
+    /// in. Tests force that interleaving through this seam. The closure
+    /// must not begin or commit transactions, open views or checkpoint:
+    /// those take the commit guard this thread holds.
+    pub fn commit_observed(self, before_publish: impl FnOnce()) -> Result<u64, DbError> {
         let trace_start = obs::trace::enabled().then(std::time::Instant::now);
         let mgr = &self.db.txn_mgr;
         let _commit = mgr.commit_guard();
@@ -910,6 +921,7 @@ impl<'db> DbTxn<'db> {
         // sequence order); the physical append happens after the guard
         // drops, shared with concurrently committing sessions.
         let wal_ticket = mgr.log_commit_enqueue(seq, &logged);
+        before_publish();
         // Phase 2: publish (infallible).
         for ((_, _, mut part), (_, _, part_entries)) in touched.into_iter().zip(entries) {
             let staged = part.staged.take().expect("filtered on staged");

@@ -563,10 +563,10 @@ impl Database {
                             seq: image_seq,
                             a: marker.residual.len() as u64,
                         );
-                        // A range-scoped marker's image holds only the
-                        // folded window; the covered commits' remainder
-                        // rides in the marker itself, rebased onto this
-                        // stable — replay it before the surviving commits.
+                        // The image holds only the marker's folded window;
+                        // the covered commits' remainder rides in the marker
+                        // itself, rebased onto this stable — replay it
+                        // before the surviving commits.
                         if !marker.residual.is_empty() {
                             pe.delta.replay(&marker.residual);
                         }
@@ -811,28 +811,24 @@ impl Database {
         }
     }
 
-    /// Checkpoint: materialise every partition's committed deltas into
-    /// fresh stable slices and retire them from the partitions' update
+    /// Checkpoint: fold every partition's committed deltas into fresh
+    /// stable slices and retire them from the partitions' update
     /// structures. Returns whether any partition checkpointed.
     ///
-    /// Each partition checkpoints independently (and the maintenance
-    /// scheduler drives them independently, in parallel): the expensive
-    /// stable rewrite runs *off* the commit guard against a pinned delta
-    /// snapshot — commits keep landing and read views keep opening for the
-    /// whole merge. Only the pin (phase 1) and the final `Arc` swap +
-    /// delta reset (phase 3) take the guard; a partition-tagged WAL
-    /// checkpoint marker is appended atomically with the swap so recovery
-    /// replays exactly the commits the new slice does not contain.
-    /// Concurrent maintenance of the same partition is serialized by the
-    /// per-partition maintenance mutex.
+    /// There is one maintenance lifecycle, and a checkpoint is its widest
+    /// case: the range step of [`Database::compact_range`] over every
+    /// block of the partition — nothing is kept, so the residual delta is
+    /// empty, no block is reused and inserts past the last stable row fold
+    /// too. Each partition runs the step independently (the maintenance
+    /// scheduler drives them in parallel).
     pub fn checkpoint(&self, table: &str) -> Result<bool, DbError> {
         self.checkpoint_observed(table, || {})
     }
 
     /// Checkpoint one partition (the scheduler's unit of work).
     pub fn checkpoint_partition(&self, table: &str, p: usize) -> Result<bool, DbError> {
-        let mut observer: Option<fn()> = None;
-        self.checkpoint_partition_observed(table, p, &mut observer)
+        let step = self.maintain_range(table, p, MaintainTarget::All, &mut None::<fn()>)?;
+        Ok(step.is_some())
     }
 
     /// [`Database::checkpoint`] with an observer invoked during phase 2 of
@@ -850,107 +846,11 @@ impl Database {
         let mut observer = Some(during_merge);
         let mut any = false;
         for p in 0..self.partition_count(table)? {
-            any |= self.checkpoint_partition_observed(table, p, &mut observer)?;
+            any |= self
+                .maintain_range(table, p, MaintainTarget::All, &mut observer)?
+                .is_some();
         }
         Ok(any)
-    }
-
-    fn checkpoint_partition_observed(
-        &self,
-        table: &str,
-        p: usize,
-        during_merge: &mut Option<impl FnOnce()>,
-    ) -> Result<bool, DbError> {
-        let (_, delta, maint) = self.partition_entry(table, p)?;
-        let _maint = maint.lock();
-        // Phase 1 — pin: capture the delta to fold and the slice to fold it
-        // into, one consistent cut under the commit guard.
-        let (pin, stable) = {
-            let _commit = self.txn_mgr.commit_guard();
-            let seq = self.txn_mgr.seq();
-            match delta.checkpoint_pin(seq) {
-                Some(pin) => (pin, self.partition_entry(table, p)?.0),
-                None => return Ok(false),
-            }
-        };
-        let trace_table = obs::trace::enabled().then(|| obs::trace::intern(table));
-        if let Some(t) = trace_table {
-            obs::event!(obs::TraceKind::CheckpointPin, table: t, part: p as u32, seq: pin.seq);
-        }
-        let mut merge_span = match trace_table {
-            Some(t) => {
-                obs::span!(obs::TraceKind::CheckpointMerge, table: t, part: p as u32, seq: pin.seq)
-            }
-            None => obs::trace::SpanGuard::disabled(),
-        };
-        // Phase 2 — merge, off every lock: commits and read views proceed.
-        // A failed merge must abort the pin, releasing the store's pin
-        // window so the partition is ready for the next attempt.
-        let fresh = match delta.checkpoint_merge(&pin, &stable, &self.io) {
-            Ok(fresh) => fresh,
-            Err(e) => {
-                delta.checkpoint_abort(pin);
-                return Err(e);
-            }
-        };
-        if let Some(obs) = during_merge.take() {
-            obs();
-        }
-        // Still phase 2 (off-lock): persist the fresh slice as a compressed
-        // image and swap the manifest. The marker below references it; a
-        // crash between here and the marker leaves a manifest entry ahead
-        // of the WAL, which recovery ignores in favor of the retained
-        // previous image (see `columnar::ImageStore`).
-        let mut image_seq = None;
-        if let (Some(images), Some(fresh)) = (&self.images, &fresh) {
-            if let Err(e) = images.publish(table, p as u32, pin.seq, fresh) {
-                delta.checkpoint_abort(pin);
-                return Err(e.into());
-            }
-            image_seq = Some(pin.seq);
-            if self
-                .crash_after_publish
-                .swap(false, std::sync::atomic::Ordering::SeqCst)
-            {
-                delta.checkpoint_abort(pin);
-                return Err(DbError::Io(std::io::Error::other(
-                    "simulated crash between image publish and checkpoint marker",
-                )));
-            }
-        }
-        merge_span.set_a(image_seq.is_some() as u64);
-        drop(merge_span);
-        // Phase 3 — install: marker, slice swap and delta reset, atomic
-        // under the commit guard.
-        {
-            let _commit = self.txn_mgr.commit_guard();
-            if let Err(e) = self
-                .txn_mgr
-                .log_checkpoint(table, p as u32, pin.seq, image_seq)
-            {
-                delta.checkpoint_abort(pin);
-                return Err(e.into());
-            }
-            if let Some(fresh) = fresh {
-                let mut tables = self.tables.write();
-                let pe = &mut tables
-                    .get_mut(table)
-                    .expect("maintenance mutex pins the entry")
-                    .parts[p];
-                // fresh geometry: heat restarts cold, and — when the image
-                // store published — every block's bytes live in this image
-                pe.heat.reset(fresh.num_blocks());
-                *pe.provenance.lock() =
-                    image_seq.map(|seq| (0..fresh.num_blocks()).map(|j| (seq, j)).collect());
-                pe.stable = Arc::new(fresh);
-            }
-            let seq = pin.seq;
-            delta.checkpoint_install(pin);
-            if let Some(t) = trace_table {
-                obs::event!(obs::TraceKind::CheckpointInstall, table: t, part: p as u32, seq: seq);
-            }
-        }
-        Ok(true)
     }
 
     /// Run the best-scoring planned compaction step of one partition, if
@@ -965,34 +865,32 @@ impl Database {
         table: &str,
         p: usize,
     ) -> Result<Option<CompactionReport>, DbError> {
-        let cfg = self.with_entry(table, |e| e.opts.compaction)?;
-        if !cfg.enabled {
-            return Ok(None);
-        }
-        let maint = self.partition_entry(table, p)?.2;
-        let _maint = maint.lock();
-        // capture stable + heat under the maintenance lock: a concurrent
-        // checkpoint can no longer swap the geometry the plan indexes
-        let stable = self.partition_entry(table, p)?.0;
-        let heat = self.with_entry(table, |e| e.parts[p].heat.clone())?;
-        let steps = compaction::plan_steps(&heat.snapshot(), &stable, &cfg);
-        match steps.first() {
-            Some(step) => self.compact_range_locked(table, p, step.b0, step.b1),
-            None => Ok(None),
-        }
+        self.maintain_range(table, p, MaintainTarget::Planned, &mut None::<fn()>)
     }
 
-    /// Incrementally compact stable blocks `[b0, b1)` of one partition:
-    /// fold exactly the delta overlapping that range into fresh blocks
-    /// spliced between the untouched neighbours, and rebase the rest of
-    /// the delta onto the new image. The three-phase protocol mirrors
-    /// [`Database::checkpoint_partition`] — pin under the commit guard,
-    /// merge + splice + image publish off-lock, then WAL range marker +
-    /// slice swap + residual install atomically under the guard — so
-    /// commits and read views proceed for the whole merge. With an image
-    /// store attached the published image *references* the kept blocks of
-    /// the previous generation instead of rewriting their bytes. Returns
-    /// `None` when the partition has no delta to pin.
+    /// Fold the delta addressing stable blocks `[b0, b1)` of one partition
+    /// into fresh blocks spliced between the untouched neighbours, and
+    /// rebase the rest of the delta onto the new image — *the* maintenance
+    /// step; [`Database::checkpoint`] is the same step over every block.
+    /// Three phases, serialized per partition by its maintenance mutex:
+    ///
+    /// 1. **pin** — under the commit guard, capture the committed delta
+    ///    the step covers (commits up to the pinned sequence);
+    /// 2. **merge** — off every lock, so commits keep landing and read
+    ///    views keep opening: merge the range block by block into a new
+    ///    slice and, with an image store attached, publish it as an image
+    ///    that *references* the kept blocks of earlier generations instead
+    ///    of rewriting their bytes;
+    /// 3. **install** — under the commit guard again, atomically: append
+    ///    the WAL marker (folded SID window + rebased residual, so
+    ///    recovery replays exactly what the image does not contain), swap
+    ///    the slice in, replace the pinned delta by its residual. Commits
+    ///    that landed during the merge stay on top.
+    ///
+    /// An empty range is a step only at the end of the image
+    /// (`b0 == b1 == num_blocks`), where it still folds the append gap —
+    /// that is how a partition created without rows gets its first blocks.
+    /// Returns `None` when the partition has no delta to pin.
     pub fn compact_range(
         &self,
         table: &str,
@@ -1000,187 +898,193 @@ impl Database {
         b0: usize,
         b1: usize,
     ) -> Result<Option<CompactionReport>, DbError> {
-        let maint = self.partition_entry(table, p)?.2;
-        let _maint = maint.lock();
-        self.compact_range_locked(table, p, b0, b1)
+        self.maintain_range(table, p, MaintainTarget::Blocks(b0, b1), &mut None::<fn()>)
     }
 
-    fn compact_range_locked(
+    /// The one pin → merge → install implementation behind every public
+    /// maintenance entry point (see [`Database::compact_range`] for the
+    /// protocol). `during_merge` is the [`Database::checkpoint_observed`]
+    /// seam: taken and run once, off-lock, right after the merge.
+    pub(crate) fn maintain_range(
         &self,
         table: &str,
         p: usize,
-        b0: usize,
-        b1: usize,
+        target: MaintainTarget,
+        during_merge: &mut Option<impl FnOnce()>,
     ) -> Result<Option<CompactionReport>, DbError> {
-        let (_, delta, _) = self.partition_entry(table, p)?;
-        // Phase 1 — pin: capture the delta to fold and the slice to fold
-        // it into, one consistent cut under the commit guard.
-        let (pin, stable) = {
-            let _commit = self.txn_mgr.commit_guard();
-            let seq = self.txn_mgr.seq();
-            match delta.checkpoint_pin(seq) {
-                Some(pin) => (pin, self.partition_entry(table, p)?.0),
-                None => return Ok(None),
+        let (_, delta, maint) = self.partition_entry(table, p)?;
+        let _maint = maint.lock();
+        // slice, heat and provenance only change under the maintenance
+        // mutex: what is captured here is what the step installs over
+        let (stable, heat, provenance, cfg) = self.with_entry(table, |e| {
+            let pe = &e.parts[p];
+            (
+                pe.stable.clone(),
+                pe.heat.clone(),
+                pe.provenance.clone(),
+                e.opts.compaction,
+            )
+        })?;
+        let old_nb = stable.num_blocks();
+        let (b0, b1) = match target {
+            MaintainTarget::All => (0, old_nb),
+            MaintainTarget::Blocks(b0, b1) => (b0, b1),
+            MaintainTarget::Planned => {
+                let planned = cfg
+                    .enabled
+                    .then(|| compaction::plan_steps(&heat.snapshot(), &stable, &cfg))
+                    .and_then(|steps| steps.first().copied());
+                match planned {
+                    Some(step) => (step.b0, step.b1),
+                    None => return Ok(None),
+                }
             }
         };
-        let old_nb = stable.num_blocks();
-        if b0 >= b1 || b1 > old_nb {
-            delta.checkpoint_abort(pin);
+        if b0 > b1 || b1 > old_nb || (b0 == b1 && b1 < old_nb) {
             return Err(DbError::Partition {
                 table: table.to_string(),
                 detail: format!("compaction range [{b0}, {b1}) out of bounds ({old_nb} blocks)"),
             });
         }
-        let trace_table = obs::trace::enabled().then(|| obs::trace::intern(table));
-        if let Some(t) = trace_table {
-            obs::event!(
+        // Phase 1 — pin the delta to fold, under the commit guard.
+        let pin = {
+            let _commit = self.txn_mgr.commit_guard();
+            match delta.checkpoint_pin(self.txn_mgr.seq()) {
+                Some(pin) => pin,
+                None => return Ok(None),
+            }
+        };
+        // the trace kinds (not the code path) tell a whole-partition
+        // checkpoint from a sub-partition step
+        let (pin_kind, merge_kind, install_kind) = if b0 == 0 && b1 == old_nb {
+            (
+                obs::TraceKind::CheckpointPin,
+                obs::TraceKind::CheckpointMerge,
+                obs::TraceKind::CheckpointInstall,
+            )
+        } else {
+            (
                 obs::TraceKind::CompactionPin,
-                table: t,
-                part: p as u32,
-                seq: pin.seq,
-                a: b0 as u64,
-                b: b1 as u64,
-            );
-        }
-        let merge_span = match trace_table {
-            Some(t) => obs::span!(
                 obs::TraceKind::CompactionMerge,
-                table: t,
-                part: p as u32,
-                seq: pin.seq,
-                a: b0 as u64,
-                b: b1 as u64,
-            ),
-            None => obs::trace::SpanGuard::disabled(),
+                obs::TraceKind::CompactionInstall,
+            )
         };
-        let range = delta::CompactRange {
-            b0,
-            b1,
-            s0: stable.block_range(b0).0,
-            s1: stable.block_range(b1 - 1).1,
-            row_count: stable.row_count(),
-            lo: (b0 > 0).then(|| stable.block_sk_bounds(b0 - 1).1.to_vec()),
-            hi: (b1 < old_nb).then(|| stable.block_sk_bounds(b1 - 1).1.to_vec()),
-        };
-        let heat = self.with_entry(table, |e| e.parts[p].heat.clone())?;
+        let (part, seq, a, b) = (p as u32, pin.seq, b0 as u64, b1 as u64);
+        obs::event!(pin_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b);
+        let range = delta::CompactRange::of(&stable, b0, b1);
         let delta_bytes_folded: u64 = heat
             .snapshot()
             .get(b0..b1)
             .map_or(0, |s| s.iter().map(|h| h.delta_bytes).sum());
-        // Phase 2 — merge + splice, off every lock: commits and read views
-        // proceed. A failed merge aborts the pin, leaving the partition
-        // ready for the next attempt.
-        let mut merge = match delta.checkpoint_merge_range(&pin, &stable, &range, &self.io) {
-            Ok(m) => m,
+        let stable_bytes_total: u64 = (0..old_nb)
+            .map(|b| compaction::block_stored_bytes(&stable, b))
+            .sum();
+        // Everything up to the WAL marker can fail; any failure aborts the
+        // pin below, leaving the partition ready for the next attempt.
+        let staged = (|| -> Result<_, DbError> {
+            // Phase 2 — merge + splice + image publish, off every lock:
+            // commits and read views proceed.
+            let merge_span = obs::span!(
+                merge_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b
+            );
+            let mut merge = delta.checkpoint_merge(&pin, &stable, &range, &self.io)?;
+            if let Some(observer) = during_merge.take() {
+                observer();
+            }
+            let mut swap = None;
+            let mut stable_bytes_written = 0;
+            let mut image_seq = None;
+            if let Some(fresh) = merge.fresh.take() {
+                let new_nb = fresh.num_blocks();
+                // the splice may change the range's row (hence block)
+                // count, never the kept prefix/suffix block counts
+                let suffix_at = new_nb - (old_nb - b1);
+                stable_bytes_written = (b0..suffix_at)
+                    .map(|b| compaction::block_stored_bytes(&fresh, b))
+                    .sum();
+                let mut new_prov = None;
+                if let Some(images) = &self.images {
+                    // kept blocks are published as *references* into the
+                    // generations that actually wrote their bytes
+                    // (provenance chains are collapsed, so every reference
+                    // points at its origin image); without a known
+                    // provenance — the slice was never published — every
+                    // block is written inline this once
+                    let old_prov = provenance.lock().clone().filter(|op| op.len() == old_nb);
+                    let prov: Vec<Option<(u64, usize)>> = (0..new_nb)
+                        .map(|i| {
+                            let op = old_prov.as_ref()?;
+                            if i < b0 {
+                                Some(op[i])
+                            } else if i < suffix_at {
+                                None
+                            } else {
+                                Some(op[b1 + (i - suffix_at)])
+                            }
+                        })
+                        .collect();
+                    images.publish_with_reuse(table, part, seq, &fresh, &prov)?;
+                    image_seq = Some(seq);
+                    // a crash here leaves a manifest entry ahead of the
+                    // WAL, which recovery ignores in favor of the retained
+                    // previous image (see `columnar::ImageStore`)
+                    if self
+                        .crash_after_publish
+                        .swap(false, std::sync::atomic::Ordering::SeqCst)
+                    {
+                        return Err(DbError::Io(std::io::Error::other(
+                            "simulated crash between image publish and checkpoint marker",
+                        )));
+                    }
+                    new_prov = Some(
+                        prov.iter()
+                            .enumerate()
+                            .map(|(i, e)| e.unwrap_or((seq, i)))
+                            .collect(),
+                    );
+                }
+                swap = Some((fresh, new_prov));
+            }
+            drop(merge_span);
+            // Phase 3 — install: marker, slice swap and delta replacement,
+            // atomic under the commit guard. An unchanged image needs no
+            // marker: the log still replays to the state it describes.
+            let commit = self.txn_mgr.commit_guard();
+            if swap.is_some() {
+                self.txn_mgr.log_checkpoint(
+                    table,
+                    part,
+                    seq,
+                    image_seq,
+                    (range.s0, range.s1),
+                    &merge.residual_entries,
+                )?;
+            }
+            Ok((merge, swap, stable_bytes_written, commit))
+        })();
+        let (merge, swap, stable_bytes_written, _commit) = match staged {
+            Ok(staged) => staged,
             Err(e) => {
                 delta.checkpoint_abort(pin);
                 return Err(e);
             }
         };
-        let residual_entries = std::mem::take(&mut merge.residual_entries);
-        let fresh = match stable.splice_blocks(b0, b1, &merge.cols) {
-            Ok(t) => t,
-            Err(e) => {
-                delta.checkpoint_abort(pin);
-                return Err(e.into());
-            }
-        };
-        let new_nb = fresh.num_blocks();
-        // fresh blocks replacing [b0, b1) — the splice may change the
-        // range's row count, never the kept prefix/suffix block counts
-        let merged_nb = new_nb - (old_nb - (b1 - b0));
-        let stable_bytes_total: u64 = (0..old_nb)
-            .map(|b| compaction::block_stored_bytes(&stable, b))
-            .sum();
-        let stable_bytes_written: u64 = (b0..b0 + merged_nb)
-            .map(|b| compaction::block_stored_bytes(&fresh, b))
-            .sum();
-        // Still phase 2 (off-lock): publish the spliced slice as an image
-        // whose kept blocks are *references* into the generations that
-        // actually wrote their bytes (provenance chains are collapsed, so
-        // every reference points at its origin image).
-        let mut image_seq = None;
-        let mut new_prov: Option<Vec<(u64, usize)>> = None;
-        if let Some(images) = &self.images {
-            let old_prov = self
-                .with_entry(table, |e| e.parts[p].provenance.lock().clone())?
-                .filter(|op| op.len() == old_nb);
-            let prov: Vec<Option<(u64, usize)>> = match &old_prov {
-                Some(op) => (0..new_nb)
-                    .map(|i| {
-                        if i < b0 {
-                            Some(op[i])
-                        } else if i < b0 + merged_nb {
-                            None
-                        } else {
-                            Some(op[b1 + (i - b0 - merged_nb)])
-                        }
-                    })
-                    .collect(),
-                // no known provenance (the slice was never published):
-                // write every block inline this once
-                None => vec![None; new_nb],
-            };
-            if let Err(e) = images.publish_with_reuse(table, p as u32, pin.seq, &fresh, &prov) {
-                delta.checkpoint_abort(pin);
-                return Err(e.into());
-            }
-            image_seq = Some(pin.seq);
-            if self
-                .crash_after_publish
-                .swap(false, std::sync::atomic::Ordering::SeqCst)
-            {
-                delta.checkpoint_abort(pin);
-                return Err(DbError::Io(std::io::Error::other(
-                    "simulated crash between image publish and compaction marker",
-                )));
-            }
-            new_prov = Some(
-                prov.iter()
-                    .enumerate()
-                    .map(|(i, e)| e.unwrap_or((pin.seq, i)))
-                    .collect(),
-            );
-        }
-        drop(merge_span);
-        // Phase 3 — install: range marker (merged span + rebased residual),
-        // slice swap and delta replacement, atomic under the commit guard.
         {
-            let _commit = self.txn_mgr.commit_guard();
-            if let Err(e) = self.txn_mgr.log_checkpoint_range(
-                table,
-                p as u32,
-                pin.seq,
-                image_seq,
-                range.s0,
-                range.s1,
-                &residual_entries,
-            ) {
-                delta.checkpoint_abort(pin);
-                return Err(e.into());
-            }
             let mut tables = self.tables.write();
             let pe = &mut tables
                 .get_mut(table)
                 .expect("maintenance mutex pins the entry")
                 .parts[p];
-            // spliced geometry: heat restarts cold at the new block count
-            pe.heat.reset(new_nb);
-            *pe.provenance.lock() = new_prov;
-            pe.stable = Arc::new(fresh);
-            let seq = pin.seq;
-            delta.checkpoint_install_range(pin, merge);
-            if let Some(t) = trace_table {
-                obs::event!(
-                    obs::TraceKind::CompactionInstall,
-                    table: t,
-                    part: p as u32,
-                    seq: seq,
-                    a: b0 as u64,
-                    b: b1 as u64,
-                );
+            if let Some((fresh, new_prov)) = swap {
+                *pe.provenance.lock() = new_prov;
+                pe.stable = Arc::new(fresh);
             }
+            // the geometry may have changed and the folded heat is spent:
+            // the map restarts cold
+            pe.heat.reset(pe.stable.num_blocks());
         }
+        delta.checkpoint_install(pin, merge);
+        obs::event!(install_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b);
         Ok(Some(CompactionReport {
             blocks_merged: (b1 - b0) as u64,
             blocks_reused: (old_nb - (b1 - b0)) as u64,
@@ -1189,6 +1093,17 @@ impl Database {
             stable_bytes_total,
         }))
     }
+}
+
+/// Which blocks of a partition one maintenance step rewrites.
+pub(crate) enum MaintainTarget {
+    /// Every block: the whole-partition checkpoint.
+    All,
+    /// The compaction planner's best-scoring step, if the table enables
+    /// compaction and anything scores over its floors.
+    Planned,
+    /// Blocks `[b0, b1)`.
+    Blocks(usize, usize),
 }
 
 // The maintenance scheduler (and any server frontend) shares one
@@ -2480,36 +2395,18 @@ mod tests {
             t.insert("t", vec![Value::Int(321), Value::Int(-1)])
                 .unwrap();
             t.commit().unwrap();
-            let (_, delta, _) = db.partition_entry("t", 0).unwrap();
-            let stable = db.stable_partition("t", 0).unwrap();
-            let pin = delta.checkpoint_pin(db.txn_mgr.seq()).unwrap();
-            let range = delta::CompactRange {
-                b0: 2,
-                b1: 4,
-                s0: stable.block_range(2).0,
-                s1: stable.block_range(3).1,
-                row_count: stable.row_count(),
-                lo: Some(stable.block_sk_bounds(1).1.to_vec()),
-                hi: Some(stable.block_sk_bounds(3).1.to_vec()),
-            };
-            let merge = delta
-                .checkpoint_merge_range(&pin, &stable, &range, db.io())
-                .unwrap();
             // commit lands mid-merge, inside and outside the window
-            let mut t = db.begin();
-            t.insert("t", vec![Value::Int(323), Value::Int(-2)])
-                .unwrap();
-            t.insert("t", vec![Value::Int(7), Value::Int(-3)]).unwrap();
-            t.commit().unwrap();
-            let fresh = stable.splice_blocks(2, 4, &merge.cols).unwrap();
-            {
-                let _commit = db.txn_mgr.commit_guard();
-                let mut tables = db.tables.write();
-                let pe = &mut tables.get_mut("t").unwrap().parts[0];
-                pe.heat.reset(fresh.num_blocks());
-                pe.stable = Arc::new(fresh);
-                delta.checkpoint_install_range(pin, merge);
-            }
+            let mut mid_merge = Some(|| {
+                let mut t = db.begin();
+                t.insert("t", vec![Value::Int(323), Value::Int(-2)])
+                    .unwrap();
+                t.insert("t", vec![Value::Int(7), Value::Int(-3)]).unwrap();
+                t.commit().unwrap();
+            });
+            db.maintain_range("t", 0, MaintainTarget::Blocks(2, 4), &mut mid_merge)
+                .unwrap()
+                .expect("delta pinned");
+            assert!(mid_merge.is_none(), "{policy:?}: observer never ran");
             let keys: Vec<i64> = t_rows(&db).iter().map(|r| r[0].as_int()).collect();
             assert!(keys.contains(&321), "{policy:?}: pinned insert lost");
             assert!(keys.contains(&323), "{policy:?}: mid-merge insert lost");

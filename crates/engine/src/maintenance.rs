@@ -12,26 +12,26 @@
 //!   read-optimised one once it exceeds the table's
 //!   [`flush_threshold_bytes`](crate::TableOptions::flush_threshold_bytes)
 //!   (the paper's Propagate policy — keep the Write-PDT CPU-cache-sized),
-//! * **checkpoint** a partition into a fresh stable slice once its
+//! * **maintain** a partition's stable slice with one range step of the
+//!   single pin → merge → install lifecycle
+//!   ([`Database::compact_range`](crate::Database::compact_range)) per
+//!   sweep: over every block — a checkpoint — once the partition's
 //!   committed delta exceeds
 //!   [`checkpoint_threshold_bytes`](crate::TableOptions::checkpoint_threshold_bytes),
-//! * **compact** sub-partition block ranges of tables that enable
-//!   heat-driven incremental compaction
-//!   ([`crate::TableOptions::compaction`]): a third worker drains the
-//!   [`crate::compaction`] planner's best step per sweep
-//!   ([`Database::compact_partition`](crate::Database::compact_partition)),
-//!   folding hot delta without rewriting the partition's cold blocks.
+//!   else over the [`crate::compaction`] planner's best-scoring block
+//!   range when the table enables heat-driven incremental compaction
+//!   ([`crate::TableOptions::compaction`]), folding hot delta without
+//!   rewriting the partition's cold blocks.
 //!
 //! Budgets are **per partition**: a range-partitioned table is maintained
 //! slice by slice, and when several partitions go over budget in one
 //! sweep their checkpoints run **in parallel** on scoped workers — the
-//! three-phase pin/merge/install protocol serializes per *partition* (the
-//! per-partition maintenance mutex), not per table, so partition merges
-//! never contend with each other. Neither operation blocks readers or
-//! writers: flushes are view-preserving `Arc` swaps, and checkpoints pin
-//! their delta under the commit guard, rewrite the stable slice entirely
-//! off-lock, and re-take the guard only for the final swap
-//! ([`Database::checkpoint_partition`](crate::Database::checkpoint_partition)).
+//! lifecycle serializes per *partition* (the per-partition maintenance
+//! mutex), not per table, so partition merges never contend with each
+//! other. Neither operation blocks readers or writers: flushes are
+//! view-preserving `Arc` swaps, and a maintenance step pins its delta
+//! under the commit guard, rewrites the slice entirely off-lock, and
+//! re-takes the guard only for the final swap.
 //!
 //! ## Lifecycle
 //!
@@ -51,7 +51,7 @@
 //! [`MaintenanceStats`] implements `Display` so a test or example can
 //! print the scheduler's work distribution directly.
 
-use crate::{Database, DbError};
+use crate::{CompactionReport, Database, DbError, MaintainTarget};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,12 +66,9 @@ use std::time::Duration;
 pub struct MaintenanceConfig {
     /// How often the flush worker sweeps the partitions. Default 2 ms.
     pub flush_tick: Duration,
-    /// How often the checkpoint worker sweeps the partitions. Default 20 ms.
+    /// How often the checkpoint/compaction worker sweeps the partitions.
+    /// Default 20 ms.
     pub checkpoint_tick: Duration,
-    /// How often the compaction worker sweeps the partitions of
-    /// compaction-enabled tables (see
-    /// [`crate::TableOptions::compaction`]). Default 10 ms.
-    pub compaction_tick: Duration,
 }
 
 impl Default for MaintenanceConfig {
@@ -79,7 +76,6 @@ impl Default for MaintenanceConfig {
         MaintenanceConfig {
             flush_tick: Duration::from_millis(2),
             checkpoint_tick: Duration::from_millis(20),
-            compaction_tick: Duration::from_millis(10),
         }
     }
 }
@@ -90,7 +86,6 @@ impl MaintenanceConfig {
         MaintenanceConfig {
             flush_tick: tick,
             checkpoint_tick: tick,
-            compaction_tick: tick,
         }
     }
 }
@@ -106,8 +101,8 @@ pub struct MaintenancePartitionStats {
     pub flushes: u64,
     /// Checkpoints of this partition that produced (or retired) state.
     pub checkpoints: u64,
-    /// Delta bytes retired by this partition's checkpoints (the size of
-    /// the committed delta at pin time, summed).
+    /// Delta bytes retired by this partition's checkpoints (the drop in
+    /// its committed delta footprint across each, summed).
     pub bytes: u64,
     /// Sub-partition compaction steps (merge units) executed.
     pub compactions: u64,
@@ -219,8 +214,16 @@ struct Shared {
 
 enum Role {
     Flush,
-    Checkpoint,
-    Compact,
+    Maintain,
+}
+
+/// What one partition operation did, for [`Shared::record`].
+enum Work {
+    Flush,
+    /// One range step of the maintenance lifecycle, with the drop in the
+    /// partition's structural delta footprint across it (measured like
+    /// the checkpoint budget; concurrent commits can only undercount it).
+    Step(CompactionReport, u64),
 }
 
 impl Shared {
@@ -236,88 +239,63 @@ impl Shared {
             .expect("scheduler wake lock");
     }
 
-    /// Record one partition operation's outcome. `bytes` is the delta
-    /// footprint a successful checkpoint retired (0 for flushes).
-    fn record(
-        &self,
-        table: &str,
-        partition: usize,
-        result: Result<bool, DbError>,
-        role: &Role,
-        bytes: u64,
-    ) {
-        match result {
-            Ok(true) => {
-                let mut per = self.per_part.lock().expect("scheduler per-part lock");
-                let c = per.entry((table.to_string(), partition)).or_default();
-                match role {
-                    Role::Flush => {
-                        self.flushes.fetch_add(1, Ordering::Relaxed);
-                        c.flushes += 1;
-                    }
-                    Role::Checkpoint => {
-                        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-                        c.checkpoints += 1;
-                        c.bytes += bytes;
-                        self.delta_bytes_retired.fetch_add(bytes, Ordering::Relaxed);
-                        // a whole-partition checkpoint rewrote the full
-                        // image; sample its stored size as the write cost
-                        let written = self.db.stable_bytes_partition(table, partition);
-                        self.stable_bytes_written
-                            .fetch_add(written.unwrap_or(0), Ordering::Relaxed);
-                    }
-                    // compaction reports flow through `record_compaction`
-                    Role::Compact => unreachable!("compaction uses record_compaction"),
-                }
-            }
-            Ok(false) => {}
+    /// Record one partition operation's outcome. A step that kept no block
+    /// is a checkpoint, any other a compaction; both price their rewrite
+    /// from the step's own report.
+    fn record(&self, table: &str, partition: usize, result: Result<Option<Work>, DbError>) {
+        let work = match result {
+            Ok(Some(work)) => work,
+            Ok(None) => return,
             // a table dropped mid-sweep is not an error
-            Err(DbError::UnknownTable(_)) => {}
+            Err(DbError::UnknownTable(_)) => return,
             Err(e) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 *self.last_error.lock().expect("scheduler error lock") = Some(e.to_string());
+                return;
             }
-        }
-    }
-
-    /// Record one incremental-compaction step's outcome. `retired` is the
-    /// drop in the partition's structural delta footprint across the step
-    /// (measured like the checkpoint budget, so the two retirement
-    /// counters share a unit; concurrent commits can only undercount it).
-    fn record_compaction(
-        &self,
-        table: &str,
-        partition: usize,
-        result: Result<Option<crate::CompactionReport>, DbError>,
-        retired: u64,
-    ) {
-        match result {
-            Ok(Some(report)) => {
-                self.compactions.fetch_add(1, Ordering::Relaxed);
-                self.compaction_blocks_merged
-                    .fetch_add(report.blocks_merged, Ordering::Relaxed);
-                self.compaction_blocks_reused
-                    .fetch_add(report.blocks_reused, Ordering::Relaxed);
-                self.compaction_bytes_saved
-                    .fetch_add(report.stable_bytes_saved(), Ordering::Relaxed);
+        };
+        let mut per = self.per_part.lock().expect("scheduler per-part lock");
+        let c = per.entry((table.to_string(), partition)).or_default();
+        match work {
+            Work::Flush => {
+                self.flushes.fetch_add(1, Ordering::Relaxed);
+                c.flushes += 1;
+            }
+            Work::Step(report, retired) => {
                 self.stable_bytes_written
                     .fetch_add(report.stable_bytes_written, Ordering::Relaxed);
                 self.delta_bytes_retired
                     .fetch_add(retired, Ordering::Relaxed);
-                let mut per = self.per_part.lock().expect("scheduler per-part lock");
-                let c = per.entry((table.to_string(), partition)).or_default();
-                c.compactions += 1;
-                c.compaction_blocks_merged += report.blocks_merged;
-                c.compaction_blocks_reused += report.blocks_reused;
-                c.compaction_bytes_saved += report.stable_bytes_saved();
-            }
-            Ok(None) => {}
-            Err(DbError::UnknownTable(_)) => {}
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                *self.last_error.lock().expect("scheduler error lock") = Some(e.to_string());
+                if report.blocks_reused == 0 {
+                    self.checkpoints.fetch_add(1, Ordering::Relaxed);
+                    c.checkpoints += 1;
+                    c.bytes += retired;
+                } else {
+                    let saved = report.stable_bytes_saved();
+                    self.compactions.fetch_add(1, Ordering::Relaxed);
+                    self.compaction_blocks_merged
+                        .fetch_add(report.blocks_merged, Ordering::Relaxed);
+                    self.compaction_blocks_reused
+                        .fetch_add(report.blocks_reused, Ordering::Relaxed);
+                    self.compaction_bytes_saved
+                        .fetch_add(saved, Ordering::Relaxed);
+                    c.compactions += 1;
+                    c.compaction_blocks_merged += report.blocks_merged;
+                    c.compaction_blocks_reused += report.blocks_reused;
+                    c.compaction_bytes_saved += saved;
+                }
             }
         }
+    }
+
+    /// Run one maintenance step of a partition.
+    fn step(&self, table: &str, p: usize, target: MaintainTarget) -> Result<Option<Work>, DbError> {
+        let delta_bytes = || self.db.delta_bytes_partition(table, p).unwrap_or(0) as u64;
+        let before = delta_bytes();
+        let report = self
+            .db
+            .maintain_range(table, p, target, &mut None::<fn()>)?;
+        Ok(report.map(|r| Work::Step(r, before.saturating_sub(delta_bytes()))))
     }
 
     /// One sweep over every partition for the given role. Over-budget
@@ -325,7 +303,7 @@ impl Shared {
     /// machine's parallelism): the pin/merge/install protocol serializes
     /// per partition, so distinct partitions' merges are independent.
     fn pass(&self, role: &Role) {
-        let mut due: Vec<(String, usize, u64)> = Vec::new();
+        let mut due: Vec<(String, usize)> = Vec::new();
         for table in self.db.table_names() {
             let Ok(opts) = self.db.options(&table) else {
                 continue;
@@ -339,61 +317,47 @@ impl Shared {
                         let r =
                             self.db
                                 .maybe_flush_partition(&table, p, opts.flush_threshold_bytes);
-                        self.record(&table, p, r, &Role::Flush, 0);
+                        self.record(&table, p, r.map(|f| f.then_some(Work::Flush)));
                     }
-                    Role::Checkpoint => {
+                    Role::Maintain => {
                         let bytes = self.db.delta_bytes_partition(&table, p).unwrap_or(0);
                         if bytes > opts.checkpoint_threshold_bytes {
-                            due.push((table.clone(), p, bytes as u64));
-                        }
-                    }
-                    Role::Compact => {
-                        // compact_partition plans against the heat map and
-                        // returns None when nothing scores over the floors
-                        if opts.compaction.enabled {
-                            let before =
-                                self.db.delta_bytes_partition(&table, p).unwrap_or(0) as u64;
-                            let r = self.db.compact_partition(&table, p);
-                            let after =
-                                self.db.delta_bytes_partition(&table, p).unwrap_or(0) as u64;
-                            self.record_compaction(&table, p, r, before.saturating_sub(after));
+                            due.push((table.clone(), p));
+                        } else if opts.compaction.enabled {
+                            // plans against the heat map; a no-op when
+                            // nothing scores over the floors
+                            self.record(&table, p, self.step(&table, p, MaintainTarget::Planned));
                         }
                     }
                 }
             }
         }
-        match due.len() {
-            0 => {}
-            1 => {
-                let (table, p, bytes) = &due[0];
-                let r = self.db.checkpoint_partition(table, *p);
-                self.record(table, *p, r, &Role::Checkpoint, *bytes);
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(due.len());
+        if workers <= 1 {
+            for (table, p) in &due {
+                self.record(table, *p, self.step(table, *p, MaintainTarget::All));
             }
-            _ => {
-                let workers = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(due.len());
-                std::thread::scope(|s| {
-                    for chunk in 0..workers {
-                        let due = &due;
-                        s.spawn(move || {
-                            for (table, p, bytes) in due.iter().skip(chunk).step_by(workers) {
-                                let r = self.db.checkpoint_partition(table, *p);
-                                self.record(table, *p, r, &Role::Checkpoint, *bytes);
-                            }
-                        });
-                    }
-                });
-            }
+        } else {
+            std::thread::scope(|s| {
+                for chunk in 0..workers {
+                    let due = &due;
+                    s.spawn(move || {
+                        for (table, p) in due.iter().skip(chunk).step_by(workers) {
+                            self.record(table, *p, self.step(table, *p, MaintainTarget::All));
+                        }
+                    });
+                }
+            });
         }
     }
 
     fn run(&self, role: Role) {
         let tick = match role {
             Role::Flush => self.cfg.flush_tick,
-            Role::Checkpoint => self.cfg.checkpoint_tick,
-            Role::Compact => self.cfg.compaction_tick,
+            Role::Maintain => self.cfg.checkpoint_tick,
         };
         while !self.shutdown.load(Ordering::Acquire) {
             self.pass(&role);
@@ -409,7 +373,8 @@ pub struct MaintenanceScheduler {
 }
 
 impl MaintenanceScheduler {
-    /// Spawn the flush and checkpoint workers over `db`.
+    /// Spawn the two workers over `db`: one flushing write layers, one
+    /// running checkpoint/compaction steps.
     pub fn start(db: Arc<Database>, cfg: MaintenanceConfig) -> Self {
         let shared = Arc::new(Shared {
             db,
@@ -429,14 +394,13 @@ impl MaintenanceScheduler {
             per_part: Mutex::new(HashMap::new()),
             last_error: Mutex::new(None),
         });
-        let workers = [Role::Flush, Role::Checkpoint, Role::Compact]
+        let workers = [Role::Flush, Role::Maintain]
             .into_iter()
             .map(|role| {
                 let shared = shared.clone();
                 let name = match role {
                     Role::Flush => "maint-flush",
-                    Role::Checkpoint => "maint-checkpoint",
-                    Role::Compact => "maint-compact",
+                    Role::Maintain => "maint-checkpoint",
                 };
                 std::thread::Builder::new()
                     .name(name.to_string())
@@ -507,12 +471,11 @@ impl MaintenanceScheduler {
     pub fn drain(&self) -> Result<(), DbError> {
         for table in self.shared.db.table_names() {
             for p in 0..self.shared.db.partition_count(&table)? {
-                let bytes = self.shared.db.delta_bytes_partition(&table, p)? as u64;
                 let flushed = self.shared.db.maybe_flush_partition(&table, p, 0)?;
-                self.shared.record(&table, p, Ok(flushed), &Role::Flush, 0);
-                let ckpt = self.shared.db.checkpoint_partition(&table, p)?;
                 self.shared
-                    .record(&table, p, Ok(ckpt), &Role::Checkpoint, bytes);
+                    .record(&table, p, Ok(flushed.then_some(Work::Flush)));
+                let step = self.shared.step(&table, p, MaintainTarget::All)?;
+                self.shared.record(&table, p, Ok(step));
             }
         }
         Ok(())
@@ -688,11 +651,12 @@ mod tests {
     }
 
     #[test]
-    fn compaction_worker_drains_hot_ranges() {
+    fn maintain_worker_compacts_under_budget_and_checkpoints_over_it() {
         for policy in ALL_POLICIES {
-            // checkpoint budget high enough that only the compaction
-            // worker can retire delta; heat floors at zero so any staged
-            // byte plans a step
+            // "t": checkpoint budget high enough that only planned steps
+            // can retire delta; heat floors at zero so any staged byte
+            // plans a step. "over": compaction off, budget zero — the same
+            // worker takes the whole range there.
             let opts = TableOptions::default()
                 .with_block_rows(16)
                 .with_flush_threshold(0)
@@ -703,6 +667,21 @@ mod tests {
                     min_score_permille: 0,
                 });
             let db = db_with_ints(128, policy, opts);
+            db.create_table(
+                TableMeta::new(
+                    "over",
+                    Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]),
+                    vec![0],
+                ),
+                TableOptions::default()
+                    .with_policy(policy)
+                    .with_block_rows(16)
+                    .with_checkpoint_threshold(0),
+                (0..64)
+                    .map(|i| vec![Value::Int(i), Value::Int(i)])
+                    .collect(),
+            )
+            .unwrap();
             let sched = MaintenanceScheduler::start(
                 db.clone(),
                 MaintenanceConfig::with_tick(Duration::from_millis(1)),
@@ -712,24 +691,50 @@ mod tests {
                 let mut t = db.begin();
                 t.insert("t", vec![Value::Int(481 + 2 * i), Value::Int(-i)])
                     .unwrap();
+                t.insert("over", vec![Value::Int(1000 + i), Value::Int(-i)])
+                    .unwrap();
                 t.commit().unwrap();
                 sched.poke();
                 std::thread::sleep(Duration::from_millis(2));
             }
             let before = image(&db);
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while sched.stats().compactions == 0 && std::time::Instant::now() < deadline {
+            while (sched.stats().compactions == 0 || sched.stats().checkpoints == 0)
+                && std::time::Instant::now() < deadline
+            {
                 sched.poke();
                 std::thread::sleep(Duration::from_millis(2));
             }
             let stats = sched.stats();
             assert!(
                 stats.compactions > 0,
-                "{policy:?}: compaction worker never ran a step: {stats}"
+                "{policy:?}: the worker never ran a planned step: {stats}"
             );
             assert!(
                 stats.compaction_blocks_reused > 0,
                 "{policy:?}: steps reused no blocks: {stats}"
+            );
+            let by_table = |name: &str| {
+                stats
+                    .partitions
+                    .iter()
+                    .find(|p| p.table == name)
+                    .cloned()
+                    .unwrap_or_default()
+            };
+            assert_eq!(
+                by_table("t").checkpoints,
+                0,
+                "{policy:?}: under budget, only planned steps: {stats}"
+            );
+            assert!(
+                by_table("over").checkpoints > 0 && by_table("over").compactions == 0,
+                "{policy:?}: over budget, the whole range: {stats}"
+            );
+            // both kinds of step price their rewrite from their own report
+            assert!(
+                stats.stable_bytes_written > 0 && stats.delta_bytes_retired > 0,
+                "{policy:?}: {stats:?}"
             );
             assert_eq!(stats.errors, 0, "{policy:?}: {:?}", sched.last_error());
             assert_eq!(

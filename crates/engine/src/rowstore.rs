@@ -19,8 +19,8 @@
 //! validates against the post-checkpoint state only.
 
 use crate::delta::{
-    columnarize, key_residual_entries, range_rows, CheckpointPin, CompactRange, DeltaSnapshot,
-    DeltaStore, DeltaTxn, RangeMerge, ResidualLog, UpdatePolicy,
+    key_residual_entries, rewrite_range, CheckpointPin, CompactRange, DeltaSnapshot, DeltaStore,
+    DeltaTxn, RangeMerge, ResidualLog, UpdatePolicy,
 };
 use crate::DbError;
 use columnar::{IoTracker, SkKey, StableTable, Tuple, Value};
@@ -28,6 +28,7 @@ use exec::DeltaLayers;
 use parking_lot::RwLock;
 use rowstore::{ConflictSet, RowBuffer, RowOp, RowRun, Slot};
 use std::any::Any;
+use std::borrow::Cow;
 use std::sync::Arc;
 use txn::wal::WalEntry;
 
@@ -417,34 +418,69 @@ impl DeltaStore for RowStore {
         &self,
         pin: &CheckpointPin,
         stable: &StableTable,
+        range: &CompactRange,
         io: &IoTracker,
-    ) -> Result<Option<StableTable>, DbError> {
+    ) -> Result<RangeMerge, DbError> {
         let pinned = pin.state::<RowPin>();
-        if pinned.buf.is_empty() {
-            // net-zero buffer (e.g. insert + delete of the same key): the
-            // current image already equals the merged one; install still
-            // retires the covered run history and commit log
-            return Ok(None);
-        }
-        let rows = stable.scan_all(io)?;
-        let merged = pinned.buf.merge_rows(&rows);
-        let fresh = StableTable::bulk_load(stable.meta().clone(), stable.options(), &merged)?;
-        Ok(Some(fresh))
+        let empty = || RowBuffer::new(pinned.buf.schema().clone(), pinned.buf.sk_cols().to_vec());
+        let mut residual = empty();
+        let mut residual_entries = Vec::new();
+        let folded = if range.covers_all_keys() {
+            Cow::Borrowed(&*pinned.buf)
+        } else {
+            // split the pinned buffer's sorted slot run by the range's key
+            // window, reconstructing each half through the public ops:
+            // Tombstone → delete_key, Put{hides_stable} → delete_key +
+            // insert (the insert over its own tombstone re-hides the
+            // stable row)
+            let mut folded = empty();
+            let mut res_dels: Vec<SkKey> = Vec::new();
+            let mut res_inss: Vec<Tuple> = Vec::new();
+            for (key, slot) in pinned.buf.slots() {
+                let in_win = range.key_in_window(key);
+                let half = if in_win { &mut folded } else { &mut residual };
+                match slot {
+                    Slot::Tombstone => {
+                        half.delete_key(key);
+                        if !in_win {
+                            res_dels.push(key.clone());
+                        }
+                    }
+                    Slot::Put { row, hides_stable } => {
+                        if *hides_stable {
+                            half.delete_key(key);
+                            if !in_win {
+                                res_dels.push(key.clone());
+                            }
+                        }
+                        half.insert(row.clone());
+                        if !in_win {
+                            res_inss.push(row.clone());
+                        }
+                    }
+                }
+            }
+            residual_entries = key_residual_entries(res_dels, res_inss);
+            Cow::Owned(folded)
+        };
+        // a net-zero fold (e.g. insert + delete of the same key): the
+        // current image already equals the merged one; install still
+        // retires the covered run history and commit log
+        let fresh = (!folded.is_empty())
+            .then(|| rewrite_range(stable, range, io, |rows| folded.merge_rows(rows)))
+            .transpose()?;
+        Ok(RangeMerge::new(fresh, residual_entries, residual))
     }
 
-    fn checkpoint_install(&self, pin: CheckpointPin) {
-        let pinned = pin.state::<RowPin>();
+    fn checkpoint_install(&self, pin: CheckpointPin, merge: RangeMerge) {
+        let pin_version = pin.state::<RowPin>().version;
+        let mut residual = merge.into_state::<RowBuffer>();
         let mut st = self.state.write();
-        // commits published during the merge survive as the residual
-        // buffer over the new image; their runs stay for the footprint
+        // commits published during the merge survive on top of the
+        // out-of-window residual; their runs stay for the footprint
         // validation of transactions that began before the pin
-        let mut residual = RowBuffer::new(
-            st.committed.schema().clone(),
-            st.committed.sk_cols().to_vec(),
-        );
         st.residual.rebuild_into(pin.seq, &mut residual);
         st.committed = Arc::new(residual);
-        let pin_version = pinned.version;
         st.runs.retain(|r| r.version > pin_version);
         st.residual.unpin();
         st.version += 1;
@@ -452,69 +488,5 @@ impl DeltaStore for RowStore {
 
     fn checkpoint_abort(&self, _pin: CheckpointPin) {
         self.state.write().residual.unpin();
-    }
-
-    fn checkpoint_merge_range(
-        &self,
-        pin: &CheckpointPin,
-        stable: &StableTable,
-        range: &CompactRange,
-        io: &IoTracker,
-    ) -> Result<RangeMerge, DbError> {
-        let pinned = pin.state::<RowPin>();
-        let schema = pinned.buf.schema().clone();
-        let sk_cols = pinned.buf.sk_cols().to_vec();
-        // split the pinned buffer's sorted slot run by the range's key
-        // window, reconstructing each half through the public ops:
-        // Tombstone → delete_key, Put{hides_stable} → delete_key + insert
-        // (the insert over its own tombstone re-hides the stable row)
-        let mut folded = RowBuffer::new(schema.clone(), sk_cols.clone());
-        let mut residual = RowBuffer::new(schema.clone(), sk_cols);
-        let mut res_dels: Vec<SkKey> = Vec::new();
-        let mut res_inss: Vec<Tuple> = Vec::new();
-        for (key, slot) in pinned.buf.slots() {
-            let in_win = range.key_in_window(key);
-            let half = if in_win { &mut folded } else { &mut residual };
-            match slot {
-                Slot::Tombstone => {
-                    half.delete_key(key);
-                    if !in_win {
-                        res_dels.push(key.clone());
-                    }
-                }
-                Slot::Put { row, hides_stable } => {
-                    if *hides_stable {
-                        half.delete_key(key);
-                        if !in_win {
-                            res_dels.push(key.clone());
-                        }
-                    }
-                    half.insert(row.clone());
-                    if !in_win {
-                        res_inss.push(row.clone());
-                    }
-                }
-            }
-        }
-        let rows = range_rows(stable, range.b0, range.b1, io).map_err(DbError::Storage)?;
-        let merged = folded.merge_rows(&rows);
-        Ok(RangeMerge::new(
-            columnarize(&schema, &merged),
-            key_residual_entries(res_dels, res_inss),
-            residual,
-        ))
-    }
-
-    fn checkpoint_install_range(&self, pin: CheckpointPin, merge: RangeMerge) {
-        let pin_version = pin.state::<RowPin>().version;
-        let mut residual = merge.into_state::<RowBuffer>();
-        let mut st = self.state.write();
-        // commits published during the merge survive on top of the
-        // out-of-window residual; their runs stay for footprint validation
-        st.residual.rebuild_into(pin.seq, &mut residual);
-        st.committed = Arc::new(residual);
-        st.runs.retain(|r| r.version > pin_version);
-        st.residual.unpin();
-        st.version += 1;
     }
 }

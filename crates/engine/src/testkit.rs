@@ -544,39 +544,16 @@ impl DiffHarness {
         }
     }
 
-    /// Attempt a checkpoint that dies *inside the crash window*: the
-    /// compressed image is published (manifest swapped) but the process
-    /// "crashes" before the WAL checkpoint marker lands. Every database
-    /// must report the simulated failure (so each policy's delta must be
-    /// non-empty going in — an empty delta never reaches the publish) and
-    /// roll its in-memory pin back; on-disk state is left exactly in the
-    /// window a following [`Self::crash_recover`] has to tolerate.
-    /// Requires [`Self::with_storage`].
-    pub fn checkpoint_crashing_before_marker(&mut self) {
-        assert!(
-            self.images,
-            "crash-window checkpoints need an image-backed harness"
-        );
-        for (policy, db) in &self.dbs {
-            db.crash_after_image_publish(true);
-            let res = db.checkpoint(&self.table);
-            assert!(
-                res.is_err(),
-                "{policy:?}: armed checkpoint must die in the crash window, got {res:?}"
-            );
-            db.crash_after_image_publish(false);
-        }
-        // the aborted pin must leave the live image untouched
-        self.assert_agree("after crashed checkpoint");
-    }
-
     /// Incrementally compact stable blocks `[b0, b1)` of partition `p`
     /// in every database and verify the merged view — the compaction
     /// differential step. The range is clamped per database to its
     /// current block count (compaction re-blocks, so geometries drift
-    /// apart between policies only in row count, never in validity);
-    /// empty ranges, out-of-range partitions and pin-less (delta-free)
-    /// partitions are no-ops, exactly as the scheduler treats them.
+    /// apart between policies only in row count, never in validity); a
+    /// range clamped empty still runs at the end of the image, where it
+    /// folds the append gap (the only step a block-less partition has).
+    /// Other empty ranges, out-of-range partitions and pin-less
+    /// (delta-free) partitions are no-ops, exactly as the scheduler
+    /// treats them.
     pub fn compact(&mut self, p: usize, b0: usize, b1: usize) {
         for (policy, db) in &self.dbs {
             if p >= db.partition_count(&self.table).expect("harness table") {
@@ -587,7 +564,7 @@ impl DiffHarness {
                 .expect("harness partition")
                 .num_blocks();
             let (b0, b1) = (b0.min(nb), b1.min(nb));
-            if b0 >= b1 {
+            if b0 > b1 || (b0 == b1 && b1 < nb) {
                 continue;
             }
             db.compact_range(&self.table, p, b0, b1)
@@ -596,35 +573,44 @@ impl DiffHarness {
         self.assert_agree("after compaction");
     }
 
-    /// Attempt a range compaction that dies *inside the crash window*:
-    /// the spliced image (with block reuse) is published but the process
-    /// "crashes" before the WAL range marker lands. Every database must
-    /// report the simulated failure — so the targeted partition's delta
-    /// must be non-empty and the (clamped) range valid going in — and
-    /// roll its pin back; on-disk state is left exactly in the window a
-    /// following [`Self::crash_recover`] has to tolerate. Requires
+    /// Attempt a maintenance step that dies *inside the crash window*: the
+    /// new image is published (manifest swapped, kept blocks by reference)
+    /// but the process "crashes" before the WAL marker lands. `range` is
+    /// `Some((p, b0, b1))` for a compaction of blocks `[b0, b1)` of
+    /// partition `p` (clamped per database like [`Self::compact`]), `None`
+    /// for a whole-table checkpoint. Every database must report the
+    /// simulated failure — so each policy's targeted delta must be
+    /// non-empty and the range valid going in; an empty delta never
+    /// reaches the publish — and roll its in-memory pin back; on-disk
+    /// state is left exactly in the window a following
+    /// [`Self::crash_recover`] has to tolerate. Requires
     /// [`Self::with_storage`].
-    pub fn compact_crashing_before_marker(&mut self, p: usize, b0: usize, b1: usize) {
+    pub fn crash_before_marker(&mut self, range: Option<(usize, usize, usize)>) {
         assert!(
             self.images,
-            "crash-window compactions need an image-backed harness"
+            "crash-window maintenance needs an image-backed harness"
         );
         for (policy, db) in &self.dbs {
-            let nb = db
-                .stable_partition(&self.table, p)
-                .expect("harness partition")
-                .num_blocks();
-            let (b0, b1) = (b0.min(nb), b1.min(nb));
             db.crash_after_image_publish(true);
-            let res = db.compact_range(&self.table, p, b0, b1);
+            let res = match range {
+                None => db.checkpoint(&self.table),
+                Some((p, b0, b1)) => {
+                    let nb = db
+                        .stable_partition(&self.table, p)
+                        .expect("harness partition")
+                        .num_blocks();
+                    db.compact_range(&self.table, p, b0.min(nb), b1.min(nb))
+                        .map(|r| r.is_some())
+                }
+            };
             assert!(
                 res.is_err(),
-                "{policy:?}: armed compaction must die in the crash window, got {res:?}"
+                "{policy:?}: armed step must die in the crash window, got {res:?}"
             );
             db.crash_after_image_publish(false);
         }
         // the aborted pin must leave the live image untouched
-        self.assert_agree("after crashed compaction");
+        self.assert_agree("after crashed maintenance step");
     }
 
     /// Crash: drop every database and rebuild it from its base image plus

@@ -58,20 +58,20 @@ pub enum TraceKind {
     /// A committer's durable ack. `a` = ticket, `dur_ns` = wait time,
     /// `seq` = the durable ticket watermark at the ack.
     WalDurable = 4,
-    /// Checkpoint phase 1: delta pinned under the commit guard.
+    /// Maintenance step over every block of a partition (a checkpoint),
+    /// phase 1: delta pinned under the commit guard. All six maintenance
+    /// kinds carry `a`/`b` = the step's block range `[b0, b1)`.
     CheckpointPin = 5,
     /// Checkpoint phase 2: span over merge + image publish (off-lock).
-    /// `a` = 1 when a compressed image was published.
     CheckpointMerge = 6,
     /// Checkpoint phase 3: WAL marker + stable swap installed.
     CheckpointInstall = 7,
-    /// Compaction phase 1: pin. `a`/`b` = block range `[b0, b1)`.
+    /// The same step over a sub-partition range (a compaction), phase 1:
+    /// pin.
     CompactionPin = 8,
     /// Compaction phase 2: span over ranged merge + splice + publish.
-    /// `a`/`b` = block range `[b0, b1)`.
     CompactionMerge = 9,
-    /// Compaction phase 3: ranged WAL marker + install.
-    /// `a`/`b` = block range `[b0, b1)`.
+    /// Compaction phase 3: WAL marker + install.
     CompactionInstall = 10,
     /// Admission control made a writer wait. `dur_ns` = time waited,
     /// `a` = delta bytes at admission, `b` = soft limit.

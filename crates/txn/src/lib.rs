@@ -149,11 +149,44 @@ struct TableState {
     sk_cols: Vec<usize>,
     read: Arc<Pdt>,
     master_write: Pdt,
-    /// Cached snapshot of `master_write` as of `snapshot_seq` — shared by
-    /// transactions starting before the next commit ("copying is not
-    /// always required").
-    write_snapshot: Arc<Pdt>,
-    snapshot_seq: u64,
+    /// Cached snapshot of `master_write`, shared by transactions starting
+    /// before the next commit ("copying is not always required"). `None`
+    /// whenever `master_write` changed since the last capture — every
+    /// mutation goes through [`TableState::write_mut`], so a flush landing
+    /// between a commit's `alloc_seq` and its `publish_pdt` cannot leave a
+    /// pre-commit copy behind for that commit's sequence.
+    write_snapshot: Option<Arc<Pdt>>,
+}
+
+impl TableState {
+    /// The master Write-PDT for mutation; drops the cached snapshot.
+    fn write_mut(&mut self) -> &mut Pdt {
+        self.write_snapshot = None;
+        &mut self.master_write
+    }
+
+    /// Capture the PDT layers, copying the Write-PDT only when it changed
+    /// since the last capture.
+    fn snapshot(&mut self) -> TableSnapshot {
+        let write = self
+            .write_snapshot
+            .get_or_insert_with(|| Arc::new(self.master_write.clone()));
+        TableSnapshot {
+            read: self.read.clone(),
+            write: write.clone(),
+        }
+    }
+
+    /// Migrate the master Write-PDT into the Read-PDT (no-op when empty).
+    fn flush_write(&mut self) {
+        if self.master_write.is_empty() {
+            return;
+        }
+        let mut read = (*self.read).clone();
+        propagate(&mut read, &self.master_write);
+        self.read = Arc::new(read);
+        *self.write_mut() = Pdt::new(self.schema.clone(), self.sk_cols.clone());
+    }
 }
 
 struct Inner {
@@ -218,7 +251,6 @@ impl TxnManager {
         let mut inner = self.inner.lock();
         let read = Arc::new(Pdt::new(schema.clone(), sk_cols.clone()));
         let write = Pdt::new(schema.clone(), sk_cols.clone());
-        let snap = Arc::new(write.clone());
         inner.tables.insert(
             name.to_string(),
             TableState {
@@ -226,8 +258,7 @@ impl TxnManager {
                 sk_cols,
                 read,
                 master_write: write,
-                write_snapshot: snap,
-                snapshot_seq: 0,
+                write_snapshot: None,
             },
         );
     }
@@ -250,22 +281,11 @@ impl TxnManager {
     }
 
     fn snapshot_all_locked(inner: &mut Inner) -> HashMap<String, TableSnapshot> {
-        let seq = inner.seq;
-        let mut snaps = HashMap::new();
-        for (name, st) in inner.tables.iter_mut() {
-            if st.snapshot_seq != seq {
-                st.write_snapshot = Arc::new(st.master_write.clone());
-                st.snapshot_seq = seq;
-            }
-            snaps.insert(
-                name.clone(),
-                TableSnapshot {
-                    read: st.read.clone(),
-                    write: st.write_snapshot.clone(),
-                },
-            );
-        }
-        snaps
+        inner
+            .tables
+            .iter_mut()
+            .map(|(name, st)| (name.clone(), st.snapshot()))
+            .collect()
     }
 
     /// Snapshot one table's PDT layers (sharing the cached Write-PDT copy)
@@ -274,17 +294,7 @@ impl TxnManager {
     /// a consistent cut across several tables (or across delta structures)
     /// hold [`TxnManager::commit_guard`] around the calls.
     pub fn snapshot_table(&self, table: &str) -> Option<TableSnapshot> {
-        let mut inner = self.inner.lock();
-        let seq = inner.seq;
-        let st = inner.tables.get_mut(table)?;
-        if st.snapshot_seq != seq {
-            st.write_snapshot = Arc::new(st.master_write.clone());
-            st.snapshot_seq = seq;
-        }
-        Some(TableSnapshot {
-            read: st.read.clone(),
-            write: st.write_snapshot.clone(),
-        })
+        Some(self.inner.lock().tables.get_mut(table)?.snapshot())
     }
 
     // --- Piecewise commit protocol -------------------------------------
@@ -359,7 +369,7 @@ impl TxnManager {
             .tables
             .get_mut(table)
             .unwrap_or_else(|| panic!("publish into unregistered table {table}"));
-        propagate(&mut st.master_write, &delta);
+        propagate(st.write_mut(), &delta);
         inner
             .tz
             .push_back((table.to_string(), CommittedDelta { seq, pdt: delta }));
@@ -444,19 +454,13 @@ impl TxnManager {
             .get_mut(table)
             .unwrap_or_else(|| panic!("WAL references unknown table {table}"));
         let delta = wal::rebuild_pdt(&st.schema, &st.sk_cols, entries);
-        propagate(&mut st.master_write, &delta);
+        propagate(st.write_mut(), &delta);
     }
 
-    /// Recovery epilogue: restore the commit sequence and refresh the
-    /// cached write snapshots.
+    /// Recovery epilogue: restore the commit sequence.
     pub fn finish_recovery(&self, seq: u64) {
         let mut inner = self.inner.lock();
         inner.seq = inner.seq.max(seq);
-        let last = inner.seq;
-        for st in inner.tables.values_mut() {
-            st.write_snapshot = Arc::new(st.master_write.clone());
-            st.snapshot_seq = last;
-        }
     }
 
     /// Commit (Algorithm 9, `Finish` with ok=true): serialize against all
@@ -525,7 +529,7 @@ impl TxnManager {
         let mut logged = Vec::with_capacity(serialized.len());
         for (table, spdt) in serialized {
             let st = inner.tables.get_mut(&table).expect("checked above");
-            propagate(&mut st.master_write, &spdt);
+            propagate(st.write_mut(), &spdt);
             let pdt = Arc::new(spdt);
             logged.push((table.clone(), pdt.clone()));
             inner.tz.push_back((table, CommittedDelta { seq, pdt }));
@@ -557,17 +561,11 @@ impl TxnManager {
     /// transactions are unaffected: they hold Arc snapshots.
     pub fn flush_write_to_read(&self, table: &str) {
         let mut inner = self.inner.lock();
-        let seq = inner.seq;
-        let st = inner.tables.get_mut(table).expect("registered table");
-        if st.master_write.is_empty() {
-            return;
-        }
-        let mut read = (*st.read).clone();
-        propagate(&mut read, &st.master_write);
-        st.read = Arc::new(read);
-        st.master_write = Pdt::new(st.schema.clone(), st.sk_cols.clone());
-        st.write_snapshot = Arc::new(st.master_write.clone());
-        st.snapshot_seq = seq;
+        inner
+            .tables
+            .get_mut(table)
+            .expect("registered table")
+            .flush_write();
     }
 
     /// Checkpoint phase 1: flush the master Write-PDT into the Read-PDT (so
@@ -583,16 +581,8 @@ impl TxnManager {
     /// checkpoint of the same table.
     pub fn pin_checkpoint(&self, table: &str) -> Option<Arc<Pdt>> {
         let mut inner = self.inner.lock();
-        let seq = inner.seq;
         let st = inner.tables.get_mut(table).expect("registered table");
-        if !st.master_write.is_empty() {
-            let mut read = (*st.read).clone();
-            propagate(&mut read, &st.master_write);
-            st.read = Arc::new(read);
-            st.master_write = Pdt::new(st.schema.clone(), st.sk_cols.clone());
-            st.write_snapshot = Arc::new(st.master_write.clone());
-            st.snapshot_seq = seq;
-        }
+        st.flush_write();
         if st.read.is_empty() {
             None
         } else {
@@ -600,26 +590,14 @@ impl TxnManager {
         }
     }
 
-    /// Checkpoint phase 3: the pinned Read-PDT is folded into the new
-    /// stable image — forget it. Panics if the Read layer changed since the
-    /// pin (a concurrent flush/checkpoint the caller failed to serialize).
-    pub fn install_checkpoint(&self, table: &str, pinned: &Arc<Pdt>) {
-        let mut inner = self.inner.lock();
-        let st = inner.tables.get_mut(table).expect("registered table");
-        assert!(
-            Arc::ptr_eq(&st.read, pinned),
-            "Read-PDT of {table} changed between checkpoint pin and install"
-        );
-        st.read = Arc::new(Pdt::new(st.schema.clone(), st.sk_cols.clone()));
-    }
-
-    /// Range-scoped variant of [`TxnManager::install_checkpoint`]: only
-    /// part of the pinned Read-PDT was folded (a sub-partition
-    /// compaction), so instead of emptying the read layer, replace it
-    /// with `residual` — the out-of-range remainder rebased onto the
-    /// post-compaction stable ([`wal::rebase_pdt_outside_range`]).
-    /// Panics under the same pin-stability contract as the full form.
-    pub fn install_partial_checkpoint(&self, table: &str, pinned: &Arc<Pdt>, residual: Pdt) {
+    /// Checkpoint phase 3: the part of the pinned Read-PDT addressing the
+    /// merged block range is folded into the new stable image — replace
+    /// the read layer with `residual`, the out-of-range remainder rebased
+    /// onto that image ([`wal::rebase_pdt_outside_range`]; empty after a
+    /// whole-partition checkpoint). Panics if the Read layer changed since
+    /// the pin (a concurrent flush/checkpoint the caller failed to
+    /// serialize).
+    pub fn install_checkpoint(&self, table: &str, pinned: &Arc<Pdt>, residual: Pdt) {
         let mut inner = self.inner.lock();
         let st = inner.tables.get_mut(table).expect("registered table");
         assert!(
@@ -630,46 +608,27 @@ impl TxnManager {
     }
 
     /// Append a checkpoint marker for `(table, partition)` at pinned
-    /// sequence `seq` (no-op without a WAL), referencing the manifest
-    /// sequence of the persisted compressed image the checkpoint published
-    /// (`image_seq`, `None` when it folded in memory only). Call under
-    /// [`TxnManager::commit_guard`], after the new stable image is
-    /// installed. Unpartitioned tables pass partition `0`.
+    /// sequence `seq` (no-op without a WAL): the folded stable-SID window
+    /// `range`, the out-of-range `residual` recovery replays on top of the
+    /// image, and the manifest sequence of the persisted compressed image
+    /// the checkpoint published (`image_seq`, `None` when it folded in
+    /// memory only). Call under [`TxnManager::commit_guard`], atomically
+    /// with the install of the new stable image. Unpartitioned tables pass
+    /// partition `0`.
     pub fn log_checkpoint(
         &self,
         table: &str,
         partition: u32,
         seq: u64,
         image_seq: Option<u64>,
+        range: (u64, u64),
+        residual: &[wal::WalEntry],
     ) -> Result<(), TxnError> {
         if let Some(w) = &self.wal {
             // synchronous through the coordinator: the marker (and any
             // commit records enqueued before it) is on disk when the new
             // stable image becomes the recovery base
-            w.append_checkpoint(table, partition, seq, image_seq)
-                .map_err(TxnError::Wal)?;
-        }
-        Ok(())
-    }
-
-    /// [`TxnManager::log_checkpoint`] for a range-scoped checkpoint: the
-    /// marker records the folded stable-SID window `[s0, s1)` and
-    /// carries `residual` — the out-of-range delta recovery replays on
-    /// top of the image. Same calling contract (under the commit guard,
-    /// after install).
-    #[allow(clippy::too_many_arguments)]
-    pub fn log_checkpoint_range(
-        &self,
-        table: &str,
-        partition: u32,
-        seq: u64,
-        image_seq: Option<u64>,
-        s0: u64,
-        s1: u64,
-        residual: &[wal::WalEntry],
-    ) -> Result<(), TxnError> {
-        if let Some(w) = &self.wal {
-            w.append_checkpoint_range(table, partition, seq, image_seq, Some((s0, s1)), residual)
+            w.append_checkpoint(table, partition, seq, image_seq, range, residual)
                 .map_err(TxnError::Wal)?;
         }
         Ok(())
@@ -712,16 +671,12 @@ impl TxnManager {
                         .get_mut(&table)
                         .unwrap_or_else(|| panic!("WAL references unknown table {table}"));
                     let delta = wal::rebuild_pdt(&st.schema, &st.sk_cols, &entries);
-                    propagate(&mut st.master_write, &delta);
+                    propagate(st.write_mut(), &delta);
                 }
             }
             last_seq = seq;
         }
         inner.seq = last_seq;
-        for st in inner.tables.values_mut() {
-            st.write_snapshot = Arc::new(st.master_write.clone());
-            st.snapshot_seq = last_seq;
-        }
         Ok(last_seq)
     }
 }
@@ -902,7 +857,7 @@ mod tests {
         m.commit(b).unwrap();
         let new_rows = merge_rows(&rows, &pinned);
         assert_eq!(new_rows.len(), 5);
-        m.install_checkpoint("t", &pinned);
+        m.install_checkpoint("t", &pinned, Pdt::new(schema(), vec![0]));
         // read layer is now empty; the mid-merge commit survives on top of
         // the new stable image
         let t = m.begin();
@@ -914,7 +869,7 @@ mod tests {
         // installed the table is clean and pinning yields nothing
         let pinned = m.pin_checkpoint("t").expect("write layer still dirty");
         let final_rows = merge_rows(&new_rows, &pinned);
-        m.install_checkpoint("t", &pinned);
+        m.install_checkpoint("t", &pinned, Pdt::new(schema(), vec![0]));
         assert_eq!(view(&final_rows, &m.begin()), final_rows);
         assert!(m.pin_checkpoint("t").is_none(), "clean table pins nothing");
     }
@@ -933,7 +888,7 @@ mod tests {
         b.trans_pdt_mut("t").add_delete(0, &[Value::Int(10)]);
         m.commit(b).unwrap();
         m.flush_write_to_read("t");
-        m.install_checkpoint("t", &pinned);
+        m.install_checkpoint("t", &pinned, Pdt::new(schema(), vec![0]));
     }
 
     #[test]

@@ -54,22 +54,21 @@
 //!                 nentries × [sid u64][kind u16][nvals u32][payload]
 //! checkpoint: [ckpt_magic u32][seq u64][name_len u16][name bytes][partition u32]
 //!               [has_image u8][image_seq u64 when has_image = 1]
-//!               [scope u8]  0 = whole partition
-//!                           1 = range: [s0 u64][s1 u64][nentries u32]
-//!                                 nentries × [sid u64][kind u16][nvals u32][payload]
+//!               [s0 u64][s1 u64][nentries u32]
+//!                 nentries × [sid u64][kind u16][nvals u32][payload]
 //! payload: INS → full tuple, DEL → sort-key values, MOD → one value,
 //!          INS_BATCH → n tuples, DEL_BATCH → n sort keys
 //! value:   [tag u8][data]   (0=Null 1=Bool 2=Int 3=Double 4=Str 5=Date)
 //! ```
 //!
-//! A **range-scoped** marker (scope 1) is written by sub-partition
-//! compaction: only delta addressing stable SIDs `[s0, s1)` was folded
-//! into the published image, and the marker inlines the *residual* —
-//! the covered commits' out-of-range remainder, rebased onto the
-//! post-compaction stable. Replay filtering is unchanged (commits ≤
-//! `seq` are skipped wholesale); image-based recovery replays the
-//! residual between the image load and the surviving commits. Residual
-//! values use the plain inline encoding, never dictionary codes.
+//! Every marker is **range-scoped**: only delta addressing stable SIDs
+//! `[s0, s1)` was folded into the published image, and the marker inlines
+//! the *residual* — the covered commits' out-of-range remainder, rebased
+//! onto the post-merge stable. A whole-partition checkpoint is the range
+//! `[0, row_count)` with an empty residual. Replay filtering skips commits
+//! ≤ `seq` wholesale; image-based recovery replays the residual between
+//! the image load and the surviving commits. Residual values use the plain
+//! inline encoding, never dictionary codes.
 //!
 //! A marker's `image_seq` is the manifest sequence of the persisted
 //! compressed image ([`columnar::ImageStore`]) the checkpoint published in
@@ -98,14 +97,13 @@ use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 // and restart ("pdtR"/"pdtS" are the image-file and marker magics,
 // skipped to keep the magics distinct).
 const MAGIC: u32 = 0x7064_7454;
-// "pdtU": checkpoint markers carry a scope byte — full-partition or
-// range-scoped (sub-partition compaction), the latter with the folded
-// SID window and the residual out-of-range delta inline. Bumped from
-// "pdtS" so scope-less markers from older builds fail loudly instead of
-// silently replaying a compacted partition as if fully checkpointed;
-// replay such logs with the build that wrote them, checkpoint, restart
-// ("pdtT" is the commit magic — skipped to keep the magics distinct).
-const CKPT_MAGIC: u32 = 0x7064_7455;
+// "pdtV": every checkpoint marker carries the folded SID window and the
+// residual out-of-range delta inline — one layout, a whole-partition
+// checkpoint being the window over every row. Bumped from "pdtU" (which
+// branched on a scope byte) so markers from older builds fail loudly with
+// "bad record magic" instead of misparsing; replay such logs with the
+// build that wrote them, checkpoint, restart.
+const CKPT_MAGIC: u32 = 0x7064_7456;
 
 /// One entry of a logged delta.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,14 +138,14 @@ pub enum WalRecord {
         /// checkpoint folded in memory only, in which case the covered
         /// commits exist nowhere on disk after this marker.
         image_seq: Option<u64>,
-        /// `Some((s0, s1))` for a range-scoped marker (sub-partition
-        /// compaction): only delta addressing stable SIDs in `[s0, s1)`
-        /// was folded into the published image. The covered commits'
-        /// out-of-range remainder is *not* in the image — it rides in
-        /// `residual`, rebased onto the post-compaction stable, and
-        /// recovery replays it on top of the image before the surviving
-        /// commits. `None` is a whole-partition marker (empty residual).
-        range: Option<(u64, u64)>,
+        /// The folded stable-SID window `[s0, s1)`: only delta addressing
+        /// it is in the published image. The covered commits'
+        /// out-of-range remainder is *not* — it rides in `residual`,
+        /// rebased onto the post-merge stable, and recovery replays it on
+        /// top of the image before the surviving commits. A
+        /// whole-partition checkpoint covers every row and leaves an
+        /// empty residual.
+        range: (u64, u64),
         residual: Vec<WalEntry>,
     },
 }
@@ -194,18 +192,21 @@ impl Wal {
 
     /// Append a checkpoint marker: `(table, partition)`'s commits with
     /// sequence ≤ `seq` are durable in a fresh stable image — persisted
-    /// on disk when `image_seq` is set. Must be written under the same
-    /// exclusion that orders commits (the engine's commit guard), after
-    /// the new image is installed.
+    /// on disk when `image_seq` is set — except for `residual`, their
+    /// remainder outside the folded stable-SID window `range`. Must be
+    /// written under the same exclusion that orders commits (the engine's
+    /// commit guard), after the new image is installed.
     pub fn append_checkpoint(
         &mut self,
         table: &str,
         partition: u32,
         seq: u64,
         image_seq: Option<u64>,
+        range: (u64, u64),
+        residual: &[WalEntry],
     ) -> std::io::Result<()> {
         let mut buf = Vec::new();
-        encode_checkpoint_record(&mut buf, table, partition, seq, image_seq, None, &[]);
+        encode_checkpoint_record(&mut buf, table, partition, seq, image_seq, range, residual);
         self.out.write_all(&buf)?;
         self.out.flush()
     }
@@ -253,33 +254,10 @@ impl Wal {
                     1 => Some(read_u64(&bytes, &mut pos)?),
                     f => return Err(corrupt(&format!("bad checkpoint image flag {f}"))),
                 };
-                let scope = *bytes
-                    .get(pos)
-                    .ok_or_else(|| corrupt("truncated checkpoint scope"))?;
-                pos += 1;
-                let (range, residual) = match scope {
-                    0 => (None, Vec::new()),
-                    1 => {
-                        let s0 = read_u64(&bytes, &mut pos)?;
-                        let s1 = read_u64(&bytes, &mut pos)?;
-                        let nentries = read_u32(&bytes, &mut pos)? as usize;
-                        let mut residual = Vec::with_capacity(nentries.min(bytes.len() - pos));
-                        for _ in 0..nentries {
-                            let sid = read_u64(&bytes, &mut pos)?;
-                            let kind = read_u16(&bytes, &mut pos)?;
-                            let nvals = read_u32(&bytes, &mut pos)? as usize;
-                            let mut values = Vec::with_capacity(nvals.min(bytes.len() - pos));
-                            for _ in 0..nvals {
-                                // residual values are always inline (no
-                                // per-record dictionary on markers)
-                                values.push(decode_value(&bytes, &mut pos, &[])?);
-                            }
-                            residual.push(WalEntry { sid, kind, values });
-                        }
-                        (Some((s0, s1)), residual)
-                    }
-                    f => return Err(corrupt(&format!("bad checkpoint scope {f}"))),
-                };
+                let range = (read_u64(&bytes, &mut pos)?, read_u64(&bytes, &mut pos)?);
+                // residual values are always inline (no per-record
+                // dictionary on markers)
+                let residual = read_entries(&bytes, &mut pos, &[])?;
                 records.push(WalRecord::Checkpoint {
                     seq,
                     table,
@@ -326,18 +304,7 @@ impl Wal {
                 .to_string();
                 pos += nlen;
                 let partition = read_u32(&bytes, &mut pos)?;
-                let nentries = read_u32(&bytes, &mut pos)? as usize;
-                let mut entries = Vec::with_capacity(nentries);
-                for _ in 0..nentries {
-                    let sid = read_u64(&bytes, &mut pos)?;
-                    let kind = read_u16(&bytes, &mut pos)?;
-                    let nvals = read_u32(&bytes, &mut pos)? as usize;
-                    let mut values = Vec::with_capacity(nvals);
-                    for _ in 0..nvals {
-                        values.push(decode_value(&bytes, &mut pos, &dict)?);
-                    }
-                    entries.push(WalEntry { sid, kind, values });
-                }
+                let entries = read_entries(&bytes, &mut pos, &dict)?;
                 tables.push((name, partition, entries));
             }
             records.push(WalRecord::Commit { seq, tables });
@@ -417,31 +384,54 @@ fn encode_commit_record(buf: &mut Vec<u8>, seq: u64, deltas: &[(&str, u32, &[Wal
         buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
         buf.extend_from_slice(name.as_bytes());
         buf.extend_from_slice(&partition.to_le_bytes());
-        buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for e in *entries {
-            buf.extend_from_slice(&e.sid.to_le_bytes());
-            buf.extend_from_slice(&e.kind.to_le_bytes());
-            // u32: a batched entry carries a whole statement's values
-            buf.extend_from_slice(&(e.values.len() as u32).to_le_bytes());
-            for v in &e.values {
-                encode_value(buf, v, &codes);
-            }
+        encode_entries(buf, entries, &codes);
+    }
+}
+
+/// Encode one entry list (count-prefixed) — the shared tail of a commit
+/// record's per-partition delta and of a checkpoint marker's residual.
+fn encode_entries(buf: &mut Vec<u8>, entries: &[WalEntry], codes: &HashMap<&str, u32>) {
+    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for e in entries {
+        buf.extend_from_slice(&e.sid.to_le_bytes());
+        buf.extend_from_slice(&e.kind.to_le_bytes());
+        // u32: a batched entry carries a whole statement's values
+        buf.extend_from_slice(&(e.values.len() as u32).to_le_bytes());
+        for v in &e.values {
+            encode_value(buf, v, codes);
         }
     }
 }
 
-/// Encode one checkpoint marker into `buf`. A `range` makes it a
-/// range-scoped (sub-partition compaction) marker whose `residual`
-/// entries ride inline — values use the plain tagged encoding (no
-/// string dictionary; markers are rare and residuals small when
-/// compaction targets the delta-hot ranges it is built for).
+/// Decode one entry list written by [`encode_entries`]; `dict` resolves
+/// tag-6 string codes (empty for markers, whose values are inline).
+fn read_entries(bytes: &[u8], pos: &mut usize, dict: &[String]) -> std::io::Result<Vec<WalEntry>> {
+    let nentries = read_u32(bytes, pos)? as usize;
+    let mut entries = Vec::with_capacity(nentries.min(bytes.len() - *pos));
+    for _ in 0..nentries {
+        let sid = read_u64(bytes, pos)?;
+        let kind = read_u16(bytes, pos)?;
+        let nvals = read_u32(bytes, pos)? as usize;
+        let mut values = Vec::with_capacity(nvals.min(bytes.len() - *pos));
+        for _ in 0..nvals {
+            values.push(decode_value(bytes, pos, dict)?);
+        }
+        entries.push(WalEntry { sid, kind, values });
+    }
+    Ok(entries)
+}
+
+/// Encode one checkpoint marker into `buf`. The `residual` entries ride
+/// inline — values use the plain tagged encoding (no string dictionary;
+/// markers are rare and residuals small when compaction targets the
+/// delta-hot ranges it is built for, empty for whole-partition folds).
 fn encode_checkpoint_record(
     buf: &mut Vec<u8>,
     table: &str,
     partition: u32,
     seq: u64,
     image_seq: Option<u64>,
-    range: Option<(u64, u64)>,
+    (s0, s1): (u64, u64),
     residual: &[WalEntry],
 ) {
     buf.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
@@ -456,24 +446,9 @@ fn encode_checkpoint_record(
         }
         None => buf.push(0),
     }
-    match range {
-        None => buf.push(0),
-        Some((s0, s1)) => {
-            buf.push(1);
-            buf.extend_from_slice(&s0.to_le_bytes());
-            buf.extend_from_slice(&s1.to_le_bytes());
-            let no_dict = HashMap::new();
-            buf.extend_from_slice(&(residual.len() as u32).to_le_bytes());
-            for e in residual {
-                buf.extend_from_slice(&e.sid.to_le_bytes());
-                buf.extend_from_slice(&e.kind.to_le_bytes());
-                buf.extend_from_slice(&(e.values.len() as u32).to_le_bytes());
-                for v in &e.values {
-                    encode_value(buf, v, &no_dict);
-                }
-            }
-        }
-    }
+    buf.extend_from_slice(&s0.to_le_bytes());
+    buf.extend_from_slice(&s1.to_le_bytes());
+    encode_entries(buf, residual, &HashMap::new());
 }
 
 /// Coordinator counters: logical records enqueued vs physical append
@@ -593,32 +568,19 @@ impl GroupWal {
         }
     }
 
-    /// Enqueue a checkpoint marker and wait until it (and everything
-    /// enqueued before it) is durable. Synchronous on purpose: the
-    /// caller installs the checkpointed image under the commit guard, and
-    /// a recovered log must never cover an image with a marker that was
-    /// not yet on disk when the image became the recovery base.
+    /// Enqueue a checkpoint marker (see [`Wal::append_checkpoint`]) and
+    /// wait until it (and everything enqueued before it) is durable.
+    /// Synchronous on purpose: the caller installs the checkpointed image
+    /// under the commit guard, and a recovered log must never cover an
+    /// image with a marker that was not yet on disk when the image became
+    /// the recovery base.
     pub fn append_checkpoint(
         &self,
         table: &str,
         partition: u32,
         seq: u64,
         image_seq: Option<u64>,
-    ) -> std::io::Result<()> {
-        self.append_checkpoint_range(table, partition, seq, image_seq, None, &[])
-    }
-
-    /// [`GroupWal::append_checkpoint`] with a range scope: the marker
-    /// records that only stable SIDs in `range` were folded and carries
-    /// the rebased out-of-range `residual` for recovery. Synchronous,
-    /// like the whole-partition form.
-    pub fn append_checkpoint_range(
-        &self,
-        table: &str,
-        partition: u32,
-        seq: u64,
-        image_seq: Option<u64>,
-        range: Option<(u64, u64)>,
+        range: (u64, u64),
         residual: &[WalEntry],
     ) -> std::io::Result<()> {
         let ticket = {
@@ -730,20 +692,16 @@ pub struct CoveringMarker {
     pub seq: u64,
     /// Manifest sequence of the persisted image to rebuild from.
     pub image_seq: Option<u64>,
-    /// Folded SID window for a range-scoped marker; `None` = whole
-    /// partition.
-    pub range: Option<(u64, u64)>,
-    /// Out-of-range delta (rebased onto the post-compaction stable) to
-    /// replay on top of the image before the surviving commits. Empty
-    /// for whole-partition markers.
+    /// Out-of-range delta (rebased onto the post-merge stable) to replay
+    /// on top of the image before the surviving commits. Empty when the
+    /// marker folded the whole partition.
     pub residual: Vec<WalEntry>,
 }
 
 /// The *covering* (highest-sequence) checkpoint marker per table, then per
 /// partition. Recovery rebuilds each partition from the persisted image
 /// the covering marker references — `image_seq` is the manifest sequence
-/// to load — replays the marker's `residual` (non-empty only for
-/// range-scoped markers), then replays the commits
+/// to load — replays the marker's `residual`, then replays the commits
 /// [`Wal::read_effective`] keeps.
 pub fn checkpoint_markers(records: &[WalRecord]) -> HashMap<String, HashMap<u32, CoveringMarker>> {
     let mut m: HashMap<String, HashMap<u32, CoveringMarker>> = HashMap::new();
@@ -753,14 +711,13 @@ pub fn checkpoint_markers(records: &[WalRecord]) -> HashMap<String, HashMap<u32,
             table,
             partition,
             image_seq,
-            range,
             residual,
+            ..
         } = rec
         {
             let cur = CoveringMarker {
                 seq: *seq,
                 image_seq: *image_seq,
-                range: *range,
                 residual: residual.clone(),
             };
             match m.entry(table.clone()).or_default().entry(*partition) {
@@ -1244,7 +1201,8 @@ mod tests {
             wal.append_commit(2, &[("t", 0, e2.as_slice())]).unwrap();
             // partition 0 checkpointed at seq 2: both its deltas are folded,
             // with a persisted image referenced by the marker
-            wal.append_checkpoint("t", 0, 2, Some(2)).unwrap();
+            wal.append_checkpoint("t", 0, 2, Some(2), (0, 3), &[])
+                .unwrap();
         }
         let all = Wal::read_all(&path).unwrap();
         assert!(
@@ -1262,7 +1220,7 @@ mod tests {
         let markers = checkpoint_markers(&all);
         let m = &markers["t"][&0];
         assert_eq!((m.seq, m.image_seq), (2, Some(2)));
-        assert!(m.range.is_none() && m.residual.is_empty());
+        assert!(m.residual.is_empty());
         let effective = Wal::read_effective(&path).unwrap();
         let kept: Vec<(u64, String, u32)> = effective
             .iter()
@@ -1299,10 +1257,11 @@ mod tests {
         ];
         {
             let gw = GroupWal::open(&path).unwrap();
-            gw.append_checkpoint_range("t", 2, 5, Some(5), Some((32, 96)), &residual)
+            gw.append_checkpoint("t", 2, 5, Some(5), (32, 96), &residual)
                 .unwrap();
             // a whole-partition marker after it must stay the covering one
-            gw.append_checkpoint("t", 2, 9, Some(9)).unwrap();
+            gw.append_checkpoint("t", 2, 9, Some(9), (0, 128), &[])
+                .unwrap();
         }
         let all = Wal::read_all(&path).unwrap();
         assert_eq!(all.len(), 2);
@@ -1316,11 +1275,12 @@ mod tests {
             panic!("expected a checkpoint record");
         };
         assert_eq!(*seq, 5);
-        assert_eq!(*range, Some((32, 96)));
+        assert_eq!(*range, (32, 96));
         assert_eq!(*got, residual, "residual values roundtrip inline");
         let markers = checkpoint_markers(&all);
         let m = &markers["t"][&2];
-        assert_eq!((m.seq, m.range), (9, None), "highest-seq marker covers");
+        assert_eq!(m.seq, 9, "highest-seq marker covers");
+        assert!(m.residual.is_empty(), "and brings its own (empty) residual");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1455,7 +1415,7 @@ mod tests {
         }];
         // an enqueued-but-unflushed commit rides along with the marker
         let _ticket = gw.enqueue_commit(1, &[("t", 0, e.as_slice())]);
-        gw.append_checkpoint("t", 0, 1, None).unwrap();
+        gw.append_checkpoint("t", 0, 1, None, (0, 1), &[]).unwrap();
         assert_eq!(gw.pending_records(), 0, "marker append drains the buffer");
         let s = gw.stats();
         assert_eq!((s.commits, s.checkpoints, s.appends), (1, 1, 1));

@@ -8,7 +8,7 @@
 //! harness runs one database per [`engine::UpdatePolicy`] in lockstep
 //! against `NaiveImage`; [`DiffHarness::compact`] clamps a block range
 //! per database and verifies agreement after each step, and
-//! [`DiffHarness::compact_crashing_before_marker`] dies in the crash
+//! [`DiffHarness::crash_before_marker`] dies in the crash
 //! window between the reuse-image publish and the WAL range marker —
 //! the seam recovery has to tolerate without resurrecting an
 //! uncommitted compaction.
@@ -17,10 +17,16 @@
 //! compaction folded must come back through the persisted images (kept
 //! blocks by reference, merged blocks inline) plus the range marker's
 //! rebased residual replay.
+//!
+//! The whole-partition checkpoint is the same step over every block, and
+//! the suite holds it to that: from one state, `checkpoint_partition(p)`
+//! and `compact_range(p, 0, n_blocks)` must leave byte-identical slices,
+//! dictionaries, deltas and logs.
 
-use columnar::{Schema, Tuple, Value, ValueType};
+use columnar::{Encoding, Schema, StableTable, Tuple, Value, ValueType};
 use engine::testkit::DiffHarness;
 use proptest::prelude::*;
+use std::path::PathBuf;
 
 fn schema() -> Schema {
     Schema::from_pairs(&[
@@ -46,9 +52,12 @@ fn row(k: i64, v: i64) -> Tuple {
     vec![Value::Int(k), Value::Int(v), Value::Str(format!("w{v}"))]
 }
 
+fn storage_dir(test: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("pdt_compact_{test}_{}", std::process::id()))
+}
+
 fn storage_harness(test: &str, partitions: usize) -> DiffHarness {
-    let dir = std::env::temp_dir().join(format!("pdt_compact_{test}_{}", std::process::id()));
-    let h = DiffHarness::with_storage(dir, "t", schema(), vec![0], base_rows(48), 8);
+    let h = DiffHarness::with_storage(storage_dir(test), "t", schema(), vec![0], base_rows(48), 8);
     if partitions > 1 {
         h.with_partitions(partitions)
     } else {
@@ -135,7 +144,7 @@ fn crash_mid_compaction_recovers_prior_state() {
     h.compact(0, 2, 64); // durable compacted generation #1
     h.delete(9);
     h.insert(row(333, 101));
-    h.compact_crashing_before_marker(0, 1, 4); // generation #2 lost
+    h.crash_before_marker(Some((0, 1, 4))); // generation #2 lost
     h.crash_recover(); // generation #1 + tail replay
     h.modify(1, 1, Value::Int(-1));
     h.compact(0, 0, 3); // the recovered databases compact cleanly
@@ -149,7 +158,135 @@ fn crash_mid_compaction_straddling_partitions() {
     h.delete_rids(&[2, 17, 40]);
     h.compact(1, 0, 64); // durable step in the middle partition
     h.insert(row(85, 102)); // partition 0 churn
-    h.compact_crashing_before_marker(0, 0, 2);
+    h.crash_before_marker(Some((0, 0, 2)));
+    h.crash_recover();
+    h.checkpoint();
+    h.crash_recover();
+}
+
+/// Encoded blocks, block geometry and dictionaries of two slices, byte
+/// for byte.
+fn assert_same_encoding(a: &StableTable, b: &StableTable, context: &str) {
+    assert_eq!(a.block_starts(), b.block_starts(), "{context}: geometry");
+    assert_eq!(
+        a.block_max_keys(),
+        b.block_max_keys(),
+        "{context}: zone map"
+    );
+    for c in 0..a.num_columns() {
+        let dict = |t: &StableTable| -> Option<Vec<String>> {
+            t.column_dict(c)
+                .map(|d| d.iter().map(str::to_string).collect())
+        };
+        assert_eq!(dict(a), dict(b), "{context}: column {c} dictionary");
+        let (ba, bb) = (a.column_blocks(c), b.column_blocks(c));
+        assert_eq!(ba.len(), bb.len(), "{context}: column {c} block count");
+        for (j, (x, y)) in ba.iter().zip(bb).enumerate() {
+            assert_eq!(
+                (x.len, x.encoding, &x.payload),
+                (y.len, y.encoding, &y.payload),
+                "{context}: column {c} block {j}"
+            );
+        }
+    }
+}
+
+/// From the same state — churn in every partition, out-of-dictionary
+/// strings included — one harness checkpoints each partition, the other
+/// compacts its range `[0, n_blocks)`. Both must end in the same bytes:
+/// slices, dictionaries (rebuilt, so every string block is `GlobalCode`),
+/// an empty delta, the log with its markers, and the recovered image.
+fn full_range_step_is_the_checkpoint(partitions: usize) {
+    let tags = [
+        format!("eq_ckpt_{partitions}"),
+        format!("eq_full_{partitions}"),
+    ];
+    let [mut ckpt, mut full] = tags.each_ref().map(|tag| {
+        let mut h = storage_harness(tag, partitions);
+        h.insert(row(25, 100));
+        h.insert(row(301, 101)); // "w…" strings are not in the base dictionary
+        h.delete(40);
+        h.modify(30, 1, Value::Int(-30));
+        h.insert(row(475, 102)); // append tail
+        h.compact(0, 1, 2); // a partial step first: mixed per-block encodings
+        h.insert(row(27, 103));
+        h.modify(2, 0, Value::Int(1)); // sort-key rewrite
+        h.flush();
+        h
+    });
+    for ((policy, a), (_, b)) in ckpt.dbs().zip(full.dbs()) {
+        for p in 0..partitions {
+            let context = format!("{policy:?} partition {p}");
+            let nb = b.stable_partition("t", p).unwrap().num_blocks();
+            let folded = a.checkpoint_partition("t", p).unwrap();
+            let report = b.compact_range("t", p, 0, nb).unwrap();
+            assert_eq!(folded, report.is_some(), "{context}: same pin verdict");
+            assert!(
+                report.is_none_or(|r| r.blocks_reused == 0 && r.blocks_merged == nb as u64),
+                "{context}: {report:?}"
+            );
+            let (sa, sb) = (
+                a.stable_partition("t", p).unwrap(),
+                b.stable_partition("t", p).unwrap(),
+            );
+            assert_same_encoding(&sa, &sb, &context);
+            if folded {
+                assert!(
+                    sb.column_blocks(2)
+                        .iter()
+                        .all(|blk| blk.encoding == Encoding::GlobalCode),
+                    "{context}: a full range re-dictionarises every string block"
+                );
+            }
+            assert_eq!(
+                a.delta_bytes_partition("t", p).unwrap(),
+                b.delta_bytes_partition("t", p).unwrap(),
+                "{context}: delta footprint"
+            );
+        }
+        let wal =
+            |tag: &str| std::fs::read(storage_dir(tag).join(format!("{policy:?}.wal"))).unwrap();
+        assert!(
+            wal(&tags[0]) == wal(&tags[1]),
+            "{policy:?}: commit records and checkpoint markers must be the same bytes"
+        );
+    }
+    for h in [&mut ckpt, &mut full] {
+        h.assert_clean_agree("delta fully folded");
+        h.crash_recover(); // both recover to the model, hence to each other
+    }
+}
+
+#[test]
+fn full_range_compaction_is_byte_identical_to_checkpoint() {
+    full_range_step_is_the_checkpoint(1);
+}
+
+#[test]
+fn full_range_compaction_is_byte_identical_to_checkpoint_across_partitions() {
+    full_range_step_is_the_checkpoint(3);
+}
+
+/// A partition created without rows has no block to name: its first
+/// maintenance step is the range `[0, 0)`, which folds the append gap —
+/// through `compact_range` and through `checkpoint` alike.
+#[test]
+fn zero_block_partitions_fold_through_the_empty_range() {
+    let mut h = DiffHarness::with_storage(storage_dir("empty"), "t", schema(), vec![0], vec![], 8);
+    h.insert(row(5, 1));
+    h.insert(row(3, 2));
+    h.compact(0, 0, 0);
+    h.assert_clean_agree("first blocks of a block-less table");
+    h.crash_recover();
+    // a range-partitioned table whose upper partitions start empty
+    let mut h = storage_harness("empty_parts", 1)
+        .with_split_points(vec![vec![Value::Int(1000)], vec![Value::Int(2000)]]);
+    h.insert(row(1500, 3));
+    h.insert(row(2500, 4));
+    h.compact(1, 0, 64); // clamps to [0, 0)
+    h.checkpoint(); // partition 2 takes the same step as a checkpoint
+    h.insert(row(1400, 5));
+    h.compact(1, 1, 64); // past the one block it now has: the gap alone
     h.crash_recover();
     h.checkpoint();
     h.crash_recover();

@@ -75,6 +75,19 @@ fn checkpointed_workload(h: &mut DiffHarness) {
     h.crash_recover();
     h.flush();
     h.crash_recover(); // recovery right after a flush-only step
+                       // insert-then-delete churn nets out: the row store's checkpoint retires
+                       // its run history but has no new image to publish, and must not
+                       // supersede the generation recovery restarts from
+    h.insert(vec![Value::Int(463), Value::Int(0), Value::Str("d".into())]);
+    let churned = h
+        .model()
+        .rows()
+        .iter()
+        .position(|r| r[0] == Value::Int(463))
+        .unwrap();
+    h.delete(churned);
+    h.checkpoint();
+    h.crash_recover();
 }
 
 #[test]
@@ -101,7 +114,7 @@ fn crash_between_image_publish_and_marker_recovers_prior_state() {
     h.checkpoint(); // durable image generation #1
     h.delete(9);
     h.insert(vec![Value::Int(333), Value::Int(1), Value::Str("w".into())]);
-    h.checkpoint_crashing_before_marker(); // generation #2 published, marker lost
+    h.crash_before_marker(None); // generation #2 published, marker lost
     h.crash_recover(); // must load generation #1 and replay the tail
                        // the recovered databases must still checkpoint and recover cleanly
     h.modify(1, 1, Value::Int(-1));
@@ -116,7 +129,7 @@ fn crash_window_straddling_partitions_recovers() {
     h.checkpoint();
     h.insert(vec![Value::Int(481), Value::Int(9), Value::Str("t".into())]);
     h.delete(5);
-    h.checkpoint_crashing_before_marker();
+    h.crash_before_marker(None);
     h.crash_recover();
     h.checkpoint();
     h.crash_recover();

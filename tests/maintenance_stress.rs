@@ -18,7 +18,10 @@
 //!   commit guard was held across the merge, so this deadlocked);
 //! * WAL ordering vs background checkpoints: a commit that lands during
 //!   the merge has a sequence above the checkpoint marker and must be
-//!   replayed on recovery, while everything the marker covers is skipped.
+//!   replayed on recovery, while everything the marker covers is skipped;
+//! * the flush-vs-commit race: a Write→Read flush landing between a
+//!   commit's sequence allocation and its publish must not hide that
+//!   commit from the views opened right after it.
 
 use columnar::{Schema, Tuple, Value, ValueType};
 use engine::testkit::{run_concurrent_differential, ConcurrentSpec};
@@ -167,6 +170,53 @@ fn scans_and_commits_proceed_during_checkpoint_merge() {
         assert!(db.checkpoint("t").unwrap(), "{policy:?}");
         let clean = run_to_rows(&mut db.clean_view().scan("t", vec![0, 1]).unwrap());
         assert_eq!(clean, want, "{policy:?}");
+    }
+}
+
+/// Regression: the background flush takes the maintenance mutex but not
+/// the commit guard, so it can land between a commit's `alloc_seq` and its
+/// publish. The PDT layer used to stamp its cached Write-PDT snapshot with
+/// the *current* sequence on flush — the in-flight commit's — and the
+/// publish that followed did not invalidate it, so every view and
+/// transaction opened at that sequence got a snapshot missing the commit,
+/// ranked inserts against the wrong image, and the next checkpoint merged
+/// an unsorted one (`UnsortedInput` at `sched.drain()`, a few percent of
+/// full-suite runs). Forced here through the commit seam, no sleeps.
+#[test]
+fn flush_between_seq_allocation_and_publish_keeps_the_commit_visible() {
+    for policy in ALL_POLICIES {
+        let db = make_db(policy, 16, 8);
+        let insert = |k: i64, flush_mid_commit: bool| {
+            let mut t = db.begin();
+            t.insert("t", vec![Value::Int(k), Value::Int(-k)]).unwrap();
+            t.commit_observed(|| {
+                if flush_mid_commit {
+                    // only the PDT store has a write layer to flush
+                    let flushed = db.maybe_flush("t", 0).unwrap();
+                    assert_eq!(flushed, policy == UpdatePolicy::Pdt, "{policy:?}");
+                }
+            })
+            .unwrap();
+        };
+        // a first commit, so the mid-commit flush has a write layer to move
+        insert(15, false);
+        insert(25, true);
+        let keys = |rows: &[Tuple]| -> Vec<i64> { rows.iter().map(|r| r[0].as_int()).collect() };
+        let mut want = keys(&int_rows(16));
+        want.extend([15, 25]);
+        want.sort_unstable();
+        assert_eq!(
+            keys(&image(&db)),
+            want,
+            "{policy:?}: a view opened at the flushed commit's sequence lost it"
+        );
+        // a transaction begun at that sequence ranks its insert against the
+        // same image; the checkpoint then has to merge a sorted one
+        insert(26, false);
+        want.insert(want.binary_search(&26).unwrap_err(), 26);
+        assert!(db.checkpoint("t").unwrap(), "{policy:?}");
+        let clean = run_to_rows(&mut db.clean_view().scan("t", vec![0, 1]).unwrap());
+        assert_eq!(keys(&clean), want, "{policy:?}: checkpointed image");
     }
 }
 
