@@ -20,13 +20,15 @@
 
 use bench::{drain_scan, env_u64, BenchJson, EngineMicroLoad, KeyKind};
 use columnar::{ColumnVec, Schema, Value, ValueType};
-use engine::{ReadView, UpdatePolicy, ALL_POLICIES};
+use engine::{ReadView, ScanSpec, UpdatePolicy, ALL_POLICIES};
 use pdt::{Pdt, PdtMerger};
 use vdt::{Vdt, VdtMerger};
 
 fn timed_scan(view: &ReadView, proj: &[usize]) -> (u64, f64) {
     let t0 = std::time::Instant::now();
-    let mut scan = view.scan("t", proj.to_vec()).expect("scan t");
+    let mut scan = view
+        .scan_with("t", ScanSpec::cols(proj.to_vec()))
+        .expect("scan t");
     let rows = drain_scan(&mut scan);
     (rows, t0.elapsed().as_secs_f64())
 }

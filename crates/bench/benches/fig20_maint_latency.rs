@@ -26,7 +26,7 @@
 use bench::{env_u64, BenchJson};
 use columnar::{Schema, TableMeta, Tuple, Value, ValueType};
 use engine::{
-    CompactionConfig, Database, MaintenanceConfig, MaintenanceScheduler, TableOptions,
+    CompactionConfig, Database, MaintenanceConfig, MaintenanceScheduler, ScanSpec, TableOptions,
     UpdatePolicy, ALL_POLICIES,
 };
 use exec::expr::{col, lit};
@@ -106,7 +106,7 @@ fn build_db(policy: UpdatePolicy, rows: u64, mode: Mode) -> Arc<Database> {
 fn timed_scan(db: &Database, lat: &LatencyStats) -> usize {
     lat.measure(|| {
         let view = db.read_view();
-        let mut scan = view.scan("t", vec![1]).unwrap();
+        let mut scan = view.scan_with("t", ScanSpec::cols(vec![1])).unwrap();
         let mut rows = 0usize;
         while let Some(b) = scan.next_batch() {
             rows += b.num_rows();

@@ -29,7 +29,7 @@ const NDATA: usize = 4;
 /// Drain the sequential union scan; rows/sec.
 fn seq_scan_rate(view: &ReadView, proj: Vec<usize>) -> f64 {
     let t0 = std::time::Instant::now();
-    let mut scan = view.scan("t", proj).expect("scan t");
+    let mut scan = view.scan_with("t", ScanSpec::cols(proj)).expect("scan t");
     let mut rows = 0u64;
     while let Some(b) = scan.next_batch() {
         rows += b.num_rows() as u64;

@@ -24,7 +24,7 @@
 
 use bench::{env_f64, env_u64, BenchJson};
 use columnar::{Schema, TableMeta, Value, ValueType};
-use engine::{Database, TableOptions, UpdatePolicy, ALL_POLICIES};
+use engine::{Database, ScanSpec, TableOptions, UpdatePolicy, ALL_POLICIES};
 use exec::expr::{col, lit};
 use std::path::Path;
 use std::time::Instant;
@@ -148,19 +148,18 @@ fn main() {
         // must confine I/O to the blocks intersecting the range
         let view = db.read_view();
         let full = db.io().stats();
-        let mut scan = view.scan("t", vec![0, 1, 2]).unwrap();
+        let mut scan = view.scan_with("t", ScanSpec::cols(vec![0, 1, 2])).unwrap();
         let total = exec::run_to_rows(&mut scan).len();
         let full = db.io().stats().since(&full);
         let lo = (rows as i64 * 3) / 4;
         let sel = db.io().stats();
         let mut scan = view
-            .scan_ranged(
+            .scan_with(
                 "t",
-                vec![0, 1, 2],
-                exec::ScanBounds {
+                ScanSpec::cols(vec![0, 1, 2]).bounds(exec::ScanBounds {
                     lo: Some(vec![Value::Int(lo)]),
                     hi: Some(vec![Value::Int(lo + 999)]),
-                },
+                }),
             )
             .unwrap();
         let hits = exec::run_to_rows(&mut scan)

@@ -5,14 +5,16 @@
 //! reference) and for metrics plumbing — no wall-clock assertions.
 
 use bench::mixed::{run_mixed_with_db, MixedConfig};
-use engine::{TableOptions, UpdatePolicy};
+use engine::{ScanSpec, TableOptions, UpdatePolicy};
 use exec::run_to_rows;
 use tpch::{apply_rf1, apply_rf2, generate, load_database, RefreshStreams};
 
 fn image(db: &engine::Database, table: &str) -> Vec<columnar::Tuple> {
     let view = db.read_view();
     let ncols = view.table(table).unwrap().schema().len();
-    let mut scan = view.scan(table, (0..ncols).collect()).unwrap();
+    let mut scan = view
+        .scan_with(table, ScanSpec::cols((0..ncols).collect()))
+        .unwrap();
     run_to_rows(&mut scan)
 }
 

@@ -25,9 +25,9 @@ use exec::Batch;
 ///
 /// * `Insert`: `rows` are sort-key-ordered with distinct keys, all of full
 ///   table width; `rids` pair with the rows **in application order** —
-///   staging row `i` at `rids[i]` via row-at-a-time `stage_insert`, in
-///   order, produces the same image (each rid already accounts for the
-///   `i` earlier inserts of the same batch).
+///   inserting row `i` at visible position `rids[i]`, one row after the
+///   other in index order, produces the image the batch produces (each
+///   rid already accounts for the `i` earlier inserts of the same batch).
 /// * `Delete`: `rids` are ascending visible positions of the current
 ///   transaction view, `pre` holds the victims' full pre-images in the
 ///   same order (ascending rid ⇒ ascending sort key).

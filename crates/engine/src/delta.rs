@@ -3,19 +3,30 @@
 //! The paper's central comparison — positional (PDT) against value-based
 //! (VDT) differential maintenance — only means something when both
 //! structures sit behind the *same* lifecycle. This module defines that
-//! lifecycle as three traits and gives each structure an implementation:
+//! lifecycle as four traits, and the rule that shapes them is **the object
+//! that carries the state has the method**: nothing a store creates is
+//! ever handed back to it, so there is no way to pass one store another
+//! store's snapshot, staging area or pin.
 //!
-//! * [`DeltaStore`] — one instance per table, chosen at `create_table` time
-//!   via [`UpdatePolicy`]. Covers committed-state snapshots, the two-phase
-//!   commit protocol (prepare → publish, driven by [`crate::DbTxn`] under
-//!   the manager's commit guard), WAL flattening and replay, memory
-//!   accounting for the Propagate policy, and checkpointing into a fresh
-//!   stable image.
-//! * [`DeltaSnapshot`] — an immutable capture of the committed delta state,
-//!   from which scans obtain their [`DeltaLayers`].
-//! * [`DeltaTxn`] — a transaction's private staging area: `stage_insert` /
-//!   `stage_delete` / `stage_modify` mirror the DML statements, and
-//!   `layers` lets the transaction's own scans see its uncommitted updates.
+//! * [`DeltaStore`] — one instance per partition, chosen at `create_table`
+//!   time via [`UpdatePolicy`]: committed-state snapshots, WAL replay,
+//!   memory accounting for the Propagate policy, the Write→Read flush, and
+//!   the checkpoint pin.
+//! * [`DeltaSnapshot`] — an immutable capture of the committed delta state.
+//!   Scans obtain their [`DeltaLayers`] from it, and a transaction's first
+//!   write to the partition opens its staging area on it
+//!   ([`DeltaSnapshot::begin`]).
+//! * [`DeltaTxn`] — a transaction's private staging area. `stage_batch`
+//!   takes each DML statement, `layers` lets the transaction's own scans
+//!   see its uncommitted updates, and the commit protocol
+//!   ([`crate::DbTxn::commit`], under the manager's commit guard) is three
+//!   calls on it: `prepare` (validate against everything committed since
+//!   begin), `wal_entries` (flatten for the log), `publish` (become
+//!   visible at one commit sequence).
+//! * [`CheckpointPin`] — an in-flight checkpoint: pinned under the commit
+//!   guard by [`DeltaStore::checkpoint_pin`], merged off every lock by
+//!   [`CheckpointPin::merge`], installed under the guard again by the
+//!   [`RangeMerge::install`] closure the merge returns.
 //!
 //! [`PdtStore`] delegates to the [`TxnManager`]'s stacked-PDT machinery
 //! (Read/Write/Trans layers, Serialize/Propagate commits — §3.3).
@@ -35,11 +46,10 @@ use columnar::{ColumnVec, ColumnarError, IoTracker, StableTable, TableBuilder, T
 use exec::DeltaLayers;
 use parking_lot::RwLock;
 use pdt::Pdt;
-use std::any::Any;
 use std::borrow::Cow;
 use std::sync::Arc;
 use txn::wal::{self, WalEntry};
-use txn::TxnManager;
+use txn::{TxnError, TxnManager};
 use vdt::{Vdt, VdtOp};
 
 /// Which differential structure maintains a table (per-table, chosen at
@@ -67,31 +77,30 @@ pub const ALL_POLICIES: [UpdatePolicy; 3] =
 /// An in-flight checkpoint of one partition: the committed delta state
 /// pinned by [`DeltaStore::checkpoint_pin`] (phase 1, under the commit
 /// guard), carried across the off-lock stable rewrite
-/// ([`DeltaStore::checkpoint_merge`]) to the installation of the new image
-/// ([`DeltaStore::checkpoint_install`], under the commit guard again).
-pub struct CheckpointPin {
+/// ([`CheckpointPin::merge`]) to the installation of the new image
+/// ([`RangeMerge::install`], under the commit guard again).
+pub trait CheckpointPin: Send {
     /// Global commit sequence at pin time: every commit at or below it is
     /// covered by the checkpoint (folded into the merged image or carried
     /// in its residual); every later one stays on top after install. Also
     /// the sequence the WAL checkpoint marker carries.
-    pub seq: u64,
-    state: Box<dyn Any + Send>,
-}
-
-impl CheckpointPin {
-    /// Pin at commit sequence `seq` carrying store-private `state`.
-    pub fn new(seq: u64, state: impl Any + Send) -> Self {
-        CheckpointPin {
-            seq,
-            state: Box::new(state),
-        }
-    }
-
-    pub(crate) fn state<T: Any>(&self) -> &T {
-        self.state
-            .downcast_ref::<T>()
-            .expect("checkpoint pin handed back to a foreign store")
-    }
+    fn seq(&self) -> u64;
+    /// Checkpoint phase 2 (run OFF every lock — commits and new read views
+    /// proceed concurrently): fold exactly the part of the pinned delta
+    /// addressing `range` into fresh blocks spliced between the kept ones,
+    /// and flatten the out-of-range remainder into residual WAL entries
+    /// (for the marker). On `Err` the caller must [`CheckpointPin::abort`].
+    fn merge(
+        &self,
+        stable: &StableTable,
+        range: &CompactRange,
+        io: &IoTracker,
+    ) -> Result<RangeMerge, DbError>;
+    /// Abandon the checkpoint because its merge (or marker append) failed:
+    /// release any pin-window state without touching the delta — the
+    /// partition must be left exactly as if the checkpoint never started,
+    /// ready for the next attempt. Default: stateless pins need nothing.
+    fn abort(self: Box<Self>) {}
 }
 
 /// The target of a checkpoint: stable blocks `[b0, b1)` of one partition,
@@ -167,10 +176,9 @@ impl CompactRange {
     }
 }
 
-/// Result of [`DeltaStore::checkpoint_merge`]: the image with the range's
-/// blocks rewritten, the residual delta flattened for the WAL marker, and
-/// store-private install state carried to
-/// [`DeltaStore::checkpoint_install`].
+/// Result of [`CheckpointPin::merge`]: the image with the range's blocks
+/// rewritten, the residual delta flattened for the WAL marker, and the
+/// install step.
 pub struct RangeMerge {
     /// The stable image with the range's delta folded in and every other
     /// block kept. `None` when nothing addressed the range (e.g. the row
@@ -181,29 +189,12 @@ pub struct RangeMerge {
     /// The out-of-window delta as loggable entries — what the WAL marker
     /// carries so recovery can rebuild the residual over the new image.
     pub residual_entries: Vec<WalEntry>,
-    state: Box<dyn Any + Send>,
-}
-
-impl RangeMerge {
-    /// Package a merge with store-private install `state`.
-    pub fn new(
-        fresh: Option<StableTable>,
-        residual_entries: Vec<WalEntry>,
-        state: impl Any + Send,
-    ) -> Self {
-        RangeMerge {
-            fresh,
-            residual_entries,
-            state: Box::new(state),
-        }
-    }
-
-    pub(crate) fn into_state<T: Any>(self) -> T {
-        *self
-            .state
-            .downcast::<T>()
-            .unwrap_or_else(|_| panic!("range merge handed back to a foreign store"))
-    }
+    /// Checkpoint phase 3 (cheap; call under the commit guard, atomically
+    /// with the stable-image swap): replace the pinned delta with the
+    /// merge's out-of-range residual, positions rebased onto the new
+    /// image. Commits published during the merge — sequence above the
+    /// pin's — survive on top.
+    pub install: Box<dyn FnOnce() + Send>,
 }
 
 /// Rewrite the blocks of `range`: materialize their rows, let `merge` fold
@@ -303,37 +294,54 @@ impl KeyEntrySink for Vdt {
     }
 }
 
-/// Apply engine-generated key-addressed WAL entries (`INS` carries the
-/// full tuple, `DEL` the sort key, `INS_BATCH`/`DEL_BATCH` whole
-/// statements' worth of either) to a value-addressed structure — the one
-/// replay loop shared by WAL recovery and the checkpoint-residual
-/// rebuilds of both value stores. Panics on any other kind: value stores
-/// never log modifies (they flatten them to delete + insert).
-pub(crate) fn apply_key_entries(entries: &[WalEntry], sink: &mut impl KeyEntrySink) {
+/// Apply key-addressed WAL entries (`INS` carries the full tuple, `DEL`
+/// the sort key, `INS_BATCH`/`DEL_BATCH` whole statements' worth of
+/// either) to a value-addressed structure — the one replay loop shared by
+/// WAL recovery and the checkpoint-residual rebuilds of both value stores.
+/// Entries come from a file: any other kind (value stores never log
+/// modifies, they flatten them to delete + insert — so this is a log some
+/// other policy wrote) or a payload that does not slice into whole tuples
+/// or keys is reported, not applied.
+pub(crate) fn apply_key_entries(
+    entries: &[WalEntry],
+    sink: &mut impl KeyEntrySink,
+) -> Result<(), String> {
     let (tuple_width, key_width) = sink.entry_widths();
     for e in entries {
-        if e.kind == pdt::INS {
-            sink.apply_insert(e.values.clone());
-        } else if e.kind == pdt::DEL {
-            sink.apply_delete(&e.values);
-        } else if e.kind == pdt::INS_BATCH {
-            sink.apply_insert_batch(
+        let n = e.values.len();
+        match e.kind {
+            pdt::INS if n == tuple_width => sink.apply_insert(e.values.clone()),
+            pdt::DEL if n == key_width => sink.apply_delete(&e.values),
+            pdt::INS_BATCH if n % tuple_width == 0 => sink.apply_insert_batch(
                 e.values
                     .chunks(tuple_width)
                     .map(<[Value]>::to_vec)
                     .collect(),
-            );
-        } else if e.kind == pdt::DEL_BATCH {
-            for key in e.values.chunks(key_width) {
-                sink.apply_delete(key);
+            ),
+            pdt::DEL_BATCH if n % key_width == 0 => {
+                for key in e.values.chunks(key_width) {
+                    sink.apply_delete(key);
+                }
             }
-        } else {
-            panic!(
-                "value-store WAL replay: unexpected modify entry (kind {})",
-                e.kind
-            );
+            pdt::INS | pdt::DEL | pdt::INS_BATCH | pdt::DEL_BATCH => {
+                return Err(format!(
+                    "entry of kind {} carries {n} values, tuples are {tuple_width} wide and keys {key_width}",
+                    e.kind
+                ))
+            }
+            kind => return Err(format!("modify entry (kind {kind}) in a value-store log")),
         }
     }
+    Ok(())
+}
+
+/// The error [`DeltaStore::replay`] reports for a log that does not fit
+/// the store it is recovered into.
+pub(crate) fn replay_error(table: &str, detail: String) -> DbError {
+    DbError::Txn(TxnError::Wal(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("WAL does not fit table {table}: {detail}"),
+    )))
 }
 
 /// Pin-gated retention of commit WAL flattenings, shared by both value
@@ -379,7 +387,8 @@ impl ResidualLog {
     /// `sink` — the residual delta over the checkpointed image.
     pub(crate) fn rebuild_into(&self, pin_seq: u64, sink: &mut impl KeyEntrySink) {
         for (_, entries) in self.log.iter().filter(|(s, _)| *s > pin_seq) {
-            apply_key_entries(entries, sink);
+            apply_key_entries(entries, sink)
+                .expect("retained entries were flattened by this store");
         }
     }
 
@@ -391,17 +400,27 @@ impl ResidualLog {
     }
 }
 
-/// Immutable committed-state capture used by read views.
+/// Immutable committed-state capture used by read views and as the base of
+/// a transaction's staging area.
 pub trait DeltaSnapshot: Send + Sync {
     /// The delta layers a scan over the stable image must merge.
     fn layers(&self) -> DeltaLayers<'_>;
     /// Net visible-row change relative to the stable image.
     fn delta_total(&self) -> i64;
-    /// Downcast seam for store-specific test assertions.
-    fn as_any(&self) -> &dyn Any;
+    /// Open a staging area on top of this snapshot, taken at transaction
+    /// begin (`start_seq` is the global commit sequence observed then).
+    fn begin(&self, start_seq: u64) -> Box<dyn DeltaTxn>;
 }
 
-/// A transaction's private staging area for one table.
+/// A transaction's private staging area for one partition, and its half of
+/// the commit protocol.
+///
+/// Commit is two-phase and driven by [`crate::DbTxn::commit`] under
+/// [`TxnManager::commit_guard`]: `prepare` every touched partition
+/// (validating against concurrently committed updates — any failure aborts
+/// the whole transaction before anything is visible), flatten
+/// `wal_entries`, log them, then `publish` every partition at one commit
+/// sequence number.
 pub trait DeltaTxn: Send {
     /// Delta layers including this transaction's own staged updates.
     fn layers(&self) -> DeltaLayers<'_>;
@@ -409,81 +428,41 @@ pub trait DeltaTxn: Send {
     fn delta_total(&self) -> i64;
     /// Has anything been staged?
     fn is_dirty(&self) -> bool;
-    /// Stage an insert of `tuple` at visible position `rid`.
-    fn stage_insert(&mut self, rid: u64, tuple: &[Value]);
-    /// Stage deletion of the visible row `row` at position `rid`.
-    fn stage_delete(&mut self, rid: u64, row: &[Value]);
-    /// Stage `row[col] = value` for the visible row `row` at `rid`.
-    fn stage_modify(&mut self, rid: u64, col: usize, value: &Value, row: &[Value]);
     /// Stage one whole batched statement (see [`DmlBatch`] for the
-    /// invariants the engine upholds). The default is the row loop every
-    /// structure is correct under — inserts in application order, deletes
-    /// in descending rid order so earlier positions stay valid; the
-    /// concrete stores override it with vectorized paths (one sorted-run
-    /// merge per batch for the row store, one op-log/WAL entry per batch
-    /// for the value stores).
-    fn stage_batch(&mut self, batch: &DmlBatch) {
-        match batch {
-            DmlBatch::Insert { rids, rows } => {
-                for (i, &rid) in rids.iter().enumerate() {
-                    self.stage_insert(rid, &rows.row(i));
-                }
-            }
-            DmlBatch::Delete { rids, pre } => {
-                for (i, &rid) in rids.iter().enumerate().rev() {
-                    self.stage_delete(rid, &pre.row(i));
-                }
-            }
-            DmlBatch::UpdateCol {
-                rids,
-                col,
-                values,
-                pre,
-            } => {
-                for (i, &rid) in rids.iter().enumerate() {
-                    self.stage_modify(rid, *col, &values.get(i), &pre.row(i));
-                }
-            }
-        }
-    }
-    /// Downcast seam for store-specific test assertions.
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable downcast seam.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// One table's update structure: the full differential-maintenance
-/// lifecycle behind a single interface.
-///
-/// The commit protocol is two-phase and driven by [`crate::DbTxn::commit`]
-/// under [`TxnManager::commit_guard`]: `prepare` every touched table
-/// (validating against concurrently committed updates — any failure aborts
-/// the whole transaction before anything is visible), flatten
-/// `wal_entries`, log them, then `publish` every table at one commit
-/// sequence number.
-pub trait DeltaStore: Send + Sync {
-    /// Which structure this store maintains.
-    fn policy(&self) -> UpdatePolicy;
-    /// Capture the committed delta state for reads.
-    fn snapshot(&self) -> Arc<dyn DeltaSnapshot>;
-    /// Open a staging area on top of a snapshot taken at transaction begin
-    /// (`start_seq` is the global commit sequence observed then).
-    fn begin(&self, snap: &Arc<dyn DeltaSnapshot>, start_seq: u64) -> Box<dyn DeltaTxn>;
+    /// invariants the engine upholds): inserts in application order,
+    /// deletes so that earlier positions stay valid. Each store has its
+    /// own vectorized path — value-space appends column-at-a-time for the
+    /// PDT, one sorted-run merge per batch for the row store, one
+    /// op-log/WAL entry per batch for the value stores.
+    fn stage_batch(&mut self, batch: &DmlBatch);
     /// Commit phase 1: validate the staged updates against everything
     /// committed since `start_seq`, rewriting them into publishable form.
-    fn prepare(&self, staged: &mut dyn DeltaTxn) -> Result<(), DbError>;
+    fn prepare(&mut self) -> Result<(), DbError>;
     /// The staged updates flattened for the write-ahead log (call after
     /// `prepare`).
-    fn wal_entries(&self, staged: &dyn DeltaTxn) -> Vec<WalEntry>;
+    fn wal_entries(&self) -> Vec<WalEntry>;
     /// Commit phase 2: atomically make the prepared updates visible at
     /// commit sequence `seq`. `entries` is the commit's WAL flattening for
-    /// this table (as produced by [`DeltaStore::wal_entries`]) — stores
+    /// this partition (as produced by [`DeltaTxn::wal_entries`]) — stores
     /// that checkpoint by residual replay retain it until the next
     /// checkpoint covers it. Infallible — all validation happened in
     /// `prepare`.
-    fn publish(&self, staged: Box<dyn DeltaTxn>, seq: u64, entries: &[WalEntry]);
-    /// Recovery: re-apply one logged commit's entries for this table.
-    fn replay(&self, entries: &[WalEntry]);
+    fn publish(self: Box<Self>, seq: u64, entries: &[WalEntry]);
+}
+
+/// One partition's update structure: the entry points of the
+/// differential-maintenance lifecycle. Everything that continues from one
+/// of them lives on the object it returns.
+pub trait DeltaStore: Send + Sync {
+    /// Which structure this store maintains.
+    fn policy(&self) -> UpdatePolicy;
+    /// Capture the committed delta state for reads and transactions.
+    fn snapshot(&self) -> Arc<dyn DeltaSnapshot>;
+    /// Recovery: re-apply one logged commit's entries for this partition.
+    /// Fails — leaving the store as far as it got — when the entries do
+    /// not fit the structure (a log written under another policy, a
+    /// payload of the wrong width).
+    fn replay(&self, entries: &[WalEntry]) -> Result<(), DbError>;
     /// Bytes held by the write-optimised layer (the Propagate policy input
     /// for [`crate::Database::maybe_flush`]).
     fn write_bytes(&self) -> usize;
@@ -500,52 +479,34 @@ pub trait DeltaStore: Send + Sync {
     /// `None` when there is nothing to checkpoint. Callers must serialize
     /// per-partition maintenance: between a pin and its install only
     /// commits may touch this store — never a flush or another checkpoint.
-    fn checkpoint_pin(&self, seq: u64) -> Option<CheckpointPin>;
-    /// Checkpoint phase 2 (run OFF every lock — commits and new read views
-    /// proceed concurrently): fold exactly the part of the pinned delta
-    /// addressing `range` into fresh blocks spliced between the kept ones,
-    /// and flatten the out-of-range remainder into residual WAL entries
-    /// (for the marker) plus store-private install state. On `Err` the
-    /// caller must `checkpoint_abort` the pin.
-    fn checkpoint_merge(
-        &self,
-        pin: &CheckpointPin,
-        stable: &StableTable,
-        range: &CompactRange,
-        io: &IoTracker,
-    ) -> Result<RangeMerge, DbError>;
-    /// Checkpoint phase 3 (cheap; under the commit guard, atomically with
-    /// the stable-image swap): replace the pinned delta with the merge's
-    /// out-of-range residual, positions rebased onto the new image.
-    /// Commits published during the merge — sequence > `pin.seq` —
-    /// survive on top.
-    fn checkpoint_install(&self, pin: CheckpointPin, merge: RangeMerge);
-    /// Abandon an in-flight checkpoint whose merge (or marker append)
-    /// failed: release any pin-window state without touching the delta —
-    /// the partition must be left exactly as if the checkpoint never
-    /// started, ready for the next attempt. Default: stateless pins need
-    /// nothing.
-    fn checkpoint_abort(&self, _pin: CheckpointPin) {}
+    fn checkpoint_pin(&self, seq: u64) -> Option<Box<dyn CheckpointPin>>;
 }
 
 // --- Positional store ---------------------------------------------------
 
 /// [`DeltaStore`] over stacked PDTs, delegating to the shared
 /// [`TxnManager`] (which owns the Read/Write layers, the TZ conflict set
-/// and the commit sequence for all PDT tables).
+/// and the commit sequence for all PDT tables). A cheap handle: the
+/// snapshots, staging areas and pins it hands out each carry a clone.
+#[derive(Clone)]
 pub struct PdtStore {
     mgr: Arc<TxnManager>,
-    table: String,
+    /// The partition's registry name in `mgr`.
+    table: Arc<str>,
 }
 
 impl PdtStore {
     /// The PDT store of `table`, registered with `mgr`.
     pub fn new(mgr: Arc<TxnManager>, table: String) -> Self {
-        PdtStore { mgr, table }
+        PdtStore {
+            mgr,
+            table: table.into(),
+        }
     }
 }
 
 struct PdtSnapshot {
+    store: PdtStore,
     read: Arc<Pdt>,
     write: Arc<Pdt>,
 }
@@ -581,12 +542,20 @@ impl DeltaSnapshot for PdtSnapshot {
         self.read.delta_total() + self.write.delta_total()
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn begin(&self, start_seq: u64) -> Box<dyn DeltaTxn> {
+        Box::new(PdtTxn {
+            store: self.store.clone(),
+            read: self.read.clone(),
+            write: self.write.clone(),
+            trans: Pdt::new(self.read.schema().clone(), self.read.sk_cols().to_vec()),
+            start_seq,
+            serialized: None,
+        })
     }
 }
 
 struct PdtTxn {
+    store: PdtStore,
     read: Arc<Pdt>,
     write: Arc<Pdt>,
     /// The transaction's private Trans-PDT (eq. (9)'s top layer).
@@ -608,31 +577,6 @@ impl DeltaTxn for PdtTxn {
 
     fn is_dirty(&self) -> bool {
         !self.trans.is_empty()
-    }
-
-    fn stage_insert(&mut self, rid: u64, tuple: &[Value]) {
-        let sk: Vec<Value> = self
-            .trans
-            .sk_cols()
-            .iter()
-            .map(|&c| tuple[c].clone())
-            .collect();
-        let sid = self.trans.sk_rid_to_sid(&sk, rid);
-        self.trans.add_insert(sid, rid, tuple);
-    }
-
-    fn stage_delete(&mut self, rid: u64, row: &[Value]) {
-        let sk: Vec<Value> = self
-            .trans
-            .sk_cols()
-            .iter()
-            .map(|&c| row[c].clone())
-            .collect();
-        self.trans.add_delete(rid, &sk);
-    }
-
-    fn stage_modify(&mut self, rid: u64, col: usize, value: &Value, _row: &[Value]) {
-        self.trans.add_modify(rid, col, value);
     }
 
     /// Positional batch staging. PDT maintenance is already logarithmic
@@ -675,12 +619,59 @@ impl DeltaTxn for PdtTxn {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn prepare(&mut self) -> Result<(), DbError> {
+        let PdtStore { mgr, table } = &self.store;
+        let serialized = mgr.serialize_txn(table, self.trans.clone(), self.start_seq)?;
+        self.serialized = Some(Arc::new(serialized));
+        Ok(())
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn wal_entries(&self) -> Vec<WalEntry> {
+        self.serialized
+            .as_ref()
+            .map(|p| wal::pdt_entries(p))
+            .unwrap_or_default()
+    }
+
+    fn publish(self: Box<Self>, seq: u64, _entries: &[WalEntry]) {
+        let delta = self.serialized.expect("publish called before prepare");
+        self.store.mgr.publish_pdt(&self.store.table, delta, seq);
+    }
+}
+
+/// The Read-PDT pinned for an in-flight checkpoint.
+struct PdtPin {
+    store: PdtStore,
+    seq: u64,
+    read: Arc<Pdt>,
+}
+
+impl CheckpointPin for PdtPin {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn merge(
+        &self,
+        stable: &StableTable,
+        range: &CompactRange,
+        io: &IoTracker,
+    ) -> Result<RangeMerge, DbError> {
+        let read = &self.read;
+        let fresh = pdt::checkpoint::checkpoint_range(stable, read, range.b0, range.b1, io)?;
+        // rebase the out-of-window remainder of the pinned Read-PDT onto
+        // the post-splice SID space; the master Write-PDT (commits during
+        // the merge) stays valid unchanged because stable′ ∘ residual is
+        // the same visible image it was built against
+        let (residual_entries, _net) =
+            wal::rebase_pdt_outside_range(read, range.s0, range.s1, range.folds_tail());
+        let rebased = wal::rebuild_pdt(read.schema(), read.sk_cols(), &residual_entries);
+        let (PdtStore { mgr, table }, pinned) = (self.store.clone(), read.clone());
+        Ok(RangeMerge {
+            fresh: Some(fresh),
+            residual_entries,
+            install: Box::new(move || mgr.install_checkpoint(&table, &pinned, rebased)),
+        })
     }
 }
 
@@ -695,63 +686,14 @@ impl DeltaStore for PdtStore {
             .snapshot_table(&self.table)
             .unwrap_or_else(|| panic!("table {} not registered", self.table));
         Arc::new(PdtSnapshot {
+            store: self.clone(),
             read: snap.read,
             write: snap.write,
         })
     }
 
-    fn begin(&self, snap: &Arc<dyn DeltaSnapshot>, start_seq: u64) -> Box<dyn DeltaTxn> {
-        let snap = snap
-            .as_any()
-            .downcast_ref::<PdtSnapshot>()
-            .expect("PDT store handed a foreign snapshot");
-        let trans = Pdt::new(snap.read.schema().clone(), snap.read.sk_cols().to_vec());
-        Box::new(PdtTxn {
-            read: snap.read.clone(),
-            write: snap.write.clone(),
-            trans,
-            start_seq,
-            serialized: None,
-        })
-    }
-
-    fn prepare(&self, staged: &mut dyn DeltaTxn) -> Result<(), DbError> {
-        let txn = staged
-            .as_any_mut()
-            .downcast_mut::<PdtTxn>()
-            .expect("PDT store handed a foreign staging area");
-        let serialized = self
-            .mgr
-            .serialize_txn(&self.table, txn.trans.clone(), txn.start_seq)?;
-        txn.serialized = Some(Arc::new(serialized));
-        Ok(())
-    }
-
-    fn wal_entries(&self, staged: &dyn DeltaTxn) -> Vec<WalEntry> {
-        let txn = staged
-            .as_any()
-            .downcast_ref::<PdtTxn>()
-            .expect("PDT store handed a foreign staging area");
-        txn.serialized
-            .as_ref()
-            .map(|p| wal::pdt_entries(p))
-            .unwrap_or_default()
-    }
-
-    fn publish(&self, staged: Box<dyn DeltaTxn>, seq: u64, _entries: &[WalEntry]) {
-        let txn = staged
-            .as_any()
-            .downcast_ref::<PdtTxn>()
-            .expect("PDT store handed a foreign staging area");
-        let delta = txn
-            .serialized
-            .clone()
-            .expect("publish called before prepare");
-        self.mgr.publish_pdt(&self.table, delta, seq);
-    }
-
-    fn replay(&self, entries: &[WalEntry]) {
-        self.mgr.replay_pdt_entries(&self.table, entries);
+    fn replay(&self, entries: &[WalEntry]) -> Result<(), DbError> {
+        Ok(self.mgr.replay_pdt_entries(&self.table, entries)?)
     }
 
     fn write_bytes(&self) -> usize {
@@ -770,39 +712,16 @@ impl DeltaStore for PdtStore {
         true
     }
 
-    fn checkpoint_pin(&self, seq: u64) -> Option<CheckpointPin> {
+    fn checkpoint_pin(&self, seq: u64) -> Option<Box<dyn CheckpointPin>> {
         // folds Write→Read first; commits during the merge land in the
         // fresh master Write-PDT, whose SIDs are relative to the combined
         // image the pin produces — exactly the layering §3.3 designs for
         let read = self.mgr.pin_checkpoint(&self.table)?;
-        Some(CheckpointPin::new(seq, read))
-    }
-
-    fn checkpoint_merge(
-        &self,
-        pin: &CheckpointPin,
-        stable: &StableTable,
-        range: &CompactRange,
-        io: &IoTracker,
-    ) -> Result<RangeMerge, DbError> {
-        let read = pin.state::<Arc<Pdt>>();
-        let fresh = pdt::checkpoint::checkpoint_range(stable, read, range.b0, range.b1, io)?;
-        // rebase the out-of-window remainder of the pinned Read-PDT onto
-        // the post-splice SID space; the master Write-PDT (commits during
-        // the merge) stays valid unchanged because stable′ ∘ residual is
-        // the same visible image it was built against
-        let (residual, _net) =
-            wal::rebase_pdt_outside_range(read, range.s0, range.s1, range.folds_tail());
-        let rebased = wal::rebuild_pdt(read.schema(), read.sk_cols(), &residual);
-        Ok(RangeMerge::new(Some(fresh), residual, rebased))
-    }
-
-    fn checkpoint_install(&self, pin: CheckpointPin, merge: RangeMerge) {
-        self.mgr.install_checkpoint(
-            &self.table,
-            pin.state::<Arc<Pdt>>(),
-            merge.into_state::<Pdt>(),
-        );
+        Some(Box::new(PdtPin {
+            store: self.clone(),
+            seq,
+            read,
+        }))
     }
 }
 
@@ -812,13 +731,15 @@ impl DeltaStore for PdtStore {
 /// committed [`Vdt`] (readers hold `Arc` snapshots, so they are never
 /// blocked); when another transaction committed in between, the staged ops
 /// log is replayed onto the current tree with key-addressed conflict
-/// detection.
+/// detection. A cheap handle: the snapshots, staging areas and pins it
+/// hands out each carry a clone.
+#[derive(Clone)]
 pub struct VdtStore {
-    table: String,
-    state: RwLock<VdtState>,
+    state: Arc<RwLock<VdtState>>,
 }
 
 struct VdtState {
+    table: String,
     committed: Arc<Vdt>,
     /// Bumped on every publish / checkpoint / replay; transactions compare
     /// it to detect concurrent commits (the value-based analogue of the
@@ -832,17 +753,18 @@ impl VdtStore {
     /// An empty VDT store for `table`.
     pub fn new(table: String, schema: columnar::Schema, sk_cols: Vec<usize>) -> Self {
         VdtStore {
-            table,
-            state: RwLock::new(VdtState {
+            state: Arc::new(RwLock::new(VdtState {
+                table,
                 committed: Arc::new(Vdt::new(schema, sk_cols)),
                 version: 0,
                 residual: ResidualLog::new(),
-            }),
+            })),
         }
     }
 }
 
 struct VdtSnapshot {
+    store: VdtStore,
     vdt: Arc<Vdt>,
     version: u64,
 }
@@ -860,12 +782,18 @@ impl DeltaSnapshot for VdtSnapshot {
         self.vdt.delta_total()
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn begin(&self, _start_seq: u64) -> Box<dyn DeltaTxn> {
+        Box::new(VdtTxn {
+            store: self.store.clone(),
+            working: (*self.vdt).clone(),
+            base_version: self.version,
+            ops: Vec::new(),
+        })
     }
 }
 
 struct VdtTxn {
+    store: VdtStore,
     /// Committed tree at begin with the staged ops already applied — what
     /// this transaction's own scans merge.
     working: Vdt,
@@ -889,31 +817,6 @@ impl DeltaTxn for VdtTxn {
 
     fn is_dirty(&self) -> bool {
         !self.ops.is_empty()
-    }
-
-    fn stage_insert(&mut self, _rid: u64, tuple: &[Value]) {
-        self.working.insert(tuple.to_vec());
-        self.ops.push(VdtOp::Insert(tuple.to_vec()));
-    }
-
-    fn stage_delete(&mut self, _rid: u64, row: &[Value]) {
-        let sk: Vec<Value> = self
-            .working
-            .sk_cols()
-            .iter()
-            .map(|&c| row[c].clone())
-            .collect();
-        self.working.delete(&sk);
-        self.ops.push(VdtOp::Delete { pre: row.to_vec() });
-    }
-
-    fn stage_modify(&mut self, _rid: u64, col: usize, value: &Value, row: &[Value]) {
-        self.working.modify(row, col, value.clone());
-        self.ops.push(VdtOp::Modify {
-            pre: row.to_vec(),
-            col,
-            value: value.clone(),
-        });
     }
 
     /// Value-based batch staging: the whole statement becomes **one** op
@@ -970,47 +873,9 @@ impl DeltaTxn for VdtTxn {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl DeltaStore for VdtStore {
-    fn policy(&self) -> UpdatePolicy {
-        UpdatePolicy::Vdt
-    }
-
-    fn snapshot(&self) -> Arc<dyn DeltaSnapshot> {
-        let st = self.state.read();
-        Arc::new(VdtSnapshot {
-            vdt: st.committed.clone(),
-            version: st.version,
-        })
-    }
-
-    fn begin(&self, snap: &Arc<dyn DeltaSnapshot>, _start_seq: u64) -> Box<dyn DeltaTxn> {
-        let snap = snap
-            .as_any()
-            .downcast_ref::<VdtSnapshot>()
-            .expect("VDT store handed a foreign snapshot");
-        Box::new(VdtTxn {
-            working: (*snap.vdt).clone(),
-            base_version: snap.version,
-            ops: Vec::new(),
-        })
-    }
-
-    fn prepare(&self, staged: &mut dyn DeltaTxn) -> Result<(), DbError> {
-        let txn = staged
-            .as_any_mut()
-            .downcast_mut::<VdtTxn>()
-            .expect("VDT store handed a foreign staging area");
-        let st = self.state.read();
-        if st.version == txn.base_version {
+    fn prepare(&mut self) -> Result<(), DbError> {
+        let st = self.store.state.read();
+        if st.version == self.base_version {
             // fast path: nothing committed since begin — the working tree
             // IS base ∘ ops and can be published wholesale
             return Ok(());
@@ -1019,25 +884,21 @@ impl DeltaStore for VdtStore {
         // ops log onto the current committed tree with the key-addressed
         // conflict rules of `VdtOp::replay` (mirroring PDT Serialize)
         let mut replayed = (*st.committed).clone();
-        for op in &txn.ops {
+        for op in &self.ops {
             op.replay(&mut replayed)
                 .map_err(|reason| DbError::Conflict {
-                    table: self.table.clone(),
+                    table: st.table.clone(),
                     reason,
                 })?;
         }
-        txn.working = replayed;
-        txn.base_version = st.version;
+        self.working = replayed;
+        self.base_version = st.version;
         Ok(())
     }
 
-    fn wal_entries(&self, staged: &dyn DeltaTxn) -> Vec<WalEntry> {
-        let txn = staged
-            .as_any()
-            .downcast_ref::<VdtTxn>()
-            .expect("VDT store handed a foreign staging area");
-        let st = self.state.read();
-        let sk_cols = txn.working.sk_cols().to_vec();
+    fn wal_entries(&self) -> Vec<WalEntry> {
+        let st = self.store.state.read();
+        let sk_cols = self.working.sk_cols().to_vec();
         let sk_of = |t: &[Value]| -> Vec<Value> { sk_cols.iter().map(|&c| t[c].clone()).collect() };
         let entry = |kind: u16, values: Vec<Value>| WalEntry {
             sid: 0,
@@ -1053,7 +914,7 @@ impl DeltaStore for VdtStore {
         let mut post: std::collections::HashMap<Vec<Value>, Vec<Value>> =
             std::collections::HashMap::new();
         let mut entries = Vec::new();
-        for op in &txn.ops {
+        for op in &self.ops {
             match op {
                 VdtOp::Insert(t) => {
                     post.insert(sk_of(t), t.clone());
@@ -1100,65 +961,39 @@ impl DeltaStore for VdtStore {
         wal::coalesce_entries(entries)
     }
 
-    fn publish(&self, mut staged: Box<dyn DeltaTxn>, seq: u64, entries: &[WalEntry]) {
-        let txn = staged
-            .as_any_mut()
-            .downcast_mut::<VdtTxn>()
-            .expect("VDT store handed a foreign staging area");
-        // move the prepared tree out instead of deep-cloning it — commits
-        // hold the global commit guard, so this must stay cheap
-        let schema = txn.working.schema().clone();
-        let sk_cols = txn.working.sk_cols().to_vec();
-        let working = std::mem::replace(&mut txn.working, Vdt::new(schema, sk_cols));
-        let mut st = self.state.write();
+    fn publish(self: Box<Self>, seq: u64, entries: &[WalEntry]) {
+        let mut st = self.store.state.write();
         debug_assert_eq!(
-            st.version, txn.base_version,
+            st.version, self.base_version,
             "publish without prepare under the commit guard"
         );
-        st.committed = Arc::new(working);
+        // the prepared tree moves in instead of being deep-cloned —
+        // commits hold the global commit guard, so this must stay cheap
+        st.committed = Arc::new(self.working);
         st.version += 1;
         st.residual.record(seq, entries);
     }
+}
 
-    fn replay(&self, entries: &[WalEntry]) {
-        let mut st = self.state.write();
-        // recovery holds no snapshots, so make_mut mutates in place —
-        // replay stays linear in the number of logged commits
-        let v = Arc::make_mut(&mut st.committed);
-        apply_key_entries(entries, v);
-        st.version += 1;
+/// The committed tree pinned for an in-flight checkpoint.
+struct VdtPin {
+    store: VdtStore,
+    seq: u64,
+    pinned: Arc<Vdt>,
+}
+
+impl CheckpointPin for VdtPin {
+    fn seq(&self) -> u64 {
+        self.seq
     }
 
-    fn write_bytes(&self) -> usize {
-        self.state.read().committed.heap_bytes()
-    }
-
-    fn delta_bytes(&self) -> usize {
-        self.state.read().committed.heap_bytes()
-    }
-
-    fn flush(&self) -> bool {
-        // single-layer structure: checkpoint is the only migration
-        false
-    }
-
-    fn checkpoint_pin(&self, seq: u64) -> Option<CheckpointPin> {
-        let mut st = self.state.write();
-        if st.committed.is_empty() {
-            return None;
-        }
-        st.residual.pin(seq);
-        Some(CheckpointPin::new(seq, st.committed.clone()))
-    }
-
-    fn checkpoint_merge(
+    fn merge(
         &self,
-        pin: &CheckpointPin,
         stable: &StableTable,
         range: &CompactRange,
         io: &IoTracker,
     ) -> Result<RangeMerge, DbError> {
-        let pinned = pin.state::<Arc<Vdt>>();
+        let pinned = &self.pinned;
         let empty = || Vdt::new(pinned.schema().clone(), pinned.sk_cols().to_vec());
         let mut residual = empty();
         let mut residual_entries = Vec::new();
@@ -1194,21 +1029,75 @@ impl DeltaStore for VdtStore {
         let fresh = (!folded.is_empty())
             .then(|| rewrite_range(stable, range, io, |rows| folded.merge_rows(rows)))
             .transpose()?;
-        Ok(RangeMerge::new(fresh, residual_entries, residual))
+        let (store, pin_seq) = (self.store.clone(), self.seq);
+        let install = move || {
+            let mut st = store.state.write();
+            // commits published during the merge (seq > pin) survive on
+            // top of the out-of-window residual
+            st.residual.rebuild_into(pin_seq, &mut residual);
+            st.committed = Arc::new(residual);
+            st.residual.unpin();
+            st.version += 1;
+        };
+        Ok(RangeMerge {
+            fresh,
+            residual_entries,
+            install: Box::new(install),
+        })
     }
 
-    fn checkpoint_install(&self, pin: CheckpointPin, merge: RangeMerge) {
-        let mut residual = merge.into_state::<Vdt>();
-        let mut st = self.state.write();
-        // commits published during the merge (seq > pin) survive on top of
-        // the out-of-window residual
-        st.residual.rebuild_into(pin.seq, &mut residual);
-        st.committed = Arc::new(residual);
-        st.residual.unpin();
+    fn abort(self: Box<Self>) {
+        self.store.state.write().residual.unpin();
+    }
+}
+
+impl DeltaStore for VdtStore {
+    fn policy(&self) -> UpdatePolicy {
+        UpdatePolicy::Vdt
+    }
+
+    fn snapshot(&self) -> Arc<dyn DeltaSnapshot> {
+        let st = self.state.read();
+        Arc::new(VdtSnapshot {
+            store: self.clone(),
+            vdt: st.committed.clone(),
+            version: st.version,
+        })
+    }
+
+    fn replay(&self, entries: &[WalEntry]) -> Result<(), DbError> {
+        let mut guard = self.state.write();
+        let st = &mut *guard;
         st.version += 1;
+        // recovery holds no snapshots, so make_mut mutates in place —
+        // replay stays linear in the number of logged commits
+        apply_key_entries(entries, Arc::make_mut(&mut st.committed))
+            .map_err(|detail| replay_error(&st.table, detail))
     }
 
-    fn checkpoint_abort(&self, _pin: CheckpointPin) {
-        self.state.write().residual.unpin();
+    fn write_bytes(&self) -> usize {
+        self.state.read().committed.heap_bytes()
+    }
+
+    fn delta_bytes(&self) -> usize {
+        self.state.read().committed.heap_bytes()
+    }
+
+    fn flush(&self) -> bool {
+        // single-layer structure: checkpoint is the only migration
+        false
+    }
+
+    fn checkpoint_pin(&self, seq: u64) -> Option<Box<dyn CheckpointPin>> {
+        let mut st = self.state.write();
+        if st.committed.is_empty() {
+            return None;
+        }
+        st.residual.pin(seq);
+        Some(Box::new(VdtPin {
+            store: self.clone(),
+            seq,
+            pinned: st.committed.clone(),
+        }))
     }
 }

@@ -1,5 +1,5 @@
 //! Read-write transactions: batch-first DML staged against the table's
-//! update structure through the [`DeltaStore`] interface.
+//! update structure through the [`DeltaStore`](crate::DeltaStore) interface.
 //!
 //! The write surface is **batch-first**: every statement —
 //! [`DbTxn::append`] (columnar bulk insert, with [`Appender`] for
@@ -25,14 +25,17 @@
 //! [`DbError::BatchShape`] before anything is staged, never as a panic
 //! inside a delta structure.
 //!
-//! Commit is two-phase under the manager's commit guard: every touched
-//! table's store validates (`prepare`) against updates committed since
-//! begin — any conflict aborts the whole transaction — then the WAL record
-//! is appended and every store publishes at one commit sequence number, so
-//! multi-table transactions stay atomic across update structures.
+//! Commit is two-phase under the manager's commit guard: every dirty
+//! staging area validates itself ([`DeltaTxn::prepare`]) against updates
+//! committed since begin — any conflict aborts the whole transaction —
+//! then the WAL record is enqueued and every staging area publishes itself
+//! at one commit sequence number, so multi-table transactions stay atomic
+//! across update structures. A transaction ends when its handle goes away,
+//! whichever way that happens ([`DbTxn::commit`], [`DbTxn::abort`], or a
+//! plain drop).
 
 use crate::batch::DmlBatch;
-use crate::delta::{DeltaSnapshot, DeltaStore, DeltaTxn};
+use crate::delta::{DeltaSnapshot, DeltaTxn};
 use crate::partition::{self, TableEntry};
 use crate::{Database, DbError, ScanSpec};
 use columnar::{ColumnVec, Schema, StableTable, Tuple, Value, ValueType};
@@ -45,7 +48,6 @@ use txn::wal::WalEntry;
 /// One partition's state captured at transaction begin.
 pub(crate) struct TxnPart {
     stable: Arc<StableTable>,
-    store: Arc<dyn DeltaStore>,
     snap: Arc<dyn DeltaSnapshot>,
     staged: Option<Box<dyn DeltaTxn>>,
     /// The partition's compaction heat map: staged batches charge their
@@ -93,7 +95,6 @@ impl TxnTable {
                 .iter()
                 .map(|p| TxnPart {
                     stable: p.stable.clone(),
-                    store: p.delta.clone(),
                     snap: p.delta.snapshot(),
                     staged: None,
                     heat: p.heat.clone(),
@@ -179,7 +180,7 @@ impl<'db> DbTxn<'db> {
             .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
         let p = &mut t.parts[part];
         Ok(p.staged
-            .get_or_insert_with(|| p.store.begin(&p.snap, start_seq))
+            .get_or_insert_with(|| p.snap.begin(start_seq))
             .as_mut())
     }
 
@@ -195,8 +196,8 @@ impl<'db> DbTxn<'db> {
 
     /// Open a scan described by a [`ScanSpec`] under this transaction's
     /// view (including its own uncommitted updates) — the one scan entry
-    /// point; the wrappers below forward here. Partitioned tables scan as
-    /// a sequential union with globally consecutive RIDs.
+    /// point. Partitioned tables scan as a sequential union with globally
+    /// consecutive RIDs.
     pub fn scan_with(&self, table: &str, spec: ScanSpec) -> Result<TableScan<'_>, DbError> {
         let t = self.table(table)?;
         spec.open(
@@ -231,23 +232,6 @@ impl<'db> DbTxn<'db> {
             self.db.io().clone(),
             self.db.clock().clone(),
         )
-    }
-
-    /// Ranged scan under this transaction's view. Thin wrapper over
-    /// [`DbTxn::scan_with`].
-    pub fn scan_ranged(
-        &self,
-        table: &str,
-        proj: Vec<usize>,
-        bounds: ScanBounds,
-    ) -> Result<TableScan<'_>, DbError> {
-        self.scan_with(table, ScanSpec::cols(proj).bounds(bounds))
-    }
-
-    /// Full scan under this transaction's view. Thin wrapper over
-    /// [`DbTxn::scan_with`].
-    pub fn scan(&self, table: &str, proj: Vec<usize>) -> Result<TableScan<'_>, DbError> {
-        self.scan_with(table, ScanSpec::cols(proj))
     }
 
     /// Total visible rows of `table` under this transaction's view,
@@ -543,7 +527,7 @@ impl<'db> DbTxn<'db> {
 
     /// Per-partition positional delete (see
     /// [`DbTxn::stage_split_positional`]).
-    fn stage_delete_batch(
+    fn stage_batch_delete(
         &mut self,
         table: &str,
         rids: Vec<u64>,
@@ -561,7 +545,7 @@ impl<'db> DbTxn<'db> {
 
     /// Per-partition positional single-column update (see
     /// [`DbTxn::stage_split_positional`]).
-    fn stage_update_batch(
+    fn stage_batch_update(
         &mut self,
         table: &str,
         rids: Vec<u64>,
@@ -614,7 +598,7 @@ impl<'db> DbTxn<'db> {
         }
         let pre = self.collect_rows_at(table, &sorted)?;
         let n = sorted.len();
-        self.stage_delete_batch(table, sorted, pre)?;
+        self.stage_batch_delete(table, sorted, pre)?;
         Ok(n)
     }
 
@@ -688,7 +672,7 @@ impl<'db> DbTxn<'db> {
             }
             self.stage_key_rewrite(table, sorted_rids, pre, new_rows)?;
         } else {
-            self.stage_update_batch(table, sorted_rids, col, sorted_vals, pre)?;
+            self.stage_batch_update(table, sorted_rids, col, sorted_vals, pre)?;
         }
         Ok(n)
     }
@@ -708,7 +692,7 @@ impl<'db> DbTxn<'db> {
         new_rows: Batch,
     ) -> Result<(), DbError> {
         self.check_rewrite_keys(table, &pre, &new_rows)?;
-        self.stage_delete_batch(table, rids, pre)?;
+        self.stage_batch_delete(table, rids, pre)?;
         self.append(table, new_rows)?;
         Ok(())
     }
@@ -746,7 +730,7 @@ impl<'db> DbTxn<'db> {
         }
         let n = rids.len();
         if n > 0 {
-            self.stage_delete_batch(table, rids, pre)?;
+            self.stage_batch_delete(table, rids, pre)?;
         }
         Ok(n)
     }
@@ -836,7 +820,7 @@ impl<'db> DbTxn<'db> {
                 } else {
                     (rids.clone(), pre.clone())
                 };
-                self.stage_update_batch(table, r, *col, vals.expect("evaluated with victims"), p)?;
+                self.stage_batch_update(table, r, *col, vals.expect("evaluated with victims"), p)?;
             }
         }
         Ok(n)
@@ -859,34 +843,32 @@ impl<'db> DbTxn<'db> {
     /// in. Tests force that interleaving through this seam. The closure
     /// must not begin or commit transactions, open views or checkpoint:
     /// those take the commit guard this thread holds.
-    pub fn commit_observed(self, before_publish: impl FnOnce()) -> Result<u64, DbError> {
+    pub fn commit_observed(mut self, before_publish: impl FnOnce()) -> Result<u64, DbError> {
         let trace_start = obs::trace::enabled().then(std::time::Instant::now);
-        let mgr = &self.db.txn_mgr;
+        let db = self.db;
+        let mgr = &db.txn_mgr;
         let _commit = mgr.commit_guard();
-        // flatten to the touched (table, partition) list, deterministic
-        // order (WAL records, lock-free publishes)
-        let mut touched: Vec<(String, u32, TxnPart)> = Vec::new();
-        let mut tables: Vec<(String, TxnTable)> = self.tables.into_iter().collect();
+        // flatten to the dirty (table, partition, staging area) list,
+        // deterministic order (WAL records, lock-free publishes); every
+        // early return below drops `self`, which ends the transaction
+        let mut touched: Vec<(String, u32, Box<dyn DeltaTxn>)> = Vec::new();
+        let mut tables: Vec<(String, TxnTable)> =
+            std::mem::take(&mut self.tables).into_iter().collect();
         tables.sort_by(|a, b| a.0.cmp(&b.0));
         for (name, t) in tables {
             for (p, part) in t.parts.into_iter().enumerate() {
-                if part.staged.as_ref().is_some_and(|s| s.is_dirty()) {
-                    touched.push((name.clone(), p as u32, part));
+                if let Some(staged) = part.staged.filter(|s| s.is_dirty()) {
+                    touched.push((name.clone(), p as u32, staged));
                 }
             }
         }
         if touched.is_empty() {
             // read-only transaction: nothing to do, no new sequence needed
-            mgr.end_txn(self.id);
             return Ok(mgr.seq());
         }
         // Phase 1: validate everything, failing wholesale on any conflict.
-        for (_, _, part) in touched.iter_mut() {
-            let staged = part.staged.as_mut().expect("filtered on staged").as_mut();
-            if let Err(e) = part.store.prepare(staged) {
-                mgr.end_txn(self.id);
-                return Err(e);
-            }
+        for (_, _, staged) in touched.iter_mut() {
+            staged.prepare()?;
         }
         // Durability before visibility: one record for the whole commit.
         // The per-partition flattenings also ride along to `publish` —
@@ -894,10 +876,7 @@ impl<'db> DbTxn<'db> {
         // marker covers them.
         let entries: Vec<(String, u32, Vec<WalEntry>)> = touched
             .iter()
-            .map(|(name, p, part)| {
-                let staged = part.staged.as_ref().expect("filtered on staged").as_ref();
-                (name.clone(), *p, part.store.wal_entries(staged))
-            })
+            .map(|(name, p, staged)| (name.clone(), *p, staged.wal_entries()))
             .collect();
         let logged: Vec<(&str, u32, &[WalEntry])> = entries
             .iter()
@@ -923,11 +902,11 @@ impl<'db> DbTxn<'db> {
         let wal_ticket = mgr.log_commit_enqueue(seq, &logged);
         before_publish();
         // Phase 2: publish (infallible).
-        for ((_, _, mut part), (_, _, part_entries)) in touched.into_iter().zip(entries) {
-            let staged = part.staged.take().expect("filtered on staged");
-            part.store.publish(staged, seq, &part_entries);
+        for ((_, _, staged), (_, _, part_entries)) in touched.into_iter().zip(entries) {
+            staged.publish(seq, &part_entries);
         }
-        mgr.end_txn(self.id);
+        // leave the running set under the guard, before the durable wait
+        drop(self);
         drop(_commit);
         // Group commit phase B: acknowledge only once the record is on
         // disk. The commit is visible before it is durable; a crash in the
@@ -953,11 +932,7 @@ impl<'db> DbTxn<'db> {
             let mut cached: Option<(String, Option<std::time::Duration>)> = None;
             for (name, part, part_entries) in &traced_parts {
                 if cached.as_ref().is_none_or(|(n, _)| n != name) {
-                    let th = self
-                        .db
-                        .options(name)
-                        .ok()
-                        .and_then(|o| o.slow_commit_threshold);
+                    let th = db.options(name).ok().and_then(|o| o.slow_commit_threshold);
                     cached = Some((name.clone(), th));
                 }
                 let slow = cached
@@ -980,8 +955,16 @@ impl<'db> DbTxn<'db> {
         Ok(seq)
     }
 
-    /// Abort, discarding all staged updates.
-    pub fn abort(self) {
+    /// Abort, discarding all staged updates (dropping the handle does the
+    /// same).
+    pub fn abort(self) {}
+}
+
+impl Drop for DbTxn<'_> {
+    /// However a transaction ends — commit, abort, or an embedder's early
+    /// return on a statement error — it leaves the manager's running set,
+    /// so the TZ deltas it kept alive can be pruned.
+    fn drop(&mut self) {
         self.db.txn_mgr.end_txn(self.id);
     }
 }
@@ -1223,7 +1206,7 @@ mod tests {
 
     fn keys(db: &Database) -> Vec<i64> {
         let view = db.read_view();
-        let mut scan = view.scan("t", vec![0]).unwrap();
+        let mut scan = view.scan_with("t", ScanSpec::cols(vec![0])).unwrap();
         run_to_rows(&mut scan)
             .iter()
             .map(|r| r[0].as_int())
@@ -1244,7 +1227,7 @@ mod tests {
                 .update_where("t", col(0).eq(lit(55i64)), vec![(1, lit(9i64))])
                 .unwrap();
             assert_eq!(n, 1);
-            let mut scan = t.scan("t", vec![0, 1]).unwrap();
+            let mut scan = t.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap();
             let rows = run_to_rows(&mut scan);
             let hit = rows.iter().find(|r| r[0] == Value::Int(55)).unwrap();
             assert_eq!(hit[1], Value::Int(9));
@@ -1364,7 +1347,7 @@ mod tests {
             t.commit().unwrap();
             let img = |db: &Database| {
                 let view = db.read_view();
-                exec::run_to_rows(&mut view.scan("t", vec![0, 1]).unwrap())
+                exec::run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap())
             };
             assert_eq!(img(&batched), img(&looped), "{policy:?}");
             let ks: Vec<i64> = img(&batched).iter().map(|r| r[0].as_int()).collect();
@@ -1460,7 +1443,8 @@ mod tests {
             assert_eq!(n, 1);
             t.commit().unwrap();
             let view = db.read_view();
-            let rows = exec::run_to_rows(&mut view.scan("t", vec![0, 1]).unwrap());
+            let rows =
+                exec::run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap());
             let ks: Vec<i64> = rows.iter().map(|r| r[0].as_int()).collect();
             assert_eq!(
                 ks,
@@ -1503,7 +1487,7 @@ mod tests {
             t.commit().unwrap();
             assert_eq!(keys(&db), vec![0, 10, 20, 30, 40], "{policy:?}");
             let view = db.read_view();
-            let rows = run_to_rows(&mut view.scan("t", vec![0, 1]).unwrap());
+            let rows = run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap());
             assert_eq!(rows[2][1], Value::Int(1), "{policy:?}: 10->20 payload");
             assert_eq!(rows[1][1], Value::Int(2), "{policy:?}: 20->10 payload");
         }
@@ -1585,10 +1569,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_with_specs_match_wrappers() {
+    fn scan_specs_project_window_and_resolve_names() {
         let db = db_with_ints(50, UpdatePolicy::Pdt);
         let view = db.read_view();
-        let by_idx = run_to_rows(&mut view.scan("t", vec![1]).unwrap());
+        let by_idx = run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![1])).unwrap());
         let by_name = run_to_rows(&mut view.scan_with("t", crate::ScanSpec::named(["v"])).unwrap());
         assert_eq!(by_idx, by_name);
         let all = run_to_rows(&mut view.scan_with("t", crate::ScanSpec::all()).unwrap());
@@ -1612,6 +1596,29 @@ mod tests {
         let staged = run_to_rows(&mut t.scan_with("t", crate::ScanSpec::named(["k"])).unwrap());
         assert_eq!(staged.len(), 51);
         t.abort();
+    }
+
+    #[test]
+    fn dropped_txn_leaves_the_running_set() {
+        // an embedder bails out of a transaction on a statement error
+        // without calling abort: the handle's drop must still end it, or
+        // the TZ watermark sticks at its start sequence and every later
+        // commit's serialized delta is retained forever
+        let db = db_with_ints(10, UpdatePolicy::Pdt);
+        {
+            let mut t = db.begin();
+            t.insert("t", vec![Value::Int(55), Value::Int(0)]).unwrap();
+            let dup = t.insert("t", vec![Value::Int(30), Value::Int(0)]);
+            assert!(matches!(dup, Err(DbError::DuplicateKey { .. })));
+        }
+        for i in 0..5 {
+            let mut t = db.begin();
+            t.insert("t", vec![Value::Int(1000 + i), Value::Int(i)])
+                .unwrap();
+            t.commit().unwrap();
+        }
+        assert_eq!(db.txn_mgr.tz_len(), 0, "dropped txn still pins the TZ set");
+        assert!(!keys(&db).contains(&55), "dropped txn published nothing");
     }
 
     #[test]
@@ -1647,7 +1654,7 @@ mod tests {
             );
             // state reflects only a's insert
             let view = db.read_view();
-            let mut scan = view.scan("t", vec![0, 1]).unwrap();
+            let mut scan = view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap();
             let rows = run_to_rows(&mut scan);
             let hit = rows.iter().find(|r| r[0] == Value::Int(55)).unwrap();
             assert_eq!(hit[1], Value::Int(1), "{policy:?}");
@@ -1672,7 +1679,7 @@ mod tests {
                 "{policy:?}"
             );
             let view = db.read_view();
-            let rows = run_to_rows(&mut view.scan("t", vec![0, 1]).unwrap());
+            let rows = run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap());
             assert_eq!(
                 rows[3][1],
                 Value::Int(1),
@@ -1707,7 +1714,8 @@ mod tests {
             q.commit()
                 .unwrap_or_else(|e| panic!("{policy:?}: disjoint columns must reconcile: {e}"));
             let view = db.read_view();
-            let rows = run_to_rows(&mut view.scan("t", vec![0, 1, 2]).unwrap());
+            let rows =
+                run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1, 2])).unwrap());
             assert_eq!(
                 rows[0],
                 vec![Value::Int(1), Value::Int(11), Value::Int(22)],
@@ -1753,7 +1761,7 @@ mod tests {
             a.commit().unwrap();
             b.commit().unwrap();
             let view = db.read_view();
-            let mut scan = view.scan("t", vec![0, 1]).unwrap();
+            let mut scan = view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap();
             let rows = run_to_rows(&mut scan);
             assert_eq!(rows[1][1], Value::Int(-1), "{policy:?}");
             assert_eq!(rows[8][1], Value::Int(-2), "{policy:?}");

@@ -568,7 +568,7 @@ impl Database {
                         // itself, rebased onto this stable — replay it
                         // before the surviving commits.
                         if !marker.residual.is_empty() {
-                            pe.delta.replay(&marker.residual);
+                            pe.delta.replay(&marker.residual)?;
                         }
                     }
                 }
@@ -600,7 +600,7 @@ impl Database {
                                 e.parts.len()
                             ),
                         })?;
-                    pe.delta.replay(&entries);
+                    pe.delta.replay(&entries)?;
                     if obs::trace::enabled() {
                         let t = replayed.entry((table.clone(), part)).or_default();
                         t.0 += entries.len() as u64;
@@ -969,7 +969,7 @@ impl Database {
                 obs::TraceKind::CompactionInstall,
             )
         };
-        let (part, seq, a, b) = (p as u32, pin.seq, b0 as u64, b1 as u64);
+        let (part, seq, a, b) = (p as u32, pin.seq(), b0 as u64, b1 as u64);
         obs::event!(pin_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b);
         let range = delta::CompactRange::of(&stable, b0, b1);
         let delta_bytes_folded: u64 = heat
@@ -987,7 +987,7 @@ impl Database {
             let merge_span = obs::span!(
                 merge_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b
             );
-            let mut merge = delta.checkpoint_merge(&pin, &stable, &range, &self.io)?;
+            let mut merge = pin.merge(&stable, &range, &self.io)?;
             if let Some(observer) = during_merge.take() {
                 observer();
             }
@@ -1065,7 +1065,7 @@ impl Database {
         let (merge, swap, stable_bytes_written, _commit) = match staged {
             Ok(staged) => staged,
             Err(e) => {
-                delta.checkpoint_abort(pin);
+                pin.abort();
                 return Err(e);
             }
         };
@@ -1083,7 +1083,7 @@ impl Database {
             // the map restarts cold
             pe.heat.reset(pe.stable.num_blocks());
         }
-        delta.checkpoint_install(pin, merge);
+        (merge.install)();
         obs::event!(install_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b);
         Ok(Some(CompactionReport {
             blocks_merged: (b1 - b0) as u64,
@@ -1114,8 +1114,8 @@ const _: fn() = || {
     assert_send_sync::<ReadView>();
 };
 
-/// Declarative description of one table scan — the single entry point the
-/// former `scan` / `scan_ranged` / `scan_cols` trio now forwards to.
+/// Declarative description of one table scan, opened by
+/// [`ReadView::scan_with`] or [`DbTxn::scan_with`].
 ///
 /// Projection is by column index or by name; the scan can additionally be
 /// restricted to an inclusive sort-key prefix range (served by the sparse
@@ -1364,10 +1364,11 @@ impl ReadView {
         Ok(self.table(name)?.parts.iter().map(PartView::visible).sum())
     }
 
-    /// Open a scan described by a [`ScanSpec`] — the one scan entry point;
-    /// everything below forwards here. Partitioned tables scan as a
-    /// sequential union in split order (globally consecutive RIDs); use
-    /// [`ReadView::par_scan`] to run the partitions on a worker pool.
+    /// Open a scan described by a [`ScanSpec`] — the one scan entry point
+    /// ([`ReadView::explain_analyze`] and [`ReadView::par_scan`] take the
+    /// same spec). Partitioned tables scan as a sequential union in split
+    /// order (globally consecutive RIDs); use [`ReadView::par_scan`] to
+    /// run the partitions on a worker pool.
     pub fn scan_with(&self, table: &str, spec: ScanSpec) -> Result<TableScan<'_>, DbError> {
         let t = self.table(table)?;
         spec.open(
@@ -1473,29 +1474,6 @@ impl ReadView {
         }
         Ok(ParallelUnionScan::new(parts, types, workers))
     }
-
-    /// Full-table scan with projection (column indices). Thin wrapper over
-    /// [`ReadView::scan_with`].
-    pub fn scan(&self, table: &str, proj: Vec<usize>) -> Result<TableScan<'_>, DbError> {
-        self.scan_with(table, ScanSpec::cols(proj))
-    }
-
-    /// Ranged scan over inclusive sort-key prefix bounds (sparse-index
-    /// assisted). Thin wrapper over [`ReadView::scan_with`].
-    pub fn scan_ranged(
-        &self,
-        table: &str,
-        proj: Vec<usize>,
-        bounds: ScanBounds,
-    ) -> Result<TableScan<'_>, DbError> {
-        self.scan_with(table, ScanSpec::cols(proj).bounds(bounds))
-    }
-
-    /// Scan projecting columns by name (plan-writing convenience). Thin
-    /// wrapper over [`ReadView::scan_with`].
-    pub fn scan_cols(&self, table: &str, cols: &[&str]) -> Result<TableScan<'_>, DbError> {
-        self.scan_with(table, ScanSpec::named(cols.iter().copied()))
-    }
 }
 
 #[cfg(test)]
@@ -1545,13 +1523,17 @@ mod tests {
 
     fn all_rows(db: &Database) -> Vec<Tuple> {
         let view = db.read_view();
-        let mut scan = view.scan("inventory", vec![0, 1, 2, 3]).unwrap();
+        let mut scan = view
+            .scan_with("inventory", ScanSpec::cols(vec![0, 1, 2, 3]))
+            .unwrap();
         run_to_rows(&mut scan)
     }
 
     fn clean_rows(db: &Database) -> Vec<Tuple> {
         let view = db.clean_view();
-        let mut scan = view.scan("inventory", vec![0, 1, 2, 3]).unwrap();
+        let mut scan = view
+            .scan_with("inventory", ScanSpec::cols(vec![0, 1, 2, 3]))
+            .unwrap();
         run_to_rows(&mut scan)
     }
 
@@ -1718,7 +1700,7 @@ mod tests {
             .unwrap();
             t.commit().unwrap();
             // ...then the merge "fails" and the pin is abandoned
-            delta.checkpoint_abort(pin);
+            pin.abort();
 
             let before = all_rows(&db);
             assert_eq!(before.len(), 7, "{policy:?}");
@@ -1798,7 +1780,7 @@ mod tests {
 
     fn t_rows(db: &Database) -> Vec<Tuple> {
         let view = db.read_view();
-        run_to_rows(&mut view.scan("t", vec![0, 1]).unwrap())
+        run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap())
     }
 
     #[test]
@@ -1878,7 +1860,12 @@ mod tests {
             assert!(split.maybe_flush("t", 0).unwrap() || policy != UpdatePolicy::Pdt);
             assert!(split.checkpoint("t").unwrap(), "{policy:?}");
             assert_eq!(t_rows(&split), before, "{policy:?}: merged view");
-            let clean = run_to_rows(&mut split.clean_view().scan("t", vec![0, 1]).unwrap());
+            let clean = run_to_rows(
+                &mut split
+                    .clean_view()
+                    .scan_with("t", ScanSpec::cols(vec![0, 1]))
+                    .unwrap(),
+            );
             assert_eq!(clean, before, "{policy:?}: clean view");
             // only the touched partitions had anything to fold: a second
             // checkpoint is a no-op everywhere
@@ -1964,7 +1951,7 @@ mod tests {
         t.insert("e", vec![Value::Int(2000)]).unwrap();
         t.commit().unwrap();
         let view = db.read_view();
-        let ks: Vec<i64> = run_to_rows(&mut view.scan("e", vec![0]).unwrap())
+        let ks: Vec<i64> = run_to_rows(&mut view.scan_with("e", ScanSpec::cols(vec![0])).unwrap())
             .iter()
             .map(|r| r[0].as_int())
             .collect();
@@ -2224,15 +2211,15 @@ mod tests {
             Err(DbError::UnknownTable(_))
         ));
         assert!(matches!(
-            view.scan("nope", vec![0]),
+            view.scan_with("nope", ScanSpec::cols(vec![0])),
             Err(DbError::UnknownTable(_))
         ));
         assert!(matches!(
-            view.scan_cols("nope", &["store"]),
+            view.scan_with("nope", ScanSpec::named(["store"])),
             Err(DbError::UnknownTable(_))
         ));
         assert!(matches!(
-            view.scan_cols("inventory", &["ghost_col"]),
+            view.scan_with("inventory", ScanSpec::named(["ghost_col"])),
             Err(DbError::UnknownColumn { .. })
         ));
 
@@ -2254,7 +2241,7 @@ mod tests {
             Err(DbError::UnknownTable(_))
         ));
         assert!(matches!(
-            t.scan("nope", vec![0]),
+            t.scan_with("nope", ScanSpec::cols(vec![0])),
             Err(DbError::UnknownTable(_))
         ));
         t.abort();
@@ -2314,7 +2301,7 @@ mod tests {
             // clean scan shows the folded range but not the residual
             let clean = {
                 let view = db.clean_view();
-                let mut scan = view.scan("t", vec![0, 1]).unwrap();
+                let mut scan = view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap();
                 run_to_rows(&mut scan)
             };
             assert!(

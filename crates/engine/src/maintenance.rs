@@ -506,7 +506,7 @@ impl Drop for MaintenanceScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PartitionSpec, TableOptions, UpdatePolicy, ALL_POLICIES};
+    use crate::{PartitionSpec, ScanSpec, TableOptions, UpdatePolicy, ALL_POLICIES};
     use columnar::{Schema, TableMeta, Tuple, Value, ValueType};
     use exec::run_to_rows;
 
@@ -526,7 +526,12 @@ mod tests {
     }
 
     fn image(db: &Database) -> Vec<Tuple> {
-        run_to_rows(&mut db.read_view().scan("t", vec![0, 1]).unwrap())
+        run_to_rows(
+            &mut db
+                .read_view()
+                .scan_with("t", ScanSpec::cols(vec![0, 1]))
+                .unwrap(),
+        )
     }
 
     #[test]
@@ -562,7 +567,12 @@ mod tests {
                 "{policy:?}: maintenance changed the image"
             );
             // after the drain the whole image is stable
-            let clean = run_to_rows(&mut db.clean_view().scan("t", vec![0, 1]).unwrap());
+            let clean = run_to_rows(
+                &mut db
+                    .clean_view()
+                    .scan_with("t", ScanSpec::cols(vec![0, 1]))
+                    .unwrap(),
+            );
             assert_eq!(clean, before, "{policy:?}");
             sched.shutdown();
         }

@@ -19,26 +19,28 @@
 //! validates against the post-checkpoint state only.
 
 use crate::delta::{
-    key_residual_entries, rewrite_range, CheckpointPin, CompactRange, DeltaSnapshot, DeltaStore,
-    DeltaTxn, RangeMerge, ResidualLog, UpdatePolicy,
+    apply_key_entries, key_residual_entries, replay_error, rewrite_range, CheckpointPin,
+    CompactRange, DeltaSnapshot, DeltaStore, DeltaTxn, RangeMerge, ResidualLog, UpdatePolicy,
 };
 use crate::DbError;
 use columnar::{IoTracker, SkKey, StableTable, Tuple, Value};
 use exec::DeltaLayers;
 use parking_lot::RwLock;
 use rowstore::{ConflictSet, RowBuffer, RowOp, RowRun, Slot};
-use std::any::Any;
 use std::borrow::Cow;
 use std::sync::Arc;
 use txn::wal::WalEntry;
 
-/// [`DeltaStore`] over an uncompressed copy-on-write row buffer.
+/// [`DeltaStore`] over an uncompressed copy-on-write row buffer. A cheap
+/// handle: the snapshots, staging areas and pins it hands out each carry a
+/// clone.
+#[derive(Clone)]
 pub struct RowStore {
-    table: String,
-    state: RwLock<RowState>,
+    state: Arc<RwLock<RowState>>,
 }
 
 struct RowState {
+    table: String,
     committed: Arc<RowBuffer>,
     /// Ops of every commit since the last checkpoint, tagged with the
     /// buffer version each produced (prepare-time conflict validation).
@@ -56,13 +58,13 @@ impl RowStore {
     /// An empty copy-on-write row-store for `table`.
     pub fn new(table: String, schema: columnar::Schema, sk_cols: Vec<usize>) -> Self {
         RowStore {
-            table,
-            state: RwLock::new(RowState {
+            state: Arc::new(RwLock::new(RowState {
+                table,
                 committed: Arc::new(RowBuffer::new(schema, sk_cols)),
                 runs: Vec::new(),
                 version: 0,
                 residual: ResidualLog::new(),
-            }),
+            })),
         }
     }
 }
@@ -100,13 +102,8 @@ impl crate::delta::KeyEntrySink for RowBuffer {
     }
 }
 
-/// Pinned state of an in-flight row-store checkpoint.
-struct RowPin {
-    buf: Arc<RowBuffer>,
-    version: u64,
-}
-
 struct RowSnapshot {
+    store: RowStore,
     buf: Arc<RowBuffer>,
     version: u64,
 }
@@ -124,12 +121,18 @@ impl DeltaSnapshot for RowSnapshot {
         self.buf.delta_total()
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn begin(&self, _start_seq: u64) -> Box<dyn DeltaTxn> {
+        Box::new(RowTxn {
+            store: self.store.clone(),
+            working: (*self.buf).clone(),
+            base_version: self.version,
+            ops: Vec::new(),
+        })
     }
 }
 
 struct RowTxn {
+    store: RowStore,
     /// Begin-time committed buffer with the staged ops already folded in —
     /// what this transaction's own scans merge.
     working: RowBuffer,
@@ -153,25 +156,6 @@ impl DeltaTxn for RowTxn {
 
     fn is_dirty(&self) -> bool {
         !self.ops.is_empty()
-    }
-
-    fn stage_insert(&mut self, _rid: u64, tuple: &[Value]) {
-        self.working.insert(tuple.to_vec());
-        self.ops.push(RowOp::Insert(tuple.to_vec()));
-    }
-
-    fn stage_delete(&mut self, _rid: u64, row: &[Value]) {
-        self.working.delete(row);
-        self.ops.push(RowOp::Delete { pre: row.to_vec() });
-    }
-
-    fn stage_modify(&mut self, _rid: u64, col: usize, value: &Value, row: &[Value]) {
-        self.working.modify(row, col, value.clone());
-        self.ops.push(RowOp::Modify {
-            pre: row.to_vec(),
-            col,
-            value: value.clone(),
-        });
     }
 
     /// The row store's vectorized staging — the structure that profits
@@ -224,73 +208,31 @@ impl DeltaTxn for RowTxn {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl DeltaStore for RowStore {
-    fn policy(&self) -> UpdatePolicy {
-        UpdatePolicy::RowStore
-    }
-
-    fn snapshot(&self) -> Arc<dyn DeltaSnapshot> {
-        let st = self.state.read();
-        Arc::new(RowSnapshot {
-            buf: st.committed.clone(),
-            version: st.version,
-        })
-    }
-
-    fn begin(&self, snap: &Arc<dyn DeltaSnapshot>, _start_seq: u64) -> Box<dyn DeltaTxn> {
-        let snap = snap
-            .as_any()
-            .downcast_ref::<RowSnapshot>()
-            .expect("row store handed a foreign snapshot");
-        Box::new(RowTxn {
-            working: (*snap.buf).clone(),
-            base_version: snap.version,
-            ops: Vec::new(),
-        })
-    }
-
-    fn prepare(&self, staged: &mut dyn DeltaTxn) -> Result<(), DbError> {
-        let txn = staged
-            .as_any_mut()
-            .downcast_mut::<RowTxn>()
-            .expect("row store handed a foreign staging area");
-        let st = self.state.read();
-        if st.version == txn.base_version {
+    fn prepare(&mut self) -> Result<(), DbError> {
+        let st = self.store.state.read();
+        if st.version == self.base_version {
             // fast path: nothing committed since begin
             return Ok(());
         }
         // validate against exactly the runs published after our begin
         let mut concurrent = ConflictSet::new();
         let sk_cols = st.committed.sk_cols().to_vec();
-        for run in st.runs.iter().filter(|r| r.version > txn.base_version) {
+        for run in st.runs.iter().filter(|r| r.version > self.base_version) {
             concurrent.add_run(run, &sk_cols);
         }
-        for op in &txn.ops {
+        for op in &self.ops {
             concurrent
                 .check(op, &sk_cols)
                 .map_err(|reason| DbError::Conflict {
-                    table: self.table.clone(),
+                    table: st.table.clone(),
                     reason,
                 })?;
         }
         Ok(())
     }
 
-    fn wal_entries(&self, staged: &dyn DeltaTxn) -> Vec<WalEntry> {
-        let txn = staged
-            .as_any()
-            .downcast_ref::<RowTxn>()
-            .expect("row store handed a foreign staging area");
-        let st = self.state.read();
+    fn wal_entries(&self) -> Vec<WalEntry> {
+        let st = self.store.state.read();
         let sk_cols = st.committed.sk_cols().to_vec();
         let sk_of = |t: &[Value]| -> SkKey { sk_cols.iter().map(|&c| t[c].clone()).collect() };
         let entry = |kind: u16, values: Vec<Value>| WalEntry {
@@ -307,7 +249,7 @@ impl DeltaStore for RowStore {
         let mut post: std::collections::HashMap<SkKey, Vec<Value>> =
             std::collections::HashMap::new();
         let mut entries = Vec::new();
-        for op in &txn.ops {
+        for op in &self.ops {
             match op {
                 RowOp::Insert(t) => {
                     post.insert(sk_of(t), t.clone());
@@ -354,13 +296,9 @@ impl DeltaStore for RowStore {
         txn::wal::coalesce_entries(entries)
     }
 
-    fn publish(&self, mut staged: Box<dyn DeltaTxn>, seq: u64, entries: &[WalEntry]) {
-        let txn = staged
-            .as_any_mut()
-            .downcast_mut::<RowTxn>()
-            .expect("row store handed a foreign staging area");
-        let ops = std::mem::take(&mut txn.ops);
-        let mut st = self.state.write();
+    fn publish(self: Box<Self>, seq: u64, entries: &[WalEntry]) {
+        let RowTxn { store, ops, .. } = *self;
+        let mut st = store.state.write();
         // copy-on-write: never mutate the published buffer readers hold
         let mut fresh = (*st.committed).clone();
         for op in &ops {
@@ -372,56 +310,28 @@ impl DeltaStore for RowStore {
         st.runs.push(Arc::new(RowRun { version, ops }));
         st.residual.record(seq, entries);
     }
+}
 
-    fn replay(&self, entries: &[WalEntry]) {
-        let mut st = self.state.write();
-        // recovery holds no snapshots, so make_mut mutates in place
-        let buf = Arc::make_mut(&mut st.committed);
-        crate::delta::apply_key_entries(entries, buf);
-        st.version += 1;
+/// Pinned state of an in-flight row-store checkpoint.
+struct RowPin {
+    store: RowStore,
+    seq: u64,
+    buf: Arc<RowBuffer>,
+    version: u64,
+}
+
+impl CheckpointPin for RowPin {
+    fn seq(&self) -> u64 {
+        self.seq
     }
 
-    fn write_bytes(&self) -> usize {
-        self.state.read().committed.heap_bytes()
-    }
-
-    fn delta_bytes(&self) -> usize {
-        // the run history counts too: under churn (insert then delete of
-        // the same key) the net buffer stays tiny while runs grow with
-        // every commit — the checkpoint budget must see that growth, or
-        // the scheduler never retires it
-        let st = self.state.read();
-        st.committed.heap_bytes() + st.runs.iter().map(|r| r.heap_bytes()).sum::<usize>()
-    }
-
-    fn flush(&self) -> bool {
-        // single-layer structure: checkpoint is the only migration
-        false
-    }
-
-    fn checkpoint_pin(&self, seq: u64) -> Option<CheckpointPin> {
-        let mut st = self.state.write();
-        if st.committed.is_empty() && st.runs.is_empty() {
-            return None;
-        }
-        st.residual.pin(seq);
-        Some(CheckpointPin::new(
-            seq,
-            RowPin {
-                buf: st.committed.clone(),
-                version: st.version,
-            },
-        ))
-    }
-
-    fn checkpoint_merge(
+    fn merge(
         &self,
-        pin: &CheckpointPin,
         stable: &StableTable,
         range: &CompactRange,
         io: &IoTracker,
     ) -> Result<RangeMerge, DbError> {
-        let pinned = pin.state::<RowPin>();
+        let pinned = self;
         let empty = || RowBuffer::new(pinned.buf.schema().clone(), pinned.buf.sk_cols().to_vec());
         let mut residual = empty();
         let mut residual_entries = Vec::new();
@@ -469,24 +379,82 @@ impl DeltaStore for RowStore {
         let fresh = (!folded.is_empty())
             .then(|| rewrite_range(stable, range, io, |rows| folded.merge_rows(rows)))
             .transpose()?;
-        Ok(RangeMerge::new(fresh, residual_entries, residual))
+        let (store, pin_seq, pin_version) = (self.store.clone(), self.seq, self.version);
+        let install = move || {
+            let mut st = store.state.write();
+            // commits published during the merge survive on top of the
+            // out-of-window residual; their runs stay for the footprint
+            // validation of transactions that began before the pin
+            st.residual.rebuild_into(pin_seq, &mut residual);
+            st.committed = Arc::new(residual);
+            st.runs.retain(|r| r.version > pin_version);
+            st.residual.unpin();
+            st.version += 1;
+        };
+        Ok(RangeMerge {
+            fresh,
+            residual_entries,
+            install: Box::new(install),
+        })
     }
 
-    fn checkpoint_install(&self, pin: CheckpointPin, merge: RangeMerge) {
-        let pin_version = pin.state::<RowPin>().version;
-        let mut residual = merge.into_state::<RowBuffer>();
-        let mut st = self.state.write();
-        // commits published during the merge survive on top of the
-        // out-of-window residual; their runs stay for the footprint
-        // validation of transactions that began before the pin
-        st.residual.rebuild_into(pin.seq, &mut residual);
-        st.committed = Arc::new(residual);
-        st.runs.retain(|r| r.version > pin_version);
-        st.residual.unpin();
+    fn abort(self: Box<Self>) {
+        self.store.state.write().residual.unpin();
+    }
+}
+
+impl DeltaStore for RowStore {
+    fn policy(&self) -> UpdatePolicy {
+        UpdatePolicy::RowStore
+    }
+
+    fn snapshot(&self) -> Arc<dyn DeltaSnapshot> {
+        let st = self.state.read();
+        Arc::new(RowSnapshot {
+            store: self.clone(),
+            buf: st.committed.clone(),
+            version: st.version,
+        })
+    }
+
+    fn replay(&self, entries: &[WalEntry]) -> Result<(), DbError> {
+        let mut guard = self.state.write();
+        let st = &mut *guard;
         st.version += 1;
+        // recovery holds no snapshots, so make_mut mutates in place
+        apply_key_entries(entries, Arc::make_mut(&mut st.committed))
+            .map_err(|detail| replay_error(&st.table, detail))
     }
 
-    fn checkpoint_abort(&self, _pin: CheckpointPin) {
-        self.state.write().residual.unpin();
+    fn write_bytes(&self) -> usize {
+        self.state.read().committed.heap_bytes()
+    }
+
+    fn delta_bytes(&self) -> usize {
+        // the run history counts too: under churn (insert then delete of
+        // the same key) the net buffer stays tiny while runs grow with
+        // every commit — the checkpoint budget must see that growth, or
+        // the scheduler never retires it
+        let st = self.state.read();
+        st.committed.heap_bytes() + st.runs.iter().map(|r| r.heap_bytes()).sum::<usize>()
+    }
+
+    fn flush(&self) -> bool {
+        // single-layer structure: checkpoint is the only migration
+        false
+    }
+
+    fn checkpoint_pin(&self, seq: u64) -> Option<Box<dyn CheckpointPin>> {
+        let mut st = self.state.write();
+        if st.committed.is_empty() && st.runs.is_empty() {
+            return None;
+        }
+        st.residual.pin(seq);
+        Some(Box::new(RowPin {
+            store: self.clone(),
+            seq,
+            buf: st.committed.clone(),
+            version: st.version,
+        }))
     }
 }

@@ -36,7 +36,7 @@
 //! final image interleaving-independent, so concurrency bugs surface as
 //! differential divergence from the sequential model.
 
-use crate::{Database, DbError, PartitionSpec, TableOptions, UpdatePolicy, ALL_POLICIES};
+use crate::{Database, DbError, PartitionSpec, ScanSpec, TableOptions, UpdatePolicy, ALL_POLICIES};
 use columnar::{Schema, TableMeta, Tuple, Value};
 use exec::expr::{col, lit, Expr};
 use exec::run_to_rows;
@@ -258,22 +258,21 @@ impl DiffHarness {
         key_eq_pred(&self.sk_cols, key)
     }
 
-    fn merged_image(db: &Database, table: &str, ncols: usize) -> Vec<Tuple> {
+    fn merged_image(db: &Database, table: &str) -> Vec<Tuple> {
         let view = db.read_view();
-        run_to_rows(&mut view.scan(table, (0..ncols).collect()).unwrap())
+        run_to_rows(&mut view.scan_with(table, ScanSpec::all()).unwrap())
     }
 
     /// Assert every database's merged image, visible row count and policy
     /// tag agree with the model.
     pub fn assert_agree(&self, context: &str) {
-        let ncols = self.schema.len();
         for (policy, db) in &self.dbs {
             assert_eq!(
                 db.policy(&self.table).unwrap(),
                 *policy,
                 "{context}: policy tag"
             );
-            let image = Self::merged_image(db, &self.table, ncols);
+            let image = Self::merged_image(db, &self.table);
             assert_eq!(
                 image,
                 self.model.rows(),
@@ -290,10 +289,9 @@ impl DiffHarness {
     /// Assert every database's *clean* (stable-image-only) scan equals the
     /// model — meaningful right after a checkpoint.
     pub fn assert_clean_agree(&self, context: &str) {
-        let ncols = self.schema.len();
         for (policy, db) in &self.dbs {
             let view = db.clean_view();
-            let clean = run_to_rows(&mut view.scan(&self.table, (0..ncols).collect()).unwrap());
+            let clean = run_to_rows(&mut view.scan_with(&self.table, ScanSpec::all()).unwrap());
             assert_eq!(
                 clean,
                 self.model.rows(),
@@ -715,7 +713,7 @@ impl BatchRowHarness {
 
     fn image(db: &Database) -> Vec<Tuple> {
         let view = db.read_view();
-        run_to_rows(&mut view.scan("t", vec![0, 1, 2]).unwrap())
+        run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1, 2])).unwrap())
     }
 
     /// Current visible row count (both databases agree by invariant).
@@ -1071,7 +1069,7 @@ pub fn run_interleaved_spec(
             false
         };
         let view = db.read_view();
-        let image = run_to_rows(&mut view.scan("t", (0..schema.len()).collect()).unwrap());
+        let image = run_to_rows(&mut view.scan_with("t", ScanSpec::all()).unwrap());
         outcomes.push((policy, InterleavedOutcome { a_ok, b_ok, image }));
     }
     let (_, first) = &outcomes[0];
@@ -1227,7 +1225,11 @@ fn assert_snapshot_invariants(
     policy: UpdatePolicy,
     context: &str,
 ) -> Vec<Tuple> {
-    let rows = run_to_rows(&mut view.scan(table, vec![0, 1, 2]).unwrap());
+    let rows = run_to_rows(
+        &mut view
+            .scan_with(table, ScanSpec::cols(vec![0, 1, 2]))
+            .unwrap(),
+    );
     for w in rows.windows(2) {
         assert!(
             w[0][0].as_int() < w[1][0].as_int(),

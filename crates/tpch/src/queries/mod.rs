@@ -17,7 +17,7 @@ pub use q12_q17::{q12, q13, q14, q15, q16, q17};
 pub use q18_q22::{q18, q19, q20, q21, q22};
 
 use columnar::{parse_date, Tuple, Value};
-use engine::ReadView;
+use engine::{ReadView, ScanSpec};
 use exec::expr::Expr;
 use exec::{
     AggFunc, AggSpec, BoxOp, Filter, HashAggregate, HashJoin, JoinKind, Project, Sort, SortKey,
@@ -70,7 +70,10 @@ pub fn touches_updated_tables(n: usize) -> bool {
 pub(crate) fn scan<'v>(v: &'v ReadView, table: &str, cols: &[&str]) -> BoxOp<'v> {
     // hand-written plans over the fixed TPC-H schema: a missing table or
     // column here is a programming error, not a runtime condition
-    Box::new(v.scan_cols(table, cols).expect("TPC-H table/column"))
+    Box::new(
+        v.scan_with(table, ScanSpec::named(cols.iter().copied()))
+            .expect("TPC-H table/column"),
+    )
 }
 
 pub(crate) fn filt<'v>(input: BoxOp<'v>, pred: Expr) -> BoxOp<'v> {

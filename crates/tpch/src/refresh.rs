@@ -201,7 +201,9 @@ mod tests {
     fn image(db: &Database, table: &str) -> Vec<Tuple> {
         let view = db.read_view();
         let ncols = view.table(table).unwrap().schema().len();
-        let mut scan = view.scan(table, (0..ncols).collect()).unwrap();
+        let mut scan = view
+            .scan_with(table, ScanSpec::cols((0..ncols).collect()))
+            .unwrap();
         run_to_rows(&mut scan)
     }
 

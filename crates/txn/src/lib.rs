@@ -21,6 +21,20 @@
 //! min-start-sequence watermark). Commits are additionally appended to a
 //! [`wal`] for durability, exactly as the paper's footnote prescribes
 //! (sequential I/O only).
+//!
+//! The manager exposes that commit one step at a time, so PDT-backed
+//! tables share a single atomic commit with tables maintained by other
+//! delta structures. The caller (the engine's `DbTxn::commit`) holds
+//! [`TxnManager::commit_guard`] across
+//! [`serialize_txn`](TxnManager::serialize_txn) →
+//! [`alloc_seq`](TxnManager::alloc_seq) →
+//! [`log_commit_enqueue`](TxnManager::log_commit_enqueue) →
+//! [`publish_pdt`](TxnManager::publish_pdt) →
+//! [`end_txn`](TxnManager::end_txn), releases it, then waits on
+//! [`wait_wal_durable`](TxnManager::wait_wal_durable). Recovery is
+//! [`wal::Wal::read_all`] + [`wal::effective_commits`] +
+//! [`replay_pdt_entries`](TxnManager::replay_pdt_entries) +
+//! [`finish_recovery`](TxnManager::finish_recovery).
 
 pub mod wal;
 
@@ -43,7 +57,7 @@ pub enum TxnError {
         table: String,
         source: SerializeError,
     },
-    /// The transaction touched a table the manager does not know.
+    /// A commit or a WAL record names a table the manager does not know.
     UnknownTable(String),
     /// WAL I/O failure during commit.
     Wal(std::io::Error),
@@ -71,70 +85,6 @@ pub struct TableSnapshot {
     /// The transaction's private copy of the Write-PDT (shared between
     /// transactions that started between the same two commits).
     pub write: Arc<Pdt>,
-}
-
-/// A running transaction: snapshots of every table plus private Trans-PDTs
-/// for the tables it has updated.
-pub struct Transaction {
-    id: u64,
-    start_seq: u64,
-    snaps: HashMap<String, TableSnapshot>,
-    trans: HashMap<String, Pdt>,
-}
-
-impl Transaction {
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Global commit sequence number observed at start.
-    pub fn start_seq(&self) -> u64 {
-        self.start_seq
-    }
-
-    /// The table snapshot captured at start.
-    pub fn snapshot(&self, table: &str) -> &TableSnapshot {
-        self.snaps
-            .get(table)
-            .unwrap_or_else(|| panic!("table {table} not registered at begin"))
-    }
-
-    /// This transaction's own uncommitted updates for `table`, if any.
-    pub fn trans_pdt(&self, table: &str) -> Option<&Pdt> {
-        self.trans.get(table)
-    }
-
-    /// Mutable Trans-PDT for `table`, created empty on first use.
-    pub fn trans_pdt_mut(&mut self, table: &str) -> &mut Pdt {
-        if !self.trans.contains_key(table) {
-            let snap = self
-                .snaps
-                .get(table)
-                .unwrap_or_else(|| panic!("table {table} not registered at begin"));
-            let p = Pdt::new(snap.read.schema().clone(), snap.read.sk_cols().to_vec());
-            self.trans.insert(table.to_string(), p);
-        }
-        self.trans.get_mut(table).unwrap()
-    }
-
-    /// The PDT stack a scan of `table` must merge, bottom-up
-    /// (Read, Write, Trans), with empty layers skipped.
-    pub fn layers(&self, table: &str) -> Vec<&Pdt> {
-        let snap = self.snapshot(table);
-        let mut v = Vec::with_capacity(3);
-        if !snap.read.is_empty() {
-            v.push(&*snap.read);
-        }
-        if !snap.write.is_empty() {
-            v.push(&*snap.write);
-        }
-        if let Some(t) = self.trans.get(table) {
-            if !t.is_empty() {
-                v.push(t);
-            }
-        }
-        v
-    }
 }
 
 /// A recently committed, serialized Trans-PDT kept for conflict checking
@@ -263,31 +213,6 @@ impl TxnManager {
         );
     }
 
-    /// Start a transaction: capture per-table snapshots (sharing the cached
-    /// Write-PDT copy when no commit happened since it was taken).
-    pub fn begin(&self) -> Transaction {
-        let mut inner = self.inner.lock();
-        let id = inner.next_txn;
-        inner.next_txn += 1;
-        let start_seq = inner.seq;
-        inner.running.insert(id, start_seq);
-        let snaps = Self::snapshot_all_locked(&mut inner);
-        Transaction {
-            id,
-            start_seq,
-            snaps,
-            trans: HashMap::new(),
-        }
-    }
-
-    fn snapshot_all_locked(inner: &mut Inner) -> HashMap<String, TableSnapshot> {
-        inner
-            .tables
-            .iter_mut()
-            .map(|(name, st)| (name.clone(), st.snapshot()))
-            .collect()
-    }
-
     /// Snapshot one table's PDT layers (sharing the cached Write-PDT copy)
     /// *without* registering a throwaway transaction — read views are not
     /// tracked in the running set and retain no TZ deltas. Callers needing
@@ -296,15 +221,6 @@ impl TxnManager {
     pub fn snapshot_table(&self, table: &str) -> Option<TableSnapshot> {
         Some(self.inner.lock().tables.get_mut(table)?.snapshot())
     }
-
-    // --- Piecewise commit protocol -------------------------------------
-    //
-    // The engine's unified `DeltaStore` commit path drives the same
-    // Serialize + Propagate commit as `commit(Transaction)`, but one step
-    // at a time so that PDT-backed tables can share a single atomic commit
-    // with tables maintained by other delta structures. Callers MUST hold
-    // [`TxnManager::commit_guard`] across the whole
-    // register → serialize → alloc_seq → log → publish → finish sequence.
 
     /// Register a running transaction; returns `(txn id, start sequence)`.
     pub fn start_txn(&self) -> (u64, u64) {
@@ -332,15 +248,6 @@ impl TxnManager {
         if !inner.tables.contains_key(table) {
             return Err(TxnError::UnknownTable(table.to_string()));
         }
-        Self::serialize_against_tz(&inner, table, trans, start_seq)
-    }
-
-    fn serialize_against_tz(
-        inner: &Inner,
-        table: &str,
-        trans: Pdt,
-        start_seq: u64,
-    ) -> Result<Pdt, TxnError> {
         let mut cur = trans;
         for (t, delta) in inner.tz.iter() {
             if t == table && delta.seq > start_seq {
@@ -373,26 +280,6 @@ impl TxnManager {
         inner
             .tz
             .push_back((table.to_string(), CommittedDelta { seq, pdt: delta }));
-    }
-
-    /// Log one commit record synchronously: enqueue into the group-commit
-    /// coordinator and wait for its append window. No-op without a WAL or
-    /// for an empty delta set. Each element names the touched `(table,
-    /// partition)` pair — unpartitioned tables pass partition `0`.
-    ///
-    /// Concurrent commit protocols get group commit by splitting this into
-    /// [`Self::log_commit_enqueue`] (under the commit guard) and
-    /// [`Self::wait_wal_durable`] (after releasing it) so waiters from
-    /// several commits share one append window.
-    pub fn log_commit(
-        &self,
-        seq: u64,
-        tables: &[(&str, u32, &[wal::WalEntry])],
-    ) -> Result<(), TxnError> {
-        match self.log_commit_enqueue(seq, tables) {
-            Some(ticket) => self.wait_wal_durable(ticket),
-            None => Ok(()),
-        }
     }
 
     /// Group-commit phase A: encode and enqueue one commit record in the
@@ -447,101 +334,25 @@ impl TxnManager {
 
     /// Recovery: rebuild one logged delta and propagate it into the
     /// table's master Write-PDT.
-    pub fn replay_pdt_entries(&self, table: &str, entries: &[wal::WalEntry]) {
+    pub fn replay_pdt_entries(
+        &self,
+        table: &str,
+        entries: &[wal::WalEntry],
+    ) -> Result<(), TxnError> {
         let mut inner = self.inner.lock();
         let st = inner
             .tables
             .get_mut(table)
-            .unwrap_or_else(|| panic!("WAL references unknown table {table}"));
+            .ok_or_else(|| TxnError::UnknownTable(table.to_string()))?;
         let delta = wal::rebuild_pdt(&st.schema, &st.sk_cols, entries);
         propagate(st.write_mut(), &delta);
+        Ok(())
     }
 
     /// Recovery epilogue: restore the commit sequence.
     pub fn finish_recovery(&self, seq: u64) {
         let mut inner = self.inner.lock();
         inner.seq = inner.seq.max(seq);
-    }
-
-    /// Commit (Algorithm 9, `Finish` with ok=true): serialize against all
-    /// overlapping committed deltas, then propagate into the master
-    /// Write-PDTs. On conflict the transaction is aborted and the error
-    /// returned. Returns the commit sequence number.
-    pub fn commit(&self, txn: Transaction) -> Result<u64, TxnError> {
-        let _commit = self.commit_guard();
-        let mut inner = self.inner.lock();
-        inner.running.remove(&txn.id);
-        let result = Self::commit_locked(&mut inner, &txn);
-        match result {
-            Ok((seq, logged)) => {
-                let mut ticket = None;
-                if self.wal.is_some() && !logged.is_empty() {
-                    let entries: Vec<(String, Vec<wal::WalEntry>)> = logged
-                        .iter()
-                        .map(|(t, d)| (t.clone(), wal::pdt_entries(d)))
-                        .collect();
-                    // the manager's own tables are unpartitioned
-                    let refs: Vec<(&str, u32, &[wal::WalEntry])> = entries
-                        .iter()
-                        .map(|(t, e)| (t.as_str(), 0, e.as_slice()))
-                        .collect();
-                    ticket = self.log_commit_enqueue(seq, &refs);
-                }
-                Self::prune_tz(&mut inner);
-                drop(inner);
-                drop(_commit);
-                // group commit: wait for durability off every lock so
-                // concurrent commits share one append window
-                if let Some(t) = ticket {
-                    self.wait_wal_durable(t)?;
-                }
-                Ok(seq)
-            }
-            Err(e) => {
-                Self::prune_tz(&mut inner);
-                Err(e)
-            }
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn commit_locked(
-        inner: &mut Inner,
-        txn: &Transaction,
-    ) -> Result<(u64, Vec<(String, Arc<Pdt>)>), TxnError> {
-        if txn.trans.is_empty() {
-            // read-only transaction: nothing to do, no new sequence needed
-            return Ok((inner.seq, Vec::new()));
-        }
-        // Phase 1: serialize every touched table against the overlapping
-        // committed deltas, failing wholesale on any conflict (atomicity).
-        let mut serialized: Vec<(String, Pdt)> = Vec::new();
-        for (table, tpdt) in &txn.trans {
-            if !inner.tables.contains_key(table) {
-                return Err(TxnError::UnknownTable(table.clone()));
-            }
-            let cur = Self::serialize_against_tz(inner, table, tpdt.clone(), txn.start_seq)?;
-            serialized.push((table.clone(), cur));
-        }
-        // Phase 2: apply.
-        inner.seq += 1;
-        let seq = inner.seq;
-        let mut logged = Vec::with_capacity(serialized.len());
-        for (table, spdt) in serialized {
-            let st = inner.tables.get_mut(&table).expect("checked above");
-            propagate(st.write_mut(), &spdt);
-            let pdt = Arc::new(spdt);
-            logged.push((table.clone(), pdt.clone()));
-            inner.tz.push_back((table, CommittedDelta { seq, pdt }));
-        }
-        Ok((seq, logged))
-    }
-
-    /// Abort: drop the transaction, prune retained deltas.
-    pub fn abort(&self, txn: Transaction) {
-        let mut inner = self.inner.lock();
-        inner.running.remove(&txn.id);
-        Self::prune_tz(&mut inner);
     }
 
     fn prune_tz(inner: &mut Inner) {
@@ -651,34 +462,6 @@ impl TxnManager {
     pub fn tz_len(&self) -> usize {
         self.inner.lock().tz.len()
     }
-
-    /// Replay a WAL into this manager's master Write-PDTs (recovery).
-    /// Tables must be registered first, rebuilt from their last
-    /// checkpointed stable image — records a checkpoint marker covers are
-    /// skipped ([`wal::Wal::read_effective`]).
-    pub fn recover_from(&self, path: &Path) -> std::io::Result<u64> {
-        let records = wal::Wal::read_effective(path)?;
-        let mut inner = self.inner.lock();
-        let mut last_seq = 0;
-        for rec in records {
-            let seq = rec.seq();
-            if let wal::WalRecord::Commit { tables, .. } = rec {
-                for (table, _partition, entries) in tables {
-                    // the manager's own tables are unpartitioned (the
-                    // engine replays partition-tagged logs itself)
-                    let st = inner
-                        .tables
-                        .get_mut(&table)
-                        .unwrap_or_else(|| panic!("WAL references unknown table {table}"));
-                    let delta = wal::rebuild_pdt(&st.schema, &st.sk_cols, &entries);
-                    propagate(st.write_mut(), &delta);
-                }
-            }
-            last_seq = seq;
-        }
-        inner.seq = last_seq;
-        Ok(last_seq)
-    }
 }
 
 #[cfg(test)]
@@ -703,10 +486,79 @@ mod tests {
         m
     }
 
-    /// View of table "t" under a transaction's layers.
-    fn view(rows: &[Tuple], txn: &Transaction) -> Vec<Tuple> {
+    /// A transaction on table "t", driven step by step through the same
+    /// manager calls the engine's `DbTxn` makes.
+    struct TestTxn {
+        id: u64,
+        start_seq: u64,
+        snap: TableSnapshot,
+        trans: Pdt,
+    }
+
+    fn begin(m: &TxnManager) -> TestTxn {
+        let _commit = m.commit_guard();
+        let (id, start_seq) = m.start_txn();
+        let snap = m.snapshot_table("t").expect("table t registered");
+        let trans = Pdt::new(snap.read.schema().clone(), snap.read.sk_cols().to_vec());
+        TestTxn {
+            id,
+            start_seq,
+            snap,
+            trans,
+        }
+    }
+
+    /// serialize → alloc_seq → log enqueue → publish → end, all under the
+    /// commit guard; the durable wait after releasing it.
+    fn commit(m: &TxnManager, t: TestTxn) -> Result<u64, TxnError> {
+        let guard = m.commit_guard();
+        if t.trans.is_empty() {
+            m.end_txn(t.id);
+            return Ok(m.seq());
+        }
+        let delta = match m.serialize_txn("t", t.trans, t.start_seq) {
+            Ok(d) => Arc::new(d),
+            Err(e) => {
+                m.end_txn(t.id);
+                return Err(e);
+            }
+        };
+        let seq = m.alloc_seq();
+        let entries = wal::pdt_entries(&delta);
+        let ticket = m.log_commit_enqueue(seq, &[("t", 0, entries.as_slice())]);
+        m.publish_pdt("t", delta, seq);
+        m.end_txn(t.id);
+        drop(guard);
+        if let Some(ticket) = ticket {
+            m.wait_wal_durable(ticket)?;
+        }
+        Ok(seq)
+    }
+
+    fn abort(m: &TxnManager, t: TestTxn) {
+        m.end_txn(t.id);
+    }
+
+    /// Recovery as the engine runs it: read, drop what markers cover,
+    /// replay the rest, restore the sequence.
+    fn recover(m: &TxnManager, path: &Path) -> std::io::Result<u64> {
+        let mut last = 0;
+        for rec in wal::effective_commits(wal::Wal::read_all(path)?) {
+            last = rec.seq();
+            if let wal::WalRecord::Commit { tables, .. } = rec {
+                for (table, _partition, entries) in tables {
+                    m.replay_pdt_entries(&table, &entries).unwrap();
+                }
+            }
+        }
+        m.finish_recovery(last);
+        Ok(last)
+    }
+
+    /// View of table "t" under a transaction's layers (Read, Write, Trans).
+    fn view(rows: &[Tuple], txn: &TestTxn) -> Vec<Tuple> {
         let mut cur = rows.to_vec();
-        for p in txn.layers("t") {
+        for p in [&*txn.snap.read, &*txn.snap.write, &txn.trans] {
             cur = merge_rows(&cur, p);
         }
         cur
@@ -716,31 +568,31 @@ mod tests {
     fn uncommitted_updates_visible_only_to_self() {
         let m = mgr();
         let rows = base(5);
-        let mut a = m.begin();
-        let b = m.begin();
-        a.trans_pdt_mut("t").add_delete(0, &[Value::Int(0)]);
+        let mut a = begin(&m);
+        let b = begin(&m);
+        a.trans.add_delete(0, &[Value::Int(0)]);
         assert_eq!(view(&rows, &a).len(), 4, "a sees its own delete");
         assert_eq!(view(&rows, &b).len(), 5, "b is isolated");
-        m.commit(a).unwrap();
+        commit(&m, a).unwrap();
         // b still isolated (snapshot taken at begin)
         assert_eq!(view(&rows, &b).len(), 5);
         // a new transaction sees the commit
-        let c = m.begin();
+        let c = begin(&m);
         assert_eq!(view(&rows, &c).len(), 4);
     }
 
     #[test]
     fn conflicting_commit_aborts() {
         let m = mgr();
-        let mut a = m.begin();
-        let mut b = m.begin();
-        a.trans_pdt_mut("t").add_modify(2, 1, &Value::Int(100));
-        b.trans_pdt_mut("t").add_modify(2, 1, &Value::Int(200));
-        m.commit(a).unwrap();
-        let err = m.commit(b).unwrap_err();
+        let mut a = begin(&m);
+        let mut b = begin(&m);
+        a.trans.add_modify(2, 1, &Value::Int(100));
+        b.trans.add_modify(2, 1, &Value::Int(200));
+        commit(&m, a).unwrap();
+        let err = commit(&m, b).unwrap_err();
         assert!(matches!(err, TxnError::Conflict { .. }), "{err}");
         // state reflects only a's update
-        let c = m.begin();
+        let c = begin(&m);
         let rows = view(&base(5), &c);
         assert_eq!(rows[2][1], Value::Int(100));
     }
@@ -748,13 +600,13 @@ mod tests {
     #[test]
     fn disjoint_column_mods_reconcile() {
         let m = mgr();
-        let mut a = m.begin();
-        let mut b = m.begin();
-        a.trans_pdt_mut("t").add_modify(2, 1, &Value::Int(100));
-        b.trans_pdt_mut("t").add_modify(2, 0, &Value::Int(25));
-        m.commit(a).unwrap();
-        m.commit(b).unwrap();
-        let c = m.begin();
+        let mut a = begin(&m);
+        let mut b = begin(&m);
+        a.trans.add_modify(2, 1, &Value::Int(100));
+        b.trans.add_modify(2, 0, &Value::Int(25));
+        commit(&m, a).unwrap();
+        commit(&m, b).unwrap();
+        let c = begin(&m);
         let rows = view(&base(5), &c);
         assert_eq!(rows[2], vec![Value::Int(25), Value::Int(100)]);
     }
@@ -766,17 +618,16 @@ mod tests {
         // (serializing against a').
         let m = mgr();
         let rows = base(10);
-        let mut a = m.begin();
-        let mut b = m.begin();
-        b.trans_pdt_mut("t").add_delete(1, &[Value::Int(10)]);
-        a.trans_pdt_mut("t").add_modify(5, 1, &Value::Int(55));
-        m.commit(b).unwrap(); // t2
-        let mut c = m.begin();
-        c.trans_pdt_mut("t")
-            .add_insert(0, 0, &[Value::Int(-5), Value::Int(0)]);
-        m.commit(a).unwrap(); // t3: serialize(Ta, T'b)
-        m.commit(c).unwrap(); // t4: serialize(Tc, T'a)
-        let f = m.begin();
+        let mut a = begin(&m);
+        let mut b = begin(&m);
+        b.trans.add_delete(1, &[Value::Int(10)]);
+        a.trans.add_modify(5, 1, &Value::Int(55));
+        commit(&m, b).unwrap(); // t2
+        let mut c = begin(&m);
+        c.trans.add_insert(0, 0, &[Value::Int(-5), Value::Int(0)]);
+        commit(&m, a).unwrap(); // t3: serialize(Ta, T'b)
+        commit(&m, c).unwrap(); // t4: serialize(Tc, T'a)
+        let f = begin(&m);
         let fin = view(&rows, &f);
         let keys: Vec<i64> = fin.iter().map(|r| r[0].as_int()).collect();
         assert_eq!(keys, vec![-5, 0, 20, 30, 40, 50, 60, 70, 80, 90]);
@@ -787,57 +638,56 @@ mod tests {
     #[test]
     fn tz_pruned_when_no_overlap() {
         let m = mgr();
-        let mut a = m.begin();
-        a.trans_pdt_mut("t").add_delete(0, &[Value::Int(0)]);
-        m.commit(a).unwrap();
+        let mut a = begin(&m);
+        a.trans.add_delete(0, &[Value::Int(0)]);
+        commit(&m, a).unwrap();
         // no running transactions: the delta is retained only while needed
         assert_eq!(m.tz_len(), 0);
         // with a long-running reader, deltas are retained...
-        let reader = m.begin();
-        let mut b = m.begin();
-        b.trans_pdt_mut("t").add_delete(1, &[Value::Int(20)]);
-        m.commit(b).unwrap();
+        let reader = begin(&m);
+        let mut b = begin(&m);
+        b.trans.add_delete(1, &[Value::Int(20)]);
+        commit(&m, b).unwrap();
         assert_eq!(m.tz_len(), 1);
         // ...until the reader finishes
-        m.abort(reader);
-        let mut c = m.begin();
-        c.trans_pdt_mut("t").add_delete(0, &[Value::Int(10)]);
-        m.commit(c).unwrap();
+        abort(&m, reader);
+        let mut c = begin(&m);
+        c.trans.add_delete(0, &[Value::Int(10)]);
+        commit(&m, c).unwrap();
         assert_eq!(m.tz_len(), 0);
     }
 
     #[test]
     fn write_snapshot_shared_between_commits() {
         let m = mgr();
-        let a = m.begin();
-        let b = m.begin();
+        let a = begin(&m);
+        let b = begin(&m);
         // no commit in between: both share the same write snapshot Arc
-        assert!(Arc::ptr_eq(&a.snapshot("t").write, &b.snapshot("t").write));
-        m.abort(a);
-        let mut c = m.begin();
-        c.trans_pdt_mut("t").add_delete(0, &[Value::Int(0)]);
-        m.commit(c).unwrap();
-        let d = m.begin();
-        assert!(!Arc::ptr_eq(&b.snapshot("t").write, &d.snapshot("t").write));
+        assert!(Arc::ptr_eq(&a.snap.write, &b.snap.write));
+        abort(&m, a);
+        let mut c = begin(&m);
+        c.trans.add_delete(0, &[Value::Int(0)]);
+        commit(&m, c).unwrap();
+        let d = begin(&m);
+        assert!(!Arc::ptr_eq(&b.snap.write, &d.snap.write));
     }
 
     #[test]
     fn flush_write_to_read_preserves_view() {
         let m = mgr();
         let rows = base(6);
-        let mut a = m.begin();
-        a.trans_pdt_mut("t").add_delete(2, &[Value::Int(20)]);
-        a.trans_pdt_mut("t")
-            .add_insert(0, 0, &[Value::Int(-1), Value::Int(0)]);
-        m.commit(a).unwrap();
-        let before = view(&rows, &m.begin());
+        let mut a = begin(&m);
+        a.trans.add_delete(2, &[Value::Int(20)]);
+        a.trans.add_insert(0, 0, &[Value::Int(-1), Value::Int(0)]);
+        commit(&m, a).unwrap();
+        let before = view(&rows, &begin(&m));
         m.flush_write_to_read("t");
-        let after_txn = m.begin();
+        let after_txn = begin(&m);
         assert!(
-            after_txn.snapshot("t").write.is_empty(),
+            after_txn.snap.write.is_empty(),
             "write layer emptied by flush"
         );
-        assert!(!after_txn.snapshot("t").read.is_empty());
+        assert!(!after_txn.snap.read.is_empty());
         let after = view(&rows, &after_txn);
         assert_eq!(before, after, "flush must not change the visible image");
     }
@@ -846,22 +696,22 @@ mod tests {
     fn checkpoint_pin_merge_install() {
         let m = mgr();
         let rows = base(6);
-        let mut a = m.begin();
-        a.trans_pdt_mut("t").add_delete(2, &[Value::Int(20)]);
-        m.commit(a).unwrap();
+        let mut a = begin(&m);
+        a.trans.add_delete(2, &[Value::Int(20)]);
+        commit(&m, a).unwrap();
         let pinned = m.pin_checkpoint("t").expect("dirty table pins");
         // a commit lands while the caller merges off-lock: it goes to the
         // fresh master Write-PDT, positioned relative to the pinned image
-        let mut b = m.begin();
-        b.trans_pdt_mut("t").add_modify(0, 1, &Value::Int(70));
-        m.commit(b).unwrap();
+        let mut b = begin(&m);
+        b.trans.add_modify(0, 1, &Value::Int(70));
+        commit(&m, b).unwrap();
         let new_rows = merge_rows(&rows, &pinned);
         assert_eq!(new_rows.len(), 5);
         m.install_checkpoint("t", &pinned, Pdt::new(schema(), vec![0]));
         // read layer is now empty; the mid-merge commit survives on top of
         // the new stable image
-        let t = m.begin();
-        assert!(t.snapshot("t").read.is_empty());
+        let t = begin(&m);
+        assert!(t.snap.read.is_empty());
         let fin = view(&new_rows, &t);
         assert_eq!(fin.len(), 5);
         assert_eq!(fin[0][1], Value::Int(70));
@@ -870,7 +720,7 @@ mod tests {
         let pinned = m.pin_checkpoint("t").expect("write layer still dirty");
         let final_rows = merge_rows(&new_rows, &pinned);
         m.install_checkpoint("t", &pinned, Pdt::new(schema(), vec![0]));
-        assert_eq!(view(&final_rows, &m.begin()), final_rows);
+        assert_eq!(view(&final_rows, &begin(&m)), final_rows);
         assert!(m.pin_checkpoint("t").is_none(), "clean table pins nothing");
     }
 
@@ -878,15 +728,15 @@ mod tests {
     #[should_panic(expected = "changed between checkpoint pin and install")]
     fn install_detects_unserialized_maintenance() {
         let m = mgr();
-        let mut a = m.begin();
-        a.trans_pdt_mut("t").add_delete(0, &[Value::Int(0)]);
-        m.commit(a).unwrap();
+        let mut a = begin(&m);
+        a.trans.add_delete(0, &[Value::Int(0)]);
+        commit(&m, a).unwrap();
         let pinned = m.pin_checkpoint("t").unwrap();
         // a concurrent (unserialized) flush swaps the Read-PDT out from
         // under the pin: install must refuse to reset the wrong layer
-        let mut b = m.begin();
-        b.trans_pdt_mut("t").add_delete(0, &[Value::Int(10)]);
-        m.commit(b).unwrap();
+        let mut b = begin(&m);
+        b.trans.add_delete(0, &[Value::Int(10)]);
+        commit(&m, b).unwrap();
         m.flush_write_to_read("t");
         m.install_checkpoint("t", &pinned, Pdt::new(schema(), vec![0]));
     }
@@ -894,9 +744,9 @@ mod tests {
     #[test]
     fn read_only_commit_is_trivial() {
         let m = mgr();
-        let a = m.begin();
+        let a = begin(&m);
         let seq_before = m.seq();
-        m.commit(a).unwrap();
+        commit(&m, a).unwrap();
         assert_eq!(m.seq(), seq_before);
     }
 
@@ -910,17 +760,14 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut ok = 0;
                 for i in 0..20u64 {
-                    let mut txn = m.begin();
+                    let mut txn = begin(&m);
                     // each thread modifies its own column-1 values on a
                     // distinct row → occasional conflicts on same rows
                     let rid = (t * 7 + i * 13) % 100;
                     // rid may drift as rows are deleted; use modify only
-                    txn.trans_pdt_mut("t").add_modify(
-                        rid % 90,
-                        1,
-                        &Value::Int((t * 1000 + i) as i64),
-                    );
-                    if m.commit(txn).is_ok() {
+                    txn.trans
+                        .add_modify(rid % 90, 1, &Value::Int((t * 1000 + i) as i64));
+                    if commit(&m, txn).is_ok() {
                         ok += 1;
                     }
                 }
@@ -930,8 +777,98 @@ mod tests {
         let total: i32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(total > 0, "some commits must succeed");
         // final state must be a valid merge
-        let f = m.begin();
+        let f = begin(&m);
         let fin = view(&rows, &f);
         assert_eq!(fin.len(), 100);
+    }
+
+    // --- WAL durability: commit through a WAL-backed manager, recover into
+    // a fresh one, compare the visible image ---
+
+    fn str_schema() -> Schema {
+        Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Str)])
+    }
+
+    fn str_base(n: i64) -> Vec<Tuple> {
+        (0..n)
+            .map(|i| vec![Value::Int(i * 10), Value::Str(format!("s{i}"))])
+            .collect()
+    }
+
+    fn committed_view(rows: &[Tuple], m: &TxnManager) -> Vec<Tuple> {
+        let t = begin(m);
+        let v = view(rows, &t);
+        abort(m, t);
+        v
+    }
+
+    #[test]
+    fn recovery_reproduces_committed_state() {
+        let dir = std::env::temp_dir().join(format!("pdt-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal_path = dir.join("recovery_reproduces.wal");
+        let _ = std::fs::remove_file(&wal_path);
+
+        let rows = str_base(10);
+        let committed;
+        {
+            let m = TxnManager::with_wal(&wal_path).unwrap();
+            m.register_table("t", str_schema(), vec![0]);
+
+            let mut a = begin(&m);
+            a.trans
+                .add_insert(3, 3, &[Value::Int(25), Value::Str("ins".into())]);
+            a.trans.add_modify(5, 1, &Value::Str("mod".into()));
+            commit(&m, a).unwrap();
+
+            let mut b = begin(&m);
+            b.trans.add_delete(0, &[Value::Int(0)]);
+            commit(&m, b).unwrap();
+
+            // an aborted transaction must NOT be recovered
+            let mut c = begin(&m);
+            c.trans.add_delete(0, &[Value::Int(10)]);
+            abort(&m, c);
+
+            committed = committed_view(&rows, &m);
+        }
+
+        // crash & recover
+        let m2 = TxnManager::with_wal(&wal_path).unwrap();
+        m2.register_table("t", str_schema(), vec![0]);
+        let last_seq = recover(&m2, &wal_path).unwrap();
+        assert_eq!(last_seq, 2);
+        assert_eq!(m2.seq(), 2);
+        assert_eq!(committed_view(&rows, &m2), committed);
+
+        // the recovered manager keeps working: new commits append to the log
+        let mut d = begin(&m2);
+        d.trans.add_delete(0, &[Value::Int(10)]);
+        assert_eq!(commit(&m2, d).unwrap(), 3);
+        let after = committed_view(&rows, &m2);
+
+        let m3 = TxnManager::with_wal(&wal_path).unwrap();
+        m3.register_table("t", str_schema(), vec![0]);
+        recover(&m3, &wal_path).unwrap();
+        assert_eq!(committed_view(&rows, &m3), after);
+
+        let _ = std::fs::remove_file(&wal_path);
+    }
+
+    #[test]
+    fn recovery_from_missing_wal_is_empty() {
+        let m = TxnManager::new();
+        m.register_table("t", str_schema(), vec![0]);
+        let path = std::env::temp_dir().join("pdt-wal-definitely-missing.wal");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(recover(&m, &path).unwrap(), 0);
+        assert_eq!(committed_view(&str_base(3), &m), str_base(3));
+    }
+
+    #[test]
+    fn replaying_into_an_unknown_table_is_an_error() {
+        let m = mgr();
+        let err = m.replay_pdt_entries("nope", &[]).unwrap_err();
+        assert!(matches!(err, TxnError::UnknownTable(t) if t == "nope"));
     }
 }

@@ -16,7 +16,7 @@
 //! sequence) lands in the file **before** the checkpoint completes, but is
 //! *not* contained in the new image. Instead the checkpoint appends a
 //! [`WalRecord::Checkpoint`] marker carrying the pinned sequence; recovery
-//! ([`Wal::read_effective`]) replays, per table, only the commit entries
+//! ([`effective_commits`]) replays, per table, only the commit entries
 //! with `seq` greater than the table's last marker — everything at or
 //! below it is already durable in the image the table was rebuilt from.
 //! Skipping is by sequence number, not file position, precisely because of
@@ -174,43 +174,6 @@ impl Wal {
         })
     }
 
-    /// Append one commit: the logical delta entries per touched
-    /// `(table, partition)` pair (partition `0` for unpartitioned tables).
-    /// Entries are backend-agnostic — PDT commits log their *serialized*
-    /// (conflict-free, consecutive) deltas via [`pdt_entries`]; value-based
-    /// stores log key-addressed entries with `sid = 0`.
-    pub fn append_commit(
-        &mut self,
-        seq: u64,
-        deltas: &[(&str, u32, &[WalEntry])],
-    ) -> std::io::Result<()> {
-        let mut buf = Vec::new();
-        encode_commit_record(&mut buf, seq, deltas);
-        self.out.write_all(&buf)?;
-        self.out.flush()
-    }
-
-    /// Append a checkpoint marker: `(table, partition)`'s commits with
-    /// sequence ≤ `seq` are durable in a fresh stable image — persisted
-    /// on disk when `image_seq` is set — except for `residual`, their
-    /// remainder outside the folded stable-SID window `range`. Must be
-    /// written under the same exclusion that orders commits (the engine's
-    /// commit guard), after the new image is installed.
-    pub fn append_checkpoint(
-        &mut self,
-        table: &str,
-        partition: u32,
-        seq: u64,
-        image_seq: Option<u64>,
-        range: (u64, u64),
-        residual: &[WalEntry],
-    ) -> std::io::Result<()> {
-        let mut buf = Vec::new();
-        encode_checkpoint_record(&mut buf, table, partition, seq, image_seq, range, residual);
-        self.out.write_all(&buf)?;
-        self.out.flush()
-    }
-
     /// Append pre-encoded record bytes as one physical write + flush
     /// window. The group-commit coordinator ([`GroupWal`]) uses this to
     /// land a whole batch of records in a single append.
@@ -311,20 +274,15 @@ impl Wal {
         }
         Ok(records)
     }
-
-    /// Read the log and resolve checkpoint markers: returns only commit
-    /// records, with each `(table, partition)`'s entries dropped when a
-    /// marker covers them (`seq` ≤ the partition's last marker). This is
-    /// the record stream a recovery that rebuilt every partition from its
-    /// checkpointed stable image must replay.
-    pub fn read_effective(path: &Path) -> std::io::Result<Vec<WalRecord>> {
-        Ok(effective_commits(Self::read_all(path)?))
-    }
 }
 
-/// Resolve checkpoint markers over an already-read record stream — the
-/// filtering behind [`Wal::read_effective`], separated so callers that
-/// also need the markers (image-based recovery) read the file once.
+/// Resolve checkpoint markers over an already-read record stream: returns
+/// only commit records, with each `(table, partition)`'s entries dropped
+/// when a marker covers them (`seq` ≤ the partition's last marker). This is
+/// the record stream a recovery that rebuilt every partition from its
+/// checkpointed stable image must replay. Takes the records rather than a
+/// path so callers that also need the markers (image-based recovery) read
+/// the file once.
 pub fn effective_commits(records: Vec<WalRecord>) -> Vec<WalRecord> {
     let markers = checkpoint_seqs(&records);
     records
@@ -500,7 +458,7 @@ struct GroupState {
 ///
 /// The durable prefix of the file is always a sequence-ordered prefix of
 /// the enqueue order, so recovery is byte-identical to the sequential
-/// path — [`Wal::read_effective`] filters checkpoint markers by
+/// path — [`effective_commits`] filters checkpoint markers by
 /// sequence, not file position, and that invariant is preserved.
 pub struct GroupWal {
     state: StdMutex<GroupState>,
@@ -527,8 +485,11 @@ impl GroupWal {
         })
     }
 
-    /// Enqueue one commit record; returns the ticket to pass to
-    /// [`Self::wait_durable`]. Callers must hold whatever exclusion
+    /// Enqueue one commit record — the logical delta entries per touched
+    /// `(table, partition)` pair (partition `0` for unpartitioned tables);
+    /// PDT commits log their *serialized* deltas via [`pdt_entries`],
+    /// value-based stores log key-addressed entries with `sid = 0`.
+    /// Returns the ticket to pass to [`Self::wait_durable`]. Callers must hold whatever exclusion
     /// orders their sequence numbers (the engine's commit guard) across
     /// `alloc_seq` + `enqueue_commit` so the buffer stays in seq order.
     pub fn enqueue_commit(&self, seq: u64, deltas: &[(&str, u32, &[WalEntry])]) -> u64 {
@@ -568,8 +529,12 @@ impl GroupWal {
         }
     }
 
-    /// Enqueue a checkpoint marker (see [`Wal::append_checkpoint`]) and
-    /// wait until it (and everything enqueued before it) is durable.
+    /// Enqueue a checkpoint marker — `(table, partition)`'s commits with
+    /// sequence ≤ `seq` are durable in a fresh stable image, persisted on
+    /// disk when `image_seq` is set, except for `residual`, their remainder
+    /// outside the folded stable-SID window `range` — and wait until it
+    /// (and everything enqueued before it) is durable. Call under the same
+    /// exclusion that orders commits (the engine's commit guard).
     /// Synchronous on purpose: the caller installs the checkpointed image
     /// under the commit guard, and a recovered log must never cover an
     /// image with a marker that was not yet on disk when the image became
@@ -702,7 +667,7 @@ pub struct CoveringMarker {
 /// partition. Recovery rebuilds each partition from the persisted image
 /// the covering marker references — `image_seq` is the manifest sequence
 /// to load — replays the marker's `residual`, then replays the commits
-/// [`Wal::read_effective`] keeps.
+/// [`effective_commits`] keeps.
 pub fn checkpoint_markers(records: &[WalRecord]) -> HashMap<String, HashMap<u32, CoveringMarker>> {
     let mut m: HashMap<String, HashMap<u32, CoveringMarker>> = HashMap::new();
     for rec in records {
@@ -1164,10 +1129,14 @@ mod tests {
             },
         ];
         {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append_commit(1, &[("t", 3, entries.as_slice())])
-                .unwrap();
+            let gw = GroupWal::open(&path).unwrap();
+            let t = gw.enqueue_commit(1, &[("t", 3, entries.as_slice())]);
+            gw.wait_durable(t).unwrap();
         }
+        // the coordinator lands exactly the encoder's bytes
+        let mut expected = Vec::new();
+        encode_commit_record(&mut expected, 1, &[("t", 3, entries.as_slice())]);
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
         let records = Wal::read_all(&path).unwrap();
         assert_eq!(records.len(), 1);
         let WalRecord::Commit { seq, tables } = &records[0] else {
@@ -1193,18 +1162,19 @@ mod tests {
             }]
         };
         {
-            let mut wal = Wal::open(&path).unwrap();
+            let gw = GroupWal::open(&path).unwrap();
             // seq 1 touches partitions 0 and 1; seq 2 touches partition 0
             let (e0, e1, e2) = (ins(10), ins(20), ins(30));
-            wal.append_commit(1, &[("t", 0, e0.as_slice()), ("t", 1, e1.as_slice())])
-                .unwrap();
-            wal.append_commit(2, &[("t", 0, e2.as_slice())]).unwrap();
+            gw.enqueue_commit(1, &[("t", 0, e0.as_slice()), ("t", 1, e1.as_slice())]);
+            gw.enqueue_commit(2, &[("t", 0, e2.as_slice())]);
             // partition 0 checkpointed at seq 2: both its deltas are folded,
-            // with a persisted image referenced by the marker
-            wal.append_checkpoint("t", 0, 2, Some(2), (0, 3), &[])
+            // with a persisted image referenced by the marker (the
+            // synchronous marker append drains the two commits before it)
+            gw.append_checkpoint("t", 0, 2, Some(2), (0, 3), &[])
                 .unwrap();
         }
         let all = Wal::read_all(&path).unwrap();
+        assert_eq!(all.len(), 3);
         assert!(
             matches!(
                 all.last(),
@@ -1221,7 +1191,7 @@ mod tests {
         let m = &markers["t"][&0];
         assert_eq!((m.seq, m.image_seq), (2, Some(2)));
         assert!(m.residual.is_empty());
-        let effective = Wal::read_effective(&path).unwrap();
+        let effective = effective_commits(all);
         let kept: Vec<(u64, String, u32)> = effective
             .iter()
             .flat_map(|r| match r {

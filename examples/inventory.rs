@@ -10,14 +10,17 @@
 //! ```
 
 use columnar::{Schema, TableMeta, Value, ValueType};
-use engine::{Database, TableOptions};
+use engine::{Database, ScanSpec, TableOptions};
 use exec::expr::{col, lit};
 use exec::{run_to_rows, Batch};
 
 fn print_table(db: &Database, caption: &str) {
     let view = db.read_view();
     let mut scan = view
-        .scan_cols("inventory", &["store", "prod", "new", "qty"])
+        .scan_with(
+            "inventory",
+            ScanSpec::named(["store", "prod", "new", "qty"]),
+        )
         .expect("scan inventory");
     println!("\n{caption}");
     println!("{:<8} {:<8} {:<4} {:>4}", "store", "prod", "new", "qty");
@@ -127,13 +130,12 @@ fn main() {
     // which only exists as a PDT insert positioned relative to the ghost.
     let view = db.read_view();
     let mut scan = view
-        .scan_ranged(
+        .scan_with(
             "inventory",
-            vec![0, 1, 3],
-            exec::ScanBounds {
+            ScanSpec::cols(vec![0, 1, 3]).bounds(exec::ScanBounds {
                 lo: Some(vec!["Paris".into()]),
                 hi: Some(vec!["Paris".into(), "rug".into()]),
-            },
+            }),
         )
         .expect("ranged scan");
     let hits: Vec<_> = run_to_rows(&mut scan)

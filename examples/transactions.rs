@@ -7,14 +7,14 @@
 //! ```
 
 use columnar::{Schema, TableMeta, Value, ValueType};
-use engine::{Database, DbError, TableOptions};
+use engine::{Database, DbError, ScanSpec, TableOptions};
 use exec::expr::{col, lit};
 use exec::{run_to_rows, Batch};
 
 fn balances(db: &Database) -> Vec<(i64, i64)> {
     let view = db.read_view();
     let mut scan = view
-        .scan_cols("accounts", &["id", "balance"])
+        .scan_with("accounts", ScanSpec::named(["id", "balance"]))
         .expect("scan accounts");
     run_to_rows(&mut scan)
         .into_iter()
@@ -140,7 +140,9 @@ fn main() {
     q.commit()
         .expect("disjoint columns of the same tuple reconcile");
     let view = db2.read_view();
-    let mut scan = view.scan_cols("t", &["a", "b"]).expect("scan t");
+    let mut scan = view
+        .scan_with("t", ScanSpec::named(["a", "b"]))
+        .expect("scan t");
     let row = &run_to_rows(&mut scan)[0];
     println!(
         "\ncolumn-level reconciliation: a={} b={} (both updates survived)",

@@ -6,7 +6,7 @@
 
 use columnar::{Schema, Tuple, Value, ValueType};
 use engine::testkit::DiffHarness;
-use engine::{Database, TableOptions, ALL_POLICIES};
+use engine::{Database, ScanSpec, TableOptions, ALL_POLICIES};
 use exec::expr::{col, lit};
 use exec::run_to_rows;
 
@@ -170,7 +170,8 @@ fn reconciled_disjoint_commits_recover_identically() {
             b.commit()
                 .unwrap_or_else(|e| panic!("{policy:?}: disjoint columns must reconcile: {e}"));
             let view = db.read_view();
-            committed = run_to_rows(&mut view.scan("t", vec![0, 1, 2]).unwrap());
+            committed =
+                run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1, 2])).unwrap());
             assert_eq!(
                 committed[3],
                 vec![Value::Int(30), Value::Int(111), Value::Int(222)],
@@ -186,7 +187,8 @@ fn reconciled_disjoint_commits_recover_identically() {
         .unwrap();
         db.recover_from(&wal).unwrap();
         let view = db.read_view();
-        let recovered = run_to_rows(&mut view.scan("t", vec![0, 1, 2]).unwrap());
+        let recovered =
+            run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1, 2])).unwrap());
         assert_eq!(
             recovered, committed,
             "{policy:?}: recovered state must equal committed state"
@@ -218,7 +220,10 @@ fn aggregation_queries_see_transactional_updates() {
         txn.commit().unwrap();
 
         let view = db.read_view();
-        let scan: exec::BoxOp = Box::new(view.scan_cols("t", &["grp", "amount"]).unwrap());
+        let scan: exec::BoxOp = Box::new(
+            view.scan_with("t", ScanSpec::named(["grp", "amount"]))
+                .unwrap(),
+        );
         let mut agg = exec::HashAggregate::new(
             scan,
             vec![0],

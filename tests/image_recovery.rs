@@ -18,7 +18,7 @@
 use columnar::TableMeta;
 use columnar::{Schema, Tuple, Value, ValueType};
 use engine::testkit::DiffHarness;
-use engine::{Database, TableOptions, ALL_POLICIES};
+use engine::{Database, ScanSpec, TableOptions, ALL_POLICIES};
 
 fn schema() -> Schema {
     Schema::from_pairs(&[
@@ -176,7 +176,7 @@ fn cold_start_serves_checkpointed_state_from_images() {
             txn.commit().unwrap();
             assert!(db.checkpoint("t").unwrap(), "delta must fold");
             let view = db.read_view();
-            exec::run_to_rows(&mut view.scan("t", vec![0, 1, 2]).unwrap())
+            exec::run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1, 2])).unwrap())
         };
         // fresh process: recovery must not need the folded history
         let db = make();
@@ -188,8 +188,68 @@ fn cold_start_serves_checkpointed_state_from_images() {
             "{policy:?}: cold start must charge the image's compressed blocks"
         );
         let view = db.read_view();
-        let got = exec::run_to_rows(&mut view.scan("t", vec![0, 1, 2]).unwrap());
+        let got =
+            exec::run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1, 2])).unwrap());
         assert_eq!(got, want, "{policy:?}: cold start diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A log is only replayable into the structure that wrote it: a PDT log
+/// carries positional modify entries a value-addressed store has no way to
+/// apply, and a log written for another schema carries payloads of the
+/// wrong width. Both must come back from `recover_from` as errors — like
+/// an unknown table or partition does — never take the process down.
+#[test]
+fn recovering_a_log_that_does_not_fit_the_table_is_an_error() {
+    use engine::{DbError, UpdatePolicy};
+    let dir = std::env::temp_dir().join(format!("pdt_img_misfit_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let make = |wal: &std::path::Path, schema: Schema, policy, rows| {
+        let db = Database::with_wal(wal).unwrap();
+        let opts = TableOptions::default().with_policy(policy);
+        db.create_table(TableMeta::new("t", schema, vec![0]), opts, rows)
+            .unwrap();
+        db
+    };
+
+    // a PDT-written log with a modify entry
+    let pdt_wal = dir.join("pdt.wal");
+    {
+        let db = make(&pdt_wal, schema(), UpdatePolicy::Pdt, base_rows(16));
+        let mut txn = db.begin();
+        txn.update_col("t", &[3], 1, columnar::ColumnVec::Int(vec![-3]))
+            .unwrap();
+        txn.commit().unwrap();
+    }
+    // a value-store log of three-wide tuples
+    let wide_wal = dir.join("wide.wal");
+    {
+        let db = make(&wide_wal, schema(), UpdatePolicy::Vdt, base_rows(16));
+        let mut txn = db.begin();
+        let row = |k: i64| vec![Value::Int(k), Value::Int(k), Value::Str("w".into())];
+        txn.append(
+            "t",
+            exec::Batch::from_owned_rows(&schema().types(), vec![row(1), row(2), row(3)]),
+        )
+        .unwrap();
+        txn.commit().unwrap();
+    }
+    let narrow = Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]);
+    for policy in [UpdatePolicy::Vdt, UpdatePolicy::RowStore] {
+        let db = make(&dir.join("unused.wal"), schema(), policy, base_rows(16));
+        let err = db.recover_from(&pdt_wal).unwrap_err();
+        assert!(matches!(err, DbError::Txn(_)), "{policy:?}: {err}");
+        assert!(
+            err.to_string().contains("modify entry"),
+            "{policy:?}: {err}"
+        );
+
+        let db = make(&dir.join("unused.wal"), narrow.clone(), policy, vec![]);
+        let err = db.recover_from(&wide_wal).unwrap_err();
+        assert!(matches!(err, DbError::Txn(_)), "{policy:?}: {err}");
+        assert!(err.to_string().contains("9 values"), "{policy:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -25,7 +25,7 @@
 
 use columnar::{Schema, Tuple, Value, ValueType};
 use engine::testkit::{run_concurrent_differential, ConcurrentSpec};
-use engine::{Database, TableOptions, UpdatePolicy, ALL_POLICIES};
+use engine::{Database, ScanSpec, TableOptions, UpdatePolicy, ALL_POLICIES};
 use exec::expr::{col, lit};
 use exec::run_to_rows;
 use std::sync::Arc;
@@ -54,7 +54,12 @@ fn make_db(policy: UpdatePolicy, n: i64, block_rows: usize) -> Database {
 }
 
 fn image(db: &Database) -> Vec<Tuple> {
-    run_to_rows(&mut db.read_view().scan("t", vec![0, 1]).unwrap())
+    run_to_rows(
+        &mut db
+            .read_view()
+            .scan_with("t", ScanSpec::cols(vec![0, 1]))
+            .unwrap(),
+    )
 }
 
 /// The headline stress test: writers + scanners + background scheduler,
@@ -97,14 +102,15 @@ fn read_view_is_stable_across_flush_and_checkpoint() {
         t.commit().unwrap();
 
         let view = db.read_view();
-        let before = run_to_rows(&mut view.scan("t", vec![0, 1]).unwrap());
+        let before = run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap());
 
         assert!(db.maybe_flush("t", 0).unwrap() || policy != UpdatePolicy::Pdt);
-        let after_flush = run_to_rows(&mut view.scan("t", vec![0, 1]).unwrap());
+        let after_flush =
+            run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap());
         assert_eq!(before, after_flush, "{policy:?}: flush moved an open view");
 
         assert!(db.checkpoint("t").unwrap(), "{policy:?}");
-        let after_ckpt = run_to_rows(&mut view.scan("t", vec![0, 1]).unwrap());
+        let after_ckpt = run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap());
         assert_eq!(
             before, after_ckpt,
             "{policy:?}: checkpoint moved an open view"
@@ -112,7 +118,12 @@ fn read_view_is_stable_across_flush_and_checkpoint() {
 
         // a fresh view sees the same rows, now from the new stable image
         assert_eq!(image(&db), before, "{policy:?}");
-        let clean = run_to_rows(&mut db.clean_view().scan("t", vec![0, 1]).unwrap());
+        let clean = run_to_rows(
+            &mut db
+                .clean_view()
+                .scan_with("t", ScanSpec::cols(vec![0, 1]))
+                .unwrap(),
+        );
         assert_eq!(clean, before, "{policy:?}: checkpointed image differs");
     }
 }
@@ -161,14 +172,24 @@ fn scans_and_commits_proceed_during_checkpoint_merge() {
             "{policy:?}: mid-merge commit lost or misplaced by the checkpoint"
         );
         // ... and the mid-merge commit is residual delta, not stable
-        let clean = run_to_rows(&mut db.clean_view().scan("t", vec![0, 1]).unwrap());
+        let clean = run_to_rows(
+            &mut db
+                .clean_view()
+                .scan_with("t", ScanSpec::cols(vec![0, 1]))
+                .unwrap(),
+        );
         assert_eq!(
             clean, before,
             "{policy:?}: stable image must not contain the mid-merge commit"
         );
         // a second checkpoint folds the residual
         assert!(db.checkpoint("t").unwrap(), "{policy:?}");
-        let clean = run_to_rows(&mut db.clean_view().scan("t", vec![0, 1]).unwrap());
+        let clean = run_to_rows(
+            &mut db
+                .clean_view()
+                .scan_with("t", ScanSpec::cols(vec![0, 1]))
+                .unwrap(),
+        );
         assert_eq!(clean, want, "{policy:?}");
     }
 }
@@ -215,7 +236,12 @@ fn flush_between_seq_allocation_and_publish_keeps_the_commit_visible() {
         insert(26, false);
         want.insert(want.binary_search(&26).unwrap_err(), 26);
         assert!(db.checkpoint("t").unwrap(), "{policy:?}");
-        let clean = run_to_rows(&mut db.clean_view().scan("t", vec![0, 1]).unwrap());
+        let clean = run_to_rows(
+            &mut db
+                .clean_view()
+                .scan_with("t", ScanSpec::cols(vec![0, 1]))
+                .unwrap(),
+        );
         assert_eq!(keys(&clean), want, "{policy:?}: checkpointed image");
     }
 }
@@ -260,7 +286,12 @@ fn wal_marker_orders_mid_merge_commits_for_recovery() {
         assert!(did, "{policy:?}");
         // the checkpointed stable image — what a real system persists at
         // the marker — and one more commit after the checkpoint
-        let marker_image = run_to_rows(&mut db.clean_view().scan("t", vec![0, 1]).unwrap());
+        let marker_image = run_to_rows(
+            &mut db
+                .clean_view()
+                .scan_with("t", ScanSpec::cols(vec![0, 1]))
+                .unwrap(),
+        );
         {
             let mut t = db.begin();
             t.insert("t", vec![Value::Int(14), Value::Int(-14)])
@@ -332,7 +363,12 @@ fn scheduler_with_wal_survives_crash_recovery() {
         let live = image(&db);
         // after drain, everything is stable: the clean image is the
         // checkpointed base a recovery would restart from
-        let base = run_to_rows(&mut db.clean_view().scan("t", vec![0, 1]).unwrap());
+        let base = run_to_rows(
+            &mut db
+                .clean_view()
+                .scan_with("t", ScanSpec::cols(vec![0, 1]))
+                .unwrap(),
+        );
         assert_eq!(base, live, "{policy:?}: drain left residual deltas");
         drop(db);
 

@@ -13,7 +13,7 @@
 //! API — the structures differ, the workload cannot.
 
 use columnar::{Schema, TableMeta, Tuple, Value, ValueType};
-use engine::{Database, TableOptions, UpdatePolicy};
+use engine::{Database, ScanSpec, TableOptions, UpdatePolicy};
 use exec::expr::{col, lit};
 use exec::run_to_rows;
 
@@ -72,7 +72,7 @@ fn apply_some_updates(db: &Database, rows: i64, payload: usize) {
 /// Bytes read by a full scan projecting only `cols` under `view`.
 fn scan_bytes(view: &engine::ReadView, cols: Vec<usize>) -> u64 {
     let before = view.io.stats();
-    let mut scan = view.scan("t", cols).unwrap();
+    let mut scan = view.scan_with("t", ScanSpec::cols(cols)).unwrap();
     while exec::Operator::next_batch(&mut scan).is_some() {}
     view.io.stats().since(&before).bytes_read
 }
@@ -124,13 +124,12 @@ fn claim_ghost_respecting_keeps_stale_sparse_index_valid() {
     let view = db.read_view();
     let io_before = view.io.stats();
     let mut scan = view
-        .scan_ranged(
+        .scan_with(
             "t",
-            vec![0, 1],
-            exec::ScanBounds {
+            ScanSpec::cols(vec![0, 1]).bounds(exec::ScanBounds {
                 lo: Some(vec![Value::Int(990)]),
                 hi: Some(vec![Value::Int(1010)]),
-            },
+            }),
         )
         .unwrap();
     let rows = run_to_rows(&mut scan);
@@ -188,7 +187,8 @@ fn claim_lock_free_snapshot_isolation_under_concurrency() {
     // a long-running reader observes a frozen image while 8 writer threads
     // hammer commits
     let reader = db.begin();
-    let frozen: Vec<Tuple> = run_to_rows(&mut reader.scan("t", vec![0, 1]).unwrap());
+    let frozen: Vec<Tuple> =
+        run_to_rows(&mut reader.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap());
 
     let mut handles = Vec::new();
     for t in 0..8i64 {
@@ -213,12 +213,13 @@ fn claim_lock_free_snapshot_isolation_under_concurrency() {
     assert!(total > 0, "some commits must succeed");
 
     // the reader's snapshot never moved
-    let after: Vec<Tuple> = run_to_rows(&mut reader.scan("t", vec![0, 1]).unwrap());
+    let after: Vec<Tuple> =
+        run_to_rows(&mut reader.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap());
     assert_eq!(frozen, after, "snapshot isolation violated");
     reader.abort();
 
     // and the final image reflects a serial order of the committed writers
     let view = db.read_view();
-    let fin = run_to_rows(&mut view.scan("t", vec![0, 1]).unwrap());
+    let fin = run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1])).unwrap());
     assert_eq!(fin.len(), 1000, "modifies never change cardinality");
 }
