@@ -51,4 +51,4 @@ pub use kernel::{MergeStep, PreparedKey, UpdateColumn};
 pub use schema::{Field, Schema, SortKeyDef};
 pub use sparse::SparseIndex;
 pub use table::{ScanRange, StableTable, TableBuilder, TableMeta, TableOptions};
-pub use value::{format_date, parse_date, SkKey, Tuple, Value, ValueType};
+pub use value::{format_date, parse_date, KeyOp, SkKey, Tuple, Value, ValueType};

@@ -242,6 +242,41 @@ pub type Tuple = Vec<Value>;
 /// table's sort-key columns, in key order. Ordered lexicographically.
 pub type SkKey = Vec<Value>;
 
+/// One staged update against a key-addressed delta structure (the
+/// value-based tree of `vdt`, the row buffer of `rowstore`): what a
+/// transaction keeps per statement for conflict validation, for the WAL
+/// flattening and for publication. Rows are addressed by the sort key of
+/// the tuple they carry; a statement staged as a batch stays one op — and
+/// downstream one WAL entry — not one per row.
+#[derive(Debug, Clone, PartialEq)]
+pub enum KeyOp {
+    /// A brand-new tuple (its sort key was not visible at staging time).
+    Insert(Tuple),
+    /// A whole batch of brand-new tuples staged by one statement
+    /// (key-sorted, distinct keys).
+    InsertBatch(Vec<Tuple>),
+    /// Deletion of a visible tuple.
+    Delete {
+        /// Full pre-image: the sort key addresses the tuple, the rest
+        /// detects a concurrent modification.
+        pre: Tuple,
+    },
+    /// Deletion of a batch of visible tuples staged by one statement.
+    DeleteBatch {
+        /// Full pre-images in visible — i.e. key — order.
+        pres: Vec<Tuple>,
+    },
+    /// In-place modification of one column of a visible tuple.
+    Modify {
+        /// Full pre-image of the tuple.
+        pre: Tuple,
+        /// The column assigned.
+        col: usize,
+        /// Its new value.
+        value: Value,
+    },
+}
+
 /// Extract the sort key of `tuple` given the sort-key column indices.
 pub fn sk_of(tuple: &[Value], sort_key: &[usize]) -> SkKey {
     sort_key.iter().map(|&c| tuple[c].clone()).collect()

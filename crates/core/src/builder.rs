@@ -37,16 +37,26 @@ impl PdtBuilder {
     /// Append one entry. Panics if (SID, RID) order would be violated —
     /// that is a logic error in the caller, never a data condition.
     pub fn push(&mut self, sid: u64, upd: Upd) {
-        let rid = (sid as i64 + self.delta) as u64;
-        if let Some((ps, pr)) = self.last {
-            assert!(
-                (sid, rid) >= (ps, pr),
+        self.try_push(sid, upd).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// [`PdtBuilder::push`] for entries that come from outside the program
+    /// (a log read from a file): an entry out of (SID, RID) order, or one
+    /// the deletes before it would put at a negative RID, is reported and
+    /// not appended.
+    pub fn try_push(&mut self, sid: u64, upd: Upd) -> Result<(), String> {
+        let rid = sid
+            .checked_add_signed(self.delta)
+            .ok_or_else(|| format!("builder input at SID {sid} has a negative RID"))?;
+        if let Some((ps, pr)) = self.last.filter(|&last| (sid, rid) < last) {
+            return Err(format!(
                 "builder input out of order: ({sid},{rid}) after ({ps},{pr})"
-            );
+            ));
         }
         self.last = Some((sid, rid));
         self.delta += upd.delta_contrib();
         self.pdt.append_entry(sid, upd);
+        Ok(())
     }
 
     /// Finish and return the tree.

@@ -29,20 +29,27 @@
 //!   [`RangeMerge::install`] closure the merge returns.
 //!
 //! [`PdtStore`] delegates to the [`TxnManager`]'s stacked-PDT machinery
-//! (Read/Write/Trans layers, Serialize/Propagate commits — §3.3).
-//! [`VdtStore`] gives the value-based baseline the *same* transactional
-//! treatment the paper's VDT lacks in most systems: staged ops, snapshot
-//! isolation from an immutable committed tree, key-addressed write-write
-//! conflict detection on replay, and WAL-logged commits. The third backend,
-//! [`crate::RowStore`](crate::rowstore::RowStore), stages updates in a
-//! copy-on-write row buffer with per-commit versioned runs — the classic
-//! delta-store model — again with zero call-site changes; three
-//! independently implemented structures behind one lifecycle are what the
-//! differential test harness ([`crate::testkit`]) leans on.
+//! (Read/Write/Trans layers, Serialize/Propagate commits — §3.3). The two
+//! *key-addressed* baselines share one adapter, [`KeyStore`], generic over
+//! the [`KeyDelta`] structure it maintains: `KeyStore<Vdt>` gives the
+//! value-based tree the *same* transactional treatment the paper's VDT
+//! lacks in most systems — staged ops, snapshot isolation from an immutable
+//! committed structure, write-write conflict detection, WAL-logged commits
+//! — and `KeyStore<RowBuffer>` does so for the classic delta-store model, a
+//! copy-on-write row buffer with per-commit versioned runs. What the
+//! adapter shares is only the glue; the structures, their mergers and
+//! their conflict mechanisms (value-wise replay vs. run footprints) stay
+//! independently built, and three independently implemented structures
+//! behind one lifecycle are what the differential test harness
+//! ([`crate::testkit`]) leans on.
 
 use crate::batch::DmlBatch;
 use crate::DbError;
-use columnar::{ColumnVec, ColumnarError, IoTracker, StableTable, TableBuilder, Tuple, Value};
+use columnar::value::sk_of;
+use columnar::{
+    ColumnVec, ColumnarError, IoTracker, KeyOp, Schema, SkKey, StableTable, TableBuilder, Tuple,
+    Value, ValueType,
+};
 use exec::DeltaLayers;
 use parking_lot::RwLock;
 use pdt::Pdt;
@@ -50,7 +57,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use txn::wal::{self, WalEntry};
 use txn::{TxnError, TxnManager};
-use vdt::{Vdt, VdtOp};
+use vdt::Vdt;
 
 /// Which differential structure maintains a table (per-table, chosen at
 /// [`crate::Database::create_table`] time through [`crate::TableOptions`]).
@@ -200,7 +207,7 @@ pub struct RangeMerge {
 /// Rewrite the blocks of `range`: materialize their rows, let `merge` fold
 /// a value-addressed delta into them, and splice the result between the
 /// kept neighbours (the merge step of both value stores' checkpoints).
-pub(crate) fn rewrite_range(
+fn rewrite_range(
     stable: &StableTable,
     range: &CompactRange,
     io: &IoTracker,
@@ -225,44 +232,84 @@ pub(crate) fn rewrite_range(
     builder.finish()
 }
 
+/// A key-addressed log entry (value stores address by key, never by SID).
+fn key_entry(kind: u16, values: Vec<Value>) -> WalEntry {
+    WalEntry {
+        sid: 0,
+        kind,
+        values,
+    }
+}
+
+/// A statement's rows (or keys) as one unit of the op log and the WAL:
+/// nothing for none, the singular form for one — so mixed workloads keep
+/// their natural log shape — and the batch form otherwise.
+fn one_or_batch<T>(
+    mut rows: Vec<Vec<Value>>,
+    one: impl FnOnce(Vec<Value>) -> T,
+    batch: impl FnOnce(Vec<Vec<Value>>) -> T,
+) -> Option<T> {
+    match rows.len() {
+        0 => None,
+        1 => Some(one(rows.remove(0))),
+        _ => Some(batch(rows)),
+    }
+}
+
 /// Flatten a value-addressed residual (delete keys + insert tuples, each
 /// key-sorted) into loggable entries: deletes first, then inserts, so
 /// replaying through [`apply_key_entries`] reconstructs the structure
 /// exactly (an insert over its own delete key re-hides the stable row).
-pub(crate) fn key_residual_entries(dels: Vec<Vec<Value>>, inss: Vec<Tuple>) -> Vec<WalEntry> {
-    let mut entries = Vec::new();
-    match dels.len() {
-        0 => {}
-        1 => entries.push(WalEntry {
-            sid: 0,
-            kind: pdt::DEL,
-            values: dels.into_iter().next().unwrap(),
-        }),
-        _ => entries.push(WalEntry {
-            sid: 0,
-            kind: pdt::DEL_BATCH,
-            values: dels.into_iter().flatten().collect(),
-        }),
-    }
-    match inss.len() {
-        0 => {}
-        1 => entries.push(WalEntry {
-            sid: 0,
-            kind: pdt::INS,
-            values: inss.into_iter().next().unwrap(),
-        }),
-        _ => entries.push(WalEntry {
-            sid: 0,
-            kind: pdt::INS_BATCH,
-            values: inss.into_iter().flatten().collect(),
-        }),
-    }
-    entries
+fn key_residual_entries(dels: Vec<SkKey>, inss: Vec<Tuple>) -> Vec<WalEntry> {
+    let flat = |rows: Vec<Vec<Value>>| rows.into_iter().flatten().collect();
+    let dels = one_or_batch(
+        dels,
+        |key| key_entry(pdt::DEL, key),
+        |keys| key_entry(pdt::DEL_BATCH, flat(keys)),
+    );
+    let inss = one_or_batch(
+        inss,
+        |t| key_entry(pdt::INS, t),
+        |ts| key_entry(pdt::INS_BATCH, flat(ts)),
+    );
+    dels.into_iter().chain(inss).collect()
 }
 
-/// A value-addressed structure that key-addressed WAL entries apply to.
-pub(crate) trait KeyEntrySink {
-    fn apply_insert(&mut self, tuple: Vec<Value>);
+/// A key-addressed delta structure, as the one engine adapter
+/// ([`KeyStore`]) sees it. A structure says only **how it stores** (the
+/// accessors and `apply_*` methods — each a thin delegation to the
+/// structure's own inherent API) and **how it detects conflicts** (the
+/// [`KeyDelta::rebase`] hook and the [`KeyDelta::History`] it may keep for
+/// it); staging, WAL flattening, publication, replay and the checkpoint
+/// protocol are written once over this trait. Implemented by [`Vdt`] and,
+/// in [`crate::rowstore`], by the row buffer.
+pub trait KeyDelta: Clone + Send + Sync + 'static {
+    /// What the structure keeps beside its committed state to validate
+    /// transactions that began before the latest commit (`()` when the
+    /// committed structure itself is enough).
+    type History: Default + Send + Sync;
+    /// The policy that selects this structure.
+    const POLICY: UpdatePolicy;
+
+    /// An empty structure over a table of this shape.
+    fn new(schema: Schema, sk_cols: Vec<usize>) -> Self;
+    /// The table's schema.
+    fn schema(&self) -> &Schema;
+    /// The table's sort-key columns.
+    fn sk_cols(&self) -> &[usize];
+    /// The structure as a scan's merge input (called on non-empty
+    /// structures only).
+    fn layers(&self) -> DeltaLayers<'_>;
+    /// Does the structure hold no update at all?
+    fn is_empty(&self) -> bool;
+    /// Net visible-row change relative to the stable image.
+    fn delta_total(&self) -> i64;
+    /// Approximate heap footprint.
+    fn heap_bytes(&self) -> usize;
+    /// Apply one staged op (transaction staging).
+    fn apply_op(&mut self, op: &KeyOp);
+    /// Apply one logged insert.
+    fn apply_insert(&mut self, tuple: Tuple);
     /// Apply one logged batch of inserts. Default: row loop; structures
     /// with a cheaper bulk path override it.
     fn apply_insert_batch(&mut self, tuples: Vec<Tuple>) {
@@ -270,27 +317,117 @@ pub(crate) trait KeyEntrySink {
             self.apply_insert(t);
         }
     }
+    /// Apply one logged delete of the visible tuple at `key`.
     fn apply_delete(&mut self, key: &[Value]);
-    /// `(tuple width, sort-key width)` — the chunk sizes that slice a
-    /// batched entry's flat value payload back into rows and keys.
-    fn entry_widths(&self) -> (usize, usize);
+    /// The buffered tuple visible at `key`, if any.
+    fn pending(&self, key: &[Value]) -> Option<&Tuple>;
+    /// Everything the structure holds, as `(key, hides the stable tuple at
+    /// key, the tuple visible at key)` items for the checkpoint's range
+    /// split. A key may be reported in two items as long as the hiding one
+    /// comes first; within each of the two kinds, items are in key order.
+    fn contents(&self) -> impl Iterator<Item = (&SkKey, bool, Option<&Tuple>)>;
+    /// Row-level merge into `stable_rows` (the checkpoint's fold).
+    fn merge_rows(&self, stable_rows: &[Tuple]) -> Vec<Tuple>;
+
+    /// Conflict detection. Something was published after the transaction
+    /// that staged `ops` took its snapshot at `base_version`: validate the
+    /// ops against what was committed since and return `committed` with
+    /// them applied, or the reason they conflict.
+    fn rebase(
+        committed: &Self,
+        history: &Self::History,
+        base_version: u64,
+        ops: &[KeyOp],
+    ) -> Result<Self, String>;
+    /// A commit staged as `ops` produced `version`.
+    fn record(_history: &mut Self::History, _version: u64, _ops: Vec<KeyOp>) {}
+    /// A checkpoint pinned at `version` was installed: nothing at or below
+    /// it can be concurrent with a transaction that validates from now on.
+    fn retire(_history: &mut Self::History, _version: u64) {}
+    /// Approximate heap footprint of the history.
+    fn history_bytes(_history: &Self::History) -> usize {
+        0
+    }
 }
 
-impl KeyEntrySink for Vdt {
-    fn apply_insert(&mut self, tuple: Vec<Value>) {
-        self.insert(tuple);
+impl KeyDelta for Vdt {
+    /// None: conflicts are recognised value-wise against the committed
+    /// tree itself ([`Vdt::replay`]).
+    type History = ();
+    const POLICY: UpdatePolicy = UpdatePolicy::Vdt;
+
+    fn new(schema: Schema, sk_cols: Vec<usize>) -> Self {
+        Vdt::new(schema, sk_cols)
     }
 
-    fn apply_insert_batch(&mut self, tuples: Vec<Tuple>) {
-        self.insert_batch(tuples);
+    fn schema(&self) -> &Schema {
+        self.schema()
+    }
+
+    fn sk_cols(&self) -> &[usize] {
+        self.sk_cols()
+    }
+
+    fn layers(&self) -> DeltaLayers<'_> {
+        DeltaLayers::Vdt(self)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.is_empty()
+    }
+
+    fn delta_total(&self) -> i64 {
+        self.delta_total()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.heap_bytes()
+    }
+
+    fn apply_op(&mut self, op: &KeyOp) {
+        match op {
+            KeyOp::Insert(t) => self.insert(t.clone()),
+            KeyOp::InsertBatch(ts) => self.insert_batch(ts.iter().cloned()),
+            KeyOp::Delete { pre } => self.apply_delete(&sk_of(pre, self.sk_cols())),
+            KeyOp::DeleteBatch { pres } => {
+                for pre in pres {
+                    self.apply_delete(&sk_of(pre, self.sk_cols()));
+                }
+            }
+            KeyOp::Modify { pre, col, value } => self.modify(pre, *col, value.clone()),
+        }
+    }
+
+    fn apply_insert(&mut self, tuple: Tuple) {
+        self.insert(tuple);
     }
 
     fn apply_delete(&mut self, key: &[Value]) {
         self.delete(key);
     }
 
-    fn entry_widths(&self) -> (usize, usize) {
-        (self.schema().len(), self.sk_cols().len())
+    fn pending(&self, key: &[Value]) -> Option<&Tuple> {
+        self.pending_insert(key)
+    }
+
+    /// The delete table, then the insert table: a modified tuple's key is
+    /// reported by both, hiding first.
+    fn contents(&self) -> impl Iterator<Item = (&SkKey, bool, Option<&Tuple>)> {
+        let hidden = self.deletes().map(|k| (k, true, None));
+        hidden.chain(self.inserts().map(|(k, t)| (k, false, Some(t))))
+    }
+
+    fn merge_rows(&self, stable_rows: &[Tuple]) -> Vec<Tuple> {
+        self.merge_rows(stable_rows)
+    }
+
+    /// Replay the ops log onto the current committed tree with the
+    /// value-wise conflict rules of [`Vdt::replay`] (mirroring PDT
+    /// Serialize).
+    fn rebase(committed: &Vdt, _: &(), _: u64, ops: &[KeyOp]) -> Result<Vdt, String> {
+        let mut replayed = committed.clone();
+        ops.iter().try_for_each(|op| replayed.replay(op))?;
+        Ok(replayed)
     }
 }
 
@@ -300,48 +437,44 @@ impl KeyEntrySink for Vdt {
 /// WAL recovery and the checkpoint-residual rebuilds of both value stores.
 /// Entries come from a file: any other kind (value stores never log
 /// modifies, they flatten them to delete + insert — so this is a log some
-/// other policy wrote) or a payload that does not slice into whole tuples
-/// or keys is reported, not applied.
-pub(crate) fn apply_key_entries(
-    entries: &[WalEntry],
-    sink: &mut impl KeyEntrySink,
-) -> Result<(), String> {
-    let (tuple_width, key_width) = sink.entry_widths();
+/// other policy wrote), a payload that does not slice into whole tuples
+/// or keys, or a value of another type than its column's is reported, not
+/// applied — the structures themselves check their input in debug builds
+/// only.
+fn apply_key_entries<D: KeyDelta>(entries: &[WalEntry], sink: &mut D) -> Result<(), String> {
+    let tuple_types = sink.schema().types();
+    let key_types: Vec<ValueType> = sink.sk_cols().iter().map(|&c| tuple_types[c]).collect();
     for e in entries {
         let n = e.values.len();
-        match e.kind {
-            pdt::INS if n == tuple_width => sink.apply_insert(e.values.clone()),
-            pdt::DEL if n == key_width => sink.apply_delete(&e.values),
-            pdt::INS_BATCH if n % tuple_width == 0 => sink.apply_insert_batch(
-                e.values
-                    .chunks(tuple_width)
-                    .map(<[Value]>::to_vec)
-                    .collect(),
-            ),
-            pdt::DEL_BATCH if n % key_width == 0 => {
-                for key in e.values.chunks(key_width) {
-                    sink.apply_delete(key);
-                }
-            }
-            pdt::INS | pdt::DEL | pdt::INS_BATCH | pdt::DEL_BATCH => {
-                return Err(format!(
-                    "entry of kind {} carries {n} values, tuples are {tuple_width} wide and keys {key_width}",
-                    e.kind
-                ))
-            }
+        let types = match e.kind {
+            pdt::INS | pdt::INS_BATCH => &tuple_types,
+            pdt::DEL | pdt::DEL_BATCH => &key_types,
             kind => return Err(format!("modify entry (kind {kind}) in a value-store log")),
+        };
+        let batched = matches!(e.kind, pdt::INS_BATCH | pdt::DEL_BATCH);
+        if n % types.len() != 0 || (!batched && n != types.len()) {
+            return Err(format!(
+                "entry of kind {} carries {n} values, tuples are {} wide and keys {}",
+                e.kind,
+                tuple_types.len(),
+                key_types.len()
+            ));
+        }
+        let mut columns = e.values.iter().zip(types.iter().cycle());
+        if let Some((v, t)) = columns.find(|(v, t)| !v.is_null() && v.value_type() != Some(**t)) {
+            return Err(format!(
+                "entry of kind {} carries {v:?} for a column of type {t:?}",
+                e.kind
+            ));
+        }
+        let items = e.values.chunks(types.len());
+        match e.kind {
+            pdt::INS => sink.apply_insert(e.values.clone()),
+            pdt::INS_BATCH => sink.apply_insert_batch(items.map(<[Value]>::to_vec).collect()),
+            _ => items.for_each(|key| sink.apply_delete(key)),
         }
     }
     Ok(())
-}
-
-/// The error [`DeltaStore::replay`] reports for a log that does not fit
-/// the store it is recovered into.
-pub(crate) fn replay_error(table: &str, detail: String) -> DbError {
-    DbError::Txn(TxnError::Wal(std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("WAL does not fit table {table}: {detail}"),
-    )))
 }
 
 /// Pin-gated retention of commit WAL flattenings, shared by both value
@@ -353,22 +486,16 @@ pub(crate) fn replay_error(table: &str, detail: String) -> DbError {
 /// can predate a commit the pin already folded into the image. Gating on
 /// the pin bounds the memory to the merge window, so a database that never
 /// checkpoints retains nothing.
-pub(crate) struct ResidualLog {
+#[derive(Default)]
+struct ResidualLog {
     pinned_at: Option<u64>,
     log: Vec<(u64, Vec<WalEntry>)>,
 }
 
 impl ResidualLog {
-    pub(crate) fn new() -> Self {
-        ResidualLog {
-            pinned_at: None,
-            log: Vec::new(),
-        }
-    }
-
     /// Start retaining (checkpoint pinned at `seq`). Per-table maintenance
     /// is serialized by the engine, so no pin can already be in flight.
-    pub(crate) fn pin(&mut self, seq: u64) {
+    fn pin(&mut self, seq: u64) {
         debug_assert!(
             self.pinned_at.is_none() && self.log.is_empty(),
             "checkpoint pinned while another pin is in flight"
@@ -377,7 +504,7 @@ impl ResidualLog {
     }
 
     /// Record one published commit (no-op unless a pin is in flight).
-    pub(crate) fn record(&mut self, seq: u64, entries: &[WalEntry]) {
+    fn record(&mut self, seq: u64, entries: &[WalEntry]) {
         if self.pinned_at.is_some() && !entries.is_empty() {
             self.log.push((seq, entries.to_vec()));
         }
@@ -385,7 +512,7 @@ impl ResidualLog {
 
     /// Replay the retained commits with sequence above `pin_seq` into
     /// `sink` — the residual delta over the checkpointed image.
-    pub(crate) fn rebuild_into(&self, pin_seq: u64, sink: &mut impl KeyEntrySink) {
+    fn rebuild_into(&self, pin_seq: u64, sink: &mut impl KeyDelta) {
         for (_, entries) in self.log.iter().filter(|(s, _)| *s > pin_seq) {
             apply_key_entries(entries, sink)
                 .expect("retained entries were flattened by this store");
@@ -394,7 +521,7 @@ impl ResidualLog {
 
     /// End the pin window (after install, or on a failed merge) and drop
     /// the retained entries.
-    pub(crate) fn unpin(&mut self) {
+    fn unpin(&mut self) {
         self.pinned_at = None;
         self.log.clear();
     }
@@ -665,8 +792,9 @@ impl CheckpointPin for PdtPin {
         // the same visible image it was built against
         let (residual_entries, _net) =
             wal::rebase_pdt_outside_range(read, range.s0, range.s1, range.folds_tail());
-        let rebased = wal::rebuild_pdt(read.schema(), read.sk_cols(), &residual_entries);
         let (PdtStore { mgr, table }, pinned) = (self.store.clone(), read.clone());
+        let rebased = wal::rebuild_pdt(read.schema(), read.sk_cols(), &residual_entries)
+            .map_err(|detail| TxnError::misfit(&table, detail))?;
         Ok(RangeMerge {
             fresh: Some(fresh),
             residual_entries,
@@ -725,90 +853,104 @@ impl DeltaStore for PdtStore {
     }
 }
 
-// --- Value-based store --------------------------------------------------
+// --- Key-addressed stores -----------------------------------------------
 
-/// [`DeltaStore`] over a value-based delta tree. Commits swap an immutable
-/// committed [`Vdt`] (readers hold `Arc` snapshots, so they are never
-/// blocked); when another transaction committed in between, the staged ops
-/// log is replayed onto the current tree with key-addressed conflict
-/// detection. A cheap handle: the snapshots, staging areas and pins it
-/// hands out each carry a clone.
+/// [`DeltaStore`] over a key-addressed delta structure — the one engine
+/// adapter of the value-based tree (`KeyStore<Vdt>`) and the row buffer
+/// (`KeyStore<RowBuffer>`). Commits swap an immutable committed structure
+/// (readers hold `Arc` snapshots, so they are never blocked, and a commit
+/// never mutates a published structure); when something was published
+/// since a transaction's begin, its staged ops go through the structure's
+/// own conflict detection ([`KeyDelta::rebase`]). A cheap handle: the
+/// snapshots, staging areas and pins it hands out each carry a clone.
 #[derive(Clone)]
-pub struct VdtStore {
-    state: Arc<RwLock<VdtState>>,
+pub struct KeyStore<D: KeyDelta> {
+    state: Arc<RwLock<KeyState<D>>>,
 }
 
-struct VdtState {
+struct KeyState<D: KeyDelta> {
     table: String,
-    committed: Arc<Vdt>,
+    committed: Arc<D>,
     /// Bumped on every publish / checkpoint / replay; transactions compare
     /// it to detect concurrent commits (the value-based analogue of the
     /// TZ-set overlap test).
     version: u64,
     /// Commit retention for the in-flight checkpoint, if any.
     residual: ResidualLog,
+    history: D::History,
 }
 
-impl VdtStore {
-    /// An empty VDT store for `table`.
-    pub fn new(table: String, schema: columnar::Schema, sk_cols: Vec<usize>) -> Self {
-        VdtStore {
-            state: Arc::new(RwLock::new(VdtState {
+impl<D: KeyDelta> KeyStore<D> {
+    /// An empty store for `table`.
+    pub fn new(table: String, schema: Schema, sk_cols: Vec<usize>) -> Self {
+        KeyStore {
+            state: Arc::new(RwLock::new(KeyState {
                 table,
-                committed: Arc::new(Vdt::new(schema, sk_cols)),
+                committed: Arc::new(D::new(schema, sk_cols)),
                 version: 0,
-                residual: ResidualLog::new(),
+                residual: ResidualLog::default(),
+                history: D::History::default(),
             })),
         }
     }
 }
 
-struct VdtSnapshot {
-    store: VdtStore,
-    vdt: Arc<Vdt>,
+fn key_layers<D: KeyDelta>(delta: &D) -> DeltaLayers<'_> {
+    if delta.is_empty() {
+        DeltaLayers::None
+    } else {
+        delta.layers()
+    }
+}
+
+struct KeySnapshot<D: KeyDelta> {
+    store: KeyStore<D>,
+    delta: Arc<D>,
     version: u64,
 }
 
-impl DeltaSnapshot for VdtSnapshot {
+impl<D: KeyDelta> DeltaSnapshot for KeySnapshot<D> {
     fn layers(&self) -> DeltaLayers<'_> {
-        if self.vdt.is_empty() {
-            DeltaLayers::None
-        } else {
-            DeltaLayers::Vdt(&self.vdt)
-        }
+        key_layers(&*self.delta)
     }
 
     fn delta_total(&self) -> i64 {
-        self.vdt.delta_total()
+        self.delta.delta_total()
     }
 
     fn begin(&self, _start_seq: u64) -> Box<dyn DeltaTxn> {
-        Box::new(VdtTxn {
+        Box::new(KeyTxn {
             store: self.store.clone(),
-            working: (*self.vdt).clone(),
+            working: (*self.delta).clone(),
             base_version: self.version,
             ops: Vec::new(),
         })
     }
 }
 
-struct VdtTxn {
-    store: VdtStore,
-    /// Committed tree at begin with the staged ops already applied — what
-    /// this transaction's own scans merge.
-    working: Vdt,
+struct KeyTxn<D: KeyDelta> {
+    store: KeyStore<D>,
+    /// Committed structure at `base_version` with the staged ops already
+    /// applied — what this transaction's own scans merge, and what
+    /// `publish` moves in.
+    working: D,
     base_version: u64,
-    /// The logical ops, kept for replay and WAL flattening.
-    ops: Vec<VdtOp>,
+    /// The logical ops, kept for conflict validation and WAL flattening.
+    ops: Vec<KeyOp>,
 }
 
-impl DeltaTxn for VdtTxn {
-    fn layers(&self) -> DeltaLayers<'_> {
-        if self.working.is_empty() {
-            DeltaLayers::None
-        } else {
-            DeltaLayers::Vdt(&self.working)
+impl<D: KeyDelta> KeyTxn<D> {
+    fn stage(&mut self, ops: impl IntoIterator<Item = KeyOp>) {
+        for op in ops {
+            self.working.apply_op(&op);
+            self.ops.push(op);
         }
+    }
+}
+
+impl<D: KeyDelta> DeltaTxn for KeyTxn<D> {
+    fn layers(&self) -> DeltaLayers<'_> {
+        key_layers(&self.working)
     }
 
     fn delta_total(&self) -> i64 {
@@ -819,141 +961,103 @@ impl DeltaTxn for VdtTxn {
         !self.ops.is_empty()
     }
 
-    /// Value-based batch staging: the whole statement becomes **one** op
-    /// (and downstream one WAL entry). Single-row batches degrade to the
-    /// singular ops so mixed workloads keep their natural log shape.
+    /// Key-addressed batch staging: the whole statement becomes **one** op
+    /// (and downstream one WAL entry), which a structure with a bulk path
+    /// — the row buffer's single merge pass — absorbs as such.
     fn stage_batch(&mut self, batch: &DmlBatch) {
         match batch {
             DmlBatch::Insert { rows, .. } => {
-                let tuples = rows.rows();
-                self.working.insert_batch(tuples.iter().cloned());
-                match tuples.len() {
-                    0 => {}
-                    1 => self
-                        .ops
-                        .push(VdtOp::Insert(tuples.into_iter().next().unwrap())),
-                    _ => self.ops.push(VdtOp::InsertBatch(tuples)),
-                }
+                self.stage(one_or_batch(rows.rows(), KeyOp::Insert, KeyOp::InsertBatch))
             }
-            DmlBatch::Delete { pre, .. } => {
-                let pres = pre.rows();
-                let sk_cols = self.working.sk_cols().to_vec();
-                for row in &pres {
-                    let sk: Vec<Value> = sk_cols.iter().map(|&c| row[c].clone()).collect();
-                    self.working.delete(&sk);
-                }
-                match pres.len() {
-                    0 => {}
-                    1 => self.ops.push(VdtOp::Delete {
-                        pre: pres.into_iter().next().unwrap(),
-                    }),
-                    _ => self.ops.push(VdtOp::DeleteBatch { pres }),
-                }
-            }
+            DmlBatch::Delete { pre, .. } => self.stage(one_or_batch(
+                pre.rows(),
+                |pre| KeyOp::Delete { pre },
+                |pres| KeyOp::DeleteBatch { pres },
+            )),
+            // modifies keep per-row ops: the conflict contract is per
+            // (key, column), and the pending-tuple fold keeps each
+            // statement O(log n) per row anyway
             DmlBatch::UpdateCol {
                 rids,
                 col,
                 values,
                 pre,
-            } => {
-                // modifies keep per-row ops: the conflict contract is
-                // per (key, column), and the pending-insert fold keeps
-                // each statement O(log n) per row anyway
-                for i in 0..rids.len() {
-                    let row = pre.row(i);
-                    let value = values.get(i);
-                    self.working.modify(&row, *col, value.clone());
-                    self.ops.push(VdtOp::Modify {
-                        pre: row,
-                        col: *col,
-                        value,
-                    });
-                }
-            }
+            } => self.stage((0..rids.len()).map(|i| KeyOp::Modify {
+                pre: pre.row(i),
+                col: *col,
+                value: values.get(i),
+            })),
         }
     }
 
     fn prepare(&mut self) -> Result<(), DbError> {
         let st = self.store.state.read();
         if st.version == self.base_version {
-            // fast path: nothing committed since begin — the working tree
-            // IS base ∘ ops and can be published wholesale
+            // fast path: nothing committed since begin — the working
+            // structure IS base ∘ ops and can be published wholesale
             return Ok(());
         }
-        // somebody committed (or a checkpoint ran) in between: replay the
-        // ops log onto the current committed tree with the key-addressed
-        // conflict rules of `VdtOp::replay` (mirroring PDT Serialize)
-        let mut replayed = (*st.committed).clone();
-        for op in &self.ops {
-            op.replay(&mut replayed)
-                .map_err(|reason| DbError::Conflict {
-                    table: st.table.clone(),
-                    reason,
-                })?;
-        }
-        self.working = replayed;
+        // somebody committed (or a checkpoint ran) in between
+        self.working = D::rebase(&st.committed, &st.history, self.base_version, &self.ops)
+            .map_err(|reason| DbError::Conflict {
+                table: st.table.clone(),
+                reason,
+            })?;
         self.base_version = st.version;
         Ok(())
     }
 
     fn wal_entries(&self) -> Vec<WalEntry> {
         let st = self.store.state.read();
-        let sk_cols = self.working.sk_cols().to_vec();
-        let sk_of = |t: &[Value]| -> Vec<Value> { sk_cols.iter().map(|&c| t[c].clone()).collect() };
-        let entry = |kind: u16, values: Vec<Value>| WalEntry {
-            sid: 0,
-            kind,
-            values,
-        };
+        let sk_cols = self.working.sk_cols();
         // Modify flattens to delete(key) + insert(post) in the shared
         // key-addressed log format. The post-image must reflect both this
         // transaction's own op chain *and* any concurrently committed
         // disjoint-column change that `prepare` reconciled with — so it is
         // built from the current committed tuple (under the commit guard,
         // after prepare) overlaid with our modified columns, op by op.
-        let mut post: std::collections::HashMap<Vec<Value>, Vec<Value>> =
-            std::collections::HashMap::new();
+        let mut post: std::collections::HashMap<SkKey, Tuple> = std::collections::HashMap::new();
         let mut entries = Vec::new();
         for op in &self.ops {
             match op {
-                VdtOp::Insert(t) => {
-                    post.insert(sk_of(t), t.clone());
-                    entries.push(entry(pdt::INS, t.clone()));
+                KeyOp::Insert(t) => {
+                    post.insert(sk_of(t, sk_cols), t.clone());
+                    entries.push(key_entry(pdt::INS, t.clone()));
                 }
-                VdtOp::InsertBatch(ts) => {
+                KeyOp::InsertBatch(ts) => {
                     // one batched entry for the whole statement
                     let mut flat = Vec::with_capacity(ts.len() * ts.first().map_or(0, Vec::len));
                     for t in ts {
-                        post.insert(sk_of(t), t.clone());
+                        post.insert(sk_of(t, sk_cols), t.clone());
                         flat.extend(t.iter().cloned());
                     }
-                    entries.push(entry(pdt::INS_BATCH, flat));
+                    entries.push(key_entry(pdt::INS_BATCH, flat));
                 }
-                VdtOp::Delete { pre } => {
-                    let key = sk_of(pre);
+                KeyOp::Delete { pre } => {
+                    let key = sk_of(pre, sk_cols);
                     post.remove(&key);
-                    entries.push(entry(pdt::DEL, key));
+                    entries.push(key_entry(pdt::DEL, key));
                 }
-                VdtOp::DeleteBatch { pres } => {
+                KeyOp::DeleteBatch { pres } => {
                     let mut flat = Vec::with_capacity(pres.len() * sk_cols.len());
                     for pre in pres {
-                        let key = sk_of(pre);
+                        let key = sk_of(pre, sk_cols);
                         post.remove(&key);
                         flat.extend(key);
                     }
-                    entries.push(entry(pdt::DEL_BATCH, flat));
+                    entries.push(key_entry(pdt::DEL_BATCH, flat));
                 }
-                VdtOp::Modify { pre, col, value } => {
-                    let key = sk_of(pre);
+                KeyOp::Modify { pre, col, value } => {
+                    let key = sk_of(pre, sk_cols);
                     let t = post.entry(key.clone()).or_insert_with(|| {
                         st.committed
-                            .pending_insert(&key)
+                            .pending(&key)
                             .cloned()
                             .unwrap_or_else(|| pre.clone())
                     });
                     t[*col] = value.clone();
-                    entries.push(entry(pdt::DEL, key));
-                    entries.push(entry(pdt::INS, t.clone()));
+                    entries.push(key_entry(pdt::DEL, key));
+                    entries.push(key_entry(pdt::INS, t.clone()));
                 }
             }
         }
@@ -962,27 +1066,36 @@ impl DeltaTxn for VdtTxn {
     }
 
     fn publish(self: Box<Self>, seq: u64, entries: &[WalEntry]) {
-        let mut st = self.store.state.write();
+        let KeyTxn {
+            store,
+            working,
+            base_version,
+            ops,
+        } = *self;
+        let mut guard = store.state.write();
+        let st = &mut *guard;
         debug_assert_eq!(
-            st.version, self.base_version,
+            st.version, base_version,
             "publish without prepare under the commit guard"
         );
-        // the prepared tree moves in instead of being deep-cloned —
+        // the prepared structure moves in instead of being deep-cloned —
         // commits hold the global commit guard, so this must stay cheap
-        st.committed = Arc::new(self.working);
+        st.committed = Arc::new(working);
         st.version += 1;
+        D::record(&mut st.history, st.version, ops);
         st.residual.record(seq, entries);
     }
 }
 
-/// The committed tree pinned for an in-flight checkpoint.
-struct VdtPin {
-    store: VdtStore,
+/// The committed structure pinned for an in-flight checkpoint.
+struct KeyPin<D: KeyDelta> {
+    store: KeyStore<D>,
     seq: u64,
-    pinned: Arc<Vdt>,
+    pinned: Arc<D>,
+    version: u64,
 }
 
-impl CheckpointPin for VdtPin {
+impl<D: KeyDelta> CheckpointPin for KeyPin<D> {
     fn seq(&self) -> u64 {
         self.seq
     }
@@ -994,48 +1107,56 @@ impl CheckpointPin for VdtPin {
         io: &IoTracker,
     ) -> Result<RangeMerge, DbError> {
         let pinned = &self.pinned;
-        let empty = || Vdt::new(pinned.schema().clone(), pinned.sk_cols().to_vec());
+        let empty = || D::new(pinned.schema().clone(), pinned.sk_cols().to_vec());
         let mut residual = empty();
         let mut residual_entries = Vec::new();
         let folded = if range.covers_all_keys() {
             Cow::Borrowed(&**pinned)
         } else {
-            // split the pinned tree by the range's key window — deletes
-            // before inserts per half, so a modify's delete+insert pair
-            // reconstructs exactly (the insert lands over its own delete
-            // marker)
+            // split the pinned structure by the range's key window,
+            // reconstructing each half through the logged-entry ops — a
+            // hidden stable tuple is a delete, a visible tuple an insert,
+            // hides before inserts per key, so a modify's delete+insert
+            // pair reconstructs exactly (the insert lands over its own
+            // delete marker and re-hides the stable row)
             let mut folded = empty();
-            let mut res_dels: Vec<Vec<Value>> = Vec::new();
-            for key in pinned.deletes() {
-                if range.key_in_window(key) {
-                    folded.delete(key);
-                } else {
-                    residual.delete(key);
-                    res_dels.push(key.clone());
-                }
-            }
+            let mut res_dels: Vec<SkKey> = Vec::new();
             let mut res_inss: Vec<Tuple> = Vec::new();
-            for (key, t) in pinned.inserts() {
-                if range.key_in_window(key) {
-                    folded.insert(t.clone());
-                } else {
-                    residual.insert(t.clone());
-                    res_inss.push(t.clone());
+            for (key, hides_stable, tuple) in pinned.contents() {
+                let in_win = range.key_in_window(key);
+                let half = if in_win { &mut folded } else { &mut residual };
+                if hides_stable {
+                    half.apply_delete(key);
+                    if !in_win {
+                        res_dels.push(key.clone());
+                    }
+                }
+                if let Some(t) = tuple {
+                    half.apply_insert(t.clone());
+                    if !in_win {
+                        res_inss.push(t.clone());
+                    }
                 }
             }
             residual_entries = key_residual_entries(res_dels, res_inss);
             Cow::Owned(folded)
         };
+        // a net-zero fold (e.g. the row buffer after insert + delete of
+        // the same key): the current image already equals the merged one;
+        // install still retires the covered history and commit log
         let fresh = (!folded.is_empty())
             .then(|| rewrite_range(stable, range, io, |rows| folded.merge_rows(rows)))
             .transpose()?;
-        let (store, pin_seq) = (self.store.clone(), self.seq);
+        let (store, pin_seq, pin_version) = (self.store.clone(), self.seq, self.version);
         let install = move || {
-            let mut st = store.state.write();
+            let mut guard = store.state.write();
+            let st = &mut *guard;
             // commits published during the merge (seq > pin) survive on
-            // top of the out-of-window residual
+            // top of the out-of-window residual; their history stays for
+            // the validation of transactions that began before the pin
             st.residual.rebuild_into(pin_seq, &mut residual);
             st.committed = Arc::new(residual);
+            D::retire(&mut st.history, pin_version);
             st.residual.unpin();
             st.version += 1;
         };
@@ -1051,16 +1172,16 @@ impl CheckpointPin for VdtPin {
     }
 }
 
-impl DeltaStore for VdtStore {
+impl<D: KeyDelta> DeltaStore for KeyStore<D> {
     fn policy(&self) -> UpdatePolicy {
-        UpdatePolicy::Vdt
+        D::POLICY
     }
 
     fn snapshot(&self) -> Arc<dyn DeltaSnapshot> {
         let st = self.state.read();
-        Arc::new(VdtSnapshot {
+        Arc::new(KeySnapshot {
             store: self.clone(),
-            vdt: st.committed.clone(),
+            delta: st.committed.clone(),
             version: st.version,
         })
     }
@@ -1072,7 +1193,7 @@ impl DeltaStore for VdtStore {
         // recovery holds no snapshots, so make_mut mutates in place —
         // replay stays linear in the number of logged commits
         apply_key_entries(entries, Arc::make_mut(&mut st.committed))
-            .map_err(|detail| replay_error(&st.table, detail))
+            .map_err(|detail| TxnError::misfit(&st.table, detail).into())
     }
 
     fn write_bytes(&self) -> usize {
@@ -1080,7 +1201,12 @@ impl DeltaStore for VdtStore {
     }
 
     fn delta_bytes(&self) -> usize {
-        self.state.read().committed.heap_bytes()
+        // the history counts too: under churn (insert then delete of the
+        // same key) the net structure stays tiny while a run history grows
+        // with every commit — the checkpoint budget must see that growth,
+        // or the scheduler never retires it
+        let st = self.state.read();
+        st.committed.heap_bytes() + D::history_bytes(&st.history)
     }
 
     fn flush(&self) -> bool {
@@ -1090,14 +1216,17 @@ impl DeltaStore for VdtStore {
 
     fn checkpoint_pin(&self, seq: u64) -> Option<Box<dyn CheckpointPin>> {
         let mut st = self.state.write();
-        if st.committed.is_empty() {
+        // a history with nothing in the structure (churn that netted out)
+        // still wants a checkpoint: only an install retires it
+        if st.committed.is_empty() && D::history_bytes(&st.history) == 0 {
             return None;
         }
         st.residual.pin(seq);
-        Some(Box::new(VdtPin {
+        Some(Box::new(KeyPin {
             store: self.clone(),
             seq,
             pinned: st.committed.clone(),
+            version: st.version,
         }))
     }
 }

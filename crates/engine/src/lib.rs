@@ -50,7 +50,7 @@ pub use compaction::{
     BlockHeat, CompactionConfig, CompactionReport, CompactionStep, PartitionHeat,
 };
 pub use delta::{
-    CheckpointPin, DeltaSnapshot, DeltaStore, DeltaTxn, PdtStore, UpdatePolicy, VdtStore,
+    CheckpointPin, DeltaSnapshot, DeltaStore, DeltaTxn, KeyDelta, KeyStore, PdtStore, UpdatePolicy,
     ALL_POLICIES,
 };
 pub use dml::{Appender, DbTxn};
@@ -58,9 +58,9 @@ pub use maintenance::{
     MaintenanceConfig, MaintenancePartitionStats, MaintenanceScheduler, MaintenanceStats,
 };
 pub use partition::PartitionSpec;
-pub use rowstore::RowStore;
 pub use txn::wal::WalStats;
 
+use ::rowstore::RowBuffer;
 use columnar::{
     ColumnarError, ImageStore, IoStats, IoTracker, Schema, StableTable, TableMeta, Tuple, Value,
 };
@@ -74,6 +74,7 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 use txn::{TxnError, TxnManager};
+use vdt::Vdt;
 
 /// Engine-level errors.
 #[derive(Debug)]
@@ -402,18 +403,16 @@ impl Database {
         let mut parts = Vec::with_capacity(nparts);
         for (p, part_rows) in groups.into_iter().enumerate() {
             let stable = StableTable::bulk_load_unsorted(meta.clone(), opts.storage(), part_rows)?;
+            let (schema, sk) = (schema.clone(), sk.clone());
             let delta: Arc<dyn DeltaStore> = match opts.policy {
                 UpdatePolicy::Pdt => {
                     let mgr_name = partition::pdt_table_name(&name, p, nparts);
-                    self.txn_mgr
-                        .register_table(&mgr_name, schema.clone(), sk.clone());
+                    self.txn_mgr.register_table(&mgr_name, schema, sk);
                     Arc::new(PdtStore::new(self.txn_mgr.clone(), mgr_name))
                 }
-                UpdatePolicy::Vdt => {
-                    Arc::new(VdtStore::new(name.clone(), schema.clone(), sk.clone()))
-                }
+                UpdatePolicy::Vdt => Arc::new(KeyStore::<Vdt>::new(name.clone(), schema, sk)),
                 UpdatePolicy::RowStore => {
-                    Arc::new(RowStore::new(name.clone(), schema.clone(), sk.clone()))
+                    Arc::new(KeyStore::<RowBuffer>::new(name.clone(), schema, sk))
                 }
             };
             parts.push(PartitionEntry::new(Arc::new(stable), delta, &self.io));

@@ -74,8 +74,49 @@ pub struct ScanSegment<'a> {
 enum MergeState<'a> {
     None,
     Pdt(Vec<PdtMerger<'a>>),
+    ByKey(ByKey<'a>),
+}
+
+/// The value-addressed merger of a scan. Both by-key structures fold into
+/// a stable block the same way — given the block's sort-key columns — so
+/// the scan drives either through these three methods, dispatched once per
+/// *block* (never per row); the mergers' own kernels stay monomorphic.
+/// (An enum, not a boxed trait object: a `dyn` destructor could touch the
+/// borrowed layers, so a scan built in a tail expression could no longer
+/// outlive the local view it borrows from.)
+enum ByKey<'a> {
     Vdt(Box<VdtMerger<'a>>),
     Rows(Box<RowMerger<'a>>),
+}
+
+impl ByKey<'_> {
+    fn next_rid(&self) -> u64 {
+        match self {
+            ByKey::Vdt(m) => m.next_rid(),
+            ByKey::Rows(m) => m.next_rid(),
+        }
+    }
+
+    fn merge_block(
+        &mut self,
+        len: usize,
+        proj: &[usize],
+        sk_in: &[ColumnVec],
+        cols_in: &[ColumnVec],
+        out: &mut [ColumnVec],
+    ) {
+        match self {
+            ByKey::Vdt(m) => m.merge_block(len, proj, sk_in, cols_in, out),
+            ByKey::Rows(m) => m.merge_block(len, proj, sk_in, cols_in, out),
+        }
+    }
+
+    fn drain_inserts(&mut self, upper: Option<&[Value]>, proj: &[usize], out: &mut [ColumnVec]) {
+        match self {
+            ByKey::Vdt(m) => m.drain_inserts(upper, proj, out),
+            ByKey::Rows(m) => m.drain_inserts(upper, proj, out),
+        }
+    }
 }
 
 /// The scan operator.
@@ -112,7 +153,8 @@ pub struct TableScan<'a> {
     finished: bool,
     io: IoTracker,
     clock: ScanClock,
-    vdt: Option<&'a Vdt>,
+    /// How the current segment's delta is merged.
+    path: obs::MergePath,
     drain_upper: Option<Vec<Value>>,
     /// RID of the first row this scan would emit (even if it emits none —
     /// e.g. a fully ghosted range); DML rank computations rely on it.
@@ -170,8 +212,17 @@ impl<'a> TableScan<'a> {
     ) -> Self {
         let range = table.sid_range(bounds.lo.as_deref(), bounds.hi.as_deref());
         let mut start_rid = range.start;
-        let (state, io_cols, vdt, drain_upper) = match delta {
-            DeltaLayers::None => (MergeState::None, proj.clone(), None, None),
+        // by-key mergers start at the range's first stable key, or at the
+        // very beginning (before any buffered row) for a scan from SID 0
+        let start_key = || {
+            (range.start != 0).then(|| {
+                table
+                    .sk_of_row(range.start, &io)
+                    .expect("range start within table")
+            })
+        };
+        let (state, path) = match delta {
+            DeltaLayers::None => (MergeState::None, obs::MergePath::Clean),
             DeltaLayers::Pdt(layers) => {
                 // stack the mergers: each layer starts where the previous
                 // layer's output begins
@@ -183,36 +234,34 @@ impl<'a> TableScan<'a> {
                     mergers.push(m);
                 }
                 start_rid = start;
-                (MergeState::Pdt(mergers), proj.clone(), None, None)
+                (MergeState::Pdt(mergers), obs::MergePath::PdtKernel)
             }
-            DeltaLayers::Vdt(v) => {
-                let io_cols = value_io_cols(table, &proj);
-                let merger = if range.start == 0 {
-                    VdtMerger::new(v)
-                } else {
-                    let key = table
-                        .sk_of_row(range.start, &io)
-                        .expect("range start within table");
-                    VdtMerger::new_ranged(v, range.start, &key)
-                };
+            DeltaLayers::Vdt(v) => (
+                MergeState::ByKey(ByKey::Vdt(Box::new(match start_key() {
+                    None => VdtMerger::new(v),
+                    Some(key) => VdtMerger::new_ranged(v, range.start, &key),
+                }))),
+                obs::MergePath::VdtKernel,
+            ),
+            DeltaLayers::Rows(rb) => (
+                MergeState::ByKey(ByKey::Rows(Box::new(match start_key() {
+                    None => RowMerger::new(rb),
+                    Some(key) => RowMerger::new_ranged(rb, range.start, &key),
+                }))),
+                obs::MergePath::RowsKernel,
+            ),
+        };
+        // a by-key merge also reads the sort-key columns, and a ranged one
+        // must know where to stop draining buffered rows
+        let (io_cols, drain_upper) = match &state {
+            MergeState::ByKey(merger) => {
                 start_rid = merger.next_rid();
-                let upper = drain_upper_key(table, &range, &io);
-                (MergeState::Vdt(Box::new(merger)), io_cols, Some(v), upper)
+                (
+                    value_io_cols(table, &proj),
+                    drain_upper_key(table, &range, &io),
+                )
             }
-            DeltaLayers::Rows(rb) => {
-                let io_cols = value_io_cols(table, &proj);
-                let merger = if range.start == 0 {
-                    RowMerger::new(rb)
-                } else {
-                    let key = table
-                        .sk_of_row(range.start, &io)
-                        .expect("range start within table");
-                    RowMerger::new_ranged(rb, range.start, &key)
-                };
-                start_rid = merger.next_rid();
-                let upper = drain_upper_key(table, &range, &io);
-                (MergeState::Rows(Box::new(merger)), io_cols, None, upper)
-            }
+            _ => (proj.clone(), None),
         };
         let mut zone_skipped = 0u64;
         let (next_block, end_block) = if range.is_empty() {
@@ -257,7 +306,7 @@ impl<'a> TableScan<'a> {
                 (usize::MAX, 0)
             }
         };
-        let finished = next_block == usize::MAX && state_kind(&state) == 0;
+        let finished = next_block == usize::MAX && matches!(state, MergeState::None);
         TableScan {
             table,
             proj,
@@ -269,7 +318,7 @@ impl<'a> TableScan<'a> {
             finished,
             io,
             clock,
-            vdt,
+            path,
             drain_upper,
             start_rid,
             rid_lo: 0,
@@ -292,12 +341,7 @@ impl<'a> TableScan<'a> {
         use std::sync::atomic::Ordering::Relaxed;
         profile.segments.fetch_add(1, Relaxed);
         profile.blocks_skipped.fetch_add(self.zone_skipped, Relaxed);
-        profile.record_path(match state_kind(&self.state) {
-            0 => obs::MergePath::Clean,
-            1 => obs::MergePath::PdtKernel,
-            2 => obs::MergePath::VdtKernel,
-            _ => obs::MergePath::RowsKernel,
-        });
+        profile.record_path(self.path);
         self.profile = Some(profile);
     }
 
@@ -556,15 +600,6 @@ impl<'a> TableScan<'a> {
     }
 }
 
-fn state_kind(s: &MergeState) -> u8 {
-    match s {
-        MergeState::None => 0,
-        MergeState::Pdt(_) => 1,
-        MergeState::Vdt(_) => 2,
-        MergeState::Rows(_) => 3,
-    }
-}
-
 /// Columns a value-based merge must read: the projection plus every
 /// sort-key column (the tax positional merging avoids).
 fn value_io_cols(table: &StableTable, proj: &[usize]) -> Vec<usize> {
@@ -681,7 +716,7 @@ impl<'a> TableScan<'a> {
                             rid_start: rid0,
                         });
                     }
-                    MergeState::Vdt(_) | MergeState::Rows(_) => {
+                    MergeState::ByKey(merger) => {
                         // split decoded columns into projection + sort key
                         let nproj = self.proj.len();
                         let sk_cols = self.table.sort_key().cols();
@@ -699,31 +734,8 @@ impl<'a> TableScan<'a> {
                                 None => ColumnVec::new(cols[k].vtype()),
                             })
                             .collect();
-                        let rid0 = match &mut self.state {
-                            MergeState::Vdt(merger) => {
-                                let rid0 = merger.next_rid();
-                                merger.merge_block(
-                                    len,
-                                    &self.proj,
-                                    &sk_in,
-                                    &cols[..nproj],
-                                    &mut out,
-                                );
-                                rid0
-                            }
-                            MergeState::Rows(merger) => {
-                                let rid0 = merger.next_rid();
-                                merger.merge_block(
-                                    len,
-                                    &self.proj,
-                                    &sk_in,
-                                    &cols[..nproj],
-                                    &mut out,
-                                );
-                                rid0
-                            }
-                            _ => unreachable!(),
-                        };
+                        let rid0 = merger.next_rid();
+                        merger.merge_block(len, &self.proj, &sk_in, &cols[..nproj], &mut out);
                         break 'produce Some(Batch {
                             cols: out,
                             rid_start: rid0,
@@ -738,25 +750,14 @@ impl<'a> TableScan<'a> {
                 MergeState::Pdt(_) => {
                     break 'produce self.finish_pdt();
                 }
-                MergeState::Vdt(_) | MergeState::Rows(_) => {
+                MergeState::ByKey(merger) => {
                     let mut out: Vec<ColumnVec> = self
                         .proj
                         .iter()
                         .map(|&c| ColumnVec::new(self.table.schema().vtype(c)))
                         .collect();
-                    let rid0 = match &mut self.state {
-                        MergeState::Vdt(merger) => {
-                            let rid0 = merger.next_rid();
-                            merger.drain_inserts(self.drain_upper.as_deref(), &self.proj, &mut out);
-                            rid0
-                        }
-                        MergeState::Rows(merger) => {
-                            let rid0 = merger.next_rid();
-                            merger.drain_inserts(self.drain_upper.as_deref(), &self.proj, &mut out);
-                            rid0
-                        }
-                        _ => unreachable!(),
-                    };
+                    let rid0 = merger.next_rid();
+                    merger.drain_inserts(self.drain_upper.as_deref(), &self.proj, &mut out);
                     if out[0].is_empty() {
                         None
                     } else {
@@ -771,14 +772,12 @@ impl<'a> TableScan<'a> {
     }
 }
 
-// `vdt` field is kept for debugging/assertions.
 impl std::fmt::Debug for TableScan<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TableScan")
             .field("proj", &self.proj)
             .field("range", &self.range)
-            .field("mode", &state_kind(&self.state))
-            .field("has_vdt", &self.vdt.is_some())
+            .field("path", &self.path)
             .finish()
     }
 }

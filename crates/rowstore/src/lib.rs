@@ -27,7 +27,7 @@ pub mod merge;
 
 pub use merge::RowMerger;
 
-use columnar::{Schema, SkKey, Tuple, Value};
+use columnar::{KeyOp, Schema, SkKey, Tuple, Value};
 use std::collections::{HashMap, HashSet};
 
 /// One slot of the row buffer: what the buffer says about its sort key.
@@ -321,6 +321,20 @@ impl RowBuffer {
         }
     }
 
+    /// Apply one staged op (commit publication: the engine's store clones
+    /// the committed buffer and replays a transaction's ops onto the
+    /// copy). Batch-staged statements keep their rows together, so they
+    /// replay through the single-merge-pass batch paths.
+    pub fn apply(&mut self, op: &KeyOp) {
+        match op {
+            KeyOp::Insert(t) => self.insert(t.clone()),
+            KeyOp::InsertBatch(ts) => self.insert_batch(ts.clone()),
+            KeyOp::Delete { pre } => self.delete(pre),
+            KeyOp::DeleteBatch { pres } => self.delete_batch(pres),
+            KeyOp::Modify { pre, col, value } => self.modify(pre, *col, value.clone()),
+        }
+    }
+
     /// Net visible-row change contributed by slots with key `< key`
     /// (the rank correction a ranged scan needs).
     pub fn prefix_delta(&self, key: &[Value]) -> i64 {
@@ -391,41 +405,6 @@ impl RowBuffer {
     }
 }
 
-/// One staged row-level update (what a transaction logs and a commit
-/// publishes as a run). Batch-staged statements keep their rows together:
-/// one op — and downstream one WAL entry — per statement, and `apply`
-/// replays them through the buffer's single-merge-pass batch paths.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RowOp {
-    /// A brand-new tuple (its sort key was not visible at staging time).
-    Insert(Tuple),
-    /// A whole batch of brand-new tuples, key-sorted with distinct keys.
-    InsertBatch(Vec<Tuple>),
-    /// Deletion of a visible tuple (full pre-image).
-    Delete { pre: Tuple },
-    /// Deletion of a batch of visible tuples (full pre-images, key order).
-    DeleteBatch { pres: Vec<Tuple> },
-    /// In-place modification: full pre-image, column, new value.
-    Modify {
-        pre: Tuple,
-        col: usize,
-        value: Value,
-    },
-}
-
-impl RowOp {
-    /// Apply this op to a buffer (commit publication and WAL-free rebuild).
-    pub fn apply(&self, buf: &mut RowBuffer) {
-        match self {
-            RowOp::Insert(t) => buf.insert(t.clone()),
-            RowOp::InsertBatch(ts) => buf.insert_batch(ts.clone()),
-            RowOp::Delete { pre } => buf.delete(pre),
-            RowOp::DeleteBatch { pres } => buf.delete_batch(pres),
-            RowOp::Modify { pre, col, value } => buf.modify(pre, *col, value.clone()),
-        }
-    }
-}
-
 /// One committed transaction's ops, tagged with the buffer version it
 /// produced. The engine's store keeps the runs committed since the last
 /// checkpoint so that `prepare` can validate a transaction against exactly
@@ -434,7 +413,7 @@ impl RowOp {
 pub struct RowRun {
     /// Buffer version this run produced (strictly increasing).
     pub version: u64,
-    pub ops: Vec<RowOp>,
+    pub ops: Vec<KeyOp>,
 }
 
 impl RowRun {
@@ -450,13 +429,13 @@ impl RowRun {
         self.ops
             .iter()
             .map(|op| {
-                std::mem::size_of::<RowOp>()
+                std::mem::size_of::<KeyOp>()
                     + match op {
-                        RowOp::Insert(t) => tuple_bytes(t),
-                        RowOp::InsertBatch(ts) => ts.iter().map(tuple_bytes).sum(),
-                        RowOp::Delete { pre } => tuple_bytes(pre),
-                        RowOp::DeleteBatch { pres } => pres.iter().map(tuple_bytes).sum(),
-                        RowOp::Modify { pre, value, .. } => tuple_bytes(pre) + val_bytes(value),
+                        KeyOp::Insert(t) => tuple_bytes(t),
+                        KeyOp::InsertBatch(ts) => ts.iter().map(tuple_bytes).sum(),
+                        KeyOp::Delete { pre } => tuple_bytes(pre),
+                        KeyOp::DeleteBatch { pres } => pres.iter().map(tuple_bytes).sum(),
+                        KeyOp::Modify { pre, value, .. } => tuple_bytes(pre) + val_bytes(value),
                     }
             })
             .sum()
@@ -494,19 +473,19 @@ impl ConflictSet {
         let key_of = |t: &Tuple| -> SkKey { sk_cols.iter().map(|&c| t[c].clone()).collect() };
         for op in &run.ops {
             match op {
-                RowOp::Insert(t) => {
+                KeyOp::Insert(t) => {
                     self.inserted.insert(key_of(t));
                 }
-                RowOp::InsertBatch(ts) => {
+                KeyOp::InsertBatch(ts) => {
                     self.inserted.extend(ts.iter().map(key_of));
                 }
-                RowOp::Delete { pre } => {
+                KeyOp::Delete { pre } => {
                     self.deleted.insert(key_of(pre));
                 }
-                RowOp::DeleteBatch { pres } => {
+                KeyOp::DeleteBatch { pres } => {
                     self.deleted.extend(pres.iter().map(key_of));
                 }
-                RowOp::Modify { pre, col, .. } => {
+                KeyOp::Modify { pre, col, .. } => {
                     self.modified.entry(key_of(pre)).or_default().insert(*col);
                 }
             }
@@ -516,16 +495,16 @@ impl ConflictSet {
     /// Validate one of *our* staged ops against the concurrent footprint.
     /// A batch op validates item-wise: any clashing row fails the whole op
     /// (and with it the transaction), exactly as a row loop would.
-    pub fn check(&self, op: &RowOp, sk_cols: &[usize]) -> Result<(), String> {
+    pub fn check(&self, op: &KeyOp, sk_cols: &[usize]) -> Result<(), String> {
         let key_of = |t: &Tuple| -> SkKey { sk_cols.iter().map(|&c| t[c].clone()).collect() };
         match op {
-            RowOp::Insert(t) => self.check_insert(key_of(t)),
-            RowOp::InsertBatch(ts) => ts.iter().try_for_each(|t| self.check_insert(key_of(t))),
-            RowOp::Delete { pre } => self.check_delete(key_of(pre)),
-            RowOp::DeleteBatch { pres } => pres
+            KeyOp::Insert(t) => self.check_insert(key_of(t)),
+            KeyOp::InsertBatch(ts) => ts.iter().try_for_each(|t| self.check_insert(key_of(t))),
+            KeyOp::Delete { pre } => self.check_delete(key_of(pre)),
+            KeyOp::DeleteBatch { pres } => pres
                 .iter()
                 .try_for_each(|pre| self.check_delete(key_of(pre))),
-            RowOp::Modify { pre, col, .. } => self.check_modify(key_of(pre), *col),
+            KeyOp::Modify { pre, col, .. } => self.check_modify(key_of(pre), *col),
         }
     }
 
@@ -660,11 +639,11 @@ mod tests {
     #[test]
     fn ops_replay_to_same_buffer() {
         let ops = [
-            RowOp::Insert(vec![Value::Int(5), Value::Int(50)]),
-            RowOp::Delete {
+            KeyOp::Insert(vec![Value::Int(5), Value::Int(50)]),
+            KeyOp::Delete {
                 pre: vec![Value::Int(10), Value::Int(1)],
             },
-            RowOp::Modify {
+            KeyOp::Modify {
                 pre: vec![Value::Int(20), Value::Int(2)],
                 col: 1,
                 value: Value::Int(99),
@@ -676,7 +655,7 @@ mod tests {
         direct.modify(&[Value::Int(20), Value::Int(2)], 1, Value::Int(99));
         let mut replayed = buf();
         for op in &ops {
-            op.apply(&mut replayed);
+            replayed.apply(op);
         }
         assert_eq!(replayed.merge_rows(&rows(3)), direct.merge_rows(&rows(3)));
     }
@@ -690,13 +669,13 @@ mod tests {
             &RowRun {
                 version: 1,
                 ops: vec![
-                    RowOp::Insert(vec![Value::Int(5), Value::Int(0), Value::Int(0)]),
-                    RowOp::Modify {
+                    KeyOp::Insert(vec![Value::Int(5), Value::Int(0), Value::Int(0)]),
+                    KeyOp::Modify {
                         pre: pre.clone(),
                         col: 1,
                         value: Value::Int(11),
                     },
-                    RowOp::Delete {
+                    KeyOp::Delete {
                         pre: vec![Value::Int(30), Value::Int(3), Value::Int(4)],
                     },
                 ],
@@ -706,16 +685,16 @@ mod tests {
         // insert vs insert
         assert!(cs
             .check(
-                &RowOp::Insert(vec![Value::Int(5), Value::Int(9), Value::Int(9)]),
+                &KeyOp::Insert(vec![Value::Int(5), Value::Int(9), Value::Int(9)]),
                 &sk
             )
             .is_err());
         // delete vs modify
-        assert!(cs.check(&RowOp::Delete { pre: pre.clone() }, &sk).is_err());
+        assert!(cs.check(&KeyOp::Delete { pre: pre.clone() }, &sk).is_err());
         // delete vs delete
         assert!(cs
             .check(
-                &RowOp::Delete {
+                &KeyOp::Delete {
                     pre: vec![Value::Int(30), Value::Int(3), Value::Int(4)],
                 },
                 &sk
@@ -724,7 +703,7 @@ mod tests {
         // same-column modify
         assert!(cs
             .check(
-                &RowOp::Modify {
+                &KeyOp::Modify {
                     pre: pre.clone(),
                     col: 1,
                     value: Value::Int(12),
@@ -735,7 +714,7 @@ mod tests {
         // disjoint-column modify reconciles
         assert!(cs
             .check(
-                &RowOp::Modify {
+                &KeyOp::Modify {
                     pre: pre.clone(),
                     col: 2,
                     value: Value::Int(22),
@@ -746,7 +725,7 @@ mod tests {
         // modify vs delete
         assert!(cs
             .check(
-                &RowOp::Modify {
+                &KeyOp::Modify {
                     pre: vec![Value::Int(30), Value::Int(3), Value::Int(4)],
                     col: 1,
                     value: Value::Int(0),
@@ -757,7 +736,7 @@ mod tests {
         // untouched key sails through
         assert!(cs
             .check(
-                &RowOp::Insert(vec![Value::Int(77), Value::Int(0), Value::Int(0)]),
+                &KeyOp::Insert(vec![Value::Int(77), Value::Int(0), Value::Int(0)]),
                 &sk
             )
             .is_ok());
@@ -816,17 +795,17 @@ mod tests {
         ]);
         direct.delete_batch(&[vec![Value::Int(10), Value::Int(1)]]);
         let ops = [
-            RowOp::InsertBatch(vec![
+            KeyOp::InsertBatch(vec![
                 vec![Value::Int(5), Value::Int(0)],
                 vec![Value::Int(15), Value::Int(1)],
             ]),
-            RowOp::DeleteBatch {
+            KeyOp::DeleteBatch {
                 pres: vec![vec![Value::Int(10), Value::Int(1)]],
             },
         ];
         let mut replayed = buf();
         for op in &ops {
-            op.apply(&mut replayed);
+            replayed.apply(op);
         }
         assert_eq!(replayed.slots(), direct.slots());
         // and the conflict footprint sees every batched row
@@ -840,18 +819,18 @@ mod tests {
             &sk,
         );
         assert!(cs
-            .check(&RowOp::Insert(vec![Value::Int(15), Value::Int(9)]), &sk)
+            .check(&KeyOp::Insert(vec![Value::Int(15), Value::Int(9)]), &sk)
             .is_err());
         assert!(cs
             .check(
-                &RowOp::DeleteBatch {
+                &KeyOp::DeleteBatch {
                     pres: vec![vec![Value::Int(10), Value::Int(1)]],
                 },
                 &sk
             )
             .is_err());
         assert!(cs
-            .check(&RowOp::Insert(vec![Value::Int(99), Value::Int(9)]), &sk)
+            .check(&KeyOp::Insert(vec![Value::Int(99), Value::Int(9)]), &sk)
             .is_ok());
     }
 

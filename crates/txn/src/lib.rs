@@ -63,6 +63,17 @@ pub enum TxnError {
     Wal(std::io::Error),
 }
 
+impl TxnError {
+    /// The error recovery reports for a log that does not fit the table it
+    /// is replayed into (written by another policy, or for another schema).
+    pub fn misfit(table: &str, detail: String) -> TxnError {
+        TxnError::Wal(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("WAL does not fit table {table}: {detail}"),
+        ))
+    }
+}
+
 impl fmt::Display for TxnError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -333,7 +344,8 @@ impl TxnManager {
     }
 
     /// Recovery: rebuild one logged delta and propagate it into the
-    /// table's master Write-PDT.
+    /// table's master Write-PDT. Fails, leaving the table untouched, when
+    /// the entries do not fit it ([`TxnError::misfit`]).
     pub fn replay_pdt_entries(
         &self,
         table: &str,
@@ -344,7 +356,8 @@ impl TxnManager {
             .tables
             .get_mut(table)
             .ok_or_else(|| TxnError::UnknownTable(table.to_string()))?;
-        let delta = wal::rebuild_pdt(&st.schema, &st.sk_cols, entries);
+        let delta = wal::rebuild_pdt(&st.schema, &st.sk_cols, entries)
+            .map_err(|detail| TxnError::misfit(table, detail))?;
         propagate(st.write_mut(), &delta);
         Ok(())
     }

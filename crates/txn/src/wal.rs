@@ -785,13 +785,46 @@ pub fn coalesce_entries(entries: impl IntoIterator<Item = WalEntry>) -> Vec<WalE
 /// Rebuild a (consecutive) delta PDT from logged entries for propagation.
 /// Batched entries expand back to their per-row updates: `INS_BATCH`
 /// tuples all insert at the entry's sid, `DEL_BATCH` keys delete the
-/// consecutive sids starting there.
-pub fn rebuild_pdt(schema: &Schema, sk_cols: &[usize], entries: &[WalEntry]) -> Pdt {
+/// consecutive sids starting there. Entries may come from a file some
+/// other table or policy wrote: a payload that is not whole tuples / keys
+/// / one value of the table's column types, a modify of a column the table
+/// does not have, or entries out of (SID, RID) order are reported, not
+/// built.
+pub fn rebuild_pdt(
+    schema: &Schema,
+    sk_cols: &[usize],
+    entries: &[WalEntry],
+) -> Result<Pdt, String> {
     let tuple_width = schema.len();
     let key_width = sk_cols.len();
+    let typed = |v: &Value, col: usize| v.is_null() || v.value_type() == Some(schema.vtype(col));
+    let is_key = |key: &[Value]| key.iter().zip(sk_cols).all(|(v, &c)| typed(v, c));
+    let whole = |values: &[Value], width: usize| width > 0 && values.len().is_multiple_of(width);
     let mut vals = ValueSpace::new(schema.clone(), sk_cols.to_vec());
     let mut staged: Vec<(u64, Upd)> = Vec::with_capacity(entries.len());
     for e in entries {
+        let fits = match e.kind {
+            INS => schema.validate(&e.values),
+            DEL => e.values.len() == key_width && is_key(&e.values),
+            INS_BATCH => {
+                whole(&e.values, tuple_width)
+                    && e.values.chunks(tuple_width).all(|t| schema.validate(t))
+            }
+            DEL_BATCH => whole(&e.values, key_width) && e.values.chunks(key_width).all(is_key),
+            col => {
+                (col as usize) < tuple_width
+                    && e.values.len() == 1
+                    && typed(&e.values[0], col as usize)
+            }
+        };
+        if !fits {
+            return Err(format!(
+                "entry of kind {} at SID {} carries {} values that do not match the table's columns",
+                e.kind,
+                e.sid,
+                e.values.len()
+            ));
+        }
         match e.kind {
             INS => staged.push((e.sid, Upd::ins(vals.add_insert(&e.values)))),
             DEL => staged.push((e.sid, Upd::del(vals.add_delete(&e.values)))),
@@ -813,9 +846,9 @@ pub fn rebuild_pdt(schema: &Schema, sk_cols: &[usize], entries: &[WalEntry]) -> 
     }
     let mut b = PdtBuilder::new(vals, pdt::DEFAULT_FANOUT);
     for (sid, upd) in staged {
-        b.push(sid, upd);
+        b.try_push(sid, upd)?;
     }
-    b.build()
+    Ok(b.build())
 }
 
 /// Split a pinned PDT at the stable-SID window `[s0, s1)` for a
@@ -1090,8 +1123,8 @@ mod tests {
         assert_eq!(coalesced[1].sid, 5);
         assert_eq!(coalesced[3].kind, INS);
         // the batched log rebuilds the identical PDT
-        let from_rows = rebuild_pdt(&schema, &[0], &per_row);
-        let from_batches = rebuild_pdt(&schema, &[0], &coalesced);
+        let from_rows = rebuild_pdt(&schema, &[0], &per_row).unwrap();
+        let from_batches = rebuild_pdt(&schema, &[0], &coalesced).unwrap();
         from_batches.check_invariants();
         assert_eq!(from_rows.len(), from_batches.len());
         let a: Vec<_> = from_rows
@@ -1285,7 +1318,7 @@ mod tests {
                 values: vec![Value::Int(5)],
             },
         ];
-        let pdt = rebuild_pdt(&schema, &[0], &entries);
+        let pdt = rebuild_pdt(&schema, &[0], &entries).unwrap();
         let (residual, net) = rebase_pdt_outside_range(&pdt, 40, 60, false);
         // in-range: 1 insert, 2 deletes → net -1
         assert_eq!(net, -1);
@@ -1302,7 +1335,7 @@ mod tests {
             kind: INS,
             values: vec![Value::Int(6)],
         }];
-        let pdt = rebuild_pdt(&schema, &[0], &tail);
+        let pdt = rebuild_pdt(&schema, &[0], &tail).unwrap();
         let (residual, net) = rebase_pdt_outside_range(&pdt, 60, 100, true);
         assert_eq!((residual.len(), net), (0, 1), "trailing inserts fold");
         let (residual, net) = rebase_pdt_outside_range(&pdt, 0, 60, false);
@@ -1416,7 +1449,7 @@ mod tests {
                 values: vec![Value::Int(40)],
             },
         ];
-        let p = rebuild_pdt(&schema, &[0], &entries);
+        let p = rebuild_pdt(&schema, &[0], &entries).unwrap();
         p.check_invariants();
         assert_eq!(p.len(), 3);
         assert_eq!(p.delta_total(), 0);

@@ -21,7 +21,6 @@ pub mod merge;
 pub mod op;
 
 pub use merge::VdtMerger;
-pub use op::VdtOp;
 
 use columnar::{Schema, SkKey, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};

@@ -1,50 +1,21 @@
-//! The logical update operations a transaction stages against a VDT.
+//! Re-applying a transaction's staged ops onto a VDT, with conflict
+//! detection.
 //!
 //! The PDT transaction layer keeps a private Trans-PDT per transaction; the
-//! value-based analogue is this ops log. It serves two purposes in the
-//! engine's unified `DeltaStore` path:
-//!
-//! * **replay** — when another transaction committed (or a checkpoint ran)
-//!   between this transaction's begin and commit, its staged ops are
-//!   re-applied onto the *current* committed VDT with key-addressed
-//!   write-write conflict detection mirroring the PDT's Serialize rules;
-//! * **durability** — the engine's `VdtStore` flattens the ops log to
-//!   key-addressed WAL entries (`Modify` as delete + insert, exactly the
-//!   value-based representation), so VDT commits pay the same
-//!   sequential-logging cost PDT commits do.
+//! value-based analogue is a log of [`KeyOp`]s (the op type the VDT shares
+//! with the row buffer — the engine's `KeyStore` stages, flattens to
+//! key-addressed WAL entries and publishes it the same way for both). What
+//! is the VDT's own is how a log is **replayed**: when another transaction
+//! committed (or a checkpoint ran) between this transaction's begin and
+//! commit, its staged ops are re-applied onto the *current* committed VDT
+//! with value-wise write-write conflict detection mirroring the PDT's
+//! Serialize rules — [`Vdt::replay`].
 
 use crate::Vdt;
-use columnar::{SkKey, Tuple, Value};
+use columnar::{KeyOp, Value};
 
-/// One staged value-addressed update.
-#[derive(Debug, Clone, PartialEq)]
-pub enum VdtOp {
-    /// A brand-new tuple (its sort key was not visible at staging time).
-    Insert(Tuple),
-    /// A whole batch of brand-new tuples, staged by one statement
-    /// (key-sorted, distinct keys). One op-log entry — and one WAL entry —
-    /// per batch, not per row.
-    InsertBatch(Vec<Tuple>),
-    /// Deletion of a visible tuple: full pre-image (the sort key addresses
-    /// it; the rest detects concurrent modification on replay).
-    Delete { pre: Tuple },
-    /// Deletion of a batch of visible tuples staged by one statement
-    /// (full pre-images in visible — i.e. key — order).
-    DeleteBatch { pres: Vec<Tuple> },
-    /// In-place modification: full pre-image, column, new value.
-    Modify {
-        pre: Tuple,
-        col: usize,
-        value: Value,
-    },
-}
-
-impl VdtOp {
-    fn sk_of(vdt: &Vdt, tuple: &[Value]) -> SkKey {
-        vdt.sk_cols().iter().map(|&c| tuple[c].clone()).collect()
-    }
-
-    /// Re-apply this op onto `vdt`, detecting write-write conflicts against
+impl Vdt {
+    /// Re-apply `op` onto this tree, detecting write-write conflicts against
     /// updates committed after this transaction began. The rules mirror the
     /// PDT's Serialize (Algorithm 8):
     ///
@@ -64,27 +35,27 @@ impl VdtOp {
     /// write, while a genuinely concurrent write to the same tuple still
     /// differs from the chained pre-image and is caught on *every* op, not
     /// just the first one per key.
-    pub fn replay(&self, vdt: &mut Vdt) -> Result<(), String> {
-        match self {
-            VdtOp::Insert(t) => Self::replay_insert(vdt, t),
-            VdtOp::InsertBatch(ts) => {
+    pub fn replay(&mut self, op: &KeyOp) -> Result<(), String> {
+        match op {
+            KeyOp::Insert(t) => self.replay_insert(t),
+            KeyOp::InsertBatch(ts) => {
                 // the batch footprint validates item-wise: any clashing key
                 // aborts the whole transaction, exactly as a row loop would
                 for t in ts {
-                    Self::replay_insert(vdt, t)?;
+                    self.replay_insert(t)?;
                 }
                 Ok(())
             }
-            VdtOp::Delete { pre } => Self::replay_delete(vdt, pre),
-            VdtOp::DeleteBatch { pres } => {
+            KeyOp::Delete { pre } => self.replay_delete(pre),
+            KeyOp::DeleteBatch { pres } => {
                 for pre in pres {
-                    Self::replay_delete(vdt, pre)?;
+                    self.replay_delete(pre)?;
                 }
                 Ok(())
             }
-            VdtOp::Modify { pre, col, value } => {
-                let sk = Self::sk_of(vdt, pre);
-                match vdt.pending_insert(&sk) {
+            KeyOp::Modify { pre, col, value } => {
+                let sk = self.sk_of(pre);
+                match self.pending_insert(&sk) {
                     // same column changed by a concurrent commit
                     Some(p) if p[*col] != pre[*col] => {
                         return Err(format!(
@@ -95,7 +66,7 @@ impl VdtOp {
                     // disjoint columns reconcile: Vdt::modify folds our
                     // column into the pending tuple, keeping theirs
                     Some(_) => {}
-                    None if vdt.pending_delete(&sk) => {
+                    None if self.pending_delete(&sk) => {
                         return Err(format!(
                             "modify of sort key {sk:?} concurrently deleted by \
                              another transaction"
@@ -103,24 +74,24 @@ impl VdtOp {
                     }
                     None => {}
                 }
-                vdt.modify(pre, *col, value.clone());
+                self.modify(pre, *col, value.clone());
                 Ok(())
             }
         }
     }
 
-    fn replay_insert(vdt: &mut Vdt, t: &[Value]) -> Result<(), String> {
-        let sk = Self::sk_of(vdt, t);
-        if vdt.pending_insert(&sk).is_some() {
+    fn replay_insert(&mut self, t: &[Value]) -> Result<(), String> {
+        let sk = self.sk_of(t);
+        if self.pending_insert(&sk).is_some() {
             return Err(format!("concurrent insert of sort key {sk:?}"));
         }
-        vdt.insert(t.to_vec());
+        self.insert(t.to_vec());
         Ok(())
     }
 
-    fn replay_delete(vdt: &mut Vdt, pre: &[Value]) -> Result<(), String> {
-        let sk = Self::sk_of(vdt, pre);
-        match vdt.pending_insert(&sk) {
+    fn replay_delete(&mut self, pre: &[Value]) -> Result<(), String> {
+        let sk = self.sk_of(pre);
+        match self.pending_insert(&sk) {
             // a pending tuple differing from our (chained) pre-image
             // was committed after we began: delete-vs-modify
             Some(p) if p.as_slice() != pre => {
@@ -132,12 +103,12 @@ impl VdtOp {
             Some(_) => {}
             // no pending tuple but a delete marker: the tuple we
             // saw was concurrently deleted (delete-vs-delete)
-            None if vdt.pending_delete(&sk) => {
+            None if self.pending_delete(&sk) => {
                 return Err(format!("sort key {sk:?} deleted by both transactions"));
             }
             None => {}
         }
-        vdt.delete(&sk);
+        self.delete(&sk);
         Ok(())
     }
 }
@@ -145,7 +116,7 @@ impl VdtOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use columnar::{Schema, ValueType};
+    use columnar::{Schema, Tuple, ValueType};
 
     fn vdt() -> Vdt {
         Vdt::new(
@@ -154,11 +125,8 @@ mod tests {
         )
     }
 
-    fn replay_all(ops: &[VdtOp], vdt: &mut Vdt) -> Result<(), String> {
-        for op in ops {
-            op.replay(vdt)?;
-        }
-        Ok(())
+    fn replay_all(ops: &[KeyOp], vdt: &mut Vdt) -> Result<(), String> {
+        ops.iter().try_for_each(|op| vdt.replay(op))
     }
 
     #[test]
@@ -169,11 +137,11 @@ mod tests {
         direct.modify(&[Value::Int(20), Value::Int(2)], 1, Value::Int(99));
 
         let ops = [
-            VdtOp::Insert(vec![Value::Int(5), Value::Int(50)]),
-            VdtOp::Delete {
+            KeyOp::Insert(vec![Value::Int(5), Value::Int(50)]),
+            KeyOp::Delete {
                 pre: vec![Value::Int(10), Value::Int(1)],
             },
-            VdtOp::Modify {
+            KeyOp::Modify {
                 pre: vec![Value::Int(20), Value::Int(2)],
                 col: 1,
                 value: Value::Int(99),
@@ -191,7 +159,7 @@ mod tests {
     fn insert_conflicts_with_pending_insert() {
         let mut v = vdt();
         v.insert(vec![Value::Int(5), Value::Int(1)]);
-        let op = VdtOp::Insert(vec![Value::Int(5), Value::Int(2)]);
+        let op = KeyOp::Insert(vec![Value::Int(5), Value::Int(2)]);
         assert!(replay_all(&[op], &mut v).is_err());
     }
 
@@ -201,7 +169,7 @@ mod tests {
         // "they" committed a modify of column 1 after we began
         let mut v = vdt();
         v.modify(&base, 1, Value::Int(50));
-        let ours = VdtOp::Modify {
+        let ours = KeyOp::Modify {
             pre: base.clone(),
             col: 1,
             value: Value::Int(60),
@@ -217,7 +185,7 @@ mod tests {
         let mut v = Vdt::new(schema, vec![0]);
         let base = vec![Value::Int(10), Value::Int(1), Value::Int(2)];
         v.modify(&base, 2, Value::Int(22));
-        let ours = VdtOp::Modify {
+        let ours = KeyOp::Modify {
             pre: base,
             col: 1,
             value: Value::Int(11),
@@ -236,7 +204,7 @@ mod tests {
         // concurrent modify → delete conflicts
         let mut v = vdt();
         v.modify(&base, 1, Value::Int(50));
-        let del = VdtOp::Delete { pre: base.clone() };
+        let del = KeyOp::Delete { pre: base.clone() };
         assert!(replay_all(std::slice::from_ref(&del), &mut v).is_err());
         // concurrent delete → delete conflicts
         let mut v = vdt();
@@ -253,12 +221,12 @@ mod tests {
         let mut modified = base.clone();
         modified[1] = Value::Int(7);
         let ops = [
-            VdtOp::Modify {
+            KeyOp::Modify {
                 pre: base,
                 col: 1,
                 value: Value::Int(7),
             },
-            VdtOp::Delete { pre: modified },
+            KeyOp::Delete { pre: modified },
         ];
         let mut v = vdt();
         replay_all(&ops, &mut v).unwrap();
@@ -284,12 +252,12 @@ mod tests {
         let mut chained = base.clone();
         chained[2] = Value::Int(22);
         let ops = [
-            VdtOp::Modify {
+            KeyOp::Modify {
                 pre: base,
                 col: 2,
                 value: Value::Int(22),
             },
-            VdtOp::Modify {
+            KeyOp::Modify {
                 pre: chained.clone(),
                 col: 1,
                 value: Value::Int(60),
@@ -308,12 +276,12 @@ mod tests {
         let base = vec![Value::Int(10), Value::Int(1), Value::Int(2)];
         v.modify(&base, 1, Value::Int(50)); // their commit
         let ops = [
-            VdtOp::Modify {
+            KeyOp::Modify {
                 pre: base,
                 col: 2,
                 value: Value::Int(22),
             },
-            VdtOp::Delete { pre: chained },
+            KeyOp::Delete { pre: chained },
         ];
         assert!(replay_all(&ops, &mut v).is_err(), "delete-vs-modify");
     }
