@@ -72,11 +72,20 @@ impl Block {
         compress::decode(&self.payload, self.encoding, self.vtype, self.len)
     }
 
-    /// Decode the full block, supplying the column's global dictionary —
-    /// required for [`Encoding::GlobalCode`] blocks, which decode to
-    /// [`ColumnVec::Coded`] over that dictionary.
-    pub fn decode_with(&self, dict: Option<&Arc<StrDict>>) -> Result<ColumnVec> {
-        compress::decode_with(&self.payload, self.encoding, self.vtype, self.len, dict)
+    /// Decode the full block into a caller-held column, reusing its
+    /// allocation when the representation matches (see
+    /// [`compress::decode_into`]). `dict` is the column's global
+    /// dictionary — required for [`Encoding::GlobalCode`] blocks, which
+    /// decode to [`ColumnVec::Coded`] over it.
+    pub fn decode_into(&self, dict: Option<&Arc<StrDict>>, out: &mut ColumnVec) -> Result<()> {
+        compress::decode_into(
+            &self.payload,
+            self.encoding,
+            self.vtype,
+            self.len,
+            dict,
+            out,
+        )
     }
 
     /// Size in bytes that a disk read of this block would transfer.

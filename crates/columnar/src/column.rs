@@ -81,6 +81,31 @@ impl ColumnVec {
         ColumnVec::Coded(Vec::new(), dict)
     }
 
+    /// An empty column of this one's representation: coded over the same
+    /// dictionary when this is coded (so merge scratch and outputs stay on
+    /// the `u32` path), plainly typed otherwise.
+    pub fn empty_like(&self) -> Self {
+        match self.dict() {
+            Some(d) => ColumnVec::new_coded(d.clone()),
+            None => ColumnVec::new(self.vtype()),
+        }
+    }
+
+    /// Empty this column and give it `like`'s representation, keeping the
+    /// allocation when the representation already matches (a reused merge
+    /// output buffer).
+    pub fn reset_like(&mut self, like: &ColumnVec) {
+        let same = match (&*self, like) {
+            (ColumnVec::Coded(_, a), ColumnVec::Coded(_, b)) => Arc::ptr_eq(a, b),
+            (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b),
+        };
+        if same {
+            self.clear();
+        } else {
+            *self = like.empty_like();
+        }
+    }
+
     /// The element type.
     pub fn vtype(&self) -> ValueType {
         match self {
@@ -381,6 +406,24 @@ impl ColumnVec {
         }
     }
 
+    /// Keep only rows `[from, to)`, in place — [`ColumnVec::slice_range`]
+    /// for a caller that owns the column (a decoded block clipped to the
+    /// scan range).
+    pub fn retain_range(&mut self, from: usize, to: usize) {
+        fn cut<T>(v: &mut Vec<T>, from: usize, to: usize) {
+            v.truncate(to);
+            v.drain(..from);
+        }
+        match self {
+            ColumnVec::Bool(v) => cut(v, from, to),
+            ColumnVec::Int(v) => cut(v, from, to),
+            ColumnVec::Double(v) => cut(v, from, to),
+            ColumnVec::Str(v) => cut(v, from, to),
+            ColumnVec::Coded(v, _) => cut(v, from, to),
+            ColumnVec::Date(v) => cut(v, from, to),
+        }
+    }
+
     /// Compare element `i` of `self` with element `j` of `other` using
     /// native comparisons — coded columns over the same dictionary compare
     /// raw `u32` codes, string columns compare `&str` without allocating.
@@ -552,5 +595,40 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert!(c.as_codes().is_some());
+    }
+
+    #[test]
+    fn retain_range_is_slice_range_in_place() {
+        let d = StrDict::build(["x", "y", "z"]);
+        for src in [
+            ColumnVec::Int((0..10).collect()),
+            ColumnVec::Str((0..10).map(|i| format!("s{i}")).collect()),
+            ColumnVec::Coded(vec![0, 1, 2, 2, 1, 0, 0, 1, 2, 2], d),
+        ] {
+            for (from, to) in [(0, 10), (3, 7), (0, 1), (9, 10), (4, 4)] {
+                let mut c = src.clone();
+                c.retain_range(from, to);
+                assert_eq!(c, src.slice_range(from, to), "[{from}, {to})");
+                assert_eq!(c.as_codes().is_some(), src.as_codes().is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn reset_like_keeps_a_matching_allocation() {
+        let d = StrDict::build(["x", "y"]);
+        let mut buf = ColumnVec::Int(vec![1, 2, 3]);
+        let held = buf.as_int().as_ptr();
+        buf.reset_like(&ColumnVec::Int(vec![9]));
+        assert!(buf.is_empty());
+        assert_eq!(buf.as_int().as_ptr(), held);
+        // another representation, or another dictionary: replaced
+        buf.reset_like(&ColumnVec::Coded(vec![1], d.clone()));
+        assert!(buf.is_empty() && Arc::ptr_eq(buf.dict().unwrap(), &d));
+        let other = StrDict::build(["x", "y"]);
+        buf.reset_like(&ColumnVec::Coded(vec![0], other.clone()));
+        assert!(Arc::ptr_eq(buf.dict().unwrap(), &other));
+        buf.reset_like(&ColumnVec::Str(vec!["s".into()]));
+        assert_eq!(buf, ColumnVec::new(ValueType::Str));
     }
 }

@@ -283,6 +283,13 @@ fn encode_delta(col: &ColumnVec) -> Option<Vec<u8>> {
 // ---------------------------------------------------------------------------
 // decode
 // ---------------------------------------------------------------------------
+//
+// Every decoder is a bulk kernel over the payload: the declared length is
+// tied to the payload size up front (so the output can be sized exactly,
+// once, without trusting a corrupt `len`), fixed-width values are read a
+// whole chunk at a time, varints eight bytes at a time, and runs are
+// filled, not pushed. A payload must decode to exactly `len` values *and*
+// be consumed to its last byte.
 
 /// Decode a payload of `len` values of type `vtype` encoded with `enc`.
 /// [`Encoding::GlobalCode`] payloads need their dictionary — use
@@ -301,40 +308,83 @@ pub fn decode_with(
     len: usize,
     dict: Option<&Arc<StrDict>>,
 ) -> Result<ColumnVec> {
-    match enc {
-        Encoding::Plain => decode_plain(buf, vtype, len),
-        Encoding::Rle => decode_rle(buf, vtype, len),
-        Encoding::Dict => decode_dict(buf, vtype, len),
-        Encoding::DeltaVarint => decode_delta(buf, vtype, len),
-        Encoding::GlobalCode => {
-            if vtype != ValueType::Str {
-                return Err(ColumnarError::Corrupt(
-                    "global-code codec only for strings".into(),
-                ));
-            }
-            let dict = dict.ok_or_else(|| {
-                ColumnarError::Corrupt("global-code payload without a dictionary".into())
-            })?;
-            decode_codes(buf, len, dict)
-        }
-    }
+    let mut out = ColumnVec::new(vtype);
+    decode_into(buf, enc, vtype, len, dict, &mut out)?;
+    Ok(out)
 }
 
-fn decode_codes(buf: &[u8], len: usize, dict: &Arc<StrDict>) -> Result<ColumnVec> {
-    let mut pos = 0usize;
-    let mut v: Vec<u32> = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 1));
-    let mut prev = 0i64;
-    let card = dict.len() as i64;
-    for _ in 0..len {
-        prev = prev.wrapping_add(unzigzag(get_uvarint(buf, &mut pos)?));
-        if prev < 0 || prev >= card {
-            return Err(ColumnarError::Corrupt(format!(
-                "dictionary code {prev} out of range (dict of {card})"
-            )));
-        }
-        v.push(prev as u32);
+/// [`decode_with`] into a caller-held column: when `out` already has the
+/// representation the payload decodes to, its allocation is reused (a scan
+/// decodes block after block into the same buffers); otherwise it is
+/// replaced. On error the contents of `out` are unspecified.
+pub fn decode_into(
+    buf: &[u8],
+    enc: Encoding,
+    vtype: ValueType,
+    len: usize,
+    dict: Option<&Arc<StrDict>>,
+    out: &mut ColumnVec,
+) -> Result<()> {
+    // Run `$kernel(buf, len, &mut vals, $arg)` over `out`'s own vector when
+    // it is of the wanted variant (a fresh one otherwise), emptied, and
+    // wrap the vector back up whatever the verdict.
+    macro_rules! into {
+        ($variant:ident, $kernel:ident $(, $arg:expr)?) => {
+            into!(ColumnVec::$variant(v) => v, |v| ColumnVec::$variant(v), $kernel $(, $arg)?)
+        };
+        ($pat:pat => $take:expr, |$w:ident| $wrap:expr, $kernel:ident $(, $arg:expr)?) => {{
+            let mut vals = match std::mem::replace(out, ColumnVec::Bool(Vec::new())) {
+                $pat => $take,
+                _ => Vec::new(),
+            };
+            vals.clear();
+            let verdict = $kernel(buf, len, &mut vals $(, $arg)?);
+            let $w = vals;
+            *out = $wrap;
+            verdict
+        }};
     }
-    Ok(ColumnVec::Coded(v, dict.clone()))
+    let corrupt = |what: &str| Err(ColumnarError::Corrupt(what.into()));
+    let bool_of = |[b]: [u8; 1]| b != 0;
+    match (enc, vtype) {
+        (Encoding::Plain, ValueType::Bool) => into!(Bool, plain_fixed, bool_of),
+        (Encoding::Plain, ValueType::Int) => into!(Int, plain_fixed, i64::from_le_bytes),
+        (Encoding::Plain, ValueType::Double) => into!(Double, plain_fixed, f64::from_le_bytes),
+        (Encoding::Plain, ValueType::Date) => into!(Date, plain_fixed, i32::from_le_bytes),
+        (Encoding::Plain, ValueType::Str) => into!(Str, plain_strs),
+        (Encoding::Rle, ValueType::Bool) => into!(Bool, rle_runs, fixed(bool_of)),
+        (Encoding::Rle, ValueType::Int) => into!(Int, rle_runs, fixed(i64::from_le_bytes)),
+        (Encoding::Rle, ValueType::Double) => into!(Double, rle_runs, fixed(f64::from_le_bytes)),
+        (Encoding::Rle, ValueType::Date) => into!(Date, rle_runs, fixed(i32::from_le_bytes)),
+        (Encoding::Rle, ValueType::Str) => into!(Str, rle_runs, read_str),
+        (Encoding::Dict, ValueType::Str) => into!(Str, dict_strs),
+        (Encoding::Dict, _) => corrupt("dict codec only for strings"),
+        (Encoding::DeltaVarint, ValueType::Int) => into!(Int, delta_varints, Ok),
+        (Encoding::DeltaVarint, ValueType::Date) => into!(Date, delta_varints, |x| Ok(x as i32)),
+        (Encoding::DeltaVarint, _) => corrupt("delta codec only for ints/dates"),
+        (Encoding::GlobalCode, ValueType::Str) => {
+            let Some(dict) = dict else {
+                return corrupt("global-code payload without a dictionary");
+            };
+            let card = dict.len() as i64;
+            let in_dict = |code: i64| {
+                if (0..card).contains(&code) {
+                    Ok(code as u32)
+                } else {
+                    Err(ColumnarError::Corrupt(format!(
+                        "dictionary code {code} out of range (dict of {card})"
+                    )))
+                }
+            };
+            into!(
+                ColumnVec::Coded(v, _) => v,
+                |v| ColumnVec::Coded(v, dict.clone()),
+                delta_varints,
+                in_dict
+            )
+        }
+        (Encoding::GlobalCode, _) => corrupt("global-code codec only for strings"),
+    }
 }
 
 fn need(buf: &[u8], pos: usize, n: usize) -> Result<()> {
@@ -350,34 +400,58 @@ fn need(buf: &[u8], pos: usize, n: usize) -> Result<()> {
     }
 }
 
-/// Clamp an untrusted element count before `Vec::with_capacity`: never
-/// pre-reserve more elements than the remaining payload bytes could encode
-/// (`min_bytes` = smallest possible encoded size of one element). Run-length
-/// payloads may legitimately decode to more values than this; the vector
-/// then grows normally — only the up-front allocation is bounded.
-fn alloc_cap(len: usize, buf_len: usize, pos: usize, min_bytes: usize) -> usize {
-    len.min(buf_len.saturating_sub(pos) / min_bytes.max(1) + 1)
+/// The payload must end where its last value ended: encoders never leave a
+/// tail, so one is corruption (a wrong `len`, or bytes from elsewhere).
+fn expect_end(buf: &[u8], pos: usize) -> Result<()> {
+    if pos == buf.len() {
+        Ok(())
+    } else {
+        Err(ColumnarError::Corrupt(format!(
+            "trailing bytes: payload ends at {pos} of {}",
+            buf.len()
+        )))
+    }
 }
 
-fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
-    need(buf, *pos, 8)?;
-    let v = i64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-    *pos += 8;
-    Ok(v)
+/// `len` values of `width` bytes each must be the whole payload.
+fn expect_exact(buf: &[u8], len: usize, width: usize) -> Result<()> {
+    match len.checked_mul(width) {
+        Some(n) if n <= buf.len() => expect_end(buf, n),
+        _ => Err(ColumnarError::Corrupt(format!(
+            "payload truncated: {len} values of {width} bytes, have {}",
+            buf.len()
+        ))),
+    }
 }
 
-fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
-    need(buf, *pos, 8)?;
-    let v = f64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-    *pos += 8;
-    Ok(v)
+/// Every varint-coded value (and every length-prefixed string) takes at
+/// least one byte, so a `len` beyond the payload size is corrupt — checked
+/// before the output is sized from it.
+fn expect_one_byte_each(buf: &[u8], len: usize) -> Result<()> {
+    if len <= buf.len() {
+        Ok(())
+    } else {
+        Err(ColumnarError::Corrupt(format!(
+            "payload truncated: {len} values in {} bytes",
+            buf.len()
+        )))
+    }
 }
 
-fn read_i32(buf: &[u8], pos: &mut usize) -> Result<i32> {
-    need(buf, *pos, 4)?;
-    let v = i32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap());
-    *pos += 4;
-    Ok(v)
+/// The next `N` bytes, advancing `pos`.
+fn take<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]> {
+    need(buf, *pos, N)?;
+    let mut bytes = [0u8; N];
+    bytes.copy_from_slice(&buf[*pos..*pos + N]);
+    *pos += N;
+    Ok(bytes)
+}
+
+/// A reader of one fixed-width value (the value of an RLE run).
+fn fixed<T, const N: usize>(
+    from_le: impl Fn([u8; N]) -> T,
+) -> impl Fn(&[u8], &mut usize) -> Result<T> {
+    move |buf, pos| Ok(from_le(take(buf, pos)?))
 }
 
 fn read_str(buf: &[u8], pos: &mut usize) -> Result<String> {
@@ -390,149 +464,425 @@ fn read_str(buf: &[u8], pos: &mut usize) -> Result<String> {
     Ok(s)
 }
 
-fn decode_plain(buf: &[u8], vtype: ValueType, len: usize) -> Result<ColumnVec> {
-    let mut pos = 0usize;
-    Ok(match vtype {
-        ValueType::Bool => {
-            need(buf, 0, len)?;
-            ColumnVec::Bool(buf[..len].iter().map(|&b| b != 0).collect())
-        }
-        ValueType::Int => {
-            let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 8));
-            for _ in 0..len {
-                v.push(read_i64(buf, &mut pos)?);
-            }
-            ColumnVec::Int(v)
-        }
-        ValueType::Double => {
-            let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 8));
-            for _ in 0..len {
-                v.push(read_f64(buf, &mut pos)?);
-            }
-            ColumnVec::Double(v)
-        }
-        ValueType::Date => {
-            let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 4));
-            for _ in 0..len {
-                v.push(read_i32(buf, &mut pos)?);
-            }
-            ColumnVec::Date(v)
-        }
-        ValueType::Str => {
-            let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 1));
-            for _ in 0..len {
-                v.push(read_str(buf, &mut pos)?);
-            }
-            ColumnVec::Str(v)
-        }
-    })
+fn plain_fixed<T, const N: usize>(
+    buf: &[u8],
+    len: usize,
+    out: &mut Vec<T>,
+    from_le: impl Fn([u8; N]) -> T,
+) -> Result<()> {
+    expect_exact(buf, len, N)?;
+    out.extend(buf.as_chunks::<N>().0.iter().map(|c| from_le(*c)));
+    Ok(())
 }
 
-fn decode_rle(buf: &[u8], vtype: ValueType, len: usize) -> Result<ColumnVec> {
+fn plain_strs(buf: &[u8], len: usize, out: &mut Vec<String>) -> Result<()> {
+    expect_one_byte_each(buf, len)?;
+    out.reserve_exact(len);
     let mut pos = 0usize;
-    macro_rules! runs {
-        ($make:expr, $read:expr) => {{
-            let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 2));
-            while v.len() < len {
-                let run = get_uvarint(buf, &mut pos)? as usize;
-                // Reject the run *before* materializing it: a corrupt run
-                // length (up to u64::MAX) must not drive a multi-GB push
-                // loop just to fail the length check afterwards.
-                if run > len - v.len() {
-                    return Err(ColumnarError::Corrupt("RLE length mismatch".into()));
-                }
-                #[allow(clippy::redundant_closure_call)]
-                let x = $read(buf, &mut pos)?;
-                for _ in 0..run {
-                    v.push(x.clone());
-                }
-            }
-            #[allow(clippy::redundant_closure_call)]
-            $make(v)
-        }};
+    for _ in 0..len {
+        out.push(read_str(buf, &mut pos)?);
     }
-    Ok(match vtype {
-        ValueType::Bool => runs!(ColumnVec::Bool, |b: &[u8], p: &mut usize| -> Result<bool> {
-            need(b, *p, 1)?;
-            let x = b[*p] != 0;
-            *p += 1;
-            Ok(x)
-        }),
-        ValueType::Int => runs!(ColumnVec::Int, read_i64),
-        ValueType::Double => runs!(ColumnVec::Double, read_f64),
-        ValueType::Date => runs!(ColumnVec::Date, read_i32),
-        ValueType::Str => runs!(ColumnVec::Str, read_str),
-    })
+    expect_end(buf, pos)
 }
 
-fn decode_dict(buf: &[u8], vtype: ValueType, len: usize) -> Result<ColumnVec> {
-    if vtype != ValueType::Str {
-        return Err(ColumnarError::Corrupt("dict codec only for strings".into()));
+/// Most values an RLE output is sized for up front. A run-length payload
+/// may decode to far more values than it has bytes, so `len` cannot be
+/// checked against the payload before decoding; blocks up to this size are
+/// still sized exactly once, a corrupt `len` reserves no more than this.
+const RLE_PRESIZE: usize = 1 << 16;
+
+fn rle_runs<T: Clone>(
+    buf: &[u8],
+    len: usize,
+    out: &mut Vec<T>,
+    read: impl Fn(&[u8], &mut usize) -> Result<T>,
+) -> Result<()> {
+    out.reserve_exact(len.min(RLE_PRESIZE));
+    let mut pos = 0usize;
+    while out.len() < len {
+        let run = get_uvarint(buf, &mut pos)? as usize;
+        // Reject the run *before* materializing it: a corrupt run length
+        // (up to u64::MAX) must not drive a multi-GB fill just to fail the
+        // length check afterwards.
+        if run > len - out.len() {
+            return Err(ColumnarError::Corrupt("RLE length mismatch".into()));
+        }
+        let x = read(buf, &mut pos)?;
+        out.resize(out.len() + run, x);
     }
+    expect_end(buf, pos)
+}
+
+fn dict_strs(buf: &[u8], len: usize, out: &mut Vec<String>) -> Result<()> {
     let mut pos = 0usize;
     let card = get_uvarint(buf, &mut pos)? as usize;
-    let mut dict = Vec::with_capacity(alloc_cap(card, buf.len(), pos, 1));
+    expect_one_byte_each(&buf[pos..], card)?;
+    let mut dict = Vec::with_capacity(card);
     for _ in 0..card {
         dict.push(read_str(buf, &mut pos)?);
     }
-    need(buf, pos, 1)?;
-    let width = buf[pos];
-    pos += 1;
-    let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 1));
-    for _ in 0..len {
-        let idx = match width {
-            1 => {
-                need(buf, pos, 1)?;
-                let x = buf[pos] as usize;
-                pos += 1;
-                x
-            }
-            2 => {
-                need(buf, pos, 2)?;
-                let x = u16::from_le_bytes(buf[pos..pos + 2].try_into().unwrap()) as usize;
-                pos += 2;
-                x
-            }
-            4 => {
-                need(buf, pos, 4)?;
-                let x = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-                pos += 4;
-                x
-            }
-            w => return Err(ColumnarError::Corrupt(format!("bad dict width {w}"))),
-        };
-        let s = dict
-            .get(idx)
-            .ok_or_else(|| ColumnarError::Corrupt(format!("dict index {idx} out of range")))?;
-        v.push(s.clone());
+    let [width] = take::<1>(buf, &mut pos)?;
+    let idx = &buf[pos..];
+    if len == 0 {
+        return expect_end(idx, 0);
     }
-    Ok(ColumnVec::Str(v))
+    let width = match width {
+        1 | 2 | 4 => width as usize,
+        w => return Err(ColumnarError::Corrupt(format!("bad dict width {w}"))),
+    };
+    expect_exact(idx, len, width)?;
+    out.reserve_exact(len);
+    let mut gather = |i: usize| match dict.get(i) {
+        Some(s) => {
+            out.push(s.clone());
+            Ok(())
+        }
+        None => Err(ColumnarError::Corrupt(format!(
+            "dict index {i} out of range"
+        ))),
+    };
+    // one width dispatch per block; each arm is a straight gather
+    match width {
+        1 => idx.iter().try_for_each(|&b| gather(b as usize)),
+        2 => {
+            let (idx, _) = idx.as_chunks::<2>();
+            idx.iter()
+                .try_for_each(|c| gather(u16::from_le_bytes(*c) as usize))
+        }
+        _ => {
+            let (idx, _) = idx.as_chunks::<4>();
+            idx.iter()
+                .try_for_each(|c| gather(u32::from_le_bytes(*c) as usize))
+        }
+    }
 }
 
-fn decode_delta(buf: &[u8], vtype: ValueType, len: usize) -> Result<ColumnVec> {
+/// The continuation bit of each byte of a little-endian word.
+const CONT: u64 = 0x8080_8080_8080_8080;
+
+/// Read an unsigned varint; advances `pos`. While eight bytes remain the
+/// varint is cut out of one little-endian word — its length read off the
+/// continuation bits, its 7-bit groups compacted by three shift-and-mask
+/// folds — with no per-byte loop or bounds check; 9- and 10-byte varints
+/// and the last bytes of a payload take the checked [`get_uvarint`].
+#[inline(always)]
+fn get_uvarint_word(buf: &[u8], pos: &mut usize) -> Result<u64> {
+    if let Some(w) = buf.get(*pos..).and_then(|rest| rest.first_chunk::<8>()) {
+        if w[0] < 0x80 {
+            *pos += 1;
+            return Ok(w[0] as u64);
+        }
+        let word = u64::from_le_bytes(*w);
+        let stops = !word & CONT;
+        if stops != 0 {
+            // `stops ^ (stops - 1)`: every bit up to the first stop bit
+            let mut x = word & (stops ^ (stops - 1)) & !CONT;
+            x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
+            x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
+            x = (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4);
+            *pos += (stops.trailing_zeros() as usize >> 3) + 1;
+            return Ok(x);
+        }
+    }
+    get_uvarint(buf, pos)
+}
+
+/// Zig-zag delta varints (`DeltaVarint` and `GlobalCode` share the wire
+/// form): the running sum of the decoded deltas, each passed through `put`
+/// (narrowing, or the dictionary range check). Eight outputs at a time:
+/// when the next eight payload bytes carry no continuation bit they are
+/// eight single-byte deltas and are summed straight out of the word.
+fn delta_varints<T: Copy + Default>(
+    buf: &[u8],
+    len: usize,
+    out: &mut Vec<T>,
+    mut put: impl FnMut(i64) -> Result<T>,
+) -> Result<()> {
+    expect_one_byte_each(buf, len)?;
+    out.resize(len, T::default());
     let mut pos = 0usize;
-    match vtype {
-        ValueType::Int => {
-            let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 1));
-            let mut prev = 0i64;
-            for _ in 0..len {
-                prev = prev.wrapping_add(unzigzag(get_uvarint(buf, &mut pos)?));
-                v.push(prev);
+    let mut prev = 0i64;
+    let mut eights = out.chunks_exact_mut(8);
+    for chunk in &mut eights {
+        if let Some(w) = buf.get(pos..).and_then(|rest| rest.first_chunk::<8>()) {
+            if u64::from_le_bytes(*w) & CONT == 0 {
+                for (slot, &b) in chunk.iter_mut().zip(w) {
+                    prev = prev.wrapping_add(unzigzag(b as u64));
+                    *slot = put(prev)?;
+                }
+                pos += 8;
+                continue;
             }
-            Ok(ColumnVec::Int(v))
         }
-        ValueType::Date => {
-            let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 1));
-            let mut prev = 0i64;
-            for _ in 0..len {
-                prev = prev.wrapping_add(unzigzag(get_uvarint(buf, &mut pos)?));
-                v.push(prev as i32);
+        for slot in chunk {
+            prev = prev.wrapping_add(unzigzag(get_uvarint_word(buf, &mut pos)?));
+            *slot = put(prev)?;
+        }
+    }
+    for slot in eights.into_remainder() {
+        prev = prev.wrapping_add(unzigzag(get_uvarint_word(buf, &mut pos)?));
+        *slot = put(prev)?;
+    }
+    expect_end(buf, pos)
+}
+
+/// Yesterday's decoders — one byte, one bounds check and one `push` per
+/// value — kept as the oracle the bulk kernels are held equal to, values
+/// and verdicts alike.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// The old `decode_with`, plus the one rule the rewrite added: the
+    /// payload must be consumed to its last byte (each decoder reports where
+    /// it stopped through `end`).
+    pub fn decode_with(
+        buf: &[u8],
+        enc: Encoding,
+        vtype: ValueType,
+        len: usize,
+        dict: Option<&Arc<StrDict>>,
+    ) -> Result<ColumnVec> {
+        let mut end = 0usize;
+        let end = &mut end;
+        let col = match enc {
+            Encoding::Plain => decode_plain(buf, vtype, len, end),
+            Encoding::Rle => decode_rle(buf, vtype, len, end),
+            Encoding::Dict => decode_dict(buf, vtype, len, end),
+            Encoding::DeltaVarint => decode_delta(buf, vtype, len, end),
+            Encoding::GlobalCode => {
+                if vtype != ValueType::Str {
+                    return Err(ColumnarError::Corrupt(
+                        "global-code codec only for strings".into(),
+                    ));
+                }
+                let dict = dict.ok_or_else(|| {
+                    ColumnarError::Corrupt("global-code payload without a dictionary".into())
+                })?;
+                decode_codes(buf, len, dict, end)
             }
-            Ok(ColumnVec::Date(v))
+        }?;
+        if *end != buf.len() {
+            return Err(ColumnarError::Corrupt("trailing bytes".into()));
         }
-        _ => Err(ColumnarError::Corrupt(
-            "delta codec only for ints/dates".into(),
-        )),
+        Ok(col)
+    }
+
+    fn decode_codes(
+        buf: &[u8],
+        len: usize,
+        dict: &Arc<StrDict>,
+        end: &mut usize,
+    ) -> Result<ColumnVec> {
+        let mut pos = 0usize;
+        let mut v: Vec<u32> = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 1));
+        let mut prev = 0i64;
+        let card = dict.len() as i64;
+        for _ in 0..len {
+            prev = prev.wrapping_add(unzigzag(get_uvarint(buf, &mut pos)?));
+            if prev < 0 || prev >= card {
+                return Err(ColumnarError::Corrupt(format!(
+                    "dictionary code {prev} out of range (dict of {card})"
+                )));
+            }
+            v.push(prev as u32);
+        }
+        *end = pos;
+        Ok(ColumnVec::Coded(v, dict.clone()))
+    }
+
+    /// Clamp an untrusted element count before `Vec::with_capacity`: never
+    /// pre-reserve more elements than the remaining payload bytes could encode
+    /// (`min_bytes` = smallest possible encoded size of one element). Run-length
+    /// payloads may legitimately decode to more values than this; the vector
+    /// then grows normally — only the up-front allocation is bounded.
+    fn alloc_cap(len: usize, buf_len: usize, pos: usize, min_bytes: usize) -> usize {
+        len.min(buf_len.saturating_sub(pos) / min_bytes.max(1) + 1)
+    }
+
+    fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
+        need(buf, *pos, 8)?;
+        let v = i64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
+        *pos += 8;
+        Ok(v)
+    }
+
+    fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
+        need(buf, *pos, 8)?;
+        let v = f64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
+        *pos += 8;
+        Ok(v)
+    }
+
+    fn read_i32(buf: &[u8], pos: &mut usize) -> Result<i32> {
+        need(buf, *pos, 4)?;
+        let v = i32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap());
+        *pos += 4;
+        Ok(v)
+    }
+
+    fn decode_plain(
+        buf: &[u8],
+        vtype: ValueType,
+        len: usize,
+        end: &mut usize,
+    ) -> Result<ColumnVec> {
+        let mut pos = 0usize;
+        let col = match vtype {
+            ValueType::Bool => {
+                need(buf, 0, len)?;
+                pos = len;
+                ColumnVec::Bool(buf[..len].iter().map(|&b| b != 0).collect())
+            }
+            ValueType::Int => {
+                let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 8));
+                for _ in 0..len {
+                    v.push(read_i64(buf, &mut pos)?);
+                }
+                ColumnVec::Int(v)
+            }
+            ValueType::Double => {
+                let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 8));
+                for _ in 0..len {
+                    v.push(read_f64(buf, &mut pos)?);
+                }
+                ColumnVec::Double(v)
+            }
+            ValueType::Date => {
+                let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 4));
+                for _ in 0..len {
+                    v.push(read_i32(buf, &mut pos)?);
+                }
+                ColumnVec::Date(v)
+            }
+            ValueType::Str => {
+                let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 1));
+                for _ in 0..len {
+                    v.push(read_str(buf, &mut pos)?);
+                }
+                ColumnVec::Str(v)
+            }
+        };
+        *end = pos;
+        Ok(col)
+    }
+
+    fn decode_rle(buf: &[u8], vtype: ValueType, len: usize, end: &mut usize) -> Result<ColumnVec> {
+        let mut pos = 0usize;
+        macro_rules! runs {
+            ($make:expr, $read:expr) => {{
+                let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 2));
+                while v.len() < len {
+                    let run = get_uvarint(buf, &mut pos)? as usize;
+                    // Reject the run *before* materializing it: a corrupt run
+                    // length (up to u64::MAX) must not drive a multi-GB push
+                    // loop just to fail the length check afterwards.
+                    if run > len - v.len() {
+                        return Err(ColumnarError::Corrupt("RLE length mismatch".into()));
+                    }
+                    #[allow(clippy::redundant_closure_call)]
+                    let x = $read(buf, &mut pos)?;
+                    for _ in 0..run {
+                        v.push(x.clone());
+                    }
+                }
+                #[allow(clippy::redundant_closure_call)]
+                $make(v)
+            }};
+        }
+        let col = match vtype {
+            ValueType::Bool => runs!(ColumnVec::Bool, |b: &[u8], p: &mut usize| -> Result<bool> {
+                need(b, *p, 1)?;
+                let x = b[*p] != 0;
+                *p += 1;
+                Ok(x)
+            }),
+            ValueType::Int => runs!(ColumnVec::Int, read_i64),
+            ValueType::Double => runs!(ColumnVec::Double, read_f64),
+            ValueType::Date => runs!(ColumnVec::Date, read_i32),
+            ValueType::Str => runs!(ColumnVec::Str, read_str),
+        };
+        *end = pos;
+        Ok(col)
+    }
+
+    fn decode_dict(buf: &[u8], vtype: ValueType, len: usize, end: &mut usize) -> Result<ColumnVec> {
+        if vtype != ValueType::Str {
+            return Err(ColumnarError::Corrupt("dict codec only for strings".into()));
+        }
+        let mut pos = 0usize;
+        let card = get_uvarint(buf, &mut pos)? as usize;
+        let mut dict = Vec::with_capacity(alloc_cap(card, buf.len(), pos, 1));
+        for _ in 0..card {
+            dict.push(read_str(buf, &mut pos)?);
+        }
+        need(buf, pos, 1)?;
+        let width = buf[pos];
+        pos += 1;
+        let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 1));
+        for _ in 0..len {
+            let idx = match width {
+                1 => {
+                    need(buf, pos, 1)?;
+                    let x = buf[pos] as usize;
+                    pos += 1;
+                    x
+                }
+                2 => {
+                    need(buf, pos, 2)?;
+                    let x = u16::from_le_bytes(buf[pos..pos + 2].try_into().unwrap()) as usize;
+                    pos += 2;
+                    x
+                }
+                4 => {
+                    need(buf, pos, 4)?;
+                    let x = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
+                    pos += 4;
+                    x
+                }
+                w => return Err(ColumnarError::Corrupt(format!("bad dict width {w}"))),
+            };
+            let s = dict
+                .get(idx)
+                .ok_or_else(|| ColumnarError::Corrupt(format!("dict index {idx} out of range")))?;
+            v.push(s.clone());
+        }
+        *end = pos;
+        Ok(ColumnVec::Str(v))
+    }
+
+    fn decode_delta(
+        buf: &[u8],
+        vtype: ValueType,
+        len: usize,
+        end: &mut usize,
+    ) -> Result<ColumnVec> {
+        let mut pos = 0usize;
+        match vtype {
+            ValueType::Int => {
+                let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 1));
+                let mut prev = 0i64;
+                for _ in 0..len {
+                    prev = prev.wrapping_add(unzigzag(get_uvarint(buf, &mut pos)?));
+                    v.push(prev);
+                }
+                *end = pos;
+                Ok(ColumnVec::Int(v))
+            }
+            ValueType::Date => {
+                let mut v = Vec::with_capacity(alloc_cap(len, buf.len(), pos, 1));
+                let mut prev = 0i64;
+                for _ in 0..len {
+                    prev = prev.wrapping_add(unzigzag(get_uvarint(buf, &mut pos)?));
+                    v.push(prev as i32);
+                }
+                *end = pos;
+                Ok(ColumnVec::Date(v))
+            }
+            _ => Err(ColumnarError::Corrupt(
+                "delta codec only for ints/dates".into(),
+            )),
+        }
     }
 }
 
@@ -713,5 +1063,338 @@ mod tests {
             &[Encoding::Plain]
         );
         assert!(Encoding::candidates(ValueType::Int, true).contains(&Encoding::DeltaVarint));
+    }
+
+    // -----------------------------------------------------------------
+    // bulk kernels ≡ the byte-at-a-time oracle
+    // -----------------------------------------------------------------
+
+    const ENCODINGS: [Encoding; 5] = [
+        Encoding::Plain,
+        Encoding::Rle,
+        Encoding::Dict,
+        Encoding::DeltaVarint,
+        Encoding::GlobalCode,
+    ];
+    const VTYPES: [ValueType; 5] = [
+        ValueType::Bool,
+        ValueType::Int,
+        ValueType::Double,
+        ValueType::Str,
+        ValueType::Date,
+    ];
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    fn test_dict() -> Arc<StrDict> {
+        StrDict::build(["", "a", "dup", "é✓", "zz"])
+    }
+
+    /// Same verdict, and on `Ok` the same values in the same
+    /// representation. Doubles compare by bits (arbitrary bytes decode to
+    /// NaNs, which `==` would call unequal).
+    fn assert_same(buf: &[u8], enc: Encoding, vt: ValueType, len: usize) {
+        let dict = test_dict();
+        let got = decode_with(buf, enc, vt, len, Some(&dict));
+        let want = oracle::decode_with(buf, enc, vt, len, Some(&dict));
+        let what = format!("{enc:?} × {vt:?}, len {len}, payload {buf:?}");
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.len(), len, "length: {what}");
+                assert_eq!(g.as_codes().is_some(), w.as_codes().is_some(), "{what}");
+                match (&g, &w) {
+                    (ColumnVec::Double(a), ColumnVec::Double(b)) => assert!(
+                        a.iter()
+                            .map(|x| x.to_bits())
+                            .eq(b.iter().map(|x| x.to_bits())),
+                        "values: {what}"
+                    ),
+                    _ => assert_eq!(g, w, "values: {what}"),
+                }
+            }
+            (Err(_), Err(_)) => {}
+            (g, w) => panic!("verdicts differ: kernel {g:?}, oracle {w:?}: {what}"),
+        }
+    }
+
+    /// Columns of `n` values, one per value type (plus a coded one), with
+    /// varints of every width in their delta encodings.
+    fn sample_columns(n: usize) -> Vec<ColumnVec> {
+        let mut st = 0x9E37_79B9_7F4A_7C15u64;
+        let ints: Vec<i64> = (0..n)
+            .map(|i| match i % 4 {
+                0 => i as i64,
+                1 => (xorshift(&mut st) % 300) as i64,
+                2 => xorshift(&mut st) as i64 >> (xorshift(&mut st) % 64),
+                _ => 7,
+            })
+            .collect();
+        let dict = test_dict();
+        vec![
+            ColumnVec::Bool(ints.iter().map(|v| v % 3 == 0).collect()),
+            ColumnVec::Int(ints.clone()),
+            ColumnVec::Double(ints.iter().map(|&v| v as f64 * 0.25).collect()),
+            ColumnVec::Date(ints.iter().map(|&v| v as i32).collect()),
+            ColumnVec::Str(ints.iter().map(|v| format!("s{}", v % 300)).collect()),
+            ColumnVec::Str(ints.iter().map(|v| format!("t{}", v % 70_000)).collect()),
+            ColumnVec::Coded(ints.iter().map(|v| v.rem_euclid(5) as u32).collect(), dict),
+        ]
+    }
+
+    #[test]
+    fn kernels_match_oracle_on_short_arbitrary_payloads() {
+        let mut st = 0xD1B5_4A32_D192_ED03u64;
+        for plen in 0..=24usize {
+            for round in 0..48 {
+                let buf: Vec<u8> = (0..plen)
+                    .map(|_| {
+                        let b = xorshift(&mut st);
+                        // bias towards small bytes so run lengths, string
+                        // lengths and dictionary sizes are often satisfiable
+                        match round % 3 {
+                            0 => (b % 4) as u8,
+                            1 => (b % 130) as u8,
+                            _ => b as u8,
+                        }
+                    })
+                    .collect();
+                for enc in ENCODINGS {
+                    for vt in VTYPES {
+                        for len in [0usize, 1, 2, 3, 7, 8, 9, 24, 25, usize::MAX] {
+                            // a run length may legitimately be as large as
+                            // the declared length: no codec can refuse it
+                            // before filling, so RLE takes honest lengths
+                            if enc == Encoding::Rle && len == usize::MAX {
+                                continue;
+                            }
+                            assert_same(&buf, enc, vt, len);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_oracle_around_the_block_size_and_at_every_prefix() {
+        for n in [4095usize, 4096, 4097] {
+            for col in sample_columns(n) {
+                for enc in ENCODINGS {
+                    let Some(bytes) = encode(&col, enc) else {
+                        continue;
+                    };
+                    let dict = col.dict().cloned();
+                    let back = decode_with(&bytes, enc, col.vtype(), n, dict.as_ref())
+                        .expect("valid payload decodes");
+                    assert_eq!(back, col, "{enc:?} × {:?}, {n} values", col.vtype());
+                    assert_same(&bytes, enc, col.vtype(), n);
+                    // a wrong declared length is the oracle's call too
+                    assert_same(&bytes, enc, col.vtype(), n - 1);
+                    assert_same(&bytes, enc, col.vtype(), n + 1);
+                }
+            }
+        }
+        // truncation at every prefix (shorter columns keep this quadratic
+        // sweep quick; 70 values still cross several eight-value words)
+        for col in sample_columns(70) {
+            for enc in ENCODINGS {
+                let Some(bytes) = encode(&col, enc) else {
+                    continue;
+                };
+                for cut in 0..bytes.len() {
+                    assert_same(&bytes[..cut], enc, col.vtype(), col.len());
+                }
+            }
+        }
+    }
+
+    /// `bytes` continuation bytes then a final byte: a varint of
+    /// `bytes + 1` bytes.
+    fn long_varint(bytes: usize) -> Vec<u8> {
+        let mut v = vec![0x81u8; bytes];
+        v.push(0x01);
+        v
+    }
+
+    #[test]
+    fn nine_and_ten_byte_varints_decode_the_eleventh_byte_is_corrupt() {
+        let too_long = Err(ColumnarError::Corrupt("varint too long".into()));
+        for width in [9usize, 10, 11] {
+            // alone, and after enough single-byte values that the varint
+            // starts inside, at the edge of and past an eight-byte word
+            for lead in [0usize, 1, 7, 8, 9, 15] {
+                for tail in [0usize, 1, 8, 12] {
+                    let mut buf = vec![0x02u8; lead];
+                    buf.extend(long_varint(width - 1));
+                    buf.extend(vec![0x02u8; tail]);
+                    let len = lead + 1 + tail;
+                    for (enc, vt) in [
+                        (Encoding::DeltaVarint, ValueType::Int),
+                        (Encoding::DeltaVarint, ValueType::Date),
+                    ] {
+                        assert_same(&buf, enc, vt, len);
+                        let got = decode(&buf, enc, vt, len);
+                        if width == 11 {
+                            assert_eq!(got, too_long, "{enc:?} lead {lead} tail {tail}");
+                        } else {
+                            assert!(got.is_ok(), "{width}-byte varint: {got:?}");
+                        }
+                    }
+                }
+            }
+            // the other places a varint is read first: run lengths, string
+            // lengths, dictionary sizes, global codes
+            let v = long_varint(width - 1);
+            let dict = test_dict();
+            for enc in ENCODINGS {
+                for vt in VTYPES {
+                    assert_same(&v, enc, vt, 1);
+                }
+            }
+            if width == 11 {
+                for (enc, vt) in [
+                    (Encoding::Plain, ValueType::Str),
+                    (Encoding::Rle, ValueType::Int),
+                    (Encoding::Rle, ValueType::Str),
+                    (Encoding::Dict, ValueType::Str),
+                    (Encoding::GlobalCode, ValueType::Str),
+                ] {
+                    let got = decode_with(&v, enc, vt, 1, Some(&dict));
+                    assert_eq!(got, too_long, "{enc:?} × {vt:?}");
+                }
+            }
+        }
+    }
+
+    /// One test per codec: a valid payload with a byte left over is
+    /// corrupt, whatever the byte.
+    fn assert_trailing_rejected(col: &ColumnVec, enc: Encoding) {
+        let mut bytes = encode(col, enc).expect("codec applies");
+        let dict = col.dict().cloned();
+        assert!(decode_with(&bytes, enc, col.vtype(), col.len(), dict.as_ref()).is_ok());
+        for extra in [0u8, 1, 0x80, 0xff] {
+            bytes.push(extra);
+            match decode_with(&bytes, enc, col.vtype(), col.len(), dict.as_ref()) {
+                Err(ColumnarError::Corrupt(msg)) => {
+                    assert!(msg.starts_with("trailing bytes"), "{enc:?}: {msg}")
+                }
+                other => panic!("{enc:?} × {:?}: tail accepted: {other:?}", col.vtype()),
+            }
+            bytes.pop();
+        }
+    }
+
+    #[test]
+    fn plain_rejects_trailing_bytes() {
+        for col in sample_columns(9) {
+            assert_trailing_rejected(&col, Encoding::Plain);
+        }
+        // an empty block has no bytes at all
+        assert!(decode(&[0], Encoding::Plain, ValueType::Int, 0).is_err());
+    }
+
+    #[test]
+    fn rle_rejects_trailing_bytes() {
+        for col in sample_columns(9) {
+            assert_trailing_rejected(&col, Encoding::Rle);
+        }
+        // a zero-length run after the last value is a tail too
+        let mut bytes = encode(&ColumnVec::Int(vec![5; 3]), Encoding::Rle).unwrap();
+        bytes.push(0);
+        bytes.extend_from_slice(&9i64.to_le_bytes());
+        assert!(decode(&bytes, Encoding::Rle, ValueType::Int, 3).is_err());
+    }
+
+    #[test]
+    fn dict_rejects_trailing_bytes() {
+        assert_trailing_rejected(
+            &ColumnVec::Str(vec!["x".into(), "y".into(), "x".into()]),
+            Encoding::Dict,
+        );
+        // wide indices: 300 distinct strings among 700 values
+        let wide = ColumnVec::Str((0..700).map(|i| format!("w{}", i % 300)).collect());
+        assert_trailing_rejected(&wide, Encoding::Dict);
+    }
+
+    #[test]
+    fn delta_rejects_trailing_bytes() {
+        assert_trailing_rejected(&ColumnVec::Int((0..20).collect()), Encoding::DeltaVarint);
+        assert_trailing_rejected(
+            &ColumnVec::Int(vec![i64::MIN, 0, i64::MAX]),
+            Encoding::DeltaVarint,
+        );
+        assert_trailing_rejected(&ColumnVec::Date(vec![3, 1, 4, 1, 5]), Encoding::DeltaVarint);
+    }
+
+    #[test]
+    fn global_code_rejects_trailing_bytes() {
+        let col = ColumnVec::Coded(vec![4, 0, 0, 3, 1, 2, 2, 2, 4, 0, 1], test_dict());
+        assert_trailing_rejected(&col, Encoding::GlobalCode);
+    }
+
+    #[test]
+    fn decode_into_reuses_a_matching_buffer_and_replaces_a_mismatched_one() {
+        let a = ColumnVec::Int((0..4096).collect());
+        let b = ColumnVec::Int((0..1000).map(|i| i * 3).collect());
+        let (pa, pb) = (
+            encode(&a, Encoding::DeltaVarint).unwrap(),
+            encode(&b, Encoding::Plain).unwrap(),
+        );
+        let mut buf = ColumnVec::new(ValueType::Int);
+        decode_into(
+            &pa,
+            Encoding::DeltaVarint,
+            ValueType::Int,
+            4096,
+            None,
+            &mut buf,
+        )
+        .unwrap();
+        assert_eq!(buf, a);
+        let held = buf.as_int().as_ptr();
+        decode_into(&pb, Encoding::Plain, ValueType::Int, 1000, None, &mut buf).unwrap();
+        assert_eq!(buf, b);
+        assert_eq!(buf.as_int().as_ptr(), held, "same allocation, refilled");
+        // another representation: replaced, whichever way round
+        let dict = test_dict();
+        let c = ColumnVec::Coded(vec![1, 1, 4], dict.clone());
+        let pc = encode(&c, Encoding::GlobalCode).unwrap();
+        decode_into(
+            &pc,
+            Encoding::GlobalCode,
+            ValueType::Str,
+            3,
+            Some(&dict),
+            &mut buf,
+        )
+        .unwrap();
+        assert_eq!(buf.as_codes(), Some(&[1u32, 1, 4][..]));
+        let d = ColumnVec::Str(vec!["p".into(), "q".into()]);
+        let pd = encode(&d, Encoding::Plain).unwrap();
+        decode_into(
+            &pd,
+            Encoding::Plain,
+            ValueType::Str,
+            2,
+            Some(&dict),
+            &mut buf,
+        )
+        .unwrap();
+        assert_eq!(buf.as_str(), &["p".to_string(), "q".to_string()]);
+        // a failed decode is an error, not a half-filled success
+        assert!(decode_into(
+            &pa[..100],
+            Encoding::DeltaVarint,
+            ValueType::Int,
+            4096,
+            None,
+            &mut buf
+        )
+        .is_err());
     }
 }

@@ -325,6 +325,22 @@ impl StableTable {
 
     /// Decode block `b` of column `c`, charging its stored bytes to `io`.
     pub fn read_block(&self, c: usize, b: usize, io: &IoTracker) -> Result<ColumnVec> {
+        // any empty column will do: decoding replaces a mismatched buffer
+        let mut out = ColumnVec::new(ValueType::Bool);
+        self.read_block_into(c, b, io, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`StableTable::read_block`] into a caller-held column, reusing its
+    /// allocation when the representation matches — a scan decodes block
+    /// after block of a column into one buffer.
+    pub fn read_block_into(
+        &self,
+        c: usize,
+        b: usize,
+        io: &IoTracker,
+        out: &mut ColumnVec,
+    ) -> Result<()> {
         let col = self.cols.get(c).ok_or(ColumnarError::OutOfRange {
             what: "column",
             index: c as u64,
@@ -336,7 +352,7 @@ impl StableTable {
             len: col.len() as u64,
         })?;
         io.record_block_at(b, blk.stored_bytes());
-        blk.decode_with(self.column_dict(c))
+        blk.decode_into(self.column_dict(c), out)
     }
 
     /// Fetch a single row by SID (point access for DML/tests; charges the

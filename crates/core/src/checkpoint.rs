@@ -94,29 +94,23 @@ pub fn checkpoint_range(
     let proj: Vec<usize> = (0..ncols).collect();
     let mut builder = TableBuilder::splice(stable, b0, b1)?;
     let mut merger = PdtMerger::new(pdt, stable.block_range(b0).0);
+    // decode and merge buffers live across blocks: the builder copies what
+    // it is given, so nothing here is allocated per block
+    let fresh = || -> Vec<ColumnVec> {
+        let fields = stable.schema().fields().iter();
+        fields.map(|f| ColumnVec::new(f.vtype)).collect()
+    };
+    let (mut cols, mut spare) = (fresh(), fresh());
     for b in b0..b1 {
+        for (c, col) in cols.iter_mut().enumerate() {
+            stable.read_block_into(c, b, io, col)?;
+        }
         let (start, end) = stable.block_range(b);
-        let cols: Vec<ColumnVec> = (0..ncols)
-            .map(|c| stable.read_block(c, b, io))
-            .collect::<Result<_, _>>()?;
-        let mut out: Vec<ColumnVec> = cols
-            .iter()
-            .enumerate()
-            .map(|(c, col)| match col.dict() {
-                Some(d) => ColumnVec::new_coded(d.clone()),
-                None => ColumnVec::new(stable.schema().vtype(c)),
-            })
-            .collect();
-        merger.merge_block(start, (end - start) as usize, &proj, &cols, &mut out);
-        builder.append_cols(&out)?;
+        merger.merge_block_owned(start, (end - start) as usize, &proj, &mut cols, &mut spare);
+        builder.append_cols(&cols)?;
     }
     if b1 == stable.num_blocks() {
-        let mut tail: Vec<ColumnVec> = stable
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| ColumnVec::new(f.vtype))
-            .collect();
+        let mut tail = fresh();
         merger.drain_inserts_at(stable.row_count(), &proj, &mut tail);
         builder.append_cols(&tail)?;
     }

@@ -17,7 +17,7 @@
 
 use crate::tree::{Cursor, Pdt};
 use columnar::kernel::{apply_steps, MergeStep};
-use columnar::{ColumnVec, ValueType};
+use columnar::ColumnVec;
 
 /// Stateful block-at-a-time positional merge.
 pub struct PdtMerger<'a> {
@@ -36,18 +36,48 @@ struct MergePlan {
     steps: Vec<MergeStep>,
     /// Insert-table offset per [`MergeStep::Insert`], in step order.
     ins_offs: Vec<usize>,
-    /// Modification chain per [`MergeStep::Patch`], in step order:
-    /// `(column, modify-table offset)` pairs.
-    patches: Vec<Vec<(usize, u64)>>,
+    /// Per [`MergeStep::Patch`], in step order: the end of its modification
+    /// chain in `chains` (it starts where the previous patch's ended).
+    patch_ends: Vec<usize>,
+    /// The modification chains, back to back: `(column, modify-table
+    /// offset)` pairs.
+    chains: Vec<(usize, u64)>,
+    /// Stable rows of the block its deletes suppress.
+    ghosts: usize,
+    /// Per-column scratch of [`MergePlan::column_patches`].
+    patch_hit: Vec<bool>,
+    patch_offs: Vec<usize>,
 }
 
-/// An empty scratch column matching the representation of `stable`: coded
-/// when the stable block is dictionary-coded (so gathers stay on the `u32`
-/// path), plainly typed otherwise.
-fn scratch_like(stable: &ColumnVec, vtype: ValueType) -> ColumnVec {
-    match stable.dict() {
-        Some(d) => ColumnVec::new_coded(d.clone()),
-        None => ColumnVec::new(vtype),
+impl MergePlan {
+    /// The block's shape, decided once per block, never per row or per
+    /// column: `true` when no update addresses it — the plan is at most one
+    /// whole-block run, so the decoded vectors *are* the merged block.
+    fn untouched(&self) -> bool {
+        self.ins_offs.is_empty() && self.ghosts == 0 && self.patch_ends.is_empty()
+    }
+
+    /// Rows the plan emits for a block of `len` stable rows.
+    fn out_len(&self, len: usize) -> usize {
+        len + self.ins_offs.len() - self.ghosts
+    }
+
+    /// Project the plan's modification chains onto column `col`:
+    /// `patch_hit[j]` says whether the j-th [`MergeStep::Patch`] overrides
+    /// the column, `patch_offs` lists the modify-table offset of each hit,
+    /// in step order.
+    fn column_patches(&mut self, col: usize) {
+        self.patch_hit.clear();
+        self.patch_offs.clear();
+        let mut start = 0usize;
+        for &end in &self.patch_ends {
+            let hit = self.chains[start..end].iter().find(|&&(c, _)| c == col);
+            self.patch_hit.push(hit.is_some());
+            if let Some(&(_, off)) = hit {
+                self.patch_offs.push(off as usize);
+            }
+            start = end;
+        }
     }
 }
 
@@ -84,6 +114,10 @@ impl<'a> PdtMerger<'a> {
     /// one type dispatch per column-block, no per-value `Value` enum on the
     /// hot path. [`PdtMerger::merge_block_scalar`] keeps the old per-value
     /// path as the cross-checked baseline.
+    ///
+    /// This is the borrowed form — the input stays the caller's, so even an
+    /// untouched block is copied. A caller that owns its decoded block drives
+    /// [`PdtMerger::merge_block_owned`] over the same plan instead.
     pub fn merge_block(
         &mut self,
         start_sid: u64,
@@ -92,102 +126,134 @@ impl<'a> PdtMerger<'a> {
         cols_in: &[ColumnVec],
         out: &mut [ColumnVec],
     ) {
+        self.plan_block(start_sid, len);
+        self.apply_plan(len, proj, cols_in, out);
+    }
+
+    /// [`PdtMerger::merge_block`] for a caller that owns the decoded block
+    /// of `len` rows: on return `cols` *is* the merged block. A block no
+    /// update addresses is not touched or copied; any other is applied from
+    /// `cols` into `spare` (emptied, given the block's representation and
+    /// sized to the merged row count first) and the two are swapped.
+    ///
+    /// `spare[k]` is scratch for `cols[k]`: afterwards it holds whichever
+    /// buffer the merge no longer needs, contents unspecified, for the
+    /// caller to reuse.
+    pub fn merge_block_owned(
+        &mut self,
+        start_sid: u64,
+        len: usize,
+        proj: &[usize],
+        cols: &mut [ColumnVec],
+        spare: &mut [ColumnVec],
+    ) {
+        debug_assert!(cols.iter().all(|c| c.len() == len));
+        self.plan_block(start_sid, len);
+        if !self.plan.untouched() {
+            for (s, c) in spare.iter_mut().zip(cols.iter()) {
+                s.reset_like(c);
+            }
+            self.apply_plan(len, proj, cols, spare);
+            cols.swap_with_slice(spare);
+        }
+    }
+
+    /// Execute the planned block per column: gather the column's inserted
+    /// and patched values out of the value space, then one
+    /// [`apply_steps`] from `cols_in[k]` onto the end of `out[k]`.
+    fn apply_plan(
+        &mut self,
+        len: usize,
+        proj: &[usize],
+        cols_in: &[ColumnVec],
+        out: &mut [ColumnVec],
+    ) {
         debug_assert_eq!(proj.len(), cols_in.len());
         debug_assert_eq!(proj.len(), out.len());
-        self.plan_block(start_sid, len);
-        let plan = std::mem::take(&mut self.plan);
         let vals = self.pdt.vals();
-        let mut patch_offs: Vec<usize> = Vec::new();
-        let mut patch_hit: Vec<bool> = Vec::new();
+        let out_len = self.plan.out_len(len);
         for (k, o) in out.iter_mut().enumerate() {
             let col = proj[k];
-            let ins_src = vals.insert_column(col);
-            let mut ins_vals = scratch_like(&cols_in[k], ins_src.vtype());
-            ins_vals.extend_gather(ins_src, &plan.ins_offs);
-            patch_offs.clear();
-            patch_hit.clear();
-            for ov in &plan.patches {
-                match ov.iter().find(|&&(c, _)| c == col) {
-                    Some(&(_, off)) => {
-                        patch_hit.push(true);
-                        patch_offs.push(off as usize);
-                    }
-                    None => patch_hit.push(false),
-                }
-            }
-            let mod_src = vals.modify_column(col);
-            let mut patch_vals = scratch_like(&cols_in[k], mod_src.vtype());
-            patch_vals.extend_gather(mod_src, &patch_offs);
+            // scratch operands match the block's representation: coded when
+            // it is dictionary-coded, so gathers stay on the `u32` path
+            let mut ins_vals = cols_in[k].empty_like();
+            ins_vals.extend_gather(vals.insert_column(col), &self.plan.ins_offs);
+            self.plan.column_patches(col);
+            let mut patch_vals = cols_in[k].empty_like();
+            patch_vals.extend_gather(vals.modify_column(col), &self.plan.patch_offs);
+            o.reserve(out_len);
             apply_steps(
-                &plan.steps,
+                &self.plan.steps,
                 o,
                 &cols_in[k],
                 &ins_vals,
                 &patch_vals,
-                &patch_hit,
+                &self.plan.patch_hit,
             );
         }
-        self.plan = plan;
     }
 
     /// One cursor walk over the block's updates, filling `self.plan` and
     /// advancing `self.rid`/`self.cur` exactly as the merge will.
     fn plan_block(&mut self, start_sid: u64, len: usize) {
-        self.plan.steps.clear();
-        self.plan.ins_offs.clear();
-        self.plan.patches.clear();
+        let plan = &mut self.plan;
+        plan.steps.clear();
+        plan.ins_offs.clear();
+        plan.patch_ends.clear();
+        plan.chains.clear();
+        plan.ghosts = 0;
         let end = start_sid + len as u64;
         let mut pos = start_sid;
         loop {
-            let next_upd_sid = self.pdt.entry(&self.cur).map(|e| e.sid).unwrap_or(u64::MAX);
-            if next_upd_sid >= end {
-                // no more updates inside this block: one pass-through run
-                if pos < end {
-                    self.plan.steps.push(MergeStep::Run {
-                        from: (pos - start_sid) as u32,
-                        to: len as u32,
-                    });
-                    self.rid += end - pos;
+            // the next update inside this block, if any
+            let e = match self.pdt.entry(&self.cur) {
+                Some(e) if e.sid < end => e,
+                _ => {
+                    // none left: one pass-through run to the block's end
+                    if pos < end {
+                        plan.steps.push(MergeStep::Run {
+                            from: (pos - start_sid) as u32,
+                            to: len as u32,
+                        });
+                        self.rid += end - pos;
+                    }
+                    return;
                 }
-                return;
-            }
-            if next_upd_sid > pos {
-                // pass-through run up to the next update position
-                self.plan.steps.push(MergeStep::Run {
+            };
+            if e.sid > pos {
+                // pass-through run up to the update's position
+                plan.steps.push(MergeStep::Run {
                     from: (pos - start_sid) as u32,
-                    to: (next_upd_sid - start_sid) as u32,
+                    to: (e.sid - start_sid) as u32,
                 });
-                self.rid += next_upd_sid - pos;
-                pos = next_upd_sid;
-                continue;
+                self.rid += e.sid - pos;
+                pos = e.sid;
             }
-            // an update applies at `pos`
-            let e = self.pdt.entry(&self.cur).expect("checked above");
             debug_assert_eq!(e.sid, pos);
             if e.upd.is_ins() {
                 // new tuple before stable tuple `pos`
-                self.plan.steps.push(MergeStep::Insert);
-                self.plan.ins_offs.push(e.upd.val as usize);
+                plan.steps.push(MergeStep::Insert);
+                plan.ins_offs.push(e.upd.val as usize);
                 self.rid += 1;
                 self.pdt.advance(&mut self.cur);
             } else if e.upd.is_del() {
                 // ghost: skip the stable tuple
+                plan.ghosts += 1;
                 self.pdt.advance(&mut self.cur);
                 pos += 1;
             } else {
                 // modification chain on stable tuple `pos`
-                let mut overrides: Vec<(usize, u64)> = Vec::new();
                 while let Some(m) = self.pdt.entry(&self.cur) {
                     if m.sid != pos || !m.upd.is_mod() {
                         break;
                     }
-                    overrides.push((m.upd.col_no() as usize, m.upd.val));
+                    plan.chains.push((m.upd.col_no() as usize, m.upd.val));
                     self.pdt.advance(&mut self.cur);
                 }
-                self.plan.steps.push(MergeStep::Patch {
+                plan.steps.push(MergeStep::Patch {
                     row: (pos - start_sid) as u32,
                 });
-                self.plan.patches.push(overrides);
+                plan.patch_ends.push(plan.chains.len());
                 self.rid += 1;
                 pos += 1;
             }
@@ -504,5 +570,214 @@ mod tests {
         let got = merge_rows(&p, &rows, 4);
         let keys: Vec<i64> = got.iter().map(|r| r[0].as_int()).collect();
         assert_eq!(keys, vec![0, 10, 25, 40, 50]);
+    }
+
+    // -----------------------------------------------------------------
+    // block shapes: the owning entry point against the scalar oracle
+    // -----------------------------------------------------------------
+
+    fn to_cols(rows: &[Tuple]) -> Vec<ColumnVec> {
+        let mut cols = vec![
+            ColumnVec::new(ValueType::Int),
+            ColumnVec::new(ValueType::Str),
+        ];
+        for r in rows {
+            cols[0].push(&r[0]);
+            cols[1].push(&r[1]);
+        }
+        cols
+    }
+
+    fn to_rows(cols: &[ColumnVec]) -> Vec<Tuple> {
+        (0..cols[0].len())
+            .map(|i| cols.iter().map(|c| c.get(i)).collect())
+            .collect()
+    }
+
+    /// What the owning merge did with one block's buffers.
+    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
+    enum Moved {
+        /// `cols` came back as the very allocation that went in.
+        InPlace,
+        /// `cols` came back as another allocation (the old one in `spare`).
+        Swapped,
+    }
+
+    /// Drive `merge_block_owned` over `rows` in blocks of `bs`; returns
+    /// the merged image and what happened to each block's key buffer.
+    fn merge_owned(pdt: &Pdt, rows: &[Tuple], bs: usize) -> (Vec<Tuple>, Vec<Moved>) {
+        let proj = [0usize, 1usize];
+        let mut merger = PdtMerger::new(pdt, 0);
+        let mut spare = to_cols(&[]);
+        let (mut out, mut moved) = (Vec::new(), Vec::new());
+        for start in (0..rows.len()).step_by(bs) {
+            let chunk = &rows[start..(start + bs).min(rows.len())];
+            let mut cols = to_cols(chunk);
+            let held = cols[0].as_int().as_ptr();
+            let rid0 = merger.next_rid();
+            merger.merge_block_owned(start as u64, chunk.len(), &proj, &mut cols, &mut spare);
+            assert_eq!(cols[0].len(), cols[1].len());
+            assert_eq!(merger.next_rid(), rid0 + cols[0].len() as u64);
+            moved.push(if cols[0].as_int().as_ptr() == held {
+                Moved::InPlace
+            } else {
+                assert_eq!(spare[0].as_int().as_ptr(), held, "input left in spare");
+                Moved::Swapped
+            });
+            out.extend(to_rows(&cols));
+        }
+        let mut tail = to_cols(&[]);
+        merger.drain_inserts_at(rows.len() as u64, &proj, &mut tail);
+        out.extend(to_rows(&tail));
+        (out, moved)
+    }
+
+    fn merge_scalar(pdt: &Pdt, rows: &[Tuple], bs: usize) -> Vec<Tuple> {
+        let proj = [0usize, 1usize];
+        let mut merger = PdtMerger::new(pdt, 0);
+        let mut out = to_cols(&[]);
+        for start in (0..rows.len()).step_by(bs) {
+            let chunk = &rows[start..(start + bs).min(rows.len())];
+            merger.merge_block_scalar(start as u64, chunk.len(), &proj, &to_cols(chunk), &mut out);
+        }
+        merger.drain_inserts_at(rows.len() as u64, &proj, &mut out);
+        to_rows(&out)
+    }
+
+    fn ins(k: i64) -> Tuple {
+        vec![Value::Int(k), Value::Str(format!("i{k}"))]
+    }
+
+    /// One PDT over 32 stable rows in blocks of 8, one kind of update per
+    /// block: block 0 untouched, block 1 modifications only, block 2
+    /// inserts only, block 3 ghosts only — then every kind in every block.
+    #[test]
+    fn owned_merge_matches_scalar_for_every_block_shape() {
+        let rows = stable(32);
+        let mut p = Pdt::new(schema(), vec![0]);
+        // stable 9 and 14: modifications, no row moves (rid == sid so far)
+        p.add_modify(9, 1, &Value::Str("m9".into()));
+        p.add_modify(14, 0, &Value::Int(141));
+        p.add_modify(14, 1, &Value::Str("m14".into()));
+        // two inserts before stable 18 and one before stable 23
+        p.add_insert(18, 18, &ins(175));
+        p.add_insert(18, 18, &ins(172));
+        p.add_insert(23, 25, &ins(225));
+        // stable 24 and 31 deleted (three inserts precede them)
+        p.add_delete(27, &[Value::Int(240)]);
+        p.add_delete(33, &[Value::Int(310)]);
+        p.check_invariants();
+        let (got, moved) = merge_owned(&p, &rows, 8);
+        assert_eq!(got, merge_scalar(&p, &rows, 8));
+        assert_eq!(got, crate::checkpoint::merge_rows(&rows, &p));
+        assert_eq!(
+            moved,
+            [
+                Moved::InPlace,
+                Moved::Swapped,
+                Moved::Swapped,
+                Moved::Swapped
+            ],
+            "only the untouched block keeps its buffer"
+        );
+        assert_eq!(got[9][1], Value::Str("m9".into()));
+        assert_eq!(got[14], vec![Value::Int(141), Value::Str("m14".into())]);
+        // other block sizes cut the same updates into other shapes
+        for bs in [1, 3, 5, 16, 32, 64] {
+            assert_eq!(merge_owned(&p, &rows, bs).0, got, "block size {bs}");
+        }
+        // mixed: every kind in every block
+        for b in 0..4u64 {
+            let base = b * 8;
+            let at = p.rid_of_stable(base + 1).0;
+            p.add_modify(at, 1, &Value::Str(format!("x{b}")));
+            let at = p.rid_of_stable(base + 2).0;
+            p.add_delete(at, &[Value::Int((base as i64 + 2) * 10)]);
+            let at = p.rid_of_stable(base + 4).0;
+            let key = (base as i64 + 4) * 10 - 5;
+            let sid = p.sk_rid_to_sid(&[Value::Int(key)], at);
+            p.add_insert(sid, at, &ins(key));
+        }
+        p.check_invariants();
+        for bs in [1, 4, 8, 9, 32] {
+            let (got, moved) = merge_owned(&p, &rows, bs);
+            assert_eq!(got, merge_scalar(&p, &rows, bs), "mixed, block size {bs}");
+            if bs == 8 {
+                assert_eq!(moved, [Moved::Swapped; 4]);
+            }
+        }
+    }
+
+    /// A modification on a column the scan does not project leaves the
+    /// projected values as decoded.
+    #[test]
+    fn owned_merge_skips_a_patch_on_an_unprojected_column() {
+        let rows = stable(8);
+        let mut p = Pdt::new(schema(), vec![0]);
+        p.add_modify(3, 1, &Value::Str("unseen".into()));
+        let mut merger = PdtMerger::new(&p, 0);
+        let mut cols = vec![to_cols(&rows).swap_remove(0)];
+        let mut spare = vec![ColumnVec::new(ValueType::Int)];
+        merger.merge_block_owned(0, 8, &[0], &mut cols, &mut spare);
+        assert_eq!(cols[0].as_int(), &[0, 10, 20, 30, 40, 50, 60, 70]);
+        assert_eq!(merger.next_rid(), 8);
+    }
+
+    /// Read/Write/Trans stacking (eq. (9)): three layers, each classifying
+    /// the one stable block for itself — patched by the first, untouched by
+    /// the second, rows moved by the third.
+    #[test]
+    fn three_layer_stack_with_a_different_shape_per_layer() {
+        let rows = stable(16);
+        let mut read = Pdt::new(schema(), vec![0]);
+        read.add_modify(5, 1, &Value::Str("r5".into()));
+        let after_read = crate::checkpoint::merge_rows(&rows, &read);
+        // the write layer only appends past the block
+        let mut write = Pdt::new(schema(), vec![0]);
+        write.add_insert(16, 16, &ins(900));
+        let after_write = crate::checkpoint::merge_rows(&after_read, &write);
+        let mut trans = Pdt::new(schema(), vec![0]);
+        trans.add_delete(2, &[Value::Int(20)]);
+        trans.add_insert(7, 6, &ins(65));
+        trans.add_modify(5, 0, &Value::Int(51)); // read's patched row, one up
+        let want = crate::checkpoint::merge_rows(&after_write, &trans);
+
+        let proj = [0usize, 1usize];
+        let layers = [&read, &write, &trans];
+        let mut mergers: Vec<PdtMerger> = Vec::new();
+        let mut start = 0u64;
+        for p in layers {
+            let m = PdtMerger::new(p, start);
+            start = m.next_rid();
+            mergers.push(m);
+        }
+        let mut cols = to_cols(&rows);
+        let mut spare = to_cols(&[]);
+        let (mut at, mut len) = (0u64, rows.len());
+        let mut kept = Vec::new();
+        for m in &mut mergers {
+            let (rid0, held) = (m.next_rid(), cols[0].as_int().as_ptr());
+            m.merge_block_owned(at, len, &proj, &mut cols, &mut spare);
+            (at, len) = (rid0, (m.next_rid() - rid0) as usize);
+            kept.push(cols[0].as_int().as_ptr() == held);
+        }
+        assert_eq!(kept, [false, true, false], "copy, pass, copy");
+        let mut got = to_rows(&cols);
+        // trailing inserts: each layer's, pushed through the layers above
+        let mut end = rows.len() as u64;
+        for k in 0..mergers.len() {
+            let rid0 = mergers[k].next_rid();
+            let mut tail = to_cols(&[]);
+            mergers[k].drain_inserts_at(end, &proj, &mut tail);
+            end = mergers[k].next_rid();
+            let mut at = rid0;
+            for m in &mut mergers[k + 1..] {
+                let (r, len) = (m.next_rid(), tail[0].len());
+                m.merge_block_owned(at, len, &proj, &mut tail, &mut spare);
+                at = r;
+            }
+            got.extend(to_rows(&tail));
+        }
+        assert_eq!(got, want);
     }
 }

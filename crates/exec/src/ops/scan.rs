@@ -119,6 +119,45 @@ impl ByKey<'_> {
     }
 }
 
+/// Where a by-key merge finds a block's sort-key columns among the decode
+/// buffers — resolved once, in [`TableScan::ranged`].
+enum KeyCols {
+    /// Adjacent and in key order (always, for a one-column key): the key is
+    /// borrowed as `bufs[range]`.
+    Borrowed(std::ops::Range<usize>),
+    /// Interleaved with other columns: `bufs[at[j]]` is copied into
+    /// `scratch[j]` block by block (the allocations are reused).
+    Gathered {
+        at: Vec<usize>,
+        scratch: Vec<ColumnVec>,
+    },
+}
+
+impl KeyCols {
+    /// Locate the sort-key columns `sk` in `io_cols` (which holds them
+    /// all); `bufs[p]` is the decode buffer of `io_cols[p]`.
+    fn locate(sk: &[usize], io_cols: &[usize], bufs: &[ColumnVec]) -> Self {
+        let at: Vec<usize> = sk
+            .iter()
+            .map(|c| {
+                io_cols
+                    .iter()
+                    .position(|x| x == c)
+                    .expect("value_io_cols reads every sort-key column")
+            })
+            .collect();
+        match at.first() {
+            Some(&first) if at.windows(2).all(|w| w[1] == w[0] + 1) => {
+                KeyCols::Borrowed(first..first + at.len())
+            }
+            _ => KeyCols::Gathered {
+                scratch: at.iter().map(|&p| bufs[p].empty_like()).collect(),
+                at,
+            },
+        }
+    }
+}
+
 /// The scan operator.
 ///
 /// ## Pinning
@@ -144,8 +183,20 @@ pub struct TableScan<'a> {
     table: &'a StableTable,
     proj: Vec<usize>,
     range: ScanRange,
+    /// Value types of `proj`, in projection order.
+    types: Vec<ValueType>,
     /// columns actually read from storage (proj ∪ sort key for VDT mode)
     io_cols: Vec<usize>,
+    /// One decode buffer per `io_cols` entry. A block is decoded into them
+    /// in place; a merge that copies (or emits nothing of) a buffer leaves
+    /// its allocation here for the next block, one that passes the decoded
+    /// vector on as the output leaves an empty column behind.
+    bufs: Vec<ColumnVec>,
+    /// One merge output buffer per projected column (see
+    /// [`PdtMerger::merge_block_owned`]; the by-key arm merges into it).
+    spare: Vec<ColumnVec>,
+    /// The sort-key columns among `bufs` (by-key merges only).
+    sk: KeyCols,
     state: MergeState<'a>,
     next_block: usize,
     end_block: usize,
@@ -307,8 +358,21 @@ impl<'a> TableScan<'a> {
             }
         };
         let finished = next_block == usize::MAX && matches!(state, MergeState::None);
+        let types: Vec<ValueType> = proj.iter().map(|&c| table.schema().vtype(c)).collect();
+        let bufs: Vec<ColumnVec> = io_cols
+            .iter()
+            .map(|&c| ColumnVec::new(table.schema().vtype(c)))
+            .collect();
+        let sk = match &state {
+            MergeState::ByKey(_) => KeyCols::locate(table.sort_key().cols(), &io_cols, &bufs),
+            _ => KeyCols::Borrowed(0..0),
+        };
         TableScan {
             table,
+            bufs,
+            spare: empty_cols(&types),
+            types,
+            sk,
             proj,
             range,
             io_cols,
@@ -493,98 +557,80 @@ impl<'a> TableScan<'a> {
         self.start_rid
     }
 
-    /// Decode the scan's columns for block `b`, sliced to the scan range.
-    /// Returns `(start_sid, per-io_col data)`.
-    fn read_block(&self, b: usize) -> (u64, Vec<ColumnVec>) {
+    /// Decode the scan's columns for block `b` into `self.bufs`, clipped
+    /// in place to the scan range. Returns the SID of the first row kept
+    /// and how many rows were.
+    fn read_block(&mut self, b: usize) -> (u64, usize) {
         let profile_bytes0 = self.profile.as_ref().map(|_| self.io.stats().bytes_read);
         let (bstart, bend) = self.table.block_range(b);
         let lo = self.range.start.max(bstart);
         let hi = self.range.end.min(bend);
-        let cols: Vec<ColumnVec> = self
-            .io_cols
-            .iter()
-            .map(|&c| {
-                let full = self
-                    .table
-                    .read_block(c, b, &self.io)
-                    .expect("block within table");
-                if lo == bstart && hi == bend {
-                    full
-                } else {
-                    // representation-preserving: coded blocks stay coded
-                    full.slice_range((lo - bstart) as usize, (hi - bstart) as usize)
-                }
-            })
-            .collect();
+        for (buf, &c) in self.bufs.iter_mut().zip(&self.io_cols) {
+            self.table
+                .read_block_into(c, b, &self.io, buf)
+                .expect("block within table");
+            if (lo, hi) != (bstart, bend) {
+                // representation-preserving: coded blocks stay coded
+                buf.retain_range((lo - bstart) as usize, (hi - bstart) as usize);
+            }
+        }
         if let Some(p) = &self.profile {
             use std::sync::atomic::Ordering::Relaxed;
             p.blocks_decoded.fetch_add(1, Relaxed);
             let bytes = self.io.stats().bytes_read - profile_bytes0.unwrap_or(0);
             p.bytes_read.fetch_add(bytes, Relaxed);
         }
-        (lo, cols)
+        (lo, (hi - lo) as usize)
     }
 
-    fn proj_types(&self) -> Vec<ValueType> {
-        self.proj
-            .iter()
-            .map(|&c| self.table.schema().vtype(c))
-            .collect()
-    }
-
-    /// Push a block through PDT layers `layer..`, returning the output
-    /// RID-start and columns.
+    /// Push the block of `len` rows in `cols` (SIDs from `start`) through
+    /// the PDT layers `mergers`, bottom first — each layer's output RIDs
+    /// are the next layer's SIDs. Each layer classifies the block for
+    /// itself: one that has no entry in its span leaves `cols` exactly as it
+    /// found them. Returns the RID of the merged block's first row.
     fn feed_pdt(
         mergers: &mut [PdtMerger<'a>],
         proj: &[usize],
-        types: &[ValueType],
         mut start: u64,
-        mut cols: Vec<ColumnVec>,
-    ) -> (u64, Vec<ColumnVec>) {
+        mut len: usize,
+        cols: &mut [ColumnVec],
+        spare: &mut [ColumnVec],
+    ) -> u64 {
         for m in mergers.iter_mut() {
             let rid0 = m.next_rid();
-            // dictionary-coded inputs get coded outputs so the merge stays
-            // on the u32 path through every stacked layer
-            let mut out: Vec<ColumnVec> = types
-                .iter()
-                .zip(&cols)
-                .map(|(&t, c)| match c.dict() {
-                    Some(d) => ColumnVec::new_coded(d.clone()),
-                    None => ColumnVec::new(t),
-                })
-                .collect();
-            let len = cols.first().map(|c| c.len()).unwrap_or(0);
-            m.merge_block(start, len, proj, &cols, &mut out);
+            m.merge_block_owned(start, len, proj, cols, spare);
             start = rid0;
-            cols = out;
+            len = (m.next_rid() - rid0) as usize;
         }
-        (start, cols)
+        start
     }
 
     /// Drain trailing inserts of every PDT layer (after the last block).
     fn finish_pdt(&mut self) -> Option<Batch> {
-        let types = self.proj_types();
         let MergeState::Pdt(ref mut mergers) = self.state else {
             return None;
         };
-        let n = mergers.len();
-        let mut collected: Vec<ColumnVec> = types.iter().map(|&t| ColumnVec::new(t)).collect();
+        let mut collected = empty_cols(&self.types);
         let mut rid_start = None;
         let mut end = self.range.end;
-        for k in 0..n {
+        for k in 0..mergers.len() {
             // drain layer k at its input end, then push the drained rows
             // through the layers above it
             let rid0 = mergers[k].next_rid();
-            let mut drained: Vec<ColumnVec> = types.iter().map(|&t| ColumnVec::new(t)).collect();
+            let mut drained = empty_cols(&self.types);
             mergers[k].drain_inserts_at(end, &self.proj, &mut drained);
             end = mergers[k].next_rid(); // input end for layer k+1
-            if !drained[0].is_empty() {
-                let (r0, cols) =
-                    Self::feed_pdt(&mut mergers[k + 1..], &self.proj, &types, rid0, drained);
-                if rid_start.is_none() {
-                    rid_start = Some(r0);
-                }
-                for (o, c) in collected.iter_mut().zip(&cols) {
+            if end > rid0 {
+                let r0 = Self::feed_pdt(
+                    &mut mergers[k + 1..],
+                    &self.proj,
+                    rid0,
+                    (end - rid0) as usize,
+                    &mut drained,
+                    &mut self.spare,
+                );
+                rid_start.get_or_insert(r0);
+                for (o, c) in collected.iter_mut().zip(&drained) {
                     o.extend_range(c, 0, c.len());
                 }
             }
@@ -598,6 +644,22 @@ impl<'a> TableScan<'a> {
             })
         }
     }
+}
+
+/// One empty column per type.
+fn empty_cols(types: &[ValueType]) -> Vec<ColumnVec> {
+    types.iter().map(|&t| ColumnVec::new(t)).collect()
+}
+
+/// Move the columns out as a batch's, leaving empty ones of the same
+/// representation behind.
+fn take_cols(cols: &mut [ColumnVec]) -> Vec<ColumnVec> {
+    cols.iter_mut()
+        .map(|c| {
+            let empty = c.empty_like();
+            std::mem::replace(c, empty)
+        })
+        .collect()
 }
 
 /// Columns a value-based merge must read: the projection plus every
@@ -683,7 +745,7 @@ impl<'a> Operator for TableScan<'a> {
     }
 
     fn out_types(&self) -> Vec<ValueType> {
-        self.proj_types()
+        self.types.clone()
     }
 }
 
@@ -694,50 +756,55 @@ impl<'a> TableScan<'a> {
             if self.next_block != usize::MAX && self.next_block < self.end_block {
                 let b = self.next_block;
                 self.next_block += 1;
-                let (start_sid, cols) = self.read_block(b);
-                let len = cols.first().map(|c| c.len()).unwrap_or(0);
+                let (start_sid, len) = self.read_block(b);
                 match &mut self.state {
                     MergeState::None => {
                         break 'produce Some(Batch {
-                            cols,
+                            cols: take_cols(&mut self.bufs),
                             rid_start: start_sid,
                         });
                     }
                     MergeState::Pdt(mergers) => {
-                        let types: Vec<ValueType> = self
-                            .proj
-                            .iter()
-                            .map(|&c| self.table.schema().vtype(c))
-                            .collect();
-                        let (rid0, cols) =
-                            Self::feed_pdt(mergers, &self.proj, &types, start_sid, cols);
+                        let rid0 = Self::feed_pdt(
+                            mergers,
+                            &self.proj,
+                            start_sid,
+                            len,
+                            &mut self.bufs,
+                            &mut self.spare,
+                        );
+                        let cols = take_cols(&mut self.bufs);
+                        // a layer that had to copy left the decode buffers
+                        // in `spare`: the next block decodes into them
+                        std::mem::swap(&mut self.bufs, &mut self.spare);
                         break 'produce Some(Batch {
                             cols,
                             rid_start: rid0,
                         });
                     }
                     MergeState::ByKey(merger) => {
-                        // split decoded columns into projection + sort key
-                        let nproj = self.proj.len();
-                        let sk_cols = self.table.sort_key().cols();
-                        let sk_in: Vec<ColumnVec> = sk_cols
-                            .iter()
-                            .map(|c| {
-                                let pos =
-                                    self.io_cols.iter().position(|x| x == c).expect("sk read");
-                                cols[pos].clone()
-                            })
-                            .collect();
-                        let mut out: Vec<ColumnVec> = (0..nproj)
-                            .map(|k| match cols[k].dict() {
-                                Some(d) => ColumnVec::new_coded(d.clone()),
-                                None => ColumnVec::new(cols[k].vtype()),
-                            })
-                            .collect();
+                        // the decoded columns are the projection, then any
+                        // sort-key column the projection lacks
+                        let cols_in = &self.bufs[..self.proj.len()];
+                        let sk_in: &[ColumnVec] = match &mut self.sk {
+                            KeyCols::Borrowed(at) => &self.bufs[at.clone()],
+                            KeyCols::Gathered { at, scratch } => {
+                                for (s, &p) in scratch.iter_mut().zip(at.iter()) {
+                                    s.reset_like(&self.bufs[p]);
+                                    s.extend_range(&self.bufs[p], 0, len);
+                                }
+                                scratch
+                            }
+                        };
+                        // coded inputs get coded outputs so the merge stays
+                        // on the u32 path
+                        for (s, c) in self.spare.iter_mut().zip(cols_in) {
+                            s.reset_like(c);
+                        }
                         let rid0 = merger.next_rid();
-                        merger.merge_block(len, &self.proj, &sk_in, &cols[..nproj], &mut out);
+                        merger.merge_block(len, &self.proj, sk_in, cols_in, &mut self.spare);
                         break 'produce Some(Batch {
-                            cols: out,
+                            cols: take_cols(&mut self.spare),
                             rid_start: rid0,
                         });
                     }
@@ -751,11 +818,7 @@ impl<'a> TableScan<'a> {
                     break 'produce self.finish_pdt();
                 }
                 MergeState::ByKey(merger) => {
-                    let mut out: Vec<ColumnVec> = self
-                        .proj
-                        .iter()
-                        .map(|&c| ColumnVec::new(self.table.schema().vtype(c)))
-                        .collect();
+                    let mut out = empty_cols(&self.types);
                     let rid0 = merger.next_rid();
                     merger.drain_inserts(self.drain_upper.as_deref(), &self.proj, &mut out);
                     if out[0].is_empty() {
@@ -1465,5 +1528,211 @@ mod tests {
         }
         // total visible rows
         assert_eq!(expect, (20 + p.delta_total()) as u64);
+    }
+
+    // -----------------------------------------------------------------
+    // block shapes: the scan against the row-level merges
+    // -----------------------------------------------------------------
+
+    fn ins_row(k: i64) -> Tuple {
+        vec![Value::Int(k), Value::Int(-k), Value::Str(format!("n{k}"))]
+    }
+
+    /// Blocks of 4 over 32 rows: block 0 untouched, 1 modified only (one
+    /// patch outside the string dictionary), 2 insert-only, 3 ghost-only,
+    /// 4 mixed, 5 wholly ghosted, 6–7 untouched, plus a trailing insert.
+    fn shaped_pdt() -> Pdt {
+        let mut p = Pdt::new(schema(), vec![0]);
+        p.add_modify(5, 1, &Value::Int(-50));
+        p.add_modify(6, 2, &Value::Str("r3".into())); // in the dictionary
+        p.add_modify(7, 2, &Value::Str("fresh".into())); // not in it
+        p.add_insert(9, 9, &ins_row(85));
+        p.add_insert(11, 12, &ins_row(105));
+        for sid in [13u64, 14] {
+            let key = sid as i64 * 10;
+            p.add_delete(p.rid_of_stable(sid).0, &[Value::Int(key)]);
+        }
+        p.add_modify(p.rid_of_stable(16).0, 1, &Value::Int(-160));
+        p.add_delete(p.rid_of_stable(17).0, &[Value::Int(170)]);
+        let at = p.rid_of_stable(19).0;
+        p.add_insert(p.sk_rid_to_sid(&[Value::Int(185)], at), at, &ins_row(185));
+        for sid in 20u64..24 {
+            let key = sid as i64 * 10;
+            p.add_delete(p.rid_of_stable(sid).0, &[Value::Int(key)]);
+        }
+        let end = (32 + p.delta_total()) as u64;
+        p.add_insert(32, end, &ins_row(999));
+        p.check_invariants();
+        p
+    }
+
+    #[test]
+    fn pdt_block_shapes_match_row_merge() {
+        let t = table(32);
+        let p = shaped_pdt();
+        let want = merge_rows(&rows(32), &p);
+        for proj in [vec![0, 1, 2], vec![2], vec![1, 0]] {
+            let mut scan = TableScan::new(
+                &t,
+                DeltaLayers::Pdt(vec![&p]),
+                proj.clone(),
+                IoTracker::new(),
+                ScanClock::new(),
+            );
+            let mut got = Vec::new();
+            let mut expect_rid = 0u64;
+            while let Some(b) = scan.next_batch() {
+                assert_eq!(b.rid_start, expect_rid, "proj {proj:?}");
+                expect_rid += b.num_rows() as u64;
+                got.extend(b.rows());
+            }
+            let want: Vec<Tuple> = want
+                .iter()
+                .map(|r| proj.iter().map(|&c| r[c].clone()).collect())
+                .collect();
+            assert_eq!(got, want, "proj {proj:?}");
+        }
+    }
+
+    /// Three stacked layers whose shapes differ block by block: where the
+    /// read layer patches the write layer has nothing and the trans layer
+    /// moves rows, and so on round the stack.
+    #[test]
+    fn three_layer_stack_with_different_shapes_matches_row_merges() {
+        let t = table(32);
+        let mut read = Pdt::new(schema(), vec![0]);
+        read.add_modify(1, 1, &Value::Int(-1)); // block 0: patch
+        read.add_insert(9, 9, &ins_row(85)); // block 2: insert
+        let after_read = merge_rows(&rows(32), &read);
+        let mut write = Pdt::new(schema(), vec![0]);
+        write.add_delete(4, &[Value::Int(40)]); // read's block 1: ghost
+        write.add_modify(9, 2, &Value::Str("w".into())); // read's insert
+        let after_write = merge_rows(&after_read, &write);
+        let mut trans = Pdt::new(schema(), vec![0]);
+        trans.add_insert(2, 2, &ins_row(15)); // block 0: insert
+        trans.add_modify(6, 1, &Value::Int(-6)); // block 1: patch
+        let at = trans.rid_of_stable(20).0;
+        trans.add_delete(at, &[after_write[20][0].clone()]);
+        let end = after_write.len() as u64;
+        let at = (end as i64 + trans.delta_total()) as u64;
+        trans.add_insert(end, at, &ins_row(9999));
+        let want = merge_rows(&after_write, &trans);
+        let mut scan = TableScan::new(
+            &t,
+            DeltaLayers::Pdt(vec![&read, &write, &trans]),
+            vec![0, 1, 2],
+            IoTracker::new(),
+            ScanClock::new(),
+        );
+        assert_eq!(run_to_rows(&mut scan), want);
+    }
+
+    /// Narrow a freshly built single-layer PDT scan to the SID range
+    /// `[start, end)`. The sparse index only ever resolves block-aligned
+    /// ranges, so this is the one way to a scan whose first and last
+    /// blocks are clipped.
+    fn clip_to_sids<'a>(scan: &mut TableScan<'a>, p: &'a Pdt, start: u64, end: u64) {
+        scan.range = ScanRange { start, end };
+        scan.next_block = scan.table.block_of(start);
+        scan.end_block = scan.table.block_of(end - 1) + 1;
+        let merger = PdtMerger::new(p, start);
+        scan.start_rid = merger.next_rid();
+        scan.state = MergeState::Pdt(vec![merger]);
+    }
+
+    /// A scan whose first and last blocks are clipped to the range: the
+    /// vector an untouched block moves through must be the clipped rows,
+    /// not the decoded block.
+    #[test]
+    fn clipped_first_and_last_blocks_pass_through_as_slices() {
+        let t = table(32);
+        let all = rows(32);
+        // untouched edge blocks, then patched, then row-moving ones
+        let untouched = Pdt::new(schema(), vec![0]);
+        let mut patched = Pdt::new(schema(), vec![0]);
+        patched.add_modify(6, 2, &Value::Str("first".into()));
+        patched.add_modify(25, 1, &Value::Int(-25));
+        let mut moved = Pdt::new(schema(), vec![0]);
+        moved.add_delete(7, &[Value::Int(70)]);
+        moved.add_insert(26, 25, &ins_row(255));
+        // (layer, rows the clipped head block emits: stable 6 and 7)
+        for (p, head_rows) in [(&untouched, 2), (&patched, 2), (&moved, 1)] {
+            let merged = merge_rows(&all, p);
+            // stable rows 6..27: blocks 1 and 6 are clipped (rows 6..8 and
+            // 24..27 survive); the visible image keeps those rows' ranks
+            let first = p.rid_of_stable(6).0 as usize;
+            let last = p.rid_of_stable(26).0 as usize;
+            let want = &merged[first..=last];
+            let mut scan = TableScan::new(
+                &t,
+                DeltaLayers::Pdt(vec![p]),
+                vec![0, 1, 2],
+                IoTracker::new(),
+                ScanClock::new(),
+            );
+            clip_to_sids(&mut scan, p, 6, 27);
+            assert_eq!(scan.start_rid(), first as u64);
+            let first_batch = scan.next_batch().expect("clipped head block");
+            assert_eq!(first_batch.rid_start, first as u64);
+            assert_eq!(first_batch.num_rows(), head_rows, "block 1 clipped to 6..8");
+            let mut got = first_batch.rows();
+            got.extend(run_to_rows(&mut scan));
+            assert_eq!(got, want);
+        }
+    }
+
+    /// The by-key arm finds the sort key among the decoded columns once per
+    /// scan; the image must not notice which way it sits there (projected,
+    /// appended, or — a two-column key with a payload column between —
+    /// gathered), in blocks the delta addresses and blocks it does not.
+    #[test]
+    fn by_key_scan_matches_row_merge_wherever_the_sort_key_sits() {
+        let base = rows(32);
+        let two_col_key = StableTable::bulk_load(
+            TableMeta::new("t", schema(), vec![0, 2]),
+            TableOptions {
+                block_rows: 4,
+                compressed: true,
+            },
+            &base,
+        )
+        .unwrap();
+        for (t, sk) in [(table(32), vec![0usize]), (two_col_key, vec![0, 2])] {
+            let key = |i: usize| -> Vec<Value> { sk.iter().map(|&c| base[i][c].clone()).collect() };
+            let mut v = Vdt::new(schema(), sk.clone());
+            let mut b = RowBuffer::new(schema(), sk.clone());
+            // blocks 2 and 5 only; the last row of block 2 is replaced, so
+            // its insert lands at the head of untouched block 3
+            v.delete(&key(9));
+            b.delete_key(&key(9));
+            v.modify(&base[11], 1, Value::Int(-11));
+            b.modify(&base[11], 1, Value::Int(-11));
+            let fresh = vec![Value::Int(215), Value::Int(0), Value::Str("r21".into())];
+            v.insert(fresh.clone());
+            b.insert(fresh);
+            for proj in [vec![0, 1, 2], vec![1], vec![2, 1]] {
+                let project = |rows: Vec<Tuple>| -> Vec<Tuple> {
+                    rows.iter()
+                        .map(|r| proj.iter().map(|&c| r[c].clone()).collect())
+                        .collect()
+                };
+                let mut scan = TableScan::new(
+                    &t,
+                    DeltaLayers::Vdt(&v),
+                    proj.clone(),
+                    IoTracker::new(),
+                    ScanClock::new(),
+                );
+                assert_eq!(run_to_rows(&mut scan), project(v.merge_rows(&base)));
+                let mut scan = TableScan::new(
+                    &t,
+                    DeltaLayers::Rows(&b),
+                    proj.clone(),
+                    IoTracker::new(),
+                    ScanClock::new(),
+                );
+                assert_eq!(run_to_rows(&mut scan), project(b.merge_rows(&base)));
+            }
+        }
     }
 }

@@ -73,6 +73,9 @@ impl<'a> RowMerger<'a> {
         out: &mut [ColumnVec],
     ) {
         debug_assert_eq!(sk_in.len(), self.buf.sk_cols().len());
+        for o in out.iter_mut() {
+            o.reserve(len);
+        }
         let slots = self.buf.slots();
         let mut head = slots
             .get(self.pos)

@@ -80,6 +80,9 @@ impl<'a> VdtMerger<'a> {
         out: &mut [ColumnVec],
     ) {
         debug_assert_eq!(sk_in.len(), self.vdt.sk_cols().len());
+        for o in out.iter_mut() {
+            o.reserve(len);
+        }
         let mut ins_head = self
             .ins
             .get(self.ins_pos)

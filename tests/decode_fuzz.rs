@@ -81,6 +81,49 @@ proptest! {
         }
     }
 
+    /// Every proper prefix of a valid payload — under its true length — is
+    /// `Corrupt`: the bulk decoders tie the declared length to the payload
+    /// size before they size their output and check the payload's end
+    /// after, so no truncation point may slip through either check (or
+    /// panic in a word-wide read near the cut). One byte *more* than the
+    /// payload is corrupt too.
+    #[test]
+    fn every_truncated_prefix_is_corrupt(
+        ints in prop::collection::vec(any::<i64>(), 1..48),
+        shift in 0u32..64,
+    ) {
+        // `>> shift` mixes varint widths from one byte to ten
+        let ints: Vec<i64> = ints.iter().map(|&v| v >> shift).collect();
+        let dict = StrDict::build(["", "a", "dup", "é✓", "zz"]);
+        let cols = [
+            ColumnVec::Int(ints.clone()),
+            ColumnVec::Date(ints.iter().map(|&v| v as i32).collect()),
+            ColumnVec::Double(ints.iter().map(|&v| v as f64 * 0.5).collect()),
+            ColumnVec::Bool(ints.iter().map(|&v| v % 2 == 0).collect()),
+            ColumnVec::Str(ints.iter().map(|&v| format!("s{}", v % 5)).collect()),
+            ColumnVec::Coded(ints.iter().map(|&v| v.rem_euclid(5) as u32).collect(), dict.clone()),
+        ];
+        for col in &cols {
+            for enc in ENCODINGS {
+                let Some(mut bytes) = encode(col, enc) else { continue };
+                let dict = col.dict();
+                let full = decode_with(&bytes, enc, col.vtype(), col.len(), dict);
+                prop_assert_eq!(full.as_ref(), Ok(col), "{:?} roundtrip", enc);
+                for cut in 0..bytes.len() {
+                    let got = decode_with(&bytes[..cut], enc, col.vtype(), col.len(), dict);
+                    prop_assert!(
+                        got.is_err(),
+                        "{:?} × {:?}: prefix {} of {} decoded",
+                        enc, col.vtype(), cut, bytes.len()
+                    );
+                }
+                bytes.push(0);
+                let got = decode_with(&bytes, enc, col.vtype(), col.len(), dict);
+                prop_assert!(got.is_err(), "{:?} × {:?}: trailing byte accepted", enc, col.vtype());
+            }
+        }
+    }
+
     /// Arbitrary bytes (raw, and spliced behind a valid image header) must
     /// never panic the image loader.
     #[test]
