@@ -3,10 +3,8 @@
 //! The paper's Plots 2 and 5 report *I/O volume*: the bytes of (compressed)
 //! column blocks a query touches. Our block store is RAM-resident, but every
 //! block access is routed through an [`IoTracker`], so the byte counts are
-//! exactly what a disk-resident deployment would transfer. Cold-run wall
-//! times are then modelled as `cpu_time + bytes / bandwidth` with the
-//! paper's stated device bandwidths (150 MB/s HDD workstation, 3 GB/s SSD
-//! server) — see `DESIGN.md` §4.
+//! exactly what a disk-resident deployment would transfer. Device time is
+//! not modelled: the counters report volume, never seconds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,11 +36,6 @@ impl IoStats {
             blocks_read: self.blocks_read - earlier.blocks_read,
             bytes_read: self.bytes_read - earlier.bytes_read,
         }
-    }
-
-    /// Modelled transfer seconds at the given device bandwidth.
-    pub fn transfer_secs(&self, bytes_per_sec: f64) -> f64 {
-        self.bytes_read as f64 / bytes_per_sec
     }
 }
 
@@ -108,12 +101,6 @@ impl IoTracker {
             bytes_read: self.inner.bytes.load(Ordering::Relaxed),
         }
     }
-
-    /// Reset both counters to zero.
-    pub fn reset(&self) {
-        self.inner.blocks.store(0, Ordering::Relaxed);
-        self.inner.bytes.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -132,11 +119,10 @@ mod tests {
                 bytes_read: 150
             }
         );
+        // counters only grow; a caller resets by re-basing on a snapshot
         let snap = t.stats();
         t.record_block(10);
         assert_eq!(t.stats().since(&snap).bytes_read, 10);
-        t.reset();
-        assert_eq!(t.stats(), IoStats::default());
     }
 
     #[test]
@@ -162,15 +148,5 @@ mod tests {
         t.record_block_at(1, 10); // unscoped: counted, not reported
         assert_eq!(t.stats().bytes_read, 50, "counters are shared");
         assert_eq!(*rec.0.lock().unwrap(), vec![(3, 40)]);
-    }
-
-    #[test]
-    fn transfer_model() {
-        let s = IoStats {
-            blocks_read: 1,
-            bytes_read: 150_000_000,
-        };
-        let secs = s.transfer_secs(150.0e6);
-        assert!((secs - 1.0).abs() < 1e-9);
     }
 }

@@ -21,10 +21,10 @@
 //!   disk as encoded blocks with an atomically-swapped manifest, so recovery
 //!   loads images instead of replaying folded WAL history.
 //!
-//! The *scan-path* storage is RAM-resident; disk behaviour is modelled
-//! analytically (see `DESIGN.md` §4). All byte counts are real: they are the
-//! sizes of the encoded block payloads that a disk-resident deployment would
-//! transfer — and exactly the bytes [`image`] writes to disk.
+//! The *scan-path* storage is RAM-resident and no device is modelled. All
+//! byte counts are real: they are the sizes of the encoded block payloads
+//! that a disk-resident deployment would transfer — and exactly the bytes
+//! [`image`] writes to disk.
 
 #![warn(missing_docs)]
 

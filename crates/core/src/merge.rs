@@ -112,8 +112,7 @@ impl<'a> PdtMerger<'a> {
     /// (producing [`MergeStep`]s and value-space offsets) and then
     /// *executed* per column by the typed kernels in [`columnar::kernel`]:
     /// one type dispatch per column-block, no per-value `Value` enum on the
-    /// hot path. [`PdtMerger::merge_block_scalar`] keeps the old per-value
-    /// path as the cross-checked baseline.
+    /// hot path; the tests hold it equal to a per-value oracle.
     ///
     /// This is the borrowed form — the input stays the caller's, so even an
     /// untouched block is copied. A caller that owns its decoded block drives
@@ -260,92 +259,6 @@ impl<'a> PdtMerger<'a> {
         }
     }
 
-    /// The pre-kernel per-value merge: identical semantics to
-    /// [`PdtMerger::merge_block`], but dispatching on the `Value` enum for
-    /// every cell. Kept as the enum-dispatch baseline the kernel benchmarks
-    /// compare against, and cross-checked against the kernel path by tests.
-    pub fn merge_block_scalar(
-        &mut self,
-        start_sid: u64,
-        len: usize,
-        proj: &[usize],
-        cols_in: &[ColumnVec],
-        out: &mut [ColumnVec],
-    ) {
-        debug_assert_eq!(proj.len(), cols_in.len());
-        debug_assert_eq!(proj.len(), out.len());
-        let end = start_sid + len as u64;
-        let mut pos = start_sid;
-        loop {
-            let next_upd_sid = self.pdt.entry(&self.cur).map(|e| e.sid).unwrap_or(u64::MAX);
-            if next_upd_sid >= end {
-                // no more updates inside this block: pass through cell by
-                // cell (the pre-kernel shape — no run batching)
-                if pos < end {
-                    let from = (pos - start_sid) as usize;
-                    let to = (end - start_sid) as usize;
-                    for i in from..to {
-                        for (k, o) in out.iter_mut().enumerate() {
-                            o.push(&cols_in[k].get(i));
-                        }
-                    }
-                    self.rid += end - pos;
-                }
-                return;
-            }
-            if next_upd_sid > pos {
-                // pass-through up to the next update position, cell by cell
-                let from = (pos - start_sid) as usize;
-                let to = (next_upd_sid - start_sid) as usize;
-                for i in from..to {
-                    for (k, o) in out.iter_mut().enumerate() {
-                        o.push(&cols_in[k].get(i));
-                    }
-                }
-                self.rid += next_upd_sid - pos;
-                pos = next_upd_sid;
-                continue;
-            }
-            // an update applies at `pos`
-            let e = self.pdt.entry(&self.cur).expect("checked above");
-            debug_assert_eq!(e.sid, pos);
-            if e.upd.is_ins() {
-                // new tuple before stable tuple `pos`
-                for (k, o) in out.iter_mut().enumerate() {
-                    o.push(&self.pdt.vals().get_insert_col(e.upd.val, proj[k]));
-                }
-                self.rid += 1;
-                self.pdt.advance(&mut self.cur);
-            } else if e.upd.is_del() {
-                // ghost: skip the stable tuple
-                self.pdt.advance(&mut self.cur);
-                pos += 1;
-            } else {
-                // modification chain on stable tuple `pos`
-                let i = (pos - start_sid) as usize;
-                let mut overrides: Vec<(usize, u64)> = Vec::new();
-                while let Some(m) = self.pdt.entry(&self.cur) {
-                    if m.sid != pos || !m.upd.is_mod() {
-                        break;
-                    }
-                    overrides.push((m.upd.col_no() as usize, m.upd.val));
-                    self.pdt.advance(&mut self.cur);
-                }
-                'col: for (k, o) in out.iter_mut().enumerate() {
-                    for &(col, off) in &overrides {
-                        if col == proj[k] {
-                            o.push(&self.pdt.vals().get_modify(col, off));
-                            continue 'col;
-                        }
-                    }
-                    o.push(&cols_in[k].get(i));
-                }
-                self.rid += 1;
-                pos += 1;
-            }
-        }
-    }
-
     /// Emit pending inserts positioned exactly at `end_sid` — the tail of a
     /// scan range (for a full table scan, `end_sid` is the stable row
     /// count: inserts appended after the last stable tuple). The inserted
@@ -383,6 +296,93 @@ mod tests {
         (0..n)
             .map(|i| vec![Value::Int(i as i64 * 10), Value::Str(format!("s{i}"))])
             .collect()
+    }
+
+    /// The per-value oracle of [`PdtMerger::merge_block`]: identical
+    /// semantics, but dispatching on the `Value` enum for every cell, with
+    /// no plan and no kernels.
+    impl PdtMerger<'_> {
+        fn merge_block_scalar(
+            &mut self,
+            start_sid: u64,
+            len: usize,
+            proj: &[usize],
+            cols_in: &[ColumnVec],
+            out: &mut [ColumnVec],
+        ) {
+            debug_assert_eq!(proj.len(), cols_in.len());
+            debug_assert_eq!(proj.len(), out.len());
+            let end = start_sid + len as u64;
+            let mut pos = start_sid;
+            loop {
+                let next_upd_sid = self.pdt.entry(&self.cur).map(|e| e.sid).unwrap_or(u64::MAX);
+                if next_upd_sid >= end {
+                    // no more updates inside this block: pass through cell by
+                    // cell (the pre-kernel shape — no run batching)
+                    if pos < end {
+                        let from = (pos - start_sid) as usize;
+                        let to = (end - start_sid) as usize;
+                        for i in from..to {
+                            for (k, o) in out.iter_mut().enumerate() {
+                                o.push(&cols_in[k].get(i));
+                            }
+                        }
+                        self.rid += end - pos;
+                    }
+                    return;
+                }
+                if next_upd_sid > pos {
+                    // pass-through up to the next update position, cell by cell
+                    let from = (pos - start_sid) as usize;
+                    let to = (next_upd_sid - start_sid) as usize;
+                    for i in from..to {
+                        for (k, o) in out.iter_mut().enumerate() {
+                            o.push(&cols_in[k].get(i));
+                        }
+                    }
+                    self.rid += next_upd_sid - pos;
+                    pos = next_upd_sid;
+                    continue;
+                }
+                // an update applies at `pos`
+                let e = self.pdt.entry(&self.cur).expect("checked above");
+                debug_assert_eq!(e.sid, pos);
+                if e.upd.is_ins() {
+                    // new tuple before stable tuple `pos`
+                    for (k, o) in out.iter_mut().enumerate() {
+                        o.push(&self.pdt.vals().get_insert_col(e.upd.val, proj[k]));
+                    }
+                    self.rid += 1;
+                    self.pdt.advance(&mut self.cur);
+                } else if e.upd.is_del() {
+                    // ghost: skip the stable tuple
+                    self.pdt.advance(&mut self.cur);
+                    pos += 1;
+                } else {
+                    // modification chain on stable tuple `pos`
+                    let i = (pos - start_sid) as usize;
+                    let mut overrides: Vec<(usize, u64)> = Vec::new();
+                    while let Some(m) = self.pdt.entry(&self.cur) {
+                        if m.sid != pos || !m.upd.is_mod() {
+                            break;
+                        }
+                        overrides.push((m.upd.col_no() as usize, m.upd.val));
+                        self.pdt.advance(&mut self.cur);
+                    }
+                    'col: for (k, o) in out.iter_mut().enumerate() {
+                        for &(col, off) in &overrides {
+                            if col == proj[k] {
+                                o.push(&self.pdt.vals().get_modify(col, off));
+                                continue 'col;
+                            }
+                        }
+                        o.push(&cols_in[k].get(i));
+                    }
+                    self.rid += 1;
+                    pos += 1;
+                }
+            }
+        }
     }
 
     /// Run the merger over the whole stable image in blocks of `bs`.

@@ -26,8 +26,8 @@ use crate::value_space::ValueSpace;
 use columnar::{Schema, Value};
 
 /// Default tree fan-out. The paper uses 8 (two cache lines); 16 behaves a
-/// little better for our dynamic-value leaves. Configurable per tree — the
-/// fan-out ablation bench sweeps this.
+/// little better for our dynamic-value leaves. Configurable per tree
+/// ([`Pdt::with_fanout`]).
 pub const DEFAULT_FANOUT: usize = 16;
 
 /// Outcome of [`Pdt::add_delete`].

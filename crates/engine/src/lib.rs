@@ -1417,8 +1417,7 @@ impl ReadView {
         self.par_scan_workers(table, spec, workers)
     }
 
-    /// [`ReadView::par_scan`] with an explicit worker count (benches sweep
-    /// this).
+    /// [`ReadView::par_scan`] with an explicit worker count.
     pub fn par_scan_workers(
         &self,
         table: &str,

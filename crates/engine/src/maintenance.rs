@@ -81,7 +81,7 @@ impl Default for MaintenanceConfig {
 }
 
 impl MaintenanceConfig {
-    /// Same tick for every worker — test/bench convenience.
+    /// Same tick for every worker — test convenience.
     pub fn with_tick(tick: Duration) -> Self {
         MaintenanceConfig {
             flush_tick: tick,
@@ -588,7 +588,7 @@ mod tests {
                 .with_partitions(PartitionSpec::Count(4));
             let db = db_with_ints(128, policy, opts);
             assert_eq!(db.partition_count("t").unwrap(), 4, "{policy:?}");
-            let sched = MaintenanceScheduler::start(
+            let mut sched = MaintenanceScheduler::start(
                 db.clone(),
                 MaintenanceConfig::with_tick(Duration::from_millis(1)),
             );
@@ -601,6 +601,9 @@ mod tests {
             }
             let before = image(&db);
             sched.drain().unwrap();
+            // a worker step the drain waited behind records its checkpoint
+            // only after the step returns: join the workers before counting
+            sched.stop_and_join();
             let stats = sched.stats();
             assert_eq!(stats.errors, 0, "{policy:?}: {:?}", sched.last_error());
             let touched: std::collections::HashSet<usize> = stats

@@ -34,11 +34,6 @@ impl ScanClock {
     pub fn nanos(&self) -> u64 {
         self.nanos.load(Ordering::Relaxed)
     }
-
-    /// Accumulated scan time in seconds.
-    pub fn secs(&self) -> f64 {
-        self.nanos() as f64 / 1e9
-    }
 }
 
 /// Thread-safe recorder of per-operation wall times — e.g. the latency of
@@ -202,13 +197,6 @@ impl QueryStats {
     pub fn processing_secs(&self) -> f64 {
         (self.total_secs - self.scan_secs).max(0.0)
     }
-
-    /// Modelled cold-run time: measured CPU plus transfer of the touched
-    /// bytes at `bytes_per_sec` (see DESIGN.md §4 — our block store is
-    /// RAM-resident, the paper's devices are modelled analytically).
-    pub fn cold_secs(&self, bytes_per_sec: f64) -> f64 {
-        self.total_secs + self.io.transfer_secs(bytes_per_sec)
-    }
 }
 
 /// Measure a closure producing rows, with scan time taken from `clock` and
@@ -243,7 +231,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         c.charge(t);
         assert!(c.nanos() > 1_000_000);
-        assert!(c.secs() > 0.0);
     }
 
     #[test]
@@ -302,20 +289,5 @@ mod tests {
             let r = l.inner.lock().unwrap();
             assert_eq!(r.samples.len(), RESERVOIR_CAP, "memory is bounded");
         }
-    }
-
-    #[test]
-    fn cold_model_adds_transfer() {
-        let s = QueryStats {
-            total_secs: 1.0,
-            scan_secs: 0.5,
-            io: IoStats {
-                blocks_read: 1,
-                bytes_read: 300_000_000,
-            },
-            rows: 0,
-        };
-        let cold = s.cold_secs(150.0e6);
-        assert!((cold - 3.0).abs() < 1e-9);
     }
 }

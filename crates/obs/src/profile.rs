@@ -21,8 +21,6 @@ pub enum MergePath {
     VdtKernel = 3,
     /// Row-store delta merged via the typed kernels.
     RowsKernel = 4,
-    /// Scalar fallback merge (no typed kernel applied).
-    Scalar = 5,
 }
 
 impl MergePath {
@@ -33,7 +31,6 @@ impl MergePath {
             MergePath::PdtKernel => "pdt-kernel",
             MergePath::VdtKernel => "vdt-kernel",
             MergePath::RowsKernel => "rows-kernel",
-            MergePath::Scalar => "scalar",
         }
     }
 
@@ -43,7 +40,6 @@ impl MergePath {
             2 => MergePath::PdtKernel,
             3 => MergePath::VdtKernel,
             4 => MergePath::RowsKernel,
-            5 => MergePath::Scalar,
             _ => return None,
         })
     }
@@ -68,7 +64,7 @@ pub struct ScanProfile {
     pub wall_ns: AtomicU64,
     /// Partitions (scan segments) visited.
     pub segments: AtomicU64,
-    paths: [AtomicU64; 6],
+    paths: [AtomicU64; 5],
 }
 
 impl ScanProfile {

@@ -659,7 +659,7 @@ impl Drop for SessionTxn<'_> {
 mod tests {
     use super::*;
     use columnar::{Schema, TableMeta, Value, ValueType};
-    use engine::{TableOptions, UpdatePolicy, ALL_POLICIES};
+    use engine::{PartitionSpec, TableOptions, UpdatePolicy, ALL_POLICIES};
     use exec::run_to_rows;
     use std::time::Duration;
 
@@ -693,45 +693,59 @@ mod tests {
 
     #[test]
     fn sessions_commit_concurrently_and_metrics_accumulate() {
-        let db = db_with(UpdatePolicy::Pdt, TableOptions::default());
-        let server = Server::start(
-            db,
-            ServerConfig {
-                max_sessions: 4,
-                maintenance: None,
-                ..ServerConfig::default()
-            },
-        );
-        let mut handles = Vec::new();
-        for w in 0..4i64 {
-            handles.push(
-                server
-                    .spawn(&format!("writer-{w}"), move |s| {
-                        for i in 0..5i64 {
-                            let mut txn = s.begin();
-                            txn.append("t", batch(10_000 + w * 1000 + i * 10, 5))
-                                .unwrap();
-                            txn.commit().unwrap();
-                        }
-                        s.query("t", |view| {
-                            let mut scan = view.scan_with("t", ScanSpec::all()).unwrap();
-                            run_to_rows(&mut scan).len()
-                        })
-                    })
-                    .unwrap(),
+        // the per-table counters are keyed by table name, partitioned or not
+        for opts in [
+            TableOptions::default(),
+            TableOptions::default().with_partitions(PartitionSpec::Count(4)),
+        ] {
+            let db = db_with(UpdatePolicy::Pdt, opts.clone());
+            db.create_table(TableMeta::new("u", schema(), vec![0]), opts, rows(1000))
+                .unwrap();
+            let server = Server::start(
+                db,
+                ServerConfig {
+                    max_sessions: 4,
+                    maintenance: None,
+                    ..ServerConfig::default()
+                },
             );
+            let mut handles = Vec::new();
+            for w in 0..4i64 {
+                handles.push(
+                    server
+                        .spawn(&format!("writer-{w}"), move |s| {
+                            for i in 0..5i64 {
+                                let mut txn = s.begin();
+                                for table in ["t", "u"] {
+                                    txn.append(table, batch(10_000 + w * 1000 + i * 10, 5))
+                                        .unwrap();
+                                }
+                                txn.commit().unwrap();
+                            }
+                            s.query("t", |view| {
+                                let mut scan = view.scan_with("t", ScanSpec::all()).unwrap();
+                                run_to_rows(&mut scan).len()
+                            })
+                        })
+                        .unwrap(),
+                );
+            }
+            for h in handles {
+                assert!(h.join().unwrap() >= 1000);
+            }
+            let m = server.shutdown();
+            assert_eq!(m.total_commits(), 20);
+            assert_eq!(m.total_queries(), 4);
+            // every table a commit wrote saw that commit
+            for table in ["t", "u"] {
+                let t = m.tables.iter().find(|t| t.name == table).unwrap();
+                assert_eq!(t.counters.commits, 20, "{table}");
+                assert_eq!(t.commit_latency.as_ref().unwrap().count, 20, "{table}");
+            }
+            let t = m.tables.iter().find(|t| t.name == "t").unwrap();
+            assert_eq!(t.scan_latency.as_ref().unwrap().count, 4);
+            assert!(m.commits_per_sec() > 0.0);
         }
-        for h in handles {
-            assert!(h.join().unwrap() >= 1000);
-        }
-        let m = server.shutdown();
-        assert_eq!(m.total_commits(), 20);
-        assert_eq!(m.total_queries(), 4);
-        let t = m.tables.iter().find(|t| t.name == "t").unwrap();
-        assert_eq!(t.counters.commits, 20);
-        assert_eq!(t.commit_latency.unwrap().count, 20);
-        assert_eq!(t.scan_latency.unwrap().count, 4);
-        assert!(m.commits_per_sec() > 0.0);
     }
 
     /// Restarting the server must bring back checkpointed state through

@@ -17,9 +17,8 @@
 //!   block-oriented executor, with the spec's default substitution
 //!   parameters.
 //!
-//! The experiments run at laptop scale factors (0.01–0.1 by default,
-//! configurable); the paper's effects depend on update *fractions* and
-//! column shapes, not absolute SF (DESIGN.md §4).
+//! The experiments run at laptop scale factors (0.01–0.1); the paper's
+//! effects depend on update *fractions* and column shapes, not absolute SF.
 
 pub mod gen;
 pub mod queries;

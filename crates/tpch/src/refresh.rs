@@ -71,31 +71,6 @@ impl RefreshStreams {
             delete_keys,
         }
     }
-
-    /// Round-robin slice `idx` of `n`: partitions both streams across `n`
-    /// concurrent refresh sessions without overlap (each order key is
-    /// touched by exactly one slice), so a mixed-workload driver can run
-    /// several refresh sessions against one database conflict-free.
-    pub fn slice(&self, n: usize, idx: usize) -> RefreshStreams {
-        let n = n.max(1);
-        let pick = |i: usize| i % n == idx % n;
-        RefreshStreams {
-            inserts: self
-                .inserts
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| pick(*i))
-                .map(|(_, x)| x.clone())
-                .collect(),
-            delete_keys: self
-                .delete_keys
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| pick(*i))
-                .map(|(_, &k)| k)
-                .collect(),
-        }
-    }
 }
 
 /// Stage one RF1 chunk into an open transaction: **one** batched `append`
@@ -295,41 +270,6 @@ mod tests {
                     "{policy:?}: {table} diverged after checkpoints"
                 );
             }
-        }
-    }
-
-    /// Slices partition both streams without overlap, and applying every
-    /// slice equals applying the whole stream.
-    #[test]
-    fn slices_partition_the_streams() {
-        let data = generate(0.002);
-        let streams = RefreshStreams::build(&data, 1.0);
-        let slices: Vec<RefreshStreams> = (0..3).map(|i| streams.slice(3, i)).collect();
-        let mut ins: Vec<i64> = slices
-            .iter()
-            .flat_map(|s| s.inserts.iter().map(|(o, _)| o[0].as_int()))
-            .collect();
-        ins.sort_unstable();
-        let mut expect: Vec<i64> = streams.inserts.iter().map(|(o, _)| o[0].as_int()).collect();
-        expect.sort_unstable();
-        assert_eq!(ins, expect, "insert keys partitioned exactly");
-        let mut dels: Vec<i64> = slices.iter().flat_map(|s| s.delete_keys.clone()).collect();
-        dels.sort_unstable();
-        let mut expect = streams.delete_keys.clone();
-        expect.sort_unstable();
-        assert_eq!(dels, expect, "delete keys partitioned exactly");
-
-        // whole-stream vs all-slices application agree
-        let whole = load_database(&data, opts(UpdatePolicy::Pdt));
-        apply_rf1(&whole, &streams, 32).unwrap();
-        apply_rf2(&whole, &streams, 32).unwrap();
-        let sliced = load_database(&data, opts(UpdatePolicy::Pdt));
-        for s in &slices {
-            apply_rf1(&sliced, s, 32).unwrap();
-            apply_rf2(&sliced, s, 32).unwrap();
-        }
-        for table in ["orders", "lineitem"] {
-            assert_eq!(image(&whole, table), image(&sliced, table), "{table}");
         }
     }
 

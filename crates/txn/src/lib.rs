@@ -175,7 +175,7 @@ impl Default for TxnManager {
 }
 
 impl TxnManager {
-    /// In-memory manager (no WAL) — used by benches.
+    /// In-memory manager (no WAL).
     pub fn new() -> Self {
         TxnManager {
             inner: Mutex::new(Inner {

@@ -14,8 +14,9 @@
 //! cost the PDT eliminates: the VDT forces every query to (a) read the
 //! sort-key columns from disk even when it does not project them and (b)
 //! burn CPU on (possibly multi-column, possibly string) key comparisons per
-//! tuple. Figures 17–19 of the paper quantify this gap; our benches
-//! regenerate it.
+//! tuple. Figures 17–19 of the paper quantify this gap; pdtbench's
+//! `scan_merge` workload measures it (`exec.scan_vdt_ms_p50` against
+//! `exec.scan_pdt_ms_p50`).
 
 pub mod merge;
 pub mod op;

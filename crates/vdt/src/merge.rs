@@ -163,58 +163,6 @@ impl<'a> VdtMerger<'a> {
         }
     }
 
-    /// [`VdtMerger::merge_block`], but materializing a `Value` key per
-    /// stable row and pushing output values one enum-dispatched cell at a
-    /// time — the pre-kernel behavior, kept as the baseline the kernel
-    /// benchmarks compare against (and as a differential oracle in tests).
-    pub fn merge_block_scalar(
-        &mut self,
-        len: usize,
-        proj: &[usize],
-        sk_in: &[ColumnVec],
-        cols_in: &[ColumnVec],
-        out: &mut [ColumnVec],
-    ) {
-        debug_assert_eq!(sk_in.len(), self.vdt.sk_cols().len());
-        let mut key_buf: Vec<Value> = Vec::with_capacity(sk_in.len());
-        for i in 0..len {
-            key_buf.clear();
-            for c in sk_in {
-                key_buf.push(c.get(i));
-            }
-            // MergeUnion: pending inserts with smaller keys go first
-            while let Some((k, t)) = self.ins.get(self.ins_pos) {
-                if k.as_slice() >= key_buf.as_slice() {
-                    break;
-                }
-                for (kk, o) in out.iter_mut().enumerate() {
-                    o.push(&t[proj[kk]]);
-                }
-                self.rid += 1;
-                self.ins_pos += 1;
-            }
-            // MergeDiff: suppress deleted stable tuples
-            let mut deleted = false;
-            while let Some(k) = self.del.get(self.del_pos) {
-                match k.as_slice().cmp(key_buf.as_slice()) {
-                    Ordering::Greater => break,
-                    Ordering::Less => self.del_pos += 1,
-                    Ordering::Equal => {
-                        self.del_pos += 1;
-                        deleted = true;
-                        break;
-                    }
-                }
-            }
-            if !deleted {
-                for (kk, o) in out.iter_mut().enumerate() {
-                    o.push(&cols_in[kk].get(i));
-                }
-                self.rid += 1;
-            }
-        }
-    }
-
     /// Emit all pending inserts beyond the last stable tuple (end of a full
     /// scan), or beyond the scanned range's upper key for ranged scans.
     pub fn drain_inserts(
@@ -252,6 +200,59 @@ mod tests {
         (0..n)
             .map(|i| vec![Value::Int(i as i64 * 10), Value::Str(format!("s{i}"))])
             .collect()
+    }
+
+    /// The per-value oracle of [`VdtMerger::merge_block`]: materializes a
+    /// `Value` key per stable row and pushes output values one
+    /// enum-dispatched cell at a time.
+    impl VdtMerger<'_> {
+        fn merge_block_scalar(
+            &mut self,
+            len: usize,
+            proj: &[usize],
+            sk_in: &[ColumnVec],
+            cols_in: &[ColumnVec],
+            out: &mut [ColumnVec],
+        ) {
+            debug_assert_eq!(sk_in.len(), self.vdt.sk_cols().len());
+            let mut key_buf: Vec<Value> = Vec::with_capacity(sk_in.len());
+            for i in 0..len {
+                key_buf.clear();
+                for c in sk_in {
+                    key_buf.push(c.get(i));
+                }
+                // MergeUnion: pending inserts with smaller keys go first
+                while let Some((k, t)) = self.ins.get(self.ins_pos) {
+                    if k.as_slice() >= key_buf.as_slice() {
+                        break;
+                    }
+                    for (kk, o) in out.iter_mut().enumerate() {
+                        o.push(&t[proj[kk]]);
+                    }
+                    self.rid += 1;
+                    self.ins_pos += 1;
+                }
+                // MergeDiff: suppress deleted stable tuples
+                let mut deleted = false;
+                while let Some(k) = self.del.get(self.del_pos) {
+                    match k.as_slice().cmp(key_buf.as_slice()) {
+                        Ordering::Greater => break,
+                        Ordering::Less => self.del_pos += 1,
+                        Ordering::Equal => {
+                            self.del_pos += 1;
+                            deleted = true;
+                            break;
+                        }
+                    }
+                }
+                if !deleted {
+                    for (kk, o) in out.iter_mut().enumerate() {
+                        o.push(&cols_in[kk].get(i));
+                    }
+                    self.rid += 1;
+                }
+            }
+        }
     }
 
     fn block_merge(vdt: &Vdt, rows: &[Tuple], bs: usize, scalar: bool) -> Vec<Tuple> {
