@@ -122,19 +122,6 @@ impl StableTable {
         b.finish()
     }
 
-    /// Bulk-load from already-sorted *columns* (the kernelized checkpoint
-    /// path: merged [`ColumnVec`]s go straight into blocks without ever
-    /// materializing row tuples). Validates shape, types and sort order.
-    pub fn bulk_load_cols(
-        meta: TableMeta,
-        opts: TableOptions,
-        cols: &[ColumnVec],
-    ) -> Result<StableTable> {
-        let mut b = TableBuilder::new(meta, opts);
-        b.append_cols(cols)?;
-        b.finish()
-    }
-
     /// Bulk-load from unsorted rows: sorts by the sort key first.
     pub fn bulk_load_unsorted(
         meta: TableMeta,

@@ -28,8 +28,9 @@
 //!   [`CheckpointPin::merge`], installed under the guard again by the
 //!   [`RangeMerge::install`] closure the merge returns.
 //!
-//! [`PdtStore`] delegates to the [`TxnManager`]'s stacked-PDT machinery
-//! (Read/Write/Trans layers, Serialize/Propagate commits — §3.3). The two
+//! [`PdtStore`] owns its partition's stacked PDTs ([`txn::PdtLayers`]:
+//! Read/Write layers and the TZ conflict set; Serialize/Propagate commits
+//! — §3.3), sequenced by the database's [`TxnManager`]. The two
 //! *key-addressed* baselines share one adapter, [`KeyStore`], generic over
 //! the [`KeyDelta`] structure it maintains: `KeyStore<Vdt>` gives the
 //! value-based tree the *same* transactional treatment the paper's VDT
@@ -56,7 +57,7 @@ use pdt::Pdt;
 use std::borrow::Cow;
 use std::sync::Arc;
 use txn::wal::{self, WalEntry};
-use txn::{TxnError, TxnManager};
+use txn::{PdtLayers, PdtSnapshot, TxnError, TxnManager};
 use vdt::Vdt;
 
 /// Which differential structure maintains a table (per-table, chosen at
@@ -611,58 +612,51 @@ pub trait DeltaStore: Send + Sync {
 
 // --- Positional store ---------------------------------------------------
 
-/// [`DeltaStore`] over stacked PDTs, delegating to the shared
-/// [`TxnManager`] (which owns the Read/Write layers, the TZ conflict set
-/// and the commit sequence for all PDT tables). A cheap handle: the
+/// [`DeltaStore`] over stacked PDTs (Read/Write/Trans layers,
+/// Serialize/Propagate commits — §3.3). The store owns its partition's
+/// [`PdtLayers`] — the Read and Write layers and the TZ conflict set — as
+/// [`KeyStore`] owns its state; only the commit order is shared, through
+/// the [`TxnManager`] the layers commit with. A cheap handle: the
 /// snapshots, staging areas and pins it hands out each carry a clone.
 #[derive(Clone)]
 pub struct PdtStore {
-    mgr: Arc<TxnManager>,
-    /// The partition's registry name in `mgr`.
-    table: Arc<str>,
+    pub(crate) layers: Arc<PdtLayers>,
 }
 
 impl PdtStore {
-    /// The PDT store of `table`, registered with `mgr`.
-    pub fn new(mgr: Arc<TxnManager>, table: String) -> Self {
+    /// An empty store for a partition of `table`, committing through `mgr`.
+    pub fn new(mgr: Arc<TxnManager>, table: String, schema: Schema, sk_cols: Vec<usize>) -> Self {
         PdtStore {
-            mgr,
-            table: table.into(),
+            layers: Arc::new(PdtLayers::new(mgr, table, schema, sk_cols)),
         }
     }
 }
 
-struct PdtSnapshot {
-    store: PdtStore,
-    read: Arc<Pdt>,
-    write: Arc<Pdt>,
-}
-
-impl PdtSnapshot {
-    fn stack<'a>(read: &'a Pdt, write: &'a Pdt, trans: Option<&'a Pdt>) -> DeltaLayers<'a> {
-        let mut layers = Vec::with_capacity(3);
-        if !read.is_empty() {
-            layers.push(read);
+/// The non-empty layers of a capture, bottom up, with a transaction's
+/// Trans-PDT on top.
+fn pdt_stack<'a>(snap: &'a PdtSnapshot, trans: Option<&'a Pdt>) -> DeltaLayers<'a> {
+    let mut layers = Vec::with_capacity(3);
+    if !snap.read.is_empty() {
+        layers.push(&*snap.read);
+    }
+    if !snap.write.is_empty() {
+        layers.push(&*snap.write);
+    }
+    if let Some(t) = trans {
+        if !t.is_empty() {
+            layers.push(t);
         }
-        if !write.is_empty() {
-            layers.push(write);
-        }
-        if let Some(t) = trans {
-            if !t.is_empty() {
-                layers.push(t);
-            }
-        }
-        if layers.is_empty() {
-            DeltaLayers::None
-        } else {
-            DeltaLayers::Pdt(layers)
-        }
+    }
+    if layers.is_empty() {
+        DeltaLayers::None
+    } else {
+        DeltaLayers::Pdt(layers)
     }
 }
 
 impl DeltaSnapshot for PdtSnapshot {
     fn layers(&self) -> DeltaLayers<'_> {
-        Self::stack(&self.read, &self.write, None)
+        pdt_stack(self, None)
     }
 
     fn delta_total(&self) -> i64 {
@@ -671,9 +665,7 @@ impl DeltaSnapshot for PdtSnapshot {
 
     fn begin(&self, start_seq: u64) -> Box<dyn DeltaTxn> {
         Box::new(PdtTxn {
-            store: self.store.clone(),
-            read: self.read.clone(),
-            write: self.write.clone(),
+            snap: self.clone(),
             trans: Pdt::new(self.read.schema().clone(), self.read.sk_cols().to_vec()),
             start_seq,
             serialized: None,
@@ -682,9 +674,8 @@ impl DeltaSnapshot for PdtSnapshot {
 }
 
 struct PdtTxn {
-    store: PdtStore,
-    read: Arc<Pdt>,
-    write: Arc<Pdt>,
+    /// The committed layers captured at begin.
+    snap: PdtSnapshot,
     /// The transaction's private Trans-PDT (eq. (9)'s top layer).
     trans: Pdt,
     start_seq: u64,
@@ -695,11 +686,11 @@ struct PdtTxn {
 
 impl DeltaTxn for PdtTxn {
     fn layers(&self) -> DeltaLayers<'_> {
-        PdtSnapshot::stack(&self.read, &self.write, Some(&self.trans))
+        pdt_stack(&self.snap, Some(&self.trans))
     }
 
     fn delta_total(&self) -> i64 {
-        self.read.delta_total() + self.write.delta_total() + self.trans.delta_total()
+        self.snap.delta_total() + self.trans.delta_total()
     }
 
     fn is_dirty(&self) -> bool {
@@ -747,8 +738,8 @@ impl DeltaTxn for PdtTxn {
     }
 
     fn prepare(&mut self) -> Result<(), DbError> {
-        let PdtStore { mgr, table } = &self.store;
-        let serialized = mgr.serialize_txn(table, self.trans.clone(), self.start_seq)?;
+        let layers = &self.snap.layers;
+        let serialized = layers.serialize(self.trans.clone(), self.start_seq)?;
         self.serialized = Some(Arc::new(serialized));
         Ok(())
     }
@@ -762,13 +753,13 @@ impl DeltaTxn for PdtTxn {
 
     fn publish(self: Box<Self>, seq: u64, _entries: &[WalEntry]) {
         let delta = self.serialized.expect("publish called before prepare");
-        self.store.mgr.publish_pdt(&self.store.table, delta, seq);
+        self.snap.layers.publish(delta, seq);
     }
 }
 
 /// The Read-PDT pinned for an in-flight checkpoint.
 struct PdtPin {
-    store: PdtStore,
+    layers: Arc<PdtLayers>,
     seq: u64,
     read: Arc<Pdt>,
 }
@@ -792,13 +783,13 @@ impl CheckpointPin for PdtPin {
         // the same visible image it was built against
         let (residual_entries, _net) =
             wal::rebase_pdt_outside_range(read, range.s0, range.s1, range.folds_tail());
-        let (PdtStore { mgr, table }, pinned) = (self.store.clone(), read.clone());
+        let (layers, pinned) = (self.layers.clone(), read.clone());
         let rebased = wal::rebuild_pdt(read.schema(), read.sk_cols(), &residual_entries)
-            .map_err(|detail| TxnError::misfit(&table, detail))?;
+            .map_err(|detail| TxnError::misfit(layers.table(), detail))?;
         Ok(RangeMerge {
             fresh: Some(fresh),
             residual_entries,
-            install: Box::new(move || mgr.install_checkpoint(&table, &pinned, rebased)),
+            install: Box::new(move || layers.install(&pinned, rebased)),
         })
     }
 }
@@ -809,44 +800,32 @@ impl DeltaStore for PdtStore {
     }
 
     fn snapshot(&self) -> Arc<dyn DeltaSnapshot> {
-        let snap = self
-            .mgr
-            .snapshot_table(&self.table)
-            .unwrap_or_else(|| panic!("table {} not registered", self.table));
-        Arc::new(PdtSnapshot {
-            store: self.clone(),
-            read: snap.read,
-            write: snap.write,
-        })
+        Arc::new(self.layers.snapshot())
     }
 
     fn replay(&self, entries: &[WalEntry]) -> Result<(), DbError> {
-        Ok(self.mgr.replay_pdt_entries(&self.table, entries)?)
+        Ok(self.layers.replay(entries)?)
     }
 
     fn write_bytes(&self) -> usize {
-        self.mgr.write_pdt_bytes(&self.table)
+        self.layers.write_bytes()
     }
 
     fn delta_bytes(&self) -> usize {
-        self.mgr.pdt_bytes(&self.table)
+        self.layers.bytes()
     }
 
     fn flush(&self) -> bool {
-        if self.mgr.write_pdt_bytes(&self.table) == 0 {
-            return false;
-        }
-        self.mgr.flush_write_to_read(&self.table);
-        true
+        self.layers.flush()
     }
 
     fn checkpoint_pin(&self, seq: u64) -> Option<Box<dyn CheckpointPin>> {
         // folds Write→Read first; commits during the merge land in the
         // fresh master Write-PDT, whose SIDs are relative to the combined
         // image the pin produces — exactly the layering §3.3 designs for
-        let read = self.mgr.pin_checkpoint(&self.table)?;
+        let read = self.layers.pin()?;
         Some(Box::new(PdtPin {
-            store: self.clone(),
+            layers: self.layers.clone(),
             seq,
             read,
         }))

@@ -1194,7 +1194,6 @@ mod tests {
             TableMeta::new("t", schema, vec![0]),
             TableOptions {
                 block_rows: 8,
-                compressed: true,
                 policy,
                 ..TableOptions::default()
             },
@@ -1605,19 +1604,37 @@ mod tests {
         // the TZ watermark sticks at its start sequence and every later
         // commit's serialized delta is retained forever
         let db = db_with_ints(10, UpdatePolicy::Pdt);
+        // swap the (still empty) store for one whose layers stay in sight
+        let store = crate::PdtStore::new(
+            db.txn_mgr.clone(),
+            "t".into(),
+            db.schema("t").unwrap(),
+            vec![0],
+        );
+        db.tables.write().get_mut("t").unwrap().parts[0].delta = Arc::new(store.clone());
         {
             let mut t = db.begin();
             t.insert("t", vec![Value::Int(55), Value::Int(0)]).unwrap();
             let dup = t.insert("t", vec![Value::Int(30), Value::Int(0)]);
             assert!(matches!(dup, Err(DbError::DuplicateKey { .. })));
         }
+        assert_eq!(db.txn_mgr.watermark(), db.txn_mgr.seq());
         for i in 0..5 {
             let mut t = db.begin();
             t.insert("t", vec![Value::Int(1000 + i), Value::Int(i)])
                 .unwrap();
             t.commit().unwrap();
         }
-        assert_eq!(db.txn_mgr.tz_len(), 0, "dropped txn still pins the TZ set");
+        assert_eq!(
+            db.txn_mgr.watermark(),
+            db.txn_mgr.seq(),
+            "dropped txn still pins the watermark"
+        );
+        // the last commit's own delta waits for the next time the layers
+        // are locked — a view is enough
+        assert_eq!(store.layers.tz_retained(), 1);
+        drop(db.read_view());
+        assert_eq!(store.layers.tz_retained(), 0, "TZ set outlives its readers");
         assert!(!keys(&db).contains(&55), "dropped txn published nothing");
     }
 

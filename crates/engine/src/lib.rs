@@ -189,9 +189,6 @@ impl From<TxnError> for DbError {
 pub struct TableOptions {
     /// Rows per block (the scan/merge granularity). Default 4096.
     pub block_rows: usize,
-    /// Whether to apply lightweight compression (paper: server runs
-    /// compressed, workstation runs non-compressed).
-    pub compressed: bool,
     /// Which update structure maintains the table. Default PDT.
     pub policy: UpdatePolicy,
     /// Write-layer byte budget **per partition**: the background scheduler
@@ -223,7 +220,6 @@ impl Default for TableOptions {
     fn default() -> Self {
         TableOptions {
             block_rows: 4096,
-            compressed: true,
             policy: UpdatePolicy::Pdt,
             flush_threshold_bytes: 1 << 20,
             checkpoint_threshold_bytes: 64 << 20,
@@ -244,12 +240,6 @@ impl TableOptions {
     /// Set the rows-per-block scan/merge granularity.
     pub fn with_block_rows(mut self, block_rows: usize) -> Self {
         self.block_rows = block_rows;
-        self
-    }
-
-    /// Enable or disable lightweight storage compression.
-    pub fn with_compression(mut self, compressed: bool) -> Self {
-        self.compressed = compressed;
         self
     }
 
@@ -287,11 +277,12 @@ impl TableOptions {
         self
     }
 
-    /// The storage-level subset.
+    /// The storage-level subset (engine tables are always stored with
+    /// lightweight compression).
     pub fn storage(&self) -> columnar::TableOptions {
         columnar::TableOptions {
             block_rows: self.block_rows,
-            compressed: self.compressed,
+            compressed: true,
         }
     }
 }
@@ -356,12 +347,6 @@ impl Database {
         Ok(db)
     }
 
-    /// The image store behind this database, when opened with
-    /// [`Database::with_storage`].
-    pub fn image_store(&self) -> Option<&ImageStore> {
-        self.images.as_deref()
-    }
-
     /// Test seam: arm (or disarm) a simulated crash in the next checkpoint,
     /// between its image publish — manifest already swapped — and its WAL
     /// marker append. The checkpoint returns an I/O error and rolls its pin
@@ -384,13 +369,14 @@ impl Database {
         rows: Vec<Tuple>,
     ) -> Result<(), DbError> {
         let name = meta.name.clone();
-        // '#' is reserved for the partition registry names PDT partitions
-        // use in the transaction manager ("table#p"); allowing it in table
-        // names would let "t#1" silently alias partition 1 of "t"
-        if name.contains('#') {
+        // the name reaches storage verbatim: it is a component of image
+        // file names and a field of the tab-separated, line-oriented MANIFEST
+        let unstorable = |c: char| matches!(c, '/' | '\\' | '\0' | '\n' | '\r' | '\t');
+        if name.is_empty() || name.starts_with('.') || name.contains(unstorable) {
             return Err(DbError::Partition {
                 table: name,
-                detail: "table names may not contain '#' (reserved for partition registry names)"
+                detail: "table names must be non-empty, must not start with '.' and must not \
+                         contain a path separator, NUL, a tab or a line break"
                     .into(),
             });
         }
@@ -399,16 +385,14 @@ impl Database {
         let sk_types: Vec<columnar::ValueType> = sk.iter().map(|&c| schema.vtype(c)).collect();
         let splits = partition::derive_splits(&name, &opts.partitions, &rows, &sk, &sk_types)?;
         let groups = partition::split_rows(rows, &splits, &sk);
-        let nparts = groups.len();
-        let mut parts = Vec::with_capacity(nparts);
-        for (p, part_rows) in groups.into_iter().enumerate() {
+        let mut parts = Vec::with_capacity(groups.len());
+        for part_rows in groups {
             let stable = StableTable::bulk_load_unsorted(meta.clone(), opts.storage(), part_rows)?;
             let (schema, sk) = (schema.clone(), sk.clone());
             let delta: Arc<dyn DeltaStore> = match opts.policy {
                 UpdatePolicy::Pdt => {
-                    let mgr_name = partition::pdt_table_name(&name, p, nparts);
-                    self.txn_mgr.register_table(&mgr_name, schema, sk);
-                    Arc::new(PdtStore::new(self.txn_mgr.clone(), mgr_name))
+                    let mgr = self.txn_mgr.clone();
+                    Arc::new(PdtStore::new(mgr, name.clone(), schema, sk))
                 }
                 UpdatePolicy::Vdt => Arc::new(KeyStore::<Vdt>::new(name.clone(), schema, sk)),
                 UpdatePolicy::RowStore => {
@@ -510,12 +494,6 @@ impl Database {
     /// per-partition checkpoint budget input).
     pub fn delta_bytes_partition(&self, table: &str, p: usize) -> Result<usize, DbError> {
         Ok(self.partition_entry(table, p)?.1.delta_bytes())
-    }
-
-    /// Stored bytes of one partition's stable image (compressed blocks as
-    /// held in memory) — the write cost of rewriting it wholesale.
-    pub fn stable_bytes_partition(&self, table: &str, p: usize) -> Result<u64, DbError> {
-        Ok(self.partition_entry(table, p)?.0.total_bytes())
     }
 
     /// Replay the WAL at `path` into the tables' update structures (after
@@ -1509,7 +1487,6 @@ mod tests {
             TableMeta::new("inventory", schema, vec![0, 1]),
             TableOptions {
                 block_rows: 2,
-                compressed: true,
                 policy,
                 ..TableOptions::default()
             },
@@ -1713,6 +1690,8 @@ mod tests {
     fn flush_threshold_policy() {
         let db = inventory_db(UpdatePolicy::Pdt);
         assert!(!db.maybe_flush("inventory", usize::MAX).unwrap());
+        // an empty Write-PDT has nothing to move, whatever the threshold
+        assert!(!db.maybe_flush("inventory", 0).unwrap());
         let mut t = db.begin();
         t.insert(
             "inventory",
@@ -1721,6 +1700,7 @@ mod tests {
         .unwrap();
         t.commit().unwrap();
         assert!(db.maybe_flush("inventory", 0).unwrap());
+        assert!(!db.maybe_flush("inventory", 0).unwrap(), "flushed twice");
         // view unchanged after flush
         assert_eq!(all_rows(&db).len(), 6);
     }
@@ -1821,6 +1801,44 @@ mod tests {
                 split.row_count("t").unwrap(),
                 single.row_count("t").unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn conflict_scope_is_the_partition() {
+        use exec::expr::{col, lit};
+        // what a transaction is validated against is what was committed to
+        // the partitions it writes — for a partitioned table as for two
+        // tables
+        for policy in ALL_POLICIES {
+            let (split, _) = partitioned_pair(policy);
+            let set_v = |t: &mut DbTxn, key: i64, v: i64| {
+                let n = t.update_where("t", col(0).eq(lit(key)), vec![(1, lit(v))]);
+                assert_eq!(n.unwrap(), 1, "{policy:?}");
+            };
+            let mut elsewhere = split.begin();
+            let mut same_row = split.begin();
+            // both began before two commits to partition 0 (keys < 100)
+            for v in [1, 2] {
+                let mut t = split.begin();
+                set_v(&mut t, 30, v);
+                t.commit().unwrap();
+            }
+            // partition 1 (100 ≤ keys < 250) saw no commit
+            set_v(&mut elsewhere, 150, -1);
+            elsewhere.commit().unwrap();
+            set_v(&mut same_row, 30, -2);
+            let err = same_row.commit().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    DbError::Txn(TxnError::Conflict { .. }) | DbError::Conflict { .. }
+                ),
+                "{policy:?}: {err}"
+            );
+            let got = t_rows(&split);
+            assert_eq!(got[3], vec![Value::Int(30), Value::Int(2)], "{policy:?}");
+            assert_eq!(got[15], vec![Value::Int(150), Value::Int(-1)], "{policy:?}");
         }
     }
 
@@ -1967,16 +1985,101 @@ mod tests {
             ),
             Err(DbError::Partition { .. })
         ));
-        // '#' is reserved: a table named "t#1" could alias partition 1 of
-        // a partitioned PDT table "t" in the transaction manager
-        assert!(matches!(
-            db.create_table(
-                TableMeta::new("t#1", Schema::from_pairs(&[("k", ValueType::Int)]), vec![0]),
-                TableOptions::default(),
-                vec![],
-            ),
-            Err(DbError::Partition { .. })
-        ));
+        // names that would escape the image directory or break the
+        // line-oriented MANIFEST are refused
+        for bad in [
+            "", ".hidden", "../x", "a/b", "a\\b", "a\0b", "a\nb", "a\rb", "a\tb",
+        ] {
+            let meta = TableMeta::new(bad, Schema::from_pairs(&[("k", ValueType::Int)]), vec![0]);
+            assert!(
+                matches!(
+                    db.create_table(meta, TableOptions::default(), vec![]),
+                    Err(DbError::Partition { .. })
+                ),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn partition_like_table_name_does_not_alias_a_partition() {
+        // "t#1" beside a 2-partition "t": no state is resolved by a
+        // "table#partition" string, so the two never meet — through
+        // commits, a checkpoint and recovery
+        let dir = std::env::temp_dir().join(format!("pdt_hash_name_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (wal, images) = (dir.join("db.wal"), dir.join("images"));
+        let schema = Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]);
+        let base = |scale: i64| -> Vec<Tuple> {
+            (0..20i64)
+                .map(|i| vec![Value::Int(i * 10), Value::Int(i * scale)])
+                .collect()
+        };
+        let create = |db: &Database| {
+            let split = PartitionSpec::SplitPoints(vec![vec![Value::Int(100)]]);
+            for (name, spec, scale) in [("t", split, 1), ("t#1", PartitionSpec::None, 7)] {
+                db.create_table(
+                    TableMeta::new(name, schema.clone(), vec![0]),
+                    TableOptions::default()
+                        .with_block_rows(8)
+                        .with_partitions(spec),
+                    base(scale),
+                )
+                .unwrap();
+            }
+        };
+        let rows = |db: &Database, name: &str| {
+            run_to_rows(
+                &mut db
+                    .read_view()
+                    .scan_with(name, ScanSpec::cols(vec![0, 1]))
+                    .unwrap(),
+            )
+        };
+        let mut model: HashMap<&str, Vec<Tuple>> =
+            HashMap::from([("t", base(1)), ("t#1", base(7))]);
+        let db = Database::with_storage(&wal, &images).unwrap();
+        create(&db);
+        assert_eq!(db.partition_count("t").unwrap(), 2);
+        for round in 0..3i64 {
+            for name in ["t", "t#1"] {
+                // one insert per partition of "t", the same keys in "t#1"
+                let fresh = [
+                    vec![Value::Int(5 + round), Value::Int(round)],
+                    vec![Value::Int(155 + round), Value::Int(-round)],
+                ];
+                let mut t = db.begin();
+                for row in &fresh {
+                    t.insert(name, row.clone()).unwrap();
+                }
+                t.delete_where(
+                    name,
+                    exec::expr::col(0).eq(exec::expr::lit(10 * (round + 1))),
+                )
+                .unwrap();
+                t.commit().unwrap();
+                let m = model.get_mut(name).unwrap();
+                m.extend(fresh);
+                m.retain(|r| r[0] != Value::Int(10 * (round + 1)));
+                m.sort();
+            }
+            if round == 1 {
+                assert!(db.checkpoint("t").unwrap());
+                assert!(db.checkpoint("t#1").unwrap());
+            }
+        }
+        for name in ["t", "t#1"] {
+            assert_eq!(rows(&db, name), model[name], "{name}: live");
+        }
+        drop(db);
+        let db = Database::with_storage(&wal, &images).unwrap();
+        create(&db);
+        db.recover_from(&wal).unwrap();
+        for name in ["t", "t#1"] {
+            assert_eq!(rows(&db, name), model[name], "{name}: recovered");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2168,7 +2271,7 @@ mod tests {
             assert_eq!(err.source().is_some(), has_source, "{err}");
         }
         // wrapped errors chain their source for `anyhow`-style reporting
-        let err = DbError::Txn(txn::TxnError::UnknownTable("inv".into()));
+        let err = DbError::Txn(txn::TxnError::misfit("inv", "of another policy".into()));
         assert!(err.source().unwrap().to_string().contains("inv"));
     }
 

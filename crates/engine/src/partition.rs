@@ -235,18 +235,6 @@ pub(crate) fn split_rows(
     groups
 }
 
-/// Name a partition's PDT registers under in the [`txn::TxnManager`]
-/// (single-partition tables keep the bare table name, so
-/// [`PartitionSpec::None`] is bit-identical to the pre-partitioning
-/// engine).
-pub(crate) fn pdt_table_name(table: &str, partition: usize, nparts: usize) -> String {
-    if nparts == 1 {
-        table.to_string()
-    } else {
-        format!("{table}#{partition}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -227,7 +227,6 @@ impl DiffHarness {
                     TableMeta::new(&self.table, self.schema.clone(), self.sk_cols.clone()),
                     TableOptions {
                         block_rows: self.block_rows,
-                        compressed: true,
                         policy,
                         partitions: self.partitions.clone(),
                         ..TableOptions::default()
@@ -697,7 +696,6 @@ impl BatchRowHarness {
             TableMeta::new("t", Self::schema(), vec![0]),
             TableOptions {
                 block_rows: self.block_rows,
-                compressed: true,
                 policy: self.policy,
                 ..TableOptions::default()
             },
@@ -1044,7 +1042,6 @@ pub fn run_interleaved_spec(
             TableMeta::new("t", schema.clone(), sk_cols.clone()),
             TableOptions {
                 block_rows: 8,
-                compressed: true,
                 policy,
                 partitions: partitions.clone(),
                 ..TableOptions::default()
@@ -1289,7 +1286,6 @@ pub fn run_concurrent_differential(spec: ConcurrentSpec) -> Vec<Tuple> {
             TableMeta::new("t", schema.clone(), vec![0]),
             TableOptions {
                 block_rows: spec.block_rows,
-                compressed: true,
                 policy,
                 // tiny budgets: maintenance fires constantly under load
                 flush_threshold_bytes: 256,

@@ -407,21 +407,6 @@ impl SpanGuard {
         SpanGuard { state: None }
     }
 
-    /// Set the `a` payload after the span started (e.g. a batch size
-    /// known only at the end).
-    pub fn set_a(&mut self, v: u64) {
-        if let Some((rec, _)) = &mut self.state {
-            rec.a = v;
-        }
-    }
-
-    /// Set the `b` payload after the span started.
-    pub fn set_b(&mut self, v: u64) {
-        if let Some((rec, _)) = &mut self.state {
-            rec.b = v;
-        }
-    }
-
     /// Set the sequence number after the span started.
     pub fn set_seq(&mut self, v: u64) {
         if let Some((rec, _)) = &mut self.state {

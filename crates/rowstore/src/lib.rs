@@ -112,14 +112,6 @@ impl RowBuffer {
         }
     }
 
-    /// Is the stable tuple at `key` hidden by a tombstone?
-    pub fn pending_tombstone(&self, key: &[Value]) -> bool {
-        matches!(
-            self.find(key).ok().map(|i| &self.slots[i].1),
-            Some(Slot::Tombstone)
-        )
-    }
-
     /// Record the insertion of a new tuple (its sort key must not be
     /// visible — but it may re-use the key of a deleted stable tuple).
     pub fn insert(&mut self, tuple: Tuple) {

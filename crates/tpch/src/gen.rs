@@ -266,10 +266,6 @@ impl TpchData {
             ("lineitem", &self.lineitem),
         ]
     }
-
-    pub fn num_orders(&self) -> u64 {
-        self.orders.len() as u64
-    }
 }
 
 /// Cardinalities at scale factor `sf` (with small-SF floors so that every

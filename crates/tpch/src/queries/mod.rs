@@ -58,13 +58,6 @@ pub fn run_query(n: usize, view: &ReadView, sf: f64) -> Vec<Tuple> {
     }
 }
 
-/// Tables touched by each query — queries 2, 11 and 16 do not touch the
-/// updated tables (`orders`/`lineitem`), which is why the paper's Figure 19
-/// shows no difference between runs for them.
-pub fn touches_updated_tables(n: usize) -> bool {
-    !matches!(n, 2 | 11 | 16)
-}
-
 // --- plan-building helpers ---------------------------------------------------
 
 pub(crate) fn scan<'v>(v: &'v ReadView, table: &str, cols: &[&str]) -> BoxOp<'v> {

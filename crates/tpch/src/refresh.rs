@@ -167,7 +167,6 @@ mod tests {
     fn opts(policy: UpdatePolicy) -> TableOptions {
         TableOptions {
             block_rows: 512,
-            compressed: true,
             policy,
             ..TableOptions::default()
         }

@@ -20,7 +20,6 @@ const SF: f64 = 0.004;
 fn opts(policy: UpdatePolicy) -> TableOptions {
     TableOptions {
         block_rows: 512,
-        compressed: true,
         policy,
         ..TableOptions::default()
     }

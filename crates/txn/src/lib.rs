@@ -1,40 +1,50 @@
 //! # Transaction management from stacked PDTs (paper §3.3)
 //!
-//! Implements the paper's lock-free snapshot-isolation scheme built
-//! entirely out of PDTs (Figure 14):
+//! The paper's lock-free snapshot-isolation scheme (Figure 14) is *per
+//! table* except for one thing, the commit order. The crate is those two
+//! objects:
 //!
-//! * a RAM-resident **Read-PDT** per table (large, shared),
-//! * a small, CPU-cache-sized **Write-PDT** per table — the only structure
-//!   mutated by commits; readers take a (cached, shared) copy at
-//!   transaction start, so running queries are never blocked,
-//! * a private **Trans-PDT** per transaction per touched table, holding its
-//!   uncommitted updates (eq. (9):
+//! * [`TxnManager`] — what is global, one per database: the commit guard,
+//!   the commit sequence, the set of running transactions (and from it the
+//!   [`watermark`](TxnManager::watermark) below which no retained delta can
+//!   matter any more), and the [`wal`].
+//! * [`PdtLayers`] — what is per partition, owned by the store that
+//!   maintains the partition: the RAM-resident **Read-PDT** (large,
+//!   shared), the small CPU-cache-sized **Write-PDT** — the only structure
+//!   commits mutate; readers take a (cached, shared) copy, so running
+//!   queries are never blocked — and the **TZ set**, the recently
+//!   committed deltas still-running transactions are serialized against.
+//!   A transaction adds its private **Trans-PDT** on top (eq. (9):
 //!   `TABLE_t = TABLE0 ∘ Read ∘ Write ∘ Trans`).
 //!
-//! Commit follows Algorithm 9 (`Finish`): the Trans-PDT is
-//! [`Serialize`](pdt::serialize)-d against every overlapping committed
-//! transaction's retained delta (the TZ set) — detecting write-write
-//! conflicts, in which case the transaction aborts — and the resulting
-//! consecutive delta is [`Propagate`](pdt::propagate)-d into the master
-//! Write-PDT. Retained deltas are pruned once no running transaction
-//! overlaps them (the paper's reference-counting, realised as a
-//! min-start-sequence watermark). Commits are additionally appended to a
-//! [`wal`] for durability, exactly as the paper's footnote prescribes
-//! (sequential I/O only).
-//!
-//! The manager exposes that commit one step at a time, so PDT-backed
-//! tables share a single atomic commit with tables maintained by other
-//! delta structures. The caller (the engine's `DbTxn::commit`) holds
-//! [`TxnManager::commit_guard`] across
-//! [`serialize_txn`](TxnManager::serialize_txn) →
-//! [`alloc_seq`](TxnManager::alloc_seq) →
+//! Commit follows Algorithm 9 (`Finish`), one step at a time, so
+//! PDT-backed partitions share a single atomic commit with partitions
+//! maintained by other delta structures. A transaction begins under
+//! [`TxnManager::commit_guard`] with [`start_txn`](TxnManager::start_txn)
+//! and a [`layers.snapshot`](PdtLayers::snapshot) per partition. To
+//! commit, the caller (the engine's `DbTxn::commit`) takes the guard
+//! again across [`layers.serialize`](PdtLayers::serialize) — the
+//! Trans-PDT [`Serialize`](pdt::serialize)-d against every overlapping
+//! committed delta of *that partition*, a write-write conflict aborting
+//! the transaction → [`alloc_seq`](TxnManager::alloc_seq) →
 //! [`log_commit_enqueue`](TxnManager::log_commit_enqueue) →
-//! [`publish_pdt`](TxnManager::publish_pdt) →
-//! [`end_txn`](TxnManager::end_txn), releases it, then waits on
-//! [`wait_wal_durable`](TxnManager::wait_wal_durable). Recovery is
-//! [`wal::Wal::read_all`] + [`wal::effective_commits`] +
-//! [`replay_pdt_entries`](TxnManager::replay_pdt_entries) +
+//! [`layers.publish`](PdtLayers::publish) — the consecutive delta
+//! [`Propagate`](pdt::propagate)-d into the master Write-PDT and retained
+//! in the TZ set → [`end_txn`](TxnManager::end_txn), releases it, then
+//! waits on [`wait_wal_durable`](TxnManager::wait_wal_durable).
+//! Retained deltas are dropped once no running transaction overlaps them
+//! (the paper's reference counting, realised as the manager's
+//! min-start-sequence watermark): a layers object prunes its own deque
+//! wherever it is locked anyway. Recovery is [`wal::Wal::read_all`] +
+//! [`wal::effective_commits`] + [`layers.replay`](PdtLayers::replay) +
 //! [`finish_recovery`](TxnManager::finish_recovery).
+//!
+//! **Lock order**, the only one: commit guard → a layers object's lock →
+//! the manager's `inner`; never the reverse (the manager knows no layers
+//! object, so it cannot call into one). A flush runs outside the commit
+//! guard: it takes only the layers' lock, under the per-partition
+//! maintenance mutex its caller already holds; a pin takes that mutex,
+//! then the guard, then the layers' lock.
 
 pub mod wal;
 
@@ -43,7 +53,7 @@ use parking_lot::{Mutex, MutexGuard};
 use pdt::propagate::propagate;
 use pdt::serialize::{serialize, SerializeError};
 use pdt::Pdt;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -57,8 +67,6 @@ pub enum TxnError {
         table: String,
         source: SerializeError,
     },
-    /// A commit or a WAL record names a table the manager does not know.
-    UnknownTable(String),
     /// WAL I/O failure during commit.
     Wal(std::io::Error),
 }
@@ -80,7 +88,6 @@ impl fmt::Display for TxnError {
             TxnError::Conflict { table, source } => {
                 write!(f, "write-write conflict on table {table}: {source}")
             }
-            TxnError::UnknownTable(t) => write!(f, "unknown table {t}"),
             TxnError::Wal(e) => write!(f, "WAL failure: {e}"),
         }
     }
@@ -88,82 +95,19 @@ impl fmt::Display for TxnError {
 
 impl std::error::Error for TxnError {}
 
-/// Immutable per-table view captured at transaction start.
-#[derive(Clone)]
-pub struct TableSnapshot {
-    /// The (big, RAM-resident) Read-PDT layer.
-    pub read: Arc<Pdt>,
-    /// The transaction's private copy of the Write-PDT (shared between
-    /// transactions that started between the same two commits).
-    pub write: Arc<Pdt>,
-}
-
-/// A recently committed, serialized Trans-PDT kept for conflict checking
-/// against still-running overlapping transactions (the paper's TZ set).
-struct CommittedDelta {
-    seq: u64,
-    pdt: Arc<Pdt>,
-}
-
-struct TableState {
-    schema: Schema,
-    sk_cols: Vec<usize>,
-    read: Arc<Pdt>,
-    master_write: Pdt,
-    /// Cached snapshot of `master_write`, shared by transactions starting
-    /// before the next commit ("copying is not always required"). `None`
-    /// whenever `master_write` changed since the last capture — every
-    /// mutation goes through [`TableState::write_mut`], so a flush landing
-    /// between a commit's `alloc_seq` and its `publish_pdt` cannot leave a
-    /// pre-commit copy behind for that commit's sequence.
-    write_snapshot: Option<Arc<Pdt>>,
-}
-
-impl TableState {
-    /// The master Write-PDT for mutation; drops the cached snapshot.
-    fn write_mut(&mut self) -> &mut Pdt {
-        self.write_snapshot = None;
-        &mut self.master_write
-    }
-
-    /// Capture the PDT layers, copying the Write-PDT only when it changed
-    /// since the last capture.
-    fn snapshot(&mut self) -> TableSnapshot {
-        let write = self
-            .write_snapshot
-            .get_or_insert_with(|| Arc::new(self.master_write.clone()));
-        TableSnapshot {
-            read: self.read.clone(),
-            write: write.clone(),
-        }
-    }
-
-    /// Migrate the master Write-PDT into the Read-PDT (no-op when empty).
-    fn flush_write(&mut self) {
-        if self.master_write.is_empty() {
-            return;
-        }
-        let mut read = (*self.read).clone();
-        propagate(&mut read, &self.master_write);
-        self.read = Arc::new(read);
-        *self.write_mut() = Pdt::new(self.schema.clone(), self.sk_cols.clone());
-    }
-}
-
 struct Inner {
-    tables: HashMap<String, TableState>,
-    tz: VecDeque<(String, CommittedDelta)>,
     running: BTreeMap<u64, u64>, // txn id -> start_seq
     next_txn: u64,
     seq: u64,
 }
 
-/// The transaction manager (one per database).
+/// The transaction manager (one per database): the commit order and
+/// nothing that belongs to a single table.
 pub struct TxnManager {
     inner: Mutex<Inner>,
     wal: Option<wal::GroupWal>,
     /// Serializes whole commit protocols (and engine-level maintenance)
-    /// across possibly many lock acquisitions on `inner` — see
+    /// across possibly many lock acquisitions — see
     /// [`TxnManager::commit_guard`].
     commit_mx: Mutex<()>,
 }
@@ -179,8 +123,6 @@ impl TxnManager {
     pub fn new() -> Self {
         TxnManager {
             inner: Mutex::new(Inner {
-                tables: HashMap::new(),
-                tz: VecDeque::new(),
                 running: BTreeMap::new(),
                 next_txn: 1,
                 seq: 0,
@@ -194,7 +136,8 @@ impl TxnManager {
     /// observe or mutate a consistent cross-table state — a commit's
     /// prepare/publish sequence, snapshot capture for a read view,
     /// checkpointing, recovery — runs under this guard; single calls on the
-    /// manager stay internally consistent through the `inner` mutex alone.
+    /// manager or on one [`PdtLayers`] stay internally consistent through
+    /// that object's own lock.
     pub fn commit_guard(&self) -> MutexGuard<'_, ()> {
         self.commit_mx.lock()
     }
@@ -207,32 +150,6 @@ impl TxnManager {
         Ok(mgr)
     }
 
-    /// Register a table (idempotent per name).
-    pub fn register_table(&self, name: &str, schema: Schema, sk_cols: Vec<usize>) {
-        let mut inner = self.inner.lock();
-        let read = Arc::new(Pdt::new(schema.clone(), sk_cols.clone()));
-        let write = Pdt::new(schema.clone(), sk_cols.clone());
-        inner.tables.insert(
-            name.to_string(),
-            TableState {
-                schema,
-                sk_cols,
-                read,
-                master_write: write,
-                write_snapshot: None,
-            },
-        );
-    }
-
-    /// Snapshot one table's PDT layers (sharing the cached Write-PDT copy)
-    /// *without* registering a throwaway transaction — read views are not
-    /// tracked in the running set and retain no TZ deltas. Callers needing
-    /// a consistent cut across several tables (or across delta structures)
-    /// hold [`TxnManager::commit_guard`] around the calls.
-    pub fn snapshot_table(&self, table: &str) -> Option<TableSnapshot> {
-        Some(self.inner.lock().tables.get_mut(table)?.snapshot())
-    }
-
     /// Register a running transaction; returns `(txn id, start sequence)`.
     pub fn start_txn(&self) -> (u64, u64) {
         let mut inner = self.inner.lock();
@@ -243,32 +160,19 @@ impl TxnManager {
         (id, start_seq)
     }
 
-    /// Deregister a running transaction (commit or abort) and prune the
-    /// retained deltas it may have been holding alive.
+    /// Deregister a running transaction (commit or abort); the deltas it
+    /// was holding alive fall below the [`TxnManager::watermark`].
     pub fn end_txn(&self, id: u64) {
-        let mut inner = self.inner.lock();
-        inner.running.remove(&id);
-        Self::prune_tz(&mut inner);
+        self.inner.lock().running.remove(&id);
     }
 
-    /// Serialize a Trans-PDT against every committed delta of `table` that
-    /// overlaps a transaction started at `start_seq` (Algorithm 8 applied
-    /// over the TZ set) — the write-write conflict check.
-    pub fn serialize_txn(&self, table: &str, trans: Pdt, start_seq: u64) -> Result<Pdt, TxnError> {
+    /// The sequence at or below which a committed delta can no longer
+    /// overlap any transaction: the smallest start sequence still running,
+    /// else the current commit sequence (the paper's reference counts).
+    /// Never decreases.
+    pub fn watermark(&self) -> u64 {
         let inner = self.inner.lock();
-        if !inner.tables.contains_key(table) {
-            return Err(TxnError::UnknownTable(table.to_string()));
-        }
-        let mut cur = trans;
-        for (t, delta) in inner.tz.iter() {
-            if t == table && delta.seq > start_seq {
-                cur = serialize(cur, &delta.pdt).map_err(|source| TxnError::Conflict {
-                    table: table.to_string(),
-                    source,
-                })?;
-            }
-        }
-        Ok(cur)
+        inner.running.values().min().copied().unwrap_or(inner.seq)
     }
 
     /// Allocate the next commit sequence number.
@@ -276,21 +180,6 @@ impl TxnManager {
         let mut inner = self.inner.lock();
         inner.seq += 1;
         inner.seq
-    }
-
-    /// Publish a serialized delta at commit `seq`: propagate it into the
-    /// table's master Write-PDT and retain it in the TZ set for conflict
-    /// checks against still-running overlapping transactions.
-    pub fn publish_pdt(&self, table: &str, delta: Arc<Pdt>, seq: u64) {
-        let mut inner = self.inner.lock();
-        let st = inner
-            .tables
-            .get_mut(table)
-            .unwrap_or_else(|| panic!("publish into unregistered table {table}"));
-        propagate(st.write_mut(), &delta);
-        inner
-            .tz
-            .push_back((table.to_string(), CommittedDelta { seq, pdt: delta }));
     }
 
     /// Group-commit phase A: encode and enqueue one commit record in the
@@ -343,92 +232,10 @@ impl TxnManager {
         self.wal.as_ref().map_or(0, |w| w.pending_records())
     }
 
-    /// Recovery: rebuild one logged delta and propagate it into the
-    /// table's master Write-PDT. Fails, leaving the table untouched, when
-    /// the entries do not fit it ([`TxnError::misfit`]).
-    pub fn replay_pdt_entries(
-        &self,
-        table: &str,
-        entries: &[wal::WalEntry],
-    ) -> Result<(), TxnError> {
-        let mut inner = self.inner.lock();
-        let st = inner
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| TxnError::UnknownTable(table.to_string()))?;
-        let delta = wal::rebuild_pdt(&st.schema, &st.sk_cols, entries)
-            .map_err(|detail| TxnError::misfit(table, detail))?;
-        propagate(st.write_mut(), &delta);
-        Ok(())
-    }
-
     /// Recovery epilogue: restore the commit sequence.
     pub fn finish_recovery(&self, seq: u64) {
         let mut inner = self.inner.lock();
         inner.seq = inner.seq.max(seq);
-    }
-
-    fn prune_tz(inner: &mut Inner) {
-        // a delta is needed while some running transaction started before
-        // it committed (the paper's reference counts)
-        let watermark = inner.running.values().min().copied().unwrap_or(inner.seq);
-        inner.tz.retain(|(_, d)| d.seq > watermark);
-    }
-
-    /// Size of the master Write-PDT (the Propagate policy input).
-    pub fn write_pdt_bytes(&self, table: &str) -> usize {
-        self.inner.lock().tables[table].master_write.heap_bytes()
-    }
-
-    /// Migrate the master Write-PDT into the Read-PDT (the paper's periodic
-    /// `Propagate` when the Write-PDT outgrows the CPU cache). Running
-    /// transactions are unaffected: they hold Arc snapshots.
-    pub fn flush_write_to_read(&self, table: &str) {
-        let mut inner = self.inner.lock();
-        inner
-            .tables
-            .get_mut(table)
-            .expect("registered table")
-            .flush_write();
-    }
-
-    /// Checkpoint phase 1: flush the master Write-PDT into the Read-PDT (so
-    /// the pinned layer is complete) and pin the combined Read-PDT. The
-    /// caller rebuilds the stable image from the returned `Arc` *off* every
-    /// lock — commits keep flowing into the (fresh, empty) master Write-PDT
-    /// in the meantime, and their SIDs stay valid relative to the image the
-    /// pin will produce. Returns `None` when there is nothing to fold.
-    ///
-    /// Callers must serialize per-table maintenance (the engine holds a
-    /// per-table maintenance mutex): only commits may run between a pin and
-    /// its [`TxnManager::install_checkpoint`], never another flush or
-    /// checkpoint of the same table.
-    pub fn pin_checkpoint(&self, table: &str) -> Option<Arc<Pdt>> {
-        let mut inner = self.inner.lock();
-        let st = inner.tables.get_mut(table).expect("registered table");
-        st.flush_write();
-        if st.read.is_empty() {
-            None
-        } else {
-            Some(st.read.clone())
-        }
-    }
-
-    /// Checkpoint phase 3: the part of the pinned Read-PDT addressing the
-    /// merged block range is folded into the new stable image — replace
-    /// the read layer with `residual`, the out-of-range remainder rebased
-    /// onto that image ([`wal::rebase_pdt_outside_range`]; empty after a
-    /// whole-partition checkpoint). Panics if the Read layer changed since
-    /// the pin (a concurrent flush/checkpoint the caller failed to
-    /// serialize).
-    pub fn install_checkpoint(&self, table: &str, pinned: &Arc<Pdt>, residual: Pdt) {
-        let mut inner = self.inner.lock();
-        let st = inner.tables.get_mut(table).expect("registered table");
-        assert!(
-            Arc::ptr_eq(&st.read, pinned),
-            "Read-PDT of {table} changed between checkpoint pin and install"
-        );
-        st.read = Arc::new(residual);
     }
 
     /// Append a checkpoint marker for `(table, partition)` at pinned
@@ -458,22 +265,237 @@ impl TxnManager {
         Ok(())
     }
 
-    /// Combined Read-PDT + master Write-PDT footprint of a table — the
-    /// checkpoint-threshold input of the maintenance scheduler.
-    pub fn pdt_bytes(&self, table: &str) -> usize {
-        let inner = self.inner.lock();
-        let st = &inner.tables[table];
-        st.read.heap_bytes() + st.master_write.heap_bytes()
-    }
-
     /// Current global commit sequence.
     pub fn seq(&self) -> u64 {
         self.inner.lock().seq
     }
+}
 
-    /// Number of retained committed deltas (TZ set size) — test support.
-    pub fn tz_len(&self) -> usize {
-        self.inner.lock().tz.len()
+/// Immutable capture of one partition's committed layers
+/// ([`PdtLayers::snapshot`]), with the handle of the object it was taken
+/// from — what a transaction opened on it later serializes against and
+/// publishes into.
+#[derive(Clone)]
+pub struct PdtSnapshot {
+    /// The layers this is a capture of.
+    pub layers: Arc<PdtLayers>,
+    /// The (big, RAM-resident) Read-PDT layer.
+    pub read: Arc<Pdt>,
+    /// A private copy of the Write-PDT (shared between captures taken
+    /// between the same two commits).
+    pub write: Arc<Pdt>,
+}
+
+/// A recently committed, serialized Trans-PDT kept for conflict checking
+/// against still-running overlapping transactions (the paper's TZ set).
+struct CommittedDelta {
+    seq: u64,
+    pdt: Arc<Pdt>,
+}
+
+struct LayerState {
+    read: Arc<Pdt>,
+    master_write: Pdt,
+    /// Cached snapshot of `master_write`, shared by transactions starting
+    /// before the next commit ("copying is not always required"). `None`
+    /// whenever `master_write` changed since the last capture — every
+    /// mutation goes through [`LayerState::write_mut`], so a flush landing
+    /// between a commit's `alloc_seq` and its `publish` cannot leave a
+    /// pre-commit copy behind for that commit's sequence.
+    write_snapshot: Option<Arc<Pdt>>,
+    /// The TZ set of this partition, in commit order.
+    tz: VecDeque<CommittedDelta>,
+}
+
+impl LayerState {
+    /// The master Write-PDT for mutation; drops the cached snapshot.
+    fn write_mut(&mut self) -> &mut Pdt {
+        self.write_snapshot = None;
+        &mut self.master_write
+    }
+
+    /// Migrate the master Write-PDT into the Read-PDT; whether there was
+    /// anything to migrate.
+    fn flush_write(&mut self) -> bool {
+        if self.master_write.is_empty() {
+            return false;
+        }
+        let mut read = (*self.read).clone();
+        propagate(&mut read, &self.master_write);
+        let empty = Pdt::new(read.schema().clone(), read.sk_cols().to_vec());
+        self.read = Arc::new(read);
+        *self.write_mut() = empty;
+        true
+    }
+
+    /// Drop the retained deltas at or below `watermark`: a delta is needed
+    /// only while some running transaction started before it committed.
+    fn prune(&mut self, watermark: u64) {
+        self.tz.retain(|d| d.seq > watermark);
+    }
+}
+
+/// One partition's stacked-PDT state (§3.3, Figure 14): the Read-PDT, the
+/// master Write-PDT and the TZ set, behind one lock, with the commit and
+/// maintenance state machine as methods. Owned (through an `Arc`) by the
+/// store that maintains the partition; the [`TxnManager`] it sequences
+/// commits with does not know it.
+pub struct PdtLayers {
+    mgr: Arc<TxnManager>,
+    /// The table maintained, for error text only.
+    table: String,
+    state: Mutex<LayerState>,
+}
+
+impl PdtLayers {
+    /// Empty layers over a partition of `table` with this shape,
+    /// committing through `mgr`.
+    pub fn new(mgr: Arc<TxnManager>, table: String, schema: Schema, sk_cols: Vec<usize>) -> Self {
+        PdtLayers {
+            mgr,
+            table,
+            state: Mutex::new(LayerState {
+                read: Arc::new(Pdt::new(schema.clone(), sk_cols.clone())),
+                master_write: Pdt::new(schema, sk_cols),
+                write_snapshot: None,
+                tz: VecDeque::new(),
+            }),
+        }
+    }
+
+    /// Lock the state, dropping the retained deltas no running transaction
+    /// overlaps any more. Everything that reads or grows the deque comes
+    /// through here, so retention is as tight as anything can observe.
+    fn locked(&self) -> MutexGuard<'_, LayerState> {
+        let mut st = self.state.lock();
+        if !st.tz.is_empty() {
+            st.prune(self.mgr.watermark());
+        }
+        st
+    }
+
+    /// The table these layers belong to (for error text).
+    pub fn table(&self) -> &str {
+        &self.table
+    }
+
+    /// Capture the layers, copying the Write-PDT only when it changed
+    /// since the last capture. Registers nothing: read views are not
+    /// tracked in the running set and retain no TZ deltas. Callers needing
+    /// a consistent cut across partitions (or across delta structures)
+    /// hold [`TxnManager::commit_guard`] around the calls.
+    pub fn snapshot(self: &Arc<Self>) -> PdtSnapshot {
+        let mut guard = self.locked();
+        let st = &mut *guard;
+        let write = st
+            .write_snapshot
+            .get_or_insert_with(|| Arc::new(st.master_write.clone()));
+        PdtSnapshot {
+            layers: self.clone(),
+            read: st.read.clone(),
+            write: write.clone(),
+        }
+    }
+
+    /// Serialize a Trans-PDT against every retained delta that overlaps a
+    /// transaction started at `start_seq` (Algorithm 8 applied over the TZ
+    /// set) — the write-write conflict check.
+    pub fn serialize(&self, trans: Pdt, start_seq: u64) -> Result<Pdt, TxnError> {
+        let st = self.locked();
+        let mut cur = trans;
+        for delta in st.tz.iter() {
+            if delta.seq > start_seq {
+                cur = serialize(cur, &delta.pdt).map_err(|source| TxnError::Conflict {
+                    table: self.table.clone(),
+                    source,
+                })?;
+            }
+        }
+        Ok(cur)
+    }
+
+    /// Publish a serialized delta at commit `seq`: propagate it into the
+    /// master Write-PDT and retain it in the TZ set for conflict checks
+    /// against still-running overlapping transactions.
+    pub fn publish(&self, delta: Arc<Pdt>, seq: u64) {
+        let mut st = self.locked();
+        propagate(st.write_mut(), &delta);
+        st.tz.push_back(CommittedDelta { seq, pdt: delta });
+    }
+
+    /// Recovery: rebuild one logged delta and propagate it into the master
+    /// Write-PDT. Fails, leaving the layers untouched, when the entries do
+    /// not fit the table ([`TxnError::misfit`]).
+    pub fn replay(&self, entries: &[wal::WalEntry]) -> Result<(), TxnError> {
+        let mut st = self.state.lock();
+        let delta = wal::rebuild_pdt(st.read.schema(), st.read.sk_cols(), entries)
+            .map_err(|detail| TxnError::misfit(&self.table, detail))?;
+        propagate(st.write_mut(), &delta);
+        Ok(())
+    }
+
+    /// Size of the master Write-PDT (the Propagate policy input).
+    pub fn write_bytes(&self) -> usize {
+        self.state.lock().master_write.heap_bytes()
+    }
+
+    /// Combined Read-PDT + master Write-PDT footprint — the
+    /// checkpoint-threshold input of the maintenance scheduler.
+    pub fn bytes(&self) -> usize {
+        let st = self.state.lock();
+        st.read.heap_bytes() + st.master_write.heap_bytes()
+    }
+
+    /// Number of retained committed deltas (TZ set size) as last pruned —
+    /// test support.
+    pub fn tz_retained(&self) -> usize {
+        self.state.lock().tz.len()
+    }
+
+    /// Migrate the master Write-PDT into the Read-PDT (the paper's periodic
+    /// `Propagate` when the Write-PDT outgrows the CPU cache); whether
+    /// there was anything to migrate. Running transactions are unaffected:
+    /// they hold Arc snapshots.
+    pub fn flush(&self) -> bool {
+        self.locked().flush_write()
+    }
+
+    /// Checkpoint phase 1: flush the master Write-PDT into the Read-PDT (so
+    /// the pinned layer is complete) and pin the combined Read-PDT. The
+    /// caller rebuilds the stable image from the returned `Arc` *off* every
+    /// lock — commits keep flowing into the (fresh, empty) master Write-PDT
+    /// in the meantime, and their SIDs stay valid relative to the image the
+    /// pin will produce. Returns `None` when there is nothing to fold.
+    ///
+    /// Callers must serialize per-partition maintenance (the engine holds
+    /// a per-partition maintenance mutex): only commits may run between a
+    /// pin and its [`PdtLayers::install`], never another flush or
+    /// checkpoint of the same partition.
+    pub fn pin(&self) -> Option<Arc<Pdt>> {
+        let mut st = self.locked();
+        st.flush_write();
+        if st.read.is_empty() {
+            None
+        } else {
+            Some(st.read.clone())
+        }
+    }
+
+    /// Checkpoint phase 3: the part of the pinned Read-PDT addressing the
+    /// merged block range is folded into the new stable image — replace
+    /// the read layer with `residual`, the out-of-range remainder rebased
+    /// onto that image ([`wal::rebase_pdt_outside_range`]; empty after a
+    /// whole-partition checkpoint). Panics if the Read layer changed since
+    /// the pin (a concurrent flush/checkpoint the caller failed to
+    /// serialize).
+    pub fn install(&self, pinned: &Arc<Pdt>, residual: Pdt) {
+        let mut st = self.state.lock();
+        assert!(
+            Arc::ptr_eq(&st.read, pinned),
+            "Read-PDT of {} changed between checkpoint pin and install",
+            self.table
+        );
+        st.read = Arc::new(residual);
     }
 }
 
@@ -493,25 +515,27 @@ mod tests {
             .collect()
     }
 
-    fn mgr() -> TxnManager {
-        let m = TxnManager::new();
-        m.register_table("t", schema(), vec![0]);
-        m
+    fn layers() -> Arc<PdtLayers> {
+        layers_on(Arc::new(TxnManager::new()), schema())
     }
 
-    /// A transaction on table "t", driven step by step through the same
-    /// manager calls the engine's `DbTxn` makes.
+    fn layers_on(mgr: Arc<TxnManager>, schema: Schema) -> Arc<PdtLayers> {
+        Arc::new(PdtLayers::new(mgr, "t".into(), schema, vec![0]))
+    }
+
+    /// A transaction on one partition, driven step by step through the
+    /// same calls the engine's `DbTxn` makes.
     struct TestTxn {
         id: u64,
         start_seq: u64,
-        snap: TableSnapshot,
+        snap: PdtSnapshot,
         trans: Pdt,
     }
 
-    fn begin(m: &TxnManager) -> TestTxn {
-        let _commit = m.commit_guard();
-        let (id, start_seq) = m.start_txn();
-        let snap = m.snapshot_table("t").expect("table t registered");
+    fn begin(l: &Arc<PdtLayers>) -> TestTxn {
+        let _commit = l.mgr.commit_guard();
+        let (id, start_seq) = l.mgr.start_txn();
+        let snap = l.snapshot();
         let trans = Pdt::new(snap.read.schema().clone(), snap.read.sk_cols().to_vec());
         TestTxn {
             id,
@@ -523,13 +547,14 @@ mod tests {
 
     /// serialize → alloc_seq → log enqueue → publish → end, all under the
     /// commit guard; the durable wait after releasing it.
-    fn commit(m: &TxnManager, t: TestTxn) -> Result<u64, TxnError> {
+    fn commit(l: &Arc<PdtLayers>, t: TestTxn) -> Result<u64, TxnError> {
+        let m = &l.mgr;
         let guard = m.commit_guard();
         if t.trans.is_empty() {
             m.end_txn(t.id);
             return Ok(m.seq());
         }
-        let delta = match m.serialize_txn("t", t.trans, t.start_seq) {
+        let delta = match l.serialize(t.trans, t.start_seq) {
             Ok(d) => Arc::new(d),
             Err(e) => {
                 m.end_txn(t.id);
@@ -539,7 +564,7 @@ mod tests {
         let seq = m.alloc_seq();
         let entries = wal::pdt_entries(&delta);
         let ticket = m.log_commit_enqueue(seq, &[("t", 0, entries.as_slice())]);
-        m.publish_pdt("t", delta, seq);
+        l.publish(delta, seq);
         m.end_txn(t.id);
         drop(guard);
         if let Some(ticket) = ticket {
@@ -548,23 +573,23 @@ mod tests {
         Ok(seq)
     }
 
-    fn abort(m: &TxnManager, t: TestTxn) {
-        m.end_txn(t.id);
+    fn abort(l: &Arc<PdtLayers>, t: TestTxn) {
+        l.mgr.end_txn(t.id);
     }
 
     /// Recovery as the engine runs it: read, drop what markers cover,
     /// replay the rest, restore the sequence.
-    fn recover(m: &TxnManager, path: &Path) -> std::io::Result<u64> {
+    fn recover(l: &Arc<PdtLayers>, path: &Path) -> std::io::Result<u64> {
         let mut last = 0;
         for rec in wal::effective_commits(wal::Wal::read_all(path)?) {
             last = rec.seq();
             if let wal::WalRecord::Commit { tables, .. } = rec {
-                for (table, _partition, entries) in tables {
-                    m.replay_pdt_entries(&table, &entries).unwrap();
+                for (_table, _partition, entries) in tables {
+                    l.replay(&entries).unwrap();
                 }
             }
         }
-        m.finish_recovery(last);
+        l.mgr.finish_recovery(last);
         Ok(last)
     }
 
@@ -579,7 +604,7 @@ mod tests {
 
     #[test]
     fn uncommitted_updates_visible_only_to_self() {
-        let m = mgr();
+        let m = layers();
         let rows = base(5);
         let mut a = begin(&m);
         let b = begin(&m);
@@ -596,7 +621,7 @@ mod tests {
 
     #[test]
     fn conflicting_commit_aborts() {
-        let m = mgr();
+        let m = layers();
         let mut a = begin(&m);
         let mut b = begin(&m);
         a.trans.add_modify(2, 1, &Value::Int(100));
@@ -612,7 +637,7 @@ mod tests {
 
     #[test]
     fn disjoint_column_mods_reconcile() {
-        let m = mgr();
+        let m = layers();
         let mut a = begin(&m);
         let mut b = begin(&m);
         a.trans.add_modify(2, 1, &Value::Int(100));
@@ -629,7 +654,7 @@ mod tests {
         // the paper's example: a and b start on the empty Write-PDT; b
         // commits; c starts; a commits (serializing against b); c commits
         // (serializing against a').
-        let m = mgr();
+        let m = layers();
         let rows = base(10);
         let mut a = begin(&m);
         let mut b = begin(&m);
@@ -650,29 +675,31 @@ mod tests {
 
     #[test]
     fn tz_pruned_when_no_overlap() {
-        let m = mgr();
+        let m = layers();
         let mut a = begin(&m);
         a.trans.add_delete(0, &[Value::Int(0)]);
         commit(&m, a).unwrap();
         // no running transactions: the delta is retained only while needed
-        assert_eq!(m.tz_len(), 0);
-        // with a long-running reader, deltas are retained...
+        // (a layers object prunes when it is next locked — here by `begin`)
         let reader = begin(&m);
+        assert_eq!(m.tz_retained(), 0);
+        // with a long-running reader, deltas are retained...
         let mut b = begin(&m);
         b.trans.add_delete(1, &[Value::Int(20)]);
         commit(&m, b).unwrap();
-        assert_eq!(m.tz_len(), 1);
+        assert_eq!(m.tz_retained(), 1);
         // ...until the reader finishes
         abort(&m, reader);
         let mut c = begin(&m);
         c.trans.add_delete(0, &[Value::Int(10)]);
         commit(&m, c).unwrap();
-        assert_eq!(m.tz_len(), 0);
+        m.snapshot();
+        assert_eq!(m.tz_retained(), 0);
     }
 
     #[test]
     fn write_snapshot_shared_between_commits() {
-        let m = mgr();
+        let m = layers();
         let a = begin(&m);
         let b = begin(&m);
         // no commit in between: both share the same write snapshot Arc
@@ -687,14 +714,14 @@ mod tests {
 
     #[test]
     fn flush_write_to_read_preserves_view() {
-        let m = mgr();
+        let m = layers();
         let rows = base(6);
         let mut a = begin(&m);
         a.trans.add_delete(2, &[Value::Int(20)]);
         a.trans.add_insert(0, 0, &[Value::Int(-1), Value::Int(0)]);
         commit(&m, a).unwrap();
         let before = view(&rows, &begin(&m));
-        m.flush_write_to_read("t");
+        m.flush();
         let after_txn = begin(&m);
         assert!(
             after_txn.snap.write.is_empty(),
@@ -707,12 +734,12 @@ mod tests {
 
     #[test]
     fn checkpoint_pin_merge_install() {
-        let m = mgr();
+        let m = layers();
         let rows = base(6);
         let mut a = begin(&m);
         a.trans.add_delete(2, &[Value::Int(20)]);
         commit(&m, a).unwrap();
-        let pinned = m.pin_checkpoint("t").expect("dirty table pins");
+        let pinned = m.pin().expect("dirty table pins");
         // a commit lands while the caller merges off-lock: it goes to the
         // fresh master Write-PDT, positioned relative to the pinned image
         let mut b = begin(&m);
@@ -720,7 +747,7 @@ mod tests {
         commit(&m, b).unwrap();
         let new_rows = merge_rows(&rows, &pinned);
         assert_eq!(new_rows.len(), 5);
-        m.install_checkpoint("t", &pinned, Pdt::new(schema(), vec![0]));
+        m.install(&pinned, Pdt::new(schema(), vec![0]));
         // read layer is now empty; the mid-merge commit survives on top of
         // the new stable image
         let t = begin(&m);
@@ -730,42 +757,42 @@ mod tests {
         assert_eq!(fin[0][1], Value::Int(70));
         // pinning again folds the surviving Write-PDT; once that is also
         // installed the table is clean and pinning yields nothing
-        let pinned = m.pin_checkpoint("t").expect("write layer still dirty");
+        let pinned = m.pin().expect("write layer still dirty");
         let final_rows = merge_rows(&new_rows, &pinned);
-        m.install_checkpoint("t", &pinned, Pdt::new(schema(), vec![0]));
+        m.install(&pinned, Pdt::new(schema(), vec![0]));
         assert_eq!(view(&final_rows, &begin(&m)), final_rows);
-        assert!(m.pin_checkpoint("t").is_none(), "clean table pins nothing");
+        assert!(m.pin().is_none(), "clean table pins nothing");
     }
 
     #[test]
     #[should_panic(expected = "changed between checkpoint pin and install")]
     fn install_detects_unserialized_maintenance() {
-        let m = mgr();
+        let m = layers();
         let mut a = begin(&m);
         a.trans.add_delete(0, &[Value::Int(0)]);
         commit(&m, a).unwrap();
-        let pinned = m.pin_checkpoint("t").unwrap();
+        let pinned = m.pin().unwrap();
         // a concurrent (unserialized) flush swaps the Read-PDT out from
         // under the pin: install must refuse to reset the wrong layer
         let mut b = begin(&m);
         b.trans.add_delete(0, &[Value::Int(10)]);
         commit(&m, b).unwrap();
-        m.flush_write_to_read("t");
-        m.install_checkpoint("t", &pinned, Pdt::new(schema(), vec![0]));
+        m.flush();
+        m.install(&pinned, Pdt::new(schema(), vec![0]));
     }
 
     #[test]
     fn read_only_commit_is_trivial() {
-        let m = mgr();
+        let m = layers();
         let a = begin(&m);
-        let seq_before = m.seq();
+        let seq_before = m.mgr.seq();
         commit(&m, a).unwrap();
-        assert_eq!(m.seq(), seq_before);
+        assert_eq!(m.mgr.seq(), seq_before);
     }
 
     #[test]
     fn concurrent_commits_from_threads() {
-        let m = Arc::new(mgr());
+        let m = layers();
         let rows = Arc::new(base(100));
         let mut handles = Vec::new();
         for t in 0..8u64 {
@@ -808,7 +835,12 @@ mod tests {
             .collect()
     }
 
-    fn committed_view(rows: &[Tuple], m: &TxnManager) -> Vec<Tuple> {
+    fn wal_layers(wal_path: &Path) -> Arc<PdtLayers> {
+        let mgr = TxnManager::with_wal(wal_path).unwrap();
+        layers_on(Arc::new(mgr), str_schema())
+    }
+
+    fn committed_view(rows: &[Tuple], m: &Arc<PdtLayers>) -> Vec<Tuple> {
         let t = begin(m);
         let v = view(rows, &t);
         abort(m, t);
@@ -825,8 +857,7 @@ mod tests {
         let rows = str_base(10);
         let committed;
         {
-            let m = TxnManager::with_wal(&wal_path).unwrap();
-            m.register_table("t", str_schema(), vec![0]);
+            let m = wal_layers(&wal_path);
 
             let mut a = begin(&m);
             a.trans
@@ -847,11 +878,10 @@ mod tests {
         }
 
         // crash & recover
-        let m2 = TxnManager::with_wal(&wal_path).unwrap();
-        m2.register_table("t", str_schema(), vec![0]);
+        let m2 = wal_layers(&wal_path);
         let last_seq = recover(&m2, &wal_path).unwrap();
         assert_eq!(last_seq, 2);
-        assert_eq!(m2.seq(), 2);
+        assert_eq!(m2.mgr.seq(), 2);
         assert_eq!(committed_view(&rows, &m2), committed);
 
         // the recovered manager keeps working: new commits append to the log
@@ -860,8 +890,7 @@ mod tests {
         assert_eq!(commit(&m2, d).unwrap(), 3);
         let after = committed_view(&rows, &m2);
 
-        let m3 = TxnManager::with_wal(&wal_path).unwrap();
-        m3.register_table("t", str_schema(), vec![0]);
+        let m3 = wal_layers(&wal_path);
         recover(&m3, &wal_path).unwrap();
         assert_eq!(committed_view(&rows, &m3), after);
 
@@ -870,18 +899,10 @@ mod tests {
 
     #[test]
     fn recovery_from_missing_wal_is_empty() {
-        let m = TxnManager::new();
-        m.register_table("t", str_schema(), vec![0]);
+        let m = layers_on(Arc::new(TxnManager::new()), str_schema());
         let path = std::env::temp_dir().join("pdt-wal-definitely-missing.wal");
         let _ = std::fs::remove_file(&path);
         assert_eq!(recover(&m, &path).unwrap(), 0);
         assert_eq!(committed_view(&str_base(3), &m), str_base(3));
-    }
-
-    #[test]
-    fn replaying_into_an_unknown_table_is_an_error() {
-        let m = mgr();
-        let err = m.replay_pdt_entries("nope", &[]).unwrap_err();
-        assert!(matches!(err, TxnError::UnknownTable(t) if t == "nope"));
     }
 }

@@ -155,7 +155,6 @@ fn cold_start_serves_checkpointed_state_from_images() {
                 TableMeta::new("t", schema(), vec![0]),
                 TableOptions {
                     block_rows: 8,
-                    compressed: true,
                     policy,
                     ..TableOptions::default()
                 },
@@ -280,6 +279,19 @@ fn recovering_a_log_that_does_not_fit_the_table_is_an_error() {
     for policy in ALL_POLICIES {
         misfit(policy, retyped.clone(), vec![], &wide_wal, "column");
     }
+    // a log whose commit record names a table this database does not have
+    let db = Database::with_wal(&dir.join("unused.wal")).unwrap();
+    db.create_table(
+        TableMeta::new("other", schema(), vec![0]),
+        TableOptions::default(),
+        base_rows(16),
+    )
+    .unwrap();
+    let err = db.recover_from(&pdt_wal).unwrap_err();
+    assert!(
+        matches!(&err, DbError::UnknownTable(t) if t == "t"),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
