@@ -77,7 +77,8 @@ impl SparseIndex {
         if self.first_key.is_empty() {
             return (0, self.row_count());
         }
-        let n = self.first_key.len();
+        // `first_key` is sorted, so its prefix projection is too: both
+        // probes are binary searches, not walks
         let lo_sid = match lo {
             None => 0,
             Some(lo) => {
@@ -85,28 +86,21 @@ impl SparseIndex {
                 // >= lo: with prefix bounds, the *tail* of the preceding
                 // block may still match the prefix (e.g. a (Paris,rug) row
                 // in a block whose successor starts at (Paris,stool)).
-                let mut g = n;
-                for i in 0..n {
-                    if Self::cmp_prefix(&self.first_key[i], lo) != Ordering::Less {
-                        g = i;
-                        break;
-                    }
-                }
+                let g = self
+                    .first_key
+                    .partition_point(|k| Self::cmp_prefix(k, lo) == Ordering::Less);
                 self.start_sid[g.saturating_sub(1)]
             }
         };
         let hi_sid = match hi {
             None => self.row_count(),
+            // the first block whose first key > hi ends the range (the
+            // trailing `start_sid` entry is the row count)
             Some(hi) => {
-                // first block whose first key > hi ends the range.
-                let mut end = self.row_count();
-                for i in 0..n {
-                    if Self::cmp_prefix(&self.first_key[i], hi) == Ordering::Greater {
-                        end = self.start_sid[i];
-                        break;
-                    }
-                }
-                end
+                let g = self
+                    .first_key
+                    .partition_point(|k| Self::cmp_prefix(k, hi) != Ordering::Greater);
+                self.start_sid[g]
             }
         };
         (lo_sid, hi_sid.max(lo_sid))

@@ -403,30 +403,19 @@ impl StableTable {
             // No max metadata (shouldn't happen for built tables): no skipping.
             return (0, n);
         }
-        let mut start = 0;
-        while start < n {
-            let qualifies = match lo {
-                None => true,
-                // block max < lo ⇒ every row in the block is below the range
-                Some(lo) => cmp_prefix(&self.block_max_sk[start], lo) != Ordering::Less,
-            };
-            if qualifies {
-                break;
-            }
-            start += 1;
-        }
-        let mut end = n;
-        while end > start {
-            let qualifies = match hi {
-                None => true,
-                // block min > hi ⇒ every row in the block is above the range
-                Some(hi) => cmp_prefix(&self.sparse.first_keys()[end - 1], hi) != Ordering::Greater,
-            };
-            if qualifies {
-                break;
-            }
-            end -= 1;
-        }
+        // both arrays are sorted (blocks are in key order): binary-search
+        // block max < lo ⇒ every row in the block is below the range
+        let start = lo.map_or(0, |lo| {
+            self.block_max_sk
+                .partition_point(|k| cmp_prefix(k, lo) == Ordering::Less)
+        });
+        // block min > hi ⇒ every row in the block is above the range
+        let end = hi.map_or(n, |hi| {
+            self.sparse
+                .first_keys()
+                .partition_point(|k| cmp_prefix(k, hi) != Ordering::Greater)
+                .max(start)
+        });
         (start, end)
     }
 
@@ -879,6 +868,101 @@ mod tests {
             ]
         })
         .collect()
+    }
+
+    /// The linear walks `sid_range` / `block_range_for` used before they
+    /// became binary searches — the reference the property test holds the
+    /// searches to.
+    fn linear_ranges(
+        t: &StableTable,
+        lo: Option<&[Value]>,
+        hi: Option<&[Value]>,
+    ) -> ((u64, u64), (usize, usize)) {
+        let n = t.num_blocks();
+        let firsts = t.sparse_index().first_keys();
+        let start_of = |b: usize| t.block_range(b).0;
+        let sids = if n == 0 {
+            (0, t.row_count())
+        } else {
+            let lo_sid = lo.map_or(0, |lo| {
+                let g = (0..n)
+                    .find(|&i| cmp_prefix(&firsts[i], lo) != Ordering::Less)
+                    .unwrap_or(n);
+                start_of(g.saturating_sub(1))
+            });
+            let hi_sid = hi.map_or(t.row_count(), |hi| {
+                (0..n)
+                    .find(|&i| cmp_prefix(&firsts[i], hi) == Ordering::Greater)
+                    .map_or(t.row_count(), start_of)
+            });
+            (lo_sid, hi_sid.max(lo_sid))
+        };
+        let mut start = 0;
+        while start < n
+            && lo.is_some_and(|lo| cmp_prefix(&t.block_max_sk[start], lo) == Ordering::Less)
+        {
+            start += 1;
+        }
+        let mut end = n;
+        while end > start
+            && hi.is_some_and(|hi| cmp_prefix(&firsts[end - 1], hi) == Ordering::Greater)
+        {
+            end -= 1;
+        }
+        (sids, (start, end))
+    }
+
+    #[test]
+    fn binary_searched_index_matches_the_linear_walk() {
+        // compound (a, b) keys with few distinct `a`s and repeated rows, so
+        // block first keys repeat — whole keys and, more often, prefixes —
+        // across neighbouring blocks; sizes from empty to several blocks
+        let meta = TableMeta::new(
+            "t",
+            Schema::from_pairs(&[("a", ValueType::Int), ("b", ValueType::Int)]),
+            vec![0, 1],
+        );
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut next = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m) as i64
+        };
+        for case in 0..200 {
+            let nrows = [0, 1, 3, 17, 40][case % 5] + next(8) as usize * (case % 5);
+            let mut rows: Vec<Tuple> = (0..nrows)
+                .map(|_| vec![Value::Int(next(6)), Value::Int(next(5))])
+                .collect();
+            rows.sort();
+            let opts = TableOptions {
+                block_rows: 1 + next(5) as usize,
+                compressed: case % 2 == 0,
+            };
+            let t = StableTable::bulk_load(meta.clone(), opts, &rows).unwrap();
+            for _ in 0..40 {
+                // full keys, one-column prefixes and open ends, reaching
+                // below the first and above the last stored key
+                let mut bound = || match next(4) {
+                    0 => None,
+                    1 => Some(vec![Value::Int(next(8) - 1)]),
+                    _ => Some(vec![Value::Int(next(8) - 1), Value::Int(next(7) - 1)]),
+                };
+                let (lo, hi) = (bound(), bound());
+                let want = linear_ranges(&t, lo.as_deref(), hi.as_deref());
+                let r = t.sid_range(lo.as_deref(), hi.as_deref());
+                assert_eq!(
+                    (r.start, r.end),
+                    want.0,
+                    "case {case}: sid_range {lo:?}..{hi:?}"
+                );
+                assert_eq!(
+                    t.block_range_for(lo.as_deref(), hi.as_deref()),
+                    want.1,
+                    "case {case}: block_range_for {lo:?}..{hi:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -357,6 +357,18 @@ impl Pdt {
     /// Resolve the *visible* tuple at `rid`: its SID (Algorithm 1 flavour)
     /// and, when it is a pending insert, the insert-table offset.
     pub fn lookup_rid(&self, rid: u64) -> RidLookup {
+        self.resolve_rid(rid, |_, _| {})
+    }
+
+    /// [`Pdt::lookup_rid`] for a reader that wants the tuple's *values*:
+    /// additionally reports the MOD chain of a modified stable tuple as
+    /// `on_mod(column, modify-table offset)`, in chain order. A pending
+    /// insert has no chain (modify-of-insert rewrites the insert table in
+    /// place), so a reader takes an insert's columns from the insert table
+    /// at `insert_off`, a chain column from that column's modify table, and
+    /// every other column from the image below at the returned SID — one
+    /// logarithmic descent, no sort-key compare.
+    pub fn resolve_rid(&self, rid: u64, mut on_mod: impl FnMut(usize, u64)) -> RidLookup {
         let mut cur = self.seek_rid(rid);
         // Skip ghosts: DEL entries share the RID of the first following
         // non-ghost tuple.
@@ -368,10 +380,18 @@ impl Pdt {
             }
         }
         let sid = (rid as i64 - cur.delta) as u64;
-        let insert_off = match self.entry(&cur) {
-            Some(e) if e.rid == rid && e.upd.is_ins() => Some(e.upd.val),
-            _ => None,
-        };
+        let mut insert_off = None;
+        while let Some(e) = self.entry(&cur) {
+            if e.rid != rid || e.upd.is_del() {
+                break;
+            }
+            if e.upd.is_ins() {
+                insert_off = Some(e.upd.val);
+                break;
+            }
+            on_mod(e.upd.col_no() as usize, e.upd.val);
+            self.advance(&mut cur);
+        }
         RidLookup { sid, insert_off }
     }
 
@@ -934,6 +954,37 @@ mod tests {
         assert_eq!(p.len(), 2);
         let entries: Vec<_> = p.iter().collect();
         assert!(entries.iter().all(|e| e.sid == 2 && e.rid == 2));
+        p.check_invariants();
+    }
+
+    #[test]
+    fn resolve_rid_reports_chains_inserts_and_skips_ghosts() {
+        let mut p = pdt();
+        // ghost at stable 1, then a two-column chain on stable 2 (rid 1)
+        p.add_delete(1, &["London".into(), "stool".into()]);
+        p.add_modify(1, 3, &Value::Int(99));
+        p.add_modify(1, 2, &Value::Bool(true));
+        let mut chain = Vec::new();
+        let hit = p.resolve_rid(1, |col, off| {
+            chain.push((col, p.vals().get_modify(col, off)))
+        });
+        assert_eq!(hit, p.lookup_rid(1));
+        assert_eq!((hit.sid, hit.insert_off), (2, None));
+        chain.sort_by_key(|(c, _)| *c);
+        assert_eq!(chain, vec![(2, Value::Bool(true)), (3, Value::Int(99))]);
+        // an untouched stable tuple: no chain, SID shifted by the ghost
+        let hit = p.resolve_rid(2, |_, _| panic!("no chain at rid 2"));
+        assert_eq!((hit.sid, hit.insert_off), (3, None));
+        // modify-of-insert folds into the insert table: offset, no chain
+        p.add_insert(0, 0, &tup("Berlin", "chair", true, 1));
+        p.add_modify(0, 3, &Value::Int(5));
+        let hit = p.resolve_rid(0, |_, _| panic!("inserts carry no chain"));
+        let off = hit.insert_off.expect("pending insert");
+        assert_eq!(p.vals().get_insert_col(off, 3), Value::Int(5));
+        // the insert shifted the chain's tuple one place down
+        let mut cols = Vec::new();
+        assert_eq!(p.resolve_rid(2, |col, _| cols.push(col)).sid, 2);
+        assert_eq!(cols.len(), 2);
         p.check_invariants();
     }
 

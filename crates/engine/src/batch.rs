@@ -10,14 +10,27 @@
 //! flow from scan output into the write path without transposition.
 //!
 //! A `DmlBatch` is *positional*: the engine has already translated
-//! predicates and sort keys into visible RIDs (and collected the full
-//! pre-images value-addressed structures need), which is exactly the
+//! predicates and sort keys into visible RIDs, which is exactly the
 //! division of labor the paper's PDT design prescribes — position
-//! resolution happens once per statement, at the scan, not once per row
-//! inside the structure.
+//! resolution happens once per statement, not once per row inside the
+//! structure. What a victim's *pre-image* must hold is the structure's to
+//! say, not the engine's: each one declares, per statement kind
+//! ([`PreImageOf`], [`crate::DeltaSnapshot::pre_image_cols`]), the columns it
+//! stores or consumes — a PDT keeps a deleted tuple's sort key and nothing
+//! of an updated one, a value-addressed structure addresses both by whole
+//! tuples — and the engine fetches exactly that projection.
 
 use columnar::ColumnVec;
 use exec::Batch;
+
+/// The statement kinds whose batch carries pre-images of its victims.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PreImageOf {
+    /// [`DmlBatch::Delete`].
+    Delete,
+    /// [`DmlBatch::UpdateCol`].
+    UpdateCol,
+}
 
 /// One batched DML statement, ready for [`crate::DeltaTxn::stage_batch`].
 ///
@@ -29,12 +42,15 @@ use exec::Batch;
 ///   other in index order, produces the image the batch produces (each
 ///   rid already accounts for the `i` earlier inserts of the same batch).
 /// * `Delete`: `rids` are ascending visible positions of the current
-///   transaction view, `pre` holds the victims' full pre-images in the
-///   same order (ascending rid ⇒ ascending sort key).
+///   transaction view, `pre` holds the victims' pre-images in the same
+///   order (ascending rid ⇒ ascending sort key) — the columns the staging
+///   structure declared for [`PreImageOf::Delete`], in declaration order.
 /// * `UpdateCol`: `rids` ascending and distinct, `values[i]` is the new
-///   value of column `col` for the row at `rids[i]`, `pre` the full
-///   pre-images in the same order. `col` is never a sort-key column (the
-///   engine rewrites those as delete + insert, per §2.1 of the paper).
+///   value of column `col` for the row at `rids[i]`, `pre` the pre-images
+///   in the same order, projected to the [`PreImageOf::UpdateCol`]
+///   declaration (no column at all for a PDT). `col` is never a sort-key
+///   column (the engine rewrites those as delete + insert, per §2.1 of the
+///   paper).
 #[derive(Debug, Clone)]
 pub enum DmlBatch {
     /// Insert `rows` at visible positions `rids`.
@@ -48,7 +64,7 @@ pub enum DmlBatch {
     Delete {
         /// Ascending visible positions of the victims.
         rids: Vec<u64>,
-        /// Full pre-images of the victims, in `rids` order.
+        /// The victims' declared pre-image columns, in `rids` order.
         pre: Batch,
     },
     /// Set column `col` of the visible rows at `rids` to `values`.
@@ -59,7 +75,7 @@ pub enum DmlBatch {
         col: usize,
         /// New values, `values[i]` for the row at `rids[i]`.
         values: ColumnVec,
-        /// Full pre-images of the updated rows, in `rids` order.
+        /// The updated rows' declared pre-image columns, in `rids` order.
         pre: Batch,
     },
 }

@@ -44,7 +44,7 @@
 //! behind one lifecycle are what the differential test harness
 //! ([`crate::testkit`]) leans on.
 
-use crate::batch::DmlBatch;
+use crate::batch::{DmlBatch, PreImageOf};
 use crate::DbError;
 use columnar::value::sk_of;
 use columnar::{
@@ -535,6 +535,12 @@ pub trait DeltaSnapshot: Send + Sync {
     fn layers(&self) -> DeltaLayers<'_>;
     /// Net visible-row change relative to the stable image.
     fn delta_total(&self) -> i64;
+    /// The table columns a staging area opened on this snapshot reads of a
+    /// victim's pre-image, per statement kind — what the engine must fetch
+    /// into [`DmlBatch`]'s `pre`, in this order. A structure declares what
+    /// it *stores or consumes*, nothing more: every column here is a block
+    /// the statement decodes.
+    fn pre_image_cols(&self, stmt: PreImageOf) -> Vec<usize>;
     /// Open a staging area on top of this snapshot, taken at transaction
     /// begin (`start_seq` is the global commit sequence observed then).
     fn begin(&self, start_seq: u64) -> Box<dyn DeltaTxn>;
@@ -663,6 +669,15 @@ impl DeltaSnapshot for PdtSnapshot {
         self.read.delta_total() + self.write.delta_total()
     }
 
+    /// A ghost keeps its sort key (the delete table — what keeps the
+    /// sparse index stale-safe); a modify is addressed by position alone.
+    fn pre_image_cols(&self, stmt: PreImageOf) -> Vec<usize> {
+        match stmt {
+            PreImageOf::Delete => self.read.sk_cols().to_vec(),
+            PreImageOf::UpdateCol => Vec::new(),
+        }
+    }
+
     fn begin(&self, start_seq: u64) -> Box<dyn DeltaTxn> {
         Box::new(PdtTxn {
             snap: self.clone(),
@@ -718,12 +733,12 @@ impl DeltaTxn for PdtTxn {
                 }
             }
             DmlBatch::Delete { rids, pre } => {
-                let sk_cols = self.trans.sk_cols().to_vec();
-                let mut sk: Vec<Value> = Vec::with_capacity(sk_cols.len());
+                // `pre` is the declared projection: the sort key, in order
+                let mut sk: Vec<Value> = Vec::with_capacity(pre.num_cols());
                 // descending, so earlier victims' positions stay valid
                 for (i, &rid) in rids.iter().enumerate().rev() {
                     sk.clear();
-                    sk.extend(sk_cols.iter().map(|&c| pre.cols[c].get(i)));
+                    sk.extend(pre.cols.iter().map(|c| c.get(i)));
                     self.trans.add_delete(rid, &sk);
                 }
             }
@@ -895,6 +910,14 @@ impl<D: KeyDelta> DeltaSnapshot for KeySnapshot<D> {
 
     fn delta_total(&self) -> i64 {
         self.delta.delta_total()
+    }
+
+    /// Whole tuples for both kinds: [`KeyOp`]'s `pre` is what a modify
+    /// re-inserts as the updated tuple, and what validation compares to
+    /// tell a delete from a concurrently modified victim
+    /// (`Vdt::replay`'s delete-vs-modify rule) — a key alone would not do.
+    fn pre_image_cols(&self, _stmt: PreImageOf) -> Vec<usize> {
+        (0..self.delta.schema().len()).collect()
     }
 
     fn begin(&self, _start_seq: u64) -> Box<dyn DeltaTxn> {

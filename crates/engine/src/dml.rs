@@ -5,25 +5,42 @@
 //! [`DbTxn::append`] (columnar bulk insert, with [`Appender`] for
 //! streaming loads), the positional [`DbTxn::delete_rids`] /
 //! [`DbTxn::update_col`], and the predicate forms built on them — resolves
-//! its victims with *one* scan, packs them into one
-//! [`DmlBatch`], and stages it with one
-//! [`DeltaTxn::stage_batch`] call. Positional-delta maintenance thus
-//! amortizes over the whole statement (one victim/rank scan, one op-log
-//! entry, one WAL entry per batch), which is where differential-store
-//! write throughput comes from. [`DbTxn::insert`] is the one-row special
-//! case of `append`.
+//! its positions *once*, packs them into one [`DmlBatch`], and stages it
+//! with one [`DeltaTxn::stage_batch`] call (one op-log entry, one WAL
+//! entry per batch). [`DbTxn::insert`] is the one-row special case of
+//! `append`.
+//!
+//! **Position resolution costs what the update structure makes it cost.**
+//! Three resolvers serve every statement, and none of them opens a scan
+//! over more than it must:
+//!
+//! * the **gather** ([`exec::gather_rows`]) answers "the pre-images at
+//!   these RIDs": on a PDT table each RID walks the layer stack in
+//!   O(log n) and only the stable blocks that hold a victim are decoded;
+//!   a value-addressed table has no positional index, so its arm merges
+//!   the RID window — the difference the paper is about;
+//! * the **ranker** (under [`DbTxn::append`]) answers "where do these
+//!   keys go" (the paper's `SELECT rid WHERE SK > sk LIMIT 1`, amortized):
+//!   sorted keys are cut into runs whose sparse-index ranges touch, one
+//!   sort-key-only ranged scan per run, prepared-key compares;
+//! * the **victim scan** of the predicate forms reads the columns the
+//!   predicate and the assignments mention, plus the pre-image.
+//!
+//! *Which* pre-image columns a statement fetches is the structure's call
+//! ([`DeltaSnapshot::pre_image_cols`]): a PDT keeps a ghost's sort key
+//! and nothing of a modified tuple, so `update_col` on a PDT table reads
+//! no stable byte at all. Each resolution reports itself once — a
+//! [`obs::TraceKind::DmlResolve`] event and the `db.dml.*` counters.
 //!
 //! All statements operate on the transaction's own consistent view
 //! (stable ∘ committed deltas ∘ staged updates — eq. (9) for PDT tables),
 //! so later statements see earlier updates of the same transaction, exactly
-//! as §3.3's Trans-PDT layer prescribes. The same flows serve value-based
-//! tables: victims are still located positionally by scans; only the
-//! staging representation differs.
+//! as §3.3's Trans-PDT layer prescribes.
 //!
 //! Batch shape (arity, column types, rid ranges) is validated here, at the
 //! API boundary — a malformed batch comes back as
-//! [`DbError::BatchShape`] before anything is staged, never as a panic
-//! inside a delta structure.
+//! [`DbError::BatchShape`] before anything is staged or any block is read,
+//! never as a panic inside a delta structure.
 //!
 //! Commit is two-phase under the manager's commit guard: every dirty
 //! staging area validates itself ([`DeltaTxn::prepare`]) against updates
@@ -34,15 +51,18 @@
 //! whichever way that happens ([`DbTxn::commit`], [`DbTxn::abort`], or a
 //! plain drop).
 
-use crate::batch::DmlBatch;
+use crate::batch::{DmlBatch, PreImageOf};
 use crate::delta::{DeltaSnapshot, DeltaTxn};
 use crate::partition::{self, TableEntry};
 use crate::{Database, DbError, ScanSpec};
-use columnar::{ColumnVec, Schema, StableTable, Tuple, Value, ValueType};
+use columnar::{ColumnVec, PreparedKey, Schema, StableTable, Tuple, Value, ValueType};
 use exec::expr::Expr;
 use exec::{Batch, DeltaLayers, Operator, ScanBounds, ScanSegment, TableScan};
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 use txn::wal::WalEntry;
 
 /// One partition's state captured at transaction begin.
@@ -111,6 +131,12 @@ impl TxnTable {
 
     fn sk_cols(&self) -> &[usize] {
         self.parts[0].stable.sort_key().cols()
+    }
+
+    /// The pre-image columns the table's update structure wants of a
+    /// `stmt` victim (one policy per table, so any partition answers).
+    fn pre_image_cols(&self, stmt: PreImageOf) -> Vec<usize> {
+        self.parts[0].snap.pre_image_cols(stmt)
     }
 
     /// Partition owning sort key `key`.
@@ -240,56 +266,83 @@ impl<'db> DbTxn<'db> {
         Ok(self.table(table)?.parts.iter().map(TxnPart::visible).sum())
     }
 
-    /// APPEND a whole columnar batch of new rows; each row's position
-    /// follows from the table's sort order. This is the paper's
-    /// `SELECT rid WHERE SK > sk ORDER BY rid LIMIT 1` insert-positioning
-    /// flow, amortized: the batch is routed to its partitions by sort-key
-    /// range, and **one** sparse-index-ranged scan per touched partition
-    /// resolves every row's rank (and rejects duplicate sort keys —
-    /// intra-batch or against the visible image) before a single
-    /// [`DeltaTxn::stage_batch`] call per partition stages the statement.
-    /// Rows need not arrive sorted. Returns the number of rows appended;
-    /// on error nothing is staged.
-    pub fn append(&mut self, table: &str, rows: Batch) -> Result<usize, DbError> {
-        let n = rows.num_rows();
+    /// Account one position resolution: `n` rids or keys found at the cost
+    /// of `blocks` decoded stable blocks, in `part` (`None` when the
+    /// resolution spanned partitions).
+    fn note_resolved(&self, table: &str, part: Option<usize>, t0: Instant, n: usize, blocks: u64) {
+        self.db.dml_rids_resolved.add(n as u64);
+        self.db.dml_blocks_decoded.add(blocks);
+        obs::event!(
+            obs::TraceKind::DmlResolve,
+            table: obs::trace::intern(table),
+            part: part.map_or(obs::trace::NO_PART, |p| p as u32),
+            dur_ns: t0.elapsed().as_nanos() as u64,
+            a: n as u64,
+            b: blocks,
+        );
+    }
+
+    /// Route and rank a write batch (full-width `rows`, any order): per
+    /// touched partition, in split order, the row indices it owns **in key
+    /// order** and each one's partition-local base rid — its rank among the
+    /// partition's visible rows, before the batch's own rows shift it.
+    /// Read-only, and every partition is ranked before anything is
+    /// returned, so a duplicate sort key — within the batch, or against a
+    /// visible row whose key is not in `exempt` — leaves nothing staged.
+    pub(crate) fn rank_rows(
+        &self,
+        table: &str,
+        rows: &Batch,
+        exempt: &HashSet<Vec<Value>>,
+    ) -> Result<Vec<Ranked>, DbError> {
         let t = self.table(table)?;
-        let schema = t.schema().clone();
-        let sk_cols: Vec<usize> = t.sk_cols().to_vec();
-        let nparts = t.parts.len();
-        validate_batch_shape(table, &schema, &rows)?;
-        if n == 0 {
-            return Ok(0);
-        }
-        // key-sort the batch (the staging contract) and reject duplicates
+        let sk_cols = t.sk_cols();
+        let n = rows.num_rows();
         let keys: Vec<Vec<Value>> = (0..n)
             .map(|i| sk_cols.iter().map(|&c| rows.cols[c].get(i)).collect())
             .collect();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-        for w in order.windows(2) {
-            if keys[w[0]] == keys[w[1]] {
-                return Err(DbError::DuplicateKey {
-                    table: table.to_string(),
-                    key: keys[w[0]].clone(),
-                });
-            }
+        if let Some(w) = order.windows(2).find(|w| keys[w[0]] == keys[w[1]]) {
+            return Err(DbError::DuplicateKey {
+                table: table.to_string(),
+                key: keys[w[0]].clone(),
+            });
         }
-        // route the key-ordered batch to its partitions (keys are sorted,
-        // so each partition's slice stays sorted)
-        let t = self.table(table)?;
-        let mut groups: Vec<Vec<usize>> = (0..nparts).map(|_| Vec::new()).collect();
-        for &i in &order {
+        // keys are sorted, so each partition's slice stays sorted
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); t.parts.len()];
+        for i in order {
             groups[t.route(&keys[i])].push(i);
         }
-        // rank every partition's slice first (read-only), so a duplicate
-        // detected in a later partition leaves nothing staged
-        let mut ranked: Vec<(usize, Vec<u64>)> = Vec::new();
-        for (p, idx) in groups.iter().enumerate() {
+        let mut ranked = Vec::new();
+        for (p, idx) in groups.into_iter().enumerate() {
             if idx.is_empty() {
                 continue;
             }
             let pkeys: Vec<&[Value]> = idx.iter().map(|&i| keys[i].as_slice()).collect();
-            let base = self.rank_in_partition(table, p, &sk_cols, &pkeys)?;
+            let base = self.rank_in_partition(table, p, &pkeys, exempt)?;
+            ranked.push(Ranked { part: p, idx, base });
+        }
+        Ok(ranked)
+    }
+
+    /// APPEND a whole columnar batch of new rows; each row's position
+    /// follows from the table's sort order. This is the paper's
+    /// `SELECT rid WHERE SK > sk ORDER BY rid LIMIT 1` insert-positioning
+    /// flow, amortized: the batch is routed to its partitions by sort-key
+    /// range and every touched partition ranks its slice run by run
+    /// (`rank_rows`, which also rejects duplicate sort keys)
+    /// before a single [`DeltaTxn::stage_batch`] call per partition stages
+    /// the statement. Rows need not arrive sorted. Returns the number of
+    /// rows appended; on error nothing is staged.
+    pub fn append(&mut self, table: &str, mut rows: Batch) -> Result<usize, DbError> {
+        let n = rows.num_rows();
+        validate_batch_shape(table, self.table(table)?.schema(), &rows)?;
+        // stage per partition; a single-partition, already-sorted input
+        // (the common bulk-load case — then the only piece) moves straight
+        // through, only out-of-order or cross-partition batches pay the
+        // gather copy
+        for Ranked { part, idx, base } in self.rank_rows(table, &rows, &HashSet::new())? {
             // final positions include the intra-batch shift: the j-th row
             // of the partition's slice (in key order) lands j places after
             // its pre-batch rank
@@ -298,76 +351,115 @@ impl<'db> DbTxn<'db> {
                 .enumerate()
                 .map(|(j, &b)| b + j as u64)
                 .collect();
-            ranked.push((p, rids));
-        }
-        // stage per partition; a single-partition, already-sorted input
-        // (the common bulk-load case) moves straight through — only
-        // out-of-order or cross-partition batches pay the gather copy
-        let mut rows = Some(rows);
-        for (p, rids) in ranked {
-            let idx = &groups[p];
             let sub = if idx.len() == n && idx.iter().enumerate().all(|(i, &o)| i == o) {
-                rows.take().expect("whole batch moves once")
+                std::mem::replace(&mut rows, Batch::empty(&[]))
             } else {
-                rows.as_ref()
-                    .expect("batch retained for gathers")
-                    .gather(idx)
+                rows.gather(&idx)
             };
-            self.stage_in(table, p, DmlBatch::Insert { rids, rows: sub })?;
+            self.stage_in(table, part, DmlBatch::Insert { rids, rows: sub })?;
         }
         Ok(n)
     }
 
-    /// Rank sorted `keys` against one partition with a single
-    /// sparse-index-ranged scan: a key's base rid is the partition-local
-    /// rank of the first visible row with a greater key (the rank of the
-    /// range end when none is) — fully ghosted ranges fall back to the
-    /// scan's start rank. Detects duplicates against the visible image.
+    /// Rank sorted `keys` against one partition: a key's base rid is the
+    /// partition-local rank of the first visible row with a greater key.
+    /// A key equal to a visible row's is a duplicate unless it is in
+    /// `exempt` (a sort-key rewrite's own victims, which the statement
+    /// deletes first).
+    ///
+    /// The keys are cut into **runs**: consecutive keys whose conservative
+    /// sparse-index ranges ([`StableTable::sid_range`]) touch share one
+    /// sort-key-only ranged scan, keys further apart get their own — so a
+    /// batch decodes the blocks around its keys, not the blocks between
+    /// them.
     fn rank_in_partition(
         &self,
         table: &str,
         part: usize,
-        sk_cols: &[usize],
         keys: &[&[Value]],
+        exempt: &HashSet<Vec<Value>>,
     ) -> Result<Vec<u64>, DbError> {
-        let n = keys.len();
-        let lo = keys[0].to_vec();
-        let hi = keys[n - 1].to_vec();
-        let mut base: Vec<u64> = Vec::with_capacity(n);
-        let mut scan = self.scan_partition(
-            table,
-            part,
-            ScanSpec::cols(sk_cols.to_vec()).key_range(lo, hi),
-        )?;
+        let t0 = Instant::now();
+        let stable = &self.table(table)?.parts[part].stable;
+        let mut base: Vec<u64> = Vec::with_capacity(keys.len());
+        let mut blocks = 0u64;
+        let mut k = 0usize;
+        while k < keys.len() {
+            let mut reach = stable.sid_range(Some(keys[k]), Some(keys[k])).end;
+            let mut end = k + 1;
+            while let Some(key) = keys.get(end) {
+                let next = stable.sid_range(Some(key), Some(key));
+                if next.start > reach {
+                    break;
+                }
+                reach = reach.max(next.end);
+                end += 1;
+            }
+            blocks += self.rank_run(table, part, &keys[k..end], exempt, &mut base)?;
+            k = end;
+        }
+        self.note_resolved(table, Some(part), t0, keys.len(), blocks);
+        Ok(base)
+    }
+
+    /// Rank one run of sorted keys (see [`DbTxn::rank_in_partition`]) with
+    /// a single ranged scan of the sort-key columns, appending their base
+    /// rids to `base`; returns the blocks the scan decoded. Batches arrive
+    /// in key order, so each key binary-searches its batch with
+    /// [`PreparedKey::cmp_row`] — no `Value` is built per scanned row.
+    /// Keys past every scanned row rank at the range end; a fully ghosted
+    /// range emits nothing and falls back to the scan's start rank.
+    fn rank_run(
+        &self,
+        table: &str,
+        part: usize,
+        keys: &[&[Value]],
+        exempt: &HashSet<Vec<Value>>,
+        base: &mut Vec<u64>,
+    ) -> Result<u64, DbError> {
+        let (Some(lo), Some(hi)) = (keys.first(), keys.last()) else {
+            return Ok(0);
+        };
+        let sk_cols = self.table(table)?.sk_cols().to_vec();
+        let spec = ScanSpec::cols(sk_cols)
+            .key_range(lo.to_vec(), hi.to_vec())
+            .profiled();
+        let mut scan = self.scan_partition(table, part, spec)?;
         let mut last_end = scan.start_rid();
         let mut k = 0usize;
-        'scan: while let Some(b) = scan.next_batch() {
-            for i in 0..b.num_rows() {
-                let vis: Vec<Value> = b.cols.iter().map(|c| c.get(i)).collect();
-                while k < n {
-                    match keys[k].cmp(&vis[..]) {
-                        std::cmp::Ordering::Less => {
-                            base.push(b.rid_start + i as u64);
-                            k += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            return Err(DbError::DuplicateKey {
-                                table: table.to_string(),
-                                key: keys[k].to_vec(),
-                            });
-                        }
-                        std::cmp::Ordering::Greater => break,
+        while k < keys.len() {
+            let Some(b) = scan.next_batch() else { break };
+            let n = b.num_rows();
+            let mut from = 0usize;
+            while let Some(key) = keys.get(k) {
+                let probe = PreparedKey::prepare(key, &b.cols);
+                // first row at or past `from` that is not below the probe
+                let (mut at, mut hi) = (from, n);
+                while at < hi {
+                    let mid = at + (hi - at) / 2;
+                    if probe.cmp_row(&b.cols, mid) == Ordering::Greater {
+                        at = mid + 1;
+                    } else {
+                        hi = mid;
                     }
                 }
-                if k == n {
-                    break 'scan;
+                if at == n {
+                    break; // the probe sorts past this batch
                 }
+                if probe.cmp_row(&b.cols, at) == Ordering::Equal && !exempt.contains(*key) {
+                    return Err(DbError::DuplicateKey {
+                        table: table.to_string(),
+                        key: key.to_vec(),
+                    });
+                }
+                base.push(b.rid_start + at as u64);
+                from = at;
+                k += 1;
             }
-            last_end = b.rid_start + b.num_rows() as u64;
+            last_end = b.rid_start + n as u64;
         }
-        // keys past every scanned row rank at the range end
-        base.resize(n, last_end);
-        Ok(base)
+        base.extend(std::iter::repeat_n(last_end, keys.len() - k));
+        Ok(scan.blocks_decoded())
     }
 
     /// INSERT a tuple; its position follows from the table's sort order.
@@ -396,207 +488,116 @@ impl<'db> DbTxn<'db> {
         })
     }
 
-    /// Pre-validate a sort-key rewrite (delete victims + re-append the
-    /// rewritten rows): the new keys must be distinct and must not collide
-    /// with any visible row that is not itself a victim. Checked with one
-    /// ranged scan **before anything is staged**, so a rejected statement
-    /// leaves the transaction untouched — the same atomicity `append`
-    /// gives plain inserts.
-    fn check_rewrite_keys(
+    /// Columns `cols` of the visible rows at `rids` (sorted ascending and
+    /// distinct, global positions), through the sparse gather
+    /// ([`exec::gather_rows`]): by position where the update structure is
+    /// positional, by a rid-window merge where it is not. A rid past the
+    /// visible image is [`DbError::BatchShape`], before any block is read.
+    pub(crate) fn gather(
         &self,
         table: &str,
-        victims: &Batch,
-        new_rows: &Batch,
-    ) -> Result<(), DbError> {
-        let sk_cols: Vec<usize> = self.table(table)?.sk_cols().to_vec();
-        let key_at = |b: &Batch, i: usize| -> Vec<Value> {
-            sk_cols.iter().map(|&c| b.cols[c].get(i)).collect()
-        };
-        let mut new_keys: Vec<Vec<Value>> = (0..new_rows.num_rows())
-            .map(|i| key_at(new_rows, i))
-            .collect();
-        new_keys.sort();
-        for w in new_keys.windows(2) {
-            if w[0] == w[1] {
-                return Err(DbError::DuplicateKey {
-                    table: table.to_string(),
-                    key: w[0].clone(),
-                });
-            }
-        }
-        let Some((lo, hi)) = new_keys.first().cloned().zip(new_keys.last().cloned()) else {
-            return Ok(());
-        };
-        let victim_keys: std::collections::HashSet<Vec<Value>> = (0..victims.num_rows())
-            .map(|i| key_at(victims, i))
-            .collect();
-        let mut scan = self.scan_with(table, ScanSpec::cols(sk_cols.clone()).key_range(lo, hi))?;
-        let mut k = 0usize;
-        while let Some(b) = scan.next_batch() {
-            for i in 0..b.num_rows() {
-                let vis: Vec<Value> = b.cols.iter().map(|c| c.get(i)).collect();
-                while k < new_keys.len() && new_keys[k] < vis {
-                    k += 1;
-                }
-                if k == new_keys.len() {
-                    return Ok(());
-                }
-                if new_keys[k] == vis && !victim_keys.contains(&vis) {
-                    return Err(DbError::DuplicateKey {
-                        table: table.to_string(),
-                        key: vis,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Full pre-images of the visible rows at `rids` (sorted ascending and
-    /// distinct, global positions), collected with one rid-clamped union
-    /// scan (partitions outside the window are skipped).
-    fn collect_rows_at(&self, table: &str, rids: &[u64]) -> Result<Batch, DbError> {
-        let schema = self.table(table)?.schema().clone();
-        let mut pre = Batch::with_capacity(&schema.types(), rids.len());
-        let Some((&first, &last)) = rids.first().zip(rids.last()) else {
-            return Ok(pre);
-        };
-        let mut scan = self.scan_with(table, ScanSpec::all().rid_range(first, last + 1))?;
-        let mut k = 0usize;
-        while let Some(b) = scan.next_batch() {
-            let end = b.rid_start + b.num_rows() as u64;
-            let mut idx = Vec::new();
-            while k < rids.len() && rids[k] < end {
-                idx.push((rids[k] - b.rid_start) as usize);
-                k += 1;
-            }
-            extend_gathered(&mut pre, &b, &idx);
-            if k == rids.len() {
-                break;
-            }
-        }
-        if k != rids.len() {
-            return Err(batch_shape(table, format!("rid {} out of range", rids[k])));
-        }
-        Ok(pre)
-    }
-
-    /// Stage a globally-addressed positional statement, split into one
-    /// [`DmlBatch`] per touched partition with partition-local rids:
-    /// `make(local_rids, slice)` builds each partition's batch, where
-    /// `slice` is the statement's index range for that partition (`None` =
-    /// the whole statement — the single-partition fast path, which moves
-    /// the payload instead of slicing it). `rids` ascending and distinct.
-    /// Infallible once inputs are validated, so multi-partition statements
-    /// stay atomic (nothing stages after an error).
-    fn stage_split_positional(
-        &mut self,
-        table: &str,
-        rids: Vec<u64>,
-        mut make: impl FnMut(Vec<u64>, Option<std::ops::Range<usize>>) -> DmlBatch,
-    ) -> Result<(), DbError> {
-        let (nparts, offsets) = {
-            let t = self.table(table)?;
-            (t.parts.len(), t.visible_offsets())
-        };
-        if nparts == 1 {
-            let batch = make(rids, None);
-            self.stage_in(table, 0, batch)?;
-            return Ok(());
-        }
-        let pieces = split_by_offsets(&offsets, &rids);
-        // a statement whose victims all land in one partition still moves
-        // its payload instead of slicing a full copy
-        if let [(p, range)] = pieces.as_slice() {
-            debug_assert_eq!(*range, 0..rids.len());
-            let local: Vec<u64> = rids.iter().map(|&r| r - offsets[*p]).collect();
-            let batch = make(local, None);
-            self.stage_in(table, *p, batch)?;
-            return Ok(());
-        }
-        for (p, range) in pieces {
-            let local: Vec<u64> = rids[range.clone()]
-                .iter()
-                .map(|&r| r - offsets[p])
-                .collect();
-            let batch = make(local, Some(range));
-            self.stage_in(table, p, batch)?;
-        }
-        Ok(())
-    }
-
-    /// Per-partition positional delete (see
-    /// [`DbTxn::stage_split_positional`]).
-    fn stage_batch_delete(
-        &mut self,
-        table: &str,
-        rids: Vec<u64>,
-        pre: Batch,
-    ) -> Result<(), DbError> {
-        let mut pre = Some(pre);
-        self.stage_split_positional(table, rids, |rids, slice| DmlBatch::Delete {
-            rids,
-            pre: match slice {
-                None => pre.take().expect("whole statement moves once"),
-                Some(r) => slice_rows(pre.as_ref().expect("payload retained"), r),
-            },
-        })
-    }
-
-    /// Per-partition positional single-column update (see
-    /// [`DbTxn::stage_split_positional`]).
-    fn stage_batch_update(
-        &mut self,
-        table: &str,
-        rids: Vec<u64>,
-        col: usize,
-        values: ColumnVec,
-        pre: Batch,
-    ) -> Result<(), DbError> {
-        let mut payload = Some((values, pre));
-        self.stage_split_positional(table, rids, |rids, slice| match slice {
-            None => {
-                let (values, pre) = payload.take().expect("whole statement moves once");
-                DmlBatch::UpdateCol {
-                    rids,
-                    col,
-                    values,
-                    pre,
-                }
-            }
-            Some(r) => {
-                let (values, pre) = payload.as_ref().expect("payload retained");
-                let mut vals = ColumnVec::new(values.vtype());
-                vals.extend_range(values, r.start, r.end);
-                DmlBatch::UpdateCol {
-                    rids,
-                    col,
-                    values: vals,
-                    pre: slice_rows(pre, r),
-                }
-            }
-        })
-    }
-
-    /// DELETE the visible rows at the given positions (any order,
-    /// duplicates ignored). One scan collects the pre-images, one
-    /// [`DeltaTxn::stage_batch`] call per touched partition stages the
-    /// statement. Returns the number of deleted rows.
-    pub fn delete_rids(&mut self, table: &str, rids: &[u64]) -> Result<usize, DbError> {
-        let visible = self.visible_rows(table)?;
-        let mut sorted = rids.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let Some(&last) = sorted.last() else {
-            return Ok(0);
-        };
-        if last >= visible {
+        rids: &[u64],
+        cols: &[usize],
+    ) -> Result<Batch, DbError> {
+        let t0 = Instant::now();
+        let t = self.table(table)?;
+        let offsets = t.visible_offsets();
+        let visible = offsets.last().copied().unwrap_or(0);
+        if let Some(last) = rids.last().filter(|&&r| r >= visible) {
             return Err(batch_shape(
                 table,
                 format!("rid {last} out of range (visible rows: {visible})"),
             ));
         }
-        let pre = self.collect_rows_at(table, &sorted)?;
+        let got = exec::gather_rows(t.segments(), rids, cols, self.db.io(), self.db.clock())?;
+        let part_of = |rid: &u64| offsets.partition_point(|o| o <= rid) - 1;
+        let (first, last) = (rids.first().map(part_of), rids.last().map(part_of));
+        let part = first.filter(|_| first == last);
+        self.note_resolved(table, part, t0, rids.len(), got.blocks_decoded);
+        Ok(got.rows)
+    }
+
+    /// Split a globally-addressed positional statement (`rids` ascending
+    /// and distinct) into one piece per touched partition: the partition,
+    /// its partition-local rids, and the statement's index range it owns.
+    fn split_positional(&self, table: &str, rids: Vec<u64>) -> Result<Vec<Piece>, DbError> {
+        let t = self.table(table)?;
+        if t.parts.len() == 1 {
+            let range = 0..rids.len();
+            return Ok(vec![Piece {
+                part: 0,
+                rids,
+                range,
+            }]);
+        }
+        let offsets = t.visible_offsets();
+        let local = |range: &Range<usize>, part: usize| {
+            let rids = rids[range.clone()].iter();
+            rids.map(|&r| r - offsets[part]).collect()
+        };
+        Ok(split_by_offsets(&offsets, &rids)
+            .into_iter()
+            .map(|(part, range)| Piece {
+                part,
+                rids: local(&range, part),
+                range,
+            })
+            .collect())
+    }
+
+    /// Per-partition positional delete; `pre` is the
+    /// [`PreImageOf::Delete`] projection. Infallible once inputs are
+    /// validated, so multi-partition statements stay atomic (nothing
+    /// stages after an error).
+    fn stage_batch_delete(
+        &mut self,
+        table: &str,
+        rids: Vec<u64>,
+        mut pre: Batch,
+    ) -> Result<(), DbError> {
+        for Piece { part, rids, range } in self.split_positional(table, rids)? {
+            let pre = take_rows(&mut pre, range);
+            self.stage_in(table, part, DmlBatch::Delete { rids, pre })?;
+        }
+        Ok(())
+    }
+
+    /// Per-partition positional single-column update; `pre` is the
+    /// [`PreImageOf::UpdateCol`] projection.
+    fn stage_batch_update(
+        &mut self,
+        table: &str,
+        rids: Vec<u64>,
+        col: usize,
+        mut values: ColumnVec,
+        mut pre: Batch,
+    ) -> Result<(), DbError> {
+        for Piece { part, rids, range } in self.split_positional(table, rids)? {
+            let batch = DmlBatch::UpdateCol {
+                rids,
+                col,
+                values: take_range(&mut values, range.clone()),
+                pre: take_rows(&mut pre, range),
+            };
+            self.stage_in(table, part, batch)?;
+        }
+        Ok(())
+    }
+
+    /// DELETE the visible rows at the given positions (any order,
+    /// duplicates ignored). The gather fetches what the update structure
+    /// keeps of a deleted row, one [`DeltaTxn::stage_batch`] call per
+    /// touched partition stages the statement. Returns the number of
+    /// deleted rows.
+    pub fn delete_rids(&mut self, table: &str, rids: &[u64]) -> Result<usize, DbError> {
+        let cols = self.table(table)?.pre_image_cols(PreImageOf::Delete);
+        let mut sorted = rids.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.is_empty() {
+            return Ok(0);
+        }
+        let pre = self.gather(table, &sorted, &cols)?;
         let n = sorted.len();
         self.stage_batch_delete(table, sorted, pre)?;
         Ok(n)
@@ -615,7 +616,7 @@ impl<'db> DbTxn<'db> {
     ) -> Result<usize, DbError> {
         let t = self.table(table)?;
         let schema = t.schema().clone();
-        let sk_cols: Vec<usize> = t.sk_cols().to_vec();
+        let rewrites_key = t.sk_cols().contains(&col);
         if col >= schema.len() {
             return Err(batch_shape(
                 table,
@@ -648,42 +649,36 @@ impl<'db> DbTxn<'db> {
                 format!("rid {} updated twice in one statement", rids[w[0]]),
             ));
         }
-        let visible = self.visible_rows(table)?;
-        let last = rids[order[rids.len() - 1]];
-        if last >= visible {
-            return Err(batch_shape(
-                table,
-                format!("rid {last} out of range (visible rows: {visible})"),
-            ));
-        }
         let sorted_rids: Vec<u64> = order.iter().map(|&i| rids[i]).collect();
         let mut sorted_vals = ColumnVec::with_capacity(got, values.len());
         for &i in &order {
             sorted_vals.push_owned(values.get(i));
         }
-        let pre = self.collect_rows_at(table, &sorted_rids)?;
         let n = sorted_rids.len();
-        if sk_cols.contains(&col) {
-            let mut new_rows = Batch::with_capacity(&schema.types(), n);
-            for i in 0..n {
-                let mut row = pre.row(i);
-                row[col] = sorted_vals.get(i);
-                new_rows.push_owned_row(row);
-            }
+        if rewrites_key {
+            // the rewritten rows are whole rows: fetch every column
+            let all: Vec<usize> = (0..schema.len()).collect();
+            let pre = self.gather(table, &sorted_rids, &all)?;
+            let mut new_rows = pre.clone();
+            new_rows.cols[col] = sorted_vals;
             self.stage_key_rewrite(table, sorted_rids, pre, new_rows)?;
         } else {
+            let cols = self.table(table)?.pre_image_cols(PreImageOf::UpdateCol);
+            let pre = self.gather(table, &sorted_rids, &cols)?;
             self.stage_batch_update(table, sorted_rids, col, sorted_vals, pre)?;
         }
         Ok(n)
     }
 
     /// The §2.1 sort-key rewrite shared by [`DbTxn::update_col`] and
-    /// [`DbTxn::update_where_ranged`]: delete the victims, re-append the
-    /// rewritten rows (which re-rank themselves — and re-*route*
-    /// themselves: a key rewrite may move a row to a different
-    /// partition). Key collisions are checked **before anything is
-    /// staged**, so a rejected statement leaves the transaction
-    /// untouched.
+    /// [`DbTxn::update_where_ranged`]: delete the victims (`pre`, their
+    /// full-width pre-images), re-append the rewritten rows (which re-rank
+    /// themselves — and re-*route* themselves: a key rewrite may move a row
+    /// to a different partition). The new keys must be distinct and must
+    /// not collide with any visible row that is not itself a victim: the
+    /// ranker checks that **before anything is staged**, so a rejected
+    /// statement leaves the transaction untouched — the same atomicity
+    /// `append` gives plain inserts.
     fn stage_key_rewrite(
         &mut self,
         table: &str,
@@ -691,14 +686,82 @@ impl<'db> DbTxn<'db> {
         pre: Batch,
         new_rows: Batch,
     ) -> Result<(), DbError> {
-        self.check_rewrite_keys(table, &pre, &new_rows)?;
-        self.stage_batch_delete(table, rids, pre)?;
+        let t = self.table(table)?;
+        let victim_keys: HashSet<Vec<Value>> = (0..pre.num_rows())
+            .map(|i| t.sk_cols().iter().map(|&c| pre.cols[c].get(i)).collect())
+            .collect();
+        let cols = t.pre_image_cols(PreImageOf::Delete);
+        self.rank_rows(table, &new_rows, &victim_keys)?;
+        self.stage_batch_delete(table, rids, pre.project(&cols))?;
         self.append(table, new_rows)?;
         Ok(())
     }
 
-    /// DELETE rows matching `pred` (evaluated over all table columns).
-    /// Returns the number of deleted rows.
+    /// The victim scan of the predicate forms: the rows of `bounds`
+    /// matching `pred`, with their `keep` columns (a pre-image projection)
+    /// and the values of `exprs` over them. Scans
+    /// `columns(pred) ∪ columns(exprs) ∪ keep` — expressions address table
+    /// columns and are re-addressed to the narrower scan.
+    fn collect_victims(
+        &self,
+        table: &str,
+        pred: &Expr,
+        bounds: ScanBounds,
+        keep: &[usize],
+        exprs: &[&Expr],
+    ) -> Result<Victims, DbError> {
+        let t0 = Instant::now();
+        let t = self.table(table)?;
+        let mut proj: Vec<usize> = pred.columns();
+        proj.extend(exprs.iter().flat_map(|e| e.columns()));
+        proj.extend_from_slice(keep);
+        proj.sort_unstable();
+        proj.dedup();
+        if proj.is_empty() {
+            // a batch needs a column to have a row count
+            proj.push(0);
+        }
+        // every column referenced below is in `proj` by construction
+        let at = |c: usize| proj.binary_search(&c).unwrap_or(0);
+        let pred = pred.clone().remap_cols(at);
+        let exprs: Vec<Expr> = exprs.iter().map(|&e| e.clone().remap_cols(at)).collect();
+        let keep_at: Vec<usize> = keep.iter().map(|&c| at(c)).collect();
+        let keep_types: Vec<ValueType> = keep.iter().map(|&c| t.schema().vtype(c)).collect();
+        let mut out = Victims {
+            rids: Vec::new(),
+            pre: Batch::empty(&keep_types),
+            vals: exprs.iter().map(|_| None).collect(),
+        };
+        let spec = ScanSpec::cols(proj.clone()).bounds(bounds).profiled();
+        let mut scan = self.scan_with(table, spec)?;
+        while let Some(batch) = scan.next_batch() {
+            let idx: Vec<usize> = pred
+                .eval_bool(&batch)
+                .iter()
+                .enumerate()
+                .filter_map(|(i, hit)| hit.then_some(i))
+                .collect();
+            if idx.is_empty() {
+                continue;
+            }
+            out.rids
+                .extend(idx.iter().map(|&i| batch.rid_start + i as u64));
+            for (d, &s) in out.pre.cols.iter_mut().zip(&keep_at) {
+                d.extend_gather(&batch.cols[s], &idx);
+            }
+            for (e, acc) in exprs.iter().zip(&mut out.vals) {
+                let vals = e.eval(&batch);
+                acc.get_or_insert_with(|| ColumnVec::new(vals.vtype()))
+                    .extend_gather(&vals, &idx);
+            }
+        }
+        let part = (t.parts.len() == 1).then_some(0);
+        self.note_resolved(table, part, t0, out.rids.len(), scan.blocks_decoded());
+        Ok(out)
+    }
+
+    /// DELETE rows matching `pred` (an expression over the table's
+    /// columns). Returns the number of deleted rows.
     pub fn delete_where(&mut self, table: &str, pred: Expr) -> Result<usize, DbError> {
         self.delete_where_ranged(table, pred, ScanBounds::default())
     }
@@ -711,26 +774,11 @@ impl<'db> DbTxn<'db> {
         pred: Expr,
         bounds: ScanBounds,
     ) -> Result<usize, DbError> {
-        let schema = self.table(table)?.schema().clone();
-        // collect victims (RID + full pre-image) under the current view
-        let mut rids: Vec<u64> = Vec::new();
-        let mut pre = Batch::empty(&schema.types());
-        {
-            let mut scan = self.scan_with(table, ScanSpec::all().bounds(bounds))?;
-            while let Some(batch) = scan.next_batch() {
-                let keep = pred.eval_bool(&batch);
-                let idx: Vec<usize> = keep
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, hit)| hit.then_some(i))
-                    .collect();
-                rids.extend(idx.iter().map(|&i| batch.rid_start + i as u64));
-                extend_gathered(&mut pre, &batch, &idx);
-            }
-        }
-        let n = rids.len();
+        let keep = self.table(table)?.pre_image_cols(PreImageOf::Delete);
+        let victims = self.collect_victims(table, &pred, bounds, &keep, &[])?;
+        let n = victims.rids.len();
         if n > 0 {
-            self.stage_batch_delete(table, rids, pre)?;
+            self.stage_batch_delete(table, victims.rids, victims.pre)?;
         }
         Ok(n)
     }
@@ -759,49 +807,37 @@ impl<'db> DbTxn<'db> {
         bounds: ScanBounds,
     ) -> Result<usize, DbError> {
         let t = self.table(table)?;
-        let schema = t.schema().clone();
-        let types = schema.types();
-        let sk_cols: Vec<usize> = t.sk_cols().to_vec();
-        let touches_sk = sets.iter().any(|(c, _)| sk_cols.contains(c));
-
-        // victims with their new values, evaluated batch-wise and gathered
-        // columnar: one rid run, the pre-images, and one value vector per
-        // assigned column
-        let mut rids: Vec<u64> = Vec::new();
-        let mut pre = Batch::empty(&types);
-        let mut set_vals: Vec<Option<ColumnVec>> = sets.iter().map(|_| None).collect();
-        {
-            let mut scan = self.scan_with(table, ScanSpec::all().bounds(bounds))?;
-            while let Some(batch) = scan.next_batch() {
-                let keep = pred.eval_bool(&batch);
-                if !keep.iter().any(|&k| k) {
-                    continue;
-                }
-                let idx: Vec<usize> = keep
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, hit)| hit.then_some(i))
-                    .collect();
-                rids.extend(idx.iter().map(|&i| batch.rid_start + i as u64));
-                extend_gathered(&mut pre, &batch, &idx);
-                for ((_, e), acc) in sets.iter().zip(&mut set_vals) {
-                    let vals = e.eval(&batch);
-                    acc.get_or_insert_with(|| ColumnVec::new(vals.vtype()))
-                        .extend_gather(&vals, &idx);
-                }
-            }
+        let ncols = t.schema().len();
+        if let Some((c, _)) = sets.iter().find(|(c, _)| *c >= ncols) {
+            return Err(batch_shape(
+                table,
+                format!("assigned column #{c} out of range ({ncols} columns)"),
+            ));
         }
+        let touches_sk = sets.iter().any(|(c, _)| t.sk_cols().contains(c));
+        // a key rewrite re-appends whole rows; a plain update keeps what
+        // the update structure wants of an updated row
+        let keep: Vec<usize> = if touches_sk {
+            (0..ncols).collect()
+        } else {
+            t.pre_image_cols(PreImageOf::UpdateCol)
+        };
+        let exprs: Vec<&Expr> = sets.iter().map(|(_, e)| e).collect();
+        let Victims { rids, pre, vals } =
+            self.collect_victims(table, &pred, bounds, &keep, &exprs)?;
         let n = rids.len();
+        // every expression was evaluated with the first victim
+        let vals: Vec<ColumnVec> = vals.into_iter().flatten().collect();
         if n == 0 {
             return Ok(0);
         }
         if touches_sk {
             // rewrite every victim: new tuple = pre-image + all assignments
-            let mut new_rows = Batch::with_capacity(&types, n);
+            let mut new_rows = Batch::with_capacity(&pre.types(), n);
             for i in 0..n {
                 let mut row = pre.row(i);
-                for ((c, _), vals) in sets.iter().zip(&set_vals) {
-                    row[*c] = vals.as_ref().expect("evaluated with victims").get(i);
+                for ((c, _), vals) in sets.iter().zip(&vals) {
+                    row[*c] = vals.get(i);
                 }
                 new_rows.push_owned_row(row);
             }
@@ -810,17 +846,15 @@ impl<'db> DbTxn<'db> {
             // one staged batch per assigned column; the last one takes the
             // shared rid/pre-image payload by move, so the common
             // single-column statement never clones it
-            let nsets = sets.len();
-            let mut rids = rids;
-            let mut pre = pre;
-            for (j, ((col, _), vals)) in sets.iter().zip(set_vals).enumerate() {
-                let (r, p) = if j + 1 == nsets {
+            let (mut rids, mut pre) = (rids, pre);
+            for (j, ((col, _), vals)) in sets.iter().zip(vals).enumerate() {
+                let (r, p) = if j + 1 == sets.len() {
                     let p = std::mem::replace(&mut pre, Batch::empty(&[]));
                     (std::mem::take(&mut rids), p)
                 } else {
                     (rids.clone(), pre.clone())
                 };
-                self.stage_batch_update(table, r, *col, vals.expect("evaluated with victims"), p)?;
+                self.stage_batch_update(table, r, *col, vals, p)?;
             }
         }
         Ok(n)
@@ -1148,31 +1182,62 @@ fn split_by_offsets(offsets: &[u64], rids: &[u64]) -> Vec<(usize, std::ops::Rang
     out
 }
 
-/// Copy a contiguous row range of `src` into a fresh batch (the
-/// per-partition slice of a multi-partition positional statement).
-fn slice_rows(src: &Batch, range: std::ops::Range<usize>) -> Batch {
+/// One partition's share of a routed write batch (see
+/// [`DbTxn::rank_rows`]).
+pub(crate) struct Ranked {
+    /// The partition.
+    pub(crate) part: usize,
+    /// The batch's row indices the partition owns, in key order.
+    pub(crate) idx: Vec<usize>,
+    /// Each one's partition-local base rid.
+    pub(crate) base: Vec<u64>,
+}
+
+/// One partition's share of a positional statement (see
+/// [`DbTxn::split_positional`]).
+struct Piece {
+    part: usize,
+    /// Partition-local rids.
+    rids: Vec<u64>,
+    /// The statement's index range the partition owns.
+    range: Range<usize>,
+}
+
+/// The victims of a predicate statement (see
+/// [`DbTxn::collect_victims`]).
+struct Victims {
+    /// Ascending global positions.
+    rids: Vec<u64>,
+    /// The requested pre-image columns, in `rids` order.
+    pre: Batch,
+    /// Per requested expression, its values over the victims (`None`
+    /// while no victim has been seen).
+    vals: Vec<Option<ColumnVec>>,
+}
+
+/// Rows `range` of `src` as their own column: the whole column moves out
+/// (a statement with one piece never copies its payload), a proper slice
+/// is copied.
+fn take_range(src: &mut ColumnVec, range: Range<usize>) -> ColumnVec {
+    let mut out = src.empty_like();
+    if range == (0..src.len()) {
+        std::mem::swap(src, &mut out);
+    } else {
+        out.extend_range(src, range.start, range.end);
+    }
+    out
+}
+
+/// [`take_range`] over every column of a batch (the per-partition slice
+/// of a positional statement's payload).
+fn take_rows(src: &mut Batch, range: Range<usize>) -> Batch {
     Batch {
         cols: src
             .cols
-            .iter()
-            .map(|c| {
-                let mut out = ColumnVec::new(c.vtype());
-                out.extend_range(c, range.start, range.end);
-                out
-            })
+            .iter_mut()
+            .map(|c| take_range(c, range.clone()))
             .collect(),
         rid_start: 0,
-    }
-}
-
-/// Append the rows of `src` at `idx` onto `dst` column-wise (the
-/// selection-vector gather the victim-collection paths share).
-fn extend_gathered(dst: &mut Batch, src: &Batch, idx: &[usize]) {
-    if idx.is_empty() {
-        return;
-    }
-    for (d, s) in dst.cols.iter_mut().zip(&src.cols) {
-        d.extend_gather(s, idx);
     }
 }
 
@@ -1282,6 +1347,150 @@ mod tests {
         // the ranged victim scan must not have read the whole table
         let full = db.stable_single("t").unwrap().total_bytes();
         assert!(scan_bytes < full, "{scan_bytes} vs {full}");
+    }
+
+    /// 400 rows in 50 blocks whose payload blocks dwarf their key blocks
+    /// (so a statement's bytes tell which column it read), under committed
+    /// updates: a flushed layer and an unflushed one on a PDT table.
+    fn shape_db(policy: UpdatePolicy) -> Database {
+        let db = Database::new();
+        let schema = Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]);
+        let big = |i: i64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15_u64 as i64) >> 1;
+        let rows: Vec<Tuple> = (0..400)
+            .map(|i| vec![Value::Int(i * 10), Value::Int(big(i))])
+            .collect();
+        db.create_table(
+            TableMeta::new("t", schema, vec![0]),
+            TableOptions {
+                block_rows: 8,
+                policy,
+                ..TableOptions::default()
+            },
+            rows,
+        )
+        .unwrap();
+        for (round, base) in [(0, 3u64), (1, 5)] {
+            let mut t = db.begin();
+            t.insert("t", vec![Value::Int(1285 + round), Value::Int(1)])
+                .unwrap();
+            let rids: Vec<u64> = (0..6).map(|j| base + 61 * j).collect();
+            t.update_col("t", &rids, 1, ColumnVec::Int(vec![7; 6]))
+                .unwrap();
+            t.delete_rids("t", &[base + 200, base + 201]).unwrap();
+            t.commit().unwrap();
+            if round == 0 {
+                db.maybe_flush("t", 0).unwrap();
+            }
+        }
+        db
+    }
+
+    /// Largest key-column block and smallest payload-column block of `t`.
+    fn key_and_payload_block_bytes(db: &Database) -> (u64, u64) {
+        let stable = db.stable_single("t").unwrap();
+        let bytes = |c: usize| stable.column_blocks(c).iter().map(|b| b.stored_bytes());
+        let (key_max, payload_min) = (bytes(0).max().unwrap(), bytes(1).min().unwrap());
+        assert!(key_max < payload_min, "{key_max} vs {payload_min}");
+        (key_max, payload_min)
+    }
+
+    #[test]
+    fn pdt_update_col_reads_no_stable_byte() {
+        let db = shape_db(UpdatePolicy::Pdt);
+        let decoded = db.metrics().value("db.dml.blocks_decoded");
+        let mut t = db.begin();
+        let before = db.io().stats();
+        let rids: Vec<u64> = (0..20).map(|j| 2 + 19 * j).collect();
+        t.update_col("t", &rids, 1, ColumnVec::Int(vec![-1; 20]))
+            .unwrap();
+        // out of range is still caught — before, not by, a block read
+        assert!(matches!(
+            t.update_col("t", &[9999], 1, ColumnVec::Int(vec![0])),
+            Err(DbError::BatchShape { .. })
+        ));
+        let io = db.io().stats().since(&before);
+        assert_eq!((io.blocks_read, io.bytes_read), (0, 0));
+        t.commit().unwrap();
+        assert_eq!(db.metrics().value("db.dml.blocks_decoded"), decoded);
+    }
+
+    #[test]
+    fn pdt_delete_rids_reads_only_the_victims_key_blocks() {
+        let db = shape_db(UpdatePolicy::Pdt);
+        let (key_max, _) = key_and_payload_block_bytes(&db);
+        let m = db.metrics();
+        let resolved = m.value("db.dml.rids_resolved").unwrap();
+        let decoded = m.value("db.dml.blocks_decoded").unwrap();
+        let mut t = db.begin();
+        let before = db.io().stats();
+        let rids: Vec<u64> = vec![4, 77, 150, 222, 301, 388];
+        assert_eq!(t.delete_rids("t", &rids).unwrap(), 6);
+        let io = db.io().stats().since(&before);
+        assert!(io.blocks_read >= 1 && io.blocks_read <= 6, "{io:?}");
+        // key-column blocks only: a payload block alone would exceed this
+        assert!(io.bytes_read <= io.blocks_read * key_max, "{io:?}");
+        t.commit().unwrap();
+        let m = db.metrics();
+        assert_eq!(m.value("db.dml.rids_resolved"), Some(resolved + 6));
+        assert_eq!(
+            m.value("db.dml.blocks_decoded"),
+            Some(decoded + io.blocks_read)
+        );
+    }
+
+    #[test]
+    fn pdt_append_reads_two_key_blocks_per_key_plus_one() {
+        let db = shape_db(UpdatePolicy::Pdt);
+        let (key_max, _) = key_and_payload_block_bytes(&db);
+        let mut t = db.begin();
+        let before = db.io().stats();
+        // five keys far apart, plus one below and one past every block
+        let new = [-5i64, 333, 1111, 1999, 2777, 3555, 9999];
+        let rows: Vec<Tuple> = new
+            .iter()
+            .map(|&k| vec![Value::Int(k), Value::Int(0)])
+            .collect();
+        assert_eq!(
+            t.append("t", Batch::from_rows(&int_types(), &rows))
+                .unwrap(),
+            7
+        );
+        let io = db.io().stats().since(&before);
+        assert!(io.blocks_read <= 2 * 7 + 1, "{io:?}");
+        assert!(io.bytes_read <= io.blocks_read * key_max, "{io:?}");
+        t.commit().unwrap();
+        let ks = keys(&db);
+        assert!(ks.windows(2).all(|w| w[0] < w[1]));
+        assert!(new.iter().all(|k| ks.contains(k)));
+    }
+
+    #[test]
+    fn value_stores_resolve_positions_by_merging_the_window() {
+        // no positional index: the same statements succeed, and read every
+        // block of every column from the first up to the last victim
+        for policy in VALUE_STORES {
+            let db = shape_db(policy);
+            let (_, payload_min) = key_and_payload_block_bytes(&db);
+            let mut t = db.begin();
+            let before = db.io().stats();
+            assert_eq!(t.delete_rids("t", &[150, 222]).unwrap(), 2);
+            let io = db.io().stats().since(&before);
+            // rid 222 lies in block 27 or 28: ~28 blocks of 2 columns
+            assert!(io.blocks_read >= 2 * 27, "{policy:?}: {io:?}");
+            assert!(io.bytes_read >= 27 * payload_min, "{policy:?}: {io:?}");
+            let before = db.io().stats();
+            t.update_col("t", &[100, 180], 1, ColumnVec::Int(vec![1, 2]))
+                .unwrap();
+            let io = db.io().stats().since(&before);
+            assert!(io.blocks_read >= 2 * 22, "{policy:?}: {io:?}");
+            t.append(
+                "t",
+                Batch::from_rows(&int_types(), &[vec![Value::Int(1111), Value::Int(0)]]),
+            )
+            .unwrap();
+            t.commit().unwrap();
+            assert_eq!(keys(&db).len(), 400 + 2 - 4 - 2 + 1, "{policy:?}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod partition;
 pub mod rowstore;
 pub mod testkit;
 
-pub use batch::DmlBatch;
+pub use batch::{DmlBatch, PreImageOf};
 pub use compaction::{
     BlockHeat, CompactionConfig, CompactionReport, CompactionStep, PartitionHeat,
 };
@@ -303,6 +303,11 @@ pub struct Database {
     crash_after_publish: std::sync::atomic::AtomicBool,
     io: IoTracker,
     clock: ScanClock,
+    /// Rids and keys positional DML resolved (`db.dml.rids_resolved`) and
+    /// the stable blocks it decoded to do so (`db.dml.blocks_decoded`) —
+    /// recorded once per resolution, where it happens ([`dml`]).
+    pub(crate) dml_rids_resolved: obs::metrics::Counter,
+    pub(crate) dml_blocks_decoded: obs::metrics::Counter,
 }
 
 impl Default for Database {
@@ -312,28 +317,28 @@ impl Default for Database {
 }
 
 impl Database {
-    /// In-memory database without a WAL.
-    pub fn new() -> Self {
+    /// An empty database sequencing its commits through `txn_mgr`.
+    fn over(txn_mgr: TxnManager) -> Self {
         Database {
-            txn_mgr: Arc::new(TxnManager::new()),
+            txn_mgr: Arc::new(txn_mgr),
             tables: RwLock::new(HashMap::new()),
             images: None,
             crash_after_publish: std::sync::atomic::AtomicBool::new(false),
             io: IoTracker::new(),
             clock: ScanClock::new(),
+            dml_rids_resolved: Default::default(),
+            dml_blocks_decoded: Default::default(),
         }
+    }
+
+    /// In-memory database without a WAL.
+    pub fn new() -> Self {
+        Self::over(TxnManager::new())
     }
 
     /// Database whose commits append to a WAL at `path`.
     pub fn with_wal(path: &Path) -> Result<Self, DbError> {
-        Ok(Database {
-            txn_mgr: Arc::new(TxnManager::with_wal(path).map_err(DbError::Io)?),
-            tables: RwLock::new(HashMap::new()),
-            images: None,
-            crash_after_publish: std::sync::atomic::AtomicBool::new(false),
-            io: IoTracker::new(),
-            clock: ScanClock::new(),
-        })
+        Ok(Self::over(TxnManager::with_wal(path).map_err(DbError::Io)?))
     }
 
     /// Database with full durable storage: commits append to the WAL at
@@ -620,6 +625,10 @@ impl Database {
         reg.counter("db.io.blocks_read", &[]).add(io.blocks_read);
         reg.counter("db.io.bytes_read", &[]).add(io.bytes_read);
         reg.gauge("db.scan.merge_ns", &[]).set(self.clock.nanos());
+        reg.counter("db.dml.rids_resolved", &[])
+            .add(self.dml_rids_resolved.get());
+        reg.counter("db.dml.blocks_decoded", &[])
+            .add(self.dml_blocks_decoded.get());
         reg.gauge("db.txn.seq", &[]).set(self.txn_mgr.seq());
         if let Some(w) = self.wal_stats() {
             reg.counter("db.wal.commits", &[]).add(w.commits);

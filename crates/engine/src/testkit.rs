@@ -36,10 +36,12 @@
 //! final image interleaving-independent, so concurrency bugs surface as
 //! differential divergence from the sequential model.
 
-use crate::{Database, DbError, PartitionSpec, ScanSpec, TableOptions, UpdatePolicy, ALL_POLICIES};
+use crate::{
+    Database, DbError, DbTxn, PartitionSpec, ScanSpec, TableOptions, UpdatePolicy, ALL_POLICIES,
+};
 use columnar::{Schema, TableMeta, Tuple, Value};
 use exec::expr::{col, lit, Expr};
-use exec::run_to_rows;
+use exec::{run_to_rows, Batch};
 use pdt::naive::NaiveImage;
 use std::path::PathBuf;
 
@@ -52,6 +54,32 @@ pub fn key_eq_pred(sk_cols: &[usize], key: &[Value]) -> Expr {
         .map(|(&c, v)| col(c).eq(lit(v.clone())))
         .reduce(|a, b| a.and(b))
         .expect("non-empty sort key")
+}
+
+/// Seam onto the sparse gather positional DML resolves its pre-images
+/// with: columns `cols` of the rows at `rids` (ascending, distinct, global)
+/// under `txn`'s view — what `scan_with(ScanSpec::cols(cols))` emits at
+/// those positions, fetched without the scan.
+pub fn gather_at(
+    txn: &DbTxn<'_>,
+    table: &str,
+    rids: &[u64],
+    cols: &[usize],
+) -> Result<Batch, DbError> {
+    txn.gather(table, rids, cols)
+}
+
+/// Seam onto the run-wise ranker `append` positions its rows with: per
+/// touched partition, in split order, the partition-local rank of each of
+/// `rows`' sort keys (in key order) among the rows visible to `txn`, or
+/// the duplicate-key error `append` would return.
+pub fn rank_rows(
+    txn: &DbTxn<'_>,
+    table: &str,
+    rows: &Batch,
+) -> Result<Vec<(usize, Vec<u64>)>, DbError> {
+    let ranked = txn.rank_rows(table, rows, &Default::default())?;
+    Ok(ranked.into_iter().map(|r| (r.part, r.base)).collect())
 }
 
 /// One database per update policy plus the naive model, driven in lockstep.

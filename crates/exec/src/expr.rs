@@ -174,6 +174,56 @@ impl Expr {
         Expr::Substr(Box::new(self), start, len)
     }
 
+    /// Call `f` on every input-column reference, in place.
+    fn for_each_col(&mut self, f: &mut impl FnMut(&mut usize)) {
+        match self {
+            Expr::Col(c) => f(c),
+            Expr::Lit(_) => {}
+            Expr::Add(a, b)
+            | Expr::Sub(a, b)
+            | Expr::Mul(a, b)
+            | Expr::Div(a, b)
+            | Expr::Cmp(_, a, b) => {
+                a.for_each_col(f);
+                b.for_each_col(f);
+            }
+            Expr::And(es) | Expr::Or(es) => es.iter_mut().for_each(|e| e.for_each_col(f)),
+            Expr::Not(e)
+            | Expr::Like(e, _)
+            | Expr::NotLike(e, _)
+            | Expr::InList(e, _)
+            | Expr::Between(e, _, _)
+            | Expr::Year(e)
+            | Expr::Substr(e, _, _) => e.for_each_col(f),
+            Expr::Case(whens, els) => {
+                for (cond, val) in whens {
+                    cond.for_each_col(f);
+                    val.for_each_col(f);
+                }
+                els.for_each_col(f);
+            }
+        }
+    }
+
+    /// The expression re-addressed for a narrower input: every `Col(c)`
+    /// becomes `Col(map(c))`. With [`Expr::columns`] this lets a caller
+    /// scan only the columns an expression reads and still evaluate it.
+    pub fn remap_cols(mut self, map: impl Fn(usize) -> usize) -> Expr {
+        self.for_each_col(&mut |c| *c = map(*c));
+        self
+    }
+
+    /// The input columns the expression reads, ascending and distinct.
+    pub fn columns(&self) -> Vec<usize> {
+        let mut cols = Vec::new();
+        // one traversal serves reading and rewriting; the copy it needs
+        // here is paid once per statement, not per row
+        self.clone().for_each_col(&mut |c| cols.push(*c));
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+
     /// Result type given the input column types.
     pub fn out_type(&self, input: &[ValueType]) -> ValueType {
         match self {
@@ -480,6 +530,27 @@ mod tests {
                 ],
             ],
         )
+    }
+
+    #[test]
+    fn columns_and_remap_follow_a_projection() {
+        let e = Expr::Case(
+            vec![(col(3).year().eq(lit(1994i64)), col(1).mul(lit(2.0)))],
+            Box::new(col(1).add(col(0))),
+        )
+        .and(col(2).like("PROMO%").not());
+        assert_eq!(e.columns(), vec![0, 1, 2, 3]);
+        assert!(lit(1i64).columns().is_empty());
+        // evaluate `c3 > 1 OR c2 LIKE ..` over a batch holding only c2, c3
+        let pred = col(3).year().gt(lit(1994i64)).or(col(2).like("%box"));
+        let cols = pred.columns();
+        assert_eq!(cols, vec![2, 3]);
+        let narrow = batch().project(&cols);
+        let at = |c: usize| cols.iter().position(|&x| x == c).unwrap();
+        assert_eq!(
+            pred.clone().remap_cols(at).eval_bool(&narrow),
+            pred.eval_bool(&batch())
+        );
     }
 
     #[test]

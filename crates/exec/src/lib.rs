@@ -30,6 +30,7 @@ pub use batch::Batch;
 pub use expr::{CmpOp, Expr};
 pub use ops::aggregate::{AggFunc, AggSpec, HashAggregate};
 pub use ops::filter::Filter;
+pub use ops::gather::{gather_rows, Gathered};
 pub use ops::join::{HashJoin, JoinKind};
 pub use ops::project::Project;
 pub use ops::scan::{DeltaLayers, ScanBounds, ScanSegment, TableScan};

@@ -5,6 +5,7 @@
 
 pub mod aggregate;
 pub mod filter;
+pub mod gather;
 pub mod join;
 pub mod profiled;
 pub mod project;

@@ -415,6 +415,14 @@ impl<'a> TableScan<'a> {
         self.profile.clone()
     }
 
+    /// Stable blocks decoded so far, as the attached profile counted them
+    /// (0 for an unprofiled scan).
+    pub fn blocks_decoded(&self) -> u64 {
+        self.profile.as_ref().map_or(0, |p| {
+            p.blocks_decoded.load(std::sync::atomic::Ordering::Relaxed)
+        })
+    }
+
     /// Union scan over the ordered partitions of a range-partitioned
     /// table: every segment is scanned with the same projection and
     /// sort-key bounds (each partition resolves the bounds against its own
@@ -496,11 +504,14 @@ impl<'a> TableScan<'a> {
     /// Restrict the scan's *output* to the visible positions `[lo, hi)`
     /// (global positions for a partition union). Batches before the window
     /// are skipped, the batch straddling an edge is sliced, and the scan
-    /// finishes as soon as it passes `hi` — the early-exit positional DML
-    /// (`delete_rids`, `update_col`) relies on this when collecting
-    /// pre-images. Block I/O within the window is unchanged: positions
-    /// only map to blocks directly when no delta is merged, so the clamp
-    /// trims rows, not reads. For a union the window is clamped **per
+    /// finishes as soon as it passes `hi`. Block I/O within the window is
+    /// unchanged: positions only map to blocks directly when no delta is
+    /// merged, so the clamp trims rows, not reads — every block from the
+    /// segment's first up to the window's end is decoded. That is why
+    /// positional DML does not find its rows this way on a positional
+    /// table ([`gather_rows`](crate::gather_rows) walks the PDT instead);
+    /// the clamp remains the by-key arm of that gather, and the window
+    /// form of a read scan. For a union the window is clamped **per
     /// partition**: each segment's batches are re-based to global RIDs
     /// before clipping, a window straddling a split point takes the tail
     /// of one partition and the head of the next, and partitions wholly

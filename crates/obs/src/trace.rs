@@ -93,6 +93,11 @@ pub enum TraceKind {
     /// Slow-query log: a server query exceeded the configured
     /// threshold. `dur_ns` = query wall time, `a` = rows returned.
     SlowScan = 16,
+    /// One position resolution of a DML statement — a rid gather, a key
+    /// ranking or a predicate's victim scan: span over the resolution.
+    /// `a` = rids or keys resolved, `b` = stable blocks decoded; `part`
+    /// is set when the resolution stayed within one partition.
+    DmlResolve = 17,
 }
 
 impl TraceKind {
@@ -115,6 +120,7 @@ impl TraceKind {
             TraceKind::RecoveryWalReplay => "recovery.wal_replay",
             TraceKind::SlowCommit => "slow.commit",
             TraceKind::SlowScan => "slow.scan",
+            TraceKind::DmlResolve => "dml.resolve",
         }
     }
 
@@ -137,6 +143,7 @@ impl TraceKind {
             14 => TraceKind::RecoveryWalReplay,
             15 => TraceKind::SlowCommit,
             16 => TraceKind::SlowScan,
+            17 => TraceKind::DmlResolve,
             _ => return None,
         })
     }

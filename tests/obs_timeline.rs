@@ -7,7 +7,8 @@
 //! checkpoint / compaction must leave a pin → merge → install triple
 //! (same sequence, ordered timestamps, range tags on compaction) — for
 //! all three update policies. Recovery leaves per-partition
-//! wal.replay / image.adopt events.
+//! wal.replay / image.adopt events, and every DML statement says what its
+//! position resolution found and decoded (dml.resolve).
 //!
 //! The trace layer is process-global, so every test here serializes on
 //! one mutex and drains before and after its traced window.
@@ -241,6 +242,68 @@ fn slow_commit_fires_at_zero_threshold_only_for_opted_in_tables() {
     assert_eq!(slow[0].table.as_deref(), Some("t_slow"));
     assert!(slow[0].dur_ns > 0);
     assert_eq!(slow[0].a, 1, "one WAL entry in the slow commit");
+}
+
+#[test]
+fn dml_statements_say_what_they_resolved() {
+    let _g = serial();
+    for policy in ALL_POLICIES {
+        let db = Database::new();
+        let name = format!("t_dml_{policy:?}");
+        db.create_table(
+            TableMeta::new(&name, schema(), vec![0]),
+            TableOptions::default()
+                .with_policy(policy)
+                .with_block_rows(8),
+            base_rows(64),
+        )
+        .unwrap();
+        commit_update(&db, &name, 41); // a non-empty committed delta
+        let mut txn = db.begin();
+        let resolve = |f: &mut dyn FnMut()| -> TraceEvent {
+            let evs: Vec<TraceEvent> = traced(f)
+                .into_iter()
+                .filter(|e| e.kind == TraceKind::DmlResolve)
+                .collect();
+            assert_eq!(evs.len(), 1, "{policy:?}: one resolution per statement");
+            assert_eq!(evs[0].table.as_deref(), Some(name.as_str()));
+            assert_eq!(evs[0].part, Some(0));
+            assert!(evs[0].dur_ns > 0, "{policy:?}: resolution is a span");
+            evs[0].clone()
+        };
+        let update = resolve(&mut || {
+            let vals = columnar::ColumnVec::Int(vec![7, 8, 9]);
+            txn.update_col(&name, &[3, 30, 60], 1, vals).unwrap();
+        });
+        let delete = resolve(&mut || {
+            txn.delete_rids(&name, &[5, 50]).unwrap();
+        });
+        let append = resolve(&mut || {
+            let rows = [vec![Value::Int(7), Value::Int(0)]];
+            txn.append(&name, exec::Batch::from_rows(&schema().types(), &rows))
+                .unwrap();
+        });
+        let pred = resolve(&mut || {
+            use exec::expr::{col, lit};
+            let n = txn.delete_where(&name, col(0).eq(lit(100i64))).unwrap();
+            assert_eq!(n, 1);
+        });
+        assert_eq!((update.a, delete.a, append.a, pred.a), (3, 2, 1, 1));
+        if policy == engine::UpdatePolicy::Pdt {
+            // by position: nothing read for an update, the victims' two
+            // blocks for a delete, the key's neighbourhood for an append
+            assert_eq!((update.b, delete.b), (0, 2), "{policy:?}");
+            assert!(append.b >= 1 && append.b <= 3, "{policy:?}: {append:?}");
+        } else {
+            // by key: every block up to the last victim
+            assert!(update.b >= 8 && delete.b >= 7, "{policy:?}");
+        }
+        assert_eq!(pred.b, 8, "{policy:?}: an unranged victim scan reads all");
+        txn.commit().unwrap();
+        let m = db.metrics();
+        assert_eq!(m.value("db.dml.rids_resolved"), Some(1 + 3 + 2 + 1 + 1));
+        assert!(m.value("db.dml.blocks_decoded") >= Some(delete.b + append.b + pred.b));
+    }
 }
 
 #[test]

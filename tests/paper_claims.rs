@@ -1,7 +1,9 @@
 //! Direct tests of the paper's headline *claims*, at the workspace level:
 //!
 //! 1. positional merging avoids sort-key I/O that value-based merging must
-//!    pay (§1, "a crucial advantage for a column-store"),
+//!    pay (§1, "a crucial advantage for a column-store") — on the read path
+//!    and, by the same mechanism, on the write path: a positional statement
+//!    finds its rows through the tree, a value store must merge up to them,
 //! 2. PDT merge cost is insensitive to sort-key type and arity, VDT cost is
 //!    not (Figures 17/18's mechanism),
 //! 3. ghost-respecting SIDs keep *stale* sparse indexes valid (§2.1),
@@ -108,6 +110,63 @@ fn claim_pdt_scans_skip_key_io_value_baselines_cannot() {
         row_bytes >= clean_bytes + key_bytes,
         "row-buffer merging must pay key I/O: rows={row_bytes} clean={clean_bytes} key={key_bytes}"
     );
+}
+
+/// Bytes a positional statement reads, on a fresh transaction over
+/// committed updates.
+fn dml_bytes(db: &Database, stmt: impl FnOnce(&mut engine::DbTxn<'_>)) -> u64 {
+    let mut txn = db.begin();
+    let before = db.io().stats();
+    stmt(&mut txn);
+    let bytes = db.io().stats().since(&before).bytes_read;
+    txn.abort();
+    bytes
+}
+
+#[test]
+fn claim_positional_dml_finds_rows_without_the_key_value_stores_cannot() {
+    // the write-path counterpart of the claim above: 5000 rows in 20
+    // blocks, a string key, the victims in blocks 11 and 15
+    let rids = [2900u64, 3900];
+    let payload_col = 1;
+    let update = |t: &mut engine::DbTxn<'_>| {
+        let vals = columnar::ColumnVec::Int(vec![1, 2]);
+        assert_eq!(t.update_col("t", &rids, payload_col, vals).unwrap(), 2);
+    };
+    let delete = |t: &mut engine::DbTxn<'_>| {
+        assert_eq!(t.delete_rids("t", &rids).unwrap(), 2);
+    };
+
+    let pdt_db = make_db(1, ValueType::Str, 5000, UpdatePolicy::Pdt);
+    apply_some_updates(&pdt_db, 5000, payload_col);
+    let stable = pdt_db.stable_single("t").unwrap();
+    let block_bytes = |c: usize, b: usize| stable.column_blocks(c)[b].stored_bytes();
+    // a positional update is addressed by position alone: no key byte,
+    // in fact no stable byte at all
+    assert_eq!(dml_bytes(&pdt_db, update), 0);
+    // a positional delete keeps the ghost's sort key, and reads only that:
+    // the key column's blocks holding a victim
+    let victims_key_bytes = block_bytes(0, 11) + block_bytes(0, 15);
+    assert_eq!(dml_bytes(&pdt_db, delete), victims_key_bytes);
+
+    for policy in [UpdatePolicy::Vdt, UpdatePolicy::RowStore] {
+        let db = make_db(1, ValueType::Str, 5000, policy);
+        apply_some_updates(&db, 5000, payload_col);
+        // a value-addressed delta knows positions only by merging: every
+        // block up to the last victim, key column included — it cannot
+        // skip the 14 blocks that hold no victim
+        let key_window: u64 = (0..=15).map(|b| block_bytes(0, b)).sum();
+        let payload_window: u64 = (0..=15).map(|b| block_bytes(payload_col, b)).sum();
+        for (what, bytes) in [
+            ("update", dml_bytes(&db, update)),
+            ("delete", dml_bytes(&db, delete)),
+        ] {
+            assert!(
+                bytes >= key_window + payload_window,
+                "{policy:?} {what}: read {bytes}, window is {key_window} + {payload_window}"
+            );
+        }
+    }
 }
 
 #[test]
