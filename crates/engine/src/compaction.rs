@@ -104,7 +104,7 @@ impl BlockHeatSink for PartitionHeat {
 
 /// Creation-time knobs of the incremental-compaction planner, part of
 /// [`crate::TableOptions`]. Integral on purpose so table options stay
-/// `Eq`; the score threshold is in permille (1000 = benefit equals cost).
+/// `Eq`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionConfig {
     /// Master switch. Off (the default) keeps the pre-compaction engine:
@@ -117,9 +117,6 @@ pub struct CompactionConfig {
     /// Delta bytes a candidate range must have accumulated before it is
     /// worth a rewrite at all. Default 4 KiB.
     pub min_delta_bytes: u64,
-    /// Minimum `benefit * 1000 / cost` a step must score (see
-    /// [`plan_steps`]). Default 0 — any range over the byte floor merges.
-    pub min_score_permille: u64,
 }
 
 impl Default for CompactionConfig {
@@ -128,7 +125,6 @@ impl Default for CompactionConfig {
             enabled: false,
             max_unit_blocks: 8,
             min_delta_bytes: 4 << 10,
-            min_score_permille: 0,
         }
     }
 }
@@ -165,8 +161,8 @@ pub(crate) fn block_stored_bytes(stable: &StableTable, b: usize) -> u64 {
 ///   much scan traffic crosses the range (folding delta under a hot scan
 ///   path saves merge work on every future read);
 /// * its **cost** is the stored bytes of the stable blocks it rewrites;
-/// * its score is `benefit * 1000 / cost` — ranges below
-///   `min_delta_bytes` or `min_score_permille` are dropped.
+/// * its score is `benefit * 1000 / cost`, which orders the steps;
+///   ranges below `min_delta_bytes` are dropped.
 ///
 /// Deterministic and O(blocks): same heat in, same plan out. Returned
 /// steps never overlap, so the scheduler may run them back to back (each
@@ -202,15 +198,12 @@ pub fn plan_steps(
                 let weight_permille = 1000
                     + (scan_bytes.min(cost.saturating_mul(4))).saturating_mul(1000) / cost.max(1);
                 let benefit = delta_bytes.saturating_mul(weight_permille) / 1000;
-                let score_permille = benefit.saturating_mul(1000) / cost.max(1);
-                if score_permille >= cfg.min_score_permille {
-                    steps.push(CompactionStep {
-                        b0: u0,
-                        b1: u1,
-                        score_permille,
-                        delta_bytes,
-                    });
-                }
+                steps.push(CompactionStep {
+                    b0: u0,
+                    b1: u1,
+                    score_permille: benefit.saturating_mul(1000) / cost.max(1),
+                    delta_bytes,
+                });
             }
             u0 = u1;
         }
@@ -314,7 +307,6 @@ mod tests {
             enabled: true,
             max_unit_blocks: 8,
             min_delta_bytes: 1,
-            min_score_permille: 0,
         };
         let steps = plan_steps(&heat, &stable, &cfg);
         assert_eq!(steps.len(), 2);
@@ -351,21 +343,13 @@ mod tests {
             enabled: true,
             max_unit_blocks: 8,
             min_delta_bytes: 1000,
-            min_score_permille: 0,
         };
         assert!(plan_steps(&heat, &stable, &cfg).is_empty(), "byte floor");
-        let cfg = CompactionConfig {
-            min_delta_bytes: 1,
-            min_score_permille: u64::MAX,
-            ..cfg
-        };
-        assert!(plan_steps(&heat, &stable, &cfg).is_empty(), "score floor");
         // scan heat alone never plans a step (nothing to fold)
         let mut scan_only = vec![BlockHeat::default(); 8];
         scan_only[0].scan_bytes = 1 << 20;
         let cfg = CompactionConfig {
             min_delta_bytes: 1,
-            min_score_permille: 0,
             ..cfg
         };
         assert!(plan_steps(&scan_only, &stable, &cfg).is_empty());
@@ -383,7 +367,6 @@ mod tests {
             enabled: true,
             max_unit_blocks: 1,
             min_delta_bytes: 1,
-            min_score_permille: 0,
         };
         let without = plan_steps(&cold, &stable, &cfg);
         assert_eq!((without[0].b0, without[1].b0), (0, 4), "tie keeps order");

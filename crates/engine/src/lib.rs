@@ -54,9 +54,7 @@ pub use delta::{
     ALL_POLICIES,
 };
 pub use dml::{Appender, DbTxn};
-pub use maintenance::{
-    MaintenanceConfig, MaintenancePartitionStats, MaintenanceScheduler, MaintenanceStats,
-};
+pub use maintenance::{MaintenanceConfig, MaintenanceScheduler};
 pub use partition::PartitionSpec;
 pub use txn::wal::WalStats;
 
@@ -67,6 +65,7 @@ use columnar::{
 use exec::{
     DeltaLayers, Operator, ParallelUnionScan, ScanBounds, ScanClock, ScanSegment, TableScan,
 };
+use maintenance::MaintMetrics;
 use parking_lot::RwLock;
 use partition::{PartitionEntry, TableEntry};
 use std::collections::HashMap;
@@ -303,11 +302,14 @@ pub struct Database {
     crash_after_publish: std::sync::atomic::AtomicBool,
     io: IoTracker,
     clock: ScanClock,
+    /// The one live metrics store of this database: every series is
+    /// recorded into it, once, where its event happens.
+    registry: Arc<obs::Registry>,
     /// Rids and keys positional DML resolved (`db.dml.rids_resolved`) and
     /// the stable blocks it decoded to do so (`db.dml.blocks_decoded`) —
     /// recorded once per resolution, where it happens ([`dml`]).
-    pub(crate) dml_rids_resolved: obs::metrics::Counter,
-    pub(crate) dml_blocks_decoded: obs::metrics::Counter,
+    pub(crate) dml_rids_resolved: Arc<obs::metrics::Counter>,
+    pub(crate) dml_blocks_decoded: Arc<obs::metrics::Counter>,
 }
 
 impl Default for Database {
@@ -319,6 +321,7 @@ impl Default for Database {
 impl Database {
     /// An empty database sequencing its commits through `txn_mgr`.
     fn over(txn_mgr: TxnManager) -> Self {
+        let registry = Arc::new(obs::Registry::new());
         Database {
             txn_mgr: Arc::new(txn_mgr),
             tables: RwLock::new(HashMap::new()),
@@ -326,8 +329,9 @@ impl Database {
             crash_after_publish: std::sync::atomic::AtomicBool::new(false),
             io: IoTracker::new(),
             clock: ScanClock::new(),
-            dml_rids_resolved: Default::default(),
-            dml_blocks_decoded: Default::default(),
+            dml_rids_resolved: registry.counter("db.dml.rids_resolved", &[]),
+            dml_blocks_decoded: registry.counter("db.dml.blocks_decoded", &[]),
+            registry,
         }
     }
 
@@ -391,7 +395,7 @@ impl Database {
         let splits = partition::derive_splits(&name, &opts.partitions, &rows, &sk, &sk_types)?;
         let groups = partition::split_rows(rows, &splits, &sk);
         let mut parts = Vec::with_capacity(groups.len());
-        for part_rows in groups {
+        for (p, part_rows) in groups.into_iter().enumerate() {
             let stable = StableTable::bulk_load_unsorted(meta.clone(), opts.storage(), part_rows)?;
             let (schema, sk) = (schema.clone(), sk.clone());
             let delta: Arc<dyn DeltaStore> = match opts.policy {
@@ -404,7 +408,13 @@ impl Database {
                     Arc::new(KeyStore::<RowBuffer>::new(name.clone(), schema, sk))
                 }
             };
-            parts.push(PartitionEntry::new(Arc::new(stable), delta, &self.io));
+            let metrics = MaintMetrics::new(&self.registry, &name, p);
+            parts.push(PartitionEntry::new(
+                Arc::new(stable),
+                delta,
+                &self.io,
+                metrics,
+            ));
         }
         self.tables.write().insert(
             name,
@@ -427,6 +437,14 @@ impl Database {
         &self.clock
     }
 
+    /// The database's one live metrics registry. A layer above the
+    /// engine (the server's sessions, the maintenance scheduler) resolves
+    /// its handles here once and records into them;
+    /// [`Database::metrics`] freezes it.
+    pub fn registry(&self) -> &Arc<obs::Registry> {
+        &self.registry
+    }
+
     /// Run `f` against the table's entry under the map's read lock.
     fn with_entry<T>(&self, table: &str, f: impl FnOnce(&TableEntry) -> T) -> Result<T, DbError> {
         let tables = self.tables.read();
@@ -436,7 +454,8 @@ impl Database {
         Ok(f(e))
     }
 
-    /// Stable slice + delta store + maintenance mutex of one partition.
+    /// Stable slice + delta store + maintenance mutex (and the handles it
+    /// guards) of one partition.
     #[allow(clippy::type_complexity)]
     fn partition_entry(
         &self,
@@ -446,7 +465,7 @@ impl Database {
         (
             Arc<StableTable>,
             Arc<dyn DeltaStore>,
-            Arc<parking_lot::Mutex<()>>,
+            Arc<parking_lot::Mutex<MaintMetrics>>,
         ),
         DbError,
     > {
@@ -614,48 +633,46 @@ impl Database {
         self.txn_mgr.wal_stats()
     }
 
-    /// Pour the engine's live counters into a unified [`obs::Registry`]:
-    /// block I/O, the merge-scan clock, WAL totals (when a WAL is
-    /// attached), the transaction sequence, and per-table gauges labelled
-    /// by table name. `server::Registry::snapshot` composes this with the
-    /// serving-layer counters; embedders without a server read the same
-    /// names via [`Database::metrics`].
-    pub fn pour_metrics(&self, reg: &obs::Registry) {
-        let io = self.io.stats();
-        reg.counter("db.io.blocks_read", &[]).add(io.blocks_read);
-        reg.counter("db.io.bytes_read", &[]).add(io.bytes_read);
-        reg.gauge("db.scan.merge_ns", &[]).set(self.clock.nanos());
-        reg.counter("db.dml.rids_resolved", &[])
-            .add(self.dml_rids_resolved.get());
-        reg.counter("db.dml.blocks_decoded", &[])
-            .add(self.dml_blocks_decoded.get());
-        reg.gauge("db.txn.seq", &[]).set(self.txn_mgr.seq());
-        if let Some(w) = self.wal_stats() {
-            reg.counter("db.wal.commits", &[]).add(w.commits);
-            reg.counter("db.wal.checkpoints", &[]).add(w.checkpoints);
-            reg.counter("db.wal.appends", &[]).add(w.appends);
-            reg.gauge("db.wal.pending_records", &[])
-                .set(self.txn_mgr.wal_pending_records());
-        }
-        let tables = self.tables.read();
-        for (name, e) in tables.iter() {
-            let labels: &[(&str, &str)] = &[("table", name.as_str())];
-            reg.gauge("db.table.partitions", labels)
-                .set(e.parts.len() as u64);
-            reg.gauge("db.table.delta_bytes", labels)
-                .set(e.parts.iter().map(|p| p.delta.delta_bytes() as u64).sum());
-            reg.counter("db.table.write_bytes", labels)
-                .add(e.parts.iter().map(|p| p.delta.write_bytes() as u64).sum());
-        }
-    }
-
-    /// One coherent snapshot of every engine metric ([`Database::pour_metrics`]
-    /// into a fresh registry) — exposition-ready via
-    /// [`obs::MetricsSnapshot::to_text`] / [`obs::MetricsSnapshot::to_json`].
+    /// One coherent snapshot of every metric: the [`Database::registry`]
+    /// frozen, completed with what is read at snapshot time from state
+    /// the registry does not own — block I/O, the merge-scan clock, the
+    /// transaction sequence, WAL totals (when a WAL is attached), the
+    /// trace layer's dropped records and per-table delta gauges.
+    /// Exposition-ready via [`obs::MetricsSnapshot::to_text`] /
+    /// [`obs::MetricsSnapshot::to_json`].
     pub fn metrics(&self) -> obs::MetricsSnapshot {
-        let reg = obs::Registry::new();
-        self.pour_metrics(&reg);
-        reg.snapshot()
+        use obs::metrics::MetricValue::{Counter, Gauge};
+        let mut m = self.registry.snapshot();
+        let io = self.io.stats();
+        m.insert("db.io.blocks_read", &[], Counter(io.blocks_read));
+        m.insert("db.io.bytes_read", &[], Counter(io.bytes_read));
+        m.insert("db.scan.merge_ns", &[], Counter(self.clock.nanos()));
+        m.insert("db.txn.seq", &[], Gauge(self.txn_mgr.seq()));
+        m.insert("obs.trace.dropped", &[], Counter(obs::trace::dropped()));
+        if let Some(w) = self.wal_stats() {
+            m.insert("db.wal.commits", &[], Counter(w.commits));
+            m.insert("db.wal.checkpoints", &[], Counter(w.checkpoints));
+            m.insert("db.wal.appends", &[], Counter(w.appends));
+            let pending = self.txn_mgr.wal_pending_records();
+            m.insert("db.wal.pending_records", &[], Gauge(pending));
+        }
+        for (name, e) in self.tables.read().iter() {
+            let labels: &[(&str, &str)] = &[("table", name.as_str())];
+            let sum =
+                |f: fn(&dyn DeltaStore) -> usize| e.parts.iter().map(|p| f(&*p.delta) as u64).sum();
+            m.insert("db.table.partitions", labels, Gauge(e.parts.len() as u64));
+            m.insert(
+                "db.table.delta_bytes",
+                labels,
+                Gauge(sum(|d| d.delta_bytes())),
+            );
+            m.insert(
+                "db.table.write_bytes",
+                labels,
+                Gauge(sum(|d| d.write_bytes())),
+            );
+        }
+        m
     }
 
     /// Test seam: suppress (or re-enable) group-commit flush leadership so
@@ -789,12 +806,12 @@ impl Database {
         threshold_bytes: usize,
     ) -> Result<bool, DbError> {
         let (_, delta, maint) = self.partition_entry(table, p)?;
-        let _maint = maint.lock();
-        if delta.write_bytes() > threshold_bytes {
-            Ok(delta.flush())
-        } else {
-            Ok(false)
+        let metrics = maint.lock();
+        let flushed = delta.write_bytes() > threshold_bytes && delta.flush();
+        if flushed {
+            metrics.flushed();
         }
+        Ok(flushed)
     }
 
     /// Checkpoint: fold every partition's committed deltas into fresh
@@ -899,7 +916,7 @@ impl Database {
         during_merge: &mut Option<impl FnOnce()>,
     ) -> Result<Option<CompactionReport>, DbError> {
         let (_, delta, maint) = self.partition_entry(table, p)?;
-        let _maint = maint.lock();
+        let metrics = maint.lock();
         // slice, heat and provenance only change under the maintenance
         // mutex: what is captured here is what the step installs over
         let (stable, heat, provenance, cfg) = self.with_entry(table, |e| {
@@ -932,6 +949,9 @@ impl Database {
                 detail: format!("compaction range [{b0}, {b1}) out of bounds ({old_nb} blocks)"),
             });
         }
+        // the structural drop across the step is what it retired (commits
+        // landing meanwhile can only undercount it)
+        let delta_bytes_before = delta.delta_bytes() as u64;
         // Phase 1 — pin the delta to fold, under the commit guard.
         let pin = {
             let _commit = self.txn_mgr.commit_guard();
@@ -1071,13 +1091,16 @@ impl Database {
         }
         (merge.install)();
         obs::event!(install_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b);
-        Ok(Some(CompactionReport {
+        let report = CompactionReport {
             blocks_merged: (b1 - b0) as u64,
             blocks_reused: (old_nb - (b1 - b0)) as u64,
             delta_bytes_folded,
             stable_bytes_written,
             stable_bytes_total,
-        }))
+        };
+        let retired = delta_bytes_before.saturating_sub(delta.delta_bytes() as u64);
+        metrics.stepped(&report, retired);
+        Ok(Some(report))
     }
 }
 
@@ -1712,6 +1735,26 @@ mod tests {
         assert!(!db.maybe_flush("inventory", 0).unwrap(), "flushed twice");
         // view unchanged after flush
         assert_eq!(all_rows(&db).len(), 6);
+    }
+
+    /// Levels are gauges and accumulations counters: the write layer's
+    /// bytes fall at a flush, the merge-scan clock only grows. The
+    /// trace layer's dropped records are in every snapshot.
+    #[test]
+    fn metric_kinds_follow_what_they_measure() {
+        use obs::metrics::MetricValue::{Counter, Gauge};
+        let db = inventory_db(UpdatePolicy::Pdt);
+        run_paper_batches(&db);
+        all_rows(&db);
+        let m = db.metrics();
+        let value = |name: &str| m.get(name).map(|e| e.value.clone());
+        assert!(matches!(value("db.table.write_bytes"), Some(Gauge(_))));
+        assert!(matches!(value("db.table.delta_bytes"), Some(Gauge(_))));
+        assert!(matches!(value("db.scan.merge_ns"), Some(Counter(_))));
+        assert!(matches!(value("obs.trace.dropped"), Some(Counter(_))));
+        let written = m.value("db.table.write_bytes");
+        assert!(db.maybe_flush("inventory", 0).unwrap());
+        assert!(db.metrics().value("db.table.write_bytes") < written);
     }
 
     #[test]
@@ -2457,7 +2500,6 @@ mod tests {
                     enabled: true,
                     max_unit_blocks: 2,
                     min_delta_bytes: 1,
-                    min_score_permille: 0,
                 };
             }
             // nothing staged: nothing to pin, nothing planned

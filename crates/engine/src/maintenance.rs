@@ -45,16 +45,19 @@
 //!
 //! ## Observability
 //!
-//! [`MaintenanceScheduler::stats`] reports global counters plus
-//! per-partition ones ([`MaintenancePartitionStats`]: flushes,
-//! checkpoints, and delta bytes retired per partition), and
-//! [`MaintenanceStats`] implements `Display` so a test or example can
-//! print the scheduler's work distribution directly.
+//! Maintenance is counted where every step passes, not here:
+//! [`Database::maybe_flush_partition`] and the one range step behind
+//! checkpoints and compactions record the `maintenance.*{table,
+//! partition}` series (`flushes`, `checkpoints`, `compactions`,
+//! `compaction.{blocks_merged, blocks_reused, bytes_saved}`,
+//! `stable_bytes_written`, `delta_bytes_retired`) into the database's
+//! registry, so a step the scheduler runs and one called inline read the
+//! same in [`Database::metrics`]. The scheduler adds only
+//! `maintenance.errors` (and keeps [`MaintenanceScheduler::last_error`]).
 
 use crate::{CompactionReport, Database, DbError, MaintainTarget};
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use obs::metrics::Counter;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -90,106 +93,56 @@ impl MaintenanceConfig {
     }
 }
 
-/// One partition's maintenance counters (monotonic since `start`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MaintenancePartitionStats {
-    /// The table the partition belongs to.
-    pub table: String,
-    /// Partition index within the table.
-    pub partition: usize,
-    /// Write→Read flushes of this partition.
-    pub flushes: u64,
-    /// Checkpoints of this partition that produced (or retired) state.
-    pub checkpoints: u64,
-    /// Delta bytes retired by this partition's checkpoints (the drop in
-    /// its committed delta footprint across each, summed).
-    pub bytes: u64,
-    /// Sub-partition compaction steps (merge units) executed.
-    pub compactions: u64,
-    /// Stable blocks those steps rewrote.
-    pub compaction_blocks_merged: u64,
-    /// Stable blocks those steps left untouched (reused).
-    pub compaction_blocks_reused: u64,
-    /// Stable bytes the steps did *not* rewrite relative to
-    /// whole-partition checkpoints in their place.
-    pub compaction_bytes_saved: u64,
+/// One partition's `maintenance.*{table, partition}` series, resolved
+/// once at `create_table`. Every flush and every range step records here
+/// — the sum over partitions is the table's total by construction.
+pub(crate) struct MaintMetrics {
+    flushes: Arc<Counter>,
+    checkpoints: Arc<Counter>,
+    compactions: Arc<Counter>,
+    blocks_merged: Arc<Counter>,
+    blocks_reused: Arc<Counter>,
+    bytes_saved: Arc<Counter>,
+    stable_bytes_written: Arc<Counter>,
+    delta_bytes_retired: Arc<Counter>,
 }
 
-/// Counters published by the scheduler (monotonic since `start`), global
-/// plus per partition.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MaintenanceStats {
-    /// Write→Read flushes performed (all partitions).
-    pub flushes: u64,
-    /// Checkpoints that produced (or retired) state (all partitions).
-    pub checkpoints: u64,
-    /// Sub-partition compaction steps executed (all partitions).
-    pub compactions: u64,
-    /// Stable blocks compaction steps rewrote (all partitions).
-    pub compaction_blocks_merged: u64,
-    /// Stable blocks compaction steps left untouched (all partitions).
-    pub compaction_blocks_reused: u64,
-    /// Stable bytes compaction avoided rewriting, versus whole-partition
-    /// checkpoints in place of the steps (all partitions).
-    pub compaction_bytes_saved: u64,
-    /// Stable bytes (re)written by checkpoints and compaction steps —
-    /// the write-amplification numerator.
-    pub stable_bytes_written: u64,
-    /// Delta bytes those operations retired out of the differential
-    /// layers — the write-amplification denominator.
-    pub delta_bytes_retired: u64,
-    /// Maintenance operations that returned an error (recorded, never
-    /// propagated — the scheduler keeps running).
-    pub errors: u64,
-    /// Per-partition distribution, sorted by (table, partition). Only
-    /// partitions that did work appear.
-    pub partitions: Vec<MaintenancePartitionStats>,
-}
-
-impl fmt::Display for MaintenanceStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "maintenance: {} flushes, {} checkpoints, {} compaction steps \
-             ({} blocks merged / {} reused, {} stable bytes saved), {} errors",
-            self.flushes,
-            self.checkpoints,
-            self.compactions,
-            self.compaction_blocks_merged,
-            self.compaction_blocks_reused,
-            self.compaction_bytes_saved,
-            self.errors
-        )?;
-        for p in &self.partitions {
-            write!(
-                f,
-                "\n  {}#{}: {} flushes, {} checkpoints, {} delta bytes retired",
-                p.table, p.partition, p.flushes, p.checkpoints, p.bytes
-            )?;
-            if p.compactions > 0 {
-                write!(
-                    f,
-                    ", {} compactions ({}/{} blocks, {} bytes saved)",
-                    p.compactions,
-                    p.compaction_blocks_merged,
-                    p.compaction_blocks_reused,
-                    p.compaction_bytes_saved
-                )?;
-            }
+impl MaintMetrics {
+    pub(crate) fn new(reg: &obs::Registry, table: &str, p: usize) -> Self {
+        let p = p.to_string();
+        let counter = |name| reg.counter(name, &[("table", table), ("partition", &p)]);
+        MaintMetrics {
+            flushes: counter("maintenance.flushes"),
+            checkpoints: counter("maintenance.checkpoints"),
+            compactions: counter("maintenance.compactions"),
+            blocks_merged: counter("maintenance.compaction.blocks_merged"),
+            blocks_reused: counter("maintenance.compaction.blocks_reused"),
+            bytes_saved: counter("maintenance.compaction.bytes_saved"),
+            stable_bytes_written: counter("maintenance.stable_bytes_written"),
+            delta_bytes_retired: counter("maintenance.delta_bytes_retired"),
         }
-        Ok(())
     }
-}
 
-#[derive(Default, Clone, Copy)]
-struct PartCounts {
-    flushes: u64,
-    checkpoints: u64,
-    bytes: u64,
-    compactions: u64,
-    compaction_blocks_merged: u64,
-    compaction_blocks_reused: u64,
-    compaction_bytes_saved: u64,
+    /// One Write→Read flush.
+    pub(crate) fn flushed(&self) {
+        self.flushes.inc();
+    }
+
+    /// One range step that retired `retired` delta bytes (the structural
+    /// drop across it). A step that kept no block is a checkpoint, any
+    /// other a compaction; both price their rewrite from their report.
+    pub(crate) fn stepped(&self, report: &CompactionReport, retired: u64) {
+        self.stable_bytes_written.add(report.stable_bytes_written);
+        self.delta_bytes_retired.add(retired);
+        if report.blocks_reused == 0 {
+            self.checkpoints.inc();
+        } else {
+            self.compactions.inc();
+            self.blocks_merged.add(report.blocks_merged);
+            self.blocks_reused.add(report.blocks_reused);
+            self.bytes_saved.add(report.stable_bytes_saved());
+        }
+    }
 }
 
 struct Shared {
@@ -199,31 +152,15 @@ struct Shared {
     /// Wakes sleeping workers early (shutdown or poke).
     wake: Mutex<u64>,
     wake_cv: Condvar,
-    flushes: AtomicU64,
-    checkpoints: AtomicU64,
-    compactions: AtomicU64,
-    compaction_blocks_merged: AtomicU64,
-    compaction_blocks_reused: AtomicU64,
-    compaction_bytes_saved: AtomicU64,
-    stable_bytes_written: AtomicU64,
-    delta_bytes_retired: AtomicU64,
-    errors: AtomicU64,
-    per_part: Mutex<HashMap<(String, usize), PartCounts>>,
+    /// `maintenance.errors`: operations that failed (recorded, never
+    /// propagated — the scheduler keeps running).
+    errors: Arc<Counter>,
     last_error: Mutex<Option<String>>,
 }
 
 enum Role {
     Flush,
     Maintain,
-}
-
-/// What one partition operation did, for [`Shared::record`].
-enum Work {
-    Flush,
-    /// One range step of the maintenance lifecycle, with the drop in the
-    /// partition's structural delta footprint across it (measured like
-    /// the checkpoint budget; concurrent commits can only undercount it).
-    Step(CompactionReport, u64),
 }
 
 impl Shared {
@@ -239,63 +176,27 @@ impl Shared {
             .expect("scheduler wake lock");
     }
 
-    /// Record one partition operation's outcome. A step that kept no block
-    /// is a checkpoint, any other a compaction; both price their rewrite
-    /// from the step's own report.
-    fn record(&self, table: &str, partition: usize, result: Result<Option<Work>, DbError>) {
-        let work = match result {
-            Ok(Some(work)) => work,
-            Ok(None) => return,
+    /// Note a failed partition operation (the work itself recorded its
+    /// own `maintenance.*` series).
+    fn note<T>(&self, result: Result<T, DbError>) {
+        match result {
             // a table dropped mid-sweep is not an error
-            Err(DbError::UnknownTable(_)) => return,
+            Ok(_) | Err(DbError::UnknownTable(_)) => {}
             Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
+                self.errors.inc();
                 *self.last_error.lock().expect("scheduler error lock") = Some(e.to_string());
-                return;
-            }
-        };
-        let mut per = self.per_part.lock().expect("scheduler per-part lock");
-        let c = per.entry((table.to_string(), partition)).or_default();
-        match work {
-            Work::Flush => {
-                self.flushes.fetch_add(1, Ordering::Relaxed);
-                c.flushes += 1;
-            }
-            Work::Step(report, retired) => {
-                self.stable_bytes_written
-                    .fetch_add(report.stable_bytes_written, Ordering::Relaxed);
-                self.delta_bytes_retired
-                    .fetch_add(retired, Ordering::Relaxed);
-                if report.blocks_reused == 0 {
-                    self.checkpoints.fetch_add(1, Ordering::Relaxed);
-                    c.checkpoints += 1;
-                    c.bytes += retired;
-                } else {
-                    let saved = report.stable_bytes_saved();
-                    self.compactions.fetch_add(1, Ordering::Relaxed);
-                    self.compaction_blocks_merged
-                        .fetch_add(report.blocks_merged, Ordering::Relaxed);
-                    self.compaction_blocks_reused
-                        .fetch_add(report.blocks_reused, Ordering::Relaxed);
-                    self.compaction_bytes_saved
-                        .fetch_add(saved, Ordering::Relaxed);
-                    c.compactions += 1;
-                    c.compaction_blocks_merged += report.blocks_merged;
-                    c.compaction_blocks_reused += report.blocks_reused;
-                    c.compaction_bytes_saved += saved;
-                }
             }
         }
     }
 
     /// Run one maintenance step of a partition.
-    fn step(&self, table: &str, p: usize, target: MaintainTarget) -> Result<Option<Work>, DbError> {
-        let delta_bytes = || self.db.delta_bytes_partition(table, p).unwrap_or(0) as u64;
-        let before = delta_bytes();
-        let report = self
-            .db
-            .maintain_range(table, p, target, &mut None::<fn()>)?;
-        Ok(report.map(|r| Work::Step(r, before.saturating_sub(delta_bytes()))))
+    fn step(
+        &self,
+        table: &str,
+        p: usize,
+        target: MaintainTarget,
+    ) -> Result<Option<CompactionReport>, DbError> {
+        self.db.maintain_range(table, p, target, &mut None::<fn()>)
     }
 
     /// One sweep over every partition for the given role. Over-budget
@@ -313,12 +214,11 @@ impl Shared {
             };
             for p in 0..nparts {
                 match role {
-                    Role::Flush => {
-                        let r =
-                            self.db
-                                .maybe_flush_partition(&table, p, opts.flush_threshold_bytes);
-                        self.record(&table, p, r.map(|f| f.then_some(Work::Flush)));
-                    }
+                    Role::Flush => self.note(self.db.maybe_flush_partition(
+                        &table,
+                        p,
+                        opts.flush_threshold_bytes,
+                    )),
                     Role::Maintain => {
                         let bytes = self.db.delta_bytes_partition(&table, p).unwrap_or(0);
                         if bytes > opts.checkpoint_threshold_bytes {
@@ -326,7 +226,7 @@ impl Shared {
                         } else if opts.compaction.enabled {
                             // plans against the heat map; a no-op when
                             // nothing scores over the floors
-                            self.record(&table, p, self.step(&table, p, MaintainTarget::Planned));
+                            self.note(self.step(&table, p, MaintainTarget::Planned));
                         }
                     }
                 }
@@ -338,7 +238,7 @@ impl Shared {
             .min(due.len());
         if workers <= 1 {
             for (table, p) in &due {
-                self.record(table, *p, self.step(table, *p, MaintainTarget::All));
+                self.note(self.step(table, *p, MaintainTarget::All));
             }
         } else {
             std::thread::scope(|s| {
@@ -346,7 +246,7 @@ impl Shared {
                     let due = &due;
                     s.spawn(move || {
                         for (table, p) in due.iter().skip(chunk).step_by(workers) {
-                            self.record(table, *p, self.step(table, *p, MaintainTarget::All));
+                            self.note(self.step(table, *p, MaintainTarget::All));
                         }
                     });
                 }
@@ -377,21 +277,12 @@ impl MaintenanceScheduler {
     /// running checkpoint/compaction steps.
     pub fn start(db: Arc<Database>, cfg: MaintenanceConfig) -> Self {
         let shared = Arc::new(Shared {
+            errors: db.registry().counter("maintenance.errors", &[]),
             db,
             cfg,
             shutdown: AtomicBool::new(false),
             wake: Mutex::new(0),
             wake_cv: Condvar::new(),
-            flushes: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            compaction_blocks_merged: AtomicU64::new(0),
-            compaction_blocks_reused: AtomicU64::new(0),
-            compaction_bytes_saved: AtomicU64::new(0),
-            stable_bytes_written: AtomicU64::new(0),
-            delta_bytes_retired: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            per_part: Mutex::new(HashMap::new()),
             last_error: Mutex::new(None),
         });
         let workers = [Role::Flush, Role::Maintain]
@@ -419,42 +310,6 @@ impl MaintenanceScheduler {
         self.shared.wake_cv.notify_all();
     }
 
-    /// Snapshot of the scheduler's counters (global + per partition).
-    pub fn stats(&self) -> MaintenanceStats {
-        let per = self
-            .shared
-            .per_part
-            .lock()
-            .expect("scheduler per-part lock");
-        let mut partitions: Vec<MaintenancePartitionStats> = per
-            .iter()
-            .map(|((table, partition), c)| MaintenancePartitionStats {
-                table: table.clone(),
-                partition: *partition,
-                flushes: c.flushes,
-                checkpoints: c.checkpoints,
-                bytes: c.bytes,
-                compactions: c.compactions,
-                compaction_blocks_merged: c.compaction_blocks_merged,
-                compaction_blocks_reused: c.compaction_blocks_reused,
-                compaction_bytes_saved: c.compaction_bytes_saved,
-            })
-            .collect();
-        partitions.sort_by(|a, b| (&a.table, a.partition).cmp(&(&b.table, b.partition)));
-        MaintenanceStats {
-            flushes: self.shared.flushes.load(Ordering::Relaxed),
-            checkpoints: self.shared.checkpoints.load(Ordering::Relaxed),
-            compactions: self.shared.compactions.load(Ordering::Relaxed),
-            compaction_blocks_merged: self.shared.compaction_blocks_merged.load(Ordering::Relaxed),
-            compaction_blocks_reused: self.shared.compaction_blocks_reused.load(Ordering::Relaxed),
-            compaction_bytes_saved: self.shared.compaction_bytes_saved.load(Ordering::Relaxed),
-            stable_bytes_written: self.shared.stable_bytes_written.load(Ordering::Relaxed),
-            delta_bytes_retired: self.shared.delta_bytes_retired.load(Ordering::Relaxed),
-            errors: self.shared.errors.load(Ordering::Relaxed),
-            partitions,
-        }
-    }
-
     /// The last maintenance error, if any (sticky).
     pub fn last_error(&self) -> Option<String> {
         self.shared
@@ -471,11 +326,8 @@ impl MaintenanceScheduler {
     pub fn drain(&self) -> Result<(), DbError> {
         for table in self.shared.db.table_names() {
             for p in 0..self.shared.db.partition_count(&table)? {
-                let flushed = self.shared.db.maybe_flush_partition(&table, p, 0)?;
-                self.shared
-                    .record(&table, p, Ok(flushed.then_some(Work::Flush)));
-                let step = self.shared.step(&table, p, MaintainTarget::All)?;
-                self.shared.record(&table, p, Ok(step));
+                self.shared.db.maybe_flush_partition(&table, p, 0)?;
+                self.shared.step(&table, p, MaintainTarget::All)?;
             }
         }
         Ok(())
@@ -534,6 +386,23 @@ mod tests {
         )
     }
 
+    /// One partition's value of a `maintenance.*` series.
+    fn part_value(m: &obs::MetricsSnapshot, name: &str, table: &str, p: usize) -> u64 {
+        let p = p.to_string();
+        m.get_labeled(name, &[("table", table), ("partition", &p)])
+            .and_then(|e| e.value.as_u64())
+            .unwrap_or(0)
+    }
+
+    /// A table's total of a `maintenance.*` series, over its partitions.
+    fn table_value(m: &obs::MetricsSnapshot, name: &str, table: &str) -> u64 {
+        m.metrics
+            .iter()
+            .filter(|e| e.name == name && e.label("table") == Some(table))
+            .filter_map(|e| e.value.as_u64())
+            .sum()
+    }
+
     #[test]
     fn scheduler_flushes_and_checkpoints_under_tiny_budgets() {
         for policy in ALL_POLICIES {
@@ -555,12 +424,17 @@ mod tests {
             let before = image(&db);
             assert_eq!(before.len(), 104, "{policy:?}");
             sched.drain().unwrap();
-            let stats = sched.stats();
+            let m = db.metrics();
             assert!(
-                stats.checkpoints > 0,
-                "{policy:?}: zero-budget scheduler must checkpoint, got {stats:?}"
+                m.value("maintenance.checkpoints") > Some(0),
+                "{policy:?}: zero-budget scheduler must checkpoint, got {m}"
             );
-            assert_eq!(stats.errors, 0, "{policy:?}: {:?}", sched.last_error());
+            assert_eq!(
+                m.value("maintenance.errors"),
+                Some(0),
+                "{policy:?}: {:?}",
+                sched.last_error()
+            );
             assert_eq!(
                 image(&db),
                 before,
@@ -588,7 +462,7 @@ mod tests {
                 .with_partitions(PartitionSpec::Count(4));
             let db = db_with_ints(128, policy, opts);
             assert_eq!(db.partition_count("t").unwrap(), 4, "{policy:?}");
-            let mut sched = MaintenanceScheduler::start(
+            let sched = MaintenanceScheduler::start(
                 db.clone(),
                 MaintenanceConfig::with_tick(Duration::from_millis(1)),
             );
@@ -601,31 +475,32 @@ mod tests {
             }
             let before = image(&db);
             sched.drain().unwrap();
-            // a worker step the drain waited behind records its checkpoint
-            // only after the step returns: join the workers before counting
-            sched.stop_and_join();
-            let stats = sched.stats();
-            assert_eq!(stats.errors, 0, "{policy:?}: {:?}", sched.last_error());
-            let touched: std::collections::HashSet<usize> = stats
-                .partitions
-                .iter()
-                .filter(|p| p.checkpoints > 0)
-                .map(|p| p.partition)
-                .collect();
+            // a worker step records under the partition's maintenance
+            // mutex, which the drain waits behind: nothing to join first
+            let m = db.metrics();
             assert_eq!(
-                touched.len(),
-                4,
-                "{policy:?}: every partition must checkpoint, got {stats}"
+                m.value("maintenance.errors"),
+                Some(0),
+                "{policy:?}: {:?}",
+                sched.last_error()
             );
-            // bytes retired are tracked per partition
-            assert!(
-                stats.partitions.iter().any(|p| p.bytes > 0),
-                "{policy:?}: {stats}"
-            );
-            // the Display impl names every partition
-            let rendered = stats.to_string();
             for p in 0..4 {
-                assert!(rendered.contains(&format!("t#{p}")), "{rendered}");
+                assert!(
+                    part_value(&m, "maintenance.checkpoints", "t", p) > 0,
+                    "{policy:?}: every partition must checkpoint, got {m}"
+                );
+            }
+            // bytes retired are tracked per partition
+            let retired = "maintenance.delta_bytes_retired";
+            assert!(
+                (0..4).any(|p| part_value(&m, retired, "t", p) > 0),
+                "{policy:?}: {m}"
+            );
+            // the exposition names every partition
+            let text = m.to_text();
+            for p in 0..4 {
+                let series = format!("maintenance_checkpoints{{partition=\"{p}\",table=\"t\"}}");
+                assert!(text.contains(&series), "{text}");
             }
             assert_eq!(image(&db), before, "{policy:?}");
             sched.shutdown();
@@ -677,7 +552,6 @@ mod tests {
                     enabled: true,
                     max_unit_blocks: 2,
                     min_delta_bytes: 1,
-                    min_score_permille: 0,
                 });
             let db = db_with_ints(128, policy, opts);
             db.create_table(
@@ -712,56 +586,164 @@ mod tests {
             }
             let before = image(&db);
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while (sched.stats().compactions == 0 || sched.stats().checkpoints == 0)
-                && std::time::Instant::now() < deadline
-            {
+            let m = loop {
+                let m = db.metrics();
+                let done = m.value("maintenance.compactions") > Some(0)
+                    && m.value("maintenance.checkpoints") > Some(0);
+                if done || std::time::Instant::now() >= deadline {
+                    break m;
+                }
                 sched.poke();
                 std::thread::sleep(Duration::from_millis(2));
-            }
-            let stats = sched.stats();
-            assert!(
-                stats.compactions > 0,
-                "{policy:?}: the worker never ran a planned step: {stats}"
-            );
-            assert!(
-                stats.compaction_blocks_reused > 0,
-                "{policy:?}: steps reused no blocks: {stats}"
-            );
-            let by_table = |name: &str| {
-                stats
-                    .partitions
-                    .iter()
-                    .find(|p| p.table == name)
-                    .cloned()
-                    .unwrap_or_default()
             };
-            assert_eq!(
-                by_table("t").checkpoints,
-                0,
-                "{policy:?}: under budget, only planned steps: {stats}"
+            assert!(
+                m.value("maintenance.compactions") > Some(0),
+                "{policy:?}: the worker never ran a planned step: {m}"
             );
             assert!(
-                by_table("over").checkpoints > 0 && by_table("over").compactions == 0,
-                "{policy:?}: over budget, the whole range: {stats}"
+                m.value("maintenance.compaction.blocks_reused") > Some(0),
+                "{policy:?}: steps reused no blocks: {m}"
+            );
+            assert_eq!(
+                table_value(&m, "maintenance.checkpoints", "t"),
+                0,
+                "{policy:?}: under budget, only planned steps: {m}"
+            );
+            assert!(
+                table_value(&m, "maintenance.checkpoints", "over") > 0
+                    && table_value(&m, "maintenance.compactions", "over") == 0,
+                "{policy:?}: over budget, the whole range: {m}"
             );
             // both kinds of step price their rewrite from their own report
             assert!(
-                stats.stable_bytes_written > 0 && stats.delta_bytes_retired > 0,
-                "{policy:?}: {stats:?}"
+                m.value("maintenance.stable_bytes_written") > Some(0)
+                    && m.value("maintenance.delta_bytes_retired") > Some(0),
+                "{policy:?}: {m}"
             );
-            assert_eq!(stats.errors, 0, "{policy:?}: {:?}", sched.last_error());
+            // compaction retirements count per partition too: "t" only
+            // ever compacted, and its partition holds what it retired —
+            // the distribution sums to the total
+            let retired = "maintenance.delta_bytes_retired";
+            assert!(part_value(&m, retired, "t", 0) > 0, "{policy:?}: {m}");
+            assert_eq!(
+                Some(table_value(&m, retired, "t") + table_value(&m, retired, "over")),
+                m.value(retired),
+                "{policy:?}: {m}"
+            );
+            assert_eq!(
+                m.value("maintenance.errors"),
+                Some(0),
+                "{policy:?}: {:?}",
+                sched.last_error()
+            );
             assert_eq!(
                 image(&db),
                 before,
                 "{policy:?}: compaction changed the image"
             );
-            let rendered = stats.to_string();
-            assert!(
-                rendered.contains("compaction steps"),
-                "Display must surface compaction: {rendered}"
-            );
             sched.shutdown();
         }
+    }
+
+    /// Maintenance is counted where the step passes, so steps called
+    /// inline count exactly like scheduled ones: one count per flush and
+    /// per step. With a scheduler running beside inline calls nothing is
+    /// counted twice — every PDT step logs one WAL marker, an independent
+    /// tally the step counts must equal.
+    #[test]
+    fn inline_and_scheduled_steps_are_counted_once() {
+        let dir = std::env::temp_dir().join(format!("maint_counted_once_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = Arc::new(Database::with_wal(&dir.join("t.wal")).unwrap());
+        db.create_table(
+            TableMeta::new(
+                "t",
+                Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]),
+                vec![0],
+            ),
+            TableOptions::default()
+                .with_block_rows(16)
+                .with_flush_threshold(0)
+                .with_checkpoint_threshold(0)
+                .with_partitions(PartitionSpec::Count(2))
+                .with_compaction(crate::CompactionConfig {
+                    enabled: true,
+                    max_unit_blocks: 1,
+                    min_delta_bytes: 1,
+                }),
+            (0..128)
+                .map(|i| vec![Value::Int(i * 10), Value::Int(i)])
+                .collect(),
+        )
+        .unwrap();
+        // eight keys over the whole range: both partitions get delta
+        let next = std::sync::atomic::AtomicI64::new(0);
+        let commit = || {
+            let mut t = db.begin();
+            for i in 0..8 {
+                let round = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                t.insert(
+                    "t",
+                    vec![Value::Int(i * 160 + 1 + 2 * round), Value::Int(0)],
+                )
+                .unwrap();
+            }
+            t.commit().unwrap();
+        };
+        let count = |name: &str| db.metrics().value(name).unwrap_or(0);
+        assert_eq!(db.metrics().value("maintenance.flushes"), Some(0));
+
+        commit();
+        assert!(db.maybe_flush("t", 0).unwrap());
+        assert_eq!(count("maintenance.flushes"), 2, "one per partition flushed");
+        assert!(!db.maybe_flush("t", 0).unwrap());
+        assert_eq!(
+            count("maintenance.flushes"),
+            2,
+            "an empty layer is no flush"
+        );
+        let report = db
+            .compact_partition("t", 0)
+            .unwrap()
+            .expect("a planned step");
+        let m = db.metrics();
+        assert_eq!(part_value(&m, "maintenance.compactions", "t", 0), 1);
+        assert_eq!(
+            m.value("maintenance.compaction.blocks_reused"),
+            Some(report.blocks_reused)
+        );
+        assert_eq!(m.value("maintenance.checkpoints"), Some(0));
+        commit();
+        assert!(db.checkpoint("t").unwrap());
+        let m = db.metrics();
+        for p in 0..2 {
+            assert_eq!(part_value(&m, "maintenance.checkpoints", "t", p), 1);
+        }
+        assert!(m.value("maintenance.delta_bytes_retired") > Some(0));
+        let steps = |m: &obs::MetricsSnapshot| {
+            m.value("maintenance.checkpoints").unwrap_or(0)
+                + m.value("maintenance.compactions").unwrap_or(0)
+        };
+        assert_eq!(Some(steps(&m)), m.value("db.wal.checkpoints"));
+
+        // the scheduler and inline checkpoints, side by side
+        let sched = MaintenanceScheduler::start(
+            db.clone(),
+            MaintenanceConfig::with_tick(Duration::from_millis(1)),
+        );
+        for _ in 0..20 {
+            commit();
+            db.checkpoint("t").unwrap();
+            sched.poke();
+        }
+        sched.drain().unwrap();
+        sched.shutdown();
+        let m = db.metrics();
+        assert_eq!(m.value("maintenance.errors"), Some(0));
+        assert!(steps(&m) > 3, "{m}");
+        assert_eq!(Some(steps(&m)), m.value("db.wal.checkpoints"), "{m}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -33,6 +33,7 @@
 
 use crate::compaction::PartitionHeat;
 use crate::delta::DeltaStore;
+use crate::maintenance::MaintMetrics;
 use crate::{DbError, TableOptions};
 use columnar::{BlockProvenance, IoTracker, StableTable, Tuple, Value};
 use parking_lot::Mutex;
@@ -59,11 +60,12 @@ pub enum PartitionSpec {
 
 /// One partition: its stable slice, its update structure, and the mutex
 /// serializing its maintenance (flush vs checkpoint) — commits and reads
-/// never take it.
+/// never take it. The mutex guards the partition's `maintenance.*`
+/// handles, so a step records what it did while it still holds it.
 pub(crate) struct PartitionEntry {
     pub stable: Arc<StableTable>,
     pub delta: Arc<dyn DeltaStore>,
-    pub maint: Arc<Mutex<()>>,
+    pub maint: Arc<Mutex<MaintMetrics>>,
     /// Per-block delta/scan heat of the current stable slice (reset on
     /// every stable swap) — the compaction planner's input.
     pub heat: Arc<PartitionHeat>,
@@ -84,13 +86,18 @@ pub(crate) struct PartitionEntry {
 impl PartitionEntry {
     /// A fresh entry around `stable`/`delta`, with cold heat and no image
     /// provenance.
-    pub fn new(stable: Arc<StableTable>, delta: Arc<dyn DeltaStore>, io: &IoTracker) -> Self {
+    pub fn new(
+        stable: Arc<StableTable>,
+        delta: Arc<dyn DeltaStore>,
+        io: &IoTracker,
+        metrics: MaintMetrics,
+    ) -> Self {
         let heat = PartitionHeat::new(stable.num_blocks());
         let heat_io = io.scoped(heat.clone());
         PartitionEntry {
             stable,
             delta,
-            maint: Arc::new(Mutex::new(())),
+            maint: Arc::new(Mutex::new(metrics)),
             heat,
             heat_io,
             provenance: Arc::new(Mutex::new(None)),

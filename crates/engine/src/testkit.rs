@@ -1419,15 +1419,15 @@ pub fn run_concurrent_differential(spec: ConcurrentSpec) -> Vec<Tuple> {
         scheduler
             .drain()
             .unwrap_or_else(|e| panic!("{policy:?}: drain failed: {e}"));
-        let stats = scheduler.stats();
+        let m = db.metrics();
         assert_eq!(
-            stats.errors,
-            0,
+            m.value("maintenance.errors"),
+            Some(0),
             "{policy:?}: maintenance errors: {:?}",
             scheduler.last_error()
         );
         assert!(
-            stats.checkpoints > 0,
+            m.value("maintenance.checkpoints") > Some(0),
             "{policy:?}: no checkpoint ran — the stress run exercised nothing"
         );
         scheduler.shutdown();

@@ -37,4 +37,4 @@ pub use ops::scan::{DeltaLayers, ScanBounds, ScanSegment, TableScan};
 pub use ops::sort::{Limit, Sort, SortKey, TopN};
 pub use ops::union::{ParallelUnionScan, ScanTask, UnionPart};
 pub use ops::{run_to_rows, BoxOp, Operator};
-pub use stats::{measure, LatencyStats, LatencySummary, QueryStats, ScanClock, RESERVOIR_CAP};
+pub use stats::{measure, QueryStats, ScanClock};

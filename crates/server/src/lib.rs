@@ -18,9 +18,10 @@
 //!   writers cannot outrun checkpointing and grow the delta without
 //!   bound;
 //! * per-table and per-session **metrics** ([`MetricsSnapshot`]): commit
-//!   and query latency percentiles (p50/p95/p99 via
-//!   [`exec::LatencyStats`]), throughput, abort/conflict/backpressure
-//!   counters.
+//!   and query latency percentiles (p50/p95/p99 from
+//!   [`obs::metrics::Histogram`]s), throughput, abort/conflict/backpressure
+//!   counters — recorded by the sessions into the database's one
+//!   [`obs::Registry`] and read back as views over one snapshot of it.
 //!
 //! Durability rides the engine's group-commit WAL path: sessions
 //! committing concurrently enqueue their records under the commit guard
@@ -52,15 +53,16 @@ pub use metrics::{CounterSnapshot, MetricsSnapshot, SessionMetricsSnapshot, Tabl
 
 use columnar::{ColumnVec, Tuple};
 use engine::{
-    Database, DbError, DbTxn, MaintenanceConfig, MaintenanceScheduler, MaintenanceStats, ReadView,
-    ScanSpec,
+    Database, DbError, DbTxn, MaintenanceConfig, MaintenanceScheduler, ReadView, ScanSpec,
 };
 use exec::expr::Expr;
 use exec::{Batch, ScanBounds, TableScan};
-use metrics::{Registry, SessionMetrics};
+use metrics::Series;
+use obs::metrics::Counter;
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
@@ -157,7 +159,7 @@ struct Shared {
     db: Arc<Database>,
     admission: AdmissionConfig,
     slow_query_threshold: Option<std::time::Duration>,
-    metrics: Registry,
+    started: Instant,
     /// Owned here (not by `Server`) so sessions can poke it; taken out on
     /// shutdown.
     sched: Mutex<Option<MaintenanceScheduler>>,
@@ -169,7 +171,25 @@ impl Shared {
             s.poke();
         }
     }
+
+    /// The database's metrics plus `server.uptime_ns`, with the per-table
+    /// and per-session views read out of them.
+    fn metrics(&self) -> MetricsSnapshot {
+        let uptime = self.started.elapsed();
+        let mut unified = self.db.metrics();
+        let uptime_ns = u64::try_from(uptime.as_nanos()).unwrap_or(u64::MAX);
+        unified.insert(
+            "server.uptime_ns",
+            &[],
+            obs::metrics::MetricValue::Gauge(uptime_ns),
+        );
+        MetricsSnapshot::over(uptime, unified)
+    }
 }
+
+/// Session ids, process-wide: they tell same-named sessions apart and
+/// order them by creation even when two servers share one database.
+static NEXT_SESSION: AtomicU64 = AtomicU64::new(0);
 
 /// The serving front end: owns the database and its maintenance, hands
 /// out [`Session`]s.
@@ -191,7 +211,7 @@ impl Server {
                 db,
                 admission: cfg.admission,
                 slow_query_threshold: cfg.slow_query_threshold,
-                metrics: Registry::new(),
+                started: Instant::now(),
                 sched: Mutex::new(sched),
             }),
             pool: pool::WorkerPool::new(cfg.max_sessions),
@@ -229,9 +249,16 @@ impl Server {
     /// independent: each transaction gets its own snapshot, commits are
     /// coordinated by the engine.
     pub fn session(&self, name: &str) -> Session {
+        let id = NEXT_SESSION.fetch_add(1, Relaxed);
+        let reg = self.shared.db.registry();
+        let labels = [("session", name), ("id", &id.to_string())];
         Session {
             shared: self.shared.clone(),
-            metrics: self.shared.metrics.session(name),
+            name: name.to_string(),
+            id,
+            series: Series::resolve(reg, "server.session", "query_latency_ns", &labels),
+            queries: reg.counter("server.session.queries", &labels),
+            labels: Mutex::new(HashMap::new()),
         }
     }
 
@@ -268,18 +295,10 @@ impl Server {
         self.pool.limit()
     }
 
-    /// Freeze and return all serving metrics, including the maintenance
-    /// scheduler's flush/checkpoint/compaction counters when one runs.
+    /// Freeze and return all serving metrics — the database's, its
+    /// maintenance's (inline and scheduled) and the sessions'.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared
-            .metrics
-            .snapshot(&self.shared.db, self.maintenance_stats())
-    }
-
-    /// The maintenance scheduler's counters (`None` when maintenance is
-    /// disabled).
-    pub fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        self.shared.sched.lock().as_ref().map(|s| s.stats())
+        self.shared.metrics()
     }
 
     /// Wake the maintenance workers now (admission control does this
@@ -298,17 +317,14 @@ impl Server {
     }
 
     /// Stop the worker pool (letting queued sessions finish) and the
-    /// maintenance scheduler; returns the final metrics.
+    /// maintenance scheduler; returns the final metrics, frozen after the
+    /// workers joined.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.pool.shutdown();
-        let maint = if let Some(s) = self.shared.sched.lock().take() {
-            let stats = s.stats();
+        if let Some(s) = self.shared.sched.lock().take() {
             s.shutdown();
-            Some(stats)
-        } else {
-            None
-        };
-        self.shared.metrics.snapshot(&self.shared.db, maint)
+        }
+        self.shared.metrics()
     }
 }
 
@@ -332,12 +348,35 @@ impl<T> SessionHandle<T> {
 /// read its own metrics. Cheap to create; safe to move across threads.
 pub struct Session {
     shared: Arc<Shared>,
-    metrics: Arc<SessionMetrics>,
+    name: String,
+    id: u64,
+    series: Series,
+    queries: Arc<Counter>,
+    /// The `server.table.*` handles of every table / query label this
+    /// session recorded under, resolved on first use.
+    labels: Mutex<HashMap<String, Arc<Series>>>,
 }
 
 impl Session {
     pub fn name(&self) -> &str {
-        &self.metrics.name
+        &self.name
+    }
+
+    /// The `server.table.*{table = label}` handles.
+    fn label(&self, label: &str) -> Arc<Series> {
+        let mut labels = self.labels.lock();
+        if let Some(s) = labels.get(label) {
+            return s.clone();
+        }
+        let reg = self.shared.db.registry();
+        let s = Arc::new(Series::resolve(
+            reg,
+            "server.table",
+            "scan_latency_ns",
+            &[("table", label)],
+        ));
+        labels.insert(label.to_string(), s.clone());
+        s
     }
 
     /// The served database (for reads that bypass metrics, e.g. schema
@@ -371,13 +410,9 @@ impl Session {
         let t0 = Instant::now();
         let out = f(&view);
         let elapsed = t0.elapsed();
-        self.metrics.queries.fetch_add(1, Relaxed);
-        self.metrics.query_latency.record(elapsed);
-        self.shared
-            .metrics
-            .table(label)
-            .scan_latency
-            .record(elapsed);
+        self.queries.inc();
+        self.series.read_latency.record(elapsed);
+        self.label(label).read_latency.record(elapsed);
         // slow-query log: a structured trace event keyed by the query
         // label, so the drain can correlate it with the scan's I/O
         if obs::trace::enabled() {
@@ -396,20 +431,12 @@ impl Session {
 
     /// This session's frozen metrics.
     pub fn metrics(&self) -> SessionMetricsSnapshot {
-        let s = &self.metrics;
-        SessionMetricsSnapshot {
-            name: s.name.clone(),
-            counters: CounterSnapshot {
-                commits: s.counters.commits.load(Relaxed),
-                aborts: s.counters.aborts.load(Relaxed),
-                conflicts: s.counters.conflicts.load(Relaxed),
-                delays: s.counters.delays.load(Relaxed),
-                rejects: s.counters.rejects.load(Relaxed),
-            },
-            queries: s.queries.load(Relaxed),
-            commit_latency: s.commit_latency.summary(),
-            query_latency: s.query_latency.summary(),
-        }
+        let unified = self.shared.db.registry().snapshot();
+        MetricsSnapshot::over(self.shared.started.elapsed(), unified)
+            .sessions
+            .into_iter()
+            .find(|s| s.id == self.id)
+            .unwrap_or_default()
     }
 
     /// Admission check for a write to `table` (see [`admission`]): admit,
@@ -428,13 +455,8 @@ impl Session {
         }
         // over the soft limit: charge a delay, wake maintenance, and give
         // it up to `max_delay` to drain the table under us
-        self.metrics.counters.delays.fetch_add(1, Relaxed);
-        shared
-            .metrics
-            .table(table)
-            .counters
-            .delays
-            .fetch_add(1, Relaxed);
+        self.series.delays.inc();
+        self.label(table).delays.inc();
         let trace_table = obs::trace::enabled().then(|| obs::trace::intern(table));
         let t0 = Instant::now();
         let waited = loop {
@@ -461,13 +483,8 @@ impl Session {
             return Ok(());
         }
         if bytes > hard {
-            self.metrics.counters.rejects.fetch_add(1, Relaxed);
-            shared
-                .metrics
-                .table(table)
-                .counters
-                .rejects
-                .fetch_add(1, Relaxed);
+            self.series.rejects.inc();
+            self.label(table).rejects.inc();
             if let Some(t) = trace_table {
                 obs::event!(
                     obs::TraceKind::AdmissionReject,
@@ -602,35 +619,35 @@ impl<'s> SessionTxn<'s> {
     /// Conflicts count as aborts (and conflicts) in the metrics.
     pub fn commit(mut self) -> Result<u64, ServerError> {
         let txn = self.txn.take().expect("transaction still open");
-        let counters = &self.session.metrics.counters;
+        let session = self.session;
         let t0 = Instant::now();
         match txn.commit() {
             Ok(seq) => {
                 let elapsed = t0.elapsed();
-                counters.commits.fetch_add(1, Relaxed);
-                self.session.metrics.commit_latency.record(elapsed);
+                let record = |s: &Series| {
+                    s.commits.inc();
+                    s.commit_latency.record(elapsed);
+                };
+                record(&session.series);
                 for table in &self.touched {
-                    let tm = self.session.shared.metrics.table(table);
-                    tm.counters.commits.fetch_add(1, Relaxed);
-                    tm.commit_latency.record(elapsed);
+                    record(&session.label(table));
                 }
                 Ok(seq)
             }
             Err(e) => {
-                counters.aborts.fetch_add(1, Relaxed);
                 let conflict = matches!(
                     e,
                     DbError::Conflict { .. } | DbError::Txn(txn::TxnError::Conflict { .. })
                 );
-                if conflict {
-                    counters.conflicts.fetch_add(1, Relaxed);
-                }
-                for table in &self.touched {
-                    let tm = self.session.shared.metrics.table(table);
-                    tm.counters.aborts.fetch_add(1, Relaxed);
+                let record = |s: &Series| {
+                    s.aborts.inc();
                     if conflict {
-                        tm.counters.conflicts.fetch_add(1, Relaxed);
+                        s.conflicts.inc();
                     }
+                };
+                record(&session.series);
+                for table in &self.touched {
+                    record(&session.label(table));
                 }
                 Err(e.into())
             }
@@ -641,7 +658,7 @@ impl<'s> SessionTxn<'s> {
     pub fn abort(mut self) {
         if let Some(txn) = self.txn.take() {
             txn.abort();
-            self.session.metrics.counters.aborts.fetch_add(1, Relaxed);
+            self.session.series.aborts.inc();
         }
     }
 }
@@ -650,7 +667,7 @@ impl Drop for SessionTxn<'_> {
     fn drop(&mut self) {
         if let Some(txn) = self.txn.take() {
             txn.abort();
-            self.session.metrics.counters.aborts.fetch_add(1, Relaxed);
+            self.session.series.aborts.inc();
         }
     }
 }
@@ -973,6 +990,41 @@ mod tests {
         }
     }
 
+    /// The final snapshot is frozen after the scheduler's workers joined,
+    /// so a step in flight at shutdown is in it: it equals what the
+    /// database reports afterwards on every shared series.
+    #[test]
+    fn shutdown_snapshot_is_taken_after_the_join() {
+        let opts = TableOptions::default()
+            .with_flush_threshold(0)
+            .with_checkpoint_threshold(512);
+        let db = db_with(UpdatePolicy::Pdt, opts);
+        let server = Server::start(
+            db.clone(),
+            ServerConfig {
+                maintenance: Some(MaintenanceConfig::with_tick(Duration::from_millis(1))),
+                admission: AdmissionConfig::disabled(),
+                ..ServerConfig::default()
+            },
+        );
+        let s = server.session("writer");
+        for i in 0..50 {
+            let mut txn = s.begin();
+            txn.append("t", batch(10_000 + i * 8, 8)).unwrap();
+            txn.commit().unwrap();
+        }
+        let fin = server.shutdown();
+        assert!(fin.unified.value("maintenance.checkpoints") > Some(0));
+        assert_eq!(fin.sessions[0].counters.commits, 50);
+        let shared = |m: obs::MetricsSnapshot| -> Vec<_> {
+            m.metrics
+                .into_iter()
+                .filter(|e| !matches!(e.name.as_str(), "server.uptime_ns" | "obs.trace.dropped"))
+                .collect()
+        };
+        assert_eq!(shared(fin.unified), shared(db.metrics()));
+    }
+
     #[test]
     fn query_labels_key_the_shared_registry() {
         let db = db_with(UpdatePolicy::Pdt, TableOptions::default());
@@ -997,7 +1049,7 @@ mod tests {
         }
         let m = server.metrics();
         let q = m.tables.iter().find(|t| t.name == "q06").unwrap();
-        assert_eq!(q.scan_latency.unwrap().count, 3);
+        assert_eq!(q.scan_latency.as_ref().unwrap().count, 3);
         assert_eq!(s.metrics().queries, 3);
         server.shutdown();
     }

@@ -1,41 +1,47 @@
-//! Per-table and per-session serving metrics, built on
-//! [`exec::LatencyStats`].
+//! Per-table and per-session serving metrics: typed views over the
+//! database's one [`obs::Registry`].
 //!
-//! Sessions record commit and query latencies into two registries: one
-//! keyed by session name, one keyed by an arbitrary label — table names
-//! for commit latency, and whatever the caller passes to
-//! [`crate::Session::query`] (a table name, a query id like `q06`) for
-//! scan latency. [`MetricsSnapshot`] freezes everything (counters plus
-//! nearest-rank p50/p95/p99 summaries) and implements `Display` for a
-//! one-call report.
+//! Sessions record where the event happens, into handles resolved once:
+//! `server.session.*{session, id}` per session and
+//! `server.table.*{table}` per label — table names for commits, whatever
+//! the caller passes to [`crate::Session::query`] (a table name, a query
+//! id like `q06`) for reads. Each label set carries the event counters
+//! and two `*_latency_ns` [`obs::metrics::Histogram`]s. A
+//! [`MetricsSnapshot`] is one frozen registry snapshot (`unified`) plus
+//! the per-table and per-session views read out of it, and implements
+//! `Display` for a one-call report.
 
-use engine::{Database, MaintenanceStats};
-use exec::{LatencyStats, LatencySummary};
-use parking_lot::{Mutex, RwLock};
+use obs::metrics::{Counter, Histogram, HistogramSnapshot, MetricValue};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Shared event counters (one set per table, one per session).
-#[derive(Default)]
-pub(crate) struct Counters {
-    pub commits: AtomicU64,
-    pub aborts: AtomicU64,
-    pub conflicts: AtomicU64,
-    pub delays: AtomicU64,
-    pub rejects: AtomicU64,
+/// The handles one session or one table / query label records into.
+pub(crate) struct Series {
+    pub commits: Arc<Counter>,
+    pub aborts: Arc<Counter>,
+    pub conflicts: Arc<Counter>,
+    pub delays: Arc<Counter>,
+    pub rejects: Arc<Counter>,
+    pub commit_latency: Arc<Histogram>,
+    /// `query_latency_ns` of a session, `scan_latency_ns` of a label.
+    pub read_latency: Arc<Histogram>,
 }
 
-impl Counters {
-    fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            commits: self.commits.load(Relaxed),
-            aborts: self.aborts.load(Relaxed),
-            conflicts: self.conflicts.load(Relaxed),
-            delays: self.delays.load(Relaxed),
-            rejects: self.rejects.load(Relaxed),
+impl Series {
+    /// Resolve `<prefix>.{commits, …, commit_latency_ns, <read>}` under
+    /// `labels`.
+    pub fn resolve(reg: &obs::Registry, prefix: &str, read: &str, labels: &[(&str, &str)]) -> Self {
+        let counter = |name: &str| reg.counter(&format!("{prefix}.{name}"), labels);
+        Series {
+            commits: counter("commits"),
+            aborts: counter("aborts"),
+            conflicts: counter("conflicts"),
+            delays: counter("delays"),
+            rejects: counter("rejects"),
+            commit_latency: reg.histogram(&format!("{prefix}.commit_latency_ns"), labels),
+            read_latency: reg.histogram(&format!("{prefix}.{read}"), labels),
         }
     }
 }
@@ -55,43 +61,47 @@ pub struct CounterSnapshot {
     pub rejects: u64,
 }
 
-pub(crate) struct TableMetrics {
-    pub counters: Counters,
-    pub commit_latency: LatencyStats,
-    pub scan_latency: LatencyStats,
-}
-
-pub(crate) struct SessionMetrics {
-    pub name: String,
-    pub counters: Counters,
-    pub queries: AtomicU64,
-    pub commit_latency: LatencyStats,
-    pub query_latency: LatencyStats,
+impl CounterSnapshot {
+    /// Take the series `field` (`commits`, `aborts`, …) of a counter set;
+    /// any other field is not a counter of the set.
+    fn set(&mut self, field: &str, v: &MetricValue) {
+        let slot = match field {
+            "commits" => &mut self.commits,
+            "aborts" => &mut self.aborts,
+            "conflicts" => &mut self.conflicts,
+            "delays" => &mut self.delays,
+            "rejects" => &mut self.rejects,
+            _ => return,
+        };
+        *slot = v.as_u64().unwrap_or(0);
+    }
 }
 
 /// One table's (or query label's) frozen metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TableMetricsSnapshot {
     pub name: String,
     pub counters: CounterSnapshot,
     /// Commit latency of transactions that touched the table.
-    pub commit_latency: Option<LatencySummary>,
+    pub commit_latency: Option<HistogramSnapshot>,
     /// Latency of queries recorded under this label.
-    pub scan_latency: Option<LatencySummary>,
+    pub scan_latency: Option<HistogramSnapshot>,
 }
 
 /// One session's frozen metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionMetricsSnapshot {
     pub name: String,
+    /// Distinguishes sessions sharing a name; ascending in creation order.
+    pub id: u64,
     pub counters: CounterSnapshot,
     /// Queries the session ran via [`crate::Session::query`].
     pub queries: u64,
-    pub commit_latency: Option<LatencySummary>,
-    pub query_latency: Option<LatencySummary>,
+    pub commit_latency: Option<HistogramSnapshot>,
+    pub query_latency: Option<HistogramSnapshot>,
 }
 
-/// Everything the server measured, frozen at one instant.
+/// Everything the server and its database measured, frozen at one instant.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     /// Time since the server started.
@@ -100,19 +110,69 @@ pub struct MetricsSnapshot {
     pub tables: Vec<TableMetricsSnapshot>,
     /// Per-session metrics, in session creation order.
     pub sessions: Vec<SessionMetricsSnapshot>,
-    /// Background maintenance counters — flushes, checkpoints, and
-    /// sub-partition compaction (steps, blocks merged vs reused, stable
-    /// bytes saved). `None` when the server runs without a scheduler.
-    pub maintenance: Option<MaintenanceStats>,
-    /// Everything above plus the engine's own counters, re-expressed in
-    /// the unified dotted namespace ([`engine::Database::pour_metrics`]
-    /// for the `db.*` names, `server.*`/`maintenance.*` for this crate) —
-    /// exposition-ready via [`obs::MetricsSnapshot::to_text`]
-    /// (Prometheus) or [`obs::MetricsSnapshot::to_json`].
+    /// The database's registry frozen ([`engine::Database::metrics`]: the
+    /// engine's `db.*`, the `maintenance.*` series, this crate's
+    /// `server.*`) plus `server.uptime_ns` — the one source every view
+    /// above is read from. Exposition-ready via
+    /// [`obs::MetricsSnapshot::to_text`] (Prometheus) or
+    /// [`obs::MetricsSnapshot::to_json`].
     pub unified: obs::MetricsSnapshot,
 }
 
+/// A latency histogram that recorded anything.
+fn latency(v: &MetricValue) -> Option<HistogramSnapshot> {
+    match v {
+        MetricValue::Histogram(h) if h.count > 0 => Some(h.clone()),
+        _ => None,
+    }
+}
+
 impl MetricsSnapshot {
+    /// The typed views over one frozen registry snapshot.
+    pub(crate) fn over(uptime: Duration, unified: obs::MetricsSnapshot) -> Self {
+        let mut tables: BTreeMap<&str, TableMetricsSnapshot> = BTreeMap::new();
+        let mut sessions: BTreeMap<u64, SessionMetricsSnapshot> = BTreeMap::new();
+        for e in &unified.metrics {
+            if let (Some(field), Some(name)) =
+                (e.name.strip_prefix("server.table."), e.label("table"))
+            {
+                let t = tables.entry(name).or_insert_with(|| TableMetricsSnapshot {
+                    name: name.to_string(),
+                    ..Default::default()
+                });
+                match field {
+                    "commit_latency_ns" => t.commit_latency = latency(&e.value),
+                    "scan_latency_ns" => t.scan_latency = latency(&e.value),
+                    _ => t.counters.set(field, &e.value),
+                }
+            } else if let (Some(field), Some(name), Some(id)) = (
+                e.name.strip_prefix("server.session."),
+                e.label("session"),
+                e.label("id").and_then(|id| id.parse().ok()),
+            ) {
+                let s = sessions
+                    .entry(id)
+                    .or_insert_with(|| SessionMetricsSnapshot {
+                        name: name.to_string(),
+                        id,
+                        ..Default::default()
+                    });
+                match field {
+                    "queries" => s.queries = e.value.as_u64().unwrap_or(0),
+                    "commit_latency_ns" => s.commit_latency = latency(&e.value),
+                    "query_latency_ns" => s.query_latency = latency(&e.value),
+                    _ => s.counters.set(field, &e.value),
+                }
+            }
+        }
+        MetricsSnapshot {
+            uptime,
+            tables: tables.into_values().collect(),
+            sessions: sessions.into_values().collect(),
+            unified,
+        }
+    }
+
     /// Total committed transactions across sessions.
     pub fn total_commits(&self) -> u64 {
         self.sessions.iter().map(|s| s.counters.commits).sum()
@@ -134,7 +194,11 @@ impl MetricsSnapshot {
     }
 }
 
-fn fmt_latency(f: &mut fmt::Formatter<'_>, label: &str, l: &Option<LatencySummary>) -> fmt::Result {
+fn fmt_latency(
+    f: &mut fmt::Formatter<'_>,
+    label: &str,
+    l: &Option<HistogramSnapshot>,
+) -> fmt::Result {
     match l {
         Some(s) => write!(f, " {label}[{s}]"),
         None => Ok(()),
@@ -174,224 +238,76 @@ impl fmt::Display for MetricsSnapshot {
             fmt_latency(f, "query", &s.query_latency)?;
             writeln!(f)?;
         }
-        if let Some(m) = &self.maintenance {
-            writeln!(f, "  {m}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Live metric stores, created on demand.
-pub(crate) struct Registry {
-    started: Instant,
-    tables: RwLock<BTreeMap<String, Arc<TableMetrics>>>,
-    sessions: Mutex<Vec<Arc<SessionMetrics>>>,
-}
-
-impl Registry {
-    pub fn new() -> Self {
-        Registry {
-            started: Instant::now(),
-            tables: RwLock::new(BTreeMap::new()),
-            sessions: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Get-or-create the metrics of a table / query label.
-    pub fn table(&self, name: &str) -> Arc<TableMetrics> {
-        if let Some(t) = self.tables.read().get(name) {
-            return t.clone();
-        }
-        self.tables
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| {
-                Arc::new(TableMetrics {
-                    counters: Counters::default(),
-                    commit_latency: LatencyStats::new(),
-                    scan_latency: LatencyStats::new(),
-                })
-            })
-            .clone()
-    }
-
-    /// Register a new session's metrics (sessions are never deduplicated —
-    /// two sessions with one name report separately).
-    pub fn session(&self, name: &str) -> Arc<SessionMetrics> {
-        let m = Arc::new(SessionMetrics {
-            name: name.to_string(),
-            counters: Counters::default(),
-            queries: AtomicU64::new(0),
-            commit_latency: LatencyStats::new(),
-            query_latency: LatencyStats::new(),
-        });
-        self.sessions.lock().push(m.clone());
-        m
-    }
-
-    /// Freeze everything; `maintenance` is the scheduler's counters
-    /// (owned by the server, not the registry), passed through verbatim;
-    /// `db` contributes the engine's `db.*` names to the unified view.
-    pub fn snapshot(
-        &self,
-        db: &Database,
-        maintenance: Option<MaintenanceStats>,
-    ) -> MetricsSnapshot {
-        MetricsSnapshot {
-            uptime: self.started.elapsed(),
-            unified: self.unified(db, maintenance.as_ref()),
-            maintenance,
-            tables: self
-                .tables
-                .read()
-                .iter()
-                .map(|(name, t)| TableMetricsSnapshot {
-                    name: name.clone(),
-                    counters: t.counters.snapshot(),
-                    commit_latency: t.commit_latency.summary(),
-                    scan_latency: t.scan_latency.summary(),
-                })
-                .collect(),
-            sessions: self
-                .sessions
-                .lock()
-                .iter()
-                .map(|s| SessionMetricsSnapshot {
-                    name: s.name.clone(),
-                    counters: s.counters.snapshot(),
-                    queries: s.queries.load(Relaxed),
-                    commit_latency: s.commit_latency.summary(),
-                    query_latency: s.query_latency.summary(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Pour every stat island into one [`obs::Registry`] and freeze it:
-    /// the engine's `db.*` names, the scheduler's `maintenance.*`
-    /// counters, and this registry's `server.*` counters and latency
-    /// percentiles (gauges labelled with `q="p50"|"p95"|"p99"|"max"`).
-    fn unified(
-        &self,
-        db: &Database,
-        maintenance: Option<&MaintenanceStats>,
-    ) -> obs::MetricsSnapshot {
-        let reg = obs::Registry::new();
-        db.pour_metrics(&reg);
-        reg.gauge("server.uptime_ns", &[])
-            .set(self.started.elapsed().as_nanos() as u64);
-        if let Some(m) = maintenance {
-            reg.counter("maintenance.flushes", &[]).add(m.flushes);
-            reg.counter("maintenance.checkpoints", &[])
-                .add(m.checkpoints);
-            reg.counter("maintenance.compactions", &[])
-                .add(m.compactions);
-            reg.counter("maintenance.compaction.blocks_merged", &[])
-                .add(m.compaction_blocks_merged);
-            reg.counter("maintenance.compaction.blocks_reused", &[])
-                .add(m.compaction_blocks_reused);
-            reg.counter("maintenance.compaction.bytes_saved", &[])
-                .add(m.compaction_bytes_saved);
-            reg.counter("maintenance.stable_bytes_written", &[])
-                .add(m.stable_bytes_written);
-            reg.counter("maintenance.delta_bytes_retired", &[])
-                .add(m.delta_bytes_retired);
-            reg.counter("maintenance.errors", &[]).add(m.errors);
-        }
-        for (name, t) in self.tables.read().iter() {
-            let key = ("table", name.as_str());
-            let c = t.counters.snapshot();
-            reg.counter("server.table.commits", &[key]).add(c.commits);
-            reg.counter("server.table.aborts", &[key]).add(c.aborts);
-            reg.counter("server.table.conflicts", &[key])
-                .add(c.conflicts);
-            reg.counter("server.table.delays", &[key]).add(c.delays);
-            reg.counter("server.table.rejects", &[key]).add(c.rejects);
-            pour_latency(
-                &reg,
-                "server.table.commit_latency_ns",
-                key,
-                t.commit_latency.summary(),
-            );
-            pour_latency(
-                &reg,
-                "server.table.scan_latency_ns",
-                key,
-                t.scan_latency.summary(),
-            );
-        }
-        for s in self.sessions.lock().iter() {
-            let key = ("session", s.name.as_str());
-            let c = s.counters.snapshot();
-            reg.counter("server.session.commits", &[key]).add(c.commits);
-            reg.counter("server.session.aborts", &[key]).add(c.aborts);
-            reg.counter("server.session.conflicts", &[key])
-                .add(c.conflicts);
-            reg.counter("server.session.queries", &[key])
-                .add(s.queries.load(Relaxed));
-            pour_latency(
-                &reg,
-                "server.session.commit_latency_ns",
-                key,
-                s.commit_latency.summary(),
-            );
-            pour_latency(
-                &reg,
-                "server.session.query_latency_ns",
-                key,
-                s.query_latency.summary(),
-            );
-        }
-        reg.snapshot()
-    }
-}
-
-/// Pour one latency summary as labelled percentile gauges (skipped when
-/// nothing was recorded).
-fn pour_latency(
-    reg: &obs::Registry,
-    metric: &str,
-    key: (&str, &str),
-    summary: Option<LatencySummary>,
-) {
-    let Some(s) = summary else { return };
-    for (q, v) in [
-        ("p50", s.p50_ns),
-        ("p95", s.p95_ns),
-        ("p99", s.p99_ns),
-        ("max", s.max_ns),
-    ] {
-        reg.gauge(metric, &[key, ("q", q)]).set(v);
+        let m = |name: &str| self.unified.value(name).unwrap_or(0);
+        writeln!(
+            f,
+            "  maintenance: {} flushes, {} checkpoints, {} compaction steps \
+             ({} blocks merged / {} reused, {} stable bytes saved), {} errors",
+            m("maintenance.flushes"),
+            m("maintenance.checkpoints"),
+            m("maintenance.compactions"),
+            m("maintenance.compaction.blocks_merged"),
+            m("maintenance.compaction.blocks_reused"),
+            m("maintenance.compaction.bytes_saved"),
+            m("maintenance.errors"),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::Database;
 
     #[test]
     fn registry_snapshot_and_display() {
-        let r = Registry::new();
-        let t = r.table("orders");
-        t.counters.commits.fetch_add(3, Relaxed);
-        t.commit_latency.record(Duration::from_micros(120));
-        assert!(Arc::ptr_eq(&t, &r.table("orders")), "get-or-create");
-        let s = r.session("rf-0");
-        s.counters.commits.fetch_add(3, Relaxed);
-        s.queries.fetch_add(1, Relaxed);
-        s.query_latency.record(Duration::from_micros(50));
-        let maint = MaintenanceStats {
-            compactions: 2,
-            compaction_blocks_reused: 11,
-            ..Default::default()
-        };
         let db = Database::new();
-        let snap = r.snapshot(&db, Some(maint));
-        assert_eq!(snap.tables.len(), 1);
+        let reg = db.registry();
+        let t = Series::resolve(
+            reg,
+            "server.table",
+            "scan_latency_ns",
+            &[("table", "orders")],
+        );
+        t.commits.add(3);
+        t.commit_latency.record(Duration::from_micros(120));
+        let q = Series::resolve(reg, "server.table", "scan_latency_ns", &[("table", "q06")]);
+        q.read_latency.record(Duration::from_micros(70));
+        // two sessions sharing a name report separately, in creation order
+        for (id, commits) in [("7", 3), ("12", 1)] {
+            let labels = [("session", "rf-0"), ("id", id)];
+            let s = Series::resolve(reg, "server.session", "query_latency_ns", &labels);
+            s.commits.add(commits);
+            s.read_latency.record(Duration::from_micros(50));
+            reg.counter("server.session.queries", &labels).inc();
+        }
+        reg.counter(
+            "maintenance.compactions",
+            &[("table", "orders"), ("partition", "0")],
+        )
+        .add(2);
+        reg.counter(
+            "maintenance.compaction.blocks_reused",
+            &[("table", "orders"), ("partition", "1")],
+        )
+        .add(11);
+        let snap = MetricsSnapshot::over(Duration::from_secs(1), db.metrics());
+        // query labels key `tables` beside table names, sorted by name
+        let names: Vec<&str> = snap.tables.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["orders", "q06"]);
         assert_eq!(snap.tables[0].counters.commits, 3);
-        assert_eq!(snap.tables[0].commit_latency.unwrap().count, 1);
-        assert_eq!(snap.total_commits(), 3);
-        assert_eq!(snap.total_queries(), 1);
+        assert_eq!(snap.tables[0].commit_latency.as_ref().unwrap().count, 1);
+        assert!(snap.tables[0].scan_latency.is_none(), "nothing recorded");
+        assert_eq!(snap.tables[1].scan_latency.as_ref().unwrap().count, 1);
+        let ids: Vec<(u64, u64)> = snap
+            .sessions
+            .iter()
+            .map(|s| (s.id, s.counters.commits))
+            .collect();
+        assert_eq!(ids, [(7, 3), (12, 1)]);
+        assert!(snap.sessions.iter().all(|s| s.name == "rf-0"));
+        assert_eq!(snap.total_commits(), 4);
+        assert_eq!(snap.total_queries(), 2);
         assert!(snap.commits_per_sec() > 0.0);
         let text = snap.to_string();
         assert!(text.contains("table orders"), "{text}");
@@ -399,19 +315,16 @@ mod tests {
         assert!(text.contains("p99"), "{text}");
         assert!(text.contains("2 compaction steps"), "{text}");
         assert!(text.contains("11 reused"), "{text}");
-        // the same facts re-expressed in the unified namespace
+        // the views are read out of the unified snapshot
         let u = &snap.unified;
         let commits = u
             .get_labeled("server.table.commits", &[("table", "orders")])
             .unwrap();
         assert_eq!(commits.value.as_u64(), Some(3));
-        let p50 = u
-            .get_labeled(
-                "server.table.commit_latency_ns",
-                &[("table", "orders"), ("q", "p50")],
-            )
+        let latency = u
+            .get_labeled("server.table.commit_latency_ns", &[("table", "orders")])
             .unwrap();
-        assert!(p50.value.as_u64().unwrap() > 0);
+        assert!(matches!(&latency.value, MetricValue::Histogram(h) if h.quantile(0.5) > Some(0)));
         assert_eq!(u.value("maintenance.compactions"), Some(2));
         assert_eq!(u.value("db.txn.seq"), Some(0));
         let prom = u.to_text();

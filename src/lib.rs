@@ -37,7 +37,6 @@ pub mod prelude {
         Database, DbError, DbTxn, MaintenanceConfig, MaintenanceScheduler, QueryProfile, ScanSpec,
         TableOptions, UpdatePolicy, WalStats,
     };
-    pub use exec::{LatencyStats, LatencySummary};
     pub use obs::{TraceEvent, TraceKind};
     pub use server::{
         AdmissionConfig, CounterSnapshot, MetricsSnapshot, Server, ServerConfig, ServerError,

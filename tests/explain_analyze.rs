@@ -139,13 +139,15 @@ fn server_metrics_show_live_maintenance_progress() {
             txn.insert("t", vec![Value::Int(k), Value::Int(i)]).unwrap();
         }
         txn.commit().unwrap();
-        let maint = server.maintenance_stats().expect("scheduler running");
-        if maint.flushes > 0 && maint.checkpoints > 0 {
-            break server.metrics();
+        let m = server.metrics();
+        let u = &m.unified;
+        if u.value("maintenance.flushes") > Some(0) && u.value("maintenance.checkpoints") > Some(0)
+        {
+            break m;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "maintenance never progressed: {maint:?}"
+            "maintenance never progressed: {u}"
         );
         std::thread::sleep(std::time::Duration::from_millis(2));
     };

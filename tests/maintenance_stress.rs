@@ -358,7 +358,12 @@ fn scheduler_with_wal_survives_crash_recovery() {
             t.commit().unwrap();
         }
         sched.drain().unwrap();
-        assert_eq!(sched.stats().errors, 0, "{:?}", sched.last_error());
+        assert_eq!(
+            db.metrics().value("maintenance.errors"),
+            Some(0),
+            "{:?}",
+            sched.last_error()
+        );
         sched.shutdown();
         let live = image(&db);
         // after drain, everything is stable: the clean image is the
