@@ -52,6 +52,7 @@
 //! plain drop).
 
 use crate::batch::{DmlBatch, PreImageOf};
+use crate::compaction::PartitionHeat;
 use crate::delta::{DeltaSnapshot, DeltaTxn};
 use crate::partition::{self, TableEntry};
 use crate::{Database, DbError, ScanSpec};
@@ -70,12 +71,6 @@ pub(crate) struct TxnPart {
     stable: Arc<StableTable>,
     snap: Arc<dyn DeltaSnapshot>,
     staged: Option<Box<dyn DeltaTxn>>,
-    /// The partition's compaction heat map: staged batches charge their
-    /// payload bytes to the stable blocks they overlap.
-    heat: Arc<crate::compaction::PartitionHeat>,
-    /// Partition-scoped I/O tracker (shared counters + heat sink) the
-    /// transaction's scans of this partition charge.
-    heat_io: columnar::IoTracker,
 }
 
 impl TxnPart {
@@ -101,32 +96,35 @@ impl TxnPart {
 }
 
 /// Per-table state captured at transaction begin: one [`TxnPart`] per
-/// partition, plus the split points that route writes between them.
+/// partition, beside the table's entry — split points, heat maps and
+/// options are read from it, not copied.
 pub(crate) struct TxnTable {
+    entry: Arc<TableEntry>,
     parts: Vec<TxnPart>,
-    splits: Vec<Vec<Value>>,
 }
 
 impl TxnTable {
-    pub(crate) fn new(entry: &TableEntry) -> Self {
-        TxnTable {
-            parts: entry
-                .parts
-                .iter()
-                .map(|p| TxnPart {
-                    stable: p.stable.clone(),
-                    snap: p.delta.snapshot(),
-                    staged: None,
-                    heat: p.heat.clone(),
-                    heat_io: p.heat_io.clone(),
-                })
-                .collect(),
-            splits: entry.splits.clone(),
-        }
+    pub(crate) fn new(entry: Arc<TableEntry>) -> Self {
+        let parts = entry
+            .parts
+            .iter()
+            .map(|p| TxnPart {
+                stable: p.stable(),
+                snap: p.delta.snapshot(),
+                staged: None,
+            })
+            .collect();
+        TxnTable { entry, parts }
     }
 
     fn schema(&self) -> &Schema {
-        self.parts[0].stable.schema()
+        &self.entry.schema
+    }
+
+    /// Partition-scoped I/O tracker (shared counters + heat sink) the
+    /// transaction's scans of partition `p` charge.
+    fn heat_io(&self, p: usize) -> columnar::IoTracker {
+        self.entry.parts[p].heat_io.clone()
     }
 
     fn sk_cols(&self) -> &[usize] {
@@ -141,7 +139,7 @@ impl TxnTable {
 
     /// Partition owning sort key `key`.
     fn route(&self, key: &[Value]) -> usize {
-        partition::route(&self.splits, key)
+        partition::route(&self.entry.splits, key)
     }
 
     /// The partition segments a scan must union, with global rid bases.
@@ -149,7 +147,8 @@ impl TxnTable {
         partition::build_segments(
             self.parts
                 .iter()
-                .map(|p| (&*p.stable, p.layers(), p.visible(), Some(p.heat_io.clone()))),
+                .enumerate()
+                .map(|(i, p)| (&*p.stable, p.layers(), p.visible(), Some(self.heat_io(i)))),
         )
     }
 
@@ -216,7 +215,8 @@ impl<'db> DbTxn<'db> {
     /// correctness; see [`crate::compaction`]).
     fn stage_in(&mut self, table: &str, part: usize, batch: DmlBatch) -> Result<(), DbError> {
         self.staged_mut(table, part)?.stage_batch(&batch);
-        record_delta_heat(&self.table(table)?.parts[part], &batch);
+        let t = self.table(table)?;
+        record_delta_heat(&t.parts[part].stable, &t.entry.parts[part].heat, &batch);
         Ok(())
     }
 
@@ -253,7 +253,7 @@ impl<'db> DbTxn<'db> {
                 stable: &p.stable,
                 layers: p.layers(),
                 rid_base: 0,
-                io: Some(p.heat_io.clone()),
+                io: Some(t.heat_io(part)),
             }],
             self.db.io().clone(),
             self.db.clock().clone(),
@@ -886,6 +886,9 @@ impl<'db> DbTxn<'db> {
         // deterministic order (WAL records, lock-free publishes); every
         // early return below drops `self`, which ends the transaction
         let mut touched: Vec<(String, u32, Box<dyn DeltaTxn>)> = Vec::new();
+        // when tracing, the slow-commit threshold of each touched
+        // partition's table
+        let mut slow_after: Vec<Option<std::time::Duration>> = Vec::new();
         let mut tables: Vec<(String, TxnTable)> =
             std::mem::take(&mut self.tables).into_iter().collect();
         tables.sort_by(|a, b| a.0.cmp(&b.0));
@@ -893,6 +896,9 @@ impl<'db> DbTxn<'db> {
             for (p, part) in t.parts.into_iter().enumerate() {
                 if let Some(staged) = part.staged.filter(|s| s.is_dirty()) {
                     touched.push((name.clone(), p as u32, staged));
+                    if trace_start.is_some() {
+                        slow_after.push(t.entry.opts.slow_commit_threshold);
+                    }
                 }
             }
         }
@@ -961,19 +967,9 @@ impl<'db> DbTxn<'db> {
                 b: wal_entries,
             );
             // Slow-commit log: one event per touched (table, partition)
-            // whose table asked for it (`entries` are sorted by table, so
-            // the threshold lookup is cached across adjacent partitions).
-            let mut cached: Option<(String, Option<std::time::Duration>)> = None;
-            for (name, part, part_entries) in &traced_parts {
-                if cached.as_ref().is_none_or(|(n, _)| n != name) {
-                    let th = db.options(name).ok().and_then(|o| o.slow_commit_threshold);
-                    cached = Some((name.clone(), th));
-                }
-                let slow = cached
-                    .as_ref()
-                    .and_then(|(_, th)| *th)
-                    .is_some_and(|th| total >= th);
-                if slow {
+            // whose table asked for it.
+            for ((name, part, part_entries), th) in traced_parts.iter().zip(&slow_after) {
+                if th.is_some_and(|th| total >= th) {
                     obs::event!(
                         obs::TraceKind::SlowCommit,
                         table: obs::trace::intern(name),
@@ -1140,7 +1136,7 @@ fn validate_tuple(table: &str, schema: &Schema, tuple: &[Value]) -> Result<(), D
 /// which drifts from stable SIDs as deltas accumulate — close enough for
 /// a heat heuristic, and exact right after a checkpoint (when heat
 /// restarts cold). Trailing inserts clamp onto the last block.
-fn record_delta_heat(p: &TxnPart, batch: &DmlBatch) {
+fn record_delta_heat(stable: &StableTable, heat: &PartitionHeat, batch: &DmlBatch) {
     let (Some(&first), Some(&last)) = (match batch {
         DmlBatch::Insert { rids, .. }
         | DmlBatch::Delete { rids, .. }
@@ -1153,14 +1149,14 @@ fn record_delta_heat(p: &TxnPart, batch: &DmlBatch) {
         DmlBatch::Delete { pre, .. } => pre.cols.iter().map(ColumnVec::heap_bytes).sum::<usize>(),
         DmlBatch::UpdateCol { values, .. } => values.heap_bytes(),
     } as u64;
-    let n = p.stable.row_count();
-    if n == 0 || p.stable.num_blocks() == 0 {
-        p.heat.record_delta_span(0, 0, bytes);
+    let n = stable.row_count();
+    if n == 0 || stable.num_blocks() == 0 {
+        heat.record_delta_span(0, 0, bytes);
         return;
     }
-    let b0 = p.stable.block_of(first.min(n - 1));
-    let b1 = p.stable.block_of(last.min(n - 1));
-    p.heat.record_delta_span(b0, b1, bytes);
+    let b0 = stable.block_of(first.min(n - 1));
+    let b1 = stable.block_of(last.min(n - 1));
+    heat.record_delta_span(b0, b1, bytes);
 }
 
 /// Split ascending global `rids` into per-partition index ranges:
@@ -1812,15 +1808,19 @@ mod tests {
         // without calling abort: the handle's drop must still end it, or
         // the TZ watermark sticks at its start sequence and every later
         // commit's serialized delta is retained forever
-        let db = db_with_ints(10, UpdatePolicy::Pdt);
-        // swap the (still empty) store for one whose layers stay in sight
-        let store = crate::PdtStore::new(
-            db.txn_mgr.clone(),
-            "t".into(),
-            db.schema("t").unwrap(),
-            vec![0],
-        );
-        db.tables.write().get_mut("t").unwrap().parts[0].delta = Arc::new(store.clone());
+        // the table runs on a store whose layers stay in sight
+        let db = Database::new();
+        let schema = Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]);
+        let store = crate::PdtStore::new(db.txn_mgr.clone(), "t".into(), schema.clone(), vec![0]);
+        db.create_table_with(
+            TableMeta::new("t", schema, vec![0]),
+            TableOptions::default().with_block_rows(8),
+            (0..10i64)
+                .map(|i| vec![Value::Int(i * 10), Value::Int(i)])
+                .collect(),
+            |_, _, _| Arc::new(store.clone()),
+        )
+        .unwrap();
         {
             let mut t = db.begin();
             t.insert("t", vec![Value::Int(55), Value::Int(0)]).unwrap();

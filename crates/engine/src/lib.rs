@@ -22,7 +22,12 @@
 //! txn.commit()?;
 //! let view = db.read_view();          // scans merge the table's own deltas
 //! db.checkpoint("t")?;                // same checkpoint for either backend
+//! let t = db.table("t")?;             // one lookup: options, schema, splits,
+//! t.partitions()[0].maintain(MaintainTarget::Planned)?;  // and partitions
 //! ```
+//!
+//! Statements name tables; maintenance addresses the partition that owns
+//! the state it changes ([`Table`], [`Partition`]).
 //!
 //! The paper's Figure-19 "no-updates" bars come from [`Database::clean_view`],
 //! which scans the stable images only.
@@ -43,6 +48,7 @@ pub mod dml;
 pub mod maintenance;
 pub mod partition;
 pub mod rowstore;
+mod table;
 pub mod testkit;
 
 pub use batch::{DmlBatch, PreImageOf};
@@ -56,18 +62,18 @@ pub use delta::{
 pub use dml::{Appender, DbTxn};
 pub use maintenance::{MaintenanceConfig, MaintenanceScheduler};
 pub use partition::PartitionSpec;
+pub use table::{MaintainTarget, Partition, Table};
 pub use txn::wal::WalStats;
 
 use ::rowstore::RowBuffer;
 use columnar::{
     ColumnarError, ImageStore, IoStats, IoTracker, Schema, StableTable, TableMeta, Tuple, Value,
 };
-use exec::{
-    DeltaLayers, Operator, ParallelUnionScan, ScanBounds, ScanClock, ScanSegment, TableScan,
-};
+use exec::{DeltaLayers, Operator, ScanBounds, ScanClock, ScanSegment, TableScan};
 use maintenance::MaintMetrics;
 use parking_lot::RwLock;
 use partition::{PartitionEntry, TableEntry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -80,6 +86,8 @@ use vdt::Vdt;
 pub enum DbError {
     /// No table with that name.
     UnknownTable(String),
+    /// `create_table` named a table that already exists.
+    TableExists(String),
     /// No such column in the table.
     UnknownColumn {
         /// The table scanned.
@@ -132,6 +140,7 @@ impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DbError::UnknownTable(t) => write!(f, "unknown table {t}"),
+            DbError::TableExists(t) => write!(f, "table {t} already exists"),
             DbError::UnknownColumn { table, column } => {
                 write!(f, "unknown column {column} in table {table}")
             }
@@ -291,7 +300,9 @@ impl TableOptions {
 /// that sequences all commits.
 pub struct Database {
     pub(crate) txn_mgr: Arc<TxnManager>,
-    pub(crate) tables: RwLock<HashMap<String, TableEntry>>,
+    /// Written only by `create_table`: everything else a table owns is
+    /// changed in place, inside its entry.
+    pub(crate) tables: RwLock<HashMap<String, Arc<TableEntry>>>,
     /// Persisted compressed checkpoint images (`None`: checkpoints fold in
     /// memory only and recovery replays the full WAL, the pre-image
     /// behavior).
@@ -370,12 +381,37 @@ impl Database {
     /// in `opts` fixes which differential structure maintains the table;
     /// its [`PartitionSpec`] fixes how the table is range-partitioned —
     /// each partition gets its own stable slice and its own instance of
-    /// the update structure.
+    /// the update structure. A name already in use is refused with
+    /// [`DbError::TableExists`]: the live table, its transactions and its
+    /// log stay as they are.
     pub fn create_table(
         &self,
         meta: TableMeta,
         opts: TableOptions,
         rows: Vec<Tuple>,
+    ) -> Result<(), DbError> {
+        let policy = opts.policy;
+        let store = |name, schema, sk| -> Arc<dyn DeltaStore> {
+            match policy {
+                UpdatePolicy::Pdt => {
+                    Arc::new(PdtStore::new(self.txn_mgr.clone(), name, schema, sk))
+                }
+                UpdatePolicy::Vdt => Arc::new(KeyStore::<Vdt>::new(name, schema, sk)),
+                UpdatePolicy::RowStore => Arc::new(KeyStore::<RowBuffer>::new(name, schema, sk)),
+            }
+        };
+        self.create_table_with(meta, opts, rows, store)
+    }
+
+    /// [`Database::create_table`] with each partition's update structure
+    /// built by `store(table, schema, sort-key columns)` — the seam a test
+    /// uses to keep a typed handle on the store a partition runs on.
+    pub(crate) fn create_table_with(
+        &self,
+        meta: TableMeta,
+        opts: TableOptions,
+        rows: Vec<Tuple>,
+        store: impl Fn(String, Schema, Vec<usize>) -> Arc<dyn DeltaStore>,
     ) -> Result<(), DbError> {
         let name = meta.name.clone();
         // the name reaches storage verbatim: it is a component of image
@@ -389,6 +425,9 @@ impl Database {
                     .into(),
             });
         }
+        if self.tables.read().contains_key(&name) {
+            return Err(DbError::TableExists(name));
+        }
         let schema = meta.schema.clone();
         let sk = meta.sort_key.cols().to_vec();
         let sk_types: Vec<columnar::ValueType> = sk.iter().map(|&c| schema.vtype(c)).collect();
@@ -397,34 +436,25 @@ impl Database {
         let mut parts = Vec::with_capacity(groups.len());
         for (p, part_rows) in groups.into_iter().enumerate() {
             let stable = StableTable::bulk_load_unsorted(meta.clone(), opts.storage(), part_rows)?;
-            let (schema, sk) = (schema.clone(), sk.clone());
-            let delta: Arc<dyn DeltaStore> = match opts.policy {
-                UpdatePolicy::Pdt => {
-                    let mgr = self.txn_mgr.clone();
-                    Arc::new(PdtStore::new(mgr, name.clone(), schema, sk))
-                }
-                UpdatePolicy::Vdt => Arc::new(KeyStore::<Vdt>::new(name.clone(), schema, sk)),
-                UpdatePolicy::RowStore => {
-                    Arc::new(KeyStore::<RowBuffer>::new(name.clone(), schema, sk))
-                }
-            };
             let metrics = MaintMetrics::new(&self.registry, &name, p);
-            parts.push(PartitionEntry::new(
-                Arc::new(stable),
-                delta,
-                &self.io,
-                metrics,
-            ));
+            let delta = store(name.clone(), schema.clone(), sk.clone());
+            parts.push(PartitionEntry::new(stable, delta, &self.io, metrics));
         }
-        self.tables.write().insert(
-            name,
-            TableEntry {
-                parts,
-                splits,
-                opts,
-            },
-        );
-        Ok(())
+        // a concurrent create of the same name may have won meanwhile
+        match self.tables.write().entry(name) {
+            Entry::Occupied(taken) => Err(DbError::TableExists(taken.key().clone())),
+            Entry::Vacant(slot) => {
+                let name = slot.key().clone();
+                slot.insert(Arc::new(TableEntry {
+                    name,
+                    schema,
+                    parts,
+                    splits,
+                    opts,
+                }));
+                Ok(())
+            }
+        }
     }
 
     /// Shared I/O counters (per-database).
@@ -445,79 +475,22 @@ impl Database {
         &self.registry
     }
 
-    /// Run `f` against the table's entry under the map's read lock.
-    fn with_entry<T>(&self, table: &str, f: impl FnOnce(&TableEntry) -> T) -> Result<T, DbError> {
-        let tables = self.tables.read();
-        let e = tables
-            .get(table)
-            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
-        Ok(f(e))
+    /// Resolve a table by name, once: the handle reads its options, schema
+    /// and split points and reaches its [`Partition`]s without another
+    /// lookup.
+    pub fn table(&self, name: &str) -> Result<Table<'_>, DbError> {
+        let entry = self.tables.read().get(name).cloned();
+        entry
+            .map(|e| Table::new(self, e))
+            .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
-    /// Stable slice + delta store + maintenance mutex (and the handles it
-    /// guards) of one partition.
-    #[allow(clippy::type_complexity)]
-    fn partition_entry(
-        &self,
-        table: &str,
-        p: usize,
-    ) -> Result<
-        (
-            Arc<StableTable>,
-            Arc<dyn DeltaStore>,
-            Arc<parking_lot::Mutex<MaintMetrics>>,
-        ),
-        DbError,
-    > {
-        self.with_entry(table, |e| {
-            e.parts
-                .get(p)
-                .map(|pe| (pe.stable.clone(), pe.delta.clone(), pe.maint.clone()))
-        })?
-        .ok_or_else(|| DbError::Partition {
-            table: table.to_string(),
-            detail: format!("partition {p} out of range"),
-        })
-    }
-
-    /// Names of every table (maintenance-scheduler sweep order is sorted
+    /// Every table, sorted by name (the maintenance sweep order, sorted
     /// for determinism).
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// The creation-time options of a table (maintenance budgets included).
-    pub fn options(&self, table: &str) -> Result<TableOptions, DbError> {
-        self.with_entry(table, |e| e.opts.clone())
-    }
-
-    /// Number of partitions of a table (1 unless range-partitioned).
-    pub fn partition_count(&self, table: &str) -> Result<usize, DbError> {
-        self.with_entry(table, |e| e.parts.len())
-    }
-
-    /// The resolved sort-key split points of a table (empty for a
-    /// single-partition table) — `k` points ⇒ `k + 1` partitions. Useful
-    /// to rebuild an identically partitioned table (e.g. for recovery,
-    /// whose WAL partition tags are relative to these splits).
-    pub fn partition_splits(&self, table: &str) -> Result<Vec<Vec<Value>>, DbError> {
-        self.with_entry(table, |e| e.splits.clone())
-    }
-
-    /// Total bytes held by a table's committed delta layers, summed over
-    /// partitions.
-    pub fn delta_bytes(&self, table: &str) -> Result<usize, DbError> {
-        self.with_entry(table, |e| {
-            e.parts.iter().map(|p| p.delta.delta_bytes()).sum()
-        })
-    }
-
-    /// Bytes held by one partition's committed delta layers (the
-    /// per-partition checkpoint budget input).
-    pub fn delta_bytes_partition(&self, table: &str, p: usize) -> Result<usize, DbError> {
-        Ok(self.partition_entry(table, p)?.1.delta_bytes())
+    pub(crate) fn tables(&self) -> Vec<Table<'_>> {
+        let mut entries: Vec<Arc<TableEntry>> = self.tables.read().values().cloned().collect();
+        entries.sort_by(|a, b| a.name.cmp(&b.name));
+        entries.into_iter().map(|e| Table::new(self, e)).collect()
     }
 
     /// Replay the WAL at `path` into the tables' update structures (after
@@ -533,16 +506,16 @@ impl Database {
         let all = txn::wal::Wal::read_all(path).map_err(DbError::Io)?;
         if let Some(images) = &self.images {
             let markers = txn::wal::checkpoint_markers(&all);
-            let mut tables = self.tables.write();
+            let tables = self.tables.read();
             for (name, parts) in &markers {
-                let Some(entry) = tables.get_mut(name) else {
+                let Some(entry) = tables.get(name) else {
                     continue;
                 };
                 for (&p, marker) in parts {
                     let Some(image_seq) = marker.image_seq else {
                         continue;
                     };
-                    let Some(pe) = entry.parts.get_mut(p as usize) else {
+                    let Some(pe) = entry.parts.get(p as usize) else {
                         return Err(DbError::Partition {
                             table: name.clone(),
                             detail: format!(
@@ -554,9 +527,9 @@ impl Database {
                     if let Some((stable, prov)) =
                         images.load_with_provenance(name, p, image_seq, &self.io)?
                     {
-                        pe.heat.reset(stable.num_blocks());
-                        *pe.provenance.lock() = Some(prov);
-                        pe.stable = Arc::new(stable);
+                        // the partition's slot, swapped under the commit
+                        // guard as a maintenance step swaps it
+                        pe.swap_stable(stable, Some(prov));
                         obs::event!(
                             obs::TraceKind::RecoveryImageAdopt,
                             table: obs::trace::intern(name),
@@ -688,46 +661,6 @@ impl Database {
         self.txn_mgr.wal_pending_records()
     }
 
-    /// Schema of a table.
-    pub fn schema(&self, table: &str) -> Result<Schema, DbError> {
-        self.with_entry(table, |e| e.parts[0].stable.schema().clone())
-    }
-
-    /// Current stable image of a **single-partition** table. Errors with
-    /// [`DbError::Partition`] when the table is range-partitioned — one
-    /// slice is not the whole image; iterate
-    /// [`Database::stable_partition`] over
-    /// [`Database::partition_count`] instead. (Replaces the old
-    /// `Database::stable`, which silently returned partition 0.)
-    pub fn stable_single(&self, table: &str) -> Result<Arc<StableTable>, DbError> {
-        let parts = self.partition_count(table)?;
-        if parts != 1 {
-            return Err(DbError::Partition {
-                table: table.to_string(),
-                detail: format!(
-                    "stable_single on a table with {parts} partitions; \
-                     use stable_partition per partition"
-                ),
-            });
-        }
-        self.stable_partition(table, 0)
-    }
-
-    /// Current stable slice of one partition.
-    pub fn stable_partition(&self, table: &str, p: usize) -> Result<Arc<StableTable>, DbError> {
-        Ok(self.partition_entry(table, p)?.0)
-    }
-
-    /// The update policy of a table.
-    pub fn policy(&self, table: &str) -> Result<UpdatePolicy, DbError> {
-        self.with_entry(table, |e| e.parts[0].delta.policy())
-    }
-
-    /// Total visible row count under a fresh snapshot.
-    pub fn row_count(&self, table: &str) -> Result<u64, DbError> {
-        self.read_view().visible_rows(table)
-    }
-
     /// Open a consistent read-only view for query execution; scans merge
     /// each table's committed deltas.
     pub fn read_view(&self) -> ReadView {
@@ -755,7 +688,7 @@ impl Database {
                             .parts
                             .iter()
                             .map(|p| PartView {
-                                stable: p.stable.clone(),
+                                stable: p.stable(),
                                 delta: with_deltas.then(|| p.delta.snapshot()),
                                 heat_io: p.heat_io.clone(),
                             })
@@ -779,65 +712,15 @@ impl Database {
         let tables = self.tables.read();
         let snaps = tables
             .iter()
-            .map(|(name, e)| (name.clone(), dml::TxnTable::new(e)))
+            .map(|(name, e)| (name.clone(), dml::TxnTable::new(e.clone())))
             .collect();
         DbTxn::new(self, id, start_seq, snaps)
     }
 
-    /// Migrate every partition's write-optimised delta layer into its
-    /// read-optimised one when it exceeds `threshold_bytes` (the paper's
-    /// Propagate policy, applied per partition). Returns whether any
-    /// partition flushed. Serialized against checkpoints of the same
-    /// partition through the per-partition maintenance mutex; commits and
-    /// readers are never blocked.
-    pub fn maybe_flush(&self, table: &str, threshold_bytes: usize) -> Result<bool, DbError> {
-        let mut any = false;
-        for p in 0..self.partition_count(table)? {
-            any |= self.maybe_flush_partition(table, p, threshold_bytes)?;
-        }
-        Ok(any)
-    }
-
-    /// [`Database::maybe_flush`] for a single partition.
-    pub fn maybe_flush_partition(
-        &self,
-        table: &str,
-        p: usize,
-        threshold_bytes: usize,
-    ) -> Result<bool, DbError> {
-        let (_, delta, maint) = self.partition_entry(table, p)?;
-        let metrics = maint.lock();
-        let flushed = delta.write_bytes() > threshold_bytes && delta.flush();
-        if flushed {
-            metrics.flushed();
-        }
-        Ok(flushed)
-    }
-
-    /// Checkpoint: fold every partition's committed deltas into fresh
-    /// stable slices and retire them from the partitions' update
-    /// structures. Returns whether any partition checkpointed.
-    ///
-    /// There is one maintenance lifecycle, and a checkpoint is its widest
-    /// case: the range step of [`Database::compact_range`] over every
-    /// block of the partition — nothing is kept, so the residual delta is
-    /// empty, no block is reused and inserts past the last stable row fold
-    /// too. Each partition runs the step independently (the maintenance
-    /// scheduler drives them in parallel).
-    pub fn checkpoint(&self, table: &str) -> Result<bool, DbError> {
-        self.checkpoint_observed(table, || {})
-    }
-
-    /// Checkpoint one partition (the scheduler's unit of work).
-    pub fn checkpoint_partition(&self, table: &str, p: usize) -> Result<bool, DbError> {
-        let step = self.maintain_range(table, p, MaintainTarget::All, &mut None::<fn()>)?;
-        Ok(step.is_some())
-    }
-
-    /// [`Database::checkpoint`] with an observer invoked during phase 2 of
-    /// the first partition that actually merges, while the stable rewrite
-    /// runs off-lock. The closure may open views, scan, and commit
-    /// transactions against this database — that those operations
+    /// Test seam: [`Database::checkpoint`] with an observer invoked during
+    /// phase 2 of the first partition that actually merges, while the
+    /// stable rewrite runs off-lock. The closure may open views, scan, and
+    /// commit transactions against this database — that those operations
     /// complete *during* a checkpoint is the non-blocking guarantee, and
     /// tests pin it down through this seam. It must not start maintenance
     /// on the same table (the per-partition maintenance mutex is held).
@@ -848,271 +731,92 @@ impl Database {
     ) -> Result<bool, DbError> {
         let mut observer = Some(during_merge);
         let mut any = false;
-        for p in 0..self.partition_count(table)? {
-            any |= self
-                .maintain_range(table, p, MaintainTarget::All, &mut observer)?
+        for part in self.table(table)?.partitions() {
+            any |= part
+                .maintain_observed(MaintainTarget::All, &mut observer)?
                 .is_some();
         }
         Ok(any)
     }
+}
 
-    /// Run the best-scoring planned compaction step of one partition, if
-    /// any — the scheduler's incremental-maintenance unit of work between
-    /// full checkpoints. Plans against the partition's current heat map
-    /// with the table's [`CompactionConfig`]; returns the executed step's
-    /// report, or `None` when compaction is disabled for the table,
-    /// nothing scores over the configured floors, or the partition has no
-    /// delta to pin.
+/// Table-wide conveniences the benchmark harness calls by name: each
+/// resolves the table once and delegates to its [`Table`] handle.
+impl Database {
+    /// Names of every table, sorted.
+    pub fn table_names(&self) -> Vec<String> {
+        let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
+        names.sort();
+        names
+    }
+
+    /// The creation-time options of a table ([`Table::options`]).
+    pub fn options(&self, table: &str) -> Result<TableOptions, DbError> {
+        Ok(self.table(table)?.options().clone())
+    }
+
+    /// Total bytes held by a table's committed delta layers, summed over
+    /// partitions ([`Partition::delta_bytes`]).
+    pub fn delta_bytes(&self, table: &str) -> Result<usize, DbError> {
+        Ok(self.table(table)?.delta_bytes())
+    }
+
+    /// Total visible row count under a fresh snapshot.
+    pub fn row_count(&self, table: &str) -> Result<u64, DbError> {
+        self.read_view().visible_rows(table)
+    }
+
+    /// [`Partition::maybe_flush`] on every partition of a table. Returns
+    /// whether any partition flushed.
+    pub fn maybe_flush(&self, table: &str, threshold_bytes: usize) -> Result<bool, DbError> {
+        let t = self.table(table)?;
+        let any = t
+            .partitions()
+            .iter()
+            .fold(false, |any, p| p.maybe_flush(threshold_bytes) | any);
+        Ok(any)
+    }
+
+    /// Checkpoint: fold every partition's committed deltas into fresh
+    /// stable slices — [`Partition::maintain`] with [`MaintainTarget::All`]
+    /// on each partition. Returns whether any partition checkpointed.
+    pub fn checkpoint(&self, table: &str) -> Result<bool, DbError> {
+        self.checkpoint_observed(table, || {})
+    }
+
+    /// The best-scoring planned compaction step of partition `p`
+    /// ([`MaintainTarget::Planned`]), if the table enables compaction and
+    /// anything scores over its floors.
     pub fn compact_partition(
         &self,
         table: &str,
         p: usize,
     ) -> Result<Option<CompactionReport>, DbError> {
-        self.maintain_range(table, p, MaintainTarget::Planned, &mut None::<fn()>)
-    }
-
-    /// Fold the delta addressing stable blocks `[b0, b1)` of one partition
-    /// into fresh blocks spliced between the untouched neighbours, and
-    /// rebase the rest of the delta onto the new image — *the* maintenance
-    /// step; [`Database::checkpoint`] is the same step over every block.
-    /// Three phases, serialized per partition by its maintenance mutex:
-    ///
-    /// 1. **pin** — under the commit guard, capture the committed delta
-    ///    the step covers (commits up to the pinned sequence);
-    /// 2. **merge** — off every lock, so commits keep landing and read
-    ///    views keep opening: merge the range block by block into a new
-    ///    slice and, with an image store attached, publish it as an image
-    ///    that *references* the kept blocks of earlier generations instead
-    ///    of rewriting their bytes;
-    /// 3. **install** — under the commit guard again, atomically: append
-    ///    the WAL marker (folded SID window + rebased residual, so
-    ///    recovery replays exactly what the image does not contain), swap
-    ///    the slice in, replace the pinned delta by its residual. Commits
-    ///    that landed during the merge stay on top.
-    ///
-    /// An empty range is a step only at the end of the image
-    /// (`b0 == b1 == num_blocks`), where it still folds the append gap —
-    /// that is how a partition created without rows gets its first blocks.
-    /// Returns `None` when the partition has no delta to pin.
-    pub fn compact_range(
-        &self,
-        table: &str,
-        p: usize,
-        b0: usize,
-        b1: usize,
-    ) -> Result<Option<CompactionReport>, DbError> {
-        self.maintain_range(table, p, MaintainTarget::Blocks(b0, b1), &mut None::<fn()>)
-    }
-
-    /// The one pin → merge → install implementation behind every public
-    /// maintenance entry point (see [`Database::compact_range`] for the
-    /// protocol). `during_merge` is the [`Database::checkpoint_observed`]
-    /// seam: taken and run once, off-lock, right after the merge.
-    pub(crate) fn maintain_range(
-        &self,
-        table: &str,
-        p: usize,
-        target: MaintainTarget,
-        during_merge: &mut Option<impl FnOnce()>,
-    ) -> Result<Option<CompactionReport>, DbError> {
-        let (_, delta, maint) = self.partition_entry(table, p)?;
-        let metrics = maint.lock();
-        // slice, heat and provenance only change under the maintenance
-        // mutex: what is captured here is what the step installs over
-        let (stable, heat, provenance, cfg) = self.with_entry(table, |e| {
-            let pe = &e.parts[p];
-            (
-                pe.stable.clone(),
-                pe.heat.clone(),
-                pe.provenance.clone(),
-                e.opts.compaction,
-            )
+        let t = self.table(table)?;
+        let parts = t.partitions();
+        let part = parts.get(p).ok_or_else(|| DbError::Partition {
+            table: table.to_string(),
+            detail: format!("partition {p} out of range ({} partitions)", parts.len()),
         })?;
-        let old_nb = stable.num_blocks();
-        let (b0, b1) = match target {
-            MaintainTarget::All => (0, old_nb),
-            MaintainTarget::Blocks(b0, b1) => (b0, b1),
-            MaintainTarget::Planned => {
-                let planned = cfg
-                    .enabled
-                    .then(|| compaction::plan_steps(&heat.snapshot(), &stable, &cfg))
-                    .and_then(|steps| steps.first().copied());
-                match planned {
-                    Some(step) => (step.b0, step.b1),
-                    None => return Ok(None),
-                }
-            }
-        };
-        if b0 > b1 || b1 > old_nb || (b0 == b1 && b1 < old_nb) {
-            return Err(DbError::Partition {
-                table: table.to_string(),
-                detail: format!("compaction range [{b0}, {b1}) out of bounds ({old_nb} blocks)"),
-            });
-        }
-        // the structural drop across the step is what it retired (commits
-        // landing meanwhile can only undercount it)
-        let delta_bytes_before = delta.delta_bytes() as u64;
-        // Phase 1 — pin the delta to fold, under the commit guard.
-        let pin = {
-            let _commit = self.txn_mgr.commit_guard();
-            match delta.checkpoint_pin(self.txn_mgr.seq()) {
-                Some(pin) => pin,
-                None => return Ok(None),
-            }
-        };
-        // the trace kinds (not the code path) tell a whole-partition
-        // checkpoint from a sub-partition step
-        let (pin_kind, merge_kind, install_kind) = if b0 == 0 && b1 == old_nb {
-            (
-                obs::TraceKind::CheckpointPin,
-                obs::TraceKind::CheckpointMerge,
-                obs::TraceKind::CheckpointInstall,
-            )
-        } else {
-            (
-                obs::TraceKind::CompactionPin,
-                obs::TraceKind::CompactionMerge,
-                obs::TraceKind::CompactionInstall,
-            )
-        };
-        let (part, seq, a, b) = (p as u32, pin.seq(), b0 as u64, b1 as u64);
-        obs::event!(pin_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b);
-        let range = delta::CompactRange::of(&stable, b0, b1);
-        let delta_bytes_folded: u64 = heat
-            .snapshot()
-            .get(b0..b1)
-            .map_or(0, |s| s.iter().map(|h| h.delta_bytes).sum());
-        let stable_bytes_total: u64 = (0..old_nb)
-            .map(|b| compaction::block_stored_bytes(&stable, b))
-            .sum();
-        // Everything up to the WAL marker can fail; any failure aborts the
-        // pin below, leaving the partition ready for the next attempt.
-        let staged = (|| -> Result<_, DbError> {
-            // Phase 2 — merge + splice + image publish, off every lock:
-            // commits and read views proceed.
-            let merge_span = obs::span!(
-                merge_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b
-            );
-            let mut merge = pin.merge(&stable, &range, &self.io)?;
-            if let Some(observer) = during_merge.take() {
-                observer();
-            }
-            let mut swap = None;
-            let mut stable_bytes_written = 0;
-            let mut image_seq = None;
-            if let Some(fresh) = merge.fresh.take() {
-                let new_nb = fresh.num_blocks();
-                // the splice may change the range's row (hence block)
-                // count, never the kept prefix/suffix block counts
-                let suffix_at = new_nb - (old_nb - b1);
-                stable_bytes_written = (b0..suffix_at)
-                    .map(|b| compaction::block_stored_bytes(&fresh, b))
-                    .sum();
-                let mut new_prov = None;
-                if let Some(images) = &self.images {
-                    // kept blocks are published as *references* into the
-                    // generations that actually wrote their bytes
-                    // (provenance chains are collapsed, so every reference
-                    // points at its origin image); without a known
-                    // provenance — the slice was never published — every
-                    // block is written inline this once
-                    let old_prov = provenance.lock().clone().filter(|op| op.len() == old_nb);
-                    let prov: Vec<Option<(u64, usize)>> = (0..new_nb)
-                        .map(|i| {
-                            let op = old_prov.as_ref()?;
-                            if i < b0 {
-                                Some(op[i])
-                            } else if i < suffix_at {
-                                None
-                            } else {
-                                Some(op[b1 + (i - suffix_at)])
-                            }
-                        })
-                        .collect();
-                    images.publish_with_reuse(table, part, seq, &fresh, &prov)?;
-                    image_seq = Some(seq);
-                    // a crash here leaves a manifest entry ahead of the
-                    // WAL, which recovery ignores in favor of the retained
-                    // previous image (see `columnar::ImageStore`)
-                    if self
-                        .crash_after_publish
-                        .swap(false, std::sync::atomic::Ordering::SeqCst)
-                    {
-                        return Err(DbError::Io(std::io::Error::other(
-                            "simulated crash between image publish and checkpoint marker",
-                        )));
-                    }
-                    new_prov = Some(
-                        prov.iter()
-                            .enumerate()
-                            .map(|(i, e)| e.unwrap_or((seq, i)))
-                            .collect(),
-                    );
-                }
-                swap = Some((fresh, new_prov));
-            }
-            drop(merge_span);
-            // Phase 3 — install: marker, slice swap and delta replacement,
-            // atomic under the commit guard. An unchanged image needs no
-            // marker: the log still replays to the state it describes.
-            let commit = self.txn_mgr.commit_guard();
-            if swap.is_some() {
-                self.txn_mgr.log_checkpoint(
-                    table,
-                    part,
-                    seq,
-                    image_seq,
-                    (range.s0, range.s1),
-                    &merge.residual_entries,
-                )?;
-            }
-            Ok((merge, swap, stable_bytes_written, commit))
-        })();
-        let (merge, swap, stable_bytes_written, _commit) = match staged {
-            Ok(staged) => staged,
-            Err(e) => {
-                pin.abort();
-                return Err(e);
-            }
-        };
-        {
-            let mut tables = self.tables.write();
-            let pe = &mut tables
-                .get_mut(table)
-                .expect("maintenance mutex pins the entry")
-                .parts[p];
-            if let Some((fresh, new_prov)) = swap {
-                *pe.provenance.lock() = new_prov;
-                pe.stable = Arc::new(fresh);
-            }
-            // the geometry may have changed and the folded heat is spent:
-            // the map restarts cold
-            pe.heat.reset(pe.stable.num_blocks());
-        }
-        (merge.install)();
-        obs::event!(install_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b);
-        let report = CompactionReport {
-            blocks_merged: (b1 - b0) as u64,
-            blocks_reused: (old_nb - (b1 - b0)) as u64,
-            delta_bytes_folded,
-            stable_bytes_written,
-            stable_bytes_total,
-        };
-        let retired = delta_bytes_before.saturating_sub(delta.delta_bytes() as u64);
-        metrics.stepped(&report, retired);
-        Ok(Some(report))
+        part.maintain(MaintainTarget::Planned)
     }
-}
 
-/// Which blocks of a partition one maintenance step rewrites.
-pub(crate) enum MaintainTarget {
-    /// Every block: the whole-partition checkpoint.
-    All,
-    /// The compaction planner's best-scoring step, if the table enables
-    /// compaction and anything scores over its floors.
-    Planned,
-    /// Blocks `[b0, b1)`.
-    Blocks(usize, usize),
+    /// Current stable image of a **single-partition** table. Errors with
+    /// [`DbError::Partition`] when the table is range-partitioned — one
+    /// slice is not the whole image.
+    pub fn stable_single(&self, table: &str) -> Result<Arc<StableTable>, DbError> {
+        match self.table(table)?.partitions().as_slice() {
+            [only] => Ok(only.stable()),
+            parts => Err(DbError::Partition {
+                table: table.to_string(),
+                detail: format!(
+                    "stable_single on a table with {} partitions; use \
+                     db.table(name)?.partitions()[p].stable() per partition",
+                    parts.len()
+                ),
+            }),
+        }
+    }
 }
 
 // The maintenance scheduler (and any server frontend) shares one
@@ -1374,10 +1078,9 @@ impl ReadView {
     }
 
     /// Open a scan described by a [`ScanSpec`] — the one scan entry point
-    /// ([`ReadView::explain_analyze`] and [`ReadView::par_scan`] take the
-    /// same spec). Partitioned tables scan as a sequential union in split
-    /// order (globally consecutive RIDs); use [`ReadView::par_scan`] to
-    /// run the partitions on a worker pool.
+    /// ([`ReadView::explain_analyze`] takes the same spec). Partitioned
+    /// tables scan as a sequential union in split order (globally
+    /// consecutive RIDs).
     pub fn scan_with(&self, table: &str, spec: ScanSpec) -> Result<TableScan<'_>, DbError> {
         let t = self.table(table)?;
         spec.open(
@@ -1411,76 +1114,6 @@ impl ReadView {
             io,
             plan: profile.snapshot().into_op(table),
         })
-    }
-
-    /// Partition-parallel scan: each partition's MergeScan runs as a task
-    /// on a worker pool (default: available parallelism), batches are
-    /// re-emitted in split order with globally consecutive RIDs — same
-    /// output as [`ReadView::scan_with`], first scan path to use more
-    /// than one core. The returned operator owns `Arc` captures of the
-    /// view's snapshots, so it stays pinned to this view's cut even if
-    /// the view is dropped while it runs.
-    pub fn par_scan(&self, table: &str, spec: ScanSpec) -> Result<ParallelUnionScan, DbError> {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.par_scan_workers(table, spec, workers)
-    }
-
-    /// [`ReadView::par_scan`] with an explicit worker count.
-    pub fn par_scan_workers(
-        &self,
-        table: &str,
-        spec: ScanSpec,
-        workers: usize,
-    ) -> Result<ParallelUnionScan, DbError> {
-        let t = self.table(table)?;
-        let proj = spec.resolve(table, t.schema())?;
-        let types: Vec<columnar::ValueType> = proj.iter().map(|&c| t.schema().vtype(c)).collect();
-        let mut parts = Vec::with_capacity(t.parts.len());
-        let mut base = 0u64;
-        for p in &t.parts {
-            let rid_base = base;
-            let visible = p.visible();
-            base += visible;
-            // partitions wholly outside a rid window never spawn a task —
-            // the parallel path skips their blocks exactly like the
-            // sequential union does
-            if let Some((lo, hi)) = spec.rid_range {
-                if rid_base + visible <= lo || rid_base >= hi {
-                    continue;
-                }
-            }
-            let stable = p.stable.clone();
-            let delta = p.delta.clone();
-            let proj = proj.clone();
-            let bounds = spec.bounds.clone();
-            let rid_range = spec.rid_range;
-            // the partition-scoped tracker: shares the database counters
-            // and reports block touches to the partition's heat map
-            let io = p.heat_io.clone();
-            let clock = self.clock.clone();
-            parts.push(exec::UnionPart {
-                rid_base,
-                task: Box::new(move |emit| {
-                    let layers = match &delta {
-                        Some(d) => d.layers(),
-                        None => DeltaLayers::None,
-                    };
-                    let mut scan = TableScan::ranged(&stable, layers, proj, bounds, io, clock);
-                    if let Some((lo, hi)) = rid_range {
-                        // global window, clamped to this partition
-                        scan.clamp_rids(lo.saturating_sub(rid_base), hi.saturating_sub(rid_base));
-                    }
-                    while let Some(b) = scan.next_batch() {
-                        if !emit(b) {
-                            return;
-                        }
-                    }
-                }),
-            });
-        }
-        Ok(ParallelUnionScan::new(parts, types, workers))
     }
 }
 
@@ -1696,7 +1329,7 @@ mod tests {
             .unwrap();
             t.commit().unwrap();
 
-            let (_, delta, _) = db.partition_entry("inventory", 0).unwrap();
+            let delta = db.tables.read()["inventory"].parts[0].delta.clone();
             let pin = delta.checkpoint_pin(db.txn_mgr.seq()).unwrap();
             // a commit lands inside the pin window...
             let mut t = db.begin();
@@ -1817,8 +1450,10 @@ mod tests {
     fn partitioned_table_matches_single_partition_image() {
         for policy in ALL_POLICIES {
             let (split, single) = partitioned_pair(policy);
-            assert_eq!(split.partition_count("t").unwrap(), 4, "{policy:?}");
-            assert_eq!(split.partition_splits("t").unwrap().len(), 3);
+            let t = split.table("t").unwrap();
+            assert_eq!(t.partitions().len(), 4, "{policy:?}");
+            assert_eq!(t.splits().len(), 3);
+            assert_eq!(t.options().policy, policy);
             assert_eq!(t_rows(&split), t_rows(&single), "{policy:?}: bulk load");
             // the same DML stream through both layouts
             for db in [&split, &single] {
@@ -1938,49 +1573,84 @@ mod tests {
             // only the touched partitions had anything to fold: a second
             // checkpoint is a no-op everywhere
             assert!(!split.checkpoint("t").unwrap(), "{policy:?}");
-            // per-partition entry points work and bounds-check
-            assert!(!split.checkpoint_partition("t", 0).unwrap());
+            // per-partition steps work; the by-index delegation
+            // bounds-checks
+            let t = split.table("t").unwrap();
+            let step = t.partitions()[0].maintain(MaintainTarget::All);
+            assert!(step.unwrap().is_none(), "{policy:?}");
             assert!(matches!(
-                split.checkpoint_partition("t", 9),
-                Err(DbError::Partition { .. })
-            ));
-            assert!(matches!(
-                split.delta_bytes_partition("t", 9),
+                split.compact_partition("t", 9),
                 Err(DbError::Partition { .. })
             ));
         }
     }
 
+    /// A handle resolved before a checkpoint reads the partition's live
+    /// slot: the new slice, an empty delta. A view opened before keeps
+    /// scanning the slice it captured.
     #[test]
-    fn par_scan_matches_sequential_union() {
+    fn table_handle_sees_the_installed_slice_and_older_views_keep_theirs() {
         for policy in ALL_POLICIES {
             let (split, _) = partitioned_pair(policy);
-            let mut t = split.begin();
-            t.delete_rids("t", &[7, 21]).unwrap();
-            t.insert("t", vec![Value::Int(95), Value::Int(0)]).unwrap();
-            t.commit().unwrap();
-            let view = split.read_view();
-            let seq = run_to_rows(&mut view.scan_with("t", ScanSpec::all()).unwrap());
-            for workers in [1, 4] {
-                let mut par = view
-                    .par_scan_workers("t", ScanSpec::all(), workers)
-                    .unwrap();
-                let mut expect_rid = 0u64;
-                let mut got = Vec::new();
-                while let Some(b) = par.next_batch() {
-                    assert_eq!(b.rid_start, expect_rid, "{policy:?} workers={workers}");
-                    expect_rid += b.num_rows() as u64;
-                    got.extend(b.rows());
-                }
-                assert_eq!(got, seq, "{policy:?} workers={workers}");
-            }
-            // rid windows clamp per partition on the parallel path too
-            let windowed = run_to_rows(
-                &mut view
-                    .par_scan("t", ScanSpec::all().rid_range(8, 25))
-                    .unwrap(),
-            );
-            assert_eq!(windowed, seq[8..25].to_vec(), "{policy:?}");
+            let t = split.table("t").unwrap();
+            let mut txn = split.begin();
+            txn.insert("t", vec![Value::Int(95), Value::Int(0)])
+                .unwrap();
+            txn.commit().unwrap();
+            let before: Vec<Arc<StableTable>> = t.partitions().iter().map(|p| p.stable()).collect();
+            let old_clean = split.clean_view();
+            let old_merged = split.read_view();
+            // an untouched partition holds what an empty store holds
+            let empty = t.partitions()[1].delta_bytes();
+            assert!(t.partitions()[0].delta_bytes() > empty, "{policy:?}");
+            assert!(split.checkpoint("t").unwrap(), "{policy:?}");
+            let parts = t.partitions();
+            assert!(!Arc::ptr_eq(&parts[0].stable(), &before[0]), "{policy:?}");
+            assert_eq!(parts[0].stable().row_count(), before[0].row_count() + 1);
+            // the untouched partitions had nothing to fold
+            assert!(Arc::ptr_eq(&parts[1].stable(), &before[1]), "{policy:?}");
+            assert!(parts.iter().all(|p| p.delta_bytes() == empty), "{policy:?}");
+            assert_eq!(t.delta_bytes(), 4 * empty, "{policy:?}");
+            let keys = |view: &ReadView| -> Vec<i64> {
+                run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0])).unwrap())
+                    .iter()
+                    .map(|r| r[0].as_int())
+                    .collect()
+            };
+            assert!(!keys(&old_clean).contains(&95), "{policy:?}: old image");
+            assert!(keys(&old_merged).contains(&95), "{policy:?}: old cut");
+            assert!(keys(&split.clean_view()).contains(&95), "{policy:?}");
+            assert_eq!(keys(&old_merged), keys(&split.read_view()), "{policy:?}");
+        }
+    }
+
+    /// Creating a table under a live table's name is refused before
+    /// anything is built: the live table, and a transaction that began
+    /// against it, commit as if nothing happened.
+    #[test]
+    fn create_table_refuses_a_live_name() {
+        for policy in ALL_POLICIES {
+            let db = int_db(policy, 10);
+            let mut txn = db.begin();
+            txn.insert("t", vec![Value::Int(1000), Value::Int(-1)])
+                .unwrap();
+            let schema = Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]);
+            let rows: Vec<Tuple> = (0..3i64)
+                .map(|i| vec![Value::Int(i), Value::Int(i)])
+                .collect();
+            let err = db
+                .create_table(
+                    TableMeta::new("t", schema, vec![0]),
+                    TableOptions::default().with_policy(policy),
+                    rows,
+                )
+                .unwrap_err();
+            assert!(matches!(&err, DbError::TableExists(t) if t == "t"), "{err}");
+            assert_eq!(err.to_string(), "table t already exists");
+            txn.commit().unwrap();
+            assert_eq!(db.row_count("t").unwrap(), 11, "{policy:?}");
+            let keys: Vec<i64> = t_rows(&db).iter().map(|r| r[0].as_int()).collect();
+            assert!(keys.contains(&1000), "{policy:?}: the acknowledged commit");
         }
     }
 
@@ -1995,9 +1665,10 @@ mod tests {
             rows,
         )
         .unwrap();
-        assert_eq!(db.partition_count("t").unwrap(), 4);
-        for p in 0..4 {
-            assert_eq!(db.stable_partition("t", p).unwrap().row_count(), 25);
+        let t = db.table("t").unwrap();
+        assert_eq!(t.partitions().len(), 4);
+        for p in t.partitions() {
+            assert_eq!(p.stable().row_count(), 25);
         }
         // explicit splits outside the populated range: empty partitions
         let db = Database::new();
@@ -2010,9 +1681,13 @@ mod tests {
             vec![vec![Value::Int(5)]],
         )
         .unwrap();
-        assert_eq!(db.stable_partition("e", 0).unwrap().row_count(), 0);
-        assert_eq!(db.stable_partition("e", 1).unwrap().row_count(), 1);
-        assert_eq!(db.stable_partition("e", 2).unwrap().row_count(), 0);
+        let e = db.table("e").unwrap();
+        let rows: Vec<u64> = e
+            .partitions()
+            .iter()
+            .map(|p| p.stable().row_count())
+            .collect();
+        assert_eq!(rows, vec![0, 1, 0]);
         // writes into (and scans across) empty partitions work
         let mut t = db.begin();
         t.insert("e", vec![Value::Int(-20)]).unwrap();
@@ -2093,7 +1768,7 @@ mod tests {
             HashMap::from([("t", base(1)), ("t#1", base(7))]);
         let db = Database::with_storage(&wal, &images).unwrap();
         create(&db);
-        assert_eq!(db.partition_count("t").unwrap(), 2);
+        assert_eq!(db.table("t").unwrap().partitions().len(), 2);
         for round in 0..3i64 {
             for name in ["t", "t#1"] {
                 // one insert per partition of "t", the same keys in "t#1"
@@ -2169,7 +1844,8 @@ mod tests {
             t.commit().unwrap();
             // checkpoint only the middle partition: its commits are
             // covered by a partition-tagged marker, the others replay
-            assert!(db.checkpoint_partition("t", 1).unwrap(), "{policy:?}");
+            let step = db.table("t").unwrap().partitions()[1].maintain(MaintainTarget::All);
+            assert!(step.unwrap().is_some(), "{policy:?}");
             let mut t = db.begin();
             t.insert("t", vec![Value::Int(165), Value::Int(0)]).unwrap();
             t.commit().unwrap();
@@ -2249,7 +1925,8 @@ mod tests {
             t.insert("t", vec![Value::Int(155), Value::Int(0)]).unwrap();
             t.delete_rids("t", &[25]).unwrap();
             t.commit().unwrap();
-            assert!(db.checkpoint_partition("t", 1).unwrap(), "{policy:?}");
+            let step = db.table("t").unwrap().partitions()[1].maintain(MaintainTarget::All);
+            assert!(step.unwrap().is_some(), "{policy:?}");
             let mut t = db.begin();
             t.insert("t", vec![Value::Int(165), Value::Int(0)]).unwrap();
             t.commit().unwrap();
@@ -2330,12 +2007,12 @@ mod tests {
     #[test]
     fn unknown_table_errors_from_every_entry_point() {
         let db = inventory_db(UpdatePolicy::Pdt);
-        assert!(matches!(db.schema("nope"), Err(DbError::UnknownTable(_))));
+        assert!(matches!(db.table("nope"), Err(DbError::UnknownTable(_))));
+        assert!(matches!(db.options("nope"), Err(DbError::UnknownTable(_))));
         assert!(matches!(
             db.stable_single("nope"),
             Err(DbError::UnknownTable(_))
         ));
-        assert!(matches!(db.policy("nope"), Err(DbError::UnknownTable(_))));
         assert!(matches!(
             db.row_count("nope"),
             Err(DbError::UnknownTable(_))
@@ -2401,6 +2078,11 @@ mod tests {
     }
 
     fn int_db(policy: UpdatePolicy, n: i64) -> Database {
+        int_db_with(TableOptions::default().with_policy(policy), n)
+    }
+
+    /// `n` rows `(10 i, i)` in blocks of 16, under `opts`.
+    fn int_db_with(opts: TableOptions, n: i64) -> Database {
         let db = Database::new();
         let schema = Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]);
         let rows: Vec<Tuple> = (0..n)
@@ -2408,9 +2090,7 @@ mod tests {
             .collect();
         db.create_table(
             TableMeta::new("t", schema, vec![0]),
-            TableOptions::default()
-                .with_policy(policy)
-                .with_block_rows(16),
+            opts.with_block_rows(16),
             rows,
         )
         .unwrap();
@@ -2439,7 +2119,8 @@ mod tests {
             t.commit().unwrap();
             let before = t_rows(&db);
 
-            let report = db.compact_range("t", 0, 2, 4).unwrap().unwrap();
+            let part0 = |target| db.table("t").unwrap().partitions()[0].maintain(target);
+            let report = part0(MaintainTarget::Blocks(2, 4)).unwrap().unwrap();
             assert_eq!(report.blocks_merged, 2, "{policy:?}");
             assert_eq!(report.blocks_reused, 6, "{policy:?}");
             assert!(
@@ -2475,8 +2156,8 @@ mod tests {
             );
 
             // a trailing-range compaction folds the append gap too
-            let nb = db.stable_partition("t", 0).unwrap().num_blocks();
-            db.compact_range("t", 0, nb - 1, nb).unwrap().unwrap();
+            let nb = db.stable_single("t").unwrap().num_blocks();
+            part0(MaintainTarget::Blocks(nb - 1, nb)).unwrap().unwrap();
             assert_eq!(t_rows(&db), before, "{policy:?}: tail fold changed view");
 
             // and a subsequent whole-partition checkpoint still agrees
@@ -2493,15 +2174,15 @@ mod tests {
     fn compact_partition_follows_heat() {
         use exec::expr::{col, lit};
         for policy in ALL_POLICIES {
-            let db = int_db(policy, 128);
-            {
-                let mut tables = db.tables.write();
-                tables.get_mut("t").unwrap().opts.compaction = CompactionConfig {
-                    enabled: true,
-                    max_unit_blocks: 2,
-                    min_delta_bytes: 1,
-                };
-            }
+            let opts =
+                TableOptions::default()
+                    .with_policy(policy)
+                    .with_compaction(CompactionConfig {
+                        enabled: true,
+                        max_unit_blocks: 2,
+                        min_delta_bytes: 1,
+                    });
+            let db = int_db_with(opts, 128);
             // nothing staged: nothing to pin, nothing planned
             assert!(
                 db.compact_partition("t", 0).unwrap().is_none(),
@@ -2542,7 +2223,8 @@ mod tests {
                 t.insert("t", vec![Value::Int(7), Value::Int(-3)]).unwrap();
                 t.commit().unwrap();
             });
-            db.maintain_range("t", 0, MaintainTarget::Blocks(2, 4), &mut mid_merge)
+            db.table("t").unwrap().partitions()[0]
+                .maintain_observed(MaintainTarget::Blocks(2, 4), &mut mid_merge)
                 .unwrap()
                 .expect("delta pinned");
             assert!(mid_merge.is_none(), "{policy:?}: observer never ran");

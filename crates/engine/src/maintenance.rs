@@ -14,7 +14,7 @@
 //!   (the paper's Propagate policy — keep the Write-PDT CPU-cache-sized),
 //! * **maintain** a partition's stable slice with one range step of the
 //!   single pin → merge → install lifecycle
-//!   ([`Database::compact_range`](crate::Database::compact_range)) per
+//!   ([`Partition::maintain`](crate::Partition::maintain)) per
 //!   sweep: over every block — a checkpoint — once the partition's
 //!   committed delta exceeds
 //!   [`checkpoint_threshold_bytes`](crate::TableOptions::checkpoint_threshold_bytes),
@@ -46,8 +46,8 @@
 //! ## Observability
 //!
 //! Maintenance is counted where every step passes, not here:
-//! [`Database::maybe_flush_partition`] and the one range step behind
-//! checkpoints and compactions record the `maintenance.*{table,
+//! [`Partition::maybe_flush`] and [`Partition::maintain`], the one range
+//! step behind checkpoints and compactions, record the `maintenance.*{table,
 //! partition}` series (`flushes`, `checkpoints`, `compactions`,
 //! `compaction.{blocks_merged, blocks_reused, bytes_saved}`,
 //! `stable_bytes_written`, `delta_bytes_retired`) into the database's
@@ -55,7 +55,7 @@
 //! same in [`Database::metrics`]. The scheduler adds only
 //! `maintenance.errors` (and keeps [`MaintenanceScheduler::last_error`]).
 
-use crate::{CompactionReport, Database, DbError, MaintainTarget};
+use crate::{CompactionReport, Database, DbError, MaintainTarget, Partition};
 use obs::metrics::Counter;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -176,27 +176,13 @@ impl Shared {
             .expect("scheduler wake lock");
     }
 
-    /// Note a failed partition operation (the work itself recorded its
-    /// own `maintenance.*` series).
-    fn note<T>(&self, result: Result<T, DbError>) {
-        match result {
-            // a table dropped mid-sweep is not an error
-            Ok(_) | Err(DbError::UnknownTable(_)) => {}
-            Err(e) => {
-                self.errors.inc();
-                *self.last_error.lock().expect("scheduler error lock") = Some(e.to_string());
-            }
+    /// Run one maintenance step of a partition, noting a failure (the
+    /// step itself recorded its own `maintenance.*` series).
+    fn step(&self, part: &Partition<'_>, target: MaintainTarget) {
+        if let Err(e) = part.maintain(target) {
+            self.errors.inc();
+            *self.last_error.lock().expect("scheduler error lock") = Some(e.to_string());
         }
-    }
-
-    /// Run one maintenance step of a partition.
-    fn step(
-        &self,
-        table: &str,
-        p: usize,
-        target: MaintainTarget,
-    ) -> Result<Option<CompactionReport>, DbError> {
-        self.db.maintain_range(table, p, target, &mut None::<fn()>)
     }
 
     /// One sweep over every partition for the given role. Over-budget
@@ -204,29 +190,22 @@ impl Shared {
     /// machine's parallelism): the pin/merge/install protocol serializes
     /// per partition, so distinct partitions' merges are independent.
     fn pass(&self, role: &Role) {
-        let mut due: Vec<(String, usize)> = Vec::new();
-        for table in self.db.table_names() {
-            let Ok(opts) = self.db.options(&table) else {
-                continue;
-            };
-            let Ok(nparts) = self.db.partition_count(&table) else {
-                continue;
-            };
-            for p in 0..nparts {
+        let tables = self.db.tables();
+        let mut due: Vec<Partition<'_>> = Vec::new();
+        for table in &tables {
+            let opts = table.options();
+            for part in table.partitions() {
                 match role {
-                    Role::Flush => self.note(self.db.maybe_flush_partition(
-                        &table,
-                        p,
-                        opts.flush_threshold_bytes,
-                    )),
+                    Role::Flush => {
+                        part.maybe_flush(opts.flush_threshold_bytes);
+                    }
                     Role::Maintain => {
-                        let bytes = self.db.delta_bytes_partition(&table, p).unwrap_or(0);
-                        if bytes > opts.checkpoint_threshold_bytes {
-                            due.push((table.clone(), p));
+                        if part.delta_bytes() > opts.checkpoint_threshold_bytes {
+                            due.push(part);
                         } else if opts.compaction.enabled {
                             // plans against the heat map; a no-op when
                             // nothing scores over the floors
-                            self.note(self.step(&table, p, MaintainTarget::Planned));
+                            self.step(&part, MaintainTarget::Planned);
                         }
                     }
                 }
@@ -237,16 +216,16 @@ impl Shared {
             .unwrap_or(1)
             .min(due.len());
         if workers <= 1 {
-            for (table, p) in &due {
-                self.note(self.step(table, *p, MaintainTarget::All));
+            for part in &due {
+                self.step(part, MaintainTarget::All);
             }
         } else {
             std::thread::scope(|s| {
                 for chunk in 0..workers {
                     let due = &due;
                     s.spawn(move || {
-                        for (table, p) in due.iter().skip(chunk).step_by(workers) {
-                            self.note(self.step(table, *p, MaintainTarget::All));
+                        for part in due.iter().skip(chunk).step_by(workers) {
+                            self.step(part, MaintainTarget::All);
                         }
                     });
                 }
@@ -324,10 +303,10 @@ impl MaintenanceScheduler {
     /// mutex serializes against in-flight worker passes). Errors are
     /// returned — a drain must not silently skip work.
     pub fn drain(&self) -> Result<(), DbError> {
-        for table in self.shared.db.table_names() {
-            for p in 0..self.shared.db.partition_count(&table)? {
-                self.shared.db.maybe_flush_partition(&table, p, 0)?;
-                self.shared.step(&table, p, MaintainTarget::All)?;
+        for table in self.shared.db.tables() {
+            for part in table.partitions() {
+                part.maybe_flush(0);
+                part.maintain(MaintainTarget::All)?;
             }
         }
         Ok(())
@@ -461,7 +440,8 @@ mod tests {
                 .with_checkpoint_threshold(0)
                 .with_partitions(PartitionSpec::Count(4));
             let db = db_with_ints(128, policy, opts);
-            assert_eq!(db.partition_count("t").unwrap(), 4, "{policy:?}");
+            let parts = db.table("t").unwrap().partitions().len();
+            assert_eq!(parts, 4, "{policy:?}");
             let sched = MaintenanceScheduler::start(
                 db.clone(),
                 MaintenanceConfig::with_tick(Duration::from_millis(1)),

@@ -22,11 +22,17 @@
 //! owning its sort key (a split point belongs to the partition *above*
 //! it); reads union the partitions in split order, re-basing each
 //! partition's locally consecutive RIDs so scans emit globally
-//! consecutive ones ([`exec::TableScan::union`], and the
-//! partition-parallel [`exec::ParallelUnionScan`]). Commits validate and
-//! WAL each touched partition's footprint independently, and the
-//! maintenance scheduler flushes/checkpoints partitions — not tables — so
-//! maintenance parallelizes across them.
+//! consecutive ones ([`exec::TableScan::union`]). Commits validate and
+//! WAL each touched partition's footprint independently, and maintenance
+//! is a method of the partition — [`crate::Partition::maybe_flush`] and
+//! [`crate::Partition::maintain`], reached through
+//! [`crate::Database::table`] — so the scheduler flushes and checkpoints
+//! partitions, not tables, and maintenance parallelizes across them.
+//!
+//! The state lives where it is owned: a table's entry holds its options,
+//! schema, split points and partitions; each partition holds its own slot
+//! for its stable slice, its update structure, heat map, image provenance
+//! and maintenance mutex. Only `create_table` writes the database's map.
 //!
 //! [`PartitionSpec::None`] keeps the single-partition layout and is
 //! behaviorally identical to the pre-partitioning engine.
@@ -35,8 +41,8 @@ use crate::compaction::PartitionHeat;
 use crate::delta::DeltaStore;
 use crate::maintenance::MaintMetrics;
 use crate::{DbError, TableOptions};
-use columnar::{BlockProvenance, IoTracker, StableTable, Tuple, Value};
-use parking_lot::Mutex;
+use columnar::{BlockProvenance, IoTracker, Schema, StableTable, Tuple, Value};
+use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
 /// How a table is range-partitioned, chosen at
@@ -58,20 +64,25 @@ pub enum PartitionSpec {
     SplitPoints(Vec<Vec<Value>>),
 }
 
-/// One partition: its stable slice, its update structure, and the mutex
-/// serializing its maintenance (flush vs checkpoint) — commits and reads
-/// never take it. The mutex guards the partition's `maintenance.*`
-/// handles, so a step records what it did while it still holds it.
+/// One partition's state: its stable slice, its update structure, and
+/// the mutex serializing its maintenance (flush vs range step) — commits
+/// and reads never take it. The mutex guards the partition's
+/// `maintenance.*` handles, so a step records what it did while it still
+/// holds it.
 pub(crate) struct PartitionEntry {
-    pub stable: Arc<StableTable>,
+    /// The partition's own slot for its stable slice. Swapped only under
+    /// the commit guard — by a maintenance step, which also holds `maint`,
+    /// or by recovery's image adoption; views and transactions capture it
+    /// under the commit guard, so a capture is always one consistent cut.
+    stable: RwLock<Arc<StableTable>>,
     pub delta: Arc<dyn DeltaStore>,
-    pub maint: Arc<Mutex<MaintMetrics>>,
+    pub maint: Mutex<MaintMetrics>,
     /// Per-block delta/scan heat of the current stable slice (reset on
     /// every stable swap) — the compaction planner's input.
     pub heat: Arc<PartitionHeat>,
     /// The database's shared I/O counters, scoped to report block reads
-    /// to `heat`. Built once here so every scan path (view, transaction,
-    /// parallel union) charges the same tracker.
+    /// to `heat`. Built once here so every scan path (view, transaction)
+    /// charges the same tracker.
     pub heat_io: IoTracker,
     /// Provenance of the current stable slice's blocks in the image
     /// store: `(manifest seq, block index)` of the image each block's
@@ -79,15 +90,15 @@ pub(crate) struct PartitionEntry {
     /// (no store attached, or never checkpointed). Incremental
     /// compaction passes this to
     /// [`columnar::ImageStore::publish_with_reuse`] so untouched blocks
-    /// become references instead of rewrites.
-    pub provenance: Arc<Mutex<Option<BlockProvenance>>>,
+    /// become references instead of rewrites. Changes only under `maint`.
+    pub provenance: Mutex<Option<BlockProvenance>>,
 }
 
 impl PartitionEntry {
     /// A fresh entry around `stable`/`delta`, with cold heat and no image
     /// provenance.
-    pub fn new(
-        stable: Arc<StableTable>,
+    pub(crate) fn new(
+        stable: StableTable,
         delta: Arc<dyn DeltaStore>,
         io: &IoTracker,
         metrics: MaintMetrics,
@@ -95,19 +106,38 @@ impl PartitionEntry {
         let heat = PartitionHeat::new(stable.num_blocks());
         let heat_io = io.scoped(heat.clone());
         PartitionEntry {
-            stable,
+            stable: RwLock::new(Arc::new(stable)),
             delta,
-            maint: Arc::new(Mutex::new(metrics)),
+            maint: Mutex::new(metrics),
             heat,
             heat_io,
-            provenance: Arc::new(Mutex::new(None)),
+            provenance: Mutex::new(None),
         }
+    }
+
+    /// The current stable slice.
+    pub(crate) fn stable(&self) -> Arc<StableTable> {
+        self.stable.read().clone()
+    }
+
+    /// Install a new stable slice with the provenance of its blocks; the
+    /// heat map restarts cold on the new geometry. The caller holds the
+    /// commit guard.
+    pub(crate) fn swap_stable(&self, fresh: StableTable, provenance: Option<BlockProvenance>) {
+        *self.provenance.lock() = provenance;
+        self.heat.reset(fresh.num_blocks());
+        *self.stable.write() = Arc::new(fresh);
     }
 }
 
 /// A table as the database holds it: the ordered partitions plus the
-/// split points that route between them.
+/// split points that route between them. Shared (`Arc`) by the database's
+/// map, every [`crate::Table`] handle and every transaction that captured
+/// the table.
 pub(crate) struct TableEntry {
+    pub name: String,
+    /// The table's schema (every partition's slice has it).
+    pub schema: Schema,
     pub parts: Vec<PartitionEntry>,
     /// `parts.len() - 1` strictly ascending sort-key split points.
     pub splits: Vec<Vec<Value>>,

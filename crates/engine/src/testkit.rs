@@ -37,7 +37,8 @@
 //! differential divergence from the sequential model.
 
 use crate::{
-    Database, DbError, DbTxn, PartitionSpec, ScanSpec, TableOptions, UpdatePolicy, ALL_POLICIES,
+    Database, DbError, DbTxn, MaintainTarget, PartitionSpec, ScanSpec, TableOptions, UpdatePolicy,
+    ALL_POLICIES,
 };
 use columnar::{Schema, TableMeta, Tuple, Value};
 use exec::expr::{col, lit, Expr};
@@ -222,18 +223,19 @@ impl DiffHarness {
         self.dbs = self.make_dbs();
         let resolved = self.dbs[0]
             .1
-            .partition_splits(&self.table)
+            .table(&self.table)
             .expect("harness table exists");
-        self.partitions = PartitionSpec::SplitPoints(resolved);
+        self.partitions = PartitionSpec::SplitPoints(resolved.splits().to_vec());
         self
     }
 
     /// Partition count of the harness databases.
     pub fn partition_count(&self) -> usize {
-        self.dbs[0]
+        let t = self.dbs[0]
             .1
-            .partition_count(&self.table)
-            .expect("harness table exists")
+            .table(&self.table)
+            .expect("harness table exists");
+        t.partitions().len()
     }
 
     fn make_dbs(&self) -> Vec<(UpdatePolicy, Database)> {
@@ -294,11 +296,8 @@ impl DiffHarness {
     /// tag agree with the model.
     pub fn assert_agree(&self, context: &str) {
         for (policy, db) in &self.dbs {
-            assert_eq!(
-                db.policy(&self.table).unwrap(),
-                *policy,
-                "{context}: policy tag"
-            );
+            let t = db.table(&self.table).unwrap();
+            assert_eq!(t.options().policy, *policy, "{context}: policy tag");
             let image = Self::merged_image(db, &self.table);
             assert_eq!(
                 image,
@@ -581,19 +580,17 @@ impl DiffHarness {
     /// treats them.
     pub fn compact(&mut self, p: usize, b0: usize, b1: usize) {
         for (policy, db) in &self.dbs {
-            if p >= db.partition_count(&self.table).expect("harness table") {
+            let t = db.table(&self.table).expect("harness table");
+            let Some(part) = t.partitions().get(p).copied() else {
                 continue;
-            }
-            let nb = db
-                .stable_partition(&self.table, p)
-                .expect("harness partition")
-                .num_blocks();
+            };
+            let nb = part.stable().num_blocks();
             let (b0, b1) = (b0.min(nb), b1.min(nb));
             if b0 > b1 || (b0 == b1 && b1 < nb) {
                 continue;
             }
-            db.compact_range(&self.table, p, b0, b1)
-                .unwrap_or_else(|e| panic!("{policy:?}: compact_range failed: {e}"));
+            part.maintain(MaintainTarget::Blocks(b0, b1))
+                .unwrap_or_else(|e| panic!("{policy:?}: compaction step failed: {e}"));
         }
         self.assert_agree("after compaction");
     }
@@ -620,11 +617,10 @@ impl DiffHarness {
             let res = match range {
                 None => db.checkpoint(&self.table),
                 Some((p, b0, b1)) => {
-                    let nb = db
-                        .stable_partition(&self.table, p)
-                        .expect("harness partition")
-                        .num_blocks();
-                    db.compact_range(&self.table, p, b0.min(nb), b1.min(nb))
+                    let t = db.table(&self.table).expect("harness table");
+                    let part = t.partitions()[p];
+                    let nb = part.stable().num_blocks();
+                    part.maintain(MaintainTarget::Blocks(b0.min(nb), b1.min(nb)))
                         .map(|r| r.is_some())
                 }
             };

@@ -9,10 +9,9 @@
 //! * [`expr::Expr`] — a vectorized expression interpreter (arithmetic,
 //!   comparisons, boolean logic, `LIKE`, `CASE`, `IN`, date extraction),
 //! * [`ops`] — pull-based operators: table scans (clean / PDT-merging /
-//!   VDT-merging, single-segment or partition unions), the
-//!   partition-parallel [`ParallelUnionScan`], filter, project, hash
-//!   aggregation, hash joins (inner/left-outer/semi/anti), sort, top-n
-//!   and limit,
+//!   VDT-merging, single-segment or partition unions), filter, project,
+//!   hash aggregation, hash joins (inner/left-outer/semi/anti), sort,
+//!   top-n and limit,
 //! * [`stats`] — per-query accounting of scan time vs processing time and
 //!   I/O volume: exactly the quantities plotted in the paper's Figure 19.
 //!
@@ -35,6 +34,5 @@ pub use ops::join::{HashJoin, JoinKind};
 pub use ops::project::Project;
 pub use ops::scan::{DeltaLayers, ScanBounds, ScanSegment, TableScan};
 pub use ops::sort::{Limit, Sort, SortKey, TopN};
-pub use ops::union::{ParallelUnionScan, ScanTask, UnionPart};
 pub use ops::{run_to_rows, BoxOp, Operator};
 pub use stats::{measure, QueryStats, ScanClock};

@@ -11,7 +11,6 @@ pub mod profiled;
 pub mod project;
 pub mod scan;
 pub mod sort;
-pub mod union;
 
 use crate::batch::Batch;
 use columnar::{Tuple, ValueType};

@@ -18,16 +18,18 @@
 //!   session can retry after maintenance (or an explicit checkpoint)
 //!   drains the table.
 //!
-//! The budget is `checkpoint_threshold_bytes × partition_count`, i.e. the
-//! table-wide footprint the scheduler is configured to tolerate before it
-//! starts folding slices.
+//! The budget is `checkpoint_threshold_bytes ×` the table's partition
+//! count, i.e. the table-wide footprint the scheduler is configured to
+//! tolerate before it starts folding slices. The check resolves the table
+//! once ([`engine::Database::table`]) and re-reads its
+//! [`engine::Table::delta_bytes`] on every retry tick.
 
 use std::time::Duration;
 
 /// Backpressure knobs (see the module docs for the three-zone scheme).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
-    /// Delay writes once `delta_bytes(table)` exceeds this multiple of
+    /// Delay writes once the table's delta bytes exceed this multiple of
     /// the table's checkpoint budget. Default 2.0.
     pub soft_multiple: f64,
     /// Reject writes still over this multiple after the delay budget is

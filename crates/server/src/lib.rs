@@ -445,11 +445,11 @@ impl Session {
     fn admit(&self, table: &str) -> Result<(), ServerError> {
         let shared = &self.shared;
         let cfg = &shared.admission;
-        let opts = shared.db.options(table)?;
-        let parts = shared.db.partition_count(table)?;
-        let budget = opts.checkpoint_threshold_bytes.saturating_mul(parts);
+        let t = shared.db.table(table)?;
+        let parts = t.partitions().len();
+        let budget = t.options().checkpoint_threshold_bytes.saturating_mul(parts);
         let (soft, hard) = cfg.limits(budget);
-        let mut bytes = shared.db.delta_bytes(table)?;
+        let mut bytes = t.delta_bytes();
         if bytes <= soft {
             return Ok(());
         }
@@ -465,7 +465,7 @@ impl Session {
                 break false;
             }
             std::thread::sleep(cfg.retry_tick.min(cfg.max_delay));
-            bytes = shared.db.delta_bytes(table)?;
+            bytes = t.delta_bytes();
             if bytes <= soft {
                 break true;
             }

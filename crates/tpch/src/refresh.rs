@@ -245,9 +245,10 @@ mod tests {
         for policy in engine::ALL_POLICIES {
             let single = load_database(&data, opts(policy));
             let parted = crate::load_database_partitioned(&data, opts(policy), 4);
-            assert_eq!(parted.partition_count("lineitem").unwrap(), 4);
-            assert_eq!(parted.partition_count("orders").unwrap(), 4);
-            assert_eq!(parted.partition_count("region").unwrap(), 1);
+            let parts = |t: &str| parted.table(t).unwrap().partitions().len();
+            assert_eq!(parts("lineitem"), 4);
+            assert_eq!(parts("orders"), 4);
+            assert_eq!(parts("region"), 1);
             for db in [&single, &parted] {
                 apply_rf1(db, &streams, 64).unwrap();
                 apply_rf2(db, &streams, 64).unwrap();

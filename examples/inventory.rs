@@ -73,7 +73,7 @@ fn main() {
     // receive SID 0 in the PDT (Figure 3). The paper's batches really are
     // batches here: one `append` call — one insert-rank scan, one staged
     // batch, one WAL entry for the whole statement.
-    let schema_types = db.schema("inventory").unwrap().types();
+    let schema_types = db.table("inventory").unwrap().schema().types();
     let batch1: Vec<Vec<Value>> = [("table", 10i64), ("cloth", 5), ("chair", 20)]
         .iter()
         .map(|&(p, q)| vec!["Berlin".into(), p.into(), true.into(), q.into()])

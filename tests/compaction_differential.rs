@@ -19,12 +19,14 @@
 //! rebased residual replay.
 //!
 //! The whole-partition checkpoint is the same step over every block, and
-//! the suite holds it to that: from one state, `checkpoint_partition(p)`
-//! and `compact_range(p, 0, n_blocks)` must leave byte-identical slices,
-//! dictionaries, deltas and logs.
+//! the suite holds it to that: from one state, a partition's
+//! `maintain(MaintainTarget::All)` and `maintain(MaintainTarget::Blocks(0,
+//! n_blocks))` must leave byte-identical slices, dictionaries, deltas and
+//! logs.
 
 use columnar::{Encoding, Schema, StableTable, Tuple, Value, ValueType};
 use engine::testkit::DiffHarness;
+use engine::MaintainTarget;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -215,20 +217,18 @@ fn full_range_step_is_the_checkpoint(partitions: usize) {
         h
     });
     for ((policy, a), (_, b)) in ckpt.dbs().zip(full.dbs()) {
-        for p in 0..partitions {
+        let (ta, tb) = (a.table("t").unwrap(), b.table("t").unwrap());
+        for (p, (pa, pb)) in ta.partitions().iter().zip(tb.partitions()).enumerate() {
             let context = format!("{policy:?} partition {p}");
-            let nb = b.stable_partition("t", p).unwrap().num_blocks();
-            let folded = a.checkpoint_partition("t", p).unwrap();
-            let report = b.compact_range("t", p, 0, nb).unwrap();
+            let nb = pb.stable().num_blocks();
+            let folded = pa.maintain(MaintainTarget::All).unwrap().is_some();
+            let report = pb.maintain(MaintainTarget::Blocks(0, nb)).unwrap();
             assert_eq!(folded, report.is_some(), "{context}: same pin verdict");
             assert!(
                 report.is_none_or(|r| r.blocks_reused == 0 && r.blocks_merged == nb as u64),
                 "{context}: {report:?}"
             );
-            let (sa, sb) = (
-                a.stable_partition("t", p).unwrap(),
-                b.stable_partition("t", p).unwrap(),
-            );
+            let (sa, sb) = (pa.stable(), pb.stable());
             assert_same_encoding(&sa, &sb, &context);
             if folded {
                 assert!(
@@ -239,8 +239,8 @@ fn full_range_step_is_the_checkpoint(partitions: usize) {
                 );
             }
             assert_eq!(
-                a.delta_bytes_partition("t", p).unwrap(),
-                b.delta_bytes_partition("t", p).unwrap(),
+                pa.delta_bytes(),
+                pb.delta_bytes(),
                 "{context}: delta footprint"
             );
         }
@@ -269,7 +269,7 @@ fn full_range_compaction_is_byte_identical_to_checkpoint_across_partitions() {
 
 /// A partition created without rows has no block to name: its first
 /// maintenance step is the range `[0, 0)`, which folds the append gap —
-/// through `compact_range` and through `checkpoint` alike.
+/// through a block-range step and through `checkpoint` alike.
 #[test]
 fn zero_block_partitions_fold_through_the_empty_range() {
     let mut h = DiffHarness::with_storage(storage_dir("empty"), "t", schema(), vec![0], vec![], 8);

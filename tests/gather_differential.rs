@@ -261,7 +261,7 @@ fn assert_rank(
         .any(|&k| model.rows().iter().any(|r| r[0] == Value::Int(k)));
     let got = match got {
         Err(DbError::DuplicateKey { .. }) if dup => {
-            if db.partition_count(TABLE).unwrap() == 1 {
+            if db.table(TABLE).unwrap().splits().is_empty() {
                 let sk: Vec<Vec<Value>> = keys.iter().map(|&k| vec![Value::Int(k)]).collect();
                 assert!(
                     matches!(
@@ -277,7 +277,7 @@ fn assert_rank(
     };
     assert!(!dup, "{policy:?}: duplicate among {keys:?} went unnoticed");
     // global rank of a key = rows of earlier partitions + its local rank
-    let splits = db.partition_splits(TABLE).unwrap();
+    let splits = db.table(TABLE).unwrap().splits().to_vec();
     let below = |bound: &Value| model.rows().iter().filter(|r| r[0] < *bound).count() as u64;
     let global: Vec<u64> = got
         .iter()
@@ -335,7 +335,7 @@ fn run_case(
             let all: Vec<u64> = (0..visible as u64).collect();
             assert_gather(policy, &txn, &model, &all);
             // the rows on either side of every split point
-            let splits = db.partition_splits(TABLE).unwrap();
+            let splits = db.table(TABLE).unwrap().splits().to_vec();
             let mut straddle: Vec<u64> = splits
                 .iter()
                 .flat_map(|s| {

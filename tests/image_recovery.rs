@@ -18,7 +18,7 @@
 use columnar::TableMeta;
 use columnar::{Schema, Tuple, Value, ValueType};
 use engine::testkit::DiffHarness;
-use engine::{Database, ScanSpec, TableOptions, ALL_POLICIES};
+use engine::{Database, MaintainTarget, ScanSpec, TableOptions, ALL_POLICIES};
 
 fn schema() -> Schema {
     Schema::from_pairs(&[
@@ -318,8 +318,11 @@ fn interchange_script(db: &Database) {
     commit(&|txn| {
         txn.delete_rids("t", &[7, 8, 40]).unwrap();
     });
-    let last = db.partition_count("t").unwrap() - 1;
-    db.compact_range("t", last, 0, 1).unwrap().unwrap();
+    let t = db.table("t").unwrap();
+    let last = *t.partitions().last().unwrap();
+    last.maintain(MaintainTarget::Blocks(0, 1))
+        .unwrap()
+        .unwrap();
     // a sort-key rewrite (delete + insert), then more of each kind on top
     // of the compacted image
     commit(&|txn| {

@@ -14,7 +14,7 @@
 //! one mutex and drains before and after its traced window.
 
 use columnar::{Schema, TableMeta, Tuple, Value, ValueType};
-use engine::{Database, TableOptions, ALL_POLICIES};
+use engine::{Database, MaintainTarget, TableOptions, ALL_POLICIES};
 use obs::{TraceEvent, TraceKind};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -192,7 +192,8 @@ fn compaction_pin_merge_install_all_policies() {
         txn.commit().unwrap();
 
         let evs = traced(|| {
-            db.compact_range(&table, 0, 0, 2)
+            db.table(&table).unwrap().partitions()[0]
+                .maintain(MaintainTarget::Blocks(0, 2))
                 .unwrap()
                 .expect("delta pinned");
         });

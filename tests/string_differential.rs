@@ -89,8 +89,8 @@ fn strkey_rows(n: i64) -> Vec<Tuple> {
 /// coded path, not plain string blocks.
 fn assert_string_col_coded(h: &DiffHarness, col: usize, context: &str) {
     for (policy, db) in h.dbs() {
-        for p in 0..db.partition_count("t").unwrap() {
-            let stable = db.stable_partition("t", p).unwrap();
+        for (p, part) in db.table("t").unwrap().partitions().iter().enumerate() {
+            let stable = part.stable();
             if stable.row_count() == 0 {
                 continue;
             }
