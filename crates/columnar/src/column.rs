@@ -23,7 +23,10 @@ use crate::value::{Value, ValueType};
 /// order-preserving [`StrDict`]. Both report [`ValueType::Str`]; a coded
 /// vector transparently *materializes* into `Str` when an operation needs a
 /// string its dictionary does not contain. MergeScan works on codes and
-/// materializes once at batch emission.
+/// emits them; the executor's operators keep them coded and read strings
+/// through [`ColumnVec::str_at`], so a string materializes only where a
+/// caller asks for a [`Value`] ([`ColumnVec::get`]) or one outside the
+/// dictionary must be stored.
 #[derive(Debug, Clone)]
 pub enum ColumnVec {
     /// Booleans.
@@ -161,9 +164,8 @@ impl ColumnVec {
     }
 
     /// Convert a [`ColumnVec::Coded`] column into [`ColumnVec::Str`] in
-    /// place (late materialization at batch emission; also the fallback
-    /// when a string outside the dictionary must be stored). No-op on
-    /// every other representation.
+    /// place (the fallback when a string outside the dictionary must be
+    /// stored). No-op on every other representation.
     pub fn materialize_in_place(&mut self) {
         if let ColumnVec::Coded(codes, dict) = self {
             let strs = codes.iter().map(|&c| dict.get(c).to_string()).collect();
@@ -286,13 +288,14 @@ impl ColumnVec {
     }
 
     /// Borrow the native `String` slice; panics unless this is a
-    /// *materialized* string column (coded columns must be materialized
-    /// first — scan emission does this automatically).
+    /// *materialized* string column. Scans emit coded columns, so code
+    /// that reads a string column of a batch uses [`ColumnVec::str_at`],
+    /// which serves both representations.
     pub fn as_str(&self) -> &[String] {
         match self {
             ColumnVec::Str(v) => v,
             ColumnVec::Coded(..) => {
-                panic!("coded string column not materialized (materialize_in_place first)")
+                panic!("coded string column not materialized (read it with str_at)")
             }
             other => panic!("expected Str column, got {:?}", other.vtype()),
         }

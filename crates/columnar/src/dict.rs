@@ -6,7 +6,8 @@
 //! answer as comparing the strings they stand for. That property is what
 //! lets MergeScan compare sort keys and patch data columns entirely on
 //! `u32`s ("Teaching an Old Elephant New Tricks" — compressed comparisons
-//! replace string work), with a single decode pass at batch emission.
+//! replace string work), and what lets the executor compare a coded
+//! column against a literal through the literal's rank, decoding nothing.
 //!
 //! Dictionaries are immutable and shared via [`Arc`]: a coded column vector
 //! ([`crate::ColumnVec::Coded`]) carries the `Arc` of the dictionary its

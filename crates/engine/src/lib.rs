@@ -1252,6 +1252,23 @@ mod tests {
     }
 
     #[test]
+    fn scan_emits_string_columns_as_dictionary_codes() {
+        // strings leave the scan coded; an operator decodes what it reads
+        for policy in ALL_POLICIES {
+            let db = inventory_db(policy);
+            let view = db.read_view();
+            let mut scan = view
+                .scan_with("inventory", ScanSpec::cols(vec![0, 1, 3]))
+                .unwrap();
+            let b = scan.next_batch().unwrap();
+            assert!(b.cols[0].as_codes().is_some(), "{policy:?}");
+            assert!(b.cols[1].as_codes().is_some(), "{policy:?}");
+            let first = vec!["London".into(), "chair".into(), 30i64.into()];
+            assert_eq!(b.row(0), first, "{policy:?}");
+        }
+    }
+
+    #[test]
     fn paper_batches_through_engine_both_policies() {
         for policy in ALL_POLICIES {
             let db = inventory_db(policy);

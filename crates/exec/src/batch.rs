@@ -1,6 +1,8 @@
-//! Columnar row batches flowing between operators.
+//! Columnar row batches flowing between operators, and the row keys the
+//! hash operators build on them.
 
 use columnar::{ColumnVec, Tuple, Value, ValueType};
+use std::hash::{BuildHasher, RandomState};
 
 /// A block of rows in columnar layout.
 ///
@@ -86,17 +88,23 @@ impl Batch {
     }
 
     /// Keep only the rows at the given indices (selection-vector apply).
+    /// Each column keeps its representation: coded strings stay codes.
     pub fn gather(&self, idx: &[usize]) -> Batch {
         let cols = self
             .cols
             .iter()
             .map(|c| {
-                let mut out = ColumnVec::new(c.vtype());
+                let mut out = c.empty_like();
                 out.extend_gather(c, idx);
                 out
             })
             .collect();
         Batch { cols, rid_start: 0 }
+    }
+
+    /// The listed columns, borrowed (a key's columns).
+    pub(crate) fn cols_at(&self, idx: &[usize]) -> Vec<&ColumnVec> {
+        idx.iter().map(|&c| &self.cols[c]).collect()
     }
 
     /// Keep only the listed columns, in the listed order.
@@ -138,6 +146,124 @@ impl Batch {
     }
 }
 
+/// Whether row `i` of the key columns `a` equals row `j` of `b`. The key
+/// rule: cells of different types never match, strings match by content
+/// (coded or not), and doubles match by bit pattern — the executor's
+/// total order, so `-0.0` and `0.0` are two keys and a NaN matches a NaN
+/// with the same bits.
+pub(crate) fn keys_eq(a: &[&ColumnVec], i: usize, b: &[&ColumnVec], j: usize) -> bool {
+    a.iter()
+        .zip(b)
+        .all(|(x, y)| x.vtype() == y.vtype() && x.cmp_cells(i, y, j).is_eq())
+}
+
+/// Row ids `0..len()` by the hash of their key: open addressing with
+/// linear probing, so the ids sharing a hash lie along one probe sequence
+/// in insertion order. Callers hash with [`KeyIndex::hash_rows`] and check
+/// each candidate with [`keys_eq`].
+pub(crate) struct KeyIndex {
+    /// `id + 1` per slot, 0 when empty; a power of two, at most half full.
+    slots: Vec<u32>,
+    /// The hash of every id.
+    hashes: Vec<u64>,
+    /// Drawn per index, as std's maps draw theirs: keys come from table
+    /// data, and a fixed seed would let one set of keys collide in every run.
+    seed: u64,
+}
+
+impl Default for KeyIndex {
+    fn default() -> Self {
+        KeyIndex {
+            slots: Vec::new(),
+            hashes: Vec::new(),
+            seed: RandomState::new().hash_one(0u8),
+        }
+    }
+}
+
+impl KeyIndex {
+    /// One hash per row of the key columns `keys` (`n` rows), computed
+    /// column by column. Keys [`keys_eq`] calls equal hash equally whatever
+    /// their representation: a string hashes its bytes, coded or not.
+    pub(crate) fn hash_rows(&self, keys: &[&ColumnVec], n: usize) -> Vec<u64> {
+        let (mut h, seed) = (vec![self.seed; n], self.seed);
+        for col in keys {
+            match col {
+                ColumnVec::Bool(v) => mix(&mut h, v.iter().map(|&b| b as u64)),
+                ColumnVec::Int(v) => mix(&mut h, v.iter().map(|&x| x as u64)),
+                ColumnVec::Double(v) => mix(&mut h, v.iter().map(|x| x.to_bits())),
+                ColumnVec::Date(v) => mix(&mut h, v.iter().map(|&d| d as u64)),
+                ColumnVec::Str(v) => mix(&mut h, v.iter().map(|s| hash_str(seed, s))),
+                ColumnVec::Coded(v, d) => mix(&mut h, v.iter().map(|&c| hash_str(seed, d.get(c)))),
+            }
+        }
+        // fold the well-mixed high half into the low bits the slots index by
+        h.iter_mut().for_each(|x| *x ^= *x >> 32);
+        h
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Add the next id, `len()`, under hash `h`.
+    pub(crate) fn insert(&mut self, h: u64) -> u32 {
+        if 2 * (self.hashes.len() + 1) > self.slots.len() {
+            self.slots = vec![0; (2 * self.slots.len()).max(16)];
+            for (id, &h) in self.hashes.iter().enumerate() {
+                place(&mut self.slots, h, id);
+            }
+        }
+        let id = self.hashes.len();
+        self.hashes.push(h);
+        place(&mut self.slots, h, id);
+        id as u32
+    }
+
+    /// The ids inserted under hash `h`, in insertion order.
+    pub(crate) fn candidates(&self, h: u64) -> impl Iterator<Item = u32> + '_ {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut s = h as usize & mask;
+        std::iter::from_fn(move || loop {
+            let id = match self.slots.get(s) {
+                Some(&id) if id != 0 => id - 1,
+                _ => return None,
+            };
+            s = (s + 1) & mask;
+            if self.hashes[id as usize] == h {
+                return Some(id);
+            }
+        })
+    }
+}
+
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+fn mix(h: &mut [u64], words: impl Iterator<Item = u64>) {
+    for (h, w) in h.iter_mut().zip(words) {
+        *h = (h.rotate_left(26) ^ w).wrapping_mul(MIX);
+    }
+}
+
+fn hash_str(seed: u64, s: &str) -> u64 {
+    s.as_bytes()
+        .chunks(8)
+        .fold(seed ^ s.len() as u64, |h, chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            (h.rotate_left(26) ^ u64::from_le_bytes(word)).wrapping_mul(MIX)
+        })
+}
+
+fn place(slots: &mut [u32], h: u64, id: usize) {
+    let mask = slots.len() - 1;
+    let mut s = h as usize & mask;
+    while slots[s] != 0 {
+        s = (s + 1) & mask;
+    }
+    slots[s] = id as u32 + 1;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +303,50 @@ mod tests {
         let z = left.zip(right);
         assert_eq!(z.num_cols(), 2);
         assert_eq!(z.row(0), vec![Value::Str("a".into()), Value::Int(1)]);
+    }
+
+    #[test]
+    fn gather_keeps_coded_strings_coded() {
+        let dict = columnar::StrDict::build(["a", "b"]);
+        let b = Batch {
+            cols: vec![ColumnVec::Coded(vec![1, 0, 1], dict)],
+            rid_start: 0,
+        };
+        let g = b.gather(&[2, 1]);
+        assert_eq!(g.cols[0].as_codes(), Some(&[1, 0][..]));
+        assert_eq!(g.row(1), vec![Value::Str("a".into())]);
+    }
+
+    #[test]
+    fn key_index_keeps_equal_hashes_in_insertion_order() {
+        let mut idx = KeyIndex::default();
+        assert_eq!(idx.candidates(7).count(), 0);
+        // three hashes sharing their low bits, so one probe sequence
+        // holds all 40 ids; growth re-places them without reordering
+        for i in 0..40u32 {
+            assert_eq!(idx.insert(((i % 3) as u64) << 40), i);
+        }
+        assert_eq!(idx.len(), 40);
+        let ids: Vec<u32> = idx.candidates(1 << 40).collect();
+        assert_eq!(ids, (1..40).step_by(3).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn keys_match_by_content_and_doubles_by_bits() {
+        let dict = columnar::StrDict::build(["x", "y"]);
+        let coded = ColumnVec::Coded(vec![1, 0], dict);
+        let plain = ColumnVec::Str(vec!["x".into(), "y".into()]);
+        let dbl = ColumnVec::Double(vec![-0.0, 0.0, f64::NAN, f64::NAN]);
+        let (c, p, d) = (&[&coded][..], &[&plain][..], &[&dbl][..]);
+        let idx = KeyIndex::default();
+        assert!(keys_eq(c, 0, p, 1) && !keys_eq(c, 0, p, 0));
+        assert_eq!(idx.hash_rows(c, 2)[0], idx.hash_rows(p, 2)[1]);
+        assert!(!keys_eq(d, 0, d, 1), "-0.0 and 0.0 are two keys");
+        assert!(keys_eq(d, 2, d, 3), "NaN matches NaN");
+        let h = idx.hash_rows(d, 4);
+        assert!(h[0] != h[1] && h[2] == h[3]);
+        let int = ColumnVec::Int(vec![0]);
+        assert!(!keys_eq(&[&int], 0, d, 1), "types never match across");
     }
 
     #[test]

@@ -1,10 +1,17 @@
 //! Vectorized expression interpreter.
 //!
-//! Expressions evaluate over a [`Batch`] and produce a full column. Typed
-//! fast paths cover the combinations the TPC-H workload exercises
-//! (int/double arithmetic, int/double/date/string comparisons, `LIKE` with
-//! `%` wildcards, `CASE`, `IN`, `BETWEEN`, `EXTRACT(YEAR)`, `SUBSTRING`);
-//! a `Value`-level fallback keeps everything total.
+//! Expressions evaluate over a [`Batch`] by borrowing: a column reference
+//! is the batch's own column, a literal stays one scalar, and only
+//! operators compute new columns. Typed kernels cover column against
+//! column and column against scalar (literal on either side) for
+//! int/double arithmetic and int/double/date/string comparisons; `IN` and
+//! `BETWEEN` run on the same comparison kernel. String columns are read
+//! through [`ColumnVec::str_at`], and a dictionary-coded column compares a
+//! literal on its codes through the order-preserving dictionary. A
+//! `Value`-level fallback keeps the type pairs without a typed arm total.
+
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use crate::batch::Batch;
 use columnar::value::date_year;
@@ -28,8 +35,8 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    fn test(&self, ord: std::cmp::Ordering) -> bool {
-        use std::cmp::Ordering::*;
+    fn test(&self, ord: Ordering) -> bool {
+        use Ordering::*;
         matches!(
             (self, ord),
             (CmpOp::Eq, Equal)
@@ -42,6 +49,17 @@ impl CmpOp {
                 | (CmpOp::Ge, Greater)
                 | (CmpOp::Ge, Equal)
         )
+    }
+
+    /// The operator with its operands swapped: `a op b` ⇔ `b op.flip() a`.
+    fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            eq_or_ne => eq_or_ne,
+        }
     }
 }
 
@@ -244,196 +262,283 @@ impl Expr {
             | Expr::NotLike(..)
             | Expr::InList(..)
             | Expr::Between(..) => ValueType::Bool,
-            Expr::Case(whens, els) => whens
-                .first()
-                .map(|(_, v)| v.out_type(input))
-                .unwrap_or_else(|| els.out_type(input)),
+            // promote like `Add`: any Double branch makes the result Double
+            Expr::Case(whens, els) => {
+                let types: Vec<ValueType> = whens
+                    .iter()
+                    .map(|(_, v)| v.out_type(input))
+                    .chain([els.out_type(input)])
+                    .collect();
+                match types.contains(&ValueType::Double) {
+                    true => ValueType::Double,
+                    false => types[0],
+                }
+            }
             Expr::Year(_) => ValueType::Int,
             Expr::Substr(..) => ValueType::Str,
         }
     }
 
-    /// Evaluate over a batch, producing one value per row.
-    pub fn eval(&self, batch: &Batch) -> ColumnVec {
+    /// Evaluate over a batch, producing one value per row. A column
+    /// reference borrows the batch's column; anything else is computed.
+    pub fn eval<'b>(&self, batch: &'b Batch) -> Cow<'b, ColumnVec> {
+        self.datum(batch).into_col(batch.num_rows())
+    }
+
+    /// Evaluate as a selection predicate.
+    pub fn eval_bool(&self, batch: &Batch) -> Vec<bool> {
+        self.datum(batch).bools(batch.num_rows())
+    }
+
+    /// The expression's value over `batch`: a borrowed or computed column,
+    /// or one scalar when it is a literal.
+    fn datum<'b>(&self, batch: &'b Batch) -> Datum<'b> {
         let n = batch.num_rows();
+        let computed = |c: ColumnVec| Datum::Col(Cow::Owned(c));
+        let preds = |c: Vec<bool>| computed(ColumnVec::Bool(c));
         match self {
-            Expr::Col(i) => batch.cols[*i].clone(),
-            Expr::Lit(v) => broadcast(v, n),
-            Expr::Add(a, b) => arith(a.eval(batch), b.eval(batch), i64::wrapping_add, |x, y| {
-                x + y
-            }),
-            Expr::Sub(a, b) => arith(a.eval(batch), b.eval(batch), i64::wrapping_sub, |x, y| {
-                x - y
-            }),
-            Expr::Mul(a, b) => arith(a.eval(batch), b.eval(batch), i64::wrapping_mul, |x, y| {
-                x * y
-            }),
-            Expr::Div(a, b) => {
-                let (a, b) = (to_f64(a.eval(batch)), to_f64(b.eval(batch)));
-                ColumnVec::Double(a.iter().zip(&b).map(|(x, y)| x / y).collect())
+            Expr::Col(i) => Datum::Col(Cow::Borrowed(&batch.cols[*i])),
+            Expr::Lit(v) => Datum::Scalar(v.clone()),
+            Expr::Add(a, b) => computed(arith(a, b, batch, Some(i64::wrapping_add), |x, y| x + y)),
+            Expr::Sub(a, b) => computed(arith(a, b, batch, Some(i64::wrapping_sub), |x, y| x - y)),
+            Expr::Mul(a, b) => computed(arith(a, b, batch, Some(i64::wrapping_mul), |x, y| x * y)),
+            Expr::Div(a, b) => computed(arith(a, b, batch, None, |x, y| x / y)),
+            Expr::Cmp(op, a, b) => preds(compare(*op, &a.datum(batch), &b.datum(batch), n)),
+            Expr::And(parts) | Expr::Or(parts) => {
+                let all = matches!(self, Expr::And(_));
+                preds(fold_bools(
+                    n,
+                    all,
+                    parts.iter().map(|p| p.datum(batch).bools(n)),
+                ))
             }
-            Expr::Cmp(op, a, b) => compare(*op, a.eval(batch), b.eval(batch)),
-            Expr::And(parts) => {
-                let mut acc = vec![true; n];
-                for p in parts {
-                    let v = bools(p.eval(batch));
-                    for (a, b) in acc.iter_mut().zip(v) {
-                        *a = *a && b;
-                    }
-                }
-                ColumnVec::Bool(acc)
+            Expr::Not(a) => preds(a.datum(batch).bools(n).into_iter().map(|b| !b).collect()),
+            Expr::Like(a, pat) | Expr::NotLike(a, pat) => {
+                let want = matches!(self, Expr::Like(..));
+                let (v, m) = (a.datum(batch).into_col(n), LikeMatcher::new(pat));
+                preds((0..n).map(|i| m.matches(v.str_at(i)) == want).collect())
             }
-            Expr::Or(parts) => {
-                let mut acc = vec![false; n];
-                for p in parts {
-                    let v = bools(p.eval(batch));
-                    for (a, b) in acc.iter_mut().zip(v) {
-                        *a = *a || b;
-                    }
-                }
-                ColumnVec::Bool(acc)
-            }
-            Expr::Not(a) => ColumnVec::Bool(bools(a.eval(batch)).into_iter().map(|b| !b).collect()),
-            Expr::Like(a, pat) => {
-                let v = a.eval(batch);
-                let m = LikeMatcher::new(pat);
-                ColumnVec::Bool(v.as_str().iter().map(|s| m.matches(s)).collect())
-            }
-            Expr::NotLike(a, pat) => {
-                let v = a.eval(batch);
-                let m = LikeMatcher::new(pat);
-                ColumnVec::Bool(v.as_str().iter().map(|s| !m.matches(s)).collect())
-            }
+            // `x IN (v1, ..)` is `x = v1 OR ..`, on the comparison kernel
             Expr::InList(a, list) => {
-                let v = a.eval(batch);
-                ColumnVec::Bool((0..v.len()).map(|i| list.contains(&v.get(i))).collect())
+                let a = a.datum(batch);
+                let eqs = list
+                    .iter()
+                    .map(|v| compare(CmpOp::Eq, &a, &Datum::Scalar(v.clone()), n));
+                preds(fold_bools(n, false, eqs))
             }
             Expr::Between(a, lo, hi) => {
-                let v = a.eval(batch);
-                ColumnVec::Bool(
-                    (0..v.len())
-                        .map(|i| {
-                            let x = v.get(i);
-                            x >= *lo && x <= *hi
-                        })
-                        .collect(),
-                )
+                let a = a.datum(batch);
+                let ge = compare(CmpOp::Ge, &a, &Datum::Scalar(lo.clone()), n);
+                let le = compare(CmpOp::Le, &a, &Datum::Scalar(hi.clone()), n);
+                preds(fold_bools(n, true, [ge, le]))
             }
             Expr::Case(whens, els) => {
                 let conds: Vec<Vec<bool>> =
-                    whens.iter().map(|(c, _)| bools(c.eval(batch))).collect();
-                let vals: Vec<ColumnVec> = whens.iter().map(|(_, v)| v.eval(batch)).collect();
-                let fallback = els.eval(batch);
-                let mut out = ColumnVec::new(fallback.vtype());
-                'row: for i in 0..n {
-                    for (c, v) in conds.iter().zip(&vals) {
-                        if c[i] {
-                            out.push(&v.get(i));
-                            continue 'row;
-                        }
-                    }
-                    out.push(&fallback.get(i));
+                    whens.iter().map(|(c, _)| c.datum(batch).bools(n)).collect();
+                let vals: Vec<Datum> = whens
+                    .iter()
+                    .map(|(_, v)| v)
+                    .chain([&**els])
+                    .map(|v| v.datum(batch))
+                    .collect();
+                let mut out = ColumnVec::with_capacity(self.out_type(&batch.types()), n);
+                for i in 0..n {
+                    let branch = conds.iter().position(|c| c[i]).unwrap_or(whens.len());
+                    out.push(&vals[branch].get(i));
                 }
-                out
+                computed(out)
             }
             Expr::Year(a) => {
-                let v = a.eval(batch);
-                ColumnVec::Int(v.as_date().iter().map(|&d| date_year(d)).collect())
+                let v = a.datum(batch).into_col(n);
+                computed(ColumnVec::Int(
+                    v.as_date().iter().map(|&d| date_year(d)).collect(),
+                ))
             }
             Expr::Substr(a, start, len) => {
-                let v = a.eval(batch);
-                ColumnVec::Str(
-                    v.as_str()
-                        .iter()
-                        .map(|s| {
+                let v = a.datum(batch).into_col(n);
+                computed(ColumnVec::Str(
+                    (0..n)
+                        .map(|i| {
+                            let s = v.str_at(i);
                             let from = (start - 1).min(s.len());
                             let to = (from + len).min(s.len());
                             s[from..to].to_string()
                         })
                         .collect(),
-                )
+                ))
+            }
+        }
+    }
+}
+
+/// An evaluated operand: a column (borrowed from the batch, or computed)
+/// or one scalar standing for every row.
+enum Datum<'b> {
+    Col(Cow<'b, ColumnVec>),
+    Scalar(Value),
+}
+
+impl<'b> Datum<'b> {
+    /// The operand as an `n`-row column; a scalar is broadcast.
+    fn into_col(self, n: usize) -> Cow<'b, ColumnVec> {
+        match self {
+            Datum::Col(c) => c,
+            Datum::Scalar(v) => {
+                let mut c = ColumnVec::with_capacity(v.value_type().unwrap_or(ValueType::Int), n);
+                (0..n).for_each(|_| c.push(&v));
+                Cow::Owned(c)
             }
         }
     }
 
-    /// Evaluate as a selection predicate.
-    pub fn eval_bool(&self, batch: &Batch) -> Vec<bool> {
-        bools(self.eval(batch))
+    fn bools(self, n: usize) -> Vec<bool> {
+        match self.into_col(n).into_owned() {
+            ColumnVec::Bool(v) => v,
+            other => panic!("expected boolean column, got {:?}", other.vtype()),
+        }
+    }
+
+    fn get(&self, i: usize) -> Value {
+        match self {
+            Datum::Col(c) => c.get(i),
+            Datum::Scalar(v) => v.clone(),
+        }
+    }
+
+    fn ints(&self) -> Option<Lane<'_, i64>> {
+        match self {
+            Datum::Col(c) => match &**c {
+                ColumnVec::Int(v) => Some(Lane::Col(Cow::Borrowed(v))),
+                _ => None,
+            },
+            Datum::Scalar(Value::Int(x)) => Some(Lane::Lit(*x)),
+            _ => None,
+        }
+    }
+
+    fn dates(&self) -> Option<Lane<'_, i32>> {
+        match self {
+            Datum::Col(c) => match &**c {
+                ColumnVec::Date(v) => Some(Lane::Col(Cow::Borrowed(v))),
+                _ => None,
+            },
+            Datum::Scalar(Value::Date(x)) => Some(Lane::Lit(*x)),
+            _ => None,
+        }
+    }
+
+    /// A numeric operand as doubles (ints promoted).
+    fn doubles(&self) -> Option<Lane<'_, f64>> {
+        match self {
+            Datum::Col(c) if matches!(c.vtype(), ValueType::Int | ValueType::Double) => {
+                Some(Lane::Col(doubles(c)))
+            }
+            Datum::Scalar(Value::Double(x)) => Some(Lane::Lit(*x)),
+            Datum::Scalar(Value::Int(x)) => Some(Lane::Lit(*x as f64)),
+            _ => None,
+        }
     }
 }
 
-fn broadcast(v: &Value, n: usize) -> ColumnVec {
-    let vt = v.value_type().unwrap_or(ValueType::Int);
-    let mut c = ColumnVec::with_capacity(vt, n);
-    for _ in 0..n {
-        c.push(v);
-    }
-    c
-}
-
-fn bools(c: ColumnVec) -> Vec<bool> {
+/// A numeric column as doubles: ints are promoted, and any other type
+/// panics on its first value.
+pub(crate) fn doubles(c: &ColumnVec) -> Cow<'_, [f64]> {
     match c {
-        ColumnVec::Bool(v) => v,
-        other => panic!("expected boolean column, got {:?}", other.vtype()),
+        ColumnVec::Double(v) => Cow::Borrowed(v),
+        ColumnVec::Int(v) => Cow::Owned(v.iter().map(|&x| x as f64).collect()),
+        other => Cow::Owned(other.iter_values().map(|v| v.as_double()).collect()),
     }
 }
 
-fn to_f64(c: ColumnVec) -> Vec<f64> {
-    match c {
-        ColumnVec::Double(v) => v,
-        ColumnVec::Int(v) => v.into_iter().map(|x| x as f64).collect(),
-        other => panic!("expected numeric column, got {:?}", other.vtype()),
-    }
+/// A typed operand: a native slice, or one value for every row.
+enum Lane<'a, T: Clone> {
+    Col(Cow<'a, [T]>),
+    Lit(T),
 }
 
-fn arith(
-    a: ColumnVec,
-    b: ColumnVec,
-    f_int: fn(i64, i64) -> i64,
-    f_dbl: fn(f64, f64) -> f64,
-) -> ColumnVec {
+/// `f` applied row by row to two typed operands of `n` rows.
+fn zip_with<T: Copy, U: Clone>(
+    a: &Lane<T>,
+    b: &Lane<T>,
+    n: usize,
+    f: impl Fn(T, T) -> U,
+) -> Vec<U> {
     match (a, b) {
-        (ColumnVec::Int(x), ColumnVec::Int(y)) => {
-            ColumnVec::Int(x.iter().zip(&y).map(|(a, b)| f_int(*a, *b)).collect())
-        }
-        (a, b) => {
-            let (x, y) = (to_f64(a), to_f64(b));
-            ColumnVec::Double(x.iter().zip(&y).map(|(a, b)| f_dbl(*a, *b)).collect())
-        }
+        (Lane::Col(x), Lane::Col(y)) => x.iter().zip(y.iter()).map(|(&x, &y)| f(x, y)).collect(),
+        (Lane::Col(x), &Lane::Lit(y)) => x.iter().map(|&x| f(x, y)).collect(),
+        (&Lane::Lit(x), Lane::Col(y)) => y.iter().map(|&y| f(x, y)).collect(),
+        (&Lane::Lit(x), &Lane::Lit(y)) => vec![f(x, y); n],
     }
 }
 
-fn compare(op: CmpOp, a: ColumnVec, b: ColumnVec) -> ColumnVec {
-    let out = match (&a, &b) {
-        (ColumnVec::Int(x), ColumnVec::Int(y)) => {
-            x.iter().zip(y).map(|(a, b)| op.test(a.cmp(b))).collect()
+/// AND (`all`) or OR of boolean columns of `n` rows.
+fn fold_bools(n: usize, all: bool, parts: impl IntoIterator<Item = Vec<bool>>) -> Vec<bool> {
+    let mut acc = vec![all; n];
+    for part in parts {
+        for (a, b) in acc.iter_mut().zip(part) {
+            if all {
+                *a &= b;
+            } else {
+                *a |= b;
+            }
         }
-        (ColumnVec::Double(x), ColumnVec::Double(y)) => x
-            .iter()
-            .zip(y)
-            .map(|(a, b)| op.test(a.total_cmp(b)))
-            .collect(),
-        (ColumnVec::Date(x), ColumnVec::Date(y)) => {
-            x.iter().zip(y).map(|(a, b)| op.test(a.cmp(b))).collect()
+    }
+    acc
+}
+
+/// Int arithmetic when both operands are ints and `int_op` is given,
+/// double arithmetic otherwise.
+fn arith(
+    a: &Expr,
+    b: &Expr,
+    batch: &Batch,
+    int_op: Option<fn(i64, i64) -> i64>,
+    dbl_op: fn(f64, f64) -> f64,
+) -> ColumnVec {
+    let (a, b, n) = (a.datum(batch), b.datum(batch), batch.num_rows());
+    if let (Some(f), Some(x), Some(y)) = (int_op, a.ints(), b.ints()) {
+        return ColumnVec::Int(zip_with(&x, &y, n, f));
+    }
+    match (a.doubles(), b.doubles()) {
+        (Some(x), Some(y)) => ColumnVec::Double(zip_with(&x, &y, n, dbl_op)),
+        _ => panic!("expected numeric operands"),
+    }
+}
+
+/// `a op b` row by row, with the literal (if any) moved to the right.
+fn compare(op: CmpOp, a: &Datum, b: &Datum, n: usize) -> Vec<bool> {
+    if let (Datum::Scalar(_), Datum::Col(_)) = (a, b) {
+        return compare(op.flip(), b, a, n);
+    }
+    if let (Some(x), Some(y)) = (a.ints(), b.ints()) {
+        return zip_with(&x, &y, n, |x, y| op.test(x.cmp(&y)));
+    }
+    if let (Some(x), Some(y)) = (a.dates(), b.dates()) {
+        return zip_with(&x, &y, n, |x, y| op.test(x.cmp(&y)));
+    }
+    if let (Some(x), Some(y)) = (a.doubles(), b.doubles()) {
+        return zip_with(&x, &y, n, |x, y| op.test(x.total_cmp(&y)));
+    }
+    match (a, b) {
+        (Datum::Col(c), Datum::Scalar(Value::Str(s))) if c.vtype() == ValueType::Str => {
+            match &**c {
+                // the dictionary is order-preserving: codes compare against
+                // the literal's rank, and a literal outside the dictionary
+                // sorts just below the code at its rank
+                ColumnVec::Coded(codes, dict) => {
+                    let (rank, exact) = dict.rank_of(s);
+                    let tie = [Ordering::Greater, Ordering::Equal][exact as usize];
+                    codes
+                        .iter()
+                        .map(|c| op.test(c.cmp(&rank).then(tie)))
+                        .collect()
+                }
+                c => (0..n).map(|i| op.test(c.str_at(i).cmp(s))).collect(),
+            }
         }
-        (ColumnVec::Str(x), ColumnVec::Str(y)) => {
-            x.iter().zip(y).map(|(a, b)| op.test(a.cmp(b))).collect()
-        }
-        (ColumnVec::Int(x), ColumnVec::Double(y)) => x
-            .iter()
-            .zip(y)
-            .map(|(a, b)| op.test((*a as f64).total_cmp(b)))
-            .collect(),
-        (ColumnVec::Double(x), ColumnVec::Int(y)) => x
-            .iter()
-            .zip(y)
-            .map(|(a, b)| op.test(a.total_cmp(&(*b as f64))))
-            .collect(),
-        _ => (0..a.len())
-            .map(|i| op.test(a.get(i).cmp(&b.get(i))))
-            .collect(),
-    };
-    ColumnVec::Bool(out)
+        (Datum::Col(x), Datum::Col(y)) => (0..n).map(|i| op.test(x.cmp_cells(i, y, i))).collect(),
+        _ => (0..n).map(|i| op.test(a.get(i).cmp(&b.get(i)))).collect(),
+    }
 }
 
 /// `%`-wildcard matcher for SQL `LIKE`.
@@ -629,6 +734,24 @@ mod tests {
             Box::new(lit(0i64)),
         );
         assert_eq!(c.eval(&b).as_int(), &[0, 100, 0]);
+    }
+
+    #[test]
+    fn case_promotes_across_branches() {
+        let b = batch();
+        // a Double branch beside an Int ELSE makes the whole CASE Double
+        let c = Expr::Case(vec![(col(0).eq(lit(2i64)), lit(1.5))], Box::new(lit(0i64)));
+        assert_eq!(c.out_type(&b.types()), ValueType::Double);
+        assert_eq!(c.eval(&b).as_double(), &[0.0, 1.5, 0.0]);
+    }
+
+    #[test]
+    fn in_list_agrees_with_equality_on_doubles() {
+        let b = batch();
+        let x = col(0).mul(lit(1.0)); // 1.0, 2.0, 3.0
+        let want = vec![true, false, false];
+        assert_eq!(x.clone().eq(lit(1i64)).eval_bool(&b), want);
+        assert_eq!(x.in_list(vec![Value::Int(1)]).eval_bool(&b), want);
     }
 
     #[test]

@@ -7,11 +7,20 @@
 //! * [`batch::Batch`] — a block of rows in columnar layout with a starting
 //!   RID (output rows of a merge scan are consecutively numbered),
 //! * [`expr::Expr`] — a vectorized expression interpreter (arithmetic,
-//!   comparisons, boolean logic, `LIKE`, `CASE`, `IN`, date extraction),
+//!   comparisons, boolean logic, `LIKE`, `CASE`, `IN`, date extraction)
+//!   that borrows the batch's columns and runs typed column-against-
+//!   column and column-against-scalar kernels,
 //! * [`ops`] — pull-based operators: table scans (clean / PDT-merging /
 //!   VDT-merging, single-segment or partition unions), filter, project,
 //!   hash aggregation, hash joins (inner/left-outer/semi/anti), sort,
-//!   top-n and limit,
+//!   top-n and limit. The hash operators key on hashed native columns
+//!   and address groups and build rows by index.
+//!
+//! Dictionary-coded string columns ([`columnar::ColumnVec::Coded`]) flow
+//! from the scan through every operator undecoded: an operator reads a
+//! string with [`columnar::ColumnVec::str_at`], and a string is built only
+//! where a caller asks for a `Value` ([`Batch::row`], [`run_to_rows`]) or
+//! an expression makes a new one (`SUBSTRING`).
 //! * [`stats`] — per-query accounting of scan time vs processing time and
 //!   I/O volume: exactly the quantities plotted in the paper's Figure 19.
 //!

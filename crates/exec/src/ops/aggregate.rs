@@ -1,10 +1,11 @@
 //! Hash aggregation with grouping.
 
-use crate::batch::Batch;
-use crate::expr::Expr;
+use crate::batch::{keys_eq, Batch, KeyIndex};
+use crate::expr::{doubles, Expr};
 use crate::ops::Operator;
-use columnar::{ColumnVec, Tuple, Value, ValueType};
-use std::collections::{HashMap, HashSet};
+use columnar::{ColumnVec, Value, ValueType};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +21,8 @@ pub enum AggFunc {
     Min,
     /// Maximum value.
     Max,
-    /// Number of distinct expression values.
+    /// Number of distinct expression values, under the executor's total
+    /// order (every NaN of one bit pattern counts once; `-0.0` ≠ `0.0`).
     CountDistinct,
 }
 
@@ -52,64 +54,94 @@ impl AggSpec {
     }
 }
 
+/// The running state of one aggregate over every group, indexed by group
+/// id: sums, counts and means in typed vectors, extremes and distinct
+/// sets as per-group values.
 enum Acc {
-    SumInt(i64),
-    SumDouble(f64),
-    Count(i64),
-    Avg { sum: f64, n: i64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Distinct(HashSet<Value>),
+    SumInt(Vec<i64>),
+    SumDouble(Vec<f64>),
+    Count(Vec<i64>),
+    Avg(Vec<f64>, Vec<i64>),
+    /// Min (`Less`) or Max (`Greater`): replace when the new value orders so.
+    Extreme(Ordering, Vec<Option<Value>>),
+    /// Distinct values under the total order (one NaN, `-0.0` ≠ `0.0`).
+    Distinct(Vec<BTreeSet<Value>>),
 }
 
 impl Acc {
     fn new(func: AggFunc, vt: ValueType) -> Acc {
         match func {
             AggFunc::Sum => match vt {
-                ValueType::Int => Acc::SumInt(0),
-                _ => Acc::SumDouble(0.0),
+                ValueType::Int => Acc::SumInt(Vec::new()),
+                _ => Acc::SumDouble(Vec::new()),
             },
-            AggFunc::Count => Acc::Count(0),
-            AggFunc::Avg => Acc::Avg { sum: 0.0, n: 0 },
-            AggFunc::Min => Acc::Min(None),
-            AggFunc::Max => Acc::Max(None),
-            AggFunc::CountDistinct => Acc::Distinct(HashSet::new()),
+            AggFunc::Count => Acc::Count(Vec::new()),
+            AggFunc::Avg => Acc::Avg(Vec::new(), Vec::new()),
+            AggFunc::Min => Acc::Extreme(Ordering::Less, Vec::new()),
+            AggFunc::Max => Acc::Extreme(Ordering::Greater, Vec::new()),
+            AggFunc::CountDistinct => Acc::Distinct(Vec::new()),
         }
     }
 
-    fn update(&mut self, v: Value) {
+    /// Room for `groups` groups.
+    fn grow(&mut self, groups: usize) {
         match self {
-            Acc::SumInt(s) => *s += v.as_int(),
-            Acc::SumDouble(s) => *s += v.as_double(),
-            Acc::Count(c) => *c += 1,
-            Acc::Avg { sum, n } => {
-                *sum += v.as_double();
-                *n += 1;
+            Acc::SumInt(s) | Acc::Count(s) => s.resize(groups, 0),
+            Acc::SumDouble(s) => s.resize(groups, 0.0),
+            Acc::Avg(s, n) => {
+                s.resize(groups, 0.0);
+                n.resize(groups, 0);
             }
-            Acc::Min(m) => {
-                if m.as_ref().map(|m| v < *m).unwrap_or(true) {
-                    *m = Some(v);
+            Acc::Extreme(_, m) => m.resize(groups, None),
+            Acc::Distinct(d) => d.resize_with(groups, BTreeSet::new),
+        }
+    }
+
+    /// Fold in one batch: row `i` adds `input`'s value `i` to group `gids[i]`.
+    fn update(&mut self, gids: &[u32], groups: usize, input: &ColumnVec) {
+        self.grow(groups);
+        let gs = gids.iter().map(|&g| g as usize);
+        match self {
+            Acc::SumInt(s) => gs.zip(input.as_int()).for_each(|(g, x)| s[g] += x),
+            Acc::SumDouble(s) => gs.zip(doubles(input).iter()).for_each(|(g, x)| s[g] += x),
+            Acc::Count(c) => gs.for_each(|g| c[g] += 1),
+            Acc::Avg(s, n) => gs.zip(doubles(input).iter()).for_each(|(g, x)| {
+                s[g] += x;
+                n[g] += 1;
+            }),
+            Acc::Extreme(keep, m) => {
+                for (i, g) in gs.enumerate() {
+                    let v = input.get(i);
+                    if m[g].as_ref().is_none_or(|cur| v.cmp(cur) == *keep) {
+                        m[g] = Some(v);
+                    }
                 }
             }
-            Acc::Max(m) => {
-                if m.as_ref().map(|m| v > *m).unwrap_or(true) {
-                    *m = Some(v);
+            Acc::Distinct(d) => {
+                for (i, g) in gs.enumerate() {
+                    d[g].insert(input.get(i));
                 }
-            }
-            Acc::Distinct(set) => {
-                set.insert(v);
             }
         }
     }
 
-    fn finish(self) -> Value {
+    fn finish(self, vt: ValueType) -> ColumnVec {
         match self {
-            Acc::SumInt(s) => Value::Int(s),
-            Acc::SumDouble(s) => Value::Double(s),
-            Acc::Count(c) => Value::Int(c),
-            Acc::Avg { sum, n } => Value::Double(if n == 0 { 0.0 } else { sum / n as f64 }),
-            Acc::Min(m) | Acc::Max(m) => m.unwrap_or(Value::Null),
-            Acc::Distinct(set) => Value::Int(set.len() as i64),
+            Acc::SumInt(s) | Acc::Count(s) => ColumnVec::Int(s),
+            Acc::SumDouble(s) => ColumnVec::Double(s),
+            Acc::Avg(s, n) => ColumnVec::Double(
+                s.iter()
+                    .zip(&n)
+                    .map(|(&s, &n)| if n == 0 { 0.0 } else { s / n as f64 })
+                    .collect(),
+            ),
+            Acc::Extreme(_, m) => {
+                let mut out = ColumnVec::with_capacity(vt, m.len());
+                m.into_iter()
+                    .for_each(|v| out.push_owned(v.unwrap_or(Value::Null)));
+                out
+            }
+            Acc::Distinct(d) => ColumnVec::Int(d.iter().map(|s| s.len() as i64).collect()),
         }
     }
 }
@@ -148,42 +180,57 @@ impl Operator for HashAggregate<'_> {
             return None;
         }
         self.done = true;
-        let in_types = self.input.out_types();
-        let mut groups: HashMap<Tuple, Vec<Acc>> = HashMap::new();
-        let make_accs = |aggs: &[AggSpec]| -> Vec<Acc> {
-            aggs.iter()
-                .map(|a| Acc::new(a.func, a.expr.out_type(&in_types)))
-                .collect()
-        };
+        let agg_types = &self.types[self.group_cols.len()..];
+        let mut accs: Vec<Acc> = self
+            .aggs
+            .iter()
+            .zip(agg_types)
+            .map(|(a, &vt)| Acc::new(a.func, vt))
+            .collect();
+        // groups by id: their hashes in `index`, their key values in `keys`
+        let mut index = KeyIndex::default();
+        let mut keys: Option<Vec<ColumnVec>> = None;
         while let Some(batch) = self.input.next_batch() {
-            let agg_inputs: Vec<ColumnVec> =
-                self.aggs.iter().map(|a| a.expr.eval(&batch)).collect();
-            for i in 0..batch.num_rows() {
-                let key: Tuple = self
-                    .group_cols
-                    .iter()
-                    .map(|&c| batch.cols[c].get(i))
-                    .collect();
-                let accs = groups.entry(key).or_insert_with(|| make_accs(&self.aggs));
-                for (a, input) in accs.iter_mut().zip(&agg_inputs) {
-                    a.update(input.get(i));
-                }
+            let n = batch.num_rows();
+            let in_keys = batch.cols_at(&self.group_cols);
+            let stored =
+                keys.get_or_insert_with(|| in_keys.iter().map(|c| c.empty_like()).collect());
+            let stored_keys: Vec<&ColumnVec> = stored.iter().collect();
+            // a group first seen in this batch is compared against the row
+            // that opened it, and stored once the batch is done
+            let (base, mut opened) = (index.len(), Vec::new());
+            let mut gids = Vec::with_capacity(n);
+            for (i, &h) in index.hash_rows(&in_keys, n).iter().enumerate() {
+                let found = index
+                    .candidates(h)
+                    .find(|&g| match (g as usize).checked_sub(base) {
+                        Some(k) => keys_eq(&in_keys, i, &in_keys, opened[k]),
+                        None => keys_eq(&in_keys, i, &stored_keys, g as usize),
+                    });
+                gids.push(found.unwrap_or_else(|| {
+                    opened.push(i);
+                    index.insert(h)
+                }));
+            }
+            for (s, c) in stored.iter_mut().zip(&in_keys) {
+                s.extend_gather(c, &opened);
+            }
+            for (acc, a) in accs.iter_mut().zip(&self.aggs) {
+                acc.update(&gids, index.len(), &a.expr.eval(&batch));
             }
         }
-        if groups.is_empty() && self.group_cols.is_empty() {
+        let groups = match index.len() {
             // scalar aggregate over empty input: one zero row
-            groups.insert(Vec::new(), make_accs(&self.aggs));
+            0 if self.group_cols.is_empty() => 1,
+            0 => return None,
+            g => g,
+        };
+        let mut cols = keys.unwrap_or_default();
+        for (mut acc, &vt) in accs.into_iter().zip(agg_types) {
+            acc.grow(groups);
+            cols.push(acc.finish(vt));
         }
-        if groups.is_empty() {
-            return None;
-        }
-        let mut out = Batch::empty(&self.types);
-        for (key, accs) in groups {
-            let mut row = key;
-            row.extend(accs.into_iter().map(Acc::finish));
-            out.push_row(&row);
-        }
-        Some(out)
+        Some(Batch { cols, rid_start: 0 })
     }
 
     fn out_types(&self) -> Vec<ValueType> {
@@ -196,6 +243,8 @@ mod tests {
     use super::*;
     use crate::expr::{col, lit};
     use crate::ops::{run_to_rows, ValuesOp};
+    use columnar::Tuple;
+    use std::collections::HashMap;
 
     fn input() -> Box<dyn Operator> {
         let rows: Vec<Tuple> = [

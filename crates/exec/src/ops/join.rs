@@ -1,9 +1,8 @@
 //! Hash joins: inner, left-outer, semi and anti.
 
-use crate::batch::Batch;
+use crate::batch::{keys_eq, Batch, KeyIndex};
 use crate::ops::Operator;
-use columnar::{Tuple, Value, ValueType};
-use std::collections::HashMap;
+use columnar::{ColumnVec, Value, ValueType};
 
 /// Join flavours. The *probe* side streams; the *build* side is
 /// materialised into the hash table.
@@ -21,21 +20,27 @@ pub enum JoinKind {
     Anti,
 }
 
-/// Hash join operator.
+/// Hash join operator. The build side is concatenated into one batch and
+/// indexed by the hash of its key columns; each probe batch yields its
+/// output as two gathers, probe rows and build rows.
 pub struct HashJoin<'a> {
     probe: Box<dyn Operator + 'a>,
     build: Option<Box<dyn Operator + 'a>>,
     probe_keys: Vec<usize>,
     build_keys: Vec<usize>,
     kind: JoinKind,
-    table: HashMap<Tuple, Vec<Tuple>>,
-    build_width: usize,
+    /// Every build row, then (left-outer only) one row of type defaults
+    /// that unmatched probe rows point at.
+    built: Batch,
+    index: KeyIndex,
     types: Vec<ValueType>,
 }
 
 impl<'a> HashJoin<'a> {
     /// Hash-join `probe` against `build` on the given key columns; output
     /// is the probe row followed by the matched build row (inner/outer).
+    /// Key columns match under the rule of the hash operators: equal
+    /// types, strings by content, doubles by bit pattern.
     pub fn new(
         probe: Box<dyn Operator + 'a>,
         build: Box<dyn Operator + 'a>,
@@ -45,7 +50,7 @@ impl<'a> HashJoin<'a> {
     ) -> Self {
         let mut types = probe.out_types();
         let build_types = build.out_types();
-        let build_width = build_types.len();
+        let built = Batch::empty(&build_types);
         if matches!(kind, JoinKind::Inner | JoinKind::LeftOuter) {
             types.extend(build_types);
         }
@@ -58,8 +63,8 @@ impl<'a> HashJoin<'a> {
             probe_keys,
             build_keys,
             kind,
-            table: HashMap::new(),
-            build_width,
+            built,
+            index: KeyIndex::default(),
             types,
         }
     }
@@ -69,10 +74,21 @@ impl<'a> HashJoin<'a> {
             return;
         };
         while let Some(b) = build.next_batch() {
-            for i in 0..b.num_rows() {
-                let key: Tuple = self.build_keys.iter().map(|&c| b.cols[c].get(i)).collect();
-                self.table.entry(key).or_default().push(b.row(i));
+            if self.built.is_empty() {
+                self.built = b;
+            } else {
+                for (all, c) in self.built.cols.iter_mut().zip(&b.cols) {
+                    all.extend_range(c, 0, c.len());
+                }
             }
+        }
+        let keys = self.built.cols_at(&self.build_keys);
+        for h in self.index.hash_rows(&keys, self.built.num_rows()) {
+            self.index.insert(h);
+        }
+        if self.kind == JoinKind::LeftOuter {
+            self.built
+                .push_row(&vec![Value::Null; self.built.num_cols()]);
         }
     }
 }
@@ -80,62 +96,48 @@ impl<'a> HashJoin<'a> {
 impl Operator for HashJoin<'_> {
     fn next_batch(&mut self) -> Option<Batch> {
         self.build_table();
+        let build_keys = self.built.cols_at(&self.build_keys);
+        let defaults = self.index.len();
         loop {
             let batch = self.probe.next_batch()?;
-            let mut out = Batch::empty(&self.types);
-            for i in 0..batch.num_rows() {
-                let key: Tuple = self
-                    .probe_keys
-                    .iter()
-                    .map(|&c| batch.cols[c].get(i))
-                    .collect();
-                let matches = self.table.get(&key);
+            let probe_keys = batch.cols_at(&self.probe_keys);
+            let hashes = self.index.hash_rows(&probe_keys, batch.num_rows());
+            // output row k is probe row `probe_at[k]` ++ build row `build_at[k]`
+            let (mut probe_at, mut build_at, mut matched) = (Vec::new(), Vec::new(), Vec::new());
+            for (i, &h) in hashes.iter().enumerate() {
+                let mut hits = self
+                    .index
+                    .candidates(h)
+                    .filter(|&j| keys_eq(&probe_keys, i, &build_keys, j as usize));
                 match self.kind {
-                    JoinKind::Inner => {
-                        if let Some(ms) = matches {
-                            let probe_row = batch.row(i);
-                            for m in ms {
-                                let mut row = probe_row.clone();
-                                row.extend(m.iter().cloned());
-                                out.push_row(&row);
+                    JoinKind::Inner | JoinKind::LeftOuter => {
+                        let before = build_at.len();
+                        build_at.extend(hits.map(|j| j as usize));
+                        let hit = build_at.len() > before;
+                        if self.kind == JoinKind::LeftOuter {
+                            if !hit {
+                                build_at.push(defaults);
                             }
+                            matched.resize(build_at.len(), hit);
                         }
+                        probe_at.resize(build_at.len(), i);
                     }
-                    JoinKind::LeftOuter => {
-                        let probe_row = batch.row(i);
-                        match matches {
-                            Some(ms) => {
-                                for m in ms {
-                                    let mut row = probe_row.clone();
-                                    row.extend(m.iter().cloned());
-                                    row.push(Value::Bool(true));
-                                    out.push_row(&row);
-                                }
-                            }
-                            None => {
-                                let mut row = probe_row;
-                                row.extend((0..self.build_width).map(|_| Value::Null));
-                                row.push(Value::Bool(false));
-                                out.push_row(&row);
-                            }
-                        }
-                    }
-                    JoinKind::Semi => {
-                        if matches.is_some() {
-                            out.push_row(&batch.row(i));
-                        }
-                    }
-                    JoinKind::Anti => {
-                        if matches.is_none() {
-                            out.push_row(&batch.row(i));
-                        }
-                    }
+                    JoinKind::Semi if hits.next().is_some() => probe_at.push(i),
+                    JoinKind::Anti if hits.next().is_none() => probe_at.push(i),
+                    JoinKind::Semi | JoinKind::Anti => {}
                 }
             }
-            if !out.is_empty() {
-                return Some(out);
+            if probe_at.is_empty() {
+                continue; // fully unmatched batch for Inner/Semi: pull more input
             }
-            // fully unmatched batch for Inner/Semi: pull more input
+            let mut out = batch.gather(&probe_at);
+            if matches!(self.kind, JoinKind::Inner | JoinKind::LeftOuter) {
+                out = out.zip(self.built.gather(&build_at));
+            }
+            if self.kind == JoinKind::LeftOuter {
+                out.cols.push(ColumnVec::Bool(matched));
+            }
+            return Some(out);
         }
     }
 
@@ -148,6 +150,7 @@ impl Operator for HashJoin<'_> {
 mod tests {
     use super::*;
     use crate::ops::{run_to_rows, ValuesOp};
+    use columnar::Tuple;
 
     fn left() -> Box<dyn Operator> {
         let rows: Vec<Tuple> = [(1i64, "x"), (2, "y"), (3, "z")]

@@ -28,7 +28,11 @@ impl<'a> Project<'a> {
 impl Operator for Project<'_> {
     fn next_batch(&mut self) -> Option<Batch> {
         let batch = self.input.next_batch()?;
-        let cols = self.exprs.iter().map(|e| e.eval(&batch)).collect();
+        let cols = self
+            .exprs
+            .iter()
+            .map(|e| e.eval(&batch).into_owned())
+            .collect();
         Some(Batch {
             cols,
             rid_start: batch.rid_start,

@@ -736,13 +736,10 @@ impl<'a> Operator for TableScan<'a> {
             b.rid_start += self.rid_base;
             self.emitted = true;
             match self.clip_to_window(b) {
-                Some(mut clipped) => {
-                    // late materialization: dictionary codes are decoded to
-                    // strings only here, at batch emission — everything
-                    // upstream (merge, clipping, stacking) ran on u32 codes
-                    for c in &mut clipped.cols {
-                        c.materialize_in_place();
-                    }
+                // dictionary-coded string columns leave the scan as codes:
+                // merge, clipping and stacking ran on u32 codes, and a
+                // string is decoded only where an operator reads it
+                Some(clipped) => {
                     if let Some(p) = &self.profile {
                         use std::sync::atomic::Ordering::Relaxed;
                         p.batches.fetch_add(1, Relaxed);

@@ -2,8 +2,8 @@
 //!
 //! The harness creates every table with `compressed: true`, so stable
 //! string columns are dictionary-coded ([`columnar::StrDict`] +
-//! code-point blocks) and MergeScan reconciles them through `u32` codes
-//! with late materialization at batch emission. Every workload here runs
+//! code-point blocks) and MergeScan reconciles them through `u32` codes,
+//! which it emits undecoded. Every workload here runs
 //! against all three update policies plus the `NaiveImage` model —
 //! partitioned and unpartitioned, through flushes, checkpoints and
 //! WAL/image crash recovery — and the merged images must stay
