@@ -54,15 +54,16 @@ const IMAGE_MAGIC: u32 = 0x7064_7452;
 /// block slot may be a reference `(src_seq, src_idx)` into a prior
 /// generation's image of the same partition instead of an inline payload
 /// (written by incremental compaction for the blocks it did not touch).
-/// v2 images still load (they simply contain no references); v1 images
-/// are rejected — rebuild them by checkpointing after replaying the WAL
-/// from scratch.
+/// Only v3 loads: older images, like v1 manifests, were written by builds
+/// whose WAL checkpoint markers the log reader no longer accepts, so no
+/// readable log can lead recovery to one — they are
+/// [`ColumnarError::Corrupt`].
 const IMAGE_VERSION: u32 = 3;
-/// Encoding-byte tag marking a block *reference* in v3 images (physical
-/// blocks use the [`Encoding`] tags 0–4).
+/// Encoding-byte tag marking a block *reference* (physical blocks use the
+/// [`Encoding`] tags 0–4).
 const REF_TAG: u8 = 0xff;
+/// Manifest format header (v2 added each entry's `deps` field).
 const MANIFEST_HEADER: &str = "pdt-images v2";
-const MANIFEST_HEADER_V1: &str = "pdt-images v1";
 /// Manifest file name inside the image directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
@@ -396,8 +397,7 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage> {
         return Err(ColumnarError::Corrupt("bad image magic".into()));
     }
     let version = cur.u32()?;
-    // v2 images parse identically — they just cannot contain REF slots
-    if version != IMAGE_VERSION && version != 2 {
+    if version != IMAGE_VERSION {
         return Err(ColumnarError::Corrupt(format!(
             "unsupported image version {version}"
         )));
@@ -468,11 +468,6 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage> {
             let vtype = vtype_of(cur.u8()?)?;
             let tag = cur.u8()?;
             if tag == REF_TAG {
-                if version < 3 {
-                    return Err(ColumnarError::Corrupt(
-                        "block reference in a pre-v3 image".into(),
-                    ));
-                }
                 let src_seq = cur.u64()?;
                 let src_idx = cur.u32()? as usize;
                 if src_seq >= seq {
@@ -615,7 +610,8 @@ fn resolve_image(
 /// `io` — the image load *is* the cold-start I/O the paper's plots model.
 /// Only self-contained images decode this way; an image with block
 /// references needs its dependency files and must go through
-/// [`ImageStore::load`].
+/// [`ImageStore::load`]. An image of an older format version is
+/// [`ColumnarError::Corrupt`].
 pub fn decode_image(bytes: &[u8], io: &IoTracker) -> Result<(StableTable, u64)> {
     let raw = parse_image(bytes)?;
     if !raw.dep_seqs().is_empty() {
@@ -676,27 +672,23 @@ impl ImageManifest {
             Err(e) => return Err(io_err(e)),
         };
         let mut lines = text.lines();
-        let header = lines.next();
-        // v1 manifests (pre block-reuse) have no deps field; read them as
-        // all-self-contained. Saving rewrites in the v2 format.
-        let v1 = match header {
-            Some(MANIFEST_HEADER) => false,
-            Some(MANIFEST_HEADER_V1) => true,
-            _ => return Err(ColumnarError::Corrupt("bad manifest header".into())),
-        };
+        if lines.next() != Some(MANIFEST_HEADER) {
+            return Err(ColumnarError::Corrupt("bad manifest header".into()));
+        }
         let mut entries = BTreeMap::new();
         for line in lines {
             if line.is_empty() {
                 continue;
             }
-            let mut parts = line.splitn(if v1 { 5 } else { 6 }, '\t');
-            let (kind, seq, partition, file) =
-                (parts.next(), parts.next(), parts.next(), parts.next());
-            let deps_field = if v1 { Some("-") } else { parts.next() };
-            let table = parts.next();
-            let (Some("image"), Some(seq), Some(partition), Some(file), Some(deps), Some(table)) =
-                (kind, seq, partition, file, deps_field, table)
-            else {
+            let mut parts = line.splitn(6, '\t');
+            let (Some("image"), Some(seq), Some(partition), Some(file), Some(deps), Some(table)) = (
+                parts.next(),
+                parts.next(),
+                parts.next(),
+                parts.next(),
+                parts.next(),
+                parts.next(),
+            ) else {
                 return Err(ColumnarError::Corrupt(format!(
                     "bad manifest line: {line:?}"
                 )));
@@ -894,26 +886,15 @@ impl ImageStore {
     /// (the previous recovery base) is retained and matches the marker
     /// instead. Returns `Ok(None)` when no entry matches (the caller falls
     /// back to full WAL replay).
-    pub fn load(
-        &self,
-        table: &str,
-        partition: u32,
-        expect_seq: u64,
-        io: &IoTracker,
-    ) -> Result<Option<StableTable>> {
-        Ok(self
-            .load_with_provenance(table, partition, expect_seq, io)?
-            .map(|(t, _)| t))
-    }
-
-    /// [`ImageStore::load`], additionally returning each block's physical
-    /// provenance `(generation, block index)` — the engine seeds its
-    /// block-reuse tracking from this so post-recovery compactions keep
-    /// referencing (rather than rewriting) untouched blocks. Block
-    /// references are resolved here against the manifest's dependency
-    /// entries; a reference to a pruned or chained generation is
+    ///
+    /// Beside the table comes each block's physical provenance
+    /// `(generation, block index)` — the engine seeds its block-reuse
+    /// tracking from this so post-recovery compactions keep referencing
+    /// (rather than rewriting) untouched blocks. Block references are
+    /// resolved here against the manifest's dependency entries; a
+    /// reference to a pruned or chained generation is
     /// [`ColumnarError::Corrupt`].
-    pub fn load_with_provenance(
+    pub fn load(
         &self,
         table: &str,
         partition: u32,
@@ -1060,7 +1041,7 @@ mod tests {
 
         let t = table(500, 128);
         store.publish_with_reuse("t", 0, 5, &t, &[]).unwrap();
-        let loaded = store.load("t", 0, 5, &io).unwrap().expect("image at seq 5");
+        let (loaded, _) = store.load("t", 0, 5, &io).unwrap().expect("image at seq 5");
         assert_eq!(loaded.row_count(), 500);
         // wrong expected seq (marker behind manifest = crash window) → None
         assert!(store.load("t", 0, 4, &io).unwrap().is_none());
@@ -1070,12 +1051,12 @@ mod tests {
         let t2 = table(600, 128);
         store.publish_with_reuse("t", 0, 9, &t2, &[]).unwrap();
         assert_eq!(
-            store.load("t", 0, 5, &io).unwrap().unwrap().row_count(),
+            store.load("t", 0, 5, &io).unwrap().unwrap().0.row_count(),
             500,
             "previous image stays loadable across the crash window"
         );
         assert_eq!(
-            store.load("t", 0, 9, &io).unwrap().unwrap().row_count(),
+            store.load("t", 0, 9, &io).unwrap().unwrap().0.row_count(),
             600
         );
         // a third publish prunes everything below the previous entry
@@ -1122,10 +1103,7 @@ mod tests {
 
         // Loading seq 9 resolves the refs against gen 5 and reports per-block
         // physical provenance.
-        let (back, back_prov) = store
-            .load_with_provenance("t", 0, 9, &io)
-            .unwrap()
-            .expect("image at seq 9");
+        let (back, back_prov) = store.load("t", 0, 9, &io).unwrap().expect("image at seq 9");
         let io2 = IoTracker::new();
         assert_eq!(back.scan_all(&io2).unwrap(), t.scan_all(&io2).unwrap());
         assert_eq!(back_prov, vec![(5, 0), (9, 1), (9, 2), (5, 3)]);
@@ -1175,10 +1153,7 @@ mod tests {
             img_files(&dir),
             vec!["t.p0.12.img", "t.p0.5.img", "t.p0.9.img"]
         );
-        let (back, _) = store
-            .load_with_provenance("t", 0, 12, &io)
-            .unwrap()
-            .unwrap();
+        let (back, _) = store.load("t", 0, 12, &io).unwrap().unwrap();
         let io2 = IoTracker::new();
         assert_eq!(back.scan_all(&io2).unwrap(), t.scan_all(&io2).unwrap());
 
@@ -1187,10 +1162,7 @@ mod tests {
         store.publish_with_reuse("t", 0, 15, &t, &[]).unwrap();
         store.publish_with_reuse("t", 0, 18, &t, &[]).unwrap();
         assert_eq!(img_files(&dir), vec!["t.p0.15.img", "t.p0.18.img"]);
-        assert!(store
-            .load_with_provenance("t", 0, 5, &io)
-            .unwrap()
-            .is_none());
+        assert!(store.load("t", 0, 5, &io).unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1239,6 +1211,46 @@ mod tests {
         // corrupt header is an error, not a panic
         fs::write(dir.join(MANIFEST_FILE), "not a manifest\n").unwrap();
         assert!(ImageManifest::load(&dir).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Formats only builds before the current WAL marker format wrote: a
+    /// v2 image and a v1 manifest are refused as corrupt, never read.
+    #[test]
+    fn v2_images_and_v1_manifests_are_corrupt() {
+        let mut v2 = encode_image(&table(200, 64), 7);
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let io = IoTracker::new();
+        assert!(matches!(
+            decode_image(&v2, &io),
+            Err(ColumnarError::Corrupt(_))
+        ));
+        let dir = std::env::temp_dir().join(format!("pdt-old-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = ImageStore::open(&dir).unwrap();
+        fs::write(dir.join("t.p0.7.img"), &v2).unwrap();
+        let v1 = "pdt-images v1\nimage\t7\t0\tt.p0.7.img\tt\n";
+        fs::write(dir.join(MANIFEST_FILE), v1).unwrap();
+        assert!(matches!(
+            store.load("t", 0, 7, &io),
+            Err(ColumnarError::Corrupt(_))
+        ));
+        // a current manifest naming the v2 image: the image is refused
+        let mut m = ImageManifest::default();
+        m.set(
+            "t",
+            0,
+            ImageEntry {
+                seq: 7,
+                file: "t.p0.7.img".into(),
+                deps: vec![],
+            },
+        );
+        m.save(&dir).unwrap();
+        assert!(matches!(
+            store.load("t", 0, 7, &io),
+            Err(ColumnarError::Corrupt(_))
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -148,7 +148,7 @@ impl TxnTable {
             self.parts
                 .iter()
                 .enumerate()
-                .map(|(i, p)| (&*p.stable, p.layers(), p.visible(), Some(self.heat_io(i)))),
+                .map(|(i, p)| (&*p.stable, p.layers(), p.visible(), self.heat_io(i))),
         )
     }
 
@@ -226,13 +226,7 @@ impl<'db> DbTxn<'db> {
     /// consecutive RIDs.
     pub fn scan_with(&self, table: &str, spec: ScanSpec) -> Result<TableScan<'_>, DbError> {
         let t = self.table(table)?;
-        spec.open(
-            table,
-            t.schema(),
-            t.segments(),
-            self.db.io().clone(),
-            self.db.clock().clone(),
-        )
+        spec.open(table, t.schema(), t.segments(), self.db.clock().clone())
     }
 
     /// Scan **one partition** under this transaction's view, with
@@ -253,9 +247,8 @@ impl<'db> DbTxn<'db> {
                 stable: &p.stable,
                 layers: p.layers(),
                 rid_base: 0,
-                io: Some(t.heat_io(part)),
+                io: t.heat_io(part),
             }],
-            self.db.io().clone(),
             self.db.clock().clone(),
         )
     }
@@ -421,9 +414,7 @@ impl<'db> DbTxn<'db> {
             return Ok(0);
         };
         let sk_cols = self.table(table)?.sk_cols().to_vec();
-        let spec = ScanSpec::cols(sk_cols)
-            .key_range(lo.to_vec(), hi.to_vec())
-            .profiled();
+        let spec = ScanSpec::cols(sk_cols).key_range(lo.to_vec(), hi.to_vec());
         let mut scan = self.scan_partition(table, part, spec)?;
         let mut last_end = scan.start_rid();
         let mut k = 0usize;
@@ -459,7 +450,7 @@ impl<'db> DbTxn<'db> {
             last_end = b.rid_start + n as u64;
         }
         base.extend(std::iter::repeat_n(last_end, keys.len() - k));
-        Ok(scan.blocks_decoded())
+        Ok(scan.counts().blocks_decoded)
     }
 
     /// INSERT a tuple; its position follows from the table's sort order.
@@ -509,7 +500,7 @@ impl<'db> DbTxn<'db> {
                 format!("rid {last} out of range (visible rows: {visible})"),
             ));
         }
-        let got = exec::gather_rows(t.segments(), rids, cols, self.db.io(), self.db.clock())?;
+        let got = exec::gather_rows(t.segments(), rids, cols, self.db.clock())?;
         let part_of = |rid: &u64| offsets.partition_point(|o| o <= rid) - 1;
         let (first, last) = (rids.first().map(part_of), rids.last().map(part_of));
         let part = first.filter(|_| first == last);
@@ -732,7 +723,7 @@ impl<'db> DbTxn<'db> {
             pre: Batch::empty(&keep_types),
             vals: exprs.iter().map(|_| None).collect(),
         };
-        let spec = ScanSpec::cols(proj.clone()).bounds(bounds).profiled();
+        let spec = ScanSpec::cols(proj.clone()).bounds(bounds);
         let mut scan = self.scan_with(table, spec)?;
         while let Some(batch) = scan.next_batch() {
             let idx: Vec<usize> = pred
@@ -756,7 +747,13 @@ impl<'db> DbTxn<'db> {
             }
         }
         let part = (t.parts.len() == 1).then_some(0);
-        self.note_resolved(table, part, t0, out.rids.len(), scan.blocks_decoded());
+        self.note_resolved(
+            table,
+            part,
+            t0,
+            out.rids.len(),
+            scan.counts().blocks_decoded,
+        );
         Ok(out)
     }
 

@@ -69,7 +69,7 @@ use ::rowstore::RowBuffer;
 use columnar::{
     ColumnarError, ImageStore, IoStats, IoTracker, Schema, StableTable, TableMeta, Tuple, Value,
 };
-use exec::{DeltaLayers, Operator, ScanBounds, ScanClock, ScanSegment, TableScan};
+use exec::{DeltaLayers, Operator, ScanBounds, ScanClock, ScanCounts, ScanSegment, TableScan};
 use maintenance::MaintMetrics;
 use parking_lot::RwLock;
 use partition::{PartitionEntry, TableEntry};
@@ -504,8 +504,8 @@ impl Database {
     pub fn recover_from(&self, path: &Path) -> Result<u64, DbError> {
         let _commit = self.txn_mgr.commit_guard();
         let all = txn::wal::Wal::read_all(path).map_err(DbError::Io)?;
+        let markers = txn::wal::checkpoint_markers(&all);
         if let Some(images) = &self.images {
-            let markers = txn::wal::checkpoint_markers(&all);
             let tables = self.tables.read();
             for (name, parts) in &markers {
                 let Some(entry) = tables.get(name) else {
@@ -524,9 +524,7 @@ impl Database {
                             ),
                         });
                     };
-                    if let Some((stable, prov)) =
-                        images.load_with_provenance(name, p, image_seq, &self.io)?
-                    {
+                    if let Some((stable, prov)) = images.load(name, p, image_seq, &self.io)? {
                         // the partition's slot, swapped under the commit
                         // guard as a maintenance step swaps it
                         pe.swap_stable(stable, Some(prov));
@@ -548,7 +546,7 @@ impl Database {
                 }
             }
         }
-        let records = txn::wal::effective_commits(all);
+        let records = txn::wal::effective_commits(all, &markers);
         let tables = self.tables.read();
         let mut last = 0;
         // Per-(table, partition) replay tallies: (entries, commits, last
@@ -846,7 +844,6 @@ pub struct ScanSpec {
     proj: ScanProj,
     bounds: ScanBounds,
     rid_range: Option<(u64, u64)>,
-    profile: bool,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -903,17 +900,6 @@ impl ScanSpec {
         self
     }
 
-    /// Attach a per-query [`obs::ScanProfile`] to the scan (the
-    /// `explain_analyze` mode): the scan then counts batches, rows,
-    /// blocks decoded vs zone-map-skipped, bytes read, and the merge
-    /// path taken per segment. Read the counters back via
-    /// [`exec::ops::scan::TableScan::profile`] or, more conveniently,
-    /// [`ReadView::explain_analyze`].
-    pub fn profiled(mut self) -> Self {
-        self.profile = true;
-        self
-    }
-
     /// Resolve the projection against `schema`.
     fn resolve(&self, table: &str, schema: &Schema) -> Result<Vec<usize>, DbError> {
         match &self.proj {
@@ -947,32 +933,31 @@ impl ScanSpec {
         table: &str,
         schema: &Schema,
         segments: Vec<ScanSegment<'a>>,
-        io: IoTracker,
         clock: ScanClock,
     ) -> Result<TableScan<'a>, DbError> {
         let proj = self.resolve(table, schema)?;
-        let mut scan = TableScan::union(segments, proj, self.bounds.clone(), io, clock);
+        let mut scan = TableScan::union(segments, proj, self.bounds.clone(), clock);
         if let Some((lo, hi)) = self.rid_range {
             scan.clamp_rids(lo, hi);
-        }
-        if self.profile {
-            scan.set_profile(Arc::new(obs::ScanProfile::new()));
         }
         Ok(scan)
     }
 }
 
 /// The report of one [`ReadView::explain_analyze`] run: what the query
-/// produced, what it cost, and the plan-shaped operator profile.
+/// produced and what its scan read, as the scan counted it.
 #[derive(Debug, Clone)]
 pub struct QueryProfile {
+    /// The table scanned.
+    pub table: String,
     /// Rows the scan produced.
     pub rows: u64,
-    /// Block I/O charged to the view's tracker while the query ran.
+    /// Block I/O the scan charged to its trackers — its own reads only,
+    /// whatever else runs beside it.
     pub io: IoStats,
-    /// Plan-shaped operator report (per-segment merge paths, blocks
-    /// decoded vs zone-map-skipped, bytes read, wall time).
-    pub plan: obs::OpProfile,
+    /// The scan's counts: per-segment merge paths, blocks decoded vs
+    /// zone-map-skipped, bytes read, batches and wall time.
+    pub plan: ScanCounts,
 }
 
 impl fmt::Display for QueryProfile {
@@ -982,7 +967,7 @@ impl fmt::Display for QueryProfile {
             "rows={} io.blocks_read={} io.bytes_read={}",
             self.rows, self.io.blocks_read, self.io.bytes_read
         )?;
-        write!(f, "{}", self.plan)
+        writeln!(f, "Scan {} {}", self.table, self.plan)
     }
 }
 
@@ -1048,7 +1033,7 @@ impl TableView {
         partition::build_segments(
             self.parts
                 .iter()
-                .map(|p| (&*p.stable, p.layers(), p.visible(), Some(p.heat_io.clone()))),
+                .map(|p| (&*p.stable, p.layers(), p.visible(), p.heat_io.clone())),
         )
     }
 }
@@ -1083,36 +1068,22 @@ impl ReadView {
     /// consecutive RIDs).
     pub fn scan_with(&self, table: &str, spec: ScanSpec) -> Result<TableScan<'_>, DbError> {
         let t = self.table(table)?;
-        spec.open(
-            table,
-            t.schema(),
-            t.segments(),
-            self.io.clone(),
-            self.clock.clone(),
-        )
+        spec.open(table, t.schema(), t.segments(), self.clock.clone())
     }
 
-    /// Run `spec` against `table` to completion in profiled mode and
-    /// return the `EXPLAIN ANALYZE`-style report: rows produced, the
-    /// I/O this query charged to the view's tracker, and a plan-shaped
-    /// [`obs::OpProfile`] with per-segment merge paths, blocks decoded
-    /// vs zone-map-skipped, and bytes read.
+    /// Run `spec` against `table` to completion and return the
+    /// `EXPLAIN ANALYZE`-style report: rows produced, the I/O the scan
+    /// charged, and its [`ScanCounts`] — per-segment merge paths, blocks
+    /// decoded vs zone-map-skipped, bytes read.
     pub fn explain_analyze(&self, table: &str, spec: ScanSpec) -> Result<QueryProfile, DbError> {
-        let io_before = self.io.stats();
-        let mut scan = self.scan_with(table, spec.profiled())?;
-        let profile = scan
-            .profile()
-            .expect("profiled spec attaches a ScanProfile");
-        let mut rows = 0u64;
-        while let Some(b) = scan.next_batch() {
-            rows += b.num_rows() as u64;
-        }
-        drop(scan);
-        let io = self.io.stats().since(&io_before);
+        let mut scan = self.scan_with(table, spec)?;
+        while scan.next_batch().is_some() {}
+        let plan = *scan.counts();
         Ok(QueryProfile {
-            rows,
-            io,
-            plan: profile.snapshot().into_op(table),
+            table: table.to_string(),
+            rows: plan.rows,
+            io: plan.io,
+            plan,
         })
     }
 }

@@ -162,7 +162,7 @@ pub(crate) fn build_segments<'a>(
             &'a columnar::StableTable,
             exec::DeltaLayers<'a>,
             u64,
-            Option<columnar::IoTracker>,
+            columnar::IoTracker,
         ),
     >,
 ) -> Vec<exec::ScanSegment<'a>> {

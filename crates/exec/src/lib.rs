@@ -14,15 +14,17 @@
 //!   VDT-merging, single-segment or partition unions), filter, project,
 //!   hash aggregation, hash joins (inner/left-outer/semi/anti), sort,
 //!   top-n and limit. The hash operators key on hashed native columns
-//!   and address groups and build rows by index.
+//!   and address groups and build rows by index. Every scan counts what
+//!   it read and emitted in its own [`ScanCounts`] — the per-query I/O
+//!   volume and scan time of the paper's Figure 19,
+//! * [`stats`] — the same quantities database-wide: scan time vs
+//!   processing time and I/O volume over a whole plan ([`measure`]).
 //!
 //! Dictionary-coded string columns ([`columnar::ColumnVec::Coded`]) flow
 //! from the scan through every operator undecoded: an operator reads a
 //! string with [`columnar::ColumnVec::str_at`], and a string is built only
 //! where a caller asks for a `Value` ([`Batch::row`], [`run_to_rows`]) or
 //! an expression makes a new one (`SUBSTRING`).
-//! * [`stats`] — per-query accounting of scan time vs processing time and
-//!   I/O volume: exactly the quantities plotted in the paper's Figure 19.
 //!
 //! Plans are built by hand (no SQL frontend): the TPC-H queries in the
 //! `tpch` crate compose these operators directly.
@@ -41,7 +43,7 @@ pub use ops::filter::Filter;
 pub use ops::gather::{gather_rows, Gathered};
 pub use ops::join::{HashJoin, JoinKind};
 pub use ops::project::Project;
-pub use ops::scan::{DeltaLayers, ScanBounds, ScanSegment, TableScan};
+pub use ops::scan::{DeltaLayers, ScanBounds, ScanCounts, ScanSegment, TableScan};
 pub use ops::sort::{Limit, Sort, SortKey, TopN};
 pub use ops::{run_to_rows, BoxOp, Operator};
 pub use stats::{measure, QueryStats, ScanClock};

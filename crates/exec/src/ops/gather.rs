@@ -23,7 +23,6 @@ use crate::ops::Operator;
 use crate::stats::ScanClock;
 use columnar::{ColumnVec, ColumnarError, IoTracker, StableTable, Value};
 use pdt::Pdt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// What [`gather_rows`] found.
@@ -55,12 +54,11 @@ fn visible_rows(seg: &ScanSegment<'_>) -> u64 {
 /// A RID past the last visible row is [`ColumnarError::OutOfRange`],
 /// reported before any block is read; a block that fails to decode is
 /// [`ColumnarError::Corrupt`]. Block reads are charged to each segment's
-/// own tracker (or `io`), time to `clock`, exactly as a scan's would be.
+/// tracker, time to `clock`, exactly as a scan's would be.
 pub fn gather_rows(
     segments: Vec<ScanSegment<'_>>,
     rids: &[u64],
     cols: &[usize],
-    io: &IoTracker,
     clock: &ScanClock,
 ) -> Result<Gathered, ColumnarError> {
     let (Some(first), Some(last)) = (segments.first(), segments.last()) else {
@@ -96,11 +94,12 @@ pub fn gather_rows(
             continue;
         }
         let local = mine.iter().map(|&r| r - seg.rid_base);
-        let seg_io = seg.io.as_ref().unwrap_or(io);
         blocks_decoded += match seg.layers {
-            DeltaLayers::None => by_position(seg.stable, &[], local, cols, seg_io, clock, &mut out),
+            DeltaLayers::None => {
+                by_position(seg.stable, &[], local, cols, &seg.io, clock, &mut out)
+            }
             DeltaLayers::Pdt(layers) => {
-                by_position(seg.stable, &layers, local, cols, seg_io, clock, &mut out)
+                by_position(seg.stable, &layers, local, cols, &seg.io, clock, &mut out)
             }
             by_key => {
                 let scan = TableScan::ranged(
@@ -108,7 +107,7 @@ pub fn gather_rows(
                     by_key,
                     cols.to_vec(),
                     ScanBounds::default(),
-                    seg_io.clone(),
+                    seg.io,
                     clock.clone(),
                 );
                 by_scan(scan, local, &mut out)
@@ -219,7 +218,6 @@ fn by_scan(
 ) -> Result<u64, ColumnarError> {
     let mut rids = rids.peekable();
     let first = rids.peek().copied().unwrap_or(0);
-    scan.set_profile(Arc::new(obs::ScanProfile::new()));
     // the window's far edge is the scan's end: it stops once the last
     // requested row is out
     scan.clamp_rids(first, u64::MAX);
@@ -235,7 +233,7 @@ fn by_scan(
         }
     }
     match rids.next() {
-        None => Ok(scan.blocks_decoded()),
+        None => Ok(scan.counts().blocks_decoded),
         Some(r) => Err(ColumnarError::Corrupt(format!(
             "merge scan ended before rid {r}"
         ))),
@@ -306,12 +304,17 @@ mod tests {
         (lower, upper)
     }
 
-    fn seg<'a>(stable: &'a StableTable, layers: DeltaLayers<'a>, rid_base: u64) -> ScanSegment<'a> {
+    fn seg<'a>(
+        stable: &'a StableTable,
+        layers: DeltaLayers<'a>,
+        rid_base: u64,
+        io: &IoTracker,
+    ) -> ScanSegment<'a> {
         ScanSegment {
             stable,
             layers,
             rid_base,
-            io: None,
+            io: io.clone(),
         }
     }
 
@@ -335,10 +338,14 @@ mod tests {
         let rids: Vec<u64> = (0..image.len() as u64).collect();
         for pick in [rids.clone(), vec![0, 5, 11], vec![20], vec![4, 9, 10, 19]] {
             let got = gather_rows(
-                vec![seg(&t, DeltaLayers::Pdt(vec![&lower, &upper]), 0)],
+                vec![seg(
+                    &t,
+                    DeltaLayers::Pdt(vec![&lower, &upper]),
+                    0,
+                    &IoTracker::new(),
+                )],
                 &pick,
                 &cols,
-                &IoTracker::new(),
                 &ScanClock::new(),
             )
             .unwrap();
@@ -355,10 +362,9 @@ mod tests {
         let layers = || DeltaLayers::Pdt(vec![&lower, &upper]);
         // rid 0 is an insert, rid 5 a stable row of block 1, rid 18 of block 4
         let got = gather_rows(
-            vec![seg(&t, layers(), 0)],
+            vec![seg(&t, layers(), 0, &io)],
             &[0, 5, 18],
             &[0],
-            &io,
             &ScanClock::new(),
         )
         .unwrap();
@@ -369,10 +375,9 @@ mod tests {
         // a column the stack answers in full costs no block at all
         let io = IoTracker::new();
         let got = gather_rows(
-            vec![seg(&t, layers(), 0)],
+            vec![seg(&t, layers(), 0, &io)],
             &[0, 5],
             &[1],
-            &io,
             &ScanClock::new(),
         )
         .unwrap();
@@ -383,10 +388,9 @@ mod tests {
         assert_eq!((got.blocks_decoded, io.stats().blocks_read), (0, 0));
         // no column asked: positions are checked, nothing is read
         let got = gather_rows(
-            vec![seg(&t, layers(), 0)],
+            vec![seg(&t, layers(), 0, &io)],
             &[3],
             &[],
-            &io,
             &ScanClock::new(),
         )
         .unwrap();
@@ -407,10 +411,10 @@ mod tests {
         p.add_delete(2, &[Value::Int(20)]);
         let cols = [0, 2];
         // partition 0: 8 − 1 rows by position; partition 1: 8 + 1 − 1 by key
-        let segs = || {
+        let segs = |io: &IoTracker| {
             vec![
-                seg(&t0, DeltaLayers::Pdt(vec![&p]), 0),
-                seg(&t1, DeltaLayers::Vdt(&v), 7),
+                seg(&t0, DeltaLayers::Pdt(vec![&p]), 0, io),
+                seg(&t1, DeltaLayers::Vdt(&v), 7, io),
             ]
         };
         let mut image = scan_image(&t0, DeltaLayers::Pdt(vec![&p]), &cols);
@@ -418,19 +422,19 @@ mod tests {
         assert_eq!(image.len(), 15);
         for pick in [vec![6, 7], vec![0, 2, 8, 9, 14], (0..15).collect()] {
             let got =
-                gather_rows(segs(), &pick, &cols, &IoTracker::new(), &ScanClock::new()).unwrap();
+                gather_rows(segs(&IoTracker::new()), &pick, &cols, &ScanClock::new()).unwrap();
             let want: Vec<Tuple> = pick.iter().map(|&r| image[r as usize].clone()).collect();
             assert_eq!(got.rows.rows(), want, "rids {pick:?}");
         }
         // the by-key arm reads its partition from the first block, the
         // sort key included; the positional one only the victim's block
         let io = IoTracker::new();
-        let got = gather_rows(segs(), &[1, 14], &[2], &io, &ScanClock::new()).unwrap();
+        let got = gather_rows(segs(&io), &[1, 14], &[2], &ScanClock::new()).unwrap();
         assert_eq!(got.blocks_decoded, 1 + 2);
         assert_eq!(io.stats().blocks_read, 1 + 2 * 2);
         // past the last visible row: refused before any block is read
         let io = IoTracker::new();
-        let err = gather_rows(segs(), &[3, 15], &cols, &io, &ScanClock::new());
+        let err = gather_rows(segs(&io), &[3, 15], &cols, &ScanClock::new());
         assert!(matches!(
             err,
             Err(ColumnarError::OutOfRange {

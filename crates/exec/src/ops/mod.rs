@@ -7,7 +7,6 @@ pub mod aggregate;
 pub mod filter;
 pub mod gather;
 pub mod join;
-pub mod profiled;
 pub mod project;
 pub mod scan;
 pub mod sort;

@@ -18,13 +18,18 @@
 //! Ranged scans resolve a sort-key prefix range to a SID range through the
 //! (stale-tolerant) sparse index and position all delta structures
 //! accordingly.
+//!
+//! Every scan counts what it reads and emits in its own [`ScanCounts`],
+//! at the place it happens: `explain_analyze` and the DML resolvers read
+//! them off the scan, never off a tracker other scans share.
 
 use crate::batch::Batch;
 use crate::ops::Operator;
 use crate::stats::ScanClock;
-use columnar::{ColumnVec, IoTracker, ScanRange, StableTable, Value, ValueType};
+use columnar::{ColumnVec, IoStats, IoTracker, ScanRange, StableTable, Value, ValueType};
 use pdt::{Pdt, PdtMerger};
 use rowstore::{RowBuffer, RowMerger};
+use std::fmt;
 use std::time::Instant;
 use vdt::{Vdt, VdtMerger};
 
@@ -64,11 +69,98 @@ pub struct ScanSegment<'a> {
     /// Global visible RID of this partition's first row (the sum of all
     /// earlier partitions' visible row counts).
     pub rid_base: u64,
-    /// Tracker to charge this segment's block reads to instead of the
-    /// union's (`None`: use the union's). The engine passes per-partition
-    /// trackers scoped to each partition's heat sink, so a union scan's
-    /// block touches attribute to the right partition.
-    pub io: Option<IoTracker>,
+    /// Tracker this segment's block reads are charged to. The engine
+    /// passes each partition's tracker scoped to its heat sink, so a union
+    /// scan's block touches attribute to the right partition.
+    pub io: IoTracker,
+}
+
+/// Merge path a scan segment took, one per partition state — the index
+/// of its segment count in [`ScanCounts`].
+#[derive(Debug, Clone, Copy)]
+enum MergePath {
+    /// No delta: blocks decoded straight from stable storage.
+    Clean,
+    /// PDT delta merged via the typed positional kernels.
+    PdtKernel,
+    /// VDT delta merged via the typed kernels.
+    VdtKernel,
+    /// Row-store delta merged via the typed kernels.
+    RowsKernel,
+}
+
+/// [`MergePath`] labels, in discriminant order.
+const PATH_NAMES: [&str; 4] = ["clean", "pdt-kernel", "vdt-kernel", "rows-kernel"];
+
+/// What one [`TableScan`] read and emitted, counted by the scan itself
+/// ([`TableScan::counts`]) — the per-query split of the paper's Figure 19
+/// into I/O volume and scan time. Nothing here is shared: a scan running
+/// beside others on the same tracker counts only its own reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanCounts {
+    /// Column blocks and their stored bytes charged to the scan's
+    /// trackers: every decoded block of every column read, plus the
+    /// sort-key probes that position a ranged by-key merge.
+    pub io: IoStats,
+    /// Row-group blocks decoded (a block counts once, however many of its
+    /// columns were read).
+    pub blocks_decoded: u64,
+    /// Blocks the zone map pruned off a ranged clean scan.
+    pub blocks_skipped: u64,
+    /// Batches emitted.
+    pub batches: u64,
+    /// Rows emitted.
+    pub rows: u64,
+    /// Wall nanoseconds spent producing batches (decode + merge) — the
+    /// same readings the scan charges its [`ScanClock`].
+    pub wall_ns: u64,
+    /// Partition segments scanned (a segment a rid window passes over is
+    /// not).
+    pub segments: u64,
+    /// Segments scanned per merge path, indexed by `MergePath as usize`.
+    paths: [u64; 4],
+}
+
+impl ScanCounts {
+    /// Comma-joined labels of the merge paths the scanned segments took,
+    /// e.g. `"clean,pdt-kernel"` (`"-"` before any segment is scanned).
+    pub fn path_label(&self) -> String {
+        let names: Vec<&str> = PATH_NAMES
+            .into_iter()
+            .zip(self.paths)
+            .filter(|&(_, segments)| segments > 0)
+            .map(|(name, _)| name)
+            .collect();
+        if names.is_empty() {
+            "-".to_string()
+        } else {
+            names.join(",")
+        }
+    }
+
+    fn charge(&mut self, io: IoStats) {
+        self.io.blocks_read += io.blocks_read;
+        self.io.bytes_read += io.bytes_read;
+    }
+}
+
+/// The `explain_analyze` line: `[rows=… batches=… time=…ms path=…
+/// blocks=… decoded/… zone-skipped bytes=… segments=…]`.
+impl fmt::Display for ScanCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "[rows={} batches={} time={:.3}ms path={} blocks={} decoded/{} zone-skipped bytes={} segments={}]",
+            self.rows,
+            self.batches,
+            self.wall_ns as f64 / 1e6,
+            self.path_label(),
+            self.blocks_decoded,
+            self.blocks_skipped,
+            self.io.bytes_read,
+            self.segments
+        )
+    }
 }
 
 enum MergeState<'a> {
@@ -205,7 +297,7 @@ pub struct TableScan<'a> {
     io: IoTracker,
     clock: ScanClock,
     /// How the current segment's delta is merged.
-    path: obs::MergePath,
+    path: MergePath,
     drain_upper: Option<Vec<Value>>,
     /// RID of the first row this scan would emit (even if it emits none —
     /// e.g. a fully ghosted range); DML rank computations rely on it.
@@ -228,16 +320,14 @@ pub struct TableScan<'a> {
     emitted: bool,
     /// Kept across segment advances so `bounds` can re-resolve per slice.
     bounds: ScanBounds,
-    /// The union-level tracker: the default for segments without their own
-    /// `io` override (`None` outside a union — `io` is then the only
-    /// tracker).
-    union_io: Option<IoTracker>,
-    /// `explain_analyze` counters attached via [`TableScan::set_profile`];
-    /// carried across segment advances.
-    profile: Option<std::sync::Arc<obs::ScanProfile>>,
     /// Blocks the zone map pruned off this segment's range in
     /// [`TableScan::ranged`] (clean scans only).
     zone_skipped: u64,
+    /// The current segment's path and zone-skips are in `counts`: a
+    /// segment counts once the scan enters it.
+    entered: bool,
+    /// What the scan read and emitted, over every segment so far.
+    counts: ScanCounts,
 }
 
 impl<'a> TableScan<'a> {
@@ -263,17 +353,13 @@ impl<'a> TableScan<'a> {
     ) -> Self {
         let range = table.sid_range(bounds.lo.as_deref(), bounds.hi.as_deref());
         let mut start_rid = range.start;
+        let mut counts = ScanCounts::default();
         // by-key mergers start at the range's first stable key, or at the
         // very beginning (before any buffered row) for a scan from SID 0
-        let start_key = || {
-            (range.start != 0).then(|| {
-                table
-                    .sk_of_row(range.start, &io)
-                    .expect("range start within table")
-            })
-        };
+        let mut start_key =
+            || (range.start != 0).then(|| probe_key(table, range.start, &io, &mut counts));
         let (state, path) = match delta {
-            DeltaLayers::None => (MergeState::None, obs::MergePath::Clean),
+            DeltaLayers::None => (MergeState::None, MergePath::Clean),
             DeltaLayers::Pdt(layers) => {
                 // stack the mergers: each layer starts where the previous
                 // layer's output begins
@@ -285,32 +371,32 @@ impl<'a> TableScan<'a> {
                     mergers.push(m);
                 }
                 start_rid = start;
-                (MergeState::Pdt(mergers), obs::MergePath::PdtKernel)
+                (MergeState::Pdt(mergers), MergePath::PdtKernel)
             }
             DeltaLayers::Vdt(v) => (
                 MergeState::ByKey(ByKey::Vdt(Box::new(match start_key() {
                     None => VdtMerger::new(v),
                     Some(key) => VdtMerger::new_ranged(v, range.start, &key),
                 }))),
-                obs::MergePath::VdtKernel,
+                MergePath::VdtKernel,
             ),
             DeltaLayers::Rows(rb) => (
                 MergeState::ByKey(ByKey::Rows(Box::new(match start_key() {
                     None => RowMerger::new(rb),
                     Some(key) => RowMerger::new_ranged(rb, range.start, &key),
                 }))),
-                obs::MergePath::RowsKernel,
+                MergePath::RowsKernel,
             ),
         };
         // a by-key merge also reads the sort-key columns, and a ranged one
-        // must know where to stop draining buffered rows
+        // must know where to stop draining buffered rows: at the sort key
+        // of the first stable row past the range
         let (io_cols, drain_upper) = match &state {
             MergeState::ByKey(merger) => {
                 start_rid = merger.next_rid();
-                (
-                    value_io_cols(table, &proj),
-                    drain_upper_key(table, &range, &io),
-                )
+                let upper = (range.end < table.row_count())
+                    .then(|| probe_key(table, range.end, &io, &mut counts));
+                (value_io_cols(table, &proj), upper)
             }
             _ => (proj.clone(), None),
         };
@@ -392,35 +478,15 @@ impl<'a> TableScan<'a> {
             done: false,
             emitted: false,
             bounds,
-            union_io: None,
-            profile: None,
             zone_skipped,
+            entered: false,
+            counts,
         }
     }
 
-    /// Attach `explain_analyze` profile counters. The current segment is
-    /// accounted (merge path, zone-map-skipped blocks) immediately;
-    /// later segments are accounted as the union advances into them.
-    pub fn set_profile(&mut self, profile: std::sync::Arc<obs::ScanProfile>) {
-        use std::sync::atomic::Ordering::Relaxed;
-        profile.segments.fetch_add(1, Relaxed);
-        profile.blocks_skipped.fetch_add(self.zone_skipped, Relaxed);
-        profile.record_path(self.path);
-        self.profile = Some(profile);
-    }
-
-    /// The attached `explain_analyze` profile, if any — clone the `Arc`
-    /// before draining the scan to read the counters afterwards.
-    pub fn profile(&self) -> Option<std::sync::Arc<obs::ScanProfile>> {
-        self.profile.clone()
-    }
-
-    /// Stable blocks decoded so far, as the attached profile counted them
-    /// (0 for an unprofiled scan).
-    pub fn blocks_decoded(&self) -> u64 {
-        self.profile.as_ref().map_or(0, |p| {
-            p.blocks_decoded.load(std::sync::atomic::Ordering::Relaxed)
-        })
+    /// What the scan has read and emitted so far.
+    pub fn counts(&self) -> &ScanCounts {
+        &self.counts
     }
 
     /// Union scan over the ordered partitions of a range-partitioned
@@ -435,15 +501,12 @@ impl<'a> TableScan<'a> {
         mut segments: Vec<ScanSegment<'a>>,
         proj: Vec<usize>,
         bounds: ScanBounds,
-        io: IoTracker,
         clock: ScanClock,
     ) -> Self {
         assert!(!segments.is_empty(), "union scan needs ≥ 1 segment");
         let rest: std::collections::VecDeque<ScanSegment<'a>> = segments.split_off(1).into();
         let first = segments.pop().expect("non-empty");
-        let seg_io = first.io.unwrap_or_else(|| io.clone());
-        let mut scan = TableScan::ranged(first.stable, first.layers, proj, bounds, seg_io, clock);
-        scan.union_io = Some(io);
+        let mut scan = TableScan::ranged(first.stable, first.layers, proj, bounds, first.io, clock);
         scan.rid_base = first.rid_base;
         scan.start_rid += first.rid_base;
         scan.pending = rest;
@@ -469,17 +532,18 @@ impl<'a> TableScan<'a> {
                     continue;
                 }
             }
-            let base_io = self.union_io.clone().unwrap_or_else(|| self.io.clone());
-            let seg_io = seg.io.unwrap_or_else(|| base_io.clone());
             let mut fresh = TableScan::ranged(
                 seg.stable,
                 seg.layers,
                 std::mem::take(&mut self.proj),
                 self.bounds.clone(),
-                seg_io,
+                seg.io,
                 self.clock.clone(),
             );
-            fresh.union_io = Some(base_io);
+            // the fresh segment's key probes join the union's counts
+            let probes = fresh.counts.io;
+            fresh.counts = self.counts;
+            fresh.counts.charge(probes);
             fresh.rid_base = seg.rid_base;
             fresh.rid_lo = self.rid_lo;
             fresh.rid_hi = self.rid_hi;
@@ -493,9 +557,6 @@ impl<'a> TableScan<'a> {
             };
             fresh.emitted = self.emitted;
             fresh.pending = std::mem::take(&mut self.pending);
-            if let Some(p) = self.profile.take() {
-                fresh.set_profile(p);
-            }
             *self = fresh;
             return true;
         }
@@ -520,12 +581,11 @@ impl<'a> TableScan<'a> {
         self.rid_lo = lo;
         self.rid_hi = hi;
         // the current segment spans [rid_base, next.rid_base): when the
-        // window starts at or past its end, retire it unscanned —
-        // `advance_segment` then skips any further wholly-below segments
-        if let Some(next) = self.pending.front() {
-            if next.rid_base <= lo {
-                self.finished = true;
-            }
+        // window starts at or past its end, replace it unscanned (and
+        // uncounted) — `advance_segment` skips any further wholly-below
+        // segments too, and never the last one
+        if self.pending.front().is_some_and(|next| next.rid_base <= lo) {
+            self.advance_segment();
         }
     }
 
@@ -572,7 +632,6 @@ impl<'a> TableScan<'a> {
     /// in place to the scan range. Returns the SID of the first row kept
     /// and how many rows were.
     fn read_block(&mut self, b: usize) -> (u64, usize) {
-        let profile_bytes0 = self.profile.as_ref().map(|_| self.io.stats().bytes_read);
         let (bstart, bend) = self.table.block_range(b);
         let lo = self.range.start.max(bstart);
         let hi = self.range.end.min(bend);
@@ -585,12 +644,8 @@ impl<'a> TableScan<'a> {
                 buf.retain_range((lo - bstart) as usize, (hi - bstart) as usize);
             }
         }
-        if let Some(p) = &self.profile {
-            use std::sync::atomic::Ordering::Relaxed;
-            p.blocks_decoded.fetch_add(1, Relaxed);
-            let bytes = self.io.stats().bytes_read - profile_bytes0.unwrap_or(0);
-            p.bytes_read.fetch_add(bytes, Relaxed);
-        }
+        self.counts.blocks_decoded += 1;
+        self.counts.charge(block_io(self.table, &self.io_cols, b));
         (lo, (hi - lo) as usize)
     }
 
@@ -685,18 +740,29 @@ fn value_io_cols(table: &StableTable, proj: &[usize]) -> Vec<usize> {
     io_cols
 }
 
-/// Sort key of the first stable row past the scanned range: buffered
-/// inserts beyond it must not be drained by a ranged scan.
-fn drain_upper_key(table: &StableTable, range: &ScanRange, io: &IoTracker) -> Option<Vec<Value>> {
-    if range.end < table.row_count() {
-        Some(
-            table
-                .sk_of_row(range.end, io)
-                .expect("range end within table"),
-        )
-    } else {
-        None
+/// What reading block `b` of columns `cols` charges a tracker.
+fn block_io(table: &StableTable, cols: &[usize], b: usize) -> IoStats {
+    IoStats {
+        blocks_read: cols.len() as u64,
+        bytes_read: cols
+            .iter()
+            .map(|&c| table.column_blocks(c)[b].stored_bytes())
+            .sum(),
     }
+}
+
+/// Sort key of stable row `sid` (a ranged by-key merge's start or drain
+/// bound), read through `io` and charged to `counts` as well.
+fn probe_key(table: &StableTable, sid: u64, io: &IoTracker, counts: &mut ScanCounts) -> Vec<Value> {
+    let key = table
+        .sk_of_row(sid, io)
+        .expect("scan range bounds lie within the table");
+    counts.charge(block_io(
+        table,
+        table.sort_key().cols(),
+        table.block_of(sid),
+    ));
+    key
 }
 
 impl<'a> Operator for TableScan<'a> {
@@ -709,6 +775,12 @@ impl<'a> Operator for TableScan<'a> {
             if self.done {
                 return None;
             }
+            if !self.entered {
+                self.entered = true;
+                self.counts.segments += 1;
+                self.counts.paths[self.path as usize] += 1;
+                self.counts.blocks_skipped += self.zone_skipped;
+            }
             if self.finished {
                 // current segment exhausted: next partition, if any
                 if !self.advance_segment() {
@@ -719,13 +791,7 @@ impl<'a> Operator for TableScan<'a> {
             }
             let t0 = Instant::now();
             let out = self.produce();
-            self.clock.charge(t0);
-            if let Some(p) = &self.profile {
-                p.wall_ns.fetch_add(
-                    t0.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-            }
+            self.counts.wall_ns += self.clock.charge(t0);
             let Some(mut b) = out else {
                 continue; // `produce` marked the segment finished
             };
@@ -740,11 +806,8 @@ impl<'a> Operator for TableScan<'a> {
                 // merge, clipping and stacking ran on u32 codes, and a
                 // string is decoded only where an operator reads it
                 Some(clipped) => {
-                    if let Some(p) = &self.profile {
-                        use std::sync::atomic::Ordering::Relaxed;
-                        p.batches.fetch_add(1, Relaxed);
-                        p.rows.fetch_add(clipped.num_rows() as u64, Relaxed);
-                    }
+                    self.counts.batches += 1;
+                    self.counts.rows += clipped.num_rows() as u64;
                     return Some(clipped);
                 }
                 None => continue,
@@ -1353,18 +1416,17 @@ mod tests {
                     stable: &p0,
                     layers: DeltaLayers::Pdt(vec![&d0]),
                     rid_base: 0,
-                    io: None,
+                    io: io.clone(),
                 },
                 ScanSegment {
                     stable: &p1,
                     layers: DeltaLayers::Pdt(vec![&d1]),
                     rid_base: part0_visible,
-                    io: None,
+                    io,
                 },
             ],
             vec![0, 1, 2],
             ScanBounds::default(),
-            io,
             ScanClock::new(),
         );
         let mut got = Vec::new();
@@ -1392,7 +1454,7 @@ mod tests {
     fn union_start_rid_tracks_first_emitting_segment() {
         let (p0, p1, d0, d1) = two_partition_fixture();
         let mut scan = TableScan::union(
-            fixture_segments(&p0, &p1, &d0, &d1),
+            fixture_segments(&p0, &p1, &d0, &d1, &IoTracker::new()),
             vec![0, 1, 2],
             ScanBounds {
                 // keys 250..290 live in partition 1, past its first key
@@ -1400,7 +1462,6 @@ mod tests {
                 lo: Some(vec![Value::Int(250)]),
                 hi: Some(vec![Value::Int(290)]),
             },
-            IoTracker::new(),
             ScanClock::new(),
         );
         let first = scan.next_batch().expect("range is populated");
@@ -1426,19 +1487,20 @@ mod tests {
         p1: &'a StableTable,
         d0: &'a Pdt,
         d1: &'a Pdt,
+        io: &IoTracker,
     ) -> Vec<ScanSegment<'a>> {
         vec![
             ScanSegment {
                 stable: p0,
                 layers: DeltaLayers::Pdt(vec![d0]),
                 rid_base: 0,
-                io: None,
+                io: io.clone(),
             },
             ScanSegment {
                 stable: p1,
                 layers: DeltaLayers::Pdt(vec![d1]),
                 rid_base: 20,
-                io: None,
+                io: io.clone(),
             },
         ]
     }
@@ -1448,10 +1510,9 @@ mod tests {
         let (p0, p1, d0, d1) = two_partition_fixture();
         let full = {
             let mut scan = TableScan::union(
-                fixture_segments(&p0, &p1, &d0, &d1),
+                fixture_segments(&p0, &p1, &d0, &d1, &IoTracker::new()),
                 vec![0, 1, 2],
                 ScanBounds::default(),
-                IoTracker::new(),
                 ScanClock::new(),
             );
             run_to_rows(&mut scan)
@@ -1470,10 +1531,9 @@ mod tests {
         ] {
             let io = IoTracker::new();
             let mut scan = TableScan::union(
-                fixture_segments(&p0, &p1, &d0, &d1),
+                fixture_segments(&p0, &p1, &d0, &d1, &io),
                 vec![0, 1, 2],
                 ScanBounds::default(),
-                io.clone(),
                 ScanClock::new(),
             );
             scan.clamp_rids(lo, hi);
@@ -1513,6 +1573,9 @@ mod tests {
                     ref_io.stats().bytes_read,
                     "window [{lo},{hi}) read the skipped partition"
                 );
+                // ... and counts it neither as read nor as scanned
+                assert_eq!(scan.counts().io, ref_scan.counts().io);
+                assert_eq!(scan.counts().segments, 1, "window [{lo},{hi})");
             }
         }
     }
@@ -1742,5 +1805,112 @@ mod tests {
                 assert_eq!(run_to_rows(&mut scan), project(b.merge_rows(&base)));
             }
         }
+    }
+
+    // -----------------------------------------------------------------
+    // the scan's own counts
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn counts_render_the_explain_analyze_line() {
+        let mut c = ScanCounts {
+            io: IoStats {
+                blocks_read: 3,
+                bytes_read: 4096,
+            },
+            blocks_decoded: 3,
+            blocks_skipped: 5,
+            batches: 2,
+            rows: 2048,
+            wall_ns: 1_500_000,
+            segments: 1,
+            ..ScanCounts::default()
+        };
+        c.paths[MergePath::PdtKernel as usize] = 1;
+        assert_eq!(c.path_label(), "pdt-kernel");
+        assert_eq!(
+            c.to_string(),
+            "[rows=2048 batches=2 time=1.500ms path=pdt-kernel \
+             blocks=3 decoded/5 zone-skipped bytes=4096 segments=1]"
+        );
+    }
+
+    #[test]
+    fn path_label_joins_every_merge_path_taken() {
+        let mut c = ScanCounts::default();
+        assert_eq!(c.path_label(), "-", "no segment scanned yet");
+        c.paths[MergePath::VdtKernel as usize] = 2;
+        c.paths[MergePath::Clean as usize] = 1;
+        assert_eq!(c.path_label(), "clean,vdt-kernel");
+        c.paths[MergePath::PdtKernel as usize] = 1;
+        assert_eq!(c.path_label(), "clean,pdt-kernel,vdt-kernel");
+    }
+
+    /// Two scans interleaved over one tracker each count exactly what they
+    /// count alone — a ranged by-key scan's key probes included — and
+    /// together everything the tracker saw.
+    #[test]
+    fn interleaved_scans_on_one_tracker_count_only_their_own_reads() {
+        let t = table(40);
+        let p = updated_pdt();
+        let mut v = Vdt::new(schema(), vec![0]);
+        v.delete(&[Value::Int(200)]);
+        v.insert(vec![Value::Int(195), Value::Int(0), Value::Str("g".into())]);
+        let bounds = || ScanBounds {
+            lo: Some(vec![Value::Int(100)]),
+            hi: Some(vec![Value::Int(300)]),
+        };
+        let pdt_scan = |io: &IoTracker| {
+            TableScan::new(
+                &t,
+                DeltaLayers::Pdt(vec![&p]),
+                vec![1, 2],
+                io.clone(),
+                ScanClock::new(),
+            )
+        };
+        let vdt_scan = |io: &IoTracker| {
+            TableScan::ranged(
+                &t,
+                DeltaLayers::Vdt(&v),
+                vec![1],
+                bounds(),
+                io.clone(),
+                ScanClock::new(),
+            )
+        };
+        let solo = |mut scan: TableScan<'_>, io: &IoTracker| {
+            while scan.next_batch().is_some() {}
+            assert_eq!(
+                scan.counts().io,
+                io.stats(),
+                "a lone scan counts its tracker's reads"
+            );
+            *scan.counts()
+        };
+        let (io_a, io_b) = (IoTracker::new(), IoTracker::new());
+        let (a_alone, b_alone) = (solo(pdt_scan(&io_a), &io_a), solo(vdt_scan(&io_b), &io_b));
+        assert!(
+            b_alone.io.blocks_read > b_alone.blocks_decoded,
+            "key probes and key columns"
+        );
+
+        let shared = IoTracker::new();
+        let (mut a, mut b) = (pdt_scan(&shared), vdt_scan(&shared));
+        let (mut a_live, mut b_live) = (true, true);
+        while a_live || b_live {
+            a_live = a_live && a.next_batch().is_some();
+            b_live = b_live && b.next_batch().is_some();
+        }
+        assert_eq!(a.counts().io, a_alone.io);
+        assert_eq!(b.counts().io, b_alone.io);
+        assert_eq!(
+            (a.counts().rows, b.counts().rows),
+            (a_alone.rows, b_alone.rows)
+        );
+        let sum = a.counts().io.bytes_read + b.counts().io.bytes_read;
+        assert_eq!(sum, shared.stats().bytes_read);
+        let blocks = a.counts().io.blocks_read + b.counts().io.blocks_read;
+        assert_eq!(blocks, shared.stats().blocks_read);
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! The paper's Figure 19 separates each query bar into **scan time** (disk
 //! read + decompression + applying updates) and **processing time** (the
-//! rest), alongside **I/O volume**. [`QueryStats`] captures all three:
-//! scan operators charge their wall time to a shared [`ScanClock`]; I/O
-//! volume is delta-measured on the storage layer's `IoTracker`; total time
-//! is measured by the harness around plan execution.
+//! rest), alongside **I/O volume**. [`QueryStats`] captures all three
+//! database-wide: scan operators charge their wall time to a shared
+//! [`ScanClock`]; I/O volume is delta-measured on the storage layer's
+//! `IoTracker`; total time is measured by the harness around plan
+//! execution. One scan's own share of the same quantities is its
+//! [`ScanCounts`](crate::ScanCounts).
 
 use columnar::{IoStats, IoTracker};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,10 +26,11 @@ impl ScanClock {
         Self::default()
     }
 
-    /// Charge the duration since `start`.
-    pub fn charge(&self, start: Instant) {
-        self.nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    /// Charge the duration since `start`; returns the nanoseconds charged.
+    pub fn charge(&self, start: Instant) -> u64 {
+        let ns = start.elapsed().as_nanos() as u64;
+        self.nanos.fetch_add(ns, Ordering::Relaxed);
+        ns
     }
 
     /// Accumulated scan time in nanoseconds.

@@ -1,7 +1,7 @@
 //! # obs — unified observability for the pdt-repro engine
 //!
-//! Three pieces, one crate at the bottom of the dependency graph so
-//! every layer (`columnar`, `txn`, `engine`, `exec`, `server`) can be
+//! Two pieces, one crate at the bottom of the dependency graph so
+//! every layer (`columnar`, `txn`, `engine`, `server`) can be
 //! instrumented:
 //!
 //! * [`trace`] — structured tracing: fixed-size [`trace::TraceRecord`]s
@@ -13,8 +13,9 @@
 //! * [`metrics`] — a registry of counters/gauges/histograms keyed by
 //!   dotted name + labels, frozen into a [`metrics::MetricsSnapshot`]
 //!   with Prometheus-style text and JSON expositions.
-//! * [`profile`] — per-query profiling counters and the plan-shaped
-//!   `explain_analyze` report ([`profile::OpProfile`]).
+//!
+//! What one query read is not recorded here: each scan counts its own
+//! (`exec::ScanCounts`, read back by `explain_analyze`).
 //!
 //! The span taxonomy, metric naming scheme, and instrumentation guide
 //! live in `ARCHITECTURE.md` § Observability.
@@ -22,11 +23,9 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod profile;
 pub mod trace;
 
 pub use metrics::{MetricsSnapshot, Registry};
-pub use profile::{MergePath, OpProfile, ScanProfile};
 pub use trace::{MemorySink, TraceDrain, TraceEvent, TraceKind, TraceRecord, TraceSink};
 
 /// Emit a point [`trace::TraceRecord`] of the given [`TraceKind`],

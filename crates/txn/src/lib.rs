@@ -581,7 +581,9 @@ mod tests {
     /// replay the rest, restore the sequence.
     fn recover(l: &Arc<PdtLayers>, path: &Path) -> std::io::Result<u64> {
         let mut last = 0;
-        for rec in wal::effective_commits(wal::Wal::read_all(path)?) {
+        let all = wal::Wal::read_all(path)?;
+        let markers = wal::checkpoint_markers(&all);
+        for rec in wal::effective_commits(all, &markers) {
             last = rec.seq();
             if let wal::WalRecord::Commit { tables, .. } = rec {
                 for (_table, _partition, entries) in tables {

@@ -278,13 +278,15 @@ impl Wal {
 
 /// Resolve checkpoint markers over an already-read record stream: returns
 /// only commit records, with each `(table, partition)`'s entries dropped
-/// when a marker covers them (`seq` ≤ the partition's last marker). This is
+/// when its covering marker covers them (`seq` ≤ the marker's). This is
 /// the record stream a recovery that rebuilt every partition from its
-/// checkpointed stable image must replay. Takes the records rather than a
-/// path so callers that also need the markers (image-based recovery) read
-/// the file once.
-pub fn effective_commits(records: Vec<WalRecord>) -> Vec<WalRecord> {
-    let markers = checkpoint_seqs(&records);
+/// checkpointed stable image must replay. `markers` are the stream's own
+/// [`checkpoint_markers`], resolved once by the caller, which also adopts
+/// images by them.
+pub fn effective_commits(
+    records: Vec<WalRecord>,
+    markers: &HashMap<String, HashMap<u32, CoveringMarker>>,
+) -> Vec<WalRecord> {
     records
         .into_iter()
         .filter_map(|rec| match rec {
@@ -295,7 +297,7 @@ pub fn effective_commits(records: Vec<WalRecord>) -> Vec<WalRecord> {
                         markers
                             .get(t.as_str())
                             .and_then(|parts| parts.get(p))
-                            .is_none_or(|&m| seq > m)
+                            .is_none_or(|m| seq > m.seq)
                     })
                     .collect();
                 Some(WalRecord::Commit { seq, tables: kept })
@@ -624,29 +626,6 @@ impl GroupWal {
         drop(g);
         self.cv.notify_all();
     }
-}
-
-/// Last checkpoint marker sequence per table, then per partition (nested
-/// so replay filtering probes it without allocating per record).
-pub fn checkpoint_seqs(records: &[WalRecord]) -> HashMap<String, HashMap<u32, u64>> {
-    let mut m: HashMap<String, HashMap<u32, u64>> = HashMap::new();
-    for rec in records {
-        if let WalRecord::Checkpoint {
-            seq,
-            table,
-            partition,
-            ..
-        } = rec
-        {
-            let e = m
-                .entry(table.clone())
-                .or_default()
-                .entry(*partition)
-                .or_insert(*seq);
-            *e = (*e).max(*seq);
-        }
-    }
-    m
 }
 
 /// The covering checkpoint marker of one `(table, partition)` — see
@@ -1224,7 +1203,7 @@ mod tests {
         let m = &markers["t"][&0];
         assert_eq!((m.seq, m.image_seq), (2, Some(2)));
         assert!(m.residual.is_empty());
-        let effective = effective_commits(all);
+        let effective = effective_commits(all, &markers);
         let kept: Vec<(u64, String, u32)> = effective
             .iter()
             .flat_map(|r| match r {

@@ -119,7 +119,7 @@ fn main() {
     );
 
     // 6. explain_analyze profiles a query: rows, I/O, merge path, blocks
-    //    decoded vs zone-map-skipped — as a plan-shaped report. This
+    //    decoded vs zone-map-skipped — as its scan counted them. This
     //    selective range decodes only the qualifying blocks of the
     //    checkpointed table.
     let profile = db

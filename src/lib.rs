@@ -8,7 +8,8 @@
 //! * [`pdt`] — the Positional Delta Tree (the paper's contribution)
 //! * [`vdt`] — the value-based baseline
 //! * [`columnar`] — ordered compressed columnar storage substrate
-//! * [`exec`] — block-oriented query executor
+//! * [`exec`] — block-oriented query executor; every scan counts what it
+//!   reads (`exec::ScanCounts`, the per-query scan profile)
 //! * [`txn`] — 3-layer-PDT snapshot-isolation transaction manager
 //! * [`engine`] — the mini column-store DBMS; every table's update
 //!   structure (PDT or VDT) sits behind the unified
@@ -17,8 +18,8 @@
 //! * [`server`] — concurrent session front end: bounded session pool,
 //!   group-commit WAL, write admission control, serving metrics
 //! * [`obs`] — the observability layer: structured tracing
-//!   (`obs::span!` / `obs::event!` into lock-free per-thread rings),
-//!   the unified metrics registry, and per-query scan profiles
+//!   (`obs::span!` / `obs::event!` into lock-free per-thread rings) and
+//!   the unified metrics registry
 
 pub use columnar;
 pub use engine;
