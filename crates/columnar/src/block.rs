@@ -28,20 +28,16 @@ pub struct Block {
 }
 
 impl Block {
-    /// Encode `col`, choosing the smallest applicable codec. When
-    /// `compressed` is false only [`Encoding::Plain`] is considered,
-    /// mirroring the paper's non-compressed SF-10 workstation setup.
+    /// Encode `col`, choosing the smallest applicable codec (a tie goes to
+    /// the earlier candidate). When `compressed` is false only
+    /// [`Encoding::Plain`] is considered, mirroring the paper's
+    /// non-compressed SF-10 workstation setup.
     pub fn encode(col: &ColumnVec, compressed: bool) -> Block {
         let mut best: Option<(Encoding, Vec<u8>)> = None;
         for &enc in Encoding::candidates(col.vtype(), compressed) {
-            if let Some(bytes) = compress::encode(col, enc) {
-                let better = match &best {
-                    None => true,
-                    Some((_, b)) => bytes.len() < b.len(),
-                };
-                if better {
-                    best = Some((enc, bytes));
-                }
+            let limit = best.as_ref().map_or(usize::MAX, |(_, b)| b.len());
+            if let Some(bytes) = compress::encode_below(col, enc, limit) {
+                best = Some((enc, bytes));
             }
         }
         let (encoding, bytes) = best.expect("Plain always applies");
@@ -111,6 +107,34 @@ mod tests {
         let b = Block::encode(&col, true);
         assert_eq!(b.encoding, Encoding::DeltaVarint);
         assert_eq!(b.decode().unwrap(), col);
+
+        // random 44-bit values: 5.5 B/value packed beats ~7 B/value of
+        // zig-zag varint deltas
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let col = ColumnVec::Int(
+            (0..4096)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x >> 20) as i64
+                })
+                .collect(),
+        );
+        let b = Block::encode(&col, true);
+        assert_eq!(b.encoding, Encoding::BitPacked);
+        assert_eq!(b.stored_bytes(), 9 + 4096 * 44 / 8);
+        assert_eq!(b.decode().unwrap(), col);
+
+        // a tie goes to the earlier candidate: eleven one-byte deltas
+        // against a 9-byte header plus eleven 1-bit offsets
+        let col = ColumnVec::Int(vec![0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0]);
+        let b = Block::encode(&col, true);
+        assert_eq!(
+            compress::encode(&col, Encoding::BitPacked).unwrap().len(),
+            11
+        );
+        assert_eq!((b.encoding, b.stored_bytes()), (Encoding::DeltaVarint, 11));
     }
 
     #[test]

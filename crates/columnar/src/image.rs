@@ -53,14 +53,17 @@ const IMAGE_MAGIC: u32 = 0x7064_7452;
 /// the [`Encoding::GlobalCode`] block codec; v3 added **block reuse**: a
 /// block slot may be a reference `(src_seq, src_idx)` into a prior
 /// generation's image of the same partition instead of an inline payload
-/// (written by incremental compaction for the blocks it did not touch).
-/// Only v3 loads: older images, like v1 manifests, were written by builds
-/// whose WAL checkpoint markers the log reader no longer accepts, so no
-/// readable log can lead recovery to one — they are
-/// [`ColumnarError::Corrupt`].
-const IMAGE_VERSION: u32 = 3;
+/// (written by incremental compaction for the blocks it did not touch);
+/// v4 added the [`Encoding::BitPacked`] block codec (tag 5). v4 is
+/// written; v3 still loads — it is v4 without tag 5, and the checkpoint
+/// markers of every log a v3 build wrote point at v3 images (a v4 image
+/// may reference blocks of a v3 generation). Older images, like v1
+/// manifests, were written by builds whose WAL checkpoint markers the log
+/// reader no longer accepts, so no readable log can lead recovery to one —
+/// they are [`ColumnarError::Corrupt`].
+const IMAGE_VERSION: u32 = 4;
 /// Encoding-byte tag marking a block *reference* (physical blocks use the
-/// [`Encoding`] tags 0–4).
+/// [`Encoding::ALL`] indices 0–5).
 const REF_TAG: u8 = 0xff;
 /// Manifest format header (v2 added each entry's `deps` field).
 const MANIFEST_HEADER: &str = "pdt-images v2";
@@ -150,25 +153,16 @@ fn vtype_of(tag: u8) -> Result<ValueType> {
     })
 }
 
-fn encoding_tag(e: Encoding) -> u8 {
-    match e {
-        Encoding::Plain => 0,
-        Encoding::Rle => 1,
-        Encoding::Dict => 2,
-        Encoding::DeltaVarint => 3,
-        Encoding::GlobalCode => 4,
+/// The codec of a block tag in an image of `version` (v3 predates
+/// [`Encoding::BitPacked`]).
+fn encoding_of(tag: u8, version: u32) -> Result<Encoding> {
+    match Encoding::ALL.get(tag as usize) {
+        Some(Encoding::BitPacked) if version < 4 => Err(ColumnarError::Corrupt(format!(
+            "encoding tag {tag} in a v{version} image"
+        ))),
+        Some(&e) => Ok(e),
+        None => Err(ColumnarError::Corrupt(format!("bad encoding tag {tag}"))),
     }
-}
-
-fn encoding_of(tag: u8) -> Result<Encoding> {
-    Ok(match tag {
-        0 => Encoding::Plain,
-        1 => Encoding::Rle,
-        2 => Encoding::Dict,
-        3 => Encoding::DeltaVarint,
-        4 => Encoding::GlobalCode,
-        t => return Err(ColumnarError::Corrupt(format!("bad encoding tag {t}"))),
-    })
 }
 
 fn put_value(out: &mut Vec<u8>, v: &Value) {
@@ -324,7 +318,7 @@ pub fn encode_image_with_reuse(
                     stats.bytes_reused += b.payload.len() as u64;
                 }
                 _ => {
-                    body.push(encoding_tag(b.encoding));
+                    body.push(b.encoding as u8);
                     body.extend_from_slice(&(b.payload.len() as u32).to_le_bytes());
                     body.extend_from_slice(&b.payload);
                     stats.blocks_written += 1;
@@ -397,7 +391,7 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage> {
         return Err(ColumnarError::Corrupt("bad image magic".into()));
     }
     let version = cur.u32()?;
-    if version != IMAGE_VERSION {
+    if !(3..=IMAGE_VERSION).contains(&version) {
         return Err(ColumnarError::Corrupt(format!(
             "unsupported image version {version}"
         )));
@@ -482,7 +476,7 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage> {
                     src_idx,
                 });
             } else {
-                let encoding = encoding_of(tag)?;
+                let encoding = encoding_of(tag, version)?;
                 let plen = cur.u32()? as usize;
                 let payload = cur.take(plen)?;
                 blocks.push(RawBlock::Phys(Block {
@@ -610,7 +604,7 @@ fn resolve_image(
 /// `io` — the image load *is* the cold-start I/O the paper's plots model.
 /// Only self-contained images decode this way; an image with block
 /// references needs its dependency files and must go through
-/// [`ImageStore::load`]. An image of an older format version is
+/// [`ImageStore::load`]. An image older than v3 is
 /// [`ColumnarError::Corrupt`].
 pub fn decode_image(bytes: &[u8], io: &IoTracker) -> Result<(StableTable, u64)> {
     let raw = parse_image(bytes)?;
@@ -1251,6 +1245,142 @@ mod tests {
             store.load("t", 0, 7, &io),
             Err(ColumnarError::Corrupt(_))
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A v3 image, written by the build before [`Encoding::BitPacked`]
+    /// existed: [`v3_rows`] as table `fx` in 32-row blocks, at sequence 3.
+    const V3_IMAGE: &[u8] = include_bytes!("../testdata/image_v3.img");
+
+    fn v3_rows() -> Vec<Tuple> {
+        (0..96i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i * 3),
+                    Value::Int((i * 2_654_435_761) % (1 << 20)),
+                    Value::Date(19_000 + (i / 32) as i32),
+                    Value::Str(format!("tag{}", i % 3)),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn v3_images_still_load() {
+        assert_eq!(V3_IMAGE[4..8], 3u32.to_le_bytes());
+        let io = IoTracker::new();
+        let (t, seq) = decode_image(V3_IMAGE, &io).unwrap();
+        assert_eq!(seq, 3);
+        assert_eq!(t.scan_all(&io).unwrap(), v3_rows());
+        let codecs: std::collections::HashSet<Encoding> = (0..t.num_columns())
+            .flat_map(|c| t.column_blocks(c).iter().map(|b| b.encoding))
+            .collect();
+        assert_eq!(
+            codecs,
+            [Encoding::DeltaVarint, Encoding::Rle, Encoding::GlobalCode].into()
+        );
+    }
+
+    #[test]
+    fn bit_packed_tag_in_a_v3_image_is_corrupt() {
+        let io = IoTracker::new();
+        let (t, _) = decode_image(V3_IMAGE, &io).unwrap();
+        // find column 1's first block slot: len, vtype, tag, payload
+        let b = &t.column_blocks(1)[0];
+        let mut slot = (b.len as u32).to_le_bytes().to_vec();
+        slot.extend([vtype_tag(b.vtype), b.encoding as u8]);
+        slot.extend_from_slice(&(b.payload.len() as u32).to_le_bytes());
+        slot.extend_from_slice(&b.payload);
+        let at = V3_IMAGE
+            .windows(slot.len())
+            .position(|w| w == slot)
+            .expect("the block's slot is in the image");
+        let mut bad = V3_IMAGE.to_vec();
+        bad[at + 5] = Encoding::BitPacked as u8;
+        let n = bad.len();
+        let sum = fnv1a(&bad[8..n - 8]);
+        bad[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            decode_image(&bad, &io).err(),
+            Some(ColumnarError::Corrupt(
+                "encoding tag 5 in a v3 image".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn fresh_images_are_v4_and_bit_pack_wide_random_ints() {
+        let meta = TableMeta::new(
+            "r",
+            Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]),
+            vec![0],
+        );
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let rows: Vec<Tuple> = (0..1000)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                vec![Value::Int(i), Value::Int((x >> 20) as i64)]
+            })
+            .collect();
+        let opts = TableOptions {
+            block_rows: 256,
+            compressed: true,
+        };
+        let t = StableTable::bulk_load(meta, opts, &rows).unwrap();
+        let codecs = |t: &StableTable, c| -> Vec<Encoding> {
+            t.column_blocks(c).iter().map(|b| b.encoding).collect()
+        };
+        assert_eq!(codecs(&t, 0), [Encoding::DeltaVarint; 4]);
+        assert_eq!(codecs(&t, 1), [Encoding::BitPacked; 4]);
+        let bytes = encode_image(&t, 5);
+        assert_eq!(bytes[4..8], 4u32.to_le_bytes());
+        let io = IoTracker::new();
+        let (back, seq) = decode_image(&bytes, &io).unwrap();
+        assert_eq!(seq, 5);
+        assert_eq!(codecs(&back, 1), [Encoding::BitPacked; 4]);
+        assert_eq!(back.total_bytes(), t.total_bytes());
+        assert_eq!(back.scan_all(&io).unwrap(), rows);
+    }
+
+    /// Incremental compaction keeps referencing blocks of a generation a
+    /// v3 build published: the v4 image resolves them on load.
+    #[test]
+    fn a_v4_image_references_blocks_of_a_v3_generation() {
+        let dir = std::env::temp_dir().join(format!("pdt-v3ref-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = ImageStore::open(&dir).unwrap();
+        fs::write(dir.join("fx.p0.3.img"), V3_IMAGE).unwrap();
+        let mut m = ImageManifest::default();
+        let entry = ImageEntry {
+            seq: 3,
+            file: "fx.p0.3.img".into(),
+            deps: vec![],
+        };
+        m.set("fx", 0, entry);
+        m.save(&dir).unwrap();
+        let io = IoTracker::new();
+        let (t, prov) = store
+            .load("fx", 0, 3, &io)
+            .unwrap()
+            .expect("v3 image at seq 3");
+        assert_eq!(prov, vec![(3, 0), (3, 1), (3, 2)]);
+        // a range compaction rewrote block 1 and kept blocks 0 and 2
+        let stats = store
+            .publish_with_reuse("fx", 0, 9, &t, &[Some((3, 0)), None, Some((3, 2))])
+            .unwrap();
+        assert_eq!(stats.blocks_reused as usize, 2 * t.num_columns());
+        assert_eq!(
+            fs::read(dir.join("fx.p0.9.img")).unwrap()[4..8],
+            4u32.to_le_bytes()
+        );
+        let (back, prov) = store
+            .load("fx", 0, 9, &io)
+            .unwrap()
+            .expect("v4 image at seq 9");
+        assert_eq!(prov, vec![(3, 0), (9, 1), (3, 2)]);
+        assert_eq!(back.scan_all(&io).unwrap(), v3_rows());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1013,6 +1013,16 @@ mod tests {
             txn.append("t", batch(10_000 + i * 8, 8)).unwrap();
             txn.commit().unwrap();
         }
+        // the scheduler checkpoints on its own tick: wait for one to land
+        // rather than race it to the shutdown
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while db.metrics().value("maintenance.checkpoints") <= Some(0) {
+            assert!(
+                Instant::now() < deadline,
+                "no background checkpoint within 5 s"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let fin = server.shutdown();
         assert!(fin.unified.value("maintenance.checkpoints") > Some(0));
         assert_eq!(fin.sessions[0].counters.commits, 50);

@@ -15,14 +15,6 @@ use columnar::{
 };
 use proptest::prelude::*;
 
-const ENCODINGS: [Encoding; 5] = [
-    Encoding::Plain,
-    Encoding::Rle,
-    Encoding::Dict,
-    Encoding::DeltaVarint,
-    Encoding::GlobalCode,
-];
-
 const VTYPES: [ValueType; 5] = [
     ValueType::Bool,
     ValueType::Int,
@@ -41,7 +33,7 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..256),
         len in 0usize..1025,
     ) {
-        for enc in ENCODINGS {
+        for enc in Encoding::ALL {
             for vt in VTYPES {
                 let _ = decode(&bytes, enc, vt, len);
             }
@@ -66,7 +58,7 @@ proptest! {
             ColumnVec::Str(ints.iter().map(|&v| format!("s{}", v % 5)).collect()),
         ];
         for col in &cols {
-            for enc in ENCODINGS {
+            for enc in Encoding::ALL {
                 let Some(mut bytes) = encode(col, enc) else { continue };
                 if bytes.is_empty() {
                     continue;
@@ -104,7 +96,7 @@ proptest! {
             ColumnVec::Coded(ints.iter().map(|&v| v.rem_euclid(5) as u32).collect(), dict.clone()),
         ];
         for col in &cols {
-            for enc in ENCODINGS {
+            for enc in Encoding::ALL {
                 let Some(mut bytes) = encode(col, enc) else { continue };
                 let dict = col.dict();
                 let full = decode_with(&bytes, enc, col.vtype(), col.len(), dict);
@@ -120,6 +112,42 @@ proptest! {
                 bytes.push(0);
                 let got = decode_with(&bytes, enc, col.vtype(), col.len(), dict);
                 prop_assert!(got.is_err(), "{:?} × {:?}: trailing byte accepted", enc, col.vtype());
+            }
+        }
+    }
+
+    /// [`Encoding::BitPacked`] at every width it takes: a valid payload
+    /// round-trips; every proper prefix, a declared length of
+    /// `usize::MAX` and a width byte of 0, 57 or 255 are `Corrupt` — the
+    /// payload size is tied to `len · w` before the output is sized, so
+    /// none of them allocates or reads past the payload.
+    #[test]
+    fn bit_packed_payloads_are_checked_before_they_are_read(
+        vals in prop::collection::vec(any::<i64>(), 2..80),
+        width in 1u32..57,
+        base in any::<i64>(),
+    ) {
+        let mask = u64::MAX >> (64 - width);
+        let ints: Vec<i64> = vals.iter().map(|&v| base.wrapping_add((v as u64 & mask) as i64)).collect();
+        let col = ColumnVec::Int(ints);
+        let Some(bytes) = encode(&col, Encoding::BitPacked) else {
+            // every value landed on one offset: a constant block
+            return Ok(());
+        };
+        prop_assert!(bytes[8] as u32 <= width);
+        prop_assert_eq!(decode(&bytes, Encoding::BitPacked, ValueType::Int, col.len()), Ok(col.clone()));
+        for cut in 0..bytes.len() {
+            let got = decode(&bytes[..cut], Encoding::BitPacked, ValueType::Int, col.len());
+            prop_assert!(got.is_err(), "prefix {} of {} decoded", cut, bytes.len());
+        }
+        for vt in [ValueType::Int, ValueType::Date] {
+            prop_assert!(decode(&bytes, Encoding::BitPacked, vt, usize::MAX).is_err());
+        }
+        for w in [0u8, 57, 255] {
+            let mut bad = bytes.clone();
+            bad[8] = w;
+            for vt in [ValueType::Int, ValueType::Date] {
+                prop_assert!(decode(&bad, Encoding::BitPacked, vt, col.len()).is_err(), "width {}", w);
             }
         }
     }
