@@ -21,12 +21,13 @@ use crate::value::{Value, ValueType};
 /// String columns come in two representations: [`ColumnVec::Str`] holds the
 /// strings themselves, [`ColumnVec::Coded`] holds `u32` codes into a shared
 /// order-preserving [`StrDict`]. Both report [`ValueType::Str`]; a coded
-/// vector transparently *materializes* into `Str` when an operation needs a
-/// string its dictionary does not contain. MergeScan works on codes and
-/// emits them; the executor's operators keep them coded and read strings
-/// through [`ColumnVec::str_at`], so a string materializes only where a
-/// caller asks for a [`Value`] ([`ColumnVec::get`]) or one outside the
-/// dictionary must be stored.
+/// vector transparently *materializes* into `Str` when a plain string its
+/// dictionary does not contain must be stored, and recodes into the union
+/// of two dictionaries when extended from another one's codes. MergeScan
+/// works on codes and emits them; the executor's operators keep them coded
+/// and read strings through [`ColumnVec::str_at`], so a string
+/// materializes only where a caller asks for a [`Value`]
+/// ([`ColumnVec::get`]) or one outside the dictionary must be stored.
 #[derive(Debug, Clone)]
 pub enum ColumnVec {
     /// Booleans.
@@ -319,7 +320,9 @@ impl ColumnVec {
 
     /// Append a sub-range `[from, to)` of `other` to `self` (block
     /// pass-through copies in MergeScan). Coded-to-coded copies over the
-    /// same dictionary are pure `u32` `memcpy`s.
+    /// same dictionary are pure `u32` `memcpy`s; over two dictionaries
+    /// (two partitions' columns), both sides recode into their union and
+    /// stay coded.
     pub fn extend_range(&mut self, other: &ColumnVec, from: usize, to: usize) {
         if let ColumnVec::Coded(codes, dict) = &mut *self {
             match other {
@@ -327,7 +330,12 @@ impl ColumnVec {
                     codes.extend_from_slice(&b[from..to]);
                     return;
                 }
-                ColumnVec::Coded(..) | ColumnVec::Str(_) => self.materialize_in_place(),
+                ColumnVec::Coded(b, d2) => {
+                    let map = recode_into_union(codes, dict, d2);
+                    codes.extend(b[from..to].iter().map(|&c| map[c as usize]));
+                    return;
+                }
+                ColumnVec::Str(_) => self.materialize_in_place(),
                 b => panic!(
                     "type mismatch: extending Str column from {:?} column",
                     b.vtype()
@@ -352,12 +360,19 @@ impl ColumnVec {
     }
 
     /// Gather the listed indices of `other` onto the end of `self`
-    /// (selection-vector application).
+    /// (selection-vector application). Coded columns stay coded as in
+    /// [`ColumnVec::extend_range`].
     pub fn extend_gather(&mut self, other: &ColumnVec, idx: &[usize]) {
         if let ColumnVec::Coded(codes, dict) = &mut *self {
             match other {
                 ColumnVec::Coded(b, d2) if Arc::ptr_eq(dict, d2) => {
                     codes.extend(idx.iter().map(|&i| b[i]));
+                    return;
+                }
+                ColumnVec::Coded(..) if idx.is_empty() => return,
+                ColumnVec::Coded(b, d2) => {
+                    let map = recode_into_union(codes, dict, d2);
+                    codes.extend(idx.iter().map(|&i| map[b[i] as usize]));
                     return;
                 }
                 ColumnVec::Str(b) => {
@@ -372,7 +387,6 @@ impl ColumnVec {
                     }
                     self.materialize_in_place();
                 }
-                ColumnVec::Coded(..) => self.materialize_in_place(),
                 b => panic!(
                     "type mismatch: gathering Str column from {:?} column",
                     b.vtype()
@@ -473,6 +487,18 @@ impl ColumnVec {
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
+}
+
+/// Recode `codes` over `dict` into the union of `dict` and `other` (no
+/// copy when `dict` already holds all of `other`), and return the map
+/// from `other`'s codes to the union's.
+fn recode_into_union(codes: &mut [u32], dict: &mut Arc<StrDict>, other: &Arc<StrDict>) -> Vec<u32> {
+    let (union, mine, theirs) = StrDict::union(dict, other);
+    if !Arc::ptr_eq(&union, dict) {
+        codes.iter_mut().for_each(|c| *c = mine[*c as usize]);
+        *dict = union;
+    }
+    theirs
 }
 
 #[cfg(test)]
@@ -579,6 +605,35 @@ mod tests {
         let mut plain = ColumnVec::new(ValueType::Str);
         plain.extend_range(&src, 1, 3);
         assert_eq!(plain.as_str(), &["b".to_string(), "a".to_string()]);
+    }
+
+    #[test]
+    fn coded_columns_over_two_dictionaries_stay_coded() {
+        let (a, b) = (
+            StrDict::build(["b", "d", "f"]),
+            StrDict::build(["a", "d", "g"]),
+        );
+        let (left, right) = (
+            ColumnVec::Coded(vec![2, 0, 1], a),
+            ColumnVec::Coded(vec![0, 2, 1, 0], b),
+        );
+        let mut plain = ColumnVec::new(ValueType::Str);
+        plain.extend_range(&left, 0, 3);
+        plain.extend_range(&right, 1, 4);
+        plain.extend_gather(&right, &[3, 2]);
+        let mut both = left.clone();
+        both.extend_range(&right, 1, 4);
+        both.extend_gather(&right, &[3, 2]);
+        assert!(both.as_codes().is_some());
+        assert_eq!(both, plain);
+        assert_eq!(plain.len(), 8);
+        let dict: Vec<&str> = both.dict().unwrap().iter().collect();
+        assert_eq!(dict, ["a", "b", "d", "f", "g"]);
+        // a later batch over a dictionary the union already holds keeps it
+        let held = both.dict().unwrap().clone();
+        both.extend_gather(&right, &[0]);
+        assert!(Arc::ptr_eq(both.dict().unwrap(), &held));
+        assert_eq!(both.str_at(both.len() - 1), "a");
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Global per-column string dictionaries.
+//! Per-column string dictionaries.
 //!
 //! A [`StrDict`] maps every distinct string of one stable-table column to a
-//! dense `u32` code. The dictionary is **order-preserving**: codes are
+//! dense `u32` code; a partitioned table has one per column per partition.
+//! The dictionary is **order-preserving**: codes are
 //! assigned in lexicographic order, so comparing two codes gives the same
 //! answer as comparing the strings they stand for. That property is what
 //! lets MergeScan compare sort keys and patch data columns entirely on
@@ -14,6 +15,7 @@
 //! codes refer to, and two coded vectors interoperate on the fast (pure
 //! `u32`) path exactly when their `Arc`s are pointer-equal.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::error::{ColumnarError, Result};
@@ -100,6 +102,44 @@ impl StrDict {
         self.strs.iter().map(|s| s.as_str())
     }
 
+    /// The sorted, deduplicated union of `a` and `b`, with the map from
+    /// each one's codes to the union's. The union is order-preserving like
+    /// its inputs, so codes recoded into it still compare as their
+    /// strings. When one input already holds every string of the other,
+    /// the union is that input's `Arc` itself.
+    pub(crate) fn union(a: &Arc<StrDict>, b: &Arc<StrDict>) -> (Arc<StrDict>, Vec<u32>, Vec<u32>) {
+        let (mut strs, mut from_a, mut from_b) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let ord = match (a.strs.get(i), b.strs.get(j)) {
+                (Some(x), Some(y)) => x.cmp(y),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let code = strs.len() as u32;
+            if ord.is_le() {
+                from_a.push(code);
+                strs.push(&a.strs[i]);
+                i += 1;
+            }
+            if ord.is_ge() {
+                from_b.push(code);
+                if ord.is_gt() {
+                    strs.push(&b.strs[j]);
+                }
+                j += 1;
+            }
+        }
+        let dict = match strs.len() {
+            n if n == a.len() => a.clone(),
+            n if n == b.len() => b.clone(),
+            _ => Arc::new(StrDict {
+                strs: strs.into_iter().cloned().collect(),
+            }),
+        };
+        (dict, from_a, from_b)
+    }
+
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.strs.iter().map(|s| s.len() + 24).sum()
@@ -143,6 +183,19 @@ mod tests {
         assert!(StrDict::from_sorted(vec!["b".into(), "a".into()]).is_err());
         assert!(StrDict::from_sorted(vec!["a".into(), "a".into()]).is_err());
         assert!(StrDict::from_sorted(vec!["a".into(), "b".into()]).is_ok());
+    }
+
+    #[test]
+    fn union_merges_in_order_and_reuses_a_superset() {
+        let (a, b) = (StrDict::build(["b", "d"]), StrDict::build(["a", "d", "e"]));
+        let (u, from_a, from_b) = StrDict::union(&a, &b);
+        assert_eq!(u.iter().collect::<Vec<_>>(), ["a", "b", "d", "e"]);
+        assert_eq!((from_a, from_b), (vec![1, 2], vec![0, 2, 3]));
+        let sub = StrDict::build(["d"]);
+        let (u, _, from_sub) = StrDict::union(&b, &sub);
+        assert!(Arc::ptr_eq(&u, &b) && from_sub == [1]);
+        let (u, from_sub, _) = StrDict::union(&sub, &b);
+        assert!(Arc::ptr_eq(&u, &b) && from_sub == [1]);
     }
 
     #[test]

@@ -726,12 +726,7 @@ impl<'db> DbTxn<'db> {
         let spec = ScanSpec::cols(proj.clone()).bounds(bounds);
         let mut scan = self.scan_with(table, spec)?;
         while let Some(batch) = scan.next_batch() {
-            let idx: Vec<usize> = pred
-                .eval_bool(&batch)
-                .iter()
-                .enumerate()
-                .filter_map(|(i, hit)| hit.then_some(i))
-                .collect();
+            let idx = pred.select(&batch, (0..batch.num_rows()).collect());
             if idx.is_empty() {
                 continue;
             }

@@ -1,8 +1,9 @@
 //! Columnar row batches flowing between operators, and the row keys the
 //! hash operators build on them.
 
-use columnar::{ColumnVec, Tuple, Value, ValueType};
+use columnar::{ColumnVec, StrDict, Tuple, Value, ValueType};
 use std::hash::{BuildHasher, RandomState};
+use std::sync::Arc;
 
 /// A block of rows in columnar layout.
 ///
@@ -90,15 +91,7 @@ impl Batch {
     /// Keep only the rows at the given indices (selection-vector apply).
     /// Each column keeps its representation: coded strings stay codes.
     pub fn gather(&self, idx: &[usize]) -> Batch {
-        let cols = self
-            .cols
-            .iter()
-            .map(|c| {
-                let mut out = c.empty_like();
-                out.extend_gather(c, idx);
-                out
-            })
-            .collect();
+        let cols = self.cols.iter().map(|c| gather(c, idx)).collect();
         Batch { cols, rid_start: 0 }
     }
 
@@ -146,6 +139,13 @@ impl Batch {
     }
 }
 
+/// The rows of `c` at `idx`, in `c`'s representation.
+pub(crate) fn gather(c: &ColumnVec, idx: &[usize]) -> ColumnVec {
+    let mut out = c.empty_like();
+    out.extend_gather(c, idx);
+    out
+}
+
 /// Whether row `i` of the key columns `a` equals row `j` of `b`. The key
 /// rule: cells of different types never match, strings match by content
 /// (coded or not), and doubles match by bit pattern — the executor's
@@ -169,7 +169,16 @@ pub(crate) struct KeyIndex {
     /// Drawn per index, as std's maps draw theirs: keys come from table
     /// data, and a fixed seed would let one set of keys collide in every run.
     seed: u64,
+    /// The string hash of each code, per dictionary met (the most recent
+    /// [`CODE_HASH_DICTS`]), filled on first use: 0 means not yet hashed,
+    /// so a string that hashes to 0 is merely hashed again. Holding the
+    /// `Arc` keeps a dropped dictionary's address from naming a new one.
+    code_hashes: Vec<(Arc<StrDict>, Vec<u64>)>,
 }
+
+/// How many dictionaries' code hashes a [`KeyIndex`] keeps: one per
+/// partition of a scanned table is the common need.
+const CODE_HASH_DICTS: usize = 16;
 
 impl Default for KeyIndex {
     fn default() -> Self {
@@ -177,6 +186,7 @@ impl Default for KeyIndex {
             slots: Vec::new(),
             hashes: Vec::new(),
             seed: RandomState::new().hash_one(0u8),
+            code_hashes: Vec::new(),
         }
     }
 }
@@ -184,8 +194,9 @@ impl Default for KeyIndex {
 impl KeyIndex {
     /// One hash per row of the key columns `keys` (`n` rows), computed
     /// column by column. Keys [`keys_eq`] calls equal hash equally whatever
-    /// their representation: a string hashes its bytes, coded or not.
-    pub(crate) fn hash_rows(&self, keys: &[&ColumnVec], n: usize) -> Vec<u64> {
+    /// their representation: a string hashes its bytes, coded or not — a
+    /// code's once per dictionary, remembered.
+    pub(crate) fn hash_rows(&mut self, keys: &[&ColumnVec], n: usize) -> Vec<u64> {
         let (mut h, seed) = (vec![self.seed; n], self.seed);
         for col in keys {
             match col {
@@ -194,7 +205,17 @@ impl KeyIndex {
                 ColumnVec::Double(v) => mix(&mut h, v.iter().map(|x| x.to_bits())),
                 ColumnVec::Date(v) => mix(&mut h, v.iter().map(|&d| d as u64)),
                 ColumnVec::Str(v) => mix(&mut h, v.iter().map(|s| hash_str(seed, s))),
-                ColumnVec::Coded(v, d) => mix(&mut h, v.iter().map(|&c| hash_str(seed, d.get(c)))),
+                ColumnVec::Coded(v, d) => {
+                    let memo = self.code_hashes(d);
+                    let hashed = v.iter().map(|&c| {
+                        let m = &mut memo[c as usize];
+                        if *m == 0 {
+                            *m = hash_str(seed, d.get(c));
+                        }
+                        *m
+                    });
+                    mix(&mut h, hashed)
+                }
             }
         }
         // fold the well-mixed high half into the low bits the slots index by
@@ -202,17 +223,49 @@ impl KeyIndex {
         h
     }
 
+    /// The code-hash memo of `dict`, started empty on first sight.
+    fn code_hashes(&mut self, dict: &Arc<StrDict>) -> &mut Vec<u64> {
+        let at = match self
+            .code_hashes
+            .iter()
+            .position(|(d, _)| Arc::ptr_eq(d, dict))
+        {
+            Some(at) => at,
+            None => {
+                if self.code_hashes.len() == CODE_HASH_DICTS {
+                    self.code_hashes.remove(0);
+                }
+                self.code_hashes.push((dict.clone(), vec![0; dict.len()]));
+                self.code_hashes.len() - 1
+            }
+        };
+        &mut self.code_hashes[at].1
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.hashes.len()
+    }
+
+    /// Room for `additional` more ids without growing.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let want = (2 * (self.hashes.len() + additional)).next_power_of_two();
+        if want > self.slots.len() {
+            self.resize(want.max(16));
+        }
+    }
+
+    /// Re-place every id in `slots` slots.
+    fn resize(&mut self, slots: usize) {
+        self.slots = vec![0; slots];
+        for (id, &h) in self.hashes.iter().enumerate() {
+            place(&mut self.slots, h, id);
+        }
     }
 
     /// Add the next id, `len()`, under hash `h`.
     pub(crate) fn insert(&mut self, h: u64) -> u32 {
         if 2 * (self.hashes.len() + 1) > self.slots.len() {
-            self.slots = vec![0; (2 * self.slots.len()).max(16)];
-            for (id, &h) in self.hashes.iter().enumerate() {
-                place(&mut self.slots, h, id);
-            }
+            self.resize((2 * self.slots.len()).max(16));
         }
         let id = self.hashes.len();
         self.hashes.push(h);
@@ -338,7 +391,7 @@ mod tests {
         let plain = ColumnVec::Str(vec!["x".into(), "y".into()]);
         let dbl = ColumnVec::Double(vec![-0.0, 0.0, f64::NAN, f64::NAN]);
         let (c, p, d) = (&[&coded][..], &[&plain][..], &[&dbl][..]);
-        let idx = KeyIndex::default();
+        let mut idx = KeyIndex::default();
         assert!(keys_eq(c, 0, p, 1) && !keys_eq(c, 0, p, 0));
         assert_eq!(idx.hash_rows(c, 2)[0], idx.hash_rows(p, 2)[1]);
         assert!(!keys_eq(d, 0, d, 1), "-0.0 and 0.0 are two keys");
@@ -347,6 +400,34 @@ mod tests {
         assert!(h[0] != h[1] && h[2] == h[3]);
         let int = ColumnVec::Int(vec![0]);
         assert!(!keys_eq(&[&int], 0, d, 1), "types never match across");
+    }
+
+    #[test]
+    fn code_hashes_are_remembered_per_dictionary() {
+        let (a, b) = (
+            columnar::StrDict::build(["x", "y", "z"]),
+            columnar::StrDict::build(["y"]),
+        );
+        let plain = ColumnVec::Str(vec!["z".into(), "y".into(), "y".into()]);
+        let mut idx = KeyIndex::default();
+        let want = idx.hash_rows(&[&plain], 3);
+        let coded = ColumnVec::Coded(vec![2, 1, 1], a.clone());
+        for _ in 0..2 {
+            assert_eq!(idx.hash_rows(&[&coded], 3), want);
+        }
+        let other = ColumnVec::Coded(vec![0], b);
+        assert_eq!(idx.hash_rows(&[&other], 1), want[1..2]);
+        // one memo per dictionary, filled only at the codes met
+        assert_eq!(idx.code_hashes.len(), 2);
+        assert_eq!(idx.code_hashes[0].1[0], 0, "x was never hashed");
+        assert!(Arc::ptr_eq(&idx.code_hashes[0].0, &a));
+        // a reserved index places its ids without growing
+        idx.reserve(100);
+        let slots = idx.slots.len();
+        for h in 0..100 {
+            idx.insert(h);
+        }
+        assert_eq!((idx.slots.len(), slots), (256, 256));
     }
 
     #[test]

@@ -4,18 +4,24 @@
 //! is the batch's own column, a literal stays one scalar, and only
 //! operators compute new columns. Typed kernels cover column against
 //! column and column against scalar (literal on either side) for
-//! int/double arithmetic and int/double/date/string comparisons; `IN` and
-//! `BETWEEN` run on the same comparison kernel. String columns are read
-//! through [`ColumnVec::str_at`], and a dictionary-coded column compares a
-//! literal on its codes through the order-preserving dictionary. A
-//! `Value`-level fallback keeps the type pairs without a typed arm total.
+//! int/double arithmetic and int/double/date/string comparisons. String
+//! columns are read through [`ColumnVec::str_at`], and a dictionary-coded
+//! column compares a literal on its codes through the order-preserving
+//! dictionary. A `Value`-level fallback keeps the type pairs without a
+//! typed arm total.
+//!
+//! A predicate runs as a selection ([`Expr::select`]): it narrows an
+//! ascending list of row indices one conjunct at a time, so each part is
+//! asked only about the rows still in question. The comparison kernels
+//! exist once, as selections; a predicate's boolean column is its
+//! selection over every row, scattered.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use crate::batch::Batch;
 use columnar::value::date_year;
-use columnar::{ColumnVec, Value, ValueType};
+use columnar::{ColumnVec, StrDict, Value, ValueType};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,22 +41,6 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    fn test(&self, ord: Ordering) -> bool {
-        use Ordering::*;
-        matches!(
-            (self, ord),
-            (CmpOp::Eq, Equal)
-                | (CmpOp::Ne, Less)
-                | (CmpOp::Ne, Greater)
-                | (CmpOp::Lt, Less)
-                | (CmpOp::Le, Less)
-                | (CmpOp::Le, Equal)
-                | (CmpOp::Gt, Greater)
-                | (CmpOp::Ge, Greater)
-                | (CmpOp::Ge, Equal)
-        )
-    }
-
     /// The operator with its operands swapped: `a op b` ⇔ `b op.flip() a`.
     fn flip(self) -> CmpOp {
         match self {
@@ -285,9 +275,57 @@ impl Expr {
         self.datum(batch).into_col(batch.num_rows())
     }
 
-    /// Evaluate as a selection predicate.
-    pub fn eval_bool(&self, batch: &Batch) -> Vec<bool> {
-        self.datum(batch).bools(batch.num_rows())
+    /// The rows of `sel` — ascending row indices of `batch` — for which
+    /// the predicate holds, in order. A conjunction narrows the selection
+    /// part by part and stops once it is empty; a disjunction asks each
+    /// part only about the rows no earlier part accepted. Comparisons,
+    /// `BETWEEN`, `IN` and `LIKE` read the selected rows alone, and `IN`
+    /// on a coded column decides once per code; anything else (a Bool
+    /// column or literal, a `CASE`) is evaluated over the batch and read
+    /// at the selected rows.
+    pub fn select(&self, batch: &Batch, sel: Vec<usize>) -> Vec<usize> {
+        if sel.is_empty() {
+            return sel;
+        }
+        match self {
+            Expr::And(parts) => parts.iter().fold(sel, |s, p| p.select(batch, s)),
+            Expr::Or(parts) => any_of(sel, parts, |p, s| p.select(batch, s)),
+            Expr::Not(a) => minus(sel.clone(), &a.select(batch, sel)),
+            Expr::Cmp(op, a, b) => select_cmp(*op, &a.datum(batch), &b.datum(batch), sel),
+            Expr::Between(a, lo, hi) => {
+                let a = a.datum(batch);
+                let ge = select_cmp(CmpOp::Ge, &a, &Datum::Scalar(lo.clone()), sel);
+                select_cmp(CmpOp::Le, &a, &Datum::Scalar(hi.clone()), ge)
+            }
+            Expr::InList(a, list) => {
+                let a = a.datum(batch);
+                if let Some((codes, dict)) = a.codes() {
+                    // one flag per code, set for the listed strings the
+                    // dictionary holds: the codes `=` would accept
+                    let mut listed = vec![false; dict.len()];
+                    let in_dict = list.iter().filter_map(|v| match v {
+                        Value::Str(s) => dict.code_of(s),
+                        _ => None,
+                    });
+                    in_dict.for_each(|code| listed[code as usize] = true);
+                    return keep(sel, |i| listed[codes[i] as usize]);
+                }
+                // `x IN (v1, ..)` is `x = v1 OR ..`, on the comparison kernel
+                any_of(sel, list, |v, s| {
+                    select_cmp(CmpOp::Eq, &a, &Datum::Scalar(v.clone()), s)
+                })
+            }
+            Expr::Like(a, pat) | Expr::NotLike(a, pat) => {
+                let want = matches!(self, Expr::Like(..));
+                let (v, m) = (a.eval(batch), LikeMatcher::new(pat));
+                keep(sel, |i| m.matches(v.str_at(i)) == want)
+            }
+            _ => {
+                let v = self.eval(batch);
+                let v = v.as_bool();
+                keep(sel, |i| v[i])
+            }
+        }
     }
 
     /// The expression's value over `batch`: a borrowed or computed column,
@@ -295,7 +333,6 @@ impl Expr {
     fn datum<'b>(&self, batch: &'b Batch) -> Datum<'b> {
         let n = batch.num_rows();
         let computed = |c: ColumnVec| Datum::Col(Cow::Owned(c));
-        let preds = |c: Vec<bool>| computed(ColumnVec::Bool(c));
         match self {
             Expr::Col(i) => Datum::Col(Cow::Borrowed(&batch.cols[*i])),
             Expr::Lit(v) => Datum::Scalar(v.clone()),
@@ -303,38 +340,31 @@ impl Expr {
             Expr::Sub(a, b) => computed(arith(a, b, batch, Some(i64::wrapping_sub), |x, y| x - y)),
             Expr::Mul(a, b) => computed(arith(a, b, batch, Some(i64::wrapping_mul), |x, y| x * y)),
             Expr::Div(a, b) => computed(arith(a, b, batch, None, |x, y| x / y)),
-            Expr::Cmp(op, a, b) => preds(compare(*op, &a.datum(batch), &b.datum(batch), n)),
-            Expr::And(parts) | Expr::Or(parts) => {
-                let all = matches!(self, Expr::And(_));
-                preds(fold_bools(
-                    n,
-                    all,
-                    parts.iter().map(|p| p.datum(batch).bools(n)),
-                ))
-            }
-            Expr::Not(a) => preds(a.datum(batch).bools(n).into_iter().map(|b| !b).collect()),
-            Expr::Like(a, pat) | Expr::NotLike(a, pat) => {
-                let want = matches!(self, Expr::Like(..));
-                let (v, m) = (a.datum(batch).into_col(n), LikeMatcher::new(pat));
-                preds((0..n).map(|i| m.matches(v.str_at(i)) == want).collect())
-            }
-            // `x IN (v1, ..)` is `x = v1 OR ..`, on the comparison kernel
-            Expr::InList(a, list) => {
-                let a = a.datum(batch);
-                let eqs = list
-                    .iter()
-                    .map(|v| compare(CmpOp::Eq, &a, &Datum::Scalar(v.clone()), n));
-                preds(fold_bools(n, false, eqs))
-            }
-            Expr::Between(a, lo, hi) => {
-                let a = a.datum(batch);
-                let ge = compare(CmpOp::Ge, &a, &Datum::Scalar(lo.clone()), n);
-                let le = compare(CmpOp::Le, &a, &Datum::Scalar(hi.clone()), n);
-                preds(fold_bools(n, true, [ge, le]))
+            // a predicate's value: its selection over every row, scattered
+            Expr::Cmp(..)
+            | Expr::And(_)
+            | Expr::Or(_)
+            | Expr::Not(_)
+            | Expr::Like(..)
+            | Expr::NotLike(..)
+            | Expr::InList(..)
+            | Expr::Between(..) => {
+                let mut mask = vec![false; n];
+                for i in self.select(batch, (0..n).collect()) {
+                    mask[i] = true;
+                }
+                computed(ColumnVec::Bool(mask))
             }
             Expr::Case(whens, els) => {
-                let conds: Vec<Vec<bool>> =
-                    whens.iter().map(|(c, _)| c.datum(batch).bools(n)).collect();
+                // each row takes the first branch whose condition holds,
+                // each condition asked only about the rows still open
+                let mut branch = vec![whens.len(); n];
+                let mut open: Vec<usize> = (0..n).collect();
+                for (w, (cond, _)) in whens.iter().enumerate() {
+                    let taken = cond.select(batch, open.clone());
+                    taken.iter().for_each(|&i| branch[i] = w);
+                    open = minus(open, &taken);
+                }
                 let vals: Vec<Datum> = whens
                     .iter()
                     .map(|(_, v)| v)
@@ -342,9 +372,8 @@ impl Expr {
                     .map(|v| v.datum(batch))
                     .collect();
                 let mut out = ColumnVec::with_capacity(self.out_type(&batch.types()), n);
-                for i in 0..n {
-                    let branch = conds.iter().position(|c| c[i]).unwrap_or(whens.len());
-                    out.push(&vals[branch].get(i));
+                for (i, &b) in branch.iter().enumerate() {
+                    out.push(&vals[b].get(i));
                 }
                 computed(out)
             }
@@ -379,22 +408,20 @@ enum Datum<'b> {
 }
 
 impl<'b> Datum<'b> {
-    /// The operand as an `n`-row column; a scalar is broadcast.
+    /// The operand as an `n`-row column; a scalar is broadcast, a string
+    /// as `n` codes into a one-entry dictionary.
     fn into_col(self, n: usize) -> Cow<'b, ColumnVec> {
         match self {
             Datum::Col(c) => c,
-            Datum::Scalar(v) => {
-                let mut c = ColumnVec::with_capacity(v.value_type().unwrap_or(ValueType::Int), n);
-                (0..n).for_each(|_| c.push(&v));
-                Cow::Owned(c)
-            }
-        }
-    }
-
-    fn bools(self, n: usize) -> Vec<bool> {
-        match self.into_col(n).into_owned() {
-            ColumnVec::Bool(v) => v,
-            other => panic!("expected boolean column, got {:?}", other.vtype()),
+            Datum::Scalar(v) => Cow::Owned(match v {
+                Value::Bool(b) => ColumnVec::Bool(vec![b; n]),
+                Value::Int(x) => ColumnVec::Int(vec![x; n]),
+                Value::Double(x) => ColumnVec::Double(vec![x; n]),
+                Value::Date(x) => ColumnVec::Date(vec![x; n]),
+                Value::Str(s) => ColumnVec::Coded(vec![0; n], StrDict::build([s])),
+                // an untyped NULL stores the Int default, as `push` would
+                Value::Null => ColumnVec::Int(vec![0; n]),
+            }),
         }
     }
 
@@ -402,6 +429,17 @@ impl<'b> Datum<'b> {
         match self {
             Datum::Col(c) => c.get(i),
             Datum::Scalar(v) => v.clone(),
+        }
+    }
+
+    /// A coded column's codes and dictionary.
+    fn codes(&self) -> Option<(&[u32], &StrDict)> {
+        match self {
+            Datum::Col(c) => match &**c {
+                ColumnVec::Coded(codes, dict) => Some((codes, dict)),
+                _ => None,
+            },
+            Datum::Scalar(_) => None,
         }
     }
 
@@ -456,6 +494,15 @@ enum Lane<'a, T: Clone> {
     Lit(T),
 }
 
+impl<T: Copy> Lane<'_, T> {
+    fn at(&self, i: usize) -> T {
+        match self {
+            Lane::Col(v) => v[i],
+            Lane::Lit(x) => *x,
+        }
+    }
+}
+
 /// `f` applied row by row to two typed operands of `n` rows.
 fn zip_with<T: Copy, U: Clone>(
     a: &Lane<T>,
@@ -469,21 +516,6 @@ fn zip_with<T: Copy, U: Clone>(
         (&Lane::Lit(x), Lane::Col(y)) => y.iter().map(|&y| f(x, y)).collect(),
         (&Lane::Lit(x), &Lane::Lit(y)) => vec![f(x, y); n],
     }
-}
-
-/// AND (`all`) or OR of boolean columns of `n` rows.
-fn fold_bools(n: usize, all: bool, parts: impl IntoIterator<Item = Vec<bool>>) -> Vec<bool> {
-    let mut acc = vec![all; n];
-    for part in parts {
-        for (a, b) in acc.iter_mut().zip(part) {
-            if all {
-                *a &= b;
-            } else {
-                *a |= b;
-            }
-        }
-    }
-    acc
 }
 
 /// Int arithmetic when both operands are ints and `int_op` is given,
@@ -505,40 +537,105 @@ fn arith(
     }
 }
 
-/// `a op b` row by row, with the literal (if any) moved to the right.
-fn compare(op: CmpOp, a: &Datum, b: &Datum, n: usize) -> Vec<bool> {
+/// The rows of `sel` where `a op b` holds, with the literal (if any)
+/// moved to the right: the one comparison kernel, one arm per type pair.
+fn select_cmp(op: CmpOp, a: &Datum, b: &Datum, sel: Vec<usize>) -> Vec<usize> {
     if let (Datum::Scalar(_), Datum::Col(_)) = (a, b) {
-        return compare(op.flip(), b, a, n);
+        return select_cmp(op.flip(), b, a, sel);
     }
     if let (Some(x), Some(y)) = (a.ints(), b.ints()) {
-        return zip_with(&x, &y, n, |x, y| op.test(x.cmp(&y)));
+        return keep_lanes(op, sel, &x, &y, |x, y| x.cmp(&y));
     }
     if let (Some(x), Some(y)) = (a.dates(), b.dates()) {
-        return zip_with(&x, &y, n, |x, y| op.test(x.cmp(&y)));
+        return keep_lanes(op, sel, &x, &y, |x, y| x.cmp(&y));
     }
     if let (Some(x), Some(y)) = (a.doubles(), b.doubles()) {
-        return zip_with(&x, &y, n, |x, y| op.test(x.total_cmp(&y)));
+        return keep_lanes(op, sel, &x, &y, |x, y| x.total_cmp(&y));
     }
     match (a, b) {
         (Datum::Col(c), Datum::Scalar(Value::Str(s))) if c.vtype() == ValueType::Str => {
-            match &**c {
+            match a.codes() {
                 // the dictionary is order-preserving: codes compare against
                 // the literal's rank, and a literal outside the dictionary
                 // sorts just below the code at its rank
-                ColumnVec::Coded(codes, dict) => {
+                Some((codes, dict)) => {
                     let (rank, exact) = dict.rank_of(s);
                     let tie = [Ordering::Greater, Ordering::Equal][exact as usize];
-                    codes
-                        .iter()
-                        .map(|c| op.test(c.cmp(&rank).then(tie)))
-                        .collect()
+                    keep_where(op, sel, |i| codes[i].cmp(&rank).then(tie))
                 }
-                c => (0..n).map(|i| op.test(c.str_at(i).cmp(s))).collect(),
+                None => keep_where(op, sel, |i| c.str_at(i).cmp(s)),
             }
         }
-        (Datum::Col(x), Datum::Col(y)) => (0..n).map(|i| op.test(x.cmp_cells(i, y, i))).collect(),
-        _ => (0..n).map(|i| op.test(a.get(i).cmp(&b.get(i)))).collect(),
+        (Datum::Col(x), Datum::Col(y)) => keep_where(op, sel, |i| x.cmp_cells(i, y, i)),
+        _ => keep_where(op, sel, |i| a.get(i).cmp(&b.get(i))),
     }
+}
+
+/// [`keep_where`] over two typed operands.
+fn keep_lanes<T: Copy>(
+    op: CmpOp,
+    sel: Vec<usize>,
+    a: &Lane<T>,
+    b: &Lane<T>,
+    cmp: impl Fn(T, T) -> Ordering,
+) -> Vec<usize> {
+    match (a, b) {
+        (Lane::Col(x), Lane::Col(y)) => keep_where(op, sel, |i| cmp(x[i], y[i])),
+        (Lane::Col(x), &Lane::Lit(y)) => keep_where(op, sel, |i| cmp(x[i], y)),
+        _ => keep_where(op, sel, |i| cmp(a.at(i), b.at(i))),
+    }
+}
+
+/// The rows of `sel` whose ordering `ord(i)` satisfies `op`; `op` is
+/// matched once per call, outside the row loop.
+fn keep_where(op: CmpOp, sel: Vec<usize>, ord: impl Fn(usize) -> Ordering) -> Vec<usize> {
+    match op {
+        CmpOp::Eq => keep(sel, |i| ord(i).is_eq()),
+        CmpOp::Ne => keep(sel, |i| ord(i).is_ne()),
+        CmpOp::Lt => keep(sel, |i| ord(i).is_lt()),
+        CmpOp::Le => keep(sel, |i| ord(i).is_le()),
+        CmpOp::Gt => keep(sel, |i| ord(i).is_gt()),
+        CmpOp::Ge => keep(sel, |i| ord(i).is_ge()),
+    }
+}
+
+/// The rows of `sel` for which `f` holds, narrowed in place. Every row
+/// is written and the write position advances past the kept ones only,
+/// so the loop has no branch on the data.
+fn keep(mut sel: Vec<usize>, f: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut kept = 0;
+    for r in 0..sel.len() {
+        let i = sel[r];
+        sel[kept] = i;
+        kept += f(i) as usize;
+    }
+    sel.truncate(kept);
+    sel
+}
+
+/// `sel` without the rows of `drop`, an ascending subset of it.
+fn minus(mut sel: Vec<usize>, drop: &[usize]) -> Vec<usize> {
+    let mut drop = drop.iter().peekable();
+    sel.retain(|i| drop.next_if_eq(&i).is_none());
+    sel
+}
+
+/// The rows of `sel` that any of `parts` accepts, each part asked by
+/// `select` only about the rows no earlier part accepted.
+fn any_of<P>(
+    sel: Vec<usize>,
+    parts: &[P],
+    select: impl Fn(&P, Vec<usize>) -> Vec<usize>,
+) -> Vec<usize> {
+    let mut open = sel.clone();
+    for p in parts {
+        if open.is_empty() {
+            break;
+        }
+        let hit = select(p, open.clone());
+        open = minus(open, &hit);
+    }
+    minus(sel, &open)
 }
 
 /// `%`-wildcard matcher for SQL `LIKE`.
@@ -653,8 +750,8 @@ mod tests {
         let narrow = batch().project(&cols);
         let at = |c: usize| cols.iter().position(|&x| x == c).unwrap();
         assert_eq!(
-            pred.clone().remap_cols(at).eval_bool(&narrow),
-            pred.eval_bool(&batch())
+            pred.clone().remap_cols(at).eval(&narrow).as_bool(),
+            pred.eval(&batch()).as_bool()
         );
     }
 
@@ -669,49 +766,66 @@ mod tests {
     #[test]
     fn comparisons_and_boolean_logic() {
         let b = batch();
-        assert_eq!(col(0).gt(lit(1i64)).eval_bool(&b), vec![false, true, true]);
         assert_eq!(
-            col(0).gt(lit(1i64)).and(col(1).lt(lit(2.0))).eval_bool(&b),
+            col(0).gt(lit(1i64)).eval(&b).as_bool(),
+            vec![false, true, true]
+        );
+        assert_eq!(
+            col(0)
+                .gt(lit(1i64))
+                .and(col(1).lt(lit(2.0)))
+                .eval(&b)
+                .as_bool(),
             vec![false, true, false]
         );
         assert_eq!(
-            col(0).eq(lit(1i64)).or(col(0).eq(lit(3i64))).eval_bool(&b),
+            col(0)
+                .eq(lit(1i64))
+                .or(col(0).eq(lit(3i64)))
+                .eval(&b)
+                .as_bool(),
             vec![true, false, true]
         );
         assert_eq!(
-            col(0).eq(lit(1i64)).not().eval_bool(&b),
+            col(0).eq(lit(1i64)).not().eval(&b).as_bool(),
             vec![false, true, true]
         );
         // cross numeric compare
-        assert_eq!(col(0).ge(col(1)).eval_bool(&b), vec![true, true, true]);
+        assert_eq!(col(0).ge(col(1)).eval(&b).as_bool(), vec![true, true, true]);
     }
 
     #[test]
     fn date_comparison_and_year() {
         let b = batch();
         let cutoff = lit(Value::Date(parse_date("1995-01-01").unwrap()));
-        assert_eq!(col(3).lt(cutoff).eval_bool(&b), vec![true, false, true]);
+        assert_eq!(
+            col(3).lt(cutoff).eval(&b).as_bool(),
+            vec![true, false, true]
+        );
         assert_eq!(col(3).year().eval(&b).as_int(), &[1994, 1995, 1994]);
     }
 
     #[test]
     fn like_patterns() {
         let b = batch();
-        assert_eq!(col(2).like("PROMO%").eval_bool(&b), vec![true, false, true]);
         assert_eq!(
-            col(2).like("%green%").eval_bool(&b),
+            col(2).like("PROMO%").eval(&b).as_bool(),
+            vec![true, false, true]
+        );
+        assert_eq!(
+            col(2).like("%green%").eval(&b).as_bool(),
             vec![false, true, true]
         );
         assert_eq!(
-            col(2).like("%green").eval_bool(&b),
+            col(2).like("%green").eval(&b).as_bool(),
             vec![false, false, true]
         );
         assert_eq!(
-            col(2).not_like("%green%").eval_bool(&b),
+            col(2).not_like("%green%").eval(&b).as_bool(),
             vec![true, false, false]
         );
         assert_eq!(
-            col(2).like("%BRUSHED%green%").eval_bool(&b),
+            col(2).like("%BRUSHED%green%").eval(&b).as_bool(),
             vec![false, false, false]
         );
     }
@@ -722,11 +836,12 @@ mod tests {
         assert_eq!(
             col(0)
                 .in_list(vec![Value::Int(1), Value::Int(3)])
-                .eval_bool(&b),
+                .eval(&b)
+                .as_bool(),
             vec![true, false, true]
         );
         assert_eq!(
-            col(1).between(1.0, 2.0).eval_bool(&b),
+            col(1).between(1.0, 2.0).eval(&b).as_bool(),
             vec![false, true, false]
         );
         let c = Expr::Case(
@@ -750,8 +865,53 @@ mod tests {
         let b = batch();
         let x = col(0).mul(lit(1.0)); // 1.0, 2.0, 3.0
         let want = vec![true, false, false];
-        assert_eq!(x.clone().eq(lit(1i64)).eval_bool(&b), want);
-        assert_eq!(x.in_list(vec![Value::Int(1)]).eval_bool(&b), want);
+        assert_eq!(x.clone().eq(lit(1i64)).eval(&b).as_bool(), want);
+        assert_eq!(x.in_list(vec![Value::Int(1)]).eval(&b).as_bool(), want);
+    }
+
+    #[test]
+    fn select_narrows_the_given_rows() {
+        let b = batch();
+        let all = || vec![0, 1, 2];
+        // the literal on either side, a conjunction, a disjunction, NOT
+        assert_eq!(lit(1i64).lt(col(0)).select(&b, all()), [1, 2]);
+        let both = col(0).gt(lit(1i64)).and(col(1).lt(lit(2.0)));
+        assert_eq!(both.select(&b, all()), [1]);
+        assert_eq!(both.select(&b, vec![0, 2]), Vec::<usize>::new());
+        let either = col(0).eq(lit(3i64)).or(col(2).like("PROMO%"));
+        assert_eq!(either.select(&b, all()), [0, 2]);
+        assert_eq!(either.select(&b, vec![1, 2]), [2]);
+        assert_eq!(either.not().select(&b, all()), [1]);
+        // a bare Bool operand and a Bool CASE read their mask
+        assert_eq!(lit(true).select(&b, vec![1]), [1]);
+        let case = Expr::Case(
+            vec![(col(0).eq(lit(2i64)), lit(false))],
+            Box::new(lit(true)),
+        );
+        assert_eq!(case.select(&b, all()), [0, 2]);
+    }
+
+    #[test]
+    fn coded_in_list_reads_codes() {
+        let dict = columnar::StrDict::build(["AIR", "MAIL", "SHIP"]);
+        let b = Batch {
+            cols: vec![ColumnVec::Coded(vec![1, 0, 2, 1], dict)],
+            rid_start: 0,
+        };
+        let listed = vec!["MAIL".into(), "TRUCK".into(), Value::Int(1), "MAIL".into()];
+        assert_eq!(col(0).in_list(listed).select(&b, vec![0, 1, 2, 3]), [0, 3]);
+        assert_eq!(
+            col(0).in_list(vec![]).select(&b, vec![0, 1]),
+            Vec::<usize>::new()
+        );
+    }
+
+    #[test]
+    fn a_string_literal_broadcasts_coded() {
+        let b = batch();
+        let v = lit("x").eval(&b);
+        assert_eq!(v.as_codes(), Some(&[0u32, 0, 0][..]));
+        assert_eq!(v.str_at(2), "x");
     }
 
     #[test]

@@ -1,19 +1,27 @@
 //! Hash aggregation with grouping.
+//!
+//! Each input row finds its group through [`KeyIndex`]: hash, candidates,
+//! key equality. A batch whose group columns are all dictionary-coded,
+//! with fewer possible code tuples than rows, probes once per distinct
+//! tuple instead: its rows index a slot table by their codes, and only the
+//! first row of each slot is looked up.
 
-use crate::batch::{keys_eq, Batch, KeyIndex};
+use crate::batch::{gather, keys_eq, Batch, KeyIndex};
 use crate::expr::{doubles, Expr};
 use crate::ops::Operator;
 use columnar::{ColumnVec, Value, ValueType};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
-    /// Sum (Int stays Int, anything else accumulates as Double).
+    /// Sum (Int stays Int and wraps on overflow, as Int arithmetic does;
+    /// anything else accumulates as Double).
     Sum,
-    /// Count of rows (the expression is still evaluated for typing but any
-    /// value counts — our columns are NOT NULL).
+    /// Count of rows (the expression is not evaluated: any value counts —
+    /// our columns are NOT NULL).
     Count,
     /// Arithmetic mean as Double.
     Avg,
@@ -97,19 +105,31 @@ impl Acc {
         }
     }
 
-    /// Fold in one batch: row `i` adds `input`'s value `i` to group `gids[i]`.
-    fn update(&mut self, gids: &[u32], groups: usize, input: &ColumnVec) {
+    /// Fold in one batch: row `i` adds the aggregated value `i` to group
+    /// `gids[i]`. The values are evaluated by `input`, which a count never
+    /// calls.
+    fn update<'b>(
+        &mut self,
+        gids: &[u32],
+        groups: usize,
+        input: impl FnOnce() -> Cow<'b, ColumnVec>,
+    ) {
         self.grow(groups);
         let gs = gids.iter().map(|&g| g as usize);
         match self {
-            Acc::SumInt(s) => gs.zip(input.as_int()).for_each(|(g, x)| s[g] += x),
-            Acc::SumDouble(s) => gs.zip(doubles(input).iter()).for_each(|(g, x)| s[g] += x),
+            Acc::SumInt(s) => gs
+                .zip(input().as_int())
+                .for_each(|(g, &x)| s[g] = s[g].wrapping_add(x)),
+            Acc::SumDouble(s) => gs
+                .zip(doubles(&input()).iter())
+                .for_each(|(g, x)| s[g] += x),
             Acc::Count(c) => gs.for_each(|g| c[g] += 1),
-            Acc::Avg(s, n) => gs.zip(doubles(input).iter()).for_each(|(g, x)| {
+            Acc::Avg(s, n) => gs.zip(doubles(&input()).iter()).for_each(|(g, x)| {
                 s[g] += x;
                 n[g] += 1;
             }),
             Acc::Extreme(keep, m) => {
+                let input = input();
                 for (i, g) in gs.enumerate() {
                     let v = input.get(i);
                     if m[g].as_ref().is_none_or(|cur| v.cmp(cur) == *keep) {
@@ -118,6 +138,7 @@ impl Acc {
                 }
             }
             Acc::Distinct(d) => {
+                let input = input();
                 for (i, g) in gs.enumerate() {
                     d[g].insert(input.get(i));
                 }
@@ -144,6 +165,80 @@ impl Acc {
             Acc::Distinct(d) => ColumnVec::Int(d.iter().map(|s| s.len() as i64).collect()),
         }
     }
+}
+
+/// The groups seen so far, by id: their hashes in `index`, their key
+/// values in `keys`.
+#[derive(Default)]
+struct Groups {
+    index: KeyIndex,
+    keys: Option<Vec<ColumnVec>>,
+}
+
+impl Groups {
+    /// The group id of every row of the key columns `in_keys` (`n` rows),
+    /// opening a group for each key not seen before.
+    fn resolve(&mut self, in_keys: &[&ColumnVec], n: usize) -> Vec<u32> {
+        let index = &mut self.index;
+        let stored = self
+            .keys
+            .get_or_insert_with(|| in_keys.iter().map(|c| c.empty_like()).collect());
+        let stored_keys: Vec<&ColumnVec> = stored.iter().collect();
+        // a group first seen here is compared against the row that opened
+        // it, and stored once every row has its id
+        let (base, mut opened) = (index.len(), Vec::new());
+        let mut gids = Vec::with_capacity(n);
+        for (i, h) in index.hash_rows(in_keys, n).into_iter().enumerate() {
+            let found = index
+                .candidates(h)
+                .find(|&g| match (g as usize).checked_sub(base) {
+                    Some(k) => keys_eq(in_keys, i, in_keys, opened[k]),
+                    None => keys_eq(in_keys, i, &stored_keys, g as usize),
+                });
+            gids.push(found.unwrap_or_else(|| {
+                opened.push(i);
+                index.insert(h)
+            }));
+        }
+        for (s, c) in stored.iter_mut().zip(in_keys) {
+            s.extend_gather(c, &opened);
+        }
+        gids
+    }
+}
+
+/// When every key column is coded and the product of their dictionary
+/// sizes is at most `n`: each row's code tuple as a dense index in order
+/// of first appearance, and the first row of each tuple.
+fn code_tuples(keys: &[&ColumnVec], n: usize) -> Option<(Vec<u32>, Vec<usize>)> {
+    let coded: Vec<(&[u32], usize)> = keys
+        .iter()
+        .map(|k| Some((k.as_codes()?, k.dict()?.len())))
+        .collect::<Option<_>>()?;
+    let slots = coded.iter().try_fold(1usize, |p, &(_, len)| {
+        p.checked_mul(len).filter(|&p| p <= n)
+    })?;
+    // a row's slot reads its codes as the digits of a mixed-radix number
+    let (mut slot, mut radix) = (vec![0; n], 1);
+    for &(codes, len) in &coded {
+        slot.iter_mut()
+            .zip(codes)
+            .for_each(|(s, &c)| *s += c as usize * radix);
+        radix *= len;
+    }
+    let (mut tuple_at, mut firsts) = (vec![u32::MAX; slots], Vec::new());
+    let tuple_of = slot
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| {
+            if tuple_at[s] == u32::MAX {
+                tuple_at[s] = firsts.len() as u32;
+                firsts.push(i);
+            }
+            tuple_at[s]
+        })
+        .collect();
+    Some((tuple_of, firsts))
 }
 
 /// Hash aggregation: `GROUP BY group_cols` computing `aggs`. With empty
@@ -187,47 +282,32 @@ impl Operator for HashAggregate<'_> {
             .zip(agg_types)
             .map(|(a, &vt)| Acc::new(a.func, vt))
             .collect();
-        // groups by id: their hashes in `index`, their key values in `keys`
-        let mut index = KeyIndex::default();
-        let mut keys: Option<Vec<ColumnVec>> = None;
+        let mut groups = Groups::default();
         while let Some(batch) = self.input.next_batch() {
             let n = batch.num_rows();
             let in_keys = batch.cols_at(&self.group_cols);
-            let stored =
-                keys.get_or_insert_with(|| in_keys.iter().map(|c| c.empty_like()).collect());
-            let stored_keys: Vec<&ColumnVec> = stored.iter().collect();
-            // a group first seen in this batch is compared against the row
-            // that opened it, and stored once the batch is done
-            let (base, mut opened) = (index.len(), Vec::new());
-            let mut gids = Vec::with_capacity(n);
-            for (i, &h) in index.hash_rows(&in_keys, n).iter().enumerate() {
-                let found = index
-                    .candidates(h)
-                    .find(|&g| match (g as usize).checked_sub(base) {
-                        Some(k) => keys_eq(&in_keys, i, &in_keys, opened[k]),
-                        None => keys_eq(&in_keys, i, &stored_keys, g as usize),
-                    });
-                gids.push(found.unwrap_or_else(|| {
-                    opened.push(i);
-                    index.insert(h)
-                }));
-            }
-            for (s, c) in stored.iter_mut().zip(&in_keys) {
-                s.extend_gather(c, &opened);
-            }
+            let gids = match code_tuples(&in_keys, n) {
+                // probe once per distinct code tuple, with its first row
+                Some((tuple_of, firsts)) => {
+                    let reps: Vec<ColumnVec> = in_keys.iter().map(|c| gather(c, &firsts)).collect();
+                    let rep_gids = groups.resolve(&reps.iter().collect::<Vec<_>>(), firsts.len());
+                    tuple_of.iter().map(|&t| rep_gids[t as usize]).collect()
+                }
+                None => groups.resolve(&in_keys, n),
+            };
             for (acc, a) in accs.iter_mut().zip(&self.aggs) {
-                acc.update(&gids, index.len(), &a.expr.eval(&batch));
+                acc.update(&gids, groups.index.len(), || a.expr.eval(&batch));
             }
         }
-        let groups = match index.len() {
+        let count = match groups.index.len() {
             // scalar aggregate over empty input: one zero row
             0 if self.group_cols.is_empty() => 1,
             0 => return None,
             g => g,
         };
-        let mut cols = keys.unwrap_or_default();
+        let mut cols = groups.keys.unwrap_or_default();
         for (mut acc, &vt) in accs.into_iter().zip(agg_types) {
-            acc.grow(groups);
+            acc.grow(count);
             cols.push(acc.finish(vt));
         }
         Some(Batch { cols, rid_start: 0 })
@@ -314,6 +394,33 @@ mod tests {
         let rows = run_to_rows(&mut agg);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(0));
+    }
+
+    #[test]
+    fn int_sum_wraps_like_int_addition() {
+        let rows = [i64::MAX, 1].map(|x| vec![Value::Int(x)]);
+        let values = Box::new(ValuesOp::new(&[ValueType::Int], &rows));
+        let mut agg = HashAggregate::new(values, vec![], vec![AggSpec::new(AggFunc::Sum, col(0))]);
+        let max = Batch::from_rows(&[ValueType::Int], &rows[..1]);
+        let want = col(0).add(lit(1i64)).eval(&max).as_int()[0];
+        assert_eq!(run_to_rows(&mut agg), vec![vec![Value::Int(want)]]);
+    }
+
+    #[test]
+    fn code_tuples_number_rows_by_first_appearance() {
+        let (a, b) = (
+            columnar::StrDict::build(["A", "N", "R"]),
+            columnar::StrDict::build(["F", "O"]),
+        );
+        let x = ColumnVec::Coded(vec![2, 0, 2, 1, 0, 2], a);
+        let y = ColumnVec::Coded(vec![1, 0, 1, 0, 0, 0], b);
+        let (tuple_of, firsts) = code_tuples(&[&x, &y], 6).unwrap();
+        assert_eq!(tuple_of, [0, 1, 0, 2, 1, 3]);
+        assert_eq!(firsts, [0, 1, 3, 5]);
+        // 3 × 2 possible tuples against 5 rows, or a plain column: no table
+        assert!(code_tuples(&[&x, &y], 5).is_none());
+        let plain = ColumnVec::Str(vec!["A".into(); 6]);
+        assert!(code_tuples(&[&x, &plain], 6).is_none());
     }
 
     #[test]

@@ -22,12 +22,9 @@ impl Operator for Filter<'_> {
     fn next_batch(&mut self) -> Option<Batch> {
         loop {
             let batch = self.input.next_batch()?;
-            let keep = self.predicate.eval_bool(&batch);
-            let idx: Vec<usize> = keep
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &k)| k.then_some(i))
-                .collect();
+            let idx = self
+                .predicate
+                .select(&batch, (0..batch.num_rows()).collect());
             if idx.len() == batch.num_rows() {
                 return Some(batch);
             }

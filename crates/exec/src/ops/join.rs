@@ -20,9 +20,10 @@ pub enum JoinKind {
     Anti,
 }
 
-/// Hash join operator. The build side is concatenated into one batch and
-/// indexed by the hash of its key columns; each probe batch yields its
-/// output as two gathers, probe rows and build rows.
+/// Hash join operator. The build side is concatenated into one batch (a
+/// string column coded over several partitions' dictionaries stays coded,
+/// over their union) and indexed by the hash of its key columns; each
+/// probe batch yields its output as two gathers, probe rows and build rows.
 pub struct HashJoin<'a> {
     probe: Box<dyn Operator + 'a>,
     build: Option<Box<dyn Operator + 'a>>,
@@ -82,8 +83,9 @@ impl<'a> HashJoin<'a> {
                 }
             }
         }
-        let keys = self.built.cols_at(&self.build_keys);
-        for h in self.index.hash_rows(&keys, self.built.num_rows()) {
+        let (keys, n) = (self.built.cols_at(&self.build_keys), self.built.num_rows());
+        self.index.reserve(n);
+        for h in self.index.hash_rows(&keys, n) {
             self.index.insert(h);
         }
         if self.kind == JoinKind::LeftOuter {

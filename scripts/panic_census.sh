@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
-RATCHET=105
+RATCHET=104
 
 total=0
 for crate in crates/*/; do

@@ -9,11 +9,19 @@
 //! for joins, a recursive interpreter for expressions — on inputs shaped
 //! like scan output:
 //!
-//! * several batches per input, mixing `Coded` batches over one shared
-//!   dictionary with `Str` batches holding strings outside it (what a scan
-//!   emits once a refresh inserted such strings), and empty inputs;
+//! * several batches per input, mixing `Coded` batches over two
+//!   dictionaries (two partitions' columns, so hash operators meet codes of
+//!   several dictionaries and store keys over their union) with `Str`
+//!   batches holding strings outside them (what a scan emits once a
+//!   refresh inserted such strings), and empty inputs;
+//! * batches of up to 64 rows, so a coded `GROUP BY` resolves its groups
+//!   through the per-batch code-tuple table;
 //! * Int, Double, Date and string keys, with `-0.0`, `0.0` and NaN among
 //!   the doubles.
+//!
+//! Predicates are also held to the model as selections: `Expr::select`
+//! over a random ascending row list keeps exactly the listed rows the
+//! model accepts.
 //!
 //! **The key rule it pins.** Grouping and join keys match under the
 //! executor's total order (`Value::cmp`, `ColumnVec::cmp_cells`): strings
@@ -34,52 +42,75 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Input columns: 0 Int key, 1 Double key, 2 Date key, 3 string key,
-/// 4 Int value, 5 Double value.
-const TYPES: [ValueType; 6] = [
+/// 4 Int value, 5 Double value, 6 a second string key (coded over the
+/// same dictionary as 3 in a coded batch).
+const TYPES: [ValueType; 7] = [
     ValueType::Int,
     ValueType::Double,
     ValueType::Date,
     ValueType::Str,
     ValueType::Int,
     ValueType::Double,
+    ValueType::Str,
 ];
 const DOUBLES: [f64; 6] = [-0.0, 0.0, f64::NAN, 1.0, 1.5, -2.0];
 const IN_DICT: [&str; 4] = ["a", "b", "bb", "c"];
 const OUT_OF_DICT: [&str; 3] = ["", "ab", "zz"];
+/// A second partition's dictionary: some strings shared with the first,
+/// some only here.
+const IN_DICT2: [&str; 4] = ["", "ab", "b", "c"];
 
 fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
     from[rng.below(from.len() as u64) as usize]
 }
 
-/// 0–3 batches of 1–12 rows; a coded batch draws its strings from the
-/// shared dictionary, a plain one also from outside it.
-fn gen_input(rng: &mut TestRng, dict: &Arc<StrDict>) -> Vec<Batch> {
+/// The two dictionaries a partitioned scan of the string column codes over.
+fn dicts() -> [Arc<StrDict>; 2] {
+    [StrDict::build(IN_DICT), StrDict::build(IN_DICT2)]
+}
+
+/// 0–3 batches of 1–12 or (one in four) up to 64 rows. A coded batch
+/// draws its strings from one of the two dictionaries, as a partitioned
+/// scan emits; a plain one also from outside both.
+fn gen_input(rng: &mut TestRng, dicts: &[Arc<StrDict>; 2]) -> Vec<Batch> {
     (0..rng.below(4))
         .map(|_| {
-            let coded = rng.below(2) == 0;
+            let coded = rng.below(3) > 0;
+            let (dict, strs) = match rng.below(2) {
+                0 => (&dicts[0], IN_DICT),
+                _ => (&dicts[1], IN_DICT2),
+            };
             let mut cols: Vec<ColumnVec> = TYPES.iter().map(|&t| ColumnVec::new(t)).collect();
             if coded {
                 cols[3] = ColumnVec::new_coded(dict.clone());
+                cols[6] = ColumnVec::new_coded(dict.clone());
             }
-            for _ in 0..1 + rng.below(12) {
-                let s = match coded || rng.below(2) == 0 {
-                    true => pick(rng, &IN_DICT),
-                    false => pick(rng, &OUT_OF_DICT),
+            let rows = match rng.below(4) {
+                0 => 1 + rng.below(64),
+                _ => 1 + rng.below(12),
+            };
+            for _ in 0..rows {
+                let mut string = || match coded || rng.below(2) == 0 {
+                    true => Value::from(pick(rng, &strs)),
+                    false => Value::from(pick(rng, &OUT_OF_DICT)),
                 };
+                let (s, t) = (string(), string());
                 let row = [
                     Value::Int(rng.below(4) as i64),
                     Value::Double(pick(rng, &DOUBLES)),
                     Value::Date(rng.below(3) as i32),
-                    Value::from(s),
+                    s,
                     Value::Int(rng.below(200) as i64 - 100),
                     Value::Double(match rng.below(2) {
                         0 => pick(rng, &DOUBLES),
                         _ => rng.unit_f64() * 10.0 - 5.0,
                     }),
+                    t,
                 ];
                 cols.iter_mut().zip(&row).for_each(|(c, v)| c.push(v));
             }
             assert_eq!(cols[3].as_codes().is_some(), coded);
+            assert_eq!(cols[6].as_codes().is_some(), coded);
             Batch { cols, rid_start: 0 }
         })
         .collect()
@@ -299,7 +330,16 @@ fn gen_exprs(rng: &mut TestRng) -> Vec<Expr> {
         CmpOp::Ge,
     ];
     // column pairs a typed comparison kernel covers, cross-numeric included
-    let pairs = [(0, 4), (1, 5), (0, 1), (5, 4), (2, 2), (3, 3)];
+    let pairs = [
+        (0, 4),
+        (1, 5),
+        (0, 1),
+        (5, 4),
+        (2, 2),
+        (3, 3),
+        (3, 6),
+        (6, 3),
+    ];
     let mut out = Vec::new();
     for op in OPS {
         let (a, b) = pick(rng, &pairs);
@@ -308,7 +348,7 @@ fn gen_exprs(rng: &mut TestRng) -> Vec<Expr> {
         out.push(cmp(col(a), Expr::Lit(lit_for(rng, a))));
         out.push(cmp(Expr::Lit(lit_for(rng, b)), col(b)));
     }
-    for c in 0..6 {
+    for c in 0..7 {
         out.push(col(c).between(lit_for(rng, c), lit_for(rng, c)));
         let list = (0..rng.below(4)).map(|_| lit_for(rng, c)).collect();
         out.push(col(c).in_list(list));
@@ -341,14 +381,69 @@ fn gen_exprs(rng: &mut TestRng) -> Vec<Expr> {
     out
 }
 
+/// Boolean leaves for predicate trees: `gen_exprs`' comparisons, `IN`
+/// and `LIKE`s, plus `IN` lists over the string column with repeats and
+/// strings outside both dictionaries, Int columns against Double
+/// literals, signed zeros and NaN, and Bool-valued `CASE`s.
+fn gen_predicates(rng: &mut TestRng) -> Vec<Expr> {
+    let mut out: Vec<Expr> = gen_exprs(rng)
+        .into_iter()
+        .filter(|e| e.out_type(&TYPES) == ValueType::Bool)
+        .collect();
+    for _ in 0..3 {
+        let list = (0..rng.below(5))
+            .map(|_| lit_of(rng, ValueType::Str))
+            .collect::<Vec<_>>();
+        out.push(col(3).in_list([list.clone(), list].concat()));
+    }
+    out.push(col(3).like(pick(rng, &["%b%", "a%", "c", "%"])));
+    for c in [0, 4] {
+        out.push(col(c).lt(lit(pick(rng, &DOUBLES))));
+        out.push(col(c).in_list(vec![
+            Value::Double(1.0),
+            Value::Int(2),
+            Value::Double(f64::NAN),
+        ]));
+    }
+    for x in [-0.0, 0.0, f64::NAN] {
+        out.push(col(1).eq(lit(x)));
+        out.push(lit(x).le(col(5)));
+    }
+    let (a, b) = (
+        out[rng.below(out.len() as u64) as usize].clone(),
+        out[0].clone(),
+    );
+    out.push(Expr::Case(vec![(a, b)], Box::new(lit(rng.below(2) == 0))));
+    out
+}
+
+/// A predicate tree `depth` deep over `leaves`: `AND`, `OR` and `NOT`.
+fn gen_tree(rng: &mut TestRng, leaves: &[Expr], depth: u32) -> Expr {
+    if depth == 0 || rng.below(4) == 0 {
+        return leaves[rng.below(leaves.len() as u64) as usize].clone();
+    }
+    let kind = rng.below(3);
+    let mut parts = || -> Vec<Expr> {
+        (0..1 + rng.below(3))
+            .map(|_| gen_tree(rng, leaves, depth - 1))
+            .collect()
+    };
+    match kind {
+        0 => Expr::And(parts()),
+        1 => Expr::Or(parts()),
+        _ => gen_tree(rng, leaves, depth - 1).not(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn hash_aggregate_matches_the_model(seed in any::<u64>()) {
         let mut rng = TestRng::new(seed);
-        let input = gen_input(&mut rng, &StrDict::build(IN_DICT));
-        let group_cols: Vec<usize> = (0..rng.below(4)).map(|_| rng.below(4) as usize).collect();
+        let input = gen_input(&mut rng, &dicts());
+        // the string keys most often, so the code-tuple table engages
+        let group_cols: Vec<usize> = (0..rng.below(4)).map(|_| pick(&mut rng, &[0, 1, 2, 3, 3, 6, 6])).collect();
         let funcs = [
             AggFunc::Sum,
             AggFunc::Count,
@@ -360,7 +455,7 @@ proptest! {
         let mut aggs = vec![(AggFunc::Sum, 4), (AggFunc::Sum, 5), (AggFunc::Avg, 4)];
         aggs.extend(funcs.iter().map(|&f| match f {
             AggFunc::Sum | AggFunc::Avg => (f, pick(&mut rng, &[1, 5])),
-            _ => (f, rng.below(6) as usize),
+            _ => (f, rng.below(7) as usize),
         }));
         let specs = aggs.iter().map(|&(f, c)| AggSpec::new(f, col(c))).collect();
         let mut op = HashAggregate::new(source(&input), group_cols.clone(), specs);
@@ -376,10 +471,10 @@ proptest! {
     #[test]
     fn hash_join_matches_the_model(seed in any::<u64>()) {
         let mut rng = TestRng::new(seed);
-        let dict = StrDict::build(IN_DICT);
-        let (probe, build) = (gen_input(&mut rng, &dict), gen_input(&mut rng, &dict));
+        let dicts = dicts();
+        let (probe, build) = (gen_input(&mut rng, &dicts), gen_input(&mut rng, &dicts));
         // probe and build key columns of one type, not always the same column
-        let pairs = [(0, 0), (0, 4), (1, 1), (5, 1), (2, 2), (3, 3)];
+        let pairs = [(0, 0), (0, 4), (1, 1), (5, 1), (2, 2), (3, 3), (3, 6), (6, 6)];
         let keys: Vec<(usize, usize)> = (0..1 + rng.below(2)).map(|_| pick(&mut rng, &pairs)).collect();
         let (pk, bk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
         for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::Semi, JoinKind::Anti] {
@@ -395,9 +490,38 @@ proptest! {
     }
 
     #[test]
+    fn select_matches_the_model(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let input = gen_input(&mut rng, &dicts());
+        let leaves = gen_predicates(&mut rng);
+        for batch in &input {
+            let n = batch.num_rows();
+            let rows = batch.rows();
+            for _ in 0..16 {
+                let e = gen_tree(&mut rng, &leaves, 2);
+                let sel: Vec<usize> = match rng.below(4) {
+                    0 => Vec::new(),
+                    1 => (0..n).collect(),
+                    _ => (0..n).filter(|_| rng.below(2) == 0).collect(),
+                };
+                let want: Vec<usize> = sel
+                    .iter()
+                    .copied()
+                    .filter(|&i| model_eval(&e, &rows[i]).as_bool())
+                    .collect();
+                prop_assert_eq!(e.select(batch, sel.clone()), want, "{:?} over {:?}", e, sel);
+                // the mask is the selection over every row
+                let mask: Vec<bool> = rows.iter().map(|r| model_eval(&e, r).as_bool()).collect();
+                let got = e.eval(batch);
+                prop_assert_eq!(got.as_bool(), &mask[..], "{:?}", e);
+            }
+        }
+    }
+
+    #[test]
     fn typed_expression_arms_match_value_evaluation(seed in any::<u64>()) {
         let mut rng = TestRng::new(seed);
-        let input = gen_input(&mut rng, &StrDict::build(IN_DICT));
+        let input = gen_input(&mut rng, &dicts());
         let exprs = gen_exprs(&mut rng);
         for batch in &input {
             for e in &exprs {
