@@ -29,18 +29,13 @@ pub struct Block {
 
 impl Block {
     /// Encode `col`, choosing the smallest applicable codec (a tie goes to
-    /// the earlier candidate). When `compressed` is false only
-    /// [`Encoding::Plain`] is considered, mirroring the paper's
+    /// the earlier candidate). Every candidate reports its exact payload
+    /// size first and only the winner is written. When `compressed` is
+    /// false only [`Encoding::Plain`] is considered, mirroring the paper's
     /// non-compressed SF-10 workstation setup.
     pub fn encode(col: &ColumnVec, compressed: bool) -> Block {
-        let mut best: Option<(Encoding, Vec<u8>)> = None;
-        for &enc in Encoding::candidates(col.vtype(), compressed) {
-            let limit = best.as_ref().map_or(usize::MAX, |(_, b)| b.len());
-            if let Some(bytes) = compress::encode_below(col, enc, limit) {
-                best = Some((enc, bytes));
-            }
-        }
-        let (encoding, bytes) = best.expect("Plain always applies");
+        let encoding = smallest(col, Encoding::candidates(col.vtype(), compressed));
+        let bytes = compress::encode(col, encoding).expect("the chosen codec applies");
         Block {
             len: col.len(),
             vtype: col.vtype(),
@@ -90,6 +85,146 @@ impl Block {
     }
 }
 
+/// The candidate whose payload for `col` is smallest, a tie going to the
+/// earlier one — chosen from exact sizes, without writing a byte, so the
+/// block encoder writes only the winner.
+fn smallest(col: &ColumnVec, candidates: &[Encoding]) -> Encoding {
+    if let [only] = candidates {
+        return *only;
+    }
+    let sizes = payload_sizes(col);
+    candidates
+        .iter()
+        .filter_map(|&enc| Some((enc, sizes[enc as usize]?)))
+        .min_by_key(|&(_, size)| size)
+        .map_or(Encoding::Plain, |(enc, _)| enc)
+}
+
+/// Bytes of `v` as an unsigned varint.
+fn uvarint_len(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
+/// Exact payload size of `col` under each codec, indexed by on-disk tag:
+/// the length of what [`compress::encode`] returns, `None` where the codec does not
+/// apply. [`Encoding::GlobalCode`] is never a block-chooser candidate and
+/// is not sized.
+fn payload_sizes(col: &ColumnVec) -> [Option<usize>; Encoding::ALL.len()] {
+    let mut sizes = [None; Encoding::ALL.len()];
+    let mut set = |enc: Encoding, size: Option<usize>| sizes[enc as usize] = size;
+    let n = col.len();
+    match col {
+        ColumnVec::Int(v) => int_sizes(v, 8, &mut set),
+        ColumnVec::Date(v) => int_sizes(v, 4, &mut set),
+        ColumnVec::Double(v) => {
+            set(Encoding::Plain, Some(8 * n));
+            set(
+                Encoding::Rle,
+                Some(runs_size(n, |i, j| v[i] == v[j], |_| 8)),
+            );
+        }
+        ColumnVec::Bool(v) => {
+            set(Encoding::Plain, Some(n));
+            set(
+                Encoding::Rle,
+                Some(runs_size(n, |i, j| v[i] == v[j], |_| 1)),
+            );
+        }
+        ColumnVec::Str(_) | ColumnVec::Coded(..) => {
+            let str_size = |i: usize| {
+                let len = col.str_at(i).len();
+                uvarint_len(len as u64) + len
+            };
+            set(Encoding::Plain, Some((0..n).map(str_size).sum()));
+            set(
+                Encoding::Rle,
+                Some(runs_size(
+                    n,
+                    |i, j| col.str_at(i) == col.str_at(j),
+                    str_size,
+                )),
+            );
+            let mut distinct = std::collections::HashMap::new();
+            for i in 0..n {
+                distinct.entry(col.str_at(i)).or_insert(i);
+            }
+            let card = distinct.len();
+            // the same refusal as `encode_dict`
+            if !(card == n && n > 16) {
+                let entries: usize = distinct.values().map(|&i| str_size(i)).sum();
+                set(
+                    Encoding::Dict,
+                    Some(
+                        uvarint_len(card as u64)
+                            + entries
+                            + 1
+                            + n * compress::index_width(card) as usize,
+                    ),
+                );
+            }
+        }
+    }
+    sizes
+}
+
+/// Run-length size of `n` values: one varint run length plus one value
+/// (`value_size` of the run's first index) per maximal run of `eq` values.
+fn runs_size(
+    n: usize,
+    eq: impl Fn(usize, usize) -> bool,
+    value_size: impl Fn(usize) -> usize,
+) -> usize {
+    let (mut size, mut i) = (0, 0);
+    while i < n {
+        let mut j = i + 1;
+        while j < n && eq(i, j) {
+            j += 1;
+        }
+        size += uvarint_len((j - i) as u64) + value_size(i);
+        i = j;
+    }
+    size
+}
+
+/// Every int/date codec's size from one pass over `v`: the zig-zag varint
+/// delta lengths, the runs, and the min/max that fixes the bit-packed
+/// frame; plain is `width` bytes a value.
+fn int_sizes<T: Copy + Into<i64>>(
+    v: &[T],
+    width: usize,
+    set: &mut impl FnMut(Encoding, Option<usize>),
+) {
+    let n = v.len();
+    set(Encoding::Plain, Some(width * n));
+    let Some(&first) = v.first() else {
+        set(Encoding::DeltaVarint, Some(0));
+        set(Encoding::Rle, Some(0));
+        return;
+    };
+    let first: i64 = first.into();
+    let (mut prev, mut lo, mut hi) = (0i64, first, first);
+    let (mut delta, mut rle, mut run) = (0usize, 0usize, 0u64);
+    for &x in v {
+        let x: i64 = x.into();
+        delta += uvarint_len(compress::zigzag(x.wrapping_sub(prev)));
+        if run > 0 && x != prev {
+            rle += uvarint_len(run) + width;
+            run = 0;
+        }
+        run += 1;
+        prev = x;
+        lo = lo.min(x);
+        hi = hi.max(x);
+    }
+    rle += uvarint_len(run) + width;
+    set(Encoding::DeltaVarint, Some(delta));
+    set(Encoding::Rle, Some(rle));
+    set(
+        Encoding::BitPacked,
+        compress::packed_size(n, lo, hi).map(|(size, _)| size),
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +270,126 @@ mod tests {
             11
         );
         assert_eq!((b.encoding, b.stored_bytes()), (Encoding::DeltaVarint, 11));
+    }
+
+    /// The chooser `Block::encode` replaced: encode every candidate and
+    /// keep the first strictly smaller payload.
+    fn trial_encode(col: &ColumnVec, compressed: bool) -> (Encoding, Vec<u8>) {
+        let mut best: Option<(Encoding, Vec<u8>)> = None;
+        for &enc in Encoding::candidates(col.vtype(), compressed) {
+            if let Some(bytes) = compress::encode(col, enc) {
+                if best.as_ref().is_none_or(|(_, b)| bytes.len() < b.len()) {
+                    best = Some((enc, bytes));
+                }
+            }
+        }
+        best.unwrap()
+    }
+
+    #[test]
+    fn encode_matches_the_trial_chooser() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..800 {
+            let n = match case % 5 {
+                0 => 0,
+                1 => 1,
+                2 => next() as usize % 20,
+                _ => next() as usize % 4200,
+            };
+            let mut vals: Vec<i64> = match (case / 5) % 8 {
+                // constant
+                0 => vec![next() as i64; n],
+                // 44-bit random (bit-packed's case), then sorted (delta's)
+                1 | 2 => (0..n).map(|_| (next() >> 20) as i64).collect(),
+                // spreads of 57 bits and more: no frame of reference
+                3 => (0..n).map(|_| (next() >> (next() % 8)) as i64).collect(),
+                // wrap-around deltas between the extremes
+                4 => (0..n)
+                    .map(|_| [i64::MIN, i64::MAX, 0, -1, 1][next() as usize % 5])
+                    .collect(),
+                // long runs
+                5 => {
+                    let mut v = Vec::new();
+                    while v.len() < n {
+                        let run = 1 + next() as usize % 400;
+                        v.extend(std::iter::repeat_n(next() as i64 % 9, run.min(n - v.len())));
+                    }
+                    v
+                }
+                // any width, any offset
+                _ => {
+                    let (w, base) = (1 + next() % 63, next() as i64);
+                    (0..n)
+                        .map(|_| base.wrapping_add((next() >> (64 - w)) as i64))
+                        .collect()
+                }
+            };
+            if (case / 5) % 8 == 2 {
+                vals.sort_unstable();
+            }
+            let cols = [
+                ColumnVec::Date(vals.iter().map(|&v| v as i32).collect()),
+                // few distinct strings, or (odd cases) as many as values
+                ColumnVec::Str(
+                    vals.iter()
+                        .map(|&v| format!("{}", if case % 2 == 0 { v % 7 } else { v }))
+                        .collect(),
+                ),
+                ColumnVec::Double(vals.iter().map(|&v| (v % 5) as f64).collect()),
+                ColumnVec::Bool(vals.iter().map(|&v| v % 3 == 0).collect()),
+                ColumnVec::Int(vals),
+            ];
+            for col in &cols {
+                for compressed in [true, false] {
+                    let b = Block::encode(col, compressed);
+                    let (enc, bytes) = trial_encode(col, compressed);
+                    assert_eq!(
+                        (b.encoding, &b.payload[..]),
+                        (enc, &bytes[..]),
+                        "case {case}, {:?}×{}, compressed {compressed}",
+                        col.vtype(),
+                        col.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn payload_sizes_are_the_encoded_lengths() {
+        let col = ColumnVec::Int((0..64).map(|i| (i * 7919) % 1000).collect());
+        assert_eq!(
+            payload_sizes(&col)[Encoding::BitPacked as usize],
+            Some(9 + 64 * 10 / 8)
+        );
+        let d = StrDict::build(["a", "bb", "ccc"]);
+        let cols = [
+            col,
+            ColumnVec::Int(vec![]),
+            ColumnVec::Int(vec![i64::MIN, i64::MAX, 0, 0, 0, -1, i64::MAX]),
+            ColumnVec::Date(vec![7, 7, 7, -3, 1 << 30, i32::MIN]),
+            ColumnVec::Double(vec![1.5, 1.5, f64::NAN, f64::NAN, -0.0, 0.0]),
+            ColumnVec::Bool(vec![true, true, false]),
+            ColumnVec::Str((0..40).map(|i| format!("s{}", i % 5)).collect()),
+            ColumnVec::Str((0..17).map(|i| format!("distinct{i}")).collect()),
+            ColumnVec::Str((0..300).map(|i| "é".repeat(i % 200)).collect()),
+            ColumnVec::Coded(vec![2, 2, 0, 1, 1], d),
+        ];
+        for col in &cols {
+            let sizes = payload_sizes(col);
+            for enc in Encoding::ALL {
+                if enc != Encoding::GlobalCode {
+                    let want = compress::encode(col, enc).map(|b| b.len());
+                    assert_eq!(sizes[enc as usize], want, "{enc:?} of {col:?}");
+                }
+            }
+        }
     }
 
     #[test]

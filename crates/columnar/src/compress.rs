@@ -140,35 +140,37 @@ pub fn unzigzag(v: u64) -> i64 {
 /// Encode `col` with the given codec. Returns `None` if the codec does not
 /// apply (e.g. dictionary on doubles).
 pub fn encode(col: &ColumnVec, enc: Encoding) -> Option<Vec<u8>> {
-    encode_below(col, enc, usize::MAX)
-}
-
-/// [`encode`], except that a payload of `limit` bytes or more is `None`
-/// too: the block chooser passes the best size so far. A codec that knows
-/// its size before writing ([`Encoding::BitPacked`]) then writes nothing.
-pub(crate) fn encode_below(col: &ColumnVec, enc: Encoding, limit: usize) -> Option<Vec<u8>> {
     if enc == Encoding::GlobalCode {
-        return encode_codes(col).filter(|b| b.len() < limit);
+        return encode_codes(col);
     }
     if matches!(col, ColumnVec::Coded(..)) {
         // legacy codecs see strings, not codes
         let mut m = col.clone();
         m.materialize_in_place();
-        return encode_below(&m, enc, limit);
+        return encode(&m, enc);
     }
-    let bytes = match enc {
+    match enc {
         Encoding::Plain => Some(encode_plain(col)),
         Encoding::Rle => Some(encode_rle(col)),
         Encoding::Dict => encode_dict(col),
         Encoding::DeltaVarint => encode_delta(col),
         Encoding::BitPacked => match col {
-            ColumnVec::Int(v) => encode_packed(v, limit),
-            ColumnVec::Date(v) => encode_packed(v, limit),
+            ColumnVec::Int(v) => encode_packed(v),
+            ColumnVec::Date(v) => encode_packed(v),
             _ => None,
         },
         Encoding::GlobalCode => unreachable!("handled above"),
-    };
-    bytes.filter(|b| b.len() < limit)
+    }
+}
+
+/// Size of an [`Encoding::BitPacked`] payload of `n` values in
+/// `[min, max]`; `None` when the frame is constant (`w == 0`, run-length's
+/// case) or too wide (`w > 56`).
+pub(crate) fn packed_size(n: usize, min: i64, max: i64) -> Option<(usize, u32)> {
+    let w = u64::BITS - (max.wrapping_sub(min) as u64).leading_zeros();
+    (1..=MAX_PACK_BITS)
+        .contains(&w)
+        .then(|| (PACK_HEADER + (n * w as usize).div_ceil(8), w))
 }
 
 /// Zig-zag delta varints over the `u32` codes of a [`ColumnVec::Coded`]
@@ -287,7 +289,7 @@ fn encode_dict(col: &ColumnVec) -> Option<Vec<u8>> {
     Some(out)
 }
 
-fn index_width(card: usize) -> u8 {
+pub(crate) fn index_width(card: usize) -> u8 {
     if card <= u8::MAX as usize + 1 {
         1
     } else if card <= u16::MAX as usize + 1 {
@@ -330,22 +332,14 @@ const PACK_HEADER: usize = 9;
 /// Frame of reference, bit-packed: the minimum, the bit width `w` of
 /// `max − min`, then every offset `x − min` in `w` bits, little-endian.
 /// The frame is sized from one min/max pass first, so a block that is
-/// constant (`w == 0`, run-length's case), too wide (`w > 56`) or not
-/// shorter than `limit` is refused before a byte is written.
-fn encode_packed<T: Copy + Into<i64>>(v: &[T], limit: usize) -> Option<Vec<u8>> {
+/// constant or too wide is refused before a byte is written.
+fn encode_packed<T: Copy + Into<i64>>(v: &[T]) -> Option<Vec<u8>> {
     let (&first, _) = v.split_first()?;
     let (min, max) = v.iter().fold((first.into(), first.into()), |(lo, hi), &x| {
         let x: i64 = x.into();
         (lo.min(x), hi.max(x))
     });
-    let w = u64::BITS - (max.wrapping_sub(min) as u64).leading_zeros();
-    if !(1..=MAX_PACK_BITS).contains(&w) {
-        return None;
-    }
-    let size = PACK_HEADER + (v.len() * w as usize).div_ceil(8);
-    if size >= limit {
-        return None;
-    }
+    let (size, w) = packed_size(v.len(), min, max)?;
     let mut out = Vec::with_capacity(size);
     out.extend_from_slice(&min.to_le_bytes());
     out.push(w as u8);
@@ -1267,20 +1261,6 @@ mod tests {
             encode(&ColumnVec::Double(vec![1.0, 2.0]), Encoding::BitPacked),
             None
         );
-    }
-
-    #[test]
-    fn encode_below_refuses_a_payload_that_cannot_win() {
-        let col = ColumnVec::Int((0..64).map(|i| (i * 7919) % 1000).collect());
-        let size = encode(&col, Encoding::BitPacked).unwrap().len();
-        assert_eq!(size, 9 + 64 * 10 / 8);
-        assert_eq!(encode_below(&col, Encoding::BitPacked, size), None);
-        assert_eq!(
-            encode_below(&col, Encoding::BitPacked, size + 1).map(|b| b.len()),
-            Some(size)
-        );
-        let plain = encode(&col, Encoding::Plain).unwrap().len();
-        assert_eq!(encode_below(&col, Encoding::Plain, plain), None);
     }
 
     #[test]

@@ -28,17 +28,18 @@ pub struct StrDict {
 
 impl StrDict {
     /// Build a dictionary from arbitrary strings (sorted + deduplicated).
+    /// The inputs are sorted as given — borrowed, when they are `&str`s —
+    /// and only the distinct ones are copied, into a list of exactly their
+    /// number.
     pub fn build<I, S>(strings: I) -> Arc<StrDict>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut strs: Vec<String> = strings
-            .into_iter()
-            .map(|s| s.as_ref().to_string())
-            .collect();
-        strs.sort_unstable();
-        strs.dedup();
+        let mut input: Vec<S> = strings.into_iter().collect();
+        input.sort_unstable_by(|a, b| a.as_ref().cmp(b.as_ref()));
+        input.dedup_by(|a, b| a.as_ref() == b.as_ref());
+        let strs = input.iter().map(|s| s.as_ref().to_string()).collect();
         Arc::new(StrDict { strs })
     }
 
@@ -157,6 +158,18 @@ mod tests {
         assert_eq!(d.get(0), "");
         assert_eq!(d.get(1), "a");
         assert_eq!(d.get(2), "b");
+    }
+
+    #[test]
+    fn build_holds_only_the_distinct_strings() {
+        // owned and borrowed inputs alike: the list the dictionary keeps
+        // is sized by what survived the dedup, not by the input
+        let owned: Vec<String> = (0..10_000).map(|i| format!("s{}", i % 3)).collect();
+        let borrowed: Vec<&str> = owned.iter().map(String::as_str).collect();
+        for d in [StrDict::build(owned.clone()), StrDict::build(borrowed)] {
+            assert_eq!(d.iter().collect::<Vec<_>>(), ["s0", "s1", "s2"]);
+            assert_eq!(d.strs.capacity(), 3);
+        }
     }
 
     #[test]

@@ -492,7 +492,7 @@ fn cmp_prefix(stored: &[Value], key: &[Value]) -> Ordering {
 
 /// Streaming bulk loader producing a [`StableTable`].
 ///
-/// String columns of compressed tables are **dictionary-coded**: their raw
+/// String columns of compressed tables are **dictionary-coded**: their
 /// blocks are buffered during the load, a table-global order-preserving
 /// [`StrDict`] is built in [`TableBuilder::finish`], and every block is then
 /// written as [`Encoding::GlobalCode`] `u32` codes.
@@ -507,14 +507,16 @@ pub struct TableBuilder {
     buf: Vec<ColumnVec>,
     blocks: Vec<Vec<Block>>,
     /// `dict_col[c]`: column `c` is a string column headed for global
-    /// dictionary coding; its raw blocks collect in `pending[c]` until
-    /// `finish` knows the full string universe.
+    /// dictionary coding; its blocks collect in `pending[c]` — still coded
+    /// where the rows arrived coded — until `finish` knows the full string
+    /// universe.
     dict_col: Vec<bool>,
     pending: Vec<Vec<ColumnVec>>,
-    /// `dicts[c]`: the dictionary a splice's kept blocks of column `c` are
-    /// coded against. Rows that stay within it are written as
-    /// [`Encoding::GlobalCode`]; a block receiving a string outside it
-    /// falls back to a per-block encoding.
+    /// `dicts[c]`: the dictionary of `base`'s column `c` in a splice. Its
+    /// block buffers start coded over it, so coded rows are copied as
+    /// codes. In a partial splice the kept blocks stay coded against it:
+    /// rows within it are written as [`Encoding::GlobalCode`], and a block
+    /// receiving a string outside it falls back to a per-block encoding.
     dicts: Vec<Option<Arc<StrDict>>>,
     /// Kept suffix of a splice (blocks, first keys, last keys), appended
     /// by `finish` at whatever SID the replacement rows end.
@@ -570,8 +572,10 @@ impl TableBuilder {
     /// replacement rows within them are coded against them, and a block
     /// receiving a string outside its dictionary falls back to a per-block
     /// encoding (both kinds coexist in one column). A range covering the
-    /// whole table keeps nothing, so it is a plain fresh load — global
-    /// dictionaries rebuilt against the new image included.
+    /// whole table keeps nothing, so its global dictionaries are rebuilt
+    /// against the new image like a fresh load's — from the codes the rows
+    /// arrive in, without turning them back into strings (see
+    /// [`TableBuilder::finish`]).
     pub fn splice(base: &StableTable, b0: usize, b1: usize) -> Result<Self> {
         let nblocks = base.num_blocks();
         if b0 > b1 || b1 > nblocks {
@@ -582,10 +586,9 @@ impl TableBuilder {
             });
         }
         let mut b = TableBuilder::new(base.meta.clone(), base.opts);
-        if b0 == 0 && b1 == nblocks {
-            return Ok(b);
+        if b0 > 0 || b1 < nblocks {
+            b.dict_col.fill(false);
         }
-        b.dict_col.fill(false);
         b.dicts = base.dicts.clone();
         b.reset_bufs();
         for (c, col) in base.cols.iter().enumerate() {
@@ -612,10 +615,7 @@ impl TableBuilder {
             .fields()
             .iter()
             .zip(&self.dicts)
-            .map(|(f, dict)| match dict {
-                Some(d) => ColumnVec::new_coded(d.clone()),
-                None => ColumnVec::with_capacity(f.vtype, self.opts.block_rows),
-            })
+            .map(|(f, dict)| empty_buf(f.vtype, dict, self.opts.block_rows))
             .collect();
     }
 
@@ -732,26 +732,31 @@ impl TableBuilder {
             self.block_max_keys
                 .push(self.last_sk.clone().unwrap_or_default());
         }
+        let rows = self.opts.block_rows;
         for (c, col) in self.buf.iter_mut().enumerate() {
             if col.is_empty() {
                 continue;
             }
+            let kept = &self.dicts[c];
             if self.dict_col[c] {
-                // defer: the global dictionary is only known at finish()
-                let raw = std::mem::replace(
-                    col,
-                    ColumnVec::with_capacity(ValueType::Str, self.opts.block_rows),
-                );
-                self.pending[c].push(raw);
-            } else if col.dict().is_some() {
+                // defer, still coded if it arrived so: the global
+                // dictionary is only known at finish()
+                let block = std::mem::replace(col, empty_buf(ValueType::Str, kept, rows));
+                self.pending[c].push(block);
+            } else if col
+                .dict()
+                .zip(kept.as_ref())
+                .is_some_and(|(d, k)| Arc::ptr_eq(d, k))
+            {
                 // still coded over the kept dictionary of a splice
                 self.blocks[c].push(Block::encode_coded(col));
                 col.clear();
             } else {
+                // a string outside the kept dictionary (or a batch coded
+                // over another one) took this block off it; the next one
+                // starts coded again
                 self.blocks[c].push(Block::encode(col, self.opts.compressed));
-                match &self.dicts[c] {
-                    // a string outside the kept dictionary materialized
-                    // this block; the next one starts coded again
+                match kept {
                     Some(d) => *col = ColumnVec::new_coded(d.clone()),
                     None => col.clear(),
                 }
@@ -761,28 +766,20 @@ impl TableBuilder {
 
     /// Finish the load and produce the immutable table. String columns of
     /// compressed tables get their global dictionary built here and their
-    /// blocks encoded as [`Encoding::GlobalCode`]; a splice appends its
-    /// kept suffix blocks (rejecting replacement rows that sort past them).
+    /// blocks encoded as [`Encoding::GlobalCode`]: a block still coded
+    /// contributes the codes it uses and is recoded through a code map, a
+    /// materialized one its distinct strings. A splice appends its kept
+    /// suffix blocks (rejecting replacement rows that sort past them).
     pub fn finish(mut self) -> Result<StableTable> {
         if !self.buf[0].is_empty() || self.meta.schema.is_empty() {
             self.flush_block();
         }
         for c in 0..self.meta.schema.len() {
-            if !self.dict_col[c] {
-                continue;
+            if self.dict_col[c] {
+                let (dict, blocks) = code_globally(&self.pending[c]);
+                self.blocks[c].extend(blocks);
+                self.dicts[c] = Some(dict);
             }
-            let dict = StrDict::build(
-                self.pending[c]
-                    .iter()
-                    .flat_map(|b| (0..b.len()).map(move |i| b.str_at(i))),
-            );
-            for raw in &self.pending[c] {
-                let codes: Vec<u32> = (0..raw.len())
-                    .map(|i| dict.code_of(raw.str_at(i)).expect("dict built from column"))
-                    .collect();
-                self.blocks[c].push(Block::encode_coded(&ColumnVec::Coded(codes, dict.clone())));
-            }
-            self.dicts[c] = Some(dict);
         }
         if let (Some(prev), Some(next)) = (&self.last_sk, self.suffix_mins.first()) {
             if cmp_prefix(prev, next) == Ordering::Greater {
@@ -818,6 +815,81 @@ impl TableBuilder {
             dicts: self.dicts,
         })
     }
+}
+
+/// An empty block buffer of `rows` capacity: coded over `dict` where there
+/// is one, plainly typed otherwise.
+fn empty_buf(vtype: ValueType, dict: &Option<Arc<StrDict>>, rows: usize) -> ColumnVec {
+    match dict {
+        Some(d) => ColumnVec::Coded(Vec::with_capacity(rows), d.clone()),
+        None => ColumnVec::with_capacity(vtype, rows),
+    }
+}
+
+/// The dictionary of exactly the strings in one column's deferred blocks,
+/// and every block coded over it. A block still coded marks the codes it
+/// uses in its source dictionary (one pass over its codes; a column's
+/// blocks share one or a few dictionaries); a materialized block — a
+/// string outside the source dictionary, or rows that arrived plain —
+/// adds its distinct strings. The string set is the one a rebuild from
+/// every row's string finds, so a string deleted everywhere drops out,
+/// but a coded block is recoded through a per-dictionary code map and
+/// never turned back into strings.
+fn code_globally(pending: &[ColumnVec]) -> (Arc<StrDict>, Vec<Block>) {
+    // (dictionary, which of its codes some block uses); per block, its
+    // dictionary's index here or `None` for a materialized block
+    let mut sources: Vec<(&Arc<StrDict>, Vec<bool>)> = Vec::new();
+    let mut source_of = Vec::with_capacity(pending.len());
+    let mut plain: Vec<&str> = Vec::new();
+    for col in pending {
+        let ColumnVec::Coded(codes, d) = col else {
+            let mut strs: Vec<&str> = (0..col.len()).map(|i| col.str_at(i)).collect();
+            strs.sort_unstable();
+            strs.dedup();
+            plain.extend(strs);
+            source_of.push(None);
+            continue;
+        };
+        let s = match sources.iter().position(|(known, _)| Arc::ptr_eq(known, d)) {
+            Some(s) => s,
+            None => {
+                sources.push((d, vec![false; d.len()]));
+                sources.len() - 1
+            }
+        };
+        let used = &mut sources[s].1;
+        for &code in codes {
+            used[code as usize] = true;
+        }
+        source_of.push(Some(s));
+    }
+    let used_strs = sources
+        .iter()
+        .flat_map(|(d, used)| d.iter().zip(used).filter_map(|(s, &u)| u.then_some(s)));
+    let dict = StrDict::build(used_strs.chain(plain));
+    // each source code's rank in the new dictionary: its code there, for
+    // every code a block uses
+    let maps: Vec<Vec<u32>> = sources
+        .iter()
+        .map(|(d, _)| d.iter().map(|s| dict.rank_of(s).0).collect())
+        .collect();
+    let blocks = pending
+        .iter()
+        .zip(source_of)
+        .map(|(col, source)| {
+            let codes = match (col, source) {
+                (ColumnVec::Coded(codes, _), Some(s)) => {
+                    codes.iter().map(|&c| maps[s][c as usize]).collect()
+                }
+                // a present string's rank is its code
+                _ => (0..col.len())
+                    .map(|i| dict.rank_of(col.str_at(i)).0)
+                    .collect(),
+            };
+            Block::encode_coded(&ColumnVec::Coded(codes, dict.clone()))
+        })
+        .collect();
+    (dict, blocks)
 }
 
 #[cfg(test)]
@@ -1211,6 +1283,125 @@ mod tests {
         // splicing a spliced table again keeps working (chained compaction)
         let again = splice_rows(&gone, 0, 1, &cols_of(&all[8..12], &gone)).unwrap();
         assert_eq!(again.scan_all(&io).unwrap(), all[8..].to_vec());
+    }
+
+    fn rand(x: &mut u64, m: u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x % m
+    }
+
+    /// A whole-table splice fed the rows of a fold — string columns coded
+    /// over the base's dictionary, over a second one (the buffer recodes
+    /// into their union), or plain; strings outside every dictionary; a
+    /// string deleted from every row — writes the image a fresh load of
+    /// the same rows writes, byte for byte.
+    #[test]
+    fn whole_table_splice_writes_the_fresh_load_image() {
+        let meta = TableMeta::new(
+            "t",
+            Schema::from_pairs(&[
+                ("k", ValueType::Int),
+                ("d", ValueType::Date),
+                ("s", ValueType::Str),
+                ("u", ValueType::Str),
+            ]),
+            vec![2, 0],
+        );
+        let x = &mut 0x2545_f491_4f6c_dd1du64;
+        let row = |x: &mut u64, s: u64| {
+            vec![
+                Value::Int(rand(x, 1000) as i64 - 500),
+                Value::Date(rand(x, 1 << 20) as i32),
+                Value::Str(format!("w{s}")),
+                Value::Str(format!("v{}", rand(x, 40))),
+            ]
+        };
+        for case in 0..300 {
+            let opts = TableOptions {
+                block_rows: 1 + rand(x, 9) as usize,
+                compressed: case % 4 != 3,
+            };
+            let n = rand(x, 60);
+            let mut base_rows: Vec<Tuple> = (0..n)
+                .map(|_| {
+                    let s = rand(x, 6);
+                    row(x, s)
+                })
+                .collect();
+            base_rows.sort_by(|a, b| meta.sort_key.cmp_tuples(a, b));
+            let base = StableTable::bulk_load(meta.clone(), opts, &base_rows).unwrap();
+            // `w0` leaves every row; survivors are thinned out, inserts
+            // add `w6` and `fresh*` strings no dictionary holds
+            let mut rows: Vec<Tuple> = base_rows
+                .iter()
+                .filter(|r| r[2].as_str() != "w0" && rand(x, 5) > 0)
+                .cloned()
+                .collect();
+            for _ in 0..rand(x, 8) {
+                let s = 1 + rand(x, 6);
+                let mut r = row(x, s);
+                if rand(x, 2) == 0 {
+                    r[3] = Value::Str(format!("fresh{}", rand(x, 3)));
+                }
+                rows.push(r);
+            }
+            rows.sort_by(|a, b| meta.sort_key.cmp_tuples(a, b));
+            let mut b = TableBuilder::splice(&base, 0, base.num_blocks()).unwrap();
+            let mut at = 0;
+            while at < rows.len() {
+                let chunk = &rows[at..(at + 1 + rand(x, 7) as usize).min(rows.len())];
+                let cols: Vec<ColumnVec> = meta
+                    .schema
+                    .fields()
+                    .iter()
+                    .enumerate()
+                    .map(|(c, f)| {
+                        let mut col = match (base.column_dict(c), rand(x, 3)) {
+                            (Some(d), 0) => ColumnVec::new_coded(d.clone()),
+                            (_, 1) if f.vtype == ValueType::Str => {
+                                ColumnVec::new_coded(StrDict::build(
+                                    chunk.iter().map(|r| r[c].as_str()).chain(["a", "zz"]),
+                                ))
+                            }
+                            _ => ColumnVec::new(f.vtype),
+                        };
+                        chunk.iter().for_each(|r| col.push(&r[c]));
+                        col
+                    })
+                    .collect();
+                b.append_cols(&cols).unwrap();
+                at += chunk.len();
+            }
+            let spliced = b.finish().unwrap();
+            let loaded = StableTable::bulk_load(meta.clone(), opts, &rows).unwrap();
+            assert_eq!(
+                crate::image::encode_image(&spliced, 7),
+                crate::image::encode_image(&loaded, 7),
+                "case {case}: {} rows, {opts:?}",
+                rows.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_partial_splice_batch_coded_over_another_dictionary_reads_back() {
+        // the buffer recodes into the batch's dictionary, a superset of the
+        // kept one whose codes are shifted ("aaa" sorts first): the block
+        // cannot be written as codes over the kept dictionary
+        let t = keyed_table(16, 4);
+        let io = IoTracker::new();
+        let mut rows = t.scan_all(&io).unwrap();
+        rows[13][1] = Value::from("aaa");
+        let mut strs = ColumnVec::new_coded(StrDict::build(["aaa", "tag0", "tag1", "tag2"]));
+        let mut keys = ColumnVec::new(ValueType::Int);
+        for r in &rows[12..] {
+            keys.push(&r[0]);
+            strs.push(&r[1]);
+        }
+        let spliced = splice_rows(&t, 3, 4, &[keys, strs]).unwrap();
+        assert_eq!(spliced.scan_all(&io).unwrap(), rows);
     }
 
     #[test]

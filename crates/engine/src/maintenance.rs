@@ -56,7 +56,7 @@
 //! `maintenance.errors` (and keeps [`MaintenanceScheduler::last_error`]).
 
 use crate::{CompactionReport, Database, DbError, MaintainTarget, Partition};
-use obs::metrics::Counter;
+use obs::metrics::{Counter, Histogram};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -105,13 +105,20 @@ pub(crate) struct MaintMetrics {
     bytes_saved: Arc<Counter>,
     stable_bytes_written: Arc<Counter>,
     delta_bytes_retired: Arc<Counter>,
+    /// Per step, in µs: the fold (decode, merge, re-encode into the new
+    /// slice) and the image publish — the two stages of the merge span.
+    fold_us: Arc<Histogram>,
+    publish_us: Arc<Histogram>,
 }
 
 impl MaintMetrics {
     pub(crate) fn new(reg: &obs::Registry, table: &str, p: usize) -> Self {
         let p = p.to_string();
-        let counter = |name| reg.counter(name, &[("table", table), ("partition", &p)]);
+        let labels = [("table", table), ("partition", p.as_str())];
+        let counter = |name| reg.counter(name, &labels);
         MaintMetrics {
+            fold_us: reg.histogram("maintenance.fold_us", &labels),
+            publish_us: reg.histogram("maintenance.publish_us", &labels),
             flushes: counter("maintenance.flushes"),
             checkpoints: counter("maintenance.checkpoints"),
             compactions: counter("maintenance.compactions"),
@@ -126,6 +133,16 @@ impl MaintMetrics {
     /// One Write→Read flush.
     pub(crate) fn flushed(&self) {
         self.flushes.inc();
+    }
+
+    /// One step's fold took `d`.
+    pub(crate) fn folded(&self, d: Duration) {
+        self.fold_us.observe(d.as_micros() as u64);
+    }
+
+    /// One step's image publish took `d`.
+    pub(crate) fn published(&self, d: Duration) {
+        self.publish_us.observe(d.as_micros() as u64);
     }
 
     /// One range step that retired `retired` delta bytes (the structural

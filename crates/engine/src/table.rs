@@ -21,6 +21,7 @@ use crate::partition::{PartitionEntry, TableEntry};
 use crate::{delta, Database, DbError, TableOptions};
 use columnar::{Schema, StableTable, Value};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One table of a [`Database`], resolved once by [`Database::table`]. It
 /// keeps the table's entry alive, so everything read through it — options,
@@ -236,7 +237,9 @@ impl<'t> Partition<'t> {
             let merge_span = obs::span!(
                 merge_kind, table: obs::trace::intern(table), part: part, seq: seq, a: a, b: b
             );
+            let fold = Instant::now();
             let mut merge = pin.merge(&stable, &range, &db.io)?;
+            metrics.folded(fold.elapsed());
             if let Some(observer) = during_merge.take() {
                 observer();
             }
@@ -272,7 +275,9 @@ impl<'t> Partition<'t> {
                             }
                         })
                         .collect();
+                    let publish = Instant::now();
                     images.publish_with_reuse(table, part, seq, &fresh, &prov)?;
+                    metrics.published(publish.elapsed());
                     image_seq = Some(seq);
                     // a crash here leaves a manifest entry ahead of the
                     // WAL, which recovery ignores in favor of the retained

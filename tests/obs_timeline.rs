@@ -171,6 +171,51 @@ fn checkpoint_pin_merge_install_all_policies() {
     }
 }
 
+/// A checkpoint's merge span has two stages on the registry: the fold and
+/// the image publish, one observation each, adding up to no more than the
+/// span itself.
+#[test]
+fn checkpoint_stages_sum_inside_the_merge_span() {
+    let _g = serial();
+    let (wal, images) = (tmp("stages.wal"), tmp("stages_images"));
+    let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_dir_all(&images);
+    let db = Database::with_storage(&wal, &images).unwrap();
+    db.create_table(
+        TableMeta::new("t_stages", schema(), vec![0]),
+        TableOptions::default(),
+        base_rows(128),
+    )
+    .unwrap();
+    commit_update(&db, "t_stages", 5001);
+    let evs = traced(|| assert!(db.checkpoint("t_stages").unwrap()));
+    let merge = evs
+        .iter()
+        .find(|e| e.kind == TraceKind::CheckpointMerge)
+        .expect("checkpoint.merge span");
+    let m = db.metrics();
+    let stage = |name: &str| match &m
+        .get_labeled(name, &[("table", "t_stages"), ("partition", "0")])
+        .unwrap_or_else(|| panic!("{name} registered"))
+        .value
+    {
+        obs::metrics::MetricValue::Histogram(h) => h.clone(),
+        other => panic!("{name} is a histogram, got {other:?}"),
+    };
+    let (fold, publish) = (
+        stage("maintenance.fold_us"),
+        stage("maintenance.publish_us"),
+    );
+    assert_eq!((fold.count, publish.count), (1, 1));
+    assert!(
+        (fold.sum + publish.sum) * 1000 <= merge.dur_ns,
+        "fold {} µs + publish {} µs inside the {} ns merge span",
+        fold.sum,
+        publish.sum,
+        merge.dur_ns
+    );
+}
+
 #[test]
 fn compaction_pin_merge_install_all_policies() {
     let _g = serial();
