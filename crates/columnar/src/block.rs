@@ -30,9 +30,12 @@ pub struct Block {
 impl Block {
     /// Encode `col`, choosing the smallest applicable codec (a tie goes to
     /// the earlier candidate). Every candidate reports its exact payload
-    /// size first and only the winner is written. When `compressed` is
-    /// false only [`Encoding::Plain`] is considered, mirroring the paper's
-    /// non-compressed SF-10 workstation setup.
+    /// size first and only the winner is written. Varint deltas are a
+    /// candidate only when every delta after the first is one byte (see
+    /// `int_sizes`), so every block this writes decodes without a varint
+    /// length chain. When `compressed` is false only [`Encoding::Plain`]
+    /// is considered, mirroring the paper's non-compressed SF-10
+    /// workstation setup.
     pub fn encode(col: &ColumnVec, compressed: bool) -> Block {
         let encoding = smallest(col, Encoding::candidates(col.vtype(), compressed));
         let bytes = compress::encode(col, encoding).expect("the chosen codec applies");
@@ -107,8 +110,9 @@ fn uvarint_len(v: u64) -> usize {
 
 /// Exact payload size of `col` under each codec, indexed by on-disk tag:
 /// the length of what [`compress::encode`] returns, `None` where the codec does not
-/// apply. [`Encoding::GlobalCode`] is never a block-chooser candidate and
-/// is not sized.
+/// apply or, for [`Encoding::DeltaVarint`], where a delta after the first
+/// takes more than one byte. [`Encoding::GlobalCode`] is never a
+/// block-chooser candidate and is not sized.
 fn payload_sizes(col: &ColumnVec) -> [Option<usize>; Encoding::ALL.len()] {
     let mut sizes = [None; Encoding::ALL.len()];
     let mut set = |enc: Encoding, size: Option<usize>| sizes[enc as usize] = size;
@@ -120,7 +124,7 @@ fn payload_sizes(col: &ColumnVec) -> [Option<usize>; Encoding::ALL.len()] {
             set(Encoding::Plain, Some(8 * n));
             set(
                 Encoding::Rle,
-                Some(runs_size(n, |i, j| v[i] == v[j], |_| 8)),
+                Some(runs_size(n, |i, j| v[i].to_bits() == v[j].to_bits(), |_| 8)),
             );
         }
         ColumnVec::Bool(v) => {
@@ -186,9 +190,17 @@ fn runs_size(
     size
 }
 
-/// Every int/date codec's size from one pass over `v`: the zig-zag varint
-/// delta lengths, the runs, and the min/max that fixes the bit-packed
-/// frame; plain is `width` bytes a value.
+/// Every int/date codec's size from one pass over `v`: the runs, the
+/// min/max that fixes the bit-packed frame, and whether every zig-zag
+/// delta after the first fits one varint byte; plain is `width` bytes a
+/// value.
+///
+/// [`Encoding::DeltaVarint`] is sized only for blocks whose deltas after
+/// the first (the absolute value) are all one byte: those decode eight to
+/// a word in [`compress`]'s delta kernel. A block with one multi-byte
+/// delta decodes through a varint length chain, several times slower than
+/// bit-packing's independent loads, so it leaves varint deltas out even
+/// where they would be a few bytes smaller.
 fn int_sizes<T: Copy + Into<i64>>(
     v: &[T],
     width: usize,
@@ -202,11 +214,11 @@ fn int_sizes<T: Copy + Into<i64>>(
         return;
     };
     let first: i64 = first.into();
-    let (mut prev, mut lo, mut hi) = (0i64, first, first);
-    let (mut delta, mut rle, mut run) = (0usize, 0usize, 0u64);
+    let (mut prev, mut lo, mut hi) = (first, first, first);
+    let (mut one_byte_deltas, mut rle, mut run) = (true, 0usize, 0u64);
     for &x in v {
         let x: i64 = x.into();
-        delta += uvarint_len(compress::zigzag(x.wrapping_sub(prev)));
+        one_byte_deltas &= compress::zigzag(x.wrapping_sub(prev)) < 0x80;
         if run > 0 && x != prev {
             rle += uvarint_len(run) + width;
             run = 0;
@@ -217,7 +229,10 @@ fn int_sizes<T: Copy + Into<i64>>(
         hi = hi.max(x);
     }
     rle += uvarint_len(run) + width;
-    set(Encoding::DeltaVarint, Some(delta));
+    set(
+        Encoding::DeltaVarint,
+        one_byte_deltas.then(|| uvarint_len(compress::zigzag(first)) + n - 1),
+    );
     set(Encoding::Rle, Some(rle));
     set(
         Encoding::BitPacked,
@@ -241,6 +256,25 @@ mod tests {
         let col = ColumnVec::Int((0..4096).collect());
         let b = Block::encode(&col, true);
         assert_eq!(b.encoding, Encoding::DeltaVarint);
+        assert_eq!(b.decode().unwrap(), col);
+
+        // the same keys with one gap of 100: one two-byte delta takes
+        // varint deltas out, though at 4 097 bytes they are smaller than
+        // thirteen bits a value packed
+        let col = ColumnVec::Int(
+            (0..4096)
+                .map(|i| i + if i < 2048 { 0 } else { 99 })
+                .collect(),
+        );
+        let b = Block::encode(&col, true);
+        assert_eq!(
+            compress::encode(&col, Encoding::DeltaVarint).unwrap().len(),
+            4097
+        );
+        assert_eq!(
+            (b.encoding, b.stored_bytes()),
+            (Encoding::BitPacked, 9 + 4096 * 13 / 8)
+        );
         assert_eq!(b.decode().unwrap(), col);
 
         // random 44-bit values: 5.5 B/value packed beats ~7 B/value of
@@ -272,12 +306,24 @@ mod tests {
         assert_eq!((b.encoding, b.stored_bytes()), (Encoding::DeltaVarint, 11));
     }
 
+    /// Whether a [`Encoding::DeltaVarint`] payload's varints after the
+    /// first are one byte each: no continuation bit past the first
+    /// varint's last byte.
+    fn deltas_fit_a_byte(bytes: &[u8]) -> bool {
+        let first_end = bytes.iter().position(|&b| b < 0x80).map_or(0, |i| i + 1);
+        bytes[first_end..].iter().all(|&b| b < 0x80)
+    }
+
     /// The chooser `Block::encode` replaced: encode every candidate and
-    /// keep the first strictly smaller payload.
+    /// keep the first strictly smaller payload, passing over varint deltas
+    /// that do not fit a byte each.
     fn trial_encode(col: &ColumnVec, compressed: bool) -> (Encoding, Vec<u8>) {
         let mut best: Option<(Encoding, Vec<u8>)> = None;
         for &enc in Encoding::candidates(col.vtype(), compressed) {
             if let Some(bytes) = compress::encode(col, enc) {
+                if enc == Encoding::DeltaVarint && !deltas_fit_a_byte(&bytes) {
+                    continue;
+                }
                 if best.as_ref().is_none_or(|(_, b)| bytes.len() < b.len()) {
                     best = Some((enc, bytes));
                 }
@@ -286,66 +332,116 @@ mod tests {
         best.unwrap()
     }
 
-    #[test]
-    fn encode_matches_the_trial_chooser() {
+    /// Families of generated columns that exercise the chooser.
+    const FAMILIES: usize = 10;
+    /// The clustered-dates family: lineitem's ship / commit / receipt
+    /// dates, a random order date per order plus 1–121 days per line.
+    const CLUSTERED_DATES: usize = 8;
+
+    /// Sample `case`'s values: its family is `(case / 5) % FAMILIES`, its
+    /// length set by `case % 5` (0, 1, under 20, or up to 4 200).
+    fn sample(case: usize, next: &mut impl FnMut() -> u64) -> Vec<i64> {
+        let n = match case % 5 {
+            0 => 0,
+            1 => 1,
+            2 => next() as usize % 20,
+            _ => next() as usize % 4200,
+        };
+        let mut vals: Vec<i64> = match (case / 5) % FAMILIES {
+            // constant
+            0 => vec![next() as i64; n],
+            // 44-bit random (bit-packed's case), then sorted
+            1 | 2 => (0..n).map(|_| (next() >> 20) as i64).collect(),
+            // spreads of 57 bits and more: no frame of reference
+            3 => (0..n).map(|_| (next() >> (next() % 8)) as i64).collect(),
+            // wrap-around deltas between the extremes
+            4 => (0..n)
+                .map(|_| [i64::MIN, i64::MAX, 0, -1, 1][next() as usize % 5])
+                .collect(),
+            // long runs
+            5 => {
+                let mut v = Vec::new();
+                while v.len() < n {
+                    let run = 1 + next() as usize % 400;
+                    v.extend(std::iter::repeat_n(next() as i64 % 9, run.min(n - v.len())));
+                }
+                v
+            }
+            // ascending keys with gaps of 0–63 from any start (delta's case)
+            6 => {
+                let mut k = next() as i64;
+                (0..n)
+                    .map(|_| {
+                        k = k.wrapping_add((next() % 64) as i64);
+                        k
+                    })
+                    .collect()
+            }
+            CLUSTERED_DATES => {
+                let mut v = Vec::new();
+                while v.len() < n {
+                    let order = 8035 + (next() % 2406) as i64;
+                    let lines = (1 + next() as usize % 7).min(n - v.len());
+                    v.extend((0..lines).map(|_| order + 1 + (next() % 121) as i64));
+                }
+                v
+            }
+            // any width, any offset
+            _ => {
+                let (w, base) = (1 + next() % 63, next() as i64);
+                (0..n)
+                    .map(|_| base.wrapping_add((next() >> (64 - w)) as i64))
+                    .collect()
+            }
+        };
+        if (case / 5) % FAMILIES == 2 {
+            vals.sort_unstable();
+        }
+        vals
+    }
+
+    /// Every column type over `vals`.
+    fn columns_of(case: usize, vals: Vec<i64>) -> [ColumnVec; 5] {
+        [
+            ColumnVec::Date(vals.iter().map(|&v| v as i32).collect()),
+            // few distinct strings, or (odd cases) as many as values
+            ColumnVec::Str(
+                vals.iter()
+                    .map(|&v| format!("{}", if case.is_multiple_of(2) { v % 7 } else { v }))
+                    .collect(),
+            ),
+            // signed zeros among the small doubles
+            ColumnVec::Double(
+                vals.iter()
+                    .map(|&v| {
+                        if v % 5 == 0 && v < 0 {
+                            -0.0
+                        } else {
+                            (v % 5) as f64
+                        }
+                    })
+                    .collect(),
+            ),
+            ColumnVec::Bool(vals.iter().map(|&v| v % 3 == 0).collect()),
+            ColumnVec::Int(vals),
+        ]
+    }
+
+    fn xorshift() -> impl FnMut() -> u64 {
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
+        move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             x
-        };
-        for case in 0..800 {
-            let n = match case % 5 {
-                0 => 0,
-                1 => 1,
-                2 => next() as usize % 20,
-                _ => next() as usize % 4200,
-            };
-            let mut vals: Vec<i64> = match (case / 5) % 8 {
-                // constant
-                0 => vec![next() as i64; n],
-                // 44-bit random (bit-packed's case), then sorted (delta's)
-                1 | 2 => (0..n).map(|_| (next() >> 20) as i64).collect(),
-                // spreads of 57 bits and more: no frame of reference
-                3 => (0..n).map(|_| (next() >> (next() % 8)) as i64).collect(),
-                // wrap-around deltas between the extremes
-                4 => (0..n)
-                    .map(|_| [i64::MIN, i64::MAX, 0, -1, 1][next() as usize % 5])
-                    .collect(),
-                // long runs
-                5 => {
-                    let mut v = Vec::new();
-                    while v.len() < n {
-                        let run = 1 + next() as usize % 400;
-                        v.extend(std::iter::repeat_n(next() as i64 % 9, run.min(n - v.len())));
-                    }
-                    v
-                }
-                // any width, any offset
-                _ => {
-                    let (w, base) = (1 + next() % 63, next() as i64);
-                    (0..n)
-                        .map(|_| base.wrapping_add((next() >> (64 - w)) as i64))
-                        .collect()
-                }
-            };
-            if (case / 5) % 8 == 2 {
-                vals.sort_unstable();
-            }
-            let cols = [
-                ColumnVec::Date(vals.iter().map(|&v| v as i32).collect()),
-                // few distinct strings, or (odd cases) as many as values
-                ColumnVec::Str(
-                    vals.iter()
-                        .map(|&v| format!("{}", if case % 2 == 0 { v % 7 } else { v }))
-                        .collect(),
-                ),
-                ColumnVec::Double(vals.iter().map(|&v| (v % 5) as f64).collect()),
-                ColumnVec::Bool(vals.iter().map(|&v| v % 3 == 0).collect()),
-                ColumnVec::Int(vals),
-            ];
-            for col in &cols {
+        }
+    }
+
+    #[test]
+    fn encode_matches_the_trial_chooser() {
+        let mut next = xorshift();
+        for case in 0..1000 {
+            for col in &columns_of(case, sample(case, &mut next)) {
                 for compressed in [true, false] {
                     let b = Block::encode(col, compressed);
                     let (enc, bytes) = trial_encode(col, compressed);
@@ -361,6 +457,64 @@ mod tests {
         }
     }
 
+    /// What `Block::encode` writes as varint deltas is what the delta
+    /// kernel reads eight values to a word; lineitem-shaped dates, whose
+    /// deltas span two bytes, are bit-packed.
+    #[test]
+    fn varint_delta_blocks_have_one_byte_deltas() {
+        let mut next = xorshift();
+        let mut deltas = 0;
+        for case in 0..1000 {
+            let family = (case / 5) % FAMILIES;
+            for col in &columns_of(case, sample(case, &mut next)) {
+                let b = Block::encode(col, true);
+                if b.encoding == Encoding::DeltaVarint {
+                    deltas += 1;
+                    assert!(deltas_fit_a_byte(&b.payload), "case {case}, {col:?}");
+                }
+                if family == CLUSTERED_DATES
+                    && col.len() >= 64
+                    && matches!(col.vtype(), ValueType::Int | ValueType::Date)
+                {
+                    assert_eq!(b.encoding, Encoding::BitPacked, "case {case}, {col:?}");
+                }
+            }
+        }
+        assert!(deltas > 100, "only {deltas} varint-delta blocks");
+    }
+
+    #[test]
+    fn rle_keeps_the_bits_of_every_double() {
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        let bits = |col: &ColumnVec| match col {
+            ColumnVec::Double(v) => v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            other => panic!("not doubles: {other:?}"),
+        };
+        let cols = [
+            std::iter::once(-0.0).chain([0.0; 4095]).collect(),
+            std::iter::once(0.0).chain([-0.0; 9]).collect(),
+            vec![
+                nan(1),
+                nan(1),
+                nan(2),
+                f64::NAN,
+                -f64::NAN,
+                -f64::NAN,
+                0.0,
+                -0.0,
+                -0.0,
+            ],
+        ]
+        .map(ColumnVec::Double);
+        assert_eq!(Block::encode(&cols[0], true).encoding, Encoding::Rle);
+        for col in &cols {
+            let rle = compress::encode(col, Encoding::Rle).unwrap();
+            let decoded = compress::decode(&rle, Encoding::Rle, ValueType::Double, col.len());
+            assert_eq!(bits(&decoded.unwrap()), bits(col));
+            assert_eq!(bits(&Block::encode(col, true).decode().unwrap()), bits(col));
+        }
+    }
+
     #[test]
     fn payload_sizes_are_the_encoded_lengths() {
         let col = ColumnVec::Int((0..64).map(|i| (i * 7919) % 1000).collect());
@@ -373,7 +527,9 @@ mod tests {
             col,
             ColumnVec::Int(vec![]),
             ColumnVec::Int(vec![i64::MIN, i64::MAX, 0, 0, 0, -1, i64::MAX]),
+            ColumnVec::Int((0..50).map(|i| i64::MIN + 3 * i).collect()),
             ColumnVec::Date(vec![7, 7, 7, -3, 1 << 30, i32::MIN]),
+            ColumnVec::Date((0..100).map(|i| 9000 - i / 3).collect()),
             ColumnVec::Double(vec![1.5, 1.5, f64::NAN, f64::NAN, -0.0, 0.0]),
             ColumnVec::Bool(vec![true, true, false]),
             ColumnVec::Str((0..40).map(|i| format!("s{}", i % 5)).collect()),
@@ -385,7 +541,9 @@ mod tests {
             let sizes = payload_sizes(col);
             for enc in Encoding::ALL {
                 if enc != Encoding::GlobalCode {
-                    let want = compress::encode(col, enc).map(|b| b.len());
+                    let want = compress::encode(col, enc)
+                        .filter(|b| enc != Encoding::DeltaVarint || deltas_fit_a_byte(b))
+                        .map(|b| b.len());
                     assert_eq!(sizes[enc as usize], want, "{enc:?} of {col:?}");
                 }
             }

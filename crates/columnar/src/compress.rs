@@ -8,12 +8,21 @@
 //! * [`Encoding::Plain`] — fixed-width raw values (strings length-prefixed),
 //! * [`Encoding::Rle`] — run-length encoding for low-cardinality runs,
 //! * [`Encoding::Dict`] — dictionary coding with narrow indices (strings),
-//! * [`Encoding::DeltaVarint`] — zig-zag varint deltas for (near-)sorted
-//!   integer/date columns,
+//! * [`Encoding::DeltaVarint`] — zig-zag varint deltas for sorted
+//!   integer/date columns whose steps fit one byte,
 //! * [`Encoding::BitPacked`] — frame of reference: the block minimum plus
-//!   fixed-width bit-packed offsets, for unsorted integer/date columns
+//!   fixed-width bit-packed offsets, for the other integer/date columns
 //!   (X100's PFOR without the exceptions), decoded one independent load
 //!   per value instead of a varint length chain.
+//!
+//! An int or date block's deltas are varints only when every delta after
+//! the first fits one byte: then the delta kernel sums them eight to a
+//! word. One multi-byte delta puts the block on the varint length chain,
+//! several times slower to decode than a bit-packed block, so such a
+//! block is bit-packed even where its varint deltas would be a few bytes
+//! smaller ([`crate::block`] applies the rule; every decoder still reads
+//! any payload). ARCHITECTURE.md § "Decode → merge → scan" has the
+//! measurements.
 //!
 //! A sixth codec, [`Encoding::GlobalCode`], stores `u32` codes into a
 //! table-global per-column [`StrDict`] (zig-zag delta varints); unlike the
@@ -40,7 +49,10 @@ pub enum Encoding {
     Rle,
     /// Per-block dictionary coding with narrow indices (strings only).
     Dict,
-    /// Zig-zag varint deltas for (near-)sorted integer/date columns.
+    /// Zig-zag varint deltas for integer/date columns. The block chooser
+    /// writes it only when every delta after the first is one byte, which
+    /// the decoder sums eight values to a word; it still decodes
+    /// multi-byte deltas, which older images may hold.
     DeltaVarint,
     /// `u32` codes into a table-global per-column string dictionary,
     /// stored as zig-zag varint deltas. Decodes to [`ColumnVec::Coded`].
@@ -67,7 +79,10 @@ impl Encoding {
     ];
 
     /// Codecs applicable to a value type, in preference order (a tie in
-    /// payload size goes to the earlier one).
+    /// payload size goes to the earlier one). An int/date block's
+    /// [`Encoding::DeltaVarint`] competes only when its deltas after the
+    /// first are one byte each; otherwise the smallest of the other three
+    /// wins.
     pub fn candidates(vtype: ValueType, compressed: bool) -> &'static [Encoding] {
         if !compressed {
             return &[Encoding::Plain];
@@ -221,13 +236,19 @@ fn encode_plain(col: &ColumnVec) -> Vec<u8> {
 /// RLE: sequence of (run-length varint, plain value).
 fn encode_rle(col: &ColumnVec) -> Vec<u8> {
     let mut out = Vec::new();
+    // `$key` is what a run compares: doubles by bits, so `-0.0` and `0.0`
+    // (equal under `==`) stay apart and equal NaNs share a run
     macro_rules! rle {
-        ($v:expr, $emit:expr) => {{
+        ($v:expr, $emit:expr) => {
+            rle!($v, |x| x, $emit)
+        };
+        ($v:expr, $key:expr, $emit:expr) => {{
             let v = $v;
             let mut i = 0;
             while i < v.len() {
                 let mut j = i + 1;
-                while j < v.len() && v[j] == v[i] {
+                #[allow(clippy::redundant_closure_call)]
+                while j < v.len() && $key(&v[j]) == $key(&v[i]) {
                     j += 1;
                 }
                 put_uvarint(&mut out, (j - i) as u64);
@@ -241,7 +262,7 @@ fn encode_rle(col: &ColumnVec) -> Vec<u8> {
         ColumnVec::Bool(v) => rle!(v, |o: &mut Vec<u8>, x: &bool| o.push(*x as u8)),
         ColumnVec::Int(v) => rle!(v, |o: &mut Vec<u8>, x: &i64| o
             .extend_from_slice(&x.to_le_bytes())),
-        ColumnVec::Double(v) => rle!(v, |o: &mut Vec<u8>, x: &f64| o
+        ColumnVec::Double(v) => rle!(v, |x: &f64| x.to_bits(), |o: &mut Vec<u8>, x: &f64| o
             .extend_from_slice(&x.to_le_bytes())),
         ColumnVec::Date(v) => rle!(v, |o: &mut Vec<u8>, x: &i32| o
             .extend_from_slice(&x.to_le_bytes())),
