@@ -1,14 +1,10 @@
-//! Typed, monomorphized update and merge kernels.
+//! Typed, monomorphized merge kernels.
 //!
 //! The merge-scan reconciliation of the paper is a tight positional patch
 //! loop, but a naive implementation dispatches on a dynamic `Value` enum for
 //! every cell it touches. This module provides the batch-at-a-time,
 //! type-specialized kernels that remove that per-value branching:
 //!
-//! * **writer kernels** ([`UpdateColumn`] and the four structs it wraps) —
-//!   apply one closure to a whole batch against a mutable column slice,
-//!   specialized on (element type × has-bitmap? × has-index?); the enum
-//!   dispatches *once per batch*, the inner loops are monomorphic;
 //! * **merge-step plans** ([`MergeStep`], [`apply_steps`]) — a positional
 //!   merge is planned once per block (runs, inserts, patches) and then
 //!   executed per column with a single type dispatch followed by
@@ -23,174 +19,6 @@ use std::sync::Arc;
 
 use crate::column::ColumnVec;
 use crate::value::Value;
-
-// ---------------------------------------------------------------------------
-// writer kernels: (bitmap? × index?), monomorphic over T
-// ---------------------------------------------------------------------------
-
-/// Dense in-place writer: batch element `i` targets slice element `i`.
-pub struct DenseWriter<'a, T> {
-    /// The column slice being written.
-    pub data: &'a mut [T],
-}
-
-impl<'a, T> DenseWriter<'a, T> {
-    /// Apply `f(cell, source)` across the batch (read-modify-write).
-    #[inline]
-    pub fn update<F, I>(&mut self, iter: I, mut f: F)
-    where
-        I: ExactSizeIterator,
-        F: FnMut(&mut T, I::Item),
-    {
-        self.data.iter_mut().zip(iter).for_each(|(d, s)| f(d, s));
-    }
-
-    /// Overwrite each cell with `f(source)`.
-    #[inline]
-    pub fn assign<F, I>(&mut self, iter: I, mut f: F)
-    where
-        I: ExactSizeIterator,
-        F: FnMut(I::Item) -> T,
-    {
-        self.data.iter_mut().zip(iter).for_each(|(d, s)| *d = f(s));
-    }
-}
-
-/// Dense writer with a validity/visibility bitmap updated in lockstep.
-pub struct MaskedWriter<'a, T> {
-    /// The column slice being written.
-    pub data: &'a mut [T],
-    /// One flag per slice element, written together with the value.
-    pub bitmap: &'a mut [bool],
-}
-
-impl<'a, T> MaskedWriter<'a, T> {
-    /// Apply `f(cell, flag, source)` across the batch.
-    #[inline]
-    pub fn update<F, I>(&mut self, iter: I, mut f: F)
-    where
-        I: ExactSizeIterator,
-        F: FnMut(&mut T, &mut bool, I::Item),
-    {
-        self.data
-            .iter_mut()
-            .zip(self.bitmap.iter_mut())
-            .zip(iter)
-            .for_each(|((d, b), s)| f(d, b, s));
-    }
-
-    /// Overwrite each (cell, flag) pair with `f(source)`.
-    #[inline]
-    pub fn assign<F, I>(&mut self, iter: I, mut f: F)
-    where
-        I: ExactSizeIterator,
-        F: FnMut(I::Item) -> (bool, T),
-    {
-        self.data
-            .iter_mut()
-            .zip(self.bitmap.iter_mut())
-            .zip(iter)
-            .for_each(|((d, b), s)| {
-                let (nb, nd) = f(s);
-                *d = nd;
-                *b = nb;
-            });
-    }
-}
-
-/// Scattered writer: batch element `i` targets slice element `index[i]`.
-pub struct IndexedWriter<'a, T> {
-    /// The column slice being written.
-    pub data: &'a mut [T],
-    /// Target position of each batch element.
-    pub index: &'a [u32],
-}
-
-impl<'a, T> IndexedWriter<'a, T> {
-    /// Apply `f(cell, source)` at each indexed position.
-    #[inline]
-    pub fn update<F, I>(&mut self, iter: I, mut f: F)
-    where
-        I: ExactSizeIterator,
-        F: FnMut(&mut T, I::Item),
-    {
-        self.index
-            .iter()
-            .zip(iter)
-            .for_each(|(&i, s)| f(&mut self.data[i as usize], s));
-    }
-
-    /// Overwrite each indexed cell with `f(source)`.
-    #[inline]
-    pub fn assign<F, I>(&mut self, iter: I, mut f: F)
-    where
-        I: ExactSizeIterator,
-        F: FnMut(I::Item) -> T,
-    {
-        self.index
-            .iter()
-            .zip(iter)
-            .for_each(|(&i, s)| self.data[i as usize] = f(s));
-    }
-}
-
-/// Scattered writer with a bitmap updated in lockstep.
-pub struct MaskedIndexedWriter<'a, T> {
-    /// The column slice being written.
-    pub data: &'a mut [T],
-    /// One flag per slice element.
-    pub bitmap: &'a mut [bool],
-    /// Target position of each batch element.
-    pub index: &'a [u32],
-}
-
-impl<'a, T> MaskedIndexedWriter<'a, T> {
-    /// Apply `f(cell, flag, source)` at each indexed position.
-    #[inline]
-    pub fn update<F, I>(&mut self, iter: I, mut f: F)
-    where
-        I: ExactSizeIterator,
-        F: FnMut(&mut T, &mut bool, I::Item),
-    {
-        self.index
-            .iter()
-            .zip(iter)
-            .for_each(|(&i, s)| f(&mut self.data[i as usize], &mut self.bitmap[i as usize], s));
-    }
-}
-
-/// One batch writer, dispatched **once** per batch instead of per value.
-pub enum UpdateColumn<'a, T> {
-    /// Contiguous target, no bitmap.
-    Dense(DenseWriter<'a, T>),
-    /// Contiguous target with a validity bitmap.
-    Masked(MaskedWriter<'a, T>),
-    /// Scattered target, no bitmap.
-    Indexed(IndexedWriter<'a, T>),
-    /// Scattered target with a validity bitmap.
-    MaskedIndexed(MaskedIndexedWriter<'a, T>),
-}
-
-impl<'a, T> UpdateColumn<'a, T> {
-    /// Overwrite the batch's targets with `f(source)`; bitmap flavours set
-    /// their flags to `true` (an assign makes the cell valid).
-    #[inline]
-    pub fn assign<F, I>(&mut self, iter: I, mut f: F)
-    where
-        I: ExactSizeIterator,
-        F: FnMut(I::Item) -> T,
-    {
-        match self {
-            UpdateColumn::Dense(w) => w.assign(iter, f),
-            UpdateColumn::Masked(w) => w.assign(iter, |s| (true, f(s))),
-            UpdateColumn::Indexed(w) => w.assign(iter, f),
-            UpdateColumn::MaskedIndexed(w) => w.update(iter, |d, b, s| {
-                *d = f(s);
-                *b = true;
-            }),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // merge-step plans
@@ -415,39 +243,6 @@ mod tests {
     use super::*;
     use crate::dict::StrDict;
     use crate::value::ValueType;
-
-    #[test]
-    fn dense_writer_assigns_batch() {
-        let mut data = vec![0i64; 4];
-        let mut w = UpdateColumn::Dense(DenseWriter { data: &mut data });
-        w.assign([10i64, 20, 30, 40].into_iter(), |s| s);
-        assert_eq!(data, vec![10, 20, 30, 40]);
-    }
-
-    #[test]
-    fn indexed_writer_scatters() {
-        let mut data = vec![0i64; 5];
-        let idx = [4u32, 0, 2];
-        let mut w = UpdateColumn::Indexed(IndexedWriter {
-            data: &mut data,
-            index: &idx,
-        });
-        w.assign([1i64, 2, 3].into_iter(), |s| s);
-        assert_eq!(data, vec![2, 0, 3, 0, 1]);
-    }
-
-    #[test]
-    fn masked_writer_tracks_validity() {
-        let mut data = vec![0i64; 3];
-        let mut bm = vec![false; 3];
-        let mut w = MaskedWriter {
-            data: &mut data,
-            bitmap: &mut bm,
-        };
-        w.assign([7i64, 8, 9].into_iter(), |s| (s != 8, s));
-        assert_eq!(data, vec![7, 8, 9]);
-        assert_eq!(bm, vec![true, false, true]);
-    }
 
     #[test]
     fn apply_steps_int_plan() {

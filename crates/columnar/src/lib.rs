@@ -47,7 +47,7 @@ pub use dict::StrDict;
 pub use error::{ColumnarError, Result};
 pub use image::{BlockProvenance, ImageEntry, ImageManifest, ImageStore};
 pub use io::{BlockHeatSink, IoStats, IoTracker};
-pub use kernel::{MergeStep, PreparedKey, UpdateColumn};
+pub use kernel::{MergeStep, PreparedKey};
 pub use schema::{Field, Schema, SortKeyDef};
 pub use sparse::SparseIndex;
 pub use table::{ScanRange, StableTable, TableBuilder, TableMeta, TableOptions};

@@ -936,7 +936,7 @@ impl ScanSpec {
         clock: ScanClock,
     ) -> Result<TableScan<'a>, DbError> {
         let proj = self.resolve(table, schema)?;
-        let mut scan = TableScan::union(segments, proj, self.bounds.clone(), clock);
+        let mut scan = TableScan::new(segments, proj, self.bounds.clone(), clock);
         if let Some((lo, hi)) = self.rid_range {
             scan.clamp_rids(lo, hi);
         }

@@ -22,7 +22,7 @@
 //! owning its sort key (a split point belongs to the partition *above*
 //! it); reads union the partitions in split order, re-basing each
 //! partition's locally consecutive RIDs so scans emit globally
-//! consecutive ones ([`exec::TableScan::union`]). Commits validate and
+//! consecutive ones ([`exec::TableScan::new`]). Commits validate and
 //! WAL each touched partition's footprint independently, and maintenance
 //! is a method of the partition — [`crate::Partition::maybe_flush`] and
 //! [`crate::Partition::maintain`], reached through

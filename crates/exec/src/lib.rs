@@ -11,9 +11,9 @@
 //!   that borrows the batch's columns and runs typed column-against-
 //!   column and column-against-scalar kernels,
 //! * [`ops`] — pull-based operators: table scans (clean / PDT-merging /
-//!   VDT-merging, single-segment or partition unions), filter, project,
-//!   hash aggregation, hash joins (inner/left-outer/semi/anti), sort,
-//!   top-n and limit. The hash operators key on hashed native columns
+//!   VDT-merging, a union of one merge scan per partition), filter,
+//!   project, hash aggregation, hash joins (inner/left-outer/semi/anti),
+//!   sort and top-n. The hash operators key on hashed native columns
 //!   and address groups and build rows by index. Every scan counts what
 //!   it read and emitted in its own [`ScanCounts`] — the per-query I/O
 //!   volume and scan time of the paper's Figure 19,
@@ -44,7 +44,7 @@ pub use ops::gather::{gather_rows, Gathered};
 pub use ops::join::{HashJoin, JoinKind};
 pub use ops::project::Project;
 pub use ops::scan::{fold_blocks, DeltaLayers, ScanBounds, ScanCounts, ScanSegment, TableScan};
-pub use ops::sort::{Limit, Sort, SortKey, TopN};
+pub use ops::sort::{Sort, SortKey, TopN};
 pub use ops::{run_to_rows, BoxOp, Operator};
 pub use stats::{measure, QueryStats, ScanClock};
 

@@ -49,7 +49,7 @@ fn visible_rows(seg: &ScanSegment<'_>) -> u64 {
 
 /// Columns `cols` of the visible rows at `rids` (ascending, distinct;
 /// global positions over `segments`, which are ordered by `rid_base` as
-/// for [`TableScan::union`]).
+/// for [`TableScan::new`]).
 ///
 /// A RID past the last visible row is [`ColumnarError::OutOfRange`],
 /// reported before any block is read; a block that fails to decode is
@@ -94,23 +94,17 @@ pub fn gather_rows(
             continue;
         }
         let local = mine.iter().map(|&r| r - seg.rid_base);
-        blocks_decoded += match seg.layers {
+        blocks_decoded += match &seg.layers {
             DeltaLayers::None => {
                 by_position(seg.stable, &[], local, cols, &seg.io, clock, &mut out)
             }
             DeltaLayers::Pdt(layers) => {
-                by_position(seg.stable, &layers, local, cols, &seg.io, clock, &mut out)
+                by_position(seg.stable, layers, local, cols, &seg.io, clock, &mut out)
             }
-            by_key => {
-                let scan = TableScan::ranged(
-                    seg.stable,
-                    by_key,
-                    cols.to_vec(),
-                    ScanBounds::default(),
-                    seg.io,
-                    clock.clone(),
-                );
-                by_scan(scan, local, &mut out)
+            DeltaLayers::Vdt(_) | DeltaLayers::Rows(_) => {
+                let proj = cols.to_vec();
+                let scan = TableScan::new(vec![seg], proj, ScanBounds::default(), clock.clone());
+                by_scan(scan, mine.iter().copied(), &mut out)
             }
         }?;
     }
@@ -209,8 +203,8 @@ fn by_position(
     Ok(blocks)
 }
 
-/// The by-key arm: the rows at `rids` (ascending, partition-local) picked
-/// out of a rid-clamped merge scan.
+/// The by-key arm: the rows at `rids` (ascending, global) picked out of a
+/// rid-clamped scan of one segment.
 fn by_scan(
     mut scan: TableScan<'_>,
     rids: impl Iterator<Item = u64>,
@@ -319,13 +313,13 @@ mod tests {
     }
 
     fn scan_image(stable: &StableTable, layers: DeltaLayers<'_>, cols: &[usize]) -> Vec<Tuple> {
-        let (io, clock) = (IoTracker::new(), ScanClock::new());
+        let segments = vec![seg(stable, layers, 0, &IoTracker::new())];
+        let bounds = ScanBounds::default();
         run_to_rows(&mut TableScan::new(
-            stable,
-            layers,
+            segments,
             cols.to_vec(),
-            io,
-            clock,
+            bounds,
+            ScanClock::new(),
         ))
     }
 

@@ -19,27 +19,38 @@
 //! (stale-tolerant) sparse index and position all delta structures
 //! accordingly.
 //!
-//! A checkpoint is this scan too (§2, "Checkpointing"): [`fold_blocks`]
-//! streams the block-range form of this scan into a
-//! [`TableBuilder::splice`], for every update policy and every
-//! maintenance step — there is no second merge loop.
+//! Two files, split by concern. `merge.rs` is the paper's MergeScan over
+//! one image: the block loop, the PDT stack, the by-key merger and the
+//! drains after the last block. This file is the [`TableScan`] a query
+//! runs: the union of one MergeScan per partition, in split order, with
+//! the rid window and the scan's [`ScanCounts`].
+//!
+//! A checkpoint is the MergeScan too (§2, "Checkpointing"): [`fold_blocks`]
+//! streams its block-range form into a [`TableBuilder::splice`], for every
+//! update policy and every maintenance step — there is no second merge
+//! loop.
 //!
 //! Every scan counts what it reads and emits in its own [`ScanCounts`],
 //! at the place it happens: `explain_analyze` and the DML resolvers read
 //! them off the scan, never off a tracker other scans share.
+//!
+//! [`TableBuilder::splice`]: columnar::TableBuilder::splice
+
+mod merge;
+
+pub use merge::fold_blocks;
 
 use crate::batch::Batch;
 use crate::ops::Operator;
 use crate::stats::ScanClock;
-use columnar::{
-    ColumnVec, ColumnarError, IoStats, IoTracker, ScanRange, StableTable, TableBuilder, Value,
-    ValueType,
-};
-use pdt::{Pdt, PdtMerger};
-use rowstore::{RowBuffer, RowMerger};
+use columnar::{ColumnarError, IoStats, IoTracker, StableTable, Value, ValueType};
+use merge::MergeScan;
+use pdt::Pdt;
+use rowstore::RowBuffer;
+use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
-use vdt::{Vdt, VdtMerger};
+use vdt::Vdt;
 
 /// Differential layers to merge into the scan.
 pub enum DeltaLayers<'a> {
@@ -65,10 +76,10 @@ pub struct ScanBounds {
 
 /// One horizontal slice of a range-partitioned table, as a scan sees it:
 /// the partition's stable image, the delta layers to merge over it, and
-/// the global RID of the partition's first visible row. A
-/// [`TableScan::union`] walks a vector of these in split order, re-basing
-/// each partition's locally consecutive RIDs by `rid_base` so the union
-/// emits globally consecutive RIDs.
+/// the global RID of the partition's first visible row. A [`TableScan`]
+/// walks a vector of these in split order, re-basing each partition's
+/// locally consecutive RIDs by `rid_base` so the scan emits globally
+/// consecutive RIDs. An unpartitioned table is one segment at base 0.
 pub struct ScanSegment<'a> {
     /// The partition's stable image.
     pub stable: &'a StableTable,
@@ -171,98 +182,11 @@ impl fmt::Display for ScanCounts {
     }
 }
 
-enum MergeState<'a> {
-    None,
-    Pdt(Vec<PdtMerger<'a>>),
-    ByKey(ByKey<'a>),
-}
-
-/// The value-addressed merger of a scan. Both by-key structures fold into
-/// a stable block the same way — given the block's sort-key columns — so
-/// the scan drives either through these three methods, dispatched once per
-/// *block* (never per row); the mergers' own kernels stay monomorphic.
-/// (An enum, not a boxed trait object: a `dyn` destructor could touch the
-/// borrowed layers, so a scan built in a tail expression could no longer
-/// outlive the local view it borrows from.)
-enum ByKey<'a> {
-    Vdt(Box<VdtMerger<'a>>),
-    Rows(Box<RowMerger<'a>>),
-}
-
-impl ByKey<'_> {
-    fn next_rid(&self) -> u64 {
-        match self {
-            ByKey::Vdt(m) => m.next_rid(),
-            ByKey::Rows(m) => m.next_rid(),
-        }
-    }
-
-    fn merge_block(
-        &mut self,
-        len: usize,
-        proj: &[usize],
-        sk_in: &[ColumnVec],
-        cols_in: &[ColumnVec],
-        out: &mut [ColumnVec],
-    ) {
-        match self {
-            ByKey::Vdt(m) => m.merge_block(len, proj, sk_in, cols_in, out),
-            ByKey::Rows(m) => m.merge_block(len, proj, sk_in, cols_in, out),
-        }
-    }
-
-    fn drain_inserts(&mut self, upper: Option<&[Value]>, proj: &[usize], out: &mut [ColumnVec]) {
-        match self {
-            ByKey::Vdt(m) => m.drain_inserts(upper, proj, out),
-            ByKey::Rows(m) => m.drain_inserts(upper, proj, out),
-        }
-    }
-}
-
-/// Where a by-key merge finds a block's sort-key columns among the decode
-/// buffers — resolved once, in [`TableScan::ranged`].
-enum KeyCols {
-    /// Adjacent and in key order (always, for a one-column key): the key is
-    /// borrowed as `bufs[range]`.
-    Borrowed(std::ops::Range<usize>),
-    /// Interleaved with other columns: `bufs[at[j]]` is copied into
-    /// `scratch[j]` block by block (the allocations are reused).
-    Gathered {
-        at: Vec<usize>,
-        scratch: Vec<ColumnVec>,
-    },
-}
-
-impl KeyCols {
-    /// Locate the sort-key columns `sk` in `io_cols` (which holds them
-    /// all); `bufs[p]` is the decode buffer of `io_cols[p]`.
-    fn locate(sk: &[usize], io_cols: &[usize], bufs: &[ColumnVec]) -> Self {
-        let at: Vec<usize> = sk
-            .iter()
-            .map(|c| {
-                io_cols
-                    .iter()
-                    .position(|x| x == c)
-                    .expect("value_io_cols reads every sort-key column")
-            })
-            .collect();
-        match at.first() {
-            Some(&first) if at.windows(2).all(|w| w[1] == w[0] + 1) => {
-                KeyCols::Borrowed(first..first + at.len())
-            }
-            _ => KeyCols::Gathered {
-                scratch: at.iter().map(|&p| bufs[p].empty_like()).collect(),
-                at,
-            },
-        }
-    }
-}
-
-/// The scan operator.
+/// The scan operator: a union over the ordered partitions of a table.
 ///
 /// ## Pinning
 ///
-/// A scan borrows its stable table and delta layers for its whole
+/// A scan borrows its stable tables and delta layers for its whole
 /// lifetime — it never re-reads them from the database. The engine's read
 /// views hand out these borrows from `Arc`-held snapshots (stable image +
 /// committed delta capture), so a scan is pinned to one consistent cut:
@@ -272,279 +196,83 @@ impl KeyCols {
 ///
 /// ## Partitions
 ///
-/// A scan is either single-segment ([`TableScan::new`] /
-/// [`TableScan::ranged`], the unpartitioned case — all RIDs local) or a
-/// union over the ordered partitions of a range-partitioned table
-/// ([`TableScan::union`]): each partition runs the same per-segment merge
-/// machinery against its own stable slice and delta layers, and the union
-/// re-bases every emitted batch by the partition's `rid_base` so output
-/// RIDs stay globally consecutive across split points.
+/// Each partition runs its own MergeScan against its own stable slice and
+/// delta layers, opened when the scan reaches it; the union re-bases every
+/// emitted batch by the partition's `rid_base` so output RIDs stay
+/// globally consecutive across split points. An unpartitioned table is
+/// the union of one.
 pub struct TableScan<'a> {
-    table: &'a StableTable,
     proj: Vec<usize>,
-    range: ScanRange,
     /// Value types of `proj`, in projection order.
     types: Vec<ValueType>,
-    /// columns actually read from storage (proj ∪ sort key for VDT mode)
-    io_cols: Vec<usize>,
-    /// One decode buffer per `io_cols` entry. A block is decoded into them
-    /// in place; a merge that copies (or emits nothing of) a buffer leaves
-    /// its allocation here for the next block, one that passes the decoded
-    /// vector on as the output leaves an empty column behind.
-    bufs: Vec<ColumnVec>,
-    /// One merge output buffer per projected column (see
-    /// [`PdtMerger::merge_block_owned`]; the by-key arm merges into it).
-    spare: Vec<ColumnVec>,
-    /// The sort-key columns among `bufs` (by-key merges only).
-    sk: KeyCols,
-    state: MergeState<'a>,
-    next_block: usize,
-    end_block: usize,
-    /// The *current segment* is exhausted (the union may still advance).
-    finished: bool,
-    io: IoTracker,
+    /// Every partition resolves these against its own sparse index.
+    bounds: ScanBounds,
     clock: ScanClock,
-    /// How the current segment's delta is merged.
-    path: MergePath,
-    /// Where a by-key merge stops draining buffered rows (`None`: drain
-    /// them all).
-    drain_upper: Option<Vec<Value>>,
-    /// Does a PDT merge drain the inserts at the range's end SID? A
-    /// key-ranged scan always does (they may sort inside its bounds); a
-    /// block range only at the end of the image — below it they precede
-    /// block `b1`'s first row and belong to the next range.
-    drains_tail: bool,
-    /// A key probe failed while the scan was set up: the next
+    /// The partition being scanned; `None` once the scan is over.
+    merge: Option<MergeScan<'a>>,
+    /// Global RID of the current partition's first visible row.
+    rid_base: u64,
+    /// The partitions after it, in split order.
+    pending: VecDeque<ScanSegment<'a>>,
+    /// The current partition's path and zone-skips are in `counts`: a
+    /// segment counts once the scan enters it.
+    entered: bool,
+    /// A partition's key probe failed as it opened: the next
     /// [`TableScan::try_next_batch`] returns it.
     failed: Option<ColumnarError>,
-    /// RID of the first row this scan would emit (even if it emits none —
-    /// e.g. a fully ghosted range); DML rank computations rely on it.
-    /// Global for unions (first segment's base + its local start).
-    start_rid: u64,
-    /// Visible-rid output window `[rid_lo, rid_hi)` in *global* RIDs — see
+    /// Visible-rid output window `[rid_lo, rid_hi)` in global RIDs — see
     /// [`TableScan::clamp_rids`].
     rid_lo: u64,
     rid_hi: u64,
-    /// Global RID of the current segment's first visible row (0 for
-    /// single-segment scans).
-    rid_base: u64,
-    /// Remaining partition segments, in split order.
-    pending: std::collections::VecDeque<ScanSegment<'a>>,
-    /// The whole scan (every segment) is exhausted, or the rid window's
-    /// upper edge was passed.
-    done: bool,
+    /// See [`TableScan::start_rid`].
+    start_rid: u64,
     /// Some batch has been emitted (freezes `start_rid` across segment
     /// advances).
     emitted: bool,
-    /// Kept across segment advances so `bounds` can re-resolve per slice.
-    bounds: ScanBounds,
-    /// Blocks the zone map pruned off this segment's range in
-    /// [`TableScan::ranged`] (clean scans only).
-    zone_skipped: u64,
-    /// The current segment's path and zone-skips are in `counts`: a
-    /// segment counts once the scan enters it.
-    entered: bool,
     /// What the scan read and emitted, over every segment so far.
     counts: ScanCounts,
 }
 
 impl<'a> TableScan<'a> {
-    /// Full-table scan.
+    /// Scan `segments` (ordered by `rid_base`) in split order with one
+    /// projection and one set of sort-key bounds (each partition resolves
+    /// the bounds against its own sparse index). Emitted RIDs are re-based
+    /// by each segment's `rid_base`, so batch `rid_start`s continue across
+    /// split points exactly as if the table were one image. The first
+    /// segment opens here, so [`TableScan::start_rid`] is valid at once;
+    /// a scan of no segment emits nothing.
     pub fn new(
-        table: &'a StableTable,
-        delta: DeltaLayers<'a>,
-        proj: Vec<usize>,
-        io: IoTracker,
-        clock: ScanClock,
-    ) -> Self {
-        Self::ranged(table, delta, proj, ScanBounds::default(), io, clock)
-    }
-
-    /// Ranged scan over a sort-key prefix interval (both bounds inclusive).
-    pub fn ranged(
-        table: &'a StableTable,
-        delta: DeltaLayers<'a>,
+        segments: Vec<ScanSegment<'a>>,
         proj: Vec<usize>,
         bounds: ScanBounds,
-        io: IoTracker,
         clock: ScanClock,
     ) -> Self {
-        let range = table.sid_range(bounds.lo.as_deref(), bounds.hi.as_deref());
-        Self::open(table, delta, proj, range, Some(bounds), io, clock)
-    }
-
-    /// Block-range scan: blocks `[b0, b1)` of `table`, every column
-    /// projected, `delta` merged as [`fold_blocks`] describes.
-    fn blocks(
-        table: &'a StableTable,
-        delta: DeltaLayers<'a>,
-        b0: usize,
-        b1: usize,
-        io: IoTracker,
-    ) -> Self {
-        let range = ScanRange {
-            start: table.block_range(b0).0,
-            end: table.block_range(b1).0,
+        let types = match segments.first() {
+            Some(seg) => proj.iter().map(|&c| seg.stable.schema().vtype(c)).collect(),
+            None => Vec::new(),
         };
-        let proj = (0..table.num_columns()).collect();
-        Self::open(table, delta, proj, range, None, io, ScanClock::new())
-    }
-
-    /// The scan over the stable SIDs `range`: key-ranged when `bounds` is
-    /// given (by-key merges start and stop at the range's edge keys, and
-    /// clean scans skip blocks by zone map), a block range otherwise.
-    fn open(
-        table: &'a StableTable,
-        delta: DeltaLayers<'a>,
-        proj: Vec<usize>,
-        range: ScanRange,
-        bounds: Option<ScanBounds>,
-        io: IoTracker,
-        clock: ScanClock,
-    ) -> Self {
-        let keyed = bounds.is_some();
-        let bounds = bounds.unwrap_or_default();
-        let mut start_rid = range.start;
-        let mut counts = ScanCounts::default();
-        // a failed key probe ends the scan at its first `try_next_batch`;
-        // until then an empty key stands in for it
-        let mut failed = None;
-        let mut probe = |sid| {
-            probe_key(table, sid, &io, &mut counts).unwrap_or_else(|e| {
-                failed.get_or_insert(e);
-                Vec::new()
-            })
-        };
-        // by-key mergers of a key-ranged scan start at the range's first
-        // stable key, or at the very beginning (before any buffered row)
-        // for a scan from SID 0 or over a block range
-        let mut start_key = || (keyed && range.start != 0).then(|| probe(range.start));
-        let (state, path) = match delta {
-            DeltaLayers::None => (MergeState::None, MergePath::Clean),
-            DeltaLayers::Pdt(layers) => {
-                // stack the mergers: each layer starts where the previous
-                // layer's output begins
-                let mut mergers = Vec::with_capacity(layers.len());
-                let mut start = range.start;
-                for p in layers {
-                    let m = PdtMerger::new(p, start);
-                    start = m.next_rid();
-                    mergers.push(m);
-                }
-                start_rid = start;
-                (MergeState::Pdt(mergers), MergePath::PdtKernel)
-            }
-            DeltaLayers::Vdt(v) => (
-                MergeState::ByKey(ByKey::Vdt(Box::new(match start_key() {
-                    None => VdtMerger::new(v),
-                    Some(key) => VdtMerger::new_ranged(v, range.start, &key),
-                }))),
-                MergePath::VdtKernel,
-            ),
-            DeltaLayers::Rows(rb) => (
-                MergeState::ByKey(ByKey::Rows(Box::new(match start_key() {
-                    None => RowMerger::new(rb),
-                    Some(key) => RowMerger::new_ranged(rb, range.start, &key),
-                }))),
-                MergePath::RowsKernel,
-            ),
-        };
-        // a by-key merge also reads the sort-key columns, and a key-ranged
-        // one must know where to stop draining buffered rows: at the sort
-        // key of the first stable row past the range
-        let (io_cols, drain_upper) = match &state {
-            MergeState::ByKey(merger) => {
-                start_rid = merger.next_rid();
-                let upper = (keyed && range.end < table.row_count()).then(|| probe(range.end));
-                (value_io_cols(table, &proj), upper)
-            }
-            _ => (proj.clone(), None),
-        };
-        let drains_tail = keyed || range.end == table.row_count();
-        let mut zone_skipped = 0u64;
-        let (next_block, end_block) = if range.is_empty() {
-            (usize::MAX, 0)
-        } else {
-            let mut first = table.block_of(range.start);
-            let mut last = table.block_of(range.end.saturating_sub(1)) + 1;
-            if matches!(state, MergeState::None) {
-                let conservative = (last - first) as u64;
-                // Clean scans may skip blocks via the exact per-block
-                // min/max zone map: `sid_range` stays over-inclusive (one
-                // block early) so positionally patched scans never lose
-                // ghost-relative inserts, but with no differential layer a
-                // skipped block provably holds no qualifying row. Merging
-                // scans must keep the conservative range — their mergers
-                // consume blocks in SID order.
-                let (lo_b, hi_b) =
-                    table.block_range_for(bounds.lo.as_deref(), bounds.hi.as_deref());
-                first = first.max(lo_b);
-                last = last.min(hi_b);
-                // Every skipped leading row sorts below `lo`, so the rank
-                // of the scan's first (potential) output row — what DML
-                // insert positioning reads off `start_rid` — anchors at
-                // the first surviving block, or at the range's end when
-                // no block survives.
-                let anchor = if first >= table.num_blocks() {
-                    range.end
-                } else {
-                    table.block_range(first).0
-                };
-                start_rid = start_rid.max(anchor).min(range.end);
-                zone_skipped = conservative
-                    - if first < last {
-                        (last - first) as u64
-                    } else {
-                        0
-                    };
-            }
-            if first < last {
-                (first, last)
-            } else {
-                (usize::MAX, 0)
-            }
-        };
-        let finished = next_block == usize::MAX && matches!(state, MergeState::None);
-        let types: Vec<ValueType> = proj.iter().map(|&c| table.schema().vtype(c)).collect();
-        let bufs: Vec<ColumnVec> = io_cols
-            .iter()
-            .map(|&c| ColumnVec::new(table.schema().vtype(c)))
-            .collect();
-        let sk = match &state {
-            MergeState::ByKey(_) => KeyCols::locate(table.sort_key().cols(), &io_cols, &bufs),
-            _ => KeyCols::Borrowed(0..0),
-        };
-        TableScan {
-            table,
-            bufs,
-            spare: empty_cols(&types),
-            types,
-            sk,
+        let mut pending: VecDeque<ScanSegment<'a>> = segments.into();
+        let first = pending.pop_front();
+        let mut scan = TableScan {
             proj,
-            range,
-            io_cols,
-            state,
-            next_block,
-            end_block,
-            finished,
-            io,
+            types,
+            bounds,
             clock,
-            path,
-            drain_upper,
-            drains_tail,
-            failed,
-            start_rid,
+            merge: None,
+            rid_base: 0,
+            pending,
+            entered: false,
+            failed: None,
             rid_lo: 0,
             rid_hi: u64::MAX,
-            rid_base: 0,
-            pending: std::collections::VecDeque::new(),
-            done: false,
+            start_rid: 0,
             emitted: false,
-            bounds,
-            zone_skipped,
-            entered: false,
-            counts,
+            counts: ScanCounts::default(),
+        };
+        if let Some(seg) = first {
+            scan.open(seg);
         }
+        scan
     }
 
     /// What the scan has read and emitted so far.
@@ -552,116 +280,93 @@ impl<'a> TableScan<'a> {
         &self.counts
     }
 
-    /// Union scan over the ordered partitions of a range-partitioned
-    /// table: every segment is scanned with the same projection and
-    /// sort-key bounds (each partition resolves the bounds against its own
-    /// sparse index), and emitted RIDs are re-based by each segment's
-    /// `rid_base` so the union's output is globally rid-consecutive —
-    /// batch `rid_start`s continue across split points exactly as if the
-    /// table were one image. `segments` must be non-empty and ordered by
-    /// `rid_base`.
-    pub fn union(
-        mut segments: Vec<ScanSegment<'a>>,
-        proj: Vec<usize>,
-        bounds: ScanBounds,
-        clock: ScanClock,
-    ) -> Self {
-        assert!(!segments.is_empty(), "union scan needs ≥ 1 segment");
-        let rest: std::collections::VecDeque<ScanSegment<'a>> = segments.split_off(1).into();
-        let first = segments.pop().expect("non-empty");
-        let mut scan = TableScan::ranged(first.stable, first.layers, proj, bounds, first.io, clock);
-        scan.rid_base = first.rid_base;
-        scan.start_rid += first.rid_base;
-        scan.pending = rest;
-        scan
+    /// Make `seg` the current partition (`merge` is `None` before). Its key
+    /// probes join the scan's counts; until a row is emitted, its rank is
+    /// the scan's `start_rid` (earlier segments whose ranges resolved
+    /// empty do not pin theirs).
+    fn open(&mut self, seg: ScanSegment<'a>) {
+        let range = (seg.stable).sid_range(self.bounds.lo.as_deref(), self.bounds.hi.as_deref());
+        self.entered = false;
+        self.rid_base = seg.rid_base;
+        match MergeScan::open(
+            seg.stable,
+            seg.layers,
+            self.proj.clone(),
+            range,
+            Some(&self.bounds),
+            seg.io,
+            &mut self.counts,
+        ) {
+            Ok(merge) => {
+                if !self.emitted {
+                    self.start_rid = seg.rid_base + merge.start_rid();
+                }
+                self.merge = Some(merge);
+            }
+            Err(e) => self.failed = Some(e),
+        }
     }
 
-    /// Drop the current segment and re-initialise the scan over the next
-    /// pending one (preserving the global rid window and, once any row
-    /// has been emitted, `start_rid`). Returns `false` when no segment
-    /// remains. Segments that end at or before the window's lower edge
-    /// are skipped without touching their blocks — the per-partition
-    /// clamp that keeps rid-window scans from paying for partitions
-    /// wholly outside the window.
-    fn advance_segment(&mut self) -> bool {
-        loop {
-            let Some(seg) = self.pending.pop_front() else {
-                return false;
-            };
+    /// Open the next pending partition (`merge` is `None` when none
+    /// remains). Partitions that end at or before the rid window's lower
+    /// edge are skipped without touching their blocks — the per-partition
+    /// clamp that keeps rid-window scans from paying for partitions wholly
+    /// outside the window.
+    fn advance(&mut self) {
+        // the current partition goes, and with it any error it opened with
+        self.merge = None;
+        self.failed = None;
+        while let Some(seg) = self.pending.pop_front() {
             // this segment spans [seg.rid_base, next.rid_base): skip it
             // when the window starts at or past its end
-            if let Some(next) = self.pending.front() {
-                if next.rid_base <= self.rid_lo {
-                    continue;
-                }
+            if self
+                .pending
+                .front()
+                .is_none_or(|next| next.rid_base > self.rid_lo)
+            {
+                self.open(seg);
+                return;
             }
-            let mut fresh = TableScan::ranged(
-                seg.stable,
-                seg.layers,
-                std::mem::take(&mut self.proj),
-                self.bounds.clone(),
-                seg.io,
-                self.clock.clone(),
-            );
-            // the fresh segment's key probes join the union's counts
-            let probes = fresh.counts.io;
-            fresh.counts = self.counts;
-            fresh.counts.charge(probes);
-            fresh.rid_base = seg.rid_base;
-            fresh.rid_lo = self.rid_lo;
-            fresh.rid_hi = self.rid_hi;
-            // start_rid is the rank of the first row the *union* would
-            // emit: while earlier segments emitted nothing (their ranges
-            // resolved empty), the fresh segment's rank supersedes theirs
-            fresh.start_rid = if self.emitted {
-                self.start_rid
-            } else {
-                seg.rid_base + fresh.start_rid
-            };
-            fresh.emitted = self.emitted;
-            fresh.pending = std::mem::take(&mut self.pending);
-            *self = fresh;
-            return true;
         }
     }
 
     /// Restrict the scan's *output* to the visible positions `[lo, hi)`
-    /// (global positions for a partition union). Batches before the window
-    /// are skipped, the batch straddling an edge is sliced, and the scan
-    /// finishes as soon as it passes `hi`. Block I/O within the window is
-    /// unchanged: positions only map to blocks directly when no delta is
-    /// merged, so the clamp trims rows, not reads — every block from the
-    /// segment's first up to the window's end is decoded. That is why
-    /// positional DML does not find its rows this way on a positional
-    /// table ([`gather_rows`](crate::gather_rows) walks the PDT instead);
-    /// the clamp remains the by-key arm of that gather, and the window
-    /// form of a read scan. For a union the window is clamped **per
-    /// partition**: each segment's batches are re-based to global RIDs
-    /// before clipping, a window straddling a split point takes the tail
-    /// of one partition and the head of the next, and partitions wholly
-    /// below the window are skipped without any block I/O.
+    /// (global positions). Batches before the window are skipped, the
+    /// batch straddling an edge is sliced, and the scan finishes as soon
+    /// as it passes `hi`. Block I/O within the window is unchanged:
+    /// positions only map to blocks directly when no delta is merged, so
+    /// the clamp trims rows, not reads — every block from the segment's
+    /// first up to the window's end is decoded. That is why positional DML
+    /// does not find its rows this way on a positional table
+    /// ([`gather_rows`](crate::gather_rows) walks the PDT instead); the
+    /// clamp remains the by-key arm of that gather, and the window form of
+    /// a read scan. The window is clamped **per partition**: each
+    /// segment's batches are re-based to global RIDs before clipping, a
+    /// window straddling a split point takes the tail of one partition
+    /// and the head of the next, and partitions wholly below the window
+    /// are skipped without any block I/O.
     pub fn clamp_rids(&mut self, lo: u64, hi: u64) {
         self.rid_lo = lo;
         self.rid_hi = hi;
         // the current segment spans [rid_base, next.rid_base): when the
         // window starts at or past its end, replace it unscanned (and
-        // uncounted) — `advance_segment` skips any further wholly-below
-        // segments too, and never the last one
+        // uncounted) — `advance` skips any further wholly-below segments
+        // too, and never the last one
         if self.pending.front().is_some_and(|next| next.rid_base <= lo) {
-            self.advance_segment();
+            self.advance();
         }
     }
 
     /// Slice `b` (already re-based to global RIDs) to the rid window;
-    /// `None` means "outside, keep going" — unless the scan was marked
-    /// done by passing the window's end.
+    /// `None` means "outside, keep going" — unless the scan was ended by
+    /// passing the window's end.
     fn clip_to_window(&mut self, b: Batch) -> Option<Batch> {
         let start = b.rid_start;
         let end = start + b.num_rows() as u64;
         if start >= self.rid_hi {
             // every later batch — and every later partition — is past the
             // window: the whole union is done, not just this segment
-            self.done = true;
+            self.merge = None;
             return None;
         }
         if end <= self.rid_lo {
@@ -684,182 +389,66 @@ impl<'a> TableScan<'a> {
     }
 
     /// RID of the first row this scan would emit: the rank of the scan
-    /// range's start in the visible (merged) image. Valid even when the
-    /// whole range is ghosted and the scan emits nothing — the property
-    /// insert-positioning DML depends on.
+    /// range's start in the visible (merged) image, global for a
+    /// partitioned table. Valid even when the whole range is ghosted and
+    /// the scan emits nothing — the property insert-positioning DML
+    /// depends on.
     pub fn start_rid(&self) -> u64 {
         self.start_rid
     }
 
-    /// Decode the scan's columns for block `b` into `self.bufs`, clipped
-    /// in place to the scan range. Returns the SID of the first row kept
-    /// and how many rows were.
-    fn read_block(&mut self, b: usize) -> Result<(u64, usize), ColumnarError> {
-        let (bstart, bend) = self.table.block_range(b);
-        let lo = self.range.start.max(bstart);
-        let hi = self.range.end.min(bend);
-        for (buf, &c) in self.bufs.iter_mut().zip(&self.io_cols) {
-            self.table.read_block_into(c, b, &self.io, buf)?;
-            if (lo, hi) != (bstart, bend) {
-                // representation-preserving: coded blocks stay coded
-                buf.retain_range((lo - bstart) as usize, (hi - bstart) as usize);
+    /// [`Operator::next_batch`] with the errors of the scan's block reads
+    /// and key probes returned instead of raised: a block whose payload
+    /// fails to decode ends the scan with its [`ColumnarError`].
+    pub fn try_next_batch(&mut self) -> Result<Option<Batch>, ColumnarError> {
+        // a batch may be legitimately empty mid-stream (fully deleted
+        // block): loop — not recurse — to the next one, so a long run of
+        // ghosted blocks (common right before a checkpoint retires heavy
+        // deletes) cannot grow the stack with the table
+        loop {
+            if let Some(e) = self.failed.take() {
+                return Err(e);
             }
-        }
-        self.counts.blocks_decoded += 1;
-        self.counts.charge(block_io(self.table, &self.io_cols, b));
-        Ok((lo, (hi - lo) as usize))
-    }
-
-    /// Push the block of `len` rows in `cols` (SIDs from `start`) through
-    /// the PDT layers `mergers`, bottom first — each layer's output RIDs
-    /// are the next layer's SIDs. Each layer classifies the block for
-    /// itself: one that has no entry in its span leaves `cols` exactly as it
-    /// found them. Returns the RID of the merged block's first row.
-    fn feed_pdt(
-        mergers: &mut [PdtMerger<'a>],
-        proj: &[usize],
-        mut start: u64,
-        mut len: usize,
-        cols: &mut [ColumnVec],
-        spare: &mut [ColumnVec],
-    ) -> u64 {
-        for m in mergers.iter_mut() {
-            let rid0 = m.next_rid();
-            m.merge_block_owned(start, len, proj, cols, spare);
-            start = rid0;
-            len = (m.next_rid() - rid0) as usize;
-        }
-        start
-    }
-
-    /// Drain trailing inserts of every PDT layer (after the last block).
-    fn finish_pdt(&mut self) -> Option<Batch> {
-        let MergeState::Pdt(ref mut mergers) = self.state else {
-            return None;
-        };
-        if !self.drains_tail {
-            return None;
-        }
-        let mut collected = empty_cols(&self.types);
-        let mut rid_start = None;
-        let mut end = self.range.end;
-        for k in 0..mergers.len() {
-            // drain layer k at its input end, then push the drained rows
-            // through the layers above it
-            let rid0 = mergers[k].next_rid();
-            let mut drained = empty_cols(&self.types);
-            mergers[k].drain_inserts_at(end, &self.proj, &mut drained);
-            end = mergers[k].next_rid(); // input end for layer k+1
-            if end > rid0 {
-                let r0 = Self::feed_pdt(
-                    &mut mergers[k + 1..],
-                    &self.proj,
-                    rid0,
-                    (end - rid0) as usize,
-                    &mut drained,
-                    &mut self.spare,
-                );
-                rid_start.get_or_insert(r0);
-                for (o, c) in collected.iter_mut().zip(&drained) {
-                    o.extend_range(c, 0, c.len());
+            let Some(merge) = &mut self.merge else {
+                return Ok(None);
+            };
+            if !self.entered {
+                self.entered = true;
+                self.counts.segments += 1;
+                self.counts.paths[merge.path() as usize] += 1;
+                self.counts.blocks_skipped += merge.zone_skipped();
+            }
+            let t0 = Instant::now();
+            let out = merge.next_batch(&mut self.counts);
+            self.counts.wall_ns += self.clock.charge(t0);
+            let mut b = match out {
+                Ok(Some(b)) => b,
+                // current segment exhausted: next partition, if any
+                Ok(None) => {
+                    self.advance();
+                    continue;
                 }
+                Err(e) => {
+                    self.merge = None;
+                    return Err(e);
+                }
+            };
+            if b.is_empty() {
+                continue;
+            }
+            // partition-local → global RIDs, then clip globally
+            b.rid_start += self.rid_base;
+            self.emitted = true;
+            // dictionary-coded string columns leave the scan as codes:
+            // merge, clipping and stacking ran on u32 codes, and a string
+            // is decoded only where an operator reads it
+            if let Some(clipped) = self.clip_to_window(b) {
+                self.counts.batches += 1;
+                self.counts.rows += clipped.num_rows() as u64;
+                return Ok(Some(clipped));
             }
         }
-        if collected[0].is_empty() {
-            None
-        } else {
-            Some(Batch {
-                cols: collected,
-                rid_start: rid_start.unwrap_or(0),
-            })
-        }
     }
-}
-
-/// One empty column per type.
-fn empty_cols(types: &[ValueType]) -> Vec<ColumnVec> {
-    types.iter().map(|&t| ColumnVec::new(t)).collect()
-}
-
-/// Move the columns out as a batch's, leaving empty ones of the same
-/// representation behind.
-fn take_cols(cols: &mut [ColumnVec]) -> Vec<ColumnVec> {
-    cols.iter_mut()
-        .map(|c| {
-            let empty = c.empty_like();
-            std::mem::replace(c, empty)
-        })
-        .collect()
-}
-
-/// Columns a value-based merge must read: the projection plus every
-/// sort-key column (the tax positional merging avoids).
-fn value_io_cols(table: &StableTable, proj: &[usize]) -> Vec<usize> {
-    let mut io_cols = proj.to_vec();
-    for &c in table.sort_key().cols() {
-        if !io_cols.contains(&c) {
-            io_cols.push(c);
-        }
-    }
-    io_cols
-}
-
-/// What reading block `b` of columns `cols` charges a tracker.
-fn block_io(table: &StableTable, cols: &[usize], b: usize) -> IoStats {
-    IoStats {
-        blocks_read: cols.len() as u64,
-        bytes_read: cols
-            .iter()
-            .map(|&c| table.column_blocks(c)[b].stored_bytes())
-            .sum(),
-    }
-}
-
-/// Sort key of stable row `sid` (a ranged by-key merge's start or drain
-/// bound), read through `io` and charged to `counts` as well.
-fn probe_key(
-    table: &StableTable,
-    sid: u64,
-    io: &IoTracker,
-    counts: &mut ScanCounts,
-) -> Result<Vec<Value>, ColumnarError> {
-    let key = table.sk_of_row(sid, io)?;
-    counts.charge(block_io(
-        table,
-        table.sort_key().cols(),
-        table.block_of(sid),
-    ));
-    Ok(key)
-}
-
-/// Fold `layers` into blocks `[b0, b1)` of `stable`: the block-range scan
-/// (`TableScan::blocks`, every column) streamed into
-/// [`TableBuilder::splice`], which keeps every other block's encoded
-/// payload. This is the merge of every maintenance step of every update
-/// policy — a checkpoint is the range over every block — and it runs the
-/// kernels a query's MergeScan runs.
-///
-/// `layers` is what addresses the blocks. A PDT stack is passed as pinned:
-/// it is merged from SID `s0` (inserts there included), and its inserts at
-/// `s1` drain only when `s1` is the row count — below that they precede
-/// block `b1`. A by-key structure is passed already cut to the range's
-/// key window: it is merged from its front, since a window insert may sort
-/// between block `b0 − 1`'s last key and block `b0`'s first, and drained
-/// whole. Block reads are charged to `io`; a block that fails to decode
-/// returns its error.
-pub fn fold_blocks(
-    stable: &StableTable,
-    layers: DeltaLayers<'_>,
-    b0: usize,
-    b1: usize,
-    io: &IoTracker,
-) -> Result<StableTable, ColumnarError> {
-    let mut builder = TableBuilder::splice(stable, b0, b1)?;
-    let mut scan = TableScan::blocks(stable, layers, b0, b1, io.clone());
-    while let Some(batch) = scan.try_next_batch()? {
-        builder.append_cols(&batch.cols)?;
-    }
-    builder.finish()
 }
 
 impl<'a> Operator for TableScan<'a> {
@@ -875,161 +464,11 @@ impl<'a> Operator for TableScan<'a> {
     }
 }
 
-impl<'a> TableScan<'a> {
-    /// [`Operator::next_batch`] with the errors of the scan's block reads
-    /// and key probes returned instead of raised: a block whose payload
-    /// fails to decode ends the scan with its [`ColumnarError`].
-    pub fn try_next_batch(&mut self) -> Result<Option<Batch>, ColumnarError> {
-        // a batch may be legitimately empty mid-stream (fully deleted
-        // block): loop — not recurse — to the next one, so a long run of
-        // ghosted blocks (common right before a checkpoint retires heavy
-        // deletes) cannot grow the stack with the table
-        loop {
-            if let Some(e) = self.failed.take() {
-                self.done = true;
-                return Err(e);
-            }
-            if self.done {
-                return Ok(None);
-            }
-            if !self.entered {
-                self.entered = true;
-                self.counts.segments += 1;
-                self.counts.paths[self.path as usize] += 1;
-                self.counts.blocks_skipped += self.zone_skipped;
-            }
-            if self.finished {
-                // current segment exhausted: next partition, if any
-                if !self.advance_segment() {
-                    self.done = true;
-                    return Ok(None);
-                }
-                continue;
-            }
-            let t0 = Instant::now();
-            let out = self.produce();
-            self.counts.wall_ns += self.clock.charge(t0);
-            let Some(mut b) = out.inspect_err(|_| self.done = true)? else {
-                continue; // `produce` marked the segment finished
-            };
-            if b.is_empty() {
-                continue;
-            }
-            // partition-local → global RIDs, then clip globally
-            b.rid_start += self.rid_base;
-            self.emitted = true;
-            match self.clip_to_window(b) {
-                // dictionary-coded string columns leave the scan as codes:
-                // merge, clipping and stacking ran on u32 codes, and a
-                // string is decoded only where an operator reads it
-                Some(clipped) => {
-                    self.counts.batches += 1;
-                    self.counts.rows += clipped.num_rows() as u64;
-                    return Ok(Some(clipped));
-                }
-                None => continue,
-            }
-        }
-    }
-
-    fn produce(&mut self) -> Result<Option<Batch>, ColumnarError> {
-        Ok('produce: {
-            // blocks remaining?
-            if self.next_block != usize::MAX && self.next_block < self.end_block {
-                let b = self.next_block;
-                self.next_block += 1;
-                let (start_sid, len) = self.read_block(b)?;
-                match &mut self.state {
-                    MergeState::None => {
-                        break 'produce Some(Batch {
-                            cols: take_cols(&mut self.bufs),
-                            rid_start: start_sid,
-                        });
-                    }
-                    MergeState::Pdt(mergers) => {
-                        let rid0 = Self::feed_pdt(
-                            mergers,
-                            &self.proj,
-                            start_sid,
-                            len,
-                            &mut self.bufs,
-                            &mut self.spare,
-                        );
-                        let cols = take_cols(&mut self.bufs);
-                        // a layer that had to copy left the decode buffers
-                        // in `spare`: the next block decodes into them
-                        std::mem::swap(&mut self.bufs, &mut self.spare);
-                        break 'produce Some(Batch {
-                            cols,
-                            rid_start: rid0,
-                        });
-                    }
-                    MergeState::ByKey(merger) => {
-                        // the decoded columns are the projection, then any
-                        // sort-key column the projection lacks
-                        let cols_in = &self.bufs[..self.proj.len()];
-                        let sk_in: &[ColumnVec] = match &mut self.sk {
-                            KeyCols::Borrowed(at) => &self.bufs[at.clone()],
-                            KeyCols::Gathered { at, scratch } => {
-                                for (s, &p) in scratch.iter_mut().zip(at.iter()) {
-                                    s.reset_like(&self.bufs[p]);
-                                    s.extend_range(&self.bufs[p], 0, len);
-                                }
-                                scratch
-                            }
-                        };
-                        // coded inputs get coded outputs so the merge stays
-                        // on the u32 path
-                        for (s, c) in self.spare.iter_mut().zip(cols_in) {
-                            s.reset_like(c);
-                        }
-                        let rid0 = merger.next_rid();
-                        merger.merge_block(len, &self.proj, sk_in, cols_in, &mut self.spare);
-                        break 'produce Some(Batch {
-                            cols: take_cols(&mut self.spare),
-                            rid_start: rid0,
-                        });
-                    }
-                }
-            }
-            // blocks exhausted: drain pending inserts once
-            self.finished = true;
-            match &mut self.state {
-                MergeState::None => None,
-                MergeState::Pdt(_) => {
-                    break 'produce self.finish_pdt();
-                }
-                MergeState::ByKey(merger) => {
-                    // coded like the stable columns: a drained string the
-                    // dictionary holds stays a code, as merged ones do
-                    let mut out: Vec<ColumnVec> = (self.proj.iter())
-                        .map(|&c| match self.table.column_dict(c) {
-                            Some(dict) => ColumnVec::new_coded(dict.clone()),
-                            None => ColumnVec::new(self.table.schema().vtype(c)),
-                        })
-                        .collect();
-                    let rid0 = merger.next_rid();
-                    merger.drain_inserts(self.drain_upper.as_deref(), &self.proj, &mut out);
-                    if out[0].is_empty() {
-                        None
-                    } else {
-                        Some(Batch {
-                            cols: out,
-                            rid_start: rid0,
-                        })
-                    }
-                }
-            }
-        })
-    }
-}
-
-impl std::fmt::Debug for TableScan<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for TableScan<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TableScan")
             .field("proj", &self.proj)
-            .field("range", &self.range)
-            .field("path", &self.path)
+            .field("merge", &self.merge)
             .finish()
     }
 }
@@ -1039,7 +478,7 @@ mod tests {
     use super::*;
     use crate::ops::run_to_rows;
     use columnar::image::{decode_image, encode_image};
-    use columnar::{Encoding, Schema, TableMeta, TableOptions, Tuple};
+    use columnar::{Encoding, ScanRange, Schema, TableMeta, TableOptions, Tuple};
     use pdt::checkpoint::merge_rows;
 
     fn schema() -> Schema {
@@ -1074,6 +513,24 @@ mod tests {
         .unwrap()
     }
 
+    /// The scan of one unpartitioned image: a single segment at base 0.
+    fn one_segment<'a>(
+        stable: &'a StableTable,
+        layers: DeltaLayers<'a>,
+        proj: Vec<usize>,
+        bounds: ScanBounds,
+        io: IoTracker,
+        clock: ScanClock,
+    ) -> TableScan<'a> {
+        let seg = ScanSegment {
+            stable,
+            layers,
+            rid_base: 0,
+            io,
+        };
+        TableScan::new(vec![seg], proj, bounds, clock)
+    }
+
     fn updated_pdt() -> Pdt {
         let mut p = Pdt::new(schema(), vec![0]);
         p.add_insert(
@@ -1097,7 +554,14 @@ mod tests {
         let t = table(20);
         let io = IoTracker::new();
         let clock = ScanClock::new();
-        let mut scan = TableScan::new(&t, DeltaLayers::None, vec![0, 1, 2], io, clock.clone());
+        let mut scan = one_segment(
+            &t,
+            DeltaLayers::None,
+            vec![0, 1, 2],
+            ScanBounds::default(),
+            io,
+            clock.clone(),
+        );
         assert_eq!(run_to_rows(&mut scan), rows(20));
         assert!(clock.nanos() > 0);
     }
@@ -1107,10 +571,11 @@ mod tests {
         let t = table(20);
         let p = updated_pdt();
         let io = IoTracker::new();
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Pdt(vec![&p]),
             vec![0, 1, 2],
+            ScanBounds::default(),
             io,
             ScanClock::new(),
         );
@@ -1133,10 +598,11 @@ mod tests {
         );
         let want = merge_rows(&mid, &upper);
         let io = IoTracker::new();
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Pdt(vec![&lower, &upper]),
             vec![0, 1, 2],
+            ScanBounds::default(),
             io,
             ScanClock::new(),
         );
@@ -1157,10 +623,11 @@ mod tests {
         v.insert(vec![Value::Int(999), Value::Int(0), Value::Str("t".into())]);
         let want = v.merge_rows(&rows(20));
         let io = IoTracker::new();
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Vdt(&v),
             vec![0, 1, 2],
+            ScanBounds::default(),
             io,
             ScanClock::new(),
         );
@@ -1182,10 +649,11 @@ mod tests {
         b.insert(vec![Value::Int(999), Value::Int(0), Value::Str("t".into())]);
         let want = b.merge_rows(&base);
         let io = IoTracker::new();
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Rows(&b),
             vec![0, 1, 2],
+            ScanBounds::default(),
             io,
             ScanClock::new(),
         );
@@ -1199,7 +667,7 @@ mod tests {
         b.delete_key(&[Value::Int(200)]);
         b.insert(vec![Value::Int(195), Value::Int(0), Value::Str("g".into())]);
         let io = IoTracker::new();
-        let mut scan = TableScan::ranged(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Rows(&b),
             vec![0],
@@ -1221,19 +689,21 @@ mod tests {
         let b = RowBuffer::new(schema(), vec![0]);
         let p = Pdt::new(schema(), vec![0]);
         let io_pdt = IoTracker::new();
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Pdt(vec![&p]),
             vec![1],
+            ScanBounds::default(),
             io_pdt.clone(),
             ScanClock::new(),
         );
         while scan.next_batch().is_some() {}
         let io_rows = IoTracker::new();
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Rows(&b),
             vec![1],
+            ScanBounds::default(),
             io_rows.clone(),
             ScanClock::new(),
         );
@@ -1253,19 +723,21 @@ mod tests {
         let v = Vdt::new(schema(), vec![0]);
         // project only column 1 (not the sort key)
         let io_pdt = IoTracker::new();
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Pdt(vec![&p]),
             vec![1],
+            ScanBounds::default(),
             io_pdt.clone(),
             ScanClock::new(),
         );
         while scan.next_batch().is_some() {}
         let io_vdt = IoTracker::new();
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Vdt(&v),
             vec![1],
+            ScanBounds::default(),
             io_vdt.clone(),
             ScanClock::new(),
         );
@@ -1292,7 +764,7 @@ mod tests {
             &[Value::Int(195), Value::Int(0), Value::Str("g".into())],
         );
         let io = IoTracker::new();
-        let mut scan = TableScan::ranged(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Pdt(vec![&p]),
             vec![0],
@@ -1325,7 +797,7 @@ mod tests {
         let in_range = |r: &Tuple| (200..=250).contains(&r[0].as_int());
         let p = Pdt::new(schema(), vec![0]);
         let io_merged = IoTracker::new();
-        let mut merged = TableScan::ranged(
+        let mut merged = one_segment(
             &t,
             DeltaLayers::Pdt(vec![&p]),
             vec![0, 1, 2],
@@ -1338,7 +810,7 @@ mod tests {
             .filter(|r| in_range(r))
             .collect();
         let io_clean = IoTracker::new();
-        let mut clean = TableScan::ranged(
+        let mut clean = one_segment(
             &t,
             DeltaLayers::None,
             vec![0, 1, 2],
@@ -1368,7 +840,7 @@ mod tests {
     fn clean_ranged_scan_start_rid_anchors_past_skipped_blocks() {
         let t = table(40); // keys 0..390
                            // lo beyond every key: all blocks skipped, rank = row count
-        let mut scan = TableScan::ranged(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::None,
             vec![0],
@@ -1383,7 +855,7 @@ mod tests {
         assert_eq!(scan.start_rid(), 40);
         // lo mid-table: rank anchors at the first surviving block, which
         // is also the first emitted row
-        let mut scan = TableScan::ranged(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::None,
             vec![0],
@@ -1406,7 +878,7 @@ mod tests {
         v.delete(&[Value::Int(200)]);
         v.insert(vec![Value::Int(195), Value::Int(0), Value::Str("g".into())]);
         let io = IoTracker::new();
-        let mut scan = TableScan::ranged(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Vdt(&v),
             vec![0],
@@ -1428,18 +900,20 @@ mod tests {
         let p = updated_pdt();
         for (lo, hi) in [(0u64, 21u64), (3, 9), (0, 1), (19, 21), (7, 7)] {
             let io = IoTracker::new();
-            let mut full = TableScan::new(
+            let mut full = one_segment(
                 &t,
                 DeltaLayers::Pdt(vec![&p]),
                 vec![0, 1, 2],
+                ScanBounds::default(),
                 io.clone(),
                 ScanClock::new(),
             );
             let all = run_to_rows(&mut full);
-            let mut clamped = TableScan::new(
+            let mut clamped = one_segment(
                 &t,
                 DeltaLayers::Pdt(vec![&p]),
                 vec![0, 1, 2],
+                ScanBounds::default(),
                 io.clone(),
                 ScanClock::new(),
             );
@@ -1511,25 +985,27 @@ mod tests {
         let (p0, p1, d0, d1) = two_partition_fixture();
         // per-partition reference scans
         let io = IoTracker::new();
-        let mut s0 = TableScan::new(
+        let mut s0 = one_segment(
             &p0,
             DeltaLayers::Pdt(vec![&d0]),
             vec![0, 1, 2],
+            ScanBounds::default(),
             io.clone(),
             ScanClock::new(),
         );
         let mut want = run_to_rows(&mut s0);
         let part0_visible = want.len() as u64;
-        let mut s1 = TableScan::new(
+        let mut s1 = one_segment(
             &p1,
             DeltaLayers::Pdt(vec![&d1]),
             vec![0, 1, 2],
+            ScanBounds::default(),
             io.clone(),
             ScanClock::new(),
         );
         want.extend(run_to_rows(&mut s1));
 
-        let mut union = TableScan::union(
+        let mut union = TableScan::new(
             vec![
                 ScanSegment {
                     stable: &p0,
@@ -1572,7 +1048,7 @@ mod tests {
     #[test]
     fn union_start_rid_tracks_first_emitting_segment() {
         let (p0, p1, d0, d1) = two_partition_fixture();
-        let mut scan = TableScan::union(
+        let mut scan = TableScan::new(
             fixture_segments(&p0, &p1, &d0, &d1, &IoTracker::new()),
             vec![0, 1, 2],
             ScanBounds {
@@ -1628,7 +1104,7 @@ mod tests {
     fn union_rid_clamp_straddles_partition_split() {
         let (p0, p1, d0, d1) = two_partition_fixture();
         let full = {
-            let mut scan = TableScan::union(
+            let mut scan = TableScan::new(
                 fixture_segments(&p0, &p1, &d0, &d1, &IoTracker::new()),
                 vec![0, 1, 2],
                 ScanBounds::default(),
@@ -1649,7 +1125,7 @@ mod tests {
             (5, 7),
         ] {
             let io = IoTracker::new();
-            let mut scan = TableScan::union(
+            let mut scan = TableScan::new(
                 fixture_segments(&p0, &p1, &d0, &d1, &io),
                 vec![0, 1, 2],
                 ScanBounds::default(),
@@ -1678,10 +1154,11 @@ mod tests {
                 // window inside partition 1 must read exactly what a
                 // scan of partition 1 alone (locally clamped) reads
                 let ref_io = IoTracker::new();
-                let mut ref_scan = TableScan::new(
+                let mut ref_scan = one_segment(
                     &p1,
                     DeltaLayers::Pdt(vec![&d1]),
                     vec![0, 1, 2],
+                    ScanBounds::default(),
                     ref_io.clone(),
                     ScanClock::new(),
                 );
@@ -1704,10 +1181,11 @@ mod tests {
         let t = table(20);
         let p = updated_pdt();
         let io = IoTracker::new();
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Pdt(vec![&p]),
             vec![0],
+            ScanBounds::default(),
             io,
             ScanClock::new(),
         );
@@ -1762,10 +1240,11 @@ mod tests {
         let p = shaped_pdt();
         let want = merge_rows(&rows(32), &p);
         for proj in [vec![0, 1, 2], vec![2], vec![1, 0]] {
-            let mut scan = TableScan::new(
+            let mut scan = one_segment(
                 &t,
                 DeltaLayers::Pdt(vec![&p]),
                 proj.clone(),
+                ScanBounds::default(),
                 IoTracker::new(),
                 ScanClock::new(),
             );
@@ -1807,27 +1286,40 @@ mod tests {
         let at = (end as i64 + trans.delta_total()) as u64;
         trans.add_insert(end, at, &ins_row(9999));
         let want = merge_rows(&after_write, &trans);
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &t,
             DeltaLayers::Pdt(vec![&read, &write, &trans]),
             vec![0, 1, 2],
+            ScanBounds::default(),
             IoTracker::new(),
             ScanClock::new(),
         );
         assert_eq!(run_to_rows(&mut scan), want);
     }
 
-    /// Narrow a freshly built single-layer PDT scan to the SID range
-    /// `[start, end)`. The sparse index only ever resolves block-aligned
-    /// ranges, so this is the one way to a scan whose first and last
-    /// blocks are clipped.
-    fn clip_to_sids<'a>(scan: &mut TableScan<'a>, p: &'a Pdt, start: u64, end: u64) {
-        scan.range = ScanRange { start, end };
-        scan.next_block = scan.table.block_of(start);
-        scan.end_block = scan.table.block_of(end - 1) + 1;
-        let merger = PdtMerger::new(p, start);
-        scan.start_rid = merger.next_rid();
-        scan.state = MergeState::Pdt(vec![merger]);
+    /// Narrow a freshly built scan of `t` to its single-layer PDT scan
+    /// over the SID range `[start, end)`. The sparse index only ever
+    /// resolves block-aligned ranges, so this is the one way to a scan
+    /// whose first and last blocks are clipped.
+    fn clip_to_sids<'a>(
+        scan: &mut TableScan<'a>,
+        t: &'a StableTable,
+        p: &'a Pdt,
+        start: u64,
+        end: u64,
+    ) {
+        let merge = MergeScan::open(
+            t,
+            DeltaLayers::Pdt(vec![p]),
+            scan.proj.clone(),
+            ScanRange { start, end },
+            Some(&scan.bounds),
+            IoTracker::new(),
+            &mut scan.counts,
+        )
+        .unwrap();
+        scan.start_rid = merge.start_rid();
+        scan.merge = Some(merge);
     }
 
     /// A scan whose first and last blocks are clipped to the range: the
@@ -1853,14 +1345,15 @@ mod tests {
             let first = p.rid_of_stable(6).0 as usize;
             let last = p.rid_of_stable(26).0 as usize;
             let want = &merged[first..=last];
-            let mut scan = TableScan::new(
+            let mut scan = one_segment(
                 &t,
                 DeltaLayers::Pdt(vec![p]),
                 vec![0, 1, 2],
+                ScanBounds::default(),
                 IoTracker::new(),
                 ScanClock::new(),
             );
-            clip_to_sids(&mut scan, p, 6, 27);
+            clip_to_sids(&mut scan, &t, p, 6, 27);
             assert_eq!(scan.start_rid(), first as u64);
             let first_batch = scan.next_batch().expect("clipped head block");
             assert_eq!(first_batch.rid_start, first as u64);
@@ -1906,18 +1399,20 @@ mod tests {
                         .map(|r| proj.iter().map(|&c| r[c].clone()).collect())
                         .collect()
                 };
-                let mut scan = TableScan::new(
+                let mut scan = one_segment(
                     &t,
                     DeltaLayers::Vdt(&v),
                     proj.clone(),
+                    ScanBounds::default(),
                     IoTracker::new(),
                     ScanClock::new(),
                 );
                 assert_eq!(run_to_rows(&mut scan), project(v.merge_rows(&base)));
-                let mut scan = TableScan::new(
+                let mut scan = one_segment(
                     &t,
                     DeltaLayers::Rows(&b),
                     proj.clone(),
+                    ScanBounds::default(),
                     IoTracker::new(),
                     ScanClock::new(),
                 );
@@ -2182,10 +1677,11 @@ mod tests {
         }
         assert!(fold_blocks(&bad, DeltaLayers::Pdt(vec![&p]), 3, 5, &io).is_ok());
         // a query scan ends with the error, then stays done
-        let mut scan = TableScan::new(
+        let mut scan = one_segment(
             &bad,
             DeltaLayers::None,
             vec![0, 1],
+            ScanBounds::default(),
             io.clone(),
             ScanClock::new(),
         );
@@ -2197,7 +1693,7 @@ mod tests {
         ));
         assert!(scan.try_next_batch().unwrap().is_none());
         // so does a ranged by-key scan, whose key probes may hit it first
-        let mut scan = TableScan::ranged(
+        let scan = one_segment(
             &bad,
             DeltaLayers::Vdt(&v),
             vec![1],
@@ -2205,9 +1701,38 @@ mod tests {
                 lo: Some(vec![Value::Int(90)]),
                 hi: Some(vec![Value::Int(110)]),
             },
-            io,
+            io.clone(),
             ScanClock::new(),
         );
+        ends_corrupt(scan, "one segment, by key");
+        // ... and a union whose later partition holds the block, plain or
+        // key-ranged by key (that partition's start probe reads it)
+        for by_key in [false, true] {
+            let layers = || match by_key {
+                true => DeltaLayers::Vdt(&v),
+                false => DeltaLayers::None,
+            };
+            let seg = |stable, rid_base| ScanSegment {
+                stable,
+                layers: layers(),
+                rid_base,
+                io: io.clone(),
+            };
+            let bounds = match by_key {
+                true => ScanBounds {
+                    lo: Some(vec![Value::Int(120)]),
+                    hi: Some(vec![Value::Int(130)]),
+                },
+                false => ScanBounds::default(),
+            };
+            let segments = vec![seg(&t, 0), seg(&bad, 20 + by_key as u64)];
+            let scan = TableScan::new(segments, vec![0, 1], bounds, ScanClock::new());
+            ends_corrupt(scan, &format!("second segment, by key: {by_key}"));
+        }
+    }
+
+    /// Drain `scan` to its error: `Corrupt`, after which the scan is over.
+    fn ends_corrupt(mut scan: TableScan<'_>, what: &str) {
         let failed = loop {
             match scan.try_next_batch() {
                 Ok(Some(_)) => continue,
@@ -2217,8 +1742,9 @@ mod tests {
         };
         assert!(
             matches!(failed, Some(ColumnarError::Corrupt(_))),
-            "{failed:?}"
+            "{what}: {failed:?}"
         );
+        assert!(scan.try_next_batch().unwrap().is_none(), "{what}");
     }
 
     // -----------------------------------------------------------------
@@ -2275,16 +1801,17 @@ mod tests {
             hi: Some(vec![Value::Int(300)]),
         };
         let pdt_scan = |io: &IoTracker| {
-            TableScan::new(
+            one_segment(
                 &t,
                 DeltaLayers::Pdt(vec![&p]),
                 vec![1, 2],
+                ScanBounds::default(),
                 io.clone(),
                 ScanClock::new(),
             )
         };
         let vdt_scan = |io: &IoTracker| {
-            TableScan::ranged(
+            one_segment(
                 &t,
                 DeltaLayers::Vdt(&v),
                 vec![1],

@@ -1,4 +1,4 @@
-//! Sort, Top-N and Limit.
+//! Sort and Top-N.
 
 use crate::batch::Batch;
 use crate::ops::Operator;
@@ -109,43 +109,6 @@ impl Operator for TopN<'_> {
     }
 }
 
-/// Plain LIMIT without ordering.
-pub struct Limit<'a> {
-    input: Box<dyn Operator + 'a>,
-    remaining: usize,
-}
-
-impl<'a> Limit<'a> {
-    /// Pass at most `n` rows of `input` through.
-    pub fn new(input: Box<dyn Operator + 'a>, n: usize) -> Self {
-        Limit {
-            input,
-            remaining: n,
-        }
-    }
-}
-
-impl Operator for Limit<'_> {
-    fn next_batch(&mut self) -> Option<Batch> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let b = self.input.next_batch()?;
-        if b.num_rows() <= self.remaining {
-            self.remaining -= b.num_rows();
-            Some(b)
-        } else {
-            let idx: Vec<usize> = (0..self.remaining).collect();
-            self.remaining = 0;
-            Some(b.gather(&idx))
-        }
-    }
-
-    fn out_types(&self) -> Vec<ValueType> {
-        self.input.out_types()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,13 +148,5 @@ mod tests {
         let got = run_to_rows(&mut t);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0][0], Value::Int(3));
-    }
-
-    #[test]
-    fn limit_without_order() {
-        let mut l = Limit::new(input(), 3);
-        assert_eq!(run_to_rows(&mut l).len(), 3);
-        let mut l = Limit::new(input(), 0);
-        assert!(run_to_rows(&mut l).is_empty());
     }
 }

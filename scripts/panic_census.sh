@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
-RATCHET=102
+RATCHET=101
 
 total=0
 for crate in crates/*/; do
