@@ -41,8 +41,8 @@
 //! adapter shares is only the glue; the structures, their mergers and
 //! their conflict mechanisms (value-wise replay vs. run footprints) stay
 //! independently built, and three independently implemented structures
-//! behind one lifecycle are what the differential test harness
-//! ([`crate::testkit`]) leans on.
+//! behind one lifecycle are what the differential test harness (the
+//! dev-only `testkit` crate) leans on.
 
 use crate::batch::{DmlBatch, PreImageOf};
 use crate::DbError;

@@ -275,6 +275,16 @@ impl<'db> DbTxn<'db> {
         );
     }
 
+    /// Test seam onto the run-wise ranker [`DbTxn::append`] positions its
+    /// rows with: per touched partition, in split order, `(partition,
+    /// base rids)` — the partition-local rank of each of `rows`' sort keys
+    /// (in key order) among the rows visible to this transaction — or the
+    /// duplicate-key error `append` would return. Read-only.
+    pub fn rank_rows(&self, table: &str, rows: &Batch) -> Result<Vec<(usize, Vec<u64>)>, DbError> {
+        let ranked = self.rank(table, rows, &HashSet::new())?;
+        Ok(ranked.into_iter().map(|r| (r.part, r.base)).collect())
+    }
+
     /// Route and rank a write batch (full-width `rows`, any order): per
     /// touched partition, in split order, the row indices it owns **in key
     /// order** and each one's partition-local base rid — its rank among the
@@ -282,7 +292,7 @@ impl<'db> DbTxn<'db> {
     /// Read-only, and every partition is ranked before anything is
     /// returned, so a duplicate sort key — within the batch, or against a
     /// visible row whose key is not in `exempt` — leaves nothing staged.
-    pub(crate) fn rank_rows(
+    fn rank(
         &self,
         table: &str,
         rows: &Batch,
@@ -324,7 +334,7 @@ impl<'db> DbTxn<'db> {
     /// `SELECT rid WHERE SK > sk ORDER BY rid LIMIT 1` insert-positioning
     /// flow, amortized: the batch is routed to its partitions by sort-key
     /// range and every touched partition ranks its slice run by run
-    /// (`rank_rows`, which also rejects duplicate sort keys)
+    /// (`rank`, which also rejects duplicate sort keys)
     /// before a single [`DeltaTxn::stage_batch`] call per partition stages
     /// the statement. Rows need not arrive sorted. Returns the number of
     /// rows appended; on error nothing is staged.
@@ -335,7 +345,7 @@ impl<'db> DbTxn<'db> {
         // (the common bulk-load case — then the only piece) moves straight
         // through, only out-of-order or cross-partition batches pay the
         // gather copy
-        for Ranked { part, idx, base } in self.rank_rows(table, &rows, &HashSet::new())? {
+        for Ranked { part, idx, base } in self.rank(table, &rows, &HashSet::new())? {
             // final positions include the intra-batch shift: the j-th row
             // of the partition's slice (in key order) lands j places after
             // its pre-batch rank
@@ -466,7 +476,7 @@ impl<'db> DbTxn<'db> {
     }
 
     /// A streaming bulk-load handle: rows buffer client-side and flush as
-    /// sorted batch appends of `batch_rows` (default 4096) rows each.
+    /// sorted batch appends of 4096 rows each.
     pub fn appender<'t>(&'t mut self, table: &str) -> Result<Appender<'t, 'db>, DbError> {
         let schema = self.table(table)?.schema().clone();
         let types = schema.types();
@@ -476,7 +486,6 @@ impl<'db> DbTxn<'db> {
             schema,
             table: table.to_string(),
             txn: self,
-            batch_rows: Appender::DEFAULT_BATCH_ROWS,
             appended: 0,
         })
     }
@@ -486,12 +495,11 @@ impl<'db> DbTxn<'db> {
     /// ([`exec::gather_rows`]): by position where the update structure is
     /// positional, by a rid-window merge where it is not. A rid past the
     /// visible image is [`DbError::BatchShape`], before any block is read.
-    pub(crate) fn gather(
-        &self,
-        table: &str,
-        rids: &[u64],
-        cols: &[usize],
-    ) -> Result<Batch, DbError> {
+    ///
+    /// Positional DML resolves its pre-images with it; `pub` as a test
+    /// seam, so the gather can be held equal to the scan it replaced —
+    /// what `scan_with(ScanSpec::cols(cols))` emits at those positions.
+    pub fn gather(&self, table: &str, rids: &[u64], cols: &[usize]) -> Result<Batch, DbError> {
         let t0 = Instant::now();
         let t = self.table(table)?;
         let offsets = t.visible_offsets();
@@ -664,7 +672,7 @@ impl<'db> DbTxn<'db> {
     }
 
     /// The §2.1 sort-key rewrite shared by [`DbTxn::update_col`] and
-    /// [`DbTxn::update_where_ranged`]: delete the victims (`pre`, their
+    /// [`DbTxn::update_where`]: delete the victims (`pre`, their
     /// full-width pre-images), re-append the rewritten rows (which re-rank
     /// themselves — and re-*route* themselves: a key rewrite may move a row
     /// to a different partition). The new keys must be distinct and must
@@ -684,7 +692,7 @@ impl<'db> DbTxn<'db> {
             .map(|i| t.sk_cols().iter().map(|&c| pre.cols[c].get(i)).collect())
             .collect();
         let cols = t.pre_image_cols(PreImageOf::Delete);
-        self.rank_rows(table, &new_rows, &victim_keys)?;
+        self.rank(table, &new_rows, &victim_keys)?;
         self.stage_batch_delete(table, rids, pre.project(&cols))?;
         self.append(table, new_rows)?;
         Ok(())
@@ -780,25 +788,15 @@ impl<'db> DbTxn<'db> {
     /// UPDATE rows matching `pred`, assigning each `(column, expression)`
     /// pair (expressions are evaluated over the pre-image row). Sort-key
     /// columns may be assigned: such updates are rewritten as
-    /// delete + insert, per §2.1. Returns the number of updated rows.
+    /// delete + insert, per §2.1. One victim scan feeds one batched
+    /// staging call per assigned column (plain updates), or a batched
+    /// delete + batched append (sort-key rewrites). Returns the number of
+    /// updated rows.
     pub fn update_where(
         &mut self,
         table: &str,
         pred: Expr,
         sets: Vec<(usize, Expr)>,
-    ) -> Result<usize, DbError> {
-        self.update_where_ranged(table, pred, sets, ScanBounds::default())
-    }
-
-    /// UPDATE with a sort-key range restriction. One victim scan feeds
-    /// one batched staging call per assigned column (plain updates), or a
-    /// batched delete + batched append (sort-key rewrites).
-    pub fn update_where_ranged(
-        &mut self,
-        table: &str,
-        pred: Expr,
-        sets: Vec<(usize, Expr)>,
-        bounds: ScanBounds,
     ) -> Result<usize, DbError> {
         let t = self.table(table)?;
         let ncols = t.schema().len();
@@ -818,7 +816,7 @@ impl<'db> DbTxn<'db> {
         };
         let exprs: Vec<&Expr> = sets.iter().map(|(_, e)| e).collect();
         let Victims { rids, pre, vals } =
-            self.collect_victims(table, &pred, bounds, &keep, &exprs)?;
+            self.collect_victims(table, &pred, ScanBounds::default(), &keep, &exprs)?;
         let n = rids.len();
         // every expression was evaluated with the first victim
         let vals: Vec<ColumnVec> = vals.into_iter().flatten().collect();
@@ -994,9 +992,9 @@ impl Drop for DbTxn<'_> {
 }
 
 /// A streaming bulk-load handle (see [`DbTxn::appender`]): rows accumulate
-/// in a columnar buffer and flush as one [`DbTxn::append`] per
-/// `batch_rows` rows, so a row-at-a-time producer still writes through the
-/// batched path. Call [`Appender::finish`] to flush the tail and get the
+/// in a columnar buffer and flush as one [`DbTxn::append`] per 4096
+/// rows, so a row-at-a-time producer still writes through the batched
+/// path. Call [`Appender::finish`] to flush the tail and get the
 /// total row count; dropping an unfinished appender discards only the
 /// *unflushed* tail (flushed batches are staged in the transaction like
 /// any other statement).
@@ -1006,24 +1004,17 @@ pub struct Appender<'t, 'db> {
     schema: Schema,
     types: Vec<ValueType>,
     buf: Batch,
-    batch_rows: usize,
     appended: usize,
 }
 
 impl<'t, 'db> Appender<'t, 'db> {
-    const DEFAULT_BATCH_ROWS: usize = 4096;
-
-    /// Override the rows-per-flush granularity (default 4096).
-    pub fn with_batch_rows(mut self, rows: usize) -> Self {
-        self.batch_rows = rows.max(1);
-        self
-    }
+    const BATCH_ROWS: usize = 4096;
 
     /// Buffer one row, flushing a full batch through [`DbTxn::append`].
     pub fn push(&mut self, row: Tuple) -> Result<(), DbError> {
         validate_tuple(&self.table, &self.schema, &row)?;
         self.buf.push_owned_row(row);
-        if self.buf.num_rows() >= self.batch_rows {
+        if self.buf.num_rows() >= Self::BATCH_ROWS {
             self.flush()?;
         }
         Ok(())
@@ -1172,8 +1163,7 @@ fn split_by_offsets(offsets: &[u64], rids: &[u64]) -> Vec<(usize, std::ops::Rang
     out
 }
 
-/// One partition's share of a routed write batch (see
-/// [`DbTxn::rank_rows`]).
+/// One partition's share of a routed write batch (see `DbTxn::rank`).
 pub(crate) struct Ranked {
     /// The partition.
     pub(crate) part: usize,
@@ -1696,14 +1686,18 @@ mod tests {
         for policy in ALL_POLICIES {
             let db = db_with_ints(5, policy);
             let mut t = db.begin();
-            let mut app = t.appender("t").unwrap().with_batch_rows(3);
-            for k in [95i64, 5, 41, 107, 203, 11, 12] {
+            let mut app = t.appender("t").unwrap();
+            // two full batches and a tail, in scrambled key order (7919 is
+            // prime, so `i * 7919 % n` permutes `0..n`)
+            let n = 2 * Appender::BATCH_ROWS as i64 + 808;
+            for i in 0..n {
+                let k = (i * 7919 % n) * 10 + 5;
                 app.push(vec![Value::Int(k), Value::Int(0)]).unwrap();
             }
-            assert_eq!(app.finish().unwrap(), 7);
+            assert_eq!(app.finish().unwrap(), n as usize);
             t.commit().unwrap();
             let ks = keys(&db);
-            assert_eq!(ks.len(), 12, "{policy:?}");
+            assert_eq!(ks.len(), n as usize + 5, "{policy:?}");
             assert!(ks.windows(2).all(|w| w[0] < w[1]), "{policy:?}: {ks:?}");
         }
     }

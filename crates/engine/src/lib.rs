@@ -49,7 +49,6 @@ pub mod maintenance;
 pub mod partition;
 pub mod rowstore;
 mod table;
-pub mod testkit;
 
 pub use batch::{DmlBatch, PreImageOf};
 pub use compaction::{

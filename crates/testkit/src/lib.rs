@@ -1,16 +1,23 @@
 //! Cross-backend differential test harness.
 //!
 //! Three independently implemented update structures sit behind
-//! [`DeltaStore`](crate::DeltaStore); driven by identical DML they must
+//! [`DeltaStore`](engine::DeltaStore); driven by identical DML they must
 //! agree **bit-for-bit** — on scan images, row counts, commit/abort
 //! decisions, and recovered state. [`DiffHarness`] turns that invariant
 //! into an executable oracle: every workload step is applied through the
 //! same transactional API to one database per [`UpdatePolicy`] *and* to
 //! the executable specification [`NaiveImage`], then all four images are
-//! compared. The workspace's fuzz tests, lifecycle tests and DML unit
-//! tests all drive their workloads through this module, so any behavioural
-//! divergence between PDT, VDT and the row store fails loudly and with a
-//! readable diff.
+//! compared. The workspace's differential, fuzz and lifecycle suites
+//! under `tests/` drive their workloads through this crate, so any
+//! behavioural divergence between PDT, VDT and the row store fails loudly
+//! and with a readable diff. The crate is dev-only: nothing but a
+//! `[dev-dependencies]` table may name it.
+//!
+//! Batched statements ([`DiffHarness::append`],
+//! [`DiffHarness::delete_rids`], [`DiffHarness::update_col`]) and
+//! row-at-a-time ones ([`DiffHarness::insert`], [`DiffHarness::delete`],
+//! [`DiffHarness::modify`]) are held to the same model, so batch ≡ rows
+//! follows through it.
 //!
 //! With [`DiffHarness::with_wal`] every database is WAL-backed, and
 //! [`DiffHarness::crash_recover`] models a crash: all databases are
@@ -31,16 +38,18 @@
 //! [`run_concurrent_differential`] goes further: real threads. Fixed-seed
 //! writer scripts on disjoint key partitions, scanner threads asserting
 //! snapshot invariants on every pass, and the background
-//! [`MaintenanceScheduler`](crate::MaintenanceScheduler) flushing and
-//! checkpointing with tiny budgets — per-partition determinism makes the
-//! final image interleaving-independent, so concurrency bugs surface as
-//! differential divergence from the sequential model.
+//! [`MaintenanceScheduler`] flushing and checkpointing with tiny budgets
+//! — per-partition determinism makes the final image
+//! interleaving-independent, so concurrency bugs surface as differential
+//! divergence from the sequential model.
 
-use crate::{
-    Database, DbError, DbTxn, MaintainTarget, PartitionSpec, ScanSpec, TableOptions, UpdatePolicy,
-    ALL_POLICIES,
-};
+#![warn(missing_docs)]
+
 use columnar::{Schema, TableMeta, Tuple, Value};
+use engine::{
+    Database, DbError, DbTxn, MaintainTarget, MaintenanceConfig, MaintenanceScheduler,
+    PartitionSpec, ReadView, ScanSpec, TableOptions, UpdatePolicy, ALL_POLICIES,
+};
 use exec::expr::{col, lit, Expr};
 use exec::{run_to_rows, Batch};
 use pdt::naive::NaiveImage;
@@ -55,32 +64,6 @@ pub fn key_eq_pred(sk_cols: &[usize], key: &[Value]) -> Expr {
         .map(|(&c, v)| col(c).eq(lit(v.clone())))
         .reduce(|a, b| a.and(b))
         .expect("non-empty sort key")
-}
-
-/// Seam onto the sparse gather positional DML resolves its pre-images
-/// with: columns `cols` of the rows at `rids` (ascending, distinct, global)
-/// under `txn`'s view — what `scan_with(ScanSpec::cols(cols))` emits at
-/// those positions, fetched without the scan.
-pub fn gather_at(
-    txn: &DbTxn<'_>,
-    table: &str,
-    rids: &[u64],
-    cols: &[usize],
-) -> Result<Batch, DbError> {
-    txn.gather(table, rids, cols)
-}
-
-/// Seam onto the run-wise ranker `append` positions its rows with: per
-/// touched partition, in split order, the partition-local rank of each of
-/// `rows`' sort keys (in key order) among the rows visible to `txn`, or
-/// the duplicate-key error `append` would return.
-pub fn rank_rows(
-    txn: &DbTxn<'_>,
-    table: &str,
-    rows: &Batch,
-) -> Result<Vec<(usize, Vec<u64>)>, DbError> {
-    let ranked = txn.rank_rows(table, rows, &Default::default())?;
-    Ok(ranked.into_iter().map(|r| (r.part, r.base)).collect())
 }
 
 /// One database per update policy plus the naive model, driven in lockstep.
@@ -287,6 +270,18 @@ impl DiffHarness {
         key_eq_pred(&self.sk_cols, key)
     }
 
+    /// Insert `row` into the model at its sort-key position.
+    fn model_insert(&mut self, row: Tuple) {
+        let key = self.key_of(&row);
+        let pos = self
+            .model
+            .rows()
+            .iter()
+            .position(|r| self.key_of(r) > key)
+            .unwrap_or(self.model.len());
+        self.model.insert(pos, row);
+    }
+
     fn merged_image(db: &Database, table: &str) -> Vec<Tuple> {
         let view = db.read_view();
         run_to_rows(&mut view.scan_with(table, ScanSpec::all()).unwrap())
@@ -348,13 +343,7 @@ impl DiffHarness {
             }
         }
         if !dup {
-            let pos = self
-                .model
-                .rows()
-                .iter()
-                .position(|r| self.key_of(r) > key)
-                .unwrap_or(self.model.len());
-            self.model.insert(pos, tuple);
+            self.model_insert(tuple);
         }
         self.assert_agree("after insert");
         !dup
@@ -377,7 +366,7 @@ impl DiffHarness {
         let types = self.schema.types();
         for (policy, db) in &self.dbs {
             let mut txn = db.begin();
-            let res = txn.append(&self.table, exec::Batch::from_rows(&types, &rows));
+            let res = txn.append(&self.table, Batch::from_rows(&types, &rows));
             if dup {
                 assert!(
                     matches!(res, Err(DbError::DuplicateKey { .. })),
@@ -393,14 +382,7 @@ impl DiffHarness {
         }
         if !dup {
             for row in rows {
-                let key = self.key_of(&row);
-                let pos = self
-                    .model
-                    .rows()
-                    .iter()
-                    .position(|r| self.key_of(r) > key)
-                    .unwrap_or(self.model.len());
-                self.model.insert(pos, row);
+                self.model_insert(row);
             }
         }
         self.assert_agree("after batch append");
@@ -430,13 +412,13 @@ impl DiffHarness {
         self.assert_agree("after delete_rids");
     }
 
-    /// UPDATE a non-sort-key column of the model's visible rows at `rids`
-    /// through one positional `update_col` statement per database.
-    pub fn update_col(&mut self, rids: &[u64], col: usize, values: &[Value]) {
-        assert!(
-            !self.sk_cols.contains(&col),
-            "update_col harness op is for non-key columns; use modify() for key rewrites"
-        );
+    /// UPDATE column `col` of the model's visible rows at `rids` through
+    /// one positional `update_col` statement per database. A sort-key
+    /// column is the §2.1 delete + insert rewrite: the model moves the
+    /// rows, and when a new key repeats within the statement or hits a
+    /// row the statement does not rewrite, every database must reject it
+    /// identically. Returns whether the statement committed.
+    pub fn update_col(&mut self, rids: &[u64], col: usize, values: &[Value]) -> bool {
         let mut pairs: Vec<(u64, Value)> = rids
             .iter()
             .copied()
@@ -450,19 +432,55 @@ impl DiffHarness {
         for (_, v) in &pairs {
             vals.push(v);
         }
+        let rewrites_key = self.sk_cols.contains(&col);
+        let post: Vec<Tuple> = pairs
+            .iter()
+            .map(|(r, v)| {
+                let mut row = self.model.rows()[*r as usize].clone();
+                row[col] = v.clone();
+                row
+            })
+            .collect();
+        let mut new_keys: Vec<Vec<Value>> = post.iter().map(|r| self.key_of(r)).collect();
+        new_keys.sort();
+        let collides = rewrites_key
+            && (new_keys.windows(2).any(|w| w[0] == w[1])
+                || self.model.rows().iter().enumerate().any(|(i, r)| {
+                    rids.binary_search(&(i as u64)).is_err()
+                        && new_keys.binary_search(&self.key_of(r)).is_ok()
+                }));
         for (policy, db) in &self.dbs {
             let mut txn = db.begin();
-            let n = txn
-                .update_col(&self.table, &rids, col, vals.clone())
-                .unwrap_or_else(|e| panic!("{policy:?}: update_col failed: {e}"));
-            assert_eq!(n, rids.len(), "{policy:?}");
-            txn.commit()
-                .unwrap_or_else(|e| panic!("{policy:?}: update_col commit failed: {e}"));
+            let res = txn.update_col(&self.table, &rids, col, vals.clone());
+            if collides {
+                assert!(
+                    matches!(res, Err(DbError::DuplicateKey { .. })),
+                    "{policy:?}: key rewrite to {new_keys:?} must collide, got {res:?}"
+                );
+                txn.abort();
+            } else {
+                let n = res.unwrap_or_else(|e| panic!("{policy:?}: update_col failed: {e}"));
+                assert_eq!(n, rids.len(), "{policy:?}");
+                txn.commit()
+                    .unwrap_or_else(|e| panic!("{policy:?}: update_col commit failed: {e}"));
+            }
         }
-        for (r, v) in pairs {
-            self.model.modify(r as usize, col, v);
+        if !collides {
+            if rewrites_key {
+                for &r in rids.iter().rev() {
+                    self.model.delete(r as usize);
+                }
+                for row in post {
+                    self.model_insert(row);
+                }
+            } else {
+                for (r, v) in pairs {
+                    self.model.modify(r as usize, col, v);
+                }
+            }
         }
         self.assert_agree("after update_col");
+        !collides
     }
 
     /// DELETE the model's visible row `rid` through one committed
@@ -519,13 +537,7 @@ impl DiffHarness {
         if !collides {
             if touches_sk {
                 self.model.delete(rid);
-                let pos = self
-                    .model
-                    .rows()
-                    .iter()
-                    .position(|r| self.key_of(r) > new_key)
-                    .unwrap_or(self.model.len());
-                self.model.insert(pos, post);
+                self.model_insert(post);
             } else {
                 self.model.modify(rid, m_col, value);
             }
@@ -652,350 +664,13 @@ impl DiffHarness {
     }
 }
 
-// --- Batch ≡ row-at-a-time differential harness --------------------------
-
-/// Two WAL-backed databases of the *same* update policy, driven in
-/// lockstep: one through the batch-first statements ([`crate::DbTxn::append`],
-/// [`crate::DbTxn::delete_rids`], [`crate::DbTxn::update_col`]), one
-/// through the equivalent row-at-a-time loops. After every step both must
-/// agree on the merged image, visible row count, commit/abort/error
-/// verdicts — and, via [`BatchRowHarness::crash_recover`], on the state
-/// rebuilt from base image + WAL replay, which pins down that the batched
-/// `INS_BATCH`/`DEL_BATCH` log encodings replay to exactly what the
-/// per-row entries would have.
-///
-/// The table is fixed at `(k INT, a INT, b INT)` with sort key `k` —
-/// enough to cover fresh inserts, reinserts over ghosts, sort-key
-/// rewrites, and disjoint/overlapping column updates.
-pub struct BatchRowHarness {
-    policy: UpdatePolicy,
-    base_rows: Vec<Tuple>,
-    block_rows: usize,
-    wal_dir: PathBuf,
-    batched: Database,
-    rowwise: Database,
-}
-
-/// The two driving modes of the harness.
-const MODES: [&str; 2] = ["batched", "rowwise"];
-
-impl BatchRowHarness {
-    fn schema() -> Schema {
-        Schema::from_pairs(&[
-            ("k", columnar::ValueType::Int),
-            ("a", columnar::ValueType::Int),
-            ("b", columnar::ValueType::Int),
-        ])
-    }
-
-    /// WAL-backed pair under `dir` (recreated clean) over `base_keys` rows
-    /// with keys `0, 10, 20, …`.
-    pub fn new(dir: PathBuf, policy: UpdatePolicy, base_keys: i64, block_rows: usize) -> Self {
-        std::fs::create_dir_all(&dir).expect("harness wal dir");
-        for mode in MODES {
-            let _ = std::fs::remove_file(dir.join(format!("{mode}.wal")));
-        }
-        let base_rows: Vec<Tuple> = (0..base_keys)
-            .map(|i| vec![Value::Int(i * 10), Value::Int(i), Value::Int(-i)])
-            .collect();
-        let mut h = BatchRowHarness {
-            policy,
-            base_rows,
-            block_rows,
-            wal_dir: dir,
-            batched: Database::new(),
-            rowwise: Database::new(),
-        };
-        let (batched, rowwise) = h.make_dbs();
-        h.batched = batched;
-        h.rowwise = rowwise;
-        h.assert_agree("fresh harness");
-        h
-    }
-
-    fn make_db(&self, mode: &str) -> Database {
-        let db = Database::with_wal(&self.wal_dir.join(format!("{mode}.wal")))
-            .expect("open harness wal");
-        db.create_table(
-            TableMeta::new("t", Self::schema(), vec![0]),
-            TableOptions {
-                block_rows: self.block_rows,
-                policy: self.policy,
-                ..TableOptions::default()
-            },
-            self.base_rows.clone(),
-        )
-        .expect("harness create_table");
-        db
-    }
-
-    fn make_dbs(&self) -> (Database, Database) {
-        (self.make_db(MODES[0]), self.make_db(MODES[1]))
-    }
-
-    fn image(db: &Database) -> Vec<Tuple> {
-        let view = db.read_view();
-        run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1, 2])).unwrap())
-    }
-
-    /// Current visible row count (both databases agree by invariant).
-    pub fn visible(&self) -> u64 {
-        self.batched.row_count("t").unwrap()
-    }
-
-    /// Current visible image (both databases agree by invariant).
-    pub fn rows(&self) -> Vec<Tuple> {
-        Self::image(&self.batched)
-    }
-
-    /// Assert the two databases agree bit-for-bit.
-    pub fn assert_agree(&self, context: &str) {
-        let b = Self::image(&self.batched);
-        let r = Self::image(&self.rowwise);
-        assert_eq!(
-            b, r,
-            "{:?} {context}: batched and row-at-a-time images diverged",
-            self.policy
-        );
-        assert_eq!(
-            self.batched.row_count("t").unwrap(),
-            self.rowwise.row_count("t").unwrap(),
-            "{:?} {context}: row counts diverged",
-            self.policy
-        );
-    }
-
-    /// APPEND `(k, a)` rows (column `b` mirrors `a`): one `append` batch
-    /// vs an `insert` loop, in one transaction each. Returns whether the
-    /// statement committed — on a duplicate key both sides must reject.
-    pub fn append(&mut self, kvs: &[(i64, i64)]) -> bool {
-        let rows: Vec<Tuple> = kvs
-            .iter()
-            .map(|&(k, a)| vec![Value::Int(k), Value::Int(a), Value::Int(a ^ 1)])
-            .collect();
-        let mut txn = self.batched.begin();
-        let batched_res = txn.append("t", exec::Batch::from_rows(&Self::schema().types(), &rows));
-        let committed = match batched_res {
-            Ok(n) => {
-                assert_eq!(n, rows.len());
-                txn.commit().expect("batched append commit");
-                true
-            }
-            Err(DbError::DuplicateKey { .. }) => {
-                txn.abort();
-                false
-            }
-            Err(e) => panic!("{:?}: batched append failed oddly: {e}", self.policy),
-        };
-        let mut txn = self.rowwise.begin();
-        let rowwise_res: Result<(), DbError> =
-            rows.iter().try_for_each(|r| txn.insert("t", r.clone()));
-        match rowwise_res {
-            Ok(()) => {
-                assert!(committed, "{:?}: only the batch rejected", self.policy);
-                txn.commit().expect("rowwise insert commit");
-            }
-            Err(DbError::DuplicateKey { .. }) => {
-                assert!(!committed, "{:?}: only the row loop rejected", self.policy);
-                txn.abort();
-            }
-            Err(e) => panic!("{:?}: rowwise insert failed oddly: {e}", self.policy),
-        }
-        self.assert_agree("after append");
-        committed
-    }
-
-    /// Victim keys and pre-images at `rids` (sorted, distinct, in range).
-    fn victims_at(&self, rids: &[u64]) -> Vec<Tuple> {
-        let all = self.rows();
-        rids.iter().map(|&r| all[r as usize].clone()).collect()
-    }
-
-    /// DELETE by position: one `delete_rids` vs one per-key predicate
-    /// delete per victim.
-    pub fn delete_rids(&mut self, rids: &[u64]) {
-        let mut rids = rids.to_vec();
-        rids.sort_unstable();
-        rids.dedup();
-        let victims = self.victims_at(&rids);
-        let mut txn = self.batched.begin();
-        let n = txn.delete_rids("t", &rids).expect("batched delete_rids");
-        assert_eq!(n, rids.len());
-        txn.commit().expect("batched delete commit");
-        let mut txn = self.rowwise.begin();
-        for v in &victims {
-            let n = txn
-                .delete_where("t", col(0).eq(lit(v[0].clone())))
-                .expect("rowwise delete");
-            assert_eq!(n, 1, "{:?}: rowwise delete missed", self.policy);
-        }
-        txn.commit().expect("rowwise delete commit");
-        self.assert_agree("after delete_rids");
-    }
-
-    /// UPDATE column `a` by position: one `update_col` vs one per-key
-    /// predicate update per victim.
-    pub fn update_col(&mut self, rids: &[u64], vals: &[i64]) {
-        let mut pairs: Vec<(u64, i64)> = rids.iter().copied().zip(vals.iter().copied()).collect();
-        pairs.sort_unstable();
-        pairs.dedup_by_key(|p| p.0);
-        let rids: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-        let vals: Vec<i64> = pairs.iter().map(|p| p.1).collect();
-        let victims = self.victims_at(&rids);
-        let mut txn = self.batched.begin();
-        let n = txn
-            .update_col("t", &rids, 1, columnar::ColumnVec::Int(vals.clone()))
-            .expect("batched update_col");
-        assert_eq!(n, rids.len());
-        txn.commit().expect("batched update commit");
-        let mut txn = self.rowwise.begin();
-        for (v, &val) in victims.iter().zip(&vals) {
-            let n = txn
-                .update_where("t", col(0).eq(lit(v[0].clone())), vec![(1, lit(val))])
-                .expect("rowwise update");
-            assert_eq!(n, 1, "{:?}: rowwise update missed", self.policy);
-        }
-        txn.commit().expect("rowwise update commit");
-        self.assert_agree("after update_col");
-    }
-
-    /// UPDATE the sort-key column by position — the §2.1 delete + insert
-    /// rewrite, batched vs decomposed (all deletes, then all inserts, the
-    /// order a single row-at-a-time statement uses). Returns whether the
-    /// statement committed (a rewrite may collide with an existing key).
-    pub fn update_keys(&mut self, rids: &[u64], new_keys: &[i64]) -> bool {
-        let mut pairs: Vec<(u64, i64)> =
-            rids.iter().copied().zip(new_keys.iter().copied()).collect();
-        pairs.sort_unstable();
-        pairs.dedup_by_key(|p| p.0);
-        let rids: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-        let new_keys: Vec<i64> = pairs.iter().map(|p| p.1).collect();
-        let victims = self.victims_at(&rids);
-        let mut txn = self.batched.begin();
-        let committed =
-            match txn.update_col("t", &rids, 0, columnar::ColumnVec::Int(new_keys.clone())) {
-                Ok(n) => {
-                    assert_eq!(n, rids.len());
-                    txn.commit().expect("batched key update commit");
-                    true
-                }
-                Err(DbError::DuplicateKey { .. }) => {
-                    txn.abort();
-                    false
-                }
-                Err(e) => panic!("{:?}: batched key update failed oddly: {e}", self.policy),
-            };
-        let mut txn = self.rowwise.begin();
-        let result: Result<(), DbError> = (|| {
-            for v in &victims {
-                txn.delete_where("t", col(0).eq(lit(v[0].clone())))?;
-            }
-            for (v, &k) in victims.iter().zip(&new_keys) {
-                let mut row = v.clone();
-                row[0] = Value::Int(k);
-                txn.insert("t", row)?;
-            }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                assert!(committed, "{:?}: only the batch rejected", self.policy);
-                txn.commit().expect("rowwise key update commit");
-            }
-            Err(DbError::DuplicateKey { .. }) => {
-                assert!(!committed, "{:?}: only the row loop rejected", self.policy);
-                txn.abort();
-            }
-            Err(e) => panic!("{:?}: rowwise key update failed oddly: {e}", self.policy),
-        }
-        self.assert_agree("after update_keys");
-        committed
-    }
-
-    /// Two concurrent transactions appending `a` and `b`: the batched
-    /// databases stage whole batches, the row-wise ones loop — the
-    /// prepare-time conflict verdicts (batch footprints vs per-row
-    /// footprints) must match. Returns `(a_committed, b_committed)`.
-    pub fn concurrent_appends(&mut self, a: &[(i64, i64)], b: &[(i64, i64)]) -> (bool, bool) {
-        let row_of = |&(k, v): &(i64, i64)| -> Tuple {
-            vec![Value::Int(k), Value::Int(v), Value::Int(v ^ 1)]
-        };
-        let a_rows: Vec<Tuple> = a.iter().map(row_of).collect();
-        let b_rows: Vec<Tuple> = b.iter().map(row_of).collect();
-        let mut verdicts = Vec::new();
-        for (mode, db) in [(0, &self.batched), (1, &self.rowwise)] {
-            let mut ta = db.begin();
-            let mut tb = db.begin();
-            let stage = |txn: &mut crate::DbTxn<'_>, rows: &[Tuple]| -> bool {
-                if mode == 0 {
-                    txn.append("t", exec::Batch::from_rows(&Self::schema().types(), rows))
-                        .is_ok()
-                } else {
-                    rows.iter().all(|r| txn.insert("t", r.clone()).is_ok())
-                }
-            };
-            let a_staged = stage(&mut ta, &a_rows);
-            let b_staged = stage(&mut tb, &b_rows);
-            let a_ok = if a_staged {
-                ta.commit().is_ok()
-            } else {
-                ta.abort();
-                false
-            };
-            let b_ok = if b_staged {
-                tb.commit().is_ok()
-            } else {
-                tb.abort();
-                false
-            };
-            verdicts.push((a_ok, b_ok));
-        }
-        assert_eq!(
-            verdicts[0], verdicts[1],
-            "{:?}: batched and row-wise interleavings reached different verdicts",
-            self.policy
-        );
-        self.assert_agree("after concurrent appends");
-        verdicts[0]
-    }
-
-    /// Flush both write-optimised layers and re-verify.
-    pub fn flush(&mut self) {
-        self.batched.maybe_flush("t", 0).unwrap();
-        self.rowwise.maybe_flush("t", 0).unwrap();
-        self.assert_agree("after flush");
-    }
-
-    /// Checkpoint both databases (rotating the recovery base, as markers
-    /// make replay skip the covered commits) and re-verify.
-    pub fn checkpoint(&mut self) {
-        self.batched.checkpoint("t").expect("batched checkpoint");
-        self.rowwise.checkpoint("t").expect("rowwise checkpoint");
-        self.assert_agree("after checkpoint");
-        self.base_rows = self.rows();
-    }
-
-    /// Crash both databases and rebuild them from base image + WAL replay
-    /// — the batched log encodings must recover to the row-wise state.
-    pub fn crash_recover(&mut self) {
-        self.batched = Database::new();
-        self.rowwise = Database::new(); // drop the live databases
-        let (batched, rowwise) = self.make_dbs();
-        self.batched = batched;
-        self.rowwise = rowwise;
-        for (mode, db) in MODES.iter().zip([&self.batched, &self.rowwise]) {
-            db.recover_from(&self.wal_dir.join(format!("{mode}.wal")))
-                .unwrap_or_else(|e| panic!("{:?}: {mode} recovery failed: {e}", self.policy));
-        }
-        self.assert_agree("after crash recovery");
-    }
-}
-
 /// One statement of a scripted transaction for [`run_interleaved`].
 #[derive(Debug, Clone)]
 pub enum TxnOp {
     /// Insert a new tuple.
     Insert(Tuple),
+    /// Append a batch of new tuples in one statement.
+    Append(Vec<Tuple>),
     /// Delete the visible row with this sort key (0 or 1 victims).
     Delete {
         /// Sort key of the victim.
@@ -1050,9 +725,12 @@ pub fn run_interleaved_spec(
     partitions: PartitionSpec,
 ) -> InterleavedOutcome {
     let key_pred = |key: &[Value]| -> Expr { key_eq_pred(&sk_cols, key) };
-    let apply = |txn: &mut crate::DbTxn<'_>, op: &TxnOp| -> Result<(), DbError> {
+    let apply = |txn: &mut DbTxn<'_>, op: &TxnOp| -> Result<(), DbError> {
         match op {
             TxnOp::Insert(t) => txn.insert("t", t.clone()),
+            TxnOp::Append(rows) => txn
+                .append("t", Batch::from_rows(&schema.types(), rows))
+                .map(|_| ()),
             TxnOp::Delete { key } => txn.delete_where("t", key_pred(key)).map(|_| ()),
             TxnOp::Modify { key, col: c, value } => txn
                 .update_where("t", key_pred(key), vec![(*c, lit(value.clone()))])
@@ -1110,8 +788,8 @@ pub fn run_interleaved_spec(
 /// `writers` threads each execute a fixed-seed script of single-statement
 /// transactions confined to their own sort-key partition, `scanners`
 /// threads continuously assert snapshot invariants, and a background
-/// [`MaintenanceScheduler`](crate::MaintenanceScheduler) with tiny byte
-/// budgets flushes and checkpoints throughout. Partition-disjoint scripts
+/// [`MaintenanceScheduler`] with tiny byte budgets flushes and
+/// checkpoints throughout. Partition-disjoint scripts
 /// make the final image independent of thread interleaving, so the run is
 /// an oracle despite real concurrency: every policy must converge to the
 /// same image, which must equal the sequential replay of the scripts.
@@ -1241,7 +919,7 @@ fn writer_script(
 /// Assert the invariants every consistent snapshot of the stress table
 /// obeys, returning the scanned rows.
 fn assert_snapshot_invariants(
-    view: &crate::ReadView,
+    view: &ReadView,
     table: &str,
     policy: UpdatePolicy,
     context: &str,
@@ -1320,9 +998,9 @@ pub fn run_concurrent_differential(spec: ConcurrentSpec) -> Vec<Tuple> {
             base.clone(),
         )
         .unwrap();
-        let scheduler = crate::MaintenanceScheduler::start(
+        let scheduler = MaintenanceScheduler::start(
             db.clone(),
-            crate::MaintenanceConfig::with_tick(std::time::Duration::from_millis(1)),
+            MaintenanceConfig::with_tick(std::time::Duration::from_millis(1)),
         );
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {

@@ -6,20 +6,81 @@
 //! would — same visible rows, same duplicate-key and write-write conflict
 //! verdicts, and the same state after a crash recovered from the WAL
 //! (whose batched `INS_BATCH`/`DEL_BATCH` encodings must replay to what
-//! per-row entries would have). `engine::testkit::BatchRowHarness` drives
-//! one batched and one row-wise WAL-backed database per
-//! [`engine::UpdatePolicy`] in lockstep and asserts agreement after every
-//! step; this property test hammers it with randomized scripts, and the
-//! scripted tests below pin the interesting edges.
+//! per-row entries would have). `testkit::DiffHarness` holds the batched
+//! statements to the same `NaiveImage` model it holds the row-at-a-time
+//! ones to, one WAL-backed database per [`engine::UpdatePolicy`], so
+//! batch ≡ rows follows through the model; every script ends in a crash
+//! recovery. Concurrent appends run through `run_interleaved` twice — one
+//! `Append` per transaction, then the same rows as `Insert`s — and must
+//! reach equal outcomes. This property test hammers the harness with
+//! randomized scripts, and the scripted test below pins the edges.
 
-use engine::testkit::BatchRowHarness;
-use engine::{UpdatePolicy, ALL_POLICIES};
+use columnar::{Schema, Tuple, Value, ValueType};
 use proptest::prelude::*;
+use testkit::{run_interleaved, DiffHarness, TxnOp};
+
+fn schema() -> Schema {
+    Schema::from_pairs(&[
+        ("k", ValueType::Int),
+        ("a", ValueType::Int),
+        ("b", ValueType::Int),
+    ])
+}
+
+/// A row keyed `k` (column `b` mirrors `a`).
+fn row(k: i64, a: i64) -> Tuple {
+    vec![Value::Int(k), Value::Int(a), Value::Int(a ^ 1)]
+}
+
+fn rows(kvs: &[(i64, i64)]) -> Vec<Tuple> {
+    kvs.iter().map(|&(k, a)| row(k, a)).collect()
+}
+
+fn ints(vs: &[i64]) -> Vec<Value> {
+    vs.iter().map(|&v| Value::Int(v)).collect()
+}
+
+/// WAL-backed harness under `dir` over `base_keys` rows keyed `0, 10, 20, …`.
+fn harness(dir: &str, base_keys: i64, block_rows: usize) -> DiffHarness {
+    let base = (0..base_keys).map(|i| row(i * 10, i)).collect();
+    let dir = std::env::temp_dir().join(dir);
+    DiffHarness::with_wal(dir, "t", schema(), vec![0], base, block_rows)
+}
+
+/// Two transactions appending `a` and `b` concurrently, once as one
+/// `Append` each and once as the same rows in `Insert`s, over the
+/// harness's current image: the batch footprints must reach the per-row
+/// verdicts. The winners then land in the harness, whose model must equal
+/// the interleaving's image. Returns `(a_committed, b_committed)`.
+fn concurrent_appends(h: &mut DiffHarness, a: Vec<Tuple>, b: Vec<Tuple>) -> (bool, bool) {
+    let base = h.model().rows().to_vec();
+    let inserts =
+        |rows: &[Tuple]| -> Vec<TxnOp> { rows.iter().cloned().map(TxnOp::Insert).collect() };
+    let rowwise = run_interleaved(schema(), vec![0], base.clone(), &inserts(&a), &inserts(&b));
+    let batched = run_interleaved(
+        schema(),
+        vec![0],
+        base,
+        &[TxnOp::Append(a.clone())],
+        &[TxnOp::Append(b.clone())],
+    );
+    assert_eq!(
+        batched, rowwise,
+        "batched and row-wise interleavings reached different outcomes"
+    );
+    for (ok, rows) in [(batched.a_ok, a), (batched.b_ok, b)] {
+        if ok {
+            assert!(h.append(rows), "a committed append must replay");
+        }
+    }
+    assert_eq!(h.model().rows(), batched.image.as_slice());
+    (batched.a_ok, batched.b_ok)
+}
 
 #[derive(Debug, Clone)]
 enum Action {
-    /// Append a batch of fresh-ish keys (collisions intended: both sides
-    /// must reject identically).
+    /// Append a batch of fresh-ish keys (collisions intended: every
+    /// database must reject identically).
     Append(Vec<(i64, i64)>),
     /// Positional batch delete of up to 8 picks.
     DeleteRids(Vec<usize>),
@@ -31,9 +92,15 @@ enum Action {
     /// Two transactions appending concurrently (overlap ⇒ conflict; the
     /// batch-footprint validation must reach the row-wise verdict).
     ConcurrentAppends(Vec<(i64, i64)>, Vec<(i64, i64)>),
+    /// Row-at-a-time insert (may collide).
+    Insert(i64, i64),
+    /// Row-at-a-time delete by sort key of one pick.
+    Delete(usize),
+    /// Row-at-a-time update of the payload column of one pick.
+    Modify(usize, i64),
     Flush,
     Checkpoint,
-    /// Crash both databases and recover from the WAL.
+    /// Crash every database and recover from the WAL.
     Recover,
 }
 
@@ -47,9 +114,12 @@ fn action_strategy() -> impl Strategy<Value = Action> {
         2 => prop::collection::vec((any::<usize>(), 0i64..1200), 1..5).prop_map(Action::UpdateKeys),
         2 => (
             prop::collection::vec(kv.clone(), 1..6),
-            prop::collection::vec(kv, 1..6),
+            prop::collection::vec(kv.clone(), 1..6),
         )
             .prop_map(|(a, b)| Action::ConcurrentAppends(a, b)),
+        1 => kv.prop_map(|(k, a)| Action::Insert(k, a)),
+        1 => any::<usize>().prop_map(Action::Delete),
+        1 => pick_val.prop_map(|(p, v)| Action::Modify(p, v)),
         1 => Just(Action::Flush),
         1 => Just(Action::Checkpoint),
         2 => Just(Action::Recover),
@@ -57,27 +127,29 @@ fn action_strategy() -> impl Strategy<Value = Action> {
 }
 
 /// Map arbitrary picks onto current visible positions (distinct).
-fn rids_of(h: &BatchRowHarness, picks: &[usize]) -> Vec<u64> {
-    let visible = h.visible();
+fn rids_of(h: &DiffHarness, picks: &[usize]) -> Vec<u64> {
+    let visible = h.model().len();
     if visible == 0 {
         return Vec::new();
     }
-    let mut rids: Vec<u64> = picks.iter().map(|&p| (p as u64) % visible).collect();
+    let mut rids: Vec<u64> = picks.iter().map(|&p| (p % visible) as u64).collect();
     rids.sort_unstable();
     rids.dedup();
     rids
 }
 
-fn run_script(policy: UpdatePolicy, case: u64, actions: &[Action]) {
-    let dir = std::env::temp_dir().join(format!("pdt_batch_diff_{policy:?}_{case}"));
-    let mut h = BatchRowHarness::new(dir, policy, 16, 8);
+/// Odd keys, so collisions come from the script itself, not the
+/// (even-keyed) base rows — and repeat-appends collide.
+fn odd(kvs: &[(i64, i64)]) -> Vec<Tuple> {
+    kvs.iter().map(|&(k, a)| row(k * 2 + 1, a)).collect()
+}
+
+fn run_script(case: u64, actions: &[Action]) {
+    let mut h = harness(&format!("pdt_batch_diff_{case}"), 16, 8);
     for action in actions {
         match action {
             Action::Append(kvs) => {
-                // odd keys so collisions come from the script itself, not
-                // the (even-keyed) base rows — and repeat-appends collide
-                let kvs: Vec<(i64, i64)> = kvs.iter().map(|&(k, v)| (k * 2 + 1, v)).collect();
-                h.append(&kvs);
+                h.append(odd(kvs));
             }
             Action::DeleteRids(picks) => {
                 let rids = rids_of(&h, picks);
@@ -89,7 +161,7 @@ fn run_script(policy: UpdatePolicy, case: u64, actions: &[Action]) {
                 let rids = rids_of(&h, &pairs.iter().map(|p| p.0).collect::<Vec<_>>());
                 if !rids.is_empty() {
                     let vals: Vec<i64> = pairs.iter().take(rids.len()).map(|p| p.1).collect();
-                    h.update_col(&rids, &vals);
+                    h.update_col(&rids, 1, &ints(&vals));
                 }
             }
             Action::UpdateKeys(pairs) => {
@@ -97,14 +169,24 @@ fn run_script(policy: UpdatePolicy, case: u64, actions: &[Action]) {
                 if !rids.is_empty() {
                     let keys: Vec<i64> =
                         pairs.iter().take(rids.len()).map(|p| p.1 * 2 + 1).collect();
-                    h.update_keys(&rids, &keys);
+                    h.update_col(&rids, 0, &ints(&keys));
                 }
             }
             Action::ConcurrentAppends(a, b) => {
-                let odd = |kvs: &[(i64, i64)]| -> Vec<(i64, i64)> {
-                    kvs.iter().map(|&(k, v)| (k * 2 + 1, v)).collect()
-                };
-                h.concurrent_appends(&odd(a), &odd(b));
+                concurrent_appends(&mut h, odd(a), odd(b));
+            }
+            Action::Insert(k, a) => {
+                h.insert(row(k * 2 + 1, *a));
+            }
+            Action::Delete(pick) => {
+                if let Some(&rid) = rids_of(&h, &[*pick]).first() {
+                    h.delete(rid as usize);
+                }
+            }
+            Action::Modify(pick, v) => {
+                if let Some(&rid) = rids_of(&h, &[*pick]).first() {
+                    h.modify(rid as usize, 1, Value::Int(*v));
+                }
             }
             Action::Flush => h.flush(),
             Action::Checkpoint => h.checkpoint(),
@@ -112,7 +194,7 @@ fn run_script(policy: UpdatePolicy, case: u64, actions: &[Action]) {
         }
     }
     // every run ends with a crash recovery: the full WAL (batched
-    // encodings included) must replay to the row-wise state
+    // encodings included) must replay to the model
     h.crash_recover();
 }
 
@@ -124,45 +206,41 @@ proptest! {
         actions in prop::collection::vec(action_strategy(), 4..28),
         case in any::<u64>(),
     ) {
-        for policy in ALL_POLICIES {
-            run_script(policy, case % 1000, &actions);
-        }
+        run_script(case % 1000, &actions);
     }
 }
 
 #[test]
 fn scripted_edges_batch_equals_rows() {
-    for policy in ALL_POLICIES {
-        let dir = std::env::temp_dir().join(format!("pdt_batch_diff_edges_{policy:?}"));
-        let mut h = BatchRowHarness::new(dir, policy, 10, 4);
-        // bulk append spanning front, gaps and tail, unsorted
-        assert!(h.append(&[(95, 1), (-5, 2), (41, 3), (43, 4), (1000, 5)]));
-        // duplicate against the image and intra-batch duplicate
-        assert!(!h.append(&[(201, 1), (95, 2)]));
-        assert!(!h.append(&[(203, 1), (203, 2)]));
-        // positional batch delete including a just-appended row
-        h.delete_rids(&[0, 3, h.visible() - 1]);
-        // batch update of the payload column
-        h.update_col(&[1, 2, 5], &[100, 200, 300]);
-        // sort-key rewrite that repositions rows
-        assert!(h.update_keys(&[0, 1], &[71, 9]));
-        // rewrite colliding with an existing key must fail on both sides
-        assert!(!h.update_keys(&[0], &[71]));
-        // overlapping concurrent appends conflict identically
-        let (a_ok, b_ok) = h.concurrent_appends(&[(301, 1), (303, 2)], &[(303, 9)]);
-        assert!(
-            a_ok && !b_ok,
-            "{policy:?}: first writer wins, overlap aborts"
-        );
-        // disjoint concurrent appends both land
-        let (a_ok, b_ok) = h.concurrent_appends(&[(401, 1)], &[(403, 2)]);
-        assert!(a_ok && b_ok, "{policy:?}");
-        // maintenance and recovery over the batched log
-        h.flush();
-        h.checkpoint();
-        h.append(&[(501, 1), (503, 2)]);
-        h.crash_recover();
-        h.delete_rids(&[0, 1]);
-        h.crash_recover();
-    }
+    let mut h = harness("pdt_batch_diff_edges", 10, 4);
+    // bulk append spanning front, gaps and tail, unsorted
+    assert!(h.append(rows(&[(95, 1), (-5, 2), (41, 3), (43, 4), (1000, 5)])));
+    // duplicate against the image and intra-batch duplicate
+    assert!(!h.append(rows(&[(201, 1), (95, 2)])));
+    assert!(!h.append(rows(&[(203, 1), (203, 2)])));
+    // positional batch delete including a just-appended row
+    let last = h.model().len() as u64 - 1;
+    h.delete_rids(&[0, 3, last]);
+    // batch update of the payload column
+    h.update_col(&[1, 2, 5], 1, &ints(&[100, 200, 300]));
+    // sort-key rewrite that repositions rows
+    assert!(h.update_col(&[0, 1], 0, &ints(&[71, 9])));
+    // rewrite colliding with an existing key must fail everywhere
+    assert!(!h.update_col(&[0], 0, &ints(&[71])));
+    // overlapping concurrent appends conflict identically
+    let (a_ok, b_ok) = concurrent_appends(&mut h, rows(&[(301, 1), (303, 2)]), rows(&[(303, 9)]));
+    assert!(a_ok && !b_ok, "first writer wins, overlap aborts");
+    // so does an overlap at the later batch's second key
+    let (a_ok, b_ok) = concurrent_appends(&mut h, rows(&[(601, 1)]), rows(&[(599, 1), (601, 2)]));
+    assert!(a_ok && !b_ok, "an overlap past a batch's first key aborts");
+    // disjoint concurrent appends both land
+    let (a_ok, b_ok) = concurrent_appends(&mut h, rows(&[(401, 1)]), rows(&[(403, 2)]));
+    assert!(a_ok && b_ok);
+    // maintenance and recovery over the batched log
+    h.flush();
+    h.checkpoint();
+    h.append(rows(&[(501, 1), (503, 2)]));
+    h.crash_recover();
+    h.delete_rids(&[0, 1]);
+    h.crash_recover();
 }

@@ -25,10 +25,10 @@
 //! logs.
 
 use columnar::{Encoding, Schema, StableTable, Tuple, Value, ValueType};
-use engine::testkit::DiffHarness;
 use engine::MaintainTarget;
 use proptest::prelude::*;
 use std::path::PathBuf;
+use testkit::DiffHarness;
 
 fn schema() -> Schema {
     Schema::from_pairs(&[

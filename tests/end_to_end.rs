@@ -5,10 +5,10 @@
 //! `DeltaStore`-backed API.
 
 use columnar::{Schema, Tuple, Value, ValueType};
-use engine::testkit::DiffHarness;
 use engine::{Database, ScanSpec, TableOptions, ALL_POLICIES};
 use exec::expr::{col, lit};
 use exec::run_to_rows;
+use testkit::DiffHarness;
 
 fn schema() -> Schema {
     Schema::from_pairs(&[

@@ -8,9 +8,9 @@
 //! variant) crashes recovered by replaying the log into fresh instances.
 
 use columnar::{Schema, Tuple, Value, ValueType};
-use engine::testkit::DiffHarness;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use testkit::DiffHarness;
 
 #[derive(Debug, Clone)]
 enum Action {

@@ -5,23 +5,25 @@
 //! both used to be enclosing scans. The contract is that nothing but the
 //! I/O changed:
 //!
-//! * `gather(rids, cols)` ≡ the rows `scan_with(ScanSpec::cols(cols))`
-//!   emits at those rids ≡ the model, for every policy, partitioned or
-//!   not, over a table carrying all three layers (a flushed Read layer, a
-//!   committed Write layer and the transaction's own Trans layer);
-//! * run-wise rank ≡ the old enclosing-range rank ≡ the model's count of
-//!   smaller keys, duplicate verdicts included.
+//! * `DbTxn::gather(rids, cols)` ≡ the rows
+//!   `scan_with(ScanSpec::cols(cols))` emits at those rids ≡ the model,
+//!   for every policy, partitioned or not, over a table carrying all three
+//!   layers (a flushed Read layer, a committed Write layer and the
+//!   transaction's own Trans layer);
+//! * the run-wise rank (`DbTxn::rank_rows`) ≡ the old enclosing-range
+//!   rank ≡ the model's count of smaller keys, duplicate verdicts
+//!   included.
 //!
 //! `DiffHarness` builds the committed layers under all three policies in
 //! lockstep with the naive model; the Trans layer is staged here, in an
 //! open transaction per database, and mirrored into a clone of the model.
 
 use columnar::{Schema, Tuple, Value, ValueType};
-use engine::testkit::{gather_at, rank_rows, DiffHarness};
 use engine::{Database, DbError, DbTxn, ScanSpec, UpdatePolicy};
 use exec::{run_to_rows, Batch, Operator};
 use pdt::naive::NaiveImage;
 use proptest::prelude::*;
+use testkit::DiffHarness;
 
 const TABLE: &str = "t";
 const BLOCK_ROWS: usize = 8;
@@ -177,7 +179,8 @@ fn stage_op(txn: &mut DbTxn<'_>, model: &mut NaiveImage, op: &Op) {
 /// `gather ≡ scan ≡ model` at `rids`, for a few projections.
 fn assert_gather(policy: UpdatePolicy, txn: &DbTxn<'_>, model: &NaiveImage, rids: &[u64]) {
     for cols in [vec![0], vec![2, 0], vec![1], vec![0, 1, 2], vec![]] {
-        let got = gather_at(txn, TABLE, rids, &cols)
+        let got = txn
+            .gather(TABLE, rids, &cols)
             .unwrap_or_else(|e| panic!("{policy:?}: gather {rids:?} cols {cols:?}: {e}"));
         assert_eq!(got.num_cols(), cols.len(), "{policy:?}");
         if cols.is_empty() {
@@ -255,7 +258,7 @@ fn assert_rank(
     keys.sort_unstable();
     keys.dedup();
     let rows: Vec<Tuple> = keys.iter().map(|&k| row(k, 0)).collect();
-    let got = rank_rows(txn, TABLE, &Batch::from_rows(&schema().types(), &rows));
+    let got = txn.rank_rows(TABLE, &Batch::from_rows(&schema().types(), &rows));
     let dup = keys
         .iter()
         .any(|&k| model.rows().iter().any(|r| r[0] == Value::Int(k)));
@@ -327,10 +330,10 @@ fn run_case(
         assert_eq!(txn.visible_rows(TABLE).unwrap(), visible as u64);
         // out of range is a shape error, whatever the policy
         assert!(matches!(
-            gather_at(&txn, TABLE, &[visible as u64], &[0]),
+            txn.gather(TABLE, &[visible as u64], &[0]),
             Err(DbError::BatchShape { .. })
         ));
-        assert!(gather_at(&txn, TABLE, &[], &[0]).unwrap().is_empty());
+        assert!(txn.gather(TABLE, &[], &[0]).unwrap().is_empty());
         if visible > 0 {
             let all: Vec<u64> = (0..visible as u64).collect();
             assert_gather(policy, &txn, &model, &all);

@@ -17,8 +17,8 @@
 
 use columnar::TableMeta;
 use columnar::{Schema, Tuple, Value, ValueType};
-use engine::testkit::DiffHarness;
 use engine::{Database, MaintainTarget, ScanSpec, TableOptions, ALL_POLICIES};
+use testkit::DiffHarness;
 
 fn schema() -> Schema {
     Schema::from_pairs(&[
@@ -299,7 +299,7 @@ fn recovering_a_log_that_does_not_fit_the_table_is_an_error() {
 /// kind the key-addressed log format encodes, around a range compaction
 /// whose marker carries a residual.
 fn interchange_script(db: &Database) {
-    use engine::testkit::key_eq_pred;
+    use testkit::key_eq_pred;
     let commit = |stmt: &dyn Fn(&mut engine::DbTxn)| {
         let mut txn = db.begin();
         stmt(&mut txn);

@@ -24,11 +24,11 @@
 //!   commit from the views opened right after it.
 
 use columnar::{Schema, Tuple, Value, ValueType};
-use engine::testkit::{run_concurrent_differential, ConcurrentSpec};
 use engine::{Database, ScanSpec, TableOptions, UpdatePolicy, ALL_POLICIES};
 use exec::expr::{col, lit};
 use exec::run_to_rows;
 use std::sync::Arc;
+use testkit::{run_concurrent_differential, ConcurrentSpec};
 
 fn schema() -> Schema {
     Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)])

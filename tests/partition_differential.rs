@@ -8,7 +8,7 @@
 //! (per-partition checkpoint markers must cover exactly the folded
 //! commits of their partition, never a sibling's).
 //!
-//! `engine::testkit::DiffHarness` already compares one database per
+//! `testkit::DiffHarness` already compares one database per
 //! [`engine::UpdatePolicy`] against the executable specification
 //! `NaiveImage` after every step; the `partitions` knob rebuilds those
 //! databases range-partitioned, so the *same oracle* proves the
@@ -20,9 +20,9 @@
 //! must reach the same commit/abort decisions under every partitioning.
 
 use columnar::{Schema, Tuple, Value, ValueType};
-use engine::testkit::{run_interleaved, run_interleaved_spec, DiffHarness, TxnOp};
 use engine::PartitionSpec;
 use proptest::prelude::*;
+use testkit::{run_interleaved, run_interleaved_spec, DiffHarness, TxnOp};
 
 fn schema() -> Schema {
     Schema::from_pairs(&[

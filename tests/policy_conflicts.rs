@@ -4,7 +4,7 @@
 //! value-wise replay against the pending tree, the row store by
 //! run-footprint validation — three mechanisms, one contract.
 //!
-//! `engine::testkit::run_interleaved` executes «begin A; begin B; stage A;
+//! `testkit::run_interleaved` executes «begin A; begin B; stage A;
 //! stage B; commit A; commit B» against one database per policy and
 //! asserts the per-transaction commit/abort decisions and the final image
 //! agree. The scripted tests pin the paper's `CheckModConflict` semantics
@@ -13,8 +13,8 @@
 //! of inserts, deletes and modifies.
 
 use columnar::{Schema, Tuple, Value, ValueType};
-use engine::testkit::{run_interleaved, TxnOp};
 use proptest::prelude::*;
+use testkit::{run_interleaved, TxnOp};
 
 fn schema() -> Schema {
     Schema::from_pairs(&[

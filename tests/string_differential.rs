@@ -12,9 +12,9 @@
 //! non-ASCII code points.
 
 use columnar::{Schema, Tuple, Value, ValueType};
-use engine::testkit::DiffHarness;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use testkit::DiffHarness;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
