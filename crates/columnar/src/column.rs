@@ -457,6 +457,22 @@ impl ColumnVec {
         }
     }
 
+    /// Compare element `i` with `v` as [`Value`]'s order would, natively:
+    /// a string cell compares as `&str`, coded or not, without building a
+    /// `Value`.
+    pub fn cmp_value(&self, i: usize, v: &Value) -> std::cmp::Ordering {
+        match (self, v) {
+            (ColumnVec::Bool(a), Value::Bool(x)) => a[i].cmp(x),
+            (ColumnVec::Int(a), Value::Int(x)) => a[i].cmp(x),
+            (ColumnVec::Double(a), Value::Double(x)) => a[i].total_cmp(x),
+            (ColumnVec::Date(a), Value::Date(x)) => a[i].cmp(x),
+            (c @ (ColumnVec::Str(_) | ColumnVec::Coded(..)), Value::Str(s)) => {
+                c.str_at(i).cmp(s.as_str())
+            }
+            (c, v) => c.get(i).cmp(v),
+        }
+    }
+
     /// Rough in-memory footprint in bytes (for PDT memory accounting).
     /// Coded columns count 4 bytes per element; the shared dictionary is
     /// accounted once by its owner, not per vector.
@@ -688,5 +704,34 @@ mod tests {
         assert!(Arc::ptr_eq(buf.dict().unwrap(), &other));
         buf.reset_like(&ColumnVec::Str(vec!["s".into()]));
         assert_eq!(buf, ColumnVec::new(ValueType::Str));
+    }
+
+    #[test]
+    fn cmp_value_is_the_value_order() {
+        let d = StrDict::build(["b", "d"]);
+        let cols = [
+            ColumnVec::Int(vec![-3, 0, 7]),
+            ColumnVec::Double(vec![-0.0, 0.0, f64::NAN]),
+            ColumnVec::Date(vec![1, 5, 9]),
+            ColumnVec::Bool(vec![false, true, true]),
+            ColumnVec::Str(vec!["a".into(), "c".into(), "e".into()]),
+            ColumnVec::Coded(vec![0, 1, 1], d),
+        ];
+        let probes = [
+            Value::Int(0),
+            Value::Double(0.0),
+            Value::Date(5),
+            Value::Bool(true),
+            Value::Str("c".into()),
+            Value::Str("d".into()),
+            Value::Int(2),
+        ];
+        for c in &cols {
+            for v in &probes {
+                for i in 0..c.len() {
+                    assert_eq!(c.cmp_value(i, v), c.get(i).cmp(v), "{c:?}[{i}] vs {v:?}");
+                }
+            }
+        }
     }
 }

@@ -454,30 +454,6 @@ impl StableTable {
         }
         Ok(rows)
     }
-
-    /// Binary-search the first SID whose sort key is `>=`/`>` the given key
-    /// (used by DML insert positioning). `strict` selects `>` semantics.
-    /// Costs real block I/O, charged to `io`.
-    pub fn lower_bound_sk(&self, key: &[Value], strict: bool, io: &IoTracker) -> Result<u64> {
-        let mut lo = 0u64;
-        let mut hi = self.row_count;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let sk = self.sk_of_row(mid, io)?;
-            let ord = cmp_prefix(&sk, key);
-            let go_right = match ord {
-                Ordering::Less => true,
-                Ordering::Equal => strict,
-                Ordering::Greater => false,
-            };
-            if go_right {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(lo)
-    }
 }
 
 fn cmp_prefix(stored: &[Value], key: &[Value]) -> Ordering {
@@ -1107,31 +1083,6 @@ mod tests {
         t.read_block(3, 0, &io).unwrap();
         assert_eq!(io.stats().blocks_read, 1);
         assert_eq!(io.stats().bytes_read, 2 * 8); // 2 rows × 8-byte ints
-    }
-
-    #[test]
-    fn lower_bound_sk_semantics() {
-        let t = StableTable::bulk_load(
-            inventory_meta(),
-            TableOptions {
-                block_rows: 2,
-                compressed: true,
-            },
-            &inventory_rows(),
-        )
-        .unwrap();
-        let io = IoTracker::new();
-        // first SID with SK >= (London, stool) is 1
-        let key = vec![Value::from("London"), Value::from("stool")];
-        assert_eq!(t.lower_bound_sk(&key, false, &io).unwrap(), 1);
-        // strict: first SID with SK > (London, stool) is 2
-        assert_eq!(t.lower_bound_sk(&key, true, &io).unwrap(), 2);
-        // beyond the end
-        let key = vec![Value::from("Zurich")];
-        assert_eq!(t.lower_bound_sk(&key, false, &io).unwrap(), 5);
-        // before the start
-        let key = vec![Value::from("Amsterdam")];
-        assert_eq!(t.lower_bound_sk(&key, false, &io).unwrap(), 0);
     }
 
     #[test]

@@ -13,30 +13,41 @@
 //! own ∆ bookkeeping maps that `rid` straight to the right stable position,
 //! and inserts are positioned relative to ghost tuples via `SkRidToSid`
 //! (Algorithm 6).
+//!
+//! Values move by offset, not by `Value`: `upper`'s live inserts are
+//! appended to `lower`'s insert table with one typed gather per column
+//! before the walk, so each INS becomes one tree insertion at a known
+//! offset ([`Pdt::add_insert_off`]: one descent, its ghost ordering
+//! compared cell by cell in `lower`'s value space); a DEL copies its
+//! ghost key's cells only when it records a ghost.
 
 use crate::tree::Pdt;
 
 /// Apply all updates of `upper` (consecutive to `lower`) onto `lower`.
 ///
 /// After the call, `lower` alone represents the combined difference:
-/// `TABLE.Merge(lower')` ≡ `TABLE.Merge(lower).Merge(upper)`.
+/// `TABLE.Merge(lower')` ≡ `TABLE.Merge(lower).Merge(upper)`. `lower`'s
+/// value space grows by exactly what `upper`'s entries reference.
 pub fn propagate(lower: &mut Pdt, upper: &Pdt) {
     debug_assert_eq!(
         lower.schema(),
         upper.schema(),
         "propagate requires identical schemas"
     );
+    let live: Vec<usize> = upper
+        .iter()
+        .filter(|e| e.upd.is_ins())
+        .map(|e| e.upd.val as usize)
+        .collect();
+    let mut off = lower.vals_mut().append_inserts_from(upper.vals(), &live);
     let mut cur = upper.begin();
     while let Some(e) = upper.entry(&cur) {
         let rid = e.rid;
         if e.upd.is_ins() {
-            let tuple = upper.vals().get_insert(e.upd.val);
-            let sk = upper.vals().get_insert_sk(e.upd.val);
-            let sid = lower.sk_rid_to_sid(&sk, rid);
-            lower.add_insert(sid, rid, &tuple);
+            lower.add_insert_off(rid, off);
+            off += 1;
         } else if e.upd.is_del() {
-            let sk = upper.vals().get_delete(e.upd.val);
-            lower.add_delete(rid, &sk);
+            lower.delete_with(rid, |vals| vals.copy_delete_from(upper.vals(), e.upd.val));
         } else {
             let col = e.upd.col_no() as usize;
             let v = upper.vals().get_modify(col, e.upd.val);

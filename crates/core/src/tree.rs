@@ -24,6 +24,7 @@ use crate::node::{Internal, Leaf, Node, NodeId, NIL};
 use crate::upd::{EntryView, Upd};
 use crate::value_space::ValueSpace;
 use columnar::{Schema, Value};
+use std::cmp::Ordering;
 
 /// Default tree fan-out. The paper uses 8 (two cache lines); 16 behaves a
 /// little better for our dynamic-value leaves. Configurable per tree
@@ -134,7 +135,7 @@ impl Pdt {
 
     /// Append a batch of inserted tuples to the value space column-at-a-time
     /// without touching the tree; returns the offset of the first tuple.
-    /// Pair with one [`Pdt::add_insert_at`] call per row.
+    /// Pair with one [`Pdt::add_insert_off`] call per row.
     pub fn add_insert_batch(&mut self, cols: &[columnar::ColumnVec]) -> u64 {
         self.vals.add_insert_cols(cols)
     }
@@ -317,7 +318,10 @@ impl Pdt {
         }
     }
 
-    /// Cursor at the first entry satisfying the monotone predicate.
+    /// Cursor at the first entry satisfying the monotone predicate (the
+    /// end position when none does): the counted descent, then a scan of
+    /// the leaf's arrays — [`Pdt::advance`]'s steps, without re-reading
+    /// the entry per step.
     fn seek_by(&self, mut stop: impl FnMut(u64, u64) -> bool) -> Cursor {
         let (leaf, delta) = self.descend(&mut stop);
         let mut cur = Cursor {
@@ -325,13 +329,21 @@ impl Pdt {
             idx: 0,
             delta,
         };
-        while let Some(e) = self.entry(&cur) {
-            if stop(e.sid, e.rid) {
-                break;
+        loop {
+            let l = self.leaf(cur.leaf);
+            while let (Some(&sid), Some(upd)) = (l.sids.get(cur.idx), l.upds.get(cur.idx)) {
+                if stop(sid, (sid as i64 + cur.delta) as u64) {
+                    return cur;
+                }
+                cur.delta += upd.delta_contrib();
+                cur.idx += 1;
             }
-            self.advance(&mut cur);
+            if l.next == NIL {
+                return cur;
+            }
+            cur.leaf = l.next;
+            cur.idx = 0;
         }
-        cur
     }
 
     /// First entry with `sid >= s` (paper: `FindLeafBySid`).
@@ -416,18 +428,52 @@ impl Pdt {
     /// RID, determine the SID it must receive so that it respects the order
     /// of ghost tuples at that position.
     pub fn sk_rid_to_sid(&self, sk: &[Value], rid: u64) -> u64 {
+        let cur = self.ghost_cursor(rid, |vals, ghost| sk > vals.get_delete(ghost).as_slice());
+        (rid as i64 - cur.delta) as u64
+    }
+
+    /// Algorithm 6's walk: from the first entry at `rid`, step over the
+    /// ghosts there whose key the incoming insert sorts after (`after`,
+    /// given the ghost's delete-table offset). The cursor stops where the
+    /// insert goes; its SID is `rid − ∆` there.
+    fn ghost_cursor(&self, rid: u64, after: impl Fn(&ValueSpace, u64) -> bool) -> Cursor {
         let mut cur = self.seek_rid(rid);
         while let Some(e) = self.entry(&cur) {
-            if e.rid == rid && e.upd.is_del() {
-                let ghost_sk = self.vals.get_delete(e.upd.val);
-                if sk > ghost_sk.as_slice() {
-                    self.advance(&mut cur);
-                    continue;
-                }
+            if e.rid == rid && e.upd.is_del() && after(&self.vals, e.upd.val) {
+                self.advance(&mut cur);
+                continue;
             }
             break;
         }
-        (rid as i64 - cur.delta) as u64
+        cur
+    }
+
+    /// One layer of a sort-key rank (Algorithm 6 read the other way): given
+    /// `sid`, the lower bound of `key` in the image below this PDT (the
+    /// number of its rows sorting before `key`), and `eq`, whether the row
+    /// at `sid` there has exactly that key, return the same pair for the
+    /// image this PDT produces. The inserts at `sid` whose key sorts before
+    /// `key` are counted in; an insert with an equal key makes `eq` true;
+    /// a DEL at `sid` ghosts the row `eq` spoke of. Keys are compared in
+    /// the insert table, in place. One logarithmic descent.
+    pub fn lift_rank(&self, sid: u64, eq: bool, key: &[Value]) -> (u64, bool) {
+        let mut cur = self.seek_sid(sid);
+        let mut eq = eq;
+        while let Some(e) = self.entry(&cur).filter(|e| e.sid == sid) {
+            if e.upd.is_ins() {
+                match self.vals.cmp_insert_key(e.upd.val, key) {
+                    Ordering::Less => {
+                        self.advance(&mut cur);
+                        continue;
+                    }
+                    ord => return (e.rid, ord == Ordering::Equal),
+                }
+            }
+            // the row below at `sid`: a DEL ghosts it, a MOD keeps its key
+            eq &= !e.upd.is_del();
+            break;
+        }
+        ((sid as i64 + cur.delta) as u64, eq)
     }
 
     // --- update operations (Algorithms 3-5) ----------------------------------
@@ -447,19 +493,19 @@ impl Pdt {
         self.insert_entry(cur.leaf, cur.idx, esid, Upd::ins(off));
     }
 
-    /// Algorithm 3, batch form: like [`Pdt::add_insert`] but referencing a
-    /// tuple *already appended* to the value space at offset `off` (see
-    /// [`ValueSpace::add_insert_cols`]) — only the tree entry is created
-    /// here, so batch staging appends values column-at-a-time and then
-    /// performs one logarithmic tree insertion per row.
-    pub fn add_insert_at(&mut self, sid: u64, rid: u64, off: u64) {
-        let cur = self.seek_by(|s, r| s >= sid && r >= rid);
-        let esid = (rid as i64 - cur.delta) as u64;
-        assert_eq!(
-            esid, sid,
-            "inconsistent (sid={sid}, rid={rid}) pair: position implies sid {esid}"
-        );
-        self.insert_entry(cur.leaf, cur.idx, esid, Upd::ins(off));
+    /// Algorithms 6 and 3 in one descent, for a tuple *already appended*
+    /// to the value space at offset `off` (see [`Pdt::add_insert_batch`]):
+    /// it becomes visible row `rid`, after the ghosts there whose sort key
+    /// sorts before its own — compared cell by cell in the value space.
+    /// Only the tree entry is created here, so batch staging and Propagate
+    /// append values column-at-a-time, then make one tree insertion per
+    /// row.
+    pub fn add_insert_off(&mut self, rid: u64, off: u64) {
+        let cur = self.ghost_cursor(rid, |vals, ghost| {
+            vals.cmp_insert_delete(off, ghost) == Ordering::Greater
+        });
+        let sid = (rid as i64 - cur.delta) as u64;
+        self.insert_entry(cur.leaf, cur.idx, sid, Upd::ins(off));
     }
 
     /// Algorithm 4: set column `col` of the visible tuple at `rid` to
@@ -502,6 +548,17 @@ impl Pdt {
     /// tuple's sort-key values, stored in the delete table when a stable
     /// tuple becomes a ghost (they are what keeps sparse indexes stale-safe).
     pub fn add_delete(&mut self, rid: u64, sk_values: &[Value]) -> DeleteOutcome {
+        self.delete_with(rid, |vals| vals.add_delete(sk_values))
+    }
+
+    /// [`Pdt::add_delete`] with the ghost's sort key stored by `store`,
+    /// which returns its delete-table offset — called only when a DEL is
+    /// recorded, so a delete-of-insert leaves no delete-table garbage.
+    pub(crate) fn delete_with(
+        &mut self,
+        rid: u64,
+        store: impl FnOnce(&mut ValueSpace) -> u64,
+    ) -> DeleteOutcome {
         // Repeatedly locate the target chain head; each structural removal
         // invalidates cursors, so re-seek between removals.
         loop {
@@ -527,7 +584,7 @@ impl Pdt {
                 _ => {
                     // no entries left for the target: record the DEL
                     let sid = (rid as i64 - cur.delta) as u64;
-                    let off = self.vals.add_delete(sk_values);
+                    let off = store(&mut self.vals);
                     self.insert_entry(cur.leaf, cur.idx, sid, Upd::del(off));
                     return DeleteOutcome::AddedDelete;
                 }

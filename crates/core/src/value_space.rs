@@ -19,6 +19,7 @@
 //! at Propagate/checkpoint time, just like a real cache-resident PDT.
 
 use columnar::{ColumnVec, Schema, Tuple, Value};
+use std::cmp::Ordering;
 
 /// Value tables backing one PDT.
 #[derive(Debug, Clone)]
@@ -110,6 +111,45 @@ impl ValueSpace {
             .collect()
     }
 
+    /// Append the inserted tuples of `other` (same schema) at offsets
+    /// `offs`, in that order, with one typed gather per column; returns
+    /// the offset the first one lands at (tuple `i` lands at `base + i`).
+    /// Propagate moves a layer's live inserts down this way.
+    pub(crate) fn append_inserts_from(&mut self, other: &ValueSpace, offs: &[usize]) -> u64 {
+        let off = self.ins[0].len() as u64;
+        for (dst, src) in self.ins.iter_mut().zip(&other.ins) {
+            dst.extend_gather(src, offs);
+        }
+        off
+    }
+
+    /// Order of the inserted tuple at `off` against the probe sort key
+    /// `key` (`insert.cmp(key)`), compared in place.
+    pub(crate) fn cmp_insert_key(&self, off: u64, key: &[Value]) -> Ordering {
+        let off = off as usize;
+        for (&c, v) in self.sk_cols.iter().zip(key) {
+            match self.ins[c].cmp_value(off, v) {
+                Ordering::Equal => continue,
+                ord => return ord,
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// Order of the inserted tuple at `ins_off` against the ghost at
+    /// delete-table offset `del_off` (`insert.cmp(ghost)`), by sort key,
+    /// compared in place. An empty sort key orders nothing: `Equal`.
+    pub(crate) fn cmp_insert_delete(&self, ins_off: u64, del_off: u64) -> Ordering {
+        let (i, d) = (ins_off as usize, del_off as usize);
+        for (&c, del) in self.sk_cols.iter().zip(&self.del) {
+            match self.ins[c].cmp_cells(i, del, d) {
+                Ordering::Equal => continue,
+                ord => return ord,
+            }
+        }
+        Ordering::Equal
+    }
+
     /// In-place modification of an inserted tuple (modify-of-insert).
     pub fn set_insert_col(&mut self, off: u64, col: usize, v: &Value) {
         self.ins[col].set(off as usize, v);
@@ -131,6 +171,20 @@ impl ValueSpace {
             self.del[c].push(v);
         }
         off
+    }
+
+    /// Append the ghost sort key at offset `off` of `other`'s delete table
+    /// (same sort key); returns its offset here.
+    pub(crate) fn copy_delete_from(&mut self, other: &ValueSpace, off: u64) -> u64 {
+        let Some(first) = self.del.first() else {
+            return 0; // empty sort key: synthetic offsets, as in `add_delete`
+        };
+        let at = first.len() as u64;
+        let off = off as usize;
+        for (dst, src) in self.del.iter_mut().zip(&other.del) {
+            dst.extend_range(src, off, off + 1);
+        }
+        at
     }
 
     /// Read the sort key of a deleted (ghost) tuple.

@@ -685,14 +685,9 @@ impl DeltaTxn for PdtTxn {
     fn stage_batch(&mut self, batch: &DmlBatch) {
         match batch {
             DmlBatch::Insert { rids, rows } => {
-                let sk_cols = self.trans.sk_cols().to_vec();
                 let base = self.trans.add_insert_batch(&rows.cols);
-                let mut sk: Vec<Value> = Vec::with_capacity(sk_cols.len());
-                for (i, &rid) in rids.iter().enumerate() {
-                    sk.clear();
-                    sk.extend(sk_cols.iter().map(|&c| rows.cols[c].get(i)));
-                    let sid = self.trans.sk_rid_to_sid(&sk, rid);
-                    self.trans.add_insert_at(sid, rid, base + i as u64);
+                for (off, &rid) in (base..).zip(rids) {
+                    self.trans.add_insert_off(rid, off);
                 }
             }
             DmlBatch::Delete { rids, pre } => {
@@ -715,9 +710,13 @@ impl DeltaTxn for PdtTxn {
         }
     }
 
+    /// Consumes the Trans-PDT: a commit reads only the serialized delta
+    /// after this, and a failed one discards the transaction.
     fn prepare(&mut self) -> Result<(), DbError> {
         let layers = &self.snap.layers;
-        let serialized = layers.serialize(self.trans.clone(), self.start_seq)?;
+        let empty = Pdt::new(self.trans.schema().clone(), self.trans.sk_cols().to_vec());
+        let trans = std::mem::replace(&mut self.trans, empty);
+        let serialized = layers.serialize(trans, self.start_seq)?;
         self.serialized = Some(Arc::new(serialized));
         Ok(())
     }
@@ -731,7 +730,11 @@ impl DeltaTxn for PdtTxn {
 
     fn publish(self: Box<Self>, seq: u64, _entries: &[WalEntry]) {
         let delta = self.serialized.expect("publish called before prepare");
-        self.snap.layers.publish(delta, seq);
+        // drop the capture first: a Write-PDT only this transaction still
+        // held is then propagated into in place, not copied
+        let layers = self.snap.layers.clone();
+        drop(self.snap);
+        layers.publish(delta, seq);
     }
 }
 

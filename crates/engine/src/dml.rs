@@ -19,10 +19,17 @@
 //!   O(log n) and only the stable blocks that hold a victim are decoded;
 //!   a value-addressed table has no positional index, so its arm merges
 //!   the RID window — the difference the paper is about;
-//! * the **ranker** (under [`DbTxn::append`]) answers "where do these
-//!   keys go" (the paper's `SELECT rid WHERE SK > sk LIMIT 1`, amortized):
-//!   sorted keys are cut into runs whose sparse-index ranges touch, one
-//!   sort-key-only ranged scan per run, prepared-key compares;
+//! * the **ranker** ([`exec::rank_keys`], under [`DbTxn::append`])
+//!   answers "where do these keys go" (the paper's
+//!   `SELECT rid WHERE SK > sk LIMIT 1`, amortized over sorted keys): on
+//!   a PDT table the stable zone map names the one block a key lands in,
+//!   that block's sort-key columns are decoded once for all the keys
+//!   landing there and bisected, and each layer lifts the stable rank by
+//!   one descent ([`pdt::Pdt::lift_rank`]) — no scan; a value-addressed
+//!   table's arm is one sort-key-only ranged scan per run of keys whose
+//!   sparse-index ranges touch. This module keeps only the routing and
+//!   the duplicate verdict (a key equal to a visible row's, unless a
+//!   sort-key rewrite exempts its own victims);
 //! * the **victim scan** of the predicate forms reads the columns the
 //!   predicate and the assignments mention, plus the pre-image.
 //!
@@ -56,10 +63,9 @@ use crate::compaction::PartitionHeat;
 use crate::delta::{DeltaSnapshot, DeltaTxn};
 use crate::partition::{self, TableEntry};
 use crate::{Database, DbError, ScanSpec};
-use columnar::{ColumnVec, PreparedKey, Schema, StableTable, Tuple, Value, ValueType};
+use columnar::{ColumnVec, Schema, StableTable, Tuple, Value, ValueType};
 use exec::expr::Expr;
 use exec::{Batch, DeltaLayers, ScanBounds, ScanSegment, TableScan};
-use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -229,30 +235,6 @@ impl<'db> DbTxn<'db> {
         spec.open(table, t.schema(), t.segments(), self.db.clock().clone())
     }
 
-    /// Scan **one partition** under this transaction's view, with
-    /// partition-local RIDs — the unit the positional write paths rank
-    /// and collect against.
-    fn scan_partition(
-        &self,
-        table: &str,
-        part: usize,
-        spec: ScanSpec,
-    ) -> Result<TableScan<'_>, DbError> {
-        let t = self.table(table)?;
-        let p = &t.parts[part];
-        spec.open(
-            table,
-            t.schema(),
-            vec![ScanSegment {
-                stable: &p.stable,
-                layers: p.layers(),
-                rid_base: 0,
-                io: t.heat_io(part),
-            }],
-            self.db.clock().clone(),
-        )
-    }
-
     /// Total visible rows of `table` under this transaction's view,
     /// summed over partitions.
     pub fn visible_rows(&self, table: &str) -> Result<u64, DbError> {
@@ -275,10 +257,10 @@ impl<'db> DbTxn<'db> {
         );
     }
 
-    /// Test seam onto the run-wise ranker [`DbTxn::append`] positions its
-    /// rows with: per touched partition, in split order, `(partition,
-    /// base rids)` — the partition-local rank of each of `rows`' sort keys
-    /// (in key order) among the rows visible to this transaction — or the
+    /// Test seam onto the ranker [`DbTxn::append`] positions its rows
+    /// with: per touched partition, in split order, `(partition, base
+    /// rids)` — the partition-local rank of each of `rows`' sort keys (in
+    /// key order) among the rows visible to this transaction — or the
     /// duplicate-key error `append` would return. Read-only.
     pub fn rank_rows(&self, table: &str, rows: &Batch) -> Result<Vec<(usize, Vec<u64>)>, DbError> {
         let ranked = self.rank(table, rows, &HashSet::new())?;
@@ -288,10 +270,12 @@ impl<'db> DbTxn<'db> {
     /// Route and rank a write batch (full-width `rows`, any order): per
     /// touched partition, in split order, the row indices it owns **in key
     /// order** and each one's partition-local base rid — its rank among the
-    /// partition's visible rows, before the batch's own rows shift it.
-    /// Read-only, and every partition is ranked before anything is
-    /// returned, so a duplicate sort key — within the batch, or against a
-    /// visible row whose key is not in `exempt` — leaves nothing staged.
+    /// partition's visible rows, before the batch's own rows shift it
+    /// ([`exec::rank_keys`]). A key equal to a visible row's is a duplicate
+    /// unless it is in `exempt` (a sort-key rewrite's own victims, which
+    /// the statement deletes first). Read-only, and every partition is
+    /// ranked before anything is returned, so a duplicate sort key —
+    /// within the batch, or against a visible row — leaves nothing staged.
     fn rank(
         &self,
         table: &str,
@@ -306,11 +290,12 @@ impl<'db> DbTxn<'db> {
             .collect();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+        let duplicate = |key: &[Value]| DbError::DuplicateKey {
+            table: table.to_string(),
+            key: key.to_vec(),
+        };
         if let Some(w) = order.windows(2).find(|w| keys[w[0]] == keys[w[1]]) {
-            return Err(DbError::DuplicateKey {
-                table: table.to_string(),
-                key: keys[w[0]].clone(),
-            });
+            return Err(duplicate(&keys[w[0]]));
         }
         // keys are sorted, so each partition's slice stays sorted
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); t.parts.len()];
@@ -322,9 +307,26 @@ impl<'db> DbTxn<'db> {
             if idx.is_empty() {
                 continue;
             }
+            let t0 = Instant::now();
             let pkeys: Vec<&[Value]> = idx.iter().map(|&i| keys[i].as_slice()).collect();
-            let base = self.rank_in_partition(table, p, &pkeys, exempt)?;
-            ranked.push(Ranked { part: p, idx, base });
+            // one partition, with partition-local rids
+            let seg = ScanSegment {
+                stable: &t.parts[p].stable,
+                layers: t.parts[p].layers(),
+                rid_base: 0,
+                io: t.heat_io(p),
+            };
+            let got = exec::rank_keys(seg, &pkeys, self.db.clock())?;
+            self.note_resolved(table, Some(p), t0, pkeys.len(), got.blocks_decoded);
+            let mut hits = got.eq.iter().zip(&pkeys);
+            if let Some((_, key)) = hits.find(|(&eq, key)| eq && !exempt.contains(**key)) {
+                return Err(duplicate(key));
+            }
+            ranked.push(Ranked {
+                part: p,
+                idx,
+                base: got.rids,
+            });
         }
         Ok(ranked)
     }
@@ -333,7 +335,7 @@ impl<'db> DbTxn<'db> {
     /// follows from the table's sort order. This is the paper's
     /// `SELECT rid WHERE SK > sk ORDER BY rid LIMIT 1` insert-positioning
     /// flow, amortized: the batch is routed to its partitions by sort-key
-    /// range and every touched partition ranks its slice run by run
+    /// range and every touched partition ranks its slice
     /// (`rank`, which also rejects duplicate sort keys)
     /// before a single [`DeltaTxn::stage_batch`] call per partition stages
     /// the statement. Rows need not arrive sorted. Returns the number of
@@ -362,107 +364,6 @@ impl<'db> DbTxn<'db> {
             self.stage_in(table, part, DmlBatch::Insert { rids, rows: sub })?;
         }
         Ok(n)
-    }
-
-    /// Rank sorted `keys` against one partition: a key's base rid is the
-    /// partition-local rank of the first visible row with a greater key.
-    /// A key equal to a visible row's is a duplicate unless it is in
-    /// `exempt` (a sort-key rewrite's own victims, which the statement
-    /// deletes first).
-    ///
-    /// The keys are cut into **runs**: consecutive keys whose conservative
-    /// sparse-index ranges ([`StableTable::sid_range`]) touch share one
-    /// sort-key-only ranged scan, keys further apart get their own — so a
-    /// batch decodes the blocks around its keys, not the blocks between
-    /// them.
-    fn rank_in_partition(
-        &self,
-        table: &str,
-        part: usize,
-        keys: &[&[Value]],
-        exempt: &HashSet<Vec<Value>>,
-    ) -> Result<Vec<u64>, DbError> {
-        let t0 = Instant::now();
-        let stable = &self.table(table)?.parts[part].stable;
-        let mut base: Vec<u64> = Vec::with_capacity(keys.len());
-        let mut blocks = 0u64;
-        let mut k = 0usize;
-        while k < keys.len() {
-            let mut reach = stable.sid_range(Some(keys[k]), Some(keys[k])).end;
-            let mut end = k + 1;
-            while let Some(key) = keys.get(end) {
-                let next = stable.sid_range(Some(key), Some(key));
-                if next.start > reach {
-                    break;
-                }
-                reach = reach.max(next.end);
-                end += 1;
-            }
-            blocks += self.rank_run(table, part, &keys[k..end], exempt, &mut base)?;
-            k = end;
-        }
-        self.note_resolved(table, Some(part), t0, keys.len(), blocks);
-        Ok(base)
-    }
-
-    /// Rank one run of sorted keys (see [`DbTxn::rank_in_partition`]) with
-    /// a single ranged scan of the sort-key columns, appending their base
-    /// rids to `base`; returns the blocks the scan decoded. Batches arrive
-    /// in key order, so each key binary-searches its batch with
-    /// [`PreparedKey::cmp_row`] — no `Value` is built per scanned row.
-    /// Keys past every scanned row rank at the range end; a fully ghosted
-    /// range emits nothing and falls back to the scan's start rank.
-    fn rank_run(
-        &self,
-        table: &str,
-        part: usize,
-        keys: &[&[Value]],
-        exempt: &HashSet<Vec<Value>>,
-        base: &mut Vec<u64>,
-    ) -> Result<u64, DbError> {
-        let (Some(lo), Some(hi)) = (keys.first(), keys.last()) else {
-            return Ok(0);
-        };
-        let sk_cols = self.table(table)?.sk_cols().to_vec();
-        let spec = ScanSpec::cols(sk_cols).key_range(lo.to_vec(), hi.to_vec());
-        let mut scan = self.scan_partition(table, part, spec)?;
-        let mut last_end = scan.start_rid();
-        let mut k = 0usize;
-        while k < keys.len() {
-            let Some(b) = scan.try_next_batch()? else {
-                break;
-            };
-            let n = b.num_rows();
-            let mut from = 0usize;
-            while let Some(key) = keys.get(k) {
-                let probe = PreparedKey::prepare(key, &b.cols);
-                // first row at or past `from` that is not below the probe
-                let (mut at, mut hi) = (from, n);
-                while at < hi {
-                    let mid = at + (hi - at) / 2;
-                    if probe.cmp_row(&b.cols, mid) == Ordering::Greater {
-                        at = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                if at == n {
-                    break; // the probe sorts past this batch
-                }
-                if probe.cmp_row(&b.cols, at) == Ordering::Equal && !exempt.contains(*key) {
-                    return Err(DbError::DuplicateKey {
-                        table: table.to_string(),
-                        key: key.to_vec(),
-                    });
-                }
-                base.push(b.rid_start + at as u64);
-                from = at;
-                k += 1;
-            }
-            last_end = b.rid_start + n as u64;
-        }
-        base.extend(std::iter::repeat_n(last_end, keys.len() - k));
-        Ok(scan.counts().blocks_decoded)
     }
 
     /// INSERT a tuple; its position follows from the table's sort order.
@@ -1438,6 +1339,55 @@ mod tests {
         let io = db.io().stats().since(&before);
         assert!(io.blocks_read <= 2 * 7 + 1, "{io:?}");
         assert!(io.bytes_read <= io.blocks_read * key_max, "{io:?}");
+        t.commit().unwrap();
+        let ks = keys(&db);
+        assert!(ks.windows(2).all(|w| w[0] < w[1]));
+        assert!(new.iter().all(|k| ks.contains(k)));
+    }
+
+    #[test]
+    fn pdt_append_decodes_one_key_block_per_block_its_keys_land_in() {
+        let db = shape_db(UpdatePolicy::Pdt);
+        let (key_max, _) = key_and_payload_block_bytes(&db);
+        let stable = db.stable_single("t").unwrap();
+        // the block each key's lower bound lands in, by the zone map; none
+        // for a key above every block's maximum
+        let landing = |keys: &[i64]| {
+            let maxes = stable.block_max_keys();
+            let mut blocks: Vec<usize> = keys
+                .iter()
+                .map(|&k| maxes.partition_point(|m| m.as_slice() < [Value::Int(k)].as_slice()))
+                .filter(|&b| b < maxes.len())
+                .collect();
+            blocks.dedup();
+            blocks.len() as u64
+        };
+        // two keys per block, keys just past a block's maximum (they land
+        // in the next one), one below and two past every block
+        let new = [-5i64, 333, 334, 1111, 1999, 2001, 2777, 9999, 10_001];
+        let mut t = db.begin();
+        for (keys, want) in [(&new[..], 5), (&new[7..], 0)] {
+            assert_eq!(landing(keys), want);
+            let before = db.io().stats();
+            let decoded = db.metrics().value("db.dml.blocks_decoded");
+            let rows: Vec<Tuple> = keys
+                .iter()
+                .map(|&k| vec![Value::Int(k), Value::Int(0)])
+                .collect();
+            // the second round's keys collide with the first's
+            let got = t.append("t", Batch::from_rows(&int_types(), &rows));
+            let io = db.io().stats().since(&before);
+            assert_eq!(io.blocks_read, want, "{keys:?}: {io:?}");
+            assert!(io.bytes_read <= want * key_max, "{io:?}");
+            // the resolution reports what it decoded
+            let reported = db.metrics().value("db.dml.blocks_decoded");
+            assert_eq!(reported, decoded.map(|d| d + want));
+            if want == 0 {
+                assert!(matches!(got, Err(DbError::DuplicateKey { .. })));
+            } else {
+                assert_eq!(got.unwrap(), keys.len());
+            }
+        }
         t.commit().unwrap();
         let ks = keys(&db);
         assert!(ks.windows(2).all(|w| w[0] < w[1]));

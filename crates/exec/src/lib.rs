@@ -43,6 +43,7 @@ pub use ops::filter::Filter;
 pub use ops::gather::{gather_rows, Gathered};
 pub use ops::join::{HashJoin, JoinKind};
 pub use ops::project::Project;
+pub use ops::rank::{rank_keys, KeyRanks};
 pub use ops::scan::{fold_blocks, DeltaLayers, ScanBounds, ScanCounts, ScanSegment, TableScan};
 pub use ops::sort::{Sort, SortKey, TopN};
 pub use ops::{run_to_rows, BoxOp, Operator};

@@ -8,6 +8,7 @@ pub mod filter;
 pub mod gather;
 pub mod join;
 pub mod project;
+pub mod rank;
 pub mod scan;
 pub mod sort;
 

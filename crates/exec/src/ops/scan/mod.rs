@@ -53,6 +53,7 @@ use std::time::Instant;
 use vdt::Vdt;
 
 /// Differential layers to merge into the scan.
+#[derive(Clone)]
 pub enum DeltaLayers<'a> {
     /// Scan the stable image only.
     None,

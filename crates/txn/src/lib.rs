@@ -11,9 +11,11 @@
 //! * [`PdtLayers`] — what is per partition, owned by the store that
 //!   maintains the partition: the RAM-resident **Read-PDT** (large,
 //!   shared), the small CPU-cache-sized **Write-PDT** — the only structure
-//!   commits mutate; readers take a (cached, shared) copy, so running
-//!   queries are never blocked — and the **TZ set**, the recently
-//!   committed deltas still-running transactions are serialized against.
+//!   commits mutate; readers share it copy-on-write (a capture is an
+//!   `Arc` clone, and a commit copies the layer only while a capture still
+//!   holds it), so running queries are never blocked — and the **TZ
+//!   set**, the recently committed deltas still-running transactions are
+//!   serialized against.
 //!   A transaction adds its private **Trans-PDT** on top (eq. (9):
 //!   `TABLE_t = TABLE0 ∘ Read ∘ Write ∘ Trans`).
 //!
@@ -281,8 +283,8 @@ pub struct PdtSnapshot {
     pub layers: Arc<PdtLayers>,
     /// The (big, RAM-resident) Read-PDT layer.
     pub read: Arc<Pdt>,
-    /// A private copy of the Write-PDT (shared between captures taken
-    /// between the same two commits).
+    /// The Write-PDT as of the capture (shared with every capture taken
+    /// between the same two commits; a later commit copies it, not this).
     pub write: Arc<Pdt>,
 }
 
@@ -294,37 +296,28 @@ struct CommittedDelta {
 }
 
 struct LayerState {
+    /// The Read-PDT; copied on flush only while a pin or a capture still
+    /// holds it.
     read: Arc<Pdt>,
-    master_write: Pdt,
-    /// Cached snapshot of `master_write`, shared by transactions starting
-    /// before the next commit ("copying is not always required"). `None`
-    /// whenever `master_write` changed since the last capture — every
-    /// mutation goes through [`LayerState::write_mut`], so a flush landing
-    /// between a commit's `alloc_seq` and its `publish` cannot leave a
-    /// pre-commit copy behind for that commit's sequence.
-    write_snapshot: Option<Arc<Pdt>>,
+    /// The master Write-PDT, shared by every capture taken since the last
+    /// commit ("copying is not always required"): a commit or flush
+    /// mutates it through [`Arc::make_mut`], which copies only while some
+    /// capture still holds it.
+    master_write: Arc<Pdt>,
     /// The TZ set of this partition, in commit order.
     tz: VecDeque<CommittedDelta>,
 }
 
 impl LayerState {
-    /// The master Write-PDT for mutation; drops the cached snapshot.
-    fn write_mut(&mut self) -> &mut Pdt {
-        self.write_snapshot = None;
-        &mut self.master_write
-    }
-
     /// Migrate the master Write-PDT into the Read-PDT; whether there was
     /// anything to migrate.
     fn flush_write(&mut self) -> bool {
         if self.master_write.is_empty() {
             return false;
         }
-        let mut read = (*self.read).clone();
-        propagate(&mut read, &self.master_write);
-        let empty = Pdt::new(read.schema().clone(), read.sk_cols().to_vec());
-        self.read = Arc::new(read);
-        *self.write_mut() = empty;
+        propagate(Arc::make_mut(&mut self.read), &self.master_write);
+        let read = &self.read;
+        self.master_write = Arc::new(Pdt::new(read.schema().clone(), read.sk_cols().to_vec()));
         true
     }
 
@@ -356,8 +349,7 @@ impl PdtLayers {
             table,
             state: Mutex::new(LayerState {
                 read: Arc::new(Pdt::new(schema.clone(), sk_cols.clone())),
-                master_write: Pdt::new(schema, sk_cols),
-                write_snapshot: None,
+                master_write: Arc::new(Pdt::new(schema, sk_cols)),
                 tz: VecDeque::new(),
             }),
         }
@@ -379,21 +371,18 @@ impl PdtLayers {
         &self.table
     }
 
-    /// Capture the layers, copying the Write-PDT only when it changed
-    /// since the last capture. Registers nothing: read views are not
-    /// tracked in the running set and retain no TZ deltas. Callers needing
-    /// a consistent cut across partitions (or across delta structures)
-    /// hold [`TxnManager::commit_guard`] around the calls.
+    /// Capture the layers: two `Arc` clones, nothing copied — a later
+    /// commit or flush copies a layer only if the capture still holds it.
+    /// Registers nothing: read views are not tracked in the running set
+    /// and retain no TZ deltas. Callers needing a consistent cut across
+    /// partitions (or across delta structures) hold
+    /// [`TxnManager::commit_guard`] around the calls.
     pub fn snapshot(self: &Arc<Self>) -> PdtSnapshot {
-        let mut guard = self.locked();
-        let st = &mut *guard;
-        let write = st
-            .write_snapshot
-            .get_or_insert_with(|| Arc::new(st.master_write.clone()));
+        let st = self.locked();
         PdtSnapshot {
             layers: self.clone(),
             read: st.read.clone(),
-            write: write.clone(),
+            write: st.master_write.clone(),
         }
     }
 
@@ -416,10 +405,12 @@ impl PdtLayers {
 
     /// Publish a serialized delta at commit `seq`: propagate it into the
     /// master Write-PDT and retain it in the TZ set for conflict checks
-    /// against still-running overlapping transactions.
+    /// against still-running overlapping transactions. The Write-PDT is
+    /// copied first only if a capture still holds it — a committer drops
+    /// its own before calling.
     pub fn publish(&self, delta: Arc<Pdt>, seq: u64) {
         let mut st = self.locked();
-        propagate(st.write_mut(), &delta);
+        propagate(Arc::make_mut(&mut st.master_write), &delta);
         st.tz.push_back(CommittedDelta { seq, pdt: delta });
     }
 
@@ -430,7 +421,7 @@ impl PdtLayers {
         let mut st = self.state.lock();
         let delta = wal::rebuild_pdt(st.read.schema(), st.read.sk_cols(), entries)
             .map_err(|detail| TxnError::misfit(&self.table, detail))?;
-        propagate(st.write_mut(), &delta);
+        propagate(Arc::make_mut(&mut st.master_write), &delta);
         Ok(())
     }
 
@@ -704,7 +695,7 @@ mod tests {
         let m = layers();
         let a = begin(&m);
         let b = begin(&m);
-        // no commit in between: both share the same write snapshot Arc
+        // no commit in between: both share the master Write-PDT's Arc
         assert!(Arc::ptr_eq(&a.snap.write, &b.snap.write));
         abort(&m, a);
         let mut c = begin(&m);
@@ -712,6 +703,53 @@ mod tests {
         commit(&m, c).unwrap();
         let d = begin(&m);
         assert!(!Arc::ptr_eq(&b.snap.write, &d.snap.write));
+        // the commit copied the version `b` still holds, not changed it
+        assert!(b.snap.write.is_empty());
+        assert_eq!(d.snap.write.len(), 1);
+    }
+
+    #[test]
+    fn layers_are_copied_only_while_a_capture_holds_them() {
+        let m = layers();
+        let addr = |p: &Arc<Pdt>| Arc::as_ptr(p) as usize;
+        let mut a = begin(&m);
+        a.trans.add_delete(0, &[Value::Int(0)]);
+        let write = addr(&a.snap.write);
+        // a committer that drops its capture first publishes in place
+        let TestTxn {
+            id,
+            start_seq,
+            snap,
+            trans,
+        } = a;
+        drop(snap);
+        let _commit = m.mgr.commit_guard();
+        let delta = Arc::new(m.serialize(trans, start_seq).unwrap());
+        m.publish(delta, m.mgr.alloc_seq());
+        m.mgr.end_txn(id);
+        drop(_commit);
+        let b = begin(&m);
+        assert_eq!(addr(&b.snap.write), write, "unshared Write-PDT copied");
+        assert_eq!(b.snap.write.len(), 1);
+        // a flush while `b` holds both layers copies the Read-PDT it moves
+        // the Write-PDT into; `b` keeps seeing the old versions
+        m.flush();
+        let c = begin(&m);
+        assert_ne!(addr(&b.snap.read), addr(&c.snap.read));
+        assert!(b.snap.read.is_empty() && b.snap.write.len() == 1);
+        assert!(c.snap.read.len() == 1 && c.snap.write.is_empty());
+        // once nothing else holds the Read-PDT, a flush moves into it in
+        // place
+        drop(b);
+        let read = addr(&c.snap.read);
+        drop(c);
+        let mut d = begin(&m);
+        d.trans.add_delete(0, &[Value::Int(10)]);
+        commit(&m, d).unwrap();
+        m.flush();
+        let e = begin(&m);
+        assert_eq!(addr(&e.snap.read), read, "unshared Read-PDT copied");
+        assert_eq!(e.snap.read.len(), 2);
     }
 
     #[test]
