@@ -5,6 +5,7 @@
 //! block-wise storage with a separate sparse index is one of the two
 //! physical layouts the paper names for positional column storage (§2).
 
+use crate::checksum::checksum;
 use crate::column::ColumnVec;
 use crate::compress;
 pub use crate::compress::Encoding;
@@ -23,11 +24,27 @@ pub struct Block {
     pub vtype: ValueType,
     /// Codec of `payload`.
     pub encoding: Encoding,
-    /// Encoded bytes. `Bytes` so cloned tables share payloads.
+    /// Encoded bytes. `Bytes` so cloned tables share payloads. Never
+    /// replaced: [`Block::checksum`] is taken over them once.
     pub payload: Bytes,
+    /// [`checksum`] of `payload`, taken where the payload was produced;
+    /// it travels with the payload through every clone and splice.
+    checksum: u64,
 }
 
 impl Block {
+    /// A block over `payload`, its checksum taken here — the one way a
+    /// block comes to be, so none carries a stale sum.
+    pub(crate) fn new(len: usize, vtype: ValueType, encoding: Encoding, payload: Bytes) -> Block {
+        Block {
+            len,
+            vtype,
+            encoding,
+            checksum: checksum(&payload),
+            payload,
+        }
+    }
+
     /// Encode `col`, choosing the smallest applicable codec (a tie goes to
     /// the earlier candidate). Every candidate reports its exact payload
     /// size first and only the winner is written. Varint deltas are a
@@ -39,12 +56,7 @@ impl Block {
     pub fn encode(col: &ColumnVec, compressed: bool) -> Block {
         let encoding = smallest(col, Encoding::candidates(col.vtype(), compressed));
         let bytes = compress::encode(col, encoding).expect("the chosen codec applies");
-        Block {
-            len: col.len(),
-            vtype: col.vtype(),
-            encoding,
-            payload: Bytes::from(bytes),
-        }
+        Block::new(col.len(), col.vtype(), encoding, Bytes::from(bytes))
     }
 
     /// Encode an already dictionary-coded string column as
@@ -53,12 +65,18 @@ impl Block {
     pub fn encode_coded(col: &ColumnVec) -> Block {
         let bytes = compress::encode(col, Encoding::GlobalCode)
             .expect("encode_coded requires a ColumnVec::Coded column");
-        Block {
-            len: col.len(),
-            vtype: ValueType::Str,
-            encoding: Encoding::GlobalCode,
-            payload: Bytes::from(bytes),
-        }
+        Block::new(
+            col.len(),
+            ValueType::Str,
+            Encoding::GlobalCode,
+            Bytes::from(bytes),
+        )
+    }
+
+    /// The [`checksum`] of [`Block::payload`], taken when the block was
+    /// encoded or read back.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
     }
 
     /// Decode the full block.

@@ -21,22 +21,38 @@
 //! entries per partition: by the time a new checkpoint of a partition
 //! publishes, the previous image's marker is durable (phase 3 appends it
 //! synchronously and per-partition checkpoints are serialized), so every
-//! older entry is unreferenced and its file is pruned. Every byte read
-//! from an image is
-//! bounds-checked and checksummed: corruption yields
-//! [`ColumnarError::Corrupt`], never a panic (the decode paths themselves
-//! are hardened the same way in [`crate::compress`]).
+//! older entry is unreferenced and its file is pruned.
+//!
+//! A (v5) image file is its *head* — magic, version, where the head ends,
+//! the table header, each column's optional dictionary and block slots,
+//! and the block key bounds — sealed by one [`checksum`], followed by
+//! every inline block as its checksum and payload, in slot order. An
+//! inline slot is `len u32, vtype u8, codec tag u8, payload length u32`; a
+//! reference slot is `len u32, vtype u8, 0xff, src_seq u64, src_idx u32`
+//! and the checksum of the block it names. So every byte of the file is
+//! covered by exactly one checksum — the head's or its block's — and
+//! every block's checksum is the one [`Block::encode`] took where the
+//! block was produced: a publish hashes nothing but the head, and streams
+//! the payloads it already holds straight to the file. A load checks the
+//! head and every inline block; a reference resolves only to a block
+//! whose checksum matches the one it stores, so a dependency generation is
+//! checked only where it is referenced. Every byte read from an image is
+//! bounds-checked: corruption yields [`ColumnarError::Corrupt`], never a
+//! panic (the decode paths themselves are hardened the same way in
+//! [`crate::compress`]).
 
 use crate::block::{Block, Encoding};
+use crate::checksum::checksum;
 use crate::error::{ColumnarError, Result};
 use crate::io::IoTracker;
 use crate::schema::{Field, Schema, SortKeyDef};
 use crate::table::{StableTable, TableMeta, TableOptions};
 use crate::value::{SkKey, Value, ValueType};
 use bytes::Bytes;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::fs;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -54,14 +70,18 @@ const IMAGE_MAGIC: u32 = 0x7064_7452;
 /// block slot may be a reference `(src_seq, src_idx)` into a prior
 /// generation's image of the same partition instead of an inline payload
 /// (written by incremental compaction for the blocks it did not touch);
-/// v4 added the [`Encoding::BitPacked`] block codec (tag 5). v4 is
-/// written; v3 still loads — it is v4 without tag 5, and the checkpoint
-/// markers of every log a v3 build wrote point at v3 images (a v4 image
-/// may reference blocks of a v3 generation). Older images, like v1
-/// manifests, were written by builds whose WAL checkpoint markers the log
-/// reader no longer accepts, so no readable log can lead recovery to one —
-/// they are [`ColumnarError::Corrupt`].
-const IMAGE_VERSION: u32 = 4;
+/// v4 added the [`Encoding::BitPacked`] block codec (tag 5); v5 replaced
+/// the whole-body FNV-1a with a [`checksum`] per block and one over the
+/// head, and moved inline payloads behind the head (see the module
+/// docs). v5 is written; v3 and v4 still load under their whole-body
+/// FNV-1a — v3 is v4 without tag 5, and the checkpoint markers of every
+/// log a v3 or v4 build wrote point at such images (a v5 image may
+/// reference blocks of a v3 or v4 generation, checked against the
+/// checksum taken as they are read). Older images, like v1 manifests,
+/// were written by builds whose WAL checkpoint markers the log reader no
+/// longer accepts, so no readable log can lead recovery to one — they are
+/// [`ColumnarError::Corrupt`].
+const IMAGE_VERSION: u32 = 5;
 /// Encoding-byte tag marking a block *reference* (physical blocks use the
 /// [`Encoding::ALL`] indices 0–5).
 const REF_TAG: u8 = 0xff;
@@ -84,8 +104,8 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+    fn at(buf: &'a [u8], pos: usize) -> Self {
+        Cursor { buf, pos }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -219,9 +239,8 @@ fn get_key(cur: &mut Cursor<'_>) -> Result<SkKey> {
     Ok(key)
 }
 
-/// FNV-1a 64 over the image body (cheap whole-file corruption detection; a
-/// flipped bit inside a block payload is additionally caught by the decode
-/// bounds checks).
+/// FNV-1a 64 over a v3/v4 image body: those formats' whole-file
+/// corruption check, kept to load them (see [`legacy_body_end`]).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -252,75 +271,89 @@ pub struct ImagePublishStats {
 
 /// Serialize `table` (with its checkpoint sequence) into image bytes.
 pub fn encode_image(table: &StableTable, seq: u64) -> Vec<u8> {
-    encode_image_with_reuse(table, seq, &[]).0
+    let mut out = Vec::new();
+    let Ok(_) = write_image::<Infallible>(table, seq, &[], |bytes| {
+        out.extend_from_slice(bytes);
+        Ok(())
+    });
+    out
 }
 
-/// Serialize `table`, writing block `b` (of every column) as a reference
-/// to `prov[b] = (src_seq, src_idx)` when that provenance names a *prior*
-/// generation (`src_seq != seq`) — the caller guarantees the referenced
-/// block is byte-identical (compaction splices keep untouched blocks
-/// shared). `prov` may be shorter than the block count (missing entries
-/// are written inline). Returns the bytes, the distinct generations the
-/// image depends on, and the write/reuse accounting.
-pub fn encode_image_with_reuse(
+/// Write `table` as a v5 image through `emit`: the sealed head, then each
+/// inline block's checksum and payload — the block's own `Bytes`, never
+/// gathered into an image buffer. Block `b` (of every column) is written
+/// as a reference to `prov[b] = (src_seq, src_idx)` when that provenance
+/// names a *prior* generation (`src_seq != seq`) — the caller guarantees
+/// the referenced block is byte-identical (compaction splices keep
+/// untouched blocks shared, checksum and all). `prov` may be shorter than
+/// the block count (missing entries are written inline). Returns the
+/// distinct generations the image depends on and the write/reuse
+/// accounting.
+fn write_image<E>(
     table: &StableTable,
     seq: u64,
     prov: &[Option<(u64, usize)>],
-) -> (Vec<u8>, Vec<u64>, ImagePublishStats) {
-    let mut deps = std::collections::BTreeSet::new();
+    mut emit: impl FnMut(&[u8]) -> std::result::Result<(), E>,
+) -> std::result::Result<(Vec<u64>, ImagePublishStats), E> {
+    let mut deps = BTreeSet::new();
     let mut stats = ImagePublishStats::default();
-    let mut body = Vec::new();
-    body.extend_from_slice(&seq.to_le_bytes());
+    let mut inline = Vec::new();
+    let mut head = Vec::new();
+    head.extend_from_slice(&IMAGE_MAGIC.to_le_bytes());
+    head.extend_from_slice(&IMAGE_VERSION.to_le_bytes());
+    head.extend_from_slice(&[0; 8]); // where the head ends, set below
+    head.extend_from_slice(&seq.to_le_bytes());
     let meta = table.meta();
-    put_str(&mut body, &meta.name);
-    body.extend_from_slice(&(meta.schema.len() as u16).to_le_bytes());
+    put_str(&mut head, &meta.name);
+    head.extend_from_slice(&(meta.schema.len() as u16).to_le_bytes());
     for f in meta.schema.fields() {
-        put_str(&mut body, &f.name);
-        body.push(vtype_tag(f.vtype));
+        put_str(&mut head, &f.name);
+        head.push(vtype_tag(f.vtype));
     }
     let sk = meta.sort_key.cols();
-    body.extend_from_slice(&(sk.len() as u16).to_le_bytes());
+    head.extend_from_slice(&(sk.len() as u16).to_le_bytes());
     for &c in sk {
-        body.extend_from_slice(&(c as u32).to_le_bytes());
+        head.extend_from_slice(&(c as u32).to_le_bytes());
     }
     let opts = table.options();
-    body.extend_from_slice(&(opts.block_rows as u32).to_le_bytes());
-    body.push(opts.compressed as u8);
-    body.extend_from_slice(&table.row_count().to_le_bytes());
-    body.extend_from_slice(&(table.num_columns() as u16).to_le_bytes());
+    head.extend_from_slice(&(opts.block_rows as u32).to_le_bytes());
+    head.push(opts.compressed as u8);
+    head.extend_from_slice(&table.row_count().to_le_bytes());
+    head.extend_from_slice(&(table.num_columns() as u16).to_le_bytes());
     for c in 0..table.num_columns() {
         // v2: optional global string dictionary, ahead of the column's
         // blocks (GlobalCode blocks decode against it).
         match table.column_dict(c) {
             Some(dict) => {
-                body.push(1);
-                body.extend_from_slice(&(dict.len() as u32).to_le_bytes());
+                head.push(1);
+                head.extend_from_slice(&(dict.len() as u32).to_le_bytes());
                 for s in dict.iter() {
-                    put_str(&mut body, s);
+                    put_str(&mut head, s);
                 }
             }
-            None => body.push(0),
+            None => head.push(0),
         }
         let blocks = table.column_blocks(c);
-        body.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+        head.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
         for (j, b) in blocks.iter().enumerate() {
-            body.extend_from_slice(&(b.len as u32).to_le_bytes());
-            body.push(vtype_tag(b.vtype));
+            head.extend_from_slice(&(b.len as u32).to_le_bytes());
+            head.push(vtype_tag(b.vtype));
             match prov.get(j).copied().flatten() {
                 Some((src_seq, src_idx)) if src_seq != seq => {
-                    // v3 block reference: the payload lives in a prior
-                    // generation's image of this partition
-                    body.push(REF_TAG);
-                    body.extend_from_slice(&src_seq.to_le_bytes());
-                    body.extend_from_slice(&(src_idx as u32).to_le_bytes());
+                    // the payload lives in a prior generation's image of
+                    // this partition; the slot names it and its checksum
+                    head.push(REF_TAG);
+                    head.extend_from_slice(&src_seq.to_le_bytes());
+                    head.extend_from_slice(&(src_idx as u32).to_le_bytes());
+                    head.extend_from_slice(&b.checksum().to_le_bytes());
                     deps.insert(src_seq);
                     stats.blocks_reused += 1;
                     stats.bytes_reused += b.payload.len() as u64;
                 }
                 _ => {
-                    body.push(b.encoding as u8);
-                    body.extend_from_slice(&(b.payload.len() as u32).to_le_bytes());
-                    body.extend_from_slice(&b.payload);
+                    head.push(b.encoding as u8);
+                    head.extend_from_slice(&(b.payload.len() as u32).to_le_bytes());
+                    inline.push(b);
                     stats.blocks_written += 1;
                     stats.bytes_written += b.payload.len() as u64;
                 }
@@ -329,48 +362,61 @@ pub fn encode_image_with_reuse(
     }
     let mins = table.sparse_index().first_keys();
     let maxs = table.block_max_keys();
-    body.extend_from_slice(&(mins.len() as u32).to_le_bytes());
+    head.extend_from_slice(&(mins.len() as u32).to_le_bytes());
     for (min, max) in mins.iter().zip(maxs) {
-        put_key(&mut body, min);
-        put_key(&mut body, max);
+        put_key(&mut head, min);
+        put_key(&mut head, max);
     }
-
-    let mut out = Vec::with_capacity(body.len() + 16);
-    out.extend_from_slice(&IMAGE_MAGIC.to_le_bytes());
-    out.extend_from_slice(&IMAGE_VERSION.to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    (out, deps.into_iter().collect(), stats)
+    let end = (head.len() as u64).to_le_bytes();
+    head[8..16].copy_from_slice(&end);
+    let sum = checksum(&head);
+    head.extend_from_slice(&sum.to_le_bytes());
+    emit(&head)?;
+    for b in inline {
+        emit(&b.checksum().to_le_bytes())?;
+        emit(&b.payload)?;
+    }
+    Ok((deps.into_iter().collect(), stats))
 }
 
-/// One block slot of a parsed image: an inline payload, or a v3 reference
-/// into a prior generation of the same partition.
-enum RawBlock {
-    Phys(Block),
+/// One block slot of a parsed image: an inline payload, or a reference
+/// into a prior generation of the same partition. `sum` is the checksum
+/// the slot stores — `None` in a v3/v4 image, whose body FNV-1a covers
+/// every byte instead.
+enum RawBlock<'a> {
+    Inline {
+        len: usize,
+        vtype: ValueType,
+        encoding: Encoding,
+        payload: &'a [u8],
+        sum: Option<u64>,
+    },
     Ref {
         len: usize,
         vtype: ValueType,
         src_seq: u64,
         src_idx: usize,
+        sum: Option<u64>,
     },
 }
 
-/// A parsed (but not yet reference-resolved) image.
-struct RawImage {
+/// A parsed (but not yet reference-resolved) image; inline payloads are
+/// still the file's bytes, unchecked until [`RawImage::block`] reads them.
+struct RawImage<'a> {
     seq: u64,
     meta: TableMeta,
     opts: TableOptions,
     row_count: u64,
-    cols: Vec<Vec<RawBlock>>,
+    cols: Vec<Vec<RawBlock<'a>>>,
     mins: Vec<SkKey>,
     maxs: Vec<SkKey>,
     dicts: Vec<Option<std::sync::Arc<crate::dict::StrDict>>>,
 }
 
-impl RawImage {
+impl RawImage<'_> {
     /// Distinct prior generations this image references.
     fn dep_seqs(&self) -> Vec<u64> {
-        let mut deps = std::collections::BTreeSet::new();
+        let mut deps = BTreeSet::new();
         for col in &self.cols {
             for b in col {
                 if let RawBlock::Ref { src_seq, .. } = b {
@@ -380,13 +426,84 @@ impl RawImage {
         }
         deps.into_iter().collect()
     }
+
+    /// Column `c` by index and name, for error messages.
+    fn column(&self, c: usize) -> String {
+        match self.meta.schema.fields().get(c) {
+            Some(f) => format!("column {c} ({})", f.name),
+            None => format!("column {c}"),
+        }
+    }
+
+    /// The inline block in slot `(c, j)`, its payload checked against the
+    /// checksum the slot stores (a v3/v4 slot stores none; the parser
+    /// takes the block's checksum here all the same). A reference slot is
+    /// corruption wherever a block must be read: publishes flatten
+    /// provenance, so a reference never lands on another.
+    fn block(&self, c: usize, j: usize) -> Result<Block> {
+        match self.cols.get(c).and_then(|col| col.get(j)) {
+            Some(&RawBlock::Inline {
+                len,
+                vtype,
+                encoding,
+                payload,
+                sum,
+            }) => {
+                let b = Block::new(len, vtype, encoding, Bytes::copy_from_slice(payload));
+                if sum.is_some_and(|s| s != b.checksum()) {
+                    return Err(ColumnarError::Corrupt(format!(
+                        "{} block {j}: payload checksum mismatch",
+                        self.column(c)
+                    )));
+                }
+                Ok(b)
+            }
+            Some(RawBlock::Ref { .. }) => Err(ColumnarError::Corrupt(format!(
+                "block ref ({}, {j}) points at another ref",
+                self.seq
+            ))),
+            None => Err(ColumnarError::Corrupt(format!(
+                "block ref ({}, {j}) out of range",
+                self.seq
+            ))),
+        }
+    }
 }
 
-fn parse_image(bytes: &[u8]) -> Result<RawImage> {
+/// Where a v3/v4 image's body ends, once its whole-body FNV-1a — the
+/// trailing eight bytes — matches the body between version and sum.
+fn legacy_body_end(bytes: &[u8]) -> Result<usize> {
+    let end = bytes.len() - 8;
+    let stored = Cursor::at(bytes, end).u64()?;
+    if fnv1a(&bytes[8..end]) != stored {
+        return Err(ColumnarError::Corrupt("image checksum mismatch".into()));
+    }
+    Ok(end)
+}
+
+/// Where a v5 image's head ends (its checksum follows), once that
+/// checksum matches every byte before it. `cur` stands on the head's
+/// stored end.
+fn sealed_head_end(cur: &mut Cursor<'_>) -> Result<usize> {
+    let stored_end = cur.u64()?;
+    let end = usize::try_from(stored_end)
+        .ok()
+        .filter(|&e| e >= cur.pos)
+        .ok_or_else(|| ColumnarError::Corrupt(format!("image head end {stored_end} too low")))?;
+    let sum = Cursor::at(cur.buf, end).u64()?;
+    if checksum(&cur.buf[..end]) != sum {
+        return Err(ColumnarError::Corrupt(
+            "image head checksum mismatch".into(),
+        ));
+    }
+    Ok(end)
+}
+
+fn parse_image(bytes: &[u8]) -> Result<RawImage<'_>> {
     if bytes.len() < 16 {
         return Err(ColumnarError::Corrupt("image shorter than header".into()));
     }
-    let mut cur = Cursor::new(bytes);
+    let mut cur = Cursor::at(bytes, 0);
     if cur.u32()? != IMAGE_MAGIC {
         return Err(ColumnarError::Corrupt("bad image magic".into()));
     }
@@ -396,23 +513,26 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage> {
             "unsupported image version {version}"
         )));
     }
-    let body = &bytes[8..bytes.len() - 8];
-    let stored_sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if fnv1a(body) != stored_sum {
-        return Err(ColumnarError::Corrupt("image checksum mismatch".into()));
-    }
-    let mut cur = Cursor::new(body);
+    // v3/v4 inline payloads sit in their slots; v5 ones follow the head,
+    // each behind its checksum, in slot order
+    let (head_end, mut payloads) = if version < 5 {
+        (legacy_body_end(bytes)?, None)
+    } else {
+        let end = sealed_head_end(&mut cur)?;
+        (end, Some(Cursor::at(bytes, end + 8)))
+    };
+    let mut cur = Cursor::at(&bytes[..head_end], cur.pos);
     let seq = cur.u64()?;
     let name = cur.str()?;
     let nfields = cur.u16()? as usize;
-    let mut fields = Vec::with_capacity(nfields.min(body.len()));
+    let mut fields = Vec::with_capacity(nfields.min(bytes.len()));
     for _ in 0..nfields {
         let fname = cur.str()?;
         let vtype = vtype_of(cur.u8()?)?;
         fields.push(Field::new(fname, vtype));
     }
     let nsk = cur.u16()? as usize;
-    let mut sk = Vec::with_capacity(nsk.min(body.len()));
+    let mut sk = Vec::with_capacity(nsk.min(bytes.len()));
     for _ in 0..nsk {
         let c = cur.u32()? as usize;
         if c >= nfields {
@@ -439,7 +559,7 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage> {
             0 => dicts.push(None),
             1 => {
                 let n = cur.u32()? as usize;
-                let mut strs = Vec::with_capacity(n.min(body.len()));
+                let mut strs = Vec::with_capacity(n.min(bytes.len()));
                 for _ in 0..n {
                     strs.push(cur.str()?);
                 }
@@ -456,7 +576,7 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage> {
             }
         }
         let nblocks = cur.u32()? as usize;
-        let mut blocks = Vec::with_capacity(nblocks.min(body.len()));
+        let mut blocks = Vec::with_capacity(nblocks.min(bytes.len()));
         for _ in 0..nblocks {
             let len = cur.u32()? as usize;
             let vtype = vtype_of(cur.u8()?)?;
@@ -469,32 +589,47 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage> {
                         "block ref to seq {src_seq} not older than image seq {seq}"
                     )));
                 }
+                let sum = if version < 5 { None } else { Some(cur.u64()?) };
                 blocks.push(RawBlock::Ref {
                     len,
                     vtype,
                     src_seq,
                     src_idx,
+                    sum,
                 });
             } else {
                 let encoding = encoding_of(tag, version)?;
                 let plen = cur.u32()? as usize;
-                let payload = cur.take(plen)?;
-                blocks.push(RawBlock::Phys(Block {
+                let (payload, sum) = match &mut payloads {
+                    Some(p) => {
+                        let sum = p.u64()?;
+                        (p.take(plen)?, Some(sum))
+                    }
+                    None => (cur.take(plen)?, None),
+                };
+                blocks.push(RawBlock::Inline {
                     len,
                     vtype,
                     encoding,
-                    payload: Bytes::copy_from_slice(payload),
-                }));
+                    payload,
+                    sum,
+                });
             }
         }
         cols.push(blocks);
     }
     let nbounds = cur.u32()? as usize;
-    let mut mins = Vec::with_capacity(nbounds.min(body.len()));
-    let mut maxs = Vec::with_capacity(nbounds.min(body.len()));
+    let mut mins = Vec::with_capacity(nbounds.min(bytes.len()));
+    let mut maxs = Vec::with_capacity(nbounds.min(bytes.len()));
     for _ in 0..nbounds {
         mins.push(get_key(&mut cur)?);
         maxs.push(get_key(&mut cur)?);
+    }
+    let unread = (head_end - cur.pos) + payloads.map_or(0, |p| bytes.len() - p.pos);
+    if unread != 0 {
+        return Err(ColumnarError::Corrupt(format!(
+            "image has {unread} bytes past its last field"
+        )));
     }
     Ok(RawImage {
         seq,
@@ -515,69 +650,70 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage> {
     })
 }
 
-/// Resolve a parsed image into a table, pulling referenced payloads out of
-/// `deps` (parsed prior generations, keyed by sequence). Charges every
-/// block — inline or referenced — to `io`. Also returns the per-block
-/// provenance: which generation physically holds each block (validated
-/// identical across columns).
+/// Resolve a parsed image into a table, reading referenced blocks out of
+/// `deps` (parsed prior generations, keyed by sequence). Every inline
+/// block is checked against its stored checksum; a reference resolves
+/// only to a block whose checksum equals the one the reference stores, so
+/// a dependency generation is checked exactly where it is referenced.
+/// Charges every block — inline or referenced — to `io`. Also returns the
+/// per-block provenance: which generation physically holds each block
+/// (validated identical across columns).
 fn resolve_image(
-    raw: RawImage,
-    deps: &BTreeMap<u64, RawImage>,
+    raw: RawImage<'_>,
+    deps: &BTreeMap<u64, RawImage<'_>>,
     io: &IoTracker,
 ) -> Result<(StableTable, BlockProvenance, u64)> {
-    let nblocks = raw.cols.first().map(|c| c.len()).unwrap_or(0);
-    let mut prov: Vec<Option<(u64, usize)>> = vec![None; nblocks];
+    let nblocks = raw.cols.first().map_or(0, Vec::len);
+    if let Some(c) = raw.cols.iter().position(|col| col.len() != nblocks) {
+        return Err(ColumnarError::Corrupt(format!(
+            "{} has {} blocks, column 0 has {nblocks}",
+            raw.column(c),
+            raw.cols[c].len()
+        )));
+    }
+    let mut prov = Vec::with_capacity(nblocks);
     let mut cols = Vec::with_capacity(raw.cols.len());
-    for (c, col) in raw.cols.into_iter().enumerate() {
-        let mut blocks = Vec::with_capacity(col.len());
-        for (j, rb) in col.into_iter().enumerate() {
-            let (origin, block) = match rb {
-                RawBlock::Phys(b) => ((raw.seq, j), b),
+    for (c, col) in raw.cols.iter().enumerate() {
+        let mut blocks = Vec::with_capacity(nblocks);
+        for (j, slot) in col.iter().enumerate() {
+            let (origin, block) = match *slot {
+                RawBlock::Inline { .. } => ((raw.seq, j), raw.block(c, j)?),
                 RawBlock::Ref {
                     len,
                     vtype,
                     src_seq,
                     src_idx,
+                    sum,
                 } => {
                     let dep = deps.get(&src_seq).ok_or_else(|| {
                         ColumnarError::Corrupt(format!(
                             "block ref to unavailable generation {src_seq}"
                         ))
                     })?;
-                    let src = dep
-                        .cols
-                        .get(c)
-                        .and_then(|col| col.get(src_idx))
-                        .ok_or_else(|| {
-                            ColumnarError::Corrupt(format!(
-                                "block ref ({src_seq}, {src_idx}) out of range"
-                            ))
-                        })?;
-                    let RawBlock::Phys(b) = src else {
-                        // publishes flatten provenance, so a ref must land
-                        // on an inline block — a ref chain is corruption
-                        return Err(ColumnarError::Corrupt(format!(
-                            "block ref ({src_seq}, {src_idx}) points at another ref"
-                        )));
-                    };
+                    let b = dep.block(c, src_idx)?;
                     if b.len != len || b.vtype != vtype {
                         return Err(ColumnarError::Corrupt(format!(
                             "block ref ({src_seq}, {src_idx}) shape mismatch"
                         )));
                     }
-                    ((src_seq, src_idx), b.clone())
+                    if sum.is_some_and(|s| s != b.checksum()) {
+                        return Err(ColumnarError::Corrupt(format!(
+                            "{} block {j}: block ref ({src_seq}, {src_idx}) checksum mismatch",
+                            raw.column(c)
+                        )));
+                    }
+                    ((src_seq, src_idx), b)
                 }
             };
-            match &prov[j] {
-                None => prov[j] = Some(origin),
-                Some(p) if *p == origin => {}
-                Some(p) => {
-                    return Err(ColumnarError::Corrupt(format!(
-                        "block {j} provenance disagrees across columns: {p:?} vs {origin:?}"
-                    )))
-                }
+            if c == 0 {
+                prov.push(origin);
+            } else if prov[j] != origin {
+                return Err(ColumnarError::Corrupt(format!(
+                    "block {j} provenance disagrees across columns: {:?} vs {origin:?}",
+                    prov[j]
+                )));
             }
-            io.record_block(block.payload.len() as u64);
+            io.record_block(block.stored_bytes());
             blocks.push(block);
         }
         cols.push(blocks);
@@ -591,10 +727,6 @@ fn resolve_image(
         raw.maxs,
         raw.dicts,
     )?;
-    let prov = prov
-        .into_iter()
-        .map(|p| p.expect("set per block"))
-        .collect();
     Ok((table, prov, raw.seq))
 }
 
@@ -617,14 +749,20 @@ pub fn decode_image(bytes: &[u8], io: &IoTracker) -> Result<(StableTable, u64)> 
     Ok((table, seq))
 }
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
+/// Write `path` atomically: `write` fills `<path>.tmp` through a buffer;
+/// the file is fsync'd, then renamed into place.
+fn write_atomic<T>(
+    path: &Path,
+    write: impl FnOnce(&mut dyn Write) -> std::io::Result<T>,
+) -> Result<T> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp).map_err(io_err)?;
-        f.write_all(bytes).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-    }
-    fs::rename(&tmp, path).map_err(io_err)
+    let file = fs::File::create(&tmp).map_err(io_err)?;
+    let mut out = BufWriter::with_capacity(1 << 16, file);
+    let written = write(&mut out).map_err(io_err)?;
+    let file = out.into_inner().map_err(|e| io_err(e.into_error()))?;
+    file.sync_all().map_err(io_err)?;
+    fs::rename(&tmp, path).map_err(io_err)?;
+    Ok(written)
 }
 
 // ---------------------------------------------------------------------------
@@ -739,7 +877,9 @@ impl ImageManifest {
                 ));
             }
         }
-        write_atomic(&dir.join(MANIFEST_FILE), text.as_bytes())
+        write_atomic(&dir.join(MANIFEST_FILE), |out| {
+            out.write_all(text.as_bytes())
+        })
     }
 
     /// The entry of `(table, partition)` at *exactly* `seq`, if published.
@@ -848,7 +988,9 @@ impl ImageStore {
     /// Block `b` whose `prov[b]` names a prior published generation is
     /// written as a reference instead of an inline payload (a range
     /// compaction passes the provenance of the blocks its splice kept; a
-    /// whole-partition checkpoint kept none). Returns the write/reuse
+    /// whole-partition checkpoint kept none). The image streams to the
+    /// file — head, then each inline block's stored checksum and payload —
+    /// with nothing hashed or copied whole. Returns the write/reuse
     /// accounting.
     pub fn publish_with_reuse(
         &self,
@@ -859,9 +1001,10 @@ impl ImageStore {
         prov: &[Option<(u64, usize)>],
     ) -> Result<ImagePublishStats> {
         let _g = self.publish_lock.lock().expect("image publish lock");
-        let (bytes, deps, stats) = encode_image_with_reuse(table, seq, prov);
         let file = Self::image_file(table_name, partition, seq);
-        write_atomic(&self.dir.join(&file), &bytes)?;
+        let (deps, stats) = write_atomic(&self.dir.join(&file), |out| {
+            write_image(table, seq, prov, |bytes| out.write_all(bytes))
+        })?;
         let mut manifest = ImageManifest::load(&self.dir)?.unwrap_or_default();
         let pruned = manifest.set(table_name, partition, ImageEntry { seq, file, deps });
         manifest.save(&self.dir)?;
@@ -901,6 +1044,26 @@ impl ImageStore {
         let Some(entry) = manifest.get(table, partition, expect_seq) else {
             return Ok(None);
         };
+        self.load_entry(&manifest, table, partition, entry, io)
+            .map(Some)
+            .map_err(|e| match e {
+                ColumnarError::Corrupt(m) => ColumnarError::Corrupt(format!(
+                    "table {table} partition {partition}, image at seq {expect_seq}: {m}"
+                )),
+                e => e,
+            })
+    }
+
+    /// Read `entry`'s image and the generations it references, and resolve
+    /// it (see [`ImageStore::load`]).
+    fn load_entry(
+        &self,
+        manifest: &ImageManifest,
+        table: &str,
+        partition: u32,
+        entry: &ImageEntry,
+        io: &IoTracker,
+    ) -> Result<(StableTable, BlockProvenance)> {
         let bytes = fs::read(self.dir.join(&entry.file)).map_err(io_err)?;
         let raw = parse_image(&bytes)?;
         if raw.seq != entry.seq {
@@ -909,26 +1072,29 @@ impl ImageStore {
                 raw.seq, entry.seq
             )));
         }
-        let mut deps = BTreeMap::new();
+        let mut dep_files = Vec::new();
         for dep_seq in raw.dep_seqs() {
             let dep_entry = manifest.get(table, partition, dep_seq).ok_or_else(|| {
                 ColumnarError::Corrupt(format!(
-                    "image at seq {expect_seq} references generation {dep_seq}, \
-                     which the manifest no longer holds"
+                    "image references generation {dep_seq}, which the manifest no longer holds"
                 ))
             })?;
             let dep_bytes = fs::read(self.dir.join(&dep_entry.file)).map_err(io_err)?;
-            let dep_raw = parse_image(&dep_bytes)?;
-            if dep_raw.seq != dep_seq {
+            dep_files.push((dep_seq, dep_bytes));
+        }
+        let mut deps = BTreeMap::new();
+        for (dep_seq, dep_bytes) in &dep_files {
+            let dep_raw = parse_image(dep_bytes)?;
+            if dep_raw.seq != *dep_seq {
                 return Err(ColumnarError::Corrupt(format!(
                     "dependency image seq {} does not match manifest seq {dep_seq}",
                     dep_raw.seq
                 )));
             }
-            deps.insert(dep_seq, dep_raw);
+            deps.insert(*dep_seq, dep_raw);
         }
         let (table, prov, _) = resolve_image(raw, &deps, io)?;
-        Ok(Some((table, prov)))
+        Ok((table, prov))
     }
 
     /// The manifest's current entries (`None` before the first publish).
@@ -1309,7 +1475,7 @@ mod tests {
     }
 
     #[test]
-    fn fresh_images_are_v4_and_bit_pack_wide_random_ints() {
+    fn fresh_images_are_v5_and_bit_pack_wide_random_ints() {
         let meta = TableMeta::new(
             "r",
             Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]),
@@ -1335,7 +1501,7 @@ mod tests {
         assert_eq!(codecs(&t, 0), [Encoding::DeltaVarint; 4]);
         assert_eq!(codecs(&t, 1), [Encoding::BitPacked; 4]);
         let bytes = encode_image(&t, 5);
-        assert_eq!(bytes[4..8], 4u32.to_le_bytes());
+        assert_eq!(bytes[4..8], 5u32.to_le_bytes());
         let io = IoTracker::new();
         let (back, seq) = decode_image(&bytes, &io).unwrap();
         assert_eq!(seq, 5);
@@ -1373,7 +1539,7 @@ mod tests {
         assert_eq!(stats.blocks_reused as usize, 2 * t.num_columns());
         assert_eq!(
             fs::read(dir.join("fx.p0.9.img")).unwrap()[4..8],
-            4u32.to_le_bytes()
+            IMAGE_VERSION.to_le_bytes()
         );
         let (back, prov) = store
             .load("fx", 0, 9, &io)
@@ -1397,5 +1563,212 @@ mod tests {
         assert_eq!(seq, 1);
         assert_eq!(back.row_count(), 0);
         assert_eq!(back.scan_all(&io).unwrap(), Vec::<Tuple>::new());
+    }
+
+    /// A v4 image, written by the build before per-block checksums:
+    /// [`v3_rows`] as table `fx` in 32-row blocks, at sequence 3 (column 1
+    /// bit-packed).
+    const V4_IMAGE: &[u8] = include_bytes!("../testdata/image_v4.img");
+
+    /// Publish `t` at seq 5, then at seq 9 with blocks 0 and 3 kept by
+    /// reference; returns the store and the directory.
+    fn two_generations(tag: &str, t: &StableTable) -> (ImageStore, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("pdt-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = ImageStore::open(&dir).unwrap();
+        store.publish_with_reuse("t", 0, 5, t, &[]).unwrap();
+        let prov = vec![Some((5, 0)), None, None, Some((5, 3))];
+        store.publish_with_reuse("t", 0, 9, t, &prov).unwrap();
+        (store, dir)
+    }
+
+    /// Where block `b` of column `c` of `t` sits in a v5 image: the
+    /// offset of its stored checksum (its payload follows).
+    fn payload_at(image: &[u8], t: &StableTable, c: usize, b: usize) -> usize {
+        let blk = &t.column_blocks(c)[b];
+        let mut stored = blk.checksum().to_le_bytes().to_vec();
+        stored.extend_from_slice(&blk.payload);
+        let hits: Vec<usize> = (0..=image.len() - stored.len())
+            .filter(|&i| image[i..i + stored.len()] == stored[..])
+            .collect();
+        assert_eq!(hits.len(), 1, "column {c} block {b} is in the image once");
+        hits[0]
+    }
+
+    #[test]
+    fn a_payload_flip_names_the_column_and_block() {
+        let t = table(500, 128);
+        let mut bytes = encode_image(&t, 7);
+        let at = payload_at(&bytes, &t, 1, 2);
+        bytes[at + 9] ^= 0x10;
+        let io = IoTracker::new();
+        assert_eq!(
+            decode_image(&bytes, &io).err(),
+            Some(ColumnarError::Corrupt(
+                "column 1 (s) block 2: payload checksum mismatch".into()
+            ))
+        );
+        // a flip in the stored checksum reads the same
+        bytes[at + 9] ^= 0x10;
+        bytes[at] ^= 1;
+        assert_eq!(
+            decode_image(&bytes, &io).err(),
+            Some(ColumnarError::Corrupt(
+                "column 1 (s) block 2: payload checksum mismatch".into()
+            ))
+        );
+        // the store adds the table, the partition and the image
+        let (store, dir) = two_generations("flipmsg", &t);
+        let file = dir.join("t.p0.9.img");
+        let mut img = fs::read(&file).unwrap();
+        let at = payload_at(&img, &t, 2, 1);
+        img[at + 8] ^= 0x80;
+        fs::write(&file, &img).unwrap();
+        assert_eq!(
+            store.load("t", 0, 9, &io).err(),
+            Some(ColumnarError::Corrupt(
+                "table t partition 0, image at seq 9: column 2 (d) block 1: \
+                 payload checksum mismatch"
+                    .into()
+            ))
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A newer image checks an older generation's blocks where it
+    /// references them, and only there.
+    #[test]
+    fn references_check_the_blocks_they_name() {
+        let t = table(500, 128); // 4 blocks
+        let io = IoTracker::new();
+        let (store, dir) = two_generations("refsum", &t);
+        let old = dir.join("t.p0.5.img");
+        let clean = fs::read(&old).unwrap();
+
+        // a flip in block 3 of the old generation, which seq 9 references
+        let mut img = clean.clone();
+        let at = payload_at(&img, &t, 0, 3);
+        img[at + 8] ^= 1;
+        fs::write(&old, &img).unwrap();
+        assert_eq!(
+            store.load("t", 0, 9, &io).err(),
+            Some(ColumnarError::Corrupt(
+                "table t partition 0, image at seq 9: column 0 (k) block 3: \
+                 payload checksum mismatch"
+                    .into()
+            ))
+        );
+        // ... and the same block rewritten whole, checksum and all: the
+        // reference's own checksum no longer matches
+        let n = t.column_blocks(0)[3].payload.len();
+        let sum = checksum(&img[at + 8..at + 8 + n]);
+        img[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&old, &img).unwrap();
+        assert_eq!(
+            store.load("t", 0, 9, &io).err(),
+            Some(ColumnarError::Corrupt(
+                "table t partition 0, image at seq 9: column 0 (k) block 3: \
+                 block ref (5, 3) checksum mismatch"
+                    .into()
+            ))
+        );
+
+        // a flip in block 1 of the old generation, which seq 9 rewrote:
+        // seq 9 loads, and only seq 5 itself fails
+        let mut img = clean.clone();
+        let at = payload_at(&img, &t, 0, 1);
+        img[at + 8] ^= 1;
+        fs::write(&old, &img).unwrap();
+        let (back, prov) = store.load("t", 0, 9, &io).unwrap().expect("image at seq 9");
+        assert_eq!(back.scan_all(&io).unwrap(), t.scan_all(&io).unwrap());
+        assert_eq!(prov, vec![(5, 0), (9, 1), (9, 2), (5, 3)]);
+        assert!(matches!(
+            store.load("t", 0, 5, &io),
+            Err(ColumnarError::Corrupt(_))
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Incremental compaction keeps referencing blocks of a generation a
+    /// v4 build published: the v5 image stores the checksum taken as they
+    /// are read, and resolves them on load.
+    #[test]
+    fn a_v5_image_references_blocks_of_a_v4_generation() {
+        assert_eq!(V4_IMAGE[4..8], 4u32.to_le_bytes());
+        let dir = std::env::temp_dir().join(format!("pdt-v4ref-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = ImageStore::open(&dir).unwrap();
+        fs::write(dir.join("fx.p0.3.img"), V4_IMAGE).unwrap();
+        let mut m = ImageManifest::default();
+        let entry = ImageEntry {
+            seq: 3,
+            file: "fx.p0.3.img".into(),
+            deps: vec![],
+        };
+        m.set("fx", 0, entry);
+        m.save(&dir).unwrap();
+        let io = IoTracker::new();
+        let (t, prov) = store
+            .load("fx", 0, 3, &io)
+            .unwrap()
+            .expect("v4 image at seq 3");
+        assert_eq!(prov, vec![(3, 0), (3, 1), (3, 2)]);
+        assert_eq!(t.column_blocks(1)[0].encoding, Encoding::BitPacked);
+        let stats = store
+            .publish_with_reuse("fx", 0, 9, &t, &[Some((3, 0)), None, Some((3, 2))])
+            .unwrap();
+        assert_eq!(stats.blocks_reused as usize, 2 * t.num_columns());
+        assert_eq!(
+            fs::read(dir.join("fx.p0.9.img")).unwrap()[4..8],
+            5u32.to_le_bytes()
+        );
+        let (back, prov) = store
+            .load("fx", 0, 9, &io)
+            .unwrap()
+            .expect("v5 image at seq 9");
+        assert_eq!(prov, vec![(3, 0), (9, 1), (3, 2)]);
+        assert_eq!(back.scan_all(&io).unwrap(), v3_rows());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checksum-valid image whose columns hold different block counts
+    /// is corrupt: the loader must not index one column's provenance by
+    /// another's blocks.
+    #[test]
+    fn ragged_columns_are_corrupt_not_a_panic() {
+        let io = IoTracker::new();
+        let (t, _) = decode_image(V3_IMAGE, &io).unwrap();
+        // column 1's block slots (len, vtype, tag, payload length, payload)
+        let slot = |b: usize| {
+            let b = &t.column_blocks(1)[b];
+            let mut slot = (b.len as u32).to_le_bytes().to_vec();
+            slot.extend([vtype_tag(b.vtype), b.encoding as u8]);
+            slot.extend_from_slice(&(b.payload.len() as u32).to_le_bytes());
+            slot.extend_from_slice(&b.payload);
+            slot
+        };
+        let find = |s: &[u8]| {
+            let hits: Vec<usize> = (0..=V3_IMAGE.len() - s.len())
+                .filter(|&i| V3_IMAGE[i..i + s.len()] == *s)
+                .collect();
+            assert_eq!(hits.len(), 1, "the slot is in the image once");
+            hits[0]
+        };
+        let (first, last) = (find(&slot(0)), find(&slot(2)));
+        // a fourth block in column 1 (a copy of its third), resealed
+        let mut bad = V3_IMAGE.to_vec();
+        assert_eq!(bad[first - 4..first], 3u32.to_le_bytes());
+        bad[first - 4..first].copy_from_slice(&4u32.to_le_bytes());
+        let end = last + slot(2).len();
+        bad.splice(end..end, slot(2));
+        let n = bad.len();
+        let sum = fnv1a(&bad[8..n - 8]);
+        bad[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            decode_image(&bad, &io).err(),
+            Some(ColumnarError::Corrupt(
+                "column 1 (v) has 4 blocks, column 0 has 3".into()
+            ))
+        );
     }
 }

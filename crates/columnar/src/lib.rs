@@ -19,7 +19,8 @@
 //!   paper plots as "I/O volume" (bytes of compressed blocks touched),
 //! * persisted compressed images ([`image`]): checkpoint output written to
 //!   disk as encoded blocks with an atomically-swapped manifest, so recovery
-//!   loads images instead of replaying folded WAL history.
+//!   loads images instead of replaying folded WAL history; every block
+//!   carries the [`checksum`] taken where it was encoded.
 //!
 //! The *scan-path* storage is RAM-resident and no device is modelled. All
 //! byte counts are real: they are the sizes of the encoded block payloads
@@ -29,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod block;
+pub mod checksum;
 pub mod column;
 pub mod compress;
 pub mod dict;

@@ -478,6 +478,7 @@ impl fmt::Debug for TableScan<'_> {
 mod tests {
     use super::*;
     use crate::ops::run_to_rows;
+    use columnar::checksum::checksum;
     use columnar::image::{decode_image, encode_image};
     use columnar::{Encoding, ScanRange, Schema, TableMeta, TableOptions, Tuple};
     use pdt::checkpoint::merge_rows;
@@ -1643,25 +1644,20 @@ mod tests {
         let t = table(20);
         let io = IoTracker::new();
         // every byte of block 2's key payload continued (a varint runs
-        // off, a bit width is out of range), then the image re-sealed
+        // off, a bit width is out of range), then the block's checksum
+        // re-sealed
         let blk = &t.column_blocks(0)[2];
-        let mut slot = vec![blk.encoding as u8];
-        slot.extend_from_slice(&(blk.payload.len() as u32).to_le_bytes());
-        slot.extend_from_slice(&blk.payload);
+        let mut stored = blk.checksum().to_le_bytes().to_vec();
+        stored.extend_from_slice(&blk.payload);
         let mut image = encode_image(&t, 1);
-        let hits: Vec<usize> = (0..image.len() - slot.len())
-            .filter(|&i| image[i..i + slot.len()] == slot[..])
+        let hits: Vec<usize> = (0..image.len() - stored.len())
+            .filter(|&i| image[i..i + stored.len()] == stored[..])
             .collect();
-        assert_eq!(hits.len(), 1, "the block's slot is in the image once");
-        let at = hits[0] + 5;
+        assert_eq!(hits.len(), 1, "the block's payload is in the image once");
+        let (sum_at, at) = (hits[0], hits[0] + 8);
         image[at..at + blk.payload.len()].fill(0xff);
-        let n = image.len();
-        let sum = image[8..n - 8]
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-        image[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        let sum = checksum(&image[at..at + blk.payload.len()]);
+        image[sum_at..at].copy_from_slice(&sum.to_le_bytes());
         let (bad, _) = decode_image(&image, &io).unwrap();
 
         let p = updated_pdt();

@@ -10,8 +10,8 @@
 use columnar::compress::{decode, decode_with, encode};
 use columnar::image::{decode_image, encode_image};
 use columnar::{
-    ColumnVec, Encoding, IoTracker, Schema, StableTable, StrDict, TableMeta, TableOptions, Value,
-    ValueType,
+    ColumnVec, ColumnarError, Encoding, IoTracker, Schema, StableTable, StrDict, TableMeta,
+    TableOptions, Value, ValueType,
 };
 use proptest::prelude::*;
 
@@ -277,5 +277,49 @@ proptest! {
         );
         let got = loaded.scan_all(&io).map_err(|e| format!("scan_all: {e}"))?;
         prop_assert_eq!(got, rows);
+    }
+}
+
+/// Every single-bit flip of a v5 image — head, stored checksums or
+/// payloads — is `Corrupt`: never a panic, and never a table loaded from
+/// bytes that were not written.
+#[test]
+fn every_bit_flip_of_a_v5_image_is_corrupt() {
+    let meta = TableMeta::new(
+        "flip",
+        Schema::from_pairs(&[
+            ("k", ValueType::Int),
+            ("s", ValueType::Str),
+            ("d", ValueType::Double),
+        ]),
+        vec![0],
+    );
+    let rows: Vec<Vec<Value>> = (0..100)
+        .map(|i| {
+            vec![
+                Value::Int(i * 7),
+                Value::Str(format!("tag{}", i % 4)),
+                Value::Double(i as f64 * 0.25),
+            ]
+        })
+        .collect();
+    let opts = TableOptions {
+        block_rows: 25,
+        compressed: true,
+    };
+    let table = StableTable::bulk_load(meta, opts, &rows).unwrap();
+    assert!(table.column_dict(1).is_some(), "one dictionary column");
+    assert_eq!(table.num_blocks(), 4);
+    let img = encode_image(&table, 3);
+    assert_eq!(img[4..8], 5u32.to_le_bytes());
+    let io = IoTracker::new();
+    assert!(decode_image(&img, &io).is_ok());
+    for bit in 0..img.len() * 8 {
+        let mut bad = img.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        match decode_image(&bad, &io) {
+            Err(ColumnarError::Corrupt(_)) => {}
+            other => panic!("bit {bit} of {}: {other:?}", img.len() * 8),
+        }
     }
 }
