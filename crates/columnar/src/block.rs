@@ -50,11 +50,9 @@ impl Block {
     /// size first and only the winner is written. Varint deltas are a
     /// candidate only when every delta after the first is one byte (see
     /// `int_sizes`), so every block this writes decodes without a varint
-    /// length chain. When `compressed` is false only [`Encoding::Plain`]
-    /// is considered, mirroring the paper's non-compressed SF-10
-    /// workstation setup.
-    pub fn encode(col: &ColumnVec, compressed: bool) -> Block {
-        let encoding = smallest(col, Encoding::candidates(col.vtype(), compressed));
+    /// length chain.
+    pub fn encode(col: &ColumnVec) -> Block {
+        let encoding = smallest(col, Encoding::candidates(col.vtype()));
         let bytes = compress::encode(col, encoding).expect("the chosen codec applies");
         Block::new(col.len(), col.vtype(), encoding, Bytes::from(bytes))
     }
@@ -110,9 +108,6 @@ impl Block {
 /// earlier one — chosen from exact sizes, without writing a byte, so the
 /// block encoder writes only the winner.
 fn smallest(col: &ColumnVec, candidates: &[Encoding]) -> Encoding {
-    if let [only] = candidates {
-        return *only;
-    }
     let sizes = payload_sizes(col);
     candidates
         .iter()
@@ -266,13 +261,13 @@ mod tests {
     fn encode_picks_smallest() {
         // constant column: RLE should beat delta & plain
         let col = ColumnVec::Int(vec![42; 4096]);
-        let b = Block::encode(&col, true);
+        let b = Block::encode(&col);
         assert_eq!(b.encoding, Encoding::Rle);
         assert_eq!(b.decode().unwrap(), col);
 
         // sorted distinct: delta-varint wins
         let col = ColumnVec::Int((0..4096).collect());
-        let b = Block::encode(&col, true);
+        let b = Block::encode(&col);
         assert_eq!(b.encoding, Encoding::DeltaVarint);
         assert_eq!(b.decode().unwrap(), col);
 
@@ -284,7 +279,7 @@ mod tests {
                 .map(|i| i + if i < 2048 { 0 } else { 99 })
                 .collect(),
         );
-        let b = Block::encode(&col, true);
+        let b = Block::encode(&col);
         assert_eq!(
             compress::encode(&col, Encoding::DeltaVarint).unwrap().len(),
             4097
@@ -308,7 +303,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let b = Block::encode(&col, true);
+        let b = Block::encode(&col);
         assert_eq!(b.encoding, Encoding::BitPacked);
         assert_eq!(b.stored_bytes(), 9 + 4096 * 44 / 8);
         assert_eq!(b.decode().unwrap(), col);
@@ -316,7 +311,7 @@ mod tests {
         // a tie goes to the earlier candidate: eleven one-byte deltas
         // against a 9-byte header plus eleven 1-bit offsets
         let col = ColumnVec::Int(vec![0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0]);
-        let b = Block::encode(&col, true);
+        let b = Block::encode(&col);
         assert_eq!(
             compress::encode(&col, Encoding::BitPacked).unwrap().len(),
             11
@@ -335,9 +330,9 @@ mod tests {
     /// The chooser `Block::encode` replaced: encode every candidate and
     /// keep the first strictly smaller payload, passing over varint deltas
     /// that do not fit a byte each.
-    fn trial_encode(col: &ColumnVec, compressed: bool) -> (Encoding, Vec<u8>) {
+    fn trial_encode(col: &ColumnVec) -> (Encoding, Vec<u8>) {
         let mut best: Option<(Encoding, Vec<u8>)> = None;
-        for &enc in Encoding::candidates(col.vtype(), compressed) {
+        for &enc in Encoding::candidates(col.vtype()) {
             if let Some(bytes) = compress::encode(col, enc) {
                 if enc == Encoding::DeltaVarint && !deltas_fit_a_byte(&bytes) {
                     continue;
@@ -460,17 +455,15 @@ mod tests {
         let mut next = xorshift();
         for case in 0..1000 {
             for col in &columns_of(case, sample(case, &mut next)) {
-                for compressed in [true, false] {
-                    let b = Block::encode(col, compressed);
-                    let (enc, bytes) = trial_encode(col, compressed);
-                    assert_eq!(
-                        (b.encoding, &b.payload[..]),
-                        (enc, &bytes[..]),
-                        "case {case}, {:?}×{}, compressed {compressed}",
-                        col.vtype(),
-                        col.len()
-                    );
-                }
+                let b = Block::encode(col);
+                let (enc, bytes) = trial_encode(col);
+                assert_eq!(
+                    (b.encoding, &b.payload[..]),
+                    (enc, &bytes[..]),
+                    "case {case}, {:?}×{}",
+                    col.vtype(),
+                    col.len()
+                );
             }
         }
     }
@@ -485,7 +478,7 @@ mod tests {
         for case in 0..1000 {
             let family = (case / 5) % FAMILIES;
             for col in &columns_of(case, sample(case, &mut next)) {
-                let b = Block::encode(col, true);
+                let b = Block::encode(col);
                 if b.encoding == Encoding::DeltaVarint {
                     deltas += 1;
                     assert!(deltas_fit_a_byte(&b.payload), "case {case}, {col:?}");
@@ -524,12 +517,12 @@ mod tests {
             ],
         ]
         .map(ColumnVec::Double);
-        assert_eq!(Block::encode(&cols[0], true).encoding, Encoding::Rle);
+        assert_eq!(Block::encode(&cols[0]).encoding, Encoding::Rle);
         for col in &cols {
             let rle = compress::encode(col, Encoding::Rle).unwrap();
             let decoded = compress::decode(&rle, Encoding::Rle, ValueType::Double, col.len());
             assert_eq!(bits(&decoded.unwrap()), bits(col));
-            assert_eq!(bits(&Block::encode(col, true).decode().unwrap()), bits(col));
+            assert_eq!(bits(&Block::encode(col).decode().unwrap()), bits(col));
         }
     }
 
@@ -569,17 +562,19 @@ mod tests {
     }
 
     #[test]
-    fn uncompressed_mode_forces_plain() {
-        let col = ColumnVec::Int(vec![42; 4096]);
-        let b = Block::encode(&col, false);
+    fn incompressible_ints_fall_back_to_plain() {
+        let mut next = xorshift();
+        let col = ColumnVec::Int((0..4096).map(|_| next() as i64).collect());
+        let b = Block::encode(&col);
         assert_eq!(b.encoding, Encoding::Plain);
         assert_eq!(b.stored_bytes(), 4096 * 8);
+        assert_eq!(b.decode().unwrap(), col);
     }
 
     #[test]
     fn strings_pick_dict_when_low_cardinality() {
         let col = ColumnVec::Str((0..1000).map(|i| format!("m{}", i % 3)).collect());
-        let b = Block::encode(&col, true);
+        let b = Block::encode(&col);
         assert_eq!(b.encoding, Encoding::Dict);
         assert_eq!(b.decode().unwrap(), col);
     }
@@ -587,7 +582,7 @@ mod tests {
     #[test]
     fn doubles_roundtrip() {
         let col = ColumnVec::Double((0..100).map(|i| i as f64 * 0.5).collect());
-        let b = Block::encode(&col, true);
+        let b = Block::encode(&col);
         assert_eq!(b.decode().unwrap(), col);
     }
 }

@@ -83,10 +83,7 @@ impl Encoding {
     /// [`Encoding::DeltaVarint`] competes only when its deltas after the
     /// first are one byte each; otherwise the smallest of the other three
     /// wins.
-    pub fn candidates(vtype: ValueType, compressed: bool) -> &'static [Encoding] {
-        if !compressed {
-            return &[Encoding::Plain];
-        }
+    pub fn candidates(vtype: ValueType) -> &'static [Encoding] {
         match vtype {
             ValueType::Int | ValueType::Date => &[
                 Encoding::DeltaVarint,
@@ -1398,12 +1395,11 @@ mod tests {
     }
 
     #[test]
-    fn candidates_respect_compression_flag() {
-        assert_eq!(
-            Encoding::candidates(ValueType::Str, false),
-            &[Encoding::Plain]
-        );
-        assert!(Encoding::candidates(ValueType::Int, true).contains(&Encoding::DeltaVarint));
+    fn every_type_falls_back_to_plain() {
+        for vtype in VTYPES {
+            assert_eq!(Encoding::candidates(vtype).last(), Some(&Encoding::Plain));
+        }
+        assert!(Encoding::candidates(ValueType::Int).contains(&Encoding::DeltaVarint));
     }
 
     // -----------------------------------------------------------------

@@ -5,7 +5,8 @@ use std::fmt;
 /// Errors raised by the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ColumnarError {
-    /// A tuple did not match the table schema.
+    /// A tuple did not match the table schema, or the table's layout
+    /// cannot hold rows (zero `block_rows`).
     SchemaMismatch(String),
     /// Rows were appended to a bulk loader out of sort-key order.
     UnsortedInput {

@@ -46,7 +46,7 @@ use crate::checksum::checksum;
 use crate::error::{ColumnarError, Result};
 use crate::io::IoTracker;
 use crate::schema::{Field, Schema, SortKeyDef};
-use crate::table::{StableTable, TableMeta, TableOptions};
+use crate::table::{StableTable, TableMeta};
 use crate::value::{SkKey, Value, ValueType};
 use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet};
@@ -315,9 +315,9 @@ fn write_image<E>(
     for &c in sk {
         head.extend_from_slice(&(c as u32).to_le_bytes());
     }
-    let opts = table.options();
-    head.extend_from_slice(&(opts.block_rows as u32).to_le_bytes());
-    head.push(opts.compressed as u8);
+    head.extend_from_slice(&(table.block_rows() as u32).to_le_bytes());
+    // the compression byte: every table is compressed
+    head.push(1);
     head.extend_from_slice(&table.row_count().to_le_bytes());
     head.extend_from_slice(&(table.num_columns() as u16).to_le_bytes());
     for c in 0..table.num_columns() {
@@ -405,7 +405,7 @@ enum RawBlock<'a> {
 struct RawImage<'a> {
     seq: u64,
     meta: TableMeta,
-    opts: TableOptions,
+    block_rows: usize,
     row_count: u64,
     cols: Vec<Vec<RawBlock<'a>>>,
     mins: Vec<SkKey>,
@@ -543,7 +543,9 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage<'_>> {
         sk.push(c);
     }
     let block_rows = cur.u32()? as usize;
-    let compressed = cur.u8()? != 0;
+    // the compression byte, ignored: blocks name their own encodings, so
+    // an image written uncompressed reads back as written
+    cur.u8()?;
     let row_count = cur.u64()?;
     let ncols = cur.u16()? as usize;
     if ncols != nfields {
@@ -638,10 +640,7 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage<'_>> {
             schema,
             sort_key: SortKeyDef::new(sk),
         },
-        opts: TableOptions {
-            block_rows,
-            compressed,
-        },
+        block_rows,
         row_count,
         cols,
         mins,
@@ -720,7 +719,7 @@ fn resolve_image(
     }
     let table = StableTable::from_parts(
         raw.meta,
-        raw.opts,
+        raw.block_rows,
         raw.row_count,
         cols,
         raw.mins,
@@ -1127,15 +1126,7 @@ mod tests {
                 ]
             })
             .collect();
-        StableTable::bulk_load(
-            meta,
-            TableOptions {
-                block_rows,
-                compressed: true,
-            },
-            &rows,
-        )
-        .unwrap()
+        StableTable::bulk_load(meta, block_rows, &rows).unwrap()
     }
 
     #[test]
@@ -1490,11 +1481,7 @@ mod tests {
                 vec![Value::Int(i), Value::Int((x >> 20) as i64)]
             })
             .collect();
-        let opts = TableOptions {
-            block_rows: 256,
-            compressed: true,
-        };
-        let t = StableTable::bulk_load(meta, opts, &rows).unwrap();
+        let t = StableTable::bulk_load(meta, 256, &rows).unwrap();
         let codecs = |t: &StableTable, c| -> Vec<Encoding> {
             t.column_blocks(c).iter().map(|b| b.encoding).collect()
         };
@@ -1557,7 +1544,7 @@ mod tests {
             Schema::from_pairs(&[("k", ValueType::Int)]),
             vec![0],
         );
-        let t = StableTable::bulk_load(meta, TableOptions::default(), &[]).unwrap();
+        let t = StableTable::bulk_load(meta, 4096, &[]).unwrap();
         let io = IoTracker::new();
         let (back, seq) = decode_image(&encode_image(&t, 1), &io).unwrap();
         assert_eq!(seq, 1);

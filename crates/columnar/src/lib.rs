@@ -52,5 +52,5 @@ pub use io::{BlockHeatSink, IoStats, IoTracker};
 pub use kernel::{MergeStep, PreparedKey};
 pub use schema::{Field, Schema, SortKeyDef};
 pub use sparse::SparseIndex;
-pub use table::{ScanRange, StableTable, TableBuilder, TableMeta, TableOptions};
+pub use table::{ScanRange, StableTable, TableBuilder, TableMeta};
 pub use value::{format_date, parse_date, KeyOp, SkKey, Tuple, Value, ValueType};

@@ -38,25 +38,6 @@ impl TableMeta {
     }
 }
 
-/// Physical layout knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct TableOptions {
-    /// Rows per block (the scan/merge granularity). Default 4096.
-    pub block_rows: usize,
-    /// Whether to apply lightweight compression (paper: server runs
-    /// compressed, workstation runs non-compressed).
-    pub compressed: bool,
-}
-
-impl Default for TableOptions {
-    fn default() -> Self {
-        TableOptions {
-            block_rows: 4096,
-            compressed: true,
-        }
-    }
-}
-
 /// A half-open SID range `[start, end)` to scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanRange {
@@ -90,7 +71,8 @@ impl ScanRange {
 #[derive(Debug, Clone)]
 pub struct StableTable {
     meta: TableMeta,
-    opts: TableOptions,
+    /// Rows per block (the scan/merge granularity).
+    block_rows: usize,
     row_count: u64,
     /// `cols[c]` = encoded blocks of column `c`; block `b` of every column
     /// covers the same row range.
@@ -112,10 +94,17 @@ pub struct StableTable {
 }
 
 impl StableTable {
-    /// Bulk-load from rows that are *already sorted* on the sort key.
-    /// Returns an error on schema mismatch or unsorted input.
-    pub fn bulk_load(meta: TableMeta, opts: TableOptions, rows: &[Tuple]) -> Result<StableTable> {
-        let mut b = TableBuilder::new(meta, opts);
+    /// Bulk-load from rows that are *already sorted* on the sort key, into
+    /// blocks of `block_rows` rows. Returns an error on zero `block_rows`,
+    /// schema mismatch or unsorted input.
+    pub fn bulk_load(meta: TableMeta, block_rows: usize, rows: &[Tuple]) -> Result<StableTable> {
+        if block_rows == 0 {
+            return Err(ColumnarError::SchemaMismatch(format!(
+                "{} cannot have block_rows = 0",
+                meta.name
+            )));
+        }
+        let mut b = TableBuilder::new(meta, block_rows);
         for row in rows {
             b.append(row)?;
         }
@@ -125,12 +114,12 @@ impl StableTable {
     /// Bulk-load from unsorted rows: sorts by the sort key first.
     pub fn bulk_load_unsorted(
         meta: TableMeta,
-        opts: TableOptions,
+        block_rows: usize,
         mut rows: Vec<Tuple>,
     ) -> Result<StableTable> {
         let sk = meta.sort_key.clone();
         rows.sort_by(|a, b| sk.cmp_tuples(a, b));
-        Self::bulk_load(meta, opts, &rows)
+        Self::bulk_load(meta, block_rows, &rows)
     }
 
     /// Reassemble a table from already-encoded parts (persisted-image
@@ -141,14 +130,14 @@ impl StableTable {
     /// [`ColumnarError::Corrupt`] on first read.
     pub fn from_parts(
         meta: TableMeta,
-        opts: TableOptions,
+        block_rows: usize,
         row_count: u64,
         cols: Vec<Vec<Block>>,
         block_min_sk: Vec<SkKey>,
         block_max_sk: Vec<SkKey>,
         dicts: Vec<Option<Arc<StrDict>>>,
     ) -> Result<StableTable> {
-        if opts.block_rows == 0 {
+        if block_rows == 0 {
             return Err(ColumnarError::Corrupt("image has block_rows = 0".into()));
         }
         if cols.len() != meta.schema.len() {
@@ -201,10 +190,9 @@ impl StableTable {
         let mut acc = 0u64;
         for (b, blk) in cols.first().into_iter().flatten().enumerate() {
             let len = blk.len;
-            if len == 0 || len > opts.block_rows {
+            if len == 0 || len > block_rows {
                 return Err(ColumnarError::Corrupt(format!(
-                    "image block {b} has {len} rows (block_rows {})",
-                    opts.block_rows
+                    "image block {b} has {len} rows (block_rows {block_rows})"
                 )));
             }
             starts.push(acc);
@@ -225,7 +213,7 @@ impl StableTable {
         let sparse = SparseIndex::new(block_min_sk, starts.clone(), row_count);
         Ok(StableTable {
             meta,
-            opts,
+            block_rows,
             row_count,
             cols: cols.into_iter().map(Arc::new).collect(),
             starts,
@@ -250,11 +238,6 @@ impl StableTable {
         &self.meta.sort_key
     }
 
-    /// Physical layout knobs this table was built with.
-    pub fn options(&self) -> TableOptions {
-        self.opts
-    }
-
     /// Number of stable rows.
     pub fn row_count(&self) -> u64 {
         self.row_count
@@ -267,7 +250,7 @@ impl StableTable {
 
     /// Rows per block.
     pub fn block_rows(&self) -> usize {
-        self.opts.block_rows
+        self.block_rows
     }
 
     /// Number of blocks per column.
@@ -468,10 +451,10 @@ fn cmp_prefix(stored: &[Value], key: &[Value]) -> Ordering {
 
 /// Streaming bulk loader producing a [`StableTable`].
 ///
-/// String columns of compressed tables are **dictionary-coded**: their
-/// blocks are buffered during the load, a table-global order-preserving
-/// [`StrDict`] is built in [`TableBuilder::finish`], and every block is then
-/// written as [`Encoding::GlobalCode`] `u32` codes.
+/// String columns are **dictionary-coded**: their blocks are buffered
+/// during the load, a table-global order-preserving [`StrDict`] is built
+/// in [`TableBuilder::finish`], and every block is then written as
+/// [`Encoding::GlobalCode`] `u32` codes.
 ///
 /// A builder started with [`TableBuilder::splice`] rewrites only a block
 /// range of an existing table: it is seeded with the kept prefix blocks,
@@ -479,7 +462,7 @@ fn cmp_prefix(stored: &[Value], key: &[Value]) -> Ordering {
 /// suffix blocks.
 pub struct TableBuilder {
     meta: TableMeta,
-    opts: TableOptions,
+    block_rows: usize,
     buf: Vec<ColumnVec>,
     blocks: Vec<Vec<Block>>,
     /// `dict_col[c]`: column `c` is a string column headed for global
@@ -507,19 +490,20 @@ pub struct TableBuilder {
 }
 
 impl TableBuilder {
-    /// Start a load for the given identity and layout.
-    pub fn new(meta: TableMeta, opts: TableOptions) -> Self {
-        assert!(opts.block_rows > 0, "block_rows must be positive");
+    /// Start a load for the given identity, in blocks of `block_rows`
+    /// rows.
+    pub fn new(meta: TableMeta, block_rows: usize) -> Self {
+        assert!(block_rows > 0, "block_rows must be positive");
         let dict_col: Vec<bool> = meta
             .schema
             .fields()
             .iter()
-            .map(|f| opts.compressed && f.vtype == ValueType::Str)
+            .map(|f| f.vtype == ValueType::Str)
             .collect();
         let ncols = meta.schema.len();
         let mut b = TableBuilder {
             meta,
-            opts,
+            block_rows,
             buf: Vec::new(),
             blocks: vec![Vec::new(); ncols],
             dict_col,
@@ -561,7 +545,7 @@ impl TableBuilder {
                 len: nblocks as u64,
             });
         }
-        let mut b = TableBuilder::new(base.meta.clone(), base.opts);
+        let mut b = TableBuilder::new(base.meta.clone(), base.block_rows);
         if b0 > 0 || b1 < nblocks {
             b.dict_col.fill(false);
         }
@@ -591,7 +575,7 @@ impl TableBuilder {
             .fields()
             .iter()
             .zip(&self.dicts)
-            .map(|(f, dict)| empty_buf(f.vtype, dict, self.opts.block_rows))
+            .map(|(f, dict)| empty_buf(f.vtype, dict, self.block_rows))
             .collect();
     }
 
@@ -620,7 +604,7 @@ impl TableBuilder {
             self.buf[c].push(v);
         }
         self.row_count += 1;
-        if self.buf[0].len() == self.opts.block_rows {
+        if self.buf[0].len() == self.block_rows {
             self.flush_block();
         }
         Ok(())
@@ -687,14 +671,14 @@ impl TableBuilder {
                 self.sparse_keys.push(sk_of(done));
                 self.sparse_sids.push(self.row_count);
             }
-            let take = (self.opts.block_rows - self.buf[0].len()).min(n - done);
+            let take = (self.block_rows - self.buf[0].len()).min(n - done);
             for (c, col) in cols.iter().enumerate() {
                 self.buf[c].extend_range(col, done, done + take);
             }
             done += take;
             self.row_count += take as u64;
             self.last_sk = Some(sk_of(done - 1));
-            if self.buf[0].len() == self.opts.block_rows {
+            if self.buf[0].len() == self.block_rows {
                 self.flush_block();
             }
         }
@@ -708,7 +692,7 @@ impl TableBuilder {
             self.block_max_keys
                 .push(self.last_sk.clone().unwrap_or_default());
         }
-        let rows = self.opts.block_rows;
+        let rows = self.block_rows;
         for (c, col) in self.buf.iter_mut().enumerate() {
             if col.is_empty() {
                 continue;
@@ -731,7 +715,7 @@ impl TableBuilder {
                 // a string outside the kept dictionary (or a batch coded
                 // over another one) took this block off it; the next one
                 // starts coded again
-                self.blocks[c].push(Block::encode(col, self.opts.compressed));
+                self.blocks[c].push(Block::encode(col));
                 match kept {
                     Some(d) => *col = ColumnVec::new_coded(d.clone()),
                     None => col.clear(),
@@ -740,8 +724,8 @@ impl TableBuilder {
         }
     }
 
-    /// Finish the load and produce the immutable table. String columns of
-    /// compressed tables get their global dictionary built here and their
+    /// Finish the load and produce the immutable table. String columns
+    /// get their global dictionary built here and their
     /// blocks encoded as [`Encoding::GlobalCode`]: a block still coded
     /// contributes the codes it uses and is recoded through a code map, a
     /// materialized one its distinct strings. A splice appends its kept
@@ -782,7 +766,7 @@ impl TableBuilder {
         let sparse = SparseIndex::new(self.sparse_keys, self.sparse_sids, self.row_count);
         Ok(StableTable {
             meta: self.meta,
-            opts: self.opts,
+            block_rows: self.block_rows,
             row_count: self.row_count,
             cols: self.blocks.into_iter().map(Arc::new).collect(),
             starts,
@@ -971,11 +955,7 @@ mod tests {
                 .map(|_| vec![Value::Int(next(6)), Value::Int(next(5))])
                 .collect();
             rows.sort();
-            let opts = TableOptions {
-                block_rows: 1 + next(5) as usize,
-                compressed: case % 2 == 0,
-            };
-            let t = StableTable::bulk_load(meta.clone(), opts, &rows).unwrap();
+            let t = StableTable::bulk_load(meta.clone(), 1 + next(5) as usize, &rows).unwrap();
             for _ in 0..40 {
                 // full keys, one-column prefixes and open ends, reaching
                 // below the first and above the last stored key
@@ -1004,15 +984,7 @@ mod tests {
     #[test]
     fn bulk_load_and_scan_roundtrip() {
         let rows = inventory_rows();
-        let t = StableTable::bulk_load(
-            inventory_meta(),
-            TableOptions {
-                block_rows: 2,
-                compressed: true,
-            },
-            &rows,
-        )
-        .unwrap();
+        let t = StableTable::bulk_load(inventory_meta(), 2, &rows).unwrap();
         assert_eq!(t.row_count(), 5);
         assert_eq!(t.num_blocks(), 3);
         let io = IoTracker::new();
@@ -1024,7 +996,7 @@ mod tests {
     fn unsorted_input_rejected() {
         let mut rows = inventory_rows();
         rows.swap(0, 3);
-        let err = StableTable::bulk_load(inventory_meta(), TableOptions::default(), &rows);
+        let err = StableTable::bulk_load(inventory_meta(), 4096, &rows);
         assert!(matches!(err, Err(ColumnarError::UnsortedInput { .. })));
     }
 
@@ -1032,8 +1004,7 @@ mod tests {
     fn bulk_load_unsorted_sorts() {
         let mut rows = inventory_rows();
         rows.reverse();
-        let t = StableTable::bulk_load_unsorted(inventory_meta(), TableOptions::default(), rows)
-            .unwrap();
+        let t = StableTable::bulk_load_unsorted(inventory_meta(), 4096, rows).unwrap();
         let io = IoTracker::new();
         assert_eq!(t.scan_all(&io).unwrap(), inventory_rows());
     }
@@ -1041,21 +1012,16 @@ mod tests {
     #[test]
     fn schema_mismatch_rejected() {
         let rows = vec![vec![Value::Int(1)]];
-        let err = StableTable::bulk_load(inventory_meta(), TableOptions::default(), &rows);
+        let err = StableTable::bulk_load(inventory_meta(), 4096, &rows);
+        assert!(matches!(err, Err(ColumnarError::SchemaMismatch(_))));
+        // a layout that holds no row is refused, not a panic
+        let err = StableTable::bulk_load(inventory_meta(), 0, &inventory_rows());
         assert!(matches!(err, Err(ColumnarError::SchemaMismatch(_))));
     }
 
     #[test]
     fn point_access() {
-        let t = StableTable::bulk_load(
-            inventory_meta(),
-            TableOptions {
-                block_rows: 2,
-                compressed: false,
-            },
-            &inventory_rows(),
-        )
-        .unwrap();
+        let t = StableTable::bulk_load(inventory_meta(), 2, &inventory_rows()).unwrap();
         let io = IoTracker::new();
         let row = t.get_row(3, &io).unwrap();
         assert_eq!(row[0], Value::from("Paris"));
@@ -1069,33 +1035,17 @@ mod tests {
 
     #[test]
     fn io_accounting_per_column() {
-        let t = StableTable::bulk_load(
-            inventory_meta(),
-            TableOptions {
-                block_rows: 2,
-                compressed: false,
-            },
-            &inventory_rows(),
-        )
-        .unwrap();
+        let t = StableTable::bulk_load(inventory_meta(), 2, &inventory_rows()).unwrap();
         let io = IoTracker::new();
         // reading one block of one column charges exactly that block
         t.read_block(3, 0, &io).unwrap();
         assert_eq!(io.stats().blocks_read, 1);
-        assert_eq!(io.stats().bytes_read, 2 * 8); // 2 rows × 8-byte ints
+        assert_eq!(io.stats().bytes_read, t.column_blocks(3)[0].stored_bytes());
     }
 
     #[test]
     fn sid_range_uses_sparse_index() {
-        let t = StableTable::bulk_load(
-            inventory_meta(),
-            TableOptions {
-                block_rows: 2,
-                compressed: true,
-            },
-            &inventory_rows(),
-        )
-        .unwrap();
+        let t = StableTable::bulk_load(inventory_meta(), 2, &inventory_rows()).unwrap();
         let r = t.sid_range(Some(&[Value::from("Paris")]), Some(&[Value::from("Paris")]));
         assert!(r.start <= 3 && r.end >= 4);
     }
@@ -1110,10 +1060,7 @@ mod tests {
                 Schema::from_pairs(&[("k", ValueType::Int), ("s", ValueType::Str)]),
                 vec![0],
             ),
-            TableOptions {
-                block_rows,
-                compressed: true,
-            },
+            block_rows,
             &rows,
         )
         .unwrap()
@@ -1208,7 +1155,7 @@ mod tests {
         let mut grown = all.clone();
         grown.push(vec![Value::Int(999), Value::Str("fresh".into())]);
         let full = splice_rows(&t, 0, 4, &cols_of(&grown, &t)).unwrap();
-        let loaded = StableTable::bulk_load(t.meta().clone(), t.options(), &grown).unwrap();
+        let loaded = StableTable::bulk_load(t.meta().clone(), t.block_rows(), &grown).unwrap();
         assert!(full.column_dict(1).unwrap().code_of("fresh").is_some());
         assert_eq!(full.block_starts(), loaded.block_starts());
         for c in 0..2 {
@@ -1270,10 +1217,7 @@ mod tests {
             ]
         };
         for case in 0..300 {
-            let opts = TableOptions {
-                block_rows: 1 + rand(x, 9) as usize,
-                compressed: case % 4 != 3,
-            };
+            let block_rows = 1 + rand(x, 9) as usize;
             let n = rand(x, 60);
             let mut base_rows: Vec<Tuple> = (0..n)
                 .map(|_| {
@@ -1282,7 +1226,7 @@ mod tests {
                 })
                 .collect();
             base_rows.sort_by(|a, b| meta.sort_key.cmp_tuples(a, b));
-            let base = StableTable::bulk_load(meta.clone(), opts, &base_rows).unwrap();
+            let base = StableTable::bulk_load(meta.clone(), block_rows, &base_rows).unwrap();
             // `w0` leaves every row; survivors are thinned out, inserts
             // add `w6` and `fresh*` strings no dictionary holds
             let mut rows: Vec<Tuple> = base_rows
@@ -1326,11 +1270,11 @@ mod tests {
                 at += chunk.len();
             }
             let spliced = b.finish().unwrap();
-            let loaded = StableTable::bulk_load(meta.clone(), opts, &rows).unwrap();
+            let loaded = StableTable::bulk_load(meta.clone(), block_rows, &rows).unwrap();
             assert_eq!(
                 crate::image::encode_image(&spliced, 7),
                 crate::image::encode_image(&loaded, 7),
-                "case {case}: {} rows, {opts:?}",
+                "case {case}: {} rows, block_rows {block_rows}",
                 rows.len()
             );
         }
@@ -1365,24 +1309,8 @@ mod tests {
             Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]),
             vec![0],
         );
-        let comp = StableTable::bulk_load(
-            meta.clone(),
-            TableOptions {
-                block_rows: 1024,
-                compressed: true,
-            },
-            &rows,
-        )
-        .unwrap();
-        let plain = StableTable::bulk_load(
-            meta,
-            TableOptions {
-                block_rows: 1024,
-                compressed: false,
-            },
-            &rows,
-        )
-        .unwrap();
-        assert!(comp.column_bytes(0) < plain.column_bytes(0) / 4);
+        let comp = StableTable::bulk_load(meta, 1024, &rows).unwrap();
+        // plain ints are 8 bytes each
+        assert!(comp.column_bytes(0) < 10_000 * 8 / 4);
     }
 }

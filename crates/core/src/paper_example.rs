@@ -244,7 +244,7 @@ fn sparse_index_query_covers_ghost_positioned_insert() {
     // must find (Paris,rack), which only exists as a PDT insert whose SID
     // respects the (Paris,rug) ghost. A *stale* sparse index built on
     // TABLE0 must still produce a covering SID range.
-    use columnar::{StableTable, TableMeta, TableOptions};
+    use columnar::{StableTable, TableMeta};
 
     let mut pdt = Pdt::with_fanout(schema(), vec![0, 1], 4);
     batch1(&mut pdt);
@@ -253,10 +253,7 @@ fn sparse_index_query_covers_ghost_positioned_insert() {
 
     let table = StableTable::bulk_load(
         TableMeta::new("inventory", schema(), vec![0, 1]),
-        TableOptions {
-            block_rows: 2,
-            compressed: true,
-        },
+        2,
         &table0(),
     )
     .unwrap();

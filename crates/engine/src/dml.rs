@@ -779,9 +779,6 @@ impl<'db> DbTxn<'db> {
         // deterministic order (WAL records, lock-free publishes); every
         // early return below drops `self`, which ends the transaction
         let mut touched: Vec<(String, u32, Box<dyn DeltaTxn>)> = Vec::new();
-        // when tracing, the slow-commit threshold of each touched
-        // partition's table
-        let mut slow_after: Vec<Option<std::time::Duration>> = Vec::new();
         let mut tables: Vec<(String, TxnTable)> =
             std::mem::take(&mut self.tables).into_iter().collect();
         tables.sort_by(|a, b| a.0.cmp(&b.0));
@@ -789,9 +786,6 @@ impl<'db> DbTxn<'db> {
             for (p, part) in t.parts.into_iter().enumerate() {
                 if let Some(staged) = part.staged.filter(|s| s.is_dirty()) {
                     touched.push((name.clone(), p as u32, staged));
-                    if trace_start.is_some() {
-                        slow_after.push(t.entry.opts.slow_commit_threshold);
-                    }
                 }
             }
         }
@@ -816,17 +810,10 @@ impl<'db> DbTxn<'db> {
             .filter(|(_, _, e)| !e.is_empty())
             .map(|(t, p, e)| (t.as_str(), *p, e.as_slice()))
             .collect();
-        // When tracing, keep the touched (table, partition, wal entries)
-        // triples for the commit event and the slow-commit check after
-        // the durable wait (`entries` itself is consumed by publish).
-        let traced_parts: Vec<(String, u32, u64)> = if trace_start.is_some() {
-            entries
-                .iter()
-                .map(|(name, p, e)| (name.clone(), *p, e.len() as u64))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // the commit event's partitions and WAL entries (`entries` is
+        // consumed by publish)
+        let parts = entries.len() as u64;
+        let wal_entries: u64 = entries.iter().map(|(_, _, e)| e.len() as u64).sum();
         let seq = mgr.alloc_seq();
         // Group commit phase A: enqueue the record in the coordinator's
         // buffer while still under the commit guard (keeps the log in
@@ -841,39 +828,21 @@ impl<'db> DbTxn<'db> {
         // leave the running set under the guard, before the durable wait
         drop(self);
         drop(_commit);
-        // Group commit phase B: acknowledge only once the record is on
-        // disk. The commit is visible before it is durable; a crash in the
-        // window loses only commits whose `commit()` never returned.
-        let durable_start = trace_start.map(|_| std::time::Instant::now());
+        // Group commit phase B: acknowledge only once the record is
+        // written to the log. The commit is visible before it is durable;
+        // a crash in the window loses only commits whose `commit()` never
+        // returned.
         if let Some(ticket) = wal_ticket {
             mgr.wait_wal_durable(ticket)?;
         }
         if let Some(t0) = trace_start {
-            let total = t0.elapsed();
-            let durable_ns = durable_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            let wal_entries: u64 = traced_parts.iter().map(|(_, _, e)| e).sum();
             obs::event!(
                 obs::TraceKind::Commit,
                 seq: seq,
-                dur_ns: total.as_nanos() as u64,
-                a: traced_parts.len() as u64,
+                dur_ns: t0.elapsed().as_nanos() as u64,
+                a: parts,
                 b: wal_entries,
             );
-            // Slow-commit log: one event per touched (table, partition)
-            // whose table asked for it.
-            for ((name, part, part_entries), th) in traced_parts.iter().zip(&slow_after) {
-                if th.is_some_and(|th| total >= th) {
-                    obs::event!(
-                        obs::TraceKind::SlowCommit,
-                        table: obs::trace::intern(name),
-                        part: *part,
-                        seq: seq,
-                        dur_ns: total.as_nanos() as u64,
-                        a: *part_entries,
-                        b: durable_ns,
-                    );
-                }
-            }
         }
         Ok(seq)
     }

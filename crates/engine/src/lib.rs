@@ -187,11 +187,9 @@ impl From<TxnError> for DbError {
 
 /// Physical layout plus update-handling policy of a table.
 ///
-/// Extends the storage options of [`columnar::TableOptions`] with the
-/// engine-level choice of differential structure, replacing the old
-/// per-scan `ScanMode` plumbing: the policy is a property of the *table*,
-/// fixed at creation, and every scan of the table merges the structure the
-/// table is maintained by.
+/// The update policy is a property of the *table*, fixed at creation, and
+/// every scan of the table merges the structure the table is maintained
+/// by. Stable slices are always stored with lightweight compression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableOptions {
     /// Rows per block (the scan/merge granularity). Default 4096.
@@ -216,11 +214,6 @@ pub struct TableOptions {
     /// as well as — full checkpoints still run over budget) rewriting
     /// whole partitions. Disabled by default.
     pub compaction: CompactionConfig,
-    /// Slow-query log threshold: commits touching this table that take
-    /// longer emit one `slow.commit` trace event (with partition count,
-    /// WAL entries, and the durable-wait share) when tracing is enabled.
-    /// `None` (the default) disables the check.
-    pub slow_commit_threshold: Option<std::time::Duration>,
 }
 
 impl Default for TableOptions {
@@ -232,7 +225,6 @@ impl Default for TableOptions {
             checkpoint_threshold_bytes: 64 << 20,
             partitions: PartitionSpec::None,
             compaction: CompactionConfig::default(),
-            slow_commit_threshold: None,
         }
     }
 }
@@ -275,22 +267,6 @@ impl TableOptions {
     pub fn with_compaction(mut self, compaction: CompactionConfig) -> Self {
         self.compaction = compaction;
         self
-    }
-
-    /// Set the slow-commit trace threshold (see
-    /// [`TableOptions::slow_commit_threshold`]).
-    pub fn with_slow_commit_threshold(mut self, threshold: std::time::Duration) -> Self {
-        self.slow_commit_threshold = Some(threshold);
-        self
-    }
-
-    /// The storage-level subset (engine tables are always stored with
-    /// lightweight compression).
-    pub fn storage(&self) -> columnar::TableOptions {
-        columnar::TableOptions {
-            block_rows: self.block_rows,
-            compressed: true,
-        }
     }
 }
 
@@ -434,7 +410,7 @@ impl Database {
         let groups = partition::split_rows(rows, &splits, &sk);
         let mut parts = Vec::with_capacity(groups.len());
         for (p, part_rows) in groups.into_iter().enumerate() {
-            let stable = StableTable::bulk_load_unsorted(meta.clone(), opts.storage(), part_rows)?;
+            let stable = StableTable::bulk_load_unsorted(meta.clone(), opts.block_rows, part_rows)?;
             let metrics = MaintMetrics::new(&self.registry, &name, p);
             let delta = store(name.clone(), schema.clone(), sk.clone());
             parts.push(PartitionEntry::new(stable, delta, &self.io, metrics));
@@ -502,7 +478,7 @@ impl Database {
     /// Returns the recovered commit sequence.
     pub fn recover_from(&self, path: &Path) -> Result<u64, DbError> {
         let _commit = self.txn_mgr.commit_guard();
-        let all = txn::wal::Wal::read_all(path).map_err(DbError::Io)?;
+        let all = txn::wal::read_all(path).map_err(DbError::Io)?;
         let markers = txn::wal::checkpoint_markers(&all);
         if let Some(images) = &self.images {
             let tables = self.tables.read();
@@ -597,7 +573,7 @@ impl Database {
 
     /// Cumulative WAL append statistics — how many commit/checkpoint
     /// records were logged and how many physical append windows (one
-    /// write+flush each) carried them. Group commit shows up as
+    /// write each) carried them. Group commit shows up as
     /// `commits > appends`. `None` without a WAL.
     pub fn wal_stats(&self) -> Option<txn::wal::WalStats> {
         self.txn_mgr.wal_stats()
@@ -1713,6 +1689,18 @@ mod tests {
                 "{bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn zero_block_rows_is_a_storage_error_not_a_panic() {
+        let db = Database::new();
+        let meta = TableMeta::new("t", Schema::from_pairs(&[("k", ValueType::Int)]), vec![0]);
+        let opts = TableOptions::default().with_block_rows(0);
+        let err = db
+            .create_table(meta, opts, vec![vec![Value::Int(1)]])
+            .unwrap_err();
+        assert!(matches!(err, DbError::Storage(_)), "{err}");
+        assert!(db.table_names().is_empty());
     }
 
     #[test]

@@ -9,9 +9,7 @@
 #[cfg(test)]
 mod tests {
     use crate::ops::scan::{fold_blocks, DeltaLayers};
-    use columnar::{
-        IoTracker, Schema, StableTable, TableMeta, TableOptions, Tuple, Value, ValueType,
-    };
+    use columnar::{IoTracker, Schema, StableTable, TableMeta, Tuple, Value, ValueType};
     use pdt::checkpoint::merge_rows;
     use pdt::Pdt;
 
@@ -21,11 +19,7 @@ mod tests {
 
     fn load(base: &[Tuple]) -> StableTable {
         let meta = TableMeta::new("t", schema(), vec![0]);
-        let opts = TableOptions {
-            block_rows: 16,
-            compressed: true,
-        };
-        StableTable::bulk_load(meta, opts, base).unwrap()
+        StableTable::bulk_load(meta, 16, base).unwrap()
     }
 
     /// The PDT folded into blocks `[b0, b1)` of `t`, passed whole (as a

@@ -58,9 +58,7 @@ mod checkpoint;
 #[cfg(test)]
 mod paper_example {
     use crate::ops::scan::{fold_blocks, DeltaLayers};
-    use columnar::{
-        IoTracker, Schema, StableTable, TableMeta, TableOptions, Tuple, Value, ValueType,
-    };
+    use columnar::{IoTracker, Schema, StableTable, TableMeta, Tuple, Value, ValueType};
     use pdt::checkpoint::merge_rows;
     use pdt::Pdt;
 
@@ -173,13 +171,9 @@ mod paper_example {
         assert_eq!(merge_rows(&table0(), &pdt), figure13);
         // one block, and blocks of two rows: inserts at block 0's head and
         // inside blocks, (Paris,rack) before the (Paris,rug) ghost
-        let small = TableOptions {
-            block_rows: 2,
-            compressed: true,
-        };
-        for opts in [TableOptions::default(), small] {
+        for block_rows in [4096, 2] {
             let meta = TableMeta::new("inventory", schema(), vec![0, 1]);
-            let t0 = StableTable::bulk_load(meta, opts, &table0()).unwrap();
+            let t0 = StableTable::bulk_load(meta, block_rows, &table0()).unwrap();
             let io = IoTracker::new();
             let layers = DeltaLayers::Pdt(vec![&pdt]);
             let t3 = fold_blocks(&t0, layers, 0, t0.num_blocks(), &io).unwrap();

@@ -238,7 +238,7 @@ fn by_scan(
 mod tests {
     use super::*;
     use crate::ops::run_to_rows;
-    use columnar::{Schema, TableMeta, TableOptions, Tuple, ValueType};
+    use columnar::{Schema, TableMeta, Tuple, ValueType};
     use vdt::Vdt;
 
     fn schema() -> Schema {
@@ -262,12 +262,7 @@ mod tests {
     }
 
     fn table(from: i64, n: i64) -> StableTable {
-        let opts = TableOptions {
-            block_rows: 4,
-            compressed: true,
-        };
-        StableTable::bulk_load(TableMeta::new("t", schema(), vec![0]), opts, &rows(from, n))
-            .unwrap()
+        StableTable::bulk_load(TableMeta::new("t", schema(), vec![0]), 4, &rows(from, n)).unwrap()
     }
 
     /// Two stacked layers over 20 rows: the upper one modifies a lower

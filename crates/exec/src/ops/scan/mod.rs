@@ -480,7 +480,7 @@ mod tests {
     use crate::ops::run_to_rows;
     use columnar::checksum::checksum;
     use columnar::image::{decode_image, encode_image};
-    use columnar::{Encoding, ScanRange, Schema, TableMeta, TableOptions, Tuple};
+    use columnar::{Encoding, ScanRange, Schema, TableMeta, Tuple};
     use pdt::checkpoint::merge_rows;
 
     fn schema() -> Schema {
@@ -504,15 +504,7 @@ mod tests {
     }
 
     fn table(n: i64) -> StableTable {
-        StableTable::bulk_load(
-            TableMeta::new("t", schema(), vec![0]),
-            TableOptions {
-                block_rows: 4,
-                compressed: true,
-            },
-            &rows(n),
-        )
-        .unwrap()
+        StableTable::bulk_load(TableMeta::new("t", schema(), vec![0]), 4, &rows(n)).unwrap()
     }
 
     /// The scan of one unpartitioned image: a single segment at base 0.
@@ -948,15 +940,7 @@ mod tests {
                 ]
             })
             .collect();
-        StableTable::bulk_load(
-            TableMeta::new("t", schema(), vec![0]),
-            TableOptions {
-                block_rows: 4,
-                compressed: true,
-            },
-            &rows,
-        )
-        .unwrap()
+        StableTable::bulk_load(TableMeta::new("t", schema(), vec![0]), 4, &rows).unwrap()
     }
 
     /// Two partitions (rows 0..20 and 20..40 of the keyspace), each with
@@ -1373,15 +1357,8 @@ mod tests {
     #[test]
     fn by_key_scan_matches_row_merge_wherever_the_sort_key_sits() {
         let base = rows(32);
-        let two_col_key = StableTable::bulk_load(
-            TableMeta::new("t", schema(), vec![0, 2]),
-            TableOptions {
-                block_rows: 4,
-                compressed: true,
-            },
-            &base,
-        )
-        .unwrap();
+        let two_col_key =
+            StableTable::bulk_load(TableMeta::new("t", schema(), vec![0, 2]), 4, &base).unwrap();
         for (t, sk) in [(table(32), vec![0usize]), (two_col_key, vec![0, 2])] {
             let key = |i: usize| -> Vec<Value> { sk.iter().map(|&c| base[i][c].clone()).collect() };
             let mut v = Vdt::new(schema(), sk.clone());
@@ -1464,11 +1441,7 @@ mod tests {
 
     fn load(sk: &[usize], rows: &[Tuple]) -> StableTable {
         let meta = TableMeta::new("t", schema(), sk.to_vec());
-        let opts = TableOptions {
-            block_rows: 4,
-            compressed: true,
-        };
-        StableTable::bulk_load(meta, opts, rows).unwrap()
+        StableTable::bulk_load(meta, 4, rows).unwrap()
     }
 
     /// A delta of each policy, by `Upd` key.

@@ -85,14 +85,8 @@ pub enum TraceKind {
     /// Recovery replayed WAL commits into one partition's delta.
     /// `a` = entries replayed, `b` = commits, `seq` = last sequence.
     RecoveryWalReplay = 14,
-    /// Slow-query log: a commit exceeded its table's threshold — one
-    /// event per touched (table, partition). `dur_ns` = total commit,
-    /// `a` = WAL entries for the partition, `b` = durable-wait
-    /// nanoseconds.
-    SlowCommit = 15,
-    /// Slow-query log: a server query exceeded the configured
-    /// threshold. `dur_ns` = query wall time, `a` = rows returned.
-    SlowScan = 16,
+    // 15 and 16 were the retired slow-commit / slow-scan events; never
+    // reuse them
     /// One position resolution of a DML statement — a rid gather, a key
     /// ranking or a predicate's victim scan: span over the resolution.
     /// `a` = rids or keys resolved, `b` = stable blocks decoded; `part`
@@ -118,8 +112,6 @@ impl TraceKind {
             TraceKind::AdmissionReject => "admission.reject",
             TraceKind::RecoveryImageAdopt => "recovery.image_adopt",
             TraceKind::RecoveryWalReplay => "recovery.wal_replay",
-            TraceKind::SlowCommit => "slow.commit",
-            TraceKind::SlowScan => "slow.scan",
             TraceKind::DmlResolve => "dml.resolve",
         }
     }
@@ -141,8 +133,6 @@ impl TraceKind {
             12 => TraceKind::AdmissionReject,
             13 => TraceKind::RecoveryImageAdopt,
             14 => TraceKind::RecoveryWalReplay,
-            15 => TraceKind::SlowCommit,
-            16 => TraceKind::SlowScan,
             17 => TraceKind::DmlResolve,
             _ => return None,
         })
@@ -652,6 +642,22 @@ mod tests {
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    #[test]
+    fn every_kind_roundtrips_and_retired_numbers_stay_unused() {
+        let kinds: Vec<TraceKind> = (0..=u8::MAX as u16)
+            .filter_map(TraceKind::from_u16)
+            .collect();
+        assert_eq!(kinds.len(), 15);
+        let mut names = std::collections::HashSet::new();
+        for k in kinds {
+            assert_eq!(TraceKind::from_u16(k as u16), Some(k));
+            assert!(names.insert(k.name()), "{k:?}: duplicate name {}", k.name());
+        }
+        assert_eq!(TraceKind::from_u16(15), None);
+        assert_eq!(TraceKind::from_u16(16), None);
+        assert_eq!(TraceKind::DmlResolve as u16, 17);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //!   [`Server::spawn`] running a session closure on a **bounded** worker
 //!   pool (thread-per-session; saturation is reported as
 //!   [`ServerError::Busy`], not queued unboundedly);
-//! * write **admission control** ([`AdmissionConfig`]): a transaction's
-//!   first write to a table is delayed — with a poke to the scheduler —
-//!   or rejected ([`ServerError::Backpressure`]) when the table's delta
-//!   bytes exceed a multiple of its maintenance budget, so sustained
-//!   writers cannot outrun checkpointing and grow the delta without
-//!   bound;
+//! * write **admission control** (the fixed policy of [`admission`]): a
+//!   transaction's first write to a table is delayed — with a poke to the
+//!   scheduler — or rejected ([`ServerError::Backpressure`]) when the
+//!   table's delta bytes exceed a multiple of its maintenance budget, so
+//!   sustained writers cannot outrun checkpointing and grow the delta
+//!   without bound;
 //! * per-table and per-session **metrics** ([`MetricsSnapshot`]): commit
 //!   and query latency percentiles (p50/p95/p99 from
 //!   [`obs::metrics::Histogram`]s), throughput, abort/conflict/backpressure
@@ -25,8 +25,10 @@
 //!
 //! Durability rides the engine's group-commit WAL path: sessions
 //! committing concurrently enqueue their records under the commit guard
-//! and share one append/fsync window (see `txn::wal::GroupWal`), which is
-//! what makes many small concurrent transactions cheap.
+//! and share one write window (see `txn::wal::GroupWal`), which is what
+//! makes many small concurrent transactions cheap. The window is not
+//! fsynced: an acknowledged commit survives a crash of the process, not
+//! a power loss.
 //!
 //! ```no_run
 //! # use std::sync::Arc;
@@ -48,7 +50,6 @@ pub mod admission;
 pub mod metrics;
 mod pool;
 
-pub use admission::AdmissionConfig;
 pub use metrics::{CounterSnapshot, MetricsSnapshot, SessionMetricsSnapshot, TableMetricsSnapshot};
 
 use columnar::{ColumnVec, Tuple};
@@ -134,14 +135,6 @@ pub struct ServerConfig {
     /// caller checkpoints explicitly). Default: the engine's default
     /// cadence.
     pub maintenance: Option<MaintenanceConfig>,
-    /// Write admission control. Default: [`AdmissionConfig::default`].
-    pub admission: AdmissionConfig,
-    /// Slow-query log threshold: a [`Session::query`] taking at least
-    /// this long emits an `obs` `slow.scan` trace event (when tracing is
-    /// enabled) carrying the query label and wall time. `None` (the
-    /// default) never emits. The commit-side analogue is
-    /// [`engine::TableOptions::slow_commit_threshold`].
-    pub slow_query_threshold: Option<std::time::Duration>,
 }
 
 impl Default for ServerConfig {
@@ -149,16 +142,12 @@ impl Default for ServerConfig {
         ServerConfig {
             max_sessions: 8,
             maintenance: Some(MaintenanceConfig::default()),
-            admission: AdmissionConfig::default(),
-            slow_query_threshold: None,
         }
     }
 }
 
 struct Shared {
     db: Arc<Database>,
-    admission: AdmissionConfig,
-    slow_query_threshold: Option<std::time::Duration>,
     started: Instant,
     /// Owned here (not by `Server`) so sessions can poke it; taken out on
     /// shutdown.
@@ -209,8 +198,6 @@ impl Server {
         Server {
             shared: Arc::new(Shared {
                 db,
-                admission: cfg.admission,
-                slow_query_threshold: cfg.slow_query_threshold,
                 started: Instant::now(),
                 sched: Mutex::new(sched),
             }),
@@ -413,19 +400,6 @@ impl Session {
         self.queries.inc();
         self.series.read_latency.record(elapsed);
         self.label(label).read_latency.record(elapsed);
-        // slow-query log: a structured trace event keyed by the query
-        // label, so the drain can correlate it with the scan's I/O
-        if obs::trace::enabled() {
-            if let Some(th) = self.shared.slow_query_threshold {
-                if elapsed >= th {
-                    obs::event!(
-                        obs::TraceKind::SlowScan,
-                        table: obs::trace::intern(label),
-                        dur_ns: elapsed.as_nanos() as u64,
-                    );
-                }
-            }
-        }
         out
     }
 
@@ -444,27 +418,26 @@ impl Session {
     /// [`ServerError::Backpressure`].
     fn admit(&self, table: &str) -> Result<(), ServerError> {
         let shared = &self.shared;
-        let cfg = &shared.admission;
         let t = shared.db.table(table)?;
         let parts = t.partitions().len();
         let budget = t.options().checkpoint_threshold_bytes.saturating_mul(parts);
-        let (soft, hard) = cfg.limits(budget);
+        let (soft, hard) = admission::limits(budget);
         let mut bytes = t.delta_bytes();
         if bytes <= soft {
             return Ok(());
         }
         // over the soft limit: charge a delay, wake maintenance, and give
-        // it up to `max_delay` to drain the table under us
+        // it up to `MAX_DELAY` to drain the table under us
         self.series.delays.inc();
         self.label(table).delays.inc();
         let trace_table = obs::trace::enabled().then(|| obs::trace::intern(table));
         let t0 = Instant::now();
         let waited = loop {
             shared.poke_maintenance();
-            if t0.elapsed() >= cfg.max_delay {
+            if t0.elapsed() >= admission::MAX_DELAY {
                 break false;
             }
-            std::thread::sleep(cfg.retry_tick.min(cfg.max_delay));
+            std::thread::sleep(admission::RETRY_TICK);
             bytes = t.delta_bytes();
             if bytes <= soft {
                 break true;
@@ -723,7 +696,6 @@ mod tests {
                 ServerConfig {
                     max_sessions: 4,
                     maintenance: None,
-                    ..ServerConfig::default()
                 },
             );
             let mut handles = Vec::new();
@@ -839,7 +811,6 @@ mod tests {
             ServerConfig {
                 max_sessions: 1,
                 maintenance: None,
-                ..ServerConfig::default()
             },
         );
         let (block_tx, block_rx) = mpsc::channel::<()>();
@@ -875,7 +846,6 @@ mod tests {
             ServerConfig {
                 max_sessions: 2,
                 maintenance: None,
-                ..ServerConfig::default()
             },
         );
         let h = server.spawn("doomed", |_| panic!("boom")).unwrap();
@@ -926,9 +896,10 @@ mod tests {
     #[test]
     fn backpressure_rejects_then_recovers_after_checkpoint() {
         for policy in ALL_POLICIES {
-            // tiny budget so a few appends cross it; no maintenance
+            // tiny budget so a few appends cross it (soft limit 4 KiB,
+            // hard 8 KiB); no maintenance
             let opts = TableOptions {
-                checkpoint_threshold_bytes: 4 << 10,
+                checkpoint_threshold_bytes: 2 << 10,
                 flush_threshold_bytes: 1 << 10,
                 ..TableOptions::default()
             };
@@ -937,12 +908,6 @@ mod tests {
                 db.clone(),
                 ServerConfig {
                     maintenance: None,
-                    admission: AdmissionConfig {
-                        soft_multiple: 1.0,
-                        hard_multiple: 2.0,
-                        max_delay: Duration::from_millis(4),
-                        retry_tick: Duration::from_millis(1),
-                    },
                     ..ServerConfig::default()
                 },
             );
@@ -1003,14 +968,15 @@ mod tests {
             db.clone(),
             ServerConfig {
                 maintenance: Some(MaintenanceConfig::with_tick(Duration::from_millis(1))),
-                admission: AdmissionConfig::disabled(),
                 ..ServerConfig::default()
             },
         );
         let s = server.session("writer");
         for i in 0..50 {
+            // past admission (`raw` skips it), so a delta the scheduler
+            // has not yet drained never delays or rejects these writes
             let mut txn = s.begin();
-            txn.append("t", batch(10_000 + i * 8, 8)).unwrap();
+            txn.raw().append("t", batch(10_000 + i * 8, 8)).unwrap();
             txn.commit().unwrap();
         }
         // the scheduler checkpoints on its own tick: wait for one to land

@@ -37,7 +37,7 @@
 //! Retained deltas are dropped once no running transaction overlaps them
 //! (the paper's reference counting, realised as the manager's
 //! min-start-sequence watermark): a layers object prunes its own deque
-//! wherever it is locked anyway. Recovery is [`wal::Wal::read_all`] +
+//! wherever it is locked anyway. Recovery is [`wal::read_all`] +
 //! [`wal::effective_commits`] + [`layers.replay`](PdtLayers::replay) +
 //! [`finish_recovery`](TxnManager::finish_recovery).
 //!
@@ -202,12 +202,13 @@ impl TxnManager {
         Some(w.enqueue_commit(seq, tables))
     }
 
-    /// Group-commit phase B: block until the record behind `ticket` is on
-    /// disk. Call *after* releasing the commit guard — that is what lets
-    /// concurrently committing sessions share one WAL append/fsync window.
-    /// The commit is already visible when this runs; a crash in between
-    /// loses only visible-but-unacknowledged commits, never acknowledged
-    /// ones.
+    /// Group-commit phase B: block until the record behind `ticket` is
+    /// written to the log file. Call *after* releasing the commit guard —
+    /// that is what lets concurrently committing sessions share one WAL
+    /// write window. The commit is already visible when this runs; a
+    /// process crash in between loses only visible-but-unacknowledged
+    /// commits, never acknowledged ones (the write is not fsynced, so a
+    /// power loss can).
     pub fn wait_wal_durable(&self, ticket: u64) -> Result<(), TxnError> {
         match &self.wal {
             Some(w) => w.wait_durable(ticket).map_err(TxnError::Wal),
@@ -572,7 +573,7 @@ mod tests {
     /// replay the rest, restore the sequence.
     fn recover(l: &Arc<PdtLayers>, path: &Path) -> std::io::Result<u64> {
         let mut last = 0;
-        let all = wal::Wal::read_all(path)?;
+        let all = wal::read_all(path)?;
         let markers = wal::checkpoint_markers(&all);
         for rec in wal::effective_commits(all, &markers) {
             last = rec.seq();

@@ -83,7 +83,7 @@ use pdt::value_space::ValueSpace;
 use pdt::{Pdt, Upd, DEL, DEL_BATCH, INS, INS_BATCH};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
@@ -160,120 +160,97 @@ impl WalRecord {
     }
 }
 
-/// Append-only write-ahead log.
-pub struct Wal {
-    out: BufWriter<File>,
-}
-
-impl Wal {
-    /// Open (creating if needed) for appending.
-    pub fn open(path: &Path) -> std::io::Result<Wal> {
-        let f = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Wal {
-            out: BufWriter::new(f),
-        })
-    }
-
-    /// Append pre-encoded record bytes as one physical write + flush
-    /// window. The group-commit coordinator ([`GroupWal`]) uses this to
-    /// land a whole batch of records in a single append.
-    fn append_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.out.write_all(bytes)?;
-        self.out.flush()
-    }
-
-    /// Read every record of a log file.
-    pub fn read_all(path: &Path) -> std::io::Result<Vec<WalRecord>> {
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
+/// Read every record of a log file.
+pub fn read_all(path: &Path) -> std::io::Result<Vec<WalRecord>> {
+    let mut bytes = Vec::new();
+    match File::open(path) {
+        Ok(mut f) => {
+            f.read_to_end(&mut bytes)?;
         }
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            let magic = read_u32(&bytes, &mut pos)?;
-            if magic == CKPT_MAGIC {
-                let seq = read_u64(&bytes, &mut pos)?;
-                let nlen = read_u16(&bytes, &mut pos)? as usize;
-                let table = std::str::from_utf8(
-                    bytes
-                        .get(pos..pos + nlen)
-                        .ok_or_else(|| corrupt("truncated checkpoint name"))?,
-                )
-                .map_err(|_| corrupt("bad utf8 name"))?
-                .to_string();
-                pos += nlen;
-                let partition = read_u32(&bytes, &mut pos)?;
-                let has_image = *bytes
-                    .get(pos)
-                    .ok_or_else(|| corrupt("truncated checkpoint image flag"))?;
-                pos += 1;
-                let image_seq = match has_image {
-                    0 => None,
-                    1 => Some(read_u64(&bytes, &mut pos)?),
-                    f => return Err(corrupt(&format!("bad checkpoint image flag {f}"))),
-                };
-                let range = (read_u64(&bytes, &mut pos)?, read_u64(&bytes, &mut pos)?);
-                // residual values are always inline (no per-record
-                // dictionary on markers)
-                let residual = read_entries(&bytes, &mut pos, &[])?;
-                records.push(WalRecord::Checkpoint {
-                    seq,
-                    table,
-                    partition,
-                    image_seq,
-                    range,
-                    residual,
-                });
-                continue;
-            }
-            if magic != MAGIC {
-                return Err(corrupt("bad record magic"));
-            }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    }
+    let mut records = Vec::new();
+    let mut pos = 0usize;
+    while pos < bytes.len() {
+        let magic = read_u32(&bytes, &mut pos)?;
+        if magic == CKPT_MAGIC {
             let seq = read_u64(&bytes, &mut pos)?;
-            // per-record string dictionary (sorted distinct strings)
-            let nstrs = read_u32(&bytes, &mut pos)? as usize;
-            let mut dict = Vec::with_capacity(nstrs.min(bytes.len() - pos));
-            for _ in 0..nstrs {
-                let n = read_u32(&bytes, &mut pos)? as usize;
-                let s = std::str::from_utf8(
-                    bytes
-                        .get(
-                            pos..pos
-                                .checked_add(n)
-                                .ok_or_else(|| corrupt("bad dict entry"))?,
-                        )
-                        .ok_or_else(|| corrupt("truncated dict entry"))?,
-                )
-                .map_err(|_| corrupt("bad utf8 dict entry"))?
-                .to_string();
-                pos += n;
-                dict.push(s);
-            }
-            let ntables = read_u32(&bytes, &mut pos)? as usize;
-            let mut tables = Vec::with_capacity(ntables);
-            for _ in 0..ntables {
-                let nlen = read_u16(&bytes, &mut pos)? as usize;
-                let name = std::str::from_utf8(
-                    bytes
-                        .get(pos..pos + nlen)
-                        .ok_or_else(|| corrupt("truncated name"))?,
-                )
-                .map_err(|_| corrupt("bad utf8 name"))?
-                .to_string();
-                pos += nlen;
-                let partition = read_u32(&bytes, &mut pos)?;
-                let entries = read_entries(&bytes, &mut pos, &dict)?;
-                tables.push((name, partition, entries));
-            }
-            records.push(WalRecord::Commit { seq, tables });
+            let nlen = read_u16(&bytes, &mut pos)? as usize;
+            let table = std::str::from_utf8(
+                bytes
+                    .get(pos..pos + nlen)
+                    .ok_or_else(|| corrupt("truncated checkpoint name"))?,
+            )
+            .map_err(|_| corrupt("bad utf8 name"))?
+            .to_string();
+            pos += nlen;
+            let partition = read_u32(&bytes, &mut pos)?;
+            let has_image = *bytes
+                .get(pos)
+                .ok_or_else(|| corrupt("truncated checkpoint image flag"))?;
+            pos += 1;
+            let image_seq = match has_image {
+                0 => None,
+                1 => Some(read_u64(&bytes, &mut pos)?),
+                f => return Err(corrupt(&format!("bad checkpoint image flag {f}"))),
+            };
+            let range = (read_u64(&bytes, &mut pos)?, read_u64(&bytes, &mut pos)?);
+            // residual values are always inline (no per-record
+            // dictionary on markers)
+            let residual = read_entries(&bytes, &mut pos, &[])?;
+            records.push(WalRecord::Checkpoint {
+                seq,
+                table,
+                partition,
+                image_seq,
+                range,
+                residual,
+            });
+            continue;
         }
-        Ok(records)
+        if magic != MAGIC {
+            return Err(corrupt("bad record magic"));
+        }
+        let seq = read_u64(&bytes, &mut pos)?;
+        // per-record string dictionary (sorted distinct strings)
+        let nstrs = read_u32(&bytes, &mut pos)? as usize;
+        let mut dict = Vec::with_capacity(nstrs.min(bytes.len() - pos));
+        for _ in 0..nstrs {
+            let n = read_u32(&bytes, &mut pos)? as usize;
+            let s = std::str::from_utf8(
+                bytes
+                    .get(
+                        pos..pos
+                            .checked_add(n)
+                            .ok_or_else(|| corrupt("bad dict entry"))?,
+                    )
+                    .ok_or_else(|| corrupt("truncated dict entry"))?,
+            )
+            .map_err(|_| corrupt("bad utf8 dict entry"))?
+            .to_string();
+            pos += n;
+            dict.push(s);
+        }
+        let ntables = read_u32(&bytes, &mut pos)? as usize;
+        let mut tables = Vec::with_capacity(ntables);
+        for _ in 0..ntables {
+            let nlen = read_u16(&bytes, &mut pos)? as usize;
+            let name = std::str::from_utf8(
+                bytes
+                    .get(pos..pos + nlen)
+                    .ok_or_else(|| corrupt("truncated name"))?,
+            )
+            .map_err(|_| corrupt("bad utf8 name"))?
+            .to_string();
+            pos += nlen;
+            let partition = read_u32(&bytes, &mut pos)?;
+            let entries = read_entries(&bytes, &mut pos, &dict)?;
+            tables.push((name, partition, entries));
+        }
+        records.push(WalRecord::Commit { seq, tables });
     }
+    Ok(records)
 }
 
 /// Resolve checkpoint markers over an already-read record stream: returns
@@ -413,14 +390,14 @@ fn encode_checkpoint_record(
 
 /// Coordinator counters: logical records enqueued vs physical append
 /// windows. `appends < commits` means group commit batched concurrent
-/// records into shared write+flush windows.
+/// records into shared write windows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Commit records enqueued.
     pub commits: u64,
     /// Checkpoint markers enqueued.
     pub checkpoints: u64,
-    /// Physical write + flush windows the log file saw.
+    /// Physical write windows the log file saw.
     pub appends: u64,
 }
 
@@ -446,17 +423,18 @@ struct GroupState {
     stats: WalStats,
 }
 
-/// Group-commit coordinator around a [`Wal`].
+/// The append-only write-ahead log, written by group commit.
 ///
 /// Commit protocols *enqueue* their encoded record (cheap, in-memory,
 /// under the engine's commit guard so the buffer stays in sequence
 /// order) and later *wait* for durability after releasing their locks.
 /// The first waiter that finds no flush in progress elects itself
 /// leader, takes the whole pending buffer, and lands it in **one**
-/// physical write + flush window (`Wal::append_raw`); concurrently
-/// arriving commits therefore share append windows instead of paying
-/// one `write_all` + `flush` each. Followers block until the leader's
-/// window covers their ticket.
+/// physical `write_all`; concurrently arriving commits therefore share
+/// append windows instead of paying one write each. Followers block
+/// until the leader's window covers their ticket. The window is not
+/// fsynced: a durable record survives a crash of the process, not a
+/// power loss.
 ///
 /// The durable prefix of the file is always a sequence-ordered prefix of
 /// the enqueue order, so recovery is byte-identical to the sequential
@@ -464,7 +442,7 @@ struct GroupState {
 /// sequence, not file position, and that invariant is preserved.
 pub struct GroupWal {
     state: StdMutex<GroupState>,
-    file: StdMutex<Wal>,
+    file: StdMutex<File>,
     cv: Condvar,
 }
 
@@ -482,7 +460,7 @@ impl GroupWal {
                 io_error: None,
                 stats: WalStats::default(),
             }),
-            file: StdMutex::new(Wal::open(path)?),
+            file: StdMutex::new(OpenOptions::new().create(true).append(true).open(path)?),
             cv: Condvar::new(),
         })
     }
@@ -508,7 +486,7 @@ impl GroupWal {
     }
 
     /// Block until the record behind `ticket` is durable (its bytes
-    /// written and flushed). Self-elects as flush leader when no flush is
+    /// written to the log file). Self-elects as flush leader when no flush is
     /// in progress, so progress never depends on another thread. Only
     /// tickets returned by an enqueue may be waited on.
     pub fn wait_durable(&self, ticket: u64) -> std::io::Result<()> {
@@ -589,7 +567,7 @@ impl GroupWal {
         } else {
             let _flush_span =
                 obs::span!(obs::TraceKind::WalFlushWindow, a: records, b: batch.len() as u64);
-            self.file.lock().unwrap().append_raw(&batch)
+            self.file.lock().unwrap().write_all(&batch)
         };
         let mut g = self.state.lock().unwrap();
         g.flushing = false;
@@ -1058,7 +1036,7 @@ mod tests {
         let path = dir.join("dict.wal");
         let _ = std::fs::remove_file(&path);
         std::fs::write(&path, &buf).unwrap();
-        let records = Wal::read_all(&path).unwrap();
+        let records = read_all(&path).unwrap();
         let WalRecord::Commit { tables, .. } = &records[0] else {
             panic!("expected a commit record");
         };
@@ -1149,7 +1127,7 @@ mod tests {
         let mut expected = Vec::new();
         encode_commit_record(&mut expected, 1, &[("t", 3, entries.as_slice())]);
         assert_eq!(std::fs::read(&path).unwrap(), expected);
-        let records = Wal::read_all(&path).unwrap();
+        let records = read_all(&path).unwrap();
         assert_eq!(records.len(), 1);
         let WalRecord::Commit { seq, tables } = &records[0] else {
             panic!("expected a commit record");
@@ -1185,7 +1163,7 @@ mod tests {
             gw.append_checkpoint("t", 0, 2, Some(2), (0, 3), &[])
                 .unwrap();
         }
-        let all = Wal::read_all(&path).unwrap();
+        let all = read_all(&path).unwrap();
         assert_eq!(all.len(), 3);
         assert!(
             matches!(
@@ -1245,7 +1223,7 @@ mod tests {
             gw.append_checkpoint("t", 2, 9, Some(9), (0, 128), &[])
                 .unwrap();
         }
-        let all = Wal::read_all(&path).unwrap();
+        let all = read_all(&path).unwrap();
         assert_eq!(all.len(), 2);
         let WalRecord::Checkpoint {
             seq,
@@ -1358,7 +1336,7 @@ mod tests {
         }
         // the held-back records are NOT on disk yet (this is the crash
         // window a group-commit crash test kills in)
-        assert_eq!(Wal::read_all(&path).unwrap().len(), 1);
+        assert_eq!(read_all(&path).unwrap().len(), 1);
         gw.hold_flushes(false);
         for h in handles {
             h.join().unwrap();
@@ -1373,11 +1351,7 @@ mod tests {
             s.commits - s.appends >= 3,
             "≥1 fewer append per commit on average at 4 writers"
         );
-        let mut seqs: Vec<u64> = Wal::read_all(&path)
-            .unwrap()
-            .iter()
-            .map(|r| r.seq())
-            .collect();
+        let mut seqs: Vec<u64> = read_all(&path).unwrap().iter().map(|r| r.seq()).collect();
         seqs.sort_unstable();
         assert_eq!(seqs, vec![1, 2, 3, 4, 5], "no record lost or duplicated");
         let _ = std::fs::remove_file(&path);
@@ -1401,7 +1375,7 @@ mod tests {
         assert_eq!(gw.pending_records(), 0, "marker append drains the buffer");
         let s = gw.stats();
         assert_eq!((s.commits, s.checkpoints, s.appends), (1, 1, 1));
-        let recs = Wal::read_all(&path).unwrap();
+        let recs = read_all(&path).unwrap();
         assert_eq!(recs.len(), 2);
         assert!(matches!(recs[0], WalRecord::Commit { seq: 1, .. }));
         assert!(matches!(recs[1], WalRecord::Checkpoint { seq: 1, .. }));

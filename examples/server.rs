@@ -30,9 +30,9 @@ fn main() {
     )
     .expect("bulk load");
 
-    // 2. Start serving: the config bounds concurrent sessions, runs the
-    //    background maintenance scheduler, and arms write admission
-    //    control (writers to a table whose delta outruns its maintenance
+    // 2. Start serving: the config bounds concurrent sessions and runs
+    //    the background maintenance scheduler. Write admission control is
+    //    always on (writers to a table whose delta outruns its maintenance
     //    budget get delayed, then rejected with ServerError::Backpressure).
     let server = Server::start(db, ServerConfig::default());
 

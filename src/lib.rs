@@ -40,7 +40,7 @@ pub mod prelude {
     };
     pub use obs::{TraceEvent, TraceKind};
     pub use server::{
-        AdmissionConfig, CounterSnapshot, MetricsSnapshot, Server, ServerConfig, ServerError,
-        Session, SessionMetricsSnapshot, TableMetricsSnapshot,
+        CounterSnapshot, MetricsSnapshot, Server, ServerConfig, ServerError, Session,
+        SessionMetricsSnapshot, TableMetricsSnapshot,
     };
 }

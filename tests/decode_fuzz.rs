@@ -10,8 +10,8 @@
 use columnar::compress::{decode, decode_with, encode};
 use columnar::image::{decode_image, encode_image};
 use columnar::{
-    ColumnVec, ColumnarError, Encoding, IoTracker, Schema, StableTable, StrDict, TableMeta,
-    TableOptions, Value, ValueType,
+    ColumnVec, ColumnarError, Encoding, IoTracker, Schema, StableTable, StrDict, TableMeta, Value,
+    ValueType,
 };
 use proptest::prelude::*;
 
@@ -173,10 +173,7 @@ proptest! {
             .collect();
         let table = StableTable::bulk_load(
             meta,
-            TableOptions {
-                block_rows: 32,
-                compressed: true,
-            },
+            32,
             &rows,
         )
         .unwrap();
@@ -260,7 +257,7 @@ proptest! {
             .collect();
         let table = StableTable::bulk_load(
             meta,
-            TableOptions { block_rows, compressed: true },
+            block_rows,
             &rows,
         )
         .map_err(|e| format!("bulk_load: {e}"))?;
@@ -303,11 +300,7 @@ fn every_bit_flip_of_a_v5_image_is_corrupt() {
             ]
         })
         .collect();
-    let opts = TableOptions {
-        block_rows: 25,
-        compressed: true,
-    };
-    let table = StableTable::bulk_load(meta, opts, &rows).unwrap();
+    let table = StableTable::bulk_load(meta, 25, &rows).unwrap();
     assert!(table.column_dict(1).is_some(), "one dictionary column");
     assert_eq!(table.num_blocks(), 4);
     let img = encode_image(&table, 3);

@@ -259,39 +259,3 @@ fn next_key() -> i64 {
     static NEXT: AtomicI64 = AtomicI64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed) * 2 + 1
 }
-
-#[test]
-fn slow_query_log_emits_labeled_trace_events() {
-    let _g = serial();
-    let db = std::sync::Arc::new(blocked_db());
-    let server = Server::start(
-        db,
-        ServerConfig {
-            maintenance: None,
-            slow_query_threshold: Some(std::time::Duration::ZERO),
-            ..ServerConfig::default()
-        },
-    );
-
-    obs::trace::drain();
-    obs::trace::set_enabled(true);
-    let h = server
-        .spawn("reader", |session| {
-            session.query("q_hot_scan", |view| view.visible_rows("t").unwrap())
-        })
-        .unwrap();
-    let rows = h.join().unwrap();
-    obs::trace::set_enabled(false);
-    let events: Vec<_> = obs::trace::drain()
-        .iter()
-        .filter_map(obs::trace::decode)
-        .collect();
-    server.shutdown();
-
-    assert_eq!(rows, 4096);
-    let slow = events
-        .iter()
-        .find(|e| e.kind == obs::TraceKind::SlowScan)
-        .expect("zero threshold logs every query");
-    assert_eq!(slow.table.as_deref(), Some("q_hot_scan"));
-}

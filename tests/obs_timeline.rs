@@ -260,37 +260,6 @@ fn compaction_pin_merge_install_all_policies() {
 }
 
 #[test]
-fn slow_commit_fires_at_zero_threshold_only_for_opted_in_tables() {
-    let _g = serial();
-    let db = Database::new();
-    db.create_table(
-        TableMeta::new("t_slow", schema(), vec![0]),
-        TableOptions::default().with_slow_commit_threshold(std::time::Duration::ZERO),
-        base_rows(16),
-    )
-    .unwrap();
-    db.create_table(
-        TableMeta::new("t_fast", schema(), vec![0]),
-        TableOptions::default(),
-        base_rows(16),
-    )
-    .unwrap();
-
-    let evs = traced(|| {
-        commit_update(&db, "t_slow", 7001);
-        commit_update(&db, "t_fast", 7001);
-    });
-    let slow: Vec<_> = evs
-        .iter()
-        .filter(|e| e.kind == TraceKind::SlowCommit)
-        .collect();
-    assert_eq!(slow.len(), 1, "only the opted-in table logs");
-    assert_eq!(slow[0].table.as_deref(), Some("t_slow"));
-    assert!(slow[0].dur_ns > 0);
-    assert_eq!(slow[0].a, 1, "one WAL entry in the slow commit");
-}
-
-#[test]
 fn dml_statements_say_what_they_resolved() {
     let _g = serial();
     for policy in ALL_POLICIES {

@@ -1,7 +1,6 @@
 //! String-column differential suite with dictionary encoding enabled.
 //!
-//! The harness creates every table with `compressed: true`, so stable
-//! string columns are dictionary-coded ([`columnar::StrDict`] +
+//! Stable string columns are always dictionary-coded ([`columnar::StrDict`] +
 //! code-point blocks) and MergeScan reconciles them through `u32` codes,
 //! which it emits undecoded. Every workload here runs
 //! against all three update policies plus the `NaiveImage` model —
