@@ -98,6 +98,27 @@ impl Block {
         )
     }
 
+    /// The values at `positions` (ascending, each below [`Block::len`])
+    /// into a caller-held column, with [`Block::decode_into`]'s verdicts;
+    /// returns how many values were decoded to find them (see
+    /// [`compress::decode_at`]).
+    pub fn decode_at(
+        &self,
+        dict: Option<&Arc<StrDict>>,
+        positions: &[usize],
+        out: &mut ColumnVec,
+    ) -> Result<usize> {
+        compress::decode_at(
+            &self.payload,
+            self.encoding,
+            self.vtype,
+            self.len,
+            dict,
+            positions,
+            out,
+        )
+    }
+
     /// Size in bytes that a disk read of this block would transfer.
     pub fn stored_bytes(&self) -> u64 {
         self.payload.len() as u64

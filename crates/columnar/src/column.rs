@@ -441,6 +441,27 @@ impl ColumnVec {
         }
     }
 
+    /// Keep only the rows at `positions` (ascending, each in range), in
+    /// place — a decoded block narrowed to the rows a positional read asked
+    /// for.
+    pub(crate) fn keep_positions(&mut self, positions: &[usize]) {
+        fn keep<T>(v: &mut Vec<T>, positions: &[usize]) {
+            // positions ascend, so row `k` moves down from `p ≥ k`
+            for (k, &p) in positions.iter().enumerate() {
+                v.swap(k, p);
+            }
+            v.truncate(positions.len());
+        }
+        match self {
+            ColumnVec::Bool(v) => keep(v, positions),
+            ColumnVec::Int(v) => keep(v, positions),
+            ColumnVec::Double(v) => keep(v, positions),
+            ColumnVec::Str(v) => keep(v, positions),
+            ColumnVec::Coded(v, _) => keep(v, positions),
+            ColumnVec::Date(v) => keep(v, positions),
+        }
+    }
+
     /// Compare element `i` of `self` with element `j` of `other` using
     /// native comparisons — coded columns over the same dictionary compare
     /// raw `u32` codes, string columns compare `&str` without allocating.

@@ -465,7 +465,12 @@ pub fn decode_into(
         (Encoding::DeltaVarint, ValueType::Date) => into!(Date, delta_varints, date_of),
         (Encoding::DeltaVarint, _) => corrupt("delta codec only for ints/dates"),
         (Encoding::BitPacked, ValueType::Int) => into!(Int, bit_packed, Ok),
-        (Encoding::BitPacked, ValueType::Date) => into!(Date, bit_packed, date_of),
+        // a frame inside `i32` holds only valid dates: its values narrow
+        // unchecked, and only a frame leaving `i32` is checked per value
+        (Encoding::BitPacked, ValueType::Date) => match PackedFrame::parse(buf, len)?.fits_i32() {
+            true => into!(Date, bit_packed, |x| Ok(x as i32)),
+            false => into!(Date, bit_packed, date_of),
+        },
         (Encoding::BitPacked, _) => corrupt("bit-packed codec only for ints/dates"),
         (Encoding::GlobalCode, ValueType::Str) => {
             let Some(dict) = dict else {
@@ -731,67 +736,184 @@ fn delta_varints<T: Copy + Default>(
     expect_end(buf, pos)
 }
 
+/// A checked [`Encoding::BitPacked`] frame: the minimum, the width `w` and
+/// the packed offsets. [`PackedFrame::parse`] ties the payload to exactly
+/// `⌈len·w/8⌉` bytes after its header before anything is read or sized.
+/// Value `i` is then one 8-byte little-endian load at byte `i·w/8`,
+/// shifted by `(i·w) & 7` and masked: nothing carries from one value to
+/// the next, so no value waits on another's length, and any one value is
+/// read alone.
+struct PackedFrame<'a> {
+    min: i64,
+    w: usize,
+    mask: u64,
+    packed: &'a [u8],
+}
+
+impl<'a> PackedFrame<'a> {
+    fn parse(buf: &'a [u8], len: usize) -> Result<Self> {
+        let mut pos = 0usize;
+        let min = i64::from_le_bytes(take(buf, &mut pos)?);
+        let [w] = take::<1>(buf, &mut pos)?;
+        let w = w as u32;
+        if !(1..=MAX_PACK_BITS).contains(&w) {
+            return Err(ColumnarError::Corrupt(format!("bad bit width {w}")));
+        }
+        let packed = &buf[pos..];
+        match len.checked_mul(w as usize) {
+            Some(bits) if bits.div_ceil(8) <= packed.len() => {
+                expect_end(buf, pos + bits.div_ceil(8))?
+            }
+            _ => {
+                return Err(ColumnarError::Corrupt(format!(
+                    "payload truncated: {len} values of {w} bits, have {} bytes",
+                    packed.len()
+                )))
+            }
+        }
+        Ok(PackedFrame {
+            min,
+            w: w as usize,
+            mask: u64::MAX >> (u64::BITS - w),
+            packed,
+        })
+    }
+
+    /// Whether every value the frame can hold — `min` up to `min + mask` —
+    /// is a valid date, so that its dates narrow without a check per value.
+    fn fits_i32(&self) -> bool {
+        let top = self.min as i128 + self.mask as i128;
+        i32::try_from(self.min).is_ok() && top <= i32::MAX as i128
+    }
+
+    /// Value `i` (below the parsed `len`), its window zero-padded where it
+    /// would cross the payload's end.
+    fn at(&self, i: usize) -> i64 {
+        let bit = i * self.w;
+        let at = bit >> 3;
+        let window = match self.packed.get(at..).and_then(<[u8]>::first_chunk) {
+            Some(window) => *window,
+            None => std::array::from_fn(|j| self.packed.get(at + j).copied().unwrap_or(0)),
+        };
+        let off = (u64::from_le_bytes(window) >> (bit & 7)) & self.mask;
+        self.min.wrapping_add(off as i64)
+    }
+}
+
 /// Frame-of-reference offsets ([`Encoding::BitPacked`]): the minimum plus
-/// each `w`-bit offset, passed through `put` (narrowing). The payload must
-/// be exactly `⌈len·w/8⌉` bytes after its header, checked before the
-/// output is sized. Then value `i` is one 8-byte little-endian load at
-/// byte `i·w/8`, shifted by `(i·w) & 7` and masked: nothing carries from
-/// one value to the next, so no value waits on another's length.
+/// each `w`-bit offset, passed through `put` (narrowing), eight values to
+/// a group of word loads.
 fn bit_packed<T: Copy + Default>(
     buf: &[u8],
     len: usize,
     out: &mut Vec<T>,
     put: impl Fn(i64) -> Result<T>,
 ) -> Result<()> {
-    let mut pos = 0usize;
-    let min = i64::from_le_bytes(take(buf, &mut pos)?);
-    let [w] = take::<1>(buf, &mut pos)?;
-    let w = w as u32;
-    if !(1..=MAX_PACK_BITS).contains(&w) {
-        return Err(ColumnarError::Corrupt(format!("bad bit width {w}")));
-    }
-    let packed = &buf[pos..];
-    match len.checked_mul(w as usize) {
-        Some(bits) if bits.div_ceil(8) <= packed.len() => expect_end(buf, pos + bits.div_ceil(8))?,
-        _ => {
-            return Err(ColumnarError::Corrupt(format!(
-                "payload truncated: {len} values of {w} bits, have {} bytes",
-                packed.len()
-            )))
-        }
-    }
+    let frame = PackedFrame::parse(buf, len)?;
     out.resize(len, T::default());
-    let mask = u64::MAX >> (u64::BITS - w);
-    let w = w as usize;
-    let value = |window: [u8; 8], bit: usize| {
-        put(min.wrapping_add(((u64::from_le_bytes(window) >> (bit & 7)) & mask) as i64))
-    };
+    let (min, mask, w) = (frame.min, frame.mask, frame.w);
     // Eight values take `w` bytes. A group is read out of a `w + 8`-byte
     // slice, which holds its last value's load, while one remains.
-    let groups = (packed.len().saturating_sub(8) / w).min(len / 8);
+    let groups = (frame.packed.len().saturating_sub(8) / w).min(len / 8);
     let (whole, rest) = out.split_at_mut(groups * 8);
     for (eight, src) in whole
         .chunks_exact_mut(8)
-        .zip(packed.windows(w + 8).step_by(w))
+        .zip(frame.packed.windows(w + 8).step_by(w))
     {
         for (j, slot) in eight.iter_mut().enumerate() {
             let bit = j * w;
             // `bit / 8 < w`: the slice always holds this load
             let window = src[bit >> 3..].first_chunk().copied().unwrap_or_default();
-            *slot = value(window, bit)?;
+            *slot =
+                put(min.wrapping_add(((u64::from_le_bytes(window) >> (bit & 7)) & mask) as i64))?;
         }
     }
     // the last values' windows would cross the payload's end: they load
     // through a zero-padded copy
     for (i, slot) in rest.iter_mut().enumerate() {
-        let bit = (groups * 8 + i) * w;
-        let at = bit >> 3;
-        *slot = value(
-            std::array::from_fn(|j| packed.get(at + j).copied().unwrap_or(0)),
-            bit,
-        )?;
+        *slot = put(frame.at(groups * 8 + i))?;
     }
     Ok(())
+}
+
+/// [`decode_with`]'s values at `positions` — ascending, each below `len` —
+/// into a caller-held column (its allocation reused as by
+/// [`decode_into`]). [`Encoding::Plain`] fixed-width values and
+/// [`Encoding::BitPacked`] offsets are read where they lie; every other
+/// codec decodes the payload, then keeps the positions. Either way the
+/// payload is checked as a full decode checks it, so the verdict is the
+/// full decode's: a payload that one rejects as corrupt, this rejects.
+/// Returns how many values were decoded to find them — `positions.len()`
+/// when they were read in place, `len` otherwise. A position out of order
+/// or out of range is [`ColumnarError::OutOfRange`]; on any error the
+/// contents of `out` are unspecified.
+pub fn decode_at(
+    buf: &[u8],
+    enc: Encoding,
+    vtype: ValueType,
+    len: usize,
+    dict: Option<&Arc<StrDict>>,
+    positions: &[usize],
+    out: &mut ColumnVec,
+) -> Result<usize> {
+    let ascending = positions.windows(2).all(|w| w[0] < w[1]);
+    if let Some(&p) = positions.last().filter(|&&p| !ascending || p >= len) {
+        return Err(ColumnarError::OutOfRange {
+            what: "ascending position",
+            index: p as u64,
+            len: len as u64,
+        });
+    }
+    // Read `positions` through `read` into `out`'s own vector when it is
+    // of the wanted variant (a fresh one otherwise).
+    macro_rules! at {
+        ($variant:ident, $read:expr) => {{
+            let read = $read;
+            let mut vals = match std::mem::replace(out, ColumnVec::Bool(Vec::new())) {
+                ColumnVec::$variant(v) => v,
+                _ => Vec::new(),
+            };
+            vals.clear();
+            vals.extend(positions.iter().map(|&p| read(p)));
+            *out = ColumnVec::$variant(vals);
+            return Ok(positions.len());
+        }};
+    }
+    match (enc, vtype) {
+        (Encoding::Plain, ValueType::Bool) => at!(Bool, plain_at(buf, len, |[b]: [u8; 1]| b != 0)?),
+        (Encoding::Plain, ValueType::Int) => at!(Int, plain_at(buf, len, i64::from_le_bytes)?),
+        (Encoding::Plain, ValueType::Double) => {
+            at!(Double, plain_at(buf, len, f64::from_le_bytes)?)
+        }
+        (Encoding::Plain, ValueType::Date) => at!(Date, plain_at(buf, len, i32::from_le_bytes)?),
+        (Encoding::BitPacked, ValueType::Int) => {
+            let frame = PackedFrame::parse(buf, len)?;
+            at!(Int, |p| frame.at(p))
+        }
+        (Encoding::BitPacked, ValueType::Date) => {
+            let frame = PackedFrame::parse(buf, len)?;
+            // a frame leaving `i32` is judged value by value, below
+            if frame.fits_i32() {
+                at!(Date, |p| frame.at(p) as i32)
+            }
+        }
+        _ => {}
+    }
+    decode_into(buf, enc, vtype, len, dict, out)?;
+    out.keep_positions(positions);
+    Ok(len)
+}
+
+/// A reader of value `i` of a payload of `len` fixed-width values, once
+/// the payload is checked to be exactly that.
+fn plain_at<'a, T, const N: usize>(
+    buf: &'a [u8],
+    len: usize,
+    from_le: impl Fn([u8; N]) -> T + 'a,
+) -> Result<impl Fn(usize) -> T + 'a> {
+    expect_exact(buf, len, N)?;
+    let values = buf.as_chunks::<N>().0;
+    Ok(move |i: usize| from_le(values[i]))
 }
 
 /// Yesterday's decoders — one byte, one bounds check and one `push` per
@@ -1219,6 +1341,27 @@ mod tests {
     }
 
     #[test]
+    fn bit_packed_dates_are_checked_where_the_frame_leaves_i32() {
+        let date = |buf: &[u8], len| decode(buf, Encoding::BitPacked, ValueType::Date, len);
+        let max = i32::MAX as i64;
+        // frame [max − 1, max + 2]: checked per value, so a block whose
+        // values stay inside `i32` still decodes, and one past it does not
+        let edge = packed(max - 1, 2, &[0b1101]);
+        assert_eq!(date(&edge[..], 1), Ok(ColumnVec::Date(vec![i32::MAX])));
+        assert!(matches!(date(&edge[..], 2), Err(ColumnarError::Corrupt(_))));
+        // a minimum below `i32::MIN` with a value at it is corrupt
+        let low = packed(i32::MIN as i64 - 1, 1, &[0b10]);
+        assert!(matches!(date(&low[..], 2), Err(ColumnarError::Corrupt(_))));
+        assert_eq!(
+            decode(&low, Encoding::BitPacked, ValueType::Int, 2).map(|c| c.len()),
+            Ok(2)
+        );
+        for (buf, len) in [(&edge, 1), (&edge, 2), (&low, 1), (&low, 2)] {
+            assert_same(buf, Encoding::BitPacked, ValueType::Date, len);
+        }
+    }
+
+    #[test]
     fn bit_packed_roundtrips_at_every_width_and_offset() {
         for w in 1..=56u32 {
             // every width, from a negative base, both extremes present
@@ -1433,6 +1576,23 @@ mod tests {
         let got = decode_with(buf, enc, vt, len, Some(&dict));
         let want = oracle::decode_with(buf, enc, vt, len, Some(&dict));
         let what = format!("{enc:?} × {vt:?}, len {len}, payload {buf:?}");
+        // the positional read: the oracle's verdict, and its values gathered
+        let positions: Vec<usize> = (0..len.min(10_000)).step_by(3).collect();
+        let mut at = ColumnVec::new(vt);
+        let got_at = decode_at(buf, enc, vt, len, Some(&dict), &positions, &mut at);
+        match (&got_at, &want) {
+            (Ok(_), Ok(w)) => {
+                let mut gathered = w.empty_like();
+                gathered.extend_gather(w, &positions);
+                assert_eq!(
+                    format!("{at:?}"),
+                    format!("{gathered:?}"),
+                    "positions: {what}"
+                );
+            }
+            (Err(_), Err(_)) => {}
+            (g, w) => panic!("verdicts differ: at {g:?}, oracle {w:?}: {what}"),
+        }
         match (got, want) {
             (Ok(g), Ok(w)) => {
                 assert_eq!(g.len(), len, "length: {what}");

@@ -98,13 +98,7 @@ impl StableTable {
     /// blocks of `block_rows` rows. Returns an error on zero `block_rows`,
     /// schema mismatch or unsorted input.
     pub fn bulk_load(meta: TableMeta, block_rows: usize, rows: &[Tuple]) -> Result<StableTable> {
-        if block_rows == 0 {
-            return Err(ColumnarError::SchemaMismatch(format!(
-                "{} cannot have block_rows = 0",
-                meta.name
-            )));
-        }
-        let mut b = TableBuilder::new(meta, block_rows);
+        let mut b = TableBuilder::new(meta, block_rows)?;
         for row in rows {
             b.append(row)?;
         }
@@ -311,18 +305,40 @@ impl StableTable {
         io: &IoTracker,
         out: &mut ColumnVec,
     ) -> Result<()> {
+        let blk = self.block(c, b)?;
+        io.record_block_at(b, blk.stored_bytes());
+        blk.decode_into(self.column_dict(c), out)
+    }
+
+    /// The values of block `b` of column `c` at the block-relative
+    /// `positions` (ascending), into a caller-held column, charging the
+    /// block's stored bytes to `io` (see [`Block::decode_at`]). Returns
+    /// how many values were decoded to find them.
+    pub fn read_block_at(
+        &self,
+        c: usize,
+        b: usize,
+        positions: &[usize],
+        io: &IoTracker,
+        out: &mut ColumnVec,
+    ) -> Result<usize> {
+        let blk = self.block(c, b)?;
+        io.record_block_at(b, blk.stored_bytes());
+        blk.decode_at(self.column_dict(c), positions, out)
+    }
+
+    /// Block `b` of column `c`.
+    fn block(&self, c: usize, b: usize) -> Result<&Block> {
         let col = self.cols.get(c).ok_or(ColumnarError::OutOfRange {
             what: "column",
             index: c as u64,
             len: self.cols.len() as u64,
         })?;
-        let blk = col.get(b).ok_or(ColumnarError::OutOfRange {
+        col.get(b).ok_or(ColumnarError::OutOfRange {
             what: "block",
             index: b as u64,
             len: col.len() as u64,
-        })?;
-        io.record_block_at(b, blk.stored_bytes());
-        blk.decode_into(self.column_dict(c), out)
+        })
     }
 
     /// Fetch a single row by SID (point access for DML/tests; charges the
@@ -491,9 +507,15 @@ pub struct TableBuilder {
 
 impl TableBuilder {
     /// Start a load for the given identity, in blocks of `block_rows`
-    /// rows.
-    pub fn new(meta: TableMeta, block_rows: usize) -> Self {
-        assert!(block_rows > 0, "block_rows must be positive");
+    /// rows. Zero `block_rows` is [`ColumnarError::SchemaMismatch`]: such a
+    /// table cannot hold a row.
+    pub fn new(meta: TableMeta, block_rows: usize) -> Result<Self> {
+        if block_rows == 0 {
+            return Err(ColumnarError::SchemaMismatch(format!(
+                "{} cannot have block_rows = 0",
+                meta.name
+            )));
+        }
         let dict_col: Vec<bool> = meta
             .schema
             .fields()
@@ -519,7 +541,7 @@ impl TableBuilder {
             last_sk: None,
         };
         b.reset_bufs();
-        b
+        Ok(b)
     }
 
     /// Start a load that replaces blocks `[b0, b1)` of `base` and keeps
@@ -545,7 +567,7 @@ impl TableBuilder {
                 len: nblocks as u64,
             });
         }
-        let mut b = TableBuilder::new(base.meta.clone(), base.block_rows);
+        let mut b = TableBuilder::new(base.meta.clone(), base.block_rows)?;
         if b0 > 0 || b1 < nblocks {
             b.dict_col.fill(false);
         }
@@ -1017,6 +1039,13 @@ mod tests {
         // a layout that holds no row is refused, not a panic
         let err = StableTable::bulk_load(inventory_meta(), 0, &inventory_rows());
         assert!(matches!(err, Err(ColumnarError::SchemaMismatch(_))));
+    }
+
+    #[test]
+    fn builder_refuses_zero_block_rows() {
+        let err = TableBuilder::new(inventory_meta(), 0).err();
+        assert!(matches!(err, Some(ColumnarError::SchemaMismatch(_))));
+        assert!(TableBuilder::new(inventory_meta(), 1).is_ok());
     }
 
     #[test]

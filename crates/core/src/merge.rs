@@ -27,6 +27,9 @@ pub struct PdtMerger<'a> {
     /// Reusable merge plan (steps + gathered operands) so steady-state
     /// blocks allocate nothing.
     plan: MergePlan,
+    /// Where [`PdtMerger::narrow_plan`] builds the narrowed plan before
+    /// swapping it in.
+    narrowed: MergePlan,
 }
 
 /// Scratch buffers for one planned block merge: the step list plus the
@@ -50,6 +53,14 @@ struct MergePlan {
 }
 
 impl MergePlan {
+    fn clear(&mut self) {
+        self.steps.clear();
+        self.ins_offs.clear();
+        self.patch_ends.clear();
+        self.chains.clear();
+        self.ghosts = 0;
+    }
+
     /// The block's shape, decided once per block, never per row or per
     /// column: `true` when no update addresses it — the plan is at most one
     /// whole-block run, so the decoded vectors *are* the merged block.
@@ -93,6 +104,7 @@ impl<'a> PdtMerger<'a> {
             cur,
             rid,
             plan: MergePlan::default(),
+            narrowed: MergePlan::default(),
         }
     }
 
@@ -126,7 +138,7 @@ impl<'a> PdtMerger<'a> {
         out: &mut [ColumnVec],
     ) {
         self.plan_block(start_sid, len);
-        self.apply_plan(len, proj, cols_in, out);
+        self.apply_planned(len, proj, cols_in, out);
     }
 
     /// [`PdtMerger::merge_block`] for a caller that owns the decoded block
@@ -146,21 +158,94 @@ impl<'a> PdtMerger<'a> {
         cols: &mut [ColumnVec],
         spare: &mut [ColumnVec],
     ) {
-        debug_assert!(cols.iter().all(|c| c.len() == len));
         self.plan_block(start_sid, len);
+        self.apply_owned(len, proj, cols, spare);
+    }
+
+    /// The second half of [`PdtMerger::merge_block_owned`]: execute the
+    /// block [`PdtMerger::plan_block`] planned over the owned columns of its
+    /// `len` rows, leaving an untouched block as it is.
+    pub fn apply_owned(
+        &mut self,
+        len: usize,
+        proj: &[usize],
+        cols: &mut [ColumnVec],
+        spare: &mut [ColumnVec],
+    ) {
+        debug_assert!(cols.iter().all(|c| c.len() == len));
         if !self.plan.untouched() {
             for (s, c) in spare.iter_mut().zip(cols.iter()) {
                 s.reset_like(c);
             }
-            self.apply_plan(len, proj, cols, spare);
+            self.apply_planned(len, proj, cols, spare);
             cols.swap_with_slice(spare);
         }
     }
 
+    /// Narrow the planned block to its merged rows `sel` (ascending
+    /// indices into the rows the plan emits). Afterwards the plan emits
+    /// exactly those rows, in order — their inserts and patches kept,
+    /// everything else dropped — from a stable input that holds only the
+    /// block's rows `stable_rows` (set here: ascending, block-relative).
+    /// So a caller that has merged and filtered a block's predicate columns
+    /// reads its other columns at `stable_rows` alone and merges them with
+    /// [`PdtMerger::apply_planned`] over `stable_rows.len()` rows. The
+    /// merger's position is untouched: it stays past the whole block.
+    pub fn narrow_plan(&mut self, sel: &[usize], stable_rows: &mut Vec<usize>) {
+        let (plan, out) = (&self.plan, &mut self.narrowed);
+        out.clear();
+        stable_rows.clear();
+        let mut sel = sel;
+        let (mut row, mut ins, mut patch, mut chain) = (0usize, 0usize, 0usize, 0usize);
+        for st in &plan.steps {
+            if sel.is_empty() {
+                break;
+            }
+            match *st {
+                MergeStep::Run { from, to } => {
+                    // the selected rows of the run, as one run of the input
+                    let end = row + (to - from) as usize;
+                    let (taken, rest) = sel.split_at(sel.partition_point(|&r| r < end));
+                    if !taken.is_empty() {
+                        let first = stable_rows.len() as u32;
+                        stable_rows.extend(taken.iter().map(|&r| from as usize + (r - row)));
+                        let to = stable_rows.len() as u32;
+                        out.steps.push(MergeStep::Run { from: first, to });
+                    }
+                    (sel, row) = (rest, end);
+                }
+                MergeStep::Insert => {
+                    if let Some(rest) = sel.strip_prefix(&[row]) {
+                        out.steps.push(MergeStep::Insert);
+                        out.ins_offs.push(plan.ins_offs[ins]);
+                        sel = rest;
+                    }
+                    (ins, row) = (ins + 1, row + 1);
+                }
+                MergeStep::Patch { row: stable } => {
+                    let end = plan.patch_ends[patch];
+                    if let Some(rest) = sel.strip_prefix(&[row]) {
+                        out.steps.push(MergeStep::Patch {
+                            row: stable_rows.len() as u32,
+                        });
+                        stable_rows.push(stable as usize);
+                        out.chains.extend_from_slice(&plan.chains[chain..end]);
+                        out.patch_ends.push(out.chains.len());
+                        sel = rest;
+                    }
+                    (patch, chain, row) = (patch + 1, end, row + 1);
+                }
+            }
+        }
+        std::mem::swap(&mut self.plan, &mut self.narrowed);
+    }
+
     /// Execute the planned block per column: gather the column's inserted
     /// and patched values out of the value space, then one
-    /// [`apply_steps`] from `cols_in[k]` onto the end of `out[k]`.
-    fn apply_plan(
+    /// [`apply_steps`] from `cols_in[k]` (the block's `len` stable rows)
+    /// onto the end of `out[k]` — the borrowed half of
+    /// [`PdtMerger::merge_block`].
+    pub fn apply_planned(
         &mut self,
         len: usize,
         proj: &[usize],
@@ -192,15 +277,17 @@ impl<'a> PdtMerger<'a> {
         }
     }
 
-    /// One cursor walk over the block's updates, filling `self.plan` and
-    /// advancing `self.rid`/`self.cur` exactly as the merge will.
-    fn plan_block(&mut self, start_sid: u64, len: usize) {
+    /// Plan the merge of the stable block `[start_sid, start_sid + len)`
+    /// without executing it: one cursor walk over the block's updates,
+    /// filling the plan and advancing the merger exactly as the merge will.
+    /// Returns whether any update addresses the block — an untouched
+    /// block's plan is at most one whole-block run. The plan holds until the
+    /// next block is planned; [`PdtMerger::apply_owned`],
+    /// [`PdtMerger::apply_planned`] and [`PdtMerger::narrow_plan`] work on
+    /// it.
+    pub fn plan_block(&mut self, start_sid: u64, len: usize) -> bool {
         let plan = &mut self.plan;
-        plan.steps.clear();
-        plan.ins_offs.clear();
-        plan.patch_ends.clear();
-        plan.chains.clear();
-        plan.ghosts = 0;
+        plan.clear();
         let end = start_sid + len as u64;
         let mut pos = start_sid;
         loop {
@@ -216,7 +303,7 @@ impl<'a> PdtMerger<'a> {
                         });
                         self.rid += end - pos;
                     }
-                    return;
+                    return !plan.untouched();
                 }
             };
             if e.sid > pos {
@@ -646,6 +733,57 @@ mod tests {
 
     fn ins(k: i64) -> Tuple {
         vec![Value::Int(k), Value::Str(format!("i{k}"))]
+    }
+
+    /// Narrowing a block's plan to some of its merged rows, then merging
+    /// another column read at the plan's `stable_rows` only, gives that
+    /// column of the full merge at those rows — for every block shape and
+    /// selection, an insert, a patch or a run row each selected alone.
+    #[test]
+    fn a_narrowed_plan_merges_only_the_selected_rows() {
+        let rows = stable(32);
+        let mut p = Pdt::new(schema(), vec![0]);
+        for b in 0..4u64 {
+            let base = b * 8;
+            let at = p.rid_of_stable(base + 1).0;
+            p.add_modify(at, 1, &Value::Str(format!("x{b}")));
+            let at = p.rid_of_stable(base + 2).0;
+            p.add_delete(at, &[Value::Int((base as i64 + 2) * 10)]);
+            let at = p.rid_of_stable(base + 4).0;
+            let key = (base as i64 + 4) * 10 - 5;
+            let sid = p.sk_rid_to_sid(&[Value::Int(key)], at);
+            p.add_insert(sid, at, &ins(key));
+        }
+        let picks: [fn(usize) -> bool; 5] = [
+            |_| true,
+            |_| false,
+            |r| r % 2 == 1,
+            |r| r % 7 < 2,
+            |r| r == 3,
+        ];
+        for bs in [1, 4, 8, 9, 32] {
+            for pick in picks {
+                let mut merger = PdtMerger::new(&p, 0);
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                let mut stable_rows = Vec::new();
+                for start in (0..rows.len()).step_by(bs) {
+                    let chunk = to_cols(&rows[start..(start + bs).min(rows.len())]);
+                    let len = chunk[0].len();
+                    merger.plan_block(start as u64, len);
+                    let mut merged = to_cols(&[]);
+                    merger.apply_planned(len, &[0, 1], &chunk, &mut merged);
+                    let sel: Vec<usize> = (0..merged[0].len()).filter(|&r| pick(r)).collect();
+                    want.extend(sel.iter().map(|&r| merged[1].get(r)));
+                    merger.narrow_plan(&sel, &mut stable_rows);
+                    let mut read = ColumnVec::new(ValueType::Str);
+                    read.extend_gather(&chunk[1], &stable_rows);
+                    let mut out = [ColumnVec::new(ValueType::Str)];
+                    merger.apply_planned(stable_rows.len(), &[1], &[read], &mut out);
+                    got.extend(out[0].iter_values());
+                }
+                assert_eq!(got, want, "block size {bs}");
+            }
+        }
     }
 
     /// One PDT over 32 stable rows in blocks of 8, one kind of update per

@@ -1696,9 +1696,14 @@ mod tests {
                 .unwrap(),
         );
         assert_eq!(windowed, all[10..13].to_vec());
-        // unknown name errors
+        // unknown name errors, and a filter over a column the projection lacks
         assert!(matches!(
             view.scan_with("t", crate::ScanSpec::named(["ghost"])),
+            Err(DbError::UnknownColumn { .. })
+        ));
+        let outside = exec::expr::col(1).gt(exec::expr::lit(0i64));
+        assert!(matches!(
+            view.scan_with("t", crate::ScanSpec::cols(vec![1]).filter(outside)),
             Err(DbError::UnknownColumn { .. })
         ));
         // txn-side spec scan sees staged updates

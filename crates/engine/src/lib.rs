@@ -68,7 +68,7 @@ use ::rowstore::RowBuffer;
 use columnar::{
     ColumnarError, ImageStore, IoStats, IoTracker, Schema, StableTable, TableMeta, Tuple, Value,
 };
-use exec::{DeltaLayers, ScanBounds, ScanClock, ScanCounts, ScanSegment, TableScan};
+use exec::{DeltaLayers, Expr, ScanBounds, ScanClock, ScanCounts, ScanSegment, TableScan};
 use maintenance::MaintMetrics;
 use parking_lot::RwLock;
 use partition::{PartitionEntry, TableEntry};
@@ -819,6 +819,7 @@ pub struct ScanSpec {
     proj: ScanProj,
     bounds: ScanBounds,
     rid_range: Option<(u64, u64)>,
+    filter: Option<Expr>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -875,6 +876,15 @@ impl ScanSpec {
         self
     }
 
+    /// Emit only the rows `pred` accepts; its columns index the projection,
+    /// as a `Filter` over the scan would. The predicate runs inside the
+    /// scan, which decodes the other projected columns only at the rows it
+    /// keeps (see [`TableScan::filter`]); filtered batches carry no RIDs.
+    pub fn filter(mut self, pred: Expr) -> Self {
+        self.filter = Some(pred);
+        self
+    }
+
     /// Resolve the projection against `schema`.
     fn resolve(&self, table: &str, schema: &Schema) -> Result<Vec<usize>, DbError> {
         match &self.proj {
@@ -911,9 +921,19 @@ impl ScanSpec {
         clock: ScanClock,
     ) -> Result<TableScan<'a>, DbError> {
         let proj = self.resolve(table, schema)?;
+        let width = proj.len();
         let mut scan = TableScan::new(segments, proj, self.bounds.clone(), clock);
         if let Some((lo, hi)) = self.rid_range {
             scan.clamp_rids(lo, hi);
+        }
+        if let Some(pred) = &self.filter {
+            if let Some(&c) = pred.columns().iter().find(|&&c| c >= width) {
+                return Err(DbError::UnknownColumn {
+                    table: table.to_string(),
+                    column: format!("#{c} of the projection"),
+                });
+            }
+            scan.filter(pred.clone());
         }
         Ok(scan)
     }

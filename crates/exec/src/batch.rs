@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// scans emit consecutively numbered visible rows); operators that
 /// reshuffle rows (joins, aggregation, sort) reset it to 0 — RIDs are a
 /// storage-level concept consumed by DML, not a query-level one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Batch {
     /// The column data, one vector per projected column.
     pub cols: Vec<ColumnVec>,

@@ -339,7 +339,9 @@ impl Expr {
             Expr::Add(a, b) => computed(arith(a, b, batch, Some(i64::wrapping_add), |x, y| x + y)),
             Expr::Sub(a, b) => computed(arith(a, b, batch, Some(i64::wrapping_sub), |x, y| x - y)),
             Expr::Mul(a, b) => computed(arith(a, b, batch, Some(i64::wrapping_mul), |x, y| x * y)),
-            Expr::Div(a, b) => computed(arith(a, b, batch, None, |x, y| x / y)),
+            Expr::Div(a, b) => computed(arith(a, b, batch, None::<fn(i64, i64) -> i64>, |x, y| {
+                x / y
+            })),
             // a predicate's value: its selection over every row, scattered
             Expr::Cmp(..)
             | Expr::And(_)
@@ -519,13 +521,14 @@ fn zip_with<T: Copy, U: Clone>(
 }
 
 /// Int arithmetic when both operands are ints and `int_op` is given,
-/// double arithmetic otherwise.
+/// double arithmetic otherwise. The operators are generic, so each
+/// instance of the row loop inlines its own and can vectorize.
 fn arith(
     a: &Expr,
     b: &Expr,
     batch: &Batch,
-    int_op: Option<fn(i64, i64) -> i64>,
-    dbl_op: fn(f64, f64) -> f64,
+    int_op: Option<impl Fn(i64, i64) -> i64>,
+    dbl_op: impl Fn(f64, f64) -> f64,
 ) -> ColumnVec {
     let (a, b, n) = (a.datum(batch), b.datum(batch), batch.num_rows());
     if let (Some(f), Some(x), Some(y)) = (int_op, a.ints(), b.ints()) {
@@ -560,8 +563,17 @@ fn select_cmp(op: CmpOp, a: &Datum, b: &Datum, sel: Vec<usize>) -> Vec<usize> {
                 // sorts just below the code at its rank
                 Some((codes, dict)) => {
                     let (rank, exact) = dict.rank_of(s);
-                    let tie = [Ordering::Greater, Ordering::Equal][exact as usize];
-                    keep_where(op, sel, |i| codes[i].cmp(&rank).then(tie))
+                    if exact {
+                        return keep_where(op, sel, |i| codes[i].cmp(&rank));
+                    }
+                    // a literal outside the dictionary sorts between the
+                    // codes below its rank and those at or above it
+                    match op {
+                        CmpOp::Eq => Vec::new(),
+                        CmpOp::Ne => sel,
+                        CmpOp::Lt | CmpOp::Le => keep(sel, |i| codes[i] < rank),
+                        CmpOp::Gt | CmpOp::Ge => keep(sel, |i| codes[i] >= rank),
+                    }
                 }
                 None => keep_where(op, sel, |i| c.str_at(i).cmp(s)),
             }

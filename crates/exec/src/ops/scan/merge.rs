@@ -1,11 +1,14 @@
 //! One partition's MergeScan: decode a block of the stable image, merge
 //! the delta into it — a PDT stack by position, a VDT or row buffer by
 //! key — and emit the result; after the last block, drain what the delta
-//! still holds past it. [`TableScan`](super::TableScan) runs one per
-//! partition, [`fold_blocks`] one over a block range.
+//! still holds past it. Under a predicate, a block's predicate columns
+//! are decoded and selected first and the rest read only where it holds
+//! (`MergeScan::filtered_block`). [`TableScan`](super::TableScan) runs one
+//! per partition, [`fold_blocks`] one over a block range.
 
 use super::{DeltaLayers, MergePath, ScanBounds, ScanCounts};
-use crate::batch::Batch;
+use crate::batch::{gather, Batch};
+use crate::expr::Expr;
 use columnar::{
     ColumnVec, ColumnarError, IoStats, IoTracker, ScanRange, StableTable, TableBuilder, Value,
     ValueType,
@@ -151,6 +154,70 @@ pub(super) struct MergeScan<'a> {
     /// Blocks the zone map pruned off the range (clean key-ranged scans
     /// only).
     zone_skipped: u64,
+    /// The scan's predicate, when it has one.
+    filter: Option<Box<ScanFilter>>,
+}
+
+/// A MergeScan's predicate and the buffers its filtered blocks use. The
+/// projection splits into the columns the predicate reads and the rest.
+struct ScanFilter {
+    /// The predicate over the projection, for a block merged in every
+    /// column (merge, then select).
+    pred: Expr,
+    /// The predicate over the predicate columns alone, in `pred_at` order.
+    narrow: Expr,
+    /// Projection indices of the predicate columns (ascending) and of the
+    /// rest.
+    pred_at: Vec<usize>,
+    rest_at: Vec<usize>,
+    /// Table columns of `pred_at` and `rest_at`.
+    pred_cols: Vec<usize>,
+    rest_cols: Vec<usize>,
+    /// The predicate columns of a block, as decoded.
+    decoded: Batch,
+    /// The same columns merged through the one layer touching the block.
+    merged: Batch,
+    /// One read buffer per `rest_cols` entry.
+    rest: Vec<ColumnVec>,
+    /// The stable rows (block-relative) the rest is read at.
+    rows: Vec<usize>,
+}
+
+impl ScanFilter {
+    fn new(pred: &Expr, proj: &[usize]) -> Self {
+        let mut pred_at = pred.columns();
+        if pred_at.is_empty() && !proj.is_empty() {
+            // a predicate that reads no column still needs the block's rows
+            pred_at.push(0);
+        }
+        let rest_at: Vec<usize> = (0..proj.len()).filter(|i| !pred_at.contains(i)).collect();
+        let at = pred_at.clone();
+        // decode buffers take their representation from the first block
+        let bufs = |n: usize| vec![ColumnVec::new(ValueType::Bool); n];
+        let batch = |n| Batch {
+            cols: bufs(n),
+            rid_start: 0,
+        };
+        ScanFilter {
+            narrow: (pred.clone()).remap_cols(|c| at.iter().position(|&a| a == c).unwrap_or(0)),
+            pred: pred.clone(),
+            pred_cols: pred_at.iter().map(|&i| proj[i]).collect(),
+            rest_cols: rest_at.iter().map(|&i| proj[i]).collect(),
+            decoded: batch(pred_at.len()),
+            merged: batch(pred_at.len()),
+            rest: bufs(rest_at.len()),
+            rows: Vec::new(),
+            pred_at,
+            rest_at,
+        }
+    }
+
+    /// The rows of `batch` (merged in every projected column) the
+    /// predicate accepts.
+    fn select(&self, batch: Batch) -> Batch {
+        let sel = self.pred.select(&batch, (0..batch.num_rows()).collect());
+        batch.gather(&sel)
+    }
 }
 
 impl<'a> MergeScan<'a> {
@@ -270,7 +337,14 @@ impl<'a> MergeScan<'a> {
             io,
             start_rid,
             zone_skipped,
+            filter: None,
         })
+    }
+
+    /// Emit only the rows `pred` (over the projection) accepts — see
+    /// [`TableScan::filter`](super::TableScan::filter).
+    pub(super) fn set_filter(&mut self, pred: &Expr) {
+        self.filter = Some(Box::new(ScanFilter::new(pred, &self.proj)));
     }
 
     /// RID of the first row this scan would emit, local to its image.
@@ -308,14 +382,159 @@ impl<'a> MergeScan<'a> {
         counts: &mut ScanCounts,
     ) -> Result<Option<Batch>, ColumnarError> {
         if let Some(b) = self.blocks.next() {
+            if !matches!(self.state, MergeState::ByKey { .. }) {
+                if let Some(mut f) = self.filter.take() {
+                    let out = self.filtered_block(b, &mut f, counts);
+                    self.filter = Some(f);
+                    return out.map(Some);
+                }
+            }
             let (start_sid, len) = self.read_block(b, counts)?;
-            return Ok(Some(self.merge_block(start_sid, len)));
+            let batch = self.merge_block(start_sid, len);
+            return Ok(Some(match &self.filter {
+                Some(f) => {
+                    counts.blocks_fallback += 1;
+                    f.select(batch)
+                }
+                None => batch,
+            }));
         }
         if self.finished {
             return Ok(None);
         }
         self.finished = true;
-        Ok(self.drain())
+        let drained = self.drain();
+        Ok(match &self.filter {
+            Some(f) => drained.map(|b| f.select(b)),
+            None => drained,
+        })
+    }
+
+    /// Block `b` under the scan's predicate `f`, for a clean scan or a PDT
+    /// stack. Every layer plans the block first. When at most one layer
+    /// touches it, only the predicate columns are decoded — merged through
+    /// that layer's plan if there is one — and selected; a block no row of
+    /// which survives ends there. Otherwise the plan, narrowed to the
+    /// surviving rows, says at which stable rows the other columns are read
+    /// and what it inserts and patches among them. A block more than one
+    /// layer touches is merged in every column, then selected.
+    fn filtered_block(
+        &mut self,
+        b: usize,
+        f: &mut ScanFilter,
+        counts: &mut ScanCounts,
+    ) -> Result<Batch, ColumnarError> {
+        let (bstart, bend) = self.table.block_range(b);
+        let lo = self.range.start.max(bstart);
+        let len = (self.range.end.min(bend) - lo) as usize;
+        let (skip, clipped) = ((lo - bstart) as usize, len as u64 != bend - bstart);
+        // plan every layer, noting each touching one and its input rows;
+        // below the first of them the block passes through unchanged
+        let mut touched = Vec::new();
+        if let MergeState::Pdt { mergers, .. } = &mut self.state {
+            let (mut start, mut n) = (lo, len);
+            for (k, m) in mergers.iter_mut().enumerate() {
+                let rid0 = m.next_rid();
+                if m.plan_block(start, n) {
+                    touched.push((k, n));
+                }
+                (start, n) = (rid0, (m.next_rid() - rid0) as usize);
+            }
+        }
+        if touched.len() > 1 {
+            counts.blocks_fallback += 1;
+            self.read_block(b, counts)?;
+            if let MergeState::Pdt { mergers, .. } = &mut self.state {
+                for &(k, n) in &touched {
+                    mergers[k].apply_owned(n, &self.proj, &mut self.bufs, &mut self.spare);
+                }
+            }
+            let cols = take_cols(&mut self.bufs);
+            // as in `merge_block`: the next block decodes into what the
+            // layers left in `spare`
+            std::mem::swap(&mut self.bufs, &mut self.spare);
+            return Ok(f.select(Batch { cols, rid_start: 0 }));
+        }
+        let (table, io) = (self.table, &self.io);
+        let whole = |cols: usize| (bend - bstart) * cols as u64;
+        // the predicate columns, decoded and clipped to the range ...
+        for (buf, &c) in f.decoded.cols.iter_mut().zip(&f.pred_cols) {
+            table.read_block_into(c, b, io, buf)?;
+            if clipped {
+                buf.retain_range(skip, skip + len);
+            }
+        }
+        counts.blocks_decoded += 1;
+        counts.values_decoded += whole(f.pred_cols.len());
+        counts.charge(block_io(table, &f.pred_cols, b));
+        // ... merged through the layer that touches the block, if one does
+        let mut layer = match (&mut self.state, touched.first()) {
+            (MergeState::Pdt { mergers, .. }, Some(&(k, _))) => {
+                let m = &mut mergers[k];
+                for (o, c) in f.merged.cols.iter_mut().zip(&f.decoded.cols) {
+                    o.reset_like(c);
+                }
+                m.apply_planned(len, &f.pred_cols, &f.decoded.cols, &mut f.merged.cols);
+                Some(m)
+            }
+            _ => None,
+        };
+        let tested = match layer {
+            Some(_) => &mut f.merged,
+            None => &mut f.decoded,
+        };
+        let n = tested.num_rows();
+        let sel = f.narrow.select(tested, (0..n).collect());
+        if sel.is_empty() {
+            counts.blocks_pruned += 1;
+            return Ok(Batch::default());
+        }
+        // the other columns: read whole and merged whole when most rows
+        // survive (a bulk decode beats reading that many rows one by one),
+        // otherwise read at the survivors' stable rows only
+        let (dense, all) = (2 * sel.len() > n, sel.len() == n);
+        if !dense {
+            match &mut layer {
+                Some(m) => m.narrow_plan(&sel, &mut f.rows),
+                None => {
+                    f.rows.clear();
+                    f.rows.extend(&sel);
+                }
+            }
+            f.rows.iter_mut().for_each(|r| *r += skip);
+        }
+        for (buf, &c) in f.rest.iter_mut().zip(&f.rest_cols) {
+            if dense {
+                table.read_block_into(c, b, io, buf)?;
+                if clipped {
+                    buf.retain_range(skip, skip + len);
+                }
+                counts.values_decoded += whole(1);
+            } else {
+                counts.values_decoded += table.read_block_at(c, b, &f.rows, io, buf)? as u64;
+            }
+        }
+        counts.charge(block_io(table, &f.rest_cols, b));
+        // the batch, in projection order; a dense selection is gathered
+        // last, from whole merged columns
+        let rows = if dense { len } else { f.rows.len() };
+        let rest = match layer {
+            Some(m) => {
+                let mut out: Vec<ColumnVec> = f.rest.iter().map(ColumnVec::empty_like).collect();
+                m.apply_planned(rows, &f.rest_cols, &f.rest, &mut out);
+                out
+            }
+            None => take_cols(&mut f.rest),
+        };
+        let mut cols: Vec<ColumnVec> = Vec::with_capacity(self.proj.len());
+        cols.resize_with(self.proj.len(), || ColumnVec::new(ValueType::Bool));
+        for (&at, c) in f.pred_at.iter().zip(take_cols(&mut tested.cols)) {
+            cols[at] = if all { c } else { gather(&c, &sel) };
+        }
+        for (&at, c) in f.rest_at.iter().zip(rest) {
+            cols[at] = if dense && !all { gather(&c, &sel) } else { c };
+        }
+        Ok(Batch { cols, rid_start: 0 })
     }
 
     /// Decode the scan's columns for block `b` into `self.bufs`, clipped
@@ -337,6 +556,7 @@ impl<'a> MergeScan<'a> {
             }
         }
         counts.blocks_decoded += 1;
+        counts.values_decoded += (bend - bstart) * self.io_cols.len() as u64;
         counts.charge(block_io(self.table, &self.io_cols, b));
         Ok((lo, (hi - lo) as usize))
     }

@@ -41,6 +41,7 @@ mod merge;
 pub use merge::fold_blocks;
 
 use crate::batch::Batch;
+use crate::expr::Expr;
 use crate::ops::Operator;
 use crate::stats::ScanClock;
 use columnar::{ColumnarError, IoStats, IoTracker, StableTable, Value, ValueType};
@@ -137,6 +138,20 @@ pub struct ScanCounts {
     /// Partition segments scanned (a segment a rid window passes over is
     /// not).
     pub segments: u64,
+    /// Blocks a filtered scan skipped after its predicate columns: no row
+    /// of the block survived the predicate, so no other column was read.
+    pub blocks_pruned: u64,
+    /// Column values decoded: a whole block's for every block decoded in
+    /// full, only the selected rows' for a filtered scan's positional reads
+    /// of [`Encoding::Plain`] and [`Encoding::BitPacked`] blocks.
+    ///
+    /// [`Encoding::Plain`]: columnar::Encoding::Plain
+    /// [`Encoding::BitPacked`]: columnar::Encoding::BitPacked
+    pub values_decoded: u64,
+    /// Blocks a filtered scan merged in every projected column before it
+    /// selected rows: every block of a by-key merge, and a PDT block more
+    /// than one layer touches.
+    pub blocks_fallback: u64,
     /// Segments scanned per merge path, indexed by `MergePath as usize`.
     paths: [u64; 4],
 }
@@ -165,12 +180,14 @@ impl ScanCounts {
 }
 
 /// The `explain_analyze` line: `[rows=… batches=… time=…ms path=…
-/// blocks=… decoded/… zone-skipped bytes=… segments=…]`.
+/// blocks=… decoded/… zone-skipped bytes=… segments=… pruned=… values=…
+/// fallback=…]`.
 impl fmt::Display for ScanCounts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "[rows={} batches={} time={:.3}ms path={} blocks={} decoded/{} zone-skipped bytes={} segments={}]",
+            "[rows={} batches={} time={:.3}ms path={} blocks={} decoded/{} zone-skipped bytes={} \
+             segments={} pruned={} values={} fallback={}]",
             self.rows,
             self.batches,
             self.wall_ns as f64 / 1e6,
@@ -178,7 +195,10 @@ impl fmt::Display for ScanCounts {
             self.blocks_decoded,
             self.blocks_skipped,
             self.io.bytes_read,
-            self.segments
+            self.segments,
+            self.blocks_pruned,
+            self.values_decoded,
+            self.blocks_fallback
         )
     }
 }
@@ -232,6 +252,8 @@ pub struct TableScan<'a> {
     emitted: bool,
     /// What the scan read and emitted, over every segment so far.
     counts: ScanCounts,
+    /// The scan's predicate ([`TableScan::filter`]).
+    filter: Option<Expr>,
 }
 
 impl<'a> TableScan<'a> {
@@ -269,6 +291,7 @@ impl<'a> TableScan<'a> {
             start_rid: 0,
             emitted: false,
             counts: ScanCounts::default(),
+            filter: None,
         };
         if let Some(seg) = first {
             scan.open(seg);
@@ -279,6 +302,32 @@ impl<'a> TableScan<'a> {
     /// What the scan has read and emitted so far.
     pub fn counts(&self) -> &ScanCounts {
         &self.counts
+    }
+
+    /// Emit only the rows `pred` accepts (its columns index the
+    /// projection): the `Filter` over the scan, run inside it. Each
+    /// partition's MergeScan decodes a block's predicate columns, selects,
+    /// skips a block no row of which survives, and reads the other columns
+    /// at the surviving rows only — by position through a block exactly one
+    /// PDT layer touches, after merging every column where the delta is
+    /// by-key or more than one layer touches the block (see
+    /// [`ScanCounts`]). Filtered batches carry no RIDs (`rid_start` is 0,
+    /// as a `Filter`'s output) and [`TableScan::start_rid`] means nothing
+    /// for them. Under a rid window ([`TableScan::clamp_rids`], called
+    /// first) the window applies to the unfiltered rows and the predicate
+    /// to what it keeps.
+    pub fn filter(&mut self, pred: Expr) {
+        if !self.windowed() {
+            if let Some(merge) = &mut self.merge {
+                merge.set_filter(&pred);
+            }
+        }
+        self.filter = Some(pred);
+    }
+
+    /// A rid window clips the output: the predicate runs after it.
+    fn windowed(&self) -> bool {
+        self.rid_lo > 0 || self.rid_hi < u64::MAX
     }
 
     /// Make `seg` the current partition (`merge` is `None` before). Its key
@@ -298,9 +347,12 @@ impl<'a> TableScan<'a> {
             seg.io,
             &mut self.counts,
         ) {
-            Ok(merge) => {
+            Ok(mut merge) => {
                 if !self.emitted {
                     self.start_rid = seg.rid_base + merge.start_rid();
+                }
+                if let (Some(pred), false) = (&self.filter, self.windowed()) {
+                    merge.set_filter(pred);
                 }
                 self.merge = Some(merge);
             }
@@ -443,11 +495,23 @@ impl<'a> TableScan<'a> {
             // dictionary-coded string columns leave the scan as codes:
             // merge, clipping and stacking ran on u32 codes, and a string
             // is decoded only where an operator reads it
-            if let Some(clipped) = self.clip_to_window(b) {
-                self.counts.batches += 1;
-                self.counts.rows += clipped.num_rows() as u64;
-                return Ok(Some(clipped));
+            let Some(mut clipped) = self.clip_to_window(b) else {
+                continue;
+            };
+            if let Some(pred) = &self.filter {
+                if self.windowed() {
+                    let sel = pred.select(&clipped, (0..clipped.num_rows()).collect());
+                    clipped = clipped.gather(&sel);
+                    if clipped.is_empty() {
+                        continue;
+                    }
+                }
+                // a filtered batch carries no RIDs
+                clipped.rid_start = 0;
             }
+            self.counts.batches += 1;
+            self.counts.rows += clipped.num_rows() as u64;
+            return Ok(Some(clipped));
         }
     }
 }
@@ -1734,6 +1798,9 @@ mod tests {
             rows: 2048,
             wall_ns: 1_500_000,
             segments: 1,
+            blocks_pruned: 1,
+            values_decoded: 6144,
+            blocks_fallback: 0,
             ..ScanCounts::default()
         };
         c.paths[MergePath::PdtKernel as usize] = 1;
@@ -1741,7 +1808,8 @@ mod tests {
         assert_eq!(
             c.to_string(),
             "[rows=2048 batches=2 time=1.500ms path=pdt-kernel \
-             blocks=3 decoded/5 zone-skipped bytes=4096 segments=1]"
+             blocks=3 decoded/5 zone-skipped bytes=4096 segments=1 \
+             pruned=1 values=6144 fallback=0]"
         );
     }
 

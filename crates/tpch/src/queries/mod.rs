@@ -61,14 +61,24 @@ pub fn run_query(n: usize, view: &ReadView, sf: f64) -> Vec<Tuple> {
 // --- plan-building helpers ---------------------------------------------------
 
 pub(crate) fn scan<'v>(v: &'v ReadView, table: &str, cols: &[&str]) -> BoxOp<'v> {
-    // hand-written plans over the fixed TPC-H schema: a missing table or
-    // column here is a programming error, not a runtime condition
-    Box::new(
-        v.scan_with(table, ScanSpec::named(cols.iter().copied()))
-            .expect("TPC-H table/column"),
-    )
+    open(v, table, ScanSpec::named(cols.iter().copied()))
 }
 
+/// The rows of the scan that `pred` (over `cols`) accepts: the predicate
+/// runs inside the scan ([`ScanSpec::filter`]), which reads the columns it
+/// does not test only at the rows that pass.
+pub(crate) fn scan_where<'v>(v: &'v ReadView, table: &str, cols: &[&str], pred: Expr) -> BoxOp<'v> {
+    open(v, table, ScanSpec::named(cols.iter().copied()).filter(pred))
+}
+
+fn open<'v>(v: &'v ReadView, table: &str, spec: ScanSpec) -> BoxOp<'v> {
+    // hand-written plans over the fixed TPC-H schema: a missing table or
+    // column here is a programming error, not a runtime condition
+    Box::new(v.scan_with(table, spec).expect("TPC-H table/column"))
+}
+
+/// A predicate above a join or an aggregate: one over a scan goes into the
+/// scan ([`scan_where`]).
 pub(crate) fn filt<'v>(input: BoxOp<'v>, pred: Expr) -> BoxOp<'v> {
     Box::new(Filter::new(input, pred))
 }

@@ -1,6 +1,6 @@
 //! TPC-H Q1–Q5.
 
-use super::{agg, d, filt, join, proj, rows, scan, sort, topn};
+use super::{agg, d, filt, join, proj, rows, scan, scan_where, sort, topn};
 use columnar::Tuple;
 use engine::ReadView;
 use exec::expr::{col, lit, Expr};
@@ -11,7 +11,7 @@ use exec::{AggFunc::*, BoxOp, JoinKind, SortKey};
 /// shows VDT merging costing up to half of this query's CPU time.
 pub fn q01(v: &ReadView) -> Vec<Tuple> {
     // 0 rf, 1 ls, 2 qty, 3 ext, 4 disc, 5 tax, 6 ship
-    let li = scan(
+    let li = scan_where(
         v,
         "lineitem",
         &[
@@ -23,8 +23,8 @@ pub fn q01(v: &ReadView) -> Vec<Tuple> {
             "l_tax",
             "l_shipdate",
         ],
+        col(6).le(lit(d("1998-09-02"))),
     );
-    let li = filt(li, col(6).le(lit(d("1998-09-02"))));
     let disc_price = || col(3).mul(lit(1.0).sub(col(4)));
     let charge = disc_price().mul(lit(1.0).add(col(5)));
     let out = agg(
@@ -47,8 +47,10 @@ pub fn q01(v: &ReadView) -> Vec<Tuple> {
 /// Q2 — Minimum Cost Supplier (does not touch orders/lineitem).
 pub fn q02(v: &ReadView) -> Vec<Tuple> {
     fn joined<'v>(v: &'v ReadView) -> BoxOp<'v> {
-        let region = filt(
-            scan(v, "region", &["r_regionkey", "r_name"]),
+        let region = scan_where(
+            v,
+            "region",
+            &["r_regionkey", "r_name"],
             col(1).eq(lit("EUROPE")),
         );
         // nation ++ region: 0 nkey, 1 nname, 2 nregion, 3 rkey, 4 rname
@@ -93,8 +95,10 @@ pub fn q02(v: &ReadView) -> Vec<Tuple> {
             JoinKind::Inner,
         );
         // ++ part: 15 pkey, 16 mfgr, 17 size, 18 type
-        let part = filt(
-            scan(v, "part", &["p_partkey", "p_mfgr", "p_size", "p_type"]),
+        let part = scan_where(
+            v,
+            "part",
+            &["p_partkey", "p_mfgr", "p_size", "p_type"],
             col(2).eq(lit(15i64)).and(col(3).like("%BRASS")),
         );
         join(ps, part, vec![0], vec![0], JoinKind::Inner)
@@ -130,26 +134,24 @@ pub fn q02(v: &ReadView) -> Vec<Tuple> {
 
 /// Q3 — Shipping Priority.
 pub fn q03(v: &ReadView) -> Vec<Tuple> {
-    let cust = filt(
-        scan(v, "customer", &["c_custkey", "c_mktsegment"]),
+    let cust = scan_where(
+        v,
+        "customer",
+        &["c_custkey", "c_mktsegment"],
         col(1).eq(lit("BUILDING")),
     );
-    let orders = filt(
-        scan(
-            v,
-            "orders",
-            &["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
-        ),
+    let orders = scan_where(
+        v,
+        "orders",
+        &["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
         col(2).lt(lit(d("1995-03-15"))),
     );
     // orders of BUILDING customers: semi join keeps orders' columns
     let orders = join(orders, cust, vec![1], vec![0], JoinKind::Semi);
-    let li = filt(
-        scan(
-            v,
-            "lineitem",
-            &["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        ),
+    let li = scan_where(
+        v,
+        "lineitem",
+        &["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
         col(3).gt(lit(d("1995-03-15"))),
     );
     // li ++ orders: 0 lokey, 1 ext, 2 disc, 3 lship, 4 okey, 5 ocust, 6 odate, 7 oship
@@ -166,23 +168,19 @@ pub fn q03(v: &ReadView) -> Vec<Tuple> {
 
 /// Q4 — Order Priority Checking.
 pub fn q04(v: &ReadView) -> Vec<Tuple> {
-    let orders = filt(
-        scan(
-            v,
-            "orders",
-            &["o_orderkey", "o_orderpriority", "o_orderdate"],
-        ),
+    let orders = scan_where(
+        v,
+        "orders",
+        &["o_orderkey", "o_orderpriority", "o_orderdate"],
         col(2)
             .ge(lit(d("1993-07-01")))
             .and(col(2).lt(lit(d("1993-10-01")))),
     );
     let late_li = proj(
-        filt(
-            scan(
-                v,
-                "lineitem",
-                &["l_orderkey", "l_commitdate", "l_receiptdate"],
-            ),
+        scan_where(
+            v,
+            "lineitem",
+            &["l_orderkey", "l_commitdate", "l_receiptdate"],
             col(1).lt(col(2)),
         ),
         vec![col(0)],
@@ -194,8 +192,10 @@ pub fn q04(v: &ReadView) -> Vec<Tuple> {
 
 /// Q5 — Local Supplier Volume (6-way join).
 pub fn q05(v: &ReadView) -> Vec<Tuple> {
-    let region = filt(
-        scan(v, "region", &["r_regionkey", "r_name"]),
+    let region = scan_where(
+        v,
+        "region",
+        &["r_regionkey", "r_name"],
         col(1).eq(lit("ASIA")),
     );
     let nation = join(
@@ -213,8 +213,10 @@ pub fn q05(v: &ReadView) -> Vec<Tuple> {
         vec![0],
         JoinKind::Inner,
     );
-    let orders = filt(
-        scan(v, "orders", &["o_orderkey", "o_custkey", "o_orderdate"]),
+    let orders = scan_where(
+        v,
+        "orders",
+        &["o_orderkey", "o_custkey", "o_orderdate"],
         col(2)
             .ge(lit(d("1994-01-01")))
             .and(col(2).lt(lit(d("1995-01-01")))),

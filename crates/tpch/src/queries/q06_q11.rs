@@ -1,6 +1,6 @@
 //! TPC-H Q6–Q11.
 
-use super::{agg, d, filt, join, proj, rows, scan, sort, topn};
+use super::{agg, d, filt, join, proj, rows, scan, scan_where, sort, topn};
 use columnar::Tuple;
 use engine::ReadView;
 use exec::expr::{col, lit, Expr};
@@ -10,13 +10,10 @@ use exec::{AggFunc::*, JoinKind, SortKey};
 /// paper's poster child for VDT CPU overhead (Plot 4, "e.g. in query 6").
 pub fn q06(v: &ReadView) -> Vec<Tuple> {
     // 0 ship, 1 disc, 2 qty, 3 ext
-    let li = scan(
+    let li = scan_where(
         v,
         "lineitem",
         &["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
-    );
-    let li = filt(
-        li,
         col(0)
             .ge(lit(d("1994-01-01")))
             .and(col(0).lt(lit(d("1995-01-01"))))
@@ -53,18 +50,16 @@ pub fn q07(v: &ReadView) -> Vec<Tuple> {
         vec![0],
         JoinKind::Inner,
     );
-    let li = filt(
-        scan(
-            v,
-            "lineitem",
-            &[
-                "l_orderkey",
-                "l_suppkey",
-                "l_extendedprice",
-                "l_discount",
-                "l_shipdate",
-            ],
-        ),
+    let li = scan_where(
+        v,
+        "lineitem",
+        &[
+            "l_orderkey",
+            "l_suppkey",
+            "l_extendedprice",
+            "l_discount",
+            "l_shipdate",
+        ],
         col(4).between(d("1995-01-01"), d("1996-12-31")),
     );
     // li': 0 lokey, 1 lsupp, 2 ext, 3 disc, 4 ship, 5 okey, ... 10 n2name
@@ -92,8 +87,10 @@ pub fn q07(v: &ReadView) -> Vec<Tuple> {
 
 /// Q8 — National Market Share of BRAZIL within AMERICA.
 pub fn q08(v: &ReadView) -> Vec<Tuple> {
-    let region = filt(
-        scan(v, "region", &["r_regionkey", "r_name"]),
+    let region = scan_where(
+        v,
+        "region",
+        &["r_regionkey", "r_name"],
         col(1).eq(lit("AMERICA")),
     );
     let am_nations = join(
@@ -111,14 +108,18 @@ pub fn q08(v: &ReadView) -> Vec<Tuple> {
         vec![0],
         JoinKind::Semi,
     );
-    let orders = filt(
-        scan(v, "orders", &["o_orderkey", "o_custkey", "o_orderdate"]),
+    let orders = scan_where(
+        v,
+        "orders",
+        &["o_orderkey", "o_custkey", "o_orderdate"],
         col(2).between(d("1995-01-01"), d("1996-12-31")),
     );
     // orders of american customers: 0 okey, 1 ocust, 2 odate
     let orders = join(orders, customer, vec![1], vec![0], JoinKind::Semi);
-    let part = filt(
-        scan(v, "part", &["p_partkey", "p_type"]),
+    let part = scan_where(
+        v,
+        "part",
+        &["p_partkey", "p_type"],
         col(1).eq(lit("ECONOMY ANODIZED STEEL")),
     );
     let li = scan(
@@ -171,10 +172,7 @@ pub fn q08(v: &ReadView) -> Vec<Tuple> {
 
 /// Q9 — Product Type Profit Measure (`p_name LIKE '%green%'`).
 pub fn q09(v: &ReadView) -> Vec<Tuple> {
-    let part = filt(
-        scan(v, "part", &["p_partkey", "p_name"]),
-        col(1).like("%green%"),
-    );
+    let part = scan_where(v, "part", &["p_partkey", "p_name"], col(1).like("%green%"));
     let li = scan(
         v,
         "lineitem",
@@ -239,23 +237,23 @@ pub fn q09(v: &ReadView) -> Vec<Tuple> {
 
 /// Q10 — Returned Item Reporting (top 20 customers).
 pub fn q10(v: &ReadView) -> Vec<Tuple> {
-    let orders = filt(
-        scan(v, "orders", &["o_orderkey", "o_custkey", "o_orderdate"]),
+    let orders = scan_where(
+        v,
+        "orders",
+        &["o_orderkey", "o_custkey", "o_orderdate"],
         col(2)
             .ge(lit(d("1993-10-01")))
             .and(col(2).lt(lit(d("1994-01-01")))),
     );
-    let li = filt(
-        scan(
-            v,
-            "lineitem",
-            &[
-                "l_orderkey",
-                "l_extendedprice",
-                "l_discount",
-                "l_returnflag",
-            ],
-        ),
+    let li = scan_where(
+        v,
+        "lineitem",
+        &[
+            "l_orderkey",
+            "l_extendedprice",
+            "l_discount",
+            "l_returnflag",
+        ],
         col(3).eq(lit("R")),
     );
     // 0 lokey, 1 ext, 2 disc, 3 rf, 4 okey, 5 ocust, 6 odate
@@ -314,8 +312,10 @@ pub fn q10(v: &ReadView) -> Vec<Tuple> {
 /// not touch orders/lineitem.
 pub fn q11(v: &ReadView, sf: f64) -> Vec<Tuple> {
     fn german_ps<'v>(v: &'v ReadView) -> exec::BoxOp<'v> {
-        let nation = filt(
-            scan(v, "nation", &["n_nationkey", "n_name"]),
+        let nation = scan_where(
+            v,
+            "nation",
+            &["n_nationkey", "n_name"],
             col(1).eq(lit("GERMANY")),
         );
         let supplier = join(

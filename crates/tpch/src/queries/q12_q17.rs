@@ -1,6 +1,6 @@
 //! TPC-H Q12–Q17.
 
-use super::{agg, d, filt, join, proj, rows, scan, sort};
+use super::{agg, d, filt, join, proj, rows, scan, scan_where, sort};
 use columnar::{Tuple, Value};
 use engine::ReadView;
 use exec::expr::{col, lit, Expr};
@@ -9,18 +9,16 @@ use exec::{AggFunc::*, BoxOp, JoinKind, SortKey};
 
 /// Q12 — Shipping Modes and Order Priority.
 pub fn q12(v: &ReadView) -> Vec<Tuple> {
-    let li = filt(
-        scan(
-            v,
-            "lineitem",
-            &[
-                "l_orderkey",
-                "l_shipmode",
-                "l_commitdate",
-                "l_receiptdate",
-                "l_shipdate",
-            ],
-        ),
+    let li = scan_where(
+        v,
+        "lineitem",
+        &[
+            "l_orderkey",
+            "l_shipmode",
+            "l_commitdate",
+            "l_receiptdate",
+            "l_shipdate",
+        ],
         col(1)
             .in_list(vec![Value::from("MAIL"), Value::from("SHIP")])
             .and(col(2).lt(col(3)))
@@ -57,8 +55,10 @@ pub fn q12(v: &ReadView) -> Vec<Tuple> {
 /// Q13 — Customer Distribution (left outer join + double aggregation).
 pub fn q13(v: &ReadView) -> Vec<Tuple> {
     let orders = proj(
-        filt(
-            scan(v, "orders", &["o_custkey", "o_comment"]),
+        scan_where(
+            v,
+            "orders",
+            &["o_custkey", "o_comment"],
             col(1).not_like("%special%requests%"),
         ),
         vec![col(0)],
@@ -87,12 +87,10 @@ pub fn q13(v: &ReadView) -> Vec<Tuple> {
 
 /// Q14 — Promotion Effect.
 pub fn q14(v: &ReadView) -> Vec<Tuple> {
-    let li = filt(
-        scan(
-            v,
-            "lineitem",
-            &["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        ),
+    let li = scan_where(
+        v,
+        "lineitem",
+        &["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
         col(3)
             .ge(lit(d("1995-09-01")))
             .and(col(3).lt(lit(d("1995-10-01")))),
@@ -123,12 +121,10 @@ pub fn q14(v: &ReadView) -> Vec<Tuple> {
 /// Q15 — Top Supplier (the revenue view + max).
 pub fn q15(v: &ReadView) -> Vec<Tuple> {
     let revenue = agg(
-        filt(
-            scan(
-                v,
-                "lineitem",
-                &["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
-            ),
+        scan_where(
+            v,
+            "lineitem",
+            &["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
             col(3)
                 .ge(lit(d("1996-01-01")))
                 .and(col(3).lt(lit(d("1996-04-01")))),
@@ -171,8 +167,10 @@ pub fn q16(v: &ReadView) -> Vec<Tuple> {
         .iter()
         .map(|&s| Value::Int(s))
         .collect();
-    let part = filt(
-        scan(v, "part", &["p_partkey", "p_brand", "p_type", "p_size"]),
+    let part = scan_where(
+        v,
+        "part",
+        &["p_partkey", "p_brand", "p_type", "p_size"],
         col(1)
             .ne(lit("Brand#45"))
             .and(col(2).not_like("MEDIUM POLISHED%"))
@@ -187,8 +185,10 @@ pub fn q16(v: &ReadView) -> Vec<Tuple> {
         JoinKind::Inner,
     );
     let complainers = proj(
-        filt(
-            scan(v, "supplier", &["s_suppkey", "s_comment"]),
+        scan_where(
+            v,
+            "supplier",
+            &["s_suppkey", "s_comment"],
             col(1).like("%Customer%Complaints%"),
         ),
         vec![col(0)],
@@ -209,8 +209,10 @@ pub fn q16(v: &ReadView) -> Vec<Tuple> {
 /// Q17 — Small-Quantity-Order Revenue (correlated AVG subquery).
 pub fn q17(v: &ReadView) -> Vec<Tuple> {
     fn li_of_part<'v>(v: &'v ReadView) -> BoxOp<'v> {
-        let part = filt(
-            scan(v, "part", &["p_partkey", "p_brand", "p_container"]),
+        let part = scan_where(
+            v,
+            "part",
+            &["p_partkey", "p_brand", "p_container"],
             col(1).eq(lit("Brand#23")).and(col(2).eq(lit("MED BOX"))),
         );
         join(

@@ -1,6 +1,6 @@
 //! TPC-H Q18–Q22.
 
-use super::{agg, d, filt, join, proj, rows, scan, sort, topn};
+use super::{agg, d, filt, join, proj, rows, scan, scan_where, sort, topn};
 use columnar::{Tuple, Value};
 use engine::ReadView;
 use exec::expr::{col, lit};
@@ -47,19 +47,17 @@ pub fn q18(v: &ReadView) -> Vec<Tuple> {
 /// well-known spec quirk. We use ('AIR', 'REG AIR') so the predicate is
 /// non-degenerate.
 pub fn q19(v: &ReadView) -> Vec<Tuple> {
-    let li = filt(
-        scan(
-            v,
-            "lineitem",
-            &[
-                "l_partkey",
-                "l_quantity",
-                "l_extendedprice",
-                "l_discount",
-                "l_shipinstruct",
-                "l_shipmode",
-            ],
-        ),
+    let li = scan_where(
+        v,
+        "lineitem",
+        &[
+            "l_partkey",
+            "l_quantity",
+            "l_extendedprice",
+            "l_discount",
+            "l_shipinstruct",
+            "l_shipmode",
+        ],
         col(5)
             .in_list(vec![Value::from("AIR"), Value::from("REG AIR")])
             .and(col(4).eq(lit("DELIVER IN PERSON"))),
@@ -118,18 +116,13 @@ pub fn q19(v: &ReadView) -> Vec<Tuple> {
 /// Q20 — Potential Part Promotion (nested IN subqueries, decorrelated).
 pub fn q20(v: &ReadView) -> Vec<Tuple> {
     let forest_parts = proj(
-        filt(
-            scan(v, "part", &["p_partkey", "p_name"]),
-            col(1).like("forest%"),
-        ),
+        scan_where(v, "part", &["p_partkey", "p_name"], col(1).like("forest%")),
         vec![col(0)],
     );
-    let li = filt(
-        scan(
-            v,
-            "lineitem",
-            &["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
-        ),
+    let li = scan_where(
+        v,
+        "lineitem",
+        &["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
         col(3)
             .ge(lit(d("1994-01-01")))
             .and(col(3).lt(lit(d("1995-01-01")))),
@@ -148,8 +141,10 @@ pub fn q20(v: &ReadView) -> Vec<Tuple> {
     let ps = filt(ps, col(2).gt(lit(0.5).mul(col(5))));
     let suppkeys = agg(proj(ps, vec![col(1)]), vec![0], vec![(Count, lit(1i64))]);
     let suppkeys = proj(suppkeys, vec![col(0)]);
-    let canada = filt(
-        scan(v, "nation", &["n_nationkey", "n_name"]),
+    let canada = scan_where(
+        v,
+        "nation",
+        &["n_nationkey", "n_name"],
         col(1).eq(lit("CANADA")),
     );
     let supplier = join(
@@ -173,12 +168,10 @@ pub fn q20(v: &ReadView) -> Vec<Tuple> {
 pub fn q21(v: &ReadView) -> Vec<Tuple> {
     fn late_pairs<'v>(v: &'v ReadView) -> BoxOp<'v> {
         // distinct (orderkey, suppkey) of late lineitems
-        let late = filt(
-            scan(
-                v,
-                "lineitem",
-                &["l_orderkey", "l_suppkey", "l_commitdate", "l_receiptdate"],
-            ),
+        let late = scan_where(
+            v,
+            "lineitem",
+            &["l_orderkey", "l_suppkey", "l_commitdate", "l_receiptdate"],
             col(3).gt(col(2)),
         );
         let pairs = agg(
@@ -209,8 +202,10 @@ pub fn q21(v: &ReadView) -> Vec<Tuple> {
         vec![col(0)],
     );
     let orders_f = proj(
-        filt(
-            scan(v, "orders", &["o_orderkey", "o_orderstatus"]),
+        scan_where(
+            v,
+            "orders",
+            &["o_orderkey", "o_orderstatus"],
             col(1).eq(lit("F")),
         ),
         vec![col(0)],
@@ -219,8 +214,10 @@ pub fn q21(v: &ReadView) -> Vec<Tuple> {
     let blamed = join(blamed, multi_supp, vec![0], vec![0], JoinKind::Semi);
     let blamed = join(blamed, orders_f, vec![0], vec![0], JoinKind::Semi);
     // restrict to SAUDI ARABIA suppliers and name them
-    let saudi = filt(
-        scan(v, "nation", &["n_nationkey", "n_name"]),
+    let saudi = scan_where(
+        v,
+        "nation",
+        &["n_nationkey", "n_name"],
         col(1).eq(lit("SAUDI ARABIA")),
     );
     let supplier = join(

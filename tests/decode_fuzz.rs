@@ -7,13 +7,14 @@
 //! multi-GB allocation. The fixed-seed proptest shim makes every CI run
 //! exercise identical inputs.
 
-use columnar::compress::{decode, decode_with, encode};
+use columnar::compress::{decode, decode_at, decode_with, encode};
 use columnar::image::{decode_image, encode_image};
 use columnar::{
     ColumnVec, ColumnarError, Encoding, IoTracker, Schema, StableTable, StrDict, TableMeta, Value,
     ValueType,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const VTYPES: [ValueType; 5] = [
     ValueType::Bool,
@@ -152,6 +153,65 @@ proptest! {
         }
     }
 
+    /// The positional decode under the same contract, over every
+    /// encoding × type, on valid payloads and on arbitrary, one-byte-flipped
+    /// and truncated ones: `decode_at` never panics, its verdict is a full
+    /// decode's, and where that decode succeeds it is the full decode
+    /// gathered at the positions. Positions out of order or out of range
+    /// are an error, never a panic.
+    #[test]
+    fn decode_at_is_a_full_decode_gathered(
+        ints in prop::collection::vec(any::<i64>(), 1..80),
+        bytes in prop::collection::vec(any::<u8>(), 0..160),
+        shift in 0u32..64,
+        flip in any::<u8>(),
+        pos_sel in any::<u64>(),
+        picks in any::<u64>(),
+    ) {
+        // `>> shift` mixes frame widths and varint widths
+        let ints: Vec<i64> = ints.iter().map(|&v| v >> shift).collect();
+        let n = ints.len();
+        let dict = StrDict::build(["", "a", "dup", "é✓", "zz"]);
+        let cols = [
+            ColumnVec::Int(ints.clone()),
+            ColumnVec::Date(ints.iter().map(|&v| v as i32).collect()),
+            ColumnVec::Double(ints.iter().map(|&v| v as f64 * 0.5).collect()),
+            ColumnVec::Bool(ints.iter().map(|&v| v % 2 == 0).collect()),
+            ColumnVec::Str(ints.iter().map(|&v| format!("s{}", v % 5)).collect()),
+            ColumnVec::Coded(ints.iter().map(|&v| v.rem_euclid(5) as u32).collect(), dict.clone()),
+        ];
+        // a pseudo-random ascending subset, and the first and last rows
+        let positions = |len: usize| -> Vec<usize> {
+            (0..len).filter(|&i| i == 0 || i + 1 == len || picks >> (i % 64) & 1 == 1).collect()
+        };
+        for col in &cols {
+            for enc in Encoding::ALL {
+                for len in [0, 1, n, 1025] {
+                    positions_match(&bytes, enc, col.vtype(), len, &dict, &positions(len))?;
+                }
+                let Some(mut payload) = encode(col, enc) else { continue };
+                positions_match(&payload, enc, col.vtype(), n, &dict, &positions(n))?;
+                let mut out = ColumnVec::new(col.vtype());
+                let at = |p: &[usize], out: &mut ColumnVec| {
+                    decode_at(&payload, enc, col.vtype(), n, Some(&dict), p, out)
+                };
+                prop_assert!(at(&[n], &mut out).is_err(), "position past the end");
+                if n > 1 {
+                    prop_assert!(at(&[1, 0], &mut out).is_err(), "positions out of order");
+                    prop_assert!(at(&[1, 1], &mut out).is_err(), "a position twice");
+                }
+                let pos = (pos_sel % payload.len().max(1) as u64) as usize;
+                for cut in [pos, payload.len().saturating_sub(1)] {
+                    positions_match(&payload[..cut], enc, col.vtype(), n, &dict, &positions(n))?;
+                }
+                if !payload.is_empty() {
+                    payload[pos] ^= flip | 1;
+                    positions_match(&payload, enc, col.vtype(), n, &dict, &positions(n))?;
+                }
+            }
+        }
+    }
+
     /// Arbitrary bytes (raw, and spliced behind a valid image header) must
     /// never panic the image loader.
     #[test]
@@ -274,6 +334,38 @@ proptest! {
         );
         let got = loaded.scan_all(&io).map_err(|e| format!("scan_all: {e}"))?;
         prop_assert_eq!(got, rows);
+    }
+}
+
+/// `decode_at(positions)` ≡ `decode_with` gathered at `positions`:
+/// the same verdict and, on success, the same values (doubles by bits).
+fn positions_match(
+    buf: &[u8],
+    enc: Encoding,
+    vt: ValueType,
+    len: usize,
+    dict: &Arc<StrDict>,
+    positions: &[usize],
+) -> Result<(), String> {
+    let mut at = ColumnVec::new(vt);
+    let got = decode_at(buf, enc, vt, len, Some(dict), positions, &mut at);
+    let full = decode_with(buf, enc, vt, len, Some(dict));
+    match (got, full) {
+        (Ok(_), Ok(full)) => {
+            let mut want = full.empty_like();
+            want.extend_gather(&full, positions);
+            if format!("{at:?}") == format!("{want:?}") {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{enc:?} × {vt:?} at {positions:?}: {at:?} != {want:?}"
+                ))
+            }
+        }
+        (Err(_), Err(_)) => Ok(()),
+        (got, full) => Err(format!(
+            "{enc:?} × {vt:?}, len {len}: positional verdict {got:?}, full decode {full:?}"
+        )),
     }
 }
 

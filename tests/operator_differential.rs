@@ -21,7 +21,11 @@
 //!
 //! Predicates are also held to the model as selections: `Expr::select`
 //! over a random ascending row list keeps exactly the listed rows the
-//! model accepts.
+//! model accepts. And a scan that runs the predicate itself
+//! (`ScanSpec::filter`) emits what `Filter` over the plain scan emits, row
+//! for row and in order, for every update policy and partitioning, over
+//! tables whose delta modifies the predicate columns, deletes and
+//! re-inserts keys and spans all three PDT layers.
 //!
 //! **The key rule it pins.** Grouping and join keys match under the
 //! executor's total order (`Value::cmp`, `ColumnVec::cmp_cells`): strings
@@ -31,15 +35,18 @@
 //! rule. Comparisons in expressions use the same order, with Int and
 //! Double promoted to Double (so `x IN (1)` ≡ `x = 1` on a Double `x`).
 
-use columnar::{ColumnVec, StrDict, Tuple, Value, ValueType};
+use columnar::{ColumnVec, Schema, StrDict, Tuple, Value, ValueType};
+use engine::{Database, DbTxn, ScanSpec};
 use exec::expr::{col, lit};
 use exec::{
-    run_to_rows, AggFunc, AggSpec, Batch, CmpOp, Expr, HashAggregate, HashJoin, JoinKind, Operator,
+    run_to_rows, AggFunc, AggSpec, Batch, CmpOp, Expr, Filter, HashAggregate, HashJoin, JoinKind,
+    Operator,
 };
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+use testkit::DiffHarness;
 
 /// Input columns: 0 Int key, 1 Double key, 2 Date key, 3 string key,
 /// 4 Int value, 5 Double value, 6 a second string key (coded over the
@@ -539,4 +546,256 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// the scan runs the filter: ScanSpec::filter(p) ≡ Filter(p) over the scan
+// ---------------------------------------------------------------------------
+
+const TABLE: &str = "t";
+const BLOCK_ROWS: usize = 8;
+
+/// A unique Int key, then the seven `TYPES` columns: the scans project
+/// `1..8`, so `gen_predicates`' column numbers address them unchanged.
+fn keyed_schema() -> Schema {
+    let names = ["ik", "dk", "tk", "sk", "iv", "dv", "sk2"];
+    let mut fields = vec![("k", ValueType::Int)];
+    fields.extend(names.iter().copied().zip(TYPES));
+    Schema::from_pairs(&fields)
+}
+
+/// A row with key `k` and `gen_input`-shaped values; strings come from the
+/// dictionary the base load builds, and (`fresh`) from outside it. No NaN:
+/// the harness holds images to its model by `==` (the predicates still
+/// meet NaN literals).
+fn keyed_row(rng: &mut TestRng, k: i64, fresh: bool) -> Tuple {
+    let mut string = || match fresh && rng.below(3) == 0 {
+        true => Value::from(pick(rng, &OUT_OF_DICT)),
+        false => Value::from(pick(rng, &IN_DICT)),
+    };
+    let (s, t) = (string(), string());
+    vec![
+        Value::Int(k),
+        Value::Int(rng.below(4) as i64),
+        Value::Double(pick(rng, &[-0.0, 0.0, 1.0, 1.5, -2.0])),
+        Value::Date(rng.below(3) as i32),
+        s,
+        Value::Int(rng.below(200) as i64 - 100),
+        Value::Double(rng.unit_f64() * 10.0 - 5.0),
+        t,
+    ]
+}
+
+/// One committed statement through the harness, in every database: an
+/// append of fresh keys, a delete, a modify of one predicate column over
+/// a few rows, or a key deleted and re-inserted with new values.
+fn commit_random(h: &mut DiffHarness, rng: &mut TestRng) {
+    let visible = h.model().len() as u64;
+    let some_rids = |rng: &mut TestRng, most: u64| -> Vec<u64> {
+        let n = 1 + rng.below(most);
+        (0..n).map(|_| rng.below(visible.max(1))).collect()
+    };
+    match rng.below(4) {
+        0 => {
+            let rows = (0..1 + rng.below(6))
+                .map(|_| {
+                    let k = rng.below(1200) as i64 * 10 + 5;
+                    keyed_row(rng, k, true)
+                })
+                .collect::<Vec<_>>();
+            h.append(rows);
+        }
+        1 if visible > 0 => h.delete_rids(&some_rids(rng, 5)),
+        2 if visible > 0 => {
+            let c = 1 + rng.below(7) as usize;
+            let rids = some_rids(rng, 12);
+            let vals: Vec<Value> = rids
+                .iter()
+                .map(|_| keyed_row(rng, 0, true)[c].clone())
+                .collect();
+            h.update_col(&rids, c, &vals);
+        }
+        3 if visible > 0 => {
+            let rid = rng.below(visible);
+            let k = h.model().rows()[rid as usize][0].clone();
+            h.delete_rids(&[rid]);
+            let mut row = keyed_row(rng, 0, true);
+            row[0] = k;
+            assert!(h.append(vec![row]));
+        }
+        _ => {}
+    }
+}
+
+/// Stage a few statements in `txn` (its own Trans layer): modifies of
+/// predicate columns, deletes and appends.
+fn stage_random(txn: &mut DbTxn<'_>, rng: &mut TestRng) {
+    let schema = keyed_schema();
+    for _ in 0..rng.below(4) {
+        let visible = txn.visible_rows(TABLE).unwrap();
+        if visible == 0 {
+            return;
+        }
+        let mut rids: Vec<u64> = (0..1 + rng.below(6)).map(|_| rng.below(visible)).collect();
+        rids.sort_unstable();
+        rids.dedup();
+        match rng.below(3) {
+            0 => {
+                let c = 1 + rng.below(7) as usize;
+                let mut vals = ColumnVec::new(schema.vtype(c));
+                for _ in &rids {
+                    vals.push(&keyed_row(rng, 0, true)[c]);
+                }
+                txn.update_col(TABLE, &rids, c, vals).unwrap();
+            }
+            1 => {
+                txn.delete_rids(TABLE, &rids).unwrap();
+            }
+            _ => {
+                // a key nothing else uses: odd multiples of 5 past the base
+                let k = 20_001 + 2 * rng.below(5000) as i64;
+                let row = keyed_row(rng, k, true);
+                txn.append(TABLE, Batch::from_rows(&schema.types(), &[row]))
+                    .unwrap();
+            }
+        }
+    }
+}
+
+/// `open(spec)` with `filter(pred)` ≡ `Filter(pred)` over `open(spec)`,
+/// with no RIDs on the filtered batches — over the whole table and (for
+/// one predicate) a rid window, where the window cuts the rows first.
+fn assert_filter_pushes_down<'a>(
+    what: &str,
+    open: impl Fn(ScanSpec) -> exec::TableScan<'a>,
+    visible: u64,
+    preds: &[Expr],
+) -> Result<(), String> {
+    let proj: Vec<usize> = (1..8).collect();
+    let window = ScanSpec::cols(proj.clone()).rid_range(1, visible.saturating_sub(2));
+    let specs = preds
+        .iter()
+        .map(|p| (ScanSpec::cols(proj.clone()), p))
+        .chain(preds.first().map(|p| (window, p)));
+    for (spec, p) in specs {
+        let want = run_to_rows(&mut Filter::new(Box::new(open(spec.clone())), p.clone()));
+        let mut scan = open(spec.filter(p.clone()));
+        let mut got = Vec::new();
+        while let Some(b) = scan.next_batch() {
+            if b.rid_start != 0 {
+                return Err(format!("{what}: a filtered batch at rid {}", b.rid_start));
+            }
+            got.extend(b.rows());
+        }
+        if !same_rows(&got, &want) {
+            return Err(format!(
+                "{what}: {p:?}\n got {} rows: {got:?}\nwant {} rows: {want:?}",
+                got.len(),
+                want.len()
+            ));
+        }
+        let counts = scan.counts();
+        if counts.rows != want.len() as u64 {
+            return Err(format!(
+                "{what}: counted {} rows of {}",
+                counts.rows,
+                want.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    #[test]
+    fn a_filtered_scan_is_filter_over_the_scan(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let base: Vec<Tuple> = (0..40 + rng.below(40) as i64)
+            .map(|i| keyed_row(&mut rng, i * 10, false))
+            .collect();
+        let leaves = gen_predicates(&mut rng);
+        let preds: Vec<Expr> = (0..12).map(|_| gen_tree(&mut rng, &leaves, 2)).collect();
+        for parts in [1, 3] {
+            let mut h = DiffHarness::new(TABLE, keyed_schema(), vec![0], base.clone(), BLOCK_ROWS);
+            if parts > 1 {
+                h = h.with_partitions(parts);
+            }
+            // the Read layer, then the Write layer over it; a layer of
+            // few statements leaves some blocks untouched, so blocks of
+            // every shape (untouched, one layer, several) mix
+            for _ in 0..rng.below(6) {
+                commit_random(&mut h, &mut rng);
+            }
+            h.flush();
+            for _ in 0..rng.below(6) {
+                commit_random(&mut h, &mut rng);
+            }
+            for (policy, db) in h.dbs() {
+                let view = db.read_view();
+                let what = format!("{policy:?}, {parts} partitions, read view");
+                let visible = view.visible_rows(TABLE).unwrap();
+                assert_filter_pushes_down(&what, |s| view.scan_with(TABLE, s).unwrap(), visible, &preds)?;
+                let mut txn = db.begin();
+                stage_random(&mut txn, &mut rng);
+                let what = format!("{policy:?}, {parts} partitions, with a Trans layer");
+                let visible = txn.visible_rows(TABLE).unwrap();
+                assert_filter_pushes_down(&what, |s| txn.scan_with(TABLE, s).unwrap(), visible, &preds)?;
+                txn.abort();
+            }
+        }
+    }
+}
+
+/// A block one layer touches is filtered by position, one that two
+/// layers touch is merged first, an untouched one is read where the
+/// predicate holds — and `explain_analyze` counts each. The predicate
+/// `k < 0` prunes every block after its one column.
+#[test]
+fn filtered_blocks_are_counted_by_shape() {
+    let schema = Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]);
+    // keys 300 apart: their blocks bit-pack, so a key is read in place
+    let rows: Vec<Tuple> = (0..64)
+        .map(|i| vec![Value::Int(i * 300), Value::Int(i % 5)])
+        .collect();
+    let db = Database::new();
+    db.create_table(
+        columnar::TableMeta::new(TABLE, schema, vec![0]),
+        engine::TableOptions::default().with_block_rows(16),
+        rows,
+    )
+    .unwrap();
+    let modify = |rid: u64| {
+        let mut txn = db.begin();
+        txn.update_col(TABLE, &[rid], 1, ColumnVec::Int(vec![9]))
+            .unwrap();
+        txn.commit().unwrap();
+    };
+    // block 1 in the Read layer, blocks 1 and 2 in the Write layer
+    modify(20);
+    db.maybe_flush(TABLE, 0).unwrap();
+    modify(21);
+    modify(40);
+    let view = db.read_view();
+    let spec = |p: Expr| ScanSpec::cols(vec![0, 1]).filter(p);
+    let profile = view
+        .explain_analyze(TABLE, spec(col(1).eq(lit(9i64))))
+        .unwrap();
+    let c = profile.plan;
+    assert_eq!(
+        (c.rows, c.blocks_decoded, c.blocks_fallback),
+        (3, 4, 1),
+        "{c}"
+    );
+    // blocks 0 and 3 hold no 9: pruned after `v` alone; block 2 keeps one
+    // row (its `k` read at one position), block 1 is merged in full
+    assert_eq!(c.blocks_pruned, 2, "{c}");
+    assert_eq!(c.values_decoded, 4 * 16 + 1 + 16, "{c}");
+    let none = view
+        .explain_analyze(TABLE, spec(col(0).lt(lit(0i64))))
+        .unwrap()
+        .plan;
+    assert_eq!((none.rows, none.blocks_pruned), (0, 3), "{none}");
+    assert_eq!(none.values_decoded, 4 * 16 + 16, "{none}");
 }
