@@ -12,12 +12,12 @@
 //!   integer/date columns whose steps fit one byte,
 //! * [`Encoding::BitPacked`] — frame of reference: the block minimum plus
 //!   fixed-width bit-packed offsets, for the other integer/date columns
-//!   (X100's PFOR without the exceptions), decoded one independent load
-//!   per value instead of a varint length chain.
+//!   (X100's PFOR without the exceptions), decoded by a kernel compiled
+//!   for the block's width instead of along a varint length chain.
 //!
 //! An int or date block's deltas are varints only when every delta after
-//! the first fits one byte: then the delta kernel sums them eight to a
-//! word. One multi-byte delta puts the block on the varint length chain,
+//! the first fits one byte: then the delta kernel checks the payload once
+//! and sums it in one pass. One multi-byte delta puts the block on the varint length chain,
 //! several times slower to decode than a bit-packed block, so such a
 //! block is bit-packed even where its varint deltas would be a few bytes
 //! smaller ([`crate::block`] applies the rule; every decoder still reads
@@ -51,7 +51,7 @@ pub enum Encoding {
     Dict,
     /// Zig-zag varint deltas for integer/date columns. The block chooser
     /// writes it only when every delta after the first is one byte, which
-    /// the decoder sums eight values to a word; it still decodes
+    /// the decoder checks once and sums in one pass; it still decodes
     /// multi-byte deltas, which older images may hold.
     DeltaVarint,
     /// `u32` codes into a table-global per-column string dictionary,
@@ -384,8 +384,9 @@ fn encode_packed<T: Copy + Into<i64>>(v: &[T]) -> Option<Vec<u8>> {
 // Every decoder is a bulk kernel over the payload: the declared length is
 // tied to the payload size up front (so the output can be sized exactly,
 // once, without trusting a corrupt `len`), fixed-width values are read a
-// whole chunk at a time, varints eight bytes at a time, bit-packed offsets
-// one independent word load each, and runs are filled, not pushed. A
+// whole chunk at a time, one-byte delta varints in one pass and others
+// eight bytes at a time, bit-packed offsets by a kernel of the block's
+// width, and runs are filled, not pushed. A
 // payload must decode to exactly `len` values *and* be consumed to its
 // last byte.
 
@@ -699,10 +700,63 @@ fn get_uvarint_word(buf: &[u8], pos: &mut usize) -> Result<u64> {
 
 /// Zig-zag delta varints (`DeltaVarint` and `GlobalCode` share the wire
 /// form): the running sum of the decoded deltas, each passed through `put`
-/// (narrowing, or the dictionary range check). Eight outputs at a time:
-/// when the next eight payload bytes carry no continuation bit they are
-/// eight single-byte deltas and are summed straight out of the word.
+/// (narrowing, or the dictionary range check). The block chooser writes
+/// `DeltaVarint` only when every delta after the first is one byte, and
+/// codes into a dictionary of at most 64 strings step by one byte too:
+/// such a payload is summed
+/// in one loop with no test per byte ([`one_byte_steps`] checks it once).
+/// Any other payload — older images, codes into a large dictionary, a
+/// corrupt one — takes [`delta_varints_chained`], which reaches the same
+/// values and verdicts.
 fn delta_varints<T: Copy + Default>(
+    buf: &[u8],
+    len: usize,
+    out: &mut Vec<T>,
+    mut put: impl FnMut(i64) -> Result<T>,
+) -> Result<()> {
+    let Some((first, steps)) = one_byte_steps(buf, len) else {
+        return delta_varints_chained(buf, len, out, put);
+    };
+    out.resize(len, T::default());
+    let Some((head, tail)) = out.split_first_mut() else {
+        return Ok(());
+    };
+    let mut prev = unzigzag(first);
+    *head = put(prev)?;
+    let (eights, rest) = steps.as_chunks::<8>();
+    let mut slots = tail.chunks_exact_mut(8);
+    for (slot8, eight) in (&mut slots).zip(eights) {
+        // eight one-byte zig-zag deltas at once, as signed bytes
+        let w = u64::from_le_bytes(*eight);
+        let d = ((w >> 1) & 0x7f7f_7f7f_7f7f_7f7f) ^ ((w & 0x0101_0101_0101_0101) * 0xff);
+        for (j, slot) in slot8.iter_mut().enumerate() {
+            prev = prev.wrapping_add((d >> (8 * j)) as u8 as i8 as i64);
+            *slot = put(prev)?;
+        }
+    }
+    for (slot, &b) in slots.into_remainder().iter_mut().zip(rest) {
+        prev = prev.wrapping_add(unzigzag(b as u64));
+        *slot = put(prev)?;
+    }
+    Ok(())
+}
+
+/// The first varint and the `len − 1` bytes after it, when they are the
+/// whole payload and none carries a continuation bit: then every delta
+/// after the first is one byte, and the payload is exactly `len` deltas.
+fn one_byte_steps(buf: &[u8], len: usize) -> Option<(u64, &[u8])> {
+    let mut pos = 0usize;
+    let first = get_uvarint(buf, &mut pos).ok()?;
+    let steps = &buf[pos..];
+    let flags = steps.iter().fold(0u8, |acc, &b| acc | b);
+    (steps.len().checked_add(1) == Some(len) && flags & 0x80 == 0).then_some((first, steps))
+}
+
+/// [`delta_varints`] over any payload, eight outputs at a time: when the
+/// next eight payload bytes carry no continuation bit they are eight
+/// single-byte deltas and are summed straight out of the word; otherwise
+/// each varint is cut out of a word by [`get_uvarint_word`].
+fn delta_varints_chained<T: Copy + Default>(
     buf: &[u8],
     len: usize,
     out: &mut Vec<T>,
@@ -801,8 +855,8 @@ impl<'a> PackedFrame<'a> {
 }
 
 /// Frame-of-reference offsets ([`Encoding::BitPacked`]): the minimum plus
-/// each `w`-bit offset, passed through `put` (narrowing), eight values to
-/// a group of word loads.
+/// each `w`-bit offset, passed through `put` (narrowing). One match per
+/// block picks the [`unpack`] kernel compiled for the frame's width.
 fn bit_packed<T: Copy + Default>(
     buf: &[u8],
     len: usize,
@@ -811,29 +865,68 @@ fn bit_packed<T: Copy + Default>(
 ) -> Result<()> {
     let frame = PackedFrame::parse(buf, len)?;
     out.resize(len, T::default());
-    let (min, mask, w) = (frame.min, frame.mask, frame.w);
-    // Eight values take `w` bytes. A group is read out of a `w + 8`-byte
-    // slice, which holds its last value's load, while one remains.
-    let groups = (frame.packed.len().saturating_sub(8) / w).min(len / 8);
-    let (whole, rest) = out.split_at_mut(groups * 8);
-    for (eight, src) in whole
-        .chunks_exact_mut(8)
-        .zip(frame.packed.windows(w + 8).step_by(w))
-    {
-        for (j, slot) in eight.iter_mut().enumerate() {
-            let bit = j * w;
-            // `bit / 8 < w`: the slice always holds this load
-            let window = src[bit >> 3..].first_chunk().copied().unwrap_or_default();
-            *slot =
-                put(min.wrapping_add(((u64::from_le_bytes(window) >> (bit & 7)) & mask) as i64))?;
+    let (min, packed) = (frame.min, frame.packed);
+    macro_rules! by_width {
+        ($($w:literal)*) => {
+            match frame.w {
+                $($w => unpack::<$w, T>(min, packed, out, put),)*
+                // the parse refused every width outside `1..=56`
+                _ => unpack::<56, T>(min, packed, out, put),
+            }
+        };
+    }
+    by_width!(
+        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28
+        29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55
+    )
+}
+
+/// The kernel of one width `W`: eight values take exactly `W` bytes, so
+/// each group of eight is one `[u8; W]` and [`offsets`] reads it at
+/// constant byte offsets, shifts and mask. `packed` holds exactly
+/// `⌈out.len()·W/8⌉` bytes ([`PackedFrame::parse`] checked it); the last
+/// group, cut short, is read through a zero-padded copy.
+fn unpack<const W: usize, T>(
+    min: i64,
+    packed: &[u8],
+    out: &mut [T],
+    put: impl Fn(i64) -> Result<T>,
+) -> Result<()> {
+    let whole = out.len() / 8;
+    let (groups, _) = packed.as_chunks::<W>();
+    let mut eights = out.chunks_exact_mut(8);
+    for (eight, group) in (&mut eights).zip(groups) {
+        for (slot, off) in eight.iter_mut().zip(offsets::<W>(group)) {
+            *slot = put(min.wrapping_add(off as i64))?;
         }
     }
-    // the last values' windows would cross the payload's end: they load
-    // through a zero-padded copy
-    for (i, slot) in rest.iter_mut().enumerate() {
-        *slot = put(frame.at(groups * 8 + i))?;
+    let rest = eights.into_remainder();
+    if !rest.is_empty() {
+        let tail = &packed[whole * W..];
+        let mut group = [0u8; W];
+        group[..tail.len()].copy_from_slice(tail);
+        for (slot, off) in rest.iter_mut().zip(offsets::<W>(&group)) {
+            *slot = put(min.wrapping_add(off as i64))?;
+        }
     }
     Ok(())
+}
+
+/// The eight `W`-bit offsets of one group. Offset `j` starts at bit `j·W`
+/// and ends inside the group, and its shift plus `W` bits fit one word:
+/// the bytes from `j·W/8` to the group's end, at most eight, hold it.
+#[inline(always)]
+fn offsets<const W: usize>(group: &[u8; W]) -> [u64; 8] {
+    let mask = u64::MAX >> (u64::BITS as usize - W);
+    let mut offs = [0u64; 8];
+    for (j, off) in offs.iter_mut().enumerate() {
+        let (at, shift) = (j * W / 8, j * W % 8);
+        let n = (W - at).min(8);
+        let mut word = [0u8; 8];
+        word[..n].copy_from_slice(&group[at..at + n]);
+        *off = (u64::from_le_bytes(word) >> shift) & mask;
+    }
+    offs
 }
 
 /// [`decode_with`]'s values at `positions` — ascending, each below `len` —
@@ -1845,6 +1938,136 @@ mod tests {
             Encoding::BitPacked,
         );
         assert_trailing_rejected(&ColumnVec::Date(vec![3, 1, 4, 1, 5]), Encoding::BitPacked);
+    }
+
+    /// `offsets` packed `w` bits each after a `BitPacked` header: the
+    /// frame the encoder would write, built bit by bit.
+    fn pack_bits(min: i64, w: u32, offsets: &[u64]) -> Vec<u8> {
+        let mut bytes = vec![0u8; (offsets.len() * w as usize).div_ceil(8)];
+        for (i, &off) in offsets.iter().enumerate() {
+            for bit in 0..w as usize {
+                let at = i * w as usize + bit;
+                bytes[at / 8] |= (((off >> bit) & 1) as u8) << (at % 8);
+            }
+        }
+        packed(min, w as u8, &bytes)
+    }
+
+    #[test]
+    fn bit_packed_kernels_match_oracle_at_every_width_and_length() {
+        let mut st = 0x2545_F491_4F6C_DD1Du64;
+        for w in 1..=56u32 {
+            let mask = u64::MAX >> (64 - w);
+            for len in [0usize, 1, 7, 8, 9, 4095, 4096] {
+                let offsets: Vec<u64> = (0..len).map(|_| xorshift(&mut st) & mask).collect();
+                // Int: any frame
+                let buf = pack_bits(-5, w, &offsets);
+                assert_same(&buf, Encoding::BitPacked, ValueType::Int, len);
+                // Date, a frame inside `i32`: narrowed unchecked
+                if w <= 31 {
+                    let buf = pack_bits(-1000, w, &offsets);
+                    assert_same(&buf, Encoding::BitPacked, ValueType::Date, len);
+                    assert_same(&buf, Encoding::BitPacked, ValueType::Int, len);
+                }
+                // Date, a frame leaving `i32`: checked value by value, so
+                // values inside `i32` decode and one past it is corrupt
+                let min = (i32::MAX as i64 - (mask / 2) as i64).max(i64::MIN / 2);
+                let lo = (i32::MIN as i64).max(min);
+                let span = (i32::MAX as i64 - lo) as u64 + 1;
+                let mut inside: Vec<u64> = (0..len)
+                    .map(|_| (lo - min) as u64 + xorshift(&mut st) % span)
+                    .collect();
+                let buf = pack_bits(min, w, &inside);
+                assert_same(&buf, Encoding::BitPacked, ValueType::Date, len);
+                if let Some(last) = inside.last_mut() {
+                    *last = mask;
+                    let buf = pack_bits(min, w, &inside);
+                    assert_same(&buf, Encoding::BitPacked, ValueType::Date, len);
+                    assert!(decode(&buf, Encoding::BitPacked, ValueType::Date, len).is_err());
+                }
+            }
+        }
+    }
+
+    /// A `DeltaVarint` / `GlobalCode` payload as the encoders write it
+    /// when every delta after the first is one byte: the first value's
+    /// varint, then one zig-zag byte per step.
+    fn one_byte_block(first: i64, steps: &[i64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_uvarint(&mut buf, zigzag(first));
+        for &d in steps {
+            assert!((-64..64).contains(&d), "one-byte step {d}");
+            buf.push(zigzag(d) as u8);
+        }
+        buf
+    }
+
+    #[test]
+    fn one_byte_delta_blocks_match_oracle_and_planted_continuations_fall_back() {
+        let mut st = 0x9FB2_1C65_1E98_DF25u64;
+        let steps: Vec<i64> = (0..69)
+            .map(|_| (xorshift(&mut st) % 128) as i64 - 64)
+            .collect();
+        let codes: Vec<i64> = (0..69).map(|i| [1, -1, 3, -3, 0][i % 5]).collect();
+        use Encoding::{DeltaVarint, GlobalCode};
+        let cases = [
+            (one_byte_block(1 << 40, &steps), DeltaVarint, ValueType::Int),
+            (one_byte_block(-7, &steps), DeltaVarint, ValueType::Int),
+            (one_byte_block(20_000, &steps), DeltaVarint, ValueType::Date),
+            (one_byte_block(1, &codes), GlobalCode, ValueType::Str),
+        ];
+        let dict = test_dict();
+        for (buf, enc, vt) in cases {
+            let len = 70;
+            let full = decode_with(&buf, enc, vt, len, Some(&dict));
+            assert!(full.is_ok(), "{enc:?} × {vt:?}: {full:?}");
+            for n in [len - 1, len, len + 1] {
+                assert_same(&buf, enc, vt, n);
+            }
+            // a payload one byte long or one byte short
+            let mut long = buf.clone();
+            long.push(2);
+            assert_same(&long, enc, vt, len);
+            assert!(decode_with(&long, enc, vt, len, Some(&dict)).is_err());
+            assert_same(&buf[..buf.len() - 1], enc, vt, len);
+            assert!(decode_with(&buf[..buf.len() - 1], enc, vt, len, Some(&dict)).is_err());
+            // a continuation bit at every offset: no longer one byte per
+            // step, so the general path decides, as the oracle does
+            for at in 0..buf.len() {
+                let mut planted = buf.clone();
+                planted[at] |= 0x80;
+                for n in [len - 1, len] {
+                    assert_same(&planted, enc, vt, n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_byte_delta_blocks_check_every_value() {
+        let dict = test_dict();
+        // a date that leaves `i32` part way through the block
+        let buf = one_byte_block(i32::MAX as i64 - 3, &[1; 9]);
+        assert_same(&buf, Encoding::DeltaVarint, ValueType::Date, 10);
+        assert_eq!(
+            decode(&buf, Encoding::DeltaVarint, ValueType::Date, 10),
+            Err(ColumnarError::Corrupt(format!(
+                "date {} out of range",
+                i32::MAX as i64 + 1
+            )))
+        );
+        // and one below `i32::MIN`
+        let buf = one_byte_block(i32::MIN as i64 + 1, &[-1; 9]);
+        assert_same(&buf, Encoding::DeltaVarint, ValueType::Date, 10);
+        assert!(decode(&buf, Encoding::DeltaVarint, ValueType::Date, 10).is_err());
+        // a code past the dictionary's five strings, and one below zero
+        for steps in [&[1i64; 9][..], &[-1; 9][..]] {
+            let buf = one_byte_block(2, steps);
+            assert_same(&buf, Encoding::GlobalCode, ValueType::Str, 10);
+            assert!(
+                decode_with(&buf, Encoding::GlobalCode, ValueType::Str, 10, Some(&dict)).is_err()
+            );
+        }
     }
 
     #[test]

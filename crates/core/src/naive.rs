@@ -20,6 +20,8 @@ pub struct NaiveImage {
 }
 
 impl NaiveImage {
+    /// The image of a stable table holding `stable_rows`, in order, sorted
+    /// on `sk_cols`.
     pub fn new(stable_rows: &[Tuple], sk_cols: Vec<usize>) -> Self {
         NaiveImage {
             rows: stable_rows.to_vec(),
@@ -34,10 +36,12 @@ impl NaiveImage {
         &self.rows
     }
 
+    /// Number of visible rows.
     pub fn len(&self) -> usize {
         self.rows.len()
     }
 
+    /// Whether no row is visible.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }

@@ -22,17 +22,23 @@ pub const NIL: NodeId = u32::MAX;
 /// order, plus sibling links.
 #[derive(Debug, Clone, Default)]
 pub struct Leaf {
+    /// SID of each entry, ascending.
     pub sids: Vec<u64>,
+    /// The update each entry carries, parallel to `sids`.
     pub upds: Vec<Upd>,
+    /// The previous leaf in leaf order, or [`NIL`].
     pub prev: NodeId,
+    /// The next leaf in leaf order, or [`NIL`].
     pub next: NodeId,
 }
 
 impl Leaf {
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.sids.len()
     }
 
+    /// Whether the leaf holds no entry.
     pub fn is_empty(&self) -> bool {
         self.sids.is_empty()
     }
@@ -51,20 +57,26 @@ impl Leaf {
 /// self-contained — no separator context needs to be threaded down.
 #[derive(Debug, Clone, Default)]
 pub struct Internal {
+    /// Minimum SID of each child's subtree.
     pub mins: Vec<u64>,
+    /// ∆ contribution (#inserts − #deletes) of each child's subtree.
     pub deltas: Vec<i64>,
+    /// The children, parallel to `mins` and `deltas`.
     pub children: Vec<NodeId>,
 }
 
 impl Internal {
+    /// Number of children.
     pub fn len(&self) -> usize {
         self.children.len()
     }
 
+    /// Whether the node has no child.
     pub fn is_empty(&self) -> bool {
         self.children.is_empty()
     }
 
+    /// Sum of the children's ∆ contributions.
     pub fn delta_sum(&self) -> i64 {
         self.deltas.iter().sum()
     }
@@ -73,11 +85,14 @@ impl Internal {
 /// A PDT tree node.
 #[derive(Debug, Clone)]
 pub enum Node {
+    /// A leaf of update entries.
     Leaf(Leaf),
+    /// An internal node over child subtrees.
     Internal(Internal),
 }
 
 impl Node {
+    /// The leaf; panics on an internal node.
     pub fn as_leaf(&self) -> &Leaf {
         match self {
             Node::Leaf(l) => l,
@@ -85,6 +100,7 @@ impl Node {
         }
     }
 
+    /// The leaf, mutably; panics on an internal node.
     pub fn as_leaf_mut(&mut self) -> &mut Leaf {
         match self {
             Node::Leaf(l) => l,
@@ -92,6 +108,7 @@ impl Node {
         }
     }
 
+    /// The internal node; panics on a leaf.
     pub fn as_internal(&self) -> &Internal {
         match self {
             Node::Internal(i) => i,
@@ -99,6 +116,7 @@ impl Node {
         }
     }
 
+    /// The internal node, mutably; panics on a leaf.
     pub fn as_internal_mut(&mut self) -> &mut Internal {
         match self {
             Node::Internal(i) => i,
@@ -106,6 +124,7 @@ impl Node {
         }
     }
 
+    /// Whether the node is a leaf.
     pub fn is_leaf(&self) -> bool {
         matches!(self, Node::Leaf(_))
     }

@@ -32,14 +32,28 @@ use std::fmt;
 pub enum SerializeError {
     /// Both transactions inserted a tuple with the same sort key at the
     /// same position.
-    KeyConflict { sid: u64 },
+    KeyConflict {
+        /// SID both inserts landed at.
+        sid: u64,
+    },
     /// The earlier transaction deleted a stable tuple the later one
     /// modifies or deletes.
-    DeletedByOther { sid: u64 },
+    DeletedByOther {
+        /// SID of the deleted stable tuple.
+        sid: u64,
+    },
     /// The later transaction deletes a tuple the earlier one modified.
-    DeleteOfModified { sid: u64 },
+    DeleteOfModified {
+        /// SID of the modified tuple.
+        sid: u64,
+    },
     /// Both transactions modified the same column of the same tuple.
-    ModModConflict { sid: u64, col: u16 },
+    ModModConflict {
+        /// SID of the tuple.
+        sid: u64,
+        /// The column both modified.
+        col: u16,
+    },
 }
 
 impl fmt::Display for SerializeError {

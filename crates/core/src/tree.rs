@@ -106,14 +106,17 @@ impl Pdt {
 
     // --- basic accessors ---------------------------------------------------
 
+    /// Schema of the table the PDT updates.
     pub fn schema(&self) -> &Schema {
         self.vals.schema()
     }
 
+    /// The table's sort-key columns.
     pub fn sk_cols(&self) -> &[usize] {
         self.vals.sk_cols()
     }
 
+    /// Most entries or children a node holds.
     pub fn fanout(&self) -> usize {
         self.fanout
     }
@@ -123,6 +126,7 @@ impl Pdt {
         self.entry_count
     }
 
+    /// Whether the PDT stores no update.
     pub fn is_empty(&self) -> bool {
         self.entry_count == 0
     }

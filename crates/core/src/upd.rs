@@ -36,14 +36,18 @@ pub struct Upd {
 }
 
 impl Upd {
+    /// An insert of the insert-table row at `val`.
     pub fn ins(val: u64) -> Upd {
         Upd { kind: INS, val }
     }
 
+    /// A delete whose sort key is the delete-table row at `val`.
     pub fn del(val: u64) -> Upd {
         Upd { kind: DEL, val }
     }
 
+    /// A modification of column `col` to the modify-table value at
+    /// `val`; panics when `col` collides with the insert/delete codes.
     pub fn modify(col: u16, val: u64) -> Upd {
         assert!(
             col <= MAX_COL,
@@ -52,14 +56,17 @@ impl Upd {
         Upd { kind: col, val }
     }
 
+    /// Whether the entry is an insert.
     pub fn is_ins(&self) -> bool {
         self.kind == INS
     }
 
+    /// Whether the entry is a delete.
     pub fn is_del(&self) -> bool {
         self.kind == DEL
     }
 
+    /// Whether the entry is a modification.
     pub fn is_mod(&self) -> bool {
         self.kind < DEL
     }

@@ -35,6 +35,7 @@ pub struct ValueSpace {
 }
 
 impl ValueSpace {
+    /// Empty value tables for a table of `schema` sorted on `sk_cols`.
     pub fn new(schema: Schema, sk_cols: Vec<usize>) -> Self {
         let ins = schema
             .fields()
@@ -59,10 +60,12 @@ impl ValueSpace {
         }
     }
 
+    /// Schema of the table.
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
+    /// The table's sort-key columns.
     pub fn sk_cols(&self) -> &[usize] {
         &self.sk_cols
     }

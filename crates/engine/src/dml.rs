@@ -66,7 +66,7 @@ use crate::{Database, DbError, ScanSpec};
 use columnar::{ColumnVec, Schema, StableTable, Tuple, Value, ValueType};
 use exec::expr::Expr;
 use exec::{Batch, DeltaLayers, ScanBounds, ScanSegment, TableScan};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -263,7 +263,7 @@ impl<'db> DbTxn<'db> {
     /// key order) among the rows visible to this transaction — or the
     /// duplicate-key error `append` would return. Read-only.
     pub fn rank_rows(&self, table: &str, rows: &Batch) -> Result<Vec<(usize, Vec<u64>)>, DbError> {
-        let ranked = self.rank(table, rows, &HashSet::new())?;
+        let ranked = self.rank(table, rows, &[])?;
         Ok(ranked.into_iter().map(|r| (r.part, r.base)).collect())
     }
 
@@ -272,15 +272,17 @@ impl<'db> DbTxn<'db> {
     /// order** and each one's partition-local base rid — its rank among the
     /// partition's visible rows, before the batch's own rows shift it
     /// ([`exec::rank_keys`]). A key equal to a visible row's is a duplicate
-    /// unless it is in `exempt` (a sort-key rewrite's own victims, which
-    /// the statement deletes first). Read-only, and every partition is
-    /// ranked before anything is returned, so a duplicate sort key —
-    /// within the batch, or against a visible row — leaves nothing staged.
+    /// unless it is in `exempt` (sorted: a sort-key rewrite's own victims,
+    /// which the statement deletes first). Keys are equal under the order
+    /// they sort by (`Value::cmp`: `-0.0` and `0.0` differ, a NaN equals
+    /// itself). Read-only, and every partition is ranked before anything
+    /// is returned, so a duplicate sort key — within the batch, or against
+    /// a visible row — leaves nothing staged.
     fn rank(
         &self,
         table: &str,
         rows: &Batch,
-        exempt: &HashSet<Vec<Value>>,
+        exempt: &[Vec<Value>],
     ) -> Result<Vec<Ranked>, DbError> {
         let t = self.table(table)?;
         let sk_cols = t.sk_cols();
@@ -294,7 +296,10 @@ impl<'db> DbTxn<'db> {
             table: table.to_string(),
             key: key.to_vec(),
         };
-        if let Some(w) = order.windows(2).find(|w| keys[w[0]] == keys[w[1]]) {
+        if let Some(w) = order
+            .windows(2)
+            .find(|w| keys[w[0]].cmp(&keys[w[1]]).is_eq())
+        {
             return Err(duplicate(&keys[w[0]]));
         }
         // keys are sorted, so each partition's slice stays sorted
@@ -319,7 +324,9 @@ impl<'db> DbTxn<'db> {
             let got = exec::rank_keys(seg, &pkeys, self.db.clock())?;
             self.note_resolved(table, Some(p), t0, pkeys.len(), got.blocks_decoded);
             let mut hits = got.eq.iter().zip(&pkeys);
-            if let Some((_, key)) = hits.find(|(&eq, key)| eq && !exempt.contains(**key)) {
+            if let Some((_, key)) = hits.find(|(&eq, key)| {
+                eq && exempt.binary_search_by(|v| v.as_slice().cmp(key)).is_err()
+            }) {
                 return Err(duplicate(key));
             }
             ranked.push(Ranked {
@@ -347,7 +354,7 @@ impl<'db> DbTxn<'db> {
         // (the common bulk-load case — then the only piece) moves straight
         // through, only out-of-order or cross-partition batches pay the
         // gather copy
-        for Ranked { part, idx, base } in self.rank(table, &rows, &HashSet::new())? {
+        for Ranked { part, idx, base } in self.rank(table, &rows, &[])? {
             // final positions include the intra-batch shift: the j-th row
             // of the partition's slice (in key order) lands j places after
             // its pre-batch rank
@@ -589,9 +596,10 @@ impl<'db> DbTxn<'db> {
         new_rows: Batch,
     ) -> Result<(), DbError> {
         let t = self.table(table)?;
-        let victim_keys: HashSet<Vec<Value>> = (0..pre.num_rows())
+        let mut victim_keys: Vec<Vec<Value>> = (0..pre.num_rows())
             .map(|i| t.sk_cols().iter().map(|&c| pre.cols[c].get(i)).collect())
             .collect();
+        victim_keys.sort();
         let cols = t.pre_image_cols(PreImageOf::Delete);
         self.rank(table, &new_rows, &victim_keys)?;
         self.stage_batch_delete(table, rids, pre.project(&cols))?;

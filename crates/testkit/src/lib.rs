@@ -66,6 +66,24 @@ pub fn key_eq_pred(sk_cols: &[usize], key: &[Value]) -> Expr {
         .expect("non-empty sort key")
 }
 
+/// Whether two rows (or sort keys) hold the same values cell by cell under
+/// the total order keys sort by: a NaN equals itself, `-0.0` and `0.0`
+/// differ, and an `Int` never equals a `Double` — as strict as identity.
+fn same_cells(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            std::mem::discriminant(x) == std::mem::discriminant(y) && x.cmp(y).is_eq()
+        })
+}
+
+/// Whether two images hold the same rows, compared cell by cell under the
+/// total order keys sort by: a NaN equals itself, `-0.0` and `0.0`
+/// differ — as strict as identity. How the harness holds every image to
+/// the model.
+pub fn same_rows(a: &[Tuple], b: &[Tuple]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_cells(x, y))
+}
+
 /// One database per update policy plus the naive model, driven in lockstep.
 pub struct DiffHarness {
     table: String,
@@ -294,10 +312,10 @@ impl DiffHarness {
             let t = db.table(&self.table).unwrap();
             assert_eq!(t.options().policy, *policy, "{context}: policy tag");
             let image = Self::merged_image(db, &self.table);
-            assert_eq!(
-                image,
-                self.model.rows(),
-                "{context}: {policy:?} image diverged from the model"
+            assert!(
+                same_rows(&image, self.model.rows()),
+                "{context}: {policy:?} image diverged from the model\n image: {image:?}\n model: {:?}",
+                self.model.rows()
             );
             assert_eq!(
                 db.row_count(&self.table).unwrap(),
@@ -313,10 +331,10 @@ impl DiffHarness {
         for (policy, db) in &self.dbs {
             let view = db.clean_view();
             let clean = run_to_rows(&mut view.scan_with(&self.table, ScanSpec::all()).unwrap());
-            assert_eq!(
-                clean,
-                self.model.rows(),
-                "{context}: {policy:?} clean image diverged"
+            assert!(
+                same_rows(&clean, self.model.rows()),
+                "{context}: {policy:?} clean image diverged\n clean: {clean:?}\n model: {:?}",
+                self.model.rows()
             );
         }
     }
@@ -326,7 +344,7 @@ impl DiffHarness {
     /// which case every database must reject it identically.
     pub fn insert(&mut self, tuple: Tuple) -> bool {
         let key = self.key_of(&tuple);
-        let dup = self.model.rows().iter().any(|r| self.key_of(r) == key);
+        let dup = (self.model.rows().iter()).any(|r| same_cells(&self.key_of(r), &key));
         for (policy, db) in &self.dbs {
             let mut txn = db.begin();
             let res = txn.insert(&self.table, tuple.clone());
@@ -357,12 +375,11 @@ impl DiffHarness {
         let keys: Vec<Vec<Value>> = rows.iter().map(|r| self.key_of(r)).collect();
         let mut sorted_keys = keys.clone();
         sorted_keys.sort();
-        let dup = sorted_keys.windows(2).any(|w| w[0] == w[1])
-            || self
-                .model
-                .rows()
-                .iter()
-                .any(|r| keys.contains(&self.key_of(r)));
+        let dup = sorted_keys.windows(2).any(|w| same_cells(&w[0], &w[1]))
+            || self.model.rows().iter().any(|r| {
+                let key = self.key_of(r);
+                keys.iter().any(|k| same_cells(k, &key))
+            });
         let types = self.schema.types();
         for (policy, db) in &self.dbs {
             let mut txn = db.begin();
@@ -444,7 +461,7 @@ impl DiffHarness {
         let mut new_keys: Vec<Vec<Value>> = post.iter().map(|r| self.key_of(r)).collect();
         new_keys.sort();
         let collides = rewrites_key
-            && (new_keys.windows(2).any(|w| w[0] == w[1])
+            && (new_keys.windows(2).any(|w| same_cells(&w[0], &w[1]))
                 || self.model.rows().iter().enumerate().any(|(i, r)| {
                     rids.binary_search(&(i as u64)).is_err()
                         && new_keys.binary_search(&self.key_of(r)).is_ok()
@@ -515,8 +532,8 @@ impl DiffHarness {
         post[m_col] = value.clone();
         let new_key = self.key_of(&post);
         let collides = touches_sk
-            && new_key != key
-            && self.model.rows().iter().any(|r| self.key_of(r) == new_key);
+            && !same_cells(&new_key, &key)
+            && (self.model.rows().iter()).any(|r| same_cells(&self.key_of(r), &new_key));
         for (policy, db) in &self.dbs {
             let mut txn = db.begin();
             let res =
@@ -773,9 +790,9 @@ pub fn run_interleaved_spec(
     }
     let (_, first) = &outcomes[0];
     for (policy, o) in &outcomes[1..] {
-        assert_eq!(
-            o, first,
-            "{policy:?} disagreed with {:?} on the interleaving outcome",
+        assert!(
+            (o.a_ok, o.b_ok) == (first.a_ok, first.b_ok) && same_rows(&o.image, &first.image),
+            "{policy:?} disagreed with {:?} on the interleaving outcome: {o:?} vs {first:?}",
             outcomes[0].0
         );
     }

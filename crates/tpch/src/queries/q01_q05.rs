@@ -25,16 +25,27 @@ pub fn q01(v: &ReadView) -> Vec<Tuple> {
         ],
         col(6).le(lit(d("1998-09-02"))),
     );
-    let disc_price = || col(3).mul(lit(1.0).sub(col(4)));
-    let charge = disc_price().mul(lit(1.0).add(col(5)));
+    // 6 disc_price = ext * (1 - disc), computed once for both sums
+    let li = proj(
+        li,
+        vec![
+            col(0),
+            col(1),
+            col(2),
+            col(3),
+            col(4),
+            col(5),
+            col(3).mul(lit(1.0).sub(col(4))),
+        ],
+    );
     let out = agg(
         li,
         vec![0, 1],
         vec![
             (Sum, col(2)),
             (Sum, col(3)),
-            (Sum, disc_price()),
-            (Sum, charge),
+            (Sum, col(6)),
+            (Sum, col(6).mul(lit(1.0).add(col(5)))),
             (Avg, col(2)),
             (Avg, col(3)),
             (Avg, col(4)),

@@ -66,7 +66,9 @@ pub enum TxnError {
     /// Optimistic concurrency control detected a write-write conflict; the
     /// transaction was aborted.
     Conflict {
+        /// The table whose delta conflicted.
         table: String,
+        /// Which update of the earlier transaction it conflicted with.
         source: SerializeError,
     },
     /// WAL I/O failure during commit.

@@ -108,8 +108,13 @@ const CKPT_MAGIC: u32 = 0x7064_7456;
 /// One entry of a logged delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalEntry {
+    /// The SID the entry applies at (0 in value-based logs).
     pub sid: u64,
+    /// The update kind: `INS`, `DEL`, `INS_BATCH`, `DEL_BATCH`, or the
+    /// modified column's number.
     pub kind: u16,
+    /// An insert's tuple, a delete's sort key, or a modification's one
+    /// value; a batch entry's items back to back.
     pub values: Vec<Value>,
 }
 
@@ -120,7 +125,9 @@ pub enum WalRecord {
     /// touched `(table, partition)` pair. Unpartitioned tables log
     /// partition `0`.
     Commit {
+        /// The commit's sequence number.
         seq: u64,
+        /// `(table, partition, entries)` per touched partition.
         tables: Vec<(String, u32, Vec<WalEntry>)>,
     },
     /// `(table, partition)` was checkpointed: every commit with sequence
@@ -130,8 +137,11 @@ pub enum WalRecord {
     /// checkpoint merge ran — are not, and neither are other partitions'
     /// commits at any sequence.
     Checkpoint {
+        /// The checkpoint's pinned commit sequence.
         seq: u64,
+        /// The checkpointed table.
         table: String,
+        /// The checkpointed partition of `table`.
         partition: u32,
         /// Manifest sequence of the persisted compressed image the
         /// checkpoint published (equal to `seq`); `None` when the
@@ -146,6 +156,8 @@ pub enum WalRecord {
         /// whole-partition checkpoint covers every row and leaves an
         /// empty residual.
         range: (u64, u64),
+        /// The covered commits' delta outside `range`, rebased onto the
+        /// post-merge stable.
         residual: Vec<WalEntry>,
     },
 }

@@ -7,7 +7,7 @@
 //! multi-GB allocation. The fixed-seed proptest shim makes every CI run
 //! exercise identical inputs.
 
-use columnar::compress::{decode, decode_at, decode_with, encode};
+use columnar::compress::{decode, decode_at, decode_with, encode, get_uvarint, unzigzag};
 use columnar::image::{decode_image, encode_image};
 use columnar::{
     ColumnVec, ColumnarError, Encoding, IoTracker, Schema, StableTable, StrDict, TableMeta, Value,
@@ -212,6 +212,75 @@ proptest! {
         }
     }
 
+    /// One-byte delta blocks — `DeltaVarint` as the block chooser writes
+    /// it, and `GlobalCode` over a small dictionary: the first value's
+    /// varint, then one byte per step. They decode to the values they
+    /// encode, every proper prefix and a trailing byte are corrupt, and
+    /// with a continuation bit planted in any byte (no longer one byte
+    /// per step) the decode is the payload's varints summed, or corrupt
+    /// exactly when those varints are.
+    #[test]
+    fn one_byte_delta_blocks_decode_to_their_varints(
+        first in any::<i64>(),
+        steps in prop::collection::vec(-64i64..64, 0..80),
+        pos_sel in any::<u64>(),
+    ) {
+        let ints: Vec<i64> = std::iter::once(first)
+            .chain(steps.iter().scan(first, |x, &d| {
+                *x = x.wrapping_add(d);
+                Some(*x)
+            }))
+            .collect();
+        let date0 = first as i32 as i64;
+        let dates: Vec<i64> = ints.iter().map(|&x| x.wrapping_sub(first).wrapping_add(date0)).collect();
+        let dict = StrDict::build(["", "a", "dup", "é✓", "zz"]);
+        let codes: Vec<u32> = ints.iter().map(|&x| x.rem_euclid(5) as u32).collect();
+        let cols = [
+            ColumnVec::Int(ints.clone()),
+            ColumnVec::Int(dates.clone()),
+            ColumnVec::Coded(codes, dict.clone()),
+        ];
+        for col in &cols {
+            let enc = match col {
+                ColumnVec::Coded(..) => Encoding::GlobalCode,
+                _ => Encoding::DeltaVarint,
+            };
+            let Some(mut bytes) = encode(col, enc) else {
+                return Err(format!("{enc:?} refused {col:?}"));
+            };
+            let n = col.len();
+            let full = decode_with(&bytes, enc, col.vtype(), n, Some(&dict));
+            prop_assert_eq!(full.as_ref(), Ok(col));
+            for cut in 0..bytes.len() {
+                prop_assert!(decode_with(&bytes[..cut], enc, col.vtype(), n, Some(&dict)).is_err());
+            }
+            bytes.push(0);
+            prop_assert!(decode_with(&bytes, enc, col.vtype(), n, Some(&dict)).is_err());
+            bytes.pop();
+            // the same payload as dates: corrupt exactly when a value leaves `i32`
+            if matches!(col, ColumnVec::Int(v) if v == &dates) {
+                let got = decode(&bytes, Encoding::DeltaVarint, ValueType::Date, n);
+                match dates.iter().map(|&x| i32::try_from(x).ok()).collect::<Option<Vec<i32>>>() {
+                    Some(d) => prop_assert_eq!(got, Ok(ColumnVec::Date(d))),
+                    None => prop_assert!(got.is_err()),
+                }
+            }
+            let at = (pos_sel % bytes.len() as u64) as usize;
+            bytes[at] |= 0x80;
+            for len in [n - 1, n] {
+                let want = summed_varints(&bytes, len);
+                let got = decode(&bytes, Encoding::DeltaVarint, ValueType::Int, len);
+                prop_assert_eq!(got.ok(), want.clone().map(ColumnVec::Int), "continuation at {}", at);
+                let got = decode_with(&bytes, Encoding::GlobalCode, ValueType::Str, len, Some(&dict));
+                let in_dict = want.filter(|v| v.iter().all(|&c| (0..5).contains(&c)));
+                prop_assert_eq!(
+                    got.ok().map(|c| c.as_codes().map(<[u32]>::to_vec)),
+                    in_dict.map(|v| Some(v.iter().map(|&c| c as u32).collect()))
+                );
+            }
+        }
+    }
+
     /// Arbitrary bytes (raw, and spliced behind a valid image header) must
     /// never panic the image loader.
     #[test]
@@ -335,6 +404,19 @@ proptest! {
         let got = loaded.scan_all(&io).map_err(|e| format!("scan_all: {e}"))?;
         prop_assert_eq!(got, rows);
     }
+}
+
+/// The running sums of the first `len` zig-zag varints of `buf`, read
+/// one at a time, if they are exactly the whole payload.
+fn summed_varints(buf: &[u8], len: usize) -> Option<Vec<i64>> {
+    let mut pos = 0;
+    let mut sum = 0i64;
+    let mut out = Vec::new();
+    for _ in 0..len {
+        sum = sum.wrapping_add(unzigzag(get_uvarint(buf, &mut pos).ok()?));
+        out.push(sum);
+    }
+    (pos == buf.len()).then_some(out)
 }
 
 /// `decode_at(positions)` ≡ `decode_with` gathered at `positions`:
