@@ -41,8 +41,11 @@ impl fmt::Display for ValueType {
 /// `Value` has a *total* order (doubles compare via `total_cmp`, `Null`
 /// sorts first, and heterogeneous comparisons order by type tag) so that it
 /// can be used directly as a sort-key component in `BTreeMap`s (the VDT
-/// baseline) and in merge comparisons.
-#[derive(Debug, Clone, PartialEq)]
+/// baseline) and in merge comparisons. Equality is identity under that
+/// order (see the `PartialEq` impl): `==` agrees with `Hash` everywhere
+/// and with `Ord` within a variant, so hashed and ordered key sets find
+/// the same keys.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Absent value. Sorts before everything else.
     Null,
@@ -56,6 +59,25 @@ pub enum Value {
     Str(String),
     /// Date as days since the Unix epoch.
     Date(i32),
+}
+
+/// Two values are equal exactly when they are the same value under the
+/// total order: the same variant, and `cmp` finds them equal. A NaN
+/// equals itself (doubles compare by bits, as `total_cmp` and `Hash` see
+/// them), `-0.0` and `0.0` differ, and an `Int` never equals a `Double`.
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        use Value::*;
+        match (self, other) {
+            (Null, Null) => true,
+            (Bool(a), Bool(b)) => a == b,
+            (Int(a), Int(b)) => a == b,
+            (Double(a), Double(b)) => a.to_bits() == b.to_bits(),
+            (Str(a), Str(b)) => a == b,
+            (Date(a), Date(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Eq for Value {}
@@ -246,24 +268,19 @@ pub type SkKey = Vec<Value>;
 /// value-based tree of `vdt`, the row buffer of `rowstore`): what a
 /// transaction keeps per statement for conflict validation, for the WAL
 /// flattening and for publication. Rows are addressed by the sort key of
-/// the tuple they carry; a statement staged as a batch stays one op — and
-/// downstream one WAL entry — not one per row.
+/// the tuple they carry. An insert or delete statement stays one op —
+/// and downstream one WAL entry — however many rows it touches; a
+/// one-row statement is a batch of one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KeyOp {
-    /// A brand-new tuple (its sort key was not visible at staging time).
-    Insert(Tuple),
-    /// A whole batch of brand-new tuples staged by one statement
-    /// (key-sorted, distinct keys).
-    InsertBatch(Vec<Tuple>),
-    /// Deletion of a visible tuple.
+    /// Brand-new tuples staged by one statement (key-sorted, distinct
+    /// keys not visible at staging time).
+    Insert(Vec<Tuple>),
+    /// Deletion of visible tuples staged by one statement.
     Delete {
-        /// Full pre-image: the sort key addresses the tuple, the rest
-        /// detects a concurrent modification.
-        pre: Tuple,
-    },
-    /// Deletion of a batch of visible tuples staged by one statement.
-    DeleteBatch {
-        /// Full pre-images in visible — i.e. key — order.
+        /// Full pre-images in visible — i.e. key — order: the sort key
+        /// addresses each tuple, the rest detects a concurrent
+        /// modification.
         pres: Vec<Tuple>,
     },
     /// In-place modification of one column of a visible tuple.
@@ -398,6 +415,19 @@ mod tests {
             Value::Int(3).cmp(&Value::Double(3.0)),
             std::cmp::Ordering::Equal
         );
+    }
+
+    #[test]
+    fn equality_is_identity_under_the_total_order() {
+        use std::collections::HashSet;
+        let nan = Value::Double(f64::NAN);
+        assert_eq!(nan, nan.clone(), "a NaN equals itself");
+        assert_ne!(Value::Double(-0.0), Value::Double(0.0));
+        assert_ne!(Value::Int(3), Value::Double(3.0), "variants never mix");
+        // a hashed set finds exactly the keys the order finds equal
+        let keys: HashSet<Vec<Value>> = [vec![nan.clone()], vec![Value::Double(0.0)]].into();
+        assert!(keys.contains(&vec![Value::Double(f64::NAN)]));
+        assert!(!keys.contains(&vec![Value::Double(-0.0)]));
     }
 
     #[test]

@@ -47,5 +47,5 @@ mod paper_example;
 pub use merge::PdtMerger;
 pub use serialize::SerializeError;
 pub use tree::{Cursor, DeleteOutcome, Pdt, RidLookup, DEFAULT_FANOUT};
-pub use upd::{EntryView, Upd, DEL, DEL_BATCH, INS, INS_BATCH};
+pub use upd::{EntryView, Upd, DEL, INS};
 pub use value_space::ValueSpace;

@@ -10,18 +10,8 @@
 pub const INS: u16 = u16::MAX;
 /// Type code for a delete (paper: `#define DEL 65534`).
 pub const DEL: u16 = u16::MAX - 1;
-/// WAL-only type code: one entry carrying a whole *batch* of inserted
-/// tuples (flattened back-to-back). Never stored inside a PDT leaf — the
-/// write-ahead log uses it so a bulk append costs one entry, not one per
-/// row (see `txn::wal`).
-pub const INS_BATCH: u16 = u16::MAX - 2;
-/// WAL-only type code: one entry carrying a batch of deleted sort keys
-/// (for PDT logs the victims' SIDs are consecutive starting at the
-/// entry's `sid`; value-based logs ignore the field).
-pub const DEL_BATCH: u16 = u16::MAX - 3;
-
 /// Maximum table column number representable in the type field.
-pub const MAX_COL: u16 = DEL_BATCH - 1;
+pub const MAX_COL: u16 = DEL - 1;
 
 /// The `(type, value)` half of a PDT update triplet; the SID half is stored
 /// in a parallel array in the leaf (see [`crate::node::Leaf`]).

@@ -211,38 +211,18 @@ fn key_entry(kind: u16, values: Vec<Value>) -> WalEntry {
     }
 }
 
-/// A statement's rows (or keys) as one unit of the op log and the WAL:
-/// nothing for none, the singular form for one — so mixed workloads keep
-/// their natural log shape — and the batch form otherwise.
-fn one_or_batch<T>(
-    mut rows: Vec<Vec<Value>>,
-    one: impl FnOnce(Vec<Value>) -> T,
-    batch: impl FnOnce(Vec<Vec<Value>>) -> T,
-) -> Option<T> {
-    match rows.len() {
-        0 => None,
-        1 => Some(one(rows.remove(0))),
-        _ => Some(batch(rows)),
-    }
-}
-
 /// Flatten a value-addressed residual (delete keys + insert tuples, each
-/// key-sorted) into loggable entries: deletes first, then inserts, so
-/// replaying through [`apply_key_entries`] reconstructs the structure
-/// exactly (an insert over its own delete key re-hides the stable row).
-fn key_residual_entries(dels: Vec<SkKey>, inss: Vec<Tuple>) -> Vec<WalEntry> {
-    let flat = |rows: Vec<Vec<Value>>| rows.into_iter().flatten().collect();
-    let dels = one_or_batch(
-        dels,
-        |key| key_entry(pdt::DEL, key),
-        |keys| key_entry(pdt::DEL_BATCH, flat(keys)),
-    );
-    let inss = one_or_batch(
-        inss,
-        |t| key_entry(pdt::INS, t),
-        |ts| key_entry(pdt::INS_BATCH, flat(ts)),
-    );
-    dels.into_iter().chain(inss).collect()
+/// key-sorted) into loggable entries: one `DEL` entry, then one `INS`
+/// entry, so replaying through [`apply_key_entries`] reconstructs the
+/// structure exactly (an insert over its own delete key re-hides the
+/// stable row).
+fn key_residual_entries(dels: &[SkKey], inss: &[Tuple]) -> Vec<WalEntry> {
+    let entry =
+        |kind, rows: &[Vec<Value>]| (!rows.is_empty()).then(|| key_entry(kind, rows.concat()));
+    entry(pdt::DEL, dels)
+        .into_iter()
+        .chain(entry(pdt::INS, inss))
+        .collect()
 }
 
 /// A key-addressed delta structure, as the one engine adapter
@@ -278,15 +258,8 @@ pub trait KeyDelta: Clone + Send + Sync + 'static {
     fn heap_bytes(&self) -> usize;
     /// Apply one staged op (transaction staging).
     fn apply_op(&mut self, op: &KeyOp);
-    /// Apply one logged insert.
-    fn apply_insert(&mut self, tuple: Tuple);
-    /// Apply one logged batch of inserts. Default: row loop; structures
-    /// with a cheaper bulk path override it.
-    fn apply_insert_batch(&mut self, tuples: Vec<Tuple>) {
-        for t in tuples {
-            self.apply_insert(t);
-        }
-    }
+    /// Apply one logged entry's inserts.
+    fn apply_inserts(&mut self, tuples: Vec<Tuple>);
     /// Apply one logged delete of the visible tuple at `key`.
     fn apply_delete(&mut self, key: &[Value]);
     /// The buffered tuple visible at `key`, if any.
@@ -354,10 +327,8 @@ impl KeyDelta for Vdt {
 
     fn apply_op(&mut self, op: &KeyOp) {
         match op {
-            KeyOp::Insert(t) => self.insert(t.clone()),
-            KeyOp::InsertBatch(ts) => self.insert_batch(ts.iter().cloned()),
-            KeyOp::Delete { pre } => self.apply_delete(&sk_of(pre, self.sk_cols())),
-            KeyOp::DeleteBatch { pres } => {
+            KeyOp::Insert(ts) => self.insert_batch(ts.iter().cloned()),
+            KeyOp::Delete { pres } => {
                 for pre in pres {
                     self.apply_delete(&sk_of(pre, self.sk_cols()));
                 }
@@ -366,8 +337,8 @@ impl KeyDelta for Vdt {
         }
     }
 
-    fn apply_insert(&mut self, tuple: Tuple) {
-        self.insert(tuple);
+    fn apply_inserts(&mut self, tuples: Vec<Tuple>) {
+        self.insert_batch(tuples);
     }
 
     fn apply_delete(&mut self, key: &[Value]) {
@@ -395,10 +366,10 @@ impl KeyDelta for Vdt {
     }
 }
 
-/// Apply key-addressed WAL entries (`INS` carries the full tuple, `DEL`
-/// the sort key, `INS_BATCH`/`DEL_BATCH` whole statements' worth of
-/// either) to a value-addressed structure — the one replay loop shared by
-/// WAL recovery and the checkpoint-residual rebuilds of both value stores.
+/// Apply key-addressed WAL entries (`INS` carries whole tuples, `DEL`
+/// sort keys, back to back) to a value-addressed structure — the one
+/// replay loop shared by WAL recovery and the checkpoint-residual
+/// rebuilds of both value stores.
 /// Entries come from a file: any other kind (value stores never log
 /// modifies, they flatten them to delete + insert — so this is a log some
 /// other policy wrote), a payload that does not slice into whole tuples
@@ -411,12 +382,11 @@ fn apply_key_entries<D: KeyDelta>(entries: &[WalEntry], sink: &mut D) -> Result<
     for e in entries {
         let n = e.values.len();
         let types = match e.kind {
-            pdt::INS | pdt::INS_BATCH => &tuple_types,
-            pdt::DEL | pdt::DEL_BATCH => &key_types,
+            pdt::INS => &tuple_types,
+            pdt::DEL => &key_types,
             kind => return Err(format!("modify entry (kind {kind}) in a value-store log")),
         };
-        let batched = matches!(e.kind, pdt::INS_BATCH | pdt::DEL_BATCH);
-        if n % types.len() != 0 || (!batched && n != types.len()) {
+        if n == 0 || n % types.len() != 0 {
             return Err(format!(
                 "entry of kind {} carries {n} values, tuples are {} wide and keys {}",
                 e.kind,
@@ -433,8 +403,7 @@ fn apply_key_entries<D: KeyDelta>(entries: &[WalEntry], sink: &mut D) -> Result<
         }
         let items = e.values.chunks(types.len());
         match e.kind {
-            pdt::INS => sink.apply_insert(e.values.clone()),
-            pdt::INS_BATCH => sink.apply_insert_batch(items.map(<[Value]>::to_vec).collect()),
+            pdt::INS => sink.apply_inserts(items.map(<[Value]>::to_vec).collect()),
             _ => items.for_each(|key| sink.apply_delete(key)),
         }
     }
@@ -681,7 +650,7 @@ impl DeltaTxn for PdtTxn {
     /// space **column-at-a-time** (typed `extend_range`, no per-value enum
     /// dispatch and no full-row materialization — each tree entry then just
     /// references its pre-assigned value-space offset), and by flowing to
-    /// the WAL as coalesced batch entries after serialization.
+    /// the WAL as one entry per run after serialization.
     fn stage_batch(&mut self, batch: &DmlBatch) {
         match batch {
             DmlBatch::Insert { rids, rows } => {
@@ -929,19 +898,18 @@ impl<D: KeyDelta> DeltaTxn for KeyTxn<D> {
         !self.ops.is_empty()
     }
 
-    /// Key-addressed batch staging: the whole statement becomes **one** op
-    /// (and downstream one WAL entry), which a structure with a bulk path
-    /// — the row buffer's single merge pass — absorbs as such.
+    /// Key-addressed batch staging: an insert or delete statement becomes
+    /// **one** op (and downstream one WAL entry), which a structure with a
+    /// bulk path — the row buffer's single merge pass — absorbs as such.
     fn stage_batch(&mut self, batch: &DmlBatch) {
+        // an op carries n ≥ 1 rows: an empty one would log an entry that
+        // replay refuses
+        if batch.is_empty() {
+            return;
+        }
         match batch {
-            DmlBatch::Insert { rows, .. } => {
-                self.stage(one_or_batch(rows.rows(), KeyOp::Insert, KeyOp::InsertBatch))
-            }
-            DmlBatch::Delete { pre, .. } => self.stage(one_or_batch(
-                pre.rows(),
-                |pre| KeyOp::Delete { pre },
-                |pres| KeyOp::DeleteBatch { pres },
-            )),
+            DmlBatch::Insert { rows, .. } => self.stage([KeyOp::Insert(rows.rows())]),
+            DmlBatch::Delete { pre, .. } => self.stage([KeyOp::Delete { pres: pre.rows() }]),
             // modifies keep per-row ops: the conflict contract is per
             // (key, column), and the pending-tuple fold keeps each
             // statement O(log n) per row anyway
@@ -985,35 +953,29 @@ impl<D: KeyDelta> DeltaTxn for KeyTxn<D> {
         // built from the current committed tuple (under the commit guard,
         // after prepare) overlaid with our modified columns, op by op.
         let mut post: std::collections::HashMap<SkKey, Tuple> = std::collections::HashMap::new();
-        let mut entries = Vec::new();
+        let mut entries: Vec<WalEntry> = Vec::new();
+        // consecutive entries of one kind share one entry: a
+        // row-at-a-time loop logs like the statement it stands for
+        let mut push = |kind: u16, values: Vec<Value>| match entries.last_mut() {
+            Some(prev) if prev.kind == kind => prev.values.extend(values),
+            _ => entries.push(key_entry(kind, values)),
+        };
         for op in &self.ops {
             match op {
-                KeyOp::Insert(t) => {
-                    post.insert(sk_of(t, sk_cols), t.clone());
-                    entries.push(key_entry(pdt::INS, t.clone()));
-                }
-                KeyOp::InsertBatch(ts) => {
-                    // one batched entry for the whole statement
-                    let mut flat = Vec::with_capacity(ts.len() * ts.first().map_or(0, Vec::len));
+                KeyOp::Insert(ts) => {
                     for t in ts {
                         post.insert(sk_of(t, sk_cols), t.clone());
-                        flat.extend(t.iter().cloned());
                     }
-                    entries.push(key_entry(pdt::INS_BATCH, flat));
+                    push(pdt::INS, ts.concat());
                 }
-                KeyOp::Delete { pre } => {
-                    let key = sk_of(pre, sk_cols);
-                    post.remove(&key);
-                    entries.push(key_entry(pdt::DEL, key));
-                }
-                KeyOp::DeleteBatch { pres } => {
-                    let mut flat = Vec::with_capacity(pres.len() * sk_cols.len());
+                KeyOp::Delete { pres } => {
+                    let mut keys = Vec::with_capacity(pres.len() * sk_cols.len());
                     for pre in pres {
                         let key = sk_of(pre, sk_cols);
                         post.remove(&key);
-                        flat.extend(key);
+                        keys.extend(key);
                     }
-                    entries.push(key_entry(pdt::DEL_BATCH, flat));
+                    push(pdt::DEL, keys);
                 }
                 KeyOp::Modify { pre, col, value } => {
                     let key = sk_of(pre, sk_cols);
@@ -1024,13 +986,13 @@ impl<D: KeyDelta> DeltaTxn for KeyTxn<D> {
                             .unwrap_or_else(|| pre.clone())
                     });
                     t[*col] = value.clone();
-                    entries.push(key_entry(pdt::DEL, key));
-                    entries.push(key_entry(pdt::INS, t.clone()));
+                    let t = t.clone();
+                    push(pdt::DEL, key);
+                    push(pdt::INS, t);
                 }
             }
         }
-        // runs of per-row entries (row-at-a-time loops) compact too
-        wal::coalesce_entries(entries)
+        entries
     }
 
     fn publish(self: Box<Self>, seq: u64, entries: &[WalEntry]) {
@@ -1076,38 +1038,34 @@ impl<D: KeyDelta> CheckpointPin for KeyPin<D> {
     ) -> Result<RangeMerge, DbError> {
         let pinned = &self.pinned;
         let empty = || D::new(pinned.schema().clone(), pinned.sk_cols().to_vec());
-        let mut residual = empty();
-        let mut residual_entries = Vec::new();
-        let folded = if range.covers_all_keys() {
-            Cow::Borrowed(&**pinned)
+        let (folded, mut residual, residual_entries) = if range.covers_all_keys() {
+            (Cow::Borrowed(&**pinned), empty(), Vec::new())
         } else {
-            // split the pinned structure by the range's key window,
-            // reconstructing each half through the logged-entry ops — a
-            // hidden stable tuple is a delete, a visible tuple an insert,
-            // hides before inserts per key, so a modify's delete+insert
-            // pair reconstructs exactly (the insert lands over its own
-            // delete marker and re-hides the stable row)
-            let mut folded = empty();
-            let mut res_dels: Vec<SkKey> = Vec::new();
-            let mut res_inss: Vec<Tuple> = Vec::new();
+            // split the pinned structure by the range's key window and
+            // rebuild each half as its logged entries replay: the delete
+            // keys (hidden stable tuples), then the visible tuples — so a
+            // modify's delete+insert pair reconstructs exactly (the insert
+            // lands over its own delete marker and re-hides the stable row)
+            let mut halves: [(Vec<SkKey>, Vec<Tuple>); 2] = Default::default();
             for (key, hides_stable, tuple) in pinned.contents() {
-                let in_win = range.key_in_window(key);
-                let half = if in_win { &mut folded } else { &mut residual };
+                let (dels, inss) = &mut halves[usize::from(!range.key_in_window(key))];
                 if hides_stable {
-                    half.apply_delete(key);
-                    if !in_win {
-                        res_dels.push(key.clone());
-                    }
+                    dels.push(key.clone());
                 }
                 if let Some(t) = tuple {
-                    half.apply_insert(t.clone());
-                    if !in_win {
-                        res_inss.push(t.clone());
-                    }
+                    inss.push(t.clone());
                 }
             }
-            residual_entries = key_residual_entries(res_dels, res_inss);
-            Cow::Owned(folded)
+            let [(dels, inss), (res_dels, res_inss)] = halves;
+            let residual_entries = key_residual_entries(&res_dels, &res_inss);
+            let rebuild = |dels: Vec<SkKey>, inss: Vec<Tuple>| {
+                let mut half = empty();
+                dels.iter().for_each(|key| half.apply_delete(key));
+                half.apply_inserts(inss);
+                half
+            };
+            let residual = rebuild(res_dels, res_inss);
+            (Cow::Owned(rebuild(dels, inss)), residual, residual_entries)
         };
         // a net-zero fold (e.g. the row buffer after insert + delete of
         // the same key): the current image already equals the merged one;

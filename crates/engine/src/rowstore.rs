@@ -63,27 +63,13 @@ impl KeyDelta for RowBuffer {
         self.apply(op);
     }
 
-    fn apply_insert(&mut self, tuple: Tuple) {
-        self.insert(tuple);
-    }
-
-    fn apply_insert_batch(&mut self, tuples: Vec<Tuple>) {
-        // batched entries from one `append` are key-sorted and take the
-        // single-merge-pass path; coalesced runs of independent statements
-        // may not be — fall back to the row loop for those
-        let sk = self.sk_cols().to_vec();
-        let sorted = tuples.windows(2).all(|w| {
-            sk.iter()
-                .map(|&c| &w[0][c])
-                .lt(sk.iter().map(|&c| &w[1][c]))
-        });
-        if sorted {
-            self.insert_batch(tuples);
-        } else {
-            for t in tuples {
-                self.insert(t);
-            }
-        }
+    fn apply_inserts(&mut self, mut tuples: Vec<Tuple>) {
+        // one statement's entry is key-sorted already; an entry extended
+        // by the next statement's rows may not be (its keys are distinct:
+        // re-inserting a key needs a delete entry between)
+        let sk = self.sk_cols();
+        tuples.sort_by(|a, b| sk.iter().map(|&c| &a[c]).cmp(sk.iter().map(|&c| &b[c])));
+        self.insert_batch(tuples);
     }
 
     fn apply_delete(&mut self, key: &[Value]) {

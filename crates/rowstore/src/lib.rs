@@ -202,7 +202,7 @@ impl RowBuffer {
 
     /// Record a batch of deletions in one merge pass (`pres` are the full
     /// pre-images of visible tuples, in key order) — the batch analogue of
-    /// [`RowBuffer::delete`], with the same slot transitions.
+    /// [`RowBuffer::delete_key`], with the same slot transitions.
     pub fn delete_batch(&mut self, pres: &[Tuple]) {
         if pres.is_empty() {
             return;
@@ -281,12 +281,6 @@ impl RowBuffer {
         }
     }
 
-    /// Record the deletion of the visible row `row` (key extracted).
-    pub fn delete(&mut self, row: &[Value]) {
-        let key = self.sk_of(row);
-        self.delete_key(&key);
-    }
-
     /// Record `row[col] = value` for the visible row whose pre-image is
     /// `pre`. The row buffer materialises the full updated tuple.
     pub fn modify(&mut self, pre: &[Value], col: usize, value: Value) {
@@ -315,14 +309,12 @@ impl RowBuffer {
 
     /// Apply one staged op (commit publication: the engine's store clones
     /// the committed buffer and replays a transaction's ops onto the
-    /// copy). Batch-staged statements keep their rows together, so they
-    /// replay through the single-merge-pass batch paths.
+    /// copy). A statement keeps its rows together, so it replays through
+    /// the single-merge-pass batch paths.
     pub fn apply(&mut self, op: &KeyOp) {
         match op {
-            KeyOp::Insert(t) => self.insert(t.clone()),
-            KeyOp::InsertBatch(ts) => self.insert_batch(ts.clone()),
-            KeyOp::Delete { pre } => self.delete(pre),
-            KeyOp::DeleteBatch { pres } => self.delete_batch(pres),
+            KeyOp::Insert(ts) => self.insert_batch(ts.clone()),
+            KeyOp::Delete { pres } => self.delete_batch(pres),
             KeyOp::Modify { pre, col, value } => self.modify(pre, *col, value.clone()),
         }
     }
@@ -423,10 +415,8 @@ impl RowRun {
             .map(|op| {
                 std::mem::size_of::<KeyOp>()
                     + match op {
-                        KeyOp::Insert(t) => tuple_bytes(t),
-                        KeyOp::InsertBatch(ts) => ts.iter().map(tuple_bytes).sum(),
-                        KeyOp::Delete { pre } => tuple_bytes(pre),
-                        KeyOp::DeleteBatch { pres } => pres.iter().map(tuple_bytes).sum(),
+                        KeyOp::Insert(ts) => ts.iter().map(tuple_bytes).sum(),
+                        KeyOp::Delete { pres } => pres.iter().map(tuple_bytes).sum(),
                         KeyOp::Modify { pre, value, .. } => tuple_bytes(pre) + val_bytes(value),
                     }
             })
@@ -459,24 +449,14 @@ impl ConflictSet {
         self.inserted.is_empty() && self.deleted.is_empty() && self.modified.is_empty()
     }
 
-    /// Fold one committed run into the footprint. Batch ops contribute one
-    /// footprint key per contained row.
+    /// Fold one committed run into the footprint: one footprint key per
+    /// row an op carries.
     pub fn add_run(&mut self, run: &RowRun, sk_cols: &[usize]) {
         let key_of = |t: &Tuple| -> SkKey { sk_cols.iter().map(|&c| t[c].clone()).collect() };
         for op in &run.ops {
             match op {
-                KeyOp::Insert(t) => {
-                    self.inserted.insert(key_of(t));
-                }
-                KeyOp::InsertBatch(ts) => {
-                    self.inserted.extend(ts.iter().map(key_of));
-                }
-                KeyOp::Delete { pre } => {
-                    self.deleted.insert(key_of(pre));
-                }
-                KeyOp::DeleteBatch { pres } => {
-                    self.deleted.extend(pres.iter().map(key_of));
-                }
+                KeyOp::Insert(ts) => self.inserted.extend(ts.iter().map(key_of)),
+                KeyOp::Delete { pres } => self.deleted.extend(pres.iter().map(key_of)),
                 KeyOp::Modify { pre, col, .. } => {
                     self.modified.entry(key_of(pre)).or_default().insert(*col);
                 }
@@ -485,15 +465,13 @@ impl ConflictSet {
     }
 
     /// Validate one of *our* staged ops against the concurrent footprint.
-    /// A batch op validates item-wise: any clashing row fails the whole op
+    /// An op validates row by row: any clashing row fails the whole op
     /// (and with it the transaction), exactly as a row loop would.
     pub fn check(&self, op: &KeyOp, sk_cols: &[usize]) -> Result<(), String> {
         let key_of = |t: &Tuple| -> SkKey { sk_cols.iter().map(|&c| t[c].clone()).collect() };
         match op {
-            KeyOp::Insert(t) => self.check_insert(key_of(t)),
-            KeyOp::InsertBatch(ts) => ts.iter().try_for_each(|t| self.check_insert(key_of(t))),
-            KeyOp::Delete { pre } => self.check_delete(key_of(pre)),
-            KeyOp::DeleteBatch { pres } => pres
+            KeyOp::Insert(ts) => ts.iter().try_for_each(|t| self.check_insert(key_of(t))),
+            KeyOp::Delete { pres } => pres
                 .iter()
                 .try_for_each(|pre| self.check_delete(key_of(pre))),
             KeyOp::Modify { pre, col, .. } => self.check_modify(key_of(pre), *col),
@@ -571,7 +549,7 @@ mod tests {
     fn delete_stable_and_buffered() {
         let mut b = buf();
         b.insert(vec![Value::Int(15), Value::Int(99)]);
-        b.delete(&[Value::Int(15), Value::Int(99)]); // buffered row: slot vanishes
+        b.delete_key(&[Value::Int(15)]); // buffered row: slot vanishes
         assert!(b.is_empty());
         b.delete_key(&[Value::Int(10)]); // stable row: tombstone
         let got = b.merge_rows(&rows(3));
@@ -631,9 +609,9 @@ mod tests {
     #[test]
     fn ops_replay_to_same_buffer() {
         let ops = [
-            KeyOp::Insert(vec![Value::Int(5), Value::Int(50)]),
+            KeyOp::Insert(vec![vec![Value::Int(5), Value::Int(50)]]),
             KeyOp::Delete {
-                pre: vec![Value::Int(10), Value::Int(1)],
+                pres: vec![vec![Value::Int(10), Value::Int(1)]],
             },
             KeyOp::Modify {
                 pre: vec![Value::Int(20), Value::Int(2)],
@@ -661,14 +639,14 @@ mod tests {
             &RowRun {
                 version: 1,
                 ops: vec![
-                    KeyOp::Insert(vec![Value::Int(5), Value::Int(0), Value::Int(0)]),
+                    KeyOp::Insert(vec![vec![Value::Int(5), Value::Int(0), Value::Int(0)]]),
                     KeyOp::Modify {
                         pre: pre.clone(),
                         col: 1,
                         value: Value::Int(11),
                     },
                     KeyOp::Delete {
-                        pre: vec![Value::Int(30), Value::Int(3), Value::Int(4)],
+                        pres: vec![vec![Value::Int(30), Value::Int(3), Value::Int(4)]],
                     },
                 ],
             },
@@ -677,17 +655,24 @@ mod tests {
         // insert vs insert
         assert!(cs
             .check(
-                &KeyOp::Insert(vec![Value::Int(5), Value::Int(9), Value::Int(9)]),
+                &KeyOp::Insert(vec![vec![Value::Int(5), Value::Int(9), Value::Int(9)]]),
                 &sk
             )
             .is_err());
         // delete vs modify
-        assert!(cs.check(&KeyOp::Delete { pre: pre.clone() }, &sk).is_err());
+        assert!(cs
+            .check(
+                &KeyOp::Delete {
+                    pres: vec![pre.clone()],
+                },
+                &sk
+            )
+            .is_err());
         // delete vs delete
         assert!(cs
             .check(
                 &KeyOp::Delete {
-                    pre: vec![Value::Int(30), Value::Int(3), Value::Int(4)],
+                    pres: vec![vec![Value::Int(30), Value::Int(3), Value::Int(4)]],
                 },
                 &sk
             )
@@ -728,7 +713,7 @@ mod tests {
         // untouched key sails through
         assert!(cs
             .check(
-                &KeyOp::Insert(vec![Value::Int(77), Value::Int(0), Value::Int(0)]),
+                &KeyOp::Insert(vec![vec![Value::Int(77), Value::Int(0), Value::Int(0)]]),
                 &sk
             )
             .is_ok());
@@ -771,7 +756,7 @@ mod tests {
         ];
         batched.delete_batch(&pres);
         for pre in &pres {
-            looped.delete(pre);
+            looped.delete_key(&pre[..1]);
         }
         assert_eq!(batched.slots(), looped.slots());
         assert_eq!(batched.delta_total(), looped.delta_total());
@@ -787,11 +772,11 @@ mod tests {
         ]);
         direct.delete_batch(&[vec![Value::Int(10), Value::Int(1)]]);
         let ops = [
-            KeyOp::InsertBatch(vec![
+            KeyOp::Insert(vec![
                 vec![Value::Int(5), Value::Int(0)],
                 vec![Value::Int(15), Value::Int(1)],
             ]),
-            KeyOp::DeleteBatch {
+            KeyOp::Delete {
                 pres: vec![vec![Value::Int(10), Value::Int(1)]],
             },
         ];
@@ -811,18 +796,24 @@ mod tests {
             &sk,
         );
         assert!(cs
-            .check(&KeyOp::Insert(vec![Value::Int(15), Value::Int(9)]), &sk)
+            .check(
+                &KeyOp::Insert(vec![vec![Value::Int(15), Value::Int(9)]]),
+                &sk
+            )
             .is_err());
         assert!(cs
             .check(
-                &KeyOp::DeleteBatch {
+                &KeyOp::Delete {
                     pres: vec![vec![Value::Int(10), Value::Int(1)]],
                 },
                 &sk
             )
             .is_err());
         assert!(cs
-            .check(&KeyOp::Insert(vec![Value::Int(99), Value::Int(9)]), &sk)
+            .check(
+                &KeyOp::Insert(vec![vec![Value::Int(99), Value::Int(9)]]),
+                &sk
+            )
             .is_ok());
     }
 

@@ -66,24 +66,6 @@ pub fn key_eq_pred(sk_cols: &[usize], key: &[Value]) -> Expr {
         .expect("non-empty sort key")
 }
 
-/// Whether two rows (or sort keys) hold the same values cell by cell under
-/// the total order keys sort by: a NaN equals itself, `-0.0` and `0.0`
-/// differ, and an `Int` never equals a `Double` — as strict as identity.
-fn same_cells(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            std::mem::discriminant(x) == std::mem::discriminant(y) && x.cmp(y).is_eq()
-        })
-}
-
-/// Whether two images hold the same rows, compared cell by cell under the
-/// total order keys sort by: a NaN equals itself, `-0.0` and `0.0`
-/// differ — as strict as identity. How the harness holds every image to
-/// the model.
-pub fn same_rows(a: &[Tuple], b: &[Tuple]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_cells(x, y))
-}
-
 /// One database per update policy plus the naive model, driven in lockstep.
 pub struct DiffHarness {
     table: String,
@@ -313,7 +295,7 @@ impl DiffHarness {
             assert_eq!(t.options().policy, *policy, "{context}: policy tag");
             let image = Self::merged_image(db, &self.table);
             assert!(
-                same_rows(&image, self.model.rows()),
+                image == self.model.rows(),
                 "{context}: {policy:?} image diverged from the model\n image: {image:?}\n model: {:?}",
                 self.model.rows()
             );
@@ -332,7 +314,7 @@ impl DiffHarness {
             let view = db.clean_view();
             let clean = run_to_rows(&mut view.scan_with(&self.table, ScanSpec::all()).unwrap());
             assert!(
-                same_rows(&clean, self.model.rows()),
+                clean == self.model.rows(),
                 "{context}: {policy:?} clean image diverged\n clean: {clean:?}\n model: {:?}",
                 self.model.rows()
             );
@@ -344,7 +326,7 @@ impl DiffHarness {
     /// which case every database must reject it identically.
     pub fn insert(&mut self, tuple: Tuple) -> bool {
         let key = self.key_of(&tuple);
-        let dup = (self.model.rows().iter()).any(|r| same_cells(&self.key_of(r), &key));
+        let dup = (self.model.rows().iter()).any(|r| self.key_of(r) == key);
         for (policy, db) in &self.dbs {
             let mut txn = db.begin();
             let res = txn.insert(&self.table, tuple.clone());
@@ -375,11 +357,8 @@ impl DiffHarness {
         let keys: Vec<Vec<Value>> = rows.iter().map(|r| self.key_of(r)).collect();
         let mut sorted_keys = keys.clone();
         sorted_keys.sort();
-        let dup = sorted_keys.windows(2).any(|w| same_cells(&w[0], &w[1]))
-            || self.model.rows().iter().any(|r| {
-                let key = self.key_of(r);
-                keys.iter().any(|k| same_cells(k, &key))
-            });
+        let dup = sorted_keys.windows(2).any(|w| w[0] == w[1])
+            || (self.model.rows().iter()).any(|r| keys.contains(&self.key_of(r)));
         let types = self.schema.types();
         for (policy, db) in &self.dbs {
             let mut txn = db.begin();
@@ -461,7 +440,7 @@ impl DiffHarness {
         let mut new_keys: Vec<Vec<Value>> = post.iter().map(|r| self.key_of(r)).collect();
         new_keys.sort();
         let collides = rewrites_key
-            && (new_keys.windows(2).any(|w| same_cells(&w[0], &w[1]))
+            && (new_keys.windows(2).any(|w| w[0] == w[1])
                 || self.model.rows().iter().enumerate().any(|(i, r)| {
                     rids.binary_search(&(i as u64)).is_err()
                         && new_keys.binary_search(&self.key_of(r)).is_ok()
@@ -500,6 +479,31 @@ impl DiffHarness {
         !collides
     }
 
+    /// UPDATE non-key columns of the model's visible row `rid`: one
+    /// positional `update_col` statement per `(column, value)`, in order,
+    /// all in one committed transaction per database.
+    pub fn update_cols(&mut self, rid: u64, sets: &[(usize, Value)]) {
+        for (policy, db) in &self.dbs {
+            let mut txn = db.begin();
+            for (col, value) in sets {
+                assert!(
+                    !self.sk_cols.contains(col),
+                    "column {col} is a sort-key column"
+                );
+                let mut vals = columnar::ColumnVec::new(self.schema.vtype(*col));
+                vals.push(value);
+                txn.update_col(&self.table, &[rid], *col, vals)
+                    .unwrap_or_else(|e| panic!("{policy:?}: update_col failed: {e}"));
+            }
+            txn.commit()
+                .unwrap_or_else(|e| panic!("{policy:?}: update_cols commit failed: {e}"));
+        }
+        for (col, value) in sets {
+            self.model.modify(rid as usize, *col, value.clone());
+        }
+        self.assert_agree("after update_cols");
+    }
+
     /// DELETE the model's visible row `rid` through one committed
     /// transaction per database (victims located by sort key).
     pub fn delete(&mut self, rid: usize) {
@@ -532,8 +536,8 @@ impl DiffHarness {
         post[m_col] = value.clone();
         let new_key = self.key_of(&post);
         let collides = touches_sk
-            && !same_cells(&new_key, &key)
-            && (self.model.rows().iter()).any(|r| same_cells(&self.key_of(r), &new_key));
+            && new_key != key
+            && (self.model.rows().iter()).any(|r| self.key_of(r) == new_key);
         for (policy, db) in &self.dbs {
             let mut txn = db.begin();
             let res =
@@ -791,7 +795,7 @@ pub fn run_interleaved_spec(
     let (_, first) = &outcomes[0];
     for (policy, o) in &outcomes[1..] {
         assert!(
-            (o.a_ok, o.b_ok) == (first.a_ok, first.b_ok) && same_rows(&o.image, &first.image),
+            o == first,
             "{policy:?} disagreed with {:?} on the interleaving outcome: {o:?} vs {first:?}",
             outcomes[0].0
         );

@@ -22,19 +22,19 @@
 //! Skipping is by sequence number, not file position, precisely because of
 //! that mid-merge interleaving.
 //!
-//! ## Batched entries
+//! ## Statement-sized entries
 //!
-//! The engine's write path is batch-first: a bulk append stages one
-//! `DmlBatch` per statement, and its WAL flattening is one entry per
-//! batch, not one per row. Two dedicated kind codes carry
-//! those entries: [`pdt::INS_BATCH`] (values = `n` whole tuples
-//! back-to-back) and [`pdt::DEL_BATCH`] (values = `n` sort keys
-//! back-to-back). For PDT logs a batch-insert entry's `sid` is the shared
-//! insertion point of all its tuples, and a batch-delete entry covers
-//! victims at the *consecutive* SIDs `sid..sid+n`; value-based logs set
-//! `sid = 0` and ignore it. [`coalesce_entries`] folds any per-row entry
-//! stream into this compact form (order-preserving), and
-//! [`rebuild_pdt`] / the engine's key-entry replay expand it back.
+//! The engine's write path is batch-first: every statement stages one
+//! `DmlBatch`, and its WAL flattening is one entry per run of rows, not
+//! one per row. An [`pdt::INS`] entry carries `n ≥ 1` whole tuples back
+//! to back and a [`pdt::DEL`] entry `n ≥ 1` sort keys back to back; a
+//! one-row statement is an entry with `n = 1`. For PDT logs an insert
+//! entry's `sid` is the shared insertion point of all its tuples, and a
+//! delete entry covers victims at the *consecutive* SIDs `sid..sid+n`;
+//! value-based logs set `sid = 0` and ignore it. [`pdt_entries`] builds
+//! this form from a PDT, extending the last entry with every update
+//! that continues it, and [`rebuild_pdt`] / the engine's key-entry
+//! replay expand it back.
 //!
 //! ## Partition tags
 //!
@@ -56,8 +56,8 @@
 //!               [has_image u8][image_seq u64 when has_image = 1]
 //!               [s0 u64][s1 u64][nentries u32]
 //!                 nentries × [sid u64][kind u16][nvals u32][payload]
-//! payload: INS → full tuple, DEL → sort-key values, MOD → one value,
-//!          INS_BATCH → n tuples, DEL_BATCH → n sort keys
+//! payload: INS → n ≥ 1 tuples, DEL → n ≥ 1 sort keys, MOD → one value
+//!          (n = nvals / the tuple or sort-key width)
 //! value:   [tag u8][data]   (0=Null 1=Bool 2=Int 3=Double 4=Str 5=Date)
 //! ```
 //!
@@ -80,41 +80,43 @@
 use columnar::{Schema, Value};
 use pdt::builder::PdtBuilder;
 use pdt::value_space::ValueSpace;
-use pdt::{Pdt, Upd, DEL, DEL_BATCH, INS, INS_BATCH};
+use pdt::{Pdt, Upd, DEL, INS};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
-// "pdtT": commit records carry a per-record string dictionary and log
+// "pdtW": commit records carry a per-record string dictionary and log
 // string values as `u32` codes into it, so a batched entry repeating
 // the same string (low-cardinality columns, key echoes in DEL/modify
-// entries) pays its bytes once. Bumped from "pdtP" (the partition-
-// tagged format, itself bumped from "pdtB") so dictionary-less logs
-// from older builds fail loudly with "bad record magic" instead of
-// misparsing — replay them with the build that wrote them, checkpoint,
-// and restart ("pdtR"/"pdtS" are the image-file and marker magics,
-// skipped to keep the magics distinct).
-const MAGIC: u32 = 0x7064_7454;
-// "pdtV": every checkpoint marker carries the folded SID window and the
+// entries) pays its bytes once; an INS / DEL entry carries n ≥ 1 rows.
+// Bumped from "pdtT" (whose logs carried n ≥ 2 rows under two batch
+// kinds beside the one-row INS / DEL), itself bumped from "pdtP" and
+// "pdtB", so logs from older builds fail loudly with "bad record magic"
+// instead of misparsing — replay them with the build that wrote them,
+// checkpoint, and restart ("pdtR" is the image-file magic, "pdtS" an
+// old marker magic, skipped to keep the magics distinct).
+const MAGIC: u32 = 0x7064_7457;
+// "pdtX": every checkpoint marker carries the folded SID window and the
 // residual out-of-range delta inline — one layout, a whole-partition
-// checkpoint being the window over every row. Bumped from "pdtU" (which
-// branched on a scope byte) so markers from older builds fail loudly with
-// "bad record magic" instead of misparsing; replay such logs with the
-// build that wrote them, checkpoint, restart.
-const CKPT_MAGIC: u32 = 0x7064_7456;
+// checkpoint being the window over every row — in the entry form of
+// "pdtW". Bumped from "pdtV" (residuals under the two batch kinds),
+// itself bumped from "pdtU" (which branched on a scope byte), so markers
+// from older builds fail loudly with "bad record magic" instead of
+// misparsing; replay such logs with the build that wrote them,
+// checkpoint, restart.
+const CKPT_MAGIC: u32 = 0x7064_7458;
 
 /// One entry of a logged delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalEntry {
     /// The SID the entry applies at (0 in value-based logs).
     pub sid: u64,
-    /// The update kind: `INS`, `DEL`, `INS_BATCH`, `DEL_BATCH`, or the
-    /// modified column's number.
+    /// The update kind: `INS`, `DEL`, or the modified column's number.
     pub kind: u16,
-    /// An insert's tuple, a delete's sort key, or a modification's one
-    /// value; a batch entry's items back to back.
+    /// An insert's `n ≥ 1` tuples or a delete's `n ≥ 1` sort keys back
+    /// to back, or a modification's one value.
     pub values: Vec<Value>,
 }
 
@@ -670,95 +672,55 @@ pub fn checkpoint_markers(records: &[WalRecord]) -> HashMap<String, HashMap<u32,
 }
 
 /// Flatten a (serialized, consecutive) PDT into loggable entries: one
-/// entry per *batch* where the structure allows it — consecutive inserts
-/// at one insertion point and deletes of consecutive SIDs collapse into
-/// `INS_BATCH` / `DEL_BATCH` entries via [`coalesce_entries`].
+/// entry per *run* where the structure allows it — consecutive inserts at
+/// one insertion point and deletes of consecutive SIDs share one `INS` /
+/// `DEL` entry.
 pub fn pdt_entries(pdt: &Pdt) -> Vec<WalEntry> {
-    let per_row = pdt.iter().map(|e| {
-        let values: Vec<Value> = if e.upd.is_ins() {
-            pdt.vals().get_insert(e.upd.val)
-        } else if e.upd.is_del() {
-            pdt.vals().get_delete(e.upd.val)
-        } else {
-            vec![pdt.vals().get_modify(e.upd.col_no() as usize, e.upd.val)]
-        };
-        WalEntry {
-            sid: e.sid,
-            kind: e.upd.kind,
-            values,
-        }
-    });
-    coalesce_entries(per_row)
-}
-
-/// Fold a per-row entry stream into batched entries, order-preserving:
-///
-/// * a run of `INS` entries sharing one `sid` (a bulk insert into one
-///   stable gap — always the case for value-based logs, whose sids are 0)
-///   becomes one `INS_BATCH` entry with the tuples back-to-back;
-/// * a run of `DEL` entries whose sids ascend by exactly 1 (deleting a
-///   contiguous stable range; trivially true at sid 0 for value-based
-///   logs — see below) becomes one `DEL_BATCH` entry at the run's first
-///   sid;
-/// * everything else (modifies, isolated inserts/deletes) passes through.
-///
-/// Value-based stores log every entry with `sid = 0`, so their DEL runs
-/// never ascend; they emit `DEL_BATCH` entries directly instead.
-pub fn coalesce_entries(entries: impl IntoIterator<Item = WalEntry>) -> Vec<WalEntry> {
-    let mut out: Vec<WalEntry> = Vec::new();
-    // per-item value width of the growing batch entry (0 = no open batch)
-    let mut open_width = 0usize;
-    let mut open_items = 0u64;
-    for e in entries {
-        if let Some(prev) = out.last_mut() {
-            if open_width > 0 && e.kind == prev.kind {
-                let extends = match e.kind {
-                    INS => e.sid == prev.sid,
-                    DEL => e.sid == prev.sid + open_items,
-                    _ => false,
-                };
-                if extends && e.values.len() == open_width {
-                    prev.values.extend(e.values);
-                    open_items += 1;
-                    continue;
-                }
-            }
-            // close a pending 2+-item run into its batch kind
-            if open_items > 1 {
-                prev.kind = match prev.kind {
-                    INS => INS_BATCH,
-                    DEL => DEL_BATCH,
-                    k => k,
-                };
-            }
-        }
-        open_width = match e.kind {
-            INS | DEL => e.values.len(),
-            _ => 0,
-        };
-        open_items = 1;
-        out.push(e);
-    }
-    if open_items > 1 {
-        if let Some(prev) = out.last_mut() {
-            prev.kind = match prev.kind {
-                INS => INS_BATCH,
-                DEL => DEL_BATCH,
-                k => k,
-            };
-        }
+    let mut out = Vec::new();
+    for e in pdt.iter() {
+        push_pdt_entry(&mut out, pdt, e.sid, e.upd);
     }
     out
 }
 
+/// Append the PDT update `upd`, logged at `sid`, to `out`, order-preserving.
+/// It extends the last entry when it continues it — an insert at the last
+/// `INS` entry's SID (one stable gap), or a delete at the SID just past
+/// the last `DEL` entry's victims (a contiguous stable range). Anything
+/// else — modifies, isolated inserts and deletes — opens a new entry.
+fn push_pdt_entry(out: &mut Vec<WalEntry>, pdt: &Pdt, sid: u64, upd: Upd) {
+    let values = if upd.is_ins() {
+        pdt.vals().get_insert(upd.val)
+    } else if upd.is_del() {
+        pdt.vals().get_delete(upd.val)
+    } else {
+        vec![pdt.vals().get_modify(upd.col_no() as usize, upd.val)]
+    };
+    if let Some(prev) = out.last_mut().filter(|prev| prev.kind == upd.kind) {
+        let extends = match upd.kind {
+            INS => sid == prev.sid,
+            DEL => sid == prev.sid + (prev.values.len() / values.len()) as u64,
+            _ => false,
+        };
+        if extends {
+            prev.values.extend(values);
+            return;
+        }
+    }
+    out.push(WalEntry {
+        sid,
+        kind: upd.kind,
+        values,
+    });
+}
+
 /// Rebuild a (consecutive) delta PDT from logged entries for propagation.
-/// Batched entries expand back to their per-row updates: `INS_BATCH`
-/// tuples all insert at the entry's sid, `DEL_BATCH` keys delete the
-/// consecutive sids starting there. Entries may come from a file some
-/// other table or policy wrote: a payload that is not whole tuples / keys
-/// / one value of the table's column types, a modify of a column the table
-/// does not have, or entries out of (SID, RID) order are reported, not
-/// built.
+/// Entries expand back to their per-row updates: an `INS` entry's tuples
+/// all insert at its sid, a `DEL` entry's keys delete the consecutive
+/// sids starting there. Entries may come from a file some other table or
+/// policy wrote: a payload that is not whole tuples / keys / one value of
+/// the table's column types, a modify of a column the table does not
+/// have, or entries out of (SID, RID) order are reported, not built.
 pub fn rebuild_pdt(
     schema: &Schema,
     sk_cols: &[usize],
@@ -768,18 +730,17 @@ pub fn rebuild_pdt(
     let key_width = sk_cols.len();
     let typed = |v: &Value, col: usize| v.is_null() || v.value_type() == Some(schema.vtype(col));
     let is_key = |key: &[Value]| key.iter().zip(sk_cols).all(|(v, &c)| typed(v, c));
-    let whole = |values: &[Value], width: usize| width > 0 && values.len().is_multiple_of(width);
+    let whole =
+        |values: &[Value], width: usize| !values.is_empty() && values.len().is_multiple_of(width);
     let mut vals = ValueSpace::new(schema.clone(), sk_cols.to_vec());
     let mut staged: Vec<(u64, Upd)> = Vec::with_capacity(entries.len());
     for e in entries {
         let fits = match e.kind {
-            INS => schema.validate(&e.values),
-            DEL => e.values.len() == key_width && is_key(&e.values),
-            INS_BATCH => {
+            INS => {
                 whole(&e.values, tuple_width)
                     && e.values.chunks(tuple_width).all(|t| schema.validate(t))
             }
-            DEL_BATCH => whole(&e.values, key_width) && e.values.chunks(key_width).all(is_key),
+            DEL => whole(&e.values, key_width) && e.values.chunks(key_width).all(is_key),
             col => {
                 (col as usize) < tuple_width
                     && e.values.len() == 1
@@ -795,14 +756,12 @@ pub fn rebuild_pdt(
             ));
         }
         match e.kind {
-            INS => staged.push((e.sid, Upd::ins(vals.add_insert(&e.values)))),
-            DEL => staged.push((e.sid, Upd::del(vals.add_delete(&e.values)))),
-            INS_BATCH => {
+            INS => {
                 for tuple in e.values.chunks(tuple_width) {
                     staged.push((e.sid, Upd::ins(vals.add_insert(tuple))));
                 }
             }
-            DEL_BATCH => {
+            DEL => {
                 for (i, key) in e.values.chunks(key_width).enumerate() {
                     staged.push((e.sid + i as u64, Upd::del(vals.add_delete(key))));
                 }
@@ -828,8 +787,8 @@ pub fn rebuild_pdt(
 /// else is the **residual**: prefix entries (`sid < s0`) keep their
 /// SIDs, suffix entries (`sid ≥ s1`) shift by the window's net row
 /// delta, because the merged range now occupies `[s0, s1 + net)` in the
-/// spliced stable. Returns the residual as coalesced loggable entries
-/// (the marker payload; [`rebuild_pdt`] turns it back into the new
+/// spliced stable. Returns the residual as loggable entries, runs
+/// sharing an entry as in [`pdt_entries`] (the marker payload; [`rebuild_pdt`] turns it back into the new
 /// in-memory read layer) and the signed `net` row delta.
 ///
 /// Relies on [`Pdt::iter`] yielding entries in non-decreasing SID order,
@@ -841,7 +800,7 @@ pub fn rebase_pdt_outside_range(
     fold_tail: bool,
 ) -> (Vec<WalEntry>, i64) {
     let mut net: i64 = 0;
-    let mut kept: Vec<WalEntry> = Vec::new();
+    let mut kept = Vec::new();
     for e in pdt.iter() {
         let is_ins = e.upd.is_ins();
         let in_range = if is_ins {
@@ -857,13 +816,6 @@ pub fn rebase_pdt_outside_range(
             }
             continue;
         }
-        let values: Vec<Value> = if is_ins {
-            pdt.vals().get_insert(e.upd.val)
-        } else if e.upd.is_del() {
-            pdt.vals().get_delete(e.upd.val)
-        } else {
-            vec![pdt.vals().get_modify(e.upd.col_no() as usize, e.upd.val)]
-        };
         let sid = if e.sid >= s1 {
             e.sid
                 .checked_add_signed(net)
@@ -871,13 +823,9 @@ pub fn rebase_pdt_outside_range(
         } else {
             e.sid
         };
-        kept.push(WalEntry {
-            sid,
-            kind: e.upd.kind,
-            values,
-        });
+        push_pdt_entry(&mut kept, pdt, sid, e.upd);
     }
-    (coalesce_entries(kept), net)
+    (kept, net)
 }
 
 /// Encode one value. Strings present in `codes` (every string of a commit
@@ -1069,42 +1017,80 @@ mod tests {
             kind: DEL,
             values: vec![Value::Int(k)],
         };
-        // 3 inserts at one gap + 2 deletes of consecutive sids + an
-        // isolated insert + a modify: 7 per-row entries → 4 logged entries
-        let per_row = vec![
-            ins(2, 20),
-            ins(2, 21),
-            ins(2, 22),
-            del(5, 50),
-            del(6, 60),
-            WalEntry {
-                sid: 7,
-                kind: 1,
-                values: vec![Value::Int(-1)],
-            },
-            ins(9, 90),
-        ];
-        let coalesced = coalesce_entries(per_row.clone());
-        assert_eq!(coalesced.len(), 4);
-        assert_eq!(coalesced[0].kind, INS_BATCH);
-        assert_eq!(coalesced[0].values.len(), 6);
-        assert_eq!(coalesced[1].kind, DEL_BATCH);
-        assert_eq!(coalesced[1].sid, 5);
-        assert_eq!(coalesced[3].kind, INS);
-        // the batched log rebuilds the identical PDT
-        let from_rows = rebuild_pdt(&schema, &[0], &per_row).unwrap();
-        let from_batches = rebuild_pdt(&schema, &[0], &coalesced).unwrap();
-        from_batches.check_invariants();
-        assert_eq!(from_rows.len(), from_batches.len());
-        let a: Vec<_> = from_rows
+        // one-row entries: inserts of 1, 2 and 5 tuples at three gaps,
+        // deletes of 3 consecutive sids and of 1 sid, a modify between
+        let mut per_row = vec![ins(2, 20), ins(4, 40), ins(4, 41)];
+        per_row.extend((5..8).map(|sid| del(sid, sid as i64 * 10)));
+        per_row.push(WalEntry {
+            sid: 8,
+            kind: 1,
+            values: vec![Value::Int(-1)],
+        });
+        per_row.extend((0..5).map(|i| ins(9, 90 + i)));
+        per_row.extend([del(12, 120), del(14, 140)]);
+        let pdt = rebuild_pdt(&schema, &[0], &per_row).unwrap();
+        // a run of one kind shares one entry: INS at one sid, DEL at
+        // consecutive sids
+        let entries = pdt_entries(&pdt);
+        let shape: Vec<_> = entries
             .iter()
-            .map(|e| (e.sid, e.rid, e.upd.kind))
+            .map(|e| (e.sid, e.kind, e.values.len()))
             .collect();
-        let b: Vec<_> = from_batches
-            .iter()
-            .map(|e| (e.sid, e.rid, e.upd.kind))
-            .collect();
-        assert_eq!(a, b);
+        assert_eq!(
+            shape,
+            [
+                (2, INS, 2),
+                (4, INS, 4),
+                (5, DEL, 3),
+                (8, 1, 1),
+                (9, INS, 10),
+                (12, DEL, 1),
+                (14, DEL, 1),
+            ]
+        );
+        // through the log and back: the same entries, the same PDT
+        let dir = std::env::temp_dir().join("pdt_wal_runs_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("runs.wal");
+        let mut buf = Vec::new();
+        encode_commit_record(&mut buf, 1, &[("t", 0, entries.as_slice())]);
+        std::fs::write(&path, &buf).unwrap();
+        let records = read_all(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let WalRecord::Commit { tables, .. } = &records[0] else {
+            panic!("expected a commit record");
+        };
+        assert_eq!(tables[0].2, entries);
+        let rebuilt = rebuild_pdt(&schema, &[0], &tables[0].2).unwrap();
+        rebuilt.check_invariants();
+        let updates = |p: &Pdt| -> Vec<_> { p.iter().map(|e| (e.sid, e.rid, e.upd)).collect() };
+        assert_eq!(updates(&rebuilt), updates(&pdt));
+        assert_eq!(pdt_entries(&rebuilt), entries);
+    }
+
+    #[test]
+    fn a_log_from_the_previous_format_is_refused() {
+        // "pdtT" commits and "pdtV" markers carried two batch kinds
+        // beside the one-row INS / DEL
+        let dir = std::env::temp_dir().join("pdt_wal_old_magic_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.wal");
+        let entries = [WalEntry {
+            sid: 0,
+            kind: INS,
+            values: vec![Value::Int(1)],
+        }];
+        let mut commit = Vec::new();
+        encode_commit_record(&mut commit, 1, &[("t", 0, entries.as_slice())]);
+        let mut marker = Vec::new();
+        encode_checkpoint_record(&mut marker, "t", 0, 1, None, (0, 1), &entries);
+        for (mut record, old) in [(commit, 0x7064_7454u32), (marker, 0x7064_7456)] {
+            record[..4].copy_from_slice(&old.to_le_bytes());
+            std::fs::write(&path, &record).unwrap();
+            let err = read_all(&path).unwrap_err();
+            assert!(err.to_string().contains("bad record magic"), "{err}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1116,7 +1102,7 @@ mod tests {
         let entries = vec![
             WalEntry {
                 sid: 3,
-                kind: INS_BATCH,
+                kind: INS,
                 values: vec![
                     Value::Int(1),
                     Value::Str("a".into()),
@@ -1126,7 +1112,7 @@ mod tests {
             },
             WalEntry {
                 sid: 0,
-                kind: DEL_BATCH,
+                kind: DEL,
                 values: vec![Value::Int(7), Value::Int(8)],
             },
         ];
@@ -1223,7 +1209,7 @@ mod tests {
             },
             WalEntry {
                 sid: 90,
-                kind: DEL_BATCH,
+                kind: DEL,
                 values: vec![Value::Int(1), Value::Int(2)],
             },
         ];

@@ -37,22 +37,10 @@ impl Vdt {
     /// just the first one per key.
     pub fn replay(&mut self, op: &KeyOp) -> Result<(), String> {
         match op {
-            KeyOp::Insert(t) => self.replay_insert(t),
-            KeyOp::InsertBatch(ts) => {
-                // the batch footprint validates item-wise: any clashing key
-                // aborts the whole transaction, exactly as a row loop would
-                for t in ts {
-                    self.replay_insert(t)?;
-                }
-                Ok(())
-            }
-            KeyOp::Delete { pre } => self.replay_delete(pre),
-            KeyOp::DeleteBatch { pres } => {
-                for pre in pres {
-                    self.replay_delete(pre)?;
-                }
-                Ok(())
-            }
+            // a statement validates item-wise: any clashing row aborts
+            // the whole transaction, exactly as a row loop would
+            KeyOp::Insert(ts) => ts.iter().try_for_each(|t| self.replay_insert(t)),
+            KeyOp::Delete { pres } => pres.iter().try_for_each(|pre| self.replay_delete(pre)),
             KeyOp::Modify { pre, col, value } => {
                 let sk = self.sk_of(pre);
                 match self.pending_insert(&sk) {
@@ -137,9 +125,9 @@ mod tests {
         direct.modify(&[Value::Int(20), Value::Int(2)], 1, Value::Int(99));
 
         let ops = [
-            KeyOp::Insert(vec![Value::Int(5), Value::Int(50)]),
+            KeyOp::Insert(vec![vec![Value::Int(5), Value::Int(50)]]),
             KeyOp::Delete {
-                pre: vec![Value::Int(10), Value::Int(1)],
+                pres: vec![vec![Value::Int(10), Value::Int(1)]],
             },
             KeyOp::Modify {
                 pre: vec![Value::Int(20), Value::Int(2)],
@@ -159,7 +147,7 @@ mod tests {
     fn insert_conflicts_with_pending_insert() {
         let mut v = vdt();
         v.insert(vec![Value::Int(5), Value::Int(1)]);
-        let op = KeyOp::Insert(vec![Value::Int(5), Value::Int(2)]);
+        let op = KeyOp::Insert(vec![vec![Value::Int(5), Value::Int(2)]]);
         assert!(replay_all(&[op], &mut v).is_err());
     }
 
@@ -204,7 +192,9 @@ mod tests {
         // concurrent modify → delete conflicts
         let mut v = vdt();
         v.modify(&base, 1, Value::Int(50));
-        let del = KeyOp::Delete { pre: base.clone() };
+        let del = KeyOp::Delete {
+            pres: vec![base.clone()],
+        };
         assert!(replay_all(std::slice::from_ref(&del), &mut v).is_err());
         // concurrent delete → delete conflicts
         let mut v = vdt();
@@ -226,7 +216,9 @@ mod tests {
                 col: 1,
                 value: Value::Int(7),
             },
-            KeyOp::Delete { pre: modified },
+            KeyOp::Delete {
+                pres: vec![modified],
+            },
         ];
         let mut v = vdt();
         replay_all(&ops, &mut v).unwrap();
@@ -281,7 +273,9 @@ mod tests {
                 col: 2,
                 value: Value::Int(22),
             },
-            KeyOp::Delete { pre: chained },
+            KeyOp::Delete {
+                pres: vec![chained],
+            },
         ];
         assert!(replay_all(&ops, &mut v).is_err(), "delete-vs-modify");
     }

@@ -5,8 +5,8 @@
 //! produce exactly the state the equivalent row-at-a-time statements
 //! would — same visible rows, same duplicate-key and write-write conflict
 //! verdicts, and the same state after a crash recovered from the WAL
-//! (whose batched `INS_BATCH`/`DEL_BATCH` encodings must replay to what
-//! per-row entries would have). `testkit::DiffHarness` holds the batched
+//! (whose statement-sized `INS` / `DEL` entries must replay to what
+//! one-row entries would have). `testkit::DiffHarness` holds the batched
 //! statements to the same `NaiveImage` model it holds the row-at-a-time
 //! ones to, one WAL-backed database per [`engine::UpdatePolicy`], so
 //! batch ≡ rows follows through the model; every script ends in a crash
@@ -277,10 +277,7 @@ fn double_keys_are_duplicates_under_their_sort_order() {
         assert!(rowwise.insert(r(k, a)), "{k}");
     }
     assert!(!rowwise.insert(r(f64::NAN, 4)));
-    assert!(testkit::same_rows(
-        batched.model().rows(),
-        rowwise.model().rows()
-    ));
+    assert_eq!(batched.model().rows(), rowwise.model().rows());
     batched.crash_recover();
     rowwise.crash_recover();
 }
@@ -306,5 +303,26 @@ fn nan_payloads_agree_through_checkpoint_and_recovery() {
     h.checkpoint();
     h.crash_recover();
     h.delete_rids(&[0]);
+    h.crash_recover();
+}
+
+/// Two statements of one transaction modify two columns of a committed,
+/// not yet checkpointed row whose sort key is NaN: the log carries the
+/// row as the transaction left it, so the image recovered from it is the
+/// live one — the value stores' WAL flattening must find the row's
+/// post-image by its NaN key again for the second column, or it logs
+/// that column over the committed row and loses the first.
+#[test]
+fn two_updates_of_a_nan_keyed_row_survive_recovery() {
+    let schema = Schema::from_pairs(&[
+        ("k", ValueType::Double),
+        ("a", ValueType::Int),
+        ("b", ValueType::Int),
+    ]);
+    let r = |k: f64| vec![Value::Double(k), Value::Int(0), Value::Int(0)];
+    let dir = std::env::temp_dir().join(format!("pdt_batch_diff_nan_key_{}", std::process::id()));
+    let mut h = DiffHarness::with_wal(dir, "t", schema, vec![0], vec![r(-1.0), r(2.0)], 2);
+    assert!(h.insert(r(f64::NAN)));
+    h.update_cols(2, &[(1, Value::Int(5)), (2, Value::Int(7))]);
     h.crash_recover();
 }

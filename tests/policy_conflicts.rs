@@ -222,3 +222,45 @@ fn disjoint_keys_commit_both_everywhere() {
     assert_eq!(out.image[1][1], Value::Int(-1));
     assert_eq!(out.image[6][1], Value::Int(-2));
 }
+
+/// A `Double` sort key is one key under the order keys sort by: two
+/// concurrent inserts of one NaN key abort the second writer everywhere —
+/// the row store's hashed footprint must find a NaN key it holds.
+#[test]
+fn concurrent_inserts_of_one_nan_key_abort_the_second_writer_everywhere() {
+    let schema = Schema::from_pairs(&[("k", ValueType::Double), ("a", ValueType::Int)]);
+    let base = vec![vec![Value::Double(1.0), Value::Int(0)]];
+    let ins = |a: i64| TxnOp::Insert(vec![Value::Double(f64::NAN), Value::Int(a)]);
+    let out = run_interleaved(schema, vec![0], base, &[ins(1)], &[ins(2)]);
+    assert!(out.a_ok && !out.b_ok, "{out:?}");
+    assert_eq!(out.image.len(), 2);
+}
+
+/// A modify of a column holding NaN reconciles with a concurrent modify
+/// of another column of the same row everywhere — the VDT's replay must
+/// see the NaN it staged against as unchanged.
+#[test]
+fn modify_of_a_nan_column_reconciles_with_a_disjoint_concurrent_modify_everywhere() {
+    let schema = Schema::from_pairs(&[
+        ("k", ValueType::Double),
+        ("a", ValueType::Double),
+        ("b", ValueType::Int),
+    ]);
+    let row = |k: f64, a: f64, b: i64| vec![Value::Double(k), Value::Double(a), Value::Int(b)];
+    let base = vec![row(1.0, f64::NAN, 0), row(2.0, 0.5, 0)];
+    let key = vec![Value::Double(1.0)];
+    let set = |col: usize, value: Value| TxnOp::Modify {
+        key: key.clone(),
+        col,
+        value,
+    };
+    let out = run_interleaved(
+        schema,
+        vec![0],
+        base,
+        &[set(2, Value::Int(5))],
+        &[set(1, Value::Double(3.0))],
+    );
+    assert!(out.a_ok && out.b_ok, "{out:?}");
+    assert_eq!(out.image[0], row(1.0, 3.0, 5));
+}
