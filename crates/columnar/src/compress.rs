@@ -51,8 +51,9 @@ pub enum Encoding {
     Dict,
     /// Zig-zag varint deltas for integer/date columns. The block chooser
     /// writes it only when every delta after the first is one byte, which
-    /// the decoder checks once and sums in one pass; it still decodes
-    /// multi-byte deltas, which older images may hold.
+    /// the decoder checks once and sums in one pass; the wire form allows
+    /// multi-byte deltas, and the decoder reads them on the path
+    /// `GlobalCode` codes into a large dictionary take.
     DeltaVarint,
     /// `u32` codes into a table-global per-column string dictionary,
     /// stored as zig-zag varint deltas. Decodes to [`ColumnVec::Coded`].
@@ -705,8 +706,8 @@ fn get_uvarint_word(buf: &[u8], pos: &mut usize) -> Result<u64> {
 /// codes into a dictionary of at most 64 strings step by one byte too:
 /// such a payload is summed
 /// in one loop with no test per byte ([`one_byte_steps`] checks it once).
-/// Any other payload — older images, codes into a large dictionary, a
-/// corrupt one — takes [`delta_varints_chained`], which reaches the same
+/// Any other payload — codes into a large dictionary, a corrupt one —
+/// takes [`delta_varints_chained`], which reaches the same
 /// values and verdicts.
 fn delta_varints<T: Copy + Default>(
     buf: &[u8],

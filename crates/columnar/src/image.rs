@@ -73,14 +73,11 @@ const IMAGE_MAGIC: u32 = 0x7064_7452;
 /// v4 added the [`Encoding::BitPacked`] block codec (tag 5); v5 replaced
 /// the whole-body FNV-1a with a [`checksum`] per block and one over the
 /// head, and moved inline payloads behind the head (see the module
-/// docs). v5 is written; v3 and v4 still load under their whole-body
-/// FNV-1a — v3 is v4 without tag 5, and the checkpoint markers of every
-/// log a v3 or v4 build wrote point at such images (a v5 image may
-/// reference blocks of a v3 or v4 generation, checked against the
-/// checksum taken as they are read). Older images, like v1 manifests,
-/// were written by builds whose WAL checkpoint markers the log reader no
-/// longer accepts, so no readable log can lead recovery to one — they are
-/// [`ColumnarError::Corrupt`].
+/// docs). v5 is the only version read. Every older image, like a v1
+/// manifest, was written by a build whose WAL records the log reader no
+/// longer accepts; recovery reaches an image only through a checkpoint
+/// marker of a readable log, so it never reaches one of those — any
+/// other version is [`ColumnarError::Corrupt`].
 const IMAGE_VERSION: u32 = 5;
 /// Encoding-byte tag marking a block *reference* (physical blocks use the
 /// [`Encoding::ALL`] indices 0–5).
@@ -173,18 +170,6 @@ fn vtype_of(tag: u8) -> Result<ValueType> {
     })
 }
 
-/// The codec of a block tag in an image of `version` (v3 predates
-/// [`Encoding::BitPacked`]).
-fn encoding_of(tag: u8, version: u32) -> Result<Encoding> {
-    match Encoding::ALL.get(tag as usize) {
-        Some(Encoding::BitPacked) if version < 4 => Err(ColumnarError::Corrupt(format!(
-            "encoding tag {tag} in a v{version} image"
-        ))),
-        Some(&e) => Ok(e),
-        None => Err(ColumnarError::Corrupt(format!("bad encoding tag {tag}"))),
-    }
-}
-
 fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.push(0),
@@ -237,17 +222,6 @@ fn get_key(cur: &mut Cursor<'_>) -> Result<SkKey> {
         key.push(get_value(cur)?);
     }
     Ok(key)
-}
-
-/// FNV-1a 64 over a v3/v4 image body: those formats' whole-file
-/// corruption check, kept to load them (see [`legacy_body_end`]).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -381,22 +355,21 @@ fn write_image<E>(
 
 /// One block slot of a parsed image: an inline payload, or a reference
 /// into a prior generation of the same partition. `sum` is the checksum
-/// the slot stores — `None` in a v3/v4 image, whose body FNV-1a covers
-/// every byte instead.
+/// the slot stores.
 enum RawBlock<'a> {
     Inline {
         len: usize,
         vtype: ValueType,
         encoding: Encoding,
         payload: &'a [u8],
-        sum: Option<u64>,
+        sum: u64,
     },
     Ref {
         len: usize,
         vtype: ValueType,
         src_seq: u64,
         src_idx: usize,
-        sum: Option<u64>,
+        sum: u64,
     },
 }
 
@@ -436,10 +409,9 @@ impl RawImage<'_> {
     }
 
     /// The inline block in slot `(c, j)`, its payload checked against the
-    /// checksum the slot stores (a v3/v4 slot stores none; the parser
-    /// takes the block's checksum here all the same). A reference slot is
-    /// corruption wherever a block must be read: publishes flatten
-    /// provenance, so a reference never lands on another.
+    /// checksum the slot stores. A reference slot is corruption wherever a
+    /// block must be read: publishes flatten provenance, so a reference
+    /// never lands on another.
     fn block(&self, c: usize, j: usize) -> Result<Block> {
         match self.cols.get(c).and_then(|col| col.get(j)) {
             Some(&RawBlock::Inline {
@@ -450,7 +422,7 @@ impl RawImage<'_> {
                 sum,
             }) => {
                 let b = Block::new(len, vtype, encoding, Bytes::copy_from_slice(payload));
-                if sum.is_some_and(|s| s != b.checksum()) {
+                if sum != b.checksum() {
                     return Err(ColumnarError::Corrupt(format!(
                         "{} block {j}: payload checksum mismatch",
                         self.column(c)
@@ -468,17 +440,6 @@ impl RawImage<'_> {
             ))),
         }
     }
-}
-
-/// Where a v3/v4 image's body ends, once its whole-body FNV-1a — the
-/// trailing eight bytes — matches the body between version and sum.
-fn legacy_body_end(bytes: &[u8]) -> Result<usize> {
-    let end = bytes.len() - 8;
-    let stored = Cursor::at(bytes, end).u64()?;
-    if fnv1a(&bytes[8..end]) != stored {
-        return Err(ColumnarError::Corrupt("image checksum mismatch".into()));
-    }
-    Ok(end)
 }
 
 /// Where a v5 image's head ends (its checksum follows), once that
@@ -508,19 +469,15 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage<'_>> {
         return Err(ColumnarError::Corrupt("bad image magic".into()));
     }
     let version = cur.u32()?;
-    if !(3..=IMAGE_VERSION).contains(&version) {
+    if version != IMAGE_VERSION {
         return Err(ColumnarError::Corrupt(format!(
             "unsupported image version {version}"
         )));
     }
-    // v3/v4 inline payloads sit in their slots; v5 ones follow the head,
-    // each behind its checksum, in slot order
-    let (head_end, mut payloads) = if version < 5 {
-        (legacy_body_end(bytes)?, None)
-    } else {
-        let end = sealed_head_end(&mut cur)?;
-        (end, Some(Cursor::at(bytes, end + 8)))
-    };
+    // inline payloads follow the head, each behind its checksum, in slot
+    // order
+    let head_end = sealed_head_end(&mut cur)?;
+    let mut payloads = Cursor::at(bytes, head_end + 8);
     let mut cur = Cursor::at(&bytes[..head_end], cur.pos);
     let seq = cur.u64()?;
     let name = cur.str()?;
@@ -591,29 +548,24 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage<'_>> {
                         "block ref to seq {src_seq} not older than image seq {seq}"
                     )));
                 }
-                let sum = if version < 5 { None } else { Some(cur.u64()?) };
                 blocks.push(RawBlock::Ref {
                     len,
                     vtype,
                     src_seq,
                     src_idx,
-                    sum,
+                    sum: cur.u64()?,
                 });
             } else {
-                let encoding = encoding_of(tag, version)?;
+                let encoding = *Encoding::ALL
+                    .get(tag as usize)
+                    .ok_or_else(|| ColumnarError::Corrupt(format!("bad encoding tag {tag}")))?;
                 let plen = cur.u32()? as usize;
-                let (payload, sum) = match &mut payloads {
-                    Some(p) => {
-                        let sum = p.u64()?;
-                        (p.take(plen)?, Some(sum))
-                    }
-                    None => (cur.take(plen)?, None),
-                };
+                let sum = payloads.u64()?;
                 blocks.push(RawBlock::Inline {
                     len,
                     vtype,
                     encoding,
-                    payload,
+                    payload: payloads.take(plen)?,
                     sum,
                 });
             }
@@ -627,7 +579,7 @@ fn parse_image(bytes: &[u8]) -> Result<RawImage<'_>> {
         mins.push(get_key(&mut cur)?);
         maxs.push(get_key(&mut cur)?);
     }
-    let unread = (head_end - cur.pos) + payloads.map_or(0, |p| bytes.len() - p.pos);
+    let unread = (head_end - cur.pos) + (bytes.len() - payloads.pos);
     if unread != 0 {
         return Err(ColumnarError::Corrupt(format!(
             "image has {unread} bytes past its last field"
@@ -695,7 +647,7 @@ fn resolve_image(
                             "block ref ({src_seq}, {src_idx}) shape mismatch"
                         )));
                     }
-                    if sum.is_some_and(|s| s != b.checksum()) {
+                    if sum != b.checksum() {
                         return Err(ColumnarError::Corrupt(format!(
                             "{} block {j}: block ref ({src_seq}, {src_idx}) checksum mismatch",
                             raw.column(c)
@@ -735,7 +687,7 @@ fn resolve_image(
 /// `io` — the image load *is* the cold-start I/O the paper's plots model.
 /// Only self-contained images decode this way; an image with block
 /// references needs its dependency files and must go through
-/// [`ImageStore::load`]. An image older than v3 is
+/// [`ImageStore::load`]. An image of any version but v5 is
 /// [`ColumnarError::Corrupt`].
 pub fn decode_image(bytes: &[u8], io: &IoTracker) -> Result<(StableTable, u64)> {
     let raw = parse_image(bytes)?;
@@ -1365,17 +1317,27 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Formats only builds before the current WAL marker format wrote: a
-    /// v2 image and a v1 manifest are refused as corrupt, never read.
+    /// Formats only builds before the current WAL record format wrote: a
+    /// v2, v3 or v4 image and a v1 manifest are refused as corrupt, never
+    /// read.
     #[test]
     fn v2_images_and_v1_manifests_are_corrupt() {
-        let mut v2 = encode_image(&table(200, 64), 7);
-        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
         let io = IoTracker::new();
-        assert!(matches!(
-            decode_image(&v2, &io),
-            Err(ColumnarError::Corrupt(_))
-        ));
+        let fresh = encode_image(&table(200, 64), 7);
+        let old = |version: u32| {
+            let mut img = fresh.clone();
+            img[4..8].copy_from_slice(&version.to_le_bytes());
+            img
+        };
+        for version in [2, 3, 4] {
+            assert_eq!(
+                decode_image(&old(version), &io).err(),
+                Some(ColumnarError::Corrupt(format!(
+                    "unsupported image version {version}"
+                )))
+            );
+        }
+        let v2 = old(2);
         let dir = std::env::temp_dir().join(format!("pdt-old-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = ImageStore::open(&dir).unwrap();
@@ -1403,66 +1365,6 @@ mod tests {
             Err(ColumnarError::Corrupt(_))
         ));
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A v3 image, written by the build before [`Encoding::BitPacked`]
-    /// existed: [`v3_rows`] as table `fx` in 32-row blocks, at sequence 3.
-    const V3_IMAGE: &[u8] = include_bytes!("../testdata/image_v3.img");
-
-    fn v3_rows() -> Vec<Tuple> {
-        (0..96i64)
-            .map(|i| {
-                vec![
-                    Value::Int(i * 3),
-                    Value::Int((i * 2_654_435_761) % (1 << 20)),
-                    Value::Date(19_000 + (i / 32) as i32),
-                    Value::Str(format!("tag{}", i % 3)),
-                ]
-            })
-            .collect()
-    }
-
-    #[test]
-    fn v3_images_still_load() {
-        assert_eq!(V3_IMAGE[4..8], 3u32.to_le_bytes());
-        let io = IoTracker::new();
-        let (t, seq) = decode_image(V3_IMAGE, &io).unwrap();
-        assert_eq!(seq, 3);
-        assert_eq!(t.scan_all(&io).unwrap(), v3_rows());
-        let codecs: std::collections::HashSet<Encoding> = (0..t.num_columns())
-            .flat_map(|c| t.column_blocks(c).iter().map(|b| b.encoding))
-            .collect();
-        assert_eq!(
-            codecs,
-            [Encoding::DeltaVarint, Encoding::Rle, Encoding::GlobalCode].into()
-        );
-    }
-
-    #[test]
-    fn bit_packed_tag_in_a_v3_image_is_corrupt() {
-        let io = IoTracker::new();
-        let (t, _) = decode_image(V3_IMAGE, &io).unwrap();
-        // find column 1's first block slot: len, vtype, tag, payload
-        let b = &t.column_blocks(1)[0];
-        let mut slot = (b.len as u32).to_le_bytes().to_vec();
-        slot.extend([vtype_tag(b.vtype), b.encoding as u8]);
-        slot.extend_from_slice(&(b.payload.len() as u32).to_le_bytes());
-        slot.extend_from_slice(&b.payload);
-        let at = V3_IMAGE
-            .windows(slot.len())
-            .position(|w| w == slot)
-            .expect("the block's slot is in the image");
-        let mut bad = V3_IMAGE.to_vec();
-        bad[at + 5] = Encoding::BitPacked as u8;
-        let n = bad.len();
-        let sum = fnv1a(&bad[8..n - 8]);
-        bad[n - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            decode_image(&bad, &io).err(),
-            Some(ColumnarError::Corrupt(
-                "encoding tag 5 in a v3 image".into()
-            ))
-        );
     }
 
     #[test]
@@ -1497,46 +1399,6 @@ mod tests {
         assert_eq!(back.scan_all(&io).unwrap(), rows);
     }
 
-    /// Incremental compaction keeps referencing blocks of a generation a
-    /// v3 build published: the v4 image resolves them on load.
-    #[test]
-    fn a_v4_image_references_blocks_of_a_v3_generation() {
-        let dir = std::env::temp_dir().join(format!("pdt-v3ref-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = ImageStore::open(&dir).unwrap();
-        fs::write(dir.join("fx.p0.3.img"), V3_IMAGE).unwrap();
-        let mut m = ImageManifest::default();
-        let entry = ImageEntry {
-            seq: 3,
-            file: "fx.p0.3.img".into(),
-            deps: vec![],
-        };
-        m.set("fx", 0, entry);
-        m.save(&dir).unwrap();
-        let io = IoTracker::new();
-        let (t, prov) = store
-            .load("fx", 0, 3, &io)
-            .unwrap()
-            .expect("v3 image at seq 3");
-        assert_eq!(prov, vec![(3, 0), (3, 1), (3, 2)]);
-        // a range compaction rewrote block 1 and kept blocks 0 and 2
-        let stats = store
-            .publish_with_reuse("fx", 0, 9, &t, &[Some((3, 0)), None, Some((3, 2))])
-            .unwrap();
-        assert_eq!(stats.blocks_reused as usize, 2 * t.num_columns());
-        assert_eq!(
-            fs::read(dir.join("fx.p0.9.img")).unwrap()[4..8],
-            IMAGE_VERSION.to_le_bytes()
-        );
-        let (back, prov) = store
-            .load("fx", 0, 9, &io)
-            .unwrap()
-            .expect("v4 image at seq 9");
-        assert_eq!(prov, vec![(3, 0), (9, 1), (3, 2)]);
-        assert_eq!(back.scan_all(&io).unwrap(), v3_rows());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn empty_table_image_roundtrip() {
         let meta = TableMeta::new(
@@ -1551,11 +1413,6 @@ mod tests {
         assert_eq!(back.row_count(), 0);
         assert_eq!(back.scan_all(&io).unwrap(), Vec::<Tuple>::new());
     }
-
-    /// A v4 image, written by the build before per-block checksums:
-    /// [`v3_rows`] as table `fx` in 32-row blocks, at sequence 3 (column 1
-    /// bit-packed).
-    const V4_IMAGE: &[u8] = include_bytes!("../testdata/image_v4.img");
 
     /// Publish `t` at seq 5, then at seq 9 with blocks 0 and 3 kept by
     /// reference; returns the store and the directory.
@@ -1676,85 +1533,46 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Incremental compaction keeps referencing blocks of a generation a
-    /// v4 build published: the v5 image stores the checksum taken as they
-    /// are read, and resolves them on load.
-    #[test]
-    fn a_v5_image_references_blocks_of_a_v4_generation() {
-        assert_eq!(V4_IMAGE[4..8], 4u32.to_le_bytes());
-        let dir = std::env::temp_dir().join(format!("pdt-v4ref-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = ImageStore::open(&dir).unwrap();
-        fs::write(dir.join("fx.p0.3.img"), V4_IMAGE).unwrap();
-        let mut m = ImageManifest::default();
-        let entry = ImageEntry {
-            seq: 3,
-            file: "fx.p0.3.img".into(),
-            deps: vec![],
-        };
-        m.set("fx", 0, entry);
-        m.save(&dir).unwrap();
-        let io = IoTracker::new();
-        let (t, prov) = store
-            .load("fx", 0, 3, &io)
-            .unwrap()
-            .expect("v4 image at seq 3");
-        assert_eq!(prov, vec![(3, 0), (3, 1), (3, 2)]);
-        assert_eq!(t.column_blocks(1)[0].encoding, Encoding::BitPacked);
-        let stats = store
-            .publish_with_reuse("fx", 0, 9, &t, &[Some((3, 0)), None, Some((3, 2))])
-            .unwrap();
-        assert_eq!(stats.blocks_reused as usize, 2 * t.num_columns());
-        assert_eq!(
-            fs::read(dir.join("fx.p0.9.img")).unwrap()[4..8],
-            5u32.to_le_bytes()
-        );
-        let (back, prov) = store
-            .load("fx", 0, 9, &io)
-            .unwrap()
-            .expect("v5 image at seq 9");
-        assert_eq!(prov, vec![(3, 0), (9, 1), (3, 2)]);
-        assert_eq!(back.scan_all(&io).unwrap(), v3_rows());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     /// A checksum-valid image whose columns hold different block counts
     /// is corrupt: the loader must not index one column's provenance by
     /// another's blocks.
     #[test]
     fn ragged_columns_are_corrupt_not_a_panic() {
+        let t = table(300, 100);
+        let img = encode_image(&t, 7);
+        // column 1's block count and slots (len, vtype, tag, payload length)
+        let mut slots = 3u32.to_le_bytes().to_vec();
+        for b in t.column_blocks(1) {
+            slots.extend_from_slice(&(b.len as u32).to_le_bytes());
+            slots.extend([vtype_tag(b.vtype), b.encoding as u8]);
+            slots.extend_from_slice(&(b.payload.len() as u32).to_le_bytes());
+        }
+        let at = img
+            .windows(slots.len())
+            .position(|w| w == slots)
+            .expect("column 1's slots are in the head");
+        // a fourth block in column 1, a copy of its third: the checksum and
+        // payload after the third's, the slot after the third's, the head
+        // resealed
+        let third = &t.column_blocks(1)[2];
+        let mut stored = third.checksum().to_le_bytes().to_vec();
+        stored.extend_from_slice(&third.payload);
+        let mut bad = img.clone();
+        let p = payload_at(&img, &t, 1, 2) + stored.len();
+        bad.splice(p..p, stored);
+        let slot_end = at + slots.len();
+        bad.splice(slot_end..slot_end, slots[slots.len() - 10..].to_vec());
+        bad[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
+        let end = u64::from_le_bytes(img[8..16].try_into().unwrap()) + 10;
+        bad[8..16].copy_from_slice(&end.to_le_bytes());
+        let end = end as usize;
+        let sum = checksum(&bad[..end]);
+        bad[end..end + 8].copy_from_slice(&sum.to_le_bytes());
         let io = IoTracker::new();
-        let (t, _) = decode_image(V3_IMAGE, &io).unwrap();
-        // column 1's block slots (len, vtype, tag, payload length, payload)
-        let slot = |b: usize| {
-            let b = &t.column_blocks(1)[b];
-            let mut slot = (b.len as u32).to_le_bytes().to_vec();
-            slot.extend([vtype_tag(b.vtype), b.encoding as u8]);
-            slot.extend_from_slice(&(b.payload.len() as u32).to_le_bytes());
-            slot.extend_from_slice(&b.payload);
-            slot
-        };
-        let find = |s: &[u8]| {
-            let hits: Vec<usize> = (0..=V3_IMAGE.len() - s.len())
-                .filter(|&i| V3_IMAGE[i..i + s.len()] == *s)
-                .collect();
-            assert_eq!(hits.len(), 1, "the slot is in the image once");
-            hits[0]
-        };
-        let (first, last) = (find(&slot(0)), find(&slot(2)));
-        // a fourth block in column 1 (a copy of its third), resealed
-        let mut bad = V3_IMAGE.to_vec();
-        assert_eq!(bad[first - 4..first], 3u32.to_le_bytes());
-        bad[first - 4..first].copy_from_slice(&4u32.to_le_bytes());
-        let end = last + slot(2).len();
-        bad.splice(end..end, slot(2));
-        let n = bad.len();
-        let sum = fnv1a(&bad[8..n - 8]);
-        bad[n - 8..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             decode_image(&bad, &io).err(),
             Some(ColumnarError::Corrupt(
-                "column 1 (v) has 4 blocks, column 0 has 3".into()
+                "column 1 (s) has 4 blocks, column 0 has 3".into()
             ))
         );
     }

@@ -54,8 +54,19 @@ use pdt::Pdt;
 use std::borrow::Cow;
 use std::sync::Arc;
 use txn::wal::{self, WalEntry};
-use txn::{PdtLayers, PdtSnapshot, TxnError, TxnManager};
+use txn::{PdtLayers, PdtSnapshot, TxnManager};
 use vdt::Vdt;
+
+/// The error recovery reports for a log that does not fit the table it is
+/// replayed into (written by another policy, or for another schema): the
+/// structure's `detail` of what does not fit, as an I/O error of kind
+/// `InvalidData`.
+pub(crate) fn misfit(table: &str, detail: String) -> DbError {
+    DbError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("WAL does not fit table {table}: {detail}"),
+    ))
+}
 
 /// Which differential structure maintains a table (per-table, chosen at
 /// [`crate::Database::create_table`] time through [`crate::TableOptions`]).
@@ -503,6 +514,8 @@ pub trait DeltaTxn: Send {
     fn stage_batch(&mut self, batch: &DmlBatch);
     /// Commit phase 1: validate the staged updates against everything
     /// committed since `start_seq`, rewriting them into publishable form.
+    /// A write-write conflict is [`DbError::Conflict`] under every policy,
+    /// its `reason` the store's own account of what conflicted.
     fn prepare(&mut self) -> Result<(), DbError>;
     /// The staged updates flattened for the write-ahead log (call after
     /// `prepare`).
@@ -685,7 +698,13 @@ impl DeltaTxn for PdtTxn {
         let layers = &self.snap.layers;
         let empty = Pdt::new(self.trans.schema().clone(), self.trans.sk_cols().to_vec());
         let trans = std::mem::replace(&mut self.trans, empty);
-        let serialized = layers.serialize(trans, self.start_seq)?;
+        let serialized =
+            layers
+                .serialize(trans, self.start_seq)
+                .map_err(|e| DbError::Conflict {
+                    table: layers.table().to_string(),
+                    reason: e.to_string(),
+                })?;
         self.serialized = Some(Arc::new(serialized));
         Ok(())
     }
@@ -735,7 +754,7 @@ impl CheckpointPin for PdtPin {
             wal::rebase_pdt_outside_range(read, range.s0, range.s1, range.folds_tail());
         let (layers, pinned) = (self.layers.clone(), read.clone());
         let rebased = wal::rebuild_pdt(read.schema(), read.sk_cols(), &residual_entries)
-            .map_err(|detail| TxnError::misfit(layers.table(), detail))?;
+            .map_err(|detail| misfit(layers.table(), detail))?;
         Ok(RangeMerge {
             fresh: Some(fresh),
             residual_entries,
@@ -754,7 +773,9 @@ impl DeltaStore for PdtStore {
     }
 
     fn replay(&self, entries: &[WalEntry]) -> Result<(), DbError> {
-        Ok(self.layers.replay(entries)?)
+        self.layers
+            .replay(entries)
+            .map_err(|detail| misfit(self.layers.table(), detail))
     }
 
     fn write_bytes(&self) -> usize {
@@ -1119,7 +1140,7 @@ impl<D: KeyDelta> DeltaStore for KeyStore<D> {
         // recovery holds no snapshots, so make_mut mutates in place —
         // replay stays linear in the number of logged commits
         apply_key_entries(entries, Arc::make_mut(&mut st.committed))
-            .map_err(|detail| TxnError::misfit(&st.table, detail).into())
+            .map_err(|detail| misfit(&st.table, detail))
     }
 
     fn write_bytes(&self) -> usize {

@@ -841,7 +841,7 @@ impl<'db> DbTxn<'db> {
         // a crash in the window loses only commits whose `commit()` never
         // returned.
         if let Some(ticket) = wal_ticket {
-            mgr.wait_wal_durable(ticket)?;
+            mgr.wait_wal_durable(ticket).map_err(DbError::Io)?;
         }
         if let Some(t0) = trace_start {
             obs::event!(
@@ -1777,7 +1777,7 @@ mod tests {
         b.update_where("t", col(0).eq(lit(30i64)), vec![(1, lit(2i64))])
             .unwrap();
         a.commit().unwrap();
-        assert!(matches!(b.commit(), Err(DbError::Txn(_))));
+        assert!(matches!(b.commit(), Err(DbError::Conflict { .. })));
     }
 
     /// The two value-addressed stores, which share the key-based conflict

@@ -77,7 +77,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-use txn::{TxnError, TxnManager};
+use txn::TxnManager;
 use vdt::Vdt;
 
 /// Engine-level errors.
@@ -101,7 +101,8 @@ pub enum DbError {
         /// The duplicated sort-key values.
         key: Vec<Value>,
     },
-    /// Write-write conflict detected by a value-addressed delta store.
+    /// Write-write conflict detected by any store: the transaction was
+    /// aborted.
     Conflict {
         /// The table written.
         table: String,
@@ -129,8 +130,6 @@ pub enum DbError {
     },
     /// A storage-layer error surfaced through the engine.
     Storage(ColumnarError),
-    /// A transaction-layer error surfaced through the engine.
-    Txn(TxnError),
     /// An I/O error from the WAL or image store.
     Io(std::io::Error),
 }
@@ -156,7 +155,6 @@ impl fmt::Display for DbError {
                 write!(f, "bad partitioning of table {table}: {detail}")
             }
             DbError::Storage(e) => write!(f, "storage error: {e}"),
-            DbError::Txn(e) => write!(f, "transaction error: {e}"),
             DbError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -166,7 +164,6 @@ impl std::error::Error for DbError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DbError::Storage(e) => Some(e),
-            DbError::Txn(e) => Some(e),
             DbError::Io(e) => Some(e),
             _ => None,
         }
@@ -176,12 +173,6 @@ impl std::error::Error for DbError {
 impl From<ColumnarError> for DbError {
     fn from(e: ColumnarError) -> Self {
         DbError::Storage(e)
-    }
-}
-
-impl From<TxnError> for DbError {
-    fn from(e: TxnError) -> Self {
-        DbError::Txn(e)
     }
 }
 
@@ -576,7 +567,7 @@ impl Database {
     /// write each) carried them. Group commit shows up as
     /// `commits > appends`. `None` without a WAL.
     pub fn wal_stats(&self) -> Option<txn::wal::WalStats> {
-        self.txn_mgr.wal_stats()
+        self.txn_mgr.wal().map(|w| w.stats())
     }
 
     /// One coherent snapshot of every metric: the [`Database::registry`]
@@ -595,11 +586,12 @@ impl Database {
         m.insert("db.scan.merge_ns", &[], Counter(self.clock.nanos()));
         m.insert("db.txn.seq", &[], Gauge(self.txn_mgr.seq()));
         m.insert("obs.trace.dropped", &[], Counter(obs::trace::dropped()));
-        if let Some(w) = self.wal_stats() {
+        if let Some(wal) = self.txn_mgr.wal() {
+            let w = wal.stats();
             m.insert("db.wal.commits", &[], Counter(w.commits));
             m.insert("db.wal.checkpoints", &[], Counter(w.checkpoints));
             m.insert("db.wal.appends", &[], Counter(w.appends));
-            let pending = self.txn_mgr.wal_pending_records();
+            let pending = wal.pending_records();
             m.insert("db.wal.pending_records", &[], Gauge(pending));
         }
         for (name, e) in self.tables.read().iter() {
@@ -625,13 +617,15 @@ impl Database {
     /// concurrently arriving commit records deterministically pile into
     /// one append window. See `txn::wal::GroupWal::hold_flushes`.
     pub fn wal_hold_flushes(&self, hold: bool) {
-        self.txn_mgr.wal_hold_flushes(hold);
+        if let Some(w) = self.txn_mgr.wal() {
+            w.hold_flushes(hold);
+        }
     }
 
     /// Commit/checkpoint records enqueued but not yet durable (0 without
     /// a WAL).
     pub fn wal_pending_records(&self) -> u64 {
-        self.txn_mgr.wal_pending_records()
+        self.txn_mgr.wal().map_or(0, |w| w.pending_records())
     }
 
     /// Open a consistent read-only view for query execution; scans merge
@@ -1499,13 +1493,7 @@ mod tests {
             elsewhere.commit().unwrap();
             set_v(&mut same_row, 30, -2);
             let err = same_row.commit().unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    DbError::Txn(TxnError::Conflict { .. }) | DbError::Conflict { .. }
-                ),
-                "{policy:?}: {err}"
-            );
+            assert!(matches!(err, DbError::Conflict { .. }), "{policy:?}: {err}");
             let got = t_rows(&split);
             assert_eq!(got[3], vec![Value::Int(30), Value::Int(2)], "{policy:?}");
             assert_eq!(got[15], vec![Value::Int(150), Value::Int(-1)], "{policy:?}");
@@ -1988,15 +1976,18 @@ mod tests {
                 "io error: wal gone",
                 true,
             ),
+            (
+                delta::misfit("inv", "of another policy".into()),
+                "io error: WAL does not fit table inv: of another policy",
+                true,
+            ),
         ];
         use std::error::Error;
         for (err, want, has_source) in cases {
             assert_eq!(err.to_string(), want);
+            // wrapped errors chain their source for `anyhow`-style reporting
             assert_eq!(err.source().is_some(), has_source, "{err}");
         }
-        // wrapped errors chain their source for `anyhow`-style reporting
-        let err = DbError::Txn(txn::TxnError::misfit("inv", "of another policy".into()));
-        assert!(err.source().unwrap().to_string().contains("inv"));
     }
 
     #[test]

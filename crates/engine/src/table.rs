@@ -305,14 +305,16 @@ impl<'t> Partition<'t> {
             // marker: the log still replays to the state it describes.
             let commit = db.txn_mgr.commit_guard();
             if swap.is_some() {
-                db.txn_mgr.log_checkpoint(
-                    table,
-                    part,
-                    seq,
-                    image_seq,
-                    (range.s0, range.s1),
-                    &merge.residual_entries,
-                )?;
+                db.txn_mgr
+                    .log_checkpoint(
+                        table,
+                        part,
+                        seq,
+                        image_seq,
+                        (range.s0, range.s1),
+                        &merge.residual_entries,
+                    )
+                    .map_err(DbError::Io)?;
             }
             Ok((merge, swap, stable_bytes_written, commit))
         })();

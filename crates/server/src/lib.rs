@@ -608,10 +608,7 @@ impl<'s> SessionTxn<'s> {
                 Ok(seq)
             }
             Err(e) => {
-                let conflict = matches!(
-                    e,
-                    DbError::Conflict { .. } | DbError::Txn(txn::TxnError::Conflict { .. })
-                );
+                let conflict = matches!(e, DbError::Conflict { .. });
                 let record = |s: &Series| {
                     s.aborts.inc();
                     if conflict {

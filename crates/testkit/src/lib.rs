@@ -721,8 +721,9 @@ pub struct InterleavedOutcome {
 
 /// Run the interleaving «begin A; begin B; A's ops; B's ops; commit A;
 /// commit B» against one database per policy and assert that every policy
-/// reaches the same per-transaction decision and the same final image.
-/// Returns the common outcome.
+/// reaches the same per-transaction decision and the same final image, and
+/// that every failed commit is a [`DbError::Conflict`]. Returns the common
+/// outcome.
 pub fn run_interleaved(
     schema: Schema,
     sk_cols: Vec<usize>,
@@ -772,18 +773,26 @@ pub fn run_interleaved_spec(
             rows.clone(),
         )
         .unwrap();
+        // a commit fails only by a write-write conflict, in the one error
+        // form every policy returns
+        let commit = |txn: DbTxn<'_>| match txn.commit() {
+            Err(e) if !matches!(e, DbError::Conflict { .. }) => {
+                panic!("{policy:?}: a failed commit is not a conflict: {e}")
+            }
+            res => res.is_ok(),
+        };
         let mut a = db.begin();
         let mut b = db.begin();
         let a_staged = a_ops.iter().all(|op| apply(&mut a, op).is_ok());
         let b_staged = b_ops.iter().all(|op| apply(&mut b, op).is_ok());
         let a_ok = if a_staged {
-            a.commit().is_ok()
+            commit(a)
         } else {
             a.abort();
             false
         };
         let b_ok = if b_staged {
-            b.commit().is_ok()
+            commit(b)
         } else {
             b.abort();
             false

@@ -27,18 +27,24 @@
 //! commit, the caller (the engine's `DbTxn::commit`) takes the guard
 //! again across [`layers.serialize`](PdtLayers::serialize) — the
 //! Trans-PDT [`Serialize`](pdt::serialize)-d against every overlapping
-//! committed delta of *that partition*, a write-write conflict aborting
-//! the transaction → [`alloc_seq`](TxnManager::alloc_seq) →
-//! [`log_commit_enqueue`](TxnManager::log_commit_enqueue) →
-//! [`layers.publish`](PdtLayers::publish) — the consecutive delta
-//! [`Propagate`](pdt::propagate)-d into the master Write-PDT and retained
-//! in the TZ set → [`end_txn`](TxnManager::end_txn), releases it, then
-//! waits on [`wait_wal_durable`](TxnManager::wait_wal_durable).
+//! committed delta of *that partition*; a write-write conflict returns
+//! the [`SerializeError`] and aborts the transaction →
+//! [`alloc_seq`](TxnManager::alloc_seq) →
+//! [`log_commit_enqueue`](TxnManager::log_commit_enqueue), which returns
+//! the durability ticket → [`layers.publish`](PdtLayers::publish) — the
+//! consecutive delta [`Propagate`](pdt::propagate)-d into the master
+//! Write-PDT and retained in the TZ set → [`end_txn`](TxnManager::end_txn),
+//! releases it, then waits on
+//! [`wait_wal_durable`](TxnManager::wait_wal_durable), which returns the
+//! log write's `io::Error` if it failed. The crate returns these plain
+//! results; the engine turns them into its own errors (a conflict is the
+//! same error under every update policy).
 //! Retained deltas are dropped once no running transaction overlaps them
 //! (the paper's reference counting, realised as the manager's
 //! min-start-sequence watermark): a layers object prunes its own deque
 //! wherever it is locked anyway. Recovery is [`wal::read_all`] +
-//! [`wal::effective_commits`] + [`layers.replay`](PdtLayers::replay) +
+//! [`wal::effective_commits`] + [`layers.replay`](PdtLayers::replay)
+//! (which returns what does not fit when a log does not fit the table) +
 //! [`finish_recovery`](TxnManager::finish_recovery).
 //!
 //! **Lock order**, the only one: commit guard → a layers object's lock →
@@ -56,48 +62,8 @@ use pdt::propagate::propagate;
 use pdt::serialize::{serialize, SerializeError};
 use pdt::Pdt;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-
-/// Commit-time failure.
-#[derive(Debug)]
-pub enum TxnError {
-    /// Optimistic concurrency control detected a write-write conflict; the
-    /// transaction was aborted.
-    Conflict {
-        /// The table whose delta conflicted.
-        table: String,
-        /// Which update of the earlier transaction it conflicted with.
-        source: SerializeError,
-    },
-    /// WAL I/O failure during commit.
-    Wal(std::io::Error),
-}
-
-impl TxnError {
-    /// The error recovery reports for a log that does not fit the table it
-    /// is replayed into (written by another policy, or for another schema).
-    pub fn misfit(table: &str, detail: String) -> TxnError {
-        TxnError::Wal(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("WAL does not fit table {table}: {detail}"),
-        ))
-    }
-}
-
-impl fmt::Display for TxnError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TxnError::Conflict { table, source } => {
-                write!(f, "write-write conflict on table {table}: {source}")
-            }
-            TxnError::Wal(e) => write!(f, "WAL failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TxnError {}
 
 struct Inner {
     running: BTreeMap<u64, u64>, // txn id -> start_seq
@@ -211,30 +177,16 @@ impl TxnManager {
     /// process crash in between loses only visible-but-unacknowledged
     /// commits, never acknowledged ones (the write is not fsynced, so a
     /// power loss can).
-    pub fn wait_wal_durable(&self, ticket: u64) -> Result<(), TxnError> {
+    pub fn wait_wal_durable(&self, ticket: u64) -> std::io::Result<()> {
         match &self.wal {
-            Some(w) => w.wait_durable(ticket).map_err(TxnError::Wal),
+            Some(w) => w.wait_durable(ticket),
             None => Ok(()),
         }
     }
 
-    /// Group-commit coordinator counters (None without a WAL): logical
-    /// commit records vs physical append windows.
-    pub fn wal_stats(&self) -> Option<wal::WalStats> {
-        self.wal.as_ref().map(|w| w.stats())
-    }
-
-    /// Test seam: hold/release the coordinator's flush leader so records
-    /// from concurrent commits deterministically pile into one batch.
-    pub fn wal_hold_flushes(&self, hold: bool) {
-        if let Some(w) = &self.wal {
-            w.hold_flushes(hold);
-        }
-    }
-
-    /// Records enqueued but not yet durable — test seam.
-    pub fn wal_pending_records(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |w| w.pending_records())
+    /// The group-commit coordinator, `None` without a WAL.
+    pub fn wal(&self) -> Option<&wal::GroupWal> {
+        self.wal.as_ref()
     }
 
     /// Recovery epilogue: restore the commit sequence.
@@ -259,15 +211,14 @@ impl TxnManager {
         image_seq: Option<u64>,
         range: (u64, u64),
         residual: &[wal::WalEntry],
-    ) -> Result<(), TxnError> {
-        if let Some(w) = &self.wal {
+    ) -> std::io::Result<()> {
+        match &self.wal {
             // synchronous through the coordinator: the marker (and any
             // commit records enqueued before it) is on disk when the new
             // stable image becomes the recovery base
-            w.append_checkpoint(table, partition, seq, image_seq, range, residual)
-                .map_err(TxnError::Wal)?;
+            Some(w) => w.append_checkpoint(table, partition, seq, image_seq, range, residual),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Current global commit sequence.
@@ -391,16 +342,14 @@ impl PdtLayers {
 
     /// Serialize a Trans-PDT against every retained delta that overlaps a
     /// transaction started at `start_seq` (Algorithm 8 applied over the TZ
-    /// set) — the write-write conflict check.
-    pub fn serialize(&self, trans: Pdt, start_seq: u64) -> Result<Pdt, TxnError> {
+    /// set) — the write-write conflict check. The error names the update
+    /// of the earlier transaction the Trans-PDT conflicts with.
+    pub fn serialize(&self, trans: Pdt, start_seq: u64) -> Result<Pdt, SerializeError> {
         let st = self.locked();
         let mut cur = trans;
         for delta in st.tz.iter() {
             if delta.seq > start_seq {
-                cur = serialize(cur, &delta.pdt).map_err(|source| TxnError::Conflict {
-                    table: self.table.clone(),
-                    source,
-                })?;
+                cur = serialize(cur, &delta.pdt)?;
             }
         }
         Ok(cur)
@@ -418,12 +367,11 @@ impl PdtLayers {
     }
 
     /// Recovery: rebuild one logged delta and propagate it into the master
-    /// Write-PDT. Fails, leaving the layers untouched, when the entries do
-    /// not fit the table ([`TxnError::misfit`]).
-    pub fn replay(&self, entries: &[wal::WalEntry]) -> Result<(), TxnError> {
+    /// Write-PDT. Fails with what does not fit, leaving the layers
+    /// untouched, when the entries do not fit the table.
+    pub fn replay(&self, entries: &[wal::WalEntry]) -> Result<(), String> {
         let mut st = self.state.lock();
-        let delta = wal::rebuild_pdt(st.read.schema(), st.read.sk_cols(), entries)
-            .map_err(|detail| TxnError::misfit(&self.table, detail))?;
+        let delta = wal::rebuild_pdt(st.read.schema(), st.read.sk_cols(), entries)?;
         propagate(Arc::make_mut(&mut st.master_write), &delta);
         Ok(())
     }
@@ -541,7 +489,7 @@ mod tests {
 
     /// serialize → alloc_seq → log enqueue → publish → end, all under the
     /// commit guard; the durable wait after releasing it.
-    fn commit(l: &Arc<PdtLayers>, t: TestTxn) -> Result<u64, TxnError> {
+    fn commit(l: &Arc<PdtLayers>, t: TestTxn) -> Result<u64, SerializeError> {
         let m = &l.mgr;
         let guard = m.commit_guard();
         if t.trans.is_empty() {
@@ -562,7 +510,7 @@ mod tests {
         m.end_txn(t.id);
         drop(guard);
         if let Some(ticket) = ticket {
-            m.wait_wal_durable(ticket)?;
+            m.wait_wal_durable(ticket).expect("log write");
         }
         Ok(seq)
     }
@@ -624,7 +572,11 @@ mod tests {
         b.trans.add_modify(2, 1, &Value::Int(200));
         commit(&m, a).unwrap();
         let err = commit(&m, b).unwrap_err();
-        assert!(matches!(err, TxnError::Conflict { .. }), "{err}");
+        assert_eq!(
+            err,
+            SerializeError::ModModConflict { sid: 2, col: 1 },
+            "{err}"
+        );
         // state reflects only a's update
         let c = begin(&m);
         let rows = view(&base(5), &c);

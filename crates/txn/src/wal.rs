@@ -94,9 +94,11 @@ use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 // Bumped from "pdtT" (whose logs carried n ≥ 2 rows under two batch
 // kinds beside the one-row INS / DEL), itself bumped from "pdtP" and
 // "pdtB", so logs from older builds fail loudly with "bad record magic"
-// instead of misparsing — replay them with the build that wrote them,
-// checkpoint, and restart ("pdtR" is the image-file magic, "pdtS" an
-// old marker magic, skipped to keep the magics distinct).
+// instead of misparsing ("pdtR" is the image-file magic, "pdtS" an old
+// marker magic, skipped to keep the magics distinct). The log is
+// append-only and never truncated, so a checkpoint by the old build does
+// not get rid of its records: start such a database from a fresh log and
+// image directory (README § Migration).
 const MAGIC: u32 = 0x7064_7457;
 // "pdtX": every checkpoint marker carries the folded SID window and the
 // residual out-of-range delta inline — one layout, a whole-partition
@@ -104,8 +106,8 @@ const MAGIC: u32 = 0x7064_7457;
 // "pdtW". Bumped from "pdtV" (residuals under the two batch kinds),
 // itself bumped from "pdtU" (which branched on a scope byte), so markers
 // from older builds fail loudly with "bad record magic" instead of
-// misparsing; replay such logs with the build that wrote them,
-// checkpoint, restart.
+// misparsing; start such a database from a fresh log and image
+// directory, as for `MAGIC`.
 const CKPT_MAGIC: u32 = 0x7064_7458;
 
 /// One entry of a logged delta.

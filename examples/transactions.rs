@@ -113,7 +113,9 @@ fn main() {
         .unwrap();
     x.commit().expect("first writer wins");
     match y.commit() {
-        Err(DbError::Txn(e)) => println!("\nsecond writer aborted as expected: {e}"),
+        Err(e @ DbError::Conflict { .. }) => {
+            println!("\nsecond writer aborted as expected: {e}")
+        }
         other => panic!("expected a conflict, got {other:?}"),
     }
 

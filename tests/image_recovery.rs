@@ -255,7 +255,10 @@ fn recovering_a_log_that_does_not_fit_the_table_is_an_error() {
     let misfit = |policy, schema: Schema, rows, wal: &std::path::Path, detail: &str| {
         let db = make(&dir.join("unused.wal"), schema, policy, rows);
         let err = db.recover_from(wal).unwrap_err();
-        assert!(matches!(err, DbError::Txn(_)), "{policy:?}: {err}");
+        assert!(
+            matches!(&err, DbError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
+            "{policy:?}: {err}"
+        );
         let msg = err.to_string();
         assert!(
             msg.contains("WAL does not fit table t") && msg.contains(detail),
