@@ -966,14 +966,15 @@ impl ImageStore {
         Ok(stats)
     }
 
-    /// Load the image of `(table, partition)` if the manifest has one at
+    /// Load the image of `(table, partition)` the manifest holds at
     /// *exactly* `expect_seq` — the WAL's checkpoint-marker sequence. A
     /// manifest entry ahead of the marker is the crash window between
     /// manifest swap and marker append: its image folds commits the WAL
     /// still considers live, so it must not be used; the entry below it
     /// (the previous recovery base) is retained and matches the marker
-    /// instead. Returns `Ok(None)` when no entry matches (the caller falls
-    /// back to full WAL replay).
+    /// instead. No entry at `expect_seq` is [`ColumnarError::Corrupt`]
+    /// naming the table, partition and sequence: the marker says the
+    /// commits it covers live in that image alone.
     ///
     /// Beside the table comes each block's physical provenance
     /// `(generation, block index)` — the engine seeds its block-reuse
@@ -988,15 +989,12 @@ impl ImageStore {
         partition: u32,
         expect_seq: u64,
         io: &IoTracker,
-    ) -> Result<Option<(StableTable, BlockProvenance)>> {
-        let Some(manifest) = ImageManifest::load(&self.dir)? else {
-            return Ok(None);
-        };
-        let Some(entry) = manifest.get(table, partition, expect_seq) else {
-            return Ok(None);
-        };
-        self.load_entry(&manifest, table, partition, entry, io)
-            .map(Some)
+    ) -> Result<(StableTable, BlockProvenance)> {
+        let manifest = ImageManifest::load(&self.dir)?.unwrap_or_default();
+        manifest
+            .get(table, partition, expect_seq)
+            .ok_or_else(|| ColumnarError::Corrupt("the manifest holds no such image".into()))
+            .and_then(|entry| self.load_entry(&manifest, table, partition, entry, io))
             .map_err(|e| match e {
                 ColumnarError::Corrupt(m) => ColumnarError::Corrupt(format!(
                     "table {table} partition {partition}, image at seq {expect_seq}: {m}"
@@ -1140,32 +1138,39 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let store = ImageStore::open(&dir).unwrap();
         let io = IoTracker::new();
-        assert!(store.load("t", 0, 5, &io).unwrap().is_none(), "no manifest");
+        // a marker whose image the manifest does not hold is an error that
+        // names the image, never a silent fall-back to replay
+        let missing = |seq: u64| {
+            assert_eq!(
+                store.load("t", 0, seq, &io).err(),
+                Some(ColumnarError::Corrupt(format!(
+                    "table t partition 0, image at seq {seq}: the manifest holds no such image"
+                )))
+            );
+        };
+        missing(5); // no manifest yet
 
         let t = table(500, 128);
         store.publish_with_reuse("t", 0, 5, &t, &[]).unwrap();
-        let (loaded, _) = store.load("t", 0, 5, &io).unwrap().expect("image at seq 5");
+        let (loaded, _) = store.load("t", 0, 5, &io).unwrap();
         assert_eq!(loaded.row_count(), 500);
-        // wrong expected seq (marker behind manifest = crash window) → None
-        assert!(store.load("t", 0, 4, &io).unwrap().is_none());
-        assert!(store.load("t", 0, 6, &io).unwrap().is_none());
+        // any other sequence is not loaded, however close
+        missing(4);
+        missing(6);
         // republish at a later seq: the previous image survives (it is the
         // recovery base if we crash before the new marker lands)
         let t2 = table(600, 128);
         store.publish_with_reuse("t", 0, 9, &t2, &[]).unwrap();
         assert_eq!(
-            store.load("t", 0, 5, &io).unwrap().unwrap().0.row_count(),
+            store.load("t", 0, 5, &io).unwrap().0.row_count(),
             500,
             "previous image stays loadable across the crash window"
         );
-        assert_eq!(
-            store.load("t", 0, 9, &io).unwrap().unwrap().0.row_count(),
-            600
-        );
+        assert_eq!(store.load("t", 0, 9, &io).unwrap().0.row_count(), 600);
         // a third publish prunes everything below the previous entry
         let t3 = table(700, 128);
         store.publish_with_reuse("t", 0, 12, &t3, &[]).unwrap();
-        assert!(store.load("t", 0, 5, &io).unwrap().is_none());
+        missing(5);
         let mut files: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -1206,7 +1211,7 @@ mod tests {
 
         // Loading seq 9 resolves the refs against gen 5 and reports per-block
         // physical provenance.
-        let (back, back_prov) = store.load("t", 0, 9, &io).unwrap().expect("image at seq 9");
+        let (back, back_prov) = store.load("t", 0, 9, &io).unwrap();
         let io2 = IoTracker::new();
         assert_eq!(back.scan_all(&io2).unwrap(), t.scan_all(&io2).unwrap());
         assert_eq!(back_prov, vec![(5, 0), (9, 1), (9, 2), (5, 3)]);
@@ -1256,7 +1261,7 @@ mod tests {
             img_files(&dir),
             vec!["t.p0.12.img", "t.p0.5.img", "t.p0.9.img"]
         );
-        let (back, _) = store.load("t", 0, 12, &io).unwrap().unwrap();
+        let (back, _) = store.load("t", 0, 12, &io).unwrap();
         let io2 = IoTracker::new();
         assert_eq!(back.scan_all(&io2).unwrap(), t.scan_all(&io2).unwrap());
 
@@ -1265,7 +1270,10 @@ mod tests {
         store.publish_with_reuse("t", 0, 15, &t, &[]).unwrap();
         store.publish_with_reuse("t", 0, 18, &t, &[]).unwrap();
         assert_eq!(img_files(&dir), vec!["t.p0.15.img", "t.p0.18.img"]);
-        assert!(store.load("t", 0, 5, &io).unwrap().is_none());
+        assert!(matches!(
+            store.load("t", 0, 5, &io),
+            Err(ColumnarError::Corrupt(_))
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1523,7 +1531,7 @@ mod tests {
         let at = payload_at(&img, &t, 0, 1);
         img[at + 8] ^= 1;
         fs::write(&old, &img).unwrap();
-        let (back, prov) = store.load("t", 0, 9, &io).unwrap().expect("image at seq 9");
+        let (back, prov) = store.load("t", 0, 9, &io).unwrap();
         assert_eq!(back.scan_all(&io).unwrap(), t.scan_all(&io).unwrap());
         assert_eq!(prov, vec![(5, 0), (9, 1), (9, 2), (5, 3)]);
         assert!(matches!(

@@ -225,9 +225,9 @@ pub fn plan_steps(
 pub struct CompactionReport {
     /// Stable blocks the step merged (rewrote).
     pub blocks_merged: u64,
-    /// Stable blocks of the partition left untouched by the step (and,
-    /// when an image store is attached, reused by reference in the
-    /// published image).
+    /// Stable blocks of the partition left untouched by the step (and, on
+    /// a WAL-backed database, reused by reference in the published
+    /// image).
     pub blocks_reused: u64,
     /// Delta bytes the step folded out of the update structure.
     pub delta_bytes_folded: u64,

@@ -269,9 +269,10 @@ pub struct Database {
     /// Written only by `create_table`: everything else a table owns is
     /// changed in place, inside its entry.
     pub(crate) tables: RwLock<HashMap<String, Arc<TableEntry>>>,
-    /// Persisted compressed checkpoint images (`None`: checkpoints fold in
-    /// memory only and recovery replays the full WAL, the pre-image
-    /// behavior).
+    /// Persisted compressed checkpoint images: present exactly when the
+    /// database has a WAL, so every logged checkpoint marker has its image
+    /// (`None` for the in-memory [`Database::new`], whose checkpoints
+    /// fold in memory and log nothing).
     images: Option<Arc<ImageStore>>,
     /// Test seam: make the next checkpoint fail *after* its image publish
     /// (manifest swapped) but *before* its WAL marker — the crash window
@@ -317,18 +318,23 @@ impl Database {
         Self::over(TxnManager::new())
     }
 
-    /// Database whose commits append to a WAL at `path`.
+    /// Database whose commits append to a WAL at `path`, with its
+    /// checkpoint images in the sibling directory `<path>.images`:
+    /// [`Database::with_storage`]`(path, <path>.images)`.
     pub fn with_wal(path: &Path) -> Result<Self, DbError> {
-        Ok(Self::over(TxnManager::with_wal(path).map_err(DbError::Io)?))
+        let mut image_dir = path.as_os_str().to_owned();
+        image_dir.push(".images");
+        Self::with_storage(path, Path::new(&image_dir))
     }
 
-    /// Database with full durable storage: commits append to the WAL at
-    /// `wal`, and every checkpoint additionally persists its fresh stable
-    /// slice as a compressed image under `image_dir` (created if needed).
-    /// [`Database::recover_from`] then rebuilds checkpointed partitions
-    /// from their images instead of losing the folded history.
+    /// Durable database: commits append to the WAL at `wal`, and every
+    /// checkpoint persists its fresh stable slice as a compressed image
+    /// under `image_dir` (created if needed) before its WAL marker lands.
+    /// [`Database::recover_from`] rebuilds checkpointed partitions from
+    /// those images. A fresh log over a populated image directory is
+    /// accepted: only the log's markers say which images recovery reads.
     pub fn with_storage(wal: &Path, image_dir: &Path) -> Result<Self, DbError> {
-        let mut db = Self::with_wal(wal)?;
+        let mut db = Self::over(TxnManager::with_wal(wal).map_err(DbError::Io)?);
         db.images = Some(Arc::new(ImageStore::open(image_dir)?));
         Ok(db)
     }
@@ -460,60 +466,65 @@ impl Database {
     }
 
     /// Replay the WAL at `path` into the tables' update structures (after
-    /// `create_table` with the *same split points*). When this database
-    /// has an image store, each partition whose covering checkpoint marker
-    /// references a persisted image is first rebuilt from that image — the
-    /// folded history is *not* replayed (the marker's commits are skipped)
-    /// and *not* lost; without one, markers still skip their covered
-    /// commits (the pre-image behavior, which forfeits folded history).
+    /// `create_table` with the *same split points*). Each partition with a
+    /// covering checkpoint marker is first rebuilt from the image the
+    /// marker stands for: the folded history is *not* replayed (the
+    /// marker's commits are skipped) and *not* lost. A marker whose image
+    /// the image directory does not hold fails recovery with a
+    /// [`ColumnarError::Corrupt`] naming the table, partition and
+    /// sequence, and a log with markers cannot be recovered into a
+    /// database without an image store ([`Database::new`]) at all.
     /// Returns the recovered commit sequence.
     pub fn recover_from(&self, path: &Path) -> Result<u64, DbError> {
         let _commit = self.txn_mgr.commit_guard();
         let all = txn::wal::read_all(path).map_err(DbError::Io)?;
         let markers = txn::wal::checkpoint_markers(&all);
-        if let Some(images) = &self.images {
-            let tables = self.tables.read();
-            for (name, parts) in &markers {
-                let Some(entry) = tables.get(name) else {
-                    continue;
+        let tables = self.tables.read();
+        for (name, parts) in &markers {
+            let Some(entry) = tables.get(name) else {
+                continue;
+            };
+            for (&p, marker) in parts {
+                let Some(images) = &self.images else {
+                    return Err(DbError::Io(std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        format!(
+                            "table {name} partition {p}: the log's checkpoint marker at seq {} \
+                             needs its image, and this database has no image store",
+                            marker.seq
+                        ),
+                    )));
                 };
-                for (&p, marker) in parts {
-                    let Some(image_seq) = marker.image_seq else {
-                        continue;
-                    };
-                    let Some(pe) = entry.parts.get(p as usize) else {
-                        return Err(DbError::Partition {
-                            table: name.clone(),
-                            detail: format!(
-                                "checkpoint marker references partition {p}, table has {}",
-                                entry.parts.len()
-                            ),
-                        });
-                    };
-                    if let Some((stable, prov)) = images.load(name, p, image_seq, &self.io)? {
-                        // the partition's slot, swapped under the commit
-                        // guard as a maintenance step swaps it
-                        pe.swap_stable(stable, Some(prov));
-                        obs::event!(
-                            obs::TraceKind::RecoveryImageAdopt,
-                            table: obs::trace::intern(name),
-                            part: p,
-                            seq: image_seq,
-                            a: marker.residual.len() as u64,
-                        );
-                        // The image holds only the marker's folded window;
-                        // the covered commits' remainder rides in the marker
-                        // itself, rebased onto this stable — replay it
-                        // before the surviving commits.
-                        if !marker.residual.is_empty() {
-                            pe.delta.replay(&marker.residual)?;
-                        }
-                    }
+                let Some(pe) = entry.parts.get(p as usize) else {
+                    return Err(DbError::Partition {
+                        table: name.clone(),
+                        detail: format!(
+                            "checkpoint marker references partition {p}, table has {}",
+                            entry.parts.len()
+                        ),
+                    });
+                };
+                let (stable, prov) = images.load(name, p, marker.seq, &self.io)?;
+                // the partition's slot, swapped under the commit guard as a
+                // maintenance step swaps it
+                pe.swap_stable(stable, Some(prov));
+                obs::event!(
+                    obs::TraceKind::RecoveryImageAdopt,
+                    table: obs::trace::intern(name),
+                    part: p,
+                    seq: marker.seq,
+                    a: marker.residual.len() as u64,
+                );
+                // The image holds only the marker's folded window; the
+                // covered commits' remainder rides in the marker itself,
+                // rebased onto this stable — replay it before the surviving
+                // commits.
+                if !marker.residual.is_empty() {
+                    pe.delta.replay(&marker.residual)?;
                 }
             }
         }
         let records = txn::wal::effective_commits(all, &markers);
-        let tables = self.tables.read();
         let mut last = 0;
         // Per-(table, partition) replay tallies: (entries, commits, last
         // sequence), aggregated into one trace event each.
@@ -1794,11 +1805,19 @@ mod tests {
 
     #[test]
     fn partitioned_wal_recovery_restores_every_partition() {
-        for policy in ALL_POLICIES {
-            let dir = std::env::temp_dir().join(format!("pdt_part_wal_{policy:?}"));
+        // images beside the log (`with_wal`) and where the caller says
+        // (`with_storage`)
+        for (policy, beside) in ALL_POLICIES
+            .into_iter()
+            .flat_map(|p| [(p, true), (p, false)])
+        {
+            let dir = std::env::temp_dir().join(format!(
+                "pdt_part_wal_{policy:?}_{beside}_{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
             let wal = dir.join("part.wal");
-            let _ = std::fs::remove_file(&wal);
             let schema = Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]);
             let rows: Vec<Tuple> = (0..30i64)
                 .map(|i| vec![Value::Int(i * 10), Value::Int(i)])
@@ -1810,7 +1829,11 @@ mod tests {
                 .with_policy(policy)
                 .with_partitions(splits.clone());
             let make = || {
-                let db = Database::with_wal(&wal).unwrap();
+                let db = if beside {
+                    Database::with_wal(&wal).unwrap()
+                } else {
+                    Database::with_storage(&wal, &dir.join("images")).unwrap()
+                };
                 db.create_table(
                     TableMeta::new("t", schema.clone(), vec![0]),
                     opts.clone(),
@@ -1834,94 +1857,13 @@ mod tests {
             t.commit().unwrap();
             let want = t_rows(&db);
             drop(db);
-            // crash: rebuild from the *original* base for partitions 0/2
-            // and from nothing newer for partition 1 — except the
-            // checkpointed slice, which the marker says is durable. The
-            // harness model: recreate with the same splits, recover.
-            let recovered = make();
-            // partition 1's base must be its checkpointed slice
-            // (recreating from the original rows would double-apply the
-            // folded commits if the marker failed to cover them). Here we
-            // recreate from the original rows, so recovery must re-apply
-            // partition 1's pre-checkpoint commits… unless the marker
-            // skips them. To keep the oracle exact we only assert the
-            // *unchecked* partitions and the post-checkpoint commit.
-            recovered.recover_from(&wal).unwrap();
-            let got = t_rows(&recovered);
-            let want_keys: std::collections::BTreeSet<i64> =
-                want.iter().map(|r| r[0].as_int()).collect();
-            let got_keys: std::collections::BTreeSet<i64> =
-                got.iter().map(|r| r[0].as_int()).collect();
-            // partition 0 (keys < 100) and partition 2 (keys ≥ 200)
-            // recover exactly; partition 1 is missing the checkpointed
-            // insert of 155 (folded into the slice we discarded) but
-            // keeps the post-marker 165
-            for k in want_keys.iter().filter(|&&k| !(100..200).contains(&k)) {
-                assert!(got_keys.contains(k), "{policy:?}: lost key {k}");
-            }
-            assert!(got_keys.contains(&165), "{policy:?}: post-marker commit");
-            assert!(
-                !got_keys.contains(&155),
-                "{policy:?}: marker must cover the folded commit"
-            );
-            let _ = std::fs::remove_file(&wal);
-        }
-    }
-
-    #[test]
-    fn image_recovery_restores_folded_history() {
-        // the WAL-only twin of this test documents that commits folded by
-        // a checkpoint marker are LOST on recovery (the slice was never
-        // persisted); with an image store the marker references a durable
-        // image and recovery restores them exactly
-        for policy in ALL_POLICIES {
-            let dir =
-                std::env::temp_dir().join(format!("pdt_img_rec_{policy:?}_{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            let wal = dir.join("t.wal");
-            let images = dir.join("images");
-            let schema = Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]);
-            let rows: Vec<Tuple> = (0..30i64)
-                .map(|i| vec![Value::Int(i * 10), Value::Int(i)])
-                .collect();
-            let opts = TableOptions::default()
-                .with_block_rows(8)
-                .with_policy(policy)
-                .with_partitions(PartitionSpec::SplitPoints(vec![
-                    vec![Value::Int(100)],
-                    vec![Value::Int(200)],
-                ]));
-            let make = || {
-                let db = Database::with_storage(&wal, &images).unwrap();
-                db.create_table(
-                    TableMeta::new("t", schema.clone(), vec![0]),
-                    opts.clone(),
-                    rows.clone(),
-                )
-                .unwrap();
-                db
-            };
-            let db = make();
-            let mut t = db.begin();
-            t.insert("t", vec![Value::Int(55), Value::Int(0)]).unwrap();
-            t.insert("t", vec![Value::Int(155), Value::Int(0)]).unwrap();
-            t.delete_rids("t", &[25]).unwrap();
-            t.commit().unwrap();
-            let step = db.table("t").unwrap().partitions()[1].maintain(MaintainTarget::All);
-            assert!(step.unwrap().is_some(), "{policy:?}");
-            let mut t = db.begin();
-            t.insert("t", vec![Value::Int(165), Value::Int(0)]).unwrap();
-            t.commit().unwrap();
-            let want = t_rows(&db);
-            drop(db);
+            // crash: recreate every partition from the *original* rows with
+            // the same splits, then recover — partitions 0 and 2 replay
+            // their commits, partition 1 loads the image its marker stands
+            // for (the folded 155) and replays the post-marker 165
             let recovered = make();
             recovered.recover_from(&wal).unwrap();
-            assert_eq!(
-                t_rows(&recovered),
-                want,
-                "{policy:?}: image recovery must restore the folded insert of 155"
-            );
+            assert_eq!(t_rows(&recovered), want, "{policy:?}");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -139,7 +139,7 @@ impl<'t> Partition<'t> {
     ///    the step covers (commits up to the pinned sequence);
     /// 2. **merge** — off every lock, so commits keep landing and read
     ///    views keep opening: merge the range block by block into a new
-    ///    slice and, with an image store attached, publish it as an image
+    ///    slice and, on a WAL-backed database, publish it as an image
     ///    that *references* the kept blocks of earlier generations instead
     ///    of rewriting their bytes;
     /// 3. **install** — under the commit guard again, atomically: append
@@ -245,7 +245,6 @@ impl<'t> Partition<'t> {
             }
             let mut swap = None;
             let mut stable_bytes_written = 0;
-            let mut image_seq = None;
             if let Some(fresh) = merge.fresh.take() {
                 let new_nb = fresh.num_blocks();
                 // the splice may change the range's row (hence block)
@@ -278,7 +277,6 @@ impl<'t> Partition<'t> {
                     let publish = Instant::now();
                     images.publish_with_reuse(table, part, seq, &fresh, &prov)?;
                     metrics.published(publish.elapsed());
-                    image_seq = Some(seq);
                     // a crash here leaves a manifest entry ahead of the
                     // WAL, which recovery ignores in favor of the retained
                     // previous image (see `columnar::ImageStore`)
@@ -310,7 +308,6 @@ impl<'t> Partition<'t> {
                         table,
                         part,
                         seq,
-                        image_seq,
                         (range.s0, range.s1),
                         &merge.residual_entries,
                     )

@@ -205,28 +205,6 @@ impl Server {
         }
     }
 
-    /// Cold-start a storage-backed server: open (or create) the database
-    /// at `wal` with persisted checkpoint images under `image_dir`, let
-    /// `register` declare the schema, then recover — checkpointed
-    /// partitions are rebuilt from their compressed images and only the
-    /// WAL tail past each checkpoint marker is replayed — and start
-    /// serving. This is the restart path of a durable deployment: the
-    /// folded history a checkpoint dropped from replay comes back from
-    /// the images, not the log.
-    pub fn cold_start(
-        wal: &std::path::Path,
-        image_dir: &std::path::Path,
-        register: impl FnOnce(&Database) -> Result<(), DbError>,
-        cfg: ServerConfig,
-    ) -> Result<Server, ServerError> {
-        let db = Database::with_storage(wal, image_dir)?;
-        register(&db)?;
-        if wal.exists() {
-            db.recover_from(wal)?;
-        }
-        Ok(Self::start(Arc::new(db), cfg))
-    }
-
     /// The served database.
     pub fn db(&self) -> &Arc<Database> {
         &self.shared.db
@@ -737,33 +715,34 @@ mod tests {
     /// Restarting the server must bring back checkpointed state through
     /// the persisted compressed images: the checkpoint's WAL marker stops
     /// replay at the pinned sequence, so the folded commits can only come
-    /// back from disk images.
+    /// back from disk images. A restart is the engine's own: open the
+    /// storage, declare the schema, recover, then start serving.
     #[test]
-    fn cold_start_restores_checkpointed_state_from_images() {
-        let dir = std::env::temp_dir().join(format!("pdt_srv_cold_{}", std::process::id()));
+    fn restart_restores_checkpointed_state_from_images() {
+        let dir = std::env::temp_dir().join(format!("pdt_srv_restart_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let wal = dir.join("db.wal");
         let images = dir.join("images");
-        let register = |db: &Database| {
+        let restart = || {
+            let db = Database::with_storage(&wal, &images).unwrap();
             db.create_table(
                 TableMeta::new("t", schema(), vec![0]),
                 TableOptions::default().with_policy(UpdatePolicy::Pdt),
                 rows(100),
             )
-            .map(|_| ())
-        };
-        let want = {
-            let server = Server::cold_start(
-                &wal,
-                &images,
-                register,
+            .unwrap();
+            db.recover_from(&wal).unwrap();
+            Server::start(
+                Arc::new(db),
                 ServerConfig {
                     maintenance: None,
                     ..ServerConfig::default()
                 },
             )
-            .unwrap();
+        };
+        let want = {
+            let server = restart();
             let s = server.session("writer");
             let mut txn = s.begin();
             txn.append("t", batch(10_000, 5)).unwrap();
@@ -782,20 +761,11 @@ mod tests {
             server.shutdown();
             got
         };
-        let server = Server::cold_start(
-            &wal,
-            &images,
-            register,
-            ServerConfig {
-                maintenance: None,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+        let server = restart();
         let got = server.session("reader").query("t", |view| {
             run_to_rows(&mut view.scan_with("t", ScanSpec::all()).unwrap())
         });
-        assert_eq!(got, want, "cold start diverged from pre-restart state");
+        assert_eq!(got, want, "the restart diverged from pre-restart state");
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -19,15 +19,14 @@
 //! [`DiffHarness::modify`]) are held to the same model, so batch ≡ rows
 //! follows through it.
 //!
-//! With [`DiffHarness::with_wal`] every database is WAL-backed, and
-//! [`DiffHarness::crash_recover`] models a crash: all databases are
-//! dropped and rebuilt from their base image plus WAL replay — recovery
-//! state is part of the differential contract. Checkpoints in WAL mode
-//! rotate the log *logically*: the engine appends a checkpoint marker at
-//! the pinned commit sequence, the harness restarts its recovery base
-//! from the checkpointed image, and replay skips every record the marker
-//! covers — the log-truncation bargain checkpointing buys a real system,
-//! stated in a way that stays correct when commits land mid-checkpoint.
+//! With [`DiffHarness::with_wal`] every database is durable — a WAL with
+//! its checkpoint images beside it — and [`DiffHarness::crash_recover`]
+//! models a crash: all databases are dropped, recreated from the
+//! *original* bulk-load rows and recovered from their logs — recovery
+//! state is part of the differential contract. The harness never moves
+//! its recovery base: a checkpoint appends a marker at its pinned commit
+//! sequence, replay skips every commit the marker covers, and everything
+//! the checkpoint folded must come back from the image it published.
 //!
 //! [`run_interleaved`] extends the oracle to concurrency: a fixed
 //! two-transaction interleaving is executed against every policy and the
@@ -72,21 +71,14 @@ pub struct DiffHarness {
     schema: Schema,
     sk_cols: Vec<usize>,
     block_rows: usize,
-    /// Stable image the databases were (re)built from — WAL recovery
-    /// replays on top of this.
+    /// The bulk-load rows every database is (re)built from — recovery
+    /// restores checkpointed state from images and replays the WAL on top.
     base_rows: Vec<Tuple>,
     dbs: Vec<(UpdatePolicy, Database)>,
     model: NaiveImage,
-    /// `Some(dir)`: databases are WAL-backed (one log per policy) and
-    /// support [`Self::crash_recover`].
+    /// `Some(dir)`: databases are durable (one log per policy, its images
+    /// beside it) and support [`Self::crash_recover`].
     wal_dir: Option<PathBuf>,
-    /// Databases persist compressed checkpoint images (one image dir per
-    /// policy under `wal_dir`) and recovery must restore checkpointed
-    /// state from them: [`Self::checkpoint`] then keeps the *original*
-    /// base image, so any folded history a checkpoint made unreplayable
-    /// has to come back through the images — the differential contract
-    /// image-based recovery is held to.
-    images: bool,
     /// Range partitioning applied to every database. After the first
     /// build this is frozen to the *resolved* split points, so crash
     /// rebuilds recreate the exact partitioning the WAL's partition tags
@@ -103,11 +95,12 @@ impl DiffHarness {
         rows: Vec<Tuple>,
         block_rows: usize,
     ) -> Self {
-        Self::build(table, schema, sk_cols, rows, block_rows, None, false)
+        Self::build(table, schema, sk_cols, rows, block_rows, None)
     }
 
-    /// WAL-backed harness: one log file per policy under `dir` (removed on
-    /// creation so every run starts clean).
+    /// Durable harness: one [`Database::with_wal`] per policy under `dir`,
+    /// its log and image directory removed on creation so every run
+    /// starts clean.
     pub fn with_wal(
         dir: PathBuf,
         table: &str,
@@ -117,39 +110,20 @@ impl DiffHarness {
         block_rows: usize,
     ) -> Self {
         std::fs::create_dir_all(&dir).expect("harness wal dir");
-        for policy in ALL_POLICIES {
-            let _ = std::fs::remove_file(Self::wal_path(&dir, policy));
-        }
-        Self::build(table, schema, sk_cols, rows, block_rows, Some(dir), false)
-    }
-
-    /// WAL- and image-backed harness: each policy's database persists
-    /// compressed checkpoint images under `dir` and
-    /// [`Self::crash_recover`] exercises image-based recovery — the base
-    /// image is *never* rotated by the harness, so checkpointed state must
-    /// come back from disk.
-    pub fn with_storage(
-        dir: PathBuf,
-        table: &str,
-        schema: Schema,
-        sk_cols: Vec<usize>,
-        rows: Vec<Tuple>,
-        block_rows: usize,
-    ) -> Self {
-        std::fs::create_dir_all(&dir).expect("harness storage dir");
-        for policy in ALL_POLICIES {
-            let _ = std::fs::remove_file(Self::wal_path(&dir, policy));
-            let _ = std::fs::remove_dir_all(Self::image_dir(&dir, policy));
-        }
-        Self::build(table, schema, sk_cols, rows, block_rows, Some(dir), true)
+        Self::clear_storage(&dir);
+        Self::build(table, schema, sk_cols, rows, block_rows, Some(dir))
     }
 
     fn wal_path(dir: &std::path::Path, policy: UpdatePolicy) -> PathBuf {
         dir.join(format!("{policy:?}.wal"))
     }
 
-    fn image_dir(dir: &std::path::Path, policy: UpdatePolicy) -> PathBuf {
-        dir.join(format!("{policy:?}.images"))
+    /// Remove every policy's log and the image directory beside it.
+    fn clear_storage(dir: &std::path::Path) {
+        for policy in ALL_POLICIES {
+            let _ = std::fs::remove_file(Self::wal_path(dir, policy));
+            let _ = std::fs::remove_dir_all(dir.join(format!("{policy:?}.wal.images")));
+        }
     }
 
     fn build(
@@ -159,7 +133,6 @@ impl DiffHarness {
         rows: Vec<Tuple>,
         block_rows: usize,
         wal_dir: Option<PathBuf>,
-        images: bool,
     ) -> Self {
         let model = NaiveImage::new(&rows, sk_cols.clone());
         let mut h = DiffHarness {
@@ -171,7 +144,6 @@ impl DiffHarness {
             dbs: Vec::new(),
             model,
             wal_dir,
-            images,
             partitions: PartitionSpec::None,
         };
         h.dbs = h.make_dbs();
@@ -196,12 +168,7 @@ impl DiffHarness {
     fn with_partition_spec(mut self, spec: PartitionSpec) -> Self {
         self.partitions = spec;
         if let Some(dir) = &self.wal_dir {
-            for policy in ALL_POLICIES {
-                let _ = std::fs::remove_file(Self::wal_path(dir, policy));
-                if self.images {
-                    let _ = std::fs::remove_dir_all(Self::image_dir(dir, policy));
-                }
-            }
+            Self::clear_storage(dir);
         }
         self.dbs = self.make_dbs();
         let resolved = self.dbs[0]
@@ -226,11 +193,6 @@ impl DiffHarness {
             .iter()
             .map(|&policy| {
                 let db = match &self.wal_dir {
-                    Some(dir) if self.images => Database::with_storage(
-                        &Self::wal_path(dir, policy),
-                        &Self::image_dir(dir, policy),
-                    )
-                    .expect("open harness storage"),
                     Some(dir) => {
                         Database::with_wal(&Self::wal_path(dir, policy)).expect("open harness wal")
                     }
@@ -577,13 +539,10 @@ impl DiffHarness {
     }
 
     /// Checkpoint every database into a fresh stable image and verify both
-    /// the merged and the clean views. In WAL mode this also rotates the
-    /// logs *logically*: each checkpoint appends a marker carrying its
-    /// pinned commit sequence, the databases stay live, and a later
-    /// [`Self::crash_recover`] rebuilds from the checkpointed image while
-    /// recovery skips every record the marker covers — the log-truncation
-    /// bargain checkpointing buys a real system, without assuming commits
-    /// pause around the checkpoint.
+    /// the merged and the clean views. On durable databases each
+    /// checkpoint publishes its image and appends a marker at its pinned
+    /// commit sequence; a later [`Self::crash_recover`] loads that image
+    /// and skips every commit the marker covers.
     pub fn checkpoint(&mut self) {
         for (policy, db) in &self.dbs {
             db.checkpoint(&self.table)
@@ -591,14 +550,6 @@ impl DiffHarness {
         }
         self.assert_agree("after checkpoint");
         self.assert_clean_agree("after checkpoint");
-        if self.wal_dir.is_some() && !self.images {
-            // recovery restarts from the checkpointed image — but only in
-            // plain WAL mode, where the harness must simulate the image
-            // hand-off. With persisted images the engine recovers the
-            // checkpointed state from disk on its own, so the base stays
-            // put and any folded history must come back via the images.
-            self.base_rows = self.model.rows().to_vec();
-        }
     }
 
     /// Incrementally compact stable blocks `[b0, b1)` of partition `p`
@@ -639,12 +590,8 @@ impl DiffHarness {
     /// reaches the publish — and roll its in-memory pin back; on-disk
     /// state is left exactly in the window a following
     /// [`Self::crash_recover`] has to tolerate. Requires
-    /// [`Self::with_storage`].
+    /// [`Self::with_wal`].
     pub fn crash_before_marker(&mut self, range: Option<(usize, usize, usize)>) {
-        assert!(
-            self.images,
-            "crash-window maintenance needs an image-backed harness"
-        );
         for (policy, db) in &self.dbs {
             db.crash_after_image_publish(true);
             let res = match range {
@@ -667,9 +614,10 @@ impl DiffHarness {
         self.assert_agree("after crashed maintenance step");
     }
 
-    /// Crash: drop every database and rebuild it from its base image plus
-    /// WAL replay, then verify the recovered state against the model.
-    /// Panics unless the harness was built with [`Self::with_wal`].
+    /// Crash: drop every database, recreate it from the bulk-load rows and
+    /// recover it from its images and WAL, then verify the recovered state
+    /// against the model. Panics unless the harness was built with
+    /// [`Self::with_wal`].
     pub fn crash_recover(&mut self) {
         let dir = self
             .wal_dir

@@ -197,18 +197,16 @@ impl TxnManager {
 
     /// Append a checkpoint marker for `(table, partition)` at pinned
     /// sequence `seq` (no-op without a WAL): the folded stable-SID window
-    /// `range`, the out-of-range `residual` recovery replays on top of the
-    /// image, and the manifest sequence of the persisted compressed image
-    /// the checkpoint published (`image_seq`, `None` when it folded in
-    /// memory only). Call under [`TxnManager::commit_guard`], atomically
-    /// with the install of the new stable image. Unpartitioned tables pass
+    /// `range` of the image the checkpoint published at `seq`, and the
+    /// out-of-range `residual` recovery replays on top of that image.
+    /// Call under [`TxnManager::commit_guard`], atomically with the
+    /// install of the new stable image. Unpartitioned tables pass
     /// partition `0`.
     pub fn log_checkpoint(
         &self,
         table: &str,
         partition: u32,
         seq: u64,
-        image_seq: Option<u64>,
         range: (u64, u64),
         residual: &[wal::WalEntry],
     ) -> std::io::Result<()> {
@@ -216,7 +214,7 @@ impl TxnManager {
             // synchronous through the coordinator: the marker (and any
             // commit records enqueued before it) is on disk when the new
             // stable image becomes the recovery base
-            Some(w) => w.append_checkpoint(table, partition, seq, image_seq, range, residual),
+            Some(w) => w.append_checkpoint(table, partition, seq, range, residual),
             None => Ok(()),
         }
     }

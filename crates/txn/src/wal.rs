@@ -53,7 +53,6 @@
 //!               ntables × [name_len u16][name bytes][partition u32][nentries u32]
 //!                 nentries × [sid u64][kind u16][nvals u32][payload]
 //! checkpoint: [ckpt_magic u32][seq u64][name_len u16][name bytes][partition u32]
-//!               [has_image u8][image_seq u64 when has_image = 1]
 //!               [s0 u64][s1 u64][nentries u32]
 //!                 nentries × [sid u64][kind u16][nvals u32][payload]
 //! payload: INS → n ≥ 1 tuples, DEL → n ≥ 1 sort keys, MOD → one value
@@ -70,12 +69,12 @@
 //! the image load and the surviving commits. Residual values use the plain
 //! inline encoding, never dictionary codes.
 //!
-//! A marker's `image_seq` is the manifest sequence of the persisted
-//! compressed image ([`columnar::ImageStore`]) the checkpoint published in
-//! its merge phase — always equal to the marker's own `seq`, recorded
-//! explicitly so recovery knows whether a marker's folded history exists
-//! on disk (image-based recovery) or is purely in-memory durable-by-replay
-//! (markers written by image-less databases carry `has_image = 0`).
+//! Every marker stands for a persisted compressed image
+//! ([`columnar::ImageStore`]) the checkpoint published in its merge phase,
+//! under the manifest sequence equal to the marker's own `seq`: a log
+//! that records a checkpoint always has the stable image its positions
+//! count against on disk, and recovery that cannot load it fails rather
+//! than skip the commits the marker covers.
 
 use columnar::{Schema, Value};
 use pdt::builder::PdtBuilder;
@@ -100,15 +99,16 @@ use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 // not get rid of its records: start such a database from a fresh log and
 // image directory (README § Migration).
 const MAGIC: u32 = 0x7064_7457;
-// "pdtX": every checkpoint marker carries the folded SID window and the
+// "pdtY": every checkpoint marker carries the folded SID window and the
 // residual out-of-range delta inline — one layout, a whole-partition
 // checkpoint being the window over every row — in the entry form of
-// "pdtW". Bumped from "pdtV" (residuals under the two batch kinds),
-// itself bumped from "pdtU" (which branched on a scope byte), so markers
-// from older builds fail loudly with "bad record magic" instead of
-// misparsing; start such a database from a fresh log and image
-// directory, as for `MAGIC`.
-const CKPT_MAGIC: u32 = 0x7064_7458;
+// "pdtW", and its image always sits at the marker's own sequence.
+// Bumped from "pdtX" (whose flag byte let a marker stand for no image),
+// itself bumped from "pdtV" (residuals under the two batch kinds) and
+// "pdtU" (which branched on a scope byte), so markers from older builds
+// fail loudly with "bad record magic" instead of misparsing; start such
+// a database from a fresh log and image directory, as for `MAGIC`.
+const CKPT_MAGIC: u32 = 0x7064_7459;
 
 /// One entry of a logged delta.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,8 +136,9 @@ pub enum WalRecord {
     },
     /// `(table, partition)` was checkpointed: every commit with sequence
     /// ≤ `seq` touching that partition is folded into the stable slice the
-    /// partition restarts from. Commits with a later sequence — including
-    /// ones physically *before* this marker in the file, written while the
+    /// partition restarts from, persisted as the image the manifest holds
+    /// at sequence `seq`. Commits with a later sequence — including ones
+    /// physically *before* this marker in the file, written while the
     /// checkpoint merge ran — are not, and neither are other partitions'
     /// commits at any sequence.
     Checkpoint {
@@ -147,11 +148,6 @@ pub enum WalRecord {
         table: String,
         /// The checkpointed partition of `table`.
         partition: u32,
-        /// Manifest sequence of the persisted compressed image the
-        /// checkpoint published (equal to `seq`); `None` when the
-        /// checkpoint folded in memory only, in which case the covered
-        /// commits exist nowhere on disk after this marker.
-        image_seq: Option<u64>,
         /// The folded stable-SID window `[s0, s1)`: only delta addressing
         /// it is in the published image. The covered commits'
         /// out-of-range remainder is *not* — it rides in `residual`,
@@ -202,15 +198,6 @@ pub fn read_all(path: &Path) -> std::io::Result<Vec<WalRecord>> {
             .to_string();
             pos += nlen;
             let partition = read_u32(&bytes, &mut pos)?;
-            let has_image = *bytes
-                .get(pos)
-                .ok_or_else(|| corrupt("truncated checkpoint image flag"))?;
-            pos += 1;
-            let image_seq = match has_image {
-                0 => None,
-                1 => Some(read_u64(&bytes, &mut pos)?),
-                f => return Err(corrupt(&format!("bad checkpoint image flag {f}"))),
-            };
             let range = (read_u64(&bytes, &mut pos)?, read_u64(&bytes, &mut pos)?);
             // residual values are always inline (no per-record
             // dictionary on markers)
@@ -219,7 +206,6 @@ pub fn read_all(path: &Path) -> std::io::Result<Vec<WalRecord>> {
                 seq,
                 table,
                 partition,
-                image_seq,
                 range,
                 residual,
             });
@@ -383,7 +369,6 @@ fn encode_checkpoint_record(
     table: &str,
     partition: u32,
     seq: u64,
-    image_seq: Option<u64>,
     (s0, s1): (u64, u64),
     residual: &[WalEntry],
 ) {
@@ -392,13 +377,6 @@ fn encode_checkpoint_record(
     buf.extend_from_slice(&(table.len() as u16).to_le_bytes());
     buf.extend_from_slice(table.as_bytes());
     buf.extend_from_slice(&partition.to_le_bytes());
-    match image_seq {
-        Some(s) => {
-            buf.push(1);
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
-        None => buf.push(0),
-    }
     buf.extend_from_slice(&s0.to_le_bytes());
     buf.extend_from_slice(&s1.to_le_bytes());
     encode_entries(buf, residual, &HashMap::new());
@@ -526,9 +504,9 @@ impl GroupWal {
     }
 
     /// Enqueue a checkpoint marker — `(table, partition)`'s commits with
-    /// sequence ≤ `seq` are durable in a fresh stable image, persisted on
-    /// disk when `image_seq` is set, except for `residual`, their remainder
-    /// outside the folded stable-SID window `range` — and wait until it
+    /// sequence ≤ `seq` are durable in the stable image published at
+    /// sequence `seq`, except for `residual`, their remainder outside the
+    /// folded stable-SID window `range` — and wait until it
     /// (and everything enqueued before it) is durable. Call under the same
     /// exclusion that orders commits (the engine's commit guard).
     /// Synchronous on purpose: the caller installs the checkpointed image
@@ -540,21 +518,12 @@ impl GroupWal {
         table: &str,
         partition: u32,
         seq: u64,
-        image_seq: Option<u64>,
         range: (u64, u64),
         residual: &[WalEntry],
     ) -> std::io::Result<()> {
         let ticket = {
             let mut g = self.state.lock().unwrap();
-            encode_checkpoint_record(
-                &mut g.pending,
-                table,
-                partition,
-                seq,
-                image_seq,
-                range,
-                residual,
-            );
+            encode_checkpoint_record(&mut g.pending, table, partition, seq, range, residual);
             g.pending_records += 1;
             g.enqueued += 1;
             g.stats.checkpoints += 1;
@@ -626,10 +595,9 @@ impl GroupWal {
 /// [`checkpoint_markers`].
 #[derive(Debug, Clone)]
 pub struct CoveringMarker {
-    /// Commit sequence the marker covers (commits ≤ this are folded).
+    /// Commit sequence the marker covers (commits ≤ this are folded), and
+    /// the manifest sequence of the persisted image to rebuild from.
     pub seq: u64,
-    /// Manifest sequence of the persisted image to rebuild from.
-    pub image_seq: Option<u64>,
     /// Out-of-range delta (rebased onto the post-merge stable) to replay
     /// on top of the image before the surviving commits. Empty when the
     /// marker folded the whole partition.
@@ -638,9 +606,8 @@ pub struct CoveringMarker {
 
 /// The *covering* (highest-sequence) checkpoint marker per table, then per
 /// partition. Recovery rebuilds each partition from the persisted image
-/// the covering marker references — `image_seq` is the manifest sequence
-/// to load — replays the marker's `residual`, then replays the commits
-/// [`effective_commits`] keeps.
+/// at the covering marker's `seq`, replays the marker's `residual`, then
+/// replays the commits [`effective_commits`] keeps.
 pub fn checkpoint_markers(records: &[WalRecord]) -> HashMap<String, HashMap<u32, CoveringMarker>> {
     let mut m: HashMap<String, HashMap<u32, CoveringMarker>> = HashMap::new();
     for rec in records {
@@ -648,14 +615,12 @@ pub fn checkpoint_markers(records: &[WalRecord]) -> HashMap<String, HashMap<u32,
             seq,
             table,
             partition,
-            image_seq,
             residual,
             ..
         } = rec
         {
             let cur = CoveringMarker {
                 seq: *seq,
-                image_seq: *image_seq,
                 residual: residual.clone(),
             };
             match m.entry(table.clone()).or_default().entry(*partition) {
@@ -1073,7 +1038,7 @@ mod tests {
     #[test]
     fn a_log_from_the_previous_format_is_refused() {
         // "pdtT" commits and "pdtV" markers carried two batch kinds
-        // beside the one-row INS / DEL
+        // beside the one-row INS / DEL, "pdtX" markers an image flag byte
         let dir = std::env::temp_dir().join("pdt_wal_old_magic_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("old.wal");
@@ -1085,8 +1050,12 @@ mod tests {
         let mut commit = Vec::new();
         encode_commit_record(&mut commit, 1, &[("t", 0, entries.as_slice())]);
         let mut marker = Vec::new();
-        encode_checkpoint_record(&mut marker, "t", 0, 1, None, (0, 1), &entries);
-        for (mut record, old) in [(commit, 0x7064_7454u32), (marker, 0x7064_7456)] {
+        encode_checkpoint_record(&mut marker, "t", 0, 1, (0, 1), &entries);
+        for (mut record, old) in [
+            (commit.clone(), 0x7064_7454u32),
+            (marker.clone(), 0x7064_7456),
+            (marker, 0x7064_7458),
+        ] {
             record[..4].copy_from_slice(&old.to_le_bytes());
             std::fs::write(&path, &record).unwrap();
             let err = read_all(&path).unwrap_err();
@@ -1157,11 +1126,10 @@ mod tests {
             let (e0, e1, e2) = (ins(10), ins(20), ins(30));
             gw.enqueue_commit(1, &[("t", 0, e0.as_slice()), ("t", 1, e1.as_slice())]);
             gw.enqueue_commit(2, &[("t", 0, e2.as_slice())]);
-            // partition 0 checkpointed at seq 2: both its deltas are folded,
-            // with a persisted image referenced by the marker (the
-            // synchronous marker append drains the two commits before it)
-            gw.append_checkpoint("t", 0, 2, Some(2), (0, 3), &[])
-                .unwrap();
+            // partition 0 checkpointed at seq 2: both its deltas are folded
+            // (the synchronous marker append drains the two commits before
+            // it)
+            gw.append_checkpoint("t", 0, 2, (0, 3), &[]).unwrap();
         }
         let all = read_all(&path).unwrap();
         assert_eq!(all.len(), 3);
@@ -1171,15 +1139,14 @@ mod tests {
                 Some(WalRecord::Checkpoint {
                     seq: 2,
                     partition: 0,
-                    image_seq: Some(2),
                     ..
                 })
             ),
-            "image sequence roundtrips through the marker"
+            "the marker roundtrips"
         );
         let markers = checkpoint_markers(&all);
         let m = &markers["t"][&0];
-        assert_eq!((m.seq, m.image_seq), (2, Some(2)));
+        assert_eq!(m.seq, 2);
         assert!(m.residual.is_empty());
         let effective = effective_commits(all, &markers);
         let kept: Vec<(u64, String, u32)> = effective
@@ -1217,11 +1184,10 @@ mod tests {
         ];
         {
             let gw = GroupWal::open(&path).unwrap();
-            gw.append_checkpoint("t", 2, 5, Some(5), (32, 96), &residual)
+            gw.append_checkpoint("t", 2, 5, (32, 96), &residual)
                 .unwrap();
             // a whole-partition marker after it must stay the covering one
-            gw.append_checkpoint("t", 2, 9, Some(9), (0, 128), &[])
-                .unwrap();
+            gw.append_checkpoint("t", 2, 9, (0, 128), &[]).unwrap();
         }
         let all = read_all(&path).unwrap();
         assert_eq!(all.len(), 2);
@@ -1371,7 +1337,7 @@ mod tests {
         }];
         // an enqueued-but-unflushed commit rides along with the marker
         let _ticket = gw.enqueue_commit(1, &[("t", 0, e.as_slice())]);
-        gw.append_checkpoint("t", 0, 1, None, (0, 1), &[]).unwrap();
+        gw.append_checkpoint("t", 0, 1, (0, 1), &[]).unwrap();
         assert_eq!(gw.pending_records(), 0, "marker append drains the buffer");
         let s = gw.stats();
         assert_eq!((s.commits, s.checkpoints, s.appends), (1, 1, 1));

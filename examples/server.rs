@@ -13,11 +13,14 @@ use server::{Server, ServerConfig};
 use std::sync::Arc;
 
 fn main() {
-    // 1. A WAL-backed database with one ordered table. Sessions that
-    //    commit concurrently will share WAL append/fsync windows (group
-    //    commit); drop `with_wal` for an in-memory run.
+    // 1. A WAL-backed database with one ordered table; its checkpoint
+    //    images live beside the log, in `<wal>.images`. Sessions that
+    //    commit concurrently share WAL append windows (group commit);
+    //    `Database::new()` instead is an in-memory run.
     let wal = std::env::temp_dir().join("pdt_example_server.wal");
+    let images = std::env::temp_dir().join("pdt_example_server.wal.images");
     let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_dir_all(&images);
     let db = Arc::new(Database::with_wal(&wal).expect("open wal"));
     let schema = Schema::from_pairs(&[("id", ValueType::Int), ("score", ValueType::Int)]);
     let rows = (0..10_000i64)
@@ -91,7 +94,7 @@ fn main() {
     //    abort/backpressure counters.
     if let Some(stats) = server.db().wal_stats() {
         println!(
-            "wal: {} commit records in {} append windows ({} fsyncs saved by group commit)",
+            "wal: {} commit records in {} append windows ({} writes saved by group commit)",
             stats.commits,
             stats.appends,
             stats.commits.saturating_sub(stats.appends)
@@ -100,4 +103,5 @@ fn main() {
     let metrics = server.shutdown();
     print!("{metrics}");
     let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_dir_all(&images);
 }

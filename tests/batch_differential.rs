@@ -294,7 +294,7 @@ fn nan_payloads_agree_through_checkpoint_and_recovery() {
         .map(|i| r(i * 10, if i % 3 == 0 { f64::NAN } else { -0.0 }))
         .collect();
     let dir = std::env::temp_dir().join(format!("pdt_batch_diff_nan_{}", std::process::id()));
-    let mut h = DiffHarness::with_storage(dir, "t", schema, vec![0], base, 4);
+    let mut h = DiffHarness::with_wal(dir, "t", schema, vec![0], base, 4);
     h.assert_agree("base");
     assert!(h.insert(r(5, f64::NAN)));
     assert!(h.append(vec![r(15, f64::NAN), r(25, 0.0), r(125, f64::NAN)]));

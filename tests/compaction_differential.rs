@@ -59,7 +59,7 @@ fn storage_dir(test: &str) -> PathBuf {
 }
 
 fn storage_harness(test: &str, partitions: usize) -> DiffHarness {
-    let h = DiffHarness::with_storage(storage_dir(test), "t", schema(), vec![0], base_rows(48), 8);
+    let h = DiffHarness::with_wal(storage_dir(test), "t", schema(), vec![0], base_rows(48), 8);
     if partitions > 1 {
         h.with_partitions(partitions)
     } else {
@@ -272,7 +272,7 @@ fn full_range_compaction_is_byte_identical_to_checkpoint_across_partitions() {
 /// through a block-range step and through `checkpoint` alike.
 #[test]
 fn zero_block_partitions_fold_through_the_empty_range() {
-    let mut h = DiffHarness::with_storage(storage_dir("empty"), "t", schema(), vec![0], vec![], 8);
+    let mut h = DiffHarness::with_wal(storage_dir("empty"), "t", schema(), vec![0], vec![], 8);
     h.insert(row(5, 1));
     h.insert(row(3, 2));
     h.compact(0, 0, 0);

@@ -197,11 +197,13 @@ fn reconciled_disjoint_commits_recover_identically() {
         .collect();
     let mut recovered_images = Vec::new();
     for policy in ALL_POLICIES {
-        let wal = std::env::temp_dir().join(format!(
-            "pdt-e2e-reconcile-{}-{policy:?}.wal",
+        let dir = std::env::temp_dir().join(format!(
+            "pdt-e2e-reconcile-{}-{policy:?}",
             std::process::id()
         ));
-        let _ = std::fs::remove_file(&wal);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = dir.join("t.wal");
         let committed;
         {
             let db = Database::with_wal(&wal).unwrap();
@@ -245,7 +247,7 @@ fn reconciled_disjoint_commits_recover_identically() {
             "{policy:?}: recovered state must equal committed state"
         );
         recovered_images.push((policy, recovered));
-        let _ = std::fs::remove_file(&wal);
+        let _ = std::fs::remove_dir_all(&dir);
     }
     for (policy, img) in &recovered_images[1..] {
         assert_eq!(

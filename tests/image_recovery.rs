@@ -1,19 +1,16 @@
-//! Image-based recovery must be indistinguishable from WAL-replay
-//! recovery — across every update policy, with and without range
-//! partitioning, and across a crash landing *between* an image publish
-//! and its WAL checkpoint marker.
+//! Image-based recovery must restore exactly the live image — across
+//! every update policy, with and without range partitioning, and across a
+//! crash landing *between* an image publish and its WAL checkpoint marker.
 //!
-//! The differential harness makes the contract executable. In plain WAL
-//! mode a checkpoint folds committed history into the in-memory stable
-//! image and appends a marker that stops replay at the pinned sequence:
-//! the folded commits become unrecoverable from the log alone, so the
-//! harness has to simulate the image hand-off by rotating its recovery
-//! base. In storage mode ([`DiffHarness::with_storage`]) the harness
-//! *never* rotates the base — recovery gets the original bulk-load rows
-//! plus the WAL, and everything a checkpoint folded must come back from
-//! the compressed images the checkpoint persisted. Agreement with the
-//! model (and hence with WAL-mode recovery of the same workload) is
-//! exactly the acceptance criterion.
+//! A checkpoint folds committed history into a fresh stable image,
+//! persists it, and appends a marker that stops replay at the pinned
+//! sequence: the folded commits are in that image and nowhere else. The
+//! differential harness ([`DiffHarness::with_wal`]) never rotates its
+//! recovery base — recovery gets the original bulk-load rows plus the
+//! WAL, and everything a checkpoint folded must come back from the
+//! compressed images the checkpoint persisted. Agreement with the model
+//! is exactly the acceptance criterion. A marker whose image is gone is a
+//! `Corrupt` error, never a recovery that silently drops its commits.
 
 use columnar::TableMeta;
 use columnar::{Schema, Tuple, Value, ValueType};
@@ -42,7 +39,7 @@ fn base_rows(n: i64) -> Vec<Tuple> {
 
 fn storage_harness(test: &str, partitions: usize) -> DiffHarness {
     let dir = std::env::temp_dir().join(format!("pdt_img_{test}_{}", std::process::id()));
-    let h = DiffHarness::with_storage(dir, "t", schema(), vec![0], base_rows(48), 8);
+    let h = DiffHarness::with_wal(dir, "t", schema(), vec![0], base_rows(48), 8);
     if partitions > 1 {
         h.with_partitions(partitions)
     } else {
@@ -135,22 +132,22 @@ fn crash_window_straddling_partitions_recovers() {
     h.crash_recover();
 }
 
-/// Cold start reads the compressed images instead of replaying folded
-/// WAL history: after checkpointing a heavy delta and recovering into a
-/// fresh process, the checkpointed rows must be served from the image
-/// (the WAL's covered records are skipped) and the bytes charged to the
-/// recovery `IoTracker` must be the image's compressed blocks.
+/// A restart reads the compressed images instead of replaying folded WAL
+/// history: after `Database::with_wal`, a commit and a checkpoint,
+/// recovering into a fresh process from the original rows must serve the
+/// checkpointed rows from the image beside the log (the WAL's covered
+/// records are skipped), and the bytes charged to the recovery
+/// `IoTracker` must be the image's compressed blocks.
 #[test]
-fn cold_start_serves_checkpointed_state_from_images() {
+fn restart_under_with_wal_serves_checkpointed_state_from_images() {
     for policy in ALL_POLICIES {
         let dir =
-            std::env::temp_dir().join(format!("pdt_img_cold_{policy:?}_{}", std::process::id()));
+            std::env::temp_dir().join(format!("pdt_img_restart_{policy:?}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let wal = dir.join("db.wal");
-        let images = dir.join("images");
         let make = || {
-            let db = Database::with_storage(&wal, &images).unwrap();
+            let db = Database::with_wal(&wal).unwrap();
             db.create_table(
                 TableMeta::new("t", schema(), vec![0]),
                 TableOptions {
@@ -184,12 +181,71 @@ fn cold_start_serves_checkpointed_state_from_images() {
         let recovered = db.io().stats().since(&before);
         assert!(
             recovered.blocks_read > 0,
-            "{policy:?}: cold start must charge the image's compressed blocks"
+            "{policy:?}: a restart must charge the image's compressed blocks"
         );
         let view = db.read_view();
         let got =
             exec::run_to_rows(&mut view.scan_with("t", ScanSpec::cols(vec![0, 1, 2])).unwrap());
-        assert_eq!(got, want, "{policy:?}: cold start diverged");
+        assert_eq!(got, want, "{policy:?}: the restart diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A checkpoint marker says its commits live in its image alone: with the
+/// image directory gone, recovery must fail with a `Corrupt` error naming
+/// the image — not return `Ok` without the folded commit. A database
+/// without an image store refuses a log with markers outright.
+#[test]
+fn a_marker_without_its_image_fails_recovery() {
+    use columnar::ColumnarError;
+    use engine::DbError;
+    for policy in ALL_POLICIES {
+        let dir =
+            std::env::temp_dir().join(format!("pdt_img_missing_{policy:?}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (wal, images) = (dir.join("t.wal"), dir.join("images"));
+        let create = |db: &Database| {
+            let opts = TableOptions::default().with_policy(policy);
+            db.create_table(TableMeta::new("t", schema(), vec![0]), opts, base_rows(16))
+                .unwrap();
+        };
+        let commit = |db: &Database, k: i64| {
+            let mut txn = db.begin();
+            txn.insert(
+                "t",
+                vec![Value::Int(k), Value::Int(k), Value::Str("m".into())],
+            )
+            .unwrap();
+            txn.commit().unwrap();
+        };
+        {
+            let db = Database::with_storage(&wal, &images).unwrap();
+            create(&db);
+            commit(&db, 5);
+            assert!(db.checkpoint("t").unwrap(), "{policy:?}");
+            commit(&db, 7);
+        }
+        std::fs::remove_dir_all(&images).unwrap();
+        let db = Database::with_storage(&wal, &images).unwrap();
+        create(&db);
+        let err = db.recover_from(&wal).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Storage(ColumnarError::Corrupt(m))
+                if m == "table t partition 0, image at seq 1: the manifest holds no such image"),
+            "{policy:?}: {err}"
+        );
+        let db = Database::new();
+        create(&db);
+        let err = db.recover_from(&wal).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+            "{policy:?}: {err}"
+        );
+        assert!(
+            err.to_string().contains("has no image store"),
+            "{policy:?}: {err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

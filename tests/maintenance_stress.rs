@@ -253,10 +253,10 @@ fn flush_between_seq_allocation_and_publish_keeps_the_commit_visible() {
 #[test]
 fn wal_marker_orders_mid_merge_commits_for_recovery() {
     for policy in ALL_POLICIES {
-        let dir = std::env::temp_dir().join(format!("maint_wal_{policy:?}"));
+        let dir = std::env::temp_dir().join(format!("maint_wal_{policy:?}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.wal");
-        let _ = std::fs::remove_file(&path);
 
         let db = Database::with_wal(&path).unwrap();
         db.create_table(
@@ -284,14 +284,7 @@ fn wal_marker_orders_mid_merge_commits_for_recovery() {
             })
             .unwrap();
         assert!(did, "{policy:?}");
-        // the checkpointed stable image — what a real system persists at
-        // the marker — and one more commit after the checkpoint
-        let marker_image = run_to_rows(
-            &mut db
-                .clean_view()
-                .scan_with("t", ScanSpec::cols(vec![0, 1]))
-                .unwrap(),
-        );
+        // one more commit after the checkpoint
         {
             let mut t = db.begin();
             t.insert("t", vec![Value::Int(14), Value::Int(-14)])
@@ -302,9 +295,10 @@ fn wal_marker_orders_mid_merge_commits_for_recovery() {
         assert!(live.iter().any(|r| r[0] == Value::Int(13)));
         drop(db);
 
-        // crash: rebuild from the marker image, replay the log. The two
-        // pre-checkpoint commits are covered by the marker (skipped); the
-        // mid-merge and post-checkpoint commits are not (replayed).
+        // crash: recreate from the bulk-load rows, recover. The two
+        // pre-checkpoint commits are covered by the marker (loaded from its
+        // image, not replayed); the mid-merge and post-checkpoint commits
+        // are not (replayed).
         let recovered = Database::with_wal(&path).unwrap();
         recovered
             .create_table(
@@ -312,7 +306,7 @@ fn wal_marker_orders_mid_merge_commits_for_recovery() {
                 TableOptions::default()
                     .with_policy(policy)
                     .with_block_rows(8),
-                marker_image.clone(),
+                int_rows(32),
             )
             .unwrap();
         recovered.recover_from(&path).unwrap();
@@ -321,20 +315,21 @@ fn wal_marker_orders_mid_merge_commits_for_recovery() {
             live,
             "{policy:?}: marker-aware recovery diverged from the live image"
         );
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 /// Lifecycle: the scheduler drives a WAL-backed database; after drain +
-/// crash, marker-aware recovery from the final checkpointed image
-/// reproduces the live image.
+/// crash, recovery from the bulk-load rows loads the final checkpointed
+/// image and reproduces the live image.
 #[test]
 fn scheduler_with_wal_survives_crash_recovery() {
     for policy in ALL_POLICIES {
-        let dir = std::env::temp_dir().join(format!("maint_sched_wal_{policy:?}"));
+        let dir =
+            std::env::temp_dir().join(format!("maint_sched_wal_{policy:?}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.wal");
-        let _ = std::fs::remove_file(&path);
 
         let db = Arc::new(Database::with_wal(&path).unwrap());
         db.create_table(
@@ -367,7 +362,7 @@ fn scheduler_with_wal_survives_crash_recovery() {
         sched.shutdown();
         let live = image(&db);
         // after drain, everything is stable: the clean image is the
-        // checkpointed base a recovery would restart from
+        // checkpointed image a recovery loads
         let base = run_to_rows(
             &mut db
                 .clean_view()
@@ -384,11 +379,11 @@ fn scheduler_with_wal_survives_crash_recovery() {
                 TableOptions::default()
                     .with_policy(policy)
                     .with_block_rows(8),
-                base,
+                int_rows(32),
             )
             .unwrap();
         recovered.recover_from(&path).unwrap();
         assert_eq!(image(&recovered), live, "{policy:?}");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -29,7 +29,7 @@ fn storage_harness(
         std::process::id(),
         DIR_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    let h = DiffHarness::with_storage(dir, "t", schema, sk_cols, rows, 8);
+    let h = DiffHarness::with_wal(dir, "t", schema, sk_cols, rows, 8);
     if partitions > 1 {
         h.with_partitions(partitions)
     } else {
