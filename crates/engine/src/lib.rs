@@ -1803,14 +1803,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn partitioned_wal_recovery_restores_every_partition() {
-        // images beside the log (`with_wal`) and where the caller says
-        // (`with_storage`)
-        for (policy, beside) in ALL_POLICIES
-            .into_iter()
-            .flat_map(|p| [(p, true), (p, false)])
-        {
+    /// Commits into three partitions, checkpoints the middle one, commits
+    /// again, then recreates every partition from the original rows and
+    /// recovers: the result must equal the live image. `beside` keeps the
+    /// images next to the log (`with_wal`); otherwise they live where the
+    /// caller says (`with_storage`).
+    fn partition_checkpoint_recovers_live_image(beside: bool) {
+        for policy in ALL_POLICIES {
             let dir = std::env::temp_dir().join(format!(
                 "pdt_part_wal_{policy:?}_{beside}_{}",
                 std::process::id()
@@ -1863,9 +1862,21 @@ mod tests {
             // for (the folded 155) and replays the post-marker 165
             let recovered = make();
             recovered.recover_from(&wal).unwrap();
-            assert_eq!(t_rows(&recovered), want, "{policy:?}");
+            assert_eq!(t_rows(&recovered), want, "{policy:?} beside={beside}");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn partitioned_wal_recovery_restores_every_partition() {
+        partition_checkpoint_recovers_live_image(true);
+    }
+
+    #[test]
+    fn image_recovery_restores_folded_history() {
+        // the marker stands for an image in a caller-chosen directory; the
+        // folded insert of 155 comes back from it
+        partition_checkpoint_recovers_live_image(false);
     }
 
     #[test]
