@@ -20,17 +20,34 @@ use std::sync::Arc;
 
 use crate::error::{ColumnarError, Result};
 
-/// An immutable, order-preserving string dictionary (sorted, deduplicated).
+/// An immutable, order-preserving string dictionary (sorted, deduplicated),
+/// its strings laid end to end in one buffer — wherever the heap stands
+/// when it is built, a probe's binary search walks one allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrDict {
-    strs: Vec<String>,
+    /// Every string, in code order, end to end.
+    bytes: String,
+    /// `spans[c]`: where string `c` starts and ends in `bytes`.
+    spans: Vec<(usize, usize)>,
 }
 
 impl StrDict {
+    /// The dictionary of `strs`, already sorted and distinct.
+    fn of_sorted<S: AsRef<str>>(strs: &[S]) -> StrDict {
+        let mut bytes = String::with_capacity(strs.iter().map(|s| s.as_ref().len()).sum());
+        let spans = (strs.iter())
+            .map(|s| {
+                bytes.push_str(s.as_ref());
+                (bytes.len() - s.as_ref().len(), bytes.len())
+            })
+            .collect();
+        StrDict { bytes, spans }
+    }
+
     /// Build a dictionary from arbitrary strings (sorted + deduplicated).
     /// The inputs are sorted as given — borrowed, when they are `&str`s —
-    /// and only the distinct ones are copied, into a list of exactly their
-    /// number.
+    /// and only the distinct ones are copied, end to end into one buffer
+    /// sized to them.
     pub fn build<I, S>(strings: I) -> Arc<StrDict>
     where
         I: IntoIterator<Item = S>,
@@ -39,8 +56,7 @@ impl StrDict {
         let mut input: Vec<S> = strings.into_iter().collect();
         input.sort_unstable_by(|a, b| a.as_ref().cmp(b.as_ref()));
         input.dedup_by(|a, b| a.as_ref() == b.as_ref());
-        let strs = input.iter().map(|s| s.as_ref().to_string()).collect();
-        Arc::new(StrDict { strs })
+        Arc::new(StrDict::of_sorted(&input))
     }
 
     /// Wrap an already sorted, duplicate-free list (image loading). Errors
@@ -58,32 +74,36 @@ impl StrDict {
                 ));
             }
         }
-        Ok(StrDict { strs })
+        Ok(StrDict::of_sorted(&strs))
     }
 
     /// Number of distinct strings.
     pub fn len(&self) -> usize {
-        self.strs.len()
+        self.spans.len()
     }
 
     /// True when the dictionary holds no strings (empty column).
     pub fn is_empty(&self) -> bool {
-        self.strs.is_empty()
+        self.spans.is_empty()
     }
 
     /// The string a code stands for. Panics on out-of-range codes — decode
     /// paths validate codes against `len()` before constructing coded
     /// vectors.
     pub fn get(&self, code: u32) -> &str {
-        &self.strs[code as usize]
+        let (start, end) = self.spans[code as usize];
+        &self.bytes[start..end]
+    }
+
+    /// `Ok(code)` of `s`, or `Err(rank)` where it would go.
+    fn search(&self, s: &str) -> std::result::Result<usize, usize> {
+        self.spans
+            .binary_search_by(|&(start, end)| self.bytes[start..end].cmp(s))
     }
 
     /// The code of `s`, if present.
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.strs
-            .binary_search_by(|probe| probe.as_str().cmp(s))
-            .ok()
-            .map(|i| i as u32)
+        self.search(s).ok().map(|i| i as u32)
     }
 
     /// `(rank, exact)`: `rank` is the number of dictionary strings strictly
@@ -92,7 +112,7 @@ impl StrDict {
     /// merge needs: an absent probe key still orders totally against every
     /// coded value through its rank.
     pub fn rank_of(&self, s: &str) -> (u32, bool) {
-        match self.strs.binary_search_by(|probe| probe.as_str().cmp(s)) {
+        match self.search(s) {
             Ok(i) => (i as u32, true),
             Err(i) => (i as u32, false),
         }
@@ -100,7 +120,7 @@ impl StrDict {
 
     /// Iterate the strings in code order.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.strs.iter().map(|s| s.as_str())
+        (0..self.len()).map(|c| self.get(c as u32))
     }
 
     /// The sorted, deduplicated union of `a` and `b`, with the map from
@@ -112,7 +132,10 @@ impl StrDict {
         let (mut strs, mut from_a, mut from_b) = (Vec::new(), Vec::new(), Vec::new());
         let (mut i, mut j) = (0, 0);
         while i < a.len() || j < b.len() {
-            let ord = match (a.strs.get(i), b.strs.get(j)) {
+            let ord = match (
+                (i < a.len()).then(|| a.get(i as u32)),
+                (j < b.len()).then(|| b.get(j as u32)),
+            ) {
                 (Some(x), Some(y)) => x.cmp(y),
                 (Some(_), None) => Ordering::Less,
                 _ => Ordering::Greater,
@@ -120,13 +143,13 @@ impl StrDict {
             let code = strs.len() as u32;
             if ord.is_le() {
                 from_a.push(code);
-                strs.push(&a.strs[i]);
+                strs.push(a.get(i as u32));
                 i += 1;
             }
             if ord.is_ge() {
                 from_b.push(code);
                 if ord.is_gt() {
-                    strs.push(&b.strs[j]);
+                    strs.push(b.get(j as u32));
                 }
                 j += 1;
             }
@@ -134,16 +157,14 @@ impl StrDict {
         let dict = match strs.len() {
             n if n == a.len() => a.clone(),
             n if n == b.len() => b.clone(),
-            _ => Arc::new(StrDict {
-                strs: strs.into_iter().cloned().collect(),
-            }),
+            _ => Arc::new(StrDict::of_sorted(&strs)),
         };
         (dict, from_a, from_b)
     }
 
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.strs.iter().map(|s| s.len() + 24).sum()
+        self.bytes.len() + 24 * self.len()
     }
 }
 
@@ -168,7 +189,7 @@ mod tests {
         let borrowed: Vec<&str> = owned.iter().map(String::as_str).collect();
         for d in [StrDict::build(owned.clone()), StrDict::build(borrowed)] {
             assert_eq!(d.iter().collect::<Vec<_>>(), ["s0", "s1", "s2"]);
-            assert_eq!(d.strs.capacity(), 3);
+            assert_eq!((d.spans.capacity(), d.bytes.capacity()), (3, 6));
         }
     }
 

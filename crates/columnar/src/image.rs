@@ -17,11 +17,13 @@
 //! *ahead* of the WAL's checkpoint marker; loaders must treat such an
 //! entry as absent (the commits folded into it will replay from the WAL
 //! instead — see [`ImageStore::load`]). To keep the *previous* recovery
-//! base alive across that window, the manifest retains the newest **two**
-//! entries per partition: by the time a new checkpoint of a partition
-//! publishes, the previous image's marker is durable (phase 3 appends it
-//! synchronously and per-partition checkpoints are serialized), so every
-//! older entry is unreferenced and its file is pruned.
+//! base alive across that window, a publish retains its own entry and the
+//! newest one below it per partition: by the time a new checkpoint of a
+//! partition publishes, the previous image's marker is durable (phase 3
+//! appends it synchronously and per-partition checkpoints are
+//! serialized), so every older entry is unreferenced and its file is
+//! pruned. Entries above it — an earlier log's, over the same directory —
+//! stay until a publish passes them.
 //!
 //! A (v5) image file is its *head* — magic, version, where the head ends,
 //! the table header, each column's optional dictionary and block slots,
@@ -736,9 +738,10 @@ pub struct ImageEntry {
 
 /// The manifest: the published images of every `(table, partition)`,
 /// atomically swapped as one file so readers always observe a consistent
-/// set. Per key the newest two entries are retained (ascending by
-/// sequence): the newest may sit in the crash window before its WAL
-/// marker, in which case the one below it is the recovery base.
+/// set. Per key a publish retains its own entry and the newest one below
+/// it (ascending by sequence): the published one may sit in the crash
+/// window before its WAL marker, in which case the one below it is the
+/// recovery base.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ImageManifest {
     entries: BTreeMap<(String, u32), Vec<ImageEntry>>,
@@ -850,21 +853,25 @@ impl ImageManifest {
     /// Record a publish: insert `entry` (replacing a same-sequence one) and
     /// return the entries it supersedes, whose files the caller may delete
     /// once the manifest is saved. Retention is **manifest-driven**: the
-    /// newest two generations stay (the newest may sit in the crash window
-    /// before its WAL marker, the one below it is then the recovery base),
-    /// *plus* the transitive dependency closure of everything kept — an
-    /// older generation whose blocks a kept incremental image still
-    /// references must not lose its file.
+    /// published generation and the newest one below it stay (the
+    /// published one may sit in the crash window before its WAL marker,
+    /// the one below it is then the recovery base), *plus* the transitive
+    /// dependency closure of everything kept — an older generation whose
+    /// blocks a kept incremental image still references must not lose its
+    /// file. Entries above the published sequence, left by an earlier log
+    /// over the same directory, stay until a later publish passes them.
     pub fn set(&mut self, table: &str, partition: u32, entry: ImageEntry) -> Vec<ImageEntry> {
         let list = self
             .entries
             .entry((table.to_string(), partition))
             .or_default();
-        list.retain(|e| e.seq != entry.seq);
+        let seq = entry.seq;
+        list.retain(|e| e.seq != seq);
         list.push(entry);
         list.sort_by_key(|e| e.seq);
+        let at = list.partition_point(|e| e.seq < seq);
         let mut keep: std::collections::BTreeSet<u64> =
-            list.iter().rev().take(2).map(|e| e.seq).collect();
+            list[at.saturating_sub(1)..].iter().map(|e| e.seq).collect();
         loop {
             let more: Vec<u64> = list
                 .iter()
@@ -1323,6 +1330,41 @@ mod tests {
         fs::write(dir.join(MANIFEST_FILE), "not a manifest\n").unwrap();
         assert!(ImageManifest::load(&dir).is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh log publishing into a directory an earlier log populated
+    /// keeps its own image and the one below it; the earlier log's higher
+    /// sequences stay until a publish passes them, then go with the rest.
+    #[test]
+    fn a_publish_keeps_its_own_entry_below_older_higher_ones() {
+        let entry = |seq: u64, deps: Vec<u64>| ImageEntry {
+            seq,
+            file: format!("t.p0.{seq}.img"),
+            deps,
+        };
+        let seqs = |m: &ImageManifest| -> Vec<u64> {
+            m.entries[&("t".to_string(), 0)]
+                .iter()
+                .map(|e| e.seq)
+                .collect()
+        };
+        let mut m = ImageManifest::default();
+        for seq in 1..=4 {
+            m.set("t", 0, entry(seq, vec![]));
+        }
+        assert_eq!(seqs(&m), vec![3, 4]);
+        assert!(m.set("t", 0, entry(1, vec![])).is_empty());
+        assert_eq!(seqs(&m), vec![1, 3, 4]);
+        assert!(m.set("t", 0, entry(2, vec![])).is_empty());
+        assert_eq!(seqs(&m), vec![1, 2, 3, 4]);
+        // seq 3 replaces the earlier log's seq 3 in place; 1 goes
+        let pruned = m.set("t", 0, entry(3, vec![]));
+        assert_eq!(pruned.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(seqs(&m), vec![2, 3, 4]);
+        // a reference keeps its source below the pair
+        let pruned = m.set("t", 0, entry(6, vec![2]));
+        assert_eq!(pruned.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(seqs(&m), vec![2, 4, 6]);
     }
 
     /// Formats only builds before the current WAL record format wrote: a

@@ -1,6 +1,6 @@
 //! Table schemas and sort-key definitions.
 
-use crate::value::{Tuple, Value, ValueType};
+use crate::value::{Value, ValueType};
 use std::cmp::Ordering;
 
 /// A named, typed column of a table.
@@ -133,27 +133,12 @@ impl SortKeyDef {
         }
         Ordering::Equal
     }
-
-    /// Compare a full tuple against an extracted sort-key value.
-    pub fn cmp_tuple_key(&self, tuple: &[Value], key: &[Value]) -> Ordering {
-        for (i, &c) in self.cols.iter().enumerate() {
-            match tuple[c].cmp(&key[i]) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        Ordering::Equal
-    }
-
-    /// Extract the sort key of a tuple.
-    pub fn extract(&self, tuple: &[Value]) -> Tuple {
-        self.cols.iter().map(|&c| tuple[c].clone()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Tuple;
 
     fn schema() -> Schema {
         Schema::from_pairs(&[
@@ -195,13 +180,5 @@ mod tests {
         let b: Tuple = vec!["London".into(), "chair".into(), false.into(), 30i64.into()];
         assert_eq!(sk.cmp_tuples(&a, &b), Ordering::Less);
         assert_eq!(sk.cmp_tuples(&a, &a), Ordering::Equal);
-        assert_eq!(
-            sk.cmp_tuple_key(&b, &["London".into(), "aaa".into()]),
-            Ordering::Greater
-        );
-        assert_eq!(
-            sk.extract(&a),
-            vec![Value::from("Berlin"), Value::from("table")]
-        );
     }
 }

@@ -11,7 +11,6 @@
 //! per block recording the sort key of the block's first tuple; a lookup
 //! maps a sort-key range to a conservative SID range.
 
-use crate::schema::SortKeyDef;
 use crate::value::{SkKey, Value};
 use std::cmp::Ordering;
 
@@ -105,25 +104,6 @@ impl SparseIndex {
         };
         (lo_sid, hi_sid.max(lo_sid))
     }
-
-    /// Build an index from an iterator of rows (testing convenience).
-    pub fn from_rows<'a>(
-        rows: impl Iterator<Item = &'a [Value]>,
-        sort_key: &SortKeyDef,
-        block_rows: usize,
-    ) -> Self {
-        let mut first_key = Vec::new();
-        let mut start_sid = Vec::new();
-        let mut count = 0u64;
-        for (i, row) in rows.enumerate() {
-            if i % block_rows == 0 {
-                first_key.push(sort_key.extract(row));
-                start_sid.push(i as u64);
-            }
-            count += 1;
-        }
-        SparseIndex::new(first_key, start_sid, count)
-    }
 }
 
 #[cfg(test)]
@@ -132,11 +112,20 @@ mod tests {
     use crate::schema::SortKeyDef;
     use crate::value::Tuple;
 
+    /// An index over `rows`, one entry per `block_rows` of them.
+    fn from_rows(rows: &[Tuple], sk: &SortKeyDef, block_rows: usize) -> SparseIndex {
+        let first_key = (rows.iter().step_by(block_rows))
+            .map(|r| crate::value::sk_of(r, sk.cols()))
+            .collect();
+        let start_sid = (0..rows.len() as u64).step_by(block_rows).collect();
+        SparseIndex::new(first_key, start_sid, rows.len() as u64)
+    }
+
     fn index() -> SparseIndex {
         // 9 rows, block of 3, key = col 0 (int)
         let rows: Vec<Tuple> = (0..9).map(|i| vec![Value::Int(i * 10)]).collect();
         let sk = SortKeyDef::new(vec![0]);
-        SparseIndex::from_rows(rows.iter().map(|r| r.as_slice()), &sk, 3)
+        from_rows(&rows, &sk, 3)
     }
 
     #[test]
@@ -188,7 +177,7 @@ mod tests {
         .map(|(s, p)| vec![Value::from(*s), Value::from(*p)])
         .collect();
         let sk = SortKeyDef::new(vec![0, 1]);
-        let idx = SparseIndex::from_rows(rows.iter().map(|r| r.as_slice()), &sk, 2);
+        let idx = from_rows(&rows, &sk, 2);
         // Query: store='Paris' AND prod<'rug'  ==> range (Paris,"") ..= (Paris,rug)
         let (lo, hi) = idx.sid_range(
             Some(&[Value::from("Paris")]),
@@ -213,7 +202,7 @@ mod tests {
         .map(|(s, i)| vec![Value::from(*s), Value::from(*i)])
         .collect();
         let sk = SortKeyDef::new(vec![0, 1]);
-        let idx = SparseIndex::from_rows(rows.iter().map(|r| r.as_slice()), &sk, 2);
+        let idx = from_rows(&rows, &sk, 2);
         // prefix bound on first column only
         let (lo, hi) = idx.sid_range(Some(&[Value::from("b")]), Some(&[Value::from("b")]));
         assert!(lo <= 2 && hi >= 4);

@@ -14,6 +14,7 @@ use crate::schema::{Schema, SortKeyDef};
 use crate::sparse::SparseIndex;
 use crate::value::{SkKey, Tuple, Value, ValueType};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identity of a table: name, schema, physical sort order.
@@ -35,6 +36,36 @@ impl TableMeta {
             schema,
             sort_key: SortKeyDef::new(sort_key),
         }
+    }
+
+    /// Check every row against the schema, then put the rows in sort-key
+    /// order: a stable sort, run only when some neighbouring pair is out
+    /// of order. The check compares sort-key cells in place, so no key is
+    /// built per row.
+    pub fn sort_rows(&self, rows: &mut [Tuple]) -> Result<()> {
+        for (i, row) in rows.iter().enumerate() {
+            self.check_row(i as u64, row)?;
+        }
+        let sk = &self.sort_key;
+        if rows
+            .windows(2)
+            .any(|w| sk.cmp_tuples(&w[0], &w[1]) == Ordering::Greater)
+        {
+            rows.sort_by(|a, b| sk.cmp_tuples(a, b));
+        }
+        Ok(())
+    }
+
+    /// Row `i` fits the schema's arity and column types, or is
+    /// [`ColumnarError::SchemaMismatch`] naming it.
+    fn check_row(&self, i: u64, row: &[Value]) -> Result<()> {
+        if self.schema.validate(row) {
+            return Ok(());
+        }
+        Err(ColumnarError::SchemaMismatch(format!(
+            "row {i} {row:?} does not match schema of {}",
+            self.name
+        )))
     }
 }
 
@@ -94,26 +125,33 @@ pub struct StableTable {
 }
 
 impl StableTable {
-    /// Bulk-load from rows that are *already sorted* on the sort key, into
-    /// blocks of `block_rows` rows. Returns an error on zero `block_rows`,
-    /// schema mismatch or unsorted input.
-    pub fn bulk_load(meta: TableMeta, block_rows: usize, rows: &[Tuple]) -> Result<StableTable> {
+    /// Load rows that arrive *already sorted* on the sort key, into blocks
+    /// of `block_rows` rows — the one load path. Each block's worth of rows
+    /// is moved into typed columns (strings moved, not copied; each row
+    /// freed as it is read) and handed to [`TableBuilder::append_cols`], so
+    /// the load holds one block of transposed rows beside the rows still to
+    /// come, never a whole table's worth. Zero `block_rows` and a row that
+    /// does not fit the schema are [`ColumnarError::SchemaMismatch`];
+    /// unsorted input is [`ColumnarError::UnsortedInput`] at the first
+    /// offending row. [`TableMeta::sort_rows`] sorts rows that need it.
+    pub fn load(
+        meta: TableMeta,
+        block_rows: usize,
+        rows: impl IntoIterator<Item = Tuple>,
+    ) -> Result<StableTable> {
         let mut b = TableBuilder::new(meta, block_rows)?;
-        for row in rows {
-            b.append(row)?;
+        let mut rows = rows.into_iter().peekable();
+        while rows.peek().is_some() {
+            let chunk = b.columns_of(rows.by_ref().take(block_rows))?;
+            b.append_cols(chunk)?;
         }
         b.finish()
     }
 
-    /// Bulk-load from unsorted rows: sorts by the sort key first.
-    pub fn bulk_load_unsorted(
-        meta: TableMeta,
-        block_rows: usize,
-        mut rows: Vec<Tuple>,
-    ) -> Result<StableTable> {
-        let sk = meta.sort_key.clone();
-        rows.sort_by(|a, b| sk.cmp_tuples(a, b));
-        Self::bulk_load(meta, block_rows, &rows)
+    /// [`StableTable::load`] over borrowed rows: the same chunking, each
+    /// row copied as it is read.
+    pub fn bulk_load(meta: TableMeta, block_rows: usize, rows: &[Tuple]) -> Result<StableTable> {
+        Self::load(meta, block_rows, rows.iter().cloned())
     }
 
     /// Reassemble a table from already-encoded parts (persisted-image
@@ -465,12 +503,14 @@ fn cmp_prefix(stored: &[Value], key: &[Value]) -> Ordering {
     Ordering::Equal
 }
 
-/// Streaming bulk loader producing a [`StableTable`].
+/// Streaming bulk loader producing a [`StableTable`], fed sorted column
+/// chunks through its one append form, [`TableBuilder::append_cols`].
 ///
-/// String columns are **dictionary-coded**: their blocks are buffered
-/// during the load, a table-global order-preserving [`StrDict`] is built
-/// in [`TableBuilder::finish`], and every block is then written as
-/// [`Encoding::GlobalCode`] `u32` codes.
+/// String columns are **dictionary-coded**: their blocks are held as codes
+/// during the load — a plain block over a dictionary of its own distinct
+/// strings — a table-global order-preserving [`StrDict`]
+/// is built in [`TableBuilder::finish`], and every block is then written
+/// as [`Encoding::GlobalCode`] `u32` codes.
 ///
 /// A builder started with [`TableBuilder::splice`] rewrites only a block
 /// range of an existing table: it is seeded with the kept prefix blocks,
@@ -482,11 +522,12 @@ pub struct TableBuilder {
     buf: Vec<ColumnVec>,
     blocks: Vec<Vec<Block>>,
     /// `dict_col[c]`: column `c` is a string column headed for global
-    /// dictionary coding; its blocks collect in `pending[c]` — still coded
-    /// where the rows arrived coded — until `finish` knows the full string
+    /// dictionary coding; its blocks collect in `pending[c]` as codes —
+    /// over the dictionary the rows arrived coded in, or over one of the
+    /// block's own distinct strings — until `finish` knows the full string
     /// universe.
     dict_col: Vec<bool>,
-    pending: Vec<Vec<ColumnVec>>,
+    pending: Vec<Vec<(Vec<u32>, Arc<StrDict>)>>,
     /// `dicts[c]`: the dictionary of `base`'s column `c` in a splice. Its
     /// block buffers start coded over it, so coded rows are copied as
     /// codes. In a partial splice the kept blocks stay coded against it:
@@ -601,45 +642,31 @@ impl TableBuilder {
             .collect();
     }
 
-    /// Append one row; must arrive in (non-strict) sort-key order.
-    pub fn append(&mut self, row: &[Value]) -> Result<()> {
-        if !self.meta.schema.validate(row) {
-            return Err(ColumnarError::SchemaMismatch(format!(
-                "row {:?} does not match schema of {}",
-                row, self.meta.name
-            )));
-        }
-        let sk = self.meta.sort_key.extract(row);
-        if let Some(prev) = &self.last_sk {
-            if prev.as_slice() > sk.as_slice() {
-                return Err(ColumnarError::UnsortedInput {
-                    row: self.row_count,
-                });
+    /// Move `rows` into typed columns of the schema — strings moved, each
+    /// row freed once read — checking each row against the schema.
+    fn columns_of(&self, rows: impl Iterator<Item = Tuple>) -> Result<Vec<ColumnVec>> {
+        let mut cols: Vec<ColumnVec> = (self.meta.schema.fields().iter())
+            .map(|f| ColumnVec::with_capacity(f.vtype, self.block_rows))
+            .collect();
+        for (i, row) in rows.enumerate() {
+            self.meta.check_row(self.row_count + i as u64, &row)?;
+            for (col, v) in cols.iter_mut().zip(row) {
+                col.push_owned(v);
             }
         }
-        if self.buf[0].is_empty() {
-            self.sparse_keys.push(sk.clone());
-            self.sparse_sids.push(self.row_count);
-        }
-        self.last_sk = Some(sk);
-        for (c, v) in row.iter().enumerate() {
-            self.buf[c].push(v);
-        }
-        self.row_count += 1;
-        if self.buf[0].len() == self.block_rows {
-            self.flush_block();
-        }
-        Ok(())
+        Ok(cols)
     }
 
     /// Append already-sorted columns (one [`ColumnVec`] per schema column,
-    /// equal lengths). This is the vectorized twin of [`TableBuilder::append`]:
-    /// values move block-at-a-time through typed `extend_range` copies, sort
-    /// order is validated with native cell comparisons, and no row tuple is
-    /// ever materialized. Every maintenance step of every update policy
-    /// feeds the batches of its block-range merge scan straight through
-    /// here (the executor's `fold_blocks`), dictionary codes included.
-    pub fn append_cols(&mut self, cols: &[ColumnVec]) -> Result<()> {
+    /// equal lengths) — the builder's one append form. Sort order is
+    /// checked with native cell comparisons and no row tuple is ever
+    /// built. A chunk that fits an empty block buffer becomes that buffer
+    /// as it is, uncopied; otherwise values move through typed
+    /// `extend_range` copies. A load hands its rows over here a block at a
+    /// time ([`StableTable::load`]), and every maintenance step of every
+    /// update policy feeds the batches of its block-range merge scan
+    /// (the executor's `fold_blocks`), dictionary codes included.
+    pub fn append_cols(&mut self, mut cols: Vec<ColumnVec>) -> Result<()> {
         if cols.len() != self.meta.schema.len() {
             return Err(ColumnarError::SchemaMismatch(format!(
                 "{} columns appended, schema of {} has {}",
@@ -663,7 +690,9 @@ impl TableBuilder {
             return Ok(());
         }
         let sk_cols: Vec<usize> = self.meta.sort_key.cols().to_vec();
-        let sk_of = |i: usize| -> Vec<Value> { sk_cols.iter().map(|&c| cols[c].get(i)).collect() };
+        let sk_of = |cols: &[ColumnVec], i: usize| -> Vec<Value> {
+            sk_cols.iter().map(|&c| cols[c].get(i)).collect()
+        };
         // order check: batch-internal, native comparisons (no Value allocs)
         for i in 1..n {
             for (rank, &c) in sk_cols.iter().enumerate() {
@@ -681,7 +710,7 @@ impl TableBuilder {
         }
         // order check: batch head against what is already loaded
         if let Some(prev) = &self.last_sk {
-            if cmp_prefix(prev, &sk_of(0)) == Ordering::Greater {
+            if cmp_prefix(prev, &sk_of(&cols, 0)) == Ordering::Greater {
                 return Err(ColumnarError::UnsortedInput {
                     row: self.row_count,
                 });
@@ -689,17 +718,22 @@ impl TableBuilder {
         }
         let mut done = 0usize;
         while done < n {
-            if self.buf[0].is_empty() {
-                self.sparse_keys.push(sk_of(done));
+            let fresh = self.buf[0].is_empty();
+            if fresh {
+                self.sparse_keys.push(sk_of(&cols, done));
                 self.sparse_sids.push(self.row_count);
             }
             let take = (self.block_rows - self.buf[0].len()).min(n - done);
-            for (c, col) in cols.iter().enumerate() {
-                self.buf[c].extend_range(col, done, done + take);
+            self.row_count += take as u64;
+            self.last_sk = Some(sk_of(&cols, done + take - 1));
+            if fresh && take == n {
+                self.buf = std::mem::take(&mut cols);
+            } else {
+                for (c, col) in cols.iter().enumerate() {
+                    self.buf[c].extend_range(col, done, done + take);
+                }
             }
             done += take;
-            self.row_count += take as u64;
-            self.last_sk = Some(sk_of(done - 1));
             if self.buf[0].len() == self.block_rows {
                 self.flush_block();
             }
@@ -721,10 +755,17 @@ impl TableBuilder {
             }
             let kept = &self.dicts[c];
             if self.dict_col[c] {
-                // defer, still coded if it arrived so: the global
-                // dictionary is only known at finish()
+                // defer as codes: the global dictionary is only known at
+                // finish(). A plain block is coded over a dictionary of its
+                // distinct strings, so its own strings are freed now
                 let block = std::mem::replace(col, empty_buf(ValueType::Str, kept, rows));
-                self.pending[c].push(block);
+                self.pending[c].push(match block {
+                    ColumnVec::Coded(codes, d) => (codes, d),
+                    plain => {
+                        let d = StrDict::build(plain.as_str());
+                        (plain.as_str().iter().map(|s| d.rank_of(s).0).collect(), d)
+                    }
+                });
             } else if col
                 .dict()
                 .zip(kept.as_ref())
@@ -747,11 +788,11 @@ impl TableBuilder {
     }
 
     /// Finish the load and produce the immutable table. String columns
-    /// get their global dictionary built here and their
-    /// blocks encoded as [`Encoding::GlobalCode`]: a block still coded
-    /// contributes the codes it uses and is recoded through a code map, a
-    /// materialized one its distinct strings. A splice appends its kept
-    /// suffix blocks (rejecting replacement rows that sort past them).
+    /// get their global dictionary built here and their blocks encoded as
+    /// [`Encoding::GlobalCode`]: every deferred block contributes the
+    /// codes it uses and is recoded through a code map. A splice appends
+    /// its kept suffix blocks (rejecting replacement rows that sort past
+    /// them).
     pub fn finish(mut self) -> Result<StableTable> {
         if !self.buf[0].is_empty() || self.meta.schema.is_empty() {
             self.flush_block();
@@ -809,46 +850,34 @@ fn empty_buf(vtype: ValueType, dict: &Option<Arc<StrDict>>, rows: usize) -> Colu
 }
 
 /// The dictionary of exactly the strings in one column's deferred blocks,
-/// and every block coded over it. A block still coded marks the codes it
-/// uses in its source dictionary (one pass over its codes; a column's
-/// blocks share one or a few dictionaries); a materialized block — a
-/// string outside the source dictionary, or rows that arrived plain —
-/// adds its distinct strings. The string set is the one a rebuild from
-/// every row's string finds, so a string deleted everywhere drops out,
-/// but a coded block is recoded through a per-dictionary code map and
-/// never turned back into strings.
-fn code_globally(pending: &[ColumnVec]) -> (Arc<StrDict>, Vec<Block>) {
+/// and every block coded over it. Each block marks the codes it uses in
+/// its source dictionary — the one the rows arrived coded in (a column's
+/// blocks share one or a few of those), or the block's own (see
+/// `flush_block`). The string set is the one a rebuild from every row's
+/// string finds, so a string deleted everywhere drops out, but every
+/// block is recoded through a per-dictionary code map and never turned
+/// back into strings.
+fn code_globally(pending: &[(Vec<u32>, Arc<StrDict>)]) -> (Arc<StrDict>, Vec<Block>) {
     // (dictionary, which of its codes some block uses); per block, its
-    // dictionary's index here or `None` for a materialized block
+    // dictionary's index here
     let mut sources: Vec<(&Arc<StrDict>, Vec<bool>)> = Vec::new();
-    let mut source_of = Vec::with_capacity(pending.len());
-    let mut plain: Vec<&str> = Vec::new();
-    for col in pending {
-        let ColumnVec::Coded(codes, d) = col else {
-            let mut strs: Vec<&str> = (0..col.len()).map(|i| col.str_at(i)).collect();
-            strs.sort_unstable();
-            strs.dedup();
-            plain.extend(strs);
-            source_of.push(None);
-            continue;
-        };
-        let s = match sources.iter().position(|(known, _)| Arc::ptr_eq(known, d)) {
-            Some(s) => s,
-            None => {
+    let mut index: HashMap<*const StrDict, usize> = HashMap::new();
+    let source_of: Vec<usize> = (pending.iter())
+        .map(|(codes, d)| {
+            let s = *index.entry(Arc::as_ptr(d)).or_insert_with(|| {
                 sources.push((d, vec![false; d.len()]));
                 sources.len() - 1
+            });
+            for &code in codes {
+                sources[s].1[code as usize] = true;
             }
-        };
-        let used = &mut sources[s].1;
-        for &code in codes {
-            used[code as usize] = true;
-        }
-        source_of.push(Some(s));
-    }
+            s
+        })
+        .collect();
     let used_strs = sources
         .iter()
         .flat_map(|(d, used)| d.iter().zip(used).filter_map(|(s, &u)| u.then_some(s)));
-    let dict = StrDict::build(used_strs.chain(plain));
+    let dict = StrDict::build(used_strs);
     // each source code's rank in the new dictionary: its code there, for
     // every code a block uses
     let maps: Vec<Vec<u32>> = sources
@@ -858,16 +887,8 @@ fn code_globally(pending: &[ColumnVec]) -> (Arc<StrDict>, Vec<Block>) {
     let blocks = pending
         .iter()
         .zip(source_of)
-        .map(|(col, source)| {
-            let codes = match (col, source) {
-                (ColumnVec::Coded(codes, _), Some(s)) => {
-                    codes.iter().map(|&c| maps[s][c as usize]).collect()
-                }
-                // a present string's rank is its code
-                _ => (0..col.len())
-                    .map(|i| dict.rank_of(col.str_at(i)).0)
-                    .collect(),
-            };
+        .map(|((codes, _), s)| {
+            let codes = codes.iter().map(|&c| maps[s][c as usize]).collect();
             Block::encode_coded(&ColumnVec::Coded(codes, dict.clone()))
         })
         .collect();
@@ -1023,12 +1044,32 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_unsorted_sorts() {
+    fn sort_rows_sorts_stably_and_names_a_misfit_row() {
         let mut rows = inventory_rows();
         rows.reverse();
-        let t = StableTable::bulk_load_unsorted(inventory_meta(), 4096, rows).unwrap();
+        // two rows of one key keep their input order
+        let twin = vec![
+            Value::from("London"),
+            Value::from("chair"),
+            Value::from(true),
+            Value::from(31i64),
+        ];
+        rows.push(twin.clone());
+        let meta = inventory_meta();
+        meta.sort_rows(&mut rows).unwrap();
+        let mut want = inventory_rows();
+        want.insert(1, twin);
+        assert_eq!(rows, want);
+        let t = StableTable::load(meta.clone(), 2, rows).unwrap();
         let io = IoTracker::new();
-        assert_eq!(t.scan_all(&io).unwrap(), inventory_rows());
+        assert_eq!(t.scan_all(&io).unwrap(), want);
+        let mut bad = inventory_rows();
+        bad[3].pop();
+        let err = meta.sort_rows(&mut bad).unwrap_err();
+        assert!(
+            matches!(&err, ColumnarError::SchemaMismatch(m) if m.starts_with("row 3 ")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1119,7 +1160,7 @@ mod tests {
         merged: &[ColumnVec],
     ) -> Result<StableTable> {
         let mut b = TableBuilder::splice(t, b0, b1)?;
-        b.append_cols(merged)?;
+        b.append_cols(merged.to_vec())?;
         b.finish()
     }
 
@@ -1295,7 +1336,7 @@ mod tests {
                         col
                     })
                     .collect();
-                b.append_cols(&cols).unwrap();
+                b.append_cols(cols).unwrap();
                 at += chunk.len();
             }
             let spliced = b.finish().unwrap();

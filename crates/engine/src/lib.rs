@@ -356,6 +356,13 @@ impl Database {
     /// the update structure. A name already in use is refused with
     /// [`DbError::TableExists`]: the live table, its transactions and its
     /// log stay as they are.
+    ///
+    /// The load streams: every row is checked against the schema (a misfit
+    /// is a storage `SchemaMismatch` naming its input index), the rows are
+    /// sorted stably only if they are out of order, and each partition is
+    /// a contiguous run of them that [`StableTable::load`] moves a block
+    /// at a time into its image, freeing each row as it goes. The name
+    /// checks come first, before any row is touched.
     pub fn create_table(
         &self,
         meta: TableMeta,
@@ -382,7 +389,7 @@ impl Database {
         &self,
         meta: TableMeta,
         opts: TableOptions,
-        rows: Vec<Tuple>,
+        mut rows: Vec<Tuple>,
         store: impl Fn(String, Schema, Vec<usize>) -> Arc<dyn DeltaStore>,
     ) -> Result<(), DbError> {
         let name = meta.name.clone();
@@ -403,11 +410,14 @@ impl Database {
         let schema = meta.schema.clone();
         let sk = meta.sort_key.cols().to_vec();
         let sk_types: Vec<columnar::ValueType> = sk.iter().map(|&c| schema.vtype(c)).collect();
+        meta.sort_rows(&mut rows)?;
         let splits = partition::derive_splits(&name, &opts.partitions, &rows, &sk, &sk_types)?;
-        let groups = partition::split_rows(rows, &splits, &sk);
-        let mut parts = Vec::with_capacity(groups.len());
-        for (p, part_rows) in groups.into_iter().enumerate() {
-            let stable = StableTable::bulk_load_unsorted(meta.clone(), opts.block_rows, part_rows)?;
+        let lens = partition::split_rows(&rows, &splits, &sk);
+        let mut rows = rows.into_iter();
+        let mut parts = Vec::with_capacity(lens.len());
+        for (p, len) in lens.into_iter().enumerate() {
+            let part_rows = rows.by_ref().take(len);
+            let stable = StableTable::load(meta.clone(), opts.block_rows, part_rows)?;
             let metrics = MaintMetrics::new(&self.registry, &name, p);
             let delta = store(name.clone(), schema.clone(), sk.clone());
             parts.push(PartitionEntry::new(stable, delta, &self.io, metrics));

@@ -41,6 +41,7 @@ use crate::compaction::PartitionHeat;
 use crate::delta::DeltaStore;
 use crate::maintenance::MaintMetrics;
 use crate::{DbError, TableOptions};
+use columnar::value::sk_of;
 use columnar::{BlockProvenance, IoTracker, Schema, StableTable, Tuple, Value};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
@@ -181,11 +182,12 @@ pub(crate) fn build_segments<'a>(
         .collect()
 }
 
-/// Resolve a [`PartitionSpec`] against the bulk-loaded rows into concrete
-/// split points (empty ⇒ one partition). `sk_types` are the sort-key
-/// columns' value types, in key order — explicit split points must match
-/// them exactly, or routing would silently compare across type tags and
-/// funnel every row into one partition.
+/// Resolve a [`PartitionSpec`] against the bulk-loaded rows, already in
+/// sort-key order, into concrete split points (empty ⇒ one partition).
+/// `sk_types` are the sort-key columns' value types, in key order —
+/// explicit split points must match them exactly, or routing would
+/// silently compare across type tags and funnel every row into one
+/// partition.
 pub(crate) fn derive_splits(
     table: &str,
     spec: &PartitionSpec,
@@ -227,25 +229,24 @@ pub(crate) fn derive_splits(
             if *n == 0 {
                 return Err(invalid("partition count must be ≥ 1".into()));
             }
-            if *n == 1 {
-                return Ok(Vec::new());
-            }
-            let mut keys: Vec<Vec<Value>> = rows
-                .iter()
-                .map(|r| sk_cols.iter().map(|&c| r[c].clone()).collect())
-                .collect();
-            keys.sort();
-            keys.dedup();
-            // equi-depth split points drawn from the loaded keys; a load
-            // with fewer distinct keys than partitions degrades gracefully
+            // equi-depth split points drawn from the loaded keys: the
+            // distinct keys at ranks i·d/n, found by counting key changes
+            // along the sorted rows; a load with fewer distinct keys than
+            // partitions degrades gracefully
+            let new_key = |i: usize| sk_cols.iter().any(|&c| rows[i - 1][c] != rows[i][c]);
+            let distinct =
+                (1..rows.len()).filter(|&i| new_key(i)).count() + usize::from(!rows.is_empty());
+            let mut ranks = (1..*n)
+                .map(|i| i * distinct / n)
+                .filter(|&r| r > 0)
+                .peekable();
             let mut splits: Vec<Vec<Value>> = Vec::with_capacity(n - 1);
-            for i in 1..*n {
-                let idx = i * keys.len() / n;
-                if idx == 0 || idx >= keys.len() {
-                    continue;
-                }
-                if splits.last() != Some(&keys[idx]) {
-                    splits.push(keys[idx].clone());
+            let mut rank = 0;
+            for i in (1..rows.len()).filter(|&i| new_key(i)) {
+                rank += 1;
+                if ranks.peek() == Some(&rank) {
+                    splits.push(sk_of(&rows[i], sk_cols));
+                    while ranks.next_if_eq(&rank).is_some() {}
                 }
             }
             Ok(splits)
@@ -253,23 +254,16 @@ pub(crate) fn derive_splits(
     }
 }
 
-/// Distribute bulk-load rows over the partitions (rows need not be
-/// sorted; each partition bulk-loads and sorts its own slice).
-pub(crate) fn split_rows(
-    rows: Vec<Tuple>,
-    splits: &[Vec<Value>],
-    sk_cols: &[usize],
-) -> Vec<Vec<Tuple>> {
-    let nparts = splits.len() + 1;
-    if nparts == 1 {
-        return vec![rows];
-    }
-    let mut groups: Vec<Vec<Tuple>> = (0..nparts).map(|_| Vec::new()).collect();
-    for row in rows {
-        let key: Vec<Value> = sk_cols.iter().map(|&c| row[c].clone()).collect();
-        groups[route(splits, &key)].push(row);
-    }
-    groups
+/// Cut bulk-load rows, in sort-key order, into the partitions' contiguous
+/// runs: the row count of each partition, where [`route`] sends each row.
+pub(crate) fn split_rows(rows: &[Tuple], splits: &[Vec<Value>], sk_cols: &[usize]) -> Vec<usize> {
+    let mut start = 0;
+    (0..=splits.len())
+        .map(|p| {
+            let end = rows.partition_point(|r| route(splits, &sk_of(r, sk_cols)) <= p);
+            end - std::mem::replace(&mut start, end)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -300,9 +294,12 @@ mod tests {
         let splits = derive_splits("t", &PartitionSpec::Count(4), &rows, &[0], INT).unwrap();
         assert_eq!(splits, vec![k(25), k(50), k(75)]);
         // groups are balanced
-        let groups = split_rows(rows, &splits, &[0]);
-        let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
-        assert_eq!(sizes, vec![25, 25, 25, 25]);
+        assert_eq!(split_rows(&rows, &splits, &[0]), vec![25, 25, 25, 25]);
+        // repeated keys count once: the same points over each row twice
+        let twice: Vec<Tuple> = rows.iter().flat_map(|r| [r.clone(), r.clone()]).collect();
+        let again = derive_splits("t", &PartitionSpec::Count(4), &twice, &[0], INT).unwrap();
+        assert_eq!(again, splits);
+        assert_eq!(split_rows(&twice, &splits, &[0]), vec![50, 50, 50, 50]);
     }
 
     #[test]
@@ -345,10 +342,15 @@ mod tests {
     #[test]
     fn split_rows_allows_empty_partitions() {
         let rows: Vec<Tuple> = vec![vec![Value::Int(100)]];
-        let groups = split_rows(rows, &[k(10), k(20)], &[0]);
-        assert_eq!(
-            groups.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![0, 0, 1]
-        );
+        assert_eq!(split_rows(&rows, &[k(10), k(20)], &[0]), vec![0, 0, 1]);
+        // a key equal to a split point, or one it prefixes, starts the run
+        // above it
+        let rows: Vec<Tuple> = [(5, 0), (10, 0), (10, 3), (20, 1)]
+            .iter()
+            .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
+            .collect();
+        assert_eq!(split_rows(&rows, &[k(10), k(20)], &[0, 1]), vec![1, 2, 1]);
+        let mid = vec![Value::Int(10), Value::Int(1)];
+        assert_eq!(split_rows(&rows, &[mid], &[0, 1]), vec![2, 2]);
     }
 }

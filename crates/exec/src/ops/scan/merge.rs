@@ -796,7 +796,7 @@ pub fn fold_blocks(
     let mut counts = ScanCounts::default();
     let mut scan = MergeScan::open(stable, layers, proj, range, None, io.clone(), &mut counts)?;
     while let Some(batch) = scan.next_batch(&mut counts)? {
-        builder.append_cols(&batch.cols)?;
+        builder.append_cols(batch.cols)?;
     }
     builder.finish()
 }

@@ -887,7 +887,7 @@ mod tests {
         recover(&m3, &wal_path).unwrap();
         assert_eq!(committed_view(&rows, &m3), after);
 
-        let _ = std::fs::remove_file(&wal_path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -191,6 +191,65 @@ fn restart_under_with_wal_serves_checkpointed_state_from_images() {
     }
 }
 
+/// A fresh log over an image directory an earlier log populated: the
+/// earlier log's higher-sequence manifest entries must not prune the new
+/// log's own images as it publishes them, or recovering the new log finds
+/// its marker's image gone.
+#[test]
+fn a_fresh_log_keeps_its_images_over_an_earlier_logs_directory() {
+    for policy in ALL_POLICIES {
+        let dir = std::env::temp_dir().join(format!(
+            "pdt_img_fresh_log_{policy:?}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = dir.join("db.wal");
+        let make = || {
+            let db = Database::with_wal(&wal).unwrap();
+            let opts = TableOptions {
+                block_rows: 8,
+                policy,
+                ..TableOptions::default()
+            };
+            db.create_table(TableMeta::new("t", schema(), vec![0]), opts, base_rows(48))
+                .unwrap();
+            db
+        };
+        let commit_and_checkpoint = |db: &Database, k: i64| {
+            let mut txn = db.begin();
+            txn.insert(
+                "t",
+                vec![Value::Int(k), Value::Int(k), Value::Str("n".into())],
+            )
+            .unwrap();
+            txn.commit().unwrap();
+            assert!(db.checkpoint("t").unwrap(), "{policy:?}: delta must fold");
+        };
+        {
+            let db = make();
+            for k in [5, 15, 25] {
+                commit_and_checkpoint(&db, k);
+            }
+        }
+        // the log goes, its images stay
+        std::fs::remove_file(&wal).unwrap();
+        let want = {
+            let db = make();
+            commit_and_checkpoint(&db, 35);
+            let view = db.read_view();
+            exec::run_to_rows(&mut view.scan_with("t", ScanSpec::all()).unwrap())
+        };
+        let db = make();
+        db.recover_from(&wal)
+            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        let view = db.read_view();
+        let got = exec::run_to_rows(&mut view.scan_with("t", ScanSpec::all()).unwrap());
+        assert_eq!(got, want, "{policy:?}: the restart diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A checkpoint marker says its commits live in its image alone: with the
 /// image directory gone, recovery must fail with a `Corrupt` error naming
 /// the image — not return `Ok` without the folded commit. A database

@@ -34,10 +34,28 @@ fn base_rows(n: i64) -> Vec<Tuple> {
         .collect()
 }
 
-fn tmp(file: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pdt_obs_timeline_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(file)
+/// A test's own scratch directory, removed with everything in it when the
+/// test ends (passing or not).
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(test: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("pdt_obs_timeline_{test}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    fn join(&self, file: &str) -> PathBuf {
+        self.0.join(file)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Run `f` with tracing enabled and return the decoded events it emitted.
@@ -62,8 +80,8 @@ fn commit_update(db: &Database, table: &str, k: i64) {
 #[test]
 fn commit_flush_durable_timeline() {
     let _g = serial();
-    let wal = tmp("commit_timeline.wal");
-    let _ = std::fs::remove_file(&wal);
+    let dir = Scratch::new("commit");
+    let wal = dir.join("commit_timeline.wal");
     let db = Database::with_wal(&wal).unwrap();
     db.create_table(
         TableMeta::new("t_wal", schema(), vec![0]),
@@ -177,9 +195,8 @@ fn checkpoint_pin_merge_install_all_policies() {
 #[test]
 fn checkpoint_stages_sum_inside_the_merge_span() {
     let _g = serial();
-    let (wal, images) = (tmp("stages.wal"), tmp("stages_images"));
-    let _ = std::fs::remove_file(&wal);
-    let _ = std::fs::remove_dir_all(&images);
+    let dir = Scratch::new("stages");
+    let (wal, images) = (dir.join("stages.wal"), dir.join("stages_images"));
     let db = Database::with_storage(&wal, &images).unwrap();
     db.create_table(
         TableMeta::new("t_stages", schema(), vec![0]),
@@ -324,8 +341,8 @@ fn dml_statements_say_what_they_resolved() {
 #[test]
 fn recovery_replay_emits_per_partition_events() {
     let _g = serial();
-    let wal = tmp("recovery_timeline.wal");
-    let _ = std::fs::remove_file(&wal);
+    let dir = Scratch::new("recovery");
+    let wal = dir.join("recovery_timeline.wal");
     {
         let db = Database::with_wal(&wal).unwrap();
         db.create_table(
