@@ -15,7 +15,8 @@
 //! codes refer to, and two coded vectors interoperate on the fast (pure
 //! `u32`) path exactly when their `Arc`s are pointer-equal.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use crate::error::{ColumnarError, Result};
@@ -57,6 +58,63 @@ impl StrDict {
         input.sort_unstable_by(|a, b| a.as_ref().cmp(b.as_ref()));
         input.dedup_by(|a, b| a.as_ref() == b.as_ref());
         Arc::new(StrDict::of_sorted(&input))
+    }
+
+    /// The dictionary of a block's strings and each string's code in it —
+    /// what [`StrDict::build`] and a [`StrDict::rank_of`] per string give,
+    /// but the strings are told apart by hash, so only the distinct ones
+    /// are sorted and each string is compared with none.
+    pub(crate) fn code<S: AsRef<str>>(strs: &[S]) -> (Arc<StrDict>, Vec<u32>) {
+        // codes in first-seen order, then remapped to their ranks
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        let mut distinct: Vec<(&str, u32)> = Vec::new();
+        let mut codes: Vec<u32> = (strs.iter())
+            .map(|s| {
+                *ids.entry(s.as_ref()).or_insert_with(|| {
+                    distinct.push((s.as_ref(), distinct.len() as u32));
+                    distinct.len() as u32 - 1
+                })
+            })
+            .collect();
+        distinct.sort_unstable();
+        let mut rank = vec![0u32; distinct.len()];
+        for (r, &(_, id)) in distinct.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        codes.iter_mut().for_each(|c| *c = rank[*c as usize]);
+        let sorted: Vec<&str> = distinct.into_iter().map(|(s, _)| s).collect();
+        (Arc::new(StrDict::of_sorted(&sorted)), codes)
+    }
+
+    /// The sorted union of the codes `used` marks in each source
+    /// dictionary, with each source's map from its codes to the union's (an
+    /// unused code maps to 0). A k-way merge of the sorted sources: no
+    /// string is sorted or searched again, and an unused one is skipped, not
+    /// copied. A lone source whose every code is used is the union itself.
+    pub(crate) fn merge(sources: &[(&Arc<StrDict>, Vec<bool>)]) -> (Arc<StrDict>, Vec<Vec<u32>>) {
+        if let [(d, used)] = sources {
+            if !used.contains(&false) {
+                return ((*d).clone(), vec![(0..d.len() as u32).collect()]);
+            }
+        }
+        // each source's next used code at or after `c`, as a heap entry
+        let next = |i: usize, c: usize| {
+            let (d, used) = &sources[i];
+            (c..d.len())
+                .find(|&c| used[c])
+                .map(|c| Reverse((d.get(c as u32), i, c)))
+        };
+        let mut heap: BinaryHeap<_> = (0..sources.len()).filter_map(|i| next(i, 0)).collect();
+        let mut maps: Vec<Vec<u32>> = sources.iter().map(|(d, _)| vec![0; d.len()]).collect();
+        let mut strs: Vec<&str> = Vec::new();
+        while let Some(Reverse((s, i, c))) = heap.pop() {
+            if strs.last() != Some(&s) {
+                strs.push(s);
+            }
+            maps[i][c] = strs.len() as u32 - 1;
+            heap.extend(next(i, c + 1));
+        }
+        (Arc::new(StrDict::of_sorted(&strs)), maps)
     }
 
     /// Wrap an already sorted, duplicate-free list (image loading). Errors
@@ -230,6 +288,77 @@ mod tests {
         assert!(Arc::ptr_eq(&u, &b) && from_sub == [1]);
         let (u, from_sub, _) = StrDict::union(&sub, &b);
         assert!(Arc::ptr_eq(&u, &b) && from_sub == [1]);
+    }
+
+    /// `code` against `build` and a `rank_of` per string.
+    fn assert_codes_like_build(strs: &[&str]) {
+        let (d, codes) = StrDict::code(strs);
+        let want = StrDict::build(strs);
+        assert_eq!(d, want, "{strs:?}");
+        let ranks: Vec<u32> = strs.iter().map(|s| want.rank_of(s).0).collect();
+        assert_eq!(codes, ranks, "{strs:?}");
+    }
+
+    #[test]
+    fn hash_coding_matches_build_and_rank() {
+        assert_codes_like_build(&[]);
+        assert_codes_like_build(&["", "b", "", "a", ""]);
+        assert_codes_like_build(&["ü", "u", "é", "z", "ü", "日本", "e\u{301}"]);
+        assert_codes_like_build(&["same"; 100]);
+        let distinct: Vec<String> = (0..500).map(|i| format!("k{}", (i * 7919) % 500)).collect();
+        assert_codes_like_build(&distinct.iter().map(String::as_str).collect::<Vec<_>>());
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..50 {
+            let strs: Vec<String> = (0..1 + x % 64)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    ["", "a", "ab", "b", "ä", "\u{10ffff}"][(x % 6) as usize]
+                        .repeat((x % 3) as usize)
+                })
+                .collect();
+            assert_codes_like_build(&strs.iter().map(String::as_str).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn merge_is_the_sorted_union_of_the_used_codes_with_every_code_mapped() {
+        let dicts = [
+            StrDict::build(["b", "d"]),
+            StrDict::build(["a", "d", "e"]),
+            StrDict::build([""]),
+            StrDict::build(["d"]),
+            StrDict::build(["ü", "a", "c"]),
+        ];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for case in 0..200 {
+            let n = case % (dicts.len() + 1);
+            let sources: Vec<(&Arc<StrDict>, Vec<bool>)> = (dicts[..n].iter())
+                .map(|d| {
+                    let used = (0..d.len()).map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        case < 20 || !x.is_multiple_of(3)
+                    });
+                    (d, used.collect())
+                })
+                .collect();
+            let (u, maps) = StrDict::merge(&sources);
+            let used_strs = (sources.iter())
+                .flat_map(|(d, used)| d.iter().zip(used).filter_map(|(s, &u)| u.then_some(s)));
+            assert_eq!(*u, *StrDict::build(used_strs), "case {case}");
+            assert_eq!(maps.len(), n);
+            for ((d, used), map) in sources.iter().zip(&maps) {
+                for (c, s) in d.iter().enumerate().filter(|&(c, _)| used[c]) {
+                    assert_eq!(u.get(map[c]), s, "case {case}");
+                }
+            }
+        }
+        // a lone source used whole is the union itself
+        let whole = [(&dicts[1], vec![true; 3])];
+        assert!(Arc::ptr_eq(&StrDict::merge(&whole).0, &dicts[1]));
     }
 
     #[test]

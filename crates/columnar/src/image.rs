@@ -1083,7 +1083,7 @@ mod tests {
                 ]
             })
             .collect();
-        StableTable::bulk_load(meta, block_rows, &rows).unwrap()
+        StableTable::load(meta, block_rows, &rows).unwrap()
     }
 
     #[test]
@@ -1433,7 +1433,7 @@ mod tests {
                 vec![Value::Int(i), Value::Int((x >> 20) as i64)]
             })
             .collect();
-        let t = StableTable::bulk_load(meta, 256, &rows).unwrap();
+        let t = StableTable::load(meta, 256, &rows).unwrap();
         let codecs = |t: &StableTable, c| -> Vec<Encoding> {
             t.column_blocks(c).iter().map(|b| b.encoding).collect()
         };
@@ -1456,7 +1456,7 @@ mod tests {
             Schema::from_pairs(&[("k", ValueType::Int)]),
             vec![0],
         );
-        let t = StableTable::bulk_load(meta, 4096, &[]).unwrap();
+        let t = StableTable::load(meta, 4096, Vec::<Vec<Value>>::new()).unwrap();
         let io = IoTracker::new();
         let (back, seq) = decode_image(&encode_image(&t, 1), &io).unwrap();
         assert_eq!(seq, 1);

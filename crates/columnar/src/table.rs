@@ -13,6 +13,7 @@ use crate::io::IoTracker;
 use crate::schema::{Schema, SortKeyDef};
 use crate::sparse::SparseIndex;
 use crate::value::{SkKey, Tuple, Value, ValueType};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,22 +39,25 @@ impl TableMeta {
         }
     }
 
-    /// Check every row against the schema, then put the rows in sort-key
-    /// order: a stable sort, run only when some neighbouring pair is out
-    /// of order. The check compares sort-key cells in place, so no key is
-    /// built per row.
-    pub fn sort_rows(&self, rows: &mut [Tuple]) -> Result<()> {
+    /// Check every row against the schema and find the order that sorts
+    /// them, in one pass over the rows: `None` when they already arrive in
+    /// sort-key order, otherwise the input indices in sort-key order — a
+    /// stable permutation, so rows of one key keep their input order. The
+    /// rows are read where they lie: none is moved, cloned or given a key
+    /// to sort by. A misfit row is [`ColumnarError::SchemaMismatch`] naming
+    /// its input index.
+    pub fn load_order(&self, rows: &[Tuple]) -> Result<Option<Vec<usize>>> {
+        let sk = &self.sort_key;
+        let mut sorted = true;
         for (i, row) in rows.iter().enumerate() {
             self.check_row(i as u64, row)?;
+            sorted = sorted && (i == 0 || sk.cmp_tuples(&rows[i - 1], row) != Ordering::Greater);
         }
-        let sk = &self.sort_key;
-        if rows
-            .windows(2)
-            .any(|w| sk.cmp_tuples(&w[0], &w[1]) == Ordering::Greater)
-        {
-            rows.sort_by(|a, b| sk.cmp_tuples(a, b));
-        }
-        Ok(())
+        Ok((!sorted).then(|| {
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            order.sort_by(|&a, &b| sk.cmp_tuples(&rows[a], &rows[b]));
+            order
+        }))
     }
 
     /// Row `i` fits the schema's arity and column types, or is
@@ -126,32 +130,29 @@ pub struct StableTable {
 
 impl StableTable {
     /// Load rows that arrive *already sorted* on the sort key, into blocks
-    /// of `block_rows` rows — the one load path. Each block's worth of rows
-    /// is moved into typed columns (strings moved, not copied; each row
-    /// freed as it is read) and handed to [`TableBuilder::append_cols`], so
-    /// the load holds one block of transposed rows beside the rows still to
-    /// come, never a whole table's worth. Zero `block_rows` and a row that
-    /// does not fit the schema are [`ColumnarError::SchemaMismatch`];
-    /// unsorted input is [`ColumnarError::UnsortedInput`] at the first
-    /// offending row. [`TableMeta::sort_rows`] sorts rows that need it.
-    pub fn load(
+    /// of `block_rows` rows — the one load path. The rows come owned
+    /// ([`Tuple`]s) or borrowed (`&Tuple`s); each block's worth is read
+    /// into typed columns — owned strings moved and each row freed as it
+    /// is read, borrowed ones cloned — and handed to
+    /// [`TableBuilder::append_cols`], so the load holds one block of
+    /// transposed rows beside the rows still to come, never a whole
+    /// table's worth and never a copy of its input. Zero `block_rows` and a
+    /// row that does not fit the schema are
+    /// [`ColumnarError::SchemaMismatch`]; unsorted input is
+    /// [`ColumnarError::UnsortedInput`] at the first offending row.
+    /// [`TableMeta::load_order`] finds the order of rows that need one.
+    pub fn load<'r, R: Into<Cow<'r, [Value]>>>(
         meta: TableMeta,
         block_rows: usize,
-        rows: impl IntoIterator<Item = Tuple>,
+        rows: impl IntoIterator<Item = R>,
     ) -> Result<StableTable> {
         let mut b = TableBuilder::new(meta, block_rows)?;
-        let mut rows = rows.into_iter().peekable();
+        let mut rows = rows.into_iter().map(Into::into).peekable();
         while rows.peek().is_some() {
             let chunk = b.columns_of(rows.by_ref().take(block_rows))?;
             b.append_cols(chunk)?;
         }
         b.finish()
-    }
-
-    /// [`StableTable::load`] over borrowed rows: the same chunking, each
-    /// row copied as it is read.
-    pub fn bulk_load(meta: TableMeta, block_rows: usize, rows: &[Tuple]) -> Result<StableTable> {
-        Self::load(meta, block_rows, rows.iter().cloned())
     }
 
     /// Reassemble a table from already-encoded parts (persisted-image
@@ -507,10 +508,10 @@ fn cmp_prefix(stored: &[Value], key: &[Value]) -> Ordering {
 /// chunks through its one append form, [`TableBuilder::append_cols`].
 ///
 /// String columns are **dictionary-coded**: their blocks are held as codes
-/// during the load — a plain block over a dictionary of its own distinct
-/// strings — a table-global order-preserving [`StrDict`]
-/// is built in [`TableBuilder::finish`], and every block is then written
-/// as [`Encoding::GlobalCode`] `u32` codes.
+/// during the load — a plain block coded by hash over a dictionary of its
+/// own distinct strings — a table-global order-preserving [`StrDict`] is
+/// merged from those dictionaries in [`TableBuilder::finish`], and every
+/// block is then written as [`Encoding::GlobalCode`] `u32` codes.
 ///
 /// A builder started with [`TableBuilder::splice`] rewrites only a block
 /// range of an existing table: it is seeded with the kept prefix blocks,
@@ -642,16 +643,21 @@ impl TableBuilder {
             .collect();
     }
 
-    /// Move `rows` into typed columns of the schema — strings moved, each
-    /// row freed once read — checking each row against the schema.
-    fn columns_of(&self, rows: impl Iterator<Item = Tuple>) -> Result<Vec<ColumnVec>> {
+    /// Read `rows` into typed columns of the schema — an owned row's
+    /// strings moved and the row freed once read, a borrowed row's cells
+    /// cloned — checking each row against the schema.
+    fn columns_of<'r>(
+        &self,
+        rows: impl Iterator<Item = Cow<'r, [Value]>>,
+    ) -> Result<Vec<ColumnVec>> {
         let mut cols: Vec<ColumnVec> = (self.meta.schema.fields().iter())
             .map(|f| ColumnVec::with_capacity(f.vtype, self.block_rows))
             .collect();
         for (i, row) in rows.enumerate() {
             self.meta.check_row(self.row_count + i as u64, &row)?;
-            for (col, v) in cols.iter_mut().zip(row) {
-                col.push_owned(v);
+            match row {
+                Cow::Owned(row) => cols.iter_mut().zip(row).for_each(|(c, v)| c.push_owned(v)),
+                Cow::Borrowed(row) => cols.iter_mut().zip(row).for_each(|(c, v)| c.push(v)),
             }
         }
         Ok(cols)
@@ -756,14 +762,15 @@ impl TableBuilder {
             let kept = &self.dicts[c];
             if self.dict_col[c] {
                 // defer as codes: the global dictionary is only known at
-                // finish(). A plain block is coded over a dictionary of its
-                // distinct strings, so its own strings are freed now
+                // finish(). A plain block is coded by hash over a
+                // dictionary of its distinct strings, so its own strings
+                // are freed now
                 let block = std::mem::replace(col, empty_buf(ValueType::Str, kept, rows));
                 self.pending[c].push(match block {
                     ColumnVec::Coded(codes, d) => (codes, d),
                     plain => {
-                        let d = StrDict::build(plain.as_str());
-                        (plain.as_str().iter().map(|s| d.rank_of(s).0).collect(), d)
+                        let (d, codes) = StrDict::code(plain.as_str());
+                        (codes, d)
                     }
                 });
             } else if col
@@ -788,9 +795,10 @@ impl TableBuilder {
     }
 
     /// Finish the load and produce the immutable table. String columns
-    /// get their global dictionary built here and their blocks encoded as
-    /// [`Encoding::GlobalCode`]: every deferred block contributes the
-    /// codes it uses and is recoded through a code map. A splice appends
+    /// get their global dictionary here, merged from the sorted
+    /// dictionaries their deferred blocks are coded over (cut to the codes
+    /// the blocks use), and their blocks encoded as
+    /// [`Encoding::GlobalCode`], each recoded through a code map. A splice appends
     /// its kept suffix blocks (rejecting replacement rows that sort past
     /// them).
     pub fn finish(mut self) -> Result<StableTable> {
@@ -853,14 +861,25 @@ fn empty_buf(vtype: ValueType, dict: &Option<Arc<StrDict>>, rows: usize) -> Colu
 /// and every block coded over it. Each block marks the codes it uses in
 /// its source dictionary — the one the rows arrived coded in (a column's
 /// blocks share one or a few of those), or the block's own (see
-/// `flush_block`). The string set is the one a rebuild from every row's
-/// string finds, so a string deleted everywhere drops out, but every
-/// block is recoded through a per-dictionary code map and never turned
-/// back into strings.
+/// `flush_block`). The sorted sources are merged on their used codes alone
+/// ([`StrDict::merge`]), so a string deleted everywhere drops out, and
+/// every block is recoded through its source's code map — no string
+/// sorted or searched again, and no block turned back into strings.
 fn code_globally(pending: &[(Vec<u32>, Arc<StrDict>)]) -> (Arc<StrDict>, Vec<Block>) {
-    // (dictionary, which of its codes some block uses); per block, its
-    // dictionary's index here
-    let mut sources: Vec<(&Arc<StrDict>, Vec<bool>)> = Vec::new();
+    let (sources, source_of) = used_codes(pending);
+    let (dict, maps) = StrDict::merge(&sources);
+    let blocks = recode(pending, &source_of, &maps, &dict);
+    (dict, blocks)
+}
+
+/// A dictionary deferred blocks are coded over, and which of its codes
+/// some block uses.
+type Source<'a> = (&'a Arc<StrDict>, Vec<bool>);
+
+/// The distinct source dictionaries of `pending`, and per block its
+/// dictionary's index there.
+fn used_codes(pending: &[(Vec<u32>, Arc<StrDict>)]) -> (Vec<Source<'_>>, Vec<usize>) {
+    let mut sources: Vec<Source<'_>> = Vec::new();
     let mut index: HashMap<*const StrDict, usize> = HashMap::new();
     let source_of: Vec<usize> = (pending.iter())
         .map(|(codes, d)| {
@@ -874,25 +893,22 @@ fn code_globally(pending: &[(Vec<u32>, Arc<StrDict>)]) -> (Arc<StrDict>, Vec<Blo
             s
         })
         .collect();
-    let used_strs = sources
-        .iter()
-        .flat_map(|(d, used)| d.iter().zip(used).filter_map(|(s, &u)| u.then_some(s)));
-    let dict = StrDict::build(used_strs);
-    // each source code's rank in the new dictionary: its code there, for
-    // every code a block uses
-    let maps: Vec<Vec<u32>> = sources
-        .iter()
-        .map(|(d, _)| d.iter().map(|s| dict.rank_of(s).0).collect())
-        .collect();
-    let blocks = pending
-        .iter()
-        .zip(source_of)
-        .map(|((codes, _), s)| {
+    (sources, source_of)
+}
+
+/// Every pending block recoded through its source's map into `dict`.
+fn recode(
+    pending: &[(Vec<u32>, Arc<StrDict>)],
+    source_of: &[usize],
+    maps: &[Vec<u32>],
+    dict: &Arc<StrDict>,
+) -> Vec<Block> {
+    (pending.iter().zip(source_of))
+        .map(|((codes, _), &s)| {
             let codes = codes.iter().map(|&c| maps[s][c as usize]).collect();
             Block::encode_coded(&ColumnVec::Coded(codes, dict.clone()))
         })
-        .collect();
-    (dict, blocks)
+        .collect()
 }
 
 #[cfg(test)]
@@ -998,7 +1014,7 @@ mod tests {
                 .map(|_| vec![Value::Int(next(6)), Value::Int(next(5))])
                 .collect();
             rows.sort();
-            let t = StableTable::bulk_load(meta.clone(), 1 + next(5) as usize, &rows).unwrap();
+            let t = StableTable::load(meta.clone(), 1 + next(5) as usize, &rows).unwrap();
             for _ in 0..40 {
                 // full keys, one-column prefixes and open ends, reaching
                 // below the first and above the last stored key
@@ -1027,7 +1043,7 @@ mod tests {
     #[test]
     fn bulk_load_and_scan_roundtrip() {
         let rows = inventory_rows();
-        let t = StableTable::bulk_load(inventory_meta(), 2, &rows).unwrap();
+        let t = StableTable::load(inventory_meta(), 2, &rows).unwrap();
         assert_eq!(t.row_count(), 5);
         assert_eq!(t.num_blocks(), 3);
         let io = IoTracker::new();
@@ -1039,12 +1055,15 @@ mod tests {
     fn unsorted_input_rejected() {
         let mut rows = inventory_rows();
         rows.swap(0, 3);
-        let err = StableTable::bulk_load(inventory_meta(), 4096, &rows);
+        let err = StableTable::load(inventory_meta(), 4096, &rows);
         assert!(matches!(err, Err(ColumnarError::UnsortedInput { .. })));
     }
 
     #[test]
-    fn sort_rows_sorts_stably_and_names_a_misfit_row() {
+    fn load_order_sorts_stably_and_names_a_misfit_row() {
+        let meta = inventory_meta();
+        // rows that arrive sorted are read in input order
+        assert_eq!(meta.load_order(&inventory_rows()).unwrap(), None);
         let mut rows = inventory_rows();
         rows.reverse();
         // two rows of one key keep their input order
@@ -1055,17 +1074,18 @@ mod tests {
             Value::from(31i64),
         ];
         rows.push(twin.clone());
-        let meta = inventory_meta();
-        meta.sort_rows(&mut rows).unwrap();
+        let order = meta.load_order(&rows).unwrap().unwrap();
+        assert_eq!(order, [4, 5, 3, 2, 1, 0]);
         let mut want = inventory_rows();
         want.insert(1, twin);
-        assert_eq!(rows, want);
-        let t = StableTable::load(meta.clone(), 2, rows).unwrap();
+        let t = StableTable::load(meta.clone(), 2, order.iter().map(|&i| &rows[i])).unwrap();
         let io = IoTracker::new();
         assert_eq!(t.scan_all(&io).unwrap(), want);
+        // the one pass checks every row, past the first out of order
         let mut bad = inventory_rows();
+        bad.reverse();
         bad[3].pop();
-        let err = meta.sort_rows(&mut bad).unwrap_err();
+        let err = meta.load_order(&bad).unwrap_err();
         assert!(
             matches!(&err, ColumnarError::SchemaMismatch(m) if m.starts_with("row 3 ")),
             "{err}"
@@ -1075,10 +1095,10 @@ mod tests {
     #[test]
     fn schema_mismatch_rejected() {
         let rows = vec![vec![Value::Int(1)]];
-        let err = StableTable::bulk_load(inventory_meta(), 4096, &rows);
+        let err = StableTable::load(inventory_meta(), 4096, &rows);
         assert!(matches!(err, Err(ColumnarError::SchemaMismatch(_))));
         // a layout that holds no row is refused, not a panic
-        let err = StableTable::bulk_load(inventory_meta(), 0, &inventory_rows());
+        let err = StableTable::load(inventory_meta(), 0, inventory_rows());
         assert!(matches!(err, Err(ColumnarError::SchemaMismatch(_))));
     }
 
@@ -1091,7 +1111,7 @@ mod tests {
 
     #[test]
     fn point_access() {
-        let t = StableTable::bulk_load(inventory_meta(), 2, &inventory_rows()).unwrap();
+        let t = StableTable::load(inventory_meta(), 2, inventory_rows()).unwrap();
         let io = IoTracker::new();
         let row = t.get_row(3, &io).unwrap();
         assert_eq!(row[0], Value::from("Paris"));
@@ -1105,7 +1125,7 @@ mod tests {
 
     #[test]
     fn io_accounting_per_column() {
-        let t = StableTable::bulk_load(inventory_meta(), 2, &inventory_rows()).unwrap();
+        let t = StableTable::load(inventory_meta(), 2, inventory_rows()).unwrap();
         let io = IoTracker::new();
         // reading one block of one column charges exactly that block
         t.read_block(3, 0, &io).unwrap();
@@ -1115,7 +1135,7 @@ mod tests {
 
     #[test]
     fn sid_range_uses_sparse_index() {
-        let t = StableTable::bulk_load(inventory_meta(), 2, &inventory_rows()).unwrap();
+        let t = StableTable::load(inventory_meta(), 2, inventory_rows()).unwrap();
         let r = t.sid_range(Some(&[Value::from("Paris")]), Some(&[Value::from("Paris")]));
         assert!(r.start <= 3 && r.end >= 4);
     }
@@ -1124,7 +1144,7 @@ mod tests {
         let rows: Vec<Tuple> = (0..n)
             .map(|i| vec![Value::Int(i * 10), Value::Str(format!("tag{}", i % 3))])
             .collect();
-        StableTable::bulk_load(
+        StableTable::load(
             TableMeta::new(
                 "t",
                 Schema::from_pairs(&[("k", ValueType::Int), ("s", ValueType::Str)]),
@@ -1225,7 +1245,7 @@ mod tests {
         let mut grown = all.clone();
         grown.push(vec![Value::Int(999), Value::Str("fresh".into())]);
         let full = splice_rows(&t, 0, 4, &cols_of(&grown, &t)).unwrap();
-        let loaded = StableTable::bulk_load(t.meta().clone(), t.block_rows(), &grown).unwrap();
+        let loaded = StableTable::load(t.meta().clone(), t.block_rows(), &grown).unwrap();
         assert!(full.column_dict(1).unwrap().code_of("fresh").is_some());
         assert_eq!(full.block_starts(), loaded.block_starts());
         for c in 0..2 {
@@ -1296,7 +1316,7 @@ mod tests {
                 })
                 .collect();
             base_rows.sort_by(|a, b| meta.sort_key.cmp_tuples(a, b));
-            let base = StableTable::bulk_load(meta.clone(), block_rows, &base_rows).unwrap();
+            let base = StableTable::load(meta.clone(), block_rows, &base_rows).unwrap();
             // `w0` leaves every row; survivors are thinned out, inserts
             // add `w6` and `fresh*` strings no dictionary holds
             let mut rows: Vec<Tuple> = base_rows
@@ -1340,7 +1360,7 @@ mod tests {
                 at += chunk.len();
             }
             let spliced = b.finish().unwrap();
-            let loaded = StableTable::bulk_load(meta.clone(), block_rows, &rows).unwrap();
+            let loaded = StableTable::load(meta.clone(), block_rows, &rows).unwrap();
             assert_eq!(
                 crate::image::encode_image(&spliced, 7),
                 crate::image::encode_image(&loaded, 7),
@@ -1348,6 +1368,71 @@ mod tests {
                 rows.len()
             );
         }
+    }
+
+    /// The global coding `finish` ran before it merged the block
+    /// dictionaries: every used string sorted again and every source code
+    /// searched in the result — the oracle the merge is held to.
+    fn code_globally_by_sort(pending: &[(Vec<u32>, Arc<StrDict>)]) -> (Arc<StrDict>, Vec<Block>) {
+        let (sources, source_of) = used_codes(pending);
+        let used_strs = (sources.iter())
+            .flat_map(|(d, used)| d.iter().zip(used).filter_map(|(s, &u)| u.then_some(s)));
+        let dict = StrDict::build(used_strs);
+        let maps: Vec<Vec<u32>> = (sources.iter())
+            .map(|(d, _)| d.iter().map(|s| dict.rank_of(s).0).collect())
+            .collect();
+        let blocks = recode(pending, &source_of, &maps, &dict);
+        (dict, blocks)
+    }
+
+    /// Merged global coding ≡ the sort-based one, over blocks coded by
+    /// hash, blocks coded over a kept dictionary some codes of which no
+    /// block uses, and blocks coded over a second shared dictionary.
+    #[test]
+    fn merged_global_coding_matches_the_sort_oracle() {
+        let x = &mut 0x5851_f42d_4c95_7f2du64;
+        let word = |x: &mut u64| {
+            ["", "a", "b", "ab", "ü", "zz"][rand(x, 6) as usize].repeat(1 + rand(x, 3) as usize)
+        };
+        let mut cut = 0;
+        for case in 0..300 {
+            let kept = StrDict::build((0..rand(x, 12)).map(|_| word(x)));
+            let batch = StrDict::build((0..1 + rand(x, 12)).map(|_| word(x)));
+            let pending: Vec<(Vec<u32>, Arc<StrDict>)> = (0..rand(x, 8))
+                .map(|_| {
+                    let n = 1 + rand(x, 20);
+                    match rand(x, 3) {
+                        0 if !kept.is_empty() => {
+                            let codes = (0..n).map(|_| rand(x, kept.len() as u64) as u32);
+                            (codes.collect(), kept.clone())
+                        }
+                        1 => {
+                            let codes = (0..n).map(|_| rand(x, batch.len() as u64) as u32);
+                            (codes.collect(), batch.clone())
+                        }
+                        _ => {
+                            let strs: Vec<String> = (0..n).map(|_| word(x)).collect();
+                            let (d, codes) = StrDict::code(&strs);
+                            (codes, d)
+                        }
+                    }
+                })
+                .collect();
+            let (sources, _) = used_codes(&pending);
+            cut += sources
+                .iter()
+                .filter(|(_, used)| used.contains(&false))
+                .count();
+            let (got, want) = (code_globally(&pending), code_globally_by_sort(&pending));
+            assert_eq!(*got.0, *want.0, "case {case}: dictionary");
+            let bytes = |blocks: &[Block]| {
+                (blocks.iter())
+                    .map(|b| (b.encoding, b.len, b.payload.to_vec()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bytes(&got.1), bytes(&want.1), "case {case}: blocks");
+        }
+        assert!(cut > 100, "{cut} sources with unused codes");
     }
 
     #[test]
@@ -1379,7 +1464,7 @@ mod tests {
             Schema::from_pairs(&[("k", ValueType::Int), ("v", ValueType::Int)]),
             vec![0],
         );
-        let comp = StableTable::bulk_load(meta, 1024, &rows).unwrap();
+        let comp = StableTable::load(meta, 1024, &rows).unwrap();
         // plain ints are 8 bytes each
         assert!(comp.column_bytes(0) < 10_000 * 8 / 4);
     }

@@ -251,10 +251,10 @@ fn sparse_index_query_covers_ghost_positioned_insert() {
     batch2(&mut pdt);
     batch3(&mut pdt);
 
-    let table = StableTable::bulk_load(
+    let table = StableTable::load(
         TableMeta::new("inventory", schema(), vec![0, 1]),
         2,
-        &table0(),
+        table0(),
     )
     .unwrap();
 

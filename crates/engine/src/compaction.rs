@@ -257,7 +257,7 @@ mod tests {
         let rows: Vec<Tuple> = (0..nrows)
             .map(|i| vec![Value::Int(i), Value::Int(i * 2)])
             .collect();
-        StableTable::bulk_load(TableMeta::new("t", schema, vec![0]), block_rows, &rows).unwrap()
+        StableTable::load(TableMeta::new("t", schema, vec![0]), block_rows, &rows).unwrap()
     }
 
     #[test]

@@ -71,7 +71,8 @@ use columnar::{
 use exec::{DeltaLayers, Expr, ScanBounds, ScanClock, ScanCounts, ScanSegment, TableScan};
 use maintenance::MaintMetrics;
 use parking_lot::RwLock;
-use partition::{PartitionEntry, TableEntry};
+use partition::{PartitionEntry, SortedRows, TableEntry};
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -357,17 +358,21 @@ impl Database {
     /// [`DbError::TableExists`]: the live table, its transactions and its
     /// log stay as they are.
     ///
-    /// The load streams: every row is checked against the schema (a misfit
-    /// is a storage `SchemaMismatch` naming its input index), the rows are
-    /// sorted stably only if they are out of order, and each partition is
-    /// a contiguous run of them that [`StableTable::load`] moves a block
-    /// at a time into its image, freeing each row as it goes. The name
-    /// checks come first, before any row is touched.
-    pub fn create_table(
+    /// The load reads the rows where they lie, lent (`&[Tuple]`,
+    /// `&Vec<Tuple>`) or given (`Vec<Tuple>`). One pass checks every row
+    /// against the schema (a misfit is a storage `SchemaMismatch` naming
+    /// its input index) and finds their order: the identity when they
+    /// arrive sorted, a stable permutation of their indices when they do
+    /// not ([`TableMeta::load_order`]). That order cuts each partition as a
+    /// contiguous run and streams it into [`StableTable::load`] a block at
+    /// a time: given rows are moved out and freed as they are read, lent
+    /// ones cloned a block at a time — never copied whole, not even to
+    /// sort them. The name checks come first, before any row is touched.
+    pub fn create_table<'r>(
         &self,
         meta: TableMeta,
         opts: TableOptions,
-        rows: Vec<Tuple>,
+        rows: impl Into<Cow<'r, [Tuple]>>,
     ) -> Result<(), DbError> {
         let policy = opts.policy;
         let store = |name, schema, sk| -> Arc<dyn DeltaStore> {
@@ -379,7 +384,7 @@ impl Database {
                 UpdatePolicy::RowStore => Arc::new(KeyStore::<RowBuffer>::new(name, schema, sk)),
             }
         };
-        self.create_table_with(meta, opts, rows, store)
+        self.create_table_with(meta, opts, rows.into(), store)
     }
 
     /// [`Database::create_table`] with each partition's update structure
@@ -389,7 +394,7 @@ impl Database {
         &self,
         meta: TableMeta,
         opts: TableOptions,
-        mut rows: Vec<Tuple>,
+        rows: Cow<'_, [Tuple]>,
         store: impl Fn(String, Schema, Vec<usize>) -> Arc<dyn DeltaStore>,
     ) -> Result<(), DbError> {
         let name = meta.name.clone();
@@ -410,13 +415,25 @@ impl Database {
         let schema = meta.schema.clone();
         let sk = meta.sort_key.cols().to_vec();
         let sk_types: Vec<columnar::ValueType> = sk.iter().map(|&c| schema.vtype(c)).collect();
-        meta.sort_rows(&mut rows)?;
-        let splits = partition::derive_splits(&name, &opts.partitions, &rows, &sk, &sk_types)?;
-        let lens = partition::split_rows(&rows, &splits, &sk);
-        let mut rows = rows.into_iter();
+        let order = meta.load_order(&rows)?;
+        let sorted = SortedRows::new(&rows, order.as_deref());
+        let splits = partition::derive_splits(&name, &opts.partitions, sorted, &sk, &sk_types)?;
+        let lens = partition::split_rows(sorted, &splits, &sk);
+        // the k-th row in sort-key order, moved out of given rows (its
+        // slot left empty) or lent
+        let index = |k: usize| order.as_ref().map_or(k, |o| o[k]);
+        let n = rows.len();
+        let mut stream: Box<dyn Iterator<Item = Cow<'_, [Value]>> + '_> = match rows {
+            Cow::Owned(mut rows) => {
+                Box::new((0..n).map(move |k| Cow::Owned(std::mem::take(&mut rows[index(k)]))))
+            }
+            Cow::Borrowed(rows) => {
+                Box::new((0..n).map(move |k| Cow::Borrowed(&rows[index(k)][..])))
+            }
+        };
         let mut parts = Vec::with_capacity(lens.len());
         for (p, len) in lens.into_iter().enumerate() {
-            let part_rows = rows.by_ref().take(len);
+            let part_rows = stream.by_ref().take(len);
             let stable = StableTable::load(meta.clone(), opts.block_rows, part_rows)?;
             let metrics = MaintMetrics::new(&self.registry, &name, p);
             let delta = store(name.clone(), schema.clone(), sk.clone());

@@ -563,7 +563,7 @@ mod tests {
                     .with_checkpoint_threshold(0),
                 (0..64)
                     .map(|i| vec![Value::Int(i), Value::Int(i)])
-                    .collect(),
+                    .collect::<Vec<Tuple>>(),
             )
             .unwrap();
             let sched = MaintenanceScheduler::start(
@@ -671,7 +671,7 @@ mod tests {
                 }),
             (0..128)
                 .map(|i| vec![Value::Int(i * 10), Value::Int(i)])
-                .collect(),
+                .collect::<Vec<Tuple>>(),
         )
         .unwrap();
         // eight keys over the whole range: both partitions get delta

@@ -182,8 +182,37 @@ pub(crate) fn build_segments<'a>(
         .collect()
 }
 
-/// Resolve a [`PartitionSpec`] against the bulk-loaded rows, already in
-/// sort-key order, into concrete split points (empty ⇒ one partition).
+/// Bulk-load rows in sort-key order, read where they lie: in input order
+/// when they arrive sorted, otherwise through the stable permutation that
+/// sorts them ([`columnar::TableMeta::load_order`]).
+#[derive(Clone, Copy)]
+pub(crate) struct SortedRows<'a> {
+    rows: &'a [Tuple],
+    order: Option<&'a [usize]>,
+}
+
+impl<'a> SortedRows<'a> {
+    pub(crate) fn new(rows: &'a [Tuple], order: Option<&'a [usize]>) -> Self {
+        SortedRows { rows, order }
+    }
+
+    /// The `k`-th row in sort-key order.
+    fn get(&self, k: usize) -> &'a Tuple {
+        &self.rows[self.order.map_or(k, |o| o[k])]
+    }
+
+    /// How many rows, in sort-key order, lead before the first that
+    /// fails `pred` (which the rows are partitioned by).
+    fn partition_point(&self, pred: impl Fn(&Tuple) -> bool) -> usize {
+        match self.order {
+            None => self.rows.partition_point(pred),
+            Some(o) => o.partition_point(|&i| pred(&self.rows[i])),
+        }
+    }
+}
+
+/// Resolve a [`PartitionSpec`] against the bulk-loaded rows, in sort-key
+/// order, into concrete split points (empty ⇒ one partition).
 /// `sk_types` are the sort-key columns' value types, in key order —
 /// explicit split points must match them exactly, or routing would
 /// silently compare across type tags and funnel every row into one
@@ -191,7 +220,7 @@ pub(crate) fn build_segments<'a>(
 pub(crate) fn derive_splits(
     table: &str,
     spec: &PartitionSpec,
-    rows: &[Tuple],
+    rows: SortedRows<'_>,
     sk_cols: &[usize],
     sk_types: &[columnar::ValueType],
 ) -> Result<Vec<Vec<Value>>, DbError> {
@@ -233,19 +262,22 @@ pub(crate) fn derive_splits(
             // distinct keys at ranks i·d/n, found by counting key changes
             // along the sorted rows; a load with fewer distinct keys than
             // partitions degrades gracefully
-            let new_key = |i: usize| sk_cols.iter().any(|&c| rows[i - 1][c] != rows[i][c]);
-            let distinct =
-                (1..rows.len()).filter(|&i| new_key(i)).count() + usize::from(!rows.is_empty());
+            let n_rows = rows.rows.len();
+            let new_key = |i: usize| {
+                let (prev, row) = (rows.get(i - 1), rows.get(i));
+                sk_cols.iter().any(|&c| prev[c] != row[c])
+            };
+            let distinct = (1..n_rows).filter(|&i| new_key(i)).count() + usize::from(n_rows > 0);
             let mut ranks = (1..*n)
                 .map(|i| i * distinct / n)
                 .filter(|&r| r > 0)
                 .peekable();
             let mut splits: Vec<Vec<Value>> = Vec::with_capacity(n - 1);
             let mut rank = 0;
-            for i in (1..rows.len()).filter(|&i| new_key(i)) {
+            for i in (1..n_rows).filter(|&i| new_key(i)) {
                 rank += 1;
                 if ranks.peek() == Some(&rank) {
-                    splits.push(sk_of(&rows[i], sk_cols));
+                    splits.push(sk_of(rows.get(i), sk_cols));
                     while ranks.next_if_eq(&rank).is_some() {}
                 }
             }
@@ -256,7 +288,11 @@ pub(crate) fn derive_splits(
 
 /// Cut bulk-load rows, in sort-key order, into the partitions' contiguous
 /// runs: the row count of each partition, where [`route`] sends each row.
-pub(crate) fn split_rows(rows: &[Tuple], splits: &[Vec<Value>], sk_cols: &[usize]) -> Vec<usize> {
+pub(crate) fn split_rows(
+    rows: SortedRows<'_>,
+    splits: &[Vec<Value>],
+    sk_cols: &[usize],
+) -> Vec<usize> {
     let mut start = 0;
     (0..=splits.len())
         .map(|p| {
@@ -276,6 +312,11 @@ mod tests {
 
     const INT: &[columnar::ValueType] = &[columnar::ValueType::Int];
 
+    /// Rows that arrive sorted: read in input order.
+    fn sorted(rows: &[Tuple]) -> SortedRows<'_> {
+        SortedRows::new(rows, None)
+    }
+
     #[test]
     fn route_sends_split_point_keys_up() {
         let splits = vec![k(10), k(20)];
@@ -291,28 +332,46 @@ mod tests {
         let rows: Vec<Tuple> = (0..100)
             .map(|i| vec![Value::Int(i), Value::Int(0)])
             .collect();
-        let splits = derive_splits("t", &PartitionSpec::Count(4), &rows, &[0], INT).unwrap();
+        let splits =
+            derive_splits("t", &PartitionSpec::Count(4), sorted(&rows), &[0], INT).unwrap();
         assert_eq!(splits, vec![k(25), k(50), k(75)]);
         // groups are balanced
-        assert_eq!(split_rows(&rows, &splits, &[0]), vec![25, 25, 25, 25]);
+        assert_eq!(
+            split_rows(sorted(&rows), &splits, &[0]),
+            vec![25, 25, 25, 25]
+        );
         // repeated keys count once: the same points over each row twice
         let twice: Vec<Tuple> = rows.iter().flat_map(|r| [r.clone(), r.clone()]).collect();
-        let again = derive_splits("t", &PartitionSpec::Count(4), &twice, &[0], INT).unwrap();
+        let again =
+            derive_splits("t", &PartitionSpec::Count(4), sorted(&twice), &[0], INT).unwrap();
         assert_eq!(again, splits);
-        assert_eq!(split_rows(&twice, &splits, &[0]), vec![50, 50, 50, 50]);
+        assert_eq!(
+            split_rows(sorted(&twice), &splits, &[0]),
+            vec![50, 50, 50, 50]
+        );
+        // rows read through the permutation that sorts them cut the same
+        let reversed: Vec<Tuple> = twice.iter().rev().cloned().collect();
+        let order: Vec<usize> = (0..200).map(|k| 199 - k).collect();
+        let through = SortedRows::new(&reversed, Some(&order));
+        let points = derive_splits("t", &PartitionSpec::Count(4), through, &[0], INT).unwrap();
+        assert_eq!(points, splits);
+        assert_eq!(split_rows(through, &splits, &[0]), vec![50, 50, 50, 50]);
     }
 
     #[test]
     fn count_spec_degrades_on_tiny_loads() {
         // fewer distinct keys than partitions: fewer splits, never panic
         let rows: Vec<Tuple> = vec![vec![Value::Int(7)], vec![Value::Int(7)]];
-        let splits = derive_splits("t", &PartitionSpec::Count(8), &rows, &[0], INT).unwrap();
+        let splits =
+            derive_splits("t", &PartitionSpec::Count(8), sorted(&rows), &[0], INT).unwrap();
         assert!(splits.is_empty());
-        assert!(derive_splits("t", &PartitionSpec::Count(3), &[], &[0], INT)
-            .unwrap()
-            .is_empty());
+        assert!(
+            derive_splits("t", &PartitionSpec::Count(3), sorted(&[]), &[0], INT)
+                .unwrap()
+                .is_empty()
+        );
         assert!(matches!(
-            derive_splits("t", &PartitionSpec::Count(0), &[], &[0], INT),
+            derive_splits("t", &PartitionSpec::Count(0), sorted(&[]), &[0], INT),
             Err(DbError::Partition { .. })
         ));
     }
@@ -320,7 +379,12 @@ mod tests {
     #[test]
     fn explicit_splits_validate() {
         let ok = PartitionSpec::SplitPoints(vec![k(1), k(5)]);
-        assert_eq!(derive_splits("t", &ok, &[], &[0], INT).unwrap().len(), 2);
+        assert_eq!(
+            derive_splits("t", &ok, sorted(&[]), &[0], INT)
+                .unwrap()
+                .len(),
+            2
+        );
         for bad in [
             PartitionSpec::SplitPoints(vec![k(5), k(1)]),
             PartitionSpec::SplitPoints(vec![k(5), k(5)]),
@@ -331,7 +395,7 @@ mod tests {
         ] {
             assert!(
                 matches!(
-                    derive_splits("t", &bad, &[], &[0], INT),
+                    derive_splits("t", &bad, sorted(&[]), &[0], INT),
                     Err(DbError::Partition { .. })
                 ),
                 "{bad:?}"
@@ -342,15 +406,21 @@ mod tests {
     #[test]
     fn split_rows_allows_empty_partitions() {
         let rows: Vec<Tuple> = vec![vec![Value::Int(100)]];
-        assert_eq!(split_rows(&rows, &[k(10), k(20)], &[0]), vec![0, 0, 1]);
+        assert_eq!(
+            split_rows(sorted(&rows), &[k(10), k(20)], &[0]),
+            vec![0, 0, 1]
+        );
         // a key equal to a split point, or one it prefixes, starts the run
         // above it
         let rows: Vec<Tuple> = [(5, 0), (10, 0), (10, 3), (20, 1)]
             .iter()
             .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
             .collect();
-        assert_eq!(split_rows(&rows, &[k(10), k(20)], &[0, 1]), vec![1, 2, 1]);
+        assert_eq!(
+            split_rows(sorted(&rows), &[k(10), k(20)], &[0, 1]),
+            vec![1, 2, 1]
+        );
         let mid = vec![Value::Int(10), Value::Int(1)];
-        assert_eq!(split_rows(&rows, &[mid], &[0, 1]), vec![2, 2]);
+        assert_eq!(split_rows(sorted(&rows), &[mid], &[0, 1]), vec![2, 2]);
     }
 }

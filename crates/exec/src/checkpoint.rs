@@ -19,7 +19,7 @@ mod tests {
 
     fn load(base: &[Tuple]) -> StableTable {
         let meta = TableMeta::new("t", schema(), vec![0]);
-        StableTable::bulk_load(meta, 16, base).unwrap()
+        StableTable::load(meta, 16, base).unwrap()
     }
 
     /// The PDT folded into blocks `[b0, b1)` of `t`, passed whole (as a

@@ -173,7 +173,7 @@ mod paper_example {
         // inside blocks, (Paris,rack) before the (Paris,rug) ghost
         for block_rows in [4096, 2] {
             let meta = TableMeta::new("inventory", schema(), vec![0, 1]);
-            let t0 = StableTable::bulk_load(meta, block_rows, &table0()).unwrap();
+            let t0 = StableTable::load(meta, block_rows, table0()).unwrap();
             let io = IoTracker::new();
             let layers = DeltaLayers::Pdt(vec![&pdt]);
             let t3 = fold_blocks(&t0, layers, 0, t0.num_blocks(), &io).unwrap();

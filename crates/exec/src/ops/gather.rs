@@ -262,7 +262,7 @@ mod tests {
     }
 
     fn table(from: i64, n: i64) -> StableTable {
-        StableTable::bulk_load(TableMeta::new("t", schema(), vec![0]), 4, &rows(from, n)).unwrap()
+        StableTable::load(TableMeta::new("t", schema(), vec![0]), 4, rows(from, n)).unwrap()
     }
 
     /// Two stacked layers over 20 rows: the upper one modifies a lower

@@ -568,7 +568,7 @@ mod tests {
     }
 
     fn table(n: i64) -> StableTable {
-        StableTable::bulk_load(TableMeta::new("t", schema(), vec![0]), 4, &rows(n)).unwrap()
+        StableTable::load(TableMeta::new("t", schema(), vec![0]), 4, rows(n)).unwrap()
     }
 
     /// The scan of one unpartitioned image: a single segment at base 0.
@@ -1004,7 +1004,7 @@ mod tests {
                 ]
             })
             .collect();
-        StableTable::bulk_load(TableMeta::new("t", schema(), vec![0]), 4, &rows).unwrap()
+        StableTable::load(TableMeta::new("t", schema(), vec![0]), 4, &rows).unwrap()
     }
 
     /// Two partitions (rows 0..20 and 20..40 of the keyspace), each with
@@ -1422,7 +1422,7 @@ mod tests {
     fn by_key_scan_matches_row_merge_wherever_the_sort_key_sits() {
         let base = rows(32);
         let two_col_key =
-            StableTable::bulk_load(TableMeta::new("t", schema(), vec![0, 2]), 4, &base).unwrap();
+            StableTable::load(TableMeta::new("t", schema(), vec![0, 2]), 4, &base).unwrap();
         for (t, sk) in [(table(32), vec![0usize]), (two_col_key, vec![0, 2])] {
             let key = |i: usize| -> Vec<Value> { sk.iter().map(|&c| base[i][c].clone()).collect() };
             let mut v = Vdt::new(schema(), sk.clone());
@@ -1505,7 +1505,7 @@ mod tests {
 
     fn load(sk: &[usize], rows: &[Tuple]) -> StableTable {
         let meta = TableMeta::new("t", schema(), sk.to_vec());
-        StableTable::bulk_load(meta, 4, rows).unwrap()
+        StableTable::load(meta, 4, rows).unwrap()
     }
 
     /// A delta of each policy, by `Upd` key.

@@ -206,7 +206,7 @@ impl DiffHarness {
                         partitions: self.partitions.clone(),
                         ..TableOptions::default()
                     },
-                    self.base_rows.clone(),
+                    &self.base_rows,
                 )
                 .expect("harness create_table");
                 (policy, db)
@@ -718,7 +718,7 @@ pub fn run_interleaved_spec(
                 partitions: partitions.clone(),
                 ..TableOptions::default()
             },
-            rows.clone(),
+            &rows,
         )
         .unwrap();
         // a commit fails only by a write-write conflict, in the one error
@@ -973,7 +973,7 @@ pub fn run_concurrent_differential(spec: ConcurrentSpec) -> Vec<Tuple> {
                 partitions: PartitionSpec::None,
                 ..TableOptions::default()
             },
-            base.clone(),
+            &base,
         )
         .unwrap();
         let scheduler = MaintenanceScheduler::start(

@@ -33,11 +33,14 @@ use engine::{Database, PartitionSpec, TableOptions};
 
 /// Load generated TPC-H data into a fresh engine database. The update
 /// policy in `opts` decides which differential structure maintains every
-/// table (the paper's PDT-vs-VDT axis).
+/// table (the paper's PDT-vs-VDT axis). The rows are lent to
+/// [`Database::create_table`], which reads them where they lie: `data` is
+/// never copied whole, not even to sort the tables that arrive out of
+/// sort-key order (`orders`).
 pub fn load_database(data: &TpchData, opts: TableOptions) -> Database {
     let db = Database::new();
     for (name, rows) in data.tables() {
-        db.create_table(schema::table_meta(name), opts.clone(), rows.clone())
+        db.create_table(schema::table_meta(name), opts.clone(), rows)
             .expect("bulk load");
     }
     db
@@ -47,7 +50,8 @@ pub fn load_database(data: &TpchData, opts: TableOptions) -> Database {
 /// `orders`) range-partitioned into `parts` equi-depth slices — how
 /// VectorWise deploys PDTs at scale. The RF1/RF2 streams route through
 /// the partition layer unchanged; the small dimension tables stay
-/// single-partition.
+/// single-partition. Like [`load_database`], it lends `data`'s rows to
+/// the load rather than copying them.
 pub fn load_database_partitioned(data: &TpchData, opts: TableOptions, parts: usize) -> Database {
     let db = Database::new();
     for (name, rows) in data.tables() {
@@ -56,7 +60,7 @@ pub fn load_database_partitioned(data: &TpchData, opts: TableOptions, parts: usi
         } else {
             opts.clone()
         };
-        db.create_table(schema::table_meta(name), table_opts, rows.clone())
+        db.create_table(schema::table_meta(name), table_opts, rows)
             .expect("bulk load");
     }
     db

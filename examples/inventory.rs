@@ -43,7 +43,7 @@ fn main() {
         ("new", ValueType::Bool),
         ("qty", ValueType::Int),
     ]);
-    let table0 = [
+    let table0: Vec<Vec<Value>> = [
         ("London", "chair", 30i64),
         ("London", "stool", 10),
         ("London", "table", 20),

@@ -23,7 +23,7 @@ fn main() {
         ("kind", ValueType::Str),
         ("score", ValueType::Double),
     ]);
-    let rows = (0..1000i64)
+    let rows: Vec<Vec<Value>> = (0..1000i64)
         .map(|i| {
             vec![
                 Value::Int(i * 2),

@@ -23,7 +23,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&images);
     let db = Arc::new(Database::with_wal(&wal).expect("open wal"));
     let schema = Schema::from_pairs(&[("id", ValueType::Int), ("score", ValueType::Int)]);
-    let rows = (0..10_000i64)
+    let rows: Vec<Vec<Value>> = (0..10_000i64)
         .map(|i| vec![Value::Int(i * 2), Value::Int(0)])
         .collect();
     db.create_table(

@@ -25,7 +25,7 @@ fn balances(db: &Database) -> Vec<(i64, i64)> {
 fn main() {
     let db = Database::new();
     let schema = Schema::from_pairs(&[("id", ValueType::Int), ("balance", ValueType::Int)]);
-    let rows = (0..10i64)
+    let rows: Vec<Vec<Value>> = (0..10i64)
         .map(|i| vec![Value::Int(i), Value::Int(100)])
         .collect();
     db.create_table(

@@ -1,15 +1,17 @@
 //! The bulk load, held to the builder's one append form.
 //!
-//! `Database::create_table` checks and sorts its rows, cuts them into the
-//! partitions' contiguous runs and streams each run into a stable image a
-//! block at a time. Over random schemas (int, double with NaN and −0.0,
-//! date and string columns), row counts around the block size, sorted,
-//! shuffled and equal-key inputs and 1–4 partitions by count or by split
-//! points, every partition's image must equal — block for block, with
-//! its dictionaries, sparse keys and block maxima — the image
+//! `Database::create_table` checks its rows and finds the order that
+//! sorts them, cuts them into the partitions' contiguous runs and streams
+//! each run into a stable image a block at a time — rows given (a
+//! `Vec<Tuple>`) moved out, rows lent (`&[Tuple]`) read where they lie.
+//! Over random schemas (int, double with NaN and −0.0, date and string
+//! columns), row counts around the block size, sorted, shuffled and
+//! equal-key inputs and 1–4 partitions by count or by split points, every
+//! partition's image from either input form must equal — block for
+//! block, with its dictionaries, sparse keys and block maxima — the image
 //! `TableBuilder::append_cols` builds from the same rows, sorted stably
 //! and cut at the split points this test derives on its own. The error
-//! cases keep their variants and row indices.
+//! cases keep their variants and row indices for both input forms.
 
 use columnar::{
     ColumnVec, ColumnarError, Schema, StableTable, TableBuilder, TableMeta, Tuple, Value, ValueType,
@@ -220,9 +222,14 @@ fn create_table_writes_the_images_append_cols_builds() {
             let key = key_of(&meta, r);
             groups[splits.partition_point(|s| s.as_slice() <= key.as_slice())].push(r.clone());
         }
-        for policy in ALL_POLICIES {
-            let what =
-                format!("case {case} {policy:?}: {n} rows, block_rows {block_rows}, {spec:?}");
+        for (policy, lent) in ALL_POLICIES
+            .into_iter()
+            .flat_map(|p| [(p, false), (p, true)])
+        {
+            let what = format!(
+                "case {case} {policy:?} {}: {n} rows, block_rows {block_rows}, {spec:?}",
+                if lent { "lent" } else { "given" }
+            );
             let db = Database::new();
             let opts = TableOptions {
                 block_rows,
@@ -230,8 +237,11 @@ fn create_table_writes_the_images_append_cols_builds() {
             }
             .with_policy(policy)
             .with_partitions(spec.clone());
-            db.create_table(meta.clone(), opts, rows.clone())
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let created = match lent {
+                true => db.create_table(meta.clone(), opts, &rows),
+                false => db.create_table(meta.clone(), opts, rows.clone()),
+            };
+            created.unwrap_or_else(|e| panic!("{what}: {e}"));
             let table = db.table("t").unwrap();
             assert_eq!(table.splits(), splits.as_slice(), "{what}");
             let got = table.partitions();
@@ -258,28 +268,55 @@ fn load_errors_keep_their_variants_and_rows() {
         DbError::Storage(ColumnarError::SchemaMismatch(m)) => m,
         other => panic!("expected a schema mismatch, got {other}"),
     };
-    for policy in ALL_POLICIES {
-        let create = |rows: Vec<Tuple>, block_rows: usize| {
-            let opts = TableOptions {
+    for (policy, lent) in ALL_POLICIES
+        .into_iter()
+        .flat_map(|p| [(p, false), (p, true)])
+    {
+        let opts = |block_rows: usize| {
+            TableOptions {
                 block_rows,
                 ..TableOptions::default()
             }
             .with_policy(policy)
-            .with_partitions(PartitionSpec::Count(2));
-            Database::new().create_table(meta.clone(), opts, rows)
+            .with_partitions(PartitionSpec::Count(2))
         };
-        // a short row and a mistyped one, named by their input index
+        let create_in = |db: &Database, name: &str, rows: Vec<Tuple>, block_rows: usize| {
+            let meta = TableMeta::new(name, meta.schema.clone(), vec![0]);
+            match lent {
+                true => db.create_table(meta, opts(block_rows), &rows),
+                false => db.create_table(meta, opts(block_rows), rows),
+            }
+        };
+        let create = |rows: Vec<Tuple>, block_rows: usize| {
+            create_in(&Database::new(), "t", rows, block_rows)
+        };
+        let form = if lent { "lent" } else { "given" };
+        // a short row and a mistyped one, named by their input index —
+        // the short one in unsorted rows, past the first pair out of order
         let mut short = rows.clone();
         short.reverse();
         short[13].pop();
-        let m = schema_err(create(short, 4).unwrap_err());
-        assert!(m.starts_with("row 13 "), "{policy:?}: {m}");
+        let m = schema_err(create(short.clone(), 4).unwrap_err());
+        assert!(m.starts_with("row 13 "), "{policy:?} {form}: {m}");
         let mut mistyped = rows.clone();
         mistyped[6][1] = Value::Int(6);
         let m = schema_err(create(mistyped, 4).unwrap_err());
-        assert!(m.starts_with("row 6 "), "{policy:?}: {m}");
+        assert!(m.starts_with("row 6 "), "{policy:?} {form}: {m}");
         let m = schema_err(create(rows.clone(), 0).unwrap_err());
-        assert!(m.contains("block_rows = 0"), "{policy:?}: {m}");
+        assert!(m.contains("block_rows = 0"), "{policy:?} {form}: {m}");
+        // the name checks come before any row is read
+        let db = Database::new();
+        create_in(&db, "t", rows.clone(), 4).unwrap();
+        let taken = create_in(&db, "t", short.clone(), 4).unwrap_err();
+        assert!(
+            matches!(taken, DbError::TableExists(_)),
+            "{policy:?} {form}: {taken}"
+        );
+        let bad_name = create_in(&db, "a/b", short.clone(), 4).unwrap_err();
+        assert!(
+            matches!(bad_name, DbError::Partition { .. }),
+            "{policy:?} {form}: {bad_name}"
+        );
         // unsorted rows are sorted, not refused
         let mut shuffled = rows.clone();
         shuffled.swap(2, 17);
@@ -291,16 +328,20 @@ fn load_errors_keep_their_variants_and_rows() {
         let mut unsorted = rows.clone();
         unsorted[at][0] = Value::Int(-1);
         let want = Err(ColumnarError::UnsortedInput { row: at as u64 });
-        let got = StableTable::bulk_load(meta.clone(), 4, &unsorted).map(|_| ());
-        assert_eq!(got, want, "bulk_load, row {at}");
+        let got = StableTable::load(meta.clone(), 4, &unsorted).map(|_| ());
+        assert_eq!(got, want, "lent, row {at}");
         let got = StableTable::load(meta.clone(), 4, unsorted).map(|_| ());
-        assert_eq!(got, want, "load, row {at}");
+        assert_eq!(got, want, "given, row {at}");
     }
     let mut short = rows.clone();
     short[9].pop();
-    let got = StableTable::bulk_load(meta.clone(), 4, &short).map(|_| ());
-    assert!(
-        matches!(&got, Err(ColumnarError::SchemaMismatch(m)) if m.starts_with("row 9 ")),
-        "{got:?}"
-    );
+    for got in [
+        StableTable::load(meta.clone(), 4, &short).map(|_| ()),
+        StableTable::load(meta.clone(), 4, short).map(|_| ()),
+    ] {
+        assert!(
+            matches!(&got, Err(ColumnarError::SchemaMismatch(m)) if m.starts_with("row 9 ")),
+            "{got:?}"
+        );
+    }
 }

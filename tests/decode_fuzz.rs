@@ -300,7 +300,7 @@ proptest! {
         let rows: Vec<Vec<Value>> = (0..100)
             .map(|i| vec![Value::Int(i), Value::Str(format!("v{}", i % 3))])
             .collect();
-        let table = StableTable::bulk_load(
+        let table = StableTable::load(
             meta,
             32,
             &rows,
@@ -384,12 +384,12 @@ proptest! {
             .enumerate()
             .map(|(i, s)| vec![Value::Int(i as i64), Value::Str(s.clone())])
             .collect();
-        let table = StableTable::bulk_load(
+        let table = StableTable::load(
             meta,
             block_rows,
             &rows,
         )
-        .map_err(|e| format!("bulk_load: {e}"))?;
+        .map_err(|e| format!("load: {e}"))?;
         prop_assert!(
             table.column_dict(1).is_some(),
             "compressed string column lost its dictionary before persisting"
@@ -474,7 +474,7 @@ fn every_bit_flip_of_a_v5_image_is_corrupt() {
             ]
         })
         .collect();
-    let table = StableTable::bulk_load(meta, 25, &rows).unwrap();
+    let table = StableTable::load(meta, 25, &rows).unwrap();
     assert!(table.column_dict(1).is_some(), "one dictionary column");
     assert_eq!(table.num_blocks(), 4);
     let img = encode_image(&table, 3);

@@ -154,7 +154,7 @@ fn explain_analyze_io_is_the_scans_own_under_concurrent_scans() {
         TableOptions::default().with_block_rows(64),
         (0..4096i64)
             .map(|i| vec![Value::Int(i), Value::Int(-i)])
-            .collect(),
+            .collect::<Vec<Tuple>>(),
     )
     .unwrap();
     let solo = db
@@ -200,7 +200,7 @@ fn server_metrics_show_live_maintenance_progress() {
             .with_checkpoint_threshold(1 << 14),
         (0..256i64)
             .map(|i| vec![Value::Int(i * 2), Value::Int(i)])
-            .collect(),
+            .collect::<Vec<Tuple>>(),
     )
     .unwrap();
     let server = Server::start(
