@@ -5,14 +5,17 @@
 //! with fewer possible code tuples than rows, probes once per distinct
 //! tuple instead: its rows index a slot table by their codes, and only the
 //! first row of each slot is looked up.
+//!
+//! Accumulators are typed too: `MIN` / `MAX` keep one native value per
+//! group, and `COUNT(DISTINCT)` files (group id, value) pairs in a second
+//! group table, so distinct values follow the key rule of `GROUP BY`.
 
 use crate::batch::{gather, keys_eq, Batch, KeyIndex};
 use crate::expr::{doubles, Expr};
 use crate::ops::Operator;
-use columnar::{ColumnVec, Value, ValueType};
+use columnar::{ColumnVec, ValueType};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,20 +66,33 @@ impl AggSpec {
 }
 
 /// The running state of one aggregate over every group, indexed by group
-/// id: sums, counts and means in typed vectors, extremes and distinct
-/// sets as per-group values.
+/// id, in typed vectors: no `Value` is built per input row.
 enum Acc {
     SumInt(Vec<i64>),
     SumDouble(Vec<f64>),
     Count(Vec<i64>),
     Avg(Vec<f64>, Vec<i64>),
-    /// Min (`Less`) or Max (`Greater`): replace when the new value orders so.
-    Extreme(Ordering, Vec<Option<Value>>),
-    /// Distinct values under the total order (one NaN, `-0.0` ≠ `0.0`).
-    Distinct(Vec<BTreeSet<Value>>),
+    /// Min (`Less`) or Max (`Greater`): a group's value is replaced when
+    /// the new one orders so, or when it has none yet (`seen`).
+    Extreme(Ordering, Extremes, Vec<bool>),
+    /// Every distinct (group, value) pair, keyed as `GROUP BY` keys its
+    /// groups — ints and dates by value, doubles by bits (one NaN per bit
+    /// pattern, `-0.0` ≠ `0.0`), strings by content — and how many pairs
+    /// each group has.
+    Distinct(Groups, Vec<i64>),
+}
+
+/// Each group's extreme, in the aggregated column's type.
+enum Extremes {
+    Bool(Vec<bool>),
+    Int(Vec<i64>),
+    Double(Vec<f64>),
+    Date(Vec<i32>),
+    Str(Vec<String>),
 }
 
 impl Acc {
+    /// The state of `func` over values of type `vt`.
     fn new(func: AggFunc, vt: ValueType) -> Acc {
         match func {
             AggFunc::Sum => match vt {
@@ -85,23 +101,25 @@ impl Acc {
             },
             AggFunc::Count => Acc::Count(Vec::new()),
             AggFunc::Avg => Acc::Avg(Vec::new(), Vec::new()),
-            AggFunc::Min => Acc::Extreme(Ordering::Less, Vec::new()),
-            AggFunc::Max => Acc::Extreme(Ordering::Greater, Vec::new()),
-            AggFunc::CountDistinct => Acc::Distinct(Vec::new()),
+            AggFunc::Min => Acc::Extreme(Ordering::Less, Extremes::new(vt), Vec::new()),
+            AggFunc::Max => Acc::Extreme(Ordering::Greater, Extremes::new(vt), Vec::new()),
+            AggFunc::CountDistinct => Acc::Distinct(Groups::default(), Vec::new()),
         }
     }
 
     /// Room for `groups` groups.
     fn grow(&mut self, groups: usize) {
         match self {
-            Acc::SumInt(s) | Acc::Count(s) => s.resize(groups, 0),
+            Acc::SumInt(s) | Acc::Count(s) | Acc::Distinct(_, s) => s.resize(groups, 0),
             Acc::SumDouble(s) => s.resize(groups, 0.0),
             Acc::Avg(s, n) => {
                 s.resize(groups, 0.0);
                 n.resize(groups, 0);
             }
-            Acc::Extreme(_, m) => m.resize(groups, None),
-            Acc::Distinct(d) => d.resize_with(groups, BTreeSet::new),
+            Acc::Extreme(_, m, seen) => {
+                m.grow(groups);
+                seen.resize(groups, false);
+            }
         }
     }
 
@@ -128,27 +146,25 @@ impl Acc {
                 s[g] += x;
                 n[g] += 1;
             }),
-            Acc::Extreme(keep, m) => {
+            Acc::Extreme(keep, m, seen) => m.update(*keep, seen, gids, &input()),
+            Acc::Distinct(pairs, counts) => {
                 let input = input();
-                for (i, g) in gs.enumerate() {
-                    let v = input.get(i);
-                    if m[g].as_ref().is_none_or(|cur| v.cmp(cur) == *keep) {
-                        m[g] = Some(v);
+                let owner = ColumnVec::Int(gids.iter().map(|&g| g as i64).collect());
+                let known = pairs.index.len();
+                pairs.resolve(&[&owner, &input], gids.len());
+                // a pair first met in this batch counts once, for its group
+                if let Some(keys) = &pairs.keys {
+                    for &g in &keys[0].as_int()[known..] {
+                        counts[g as usize] += 1;
                     }
-                }
-            }
-            Acc::Distinct(d) => {
-                let input = input();
-                for (i, g) in gs.enumerate() {
-                    d[g].insert(input.get(i));
                 }
             }
         }
     }
 
-    fn finish(self, vt: ValueType) -> ColumnVec {
+    fn finish(self) -> ColumnVec {
         match self {
-            Acc::SumInt(s) | Acc::Count(s) => ColumnVec::Int(s),
+            Acc::SumInt(s) | Acc::Count(s) | Acc::Distinct(_, s) => ColumnVec::Int(s),
             Acc::SumDouble(s) => ColumnVec::Double(s),
             Acc::Avg(s, n) => ColumnVec::Double(
                 s.iter()
@@ -156,13 +172,78 @@ impl Acc {
                     .map(|(&s, &n)| if n == 0 { 0.0 } else { s / n as f64 })
                     .collect(),
             ),
-            Acc::Extreme(_, m) => {
-                let mut out = ColumnVec::with_capacity(vt, m.len());
-                m.into_iter()
-                    .for_each(|v| out.push_owned(v.unwrap_or(Value::Null)));
-                out
+            // a group with no value keeps its type's default
+            Acc::Extreme(_, m, _) => match m {
+                Extremes::Bool(v) => ColumnVec::Bool(v),
+                Extremes::Int(v) => ColumnVec::Int(v),
+                Extremes::Double(v) => ColumnVec::Double(v),
+                Extremes::Date(v) => ColumnVec::Date(v),
+                Extremes::Str(v) => ColumnVec::Str(v),
+            },
+        }
+    }
+}
+
+impl Extremes {
+    fn new(vt: ValueType) -> Extremes {
+        match vt {
+            ValueType::Bool => Extremes::Bool(Vec::new()),
+            ValueType::Int => Extremes::Int(Vec::new()),
+            ValueType::Double => Extremes::Double(Vec::new()),
+            ValueType::Date => Extremes::Date(Vec::new()),
+            ValueType::Str => Extremes::Str(Vec::new()),
+        }
+    }
+
+    fn grow(&mut self, groups: usize) {
+        match self {
+            Extremes::Bool(v) => v.resize(groups, false),
+            Extremes::Int(v) => v.resize(groups, 0),
+            Extremes::Double(v) => v.resize(groups, 0.0),
+            Extremes::Date(v) => v.resize(groups, 0),
+            Extremes::Str(v) => v.resize(groups, String::new()),
+        }
+    }
+
+    /// Row `i` of `input` replaces group `gids[i]`'s value when it orders
+    /// `keep` against it under the executor's total order (doubles by
+    /// `total_cmp`, strings by content), or when the group has none yet.
+    fn update(&mut self, keep: Ordering, seen: &mut [bool], gids: &[u32], input: &ColumnVec) {
+        match self {
+            Extremes::Bool(m) => fold_extreme(m, seen, gids, input.as_bool(), keep, Ord::cmp),
+            Extremes::Int(m) => fold_extreme(m, seen, gids, input.as_int(), keep, Ord::cmp),
+            Extremes::Double(m) => {
+                fold_extreme(m, seen, gids, input.as_double(), keep, f64::total_cmp)
             }
-            Acc::Distinct(d) => ColumnVec::Int(d.iter().map(|s| s.len() as i64).collect()),
+            Extremes::Date(m) => fold_extreme(m, seen, gids, input.as_date(), keep, Ord::cmp),
+            Extremes::Str(m) => {
+                for (i, &g) in gids.iter().enumerate() {
+                    let (g, s) = (g as usize, input.str_at(i));
+                    if !seen[g] || s.cmp(&m[g]) == keep {
+                        seen[g] = true;
+                        m[g].clear();
+                        m[g].push_str(s);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`Extremes::update`] over a native column.
+fn fold_extreme<T: Copy>(
+    m: &mut [T],
+    seen: &mut [bool],
+    gids: &[u32],
+    vals: &[T],
+    keep: Ordering,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) {
+    for (&g, v) in gids.iter().zip(vals) {
+        let g = g as usize;
+        if !seen[g] || cmp(v, &m[g]) == keep {
+            seen[g] = true;
+            m[g] = *v;
         }
     }
 }
@@ -306,9 +387,9 @@ impl Operator for HashAggregate<'_> {
             g => g,
         };
         let mut cols = groups.keys.unwrap_or_default();
-        for (mut acc, &vt) in accs.into_iter().zip(agg_types) {
+        for mut acc in accs {
             acc.grow(count);
-            cols.push(acc.finish(vt));
+            cols.push(acc.finish());
         }
         Some(Batch { cols, rid_start: 0 })
     }
@@ -323,7 +404,7 @@ mod tests {
     use super::*;
     use crate::expr::{col, lit};
     use crate::ops::{run_to_rows, ValuesOp};
-    use columnar::Tuple;
+    use columnar::{Tuple, Value};
     use std::collections::HashMap;
 
     fn input() -> Box<dyn Operator> {

@@ -36,6 +36,19 @@ pub fn run_to_rows(op: &mut dyn Operator) -> Vec<Tuple> {
     rows
 }
 
+/// Every batch of `input` concatenated into one, or `None` when it yields
+/// no rows. A string column coded over several dictionaries (several
+/// partitions' scans) stays coded, over their order-preserving union.
+pub(crate) fn collect(input: &mut dyn Operator) -> Option<Batch> {
+    let mut all = input.next_batch()?;
+    while let Some(b) = input.next_batch() {
+        for (col, c) in all.cols.iter_mut().zip(&b.cols) {
+            col.extend_range(c, 0, c.len());
+        }
+    }
+    Some(all).filter(|b| !b.is_empty())
+}
+
 /// A leaf operator yielding one prebuilt batch (tests, literal tables).
 pub struct ValuesOp {
     types: Vec<ValueType>,

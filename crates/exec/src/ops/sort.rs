@@ -1,8 +1,9 @@
-//! Sort and Top-N.
+//! Sort and Top-N: the input concatenated into one batch, a permutation of
+//! its row indices ordered over the typed key columns, one gather.
 
 use crate::batch::Batch;
-use crate::ops::Operator;
-use columnar::{Tuple, ValueType};
+use crate::ops::{collect, Operator};
+use columnar::{ColumnVec, ValueType};
 use std::cmp::Ordering;
 
 /// One sort criterion: column index + direction.
@@ -26,15 +27,72 @@ impl SortKey {
     }
 }
 
-fn cmp_rows(a: &Tuple, b: &Tuple, keys: &[SortKey]) -> Ordering {
-    for k in keys {
-        let ord = a[k.col].cmp(&b[k.col]);
-        let ord = if k.desc { ord.reverse() } else { ord };
-        if ord != Ordering::Equal {
-            return ord;
+/// A key column borrowed as its native slice, so a comparison is one typed
+/// compare: doubles by `total_cmp`, coded strings by code (every dictionary
+/// is order-preserving, the union two partitions recode into included),
+/// plain strings as `&str` — the order of `Value::cmp`.
+enum KeyCol<'a> {
+    Bool(&'a [bool]),
+    Int(&'a [i64]),
+    Double(&'a [f64]),
+    Date(&'a [i32]),
+    Code(&'a [u32]),
+    Str(&'a [String]),
+}
+
+impl<'a> KeyCol<'a> {
+    fn of(c: &'a ColumnVec) -> Self {
+        match c {
+            ColumnVec::Bool(v) => KeyCol::Bool(v),
+            ColumnVec::Int(v) => KeyCol::Int(v),
+            ColumnVec::Double(v) => KeyCol::Double(v),
+            ColumnVec::Date(v) => KeyCol::Date(v),
+            ColumnVec::Coded(v, _) => KeyCol::Code(v),
+            ColumnVec::Str(v) => KeyCol::Str(v),
         }
     }
-    Ordering::Equal
+
+    fn cmp(&self, i: usize, j: usize) -> Ordering {
+        match self {
+            KeyCol::Bool(v) => v[i].cmp(&v[j]),
+            KeyCol::Int(v) => v[i].cmp(&v[j]),
+            KeyCol::Double(v) => v[i].total_cmp(&v[j]),
+            KeyCol::Date(v) => v[i].cmp(&v[j]),
+            KeyCol::Code(v) => v[i].cmp(&v[j]),
+            KeyCol::Str(v) => v[i].cmp(&v[j]),
+        }
+    }
+}
+
+/// The indices of `batch`'s rows in `keys` order — all of them, or the
+/// first `limit`. The row index breaks the last tie, so equal keys keep
+/// their input order (a stable sort) and the order is total, which lets
+/// `select_nth_unstable_by` cut the first `limit` before sorting them.
+fn order(batch: &Batch, keys: &[SortKey], limit: Option<usize>) -> Vec<usize> {
+    let cols: Vec<(KeyCol, bool)> = keys
+        .iter()
+        .map(|k| (KeyCol::of(&batch.cols[k.col]), k.desc))
+        .collect();
+    let cmp = |&i: &usize, &j: &usize| {
+        cols.iter()
+            .map(|(c, desc)| match desc {
+                true => c.cmp(j, i),
+                false => c.cmp(i, j),
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| i.cmp(&j))
+    };
+    let mut perm: Vec<usize> = (0..batch.num_rows()).collect();
+    match limit {
+        Some(0) => perm.clear(),
+        Some(n) if n < perm.len() => {
+            perm.select_nth_unstable_by(n - 1, cmp);
+            perm.truncate(n);
+        }
+        _ => {}
+    }
+    perm.sort_unstable_by(cmp);
+    perm
 }
 
 /// Full materializing sort.
@@ -42,6 +100,8 @@ pub struct Sort<'a> {
     input: Box<dyn Operator + 'a>,
     keys: Vec<SortKey>,
     types: Vec<ValueType>,
+    /// Keep only the first `limit` rows (Top-N).
+    limit: Option<usize>,
     done: bool,
 }
 
@@ -53,6 +113,7 @@ impl<'a> Sort<'a> {
             input,
             keys,
             types,
+            limit: None,
             done: false,
         }
     }
@@ -64,15 +125,8 @@ impl Operator for Sort<'_> {
             return None;
         }
         self.done = true;
-        let mut rows: Vec<Tuple> = Vec::new();
-        while let Some(b) = self.input.next_batch() {
-            rows.extend(b.rows());
-        }
-        if rows.is_empty() {
-            return None;
-        }
-        rows.sort_by(|a, b| cmp_rows(a, b, &self.keys));
-        Some(Batch::from_rows(&self.types, &rows))
+        let all = collect(self.input.as_mut())?;
+        Some(all.gather(&order(&all, &self.keys, self.limit)))
     }
 
     fn out_types(&self) -> Vec<ValueType> {
@@ -83,25 +137,20 @@ impl Operator for Sort<'_> {
 /// Sort + keep the first `n` rows (ORDER BY ... LIMIT n).
 pub struct TopN<'a> {
     inner: Sort<'a>,
-    n: usize,
 }
 
 impl<'a> TopN<'a> {
     /// Keep the first `n` rows of `input` sorted by `keys`.
     pub fn new(input: Box<dyn Operator + 'a>, keys: Vec<SortKey>, n: usize) -> Self {
-        TopN {
-            inner: Sort::new(input, keys),
-            n,
-        }
+        let mut inner = Sort::new(input, keys);
+        inner.limit = Some(n);
+        TopN { inner }
     }
 }
 
 impl Operator for TopN<'_> {
     fn next_batch(&mut self) -> Option<Batch> {
-        let b = self.inner.next_batch()?;
-        let keep = b.num_rows().min(self.n);
-        let idx: Vec<usize> = (0..keep).collect();
-        Some(b.gather(&idx))
+        self.inner.next_batch()
     }
 
     fn out_types(&self) -> Vec<ValueType> {
@@ -113,7 +162,7 @@ impl Operator for TopN<'_> {
 mod tests {
     use super::*;
     use crate::ops::{run_to_rows, ValuesOp};
-    use columnar::Value;
+    use columnar::{Tuple, Value};
 
     fn input() -> Box<dyn Operator> {
         let rows: Vec<Tuple> = [(3, "c"), (1, "a"), (2, "b"), (1, "z")]

@@ -1,5 +1,5 @@
-//! Hash operators and typed expression kernels ≡ a naive row-at-a-time
-//! model.
+//! Hash operators, sorts and typed expression kernels ≡ a naive
+//! row-at-a-time model.
 //!
 //! `HashAggregate` and `HashJoin` key on hashed native columns (groups and
 //! build rows by index, compared cell by cell), and `Expr` evaluates
@@ -18,6 +18,11 @@
 //!   through the per-batch code-tuple table;
 //! * Int, Double, Date and string keys, with `-0.0`, `0.0` and NaN among
 //!   the doubles.
+//!
+//! `Sort` and `TopN` order a permutation of typed key columns (codes
+//! compared as codes, over the union two dictionaries recode into); they
+//! are held to a stable `sort_by` over `Value::cmp`, with 1–3 keys of
+//! mixed directions and every cut of `TopN` from none to all.
 //!
 //! Predicates are also held to the model as selections: `Expr::select`
 //! over a random ascending row list keeps exactly the listed rows the
@@ -40,7 +45,7 @@ use engine::{Database, DbTxn, ScanSpec};
 use exec::expr::{col, lit};
 use exec::{
     run_to_rows, AggFunc, AggSpec, Batch, CmpOp, Expr, Filter, HashAggregate, HashJoin, JoinKind,
-    Operator,
+    Operator, Sort, SortKey, TopN,
 };
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -234,6 +239,21 @@ fn model_join(
         }
     }
     out
+}
+
+/// Rows in `keys` order, ties in input order: a stable sort over
+/// `Value::cmp`.
+fn model_sort(mut rows: Vec<Tuple>, keys: &[SortKey]) -> Vec<Tuple> {
+    rows.sort_by(|a, b| {
+        keys.iter()
+            .map(|k| match k.desc {
+                true => b[k.col].cmp(&a[k.col]),
+                false => a[k.col].cmp(&b[k.col]),
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    rows
 }
 
 /// SQL `LIKE` with `%` wildcards, by brute force.
@@ -497,6 +517,40 @@ proptest! {
     }
 
     #[test]
+    fn sort_and_topn_match_a_stable_sort(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let input = gen_input(&mut rng, &dicts());
+        // 1–3 keys of few distinct values, so ties are common and the
+        // later keys and the input order decide
+        let keys: Vec<SortKey> = (0..1 + rng.below(3))
+            .map(|_| {
+                let c = pick(&mut rng, &[0, 1, 2, 3, 6, 6, 5]);
+                match rng.below(2) {
+                    0 => SortKey::asc(c),
+                    _ => SortKey::desc(c),
+                }
+            })
+            .collect();
+        let want = model_sort(rows_of(&input), &keys);
+        let mut sort = Sort::new(source(&input), keys.clone());
+        if want.is_empty() {
+            prop_assert!(sort.next_batch().is_none(), "empty input sorts to None");
+        }
+        let got = run_to_rows(&mut sort);
+        prop_assert!(same_rows(&got, &want), "sort by {:?}\n got: {:?}\nwant: {:?}", keys, got, want);
+        let len = want.len();
+        for n in [0, 1, len.saturating_sub(1), len, len + 3] {
+            let mut top = TopN::new(source(&input), keys.clone(), n);
+            if len == 0 {
+                prop_assert!(top.next_batch().is_none(), "empty input keeps None");
+            }
+            let got = run_to_rows(&mut top);
+            let want = &want[..n.min(len)];
+            prop_assert!(same_rows(&got, want), "top {} by {:?}\n got: {:?}\nwant: {:?}", n, keys, got, want);
+        }
+    }
+
+    #[test]
     fn select_matches_the_model(seed in any::<u64>()) {
         let mut rng = TestRng::new(seed);
         let input = gen_input(&mut rng, &dicts());
@@ -542,6 +596,76 @@ proptest! {
                         "{:?} on row {:?}: got {:?}, want {:?}",
                         e, batch.row(i), got.get(i), w
                     );
+                }
+            }
+        }
+    }
+}
+
+/// One batch of rows over `TYPES` whose Int (0), Date (2) and string (3,
+/// 6) key columns follow `keys`; strings coded over `dict` when given.
+fn keyed_batch(keys: &[usize], dict: Option<&Arc<StrDict>>) -> Vec<Batch> {
+    let mut cols: Vec<ColumnVec> = TYPES.iter().map(|&t| ColumnVec::new(t)).collect();
+    if let Some(d) = dict {
+        cols[3] = ColumnVec::new_coded(d.clone());
+        cols[6] = ColumnVec::new_coded(d.clone());
+    }
+    for (i, &k) in keys.iter().enumerate() {
+        let row = [
+            Value::Int(k as i64),
+            Value::Double(DOUBLES[k % DOUBLES.len()]),
+            Value::Date(k as i32),
+            Value::from(IN_DICT[k % IN_DICT.len()]),
+            Value::Int(i as i64),
+            Value::Double(i as f64 / 2.0),
+            Value::from(IN_DICT[i % IN_DICT.len()]),
+        ];
+        cols.iter_mut().zip(&row).for_each(|(c, v)| c.push(v));
+    }
+    vec![Batch { cols, rid_start: 0 }]
+}
+
+/// The join probe runs one loop per key shape: a single Int key, a single
+/// Date key, and every other key. Each shape meets duplicate build keys,
+/// probe keys without a match, an empty build side, and every join kind.
+#[test]
+fn every_probe_arm_matches_the_model() {
+    let [dict, _] = dicts();
+    let probe = keyed_batch(&[0, 1, 2, 3, 1, 0], Some(&dict));
+    let builds = [
+        keyed_batch(&[1, 3, 1, 3, 3, 0], None), // key 2 never matches
+        Vec::new(),                             // no build rows at all
+    ];
+    let arms: [(&str, &[(usize, usize)]); 4] = [
+        ("Int", &[(0, 0)]),
+        ("Date", &[(2, 2)]),
+        ("generic: coded against plain strings", &[(3, 3)]),
+        ("generic: two keys", &[(0, 0), (2, 2)]),
+    ];
+    for (arm, keys) in arms {
+        let (pk, bk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
+        for build in &builds {
+            for kind in [
+                JoinKind::Inner,
+                JoinKind::LeftOuter,
+                JoinKind::Semi,
+                JoinKind::Anti,
+            ] {
+                let mut op =
+                    HashJoin::new(source(&probe), source(build), pk.clone(), bk.clone(), kind);
+                let got = run_to_rows(&mut op);
+                let want = model_join(&rows_of(&probe), &rows_of(build), keys, kind);
+                assert!(
+                    same_rows(&got, &want),
+                    "{arm} arm, {kind:?}, {} build rows\n got: {got:?}\nwant: {want:?}",
+                    rows_of(build).len()
+                );
+                if kind == JoinKind::LeftOuter {
+                    // the `matched` flag, and the default row where it is false
+                    let flags: Vec<bool> =
+                        got.iter().map(|r| r[TYPES.len() * 2].as_bool()).collect();
+                    assert!(flags.contains(&false), "{arm}: key 2 is unmatched");
+                    assert_eq!(flags.contains(&true), !build.is_empty(), "{arm}");
                 }
             }
         }
