@@ -89,88 +89,55 @@ impl<'a> HashJoin<'a> {
     }
 }
 
-/// A probe batch's matches: output row `k` is probe row `probe_at[k]` ++
-/// build row `build_at[k]`, and (left-outer only) `matched[k]` says
-/// whether that build row is a real match or the row of defaults.
-struct Matches {
-    probe_at: Vec<usize>,
-    build_at: Vec<usize>,
-    matched: Vec<bool>,
-}
-
-/// Match each probe row `i` (hash `hashes[i]`) against the build rows
-/// `index` files under its hash, checked by `eq(i, j)`. One instance per
-/// key shape, so a single Int or Date key compares native slices inline.
-fn probe(
-    kind: JoinKind,
-    index: &KeyIndex,
-    hashes: &[u64],
-    eq: impl Fn(usize, usize) -> bool,
-) -> Matches {
-    // room for one output row per probe row, in the vectors `kind` fills
-    let room = |fills: bool| if fills { hashes.len() } else { 0 };
-    let mut m = Matches {
-        probe_at: Vec::with_capacity(hashes.len()),
-        build_at: Vec::with_capacity(room(matches!(kind, JoinKind::Inner | JoinKind::LeftOuter))),
-        matched: Vec::with_capacity(room(kind == JoinKind::LeftOuter)),
-    };
-    // the row of defaults follows the last build row
-    let defaults = index.len();
-    for (i, &h) in hashes.iter().enumerate() {
-        let mut hits = index
-            .candidates(h)
-            .map(|j| j as usize)
-            .filter(|&j| eq(i, j));
-        match kind {
-            JoinKind::Inner | JoinKind::LeftOuter => {
-                let before = m.build_at.len();
-                m.build_at.extend(hits);
-                let hit = m.build_at.len() > before;
-                if kind == JoinKind::LeftOuter {
-                    if !hit {
-                        m.build_at.push(defaults);
-                    }
-                    m.matched.resize(m.build_at.len(), hit);
-                }
-                m.probe_at.resize(m.build_at.len(), i);
-            }
-            JoinKind::Semi if hits.next().is_some() => m.probe_at.push(i),
-            JoinKind::Anti if hits.next().is_none() => m.probe_at.push(i),
-            JoinKind::Semi | JoinKind::Anti => {}
-        }
-    }
-    m
-}
-
 impl Operator for HashJoin<'_> {
     fn next_batch(&mut self) -> Option<Batch> {
         self.build_table();
         let build_keys = self.built.cols_at(&self.build_keys);
+        let defaults = self.index.len();
         loop {
             let batch = self.probe.next_batch()?;
             let probe_keys = batch.cols_at(&self.probe_keys);
             let hashes = self.index.hash_rows(&probe_keys, batch.num_rows());
-            let (kind, index) = (self.kind, &self.index);
-            let m = match (&probe_keys[..], &build_keys[..]) {
-                ([ColumnVec::Int(p)], [ColumnVec::Int(b)]) => {
-                    probe(kind, index, &hashes, |i, j| p[i] == b[j])
+            // output row k is probe row `probe_at[k]` ++ build row `build_at[k]`;
+            // room for one per probe row in the vectors this kind fills
+            let kind = self.kind;
+            let room = |fills: bool| if fills { hashes.len() } else { 0 };
+            let mut probe_at = Vec::with_capacity(hashes.len());
+            let mut build_at =
+                Vec::with_capacity(room(matches!(kind, JoinKind::Inner | JoinKind::LeftOuter)));
+            let mut matched = Vec::with_capacity(room(kind == JoinKind::LeftOuter));
+            for (i, &h) in hashes.iter().enumerate() {
+                let mut hits = self
+                    .index
+                    .candidates(h)
+                    .filter(|&j| keys_eq(&probe_keys, i, &build_keys, j as usize));
+                match self.kind {
+                    JoinKind::Inner | JoinKind::LeftOuter => {
+                        let before = build_at.len();
+                        build_at.extend(hits.map(|j| j as usize));
+                        let hit = build_at.len() > before;
+                        if self.kind == JoinKind::LeftOuter {
+                            if !hit {
+                                build_at.push(defaults);
+                            }
+                            matched.resize(build_at.len(), hit);
+                        }
+                        probe_at.resize(build_at.len(), i);
+                    }
+                    JoinKind::Semi if hits.next().is_some() => probe_at.push(i),
+                    JoinKind::Anti if hits.next().is_none() => probe_at.push(i),
+                    JoinKind::Semi | JoinKind::Anti => {}
                 }
-                ([ColumnVec::Date(p)], [ColumnVec::Date(b)]) => {
-                    probe(kind, index, &hashes, |i, j| p[i] == b[j])
-                }
-                _ => probe(kind, index, &hashes, |i, j| {
-                    keys_eq(&probe_keys, i, &build_keys, j)
-                }),
-            };
-            if m.probe_at.is_empty() {
+            }
+            if probe_at.is_empty() {
                 continue; // fully unmatched batch for Inner/Semi: pull more input
             }
-            let mut out = batch.gather(&m.probe_at);
-            if matches!(kind, JoinKind::Inner | JoinKind::LeftOuter) {
-                out = out.zip(self.built.gather(&m.build_at));
+            let mut out = batch.gather(&probe_at);
+            if matches!(self.kind, JoinKind::Inner | JoinKind::LeftOuter) {
+                out = out.zip(self.built.gather(&build_at));
             }
-            if kind == JoinKind::LeftOuter {
-                out.cols.push(ColumnVec::Bool(m.matched));
+            if self.kind == JoinKind::LeftOuter {
+                out.cols.push(ColumnVec::Bool(matched));
             }
             return Some(out);
         }

@@ -3,8 +3,7 @@
 
 use crate::batch::Batch;
 use crate::ops::{collect, Operator};
-use columnar::{ColumnVec, ValueType};
-use std::cmp::Ordering;
+use columnar::ValueType;
 
 /// One sort criterion: column index + direction.
 #[derive(Debug, Clone, Copy)]
@@ -27,57 +26,21 @@ impl SortKey {
     }
 }
 
-/// A key column borrowed as its native slice, so a comparison is one typed
-/// compare: doubles by `total_cmp`, coded strings by code (every dictionary
-/// is order-preserving, the union two partitions recode into included),
-/// plain strings as `&str` — the order of `Value::cmp`.
-enum KeyCol<'a> {
-    Bool(&'a [bool]),
-    Int(&'a [i64]),
-    Double(&'a [f64]),
-    Date(&'a [i32]),
-    Code(&'a [u32]),
-    Str(&'a [String]),
-}
-
-impl<'a> KeyCol<'a> {
-    fn of(c: &'a ColumnVec) -> Self {
-        match c {
-            ColumnVec::Bool(v) => KeyCol::Bool(v),
-            ColumnVec::Int(v) => KeyCol::Int(v),
-            ColumnVec::Double(v) => KeyCol::Double(v),
-            ColumnVec::Date(v) => KeyCol::Date(v),
-            ColumnVec::Coded(v, _) => KeyCol::Code(v),
-            ColumnVec::Str(v) => KeyCol::Str(v),
-        }
-    }
-
-    fn cmp(&self, i: usize, j: usize) -> Ordering {
-        match self {
-            KeyCol::Bool(v) => v[i].cmp(&v[j]),
-            KeyCol::Int(v) => v[i].cmp(&v[j]),
-            KeyCol::Double(v) => v[i].total_cmp(&v[j]),
-            KeyCol::Date(v) => v[i].cmp(&v[j]),
-            KeyCol::Code(v) => v[i].cmp(&v[j]),
-            KeyCol::Str(v) => v[i].cmp(&v[j]),
-        }
-    }
-}
-
 /// The indices of `batch`'s rows in `keys` order — all of them, or the
 /// first `limit`. The row index breaks the last tie, so equal keys keep
 /// their input order (a stable sort) and the order is total, which lets
 /// `select_nth_unstable_by` cut the first `limit` before sorting them.
 fn order(batch: &Batch, keys: &[SortKey], limit: Option<usize>) -> Vec<usize> {
-    let cols: Vec<(KeyCol, bool)> = keys
-        .iter()
-        .map(|k| (KeyCol::of(&batch.cols[k.col]), k.desc))
-        .collect();
+    // a column compared with itself shares its dictionary, so coded
+    // strings compare by code (every dictionary is order-preserving)
     let cmp = |&i: &usize, &j: &usize| {
-        cols.iter()
-            .map(|(c, desc)| match desc {
-                true => c.cmp(j, i),
-                false => c.cmp(i, j),
+        keys.iter()
+            .map(|k| {
+                let c = &batch.cols[k.col];
+                match k.desc {
+                    true => c.cmp_cells(j, c, i),
+                    false => c.cmp_cells(i, c, j),
+                }
             })
             .find(|o| o.is_ne())
             .unwrap_or_else(|| i.cmp(&j))

@@ -625,24 +625,25 @@ fn keyed_batch(keys: &[usize], dict: Option<&Arc<StrDict>>) -> Vec<Batch> {
     vec![Batch { cols, rid_start: 0 }]
 }
 
-/// The join probe runs one loop per key shape: a single Int key, a single
-/// Date key, and every other key. Each shape meets duplicate build keys,
-/// probe keys without a match, an empty build side, and every join kind.
+/// One deterministic join per key shape (a single Int key, a single Date
+/// key, coded against plain strings, two keys), so each meets duplicate
+/// build keys, probe keys without a match, an empty build side, and every
+/// join kind, which the random cases reach only now and then.
 #[test]
-fn every_probe_arm_matches_the_model() {
+fn every_key_shape_joins_like_the_model() {
     let [dict, _] = dicts();
     let probe = keyed_batch(&[0, 1, 2, 3, 1, 0], Some(&dict));
     let builds = [
         keyed_batch(&[1, 3, 1, 3, 3, 0], None), // key 2 never matches
         Vec::new(),                             // no build rows at all
     ];
-    let arms: [(&str, &[(usize, usize)]); 4] = [
+    let shapes: [(&str, &[(usize, usize)]); 4] = [
         ("Int", &[(0, 0)]),
         ("Date", &[(2, 2)]),
-        ("generic: coded against plain strings", &[(3, 3)]),
-        ("generic: two keys", &[(0, 0), (2, 2)]),
+        ("coded against plain strings", &[(3, 3)]),
+        ("two keys", &[(0, 0), (2, 2)]),
     ];
-    for (arm, keys) in arms {
+    for (shape, keys) in shapes {
         let (pk, bk): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
         for build in &builds {
             for kind in [
@@ -657,15 +658,15 @@ fn every_probe_arm_matches_the_model() {
                 let want = model_join(&rows_of(&probe), &rows_of(build), keys, kind);
                 assert!(
                     same_rows(&got, &want),
-                    "{arm} arm, {kind:?}, {} build rows\n got: {got:?}\nwant: {want:?}",
+                    "{shape} key, {kind:?}, {} build rows\n got: {got:?}\nwant: {want:?}",
                     rows_of(build).len()
                 );
                 if kind == JoinKind::LeftOuter {
                     // the `matched` flag, and the default row where it is false
                     let flags: Vec<bool> =
                         got.iter().map(|r| r[TYPES.len() * 2].as_bool()).collect();
-                    assert!(flags.contains(&false), "{arm}: key 2 is unmatched");
-                    assert_eq!(flags.contains(&true), !build.is_empty(), "{arm}");
+                    assert!(flags.contains(&false), "{shape}: key 2 is unmatched");
+                    assert_eq!(flags.contains(&true), !build.is_empty(), "{shape}");
                 }
             }
         }
